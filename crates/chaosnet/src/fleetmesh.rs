@@ -1,18 +1,15 @@
 //! The chaos mesh over the fleet digest back-haul.
 //!
-//! Splits the fleet harness in two so a chaos schedule can sit between
-//! the halves:
-//!
-//! * [`collect_digest_stream`] runs the sharded collectors over a
-//!   scripted sample stream (with optional per-tier agent-plane fault
-//!   schedules) and captures every flushed [`DigestFrame`] as encoded
-//!   wire bytes stamped with the simulated tick it was flushed at.
-//! * [`merge_stream`] replays that stream into a partition-aware
-//!   [`MergeNode`], applying a [`ChaosSchedule`] to the back-haul:
-//!   corrupted/truncated/dropped digests are *lost* (and reported),
-//!   duplicates are ingested twice, reorders swap delivery order, and a
-//!   scripted partition holds a collector's frames until the heal tick
-//!   while the merge's liveness clock watches the silence.
+//! The fleet harness comes in two halves so a chaos schedule can sit
+//! between them: `webcap_fleet::collect_digest_stream` runs the sharded
+//! collectors and captures every flushed [`DigestFrame`] as encoded
+//! wire bytes stamped with the simulated tick it was flushed at, and
+//! [`merge_stream`] here replays that stream into a partition-aware
+//! [`MergeNode`], applying a [`ChaosSchedule`] to the back-haul:
+//! corrupted/truncated/dropped digests are *lost* (and reported),
+//! duplicates are ingested twice, reorders swap delivery order, and a
+//! scripted partition holds a collector's frames until the heal tick
+//! while the merge's liveness clock watches the silence.
 //!
 //! Because the merge is a pure function of the *set* of ingested
 //! digests, the suite can state exact oracles: loss-free chaos must be
@@ -20,56 +17,13 @@
 //! byte-identical to a clean merge of exactly the surviving frames.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use webcap_core::CapacityMeter;
-use webcap_fleet::{
-    AgentId, FleetCollector, FleetTopology, MergeLivenessConfig, MergeNode, MergeOutcome, ShardMap,
-};
-use webcap_net::collector::CollectorConfig;
-use webcap_net::frame::{try_extract_frame, write_frame_codec, AppStats, Frame};
-use webcap_net::source::TierSampler;
-use webcap_net::supervisor::SupervisorConfig;
-use webcap_net::{DigestFin, DigestFrame, FaultSchedule, WireCodec, WireSample};
-use webcap_sim::{SystemSample, TierId};
+use webcap_fleet::{DigestStream, FleetError, MergeLivenessConfig, MergeNode, MergeOutcome};
+use webcap_net::frame::{try_extract_frame, Frame};
+use webcap_net::DigestFrame;
 
 use crate::schedule::{corrupt_frame, ChaosSchedule, FrameFault};
-
-/// Error from the fleet chaos mesh; deterministic, so always a
-/// programming or configuration mistake.
-#[derive(Debug)]
-pub struct FleetMeshError(pub String);
-
-impl fmt::Display for FleetMeshError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fleet chaos mesh: {}", self.0)
-    }
-}
-
-impl std::error::Error for FleetMeshError {}
-
-/// One captured digest frame: encoded wire bytes plus the simulated
-/// tick at which the owning collector flushed it.
-#[derive(Debug, Clone)]
-pub struct TimedFrame {
-    /// Simulated second (sample sequence) of the flush.
-    pub tick: u64,
-    /// The collector that emitted the frame.
-    pub collector: u32,
-    /// The full encoded wire frame, header included.
-    pub bytes: Vec<u8>,
-}
-
-/// The captured back-haul of one fleet run.
-#[derive(Debug, Clone)]
-pub struct DigestStream {
-    /// Flushed frames in emission order (non-decreasing tick).
-    pub frames: Vec<TimedFrame>,
-    /// Number of collectors in the topology.
-    pub collectors: u32,
-    /// The tick at which the fin frames were flushed.
-    pub last_tick: u64,
-}
 
 /// A back-haul frame the chaos schedule destroyed before the merge
 /// could ingest it.
@@ -85,136 +39,15 @@ pub struct LostFrame {
     pub fault: FrameFault,
 }
 
-/// Run the sharded fleet collectors over a scripted sample stream and
-/// capture every flushed digest as encoded wire bytes.
-///
-/// This is the collector half of the fleet harness: rendezvous-sharded
-/// ownership, per-seq eager flushes, agent-plane fault `schedules`
-/// applied per tier (`App` first, then `Db`), and a fin frame per
-/// collector at the end.
-pub fn collect_digest_stream(
-    meter: &CapacityMeter,
-    samples: &[SystemSample],
-    base_seed: u64,
-    schedules: &[FaultSchedule; 2],
-    topology: &FleetTopology,
-    codec: WireCodec,
-) -> Result<DigestStream, FleetMeshError> {
-    let window_len = (meter.config().window_len as i64).max(1);
-    let origin = CollectorConfig::default().window_origin;
-    let map = ShardMap::new(topology.seed, topology.collectors);
-    let owner_of = |tier: TierId| map.owner(AgentId::primary(tier));
-    let hpc_model = meter.config().hpc_model.clone();
-
-    let mut collectors: Vec<FleetCollector> = Vec::new();
-    for c in 0..topology.collectors {
-        let tiers: Vec<TierId> = TierId::ALL
-            .into_iter()
-            .filter(|t| owner_of(*t) == c)
-            .collect();
-        collectors.push(FleetCollector::new(
-            c,
-            &tiers,
-            window_len,
-            origin,
-            SupervisorConfig::default(),
-        ));
-    }
-    let mut sampler_app = TierSampler::new(TierId::App, hpc_model.clone(), base_seed);
-    let mut sampler_db = TierSampler::new(TierId::Db, hpc_model, base_seed);
-    let none_schedule = FaultSchedule::NONE;
-
-    let mut frames: Vec<TimedFrame> = Vec::new();
-    let mut scratch = Vec::new();
-    let mut push_frame = |frames: &mut Vec<TimedFrame>, frame: DigestFrame, tick: u64| {
-        let collector = frame.collector;
-        let mut buf = Vec::new();
-        write_frame_codec(&mut buf, &Frame::Digest(frame), codec, &mut scratch)
-            .map_err(|e| FleetMeshError(format!("encode digest at tick {tick}: {e}")))?;
-        frames.push(TimedFrame {
-            tick,
-            collector,
-            bytes: buf,
-        });
-        Ok::<(), FleetMeshError>(())
-    };
-
-    for tier in TierId::ALL {
-        if let Some(col) = collectors.get_mut(owner_of(tier) as usize) {
-            col.on_session_start(tier);
-        }
-    }
-    for (i, s) in samples.iter().enumerate() {
-        let seq = i as u64;
-        for tier in TierId::ALL {
-            let sampler = match tier {
-                TierId::App => &mut sampler_app,
-                TierId::Db => &mut sampler_db,
-            };
-            // The sampler is stateful: advance it for every seq, even
-            // ones the fault schedule swallows.
-            let (hpc, os) = sampler.rows(seq, s.tier(tier), s.interval_s);
-            let schedule = schedules.get(tier.index()).unwrap_or(&none_schedule);
-            let Some(col) = collectors.get_mut(owner_of(tier) as usize) else {
-                continue;
-            };
-            if schedule.reconnect_before.contains(&seq) {
-                col.on_session_start(tier);
-            }
-            if schedule.drops(seq) {
-                continue;
-            }
-            let ws = WireSample {
-                seq,
-                t_s: s.t_s,
-                interval_s: s.interval_s,
-                tier: s.tier(tier).clone(),
-                hpc,
-                os,
-                app: (tier == TierId::App).then(|| AppStats::from_sample(s)),
-            };
-            col.on_sample(tier, &ws);
-        }
-        for col in &mut collectors {
-            if let Some(frame) = col.flush(None) {
-                push_frame(&mut frames, frame, seq)?;
-            }
-        }
-    }
-    if let Some(last) = (samples.len() as u64).checked_sub(1) {
-        for tier in TierId::ALL {
-            if let Some(col) = collectors.get_mut(owner_of(tier) as usize) {
-                col.on_bye(tier, last);
-            }
-        }
-    }
-    let last_window = samples.len() as i64 / window_len - 1;
-    let last_tick = samples.len() as u64;
-    for col in &mut collectors {
-        let fin = DigestFin {
-            tiers: col.tiers(),
-            last_window,
-        };
-        if let Some(frame) = col.flush(Some(fin)) {
-            push_frame(&mut frames, frame, last_tick)?;
-        }
-    }
-    Ok(DigestStream {
-        frames,
-        collectors: topology.collectors,
-        last_tick,
-    })
-}
-
 /// Decode one captured back-haul frame, demanding a lone `Digest`.
-fn decode_digest(bytes: &[u8]) -> Result<DigestFrame, FleetMeshError> {
+fn decode_digest(bytes: &[u8]) -> Result<DigestFrame, FleetError> {
     match try_extract_frame(bytes) {
         Ok(Some((Frame::Digest(d), used))) if used == bytes.len() => Ok(d),
-        Ok(Some(_)) => Err(FleetMeshError(
+        Ok(Some(_)) => Err(FleetError(
             "non-digest frame or trailing bytes in back-haul stream".to_string(),
         )),
-        Ok(None) => Err(FleetMeshError("incomplete digest frame".to_string())),
-        Err(e) => Err(FleetMeshError(format!("digest decode: {e}"))),
+        Ok(None) => Err(FleetError("incomplete digest frame".to_string())),
+        Err(e) => Err(FleetError(format!("digest decode: {e}"))),
     }
 }
 
@@ -244,10 +77,10 @@ pub fn merge_stream(
     stream: &DigestStream,
     chaos: Option<&ChaosSchedule>,
     liveness: MergeLivenessConfig,
-) -> Result<(MergeOutcome, Vec<LostFrame>), FleetMeshError> {
+) -> Result<(MergeOutcome, Vec<LostFrame>), FleetError> {
     let mut node = MergeNode::with_liveness(meter.clone(), liveness);
-    for c in 0..stream.collectors {
-        node.register_collector(c, 0);
+    for c in &stream.collectors {
+        node.register_collector(c.collector, 0);
     }
     let mut plan: Vec<Delivery> = Vec::new();
     let mut lost: Vec<LostFrame> = Vec::new();
@@ -261,12 +94,20 @@ pub fn merge_stream(
             None => FrameFault::None,
         };
         let ord = (index as u64) * 2;
-        match fault {
-            FrameFault::Corrupt => {
-                let mangled = corrupt_frame(&frame.bytes);
-                if decode_digest(&mangled).is_ok() {
-                    return Err(FleetMeshError(format!(
-                        "corrupted digest frame {index} decoded successfully"
+        let (deliver_tick, ord, copies) = match fault {
+            FrameFault::Corrupt | FrameFault::Truncate | FrameFault::Drop => {
+                // Destroyed frames are lost; the mangled bytes go
+                // through the real decoder first, which must refuse them.
+                let mangled = match (fault, chaos) {
+                    (FrameFault::Corrupt, _) => Some(corrupt_frame(&frame.bytes)),
+                    (FrameFault::Truncate, Some(c)) => {
+                        Some(c.truncate_frame(frame.collector, idx, &frame.bytes))
+                    }
+                    _ => None,
+                };
+                if mangled.is_some_and(|m| decode_digest(&m).is_ok()) {
+                    return Err(FleetError(format!(
+                        "digest frame {index} decoded successfully after {fault:?}"
                     )));
                 }
                 lost.push(LostFrame {
@@ -275,71 +116,27 @@ pub fn merge_stream(
                     tick: frame.tick,
                     fault,
                 });
-            }
-            FrameFault::Truncate => {
-                let mangled = chaos
-                    .map(|c| c.truncate_frame(frame.collector, idx, &frame.bytes))
-                    .unwrap_or_default();
-                if decode_digest(&mangled).is_ok() {
-                    return Err(FleetMeshError(format!(
-                        "truncated digest frame {index} decoded successfully"
-                    )));
-                }
-                lost.push(LostFrame {
-                    index,
-                    collector: frame.collector,
-                    tick: frame.tick,
-                    fault,
-                });
-            }
-            FrameFault::Drop => {
-                lost.push(LostFrame {
-                    index,
-                    collector: frame.collector,
-                    tick: frame.tick,
-                    fault,
-                });
+                continue;
             }
             FrameFault::Partitioned => {
                 let until = chaos
                     .and_then(|c| c.profile.partition.as_ref())
-                    .map(|p| p.until)
-                    .unwrap_or(frame.tick);
-                plan.push(Delivery {
-                    deliver_tick: until.max(frame.tick),
-                    ord,
-                    index,
-                    copies: 1,
-                });
+                    .map_or(frame.tick, |p| p.until);
+                (until.max(frame.tick), ord, 1)
             }
-            FrameFault::Duplicate => {
-                plan.push(Delivery {
-                    deliver_tick: frame.tick,
-                    ord,
-                    index,
-                    copies: 2,
-                });
-            }
-            FrameFault::Reorder => {
-                // Nudge past the next delivery at the same tick; the
-                // merge is order-independent, but the rejoin streak
-                // logic sees the out-of-order sequence.
-                plan.push(Delivery {
-                    deliver_tick: frame.tick,
-                    ord: ord + 3,
-                    index,
-                    copies: 1,
-                });
-            }
-            FrameFault::None | FrameFault::Split | FrameFault::Stall => {
-                plan.push(Delivery {
-                    deliver_tick: frame.tick,
-                    ord,
-                    index,
-                    copies: 1,
-                });
-            }
-        }
+            FrameFault::Duplicate => (frame.tick, ord, 2),
+            // Nudge past the next delivery at the same tick; the merge
+            // is order-independent, but the rejoin streak logic sees
+            // the out-of-order sequence.
+            FrameFault::Reorder => (frame.tick, ord + 3, 1),
+            FrameFault::None | FrameFault::Split | FrameFault::Stall => (frame.tick, ord, 1),
+        };
+        plan.push(Delivery {
+            deliver_tick,
+            ord,
+            index,
+            copies,
+        });
     }
     plan.sort_by_key(|e| (e.deliver_tick, e.ord));
     let planned_max = plan.iter().map(|e| e.deliver_tick).max().unwrap_or(0);
@@ -377,7 +174,8 @@ pub fn without_frames(stream: &DigestStream, lost: &[LostFrame]) -> DigestStream
             .filter(|(i, _)| !gone.contains(i))
             .map(|(_, f)| f.clone())
             .collect(),
-        collectors: stream.collectors,
+        collectors: stream.collectors.clone(),
+        assignment: stream.assignment.clone(),
         last_tick: stream.last_tick,
     }
 }

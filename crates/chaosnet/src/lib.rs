@@ -38,10 +38,7 @@ pub mod mesh;
 pub mod proxy;
 pub mod schedule;
 
-pub use fleetmesh::{
-    collect_digest_stream, merge_stream, without_frames, DigestStream, FleetMeshError, LostFrame,
-    TimedFrame,
-};
+pub use fleetmesh::{merge_stream, without_frames, LostFrame};
 pub use mesh::{run_net_mesh, MeshError, MeshOutcome, SessionDecoder};
 pub use proxy::{spawn_chaos_proxy, ProxyHandle};
 pub use schedule::{corrupt_frame, ChaosProfile, ChaosSchedule, FrameFault, Partition};

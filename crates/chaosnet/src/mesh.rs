@@ -22,10 +22,10 @@ use std::fmt;
 
 use webcap_core::{AdmissionController, CapacityMeter};
 use webcap_net::collector::CollectorConfig;
-use webcap_net::frame::{try_extract_frame, write_frame_codec, AppStats, Frame, FrameError};
-use webcap_net::source::TierSampler;
+use webcap_net::frame::{try_extract_frame, write_frame_codec, Frame, FrameError};
+use webcap_net::source::{SourceSample, TierSampler};
 use webcap_net::supervisor::{SupervisedCollector, SupervisedReport, SupervisorConfig};
-use webcap_net::{FaultSchedule, WireCodec, WireSample};
+use webcap_net::{FaultSchedule, WireCodec};
 use webcap_sim::{SystemSample, TierId};
 
 use crate::schedule::{corrupt_frame, ChaosSchedule, FrameFault};
@@ -140,16 +140,7 @@ fn encode_tier(
     let mut out = Vec::with_capacity(samples.len());
     for (i, s) in samples.iter().enumerate() {
         let seq = i as u64;
-        let (hpc, os) = sampler.rows(seq, s.tier(tier), s.interval_s);
-        let ws = WireSample {
-            seq,
-            t_s: s.t_s,
-            interval_s: s.interval_s,
-            tier: s.tier(tier).clone(),
-            hpc,
-            os,
-            app: (tier == TierId::App).then(|| AppStats::from_sample(s)),
-        };
+        let ws = sampler.wire_sample(SourceSample::of_tier(tier, seq, s));
         let mut buf = Vec::new();
         write_frame_codec(&mut buf, &Frame::Sample(ws), codec, &mut scratch)
             .map_err(|e| MeshError(format!("encode {tier:?} seq {seq}: {e}")))?;
@@ -229,26 +220,11 @@ fn deliver_tier(
                 abort_session(sc, state);
             }
         }
-        FrameFault::Corrupt => {
-            let mangled = corrupt_frame(bytes);
-            ensure_session(sc, state);
-            state.decoder.feed(&mangled);
-            match state.decoder.drain() {
-                // A flipped magic byte cannot decode; the Ok arm is
-                // defensive totality, not a reachable path.
-                Ok(frames) => deliver_frames(sc, state, frames),
-                Err(_) => abort_session(sc, state),
-            }
-        }
-        FrameFault::Truncate => {
-            let mangled = chaos.truncate_frame(conn, seq, bytes);
-            ensure_session(sc, state);
-            state.decoder.feed(&mangled);
-            match state.decoder.drain() {
-                Ok(frames) => deliver_frames(sc, state, frames),
-                Err(_) => abort_session(sc, state),
-            }
-        }
+        // A flipped magic byte or a cut frame cannot decode, so the
+        // session dies with a typed error exactly as a hostile peer's
+        // would.
+        FrameFault::Corrupt => deliver_bytes(sc, state, &corrupt_frame(bytes)),
+        FrameFault::Truncate => deliver_bytes(sc, state, &chaos.truncate_frame(conn, seq, bytes)),
         FrameFault::Duplicate => {
             deliver_bytes(sc, state, bytes);
             // The duplicate is a backward sequence: an anomaly the
@@ -309,8 +285,10 @@ pub fn run_net_mesh(
 ) -> Result<MeshOutcome, MeshError> {
     let total = samples.len() as u64;
     let origin = CollectorConfig::default().window_origin;
-    let app_frames = encode_tier(meter, samples, base_seed, TierId::App, codec)?;
-    let db_frames = encode_tier(meter, samples, base_seed, TierId::Db, codec)?;
+    let mut frames: [Vec<Vec<u8>>; 2] = Default::default();
+    for tier in TierId::ALL {
+        *tier.select_mut(&mut frames) = encode_tier(meter, samples, base_seed, tier, codec)?;
+    }
 
     let mut sc = SupervisedCollector::start(
         meter.clone(),
@@ -320,48 +298,38 @@ pub fn run_net_mesh(
         None,
         false,
     );
-    let mut app_state = TierState::new(TierId::App);
-    let mut db_state = TierState::new(TierId::Db);
-    sc.on_session_start(TierId::App);
-    sc.on_session_start(TierId::Db);
+    let mut states = TierId::ALL.map(TierState::new);
+    let mut skip_next = [false; 2];
+    for tier in TierId::ALL {
+        sc.on_session_start(tier);
+    }
     let mut injected = Vec::new();
-    let mut skip_app = false;
-    let mut skip_db = false;
     for seq in 0..total {
-        deliver_tier(
-            &mut sc,
-            &mut app_state,
-            &app_frames,
-            seq,
-            total,
-            chaos,
-            &mut skip_app,
-            &mut injected,
-        )?;
-        deliver_tier(
-            &mut sc,
-            &mut db_state,
-            &db_frames,
-            seq,
-            total,
-            chaos,
-            &mut skip_db,
-            &mut injected,
-        )?;
+        for tier in TierId::ALL {
+            deliver_tier(
+                &mut sc,
+                tier.select_mut(&mut states),
+                tier.select(&frames).as_slice(),
+                seq,
+                total,
+                chaos,
+                tier.select_mut(&mut skip_next),
+                &mut injected,
+            )?;
+        }
     }
     if let Some(last) = total.checked_sub(1) {
         // A Bye always arrives on a live session, mirroring the real
         // agent which reconnects before its farewell.
-        ensure_session(&mut sc, &mut app_state);
-        ensure_session(&mut sc, &mut db_state);
-        sc.on_bye(TierId::App, last);
-        sc.on_bye(TierId::Db, last);
+        for state in &mut states {
+            ensure_session(&mut sc, state);
+        }
+        for tier in TierId::ALL {
+            sc.on_bye(tier, last);
+        }
     }
     let report = sc.finish();
-    let schedules = [
-        chaos.compile_tier_schedule(TierId::App.index() as u32, total),
-        chaos.compile_tier_schedule(TierId::Db.index() as u32, total),
-    ];
+    let schedules = TierId::ALL.map(|t| chaos.compile_tier_schedule(t.index() as u32, total));
     Ok(MeshOutcome {
         report,
         schedules,

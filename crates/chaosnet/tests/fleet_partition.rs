@@ -25,12 +25,12 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use webcap_chaosnet::{
-    collect_digest_stream, merge_stream, without_frames, ChaosProfile, ChaosSchedule, DigestStream,
-    FrameFault, Partition,
+    merge_stream, without_frames, ChaosProfile, ChaosSchedule, FrameFault, Partition,
 };
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_fleet::{
-    AgentId, CollectorLiveness, FleetTopology, MergeLivenessConfig, MergeOutcome, ShardMap,
+    collect_digest_stream, AgentId, CollectorLiveness, DigestStream, FleetTopology,
+    MergeLivenessConfig, MergeOutcome, ShardMap,
 };
 use webcap_net::WireCodec;
 use webcap_sim::TierId;
@@ -68,6 +68,7 @@ fn captured_stream(name: &str, k: u32) -> (DigestStream, FleetTopology) {
         scenario.seed,
         &schedules,
         &topology,
+        None,
         WireCodec::Binary,
     )
     .expect("digest stream captures");

@@ -1118,7 +1118,7 @@ pub fn lint(args: &Args) -> Result<(), CliError> {
         let findings =
             webcap_lint::all_findings(&root).map_err(|e| CliError::Message(e.to_string()))?;
         // Regenerating over the existing file: curated notes survive by
-        // fingerprint (or legacy line) match, so a refresh never wipes
+        // fingerprint match, so a refresh never wipes
         // the reviewed rationale.
         std::fs::write(
             baseline_path,

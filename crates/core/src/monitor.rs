@@ -214,7 +214,7 @@ impl WindowInstance {
 
     /// The feature vector of one (level, tier) family.
     pub fn features(&self, level: MetricLevel, tier: TierId) -> &[f64] {
-        tier.select(level.select(&self.features))
+        tier.select(level.select(&self.features)).as_slice()
     }
 
     /// Class variable: `true` = overload.

@@ -1,19 +1,15 @@
 //! Per-collector window digestion.
 //!
 //! A sharded collector owns a subset of the fleet's tiers. For each
-//! owned tier it runs a [`TierDigester`]: the *tier-local projection*
-//! of the unsharded collector's reassembly rules (`webcap-net`'s
-//! `Assembler`), producing one compact [`TierWindowDigest`] per
+//! owned tier it runs a [`TierDigester`] — `webcap-net`'s reassembly
+//! core, the same state machine the unsharded collector's `Assembler`
+//! is built from — producing one compact [`TierWindowDigest`] per
 //! complete window instead of buffering raw samples until both tiers
-//! arrive. The rules — fresh-session straddle poisoning, gap
-//! poisoning, trailing-loss detection at `Bye`, the
-//! protocol-violation anomalies — are replicated verbatim, so the
-//! union of the shards' poisoned sets equals the unsharded collector's
-//! poisoned set for the same per-tier frame sequences, and the digests
-//! carry aggregates built with the exact float-operation order of the
-//! in-process monitor ([`webcap_core::RowMeanAccumulator`],
-//! [`webcap_core::WindowHealthAgg`], [`webcap_core::TierStressAgg`],
-//! [`webcap_core::MixTally`]).
+//! arrive. Because both planes run the one implementation of the rules,
+//! the union of the shards' poisoned sets equals the unsharded
+//! collector's poisoned set for the same per-tier frame sequences, and
+//! the digests carry aggregates built with the exact float-operation
+//! order of the in-process monitor.
 //!
 //! The [`FleetCollector`] groups a collector's digesters behind one
 //! PR 4 [`Supervisor`]: reconnects, emitted windows, and poisoned
@@ -25,328 +21,11 @@
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
-use webcap_core::{MixTally, RowMeanAccumulator, TierStressAgg, WindowHealthAgg};
 use webcap_net::{
-    AppWindowDigest, DigestFin, DigestFrame, HealthState, Supervisor, SupervisorConfig,
+    DigestFin, DigestFrame, DigesterState, HealthState, Supervisor, SupervisorConfig, TierDigester,
     TierWindowDigest, WireSample,
 };
-use webcap_sim::{TierId, TierSample};
-
-/// One window's in-progress aggregates for one tier.
-#[derive(Debug, Default)]
-struct WindowAcc {
-    window: i64,
-    samples: u32,
-    hpc: RowMeanAccumulator,
-    os: RowMeanAccumulator,
-    stress: TierStressAgg,
-    // Application-tier evidence (unused by the database tier).
-    t_start_s: f64,
-    t_end_s: f64,
-    duration_s: f64,
-    health: WindowHealthAgg,
-    mix: MixTally,
-    app_missing: bool,
-}
-
-impl WindowAcc {
-    fn new(window: i64) -> WindowAcc {
-        WindowAcc {
-            window,
-            ..WindowAcc::default()
-        }
-    }
-}
-
-/// The tier-local reassembly state machine: consumes one tier's
-/// in-order [`WireSample`] stream and produces completed-window
-/// digests plus poison verdicts, under exactly the unsharded
-/// collector's rules.
-#[derive(Debug)]
-pub struct TierDigester {
-    tier: TierId,
-    window_len: i64,
-    origin: i64,
-    last_key: Option<i64>,
-    fresh_session: bool,
-    had_session: bool,
-    completed: BTreeSet<i64>,
-    poisoned: BTreeSet<i64>,
-    anomalies: u64,
-    cur: Option<WindowAcc>,
-    ready: Vec<TierWindowDigest>,
-    new_poisons: Vec<i64>,
-}
-
-impl TierDigester {
-    /// A digester for `tier` over windows of `window_len` keys anchored
-    /// at `origin` (the key of sequence 0).
-    pub fn new(tier: TierId, window_len: i64, origin: i64) -> TierDigester {
-        TierDigester {
-            tier,
-            window_len: window_len.max(1),
-            origin,
-            last_key: None,
-            fresh_session: false,
-            had_session: false,
-            completed: BTreeSet::new(),
-            poisoned: BTreeSet::new(),
-            anomalies: 0,
-            cur: None,
-            ready: Vec::new(),
-            new_poisons: Vec::new(),
-        }
-    }
-
-    /// The tier this digester reassembles.
-    pub fn tier(&self) -> TierId {
-        self.tier
-    }
-
-    /// Window index holding `key`.
-    pub fn window_of(&self, key: i64) -> i64 {
-        (key - self.origin).div_euclid(self.window_len)
-    }
-
-    fn first_key(&self, window: i64) -> i64 {
-        self.origin + window * self.window_len
-    }
-
-    fn last_key_of(&self, window: i64) -> i64 {
-        self.first_key(window) + self.window_len - 1
-    }
-
-    /// Note a (re)connection. Returns `true` when it was a reconnect
-    /// (any session after the first) so the caller can feed its
-    /// supervisor; the straddle-poisoning rules run on the session's
-    /// first sample, exactly like the unsharded collector.
-    pub fn on_session_start(&mut self) -> bool {
-        if self.had_session {
-            self.fresh_session = true;
-            true
-        } else {
-            self.had_session = true;
-            false
-        }
-    }
-
-    fn poison(&mut self, window: i64) {
-        if window < 0 || self.completed.contains(&window) {
-            // A completed window cannot be un-digested; ordered per-tier
-            // streams never hit this (same argument as the unsharded
-            // collector) — count it rather than trust it.
-            self.anomalies += 1;
-            return;
-        }
-        if self.poisoned.insert(window) {
-            if self.cur.as_ref().is_some_and(|c| c.window == window) {
-                self.cur = None;
-            }
-            self.new_poisons.push(window);
-        }
-    }
-
-    /// Feed one received sample. Completed digests and new poison
-    /// verdicts accumulate until [`TierDigester::take_ready`] /
-    /// [`TierDigester::take_new_poisons`].
-    pub fn on_sample(&mut self, ws: &WireSample) {
-        let key = ws.t_s.round() as i64;
-
-        if self.fresh_session {
-            self.fresh_session = false;
-            if let Some(k_old) = self.last_key {
-                if k_old != self.last_key_of(self.window_of(k_old)) {
-                    self.poison(self.window_of(k_old));
-                }
-            }
-            if key != self.first_key(self.window_of(key)) {
-                self.poison(self.window_of(key));
-            }
-        }
-
-        let expected = self.last_key.map_or(self.origin, |l| l + 1);
-        if key < expected {
-            // Duplicate or out-of-order: impossible on one ordered
-            // stream, so never silently fold it into an aggregate.
-            self.anomalies += 1;
-            return;
-        }
-        if key > expected {
-            for w in self.window_of(expected)..=self.window_of(key - 1) {
-                self.poison(w);
-            }
-        }
-        self.last_key = Some(key);
-
-        let window = self.window_of(key);
-        if self.poisoned.contains(&window) {
-            return;
-        }
-
-        if !self.cur.as_ref().is_some_and(|c| c.window == window) {
-            // A partial accumulator for a *different* window here would
-            // mean keys were skipped without the gap rules firing —
-            // impossible on an ordered stream.
-            if self.cur.take().is_some() {
-                self.anomalies += 1;
-            }
-            self.cur = Some(WindowAcc::new(window));
-        }
-        let done = {
-            let Some(acc) = self.cur.as_mut() else {
-                return;
-            };
-            acc.samples += 1;
-            acc.hpc.push(ws.hpc.clone());
-            acc.os.push(ws.os.clone());
-            acc.stress.observe(&ws.tier);
-            if self.tier == TierId::App {
-                match &ws.app {
-                    Some(stats) => {
-                        if acc.samples == 1 {
-                            acc.t_start_s = ws.t_s - ws.interval_s;
-                        }
-                        acc.t_end_s = ws.t_s;
-                        acc.duration_s += ws.interval_s;
-                        // `WindowHealthAgg::observe` reads only the
-                        // front-end fields, so reassembling with a
-                        // placeholder database tier is exact.
-                        let sample = stats.clone().into_sample(
-                            ws.t_s,
-                            ws.interval_s,
-                            ws.tier.clone(),
-                            TierSample::default(),
-                        );
-                        acc.health.observe(&sample);
-                        acc.mix.observe(sample.mix_id);
-                    }
-                    None => acc.app_missing = true,
-                }
-            }
-            i64::from(acc.samples) == self.window_len
-        };
-        if !done {
-            return;
-        }
-        let Some(mut acc) = self.cur.take() else {
-            return;
-        };
-        if self.tier == TierId::App && acc.app_missing {
-            // An application-tier sample without front-end stats is the
-            // protocol violation the unsharded collector catches at
-            // emit time; same anomaly, same quarantine.
-            self.anomalies += 1;
-            self.poison(window);
-            return;
-        }
-        let app = (self.tier == TierId::App).then(|| AppWindowDigest {
-            t_start_s: acc.t_start_s,
-            t_end_s: acc.t_end_s,
-            duration_s: acc.duration_s,
-            health: std::mem::take(&mut acc.health),
-            mix_counts: acc.mix.counts().to_vec(),
-        });
-        self.completed.insert(window);
-        self.ready.push(TierWindowDigest {
-            window,
-            tier: self.tier,
-            samples: acc.samples,
-            hpc_mean: acc.hpc.finish(),
-            os_mean: acc.os.finish(),
-            stress: acc.stress,
-            app,
-        });
-    }
-
-    /// The tier finished cleanly, announcing its final sequence; detect
-    /// trailing loss (frames dropped after the last one received).
-    pub fn on_bye(&mut self, last_seq: u64) {
-        let final_key = self.origin + last_seq as i64;
-        let expected = self.last_key.map_or(self.origin, |l| l + 1);
-        if final_key >= expected {
-            for w in self.window_of(expected)..=self.window_of(final_key) {
-                self.poison(w);
-            }
-            self.last_key = Some(final_key);
-        }
-    }
-
-    /// Digests completed since the last take.
-    pub fn take_ready(&mut self) -> Vec<TierWindowDigest> {
-        std::mem::take(&mut self.ready)
-    }
-
-    /// Windows newly poisoned since the last take.
-    pub fn take_new_poisons(&mut self) -> Vec<i64> {
-        std::mem::take(&mut self.new_poisons)
-    }
-
-    /// All windows this digester has poisoned.
-    pub fn poisoned_windows(&self) -> &BTreeSet<i64> {
-        &self.poisoned
-    }
-
-    /// The window currently being accumulated, if any.
-    pub fn pending_window(&self) -> Option<i64> {
-        self.cur.as_ref().map(|c| c.window)
-    }
-
-    /// Protocol-order surprises counted.
-    pub fn anomalies(&self) -> u64 {
-        self.anomalies
-    }
-
-    /// Capture the boundary-persistent state for a snapshot. The
-    /// partial-window accumulator is deliberately dropped — a resume
-    /// re-arms the fresh-session straddle rules, which quarantine any
-    /// window cut by the restart, exactly like the unsharded
-    /// collector's `AssemblerState`.
-    pub fn export_state(&self) -> DigesterState {
-        DigesterState {
-            tier: self.tier,
-            last_key: self.last_key,
-            had_session: self.had_session,
-            completed: self.completed.iter().copied().collect(),
-            poisoned: self.poisoned.iter().copied().collect(),
-            anomalies: self.anomalies,
-        }
-    }
-
-    /// Rebuild a digester from a snapshot, with `fresh_session` armed
-    /// for any tier that had a session — the first post-restart sample
-    /// runs the straddle rules. A restart at a window boundary
-    /// continues byte-identically; a restart mid-window quarantines
-    /// exactly the cut window.
-    pub fn resume(state: &DigesterState, window_len: i64, origin: i64) -> TierDigester {
-        let mut d = TierDigester::new(state.tier, window_len, origin);
-        d.last_key = state.last_key;
-        d.had_session = state.had_session;
-        d.fresh_session = state.had_session;
-        d.completed = state.completed.iter().copied().collect();
-        d.poisoned = state.poisoned.iter().copied().collect();
-        d.anomalies = state.anomalies;
-        d
-    }
-}
-
-/// The part of [`TierDigester`] state that survives a collector
-/// restart (see [`TierDigester::export_state`] for what is excluded
-/// and why).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DigesterState {
-    /// The digested tier.
-    pub tier: TierId,
-    /// Last key received.
-    pub last_key: Option<i64>,
-    /// Whether the tier ever had a session.
-    pub had_session: bool,
-    /// Windows already digested (never to be re-digested).
-    pub completed: Vec<i64>,
-    /// Windows quarantined (never to be trusted).
-    pub poisoned: Vec<i64>,
-    /// Protocol-order surprises counted so far.
-    pub anomalies: u64,
-}
+use webcap_sim::TierId;
 
 /// One sharded collector: the digesters for its owned tiers behind one
 /// supervisor, batching completed digests and poison verdicts into
@@ -433,43 +112,41 @@ impl FleetCollector {
         out
     }
 
-    fn digester_mut(&mut self, tier: TierId) -> Option<&mut TierDigester> {
-        self.digesters.iter_mut().find(|d| d.tier() == tier)
+    /// Run `event` on `tier`'s digester and absorb what it produced; a
+    /// tier this collector does not own is a misrouted anomaly.
+    fn on_tier(&mut self, tier: TierId, event: impl FnOnce(&mut TierDigester, &mut Supervisor)) {
+        match self.digesters.iter_mut().find(|d| d.tier() == tier) {
+            Some(d) => {
+                event(d, &mut self.supervisor);
+                self.drain_events();
+            }
+            None => self.misrouted += 1,
+        }
     }
 
     /// Note a (re)connection of `tier`'s agent.
     pub fn on_session_start(&mut self, tier: TierId) {
-        let Some(d) = self.digesters.iter_mut().find(|d| d.tier() == tier) else {
-            self.misrouted += 1;
-            return;
-        };
-        if d.on_session_start() {
-            self.supervisor.on_reconnect();
-        }
+        self.on_tier(tier, |d, supervisor| {
+            if d.on_session_start() {
+                supervisor.on_reconnect();
+            }
+        });
     }
 
     /// Feed one received sample for `tier`.
     pub fn on_sample(&mut self, tier: TierId, ws: &WireSample) {
-        if self.digester_mut(tier).is_none() {
-            self.misrouted += 1;
-            return;
-        }
-        if let Some(d) = self.digester_mut(tier) {
-            d.on_sample(ws);
-        }
-        self.drain_events();
+        self.on_tier(tier, |d, _| d.on_sample(ws.clone()));
     }
 
     /// `tier`'s agent finished cleanly with final sequence `last_seq`.
     pub fn on_bye(&mut self, tier: TierId, last_seq: u64) {
-        if self.digester_mut(tier).is_none() {
-            self.misrouted += 1;
-            return;
-        }
-        if let Some(d) = self.digester_mut(tier) {
-            d.on_bye(last_seq);
-        }
-        self.drain_events();
+        self.on_tier(tier, |d, _| d.on_bye(last_seq));
+    }
+
+    /// `tier`'s session ended abnormally (no `Bye`): its in-flight
+    /// window is quarantined at once, as on the unsharded collector.
+    pub fn on_session_abort(&mut self, tier: TierId) {
+        self.on_tier(tier, |d, _| d.on_session_abort());
     }
 
     /// Move completed digests and fresh poisons into the pending batch,

@@ -1,26 +1,29 @@
 //! Deterministic in-process fleet harness.
 //!
-//! Runs a full sharded deployment over a scripted sample stream — the
-//! shard map routes each tier's agent to its owning collector, every
-//! collector digests its shard and flushes sequenced [`DigestFrame`]s
-//! onto a byte-transcript back-haul, and the merge node reads the
-//! transcripts back (round-robin, exercising interleaved arrival) into
-//! the global outcome. Per-tier fault schedules reproduce the loopback
-//! plane's scripted outages, and an optional [`FleetChaos`] crashes one
-//! collector mid-run and resumes it from its snapshot.
+//! Runs a full sharded deployment over a scripted sample stream, in two
+//! halves so a chaos schedule can sit between them:
+//!
+//! * [`collect_digest_stream`] — the shard map routes each tier's agent
+//!   to its owning collector, every collector digests its shard and
+//!   flushes sequenced [`DigestFrame`]s, and each is captured as encoded
+//!   wire bytes stamped with the simulated tick it was flushed at.
+//!   Per-tier fault schedules reproduce the loopback plane's scripted
+//!   outages, and an optional [`FleetChaos`] crashes one collector
+//!   mid-run and resumes it from its snapshot.
+//! * [`run_fleet`] — collects, then reads the captured back-haul into
+//!   the merge node and finalizes the global outcome.
 //!
 //! The whole run is a pure function of its inputs: same meter, samples,
 //! seed, schedules, and topology → byte-identical [`FleetOutcome`],
 //! regardless of the collector count.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::Serialize;
 use webcap_core::CapacityMeter;
 use webcap_net::{
-    read_frame, write_frame_codec, AppStats, CollectorConfig, DigestFin, FaultSchedule, Frame,
-    HealthState, SupervisorConfig, TierSampler, WireCodec, WireSample,
+    read_frame, write_frame_codec, CollectorConfig, DigestFin, DigestFrame, FaultSchedule, Frame,
+    HealthState, SourceSample, SupervisorConfig, TierSampler, WireCodec,
 };
 use webcap_sim::{SystemSample, TierId};
 
@@ -83,18 +86,191 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// Run `samples` through a sharded fleet described by `topology`,
-/// under per-tier scripted fault `schedules` (indexed by
-/// [`TierId::index`]) and an optional chaos crash, and merge the
-/// digests into the global outcome. `codec` selects the back-haul wire
-/// dialect; the merge reads either, so the outcome is codec-invariant
-/// except for [`CollectorSummary::bytes`].
+/// One captured digest frame: encoded wire bytes plus the simulated
+/// tick at which the owning collector flushed it.
+#[derive(Debug, Clone)]
+pub struct TimedFrame {
+    /// Simulated second (sample sequence) of the flush.
+    pub tick: u64,
+    /// The collector that emitted the frame.
+    pub collector: u32,
+    /// The full encoded wire frame, header included.
+    pub bytes: Vec<u8>,
+}
+
+/// The captured back-haul of one fleet run, with the collectors' own
+/// accounting of it.
+#[derive(Debug, Clone)]
+pub struct DigestStream {
+    /// Flushed frames in emission order (non-decreasing tick; within a
+    /// tick, by collector index).
+    pub frames: Vec<TimedFrame>,
+    /// Per-collector summaries, by collector index.
+    pub collectors: Vec<CollectorSummary>,
+    /// The shard map's tier-to-collector assignment.
+    pub assignment: Vec<(TierId, u32)>,
+    /// The tick at which the fin frames were flushed.
+    pub last_tick: u64,
+}
+
+/// The collect half of a fleet run: run the sharded collectors
+/// described by `topology` over `samples`, under per-tier scripted
+/// fault `schedules` (indexed by [`TierId::index`]; scheduled
+/// reconnects break the session before the frame, drops discard it) and
+/// an optional chaos crash, flushing eagerly every tick so a crash
+/// never loses a completed digest, and capture every flushed digest as
+/// `codec`-encoded wire bytes, a fin frame per collector last.
 ///
 /// # Errors
 ///
 /// [`FleetError`] when the back-haul codec or a snapshot round-trip
 /// fails — never for fleet-quality events (those are evidence in the
-/// outcome, not errors).
+/// stream, not errors).
+pub fn collect_digest_stream(
+    meter: &CapacityMeter,
+    samples: &[SystemSample],
+    base_seed: u64,
+    schedules: &[FaultSchedule; 2],
+    topology: &FleetTopology,
+    chaos: Option<FleetChaos>,
+    codec: WireCodec,
+) -> Result<DigestStream, FleetError> {
+    let window_len = (meter.config().window_len as i64).max(1);
+    let origin = CollectorConfig::default().window_origin;
+    let sup_cfg = SupervisorConfig::default();
+    let map = ShardMap::new(topology.seed, topology.collectors);
+    let owner = TierId::ALL.map(|t| map.owner(AgentId::primary(t)));
+    let mut collectors: Vec<FleetCollector> = (0..map.collectors())
+        .map(|c| {
+            let tiers: Vec<TierId> = TierId::ALL
+                .into_iter()
+                .filter(|t| *t.select(&owner) == c)
+                .collect();
+            FleetCollector::new(c, &tiers, window_len, origin, sup_cfg)
+        })
+        .collect();
+    let mut resumed = vec![false; collectors.len()];
+    let mut samplers =
+        TierId::ALL.map(|t| TierSampler::new(t, meter.config().hpc_model.clone(), base_seed));
+
+    let mut frames: Vec<TimedFrame> = Vec::new();
+    let mut scratch = Vec::new();
+    let mut capture = |frame: DigestFrame, tick: u64| {
+        let collector = frame.collector;
+        let mut bytes = Vec::new();
+        write_frame_codec(&mut bytes, &Frame::Digest(frame), codec, &mut scratch)
+            .map_err(|e| FleetError(format!("fleet back-haul at tick {tick}: {e}")))?;
+        frames.push(TimedFrame {
+            tick,
+            collector,
+            bytes,
+        });
+        Ok::<(), FleetError>(())
+    };
+
+    // Initial sessions: every tier's agent connects to its owner.
+    for tier in TierId::ALL {
+        if let Some(col) = collectors.get_mut(*tier.select(&owner) as usize) {
+            col.on_session_start(tier);
+        }
+    }
+    for (i, s) in samples.iter().enumerate() {
+        let seq = i as u64;
+        if let Some(c) = chaos.filter(|c| c.crash_at_seq == seq) {
+            if let Some(col) = collectors.get_mut(c.collector as usize) {
+                let bytes = serde_json::to_vec(&col.export_state())
+                    .map_err(|e| FleetError(format!("fleet snapshot encode: {e}")))?;
+                let state: FleetCollectorState = serde_json::from_slice(&bytes)
+                    .map_err(|e| FleetError(format!("fleet snapshot decode: {e}")))?;
+                *col = FleetCollector::resume(&state, window_len, origin, sup_cfg);
+                for tier in col.tiers() {
+                    col.on_session_start(tier);
+                }
+                if let Some(flag) = resumed.get_mut(c.collector as usize) {
+                    *flag = true;
+                }
+            }
+        }
+        for tier in TierId::ALL {
+            // Metric synthesis is stateful across drops: run it for every
+            // sample in order, exactly like a live agent.
+            let ws = tier
+                .select_mut(&mut samplers)
+                .wire_sample(SourceSample::of_tier(tier, seq, s));
+            let schedule = tier.select(schedules);
+            let Some(col) = collectors.get_mut(*tier.select(&owner) as usize) else {
+                continue;
+            };
+            if schedule.reconnect_before.contains(&seq) {
+                col.on_session_start(tier);
+            }
+            if !schedule.drops(seq) {
+                col.on_sample(tier, &ws);
+            }
+        }
+        for col in &mut collectors {
+            if let Some(frame) = col.flush(None) {
+                capture(frame, seq)?;
+            }
+        }
+    }
+
+    if let Some(last_seq) = (samples.len() as u64).checked_sub(1) {
+        for tier in TierId::ALL {
+            if let Some(col) = collectors.get_mut(*tier.select(&owner) as usize) {
+                col.on_bye(tier, last_seq);
+            }
+        }
+    }
+    let last_window = samples.len() as i64 / window_len - 1;
+    let last_tick = samples.len() as u64;
+    for col in &mut collectors {
+        let fin = DigestFin {
+            tiers: col.tiers(),
+            last_window,
+        };
+        if let Some(frame) = col.flush(Some(fin)) {
+            capture(frame, last_tick)?;
+        }
+    }
+
+    let summaries = collectors
+        .iter()
+        .zip(resumed)
+        .map(|(col, resumed)| CollectorSummary {
+            collector: col.index(),
+            tiers: col.tiers(),
+            health: col.health(),
+            frames: col.next_seq(),
+            bytes: frames
+                .iter()
+                .filter(|f| f.collector == col.index())
+                .map(|f| f.bytes.len() as u64)
+                .sum(),
+            anomalies: col.anomalies(),
+            resumed,
+        })
+        .collect();
+    Ok(DigestStream {
+        frames,
+        collectors: summaries,
+        assignment: TierId::ALL
+            .into_iter()
+            .map(|t| (t, *t.select(&owner)))
+            .collect(),
+        last_tick,
+    })
+}
+
+/// Run `samples` through a sharded fleet — [`collect_digest_stream`]
+/// with the same arguments — and merge the captured digests into the
+/// global outcome. The merge reads either back-haul dialect, so the
+/// outcome is codec-invariant except for [`CollectorSummary::bytes`].
+///
+/// # Errors
+///
+/// [`FleetError`] as for [`collect_digest_stream`], or when the
+/// back-haul does not read back as digest frames.
 pub fn run_fleet(
     meter: &CapacityMeter,
     samples: &[SystemSample],
@@ -104,171 +280,26 @@ pub fn run_fleet(
     chaos: Option<FleetChaos>,
     codec: WireCodec,
 ) -> Result<FleetOutcome, FleetError> {
-    let window_len = (meter.config().window_len as i64).max(1);
-    let origin = CollectorConfig::default().window_origin;
-    let sup_cfg = SupervisorConfig::default();
-    let map = ShardMap::new(topology.seed, topology.collectors);
-    let owner: [u32; 2] = [
-        map.owner(AgentId::primary(TierId::App)),
-        map.owner(AgentId::primary(TierId::Db)),
-    ];
-    let assignment: Vec<(TierId, u32)> = TierId::ALL
-        .into_iter()
-        .map(|t| (t, *t.select(&owner)))
-        .collect();
-
-    let k = map.collectors();
-    let mut collectors: Vec<FleetCollector> = (0..k)
-        .map(|c| {
-            let tiers: Vec<TierId> = TierId::ALL
-                .into_iter()
-                .filter(|t| *t.select(&owner) == c)
-                .collect();
-            FleetCollector::new(c, &tiers, window_len, origin, sup_cfg)
-        })
-        .collect();
-    let mut transcripts: Vec<Vec<u8>> = vec![Vec::new(); k as usize];
-    let mut resumed: Vec<bool> = vec![false; k as usize];
-    let mut scratch: Vec<u8> = Vec::new();
-
-    let hpc_model = meter.config().hpc_model.clone();
-    let mut samplers = [
-        TierSampler::new(TierId::App, hpc_model.clone(), base_seed),
-        TierSampler::new(TierId::Db, hpc_model, base_seed),
-    ];
-
-    // Initial sessions: every tier's agent connects to its owner.
-    for tier in TierId::ALL {
-        if let Some(col) = collectors.get_mut(*tier.select(&owner) as usize) {
-            col.on_session_start(tier);
-        }
-    }
-
-    for (i, s) in samples.iter().enumerate() {
-        let seq = i as u64;
-        if let Some(c) = chaos {
-            if c.crash_at_seq == seq {
-                if let Some(col) = collectors.get_mut(c.collector as usize) {
-                    let state: FleetCollectorState = col.export_state();
-                    let bytes = serde_json::to_vec(&state)
-                        .map_err(|e| FleetError(format!("fleet snapshot encode: {e}")))?;
-                    let state: FleetCollectorState = serde_json::from_slice(&bytes)
-                        .map_err(|e| FleetError(format!("fleet snapshot decode: {e}")))?;
-                    *col = FleetCollector::resume(&state, window_len, origin, sup_cfg);
-                    for tier in col.tiers() {
-                        col.on_session_start(tier);
-                    }
-                    if let Some(flag) = resumed.get_mut(c.collector as usize) {
-                        *flag = true;
-                    }
-                }
-            }
-        }
-        for tier in TierId::ALL {
-            // Metric synthesis is stateful across drops: run it for every
-            // sample in order, exactly like a live agent.
-            let (hpc, os) = tier
-                .select_mut(&mut samplers)
-                .rows(seq, s.tier(tier), s.interval_s);
-            let schedule = tier.select(schedules);
-            let Some(col) = collectors.get_mut(*tier.select(&owner) as usize) else {
-                continue;
-            };
-            // Scheduled reconnects break the session before the frame
-            // (which is then delivered on the new session); drops discard
-            // the frame entirely — same order as the live agent.
-            if schedule.reconnect_before.contains(&seq) {
-                col.on_session_start(tier);
-            }
-            if schedule.drops(seq) {
-                continue;
-            }
-            let ws = WireSample {
-                seq,
-                t_s: s.t_s,
-                interval_s: s.interval_s,
-                tier: s.tier(tier).clone(),
-                hpc,
-                os,
-                app: (tier == TierId::App).then(|| AppStats::from_sample(s)),
-            };
-            col.on_sample(tier, &ws);
-        }
-        // Eager back-haul: every collector flushes whatever completed
-        // this second, so a crash never loses a completed digest.
-        for (c, col) in collectors.iter_mut().enumerate() {
-            if let Some(frame) = col.flush(None) {
-                if let Some(t) = transcripts.get_mut(c) {
-                    write_frame_codec(t, &Frame::Digest(frame), codec, &mut scratch)
-                        .map_err(|e| FleetError(format!("fleet back-haul: {e}")))?;
-                }
-            }
-        }
-    }
-
-    if !samples.is_empty() {
-        let last_seq = samples.len() as u64 - 1;
-        for tier in TierId::ALL {
-            if let Some(col) = collectors.get_mut(*tier.select(&owner) as usize) {
-                col.on_bye(tier, last_seq);
-            }
-        }
-    }
-    let last_window = samples.len() as i64 / window_len - 1;
-    for (c, col) in collectors.iter_mut().enumerate() {
-        let fin = DigestFin {
-            tiers: col.tiers(),
-            last_window,
-        };
-        if let Some(frame) = col.flush(Some(fin)) {
-            if let Some(t) = transcripts.get_mut(c) {
-                write_frame_codec(t, &Frame::Digest(frame), codec, &mut scratch)
-                    .map_err(|e| FleetError(format!("fleet back-haul: {e}")))?;
-            }
-        }
-    }
-
-    // Merge: read the transcripts back round-robin so frames from
-    // different collectors interleave — the merge is order-independent,
-    // and the fleet tests shuffle this order to prove it.
+    let stream =
+        collect_digest_stream(meter, samples, base_seed, schedules, topology, chaos, codec)?;
+    // Emission order interleaves the collectors tick by tick; the merge
+    // is order-independent, and the fleet tests shuffle the order to
+    // prove it.
     let mut node = MergeNode::new(meter.clone());
-    let mut readers: Vec<&[u8]> = transcripts.iter().map(Vec::as_slice).collect();
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for r in &mut readers {
-            if r.is_empty() {
-                continue;
-            }
-            let frame =
-                read_frame(r).map_err(|e| FleetError(format!("fleet back-haul read: {e}")))?;
-            let Frame::Digest(frame) = frame else {
+    for frame in &stream.frames {
+        match read_frame(&mut frame.bytes.as_slice()) {
+            Ok(Frame::Digest(digest)) => node.ingest(&digest),
+            Ok(_) => {
                 return Err(FleetError(
                     "fleet back-haul carried a non-digest frame".to_string(),
-                ));
-            };
-            node.ingest(&frame);
-            progressed = true;
+                ))
+            }
+            Err(e) => return Err(FleetError(format!("fleet back-haul read: {e}"))),
         }
     }
-
-    let summaries = collectors
-        .iter()
-        .enumerate()
-        .map(|(c, col)| CollectorSummary {
-            collector: col.index(),
-            tiers: col.tiers(),
-            health: col.health(),
-            frames: col.next_seq(),
-            bytes: transcripts.get(c).map_or(0, |t| t.len() as u64),
-            anomalies: col.anomalies(),
-            resumed: resumed.get(c).copied().unwrap_or(false),
-        })
-        .collect();
-
     Ok(FleetOutcome {
         merge: node.finalize(),
-        collectors: summaries,
-        assignment,
+        collectors: stream.collectors,
+        assignment: stream.assignment,
     })
 }

@@ -14,8 +14,9 @@
 //!   disruption when `K` changes (pinned by proptests).
 //! * [`TierDigester`] / [`FleetCollector`] — each collector digests its
 //!   shard into compact per-window [`webcap_net::TierWindowDigest`]s
-//!   under *exactly* the unsharded collector's reassembly and
-//!   quarantine rules, batched into sequenced
+//!   with `webcap-net`'s reassembly core — the one implementation of
+//!   the reassembly and quarantine rules, which the unsharded
+//!   collector is built from too — batched into sequenced
 //!   [`webcap_net::DigestFrame`]s stamped with the PR 4 supervisor's
 //!   health.
 //! * [`MergeNode`] — the front end assembles digests into the global
@@ -25,9 +26,11 @@
 //!   digest arrival order, or worker count. SafeMode frames poison
 //!   their windows instead of being trusted; conflicting ownership
 //!   claims quarantine the window.
-//! * [`run_fleet`] — the in-process harness wiring it all together over
-//!   a scripted sample stream, with scripted per-tier fault schedules
-//!   and an optional [`FleetChaos`] crash-and-resume of one collector.
+//! * [`collect_digest_stream`] / [`run_fleet`] — the in-process harness:
+//!   the collect half runs the sharded collectors over a scripted
+//!   sample stream (scripted per-tier fault schedules, an optional
+//!   [`FleetChaos`] crash-and-resume of one collector) and captures the
+//!   back-haul; `run_fleet` merges what it captured.
 //!
 //! The headline invariant, enforced end to end by the fleet equivalence
 //! suite in `webcap-capsearch`: for every capacity-search scenario, a
@@ -42,10 +45,14 @@ pub mod merge;
 pub mod shard;
 pub mod topology;
 
-pub use digest::{DigesterState, FleetCollector, FleetCollectorState, TierDigester};
-pub use harness::{run_fleet, CollectorSummary, FleetChaos, FleetError, FleetOutcome};
+pub use digest::{FleetCollector, FleetCollectorState};
+pub use harness::{
+    collect_digest_stream, run_fleet, CollectorSummary, DigestStream, FleetChaos, FleetError,
+    FleetOutcome, TimedFrame,
+};
 pub use merge::{
     CollectorLiveness, MergeLivenessConfig, MergeNode, MergeOutcome, PartitionEvent,
 };
 pub use shard::{AgentId, ShardMap};
 pub use topology::{FleetTopology, TopologyParseError};
+pub use webcap_net::{DigesterState, TierDigester};

@@ -19,11 +19,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Serialize;
-use webcap_core::{
-    label_from_aggs, CapacityMeter, MetricLevel, MixTally, OnlineDecision, WindowInstance,
-};
-use webcap_net::{DigestFin, DigestFrame, HealthState, TierWindowDigest};
-use webcap_sim::TierId;
+use webcap_core::{CapacityMeter, OnlineDecision};
+use webcap_net::{score_window, DigestFin, DigestFrame, HealthState, TierWindowDigest};
 
 /// Partition-liveness policy for the merge node, driven entirely by the
 /// caller's deterministic clock (a tick is whatever unit the harness
@@ -276,11 +273,10 @@ impl MergeNode {
     /// Score every complete, unpoisoned window in ascending order and
     /// return the global outcome. The decision stream is byte-identical
     /// to the unsharded collector's over the same surviving windows:
-    /// the digests carry aggregates built with the same float-operation
-    /// order, and the meter sees the same reset-on-gap cadence.
+    /// both score through [`score_window`].
     pub fn finalize(self) -> MergeOutcome {
         let MergeNode {
-            meter,
+            mut meter,
             windows,
             poisoned,
             mut anomalies,
@@ -292,71 +288,27 @@ impl MergeNode {
             tracks,
             partition_events,
         } = self;
-        let oracle = meter.config().oracle;
-        let mut meter = meter;
         let mut decisions: Vec<(i64, OnlineDecision)> = Vec::new();
         let mut incomplete: Vec<i64> = Vec::new();
         let mut prev_fed: Option<i64> = None;
-        for (&window, pair) in &windows {
+        for (window, pair) in windows {
             if poisoned.contains(&window) {
                 continue;
             }
-            let [app_slot, db_slot] = pair;
-            let (Some(app), Some(db)) = (app_slot, db_slot) else {
+            let [Some(app), Some(db)] = pair else {
                 incomplete.push(window);
                 continue;
             };
-            let Some(appd) = &app.app else {
-                // An application-tier digest without front-end evidence:
-                // the digester never emits one, so this is a forged or
-                // corrupted frame.
-                anomalies += 1;
-                incomplete.push(window);
-                continue;
-            };
-            let Some(mix) = MixTally::from_counts(appd.mix_counts.clone()).majority() else {
-                anomalies += 1;
-                incomplete.push(window);
-                continue;
-            };
-            if prev_fed != Some(window - 1) {
-                // Same cadence as the in-process monitor: any gap in the
-                // scored stream resets the meter's recent history.
-                meter.reset_history();
+            match score_window(&mut meter, &mut prev_fed, app, db) {
+                Some(decision) => decisions.push((window, decision)),
+                None => {
+                    // An application-tier digest without usable
+                    // front-end evidence: the digester never emits one,
+                    // so this is a forged or corrupted frame.
+                    anomalies += 1;
+                    incomplete.push(window);
+                }
             }
-            let label = label_from_aggs(
-                &appd.health,
-                [app.stress.stress(), db.stress.stress()],
-                &oracle,
-            );
-            let mut features: [[Vec<f64>; 2]; 3] = Default::default();
-            for (tier, dig) in [(TierId::App, app), (TierId::Db, db)] {
-                let hpc = dig.hpc_mean.clone();
-                let os = dig.os_mean.clone();
-                let mut combined = os.clone();
-                combined.extend(hpc.iter().copied());
-                *tier.select_mut(MetricLevel::Hpc.select_mut(&mut features)) = hpc;
-                *tier.select_mut(MetricLevel::Os.select_mut(&mut features)) = os;
-                *tier.select_mut(MetricLevel::Combined.select_mut(&mut features)) = combined;
-            }
-            let throughput = appd.health.completed as f64 / appd.duration_s.max(1e-9);
-            let instance = WindowInstance::from_parts(
-                label,
-                mix,
-                appd.t_start_s,
-                appd.t_end_s,
-                throughput,
-                features,
-            );
-            let prediction = meter.predict(&instance);
-            decisions.push((
-                window,
-                OnlineDecision {
-                    prediction,
-                    window: instance,
-                },
-            ));
-            prev_fed = Some(window);
         }
         let lost_digests = seqs
             .values()

@@ -8,16 +8,15 @@
 
 use std::collections::BTreeSet;
 
-use webcap_core::{CapacityMeter, MeterConfig, OnlineDecision};
+use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_fleet::{
     run_fleet, AgentId, FleetChaos, FleetCollector, FleetTopology, MergeNode, ShardMap,
 };
 use webcap_net::loopback::{all_windows, predicted_windows_for_schedule, replay_windows};
 use webcap_net::{
-    AppStats, Assembler, DigestFrame, FaultSchedule, HealthState, SupervisorConfig, WireCodec,
-    WireSample,
+    DigestFrame, FaultSchedule, HealthState, SourceSample, SupervisorConfig, TierSampler, WireCodec,
 };
-use webcap_sim::{Simulation, SystemSample, TierId, TierSample};
+use webcap_sim::{Simulation, SystemSample, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 const BASE_SEED: u64 = 17;
@@ -148,70 +147,53 @@ fn sharded_fleets_match_the_oracle_under_scripted_faults_at_every_k() {
     }
 }
 
-/// Synthetic wire sample with fixed metric rows — the deterministic
-/// substrate for driving the sharded digesters and the unsharded
-/// `Assembler` with the *same* scripted stream.
-fn wire(seq: u64, with_app: bool) -> WireSample {
-    WireSample {
-        seq,
-        t_s: seq as f64 + 1.0,
-        interval_s: 1.0,
-        tier: TierSample {
-            utilization: 0.3,
-            delivered_work_s: 0.3,
-            arrivals: 20,
-            completions: 20,
-            ..TierSample::default()
+/// The scripted agent-crash shape: the app agent loses seqs 40..=44
+/// and reconnects at 45.
+fn crash_schedules() -> [FaultSchedule; 2] {
+    [
+        FaultSchedule {
+            drop_ranges: vec![(40, 44)],
+            reconnect_before: vec![45],
         },
-        hpc: vec![0.5; 12],
-        os: vec![0.1; 64],
-        app: with_app.then(|| AppStats {
-            ebs_target: 10,
-            ebs_active: 10,
-            mix_id: webcap_tpcw::MixId::Ordering,
-            issued: 20,
-            issued_browse: 10,
-            completed: 20,
-            completed_browse: 10,
-            response_time_sum_s: 2.0,
-            response_time_max_s: 0.4,
-            in_flight: 1,
-            response_times: webcap_sim::RtHistogram::new(),
-        }),
-    }
+        FaultSchedule::NONE,
+    ]
 }
 
-/// Drive the scripted agent-crash stream (app loses seqs 40..=44 and
-/// reconnects at 45) through two single-tier fleet collectors and
-/// return the merged outcome's frames.
-fn sharded_frames_for_crash_stream() -> Vec<DigestFrame> {
+/// Drive the steady stream under [`crash_schedules`] through two
+/// single-tier fleet collectors and return every frame they flushed.
+fn sharded_frames_for_crash_stream(meter: &CapacityMeter) -> Vec<DigestFrame> {
     let sup = SupervisorConfig::default();
-    let mut app_col = FleetCollector::new(0, &[TierId::App], WINDOW as i64, 1, sup);
-    let mut db_col = FleetCollector::new(1, &[TierId::Db], WINDOW as i64, 1, sup);
-    app_col.on_session_start(TierId::App);
-    db_col.on_session_start(TierId::Db);
+    let mut cols = [
+        FleetCollector::new(0, &[TierId::App], WINDOW as i64, 1, sup),
+        FleetCollector::new(1, &[TierId::Db], WINDOW as i64, 1, sup),
+    ];
+    let schedules = crash_schedules();
+    let mut samplers =
+        TierId::ALL.map(|t| TierSampler::new(t, meter.config().hpc_model.clone(), BASE_SEED));
+    for tier in TierId::ALL {
+        tier.select_mut(&mut cols).on_session_start(tier);
+    }
     let mut frames: Vec<DigestFrame> = Vec::new();
-    for seq in 0..TOTAL as u64 {
-        if seq == 45 {
-            app_col.on_session_start(TierId::App);
-        }
-        if !(40..45).contains(&seq) {
-            app_col.on_sample(TierId::App, &wire(seq, true));
-        }
-        db_col.on_sample(TierId::Db, &wire(seq, false));
-        for col in [&mut app_col, &mut db_col] {
-            if let Some(f) = col.flush(None) {
-                frames.push(f);
+    for (seq, s) in steady_samples(meter).iter().enumerate() {
+        let seq = seq as u64;
+        for tier in TierId::ALL {
+            let ws = tier
+                .select_mut(&mut samplers)
+                .wire_sample(SourceSample::of_tier(tier, seq, s));
+            let (col, schedule) = (tier.select_mut(&mut cols), tier.select(&schedules));
+            if schedule.reconnect_before.contains(&seq) {
+                col.on_session_start(tier);
+            }
+            if !schedule.drops(seq) {
+                col.on_sample(tier, &ws);
             }
         }
+        frames.extend(cols.iter_mut().filter_map(|col| col.flush(None)));
     }
-    app_col.on_bye(TierId::App, TOTAL as u64 - 1);
-    db_col.on_bye(TierId::Db, TOTAL as u64 - 1);
-    for col in [&mut app_col, &mut db_col] {
-        if let Some(f) = col.flush(None) {
-            frames.push(f);
-        }
+    for tier in TierId::ALL {
+        tier.select_mut(&mut cols).on_bye(tier, TOTAL as u64 - 1);
     }
+    frames.extend(cols.iter_mut().filter_map(|col| col.flush(None)));
     frames
 }
 
@@ -219,26 +201,19 @@ fn sharded_frames_for_crash_stream() -> Vec<DigestFrame> {
 fn sharded_digestion_reproduces_the_assembler_exactly() {
     let meter = trained_meter();
 
-    // Unsharded oracle: the net plane's Assembler over the same stream.
-    let mut asm = Assembler::new(meter.clone(), 1);
-    asm.on_session_start(TierId::App);
-    asm.on_session_start(TierId::Db);
-    let mut oracle: Vec<(i64, OnlineDecision)> = Vec::new();
-    let mut sink = |w: i64, d: &OnlineDecision| oracle.push((w, d.clone()));
-    for seq in 0..TOTAL as u64 {
-        if seq == 45 {
-            asm.on_session_start(TierId::App);
-        }
-        if !(40..45).contains(&seq) {
-            asm.on_sample(TierId::App, wire(seq, true), &mut sink);
-        }
-        asm.on_sample(TierId::Db, wire(seq, false), &mut sink);
+    // What the unsharded plane must produce, from the independent
+    // oracle: the analytic survivor prediction and the in-process
+    // monitor replay share no code with the reassembly core (the
+    // `Assembler` is built from it, so it can no longer referee).
+    let mut poisoned = BTreeSet::new();
+    for schedule in &crash_schedules() {
+        poisoned.extend(predicted_windows_for_schedule(TOTAL as u64, schedule, WINDOW, 1).1);
     }
-    asm.on_bye(TierId::App, TOTAL as u64 - 1);
-    asm.on_bye(TierId::Db, TOTAL as u64 - 1);
-    drop(sink);
+    let mut survivors = all_windows(TOTAL, WINDOW);
+    survivors.retain(|w| !poisoned.contains(w));
+    let oracle = replay_windows(&meter, &steady_samples(&meter), BASE_SEED, &survivors);
 
-    let frames = sharded_frames_for_crash_stream();
+    let frames = sharded_frames_for_crash_stream(&meter);
     let mut node = MergeNode::new(meter);
     for f in &frames {
         node.ingest(f);
@@ -248,7 +223,7 @@ fn sharded_digestion_reproduces_the_assembler_exactly() {
     assert_eq!(json(&merged.decisions), json(&oracle), "decision stream");
     assert_eq!(
         merged.poisoned_windows,
-        asm.poisoned_windows(),
+        poisoned.into_iter().collect::<Vec<i64>>(),
         "quarantine"
     );
     assert_eq!(merged.poisoned_windows, vec![1]);
@@ -258,7 +233,7 @@ fn sharded_digestion_reproduces_the_assembler_exactly() {
 #[test]
 fn merge_is_independent_of_digest_arrival_order() {
     let meter = trained_meter();
-    let frames = sharded_frames_for_crash_stream();
+    let frames = sharded_frames_for_crash_stream(&meter);
     let finalize = |order: Vec<&DigestFrame>| {
         let mut node = MergeNode::new(meter.clone());
         for f in order {
@@ -287,7 +262,7 @@ fn merge_is_independent_of_digest_arrival_order() {
 #[test]
 fn safe_mode_frames_are_quarantined_not_trusted() {
     let meter = trained_meter();
-    let frames = sharded_frames_for_crash_stream();
+    let frames = sharded_frames_for_crash_stream(&meter);
     // Baseline outcome, then the same frames with one healthy frame
     // (carrying at least one window digest) re-stamped SafeMode: every
     // window that frame carried must flip from scored to poisoned.

@@ -11,15 +11,10 @@
 //! note = "wall-clock timing is the bench harness's purpose"
 //! ```
 //!
-//! v2 entries carry a content-addressed `fingerprint` (computed by the
+//! Entries carry a content-addressed `fingerprint` (computed by the
 //! analyzer from rule + enclosing item + normalized snippet), so the
 //! baseline survives line renumbering: a formatting-only commit needs
-//! zero baseline edits. v1 entries carried `line` instead; the parser
-//! still accepts them, and [`Baseline::covers`] falls back to
-//! `(rule, file, line)` matching for them, which is the one-shot
-//! migration path — run `webcap lint --write-baseline` once against a
-//! v1 file and every entry is re-emitted with its fingerprint (curated
-//! notes preserved).
+//! zero baseline edits.
 //!
 //! Only *new* findings fail the lint run; baseline entries that no
 //! longer match anything are reported as stale (a warning, not a
@@ -40,28 +35,16 @@ pub struct BaselineEntry {
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub file: String,
-    /// Content-addressed identity (v2 entries); empty on legacy
-    /// line-keyed entries.
+    /// Content-addressed identity.
     pub fingerprint: String,
-    /// 1-based line number (legacy v1 entries); 0 on v2 entries.
-    pub line: u32,
     /// Why this finding is accepted (required: debt needs a reason).
     pub note: String,
 }
 
 impl BaselineEntry {
-    /// True if this entry matches `f`: by fingerprint when the entry
-    /// has one, by `(line)` otherwise (legacy migration path). Rule and
-    /// file must always match.
+    /// True if this entry matches `f`: same rule, file and fingerprint.
     pub fn matches(&self, f: &Finding) -> bool {
-        if self.rule != f.rule || self.file != f.file {
-            return false;
-        }
-        if !self.fingerprint.is_empty() {
-            self.fingerprint == f.fingerprint
-        } else {
-            self.line == f.line
-        }
+        self.rule == f.rule && self.file == f.file && self.fingerprint == f.fingerprint
     }
 }
 
@@ -90,18 +73,17 @@ impl fmt::Display for BaselineError {
 impl std::error::Error for BaselineError {}
 
 impl Baseline {
-    /// Parse the TOML-subset baseline format (v2 `fingerprint` entries
-    /// and legacy v1 `line` entries both accepted).
+    /// Parse the TOML-subset baseline format.
     pub fn parse(text: &str) -> Result<Baseline, BaselineError> {
         let err = |line: u32, msg: String| BaselineError { line, msg };
         let mut entries: Vec<BaselineEntry> = Vec::new();
-        let mut open: Option<(BaselineEntry, u32, bool)> = None; // entry, start line, has_line
+        let mut open: Option<(BaselineEntry, u32)> = None; // entry, start line
 
-        let flush = |open: &mut Option<(BaselineEntry, u32, bool)>,
+        let flush = |open: &mut Option<(BaselineEntry, u32)>,
                      entries: &mut Vec<BaselineEntry>|
          -> Result<(), BaselineError> {
-            if let Some((entry, at, has_line)) = open.take() {
-                entries.push(finish_entry_full(entry, at, has_line)?);
+            if let Some((entry, at)) = open.take() {
+                entries.push(finish_entry(entry, at)?);
             }
             Ok(())
         };
@@ -119,11 +101,9 @@ impl Baseline {
                         rule: String::new(),
                         file: String::new(),
                         fingerprint: String::new(),
-                        line: 0,
                         note: String::new(),
                     },
                     lineno,
-                    false,
                 ));
                 continue;
             }
@@ -135,7 +115,7 @@ impl Baseline {
             };
             let key = key.trim();
             let value = value.trim();
-            let Some((entry, _, has_line)) = open.as_mut() else {
+            let Some((entry, _)) = open.as_mut() else {
                 return Err(err(lineno, format!("`{key}` outside a [[finding]] table")));
             };
             match key {
@@ -145,12 +125,6 @@ impl Baseline {
                 "fingerprint" => {
                     entry.fingerprint = unquote(value).map_err(|m| err(lineno, m))?
                 }
-                "line" => {
-                    entry.line = value
-                        .parse::<u32>()
-                        .map_err(|_| err(lineno, format!("`line` is not an integer: `{value}`")))?;
-                    *has_line = true;
-                }
                 other => return Err(err(lineno, format!("unknown key `{other}`"))),
             }
         }
@@ -158,17 +132,13 @@ impl Baseline {
         Ok(Baseline { entries })
     }
 
-    /// Render a findings list as a v2 baseline file
-    /// (`--write-baseline`). Output is deterministic: entries sorted by
-    /// `(file, line, rule)`; the line appears only as an informational
-    /// comment, so a line shift alone never changes a key.
+    /// Render a findings list as a baseline file (`--write-baseline`).
+    /// Output is deterministic: entries sorted by `(file, line, rule)`;
+    /// the line appears only as an informational comment, so a line
+    /// shift alone never changes a key.
     ///
     /// `previous` is the baseline being regenerated over: curated notes
-    /// are carried forward for every finding whose fingerprint matches
-    /// an existing entry, with a fallback match on legacy
-    /// `(rule, file, line)` — the one-shot v1 → v2 migration. (v1
-    /// dropped notes on every regeneration; that is the bug this
-    /// signature fixes.)
+    /// are carried forward for every finding an existing entry matches.
     pub fn render(findings: &[Finding], previous: &Baseline) -> String {
         let mut sorted: Vec<&Finding> = findings.iter().collect();
         sorted.sort_by(|a, b| {
@@ -186,21 +156,7 @@ impl Baseline {
             let note = previous
                 .entries
                 .iter()
-                .find(|e| {
-                    e.rule == f.rule
-                        && e.file == f.file
-                        && !e.fingerprint.is_empty()
-                        && e.fingerprint == f.fingerprint
-                })
-                .or_else(|| {
-                    // Legacy v1 entry: same site, identified by line.
-                    previous.entries.iter().find(|e| {
-                        e.rule == f.rule
-                            && e.file == f.file
-                            && e.fingerprint.is_empty()
-                            && e.line == f.line
-                    })
-                })
+                .find(|e| e.matches(f))
                 .map(|e| e.note.as_str())
                 .filter(|n| !n.is_empty())
                 .unwrap_or(f.note.as_str());
@@ -215,7 +171,7 @@ impl Baseline {
         out
     }
 
-    /// True if `f` matches an entry (fingerprint, or legacy line).
+    /// True if `f` matches an entry.
     pub fn covers(&self, f: &Finding) -> bool {
         self.entries.iter().any(|e| e.matches(f))
     }
@@ -230,11 +186,7 @@ impl Baseline {
     }
 }
 
-fn finish_entry_full(
-    entry: BaselineEntry,
-    at: u32,
-    has_line: bool,
-) -> Result<BaselineEntry, BaselineError> {
+fn finish_entry(entry: BaselineEntry, at: u32) -> Result<BaselineEntry, BaselineError> {
     let missing = |what: &str| BaselineError {
         line: at,
         msg: format!("[[finding]] is missing `{what}`"),
@@ -245,8 +197,8 @@ fn finish_entry_full(
     if entry.file.is_empty() {
         return Err(missing("file"));
     }
-    if entry.fingerprint.is_empty() && !has_line {
-        return Err(missing("fingerprint` (or legacy `line`"));
+    if entry.fingerprint.is_empty() {
+        return Err(missing("fingerprint"));
     }
     if entry.note.is_empty() {
         return Err(missing("note"));
@@ -345,14 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_line_entries_cover_by_line() {
-        let v1 = "[[finding]]\nrule = \"nondet-time\"\nfile = \"f.rs\"\nline = 7\nnote = \"ok\"\n";
-        let parsed = Baseline::parse(v1).unwrap();
-        assert!(parsed.covers(&finding("nondet-time", "f.rs", 7, "aa00")));
-        assert!(!parsed.covers(&finding("nondet-time", "f.rs", 8, "aa00")));
-    }
-
-    #[test]
     fn regeneration_preserves_curated_notes_by_fingerprint() {
         // The --write-baseline note-dropping bug: a curated note must
         // survive regeneration when the fingerprint is unchanged.
@@ -373,19 +317,6 @@ mod tests {
         );
         let parsed = Baseline::parse(&regenerated).unwrap();
         assert_eq!(parsed.entries[0].note, "why");
-    }
-
-    #[test]
-    fn migration_carries_notes_from_legacy_line_entries() {
-        let v1 = "[[finding]]\nrule = \"nondet-time\"\nfile = \"f.rs\"\nline = 7\n\
-                  note = \"curated v1 note\"\n";
-        let previous = Baseline::parse(v1).unwrap();
-        let migrated = Baseline::render(&[finding("nondet-time", "f.rs", 7, "aa00")], &previous);
-        let parsed = Baseline::parse(&migrated).unwrap();
-        // The regenerated entry is fingerprint-keyed and kept its note.
-        assert_eq!(parsed.entries[0].fingerprint, "aa00");
-        assert_eq!(parsed.entries[0].line, 0);
-        assert_eq!(parsed.entries[0].note, "curated v1 note");
     }
 
     #[test]

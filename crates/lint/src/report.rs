@@ -70,8 +70,7 @@ pub fn to_json(report: &Report) -> String {
         out.push_str("\n    {");
         out.push_str(&format!("\"rule\": {}, ", json_str(&e.rule)));
         out.push_str(&format!("\"file\": {}, ", json_str(&e.file)));
-        out.push_str(&format!("\"fingerprint\": {}, ", json_str(&e.fingerprint)));
-        out.push_str(&format!("\"line\": {}", e.line));
+        out.push_str(&format!("\"fingerprint\": {}", json_str(&e.fingerprint)));
         out.push('}');
     }
     if report.stale_baseline.is_empty() {
@@ -104,14 +103,9 @@ pub fn to_human(report: &Report) -> String {
         push_finding(&mut out, f, "baselined");
     }
     for e in &report.stale_baseline {
-        let id = if e.fingerprint.is_empty() {
-            format!("{}", e.line)
-        } else {
-            e.fingerprint.clone()
-        };
         out.push_str(&format!(
             "{}:{}: [stale-baseline] {} — entry no longer matches any finding; delete it\n",
-            e.file, id, e.rule
+            e.file, e.fingerprint, e.rule
         ));
     }
     out.push_str(&format!(
@@ -171,7 +165,6 @@ mod tests {
                 rule: "panic-unwrap".to_string(),
                 file: "crates/core/src/old.rs".to_string(),
                 fingerprint: "0011223344556677".to_string(),
-                line: 0,
                 note: "gone".to_string(),
             }],
         }

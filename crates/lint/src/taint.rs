@@ -43,6 +43,7 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("net", "run_supervised_loopback"),
     ("net", "run_supervised_collector"),
     ("fleet", "run_fleet"),
+    ("fleet", "collect_digest_stream"),
     ("fleet", "MergeNode::ingest"),
     ("fleet", "MergeNode::ingest_at"),
     ("fleet", "MergeNode::finalize"),

@@ -1,36 +1,18 @@
 //! The front-end collector: accept one connection per tier, reassemble
-//! per-second [`SystemSample`]s by timestamp alignment, quarantine any
-//! window touched by loss or reconnection, and feed the surviving
-//! windows to the online meter.
+//! per-second samples into per-window digests, quarantine any window
+//! touched by loss or reconnection, and score the surviving windows
+//! with the online meter.
 //!
-//! # Gap semantics
-//!
-//! The collector **never averages over holes**. Aggregation windows are
-//! fixed spans of `window_len` consecutive second-keys (`key =
-//! round(t_s)`), anchored at `window_origin`; window `w` covers keys
-//! `origin + w·len ..= origin + (w+1)·len − 1`. A window is *poisoned* —
-//! permanently excluded from prediction — when:
-//!
-//! * **a sequence gap** on either tier skips keys: every window
-//!   containing a missing key is poisoned (detected the moment the
-//!   first post-gap sample arrives, and at `Bye` for trailing loss);
-//! * **a reconnection** straddles it: the window holding the last
-//!   pre-disconnect key (unless that key ends its window) and the
-//!   window holding the first post-reconnect key (unless that key
-//!   starts its window) are poisoned, so no emitted window ever mixes
-//!   two sessions mid-stream.
-//!
-//! Because each tier's frames arrive in order on one connection and a
-//! window only completes when *both* tiers have delivered *all* of its
-//! keys, every poisoning event for a window is observed before the
-//! window could complete — a window is never un-emitted. The emitted
-//! decision stream is therefore a pure function of the two per-tier
-//! frame sequences, which is what lets the fault-injection test demand
-//! byte-identical JSON against an in-process replay.
-//!
-//! On any discontinuity the partial-window state is discarded via
-//! [`OnlineMonitor::reset`]: the monitor is reset before feeding window
-//! `w` unless `w − 1` was the previously fed window.
+//! The reassembly rules live in [`crate::reassembly`] (see its module
+//! docs for the gap semantics). The [`Assembler`] here is the K=1
+//! fleet: one [`TierDigester`] per tier, a per-window join of their
+//! digests, and [`score_window`] on every complete, unpoisoned pair.
+//! Because a window only completes when *both* tiers have delivered
+//! *all* of its keys, every poisoning event for a window is observed
+//! before the window could complete — a window is never un-emitted. The
+//! emitted decision stream is therefore a pure function of the two
+//! per-tier frame sequences, which is what lets the fault-injection
+//! test demand byte-identical JSON against an in-process replay.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -40,13 +22,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use webcap_core::{CapacityMeter, OnlineDecision, OnlineMonitor};
+use webcap_core::{CapacityMeter, OnlineDecision};
 use webcap_sim::TierId;
 
 use crate::frame::{
     encode_payload, metric_schema_hash, read_frame, try_extract_frame, write_frame, Frame,
-    WireCodec, WireSample, MIN_PROTO_VERSION, PROTO_VERSION,
+    TierWindowDigest, WireCodec, WireSample, MIN_PROTO_VERSION, PROTO_VERSION,
 };
+use crate::reassembly::{score_window, DigesterState, TierDigester};
 use crate::transport::{is_timeout, Conn, Listener};
 
 /// Collector runtime configuration.
@@ -155,39 +138,27 @@ pub struct CollectorReport {
     pub sheds: Vec<(TierId, ShedKind)>,
 }
 
-/// Most windows a single sequence gap may individually poison. A
-/// legitimate outage of any survivable length stays far below this
-/// (2^20 windows ≈ a year of 30 s windows); a hostile or corrupt
-/// sequence jump (e.g. a `seq` near `u64::MAX`) would otherwise make
-/// the gap-poisoning loop insert billions of ledger entries — an
-/// unbounded-memory DoS. Beyond the clamp only the gap's first span
-/// and its landing window are poisoned and the overflow is counted as
-/// an anomaly; safety is unaffected, because the skipped windows have
-/// no samples and therefore can never complete or emit.
-pub const MAX_GAP_WINDOWS: i64 = 1 << 20;
-
-/// The pure reassembly state machine, single-threaded and fully
+/// The unsharded reassembly state machine, single-threaded and fully
 /// deterministic — the socketed [`run_collector`] drives it, and unit
-/// tests drive it directly.
+/// tests drive it directly. It is the K=1 fleet in one struct: a
+/// [`TierDigester`] per tier, a join of their digests per window, and
+/// [`score_window`] on each pair.
 #[derive(Debug)]
 pub struct Assembler {
-    monitor: OnlineMonitor,
+    meter: CapacityMeter,
     window_len: i64,
-    origin: i64,
-    /// key → per-tier sample, for windows still being joined.
-    pending: BTreeMap<i64, [Option<WireSample>; 2]>,
-    /// window → count of keys with both tiers present.
-    joined: BTreeMap<i64, i64>,
+    digesters: [TierDigester; 2],
+    /// The digest of each window one tier has completed while the other
+    /// tier's half is still in flight.
+    halves: BTreeMap<i64, TierWindowDigest>,
+    /// Union of both tiers' verdicts plus windows that failed scoring.
     poisoned: BTreeSet<i64>,
-    last_key: [Option<i64>; 2],
-    fresh_session: [bool; 2],
-    had_session: [bool; 2],
     prev_fed: Option<i64>,
     emitted: BTreeSet<i64>,
+    /// Surprises of the join itself; the digesters count their own.
     anomalies: u64,
-    /// Reusable pair buffer for [`Assembler::emit`]: one allocation for
-    /// the whole run instead of one per emitted window.
-    scratch: Vec<(WireSample, WireSample)>,
+    samples_seen: u64,
+    decisions_made: u64,
 }
 
 impl Assembler {
@@ -196,67 +167,22 @@ impl Assembler {
     pub fn new(meter: CapacityMeter, origin: i64) -> Assembler {
         let window_len = meter.config().window_len as i64;
         Assembler {
-            // The monitor seed is irrelevant on the collected-metrics
-            // path (agents synthesize); zero by convention.
-            monitor: OnlineMonitor::new(meter, 0),
+            meter,
             window_len,
-            origin,
-            pending: BTreeMap::new(),
-            joined: BTreeMap::new(),
+            digesters: TierId::ALL.map(|tier| TierDigester::new(tier, window_len, origin)),
+            halves: BTreeMap::new(),
             poisoned: BTreeSet::new(),
-            last_key: [None, None],
-            fresh_session: [false, false],
-            had_session: [false, false],
             prev_fed: None,
             emitted: BTreeSet::new(),
             anomalies: 0,
-            scratch: Vec::with_capacity(window_len.max(0) as usize),
+            samples_seen: 0,
+            decisions_made: 0,
         }
     }
 
-    /// Window index holding `key`.
-    pub fn window_of(&self, key: i64) -> i64 {
-        (key - self.origin).div_euclid(self.window_len)
-    }
-
-    fn first_key(&self, window: i64) -> i64 {
-        self.origin + window * self.window_len
-    }
-
-    fn last_key_of(&self, window: i64) -> i64 {
-        self.first_key(window) + self.window_len - 1
-    }
-
-    /// Note a (re)connection on `tier`. The first session is just the
-    /// stream starting; later ones arm the straddle-poisoning rules,
-    /// applied when the session's first sample shows where the
-    /// discontinuity fell.
+    /// Note a (re)connection on `tier`.
     pub fn on_session_start(&mut self, tier: TierId) {
-        if *tier.select(&self.had_session) {
-            *tier.select_mut(&mut self.fresh_session) = true;
-        } else {
-            *tier.select_mut(&mut self.had_session) = true;
-        }
-    }
-
-    fn poison(&mut self, window: i64) {
-        if window < 0 || self.emitted.contains(&window) {
-            // Emitted-then-poisoned cannot happen for ordered per-tier
-            // streams (see module docs); count it rather than trust it.
-            self.anomalies += 1;
-            return;
-        }
-        if self.poisoned.insert(window) {
-            let keys: Vec<i64> = self
-                .pending
-                .range(self.first_key(window)..=self.last_key_of(window))
-                .map(|(k, _)| *k)
-                .collect();
-            for k in keys {
-                self.pending.remove(&k);
-            }
-            self.joined.remove(&window);
-        }
+        tier.select_mut(&mut self.digesters).on_session_start();
     }
 
     /// Feed one received sample; emitted decisions go to `sink`.
@@ -266,156 +192,70 @@ impl Assembler {
         ws: WireSample,
         sink: &mut dyn FnMut(i64, &OnlineDecision),
     ) {
-        let key = ws.t_s.round() as i64;
-
-        if *tier.select(&self.fresh_session) {
-            *tier.select_mut(&mut self.fresh_session) = false;
-            if let Some(k_old) = *tier.select(&self.last_key) {
-                if k_old != self.last_key_of(self.window_of(k_old)) {
-                    self.poison(self.window_of(k_old));
-                }
-            }
-            if key != self.first_key(self.window_of(key)) {
-                self.poison(self.window_of(key));
-            }
-        }
-
-        let expected = tier.select(&self.last_key).map_or(self.origin, |l| l + 1);
-        if key < expected {
-            // Duplicate or out-of-order: impossible on one ordered
-            // stream, so never silently fold it into an aggregate.
-            self.anomalies += 1;
-            return;
-        }
-        if key > expected {
-            self.poison_gap(self.window_of(expected), self.window_of(key - 1));
-        }
-        *tier.select_mut(&mut self.last_key) = Some(key);
-
-        let window = self.window_of(key);
-        if self.poisoned.contains(&window) {
-            return;
-        }
-        let entry = self.pending.entry(key).or_default();
-        let slot = tier.select_mut(entry);
-        if slot.is_some() {
-            self.anomalies += 1;
-            return;
-        }
-        *slot = Some(ws);
-        if entry.iter().all(Option::is_some) {
-            let joined = self.joined.entry(window).or_insert(0);
-            *joined += 1;
-            if *joined == self.window_len {
-                self.emit(window, sink);
-            }
-        }
-    }
-
-    /// Poison every window of an inclusive gap span, clamped to
-    /// [`MAX_GAP_WINDOWS`] so a hostile sequence jump cannot grow the
-    /// poison ledger without bound. The landing window is always
-    /// poisoned so the gap's right edge stays quarantined even when the
-    /// middle is elided.
-    fn poison_gap(&mut self, first_w: i64, last_w: i64) {
-        let clamped = last_w.min(first_w.saturating_add(MAX_GAP_WINDOWS - 1));
-        for w in first_w..=clamped {
-            self.poison(w);
-        }
-        if clamped < last_w {
-            self.anomalies += 1;
-            self.poison(last_w);
-        }
+        tier.select_mut(&mut self.digesters).on_sample(ws);
+        self.join(tier, sink);
     }
 
     /// A tier finished cleanly, announcing its final sequence; detect
     /// trailing loss (frames dropped after the last one we received).
     pub fn on_bye(&mut self, tier: TierId, last_seq: u64) {
-        let final_key = self.origin + last_seq as i64;
-        let expected = tier.select(&self.last_key).map_or(self.origin, |l| l + 1);
-        if final_key >= expected {
-            self.poison_gap(self.window_of(expected), self.window_of(final_key));
-            *tier.select_mut(&mut self.last_key) = Some(final_key);
-        }
+        tier.select_mut(&mut self.digesters).on_bye(last_seq);
+        self.join(tier, &mut |_, _| {});
     }
 
-    /// A tier's session ended *abnormally* — EOF, overload shed, or an
-    /// idle/stall timeout, with no `Bye`. The window its last key sits
-    /// in mid-stream is quarantined immediately (unless the break fell
-    /// exactly on a window boundary): the lane's in-flight window must
-    /// never wait on a reconnect that may not come to be poisoned. A
-    /// later reconnect re-applies the same straddle rule, which is
-    /// idempotent on the poison ledger, so eager quarantine changes no
-    /// byte of any surviving window.
+    /// A tier's session ended *abnormally* (no `Bye`): its in-flight
+    /// window is quarantined at once (see
+    /// [`TierDigester::on_session_abort`]).
     pub fn on_session_abort(&mut self, tier: TierId) {
-        if let Some(k) = *tier.select(&self.last_key) {
-            if k != self.last_key_of(self.window_of(k)) {
-                self.poison(self.window_of(k));
-            }
+        tier.select_mut(&mut self.digesters).on_session_abort();
+        self.join(tier, &mut |_, _| {});
+    }
+
+    fn poison(&mut self, window: i64) {
+        if self.poisoned.insert(window) {
+            self.halves.remove(&window);
         }
     }
 
-    fn emit(&mut self, window: i64, sink: &mut dyn FnMut(i64, &OnlineDecision)) {
-        // Collect the window's joined pairs first: a protocol violation
-        // (app-tier sample without front-end stats) must poison the
-        // window *before* anything is fed to the monitor. The pair
-        // buffer is taken from (and handed back to) `scratch`, so its
-        // allocation is reused across windows.
-        let mut pairs = std::mem::take(&mut self.scratch);
-        pairs.clear();
-        let mut complete = true;
-        for key in self.first_key(window)..=self.last_key_of(window) {
-            match self.pending.remove(&key) {
-                Some([Some(app), Some(db)]) if app.app.is_some() => pairs.push((app, db)),
-                _ => {
-                    complete = false;
-                    break;
+    /// Absorb what `tier`'s digester produced in the last event: its
+    /// verdicts first (within one event every poisoning precedes any
+    /// completion), then each completed digest — held until the other
+    /// tier's half of the window arrives, scored when it does.
+    fn join(&mut self, tier: TierId, sink: &mut dyn FnMut(i64, &OnlineDecision)) {
+        let digester = tier.select_mut(&mut self.digesters);
+        let (poisons, ready) = (digester.take_new_poisons(), digester.take_ready());
+        for window in poisons {
+            self.poison(window);
+        }
+        for digest in ready {
+            let window = digest.window;
+            if self.poisoned.contains(&window) {
+                continue;
+            }
+            let Some(other) = self.halves.remove(&window) else {
+                self.halves.insert(window, digest);
+                continue;
+            };
+            let (app, db) = match tier {
+                TierId::App => (digest, other),
+                TierId::Db => (other, digest),
+            };
+            match score_window(&mut self.meter, &mut self.prev_fed, app, db) {
+                Some(decision) => {
+                    self.emitted.insert(window);
+                    self.samples_seen += self.window_len as u64;
+                    self.decisions_made += 1;
+                    sink(window, &decision);
+                }
+                None => {
+                    // A digester never completes an application window
+                    // without front-end evidence; quarantine rather
+                    // than trust a pair that cannot be scored.
+                    self.anomalies += 1;
+                    self.poison(window);
                 }
             }
         }
-        if !complete {
-            self.anomalies += 1;
-            self.poison(window);
-            pairs.clear();
-            self.scratch = pairs;
-            return;
-        }
-        self.joined.remove(&window);
-
-        // Partial-window / stale-history reset on any discontinuity.
-        if self.prev_fed != Some(window - 1) {
-            self.monitor.reset();
-        }
-        let mut decision = None;
-        for (app, db) in pairs.drain(..) {
-            // `complete` already verified every app sample carries
-            // stats, but stay panic-free: treat a miss as the protocol
-            // violation it is. (Draining on break still empties the
-            // buffer — `drain`'s drop removes the whole range.)
-            let Some(stats) = app.app else {
-                decision = None;
-                break;
-            };
-            let sample = stats.into_sample(app.t_s, app.interval_s, app.tier, db.tier);
-            decision = self
-                .monitor
-                .push_collected(sample, [app.hpc, db.hpc], [app.os, db.os]);
-        }
-        pairs.clear();
-        self.scratch = pairs;
-        // `window_len` samples complete a window, so the monitor must
-        // have produced a decision; if it somehow did not, quarantine
-        // the window rather than panic the collector.
-        let Some(decision) = decision else {
-            self.anomalies += 1;
-            self.monitor.reset();
-            self.prev_fed = None;
-            self.poison(window);
-            return;
-        };
-        self.prev_fed = Some(window);
-        self.emitted.insert(window);
-        sink(window, &decision);
     }
 
     /// Windows quarantined so far.
@@ -425,57 +265,64 @@ impl Assembler {
 
     /// Windows with partial data still buffered.
     pub fn pending_windows(&self) -> Vec<i64> {
-        let mut out = BTreeSet::new();
-        for key in self.pending.keys() {
-            out.insert(self.window_of(*key));
-        }
-        out.into_iter().collect()
+        let pending: BTreeSet<i64> = self
+            .digesters
+            .iter()
+            .filter_map(TierDigester::pending_window)
+            .chain(self.halves.keys().copied())
+            .filter(|w| !self.poisoned.contains(w))
+            .collect();
+        pending.into_iter().collect()
     }
 
     /// Protocol-order surprises counted.
     pub fn anomalies(&self) -> u64 {
         self.anomalies
+            + self
+                .digesters
+                .iter()
+                .map(TierDigester::anomalies)
+                .sum::<u64>()
     }
 
-    /// The wrapped monitor's lifetime counters `(samples_seen,
-    /// decisions_made)` — what a snapshot persists.
+    /// Lifetime counters `(samples_seen, decisions_made)` of the
+    /// decision stream — `window_len` samples per emitted window — what
+    /// a snapshot persists.
     pub fn monitor_counters(&self) -> (u64, u64) {
-        (self.monitor.samples_seen(), self.monitor.decisions_made())
+        (self.samples_seen, self.decisions_made)
     }
 
-    /// The trained meter inside the monitor (read-only, for
-    /// snapshotting).
+    /// The trained meter (read-only, for snapshotting).
     pub fn meter(&self) -> &CapacityMeter {
-        self.monitor.meter()
+        &self.meter
     }
 
     /// Capture the boundary-persistent reassembly state for a snapshot.
     ///
-    /// Partial-window buffers (`pending`, `joined`) are deliberately
-    /// *not* captured: a snapshot is only ever restored across a process
-    /// boundary, where every agent reconnects, and the straddle-
-    /// poisoning rules already quarantine any window cut by that
-    /// discontinuity — exactly as they do for a mid-run reconnect. What
-    /// must survive is the per-tier stream position (`last_key`,
-    /// `had_session`), the monitor-feed continuity marker (`prev_fed`),
-    /// and the emitted/poisoned ledgers that keep a restarted collector
-    /// from re-emitting or un-poisoning a window.
+    /// Partial windows (the digesters' accumulators, unjoined halves)
+    /// are deliberately *not* captured, for the reason
+    /// [`TierDigester::export_state`] gives. What must survive is the
+    /// per-tier stream position (`last_key`, `had_session`), the
+    /// scoring continuity marker (`prev_fed`), and the emitted/poisoned
+    /// ledgers that keep a restarted collector from re-emitting or
+    /// un-poisoning a window.
     pub fn export_state(&self) -> AssemblerState {
+        let states = self.digesters.each_ref().map(TierDigester::export_state);
         AssemblerState {
-            last_key: self.last_key,
-            had_session: self.had_session,
+            last_key: states.each_ref().map(|s| s.last_key),
+            had_session: states.each_ref().map(|s| s.had_session),
             prev_fed: self.prev_fed,
             emitted: self.emitted.iter().copied().collect(),
             poisoned: self.poisoned.iter().copied().collect(),
-            anomalies: self.anomalies,
+            anomalies: self.anomalies(),
         }
     }
 
     /// Rebuild an assembler from a snapshot: a fresh assembler around
     /// the persisted meter, with the boundary state restored and every
-    /// tier that had a session marked `fresh_session` — so each tier's
-    /// first post-restart sample runs the same straddle-poisoning rules
-    /// as a mid-run reconnect. A restart at a window boundary therefore
+    /// tier's digester resumed with its straddle rules armed — so each
+    /// tier's first post-restart sample runs the same rules as a
+    /// mid-run reconnect. A restart at a window boundary therefore
     /// continues byte-identically; a restart mid-window quarantines
     /// exactly the cut windows.
     pub fn resume(
@@ -486,14 +333,24 @@ impl Assembler {
         decisions_made: u64,
     ) -> Assembler {
         let mut a = Assembler::new(meter, origin);
-        a.monitor.restore_counters(samples_seen, decisions_made);
-        a.last_key = state.last_key;
-        a.had_session = state.had_session;
-        a.fresh_session = state.had_session;
+        let window_len = a.window_len;
+        a.digesters = TierId::ALL.map(|tier| {
+            let per_tier = DigesterState {
+                tier,
+                last_key: *tier.select(&state.last_key),
+                had_session: *tier.select(&state.had_session),
+                completed: state.emitted.clone(),
+                poisoned: state.poisoned.clone(),
+                anomalies: 0,
+            };
+            TierDigester::resume(&per_tier, window_len, origin)
+        });
         a.prev_fed = state.prev_fed;
         a.emitted = state.emitted.iter().copied().collect();
         a.poisoned = state.poisoned.iter().copied().collect();
         a.anomalies = state.anomalies;
+        a.samples_seen = samples_seen;
+        a.decisions_made = decisions_made;
         a
     }
 }
@@ -506,7 +363,7 @@ pub struct AssemblerState {
     pub last_key: [Option<i64>; 2],
     /// Whether each tier ever had a session.
     pub had_session: [bool; 2],
-    /// The window most recently fed to the monitor, if the feed is
+    /// The window most recently scored, if the decision stream is
     /// continuous.
     pub prev_fed: Option<i64>,
     /// Windows already emitted (never to be re-emitted).
@@ -542,6 +399,9 @@ pub(crate) enum Event {
         kind: ShedKind,
     },
     Rejected,
+    /// Synthesized by [`pump_events`]: nothing arrived within the idle
+    /// timeout while sessions were live.
+    Stale,
 }
 
 /// Handshake an accepted connection: expect `Hello`, check the dialect,
@@ -557,21 +417,27 @@ pub(crate) enum Event {
 pub(crate) fn handshake(conn: &mut Conn, cfg: &CollectorConfig) -> io::Result<(TierId, WireCodec)> {
     conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(cfg.handshake_timeout))?;
+    // Turn the peer away: tell it why (best effort — it may still be
+    // listening), and fail the handshake with the same reason.
+    let reject = |conn: &mut Conn, reason: String, theirs: u32| {
+        let _ = write_frame(
+            conn,
+            &Frame::Reject {
+                reason: reason.clone(),
+                ours: PROTO_VERSION,
+                theirs,
+            },
+        );
+        io::Error::new(io::ErrorKind::InvalidData, reason)
+    };
     let hello = match read_frame(conn) {
         Ok(frame) => frame,
         Err(e) => {
-            // A peer speaking bytes we cannot parse gets a Reject (it
-            // may still be listening) before the connection drops; a
-            // transport error gets nothing — the peer is gone.
+            // A peer speaking bytes we cannot parse gets a Reject
+            // before the connection drops; a transport error gets
+            // nothing — the peer is gone.
             if e.is_corrupt() {
-                let _ = write_frame(
-                    conn,
-                    &Frame::Reject {
-                        reason: format!("malformed handshake: {e}"),
-                        ours: PROTO_VERSION,
-                        theirs: 0,
-                    },
-                );
+                reject(conn, format!("malformed handshake: {e}"), 0);
             }
             return Err(e.into());
         }
@@ -583,31 +449,14 @@ pub(crate) fn handshake(conn: &mut Conn, cfg: &CollectorConfig) -> io::Result<(T
         caps,
     } = hello
     else {
-        let reason = "expected Hello".to_string();
-        let _ = write_frame(
-            conn,
-            &Frame::Reject {
-                reason: reason.clone(),
-                ours: PROTO_VERSION,
-                theirs: 0,
-            },
-        );
-        return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
+        return Err(reject(conn, "expected Hello".to_string(), 0));
     };
     if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto_version) {
         let reason = format!(
             "protocol version {proto_version} outside supported \
              {MIN_PROTO_VERSION}..={PROTO_VERSION}"
         );
-        let _ = write_frame(
-            conn,
-            &Frame::Reject {
-                reason: reason.clone(),
-                ours: PROTO_VERSION,
-                theirs: proto_version,
-            },
-        );
-        return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
+        return Err(reject(conn, reason, proto_version));
     }
     let expected_hash = metric_schema_hash(tier);
     if hash != expected_hash {
@@ -615,15 +464,7 @@ pub(crate) fn handshake(conn: &mut Conn, cfg: &CollectorConfig) -> io::Result<(T
             "metric schema hash {hash:#018x} != {expected_hash:#018x} for {}",
             tier.label()
         );
-        let _ = write_frame(
-            conn,
-            &Frame::Reject {
-                reason: reason.clone(),
-                ours: PROTO_VERSION,
-                theirs: proto_version,
-            },
-        );
-        return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
+        return Err(reject(conn, reason, proto_version));
     }
     write_frame(conn, &Frame::Ack { seq: 0 })?;
     Ok((tier, caps.codec))
@@ -716,6 +557,18 @@ impl ConnState {
             }
         }
         Ok(())
+    }
+
+    /// End the session: flush what the socket will still take, close
+    /// it, and announce the end. `false` when the event channel is gone.
+    fn close(mut self, tx: &mpsc::Sender<Event>) -> bool {
+        let _ = self.flush();
+        let _ = self.conn.shutdown();
+        tx.send(Event::SessionEnd {
+            tier: self.tier,
+            graceful: self.graceful,
+        })
+        .is_ok()
     }
 }
 
@@ -881,7 +734,7 @@ fn service_conn(
 /// sockets serviced round-robin with buffered acks, replacing the old
 /// thread-per-connection blocking readers while keeping the per-tier
 /// event order they produced.
-pub(crate) fn accept_loop(
+fn accept_loop(
     listener: Listener,
     cfg: CollectorConfig,
     tx: mpsc::Sender<Event>,
@@ -953,19 +806,8 @@ pub(crate) fn accept_loop(
                                 break 'poll;
                             }
                         }
-                        let mut state = lane.active.take();
-                        if let Some(state) = state.as_mut() {
-                            let _ = state.flush();
-                            let _ = state.conn.shutdown();
-                            if tx
-                                .send(Event::SessionEnd {
-                                    tier: state.tier,
-                                    graceful: state.graceful,
-                                })
-                                .is_err()
-                            {
-                                break 'poll;
-                            }
+                        if lane.active.take().is_some_and(|state| !state.close(&tx)) {
+                            break 'poll;
                         }
                         progressed = true;
                     }
@@ -996,18 +838,52 @@ pub(crate) fn accept_loop(
     // a clean shutdown, announcing each end (best effort — the channel
     // may already be gone).
     for lane in lanes.iter_mut() {
-        if let Some(mut state) = lane.active.take() {
-            let _ = state.flush();
-            let _ = state.conn.shutdown();
-            let _ = tx.send(Event::SessionEnd {
-                tier: state.tier,
-                graceful: state.graceful,
-            });
+        if let Some(state) = lane.active.take() {
+            state.close(&tx);
         }
         while let Some((conn, _)) = lane.waiting.pop_front() {
             let _ = conn.shutdown();
         }
     }
+}
+
+/// The collector event pump both socketed collectors run on: spawn the
+/// accept loop on `listener`, hand every event to `handle` in arrival
+/// order, and stop once every expected tier has said `Bye`, or the idle
+/// timeout passes with no live session, or the accept loop is gone.
+/// The accept thread is shut down and joined before returning.
+pub(crate) fn pump_events(
+    listener: Listener,
+    cfg: &CollectorConfig,
+    mut handle: impl FnMut(Event),
+) {
+    let (tx, rx) = mpsc::channel();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let accept_handle = {
+        let cfg = cfg.clone();
+        let shutdown = Arc::clone(&shutdown);
+        std::thread::spawn(move || accept_loop(listener, cfg, tx, shutdown))
+    };
+    let mut byes: BTreeSet<usize> = BTreeSet::new();
+    let mut active: i64 = 0;
+    while byes.len() < cfg.expected_tiers {
+        let event = match rx.recv_timeout(cfg.idle_timeout) {
+            Ok(event) => event,
+            Err(mpsc::RecvTimeoutError::Timeout) if active > 0 => Event::Stale,
+            Err(_) => break,
+        };
+        match &event {
+            Event::SessionStart { .. } => active += 1,
+            Event::SessionEnd { .. } => active -= 1,
+            Event::Bye { tier, .. } => {
+                byes.insert(tier.index());
+            }
+            _ => {}
+        }
+        handle(event);
+    }
+    shutdown.store(true, Ordering::Relaxed);
+    let _ = accept_handle.join();
 }
 
 /// Run the collector on a bound listener until every expected tier says
@@ -1019,66 +895,34 @@ pub fn run_collector(
     cfg: &CollectorConfig,
     mut on_decision: impl FnMut(i64, &OnlineDecision),
 ) -> io::Result<CollectorReport> {
-    let (tx, rx) = mpsc::channel();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let accept_handle = {
-        let cfg = cfg.clone();
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || accept_loop(listener, cfg, tx, shutdown))
-    };
-
     let mut assembler = Assembler::new(meter, cfg.window_origin);
     let mut decisions: Vec<(i64, OnlineDecision)> = Vec::new();
     let mut sessions = [0u64; 2];
     let mut samples = [0u64; 2];
     let mut rejected = 0u64;
     let mut sheds: Vec<(TierId, ShedKind)> = Vec::new();
-    let mut byes: BTreeSet<usize> = BTreeSet::new();
-    let mut active: i64 = 0;
 
-    loop {
-        match rx.recv_timeout(cfg.idle_timeout) {
-            Ok(Event::SessionStart { tier }) => {
-                active += 1;
-                *tier.select_mut(&mut sessions) += 1;
-                assembler.on_session_start(tier);
-            }
-            Ok(Event::Sample { tier, ws }) => {
-                *tier.select_mut(&mut samples) += 1;
-                assembler.on_sample(tier, *ws, &mut |w, d| {
-                    decisions.push((w, d.clone()));
-                    on_decision(w, d);
-                });
-            }
-            Ok(Event::Bye { tier, last_seq }) => {
-                assembler.on_bye(tier, last_seq);
-                byes.insert(tier.index());
-                if byes.len() >= cfg.expected_tiers {
-                    break;
-                }
-            }
-            Ok(Event::SessionEnd { tier, graceful }) => {
-                active -= 1;
-                if !graceful {
-                    assembler.on_session_abort(tier);
-                }
-            }
-            Ok(Event::Shed { tier, kind }) => {
-                sheds.push((tier, kind));
-            }
-            Ok(Event::Rejected) => {
-                rejected += 1;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if active <= 0 {
-                    break;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+    pump_events(listener, cfg, |event| match event {
+        Event::SessionStart { tier } => {
+            *tier.select_mut(&mut sessions) += 1;
+            assembler.on_session_start(tier);
         }
-    }
-    shutdown.store(true, Ordering::Relaxed);
-    let _ = accept_handle.join();
+        Event::Sample { tier, ws } => {
+            *tier.select_mut(&mut samples) += 1;
+            assembler.on_sample(tier, *ws, &mut |w, d| {
+                decisions.push((w, d.clone()));
+                on_decision(w, d);
+            });
+        }
+        Event::Bye { tier, last_seq } => assembler.on_bye(tier, last_seq),
+        Event::SessionEnd {
+            tier,
+            graceful: false,
+        } => assembler.on_session_abort(tier),
+        Event::Shed { tier, kind } => sheds.push((tier, kind)),
+        Event::Rejected => rejected += 1,
+        Event::SessionEnd { graceful: true, .. } | Event::Stale => {}
+    });
 
     Ok(CollectorReport {
         poisoned_windows: assembler.poisoned_windows(),
@@ -1139,16 +983,6 @@ mod tests {
                 response_times: webcap_sim::RtHistogram::new(),
             }),
         }
-    }
-
-    #[test]
-    fn window_math_is_origin_anchored() {
-        let a = tiny_assembler(30);
-        assert_eq!(a.window_of(1), 0);
-        assert_eq!(a.window_of(30), 0);
-        assert_eq!(a.window_of(31), 1);
-        assert_eq!(a.first_key(1), 31);
-        assert_eq!(a.last_key_of(1), 60);
     }
 
     #[test]

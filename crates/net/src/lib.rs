@@ -25,8 +25,12 @@
 //! * [`agent`] — the agent runtime: bounded drop-oldest queueing,
 //!   sample batching, heartbeats, jittered-backoff reconnect, fault
 //!   knobs.
+//! * [`reassembly`] — the one implementation of the per-tier window
+//!   rules ([`TierDigester`]: gap poisoning, straddle quarantine,
+//!   trailing loss) and of digest-pair scoring ([`score_window`]),
+//!   shared by this crate's collector and `webcap-fleet`'s shards.
 //! * [`collector`] — the event-loop ingest poller and the deterministic
-//!   window [`Assembler`] with its gap-poisoning rules.
+//!   window [`Assembler`]: one digester per tier joined per window.
 //! * [`supervisor`] — the Healthy → Degraded → SafeMode health state
 //!   machine over telemetry quality, safe-mode admission clamping,
 //!   periodic crash-safe snapshots, and resume-from-snapshot.
@@ -44,6 +48,7 @@ pub mod binary;
 pub mod collector;
 pub mod frame;
 pub mod loopback;
+pub mod reassembly;
 pub mod source;
 pub mod supervisor;
 pub mod transport;
@@ -51,7 +56,6 @@ pub mod transport;
 pub use agent::{run_agent, AgentConfig, AgentReport, FaultKnobs, FaultSchedule, HandshakeRejected};
 pub use collector::{
     run_collector, Assembler, AssemblerState, CollectorConfig, CollectorReport, ShedKind,
-    MAX_GAP_WINDOWS,
 };
 pub use frame::{
     encode_payload, metric_schema_hash, read_frame, try_extract_frame, write_frame,
@@ -63,6 +67,7 @@ pub use loopback::{
     all_windows, predicted_surviving_windows, predicted_windows_for_schedule, replay_windows,
     run_loopback, run_loopback_scheduled, run_supervised_loopback, LoopbackOutcome,
 };
+pub use reassembly::{score_window, DigesterState, TierDigester, MAX_GAP_WINDOWS};
 pub use source::{SampleSource, ScriptedSource, SourcePoll, SourceSample, TierSampler};
 pub use supervisor::{
     run_supervised_collector, AdmissionPoint, CollectorSnapshot, HealthState, HealthTransition,

@@ -65,50 +65,17 @@ pub fn run_loopback_scheduled(
     faults: FaultKnobs,
     schedules: &[FaultSchedule; 2],
 ) -> io::Result<LoopbackOutcome> {
-    let listener = Listener::bind(endpoint)?;
-    let dial = listener.local_endpoint()?;
-    let hpc_model = meter.config().hpc_model.clone();
-    let collector_cfg = CollectorConfig::default();
-    std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
-        let collector_cfg = &collector_cfg;
-        let collector =
-            scope.spawn(move || run_collector(listener, meter_clone, collector_cfg, |_, _| {}));
-        let mut agent_handles = Vec::new();
-        for (tier, schedule) in TierId::ALL.into_iter().zip(schedules.iter()) {
-            let dial = dial.clone();
-            let hpc_model = hpc_model.clone();
-            let tier_samples = samples.to_vec();
-            agent_handles.push(scope.spawn(move || {
-                let mut cfg = AgentConfig::new(tier, dial, base_seed);
-                cfg.faults = faults;
-                cfg.schedule = schedule.clone();
-                // `WEBCAP_WIRE` picks the session codec so the CI matrix
-                // (and a debugging human) can pit JSON against binary on
-                // the same deployment without code changes.
-                cfg.codec = WireCodec::try_from_env().map_err(io::Error::other)?;
-                let mut source = ScriptedSource::new(tier, tier_samples);
-                run_agent(&cfg, hpc_model, &mut source)
-            }));
-        }
-        let mut agents = Vec::new();
-        for handle in agent_handles {
-            let report = handle
-                .join()
-                .map_err(|_| io::Error::other("agent thread panicked"))??;
-            agents.push(report);
-        }
-        let collector = collector
-            .join()
-            .map_err(|_| io::Error::other("collector thread panicked"))??;
-        let (Some(db), Some(app)) = (agents.pop(), agents.pop()) else {
-            return Err(io::Error::other("expected one report per tier"));
-        };
-        Ok(LoopbackOutcome {
-            collector,
-            agents: [app, db],
-        })
-    })
+    let (collector, agents) = run_with_agents(
+        meter,
+        samples,
+        endpoint,
+        base_seed,
+        faults,
+        schedules,
+        0,
+        |listener, meter, cfg| run_collector(listener, meter, cfg, |_, _| {}),
+    )?;
+    Ok(LoopbackOutcome { collector, agents })
 }
 
 /// [`run_loopback`] with the supervised collector: same two agents,
@@ -131,52 +98,78 @@ pub fn run_supervised_loopback(
     resume: bool,
     start_seq: u64,
 ) -> io::Result<(SupervisedReport, [AgentReport; 2])> {
-    let listener = Listener::bind(endpoint)?;
-    let dial = listener.local_endpoint()?;
-    let hpc_model = meter.config().hpc_model.clone();
-    let collector_cfg = CollectorConfig::default();
-    std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
-        let collector_cfg = &collector_cfg;
-        let collector = scope.spawn(move || {
+    run_with_agents(
+        meter,
+        samples,
+        endpoint,
+        base_seed,
+        faults,
+        &[FaultSchedule::NONE, FaultSchedule::NONE],
+        start_seq,
+        |listener, meter, cfg| {
             run_supervised_collector(
                 listener,
-                meter_clone,
-                collector_cfg,
+                meter,
+                cfg,
                 sup_cfg,
                 admission,
                 snapshot_path,
                 resume,
                 |_, _| {},
             )
-        });
-        let mut agent_handles = Vec::new();
-        for tier in TierId::ALL {
+        },
+    )
+}
+
+/// Bind `endpoint`, run `collector` on it in one thread and one real
+/// agent per tier in two more — each streaming its own view of
+/// `samples` from `start_seq` under `faults` and its tier's schedule —
+/// and join them all: the collector's result plus the agent reports,
+/// `[App, Db]`.
+#[allow(clippy::too_many_arguments)]
+fn run_with_agents<R: Send>(
+    meter: &CapacityMeter,
+    samples: &[SystemSample],
+    endpoint: &Endpoint,
+    base_seed: u64,
+    faults: FaultKnobs,
+    schedules: &[FaultSchedule; 2],
+    start_seq: u64,
+    collector: impl FnOnce(Listener, CapacityMeter, &CollectorConfig) -> io::Result<R> + Send,
+) -> io::Result<(R, [AgentReport; 2])> {
+    let listener = Listener::bind(endpoint)?;
+    let dial = listener.local_endpoint()?;
+    let collector_cfg = CollectorConfig::default();
+    std::thread::scope(|scope| {
+        let meter_clone = meter.clone();
+        let collector_cfg = &collector_cfg;
+        let collector = scope.spawn(move || collector(listener, meter_clone, collector_cfg));
+        let agent_handles = TierId::ALL.map(|tier| {
             let dial = dial.clone();
-            let hpc_model = hpc_model.clone();
+            let hpc_model = meter.config().hpc_model.clone();
             let tier_samples = samples.to_vec();
-            agent_handles.push(scope.spawn(move || {
+            scope.spawn(move || {
                 let mut cfg = AgentConfig::new(tier, dial, base_seed);
                 cfg.faults = faults;
+                cfg.schedule = tier.select(schedules).clone();
+                // `WEBCAP_WIRE` picks the session codec so the CI matrix
+                // (and a debugging human) can pit JSON against binary on
+                // the same deployment without code changes.
                 cfg.codec = WireCodec::try_from_env().map_err(io::Error::other)?;
                 let mut source = ScriptedSource::with_start_seq(tier, tier_samples, start_seq);
                 run_agent(&cfg, hpc_model, &mut source)
-            }));
-        }
-        let mut agents = Vec::new();
-        for handle in agent_handles {
-            let agent_report = handle
+            })
+        });
+        let [app, db] = agent_handles.map(|handle| {
+            handle
                 .join()
-                .map_err(|_| io::Error::other("agent thread panicked"))??;
-            agents.push(agent_report);
-        }
-        let report = collector
+                .map_err(|_| io::Error::other("agent thread panicked"))?
+        });
+        let agents = [app?, db?];
+        let collector = collector
             .join()
             .map_err(|_| io::Error::other("collector thread panicked"))??;
-        let (Some(db), Some(app)) = (agents.pop(), agents.pop()) else {
-            return Err(io::Error::other("expected one report per tier"));
-        };
-        Ok((report, [app, db]))
+        Ok((collector, agents))
     })
 }
 

@@ -50,6 +50,22 @@ pub struct SourceSample {
     pub warmup: bool,
 }
 
+impl SourceSample {
+    /// `tier`'s view of the system sample with sequence `seq`: its own
+    /// tier telemetry, plus the front-end statistics on the application
+    /// tier.
+    pub fn of_tier(tier: TierId, seq: u64, s: &SystemSample) -> SourceSample {
+        SourceSample {
+            seq,
+            t_s: s.t_s,
+            interval_s: s.interval_s,
+            tier: *s.tier(tier),
+            app: (tier == TierId::App).then(|| AppStats::from_sample(s)),
+            warmup: false,
+        }
+    }
+}
+
 /// One poll of a [`SampleSource`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SourcePoll {
@@ -178,12 +194,8 @@ impl SampleSource for ScriptedSource {
         let seq = self.next_seq;
         self.next_seq += 1;
         SourcePoll::Ready(SourceSample {
-            seq,
-            t_s: s.t_s,
-            interval_s: s.interval_s,
-            tier: *s.tier(self.tier),
-            app: (self.tier == TierId::App).then(|| AppStats::from_sample(&s)),
             warmup: seq < self.emit_from,
+            ..SourceSample::of_tier(self.tier, seq, &s)
         })
     }
 }

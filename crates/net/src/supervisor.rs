@@ -46,9 +46,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use webcap_core::snapshot::{
@@ -57,7 +54,7 @@ use webcap_core::snapshot::{
 use webcap_core::{AdmissionController, CapacityMeter, OnlineDecision, RetryPolicy};
 use webcap_sim::TierId;
 
-use crate::collector::{accept_loop, Assembler, AssemblerState, CollectorConfig, Event, ShedKind};
+use crate::collector::{pump_events, Assembler, AssemblerState, CollectorConfig, Event, ShedKind};
 use crate::transport::Listener;
 
 /// Collector health, ordered by severity (the derived `Ord` follows
@@ -499,70 +496,9 @@ impl SupervisedCollector {
         snapshot_path: Option<&Path>,
         resume: bool,
     ) -> SupervisedCollector {
-        let safe_cap = sup_cfg.safe_cap;
-        let (assembler, supervisor, admission, resume_outcome, resumed_had_session) =
-            match snapshot_path {
-                Some(path) if resume && path.exists() => {
-                    match read_snapshot::<CollectorSnapshot>(path) {
-                        Ok((snap, header)) => {
-                            let assembler = Assembler::resume(
-                                snap.state.meter,
-                                snap.origin,
-                                &snap.assembler,
-                                snap.state.samples_seen,
-                                snap.state.decisions_made,
-                            );
-                            // A restart is itself a telemetry
-                            // discontinuity: resume at least Degraded,
-                            // re-earning Healthy through the clean-streak
-                            // hysteresis.
-                            let floor = snap.health.max(HealthState::Degraded);
-                            let supervisor =
-                                Supervisor::with_initial(sup_cfg, floor, "resumed from snapshot");
-                            let outcome = ResumeOutcome::Resumed {
-                                header,
-                                samples_seen: snap.state.samples_seen,
-                                decisions_made: snap.state.decisions_made,
-                                emitted_windows: snap.assembler.emitted.len(),
-                            };
-                            (
-                                assembler,
-                                supervisor,
-                                snap.state.admission,
-                                outcome,
-                                snap.assembler.had_session,
-                            )
-                        }
-                        Err(e) => {
-                            let mut admission = admission;
-                            admission.clamp_to(safe_cap);
-                            let supervisor = Supervisor::with_initial(
-                                sup_cfg,
-                                HealthState::SafeMode,
-                                "snapshot rejected: starting fresh with no trusted state",
-                            );
-                            (
-                                Assembler::new(meter, origin),
-                                supervisor,
-                                admission,
-                                ResumeOutcome::Rejected(e),
-                                [false, false],
-                            )
-                        }
-                    }
-                }
-                _ => (
-                    Assembler::new(meter, origin),
-                    Supervisor::new(sup_cfg),
-                    admission,
-                    ResumeOutcome::Fresh,
-                    [false, false],
-                ),
-            };
-        let last_health = supervisor.state();
         let mut this = SupervisedCollector {
-            assembler,
-            supervisor,
+            assembler: Assembler::new(meter, origin),
+            supervisor: Supervisor::new(sup_cfg),
             admission,
             snapshot_path: snapshot_path.map(Path::to_path_buf),
             snapshot_retry: RetryPolicy::snapshot_io(),
@@ -575,23 +511,57 @@ impl SupervisedCollector {
             decisions: Vec::new(),
             admission_trace: Vec::new(),
             known_poisoned: 0,
-            last_health,
-            resumed_had_session,
+            last_health: HealthState::Healthy,
+            resumed_had_session: [false, false],
             emitted_since_snapshot: 0,
             snapshots_written: 0,
             snapshot_errors: Vec::new(),
-            resume: resume_outcome,
+            resume: ResumeOutcome::Fresh,
         };
-        this.known_poisoned = this.assembler.poisoned_windows().len();
-        if matches!(this.resume, ResumeOutcome::Rejected(_)) {
-            // Record the clamp the rejected-snapshot path applied.
-            this.admission_trace.push(AdmissionPoint {
-                window: -1,
-                health: HealthState::SafeMode,
-                from_prediction: false,
-                cap: this.admission.cap(),
-            });
+        if let Some(path) = snapshot_path.filter(|path| resume && path.exists()) {
+            match read_snapshot::<CollectorSnapshot>(path) {
+                Ok((snap, header)) => {
+                    this.assembler = Assembler::resume(
+                        snap.state.meter,
+                        snap.origin,
+                        &snap.assembler,
+                        snap.state.samples_seen,
+                        snap.state.decisions_made,
+                    );
+                    // A restart is itself a telemetry discontinuity:
+                    // resume at least Degraded, re-earning Healthy
+                    // through the clean-streak hysteresis.
+                    let floor = snap.health.max(HealthState::Degraded);
+                    this.supervisor =
+                        Supervisor::with_initial(sup_cfg, floor, "resumed from snapshot");
+                    this.admission = snap.state.admission;
+                    this.resumed_had_session = snap.assembler.had_session;
+                    this.resume = ResumeOutcome::Resumed {
+                        header,
+                        samples_seen: snap.state.samples_seen,
+                        decisions_made: snap.state.decisions_made,
+                        emitted_windows: snap.assembler.emitted.len(),
+                    };
+                }
+                Err(e) => {
+                    this.supervisor = Supervisor::with_initial(
+                        sup_cfg,
+                        HealthState::SafeMode,
+                        "snapshot rejected: starting fresh with no trusted state",
+                    );
+                    // Record the clamp the rejected-snapshot path applies.
+                    this.admission_trace.push(AdmissionPoint {
+                        window: -1,
+                        health: HealthState::SafeMode,
+                        from_prediction: false,
+                        cap: this.admission.clamp_to(sup_cfg.safe_cap),
+                    });
+                    this.resume = ResumeOutcome::Rejected(e);
+                }
+            }
         }
+        this.last_health = this.supervisor.state();
+        this.known_poisoned = this.assembler.poisoned_windows().len();
         this
     }
 
@@ -608,11 +578,6 @@ impl SupervisedCollector {
     /// Decisions emitted so far this run.
     pub fn decisions(&self) -> &[(i64, OnlineDecision)] {
         &self.decisions
-    }
-
-    /// Number of decisions emitted so far this run.
-    pub fn decisions_len(&self) -> usize {
-        self.decisions.len()
     }
 
     /// How this run started.
@@ -810,14 +775,6 @@ pub fn run_supervised_collector(
     resume: bool,
     mut on_decision: impl FnMut(i64, &OnlineDecision),
 ) -> io::Result<SupervisedReport> {
-    let (tx, rx) = mpsc::channel();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let accept_handle = {
-        let cfg = cfg.clone();
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || accept_loop(listener, cfg, tx, shutdown))
-    };
-
     let mut sc = SupervisedCollector::start(
         meter,
         cfg.window_origin,
@@ -826,52 +783,25 @@ pub fn run_supervised_collector(
         snapshot_path,
         resume,
     );
-    let mut byes: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    let mut active: i64 = 0;
-
-    loop {
-        match rx.recv_timeout(cfg.idle_timeout) {
-            Ok(Event::SessionStart { tier }) => {
-                active += 1;
-                sc.on_session_start(tier);
+    pump_events(listener, cfg, |event| match event {
+        Event::SessionStart { tier } => sc.on_session_start(tier),
+        Event::Sample { tier, ws } => {
+            let before = sc.decisions().len();
+            sc.on_sample(tier, *ws);
+            for (w, d) in sc.decisions().iter().skip(before) {
+                on_decision(*w, d);
             }
-            Ok(Event::Sample { tier, ws }) => {
-                let before = sc.decisions_len();
-                sc.on_sample(tier, *ws);
-                for (w, d) in sc.decisions().iter().skip(before).cloned().collect::<Vec<_>>() {
-                    on_decision(w, &d);
-                }
-            }
-            Ok(Event::Bye { tier, last_seq }) => {
-                sc.on_bye(tier, last_seq);
-                byes.insert(tier.index());
-                if byes.len() >= cfg.expected_tiers {
-                    break;
-                }
-            }
-            Ok(Event::SessionEnd { tier, graceful }) => {
-                active -= 1;
-                if !graceful {
-                    sc.on_session_abort(tier);
-                }
-            }
-            Ok(Event::Shed { tier, kind }) => {
-                sc.on_shed(tier, kind);
-            }
-            Ok(Event::Rejected) => {
-                sc.on_rejected();
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if active <= 0 {
-                    break;
-                }
-                sc.on_stale();
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
-    }
-    shutdown.store(true, Ordering::Relaxed);
-    let _ = accept_handle.join();
+        Event::Bye { tier, last_seq } => sc.on_bye(tier, last_seq),
+        Event::SessionEnd {
+            tier,
+            graceful: false,
+        } => sc.on_session_abort(tier),
+        Event::Shed { tier, kind } => sc.on_shed(tier, kind),
+        Event::Rejected => sc.on_rejected(),
+        Event::Stale => sc.on_stale(),
+        Event::SessionEnd { graceful: true, .. } => {}
+    });
 
     Ok(sc.finish())
 }

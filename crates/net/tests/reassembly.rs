@@ -1,0 +1,313 @@
+//! The reassembly core, driven through both of its consumers.
+//!
+//! The unsharded [`Assembler`] and the sharded [`FleetCollector`] are
+//! built from the same `webcap_net::reassembly::TierDigester`, so every
+//! rule — and every piece of hostile-input hardening — must show up
+//! identically on both planes. Each test feeds the same event script to
+//! both and demands the same quarantine verdicts and anomaly counts.
+
+use webcap_core::{CapacityMeter, MeterConfig};
+use webcap_fleet::FleetCollector;
+use webcap_net::{AppStats, Assembler, SupervisorConfig, WireSample, MAX_GAP_WINDOWS};
+use webcap_sim::{TierId, TierSample};
+
+const WINDOW: i64 = 30;
+const ORIGIN: i64 = 1;
+
+/// The events the two planes share.
+trait Plane {
+    fn name(&self) -> &'static str;
+    fn start(&mut self, tier: TierId);
+    fn sample(&mut self, tier: TierId, ws: WireSample);
+    fn bye(&mut self, tier: TierId, last_seq: u64);
+    fn abort(&mut self, tier: TierId);
+    fn poisoned(&self) -> Vec<i64>;
+    fn anomalies(&self) -> u64;
+    /// Windows that completed on both tiers and were handed on
+    /// (decisions emitted, or digest pairs flushed).
+    fn completed(&self) -> Vec<i64>;
+}
+
+struct Unsharded {
+    assembler: Assembler,
+    emitted: Vec<i64>,
+}
+
+impl Plane for Unsharded {
+    fn name(&self) -> &'static str {
+        "assembler"
+    }
+    fn start(&mut self, tier: TierId) {
+        self.assembler.on_session_start(tier);
+    }
+    fn sample(&mut self, tier: TierId, ws: WireSample) {
+        let emitted = &mut self.emitted;
+        self.assembler
+            .on_sample(tier, ws, &mut |window, _| emitted.push(window));
+    }
+    fn bye(&mut self, tier: TierId, last_seq: u64) {
+        self.assembler.on_bye(tier, last_seq);
+    }
+    fn abort(&mut self, tier: TierId) {
+        self.assembler.on_session_abort(tier);
+    }
+    fn poisoned(&self) -> Vec<i64> {
+        self.assembler.poisoned_windows()
+    }
+    fn anomalies(&self) -> u64 {
+        self.assembler.anomalies()
+    }
+    fn completed(&self) -> Vec<i64> {
+        self.emitted.clone()
+    }
+}
+
+struct Sharded {
+    collector: FleetCollector,
+    /// Digests flushed so far, as `(window, tier)`.
+    digests: Vec<(i64, TierId)>,
+}
+
+impl Sharded {
+    fn drain(&mut self) {
+        if let Some(frame) = self.collector.flush(None) {
+            self.digests
+                .extend(frame.windows.iter().map(|d| (d.window, d.tier)));
+        }
+    }
+}
+
+impl Plane for Sharded {
+    fn name(&self) -> &'static str {
+        "fleet collector"
+    }
+    fn start(&mut self, tier: TierId) {
+        self.collector.on_session_start(tier);
+    }
+    fn sample(&mut self, tier: TierId, ws: WireSample) {
+        self.collector.on_sample(tier, &ws);
+        self.drain();
+    }
+    fn bye(&mut self, tier: TierId, last_seq: u64) {
+        self.collector.on_bye(tier, last_seq);
+        self.drain();
+    }
+    fn abort(&mut self, tier: TierId) {
+        self.collector.on_session_abort(tier);
+        self.drain();
+    }
+    fn poisoned(&self) -> Vec<i64> {
+        self.collector.poisoned_windows().into_iter().collect()
+    }
+    fn anomalies(&self) -> u64 {
+        self.collector.anomalies()
+    }
+    fn completed(&self) -> Vec<i64> {
+        let poisoned = self.collector.poisoned_windows();
+        let has = |w: i64, t: TierId| self.digests.contains(&(w, t));
+        let mut windows: Vec<i64> = self
+            .digests
+            .iter()
+            .map(|(w, _)| *w)
+            .filter(|w| has(*w, TierId::App) && has(*w, TierId::Db) && !poisoned.contains(w))
+            .collect();
+        windows.sort_unstable();
+        windows.dedup();
+        windows
+    }
+}
+
+/// Both planes, each with both tiers' sessions started.
+fn planes() -> Vec<Box<dyn Plane>> {
+    static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
+    let meter = METER
+        .get_or_init(|| {
+            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
+        })
+        .clone();
+    assert_eq!(meter.config().window_len as i64, WINDOW);
+    let mut planes: Vec<Box<dyn Plane>> = vec![
+        Box::new(Unsharded {
+            assembler: Assembler::new(meter, ORIGIN),
+            emitted: Vec::new(),
+        }),
+        Box::new(Sharded {
+            collector: FleetCollector::new(
+                0,
+                &TierId::ALL,
+                WINDOW,
+                ORIGIN,
+                SupervisorConfig::default(),
+            ),
+            digests: Vec::new(),
+        }),
+    ];
+    for plane in &mut planes {
+        for tier in TierId::ALL {
+            plane.start(tier);
+        }
+    }
+    planes
+}
+
+/// A well-formed sample of `tier` for sequence `seq` (key `seq + 1`).
+fn wire(seq: u64, tier: TierId) -> WireSample {
+    WireSample {
+        seq,
+        t_s: seq as f64 + 1.0,
+        interval_s: 1.0,
+        tier: TierSample {
+            utilization: 0.3,
+            delivered_work_s: 0.3,
+            arrivals: 20,
+            completions: 20,
+            ..TierSample::default()
+        },
+        hpc: vec![0.5; 12],
+        os: vec![0.1; 64],
+        app: (tier == TierId::App).then(|| AppStats {
+            ebs_target: 10,
+            ebs_active: 10,
+            mix_id: webcap_tpcw::MixId::Ordering,
+            issued: 20,
+            issued_browse: 10,
+            completed: 20,
+            completed_browse: 10,
+            response_time_sum_s: 2.0,
+            response_time_max_s: 0.4,
+            in_flight: 1,
+            response_times: webcap_sim::RtHistogram::new(),
+        }),
+    }
+}
+
+/// Feed sequences `seqs` of both tiers, unharmed.
+fn feed(plane: &mut dyn Plane, seqs: std::ops::Range<u64>) {
+    for seq in seqs {
+        for tier in TierId::ALL {
+            plane.sample(tier, wire(seq, tier));
+        }
+    }
+}
+
+#[test]
+fn a_hostile_timestamp_jump_is_clamped_on_both_planes() {
+    for mut plane in planes() {
+        let name = plane.name();
+        feed(plane.as_mut(), 0..1);
+        let mut hostile = wire(1, TierId::Db);
+        hostile.t_s = 1e15;
+        plane.sample(TierId::Db, hostile);
+        // The gap's first MAX_GAP_WINDOWS windows and its landing window.
+        let poisoned = plane.poisoned();
+        assert_eq!(poisoned.len() as i64, MAX_GAP_WINDOWS + 1, "{name}");
+        assert_eq!(poisoned.first(), Some(&0), "{name}");
+        assert_eq!(
+            poisoned.last(),
+            Some(&((1_000_000_000_000_000 - ORIGIN) / WINDOW)),
+            "{name}: the landing window stays quarantined"
+        );
+        assert_eq!(plane.anomalies(), 1, "{name}: the clamp is counted once");
+    }
+}
+
+#[test]
+fn abort_quarantine_is_identical_on_both_planes() {
+    for mut plane in planes() {
+        let name = plane.name();
+        // A break exactly on the window-0/1 boundary cuts nothing...
+        feed(plane.as_mut(), 0..30);
+        plane.abort(TierId::Db);
+        assert_eq!(plane.poisoned(), Vec::<i64>::new(), "{name}: boundary");
+        // ...one mid-window-1 quarantines it at once, with no reconnect
+        // needed to reveal the cut.
+        plane.start(TierId::Db);
+        feed(plane.as_mut(), 30..45);
+        plane.abort(TierId::App);
+        assert_eq!(plane.poisoned(), vec![1], "{name}: mid-window");
+        plane.start(TierId::App);
+        feed(plane.as_mut(), 45..90);
+        assert_eq!(plane.poisoned(), vec![1], "{name}: reconnect is idempotent");
+        assert_eq!(plane.completed(), vec![0, 2], "{name}");
+        assert_eq!(plane.anomalies(), 0, "{name}");
+    }
+}
+
+#[test]
+fn unplaceable_keys_count_an_anomaly_and_quarantine_instead_of_overflowing() {
+    for mut plane in planes() {
+        let name = plane.name();
+        feed(plane.as_mut(), 0..45);
+        // +∞ rounds to key i64::MAX, whose window bounds overflow; −∞
+        // likewise at the other extreme.
+        for (k, t_s) in [f64::INFINITY, f64::NEG_INFINITY].into_iter().enumerate() {
+            let mut hostile = wire(45, TierId::App);
+            hostile.t_s = t_s;
+            plane.sample(TierId::App, hostile);
+            assert_eq!(plane.anomalies(), k as u64 + 1, "{name}: t_s = {t_s}");
+            assert_eq!(plane.poisoned(), vec![1], "{name}: t_s = {t_s}");
+        }
+        // NaN rounds to key 0: a backward key, counted and ignored.
+        let mut hostile = wire(45, TierId::Db);
+        hostile.t_s = f64::NAN;
+        plane.sample(TierId::Db, hostile);
+        assert_eq!(plane.anomalies(), 3, "{name}: NaN");
+        // The stream position survived: the honest stream continues and
+        // window 2 completes.
+        feed(plane.as_mut(), 45..90);
+        assert_eq!(plane.completed(), vec![0, 2], "{name}");
+
+        // A Bye whose final sequence does not fit the key space.
+        plane.bye(TierId::App, i64::MAX as u64);
+        assert_eq!(plane.anomalies(), 4, "{name}: Bye");
+        assert_eq!(plane.poisoned(), vec![1, 3], "{name}: Bye");
+        // One that fits but is absurd is trailing loss under the clamp.
+        plane.bye(TierId::Db, 1 << 60);
+        assert_eq!(plane.anomalies(), 5, "{name}: clamped Bye");
+        assert_eq!(
+            plane.poisoned().len() as i64,
+            MAX_GAP_WINDOWS + 2,
+            "{name}: clamped Bye"
+        );
+    }
+}
+
+#[test]
+fn a_row_of_the_wrong_width_poisons_its_window_instead_of_panicking() {
+    for mut plane in planes() {
+        let name = plane.name();
+        feed(plane.as_mut(), 0..35);
+        let mut narrow = wire(35, TierId::Db);
+        narrow.hpc.pop();
+        plane.sample(TierId::Db, narrow);
+        assert_eq!(plane.poisoned(), vec![1], "{name}: narrow HPC row");
+        assert_eq!(plane.anomalies(), 1, "{name}");
+        plane.sample(TierId::App, wire(35, TierId::App));
+        feed(plane.as_mut(), 36..65);
+        let mut wide = wire(65, TierId::App);
+        wide.os.push(0.0);
+        plane.sample(TierId::App, wide);
+        assert_eq!(plane.poisoned(), vec![1, 2], "{name}: wide OS row");
+        assert_eq!(plane.anomalies(), 2, "{name}");
+        assert_eq!(plane.completed(), vec![0], "{name}");
+    }
+}
+
+#[test]
+fn an_app_sample_without_front_end_stats_is_quarantined_at_the_same_moment() {
+    for mut plane in planes() {
+        let name = plane.name();
+        feed(plane.as_mut(), 0..35);
+        let mut bare = wire(35, TierId::App);
+        bare.app = None;
+        plane.sample(TierId::App, bare);
+        // Judged on arrival, not when the window would have completed.
+        assert_eq!(plane.poisoned(), vec![1], "{name}");
+        assert_eq!(plane.anomalies(), 1, "{name}");
+        plane.sample(TierId::Db, wire(35, TierId::Db));
+        feed(plane.as_mut(), 36..90);
+        assert_eq!(plane.poisoned(), vec![1], "{name}");
+        assert_eq!(plane.anomalies(), 1, "{name}");
+        assert_eq!(plane.completed(), vec![0, 2], "{name}");
+    }
+}

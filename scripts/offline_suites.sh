@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# Run the integration suites where the crates registry is unreachable.
+#
+# The `benchmark/run.sh` trick, for tests: the workspace is copied into
+# a git-ignored directory under target/, the `proptest` and `criterion`
+# dev-dependencies (no stand-in exists for either) are stripped from
+# the copy's manifests, the five third-party crates the libraries name
+# are patched to the read-only stand-ins in benchmark/standins/, and
+# every test target whose sources do not mention `proptest` runs under
+# `cargo test --offline`. Skipped targets are listed with the reason.
+# Arguments after `--` go to every test binary (e.g. `-- --nocapture`).
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+copy="$root/target/offline-suites"
+# The crates that hold the telemetry plane, the fleet, the capacity
+# search, the chaos mesh, the CLI and the analyzer.
+packages=(net fleet capsearch chaosnet cli lint)
+
+mkdir -p "$copy"
+# Time stamps are kept, so cargo rebuilds only what changed.
+for entry in Cargo.toml lint-baseline.toml src crates; do
+    rm -rf "${copy:?}/$entry"
+    cp -Rp "$root/$entry" "$copy/$entry"
+done
+find "$copy" -name Cargo.toml -exec sed -i -E '/^(proptest|criterion)( =|\.workspace)/d' {} +
+cat >>"$copy/Cargo.toml" <<EOF
+
+[patch.crates-io]
+rand = { path = "$root/benchmark/standins/rand" }
+serde = { path = "$root/benchmark/standins/serde" }
+serde_derive = { path = "$root/benchmark/standins/serde_derive" }
+serde_json = { path = "$root/benchmark/standins/serde_json" }
+crossbeam = { path = "$root/benchmark/standins/crossbeam" }
+parking_lot = { path = "$root/benchmark/standins/parking_lot" }
+EOF
+
+export CARGO_TARGET_DIR="$copy/target"
+ran=()
+skipped=()
+failed=()
+run() { # <label> <cargo test arguments...>
+    local label="$1"
+    shift
+    echo "=== $label"
+    if cargo test --offline --quiet --manifest-path "$copy/Cargo.toml" "$@"; then
+        ran+=("$label")
+    else
+        failed+=("$label")
+    fi
+}
+for package in "${packages[@]}"; do
+    dir="$copy/crates/$package"
+    if grep -rqs 'proptest::' "$dir/src"; then
+        skipped+=("$package (unit tests): src/ uses proptest")
+    else
+        run "$package (unit tests)" -p "webcap-$package" --lib "$@"
+    fi
+    for suite in "$dir"/tests/*.rs; do
+        name="$(basename "$suite" .rs)"
+        if grep -qs 'proptest' "$suite"; then
+            skipped+=("$package/$name: uses proptest")
+        else
+            run "$package/$name" -p "webcap-$package" --test "$name" "$@"
+        fi
+    done
+done
+
+echo
+echo "offline suites: ${#ran[@]} passed, ${#failed[@]} failed, ${#skipped[@]} skipped"
+for s in "${skipped[@]}"; do echo "  skipped $s (no offline stand-in)"; done
+for f in "${failed[@]}"; do echo "  FAILED  $f"; done
+[ "${#failed[@]}" -eq 0 ]
