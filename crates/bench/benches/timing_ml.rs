@@ -7,13 +7,7 @@
 //! Absolute numbers on modern hardware are far smaller; the *shape* to
 //! reproduce is SVM ≫ LR/TAN > Naive, and decisions much cheaper than
 //! builds.
-//!
-//! This is the one criterion bench target: it measures wall-clock
-//! distributions properly and also prints a paper-style summary row.
 
-#![allow(missing_docs)] // macro-generated harness items
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -38,31 +32,6 @@ fn paper_sized_dataset(seed: u64) -> Dataset {
         data.push(features, label);
     }
     data
-}
-
-fn bench_builds(c: &mut Criterion) {
-    let data = paper_sized_dataset(1);
-    let mut group = c.benchmark_group("synopsis_build");
-    group.sample_size(10);
-    for alg in Algorithm::PAPER_ORDER {
-        group.bench_with_input(BenchmarkId::from_parameter(alg), &alg, |b, alg| {
-            b.iter(|| alg.fit(black_box(&data)).expect("fit"));
-        });
-    }
-    group.finish();
-}
-
-fn bench_decisions(c: &mut Criterion) {
-    let data = paper_sized_dataset(2);
-    let probe = vec![0.7; 8];
-    let mut group = c.benchmark_group("synopsis_decision");
-    for alg in Algorithm::PAPER_ORDER {
-        let model = alg.fit(&data).expect("fit");
-        group.bench_with_input(BenchmarkId::from_parameter(alg), &alg, |b, _| {
-            b.iter(|| model.predict(black_box(&probe)));
-        });
-    }
-    group.finish();
 }
 
 fn print_paper_summary() {
@@ -118,15 +87,6 @@ fn print_paper_summary() {
     );
 }
 
-fn summary_bench(c: &mut Criterion) {
-    // Run the paper-style summary exactly once, alongside criterion's
-    // statistically sound measurements above.
+fn main() {
     print_paper_summary();
-    let mut group = c.benchmark_group("noop");
-    group.sample_size(10);
-    group.bench_function("anchor", |b| b.iter(|| black_box(0)));
-    group.finish();
 }
-
-criterion_group!(benches, bench_builds, bench_decisions, summary_bench);
-criterion_main!(benches);

@@ -10,10 +10,6 @@
 //! Set `WEBCAP_BENCH_SCALE` (default `1.0`) to shrink simulated durations
 //! for quick smoke runs, e.g. `WEBCAP_BENCH_SCALE=0.3 cargo bench`.
 
-pub mod baseline;
-pub mod harness;
-pub mod regression;
-
 use webcap_core::monitor::{collect_run, WindowInstance};
 use webcap_core::oracle::OracleConfig;
 use webcap_core::workloads;

@@ -10,10 +10,13 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use webcap_bench::harness::WIRE_BATCH;
 use webcap_net::{read_frame, write_frame_codec, AppStats, Frame, WireCodec, WireSample};
 use webcap_sim::{RtHistogram, TierSample};
 use webcap_tpcw::MixId;
+
+/// The agent's default `max_batch`, so the measured frame is the
+/// steady-path frame.
+const WIRE_BATCH: usize = 32;
 
 fn sample(seq: u64) -> WireSample {
     WireSample {

@@ -1,12 +1,9 @@
 //! The CLI subcommands: simulate, train, evaluate, info, plan, agent,
-//! collect, snapshot, bench, capsearch, fleet, lint.
+//! collect, snapshot, capsearch, fleet, lint.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use webcap_bench::baseline;
-use webcap_bench::harness::{run_suite, BenchReport, BenchTier, BENCH_IDS};
-use webcap_bench::regression;
 use webcap_capsearch::{
     search_scenario, CapacityReport, LoopbackExecutor, Scenario, ScenarioExecutor, SearchConfig,
     SimExecutor,
@@ -581,190 +578,6 @@ pub fn snapshot(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Write `contents` to `path`, creating any missing parent directories
-/// first — every report/baseline writer goes through this so a nested
-/// `--out` path works on a clean checkout.
-fn write_creating_parents(path: &Path, contents: &str) -> Result<(), CliError> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, contents)?;
-    Ok(())
-}
-
-/// Format nanoseconds for the human-readable bench table.
-fn fmt_ns(ns: u64) -> String {
-    let ns = ns as f64;
-    if ns >= 1e9 {
-        format!("{:.2}s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2}ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2}µs", ns / 1e3)
-    } else {
-        format!("{ns:.0}ns")
-    }
-}
-
-/// `webcap bench` — run the fixed performance suite, emit the
-/// machine-readable report, and optionally gate against a baseline.
-pub fn bench(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "quick",
-        "full",
-        "out",
-        "baseline",
-        "capture-baseline",
-        "rounds",
-        "warmup-rounds",
-        "max-cv",
-    ])?;
-    if args.flag("quick") && args.flag("full") {
-        return Err(CliError::Message(
-            "--quick and --full are mutually exclusive".into(),
-        ));
-    }
-    let tier = if args.flag("full") {
-        BenchTier::Full
-    } else {
-        BenchTier::Quick
-    };
-    if args.flag("capture-baseline") {
-        if args.get("baseline").is_some() {
-            return Err(CliError::Message(
-                "--capture-baseline records a new baseline and cannot gate \
-                 against one; drop --baseline"
-                    .into(),
-            ));
-        }
-        return bench_capture(args, tier);
-    }
-    for key in ["rounds", "warmup-rounds", "max-cv"] {
-        if args.get(key).is_some() {
-            return Err(CliError::Message(format!(
-                "--{key} only applies with --capture-baseline"
-            )));
-        }
-    }
-    let out = args.get_or("out", "BENCH_webcap.json");
-
-    println!(
-        "running the {} bench suite ({} benches, {} repetitions each) ...",
-        tier.label(),
-        BENCH_IDS.len(),
-        tier.reps()
-    );
-    let report = run_suite(tier);
-    println!(
-        "{:<32} {:>10} {:>10} {:>12} {:>12}",
-        "bench", "median", "p95", "work units", "per unit"
-    );
-    for r in &report.results {
-        println!(
-            "{:<32} {:>10} {:>10} {:>12} {:>12}",
-            r.id,
-            fmt_ns(r.median_ns),
-            fmt_ns(r.p95_ns),
-            r.work_units,
-            fmt_ns((r.median_ns as f64 / r.work_units.max(1) as f64) as u64),
-        );
-    }
-    let mut json = serde_json::to_string_pretty(&report)?;
-    json.push('\n');
-    write_creating_parents(Path::new(out), &json)?;
-    println!(
-        "report written to {out} (suite {}, rev {})",
-        report.suite_hash, report.git_rev
-    );
-
-    if let Some(base_path) = args.get("baseline") {
-        let baseline: BenchReport = serde_json::from_str(&std::fs::read_to_string(base_path)?)?;
-        let tolerance = regression::tolerance_from_env().map_err(CliError::Message)?;
-        let outcome =
-            regression::compare(&baseline, &report, tolerance).map_err(CliError::Message)?;
-        for line in &outcome.improvements {
-            println!("improved: {line}");
-        }
-        if !outcome.passed() {
-            for line in &outcome.regressions {
-                eprintln!("regressed: {line}");
-            }
-            return Err(CliError::Message(format!(
-                "{} of {} benches regressed more than {:.0}% past the baseline \
-                 (tolerance via {})",
-                outcome.regressions.len(),
-                outcome.compared,
-                tolerance * 100.0,
-                regression::TOLERANCE_ENV,
-            )));
-        }
-        println!(
-            "regression gate passed: {} benches within +{:.0}% of {base_path}",
-            outcome.compared,
-            tolerance * 100.0
-        );
-    }
-    Ok(())
-}
-
-/// `webcap bench --capture-baseline` — run the suite several times,
-/// refuse noisy machines, and record the variance-aware median as the
-/// committed regression baseline.
-fn bench_capture(args: &Args, tier: BenchTier) -> Result<(), CliError> {
-    let rounds: u32 = args.get_parsed("rounds", 5, "a round count of at least 2")?;
-    let warmup_rounds: u32 = args.get_parsed("warmup-rounds", 1, "a round count")?;
-    let max_cv: f64 = args.get_parsed("max-cv", baseline::DEFAULT_MAX_CV, "a fraction")?;
-    if rounds < 2 {
-        return Err(CliError::Message(
-            "--rounds must be at least 2 to estimate variance".into(),
-        ));
-    }
-    if !(max_cv > 0.0 && max_cv.is_finite()) {
-        return Err(CliError::Message(
-            "--max-cv must be a positive fraction".into(),
-        ));
-    }
-    let out = args.get_or("out", "BENCH_baseline.json");
-
-    println!(
-        "capturing a {} baseline: {warmup_rounds} warm-up + {rounds} measured \
-         round(s), acceptance max CV {:.1}%",
-        tier.label(),
-        max_cv * 100.0
-    );
-    for i in 0..warmup_rounds {
-        println!("warm-up round {}/{warmup_rounds} ...", i + 1);
-        let _ = run_suite(tier);
-    }
-    let mut reports = Vec::with_capacity(rounds as usize);
-    for i in 0..rounds {
-        println!("measured round {}/{rounds} ...", i + 1);
-        reports.push(run_suite(tier));
-    }
-    let outcome = baseline::aggregate_rounds(&reports, max_cv).map_err(CliError::Message)?;
-    println!("{:<32} {:>10} {:>8}", "bench", "median", "CV");
-    for (id, cv) in &outcome.cv_by_bench {
-        let median = outcome
-            .baseline
-            .results
-            .iter()
-            .find(|r| &r.id == id)
-            .map_or(0, |r| r.median_ns);
-        println!("{:<32} {:>10} {:>7.2}%", id, fmt_ns(median), cv * 100.0);
-    }
-    let mut json = serde_json::to_string_pretty(&outcome.baseline)?;
-    json.push('\n');
-    write_creating_parents(Path::new(out), &json)?;
-    println!(
-        "baseline written to {out} (suite {}, rev {}); commit it to arm the \
-         CI regression gate",
-        outcome.baseline.suite_hash, outcome.baseline.git_rev
-    );
-    Ok(())
-}
-
 /// `webcap capsearch` — search scenarios for their SLO-boundary
 /// capacity and emit byte-stable reports.
 pub fn capsearch(args: &Args) -> Result<(), CliError> {
@@ -1203,15 +1016,6 @@ COMMANDS:
              WEBCAP_NET_RECONNECT_EVERY; wire dialect: WEBCAP_WIRE=json|binary,
              default binary — batched delta/varint frames; the handshake
              negotiates down to JSON for v2 peers automatically)
-  bench      run the fixed performance suite and write BENCH_webcap.json
-             [--quick|--full] [--out <file>] [--baseline <file>]
-             (--baseline gates: exit nonzero if any bench median regresses
-             more than WEBCAP_BENCH_TOLERANCE, default 0.25, past it)
-             [--capture-baseline [--rounds <N>] [--warmup-rounds <N>]
-             [--max-cv <f>]]
-             (--capture-baseline runs several measured rounds, rejects the
-             capture if any bench's median varies more than --max-cv,
-             default 0.15, and writes the aggregated BENCH_baseline.json)
   capsearch  bisect scenarios to their SLO-boundary capacity and emit
              byte-stable capacity reports
              [--list] [--scenario <name|all>] [--scenario-file <toml>]

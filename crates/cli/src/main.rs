@@ -4,7 +4,7 @@
 
 use webcap_cli::args::Args;
 use webcap_cli::commands::{
-    agent, bench, capsearch, collect, evaluate, fleet, info, lint, plan, simulate, snapshot, train,
+    agent, capsearch, collect, evaluate, fleet, info, lint, plan, simulate, snapshot, train,
     CliError, USAGE,
 };
 
@@ -24,7 +24,6 @@ fn main() {
     let command = raw.remove(0);
     // Subcommands with bare (value-less) flags.
     let bare_flags: &[&str] = match command.as_str() {
-        "bench" => &["quick", "full", "capture-baseline"],
         "capsearch" => &["list", "loopback", "bless"],
         "collect" => &["resume"],
         "fleet" => &["print-topology", "decisions"],
@@ -42,7 +41,6 @@ fn main() {
             "agent" => agent(&args),
             "collect" => collect(&args),
             "snapshot" => snapshot(&args),
-            "bench" => bench(&args),
             "capsearch" => capsearch(&args),
             "fleet" => fleet(&args),
             "lint" => lint(&args),

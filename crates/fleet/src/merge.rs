@@ -11,10 +11,11 @@
 //!
 //! Trust policy at the edge: a frame stamped SafeMode poisons the
 //! windows it carries instead of scoring them (mirroring the unsharded
-//! collector's safe-mode admission rule), and two collectors claiming
-//! the same `(window, tier)` digest is a topology violation — the
+//! collector's safe-mode admission rule), and two *different* digests
+//! claiming the same `(window, tier)` is a topology violation — the
 //! window is quarantined rather than letting arrival order pick a
-//! winner.
+//! winner. The same digest delivered twice is a re-delivery: counted
+//! as a duplicate `seq`, otherwise ignored.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -253,10 +254,13 @@ impl MergeNode {
             }
             let slot = self.windows.entry(dig.window).or_default();
             match dig.tier.select_mut(slot) {
+                // The digest already held, delivered again: the
+                // duplicate `seq` above is the whole record of it.
+                Some(held) if held == dig => {}
                 Some(_) => {
-                    // Two collectors claiming one (window, tier): the shard
-                    // map guarantees a unique owner, so never let arrival
-                    // order pick a winner.
+                    // Two different claims on one (window, tier): the
+                    // shard map guarantees a unique owner, so never let
+                    // arrival order pick a winner.
                     self.anomalies += 1;
                     self.poisoned.insert(dig.window);
                 }
@@ -264,7 +268,8 @@ impl MergeNode {
             }
         }
         if let Some(fin) = &frame.fin {
-            if self.fins.insert(frame.collector, fin.clone()).is_some() {
+            let replaced = self.fins.insert(frame.collector, fin.clone());
+            if replaced.is_some_and(|held| held != *fin) {
                 self.anomalies += 1;
             }
         }
@@ -368,4 +373,79 @@ pub struct MergeOutcome {
     /// Collectors not [`CollectorLiveness::Live`] at finalize,
     /// ascending.
     pub partitioned: Vec<u32>,
+}
+
+#[cfg(test)]
+mod tests {
+    use webcap_core::MeterConfig;
+    use webcap_net::{read_frame, FaultSchedule, Frame, WireCodec};
+    use webcap_sim::Simulation;
+    use webcap_tpcw::{Mix, TrafficProgram};
+
+    use super::*;
+    use crate::{collect_digest_stream, FleetTopology};
+
+    /// The decision-bearing part of merging `frames` in order.
+    fn merged(meter: &CapacityMeter, frames: &[DigestFrame]) -> (String, Vec<i64>, u64) {
+        let mut node = MergeNode::new(meter.clone());
+        for frame in frames {
+            node.ingest(frame);
+        }
+        let out = node.finalize();
+        let decisions = serde_json::to_string(&out.decisions).expect("decisions serialize");
+        (decisions, out.poisoned_windows, out.anomalies)
+    }
+
+    #[test]
+    fn a_redelivered_frame_changes_nothing_and_a_forked_one_poisons() {
+        let meter =
+            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains");
+        let mut sim = meter.config().sim.clone();
+        sim.seed = 400;
+        let program = TrafficProgram::steady(Mix::ordering(), 60, 120.0);
+        let samples = Simulation::new(sim, program).run().samples;
+        let stream = collect_digest_stream(
+            &meter,
+            &samples,
+            17,
+            &[FaultSchedule::NONE, FaultSchedule::NONE],
+            &FleetTopology::two_tier("dup", 32, 2),
+            None,
+            WireCodec::Binary,
+        )
+        .expect("digest stream captures");
+        let frames: Vec<DigestFrame> = stream
+            .frames
+            .iter()
+            .map(|f| match read_frame(&mut f.bytes.as_slice()) {
+                Ok(Frame::Digest(digest)) => digest,
+                other => panic!("back-haul carried {other:?}"),
+            })
+            .collect();
+        let (decisions, poisoned, anomalies) = merged(&meter, &frames);
+        assert_eq!(anomalies, 0);
+        assert!(poisoned.is_empty());
+
+        // Every frame delivered twice, fins included.
+        let twice: Vec<DigestFrame> = frames.iter().flat_map(|f| [f.clone(), f.clone()]).collect();
+        let (dup_decisions, dup_poisoned, dup_anomalies) = merged(&meter, &twice);
+        assert_eq!(dup_decisions, decisions);
+        assert_eq!(dup_poisoned, poisoned);
+        assert_eq!(dup_anomalies, frames.len() as u64, "one per repeated seq");
+
+        // The same seq again with one digest altered: a second, unequal
+        // claim on its (window, tier).
+        let mut fork = frames
+            .iter()
+            .find(|f| !f.windows.is_empty())
+            .expect("some frame carries a digest")
+            .clone();
+        let window = fork.windows[0].window;
+        fork.windows[0].samples += 1;
+        let mut forked = frames.clone();
+        forked.push(fork);
+        let (_, fork_poisoned, fork_anomalies) = merged(&meter, &forked);
+        assert_eq!(fork_poisoned, vec![window]);
+        assert_eq!(fork_anomalies, 2, "the repeated seq and the conflict");
+    }
 }

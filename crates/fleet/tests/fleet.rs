@@ -354,8 +354,14 @@ fn chaos_boundary_crash_resumes_byte_identically() {
 fn chaos_mid_window_crash_quarantines_exactly_the_cut_window() {
     let meter = trained_meter();
     let samples = steady_samples(&meter);
-    let topo = FleetTopology::two_tier("chaos-mid", 31, 2);
-    let victim = ShardMap::new(topo.seed, topo.collectors).owner(AgentId::primary(TierId::App));
+    // Topology seed 32 splits the tiers across the two collectors, so
+    // the crash cuts one tier's stream: one window, one poison outcome.
+    // A victim owning both tiers records two for the same window, which
+    // is half of the four outcomes after its resume and trips SafeMode.
+    let topo = FleetTopology::two_tier("chaos-mid", 32, 2);
+    let map = ShardMap::new(topo.seed, topo.collectors);
+    let victim = map.owner(AgentId::primary(TierId::App));
+    assert_ne!(victim, map.owner(AgentId::primary(TierId::Db)));
     let chaos = FleetChaos {
         collector: victim,
         crash_at_seq: 100, // key 101, mid-window 3 (keys 91..=120)

@@ -5,10 +5,10 @@
 //!
 //! ```toml
 //! [[finding]]
-//! rule = "nondet-time"
-//! file = "crates/bench/src/harness.rs"
-//! fingerprint = "a61b0f204c83d97e"
-//! note = "wall-clock timing is the bench harness's purpose"
+//! rule = "panic-reachability"
+//! file = "crates/core/src/agg.rs"
+//! fingerprint = "b85f1c3932b56b81"
+//! note = "documented panic: majority_mix requires a non-empty window"
 //! ```
 //!
 //! Entries carry a content-addressed `fingerprint` (computed by the

@@ -589,7 +589,15 @@ pub fn run_agent(
                 }
             };
             done.store(true, Ordering::Relaxed);
-            let _ = conn.shutdown();
+            let _ = match end {
+                // After `Bye` the collector closes its side: half-close
+                // and let the ack reader run to that EOF. Closing with
+                // acks unread resets the connection, and a reset
+                // discards frames still in the collector's receive
+                // queue.
+                SessionEnd::Done => conn.shutdown_write(),
+                SessionEnd::Reconnect => conn.shutdown(),
+            };
             Ok(end)
         })?;
         report.acks_received += acks.load(Ordering::Relaxed);

@@ -194,6 +194,16 @@ impl Conn {
             Conn::Unix(s) => s.shutdown(Shutdown::Both),
         }
     }
+
+    /// Half-close: send end-of-stream and keep the read direction open,
+    /// so what the peer already sent can still be read to its EOF.
+    pub fn shutdown_write(&self) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(Shutdown::Write),
+        }
+    }
 }
 
 /// Whether an I/O error is a read-timeout expiry rather than a dead

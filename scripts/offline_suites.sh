@@ -2,12 +2,12 @@
 # Run the integration suites where the crates registry is unreachable.
 #
 # The `benchmark/run.sh` trick, for tests: the workspace is copied into
-# a git-ignored directory under target/, the `proptest` and `criterion`
-# dev-dependencies (no stand-in exists for either) are stripped from
-# the copy's manifests, the five third-party crates the libraries name
-# are patched to the read-only stand-ins in benchmark/standins/, and
-# every test target whose sources do not mention `proptest` runs under
-# `cargo test --offline`. Skipped targets are listed with the reason.
+# a git-ignored directory under target/, the `proptest` dev-dependency
+# (no stand-in exists for it) is stripped from the copy's manifests,
+# the five third-party crates the libraries name are patched to the
+# read-only stand-ins in benchmark/standins/, and every test target
+# whose sources do not mention `proptest` runs under `cargo test
+# --offline`. Skipped targets are listed with the reason.
 # Arguments after `--` go to every test binary (e.g. `-- --nocapture`).
 set -euo pipefail
 
@@ -23,7 +23,7 @@ for entry in Cargo.toml lint-baseline.toml src crates; do
     rm -rf "${copy:?}/$entry"
     cp -Rp "$root/$entry" "$copy/$entry"
 done
-find "$copy" -name Cargo.toml -exec sed -i -E '/^(proptest|criterion)( =|\.workspace)/d' {} +
+find "$copy" -name Cargo.toml -exec sed -i -E '/^proptest( =|\.workspace)/d' {} +
 cat >>"$copy/Cargo.toml" <<EOF
 
 [patch.crates-io]
