@@ -303,10 +303,6 @@ impl ScenarioExecutor for FleetExecutor<'_> {
     fn measure(&mut self, scenario: &Scenario, probe_ebs: u32) -> Result<ProbeMeasure, ExecError> {
         let samples = simulate(self.meter, scenario, probe_ebs);
         let topology = FleetTopology::two_tier(&scenario.name, scenario.seed, self.collectors);
-        // The back-haul dialect follows `WEBCAP_WIRE` (like the loopback
-        // plane's agents) so the CI codec matrix exercises both; the
-        // merged outcome is codec-invariant either way.
-        let codec = WireCodec::try_from_env().map_err(ExecError)?;
         let outcome = run_fleet(
             self.meter,
             &samples,
@@ -314,7 +310,7 @@ impl ScenarioExecutor for FleetExecutor<'_> {
             &scenario.schedules(),
             &topology,
             None,
-            codec,
+            WireCodec::Binary,
         )
         .map_err(|e| ExecError(format!("fleet plane: {e}")))?;
         let poisoned: BTreeSet<i64> = outcome.merge.poisoned_windows.iter().copied().collect();

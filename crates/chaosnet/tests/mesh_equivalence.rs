@@ -23,7 +23,7 @@ use webcap_chaosnet::{run_net_mesh, ChaosProfile, ChaosSchedule, Partition, Sess
 use webcap_core::{AdmissionConfig, AdmissionController, CapacityMeter, MeterConfig};
 use webcap_net::loopback::{predicted_windows_for_schedule, replay_windows};
 use webcap_net::{write_frame_codec, AppStats, Frame, WireCodec, WireSample};
-use webcap_sim::{Simulation, SystemSample, TierId, TierSample};
+use webcap_sim::{Simulation, SystemSample, TierSample};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 const BASE_SEED: u64 = 17;

@@ -339,11 +339,10 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     let run_seed = args.get_parsed("run-seed", 400u64, "integer")?;
     let duration = args.get_parsed("duration", 240.0, "number")?;
     let start_seq = args.get_parsed("start-seq", 0u64, "integer")?;
-    // Parse the fault knobs and the wire dialect up front so a typo'd
-    // env var fails here, before the replay simulation runs, instead of
-    // silently meaning "no faults" / the default codec.
+    // Parse the fault knobs up front so a typo'd env var fails here,
+    // before the replay simulation runs, instead of silently meaning
+    // "no faults".
     let faults = FaultKnobs::try_from_env().map_err(CliError::Message)?;
-    let codec = WireCodec::try_from_env().map_err(CliError::Message)?;
     if duration < f64::from(meter.config().window_len as u32) {
         return Err(CliError::Message(format!(
             "duration must cover at least one {}-second window",
@@ -375,7 +374,6 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     }
     let cfg = AgentConfig {
         faults,
-        codec,
         ..AgentConfig::new(tier, endpoint, seed)
     };
     let hpc_model = meter.config().hpc_model.clone();
@@ -826,7 +824,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         &schedules,
         &topology,
         chaos,
-        WireCodec::try_from_env().map_err(CliError::Message)?,
+        WireCodec::Binary,
     )
     .map_err(|e| CliError::Message(format!("fleet: {e}")))?;
 
@@ -907,11 +905,10 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
 }
 
 /// `webcap lint` — run the workspace static analyzer (local rules plus
-/// the interprocedural panic-reachability / determinism-taint /
-/// wire-drift analyses) and diff its findings against the committed
-/// fingerprint baseline.
+/// the interprocedural panic-reachability / determinism-taint
+/// analyses); any finding fails the run.
 pub fn lint(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["root", "format", "baseline", "out", "write-baseline"])?;
+    args.reject_unknown(&["root", "format", "out"])?;
     let root = PathBuf::from(args.get_or("root", "."));
     let format = args.get_or("format", "human");
     if format != "human" && format != "json" {
@@ -919,33 +916,8 @@ pub fn lint(args: &Args) -> Result<(), CliError> {
             "unknown format '{format}' (expected human or json)"
         )));
     }
-    let baseline_path = args.get_or("baseline", "lint-baseline.toml");
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => webcap_lint::Baseline::parse(&text)
-            .map_err(|e| CliError::Message(format!("{baseline_path}: {e}")))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => webcap_lint::Baseline::default(),
-        Err(e) => return Err(CliError::Io(e)),
-    };
-
-    if args.flag("write-baseline") {
-        let findings =
-            webcap_lint::all_findings(&root).map_err(|e| CliError::Message(e.to_string()))?;
-        // Regenerating over the existing file: curated notes survive by
-        // fingerprint match, so a refresh never wipes
-        // the reviewed rationale.
-        std::fs::write(
-            baseline_path,
-            webcap_lint::Baseline::render(&findings, &baseline),
-        )?;
-        println!(
-            "baseline with {} finding(s) written to {baseline_path}; \
-             record why each is accepted in its `note`",
-            findings.len()
-        );
-        return Ok(());
-    }
-    let report = webcap_lint::lint_workspace(&root, &baseline)
-        .map_err(|e| CliError::Message(e.to_string()))?;
+    let report =
+        webcap_lint::lint_workspace(&root).map_err(|e| CliError::Message(e.to_string()))?;
     let rendered = match format {
         "json" => webcap_lint::report::to_json(&report),
         _ => webcap_lint::report::to_human(&report),
@@ -954,19 +926,17 @@ pub fn lint(args: &Args) -> Result<(), CliError> {
         Some(path) => {
             std::fs::write(path, &rendered)?;
             println!(
-                "lint report written to {path}: {} file(s), {} new finding(s), {} baselined",
+                "lint report written to {path}: {} file(s), {} finding(s)",
                 report.files_scanned,
-                report.new_findings.len(),
-                report.baselined_findings.len()
+                report.findings.len()
             );
         }
         None => print!("{rendered}"),
     }
     if report.failed() {
         return Err(CliError::Message(format!(
-            "{} non-baselined lint finding(s); fix them or consciously \
-             accept them via --write-baseline",
-            report.new_findings.len()
+            "{} lint finding(s)",
+            report.findings.len()
         )));
     }
     Ok(())
@@ -1013,9 +983,9 @@ COMMANDS:
              (--start-seq resumes a replay: history below N is
              synthesized for warm-up but not re-sent)
              (fault injection: WEBCAP_NET_DROP_EVERY, WEBCAP_NET_DELAY_MS,
-             WEBCAP_NET_RECONNECT_EVERY; wire dialect: WEBCAP_WIRE=json|binary,
-             default binary — batched delta/varint frames; the handshake
-             negotiates down to JSON for v2 peers automatically)
+             WEBCAP_NET_RECONNECT_EVERY; after the JSON handshake the
+             session speaks the binary dialect — batched delta/varint
+             frames)
   capsearch  bisect scenarios to their SLO-boundary capacity and emit
              byte-stable capacity reports
              [--list] [--scenario <name|all>] [--scenario-file <toml>]
@@ -1036,20 +1006,14 @@ COMMANDS:
              [--chaos-collector <N> --chaos-at <seq>]
              (--print-topology emits the canonical topology TOML;
              --chaos-* crashes and resumes one collector mid-run —
-             the merged outcome must not change; WEBCAP_WIRE selects
-             the digest back-haul dialect)
+             the merged outcome must not change)
   lint       run the workspace static analyzer: local determinism /
              wire-protocol / config-validation rules plus call-graph
-             panic-reachability (shortest entry chain as evidence),
-             determinism taint (nondet sources reachable from
-             byte-stable sinks), and wire-schema drift (codec versus
-             declarations)
+             panic-reachability (shortest entry chain as evidence)
+             and determinism taint (nondet sources reachable from
+             byte-stable sinks)
              [--root <dir>] [--format human|json] [--out <file>]
-             [--baseline <file>] [--write-baseline]
-             (exits nonzero on any finding not covered by the baseline,
-             default lint-baseline.toml; entries match by content
-             fingerprint so line shifts never churn the file, and
-             --write-baseline regenerates it preserving curated notes)
+             (exits nonzero on any finding; nothing suppresses one)
 ";
 
 #[cfg(test)]

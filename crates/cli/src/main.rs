@@ -27,7 +27,6 @@ fn main() {
         "capsearch" => &["list", "loopback", "bless"],
         "collect" => &["resume"],
         "fleet" => &["print-topology", "decisions"],
-        "lint" => &["write-baseline"],
         _ => &[],
     };
     let result = Args::parse(raw, bare_flags)

@@ -148,17 +148,14 @@ impl MixTally {
 
 /// The majority traffic mix over a window's samples. Ties break
 /// deterministically (by first-appearance order of the tied mixes), so
-/// the label never depends on execution order.
-///
-/// # Panics
-///
-/// Panics on an empty window.
-pub(crate) fn majority_mix(samples: &[SystemSample]) -> MixId {
+/// the label never depends on execution order. `None` on an empty
+/// window.
+pub(crate) fn majority_mix(samples: &[SystemSample]) -> Option<MixId> {
     let mut tally = MixTally::default();
     for s in samples {
         tally.observe(s.mix_id);
     }
-    tally.majority().expect("non-empty window")
+    tally.majority()
 }
 
 #[cfg(test)]
@@ -255,13 +252,12 @@ mod tests {
     fn majority_wins_over_last_sample() {
         let mut samples = vec![sample_with_mix(MixId::Ordering); 20];
         samples.extend(vec![sample_with_mix(MixId::Browsing); 10]);
-        assert_eq!(majority_mix(&samples), MixId::Ordering);
+        assert_eq!(majority_mix(&samples), Some(MixId::Ordering));
     }
 
     #[test]
-    #[should_panic(expected = "non-empty window")]
-    fn empty_window_panics() {
-        let _ = majority_mix(&[]);
+    fn empty_window_has_no_majority() {
+        assert_eq!(majority_mix(&[]), None);
     }
 
     #[test]
@@ -289,7 +285,7 @@ mod tests {
             for &m in &mixes {
                 tally.observe(m);
             }
-            assert_eq!(tally.majority(), Some(majority_mix(&samples)));
+            assert_eq!(tally.majority(), majority_mix(&samples));
             let rebuilt = MixTally::from_counts(tally.counts().to_vec());
             assert_eq!(rebuilt.majority(), tally.majority());
         }

@@ -137,7 +137,10 @@ impl RunLog {
             let range = start..start + len;
             let slice = &self.samples[range.clone()];
             let label = label_window(slice, oracle);
-            let mix = majority_mix(slice);
+            // `len > 0`, so the slice has a majority.
+            let Some(mix) = majority_mix(slice) else {
+                break;
+            };
 
             let mut features: [[Vec<f64>; 2]; 3] = Default::default();
             for tier in TierId::ALL {

@@ -199,7 +199,7 @@ impl OnlineMonitor {
         // `RunLog::windows` — the last sample alone would mislabel any
         // window that straddles a mix switch.
         let label = label_window(&self.buffer, &self.meter.config().oracle);
-        let mix = majority_mix(&self.buffer);
+        let mix = majority_mix(&self.buffer)?;
         let mut features: [[Vec<f64>; 2]; 3] = Default::default();
         for tier in TierId::ALL {
             let hpc = tier.select_mut(&mut self.hpc_mean).finish();

@@ -51,12 +51,6 @@ fn no_faults() -> [FaultSchedule; 2] {
     [FaultSchedule::NONE, FaultSchedule::NONE]
 }
 
-/// Back-haul dialect for this test process: follows `WEBCAP_WIRE` so the
-/// CI codec matrix sweeps the whole fleet suite through both dialects.
-fn codec() -> WireCodec {
-    WireCodec::try_from_env().expect("valid WEBCAP_WIRE")
-}
-
 /// The replica-failure shape: the database agent loses seqs 90..=104 on
 /// the floor, and the app agent is forced to reconnect before seq 160.
 fn scripted_faults() -> [FaultSchedule; 2] {
@@ -84,7 +78,7 @@ fn fleet_of_one_matches_the_unsharded_oracle_byte_for_byte() {
         &no_faults(),
         &topo,
         None,
-        codec(),
+        WireCodec::Binary,
     )
     .expect("fleet runs");
     let oracle = replay_windows(&meter, &samples, BASE_SEED, &all_windows(TOTAL, WINDOW));
@@ -127,7 +121,7 @@ fn sharded_fleets_match_the_oracle_under_scripted_faults_at_every_k() {
             &schedules,
             &topo,
             None,
-            codec(),
+            WireCodec::Binary,
         )
         .expect("fleet runs");
         assert_eq!(json(&out.merge.decisions), oracle_json, "K={k} decisions");
@@ -313,7 +307,7 @@ fn chaos_boundary_crash_resumes_byte_identically() {
         &no_faults(),
         &topo,
         None,
-        codec(),
+        WireCodec::Binary,
     )
     .expect("baseline fleet runs");
 
@@ -332,7 +326,7 @@ fn chaos_boundary_crash_resumes_byte_identically() {
         &no_faults(),
         &topo,
         Some(chaos),
-        codec(),
+        WireCodec::Binary,
     )
     .expect("chaos fleet runs");
 
@@ -373,7 +367,7 @@ fn chaos_mid_window_crash_quarantines_exactly_the_cut_window() {
         &no_faults(),
         &topo,
         Some(chaos),
-        codec(),
+        WireCodec::Binary,
     )
     .expect("chaos fleet runs");
 

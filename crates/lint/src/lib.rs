@@ -4,28 +4,24 @@
 //! byte-identical determinism in the measurement/training pipeline, an
 //! unwrap-free runtime in the capacity-critical crates, an exhaustively
 //! matched and versioned wire protocol, and validated configuration.
-//! v1 enforced them with token-level, line-local rules. v2 grows the
-//! crate into a workspace *static analyzer*: the [`lexer`] feeds a
-//! hand-rolled recursive-descent [`parser`] (item trees: fns, impls,
-//! structs/enums with field order, `cfg(test)` scoping), the item trees
-//! feed a conservative [`callgraph`], and on top of the graph run the
+//! The [`lexer`] feeds a hand-rolled recursive-descent [`parser`]
+//! (item trees: fns, impls, `cfg(test)` scoping), the item trees feed a
+//! conservative [`callgraph`], and on top of the graph run the
 //! interprocedural analyses in [`taint`] (panic-reachability from the
-//! runtime entry points, determinism taint from the byte-stable sinks)
-//! and [`drift`] (WCB3 codec ⇄ declaration cross-check). Local rules
-//! live in [`rules`].
+//! runtime entry points, determinism taint from the byte-stable sinks).
+//! Local rules live in [`rules`].
 //!
-//! Findings are identified by content-addressed **fingerprints** (rule
-//! + enclosing item + normalized item snippet + occurrence), so the
-//! committed `lint-baseline.toml` survives line renumbering: a
-//! formatting-only commit requires zero baseline edits.
+//! Every finding fails the run: there is no allowlist, because what
+//! used to need one is now discharged by a type (typed selectors, an
+//! `Option` return, exhaustive patterns in the binary codec).
 //!
 //! Entry points:
 //! - [`lint_workspace`] — walk a workspace root and produce a [`Report`]
 //!   (what the `webcap lint` subcommand calls);
 //! - [`lint_sources`] — run the full pipeline over in-memory files (the
 //!   seam the analysis fixture tests use);
-//! - [`lint_source`] — local rules only, one file (the v1 seam, kept
-//!   for the single-file fixtures).
+//! - [`lint_source`] — local rules only, one file (the seam of the
+//!   single-file fixtures).
 //!
 //! The analyzer is deliberately dependency-free — not even `syn` — so
 //! it builds in hermetic environments and can never be the reason the
@@ -33,9 +29,7 @@
 //! resolution belong in clippy, not here; everything the graph cannot
 //! resolve is over-approximated in the sound direction.
 
-pub mod baseline;
 pub mod callgraph;
-pub mod drift;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -47,7 +41,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineEntry, BaselineError};
 pub use callgraph::{CallGraph, SourceUnit};
 
 /// Finding severity. Every current rule is [`Severity::Error`]; the
@@ -57,8 +50,7 @@ pub use callgraph::{CallGraph, SourceUnit};
 pub enum Severity {
     /// Advisory: reported, never fails the run.
     Warning,
-    /// Violation of an enforced invariant: fails the run unless
-    /// baselined.
+    /// Violation of an enforced invariant: fails the run.
     Error,
 }
 
@@ -86,9 +78,6 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable explanation including which invariant is at risk.
     pub note: String,
-    /// Content-addressed identity (16 hex chars): rule + enclosing item
-    /// + normalized snippet + occurrence. Stable across line shifts.
-    pub fingerprint: String,
     /// For interprocedural findings: the shortest call chain as
     /// qualified names (entry → … → site, or sink → … → source).
     pub chain: Vec<String>,
@@ -104,24 +93,19 @@ pub struct WorkspaceIndex {
     pub validated_configs: Vec<(String, String)>,
 }
 
-/// The outcome of a lint run, after baseline diffing.
+/// The outcome of a lint run.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Findings not covered by the baseline — these fail the run.
-    pub new_findings: Vec<Finding>,
-    /// Findings covered by the baseline — reported, never failing.
-    pub baselined_findings: Vec<Finding>,
-    /// Baseline entries matching no current finding — stale debt to
-    /// delete from the allowlist (warned, never failing).
-    pub stale_baseline: Vec<BaselineEntry>,
+    /// Every finding, sorted by `(file, line, rule)`; any fails the run.
+    pub findings: Vec<Finding>,
 }
 
 impl Report {
     /// True when the run should exit nonzero.
     pub fn failed(&self) -> bool {
-        !self.new_findings.is_empty()
+        !self.findings.is_empty()
     }
 }
 
@@ -151,17 +135,14 @@ impl std::error::Error for LintError {}
 
 /// Lint a single in-memory source file with the *local* rules only.
 /// `rel_path` selects which rules apply (crate scoping, protocol-file
-/// detection, test-file exemption). Fingerprints are filled in.
+/// detection, test-file exemption).
 pub fn lint_source(rel_path: &str, source: &str, index: &WorkspaceIndex) -> Vec<Finding> {
-    let unit = SourceUnit::new(rel_path, source);
-    let mut findings = rules::lint_file(&unit, index);
-    fingerprint_findings(std::slice::from_ref(&unit), &mut findings);
-    findings
+    rules::lint_file(&SourceUnit::new(rel_path, source), index)
 }
 
-/// Run the full v2 pipeline — local rules, panic-reachability,
-/// determinism taint, wire drift — over in-memory files. Findings are
-/// sorted by `(file, line, rule)`, deduplicated, and fingerprinted.
+/// Run the full pipeline — local rules, panic-reachability,
+/// determinism taint — over in-memory files. Findings are sorted by
+/// `(file, line, rule)` and deduplicated.
 pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
     let units: Vec<SourceUnit> = sources
         .iter()
@@ -175,11 +156,9 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
     }
     findings.extend(taint::panic_reachability(&units, &graph));
     findings.extend(taint::determinism_taint(&units, &graph));
-    findings.extend(drift::wire_drift(&units));
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     findings.dedup_by(|a, b| a.rule == b.rule && a.file == b.file && a.line == b.line);
-    fingerprint_findings(&units, &mut findings);
     findings
 }
 
@@ -266,120 +245,19 @@ fn build_index_from_units(units: &[SourceUnit]) -> WorkspaceIndex {
     WorkspaceIndex { validated_configs }
 }
 
-/// Lint every workspace source under `root` and diff against
-/// `baseline`. Findings are deterministic: sorted by
-/// `(file, line, rule)` and deduplicated.
-pub fn lint_workspace(root: &Path, baseline: &Baseline) -> Result<Report, LintError> {
+/// Lint every workspace source under `root`. Findings are
+/// deterministic: sorted by `(file, line, rule)` and deduplicated.
+pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     let files = workspace_sources(root)?;
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for (rel, abs) in &files {
         let text = fs::read_to_string(abs).map_err(|e| LintError::Io(abs.clone(), e))?;
         sources.push((rel.clone(), text));
     }
-    let findings = lint_sources(&sources);
-    let mut new_findings = Vec::new();
-    let mut baselined_findings = Vec::new();
-    for f in findings.iter() {
-        if baseline.covers(f) {
-            baselined_findings.push(f.clone());
-        } else {
-            new_findings.push(f.clone());
-        }
-    }
-    let stale_baseline = baseline.stale(&findings).into_iter().cloned().collect();
     Ok(Report {
         files_scanned: sources.len(),
-        new_findings,
-        baselined_findings,
-        stale_baseline,
+        findings: lint_sources(&sources),
     })
-}
-
-/// All findings for a workspace ignoring any baseline — what
-/// `--write-baseline` renders.
-pub fn all_findings(root: &Path) -> Result<Vec<Finding>, LintError> {
-    let report = lint_workspace(root, &Baseline::default())?;
-    Ok(report.new_findings)
-}
-
-// ---------------------------------------------------------------------
-// Fingerprints
-// ---------------------------------------------------------------------
-
-/// FNV-1a over bytes, 64-bit. Dependency-free and stable across
-/// platforms — the identity function for baseline entries.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The normalized content of the item enclosing `line` in `unit`:
-/// `("fn:<qual>", body tokens joined)`, `("type:<name>", shape)`,
-/// `("const:<name>", value)`, or the tokens of the line itself when no
-/// item encloses it. Line numbers never participate — that is the
-/// whole point.
-fn enclosing_scope(unit: &SourceUnit, line: u32) -> (String, String) {
-    // Functions first (innermost item granularity the parser keeps).
-    for f in &unit.parsed.fns {
-        let Some((start, end)) = f.body else { continue };
-        let end_line = unit.toks[end].line;
-        if f.line <= line && line <= end_line {
-            let body: Vec<&str> = unit.toks[start..=end]
-                .iter()
-                .map(|t| t.text.as_str())
-                .collect();
-            return (format!("fn:{}", f.qual), body.join(" "));
-        }
-    }
-    for t in &unit.parsed.types {
-        let end_line = t.fields.iter().map(|fd| fd.line).max().unwrap_or(t.line);
-        if t.line <= line && line <= end_line {
-            let fields: Vec<&str> = t.fields.iter().map(|fd| fd.name.as_str()).collect();
-            return (format!("type:{}", t.name), fields.join(" "));
-        }
-    }
-    for c in &unit.parsed.consts {
-        if c.line == line {
-            return (format!("const:{}", c.name), c.value.clone());
-        }
-    }
-    let line_toks: Vec<&str> = unit
-        .toks
-        .iter()
-        .filter(|t| t.line == line)
-        .map(|t| t.text.as_str())
-        .collect();
-    ("file".to_string(), line_toks.join(" "))
-}
-
-/// Fill in `fingerprint` for every finding. Identity =
-/// `fnv64(rule \0 file \0 scope \0 content \0 occurrence)` where
-/// `occurrence` disambiguates repeated identical findings within one
-/// `(rule, scope)` group by their order of appearance (not their line).
-fn fingerprint_findings(units: &[SourceUnit], findings: &mut [Finding]) {
-    let mut seen: Vec<(String, usize)> = Vec::new();
-    for f in findings.iter_mut() {
-        let (scope, content) = match units.iter().find(|u| u.rel_path == f.file) {
-            Some(unit) => enclosing_scope(unit, f.line),
-            None => ("file".to_string(), String::new()),
-        };
-        let base = format!("{}\0{}\0{}\0{}", f.rule, f.file, scope, content);
-        let occurrence = match seen.iter_mut().find(|(k, _)| *k == base) {
-            Some((_, n)) => {
-                *n += 1;
-                *n
-            }
-            None => {
-                seen.push((base.clone(), 0));
-                0
-            }
-        };
-        f.fingerprint = format!("{:016x}", fnv64(format!("{base}\0{occurrence}").as_bytes()));
-    }
 }
 
 #[cfg(test)]
@@ -395,21 +273,17 @@ mod tests {
     }
 
     #[test]
-    fn report_failed_tracks_new_findings_only() {
+    fn any_finding_fails_the_report() {
         let mut r = Report::default();
         assert!(!r.failed());
-        let f = Finding {
+        r.findings.push(Finding {
             rule: "nondet-time",
             severity: Severity::Error,
             file: "f".into(),
             line: 1,
             note: "n".into(),
-            fingerprint: String::new(),
             chain: Vec::new(),
-        };
-        r.baselined_findings.push(f.clone());
-        assert!(!r.failed());
-        r.new_findings.push(f);
+        });
         assert!(r.failed());
     }
 
@@ -432,31 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_survive_line_shifts_but_track_content() {
-        let index = WorkspaceIndex::default();
-        let v1 = "fn f() { let t = Instant::now(); }";
-        // Same item, pushed down by comments and whitespace.
-        let v2 = "// a comment\n\n// another\nfn f() { let t = Instant::now(); }";
-        // Same line number as v1, different enclosing content.
-        let v3 = "fn f() { let t = Instant::now(); t.elapsed(); }";
-        let fp = |src: &str| lint_source("crates/core/src/x.rs", src, &index)[0]
-            .fingerprint
-            .clone();
-        assert_eq!(fp(v1), fp(v2));
-        assert_ne!(fp(v1), fp(v3));
-        assert_eq!(fp(v1).len(), 16);
-    }
-
-    #[test]
-    fn repeated_identical_sites_get_distinct_fingerprints() {
-        let index = WorkspaceIndex::default();
-        let src = "fn f() {\n let a = Instant::now();\n let b = Instant::now();\n}";
-        let findings = lint_source("crates/core/src/x.rs", src, &index);
-        assert_eq!(findings.len(), 2);
-        assert_ne!(findings[0].fingerprint, findings[1].fingerprint);
-    }
-
-    #[test]
     fn lint_sources_runs_the_interprocedural_analyses() {
         let sources = vec![
             (
@@ -472,6 +321,5 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "panic-reachability");
         assert_eq!(findings[0].chain, vec!["run_collector", "helper"]);
-        assert!(!findings[0].fingerprint.is_empty());
     }
 }

@@ -1,15 +1,14 @@
 //! A hand-rolled recursive-descent parser over the [`crate::lexer`]
-//! token stream — the item-level structure the v2 interprocedural
+//! token stream — the item-level structure the interprocedural
 //! analyses need, and nothing more.
 //!
 //! The grammar covered is the *item* grammar: functions (name, params
 //! with their type text, body token range), `impl` blocks (target type,
-//! methods qualified as `Type::method`), structs and enums (field /
-//! variant order — what the wire-schema drift check compares against
-//! the binary codec), `const`/`static` items (the codec's `TAG_*`
-//! ledger), inline modules, and attributes (`#[cfg(test)]` / `#[test]`
-//! scoping, derive lists). Expression grammar is deliberately *not*
-//! parsed: the analyses that walk function bodies (call extraction,
+//! methods qualified as `Type::method`), inline modules, and attributes
+//! (`#[cfg(test)]` / `#[test]` scoping). Struct, enum, `const` and
+//! `static` items are recognized only to be skipped. Expression grammar
+//! is deliberately *not* parsed: the analyses that walk function bodies
+//! (call extraction,
 //! panic sites, nondet sources) work on the body's token range
 //! directly, which is robust against every expression form rustc will
 //! ever add.
@@ -53,66 +52,11 @@ pub struct FnDef {
     pub is_test: bool,
 }
 
-/// Struct vs enum — the drift check needs fields for one, variants for
-/// the other, in declaration order either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TypeKind {
-    /// `struct` with named fields (tuple/unit structs parse with an
-    /// empty field list).
-    Struct,
-    /// `enum`; `fields` holds the variant names.
-    Enum,
-}
-
-/// One named field (or enum variant) with its source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldDef {
-    /// Field or variant name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-}
-
-/// A parsed struct or enum.
-#[derive(Debug, Clone)]
-pub struct TypeDef {
-    /// Type name.
-    pub name: String,
-    /// Struct or enum.
-    pub kind: TypeKind,
-    /// Named fields (struct) or variants (enum), in declaration order.
-    pub fields: Vec<FieldDef>,
-    /// 1-based line of the `struct`/`enum` keyword.
-    pub line: u32,
-    /// Idents appearing inside `#[derive(...)]` attributes on this type.
-    pub derives: Vec<String>,
-    /// True when declared under `#[cfg(test)]`.
-    pub is_test: bool,
-}
-
-/// A `const`/`static` item, with its value kept as normalized token
-/// text (the drift check reads the codec's `TAG_*` values from these).
-#[derive(Debug, Clone)]
-pub struct ConstDef {
-    /// Item name.
-    pub name: String,
-    /// Normalized value text (tokens joined by spaces), e.g. `7`.
-    pub value: String,
-    /// 1-based line.
-    pub line: u32,
-    /// True when declared under `#[cfg(test)]`.
-    pub is_test: bool,
-}
-
 /// Everything the parser extracts from one source file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
     /// Functions (free and associated), in source order.
     pub fns: Vec<FnDef>,
-    /// Structs and enums, in source order.
-    pub types: Vec<TypeDef>,
-    /// Consts and statics, in source order.
-    pub consts: Vec<ConstDef>,
 }
 
 impl ParsedFile {
@@ -126,11 +70,6 @@ impl ParsedFile {
                     .is_some_and(|(open, close)| open <= tok_idx && tok_idx <= close)
             })
             .max_by_key(|f| f.body.map(|(open, _)| open))
-    }
-
-    /// Look up a struct/enum by name.
-    pub fn type_named(&self, name: &str) -> Option<&TypeDef> {
-        self.types.iter().find(|t| t.name == name)
     }
 }
 
@@ -158,16 +97,6 @@ struct Parser<'a> {
     out: ParsedFile,
 }
 
-/// Attribute facts gathered ahead of an item.
-#[derive(Debug, Clone, Default)]
-struct Attrs {
-    /// `#[test]` or `#[cfg(test)]` (any attribute containing the ident
-    /// `test` — the same over-approximation the v1 mask used).
-    has_test: bool,
-    /// Idents inside `#[derive(...)]`.
-    derives: Vec<String>,
-}
-
 /// Parse one file's token stream into its item tree.
 pub fn parse(toks: &[Tok]) -> ParsedFile {
     let matches = brace_matches(toks);
@@ -186,10 +115,11 @@ impl Parser<'_> {
     /// scope; `impl_target` qualifies fns inside an impl/trait body.
     fn items(&mut self, from: usize, to: usize, in_test: bool, impl_target: Option<&str>) {
         let mut i = from;
-        let mut attrs = Attrs::default();
+        // A `#[test]` / `#[cfg(test)]` attribute seen since the last
+        // item: it clings to the next item keyword.
+        let mut has_test = false;
         while i < to {
             let t = &self.toks[i];
-            // Attribute: scan to the matching `]`, note test/derive.
             if t.is_punct("#") {
                 // `#![...]` inner attributes apply to the enclosing
                 // scope; treat like outer ones for test detection.
@@ -198,9 +128,8 @@ impl Parser<'_> {
                     j += 1;
                 }
                 if j < to && self.toks[j].is_punct("[") {
-                    let (facts, after) = self.scan_attr(j, to);
-                    attrs.has_test |= facts.has_test;
-                    attrs.derives.extend(facts.derives);
+                    let (test, after) = self.scan_attr(j, to);
+                    has_test |= test;
                     i = after;
                     continue;
                 }
@@ -208,19 +137,19 @@ impl Parser<'_> {
                 continue;
             }
             if t.kind != TokKind::Ident {
-                // Stray punctuation at item level (e.g. the `;` after a
-                // unit struct) — skip without clearing attrs? Attrs
-                // cling to the next item keyword; `;` ends the item.
+                // Stray punctuation at item level: `;` ends an item (the
+                // one after a unit struct, say); an unexpected brace is
+                // skipped as a block.
                 if t.is_punct(";") {
-                    attrs = Attrs::default();
+                    has_test = false;
                 } else if t.is_punct("{") {
-                    // An unexpected brace at item level: skip the block.
                     i = self.close_of(i, to);
                     continue;
                 }
                 i += 1;
                 continue;
             }
+            let test = in_test || has_test;
             match t.text.as_str() {
                 "pub" => {
                     // Visibility, possibly `pub(crate)` / `pub(in ...)`.
@@ -230,32 +159,14 @@ impl Parser<'_> {
                     }
                 }
                 "fn" => {
-                    let test = in_test || attrs.has_test;
                     i = self.parse_fn(i, to, test, impl_target);
-                    attrs = Attrs::default();
-                }
-                "struct" | "enum" => {
-                    let kind = if t.text == "struct" {
-                        TypeKind::Struct
-                    } else {
-                        TypeKind::Enum
-                    };
-                    let test = in_test || attrs.has_test;
-                    i = self.parse_type(i, to, kind, test, std::mem::take(&mut attrs).derives);
-                }
-                "union" => {
-                    // Parse like a struct (fields in order).
-                    let test = in_test || attrs.has_test;
-                    i = self.parse_type(i, to, TypeKind::Struct, test, Vec::new());
-                    attrs = Attrs::default();
+                    has_test = false;
                 }
                 "impl" | "trait" => {
-                    let test = in_test || attrs.has_test;
                     i = self.parse_impl(i, to, test);
-                    attrs = Attrs::default();
+                    has_test = false;
                 }
                 "mod" => {
-                    let test = in_test || attrs.has_test;
                     // `mod name { items }` or `mod name;`.
                     let mut j = i + 1;
                     while j < to && !self.toks[j].is_punct("{") && !self.toks[j].is_punct(";") {
@@ -268,12 +179,11 @@ impl Parser<'_> {
                     } else {
                         i = j + 1;
                     }
-                    attrs = Attrs::default();
+                    has_test = false;
                 }
-                "const" | "static" => {
-                    let test = in_test || attrs.has_test;
-                    i = self.parse_const(i, to, test);
-                    attrs = Attrs::default();
+                "const" if self.toks.get(i + 1).is_some_and(|n| n.is_ident("fn")) => {
+                    // `const fn` is a function, not a const item.
+                    i += 1;
                 }
                 "unsafe" | "async" | "extern" | "default" => {
                     // Qualifiers before fn/impl/trait; `extern "C"` may
@@ -283,13 +193,6 @@ impl Parser<'_> {
                         i += 1;
                     }
                 }
-                "use" | "type" => {
-                    // Skip to the terminating `;` (braced use-trees have
-                    // no item-level `{` that would confuse close_of
-                    // because we skip balanced groups).
-                    i = self.skip_to_semi(i, to);
-                    attrs = Attrs::default();
-                }
                 "macro_rules" => {
                     // `macro_rules! name { ... }`.
                     let mut j = i + 1;
@@ -297,26 +200,29 @@ impl Parser<'_> {
                         j += 1;
                     }
                     i = if j < to { self.close_of(j, to) } else { to };
-                    attrs = Attrs::default();
+                    has_test = false;
                 }
                 _ => {
-                    // Macro invocation at item level (`ident! { .. }` /
-                    // `ident!(..);`) or something we don't model — skip
-                    // conservatively to the next `;` or balanced block.
+                    // Items no analysis reads (`struct`, `enum`, `const`,
+                    // `static`, `use`, `type`), a macro invocation at
+                    // item level (`ident! { .. }` / `ident!(..);`), or
+                    // something we don't model: skip to the next `;` or
+                    // past a balanced block, whichever comes first.
                     i = self.skip_to_semi(i, to);
-                    attrs = Attrs::default();
+                    has_test = false;
                 }
             }
         }
     }
 
-    /// Scan an attribute starting at its `[` token; return the facts and
-    /// the index just past the closing `]`.
-    fn scan_attr(&self, open: usize, to: usize) -> (Attrs, usize) {
+    /// Scan an attribute starting at its `[` token; return whether it
+    /// mentions `test` (`#[test]`, `#[cfg(test)]` — any attribute
+    /// containing the ident, an over-approximation) and the index just
+    /// past the closing `]`.
+    fn scan_attr(&self, open: usize, to: usize) -> (bool, usize) {
         let mut depth = 0usize;
         let mut j = open;
-        let mut facts = Attrs::default();
-        let mut in_derive = false;
+        let mut has_test = false;
         while j < to {
             let a = &self.toks[j];
             if a.is_punct("[") || a.is_punct("(") {
@@ -324,21 +230,14 @@ impl Parser<'_> {
             } else if a.is_punct("]") || a.is_punct(")") {
                 depth = depth.saturating_sub(1);
                 if depth == 0 && a.is_punct("]") {
-                    return (facts, j + 1);
-                }
-                if a.is_punct(")") {
-                    in_derive = false;
+                    return (has_test, j + 1);
                 }
             } else if a.is_ident("test") {
-                facts.has_test = true;
-            } else if a.is_ident("derive") {
-                in_derive = true;
-            } else if in_derive && a.kind == TokKind::Ident {
-                facts.derives.push(a.text.clone());
+                has_test = true;
             }
             j += 1;
         }
-        (facts, to)
+        (has_test, to)
     }
 
     /// Index just past the block opened by the `{` at or after `at`.
@@ -554,122 +453,6 @@ impl Parser<'_> {
         params
     }
 
-    /// Parse `struct`/`enum` starting at the keyword token.
-    fn parse_type(
-        &mut self,
-        at: usize,
-        to: usize,
-        kind: TypeKind,
-        is_test: bool,
-        derives: Vec<String>,
-    ) -> usize {
-        let line = self.toks[at].line;
-        let Some(name_tok) = self.toks.get(at + 1).filter(|t| t.kind == TokKind::Ident) else {
-            return at + 1;
-        };
-        let name = name_tok.text.clone();
-        let mut j = at + 2;
-        if j < to && self.toks[j].is_punct("<") {
-            j = self.skip_angles(j, to);
-        }
-        // Tuple struct `( .. )` or where clause before the body.
-        let mut fields = Vec::new();
-        let mut end = j;
-        loop {
-            if end >= to {
-                break;
-            }
-            let t = &self.toks[end];
-            if t.is_punct(";") {
-                end += 1;
-                break;
-            }
-            if t.is_punct("(") {
-                end = self.skip_parens(end, to);
-                continue;
-            }
-            if t.is_punct("{") {
-                let close = self.close_of_idx(end, to);
-                fields = self.parse_fields(end + 1, close, kind);
-                end = close + 1;
-                break;
-            }
-            end += 1;
-        }
-        self.out.types.push(TypeDef {
-            name,
-            kind,
-            fields,
-            line,
-            derives,
-            is_test,
-        });
-        end
-    }
-
-    /// Parse the braced body of a struct (named fields) or enum
-    /// (variants): names at group depth 0, each the ident immediately
-    /// preceding a `:` (struct) or at a comma/attribute boundary (enum).
-    fn parse_fields(&self, from: usize, to: usize, kind: TypeKind) -> Vec<FieldDef> {
-        let mut fields = Vec::new();
-        let mut j = from;
-        let mut depth = 0i32;
-        let mut angle = 0i32;
-        let mut expect_name = true;
-        while j < to {
-            let t = &self.toks[j];
-            if t.is_punct("#") && j + 1 < to && self.toks[j + 1].is_punct("[") {
-                let (_, after) = self.scan_attr(j + 1, to);
-                j = after;
-                continue;
-            }
-            if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-                depth -= 1;
-            } else if t.is_punct("<") {
-                angle += 1;
-            } else if t.is_punct(">") {
-                angle -= 1;
-            } else if t.is_punct(",") && depth == 0 && angle <= 0 {
-                expect_name = true;
-                j += 1;
-                continue;
-            }
-            if depth == 0 && angle <= 0 && expect_name && t.kind == TokKind::Ident {
-                match kind {
-                    TypeKind::Struct => {
-                        if t.text == "pub" {
-                            // Visibility; possibly pub(crate).
-                            j += 1;
-                            if j < to && self.toks[j].is_punct("(") {
-                                j = self.skip_parens(j, to);
-                            }
-                            continue;
-                        }
-                        // Named field iff followed by `:`.
-                        if j + 1 < to && self.toks[j + 1].is_punct(":") {
-                            fields.push(FieldDef {
-                                name: t.text.clone(),
-                                line: t.line,
-                            });
-                            expect_name = false;
-                        }
-                    }
-                    TypeKind::Enum => {
-                        fields.push(FieldDef {
-                            name: t.text.clone(),
-                            line: t.line,
-                        });
-                        expect_name = false;
-                    }
-                }
-            }
-            j += 1;
-        }
-        fields
-    }
-
     /// Parse `impl .. { items }` / `trait Name { items }` starting at the
     /// keyword; recurses into the body with the target type as qualifier.
     fn parse_impl(&mut self, at: usize, to: usize, is_test: bool) -> usize {
@@ -717,55 +500,6 @@ impl Parser<'_> {
         self.items(j + 1, close, is_test, Some(&target));
         close + 1
     }
-
-    /// Parse `const NAME: Ty = value;` / `static NAME: Ty = value;`.
-    fn parse_const(&mut self, at: usize, to: usize, is_test: bool) -> usize {
-        let line = self.toks[at].line;
-        let mut j = at + 1;
-        // `const fn` is a function, not a const item.
-        if j < to && self.toks[j].is_ident("fn") {
-            return j;
-        }
-        if j < to && self.toks[j].is_ident("mut") {
-            j += 1;
-        }
-        let Some(name_tok) = self.toks.get(j).filter(|t| t.kind == TokKind::Ident) else {
-            return j;
-        };
-        let name = name_tok.text.clone();
-        // Find `=` then the value up to the terminating `;` at depth 0.
-        let mut depth = 0i32;
-        let mut eq = None;
-        let mut k = j + 1;
-        while k < to {
-            let t = &self.toks[k];
-            if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-                depth -= 1;
-            } else if t.is_punct("=") && depth == 0 {
-                eq = Some(k);
-            } else if t.is_punct(";") && depth == 0 {
-                let value = match eq {
-                    Some(e) => self.toks[e + 1..k]
-                        .iter()
-                        .map(|t| t.text.as_str())
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                    None => String::new(),
-                };
-                self.out.consts.push(ConstDef {
-                    name,
-                    value,
-                    line,
-                    is_test,
-                });
-                return k + 1;
-            }
-            k += 1;
-        }
-        to
-    }
 }
 
 #[cfg(test)]
@@ -793,46 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_keep_declaration_order() {
-        let p = parse_src(
-            "pub struct WireSample {\n\
-               pub seq: u64,\n\
-               pub t_s: f64,\n\
-               #[serde(default)]\n\
-               pub app: Option<AppStats>,\n\
-             }",
-        );
-        let t = p.type_named("WireSample").unwrap();
-        let names: Vec<&str> = t.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["seq", "t_s", "app"]);
-        assert_eq!(t.kind, TypeKind::Struct);
-    }
-
-    #[test]
-    fn enum_variants_parse_with_payloads_skipped() {
-        let p = parse_src(
-            "pub enum Frame {\n\
-               Hello { tier: TierId, caps: WireCaps },\n\
-               Sample(WireSample),\n\
-               Bye { last_seq: u64 },\n\
-             }",
-        );
-        let t = p.type_named("Frame").unwrap();
-        let names: Vec<&str> = t.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["Hello", "Sample", "Bye"]);
-        assert_eq!(t.kind, TypeKind::Enum);
-    }
-
-    #[test]
-    fn derives_are_collected() {
-        let p = parse_src("#[derive(Debug, Serialize, Deserialize)]\nstruct W { x: u32 }");
-        assert_eq!(
-            p.type_named("W").unwrap().derives,
-            vec!["Debug", "Serialize", "Deserialize"]
-        );
-    }
-
-    #[test]
     fn cfg_test_scoping_marks_fns_and_nested_mods() {
         let p = parse_src(
             "fn runtime() {}\n\
@@ -853,20 +547,6 @@ mod tests {
                 ("case", true),
                 ("top_level_case", true)
             ]
-        );
-    }
-
-    #[test]
-    fn consts_capture_values() {
-        let p = parse_src("const TAG_HELLO: u8 = 0;\npub const TAG_DIGEST: u8 = 7;\nstatic N: usize = 3;");
-        let vals: Vec<(&str, &str)> = p
-            .consts
-            .iter()
-            .map(|c| (c.name.as_str(), c.value.as_str()))
-            .collect();
-        assert_eq!(
-            vals,
-            vec![("TAG_HELLO", "0"), ("TAG_DIGEST", "7"), ("N", "3")]
         );
     }
 
@@ -903,10 +583,17 @@ mod tests {
     }
 
     #[test]
-    fn tuple_and_unit_structs_parse_with_empty_fields() {
-        let p = parse_src("struct Unit;\nstruct Tuple(u32, String);\nstruct After { x: u32 }");
-        assert!(p.type_named("Unit").unwrap().fields.is_empty());
-        assert!(p.type_named("Tuple").unwrap().fields.is_empty());
-        assert_eq!(p.type_named("After").unwrap().fields.len(), 1);
+    fn type_and_const_items_are_skipped_without_losing_the_fns_around_them() {
+        let p = parse_src(
+            "struct Unit;\nstruct Tuple(u32, String);\n\
+             #[derive(Debug)]\nstruct After { x: u32 }\n\
+             enum E { A { x: u32 }, B(u8), C }\n\
+             const ZERO: After = After { x: 0 };\nstatic N: [u8; 2] = [1, 2];\n\
+             const fn konst() -> u32 { 1 }\n\
+             fn last() {}",
+        );
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["konst", "last"]);
+        assert!(p.fns.iter().all(|f| !f.is_test && f.body.is_some()));
     }
 }

@@ -6,14 +6,13 @@
 //! | `nondet-time` | deterministic crates | PR 1's byte-identical determinism: no wall clocks or entropy in deterministic paths |
 //! | `nondet-iteration` | deterministic crates | PR 1/3: no unordered `HashMap`/`HashSet` iteration that could reorder serialized output |
 //! | `protocol-wildcard-match` | net/src/frame.rs | PR 2: wire-enum matches stay exhaustive so a new `Frame` variant forces every site to be revisited |
-//! | `protocol-wire-registry` | net/src/frame.rs | PR 2: every serialized wire type is consciously registered (and `PROTO_VERSION` bumped) |
 //! | `config-bypass` | workspace | PR 2/4: validated config structs are built through their checked constructors, not struct literals |
 //!
 //! The v1 line-local `panic-unwrap`/`panic-indexing` rules are gone:
 //! panic sites are now detected here ([`panic_sites`]) but *reported*
 //! interprocedurally by [`crate::taint`]'s panic-reachability analysis,
 //! which only flags sites an actual runtime entry point can reach — and
-//! proves the rest unreachable instead of baselining them.
+//! proves the rest unreachable.
 //!
 //! Test code (`#[cfg(test)]` modules, `#[test]` functions) is exempt
 //! from the determinism and panic detectors: tests legitimately unwrap.
@@ -45,34 +44,6 @@ pub const PANIC_FREE_CRATES: &[&str] = &["core", "net", "fleet", "chaosnet"];
 
 /// The wire-protocol definition file; the `protocol-*` rules apply here.
 pub const PROTOCOL_FILE_SUFFIX: &str = "net/src/frame.rs";
-
-/// The binary codec file; [`crate::drift`] cross-checks it against the
-/// protocol file.
-pub const CODEC_FILE_SUFFIX: &str = "net/src/binary.rs";
-
-/// Registered wire types in the protocol file. Adding a `Serialize`
-/// type to `frame.rs` without listing it here (and bumping
-/// `PROTO_VERSION`) is a finding: serialized layout changes must be
-/// conscious, versioned decisions — the metric-schema hash only covers
-/// feature rows, not frame shapes.
-pub const WIRE_TYPE_REGISTRY: &[&str] = &[
-    "AppStats",
-    "WireSample",
-    "Frame",
-    "AppWindowDigest",
-    "TierWindowDigest",
-    "DigestFin",
-    "DigestFrame",
-    "WireCaps",
-    "WireCodec",
-    // Wire-visible audit vocabulary (PR 9): shed causes cross the wire
-    // in `Reject` reasons and reports; partition events are the fleet
-    // merge's serialized liveness audit. Registered here so renaming or
-    // reshaping either is a conscious protocol decision even though
-    // they are defined outside `frame.rs`.
-    "ShedKind",
-    "PartitionEvent",
-];
 
 /// Methods whose calls on a hash collection iterate it in
 /// nondeterministic order.
@@ -115,7 +86,6 @@ fn finding(unit: &SourceUnit, rule: &'static str, line: u32, note: String) -> Fi
         file: unit.rel_path.clone(),
         line,
         note,
-        fingerprint: String::new(),
         chain: Vec::new(),
     }
 }
@@ -239,7 +209,6 @@ pub fn lint_file(unit: &SourceUnit, index: &WorkspaceIndex) -> Vec<Finding> {
     }
     if unit.rel_path.ends_with(PROTOCOL_FILE_SUFFIX) {
         rule_protocol_wildcard_match(unit, &mut findings);
-        rule_protocol_wire_registry(unit, &mut findings);
     }
     rule_config_bypass(unit, index, &mut findings);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -482,36 +451,6 @@ fn rule_protocol_wildcard_match(unit: &SourceUnit, findings: &mut Vec<Finding>) 
     }
 }
 
-/// `protocol-wire-registry`: every `Serialize`/`Deserialize` type in
-/// the protocol file must be listed in [`WIRE_TYPE_REGISTRY`] — the
-/// reviewable ledger of what bytes cross the wire.
-fn rule_protocol_wire_registry(unit: &SourceUnit, findings: &mut Vec<Finding>) {
-    for ty in &unit.parsed.types {
-        if ty.is_test {
-            continue;
-        }
-        let serde = ty
-            .derives
-            .iter()
-            .any(|d| d == "Serialize" || d == "Deserialize");
-        if serde && !WIRE_TYPE_REGISTRY.contains(&ty.name.as_str()) {
-            findings.push(finding(
-                unit,
-                "protocol-wire-registry",
-                ty.line,
-                format!(
-                    "serialized wire type `{}` is not in the wire-type \
-                     registry: register it in webcap-lint's \
-                     WIRE_TYPE_REGISTRY and bump PROTO_VERSION so the \
-                     layout change is a conscious, versioned decision \
-                     (PR 2 invariant)",
-                    ty.name
-                ),
-            ));
-        }
-    }
-}
-
 /// `config-bypass`: struct-literal construction of a validated config
 /// type outside its defining file skips `validate()` — exactly the bug
 /// class `try_new` exists to prevent.
@@ -697,17 +636,6 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, "protocol-wildcard-match");
         assert!(rules_on("crates/net/src/collector.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unregistered_wire_type_flagged() {
-        let src = "#[derive(Debug, Serialize, Deserialize)]\npub struct Sneaky { x: u32 }";
-        let hits = rules_on("crates/net/src/frame.rs", src);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "protocol-wire-registry");
-        assert_eq!(hits[0].line, 2);
-        let ok = "#[derive(Debug, Serialize, Deserialize)]\npub struct WireSample { x: u32 }";
-        assert!(rules_on("crates/net/src/frame.rs", ok).is_empty());
     }
 
     #[test]

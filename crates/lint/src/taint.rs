@@ -2,13 +2,11 @@
 //! and determinism taint.
 //!
 //! **Panic-reachability** replaces the v1 line-local `panic-*` rules.
-//! Instead of flagging every `.unwrap()` / `x[i]` in a panic-free crate
-//! and baselining the ~60 that are "bounded by construction", it walks
-//! the conservative call graph from the runtime entry points and
-//! reports only the panic sites an entry point can actually reach —
-//! with the shortest call chain as evidence. Everything else is proved
-//! unreachable by the graph's sound over-approximation and needs no
-//! baseline entry at all.
+//! Instead of flagging every `.unwrap()` / `x[i]` in a panic-free
+//! crate, it walks the conservative call graph from the runtime entry
+//! points and reports only the panic sites an entry point can actually
+//! reach — with the shortest call chain as evidence. Everything else is
+//! proved unreachable by the graph's sound over-approximation.
 //!
 //! **Determinism taint** closes the interprocedural gap in the local
 //! `nondet-*` rules: a nondeterministic source (wall clock, ambient
@@ -146,7 +144,6 @@ pub fn panic_reachability(units: &[SourceUnit], g: &CallGraph) -> Vec<Finding> {
                     if chain.len() == 2 { "" } else { "s" },
                     unit.crate_name,
                 ),
-                fingerprint: String::new(),
                 chain,
             });
         }
@@ -164,10 +161,9 @@ fn is_env_shim(name: &str) -> bool {
 /// Nondeterministic source sites in one unit, for the taint analysis.
 /// Clock/entropy and hash-iteration sources are only collected in
 /// crates *outside* [`DETERMINISTIC_CRATES`] — inside them the local
-/// `nondet-*` rules already flag the same token, and double-reporting
-/// would force every finding into the baseline twice. Env reads are
-/// collected everywhere (no local rule covers them), minus the typed
-/// `*_env` shims.
+/// `nondet-*` rules already flag the same token, and reporting it
+/// twice helps nobody. Env reads are collected everywhere (no local
+/// rule covers them), minus the typed `*_env` shims.
 fn taint_sources(unit: &SourceUnit) -> Vec<Site> {
     let mut sites = Vec::new();
     if !DETERMINISTIC_CRATES.contains(&unit.crate_name.as_str()) {
@@ -240,7 +236,6 @@ pub fn determinism_taint(units: &[SourceUnit], g: &CallGraph) -> Vec<Finding> {
                         spec,
                         render_chain(&chain),
                     ),
-                    fingerprint: String::new(),
                     chain,
                 });
             }

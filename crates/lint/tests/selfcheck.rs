@@ -1,15 +1,14 @@
-//! Self-check: the committed workspace must be clean modulo the
-//! committed `lint-baseline.toml`, every registered entry point and
-//! sink must still resolve against the real tree (a rename must not
-//! silently disable an analysis), and injecting a known-bad snippet
-//! into a scratch workspace must produce a failing report — the
-//! directions of the CI gate.
+//! Self-check: the committed workspace must have zero findings, every
+//! registered entry point and sink must still resolve against the real
+//! tree (a rename must not silently disable an analysis), and injecting
+//! a known-bad snippet into a scratch workspace must produce a failing
+//! report — the directions of the CI gate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use webcap_lint::taint::{ENTRY_POINTS, SINKS};
-use webcap_lint::{lint_workspace, taint, Baseline, CallGraph, SourceUnit};
+use webcap_lint::{lint_workspace, taint, CallGraph, SourceUnit};
 
 fn workspace_root() -> PathBuf {
     // crates/lint -> crates -> workspace root.
@@ -17,34 +16,16 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_modulo_the_committed_baseline() {
-    let root = workspace_root();
-    let baseline_path = root.join("lint-baseline.toml");
-    let text = fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("{}: {e}", baseline_path.display()));
-    let baseline = Baseline::parse(&text).expect("committed baseline parses");
-    let report = lint_workspace(&root, &baseline).expect("workspace lints");
+fn the_committed_workspace_has_zero_findings() {
+    let report = lint_workspace(&workspace_root()).expect("workspace lints");
     assert!(report.files_scanned > 10, "workspace walk found the crates");
     assert!(
-        report.new_findings.is_empty(),
-        "non-baselined findings — fix them or consciously baseline them:\n{}",
+        !report.failed(),
+        "findings — nothing suppresses one; make the code unable to produce it:\n{}",
         report
-            .new_findings
+            .findings
             .iter()
-            .map(|f| format!(
-                "  {}:{}: [{}] fingerprint={} {}",
-                f.file, f.line, f.rule, f.fingerprint, f.note
-            ))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        report.stale_baseline.is_empty(),
-        "stale baseline entries — delete them from lint-baseline.toml:\n{}",
-        report
-            .stale_baseline
-            .iter()
-            .map(|e| format!("  {} {} fingerprint={}", e.file, e.rule, e.fingerprint))
+            .map(|f| format!("  {}:{}: [{}] {}", f.file, f.line, f.rule, f.note))
             .collect::<Vec<_>>()
             .join("\n")
     );
@@ -98,10 +79,10 @@ fn injected_finding_fails_a_scratch_workspace() {
     )
     .expect("scratch source");
 
-    let report = lint_workspace(&scratch, &Baseline::default()).expect("scratch lints");
+    let report = lint_workspace(&scratch).expect("scratch lints");
     assert!(report.failed(), "injected snippet must fail the run");
     let got: Vec<(&str, u32, &[String])> = report
-        .new_findings
+        .findings
         .iter()
         .map(|f| (f.rule, f.line, f.chain.as_slice()))
         .collect();
@@ -115,23 +96,6 @@ fn injected_finding_fails_a_scratch_workspace() {
             ("panic-reachability", 7, &chain[..]),
         ]
     );
-    let prints: Vec<&str> = report
-        .new_findings
-        .iter()
-        .map(|f| f.fingerprint.as_str())
-        .collect();
-    assert!(
-        prints.iter().all(|p| p.len() == 16) && prints[0] != prints[1],
-        "same-line duplicate sites must get distinct fingerprints: {prints:?}"
-    );
-
-    // Baselining exactly those findings turns the same workspace green.
-    let baseline = Baseline::parse(&Baseline::render(&report.new_findings, &Baseline::default()))
-        .expect("rendered baseline parses");
-    let green = lint_workspace(&scratch, &baseline).expect("scratch lints again");
-    assert!(!green.failed(), "baselined findings must not fail");
-    assert_eq!(green.baselined_findings.len(), 2);
-    assert!(green.stale_baseline.is_empty());
 
     fs::remove_dir_all(&scratch).ok();
 }

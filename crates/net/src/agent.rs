@@ -712,7 +712,7 @@ mod tests {
             let _ = write_frame(
                 &mut conn,
                 &Frame::Reject {
-                    reason: "protocol version 99 outside supported 2..=3".to_string(),
+                    reason: "protocol version 99 is not the supported 3".to_string(),
                     ours: PROTO_VERSION,
                     theirs: 99,
                 },

@@ -26,6 +26,16 @@
 //! before any allocation, and every failure is a typed
 //! [`FrameError::Binary`] — never a panic, whatever the bytes (pinned
 //! by the mutation proptests in `tests/wire_codec.rs`).
+//!
+//! Every encoder that takes a wire struct opens by destructuring it
+//! without `..`, and every decoder builds its struct with a `..`-free
+//! literal, so under the `deny` below a field or variant that is added,
+//! renamed or left unwritten is a compile error on both sides. What the
+//! compiler cannot see — encode and decode disagreeing on order, or both
+//! changing order together — the round-trip suites and the byte pin in
+//! `tests/truncation.rs` catch.
+
+#![deny(unused_variables, unreachable_patterns)]
 
 use webcap_core::{TierStressAgg, WindowHealthAgg};
 use webcap_sim::{RtHistogram, TierId, TierSample};
@@ -142,20 +152,36 @@ fn put_hist(out: &mut Vec<u8>, cur: &RtHistogram, prev: &RtHistogram) {
 }
 
 fn put_tier_sample(out: &mut Vec<u8>, cur: &TierSample, prev: &TierSample) {
-    put_f64(out, cur.utilization);
-    put_f64(out, cur.delivered_work_s);
-    put_f64(out, cur.avg_runnable);
-    put_f64(out, cur.pool_in_use_avg);
-    put_f64(out, cur.pool_queue_avg);
-    put_u64d(out, cur.pool_queue_end as u64, prev.pool_queue_end as u64);
-    put_u64d(out, cur.pool_in_use_end as u64, prev.pool_in_use_end as u64);
-    put_f64(out, cur.disk_utilization);
-    put_f64(out, cur.disk_queue_avg);
-    put_u64d(out, cur.disk_ops, prev.disk_ops);
-    put_u64d(out, cur.arrivals, prev.arrivals);
-    put_u64d(out, cur.completions, prev.completions);
-    put_f64(out, cur.browse_work_submitted_s);
-    put_f64(out, cur.order_work_submitted_s);
+    let TierSample {
+        utilization,
+        delivered_work_s,
+        avg_runnable,
+        pool_in_use_avg,
+        pool_queue_avg,
+        pool_queue_end,
+        pool_in_use_end,
+        disk_utilization,
+        disk_queue_avg,
+        disk_ops,
+        arrivals,
+        completions,
+        browse_work_submitted_s,
+        order_work_submitted_s,
+    } = cur;
+    put_f64(out, *utilization);
+    put_f64(out, *delivered_work_s);
+    put_f64(out, *avg_runnable);
+    put_f64(out, *pool_in_use_avg);
+    put_f64(out, *pool_queue_avg);
+    put_u64d(out, *pool_queue_end as u64, prev.pool_queue_end as u64);
+    put_u64d(out, *pool_in_use_end as u64, prev.pool_in_use_end as u64);
+    put_f64(out, *disk_utilization);
+    put_f64(out, *disk_queue_avg);
+    put_u64d(out, *disk_ops, prev.disk_ops);
+    put_u64d(out, *arrivals, prev.arrivals);
+    put_u64d(out, *completions, prev.completions);
+    put_f64(out, *browse_work_submitted_s);
+    put_f64(out, *order_work_submitted_s);
 }
 
 fn put_app_stats(out: &mut Vec<u8>, cur: &AppStats, prev: Option<&AppStats>) {
@@ -167,17 +193,30 @@ fn put_app_stats(out: &mut Vec<u8>, cur: &AppStats, prev: Option<&AppStats>) {
             &zero
         }
     };
-    put_u64d(out, u64::from(cur.ebs_target), u64::from(prev.ebs_target));
-    put_u64d(out, u64::from(cur.ebs_active), u64::from(prev.ebs_active));
-    put_mix(out, cur.mix_id);
-    put_u64d(out, cur.issued, prev.issued);
-    put_u64d(out, cur.issued_browse, prev.issued_browse);
-    put_u64d(out, cur.completed, prev.completed);
-    put_u64d(out, cur.completed_browse, prev.completed_browse);
-    put_f64(out, cur.response_time_sum_s);
-    put_f64(out, cur.response_time_max_s);
-    put_u64d(out, u64::from(cur.in_flight), u64::from(prev.in_flight));
-    put_hist(out, &cur.response_times, &prev.response_times);
+    let AppStats {
+        ebs_target,
+        ebs_active,
+        mix_id,
+        issued,
+        issued_browse,
+        completed,
+        completed_browse,
+        response_time_sum_s,
+        response_time_max_s,
+        in_flight,
+        response_times,
+    } = cur;
+    put_u64d(out, u64::from(*ebs_target), u64::from(prev.ebs_target));
+    put_u64d(out, u64::from(*ebs_active), u64::from(prev.ebs_active));
+    put_mix(out, *mix_id);
+    put_u64d(out, *issued, prev.issued);
+    put_u64d(out, *issued_browse, prev.issued_browse);
+    put_u64d(out, *completed, prev.completed);
+    put_u64d(out, *completed_browse, prev.completed_browse);
+    put_f64(out, *response_time_sum_s);
+    put_f64(out, *response_time_max_s);
+    put_u64d(out, u64::from(*in_flight), u64::from(prev.in_flight));
+    put_hist(out, response_times, &prev.response_times);
 }
 
 /// The all-zero predecessor the first sample of a frame is delta-coded
@@ -220,13 +259,22 @@ fn put_wire_sample(out: &mut Vec<u8>, cur: &WireSample, prev: Option<&WireSample
             &zero
         }
     };
-    put_u64d(out, cur.seq, prev.seq);
-    put_f64(out, cur.t_s);
-    put_f64(out, cur.interval_s);
-    put_tier_sample(out, &cur.tier, &prev.tier);
-    put_f64s(out, &cur.hpc);
-    put_f64s(out, &cur.os);
-    match &cur.app {
+    let WireSample {
+        seq,
+        t_s,
+        interval_s,
+        tier,
+        hpc,
+        os,
+        app,
+    } = cur;
+    put_u64d(out, *seq, prev.seq);
+    put_f64(out, *t_s);
+    put_f64(out, *interval_s);
+    put_tier_sample(out, tier, &prev.tier);
+    put_f64s(out, hpc);
+    put_f64s(out, os);
+    match app {
         None => put_bool(out, false),
         Some(app) => {
             put_bool(out, true);
@@ -236,42 +284,69 @@ fn put_wire_sample(out: &mut Vec<u8>, cur: &WireSample, prev: Option<&WireSample
 }
 
 fn put_stress(out: &mut Vec<u8>, s: &TierStressAgg) {
-    put_f64(out, s.util_sum);
-    put_f64(out, s.queue_sum);
-    put_u64v(out, s.n);
+    let TierStressAgg {
+        util_sum,
+        queue_sum,
+        n,
+    } = s;
+    put_f64(out, *util_sum);
+    put_f64(out, *queue_sum);
+    put_u64v(out, *n);
 }
 
 fn put_health_agg(out: &mut Vec<u8>, h: &WindowHealthAgg) {
-    put_u64v(out, h.completed);
-    put_f64(out, h.rt_sum_s);
-    put_hist(out, &h.rt_hist, &RtHistogram::new());
-    match h.first_in_flight {
+    let WindowHealthAgg {
+        completed,
+        rt_sum_s,
+        rt_hist,
+        first_in_flight,
+        last_in_flight,
+    } = h;
+    put_u64v(out, *completed);
+    put_f64(out, *rt_sum_s);
+    put_hist(out, rt_hist, &RtHistogram::new());
+    match first_in_flight {
         None => put_bool(out, false),
         Some(v) => {
             put_bool(out, true);
-            put_u64v(out, u64::from(v));
+            put_u64v(out, u64::from(*v));
         }
     }
-    put_u64v(out, u64::from(h.last_in_flight));
+    put_u64v(out, u64::from(*last_in_flight));
 }
 
 fn put_window_digest(out: &mut Vec<u8>, d: &TierWindowDigest) {
-    put_i64z(out, d.window);
-    put_tier(out, d.tier);
-    put_u64v(out, u64::from(d.samples));
-    put_f64s(out, &d.hpc_mean);
-    put_f64s(out, &d.os_mean);
-    put_stress(out, &d.stress);
-    match &d.app {
+    let TierWindowDigest {
+        window,
+        tier,
+        samples,
+        hpc_mean,
+        os_mean,
+        stress,
+        app,
+    } = d;
+    put_i64z(out, *window);
+    put_tier(out, *tier);
+    put_u64v(out, u64::from(*samples));
+    put_f64s(out, hpc_mean);
+    put_f64s(out, os_mean);
+    put_stress(out, stress);
+    match app {
         None => put_bool(out, false),
-        Some(app) => {
+        Some(AppWindowDigest {
+            t_start_s,
+            t_end_s,
+            duration_s,
+            health,
+            mix_counts,
+        }) => {
             put_bool(out, true);
-            put_f64(out, app.t_start_s);
-            put_f64(out, app.t_end_s);
-            put_f64(out, app.duration_s);
-            put_health_agg(out, &app.health);
-            put_u64v(out, app.mix_counts.len() as u64);
-            for (mix, count) in &app.mix_counts {
+            put_f64(out, *t_start_s);
+            put_f64(out, *t_end_s);
+            put_f64(out, *duration_s);
+            put_health_agg(out, health);
+            put_u64v(out, mix_counts.len() as u64);
+            for (mix, count) in mix_counts {
                 put_mix(out, *mix);
                 put_u64v(out, u64::from(*count));
             }
@@ -280,26 +355,34 @@ fn put_window_digest(out: &mut Vec<u8>, d: &TierWindowDigest) {
 }
 
 fn put_digest(out: &mut Vec<u8>, d: &DigestFrame) {
-    put_u64v(out, u64::from(d.collector));
-    put_u64v(out, d.seq);
-    put_health(out, d.health);
-    put_u64v(out, d.windows.len() as u64);
-    for w in &d.windows {
+    let DigestFrame {
+        collector,
+        seq,
+        health,
+        windows,
+        poisoned,
+        fin,
+    } = d;
+    put_u64v(out, u64::from(*collector));
+    put_u64v(out, *seq);
+    put_health(out, *health);
+    put_u64v(out, windows.len() as u64);
+    for w in windows {
         put_window_digest(out, w);
     }
-    put_u64v(out, d.poisoned.len() as u64);
-    for p in &d.poisoned {
+    put_u64v(out, poisoned.len() as u64);
+    for p in poisoned {
         put_i64z(out, *p);
     }
-    match &d.fin {
+    match fin {
         None => put_bool(out, false),
-        Some(fin) => {
+        Some(DigestFin { tiers, last_window }) => {
             put_bool(out, true);
-            put_u64v(out, fin.tiers.len() as u64);
-            for t in &fin.tiers {
+            put_u64v(out, tiers.len() as u64);
+            for t in tiers {
                 put_tier(out, *t);
             }
-            put_i64z(out, fin.last_window);
+            put_i64z(out, *last_window);
         }
     }
 }
@@ -313,14 +396,14 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             tier,
             proto_version,
             metric_schema_hash,
-            caps,
+            caps: WireCaps { codec, max_batch },
         } => {
             out.push(TAG_HELLO);
             put_tier(out, *tier);
             put_u64v(out, u64::from(*proto_version));
             out.extend_from_slice(&metric_schema_hash.to_le_bytes());
-            put_codec(out, caps.codec);
-            put_u64v(out, u64::from(caps.max_batch));
+            put_codec(out, *codec);
+            put_u64v(out, u64::from(*max_batch));
         }
         Frame::Sample(ws) => {
             out.push(TAG_SAMPLE);

@@ -27,7 +27,7 @@ use webcap_sim::TierId;
 
 use crate::frame::{
     encode_payload, metric_schema_hash, read_frame, try_extract_frame, write_frame, Frame,
-    TierWindowDigest, WireCodec, WireSample, MIN_PROTO_VERSION, PROTO_VERSION,
+    TierWindowDigest, WireCodec, WireSample, PROTO_VERSION,
 };
 use crate::reassembly::{score_window, DigesterState, TierDigester};
 use crate::transport::{is_timeout, Conn, Listener};
@@ -409,11 +409,10 @@ pub(crate) enum Event {
 /// codec its capabilities selected for the rest of the session.
 ///
 /// The handshake itself is always JSON in both directions — that is what
-/// lets a v2 peer read the `Reject` explaining why it was turned away.
-/// Any version in `MIN_PROTO_VERSION..=PROTO_VERSION` is accepted (a v2
-/// `Hello` simply carries no capabilities and defaults to the JSON
-/// codec); anything outside the range is rejected with a frame carrying
-/// both peers' versions so the operator can see who needs upgrading.
+/// lets any peer read the `Reject` explaining why it was turned away.
+/// Only `PROTO_VERSION` is accepted; any other version is rejected with
+/// a frame carrying both peers' versions so the operator can see who
+/// needs upgrading.
 pub(crate) fn handshake(conn: &mut Conn, cfg: &CollectorConfig) -> io::Result<(TierId, WireCodec)> {
     conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(cfg.handshake_timeout))?;
@@ -451,11 +450,9 @@ pub(crate) fn handshake(conn: &mut Conn, cfg: &CollectorConfig) -> io::Result<(T
     else {
         return Err(reject(conn, "expected Hello".to_string(), 0));
     };
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto_version) {
-        let reason = format!(
-            "protocol version {proto_version} outside supported \
-             {MIN_PROTO_VERSION}..={PROTO_VERSION}"
-        );
+    if proto_version != PROTO_VERSION {
+        let reason =
+            format!("protocol version {proto_version} is not the supported {PROTO_VERSION}");
         return Err(reject(conn, reason, proto_version));
     }
     let expected_hash = metric_schema_hash(tier);

@@ -26,11 +26,9 @@
 //! negotiation surface, so it must be readable before any capability is
 //! agreed — and announces the agent's [`PROTO_VERSION`], its tier's
 //! [`metric_schema_hash`], and the [`WireCaps`] it wants for the rest of
-//! the session. A collector accepts any version in
-//! [`MIN_PROTO_VERSION`]`..=`[`PROTO_VERSION`] (a v2 `Hello` simply has
-//! no `caps` field and defaults to the v2 semantics: JSON, unbatched);
-//! anything else is refused with a `Reject` carrying both peers'
-//! versions so the operator can see exactly who must upgrade.
+//! the session. A collector accepts exactly [`PROTO_VERSION`]; anything
+//! else is refused with a `Reject` carrying both peers' versions so the
+//! operator can see exactly who must upgrade.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -52,11 +50,6 @@ use crate::supervisor::HealthState;
 /// `Reject`.
 pub const PROTO_VERSION: u32 = 3;
 
-/// Oldest protocol version the collector still accepts. Version 2
-/// agents send a caps-less `Hello` and speak unbatched JSON; the
-/// collector answers them in kind.
-pub const MIN_PROTO_VERSION: u32 = 2;
-
 /// Frame magic word for JSON payloads, `"WCAP"` as big-endian bytes
 /// written little-endian.
 pub const FRAME_MAGIC: u32 = 0x5743_4150;
@@ -76,37 +69,12 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WireCodec {
     /// `serde_json` payloads under [`FRAME_MAGIC`] — self-describing,
-    /// grep-able on the wire, the v2 dialect.
+    /// grep-able on the wire; the handshake dialect and the suites'
+    /// reference codec.
     Json,
     /// Delta/varint payloads under [`FRAME_MAGIC_BIN`] — the compact v3
     /// dialect (see [`crate::binary`]).
     Binary,
-}
-
-impl WireCodec {
-    /// Environment variable selecting the session codec (`"json"` or
-    /// `"binary"`).
-    pub const ENV: &'static str = "WEBCAP_WIRE";
-
-    /// Resolve the codec from `WEBCAP_WIRE`: unset means [`Binary`]
-    /// (the v3 default), anything other than `"json"`/`"binary"` is a
-    /// typed error — never a silent fallback.
-    ///
-    /// [`Binary`]: WireCodec::Binary
-    pub fn try_from_env() -> Result<WireCodec, String> {
-        match std::env::var(Self::ENV) {
-            Ok(v) => match v.as_str() {
-                "json" => Ok(WireCodec::Json),
-                "binary" => Ok(WireCodec::Binary),
-                other => Err(format!(
-                    "{} must be \"json\" or \"binary\", got {other:?}",
-                    Self::ENV
-                )),
-            },
-            Err(std::env::VarError::NotPresent) => Ok(WireCodec::Binary),
-            Err(e) => Err(format!("{} is not valid unicode: {e}", Self::ENV)),
-        }
-    }
 }
 
 impl fmt::Display for WireCodec {
@@ -118,25 +86,13 @@ impl fmt::Display for WireCodec {
     }
 }
 
-/// Session capabilities an agent requests in `Hello`. The serde default
-/// is exactly the v2 dialect (JSON, one sample per frame), so a v2
-/// `Hello` — which has no `caps` field at all — negotiates the behavior
-/// it always had.
+/// Session capabilities an agent requests in `Hello`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireCaps {
     /// Payload codec for every frame after the handshake.
     pub codec: WireCodec,
     /// Most samples the agent will pack into one `SampleBatch`.
     pub max_batch: u32,
-}
-
-impl Default for WireCaps {
-    fn default() -> WireCaps {
-        WireCaps {
-            codec: WireCodec::Json,
-            max_batch: 1,
-        }
-    }
 }
 
 /// System-wide (front-end visible) per-second statistics that only the
@@ -332,9 +288,7 @@ pub enum Frame {
         /// [`metric_schema_hash`] of the tier's metric layout, so a
         /// collector never averages mis-indexed feature rows.
         metric_schema_hash: u64,
-        /// Requested session capabilities; absent in a v2 `Hello`, in
-        /// which case the default (JSON, unbatched) applies.
-        #[serde(default)]
+        /// Requested session capabilities.
         caps: WireCaps,
     },
     /// One per-second measurement.
@@ -359,14 +313,11 @@ pub enum Frame {
     Reject {
         /// Human-readable refusal reason.
         reason: String,
-        /// The rejecting side's [`PROTO_VERSION`]; 0 from peers too old
-        /// to report one.
-        #[serde(default)]
+        /// The rejecting side's [`PROTO_VERSION`].
         ours: u32,
         /// The protocol version the rejected peer announced; 0 when the
         /// refusal was not about versions (or the peer never got to
         /// announcing one).
-        #[serde(default)]
         theirs: u32,
     },
     /// Graceful end of stream; `last_seq` is the final sequence the
@@ -530,8 +481,8 @@ pub fn write_frame_codec<W: Write>(
     Ok(())
 }
 
-/// Encode and write one JSON frame (magic, length, payload) and flush.
-/// The v2-compatible convenience wrapper around [`write_frame_codec`].
+/// Encode and write one JSON frame (magic, length, payload) and flush:
+/// the handshake's convenience wrapper around [`write_frame_codec`].
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), FrameError> {
     write_frame_codec(w, frame, WireCodec::Json, &mut Vec::new())
 }
@@ -743,58 +694,23 @@ mod tests {
     }
 
     #[test]
-    fn v2_hello_without_caps_decodes_to_the_v2_dialect() {
-        // Hand-built v2 Hello: no caps field. Serde must fill the
-        // default (JSON, unbatched) rather than erroring.
+    fn a_hello_without_caps_is_malformed() {
+        // What a version 2 agent sent: there is no default to fall back
+        // to, so the collector answers "malformed handshake".
         let payload =
             br#"{"Hello":{"tier":"App","proto_version":2,"metric_schema_hash":7}}"#.to_vec();
         let mut buf = Vec::new();
         buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&payload);
-        let frame = read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(
-            frame,
-            Frame::Hello {
-                tier: TierId::App,
-                proto_version: 2,
-                metric_schema_hash: 7,
-                caps: WireCaps::default(),
-            }
-        );
-        let Frame::Hello { caps, .. } = frame else {
-            unreachable!("just matched");
-        };
-        assert_eq!(caps.codec, WireCodec::Json);
-        assert_eq!(caps.max_batch, 1);
+        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, FrameError::Malformed(_)), "{err}");
     }
 
     #[test]
-    fn v2_reject_without_versions_decodes_with_zeroes() {
-        let payload = br#"{"Reject":{"reason":"old peer"}}"#.to_vec();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        assert_eq!(
-            read_frame(&mut buf.as_slice()).unwrap(),
-            Frame::Reject {
-                reason: "old peer".to_string(),
-                ours: 0,
-                theirs: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn wire_codec_env_parses_strictly() {
-        // try_from_env reads the process environment, which tests must
-        // not mutate (they run in parallel); exercise the match arms on
-        // the underlying values instead via a local copy of the logic.
+    fn wire_codec_display_names() {
         assert_eq!(WireCodec::Json.to_string(), "json");
         assert_eq!(WireCodec::Binary.to_string(), "binary");
-        assert_eq!(WireCaps::default().codec, WireCodec::Json);
-        assert_eq!(WireCaps::default().max_batch, 1);
     }
 
     #[test]
@@ -901,7 +817,10 @@ mod tests {
                     tier: TierId::App,
                     proto_version: PROTO_VERSION,
                     metric_schema_hash: metric_schema_hash(TierId::App),
-                    caps: WireCaps::default(),
+                    caps: WireCaps {
+                        codec: WireCodec::Json,
+                        max_batch: 1,
+                    },
                 },
             )
             .unwrap();

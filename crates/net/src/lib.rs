@@ -16,8 +16,8 @@
 //!   `Reject` / `Bye`, plus the fleet back-haul `Digest`), speaking two
 //!   negotiated dialects: debuggable JSON and the compact binary codec
 //!   in [`binary`].
-//! * [`binary`] — the delta/varint binary payload codec behind the v3
-//!   wire protocol's `WEBCAP_WIRE=binary` dialect.
+//! * [`binary`] — the delta/varint binary payload codec, the session
+//!   dialect of the v3 wire protocol.
 //! * [`transport`] — the same framed protocol over TCP or Unix-domain
 //!   sockets, behind one [`Endpoint`] grammar.
 //! * [`source`] — the [`SampleSource`] seam an agent measures through,
@@ -61,7 +61,7 @@ pub use frame::{
     encode_payload, metric_schema_hash, read_frame, try_extract_frame, write_frame,
     write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError,
     TierWindowDigest, WireCaps, WireCodec, WireSample, FRAME_MAGIC, FRAME_MAGIC_BIN, MAX_FRAME_LEN,
-    MIN_PROTO_VERSION, PROTO_VERSION,
+    PROTO_VERSION,
 };
 pub use loopback::{
     all_windows, predicted_surviving_windows, predicted_windows_for_schedule, replay_windows,

@@ -25,7 +25,6 @@ use webcap_sim::{SystemSample, TierId};
 
 use crate::agent::{run_agent, AgentConfig, AgentReport, FaultKnobs, FaultSchedule};
 use crate::collector::{run_collector, CollectorConfig, CollectorReport};
-use crate::frame::WireCodec;
 use crate::source::{ScriptedSource, TierSampler};
 use crate::supervisor::{run_supervised_collector, SupervisedReport, SupervisorConfig};
 use crate::transport::{Endpoint, Listener};
@@ -152,10 +151,6 @@ fn run_with_agents<R: Send>(
                 let mut cfg = AgentConfig::new(tier, dial, base_seed);
                 cfg.faults = faults;
                 cfg.schedule = tier.select(schedules).clone();
-                // `WEBCAP_WIRE` picks the session codec so the CI matrix
-                // (and a debugging human) can pit JSON against binary on
-                // the same deployment without code changes.
-                cfg.codec = WireCodec::try_from_env().map_err(io::Error::other)?;
                 let mut source = ScriptedSource::with_start_seq(tier, tier_samples, start_seq);
                 run_agent(&cfg, hpc_model, &mut source)
             })

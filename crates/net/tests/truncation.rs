@@ -11,6 +11,11 @@
 //! The binary decoder is a bounds-checked cursor with a trailing-bytes
 //! check, so this property is structural; this sweep pins it against
 //! regressions for all eight variants at every byte boundary.
+//!
+//! The same eight variants also carry the wire's **byte pin**
+//! (`every_variant_encodes_to_its_pinned_bytes`): what each one encodes
+//! to is a committed string, so a layout change cannot land without a
+//! visible diff here.
 
 use webcap_core::{TierStressAgg, WindowHealthAgg};
 use webcap_net::supervisor::HealthState;
@@ -186,6 +191,153 @@ fn every_strict_json_prefix_is_a_typed_error() {
                 Err(e) => assert!(e.is_corrupt(), "{frame:?} json prefix {keep}: {e:?}"),
                 Ok(decoded) => panic!("{frame:?} json prefix {keep} decoded as {decoded:?}"),
             }
+        }
+    }
+}
+
+/// The binary payload of each [`all_variants`] frame, in order, as hex.
+const PINNED_BINARY: [&str; 8] = [
+    // Hello
+    "000003f0debc9a785634120120",
+    // Sample
+    "\
+     010e0000000000002040000000000000f03f333333333333d33f333333333333d33f00000000000000000000\
+     0000000000000000000000000000000000000000000000000000000000000000002828000000000000000000\
+     000000000000000c000000000000e03f000000000000e03f000000000000e03f000000000000e03f00000000\
+     0000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f\
+     000000000000e03f000000000000e03f409a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f011414022814281400000000000000409a9999999999d93f02000000000000000000000000000000000000\
+     00000000000000000000000000000000000000000000000000000000000000",
+    // SampleBatch
+    "\
+     0203100000000000002240000000000000f03f333333333333d33f333333333333d33f000000000000000000\
+     0000000000000000000000000000000000000000000000000000000000000000000028280000000000000000\
+     00000000000000000c000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000\
+     000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e0\
+     3f000000000000e03f000000000000e03f409a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f011414022814281400000000000000409a9999999999d93f020000000000000000000000000000000000\
+     0000000000000000000000000000000000000000000000000000000000000000020000000000002440000000\
+     000000f03f333333333333d33f333333333333d33f0000000000000000000000000000000000000000000000\
+     00000000000000000000000000000000000000000000000000000000000000000000000000000c0000000000\
+     00e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f00\
+     0000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f0000000000\
+     00e03f409a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f\
+     9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a999999\
+     9999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f\
+     9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a999999\
+     9999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f\
+     9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a999999\
+     9999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f\
+     9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a999999\
+     9999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f\
+     9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a999999\
+     9999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f\
+     9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f010000020000000000000000\
+     000000409a9999999999d93f0000000000000000000000000000000000000000000000000000000000000000\
+     000000000000000000000000000000000000020000000000002640000000000000f03f333333333333d33f33\
+     3333333333d33f00000000000000000000000000000000000000000000000000000000000000000000000000\
+     0000000000000000000000000000000000000000000000000c000000000000e03f000000000000e03f000000\
+     000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e0\
+     3f000000000000e03f000000000000e03f000000000000e03f000000000000e03f409a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f010000020000000000000000000000409a9999999999d93f0000\
+     0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+     00000000",
+    // Heartbeat
+    "0329",
+    // Ack
+    "042a",
+    // Reject
+    "050f736368656d61206d69736d617463680302",
+    // Bye
+    "06ef01",
+    // Digest
+    "\
+     070105000106001e0c000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000\
+     000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e0\
+     3f000000000000e03f000000000000e03f089a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f000000000000\
+     2240000000000000f83f1e0100000000008056400000000000005e400000000000003e40d804000000000000\
+     4e40000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+     0000000000000001010201021e020204010200010e",
+];
+
+/// The JSON payload of each [`all_variants`] frame, in order, where it
+/// is float-free (`Sample`, `SampleBatch` and `Digest` carry floats,
+/// whose JSON spelling is the serializer's business).
+const PINNED_JSON: [Option<&str>; 8] = [
+    Some(
+        r#"{"Hello":{"tier":"App","proto_version":3,"metric_schema_hash":1311768467463790320,"caps":{"codec":"Binary","max_batch":32}}}"#,
+    ),
+    None,
+    None,
+    Some(r#"{"Heartbeat":{"seq":41}}"#),
+    Some(r#"{"Ack":{"seq":42}}"#),
+    Some(r#"{"Reject":{"reason":"schema mismatch","ours":3,"theirs":2}}"#),
+    Some(r#"{"Bye":{"last_seq":239}}"#),
+    None,
+];
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The byte pin. The compiler proves the codec names every field on
+/// both sides and the round-trip suites prove encode and decode agree;
+/// neither notices a *consistent* reorder or re-spelling, which would
+/// silently fork the dialect under an unchanged version number. This
+/// does: the committed strings are what protocol version 3 puts on the
+/// wire for `all_variants()`.
+#[test]
+fn every_variant_encodes_to_its_pinned_bytes() {
+    const HINT: &str = "the wire layout changed: that is a PROTO_VERSION (and, for the \
+                        binary dialect, frame magic) decision — bump it and re-pin, or undo the \
+                        layout change";
+    let variants = all_variants();
+    assert_eq!(
+        variants.len(),
+        PINNED_BINARY.len(),
+        "a new variant needs a pin"
+    );
+    let mut payload = Vec::new();
+    for ((frame, binary), json) in variants.iter().zip(PINNED_BINARY).zip(PINNED_JSON) {
+        encode_payload(frame, WireCodec::Binary, &mut payload).expect("variant encodes");
+        assert_eq!(hex(&payload), binary, "{frame:?}: {HINT}");
+        if let Some(json) = json {
+            encode_payload(frame, WireCodec::Json, &mut payload).expect("variant encodes");
+            assert_eq!(std::str::from_utf8(&payload), Ok(json), "{frame:?}: {HINT}");
         }
     }
 }

@@ -9,9 +9,8 @@
 //! * **Decode robustness** — truncated and bit-flipped binary frames
 //!   produce typed `FrameError`s, never a panic (`fuzz_smoke` runs the
 //!   same mutation engine deterministically for the lint/CI job).
-//! * **Negotiation** — a v2 agent (caps-less JSON `Hello`) still talks
-//!   to a v3 collector in the v2 dialect; an unknown version is refused
-//!   with a `Reject` carrying both peers' versions.
+//! * **Negotiation** — any version but `PROTO_VERSION`, older or newer,
+//!   is refused with a `Reject` carrying both peers' versions.
 //! * **Deployment byte-identity** — a faulted loopback run under the
 //!   binary codec produces byte-identical decisions, poisoning, and
 //!   agent reports to the same run under JSON.
@@ -27,7 +26,7 @@ use webcap_net::collector::{run_collector, CollectorConfig};
 use webcap_net::frame::{
     metric_schema_hash, read_frame, try_extract_frame, write_frame, write_frame_codec, AppStats,
     AppWindowDigest, DigestFin, DigestFrame, Frame, TierWindowDigest, WireCaps, WireCodec,
-    WireSample, MIN_PROTO_VERSION, PROTO_VERSION,
+    WireSample, PROTO_VERSION,
 };
 use webcap_net::loopback::{predicted_surviving_windows, replay_windows};
 use webcap_net::supervisor::HealthState;
@@ -452,91 +451,9 @@ fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
     samples
 }
 
-/// A v2 agent: caps-less JSON `Hello` announcing `proto_version: 2`. The
-/// v3 collector must accept it, answer in JSON, and run a plain
-/// unbatched session — the downgrade path of the negotiation table.
-#[test]
-fn a_v2_agent_downgrades_cleanly_against_a_v3_collector() {
-    let meter = trained_meter();
-    let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"))
-        .expect("listener binds");
-    let dial = listener.local_endpoint().expect("bound endpoint");
-    let mut cfg = CollectorConfig::default();
-    cfg.expected_tiers = 1;
-
-    let report = std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
-        let cfg_ref = &cfg;
-        let collector =
-            scope.spawn(move || run_collector(listener, meter_clone, cfg_ref, |_, _| {}));
-
-        let mut conn = webcap_net::Conn::connect(&dial).expect("v2 peer connects");
-        conn.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout set");
-        // Hand-built v2 Hello: exactly the bytes a v2 binary would send
-        // (no caps field at all).
-        let hash = metric_schema_hash(TierId::App);
-        let payload = format!(
-            r#"{{"Hello":{{"tier":"App","proto_version":{MIN_PROTO_VERSION},"metric_schema_hash":{hash}}}}}"#
-        )
-        .into_bytes();
-        use std::io::Write as _;
-        conn.write_all(&webcap_net::FRAME_MAGIC.to_le_bytes())
-            .expect("magic");
-        conn.write_all(&(payload.len() as u32).to_le_bytes())
-            .expect("len");
-        conn.write_all(&payload).expect("payload");
-        conn.flush().expect("flush");
-
-        match read_frame(&mut conn).expect("collector answers the v2 Hello") {
-            Frame::Ack { seq: 0 } => {}
-            other => panic!("expected Ack{{0}}, got {other:?}"),
-        }
-
-        // A v2 session: one JSON sample, acked, then Bye.
-        let ws = WireSample {
-            seq: 0,
-            t_s: 1.0,
-            interval_s: 1.0,
-            tier: TierSample::default(),
-            hpc: vec![0.5; 12],
-            os: vec![0.1; 64],
-            app: Some(AppStats {
-                ebs_target: 10,
-                ebs_active: 10,
-                mix_id: MixId::Ordering,
-                issued: 20,
-                issued_browse: 10,
-                completed: 20,
-                completed_browse: 10,
-                response_time_sum_s: 2.0,
-                response_time_max_s: 0.4,
-                in_flight: 1,
-                response_times: RtHistogram::new(),
-            }),
-        };
-        write_frame(&mut conn, &Frame::Sample(ws)).expect("v2 sample sends");
-        match read_frame(&mut conn).expect("sample acked") {
-            Frame::Ack { seq: 0 } => {}
-            other => panic!("expected Ack{{0}}, got {other:?}"),
-        }
-        write_frame(&mut conn, &Frame::Bye { last_seq: 0 }).expect("bye sends");
-        drop(conn);
-
-        collector
-            .join()
-            .expect("collector thread completes")
-            .expect("collector runs")
-    });
-
-    assert_eq!(report.rejected_handshakes, 0, "the v2 peer was accepted");
-    assert_eq!(report.sessions, [1, 0]);
-    assert_eq!(report.samples, [1, 0]);
-}
-
-/// The bugfix under test: an unknown `PROTO_VERSION` is refused at
-/// negotiation with a `Reject` carrying both peers' versions — not a
-/// post-header parse error.
+/// Any `proto_version` but the collector's own — the previous one as
+/// much as a future one — is refused at negotiation with a `Reject`
+/// carrying both peers' versions, not a post-header parse error.
 #[test]
 fn an_unknown_proto_version_is_rejected_with_both_versions() {
     let meter = trained_meter();
@@ -545,6 +462,7 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
     let dial = listener.local_endpoint().expect("bound endpoint");
     let mut cfg = CollectorConfig::default();
     cfg.idle_timeout = Duration::from_millis(300);
+    let strangers = [PROTO_VERSION - 1, 99];
 
     let report = std::thread::scope(|scope| {
         let meter_clone = meter.clone();
@@ -552,32 +470,36 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
         let collector =
             scope.spawn(move || run_collector(listener, meter_clone, cfg_ref, |_, _| {}));
 
-        let mut conn = webcap_net::Conn::connect(&dial).expect("future peer connects");
-        conn.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout set");
-        write_frame(
-            &mut conn,
-            &Frame::Hello {
-                tier: TierId::App,
-                proto_version: 99,
-                metric_schema_hash: metric_schema_hash(TierId::App),
-                caps: WireCaps::default(),
-            },
-        )
-        .expect("hello sends");
-        match read_frame(&mut conn).expect("collector answers") {
-            Frame::Reject {
-                reason,
-                ours,
-                theirs,
-            } => {
-                assert!(reason.contains("version 99"), "{reason}");
-                assert_eq!(ours, PROTO_VERSION, "the collector names its version");
-                assert_eq!(theirs, 99, "and echoes the peer's");
+        for version in strangers {
+            let mut conn = webcap_net::Conn::connect(&dial).expect("peer connects");
+            conn.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout set");
+            write_frame(
+                &mut conn,
+                &Frame::Hello {
+                    tier: TierId::App,
+                    proto_version: version,
+                    metric_schema_hash: metric_schema_hash(TierId::App),
+                    caps: WireCaps {
+                        codec: WireCodec::Json,
+                        max_batch: 1,
+                    },
+                },
+            )
+            .expect("hello sends");
+            match read_frame(&mut conn).expect("collector answers") {
+                Frame::Reject {
+                    reason,
+                    ours,
+                    theirs,
+                } => {
+                    assert!(reason.contains(&format!("version {version}")), "{reason}");
+                    assert_eq!(ours, PROTO_VERSION, "the collector names its version");
+                    assert_eq!(theirs, version, "and echoes the peer's");
+                }
+                other => panic!("expected Reject, got {other:?}"),
             }
-            other => panic!("expected Reject, got {other:?}"),
         }
-        drop(conn);
 
         collector
             .join()
@@ -585,7 +507,7 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
             .expect("collector runs")
     });
 
-    assert_eq!(report.rejected_handshakes, 1);
+    assert_eq!(report.rejected_handshakes, strangers.len() as u64);
     assert_eq!(report.sessions, [0, 0], "no session was started");
 }
 

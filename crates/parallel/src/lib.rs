@@ -3,7 +3,7 @@
 //! Every embarrassingly parallel fan-out in the system — independent
 //! training/evaluation executions, cross-validation folds,
 //! forward-selection candidate scoring, benchmark grid cells — goes
-//! through [`par_map`], which runs tasks on crossbeam scoped threads while
+//! through [`par_map`], which runs tasks on scoped threads while
 //! preserving **bit-for-bit determinism**: results are collected into the
 //! input order, every task is a pure function of its input, and any
 //! randomness a task needs comes from its own pre-derived seed stream
@@ -175,10 +175,10 @@ pub fn derive_seed(domain: u64, index: u64, base: u64) -> u64 {
 ///
 /// With [`Parallelism::Sequential`] (or a resolved worker count of 1)
 /// this is a plain in-order map on the calling thread. Otherwise tasks
-/// are pulled from a lock-free queue by crossbeam scoped worker threads
-/// and each result is written into its input's slot, so the output is
-/// identical to the sequential map whenever `f` is a pure function of its
-/// input — scheduling and thread count cannot reorder or alter results.
+/// are pulled from a shared queue by scoped worker threads and each
+/// result is written into its input's slot, so the output is identical
+/// to the sequential map whenever `f` is a pure function of its input —
+/// scheduling and thread count cannot reorder or alter results.
 ///
 /// # Panics
 ///
@@ -195,25 +195,24 @@ where
         return inputs.into_iter().map(f).collect();
     }
 
-    let queue = crossbeam::queue::SegQueue::new();
-    for job in inputs.into_iter().enumerate() {
-        queue.push(job);
-    }
+    let queue = std::sync::Mutex::new(inputs.into_iter().enumerate());
     let mut results: Vec<Option<R>> = Vec::new();
     results.resize_with(total, || None);
     let results_mutex = std::sync::Mutex::new(&mut results);
-    crossbeam::scope(|scope| {
+    // The scope joins every worker and re-raises a worker's panic.
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| {
-                while let Some((idx, input)) = queue.pop() {
-                    let out = f(input);
-                    let mut guard = results_mutex.lock().expect("no poisoned workers");
-                    guard[idx] = Some(out);
-                }
+            scope.spawn(|| loop {
+                // The guard is a temporary of this statement: the lock
+                // is released before `f` runs.
+                let job = queue.lock().expect("no poisoned workers").next();
+                let Some((idx, input)) = job else { break };
+                let out = f(input);
+                let mut guard = results_mutex.lock().expect("no poisoned workers");
+                guard[idx] = Some(out);
             });
         }
-    })
-    .expect("parallel worker panicked");
+    });
     results
         .into_iter()
         .map(|r| r.expect("every task ran"))

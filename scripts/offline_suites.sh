@@ -4,7 +4,7 @@
 # The `benchmark/run.sh` trick, for tests: the workspace is copied into
 # a git-ignored directory under target/, the `proptest` dev-dependency
 # (no stand-in exists for it) is stripped from the copy's manifests,
-# the five third-party crates the libraries name are patched to the
+# the four third-party crates the libraries name are patched to the
 # read-only stand-ins in benchmark/standins/, and every test target
 # whose sources do not mention `proptest` runs under `cargo test
 # --offline`. Skipped targets are listed with the reason.
@@ -13,13 +13,14 @@ set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 copy="$root/target/offline-suites"
-# The crates that hold the telemetry plane, the fleet, the capacity
-# search, the chaos mesh, the CLI and the analyzer.
-packages=(net fleet capsearch chaosnet cli lint)
+# Crate directories under crates/: the meter's core and what it stands
+# on, then the telemetry plane, the fleet, the capacity search, the
+# chaos mesh, the CLI and the analyzer.
+crates=(core parallel hpc os-metrics net fleet capsearch chaosnet cli lint)
 
 mkdir -p "$copy"
 # Time stamps are kept, so cargo rebuilds only what changed.
-for entry in Cargo.toml lint-baseline.toml src crates; do
+for entry in Cargo.toml src crates; do
     rm -rf "${copy:?}/$entry"
     cp -Rp "$root/$entry" "$copy/$entry"
 done
@@ -31,8 +32,6 @@ rand = { path = "$root/benchmark/standins/rand" }
 serde = { path = "$root/benchmark/standins/serde" }
 serde_derive = { path = "$root/benchmark/standins/serde_derive" }
 serde_json = { path = "$root/benchmark/standins/serde_json" }
-crossbeam = { path = "$root/benchmark/standins/crossbeam" }
-parking_lot = { path = "$root/benchmark/standins/parking_lot" }
 EOF
 
 export CARGO_TARGET_DIR="$copy/target"
@@ -49,19 +48,24 @@ run() { # <label> <cargo test arguments...>
         failed+=("$label")
     fi
 }
-for package in "${packages[@]}"; do
-    dir="$copy/crates/$package"
+for crate in "${crates[@]}"; do
+    dir="$copy/crates/$crate"
+    # The package name is the manifest's, not the directory's
+    # (crates/os-metrics is `webcap-os`).
+    package="$(sed -n 's/^name = "\(.*\)"$/\1/p' "$dir/Cargo.toml" | head -n 1)"
     if grep -rqs 'proptest::' "$dir/src"; then
-        skipped+=("$package (unit tests): src/ uses proptest")
+        skipped+=("$crate (unit tests): src/ uses proptest")
     else
-        run "$package (unit tests)" -p "webcap-$package" --lib "$@"
+        run "$crate (unit tests)" -p "$package" --lib "$@"
     fi
     for suite in "$dir"/tests/*.rs; do
+        # A crate without tests/ leaves the glob unexpanded.
+        [ -e "$suite" ] || continue
         name="$(basename "$suite" .rs)"
         if grep -qs 'proptest' "$suite"; then
-            skipped+=("$package/$name: uses proptest")
+            skipped+=("$crate/$name: uses proptest")
         else
-            run "$package/$name" -p "webcap-$package" --test "$name" "$@"
+            run "$crate/$name" -p "$package" --test "$name" "$@"
         fi
     done
 done
