@@ -1,123 +1,149 @@
 //! Property-based tests of the two-level coordinated predictor's
 //! invariants.
+//!
+//! Each property runs [`CASES`] cases, one per generator seed; a failing
+//! assertion names the seed, which reproduces the case.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use webcap_core::coordinator::{CoordinatedPredictor, CoordinatorConfig, TieScheme};
 use webcap_sim::TierId;
 
-/// Strategy: a training stream of (per-synopsis votes, label, bottleneck).
-fn training_stream(m: usize, len: usize) -> impl Strategy<Value = Vec<(Vec<bool>, bool, TierId)>> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(any::<bool>(), m..=m),
-            any::<bool>(),
-            prop_oneof![Just(TierId::App), Just(TierId::Db)],
-        ),
-        0..len,
-    )
+const CASES: u64 = 256;
+
+fn bools(rng: &mut StdRng, m: usize) -> Vec<bool> {
+    (0..m).map(|_| rng.random()).collect()
 }
 
-proptest! {
-    /// Counters never escape the clamp, the GPV is always in range, and
-    /// `peek` never mutates observable state.
-    #[test]
-    fn counters_stay_clamped_and_peek_is_pure(
-        stream in training_stream(3, 120),
-        delta in 0i32..8,
-        history_bits in 1usize..5,
-        pessimistic in any::<bool>(),
-    ) {
+/// A training stream of fewer than `len` (per-synopsis votes, label,
+/// bottleneck) instances.
+fn training_stream(rng: &mut StdRng, m: usize, len: usize) -> Vec<(Vec<bool>, bool, TierId)> {
+    (0..rng.random_range(0..len))
+        .map(|_| {
+            let votes = bools(rng, m);
+            let bottleneck = if rng.random() {
+                TierId::App
+            } else {
+                TierId::Db
+            };
+            (votes, rng.random(), bottleneck)
+        })
+        .collect()
+}
+
+fn trained(
+    m: usize,
+    cfg: CoordinatorConfig,
+    stream: &[(Vec<bool>, bool, TierId)],
+) -> CoordinatedPredictor {
+    let mut p = CoordinatedPredictor::new(m, cfg);
+    for (votes, label, bottleneck) in stream {
+        p.train_instance(votes, *label, Some(*bottleneck));
+    }
+    p
+}
+
+/// Counters never escape the clamp, the GPV is always in range, and
+/// `peek` never mutates observable state.
+#[test]
+fn counters_stay_clamped_and_peek_is_pure() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stream = training_stream(&mut rng, 3, 120);
+        let delta = rng.random_range(0i32..8);
         let cfg = CoordinatorConfig {
-            history_bits,
+            history_bits: rng.random_range(1usize..5),
             delta,
-            scheme: if pessimistic { TieScheme::Pessimistic } else { TieScheme::Optimistic },
+            scheme: if rng.random() {
+                TieScheme::Pessimistic
+            } else {
+                TieScheme::Optimistic
+            },
             counter_clamp: delta + 10,
         };
-        let mut p = CoordinatedPredictor::new(3, cfg);
-        for (votes, label, bottleneck) in &stream {
-            p.train_instance(votes, *label, Some(*bottleneck));
-        }
+        let mut p = trained(3, cfg, &stream);
         for gpv in 0..(1usize << 3) {
             for &hc in p.lht_row(gpv) {
-                prop_assert!(hc.abs() <= cfg.counter_clamp);
+                assert!(hc.abs() <= cfg.counter_clamp, "seed {seed}");
             }
             for &b in p.bpt_row(gpv) {
-                prop_assert!(b.abs() <= cfg.counter_clamp);
+                assert!(b.abs() <= cfg.counter_clamp, "seed {seed}");
             }
         }
         // peek is pure: repeated peeks agree and don't disturb predict.
         let votes = vec![true, false, true];
         let first = p.peek(&votes);
         let second = p.peek(&votes);
-        prop_assert_eq!(&first, &second);
+        assert_eq!(&first, &second, "seed {seed}");
         let predicted = p.predict(&votes);
-        prop_assert_eq!(first.overloaded, predicted.overloaded);
-        prop_assert!(first.gpv < 8);
+        assert_eq!(first.overloaded, predicted.overloaded, "seed {seed}");
+        assert!(first.gpv < 8, "seed {seed}");
     }
+}
 
-    /// Training order determinism: the same stream always produces the
-    /// same tables and predictions.
-    #[test]
-    fn training_is_deterministic(stream in training_stream(2, 80)) {
-        let build = || {
-            let mut p = CoordinatedPredictor::new(2, CoordinatorConfig::default());
-            for (votes, label, bottleneck) in &stream {
-                p.train_instance(votes, *label, Some(*bottleneck));
-            }
-            p
-        };
-        let a = build();
-        let b = build();
-        prop_assert_eq!(&a, &b);
+/// Training order determinism: the same stream always produces the
+/// same tables and predictions.
+#[test]
+fn training_is_deterministic() {
+    for seed in 0..CASES {
+        let stream = training_stream(&mut StdRng::seed_from_u64(seed), 2, 80);
+        let a = trained(2, CoordinatorConfig::default(), &stream);
+        let b = trained(2, CoordinatorConfig::default(), &stream);
+        assert_eq!(&a, &b, "seed {seed}");
     }
+}
 
-    /// The bottleneck answer is always one of the tiers, and only appears
-    /// when the state prediction is overloaded.
-    #[test]
-    fn bottleneck_is_consistent(
-        stream in training_stream(2, 100),
-        probes in prop::collection::vec(prop::collection::vec(any::<bool>(), 2..=2), 1..20),
-    ) {
-        let mut p = CoordinatedPredictor::new(2, CoordinatorConfig::default());
-        for (votes, label, bottleneck) in &stream {
-            p.train_instance(votes, *label, Some(*bottleneck));
-        }
-        for votes in &probes {
-            let out = p.predict(votes);
+/// The bottleneck answer is always one of the tiers, and only appears
+/// when the state prediction is overloaded.
+#[test]
+fn bottleneck_is_consistent() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stream = training_stream(&mut rng, 2, 100);
+        let mut p = trained(2, CoordinatorConfig::default(), &stream);
+        for _ in 0..rng.random_range(1usize..20) {
+            let out = p.predict(&bools(&mut rng, 2));
             match (out.overloaded, out.bottleneck) {
-                (true, Some(t)) => prop_assert!(TierId::ALL.contains(&t)),
+                (true, Some(t)) => assert!(TierId::ALL.contains(&t), "seed {seed}"),
                 (false, None) => {}
-                other => prop_assert!(false, "inconsistent pair {:?}", other),
+                other => panic!("seed {seed}: inconsistent pair {other:?}"),
             }
         }
     }
+}
 
-    /// With δ = 0 there is no uncertainty band: any trained cell with a
-    /// nonzero counter yields a confident prediction matching its sign.
-    #[test]
-    fn zero_delta_predicts_counter_sign(
-        votes in prop::collection::vec(any::<bool>(), 2..=2),
-        label in any::<bool>(),
-        repeats in 1usize..10,
-    ) {
-        let cfg = CoordinatorConfig { delta: 0, ..CoordinatorConfig::default() };
+/// With δ = 0 there is no uncertainty band: any trained cell with a
+/// nonzero counter yields a confident prediction matching its sign.
+#[test]
+fn zero_delta_predicts_counter_sign() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let votes = bools(&mut rng, 2);
+        let label: bool = rng.random();
+        let cfg = CoordinatorConfig {
+            delta: 0,
+            ..CoordinatorConfig::default()
+        };
         let mut p = CoordinatedPredictor::new(2, cfg);
-        for _ in 0..repeats {
+        for _ in 0..rng.random_range(1usize..10) {
             p.train_instance(&votes, label, Some(TierId::App));
             p.reset_history();
         }
         let out = p.peek(&votes);
-        prop_assert!(out.confident);
-        prop_assert_eq!(out.overloaded, label);
+        assert!(out.confident, "seed {seed}");
+        assert_eq!(out.overloaded, label, "seed {seed}");
     }
+}
 
-    /// A perfectly informative single synopsis dominates after enough
-    /// consistent training regardless of history length.
-    #[test]
-    fn informative_synopsis_dominates(
-        history_bits in 1usize..5,
-        labels in prop::collection::vec(any::<bool>(), 40..120),
-    ) {
+/// A perfectly informative single synopsis dominates after enough
+/// consistent training regardless of history length.
+#[test]
+fn informative_synopsis_dominates() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let history_bits = rng.random_range(1usize..5);
+        let len = rng.random_range(40usize..120);
+        let labels = bools(&mut rng, len);
         let cfg = CoordinatorConfig {
             history_bits,
             delta: 2,
@@ -140,9 +166,9 @@ proptest! {
         }
         // Allow a short warm-up worth of mistakes per distinct history.
         let budget = (1 << history_bits) + 4;
-        prop_assert!(
+        assert!(
             labels.len() - correct <= budget,
-            "mistakes {} > budget {}",
+            "seed {seed}: mistakes {} > budget {}",
             labels.len() - correct,
             budget
         );

@@ -31,7 +31,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "ml",
     "sim",
     "parallel",
-    "bench",
     "capsearch",
     "fleet",
     "chaosnet",

@@ -5,9 +5,9 @@
 //! window, and the predictions it does emit are byte-identical (JSON) to
 //! an in-process `OnlineMonitor` fed the same surviving windows.
 //!
-//! `WEBCAP_NET_DROP_EVERY` / `WEBCAP_NET_DELAY_MS` /
-//! `WEBCAP_NET_RECONNECT_EVERY` override the built-in fault schedule so
-//! CI can sweep other knob values through the same assertions.
+//! The two knob-sensitive tests sweep [`KNOB_ROWS`] in-process; every
+//! assertion holds for any row because the expectations come from the
+//! fault-schedule oracle, not from hand-computed window lists.
 
 use std::collections::BTreeSet;
 use std::io::Write;
@@ -27,6 +27,23 @@ use webcap_tpcw::{Mix, TrafficProgram};
 
 const BASE_SEED: u64 = 17;
 const TOTAL_SAMPLES: usize = 240;
+
+/// `(drop_every, delay_ms, reconnect_every)`, `0` meaning off: the
+/// built-in schedule, then pure loss, lag + churn, and everything at
+/// once.
+const KNOB_ROWS: [(u64, u64, u64); 4] = [(37, 1, 101), (35, 0, 0), (0, 2, 60), (41, 1, 90)];
+
+/// The rows as knobs; a row's index and knobs are printed so a failing
+/// assertion's captured output says which row it was.
+fn knob_rows() -> impl Iterator<Item = (usize, FaultKnobs)> {
+    let knobs = |(drop_every, delay_ms, reconnect_every): (u64, u64, u64)| FaultKnobs {
+        drop_every: (drop_every > 0).then_some(drop_every),
+        delay: (delay_ms > 0).then(|| Duration::from_millis(delay_ms)),
+        reconnect_every: (reconnect_every > 0).then_some(reconnect_every),
+    };
+    let rows = KNOB_ROWS.into_iter().map(knobs).enumerate();
+    rows.inspect(|(row, faults)| println!("knob row {row}: {faults:?}"))
+}
 
 fn trained_meter() -> CapacityMeter {
     static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
@@ -98,73 +115,60 @@ fn clean_run_is_byte_identical_to_the_in_process_monitor() {
 
 #[test]
 fn dropped_frames_and_forced_reconnects_poison_exactly_the_gapped_windows() {
-    // The built-in schedule; the env knobs (CI's fault matrix) override
-    // it, and every assertion below holds for any knob values because
-    // the expectations come from the oracle, not from hand-computed
-    // window lists.
-    let env_knobs = FaultKnobs::try_from_env().expect("fault matrix sets valid knob values");
-    let faults = if env_knobs.any() {
-        env_knobs
-    } else {
-        FaultKnobs {
-            drop_every: Some(37),
-            delay: Some(Duration::from_millis(1)),
-            reconnect_every: Some(101),
-        }
-    };
-
     let meter = trained_meter();
     let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
 
-    let (survivors, poisoned) =
-        predicted_surviving_windows(TOTAL_SAMPLES as u64, &faults, window_len, 1);
-    if !env_knobs.any() {
-        // Sanity-pin the built-in schedule so a silent oracle regression
-        // cannot hollow out the test.
-        assert_eq!(survivors, [0, 5].into_iter().collect::<BTreeSet<i64>>());
-    }
+    for (row, faults) in knob_rows() {
+        let (survivors, poisoned) =
+            predicted_surviving_windows(TOTAL_SAMPLES as u64, &faults, window_len, 1);
+        if row == 0 {
+            // Sanity-pin the built-in schedule so a silent oracle regression
+            // cannot hollow out the test.
+            assert_eq!(survivors, [0, 5].into_iter().collect::<BTreeSet<i64>>());
+        }
 
-    let dir = std::env::temp_dir().join(format!("webcap-faults-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let sock = dir.join("collector.sock");
-    let out = run_loopback(
-        &meter,
-        &samples,
-        &Endpoint::Unix(sock.clone()),
-        BASE_SEED,
-        faults,
-    )
-    .expect("loopback survives induced faults");
-    let _ = std::fs::remove_file(&sock);
+        let dir = std::env::temp_dir().join(format!("webcap-faults-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let sock = dir.join("collector.sock");
+        let out = run_loopback(
+            &meter,
+            &samples,
+            &Endpoint::Unix(sock.clone()),
+            BASE_SEED,
+            faults,
+        )
+        .expect("loopback survives induced faults");
+        let _ = std::fs::remove_file(&sock);
 
-    let emitted: BTreeSet<i64> = out.collector.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(
-        emitted, survivors,
-        "exactly the windows the fault schedule leaves intact emit"
-    );
-    assert!(
-        emitted.is_disjoint(&poisoned),
-        "no prediction ever comes from a gapped window"
-    );
-    let quarantined: BTreeSet<i64> = out.collector.poisoned_windows.iter().copied().collect();
-    assert_eq!(
-        quarantined, poisoned,
-        "the collector quarantined exactly the predicted windows"
-    );
-    if faults.reconnect_every.is_some() {
+        let emitted: BTreeSet<i64> = out.collector.decisions.iter().map(|(w, _)| *w).collect();
+        assert_eq!(
+            emitted, survivors,
+            "exactly the windows the fault schedule leaves intact emit"
+        );
         assert!(
-            out.agents.iter().all(|a| a.sessions > 1),
-            "forced reconnects actually happened"
+            emitted.is_disjoint(&poisoned),
+            "no prediction ever comes from a gapped window"
+        );
+        let quarantined: BTreeSet<i64> = out.collector.poisoned_windows.iter().copied().collect();
+        assert_eq!(
+            quarantined, poisoned,
+            "the collector quarantined exactly the predicted windows"
+        );
+        if faults.reconnect_every.is_some() {
+            assert!(
+                out.agents.iter().all(|a| a.sessions > 1),
+                "forced reconnects actually happened"
+            );
+        }
+
+        let baseline = replay_windows(&meter, &samples, BASE_SEED, &survivors);
+        assert_eq!(
+            decisions_json(&out.collector.decisions),
+            decisions_json(&baseline),
+            "surviving-window predictions are byte-identical to the in-process monitor"
         );
     }
-
-    let baseline = replay_windows(&meter, &samples, BASE_SEED, &survivors);
-    assert_eq!(
-        decisions_json(&out.collector.decisions),
-        decisions_json(&baseline),
-        "surviving-window predictions are byte-identical to the in-process monitor"
-    );
 }
 
 #[test]
@@ -232,92 +236,83 @@ fn a_rogue_connection_is_rejected_and_the_run_completes() {
 
 #[test]
 fn supervised_plane_matches_the_oracle_and_never_admits_from_suspect_state() {
-    // Same knob-sensitive contract as the unsupervised matrix test,
-    // plus the supervision invariants: predictions only drive admission
-    // while Healthy, and never from a loss-touched window.
-    let env_knobs = FaultKnobs::try_from_env().expect("fault matrix sets valid knob values");
-    let faults = if env_knobs.any() {
-        env_knobs
-    } else {
-        FaultKnobs {
-            drop_every: Some(37),
-            delay: Some(Duration::from_millis(1)),
-            reconnect_every: Some(101),
-        }
-    };
-
+    // Same knob-sensitive contract as the unsupervised sweep, plus the
+    // supervision invariants: predictions only drive admission while
+    // Healthy, and never from a loss-touched window.
     let meter = trained_meter();
     let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
-    let (survivors, poisoned) =
-        predicted_surviving_windows(TOTAL_SAMPLES as u64, &faults, window_len, 1);
+    for (_, faults) in knob_rows() {
+        let (survivors, poisoned) =
+            predicted_surviving_windows(TOTAL_SAMPLES as u64, &faults, window_len, 1);
 
-    let admission =
-        AdmissionController::try_new(AdmissionConfig::default(), 400).expect("valid config");
-    let sup_cfg = SupervisorConfig::default();
-    let (report, _agents) = run_supervised_loopback(
-        &meter,
-        &samples,
-        &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
-        BASE_SEED,
-        faults,
-        sup_cfg,
-        admission,
-        None,
-        false,
-        0,
-    )
-    .expect("supervised loopback survives induced faults");
+        let admission =
+            AdmissionController::try_new(AdmissionConfig::default(), 400).expect("valid config");
+        let sup_cfg = SupervisorConfig::default();
+        let (report, _agents) = run_supervised_loopback(
+            &meter,
+            &samples,
+            &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
+            BASE_SEED,
+            faults,
+            sup_cfg,
+            admission,
+            None,
+            false,
+            0,
+        )
+        .expect("supervised loopback survives induced faults");
 
-    let emitted: BTreeSet<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(
-        emitted, survivors,
-        "the supervised assembler emits exactly the oracle's survivors"
-    );
-    let quarantined: BTreeSet<i64> = report.poisoned_windows.iter().copied().collect();
-    assert_eq!(quarantined, poisoned);
-
-    let baseline = replay_windows(&meter, &samples, BASE_SEED, &survivors);
-    assert_eq!(
-        decisions_json(&report.decisions),
-        decisions_json(&baseline),
-        "supervision never alters the decision stream itself"
-    );
-
-    // Admission purity: a prediction drives the cap only while Healthy,
-    // and only ever from a window the oracle says survived.
-    let (min_ebs, max_ebs) = (
-        AdmissionConfig::default().min_ebs,
-        AdmissionConfig::default().max_ebs,
-    );
-    for point in &report.admission_trace {
-        assert!(
-            (min_ebs..=max_ebs).contains(&point.cap),
-            "cap {} escaped [{min_ebs}, {max_ebs}]",
-            point.cap
+        let emitted: BTreeSet<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
+        assert_eq!(
+            emitted, survivors,
+            "the supervised assembler emits exactly the oracle's survivors"
         );
-        if point.from_prediction {
-            assert_eq!(
-                point.health,
-                HealthState::Healthy,
-                "window {} drove the cap while {}",
-                point.window,
-                point.health
-            );
+        let quarantined: BTreeSet<i64> = report.poisoned_windows.iter().copied().collect();
+        assert_eq!(quarantined, poisoned);
+
+        let baseline = replay_windows(&meter, &samples, BASE_SEED, &survivors);
+        assert_eq!(
+            decisions_json(&report.decisions),
+            decisions_json(&baseline),
+            "supervision never alters the decision stream itself"
+        );
+
+        // Admission purity: a prediction drives the cap only while Healthy,
+        // and only ever from a window the oracle says survived.
+        let (min_ebs, max_ebs) = (
+            AdmissionConfig::default().min_ebs,
+            AdmissionConfig::default().max_ebs,
+        );
+        for point in &report.admission_trace {
             assert!(
-                survivors.contains(&point.window),
-                "window {} drove the cap but is not an oracle survivor",
-                point.window
+                (min_ebs..=max_ebs).contains(&point.cap),
+                "cap {} escaped [{min_ebs}, {max_ebs}]",
+                point.cap
             );
+            if point.from_prediction {
+                assert_eq!(
+                    point.health,
+                    HealthState::Healthy,
+                    "window {} drove the cap while {}",
+                    point.window,
+                    point.health
+                );
+                assert!(
+                    survivors.contains(&point.window),
+                    "window {} drove the cap but is not an oracle survivor",
+                    point.window
+                );
+            }
         }
+        // Every emitted window left exactly one trace point.
+        let traced: Vec<i64> = report
+            .admission_trace
+            .iter()
+            .filter(|p| p.window >= 0)
+            .map(|p| p.window)
+            .collect();
+        let emitted_in_order: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
+        assert_eq!(traced, emitted_in_order);
     }
-    // Every emitted window left exactly one trace point.
-    let traced: Vec<i64> = report
-        .admission_trace
-        .iter()
-        .filter(|p| p.window >= 0)
-        .map(|p| p.window)
-        .collect();
-    let emitted_in_order: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(traced, emitted_in_order);
 }
