@@ -65,11 +65,10 @@ fn deploy(
         for tier in TierId::ALL {
             let dial = dial.clone();
             let hpc_model = hpc_model.clone();
-            let tier_samples = samples.to_vec();
             agents.push(scope.spawn(move || {
                 let mut agent_cfg = AgentConfig::new(tier, dial, BASE_SEED);
                 agent_cfg.codec = WireCodec::Binary;
-                let mut source = ScriptedSource::new(tier, tier_samples);
+                let mut source = ScriptedSource::new(tier, samples);
                 run_agent(&agent_cfg, hpc_model, &mut source)
             }));
         }

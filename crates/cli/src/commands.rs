@@ -380,7 +380,7 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     // With a nonzero start-seq, history below it is synthesized for the
     // stateful OS model but never sent — the collector (resumed from its
     // snapshot) already consumed those sequences in a previous process.
-    let mut source = ScriptedSource::with_start_seq(tier, samples, start_seq);
+    let mut source = ScriptedSource::with_start_seq(tier, &samples, start_seq);
     let report = run_agent(&cfg, hpc_model, &mut source)?;
     println!(
         "agent[{tier}]: {} frames sent over {} session(s), {} acked, \

@@ -68,12 +68,10 @@ impl HpcEvent {
     /// Number of events.
     pub const COUNT: usize = 15;
 
-    /// Dense index aligned with [`HpcEvent::ALL`].
+    /// Dense index aligned with [`HpcEvent::ALL`], which lists the
+    /// variants in declaration order.
     pub fn index(&self) -> usize {
-        HpcEvent::ALL
-            .iter()
-            .position(|e| e == self)
-            .expect("event is in ALL")
+        *self as usize
     }
 
     /// PerfCtr-style event mnemonic.

@@ -589,15 +589,12 @@ pub fn run_agent(
                 }
             };
             done.store(true, Ordering::Relaxed);
-            let _ = match end {
-                // After `Bye` the collector closes its side: half-close
-                // and let the ack reader run to that EOF. Closing with
-                // acks unread resets the connection, and a reset
-                // discards frames still in the collector's receive
-                // queue.
-                SessionEnd::Done => conn.shutdown_write(),
-                SessionEnd::Reconnect => conn.shutdown(),
-            };
+            // However the session ended, half-close and let the ack
+            // reader run to the collector's EOF (it closes its side on
+            // `Bye` and on end-of-stream alike). Closing with acks
+            // unread resets the connection, and a reset discards frames
+            // still in the collector's receive queue.
+            let _ = conn.shutdown_write();
             Ok(end)
         })?;
         report.acks_received += acks.load(Ordering::Relaxed);
@@ -723,7 +720,7 @@ mod tests {
         cfg.retry.max_attempts = 5;
         cfg.retry.initial = Duration::from_millis(1);
         cfg.retry.max = Duration::from_millis(2);
-        let mut source = crate::source::ScriptedSource::new(TierId::App, Vec::new());
+        let mut source = crate::source::ScriptedSource::new(TierId::App, &[]);
         let err = run_agent(&cfg, webcap_hpc::HpcModel::testbed(), &mut source)
             .expect_err("a rejected handshake ends the agent");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
@@ -747,7 +744,7 @@ mod tests {
         cfg.retry.max_attempts = 2;
         cfg.retry.initial = Duration::from_millis(1);
         cfg.retry.max = Duration::from_millis(2);
-        let mut source = crate::source::ScriptedSource::new(TierId::App, Vec::new());
+        let mut source = crate::source::ScriptedSource::new(TierId::App, &[]);
         assert!(run_agent(&cfg, webcap_hpc::HpcModel::testbed(), &mut source).is_err());
     }
 }

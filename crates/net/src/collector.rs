@@ -619,13 +619,15 @@ fn service_conn(
         }
     }
 
-    // Drain every complete frame buffered so far.
-    let mut extracted_any = false;
+    // Parse every complete frame buffered so far, then compact the
+    // buffer once: a front-drain per frame would move the whole backlog
+    // (up to the lane budget) for each frame taken out of it. The early
+    // returns below end the session, so they leave the buffer as it is.
+    let mut parsed = 0;
     loop {
-        let frame = match try_extract_frame(&state.rbuf) {
+        let frame = match try_extract_frame(state.rbuf.get(parsed..).unwrap_or_default()) {
             Ok(Some((frame, consumed))) => {
-                state.rbuf.drain(..consumed);
-                extracted_any = true;
+                parsed += consumed;
                 frame
             }
             Ok(None) => break,
@@ -686,13 +688,14 @@ fn service_conn(
             _ => return Some(LaneEnd::Closed),
         }
     }
+    state.rbuf.drain(..parsed);
 
     // Stall accounting: a lane holding a partial frame that completed
     // nothing this round is mid-frame stalled — whether the peer is
     // half-open (silent after a partial header) or dribbling bytes to
     // dodge the idle clock. Unlike `idle`, this counter accrues every
     // service round even while other lanes keep the poller busy.
-    if extracted_any || state.rbuf.is_empty() {
+    if parsed > 0 || state.rbuf.is_empty() {
         state.stalled_polls = 0;
     } else {
         state.stalled_polls = state.stalled_polls.saturating_add(1);

@@ -146,12 +146,11 @@ fn run_with_agents<R: Send>(
         let agent_handles = TierId::ALL.map(|tier| {
             let dial = dial.clone();
             let hpc_model = meter.config().hpc_model.clone();
-            let tier_samples = samples.to_vec();
             scope.spawn(move || {
                 let mut cfg = AgentConfig::new(tier, dial, base_seed);
                 cfg.faults = faults;
                 cfg.schedule = tier.select(schedules).clone();
-                let mut source = ScriptedSource::with_start_seq(tier, tier_samples, start_seq);
+                let mut source = ScriptedSource::with_start_seq(tier, samples, start_seq);
                 run_agent(&cfg, hpc_model, &mut source)
             })
         });

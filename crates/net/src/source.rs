@@ -121,7 +121,7 @@ impl TierSampler {
         let mut rng = StdRng::seed_from_u64(seed);
         let counters = self.hpc_model.sample(self.tier, ts, interval_s, &mut rng);
         let hpc = DerivedMetrics::from_sample(&counters).to_features();
-        let os = self.os.sample(ts, interval_s, &mut rng).values().to_vec();
+        let os = self.os.sample(ts, interval_s, &mut rng).into_values();
         (hpc, os)
     }
 
@@ -141,27 +141,22 @@ impl TierSampler {
 }
 
 /// A [`SampleSource`] replaying a pre-recorded run — one tier's view of
-/// a `Vec<SystemSample>`. The loopback harness, integration tests, and
-/// the `webcap agent` subcommand all feed agents this way today.
+/// a borrowed `[SystemSample]`. The loopback harness, integration tests,
+/// and the `webcap agent` subcommand all feed agents this way today.
 #[derive(Debug)]
-pub struct ScriptedSource {
+pub struct ScriptedSource<'a> {
     tier: TierId,
-    samples: std::vec::IntoIter<SystemSample>,
+    samples: std::slice::Iter<'a, SystemSample>,
     next_seq: u64,
     /// Sequences below this are yielded as warm-up (synthesized, never
     /// sent) — see [`ScriptedSource::with_start_seq`].
     emit_from: u64,
 }
 
-impl ScriptedSource {
+impl<'a> ScriptedSource<'a> {
     /// `tier`'s view of `samples`, sequenced from 0 in order.
-    pub fn new(tier: TierId, samples: Vec<SystemSample>) -> ScriptedSource {
-        ScriptedSource {
-            tier,
-            samples: samples.into_iter(),
-            next_seq: 0,
-            emit_from: 0,
-        }
+    pub fn new(tier: TierId, samples: &'a [SystemSample]) -> ScriptedSource<'a> {
+        ScriptedSource::with_start_seq(tier, samples, 0)
     }
 
     /// Resume `tier`'s view of `samples` from `start_seq` after a
@@ -174,19 +169,19 @@ impl ScriptedSource {
     /// produces byte-identical wire samples from `start_seq` on.
     pub fn with_start_seq(
         tier: TierId,
-        samples: Vec<SystemSample>,
+        samples: &'a [SystemSample],
         start_seq: u64,
-    ) -> ScriptedSource {
+    ) -> ScriptedSource<'a> {
         ScriptedSource {
             tier,
-            samples: samples.into_iter(),
+            samples: samples.iter(),
             next_seq: 0,
             emit_from: start_seq,
         }
     }
 }
 
-impl SampleSource for ScriptedSource {
+impl SampleSource for ScriptedSource<'_> {
     fn next_sample(&mut self) -> SourcePoll {
         let Some(s) = self.samples.next() else {
             return SourcePoll::Exhausted;
@@ -195,7 +190,7 @@ impl SampleSource for ScriptedSource {
         self.next_seq += 1;
         SourcePoll::Ready(SourceSample {
             warmup: seq < self.emit_from,
-            ..SourceSample::of_tier(self.tier, seq, &s)
+            ..SourceSample::of_tier(self.tier, seq, s)
         })
     }
 }
@@ -267,8 +262,9 @@ mod tests {
             app: busy_tier(),
             db: TierSample::default(),
         };
-        let mut app_src = ScriptedSource::new(TierId::App, vec![base.clone()]);
-        let mut db_src = ScriptedSource::new(TierId::Db, vec![base.clone()]);
+        let stream = [base.clone()];
+        let mut app_src = ScriptedSource::new(TierId::App, &stream);
+        let mut db_src = ScriptedSource::new(TierId::Db, &stream);
         let SourcePoll::Ready(a) = app_src.next_sample() else {
             panic!("app sample ready");
         };
@@ -309,7 +305,7 @@ mod tests {
             })
             .collect();
         // An uninterrupted agent's view of the stream…
-        let mut full = ScriptedSource::new(TierId::App, samples.clone());
+        let mut full = ScriptedSource::new(TierId::App, &samples);
         let mut full_sampler = TierSampler::new(TierId::App, HpcModel::testbed(), 99);
         let mut full_wire = Vec::new();
         while let SourcePoll::Ready(s) = full.next_sample() {
@@ -320,7 +316,7 @@ mod tests {
         // samples come back marked warm-up, and after synthesizing
         // them (never sending), the remaining wire samples — OS rows
         // included, despite the stateful collector — are identical.
-        let mut resumed = ScriptedSource::with_start_seq(TierId::App, samples, 6);
+        let mut resumed = ScriptedSource::with_start_seq(TierId::App, &samples, 6);
         let mut resumed_sampler = TierSampler::new(TierId::App, HpcModel::testbed(), 99);
         let mut resumed_wire = Vec::new();
         while let SourcePoll::Ready(s) = resumed.next_sample() {

@@ -57,11 +57,15 @@ fn trained_meter() -> CapacityMeter {
 /// A steady 240 s run of the meter's own testbed — 8 full 30-sample
 /// windows for the plane to carry.
 fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
+    steady_run(meter, TOTAL_SAMPLES)
+}
+
+fn steady_run(meter: &CapacityMeter, total: usize) -> Vec<SystemSample> {
     let mut sim = meter.config().sim.clone();
     sim.seed = 400;
-    let program = TrafficProgram::steady(Mix::ordering(), 60, TOTAL_SAMPLES as f64);
+    let program = TrafficProgram::steady(Mix::ordering(), 60, total as f64);
     let samples = Simulation::new(sim, program).run().samples;
-    assert_eq!(samples.len(), TOTAL_SAMPLES);
+    assert_eq!(samples.len(), total);
     samples
 }
 
@@ -116,65 +120,90 @@ fn clean_run_is_byte_identical_to_the_in_process_monitor() {
 #[test]
 fn dropped_frames_and_forced_reconnects_poison_exactly_the_gapped_windows() {
     let meter = trained_meter();
-    let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
+    let dir = std::env::temp_dir().join(format!("webcap-faults-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sock = dir.join("collector.sock");
 
     for (row, faults) in knob_rows() {
-        let (survivors, poisoned) =
-            predicted_surviving_windows(TOTAL_SAMPLES as u64, &faults, window_len, 1);
+        let survivors =
+            plane_matches_the_oracle(&meter, &samples, &Endpoint::Unix(sock.clone()), faults);
+        let _ = std::fs::remove_file(&sock);
         if row == 0 {
             // Sanity-pin the built-in schedule so a silent oracle regression
             // cannot hollow out the test.
             assert_eq!(survivors, [0, 5].into_iter().collect::<BTreeSet<i64>>());
         }
+    }
 
-        let dir = std::env::temp_dir().join(format!("webcap-faults-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let sock = dir.join("collector.sock");
-        let out = run_loopback(
-            &meter,
-            &samples,
-            &Endpoint::Unix(sock.clone()),
-            BASE_SEED,
-            faults,
-        )
+    // A long stream at full speed with a forced reconnect every 250
+    // frames: between reconnects the agents run ahead of the collector,
+    // so each one finds frames written but not yet read. Half-closing
+    // delivers them; a reset would drop them, and windows the oracle
+    // keeps would go missing — on most runs, not on all, hence the rounds.
+    let long = steady_run(&meter, 3_000);
+    let churn = FaultKnobs {
+        reconnect_every: Some(250),
+        ..FaultKnobs::NONE
+    };
+    let tcp = Endpoint::parse("127.0.0.1:0").expect("tcp endpoint");
+    for round in 0..3 {
+        println!("long stream, round {round}");
+        plane_matches_the_oracle(&meter, &long, &tcp, churn);
+    }
+}
+
+/// Run the loopback plane over `samples` under `faults` and hold it to
+/// the fault-schedule oracle: exactly the predicted windows decided,
+/// exactly the predicted windows quarantined, decisions byte-identical
+/// to the in-process monitor's. Returns the survivors.
+fn plane_matches_the_oracle(
+    meter: &CapacityMeter,
+    samples: &[SystemSample],
+    endpoint: &Endpoint,
+    faults: FaultKnobs,
+) -> BTreeSet<i64> {
+    let window_len = meter.config().window_len;
+    let (survivors, poisoned) =
+        predicted_surviving_windows(samples.len() as u64, &faults, window_len, 1);
+    let out = run_loopback(meter, samples, endpoint, BASE_SEED, faults)
         .expect("loopback survives induced faults");
-        let _ = std::fs::remove_file(&sock);
 
-        let emitted: BTreeSet<i64> = out.collector.decisions.iter().map(|(w, _)| *w).collect();
-        assert_eq!(
-            emitted, survivors,
-            "exactly the windows the fault schedule leaves intact emit"
-        );
+    let emitted: BTreeSet<i64> = out.collector.decisions.iter().map(|(w, _)| *w).collect();
+    assert_eq!(
+        emitted, survivors,
+        "exactly the windows the fault schedule leaves intact emit"
+    );
+    assert!(
+        emitted.is_disjoint(&poisoned),
+        "no prediction ever comes from a gapped window"
+    );
+    let quarantined: BTreeSet<i64> = out.collector.poisoned_windows.iter().copied().collect();
+    assert_eq!(
+        quarantined, poisoned,
+        "the collector quarantined exactly the predicted windows"
+    );
+    if faults.reconnect_every.is_some() {
         assert!(
-            emitted.is_disjoint(&poisoned),
-            "no prediction ever comes from a gapped window"
-        );
-        let quarantined: BTreeSet<i64> = out.collector.poisoned_windows.iter().copied().collect();
-        assert_eq!(
-            quarantined, poisoned,
-            "the collector quarantined exactly the predicted windows"
-        );
-        if faults.reconnect_every.is_some() {
-            assert!(
-                out.agents.iter().all(|a| a.sessions > 1),
-                "forced reconnects actually happened"
-            );
-        }
-
-        let baseline = replay_windows(&meter, &samples, BASE_SEED, &survivors);
-        assert_eq!(
-            decisions_json(&out.collector.decisions),
-            decisions_json(&baseline),
-            "surviving-window predictions are byte-identical to the in-process monitor"
+            out.agents.iter().all(|a| a.sessions > 1),
+            "forced reconnects actually happened"
         );
     }
+
+    let baseline = replay_windows(meter, samples, BASE_SEED, &survivors);
+    assert_eq!(
+        decisions_json(&out.collector.decisions),
+        decisions_json(&baseline),
+        "surviving-window predictions are byte-identical to the in-process monitor"
+    );
+    survivors
 }
 
 #[test]
 fn a_rogue_connection_is_rejected_and_the_run_completes() {
     let meter = trained_meter();
-    let samples = steady_samples(&meter)[..60].to_vec();
+    let samples = steady_samples(&meter);
+    let samples = &samples[..60];
     let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"))
         .expect("listener binds");
     let dial = listener.local_endpoint().expect("bound endpoint");
@@ -209,10 +238,9 @@ fn a_rogue_connection_is_rejected_and_the_run_completes() {
         for tier in webcap_sim::TierId::ALL {
             let dial = dial.clone();
             let hpc_model = meter.config().hpc_model.clone();
-            let tier_samples = samples.clone();
             agent_handles.push(scope.spawn(move || {
                 let cfg = webcap_net::AgentConfig::new(tier, dial, BASE_SEED);
-                let mut source = webcap_net::ScriptedSource::new(tier, tier_samples);
+                let mut source = webcap_net::ScriptedSource::new(tier, samples);
                 webcap_net::run_agent(&cfg, hpc_model, &mut source)
             }));
         }

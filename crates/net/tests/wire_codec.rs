@@ -538,12 +538,11 @@ fn run_with_codec(
         for tier in TierId::ALL {
             let dial = dial.clone();
             let hpc_model = hpc_model.clone();
-            let tier_samples = samples.to_vec();
             agent_handles.push(scope.spawn(move || {
                 let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
                 cfg.faults = faults;
                 cfg.codec = codec;
-                let mut source = ScriptedSource::new(tier, tier_samples);
+                let mut source = ScriptedSource::new(tier, samples);
                 run_agent(&cfg, hpc_model, &mut source)
             }));
         }
