@@ -286,9 +286,7 @@ mod tests {
             calls.push(ebs);
             Ok::<bool, Infallible>(ebs <= 77)
         });
-        let out = match out {
-            Ok(o) => o,
-        };
+        let Ok(out) = out;
         let mut unique = calls.clone();
         unique.sort_unstable();
         unique.dedup();

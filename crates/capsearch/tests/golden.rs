@@ -6,15 +6,11 @@
 //! [`SimExecutor`] and compares the rendered report byte-for-byte
 //! against `tests/golden/<scenario>.json`.
 //!
-//! Lifecycle:
-//!
-//! * **Missing golden** — the test writes it and passes loudly; commit
-//!   the generated file. This bootstraps the suite on a machine that
-//!   can actually run it.
-//! * **Mismatch** — the test fails and leaves the actual bytes under
-//!   `target/tmp/capsearch/` for inspection; regenerate deliberately
-//!   with `WEBCAP_BLESS=1 cargo test -p webcap-capsearch --test golden`
-//!   (or `webcap capsearch --bless`).
+//! A missing golden fails like a mismatch does; on a mismatch the test
+//! also leaves the actual bytes under `target/tmp/capsearch/` for
+//! inspection. Only a deliberate bless writes a golden:
+//! `WEBCAP_BLESS=1 cargo test -p webcap-capsearch --test golden` (or
+//! `webcap capsearch --bless`).
 //!
 //! The CI determinism matrix runs this suite under `WEBCAP_JOBS` 1, 2,
 //! and 8 — byte identity across thread counts is part of the contract,
@@ -58,42 +54,38 @@ fn spill_path(name: &str) -> PathBuf {
 fn check_golden(name: &str) {
     let actual = search(meter(), name).render();
     let path = golden_path(name);
-    let bless = std::env::var_os("WEBCAP_BLESS").is_some_and(|v| v == "1");
-    match fs::read_to_string(&path) {
-        Ok(expected) if expected == actual && !bless => {}
-        Ok(_) if bless => {
-            fs::write(&path, &actual).expect("write golden");
-            eprintln!("blessed golden report {}", path.display());
-        }
-        Ok(expected) => {
-            let spill = spill_path(name);
-            fs::create_dir_all(spill.parent().expect("spill dir has a parent")).ok();
-            fs::write(&spill, &actual).expect("write actual report");
-            let divergence = expected
-                .lines()
-                .zip(actual.lines())
-                .position(|(e, a)| e != a)
-                .map_or_else(
-                    || "lengths differ".to_string(),
-                    |i| format!("first divergence at line {}", i + 1),
-                );
-            panic!(
-                "capacity report for `{name}` diverged from {} ({divergence}); \
-                 actual bytes left at {}; regenerate deliberately with WEBCAP_BLESS=1",
-                path.display(),
-                spill.display(),
-            );
-        }
-        Err(_) => {
-            fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-                .expect("create golden dir");
-            fs::write(&path, &actual).expect("write golden");
-            eprintln!(
-                "bootstrapped missing golden report {} — commit it",
-                path.display()
-            );
-        }
+    if std::env::var_os("WEBCAP_BLESS").is_some_and(|v| v == "1") {
+        fs::write(&path, &actual).expect("write golden");
+        eprintln!("blessed golden report {}", path.display());
+        return;
     }
+    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "golden report {} is unreadable ({e}); goldens are committed files — \
+             restore it, or regenerate deliberately with WEBCAP_BLESS=1",
+            path.display()
+        )
+    });
+    if expected == actual {
+        return;
+    }
+    let spill = spill_path(name);
+    fs::create_dir_all(spill.parent().expect("spill dir has a parent")).ok();
+    fs::write(&spill, &actual).expect("write actual report");
+    let divergence = expected
+        .lines()
+        .zip(actual.lines())
+        .position(|(e, a)| e != a)
+        .map_or_else(
+            || "lengths differ".to_string(),
+            |i| format!("first divergence at line {}", i + 1),
+        );
+    panic!(
+        "capacity report for `{name}` diverged from {} ({divergence}); \
+         actual bytes left at {}; regenerate deliberately with WEBCAP_BLESS=1",
+        path.display(),
+        spill.display(),
+    );
 }
 
 #[test]

@@ -13,7 +13,8 @@
 use std::convert::Infallible;
 use std::sync::OnceLock;
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use webcap_capsearch::{
     bisect, search_scenario, FaultEvent, Scenario, ScenarioMix, ScenarioPhase, SearchConfig,
     SimExecutor, Slo,
@@ -27,55 +28,58 @@ fn run_threshold(cfg: &SearchConfig, t: u32) -> webcap_capsearch::BisectOutcome 
     }
 }
 
-fn arb_config() -> impl Strategy<Value = SearchConfig> {
-    (1u32..64, 1u32..512, 1u32..32, 64u32..4096).prop_map(|(lo, hi, tolerance, max_ebs)| {
-        SearchConfig {
-            initial_lo: lo,
-            initial_hi: hi,
-            tolerance,
-            max_probes: 64,
-            max_ebs,
-        }
-    })
-}
+/// Cases per seeded property; a failing assertion names its seed.
+const CASES: u64 = 256;
 
-proptest! {
-    #[test]
-    fn bisection_converges_within_tolerance_and_budget(
-        cfg in arb_config(),
-        threshold in 0u32..6000,
-    ) {
+#[test]
+fn bisection_converges_within_tolerance_and_budget() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = SearchConfig {
+            initial_lo: rng.random_range(1u32..64),
+            initial_hi: rng.random_range(1u32..512),
+            tolerance: rng.random_range(1u32..32),
+            max_probes: 64,
+            max_ebs: rng.random_range(64u32..4096),
+        };
+        let threshold = rng.random_range(0u32..6000);
         let out = run_threshold(&cfg, threshold);
         let max_ebs = cfg.max_ebs.max(1);
-        prop_assert!(out.probes.len() as u32 <= cfg.max_probes.max(2));
+        assert!(
+            out.probes.len() as u32 <= cfg.max_probes.max(2),
+            "seed {seed}"
+        );
         // No population is ever probed twice.
         let mut seen: Vec<u32> = out.probes.iter().map(|&(e, _)| e).collect();
         seen.sort_unstable();
         let before = seen.len();
         seen.dedup();
-        prop_assert_eq!(seen.len(), before);
+        assert_eq!(seen.len(), before, "seed {seed}");
         // The claim is always backed by a passing probe (or nothing passed).
-        prop_assert!(out.capacity <= threshold.min(max_ebs));
+        assert!(out.capacity <= threshold.min(max_ebs), "seed {seed}");
         if out.converged {
             // Converged means the boundary is bracketed within tolerance.
-            prop_assert!(out.capacity + cfg.tolerance >= threshold.min(max_ebs));
+            assert!(
+                out.capacity + cfg.tolerance >= threshold.min(max_ebs),
+                "seed {seed}"
+            );
         } else {
             // With a 64-probe budget the only non-convergence is the
             // boundary sitting above the probe ceiling.
-            prop_assert_eq!(out.capacity, max_ebs);
-            prop_assert!(threshold >= max_ebs);
+            assert_eq!(out.capacity, max_ebs, "seed {seed}");
+            assert!(threshold >= max_ebs, "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn tolerance_one_bisection_is_exact_and_monotone(
-        (t1, t2) in (1u32..2000, 1u32..2000),
-        lo in 1u32..64,
-        hi in 1u32..512,
-    ) {
+#[test]
+fn tolerance_one_bisection_is_exact_and_monotone() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (t1, t2) = (rng.random_range(1u32..2000), rng.random_range(1u32..2000));
         let cfg = SearchConfig {
-            initial_lo: lo,
-            initial_hi: hi,
+            initial_lo: rng.random_range(1u32..64),
+            initial_hi: rng.random_range(1u32..512),
             tolerance: 1,
             max_probes: 64,
             max_ebs: 2048,
@@ -83,87 +87,97 @@ proptest! {
         let (t_lo, t_hi) = (t1.min(t2), t1.max(t2));
         let out_lo = run_threshold(&cfg, t_lo);
         let out_hi = run_threshold(&cfg, t_hi);
-        prop_assert_eq!(out_lo.capacity, t_lo, "tolerance 1 is exact");
-        prop_assert_eq!(out_hi.capacity, t_hi);
-        prop_assert!(out_lo.capacity <= out_hi.capacity);
+        assert_eq!(out_lo.capacity, t_lo, "seed {seed}: tolerance 1 is exact");
+        assert_eq!(out_hi.capacity, t_hi, "seed {seed}");
+        assert!(out_lo.capacity <= out_hi.capacity, "seed {seed}");
     }
 }
 
-fn arb_slo() -> impl Strategy<Value = Slo> {
-    (0.1f64..10.0, 0.0f64..=1.0, 0.1f64..10.0).prop_map(|(timeout_s, err, p99)| Slo {
-        timeout_s,
-        max_error_fraction: err,
-        max_p99_s: p99,
-    })
+/// `len` characters, each one of `alphabet`.
+fn string_of(rng: &mut StdRng, len: usize, alphabet: &[u8]) -> String {
+    (0..len)
+        .map(|_| char::from(alphabet[rng.random_range(0..alphabet.len())]))
+        .collect()
 }
 
-fn arb_mix() -> impl Strategy<Value = ScenarioMix> {
-    prop_oneof![
-        Just(ScenarioMix::Browsing),
-        Just(ScenarioMix::Shopping),
-        Just(ScenarioMix::Ordering),
-    ]
+fn arb_tier(rng: &mut StdRng) -> TierId {
+    if rng.random() {
+        TierId::Db
+    } else {
+        TierId::App
+    }
 }
 
-fn arb_phase() -> impl Strategy<Value = ScenarioPhase> {
-    (arb_mix(), 0.01f64..16.0, 0.01f64..16.0, 1.0f64..300.0).prop_map(
-        |(mix, from, to, duration_s)| ScenarioPhase {
-            mix,
-            from,
-            to,
-            duration_s,
+fn arb_phase(rng: &mut StdRng) -> ScenarioPhase {
+    ScenarioPhase {
+        mix: match rng.random_range(0u32..3) {
+            0 => ScenarioMix::Browsing,
+            1 => ScenarioMix::Shopping,
+            _ => ScenarioMix::Ordering,
         },
-    )
+        from: rng.random_range(0.01f64..16.0),
+        to: rng.random_range(0.01f64..16.0),
+        duration_s: rng.random_range(1.0f64..300.0),
+    }
 }
 
-fn arb_tier() -> impl Strategy<Value = TierId> {
-    prop_oneof![Just(TierId::App), Just(TierId::Db)]
+fn arb_fault(rng: &mut StdRng) -> FaultEvent {
+    let tier = arb_tier(rng);
+    if rng.random() {
+        let from_s = rng.random_range(0u64..500);
+        FaultEvent::AgentDown {
+            tier,
+            from_s,
+            until_s: from_s + rng.random_range(1u64..100),
+        }
+    } else {
+        FaultEvent::Reconnect {
+            tier,
+            at_s: rng.random_range(0u64..600),
+        }
+    }
 }
 
-fn arb_fault() -> impl Strategy<Value = FaultEvent> {
-    prop_oneof![
-        (arb_tier(), 0u64..500, 1u64..100).prop_map(|(tier, from_s, len)| {
-            FaultEvent::AgentDown {
-                tier,
-                from_s,
-                until_s: from_s + len,
-            }
-        }),
-        (arb_tier(), 0u64..600).prop_map(|(tier, at_s)| FaultEvent::Reconnect { tier, at_s }),
-    ]
+/// The name matches `[a-z][a-z0-9-]{0,14}`; the description is up to 40
+/// printable ASCII characters other than `"`.
+fn arb_scenario(rng: &mut StdRng) -> Scenario {
+    const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+    const NAME_TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-";
+    let printable: Vec<u8> = (b' '..=b'~').filter(|&c| c != b'"').collect();
+    let name_tail = rng.random_range(0usize..=14);
+    let description_len = rng.random_range(0usize..=40);
+    Scenario {
+        name: string_of(rng, 1, LOWER) + &string_of(rng, name_tail, NAME_TAIL),
+        description: string_of(rng, description_len, &printable),
+        seed: rng.random(),
+        warmup_s: rng.random_range(0u32..120),
+        slo: Slo {
+            timeout_s: rng.random_range(0.1f64..10.0),
+            max_error_fraction: rng.random_range(0.0f64..1.0),
+            max_p99_s: rng.random_range(0.1f64..10.0),
+        },
+        phases: (0..rng.random_range(1usize..4))
+            .map(|_| arb_phase(rng))
+            .collect(),
+        faults: (0..rng.random_range(0usize..3))
+            .map(|_| arb_fault(rng))
+            .collect(),
+    }
 }
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    (
-        "[a-z][a-z0-9-]{0,14}",
-        "[ !#-~]{0,40}",
-        any::<u64>(),
-        0u32..120,
-        arb_slo(),
-        proptest::collection::vec(arb_phase(), 1..4),
-        proptest::collection::vec(arb_fault(), 0..3),
-    )
-        .prop_map(
-            |(name, description, seed, warmup_s, slo, phases, faults)| Scenario {
-                name,
-                description,
-                seed,
-                warmup_s,
-                slo,
-                phases,
-                faults,
-            },
-        )
-}
-
-proptest! {
-    #[test]
-    fn scenario_toml_round_trip_is_lossless(scenario in arb_scenario()) {
+#[test]
+fn scenario_toml_round_trip_is_lossless() {
+    for seed in 0..CASES {
+        let scenario = arb_scenario(&mut StdRng::seed_from_u64(seed));
         let toml = scenario.to_toml();
-        let parsed = Scenario::from_toml(&toml)
-            .map_err(|e| TestCaseError::fail(format!("{e}\n{toml}")))?;
-        prop_assert_eq!(&parsed, &scenario);
-        prop_assert_eq!(parsed.to_toml(), toml, "canonical form is a fixed point");
+        let parsed =
+            Scenario::from_toml(&toml).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{toml}"));
+        assert_eq!(parsed, scenario, "seed {seed}");
+        assert_eq!(
+            parsed.to_toml(),
+            toml,
+            "seed {seed}: canonical form is a fixed point"
+        );
     }
 }
 

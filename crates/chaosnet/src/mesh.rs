@@ -208,7 +208,10 @@ fn deliver_tier(
         injected.push((state.tier, seq, fault));
     }
     let Some(bytes) = frames.get(seq as usize) else {
-        return Err(MeshError(format!("missing frame {seq} for {:?}", state.tier)));
+        return Err(MeshError(format!(
+            "missing frame {seq} for {:?}",
+            state.tier
+        )));
     };
     match fault {
         FrameFault::None | FrameFault::Stall => deliver_bytes(sc, state, bytes),

@@ -116,7 +116,13 @@ pub fn spawn_chaos_proxy(upstream: &Endpoint, chaos: ChaosSchedule) -> io::Resul
 
 /// Wire up the two pump threads for one proxied connection. The pumps
 /// run detached; they exit on EOF, error, or the stop flag.
-fn spawn_pumps(client: TcpStream, upstream: TcpStream, chaos: ChaosSchedule, conn: u32, stop: Arc<AtomicBool>) {
+fn spawn_pumps(
+    client: TcpStream,
+    upstream: TcpStream,
+    chaos: ChaosSchedule,
+    conn: u32,
+    stop: Arc<AtomicBool>,
+) {
     let (client_r, upstream_w) = match (client.try_clone(), upstream.try_clone()) {
         (Ok(c), Ok(u)) => (c, u),
         _ => {

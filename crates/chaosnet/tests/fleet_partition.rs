@@ -92,7 +92,11 @@ fn assert_identical(name: &str, k: u32, family: &str, got: &MergeOutcome, want: 
     if got_render != want_render {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp/fleet");
         fs::create_dir_all(&dir).ok();
-        fs::write(dir.join(format!("{name}-k{k}-{family}-chaos.json")), &got_render).ok();
+        fs::write(
+            dir.join(format!("{name}-k{k}-{family}-chaos.json")),
+            &got_render,
+        )
+        .ok();
         fs::write(
             dir.join(format!("{name}-k{k}-{family}-oracle.json")),
             &want_render,
@@ -175,8 +179,7 @@ fn partition_family_is_byte_neutral_with_full_rejoin_audit() {
                     outcome
                         .partition_events
                         .iter()
-                        .any(|e| e.collector == victim
-                            && e.to == CollectorLiveness::Partitioned),
+                        .any(|e| e.collector == victim && e.to == CollectorLiveness::Partitioned),
                     "{name} K={k}: the victim's silence must be flagged Partitioned"
                 );
                 assert!(
@@ -240,8 +243,7 @@ fn corruption_family_matches_kept_set_oracle() {
         let scenario = webcap_capsearch::scenario::find(name).expect("library scenario");
         for k in [1u32, 2, 4] {
             let (stream, _topology) = captured_stream(name, k);
-            let chaos =
-                ChaosSchedule::new(scenario.seed + 1, ChaosProfile::corruption_heavy());
+            let chaos = ChaosSchedule::new(scenario.seed + 1, ChaosProfile::corruption_heavy());
             let (outcome, lost) =
                 merge_stream(meter, &stream, Some(&chaos), MergeLivenessConfig::default())
                     .expect("chaos merges");
@@ -278,9 +280,8 @@ fn reorder_dup_family_is_byte_identical_to_baseline() {
         let scenario = webcap_capsearch::scenario::find(name).expect("library scenario");
         for k in [1u32, 2, 4] {
             let (stream, _topology) = captured_stream(name, k);
-            let (baseline, _) =
-                merge_stream(meter, &stream, None, MergeLivenessConfig::default())
-                    .expect("baseline merges");
+            let (baseline, _) = merge_stream(meter, &stream, None, MergeLivenessConfig::default())
+                .expect("baseline merges");
             let chaos = ChaosSchedule::new(
                 scenario.seed + 2,
                 ChaosProfile {

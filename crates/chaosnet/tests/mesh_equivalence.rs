@@ -71,8 +71,7 @@ fn check_cell(profile: ChaosProfile, codec: WireCodec, seed: u64) -> (usize, usi
     let mut survivors: Option<BTreeSet<i64>> = None;
     let mut poisoned: BTreeSet<i64> = BTreeSet::new();
     for schedule in &outcome.schedules {
-        let (s, p) =
-            predicted_windows_for_schedule(samples.len() as u64, schedule, window_len, 1);
+        let (s, p) = predicted_windows_for_schedule(samples.len() as u64, schedule, window_len, 1);
         poisoned.extend(p);
         survivors = Some(match survivors {
             Some(acc) => acc.intersection(&s).copied().collect(),

@@ -46,9 +46,8 @@ fn deploy(
     let listener =
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
     let collector_endpoint = listener.local_endpoint().expect("local endpoint");
-    let proxy = chaos.map(|schedule| {
-        spawn_chaos_proxy(&collector_endpoint, schedule).expect("proxy starts")
-    });
+    let proxy = chaos
+        .map(|schedule| spawn_chaos_proxy(&collector_endpoint, schedule).expect("proxy starts"));
     let dial = proxy
         .as_ref()
         .map(|p| p.endpoint())
@@ -75,7 +74,10 @@ fn deploy(
         for agent in agents {
             agent.join().expect("agent thread").expect("agent runs");
         }
-        collector.join().expect("collector thread").expect("collector runs")
+        collector
+            .join()
+            .expect("collector thread")
+            .expect("collector runs")
     });
     if let Some(p) = proxy {
         p.stop();

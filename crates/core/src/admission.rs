@@ -117,7 +117,7 @@ impl AdmissionConfig {
                 self.decrease_factor,
             ));
         }
-        if !(self.segment_s > 0.0) {
+        if self.segment_s.is_nan() || self.segment_s <= 0.0 {
             return Err(AdmissionConfigError::NonPositiveSegment(self.segment_s));
         }
         Ok(())

@@ -189,7 +189,7 @@ mod tests {
     fn accumulator_is_bit_identical_to_mean_rows() {
         // Values chosen so summation order matters at the ulp level if it
         // were ever changed.
-        let rows = vec![
+        let rows = [
             vec![1e16, 3.0, -7.5],
             vec![1.0, 0.1, 2.25],
             vec![-1e16, 0.2, 4.5],

@@ -325,7 +325,7 @@ mod tests {
         let window = meter.config().window_len;
         let cfg = meter.config().sim.clone();
         let hpc_model = meter.config().hpc_model.clone();
-        let oracle = meter.config().oracle.clone();
+        let oracle = meter.config().oracle;
         // The mix switches 20 s into the 30 s window: the majority mix is
         // the *pre*-switch one while the last sample carries the
         // post-switch one — exactly the case last-sample labeling got

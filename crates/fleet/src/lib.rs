@@ -11,7 +11,7 @@
 //! * [`ShardMap`] — seeded rendezvous hashing assigns each `(tier,
 //!   replica)` agent to its collector; a pure function of `(seed, K,
 //!   agent)`, independent of which other agents exist, with minimal
-//!   disruption when `K` changes (pinned by proptests).
+//!   disruption when `K` changes (pinned by `tests/shard_props.rs`).
 //! * [`TierDigester`] / [`FleetCollector`] — each collector digests its
 //!   shard into compact per-window [`webcap_net::TierWindowDigest`]s
 //!   with `webcap-net`'s reassembly core — the one implementation of
@@ -50,9 +50,7 @@ pub use harness::{
     collect_digest_stream, run_fleet, CollectorSummary, DigestStream, FleetChaos, FleetError,
     FleetOutcome, TimedFrame,
 };
-pub use merge::{
-    CollectorLiveness, MergeLivenessConfig, MergeNode, MergeOutcome, PartitionEvent,
-};
+pub use merge::{CollectorLiveness, MergeLivenessConfig, MergeNode, MergeOutcome, PartitionEvent};
 pub use shard::{AgentId, ShardMap};
 pub use topology::{FleetTopology, TopologyParseError};
 pub use webcap_net::{DigesterState, TierDigester};

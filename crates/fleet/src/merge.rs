@@ -155,7 +155,9 @@ impl MergeNode {
             last_seq: None,
             clean: 0,
         });
-        let in_seq = track.last_seq.is_none_or(|p| frame.seq == p.wrapping_add(1));
+        let in_seq = track
+            .last_seq
+            .is_none_or(|p| frame.seq == p.wrapping_add(1));
         track.last_seen = tick;
         if track.last_seq.is_none_or(|p| frame.seq > p) {
             track.last_seq = Some(frame.seq);
@@ -173,7 +175,11 @@ impl MergeNode {
                 });
             }
             CollectorLiveness::Rejoining => {
-                track.clean = if in_seq { track.clean.saturating_add(1) } else { 1 };
+                track.clean = if in_seq {
+                    track.clean.saturating_add(1)
+                } else {
+                    1
+                };
             }
         }
         if track.state == CollectorLiveness::Rejoining

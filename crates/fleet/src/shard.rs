@@ -15,7 +15,7 @@
 //!   existing pair's weight is unchanged, so an old collector can win
 //!   an agent it previously lost only if the set of candidates shrank).
 //!
-//! Both properties are pinned by the shard proptests.
+//! Both properties are pinned by `tests/shard_props.rs`.
 
 use serde::{Deserialize, Serialize};
 use webcap_sim::TierId;

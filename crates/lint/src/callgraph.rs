@@ -388,9 +388,31 @@ pub fn enclosing_fn(parsed: &ParsedFile, tok_idx: usize) -> Option<usize> {
 /// excluding wrapper/container types whose methods are std's, not ours.
 fn type_idents(ty: &str) -> Vec<String> {
     const WRAPPERS: &[&str] = &[
-        "Option", "Result", "Vec", "VecDeque", "Box", "Rc", "Arc", "RefCell", "Cell", "Mutex",
-        "RwLock", "String", "PathBuf", "Path", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Cow",
-        "Instant", "Duration", "SystemTime", "TcpStream", "TcpListener", "Self",
+        "Option",
+        "Result",
+        "Vec",
+        "VecDeque",
+        "Box",
+        "Rc",
+        "Arc",
+        "RefCell",
+        "Cell",
+        "Mutex",
+        "RwLock",
+        "String",
+        "PathBuf",
+        "Path",
+        "HashMap",
+        "HashSet",
+        "BTreeMap",
+        "BTreeSet",
+        "Cow",
+        "Instant",
+        "Duration",
+        "SystemTime",
+        "TcpStream",
+        "TcpListener",
+        "Self",
     ];
     ty.split(|c: char| !(c.is_alphanumeric() || c == '_'))
         .filter(|s| s.chars().next().is_some_and(|c| c.is_ascii_uppercase()))

@@ -295,7 +295,13 @@ impl Parser<'_> {
 
     /// Parse `fn name <generics>? ( params ) -> ret? where..? { body }`
     /// starting at the `fn` token; returns the index just past the item.
-    fn parse_fn(&mut self, at: usize, to: usize, is_test: bool, impl_target: Option<&str>) -> usize {
+    fn parse_fn(
+        &mut self,
+        at: usize,
+        to: usize,
+        is_test: bool,
+        impl_target: Option<&str>,
+    ) -> usize {
         let line = self.toks[at].line;
         let mut j = at + 1;
         let Some(name_tok) = self.toks.get(j).filter(|t| t.kind == TokKind::Ident) else {
@@ -390,8 +396,7 @@ impl Parser<'_> {
             let mut d = 0i32;
             let mut a = 0i32;
             let mut colon = None;
-            for k in lo..hi {
-                let t = &toks[k];
+            for (k, t) in toks.iter().enumerate().take(hi).skip(lo) {
                 if t.is_punct("(") || t.is_punct("[") {
                     d += 1;
                 } else if t.is_punct(")") || t.is_punct("]") {
@@ -521,7 +526,13 @@ mod tests {
         );
         let quals: Vec<&str> = p.fns.iter().map(|f| f.qual.as_str()).collect();
         assert_eq!(quals, vec!["free", "S::method", "S::fmt"]);
-        assert_eq!(p.fns[0].params, vec![Param { name: "a".into(), ty: "u32".into() }]);
+        assert_eq!(
+            p.fns[0].params,
+            vec![Param {
+                name: "a".into(),
+                ty: "u32".into()
+            }]
+        );
         assert_eq!(p.fns[1].params[0].name, "self");
         assert_eq!(p.fns[1].params[1].ty, "& str");
     }
@@ -576,7 +587,8 @@ mod tests {
 
     #[test]
     fn trait_signatures_without_bodies_parse() {
-        let p = parse_src("trait Source { fn next(&mut self) -> Option<u32>; fn reset(&mut self) {} }");
+        let p =
+            parse_src("trait Source { fn next(&mut self) -> Option<u32>; fn reset(&mut self) {} }");
         assert_eq!(p.fns[0].qual, "Source::next");
         assert!(p.fns[0].body.is_none());
         assert!(p.fns[1].body.is_some());

@@ -310,7 +310,7 @@ pub fn hash_iteration_sites(unit: &SourceUnit) -> Vec<Site> {
             continue;
         }
         let t = &toks[i];
-        if t.kind != TokKind::Ident || !hash_names.iter().any(|n| *n == t.text) {
+        if t.kind != TokKind::Ident || !hash_names.contains(&t.text) {
             continue;
         }
         // `name.iter()` and friends.
@@ -607,11 +607,7 @@ mod tests {
         let at: Vec<(u32, &str)> = sites.iter().map(|s| (s.line, s.what.as_str())).collect();
         assert_eq!(
             at,
-            vec![
-                (2, "`.unwrap()`"),
-                (3, "direct indexing"),
-                (4, "`panic!`")
-            ]
+            vec![(2, "`.unwrap()`"), (3, "direct indexing"), (4, "`panic!`")]
         );
         // unwrap_or is not unwrap; slice patterns and array literals
         // are not indexing.

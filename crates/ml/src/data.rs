@@ -342,7 +342,7 @@ mod tests {
         let s = d.select_rows(&[2, 0]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.column(0), vec![3.0, 1.0]);
-        assert_eq!(s.instances()[0].label, true);
+        assert!(s.instances()[0].label);
     }
 
     #[test]

@@ -149,7 +149,8 @@ pub fn fit_columns(rows: &[Vec<f64>], n_bins: usize) -> Vec<EqualFrequencyDiscre
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn four_bins_quartiles() {
@@ -224,47 +225,69 @@ mod tests {
         let _ = fit_cached(&[], 3);
     }
 
-    proptest! {
-        #[test]
-        fn fit_cached_matches_fit(values in prop::collection::vec(-1e6f64..1e6, 1..120),
-                                  n_bins in 1usize..10) {
-            prop_assert_eq!(
+    /// Cases per seeded property; a failing assertion names its seed.
+    const CASES: u64 = 256;
+
+    fn f64s(rng: &mut StdRng, len: std::ops::Range<usize>, bound: f64) -> Vec<f64> {
+        let n = rng.random_range(len);
+        (0..n).map(|_| rng.random_range(-bound..bound)).collect()
+    }
+
+    #[test]
+    fn fit_cached_matches_fit() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values = f64s(&mut rng, 1..120, 1e6);
+            let n_bins = rng.random_range(1usize..10);
+            assert_eq!(
                 fit_cached(&values, n_bins),
-                EqualFrequencyDiscretizer::fit(&values, n_bins)
+                EqualFrequencyDiscretizer::fit(&values, n_bins),
+                "seed {seed}"
             );
         }
+    }
 
-        #[test]
-        fn bins_always_in_range(values in prop::collection::vec(-1e6f64..1e6, 1..200),
-                                probes in prop::collection::vec(-1e7f64..1e7, 1..50),
-                                n_bins in 1usize..10) {
+    #[test]
+    fn bins_always_in_range() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values = f64s(&mut rng, 1..200, 1e6);
+            let probes = f64s(&mut rng, 1..50, 1e7);
+            let n_bins = rng.random_range(1usize..10);
             let d = EqualFrequencyDiscretizer::fit(&values, n_bins);
-            prop_assert!(d.n_bins() >= 1 && d.n_bins() <= n_bins);
+            assert!(d.n_bins() >= 1 && d.n_bins() <= n_bins, "seed {seed}");
             for p in probes {
-                prop_assert!(d.bin(p) < d.n_bins());
+                assert!(d.bin(p) < d.n_bins(), "seed {seed}: probe {p}");
             }
         }
+    }
 
-        #[test]
-        fn binning_is_monotone(values in prop::collection::vec(-1e3f64..1e3, 2..100),
-                               n_bins in 2usize..8) {
-            let d = EqualFrequencyDiscretizer::fit(&values, n_bins);
-            let mut probes = values.clone();
-            probes.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    #[test]
+    fn binning_is_monotone() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut probes = f64s(&mut rng, 2..100, 1e3);
+            let n_bins = rng.random_range(2usize..8);
+            let d = EqualFrequencyDiscretizer::fit(&probes, n_bins);
+            probes.sort_by(f64::total_cmp);
             let mut last = 0usize;
             for p in probes {
                 let b = d.bin(p);
-                prop_assert!(b >= last, "bin decreased for increasing value");
+                assert!(b >= last, "seed {seed}: bin decreased for increasing value");
                 last = b;
             }
         }
+    }
 
-        #[test]
-        fn cuts_are_strictly_ascending(values in prop::collection::vec(-1e3f64..1e3, 1..100),
-                                       n_bins in 1usize..10) {
+    #[test]
+    fn cuts_are_strictly_ascending() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values = f64s(&mut rng, 1..100, 1e3);
+            let n_bins = rng.random_range(1usize..10);
             let d = EqualFrequencyDiscretizer::fit(&values, n_bins);
             for w in d.cuts().windows(2) {
-                prop_assert!(w[0] < w[1] + 1e-12);
+                assert!(w[0] < w[1] + 1e-12, "seed {seed}: cuts {w:?}");
             }
         }
     }

@@ -126,7 +126,8 @@ pub fn conditional_mutual_information(a: &[usize], b: &[usize], labels: &[bool])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn entropy_of_fair_coin_is_one() {
@@ -184,30 +185,46 @@ mod tests {
         assert_eq!(label_entropy(&[]), 0.0);
     }
 
-    proptest! {
-        #[test]
-        fn information_gain_bounded_by_class_entropy(
-            data in prop::collection::vec((0usize..4, any::<bool>()), 1..200)
-        ) {
-            let bins: Vec<usize> = data.iter().map(|d| d.0).collect();
-            let labels: Vec<bool> = data.iter().map(|d| d.1).collect();
+    /// Cases per seeded property; a failing assertion names its seed.
+    const CASES: u64 = 256;
+
+    fn bins(rng: &mut StdRng, n: usize, arity: usize) -> Vec<usize> {
+        (0..n).map(|_| rng.random_range(0..arity)).collect()
+    }
+
+    fn labels(rng: &mut StdRng, n: usize) -> Vec<bool> {
+        (0..n).map(|_| rng.random()).collect()
+    }
+
+    #[test]
+    fn information_gain_bounded_by_class_entropy() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(1usize..200);
+            let bins = bins(&mut rng, n, 4);
+            let labels = labels(&mut rng, n);
             let ig = information_gain(&bins, &labels);
             let h = label_entropy(&labels);
-            prop_assert!(ig >= 0.0);
-            prop_assert!(ig <= h + 1e-9, "ig {} > H(C) {}", ig, h);
+            assert!(ig >= 0.0, "seed {seed}: ig {ig}");
+            assert!(ig <= h + 1e-9, "seed {seed}: ig {ig} > H(C) {h}");
         }
+    }
 
-        #[test]
-        fn cmi_is_nonnegative_and_symmetric(
-            data in prop::collection::vec((0usize..3, 0usize..3, any::<bool>()), 1..200)
-        ) {
-            let a: Vec<usize> = data.iter().map(|d| d.0).collect();
-            let b: Vec<usize> = data.iter().map(|d| d.1).collect();
-            let labels: Vec<bool> = data.iter().map(|d| d.2).collect();
+    #[test]
+    fn cmi_is_nonnegative_and_symmetric() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(1usize..200);
+            let a = bins(&mut rng, n, 3);
+            let b = bins(&mut rng, n, 3);
+            let labels = labels(&mut rng, n);
             let ab = conditional_mutual_information(&a, &b, &labels);
             let ba = conditional_mutual_information(&b, &a, &labels);
-            prop_assert!(ab >= 0.0);
-            prop_assert!((ab - ba).abs() < 1e-9, "asymmetric: {} vs {}", ab, ba);
+            assert!(ab >= 0.0, "seed {seed}: cmi {ab}");
+            assert!(
+                (ab - ba).abs() < 1e-9,
+                "seed {seed}: asymmetric: {ab} vs {ba}"
+            );
         }
     }
 
@@ -215,7 +232,9 @@ mod tests {
         //! The dense bin-indexed counters must agree with the original
         //! hash-map-grouped implementations (up to summation-order ulps).
         use super::super::*;
-        use proptest::prelude::*;
+        use super::{bins, labels, CASES};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
         use std::collections::HashMap;
 
         /// The pre-optimization information gain: group label counts per
@@ -275,30 +294,36 @@ mod tests {
             cmi.max(0.0)
         }
 
-        proptest! {
-            #[test]
-            fn information_gain_matches_hashmap_reference(
-                data in prop::collection::vec((0usize..6, any::<bool>()), 0..200)
-            ) {
-                let bins: Vec<usize> = data.iter().map(|d| d.0).collect();
-                let labels: Vec<bool> = data.iter().map(|d| d.1).collect();
+        #[test]
+        fn information_gain_matches_hashmap_reference() {
+            for seed in 0..CASES {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let n = rng.random_range(0usize..200);
+                let bins = bins(&mut rng, n, 6);
+                let labels = labels(&mut rng, n);
                 let dense = information_gain(&bins, &labels);
                 let reference = reference_information_gain(&bins, &labels);
-                prop_assert!((dense - reference).abs() < 1e-9,
-                             "ig {} vs {}", dense, reference);
+                assert!(
+                    (dense - reference).abs() < 1e-9,
+                    "seed {seed}: ig {dense} vs {reference}"
+                );
             }
+        }
 
-            #[test]
-            fn cmi_matches_hashmap_reference(
-                data in prop::collection::vec((0usize..4, 0usize..4, any::<bool>()), 0..200)
-            ) {
-                let a: Vec<usize> = data.iter().map(|d| d.0).collect();
-                let b: Vec<usize> = data.iter().map(|d| d.1).collect();
-                let labels: Vec<bool> = data.iter().map(|d| d.2).collect();
+        #[test]
+        fn cmi_matches_hashmap_reference() {
+            for seed in 0..CASES {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let n = rng.random_range(0usize..200);
+                let a = bins(&mut rng, n, 4);
+                let b = bins(&mut rng, n, 4);
+                let labels = labels(&mut rng, n);
                 let dense = conditional_mutual_information(&a, &b, &labels);
                 let reference = reference_cmi(&a, &b, &labels);
-                prop_assert!((dense - reference).abs() < 1e-9,
-                             "cmi {} vs {}", dense, reference);
+                assert!(
+                    (dense - reference).abs() < 1e-9,
+                    "seed {seed}: cmi {dense} vs {reference}"
+                );
             }
         }
     }

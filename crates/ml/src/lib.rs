@@ -182,7 +182,7 @@ impl Algorithm {
     pub fn learner(&self) -> Box<dyn Learner> {
         match self {
             Algorithm::LinearRegression => Box::new(RidgeRegression::default()),
-            Algorithm::NaiveBayes => Box::new(GaussianNaiveBayes::default()),
+            Algorithm::NaiveBayes => Box::new(GaussianNaiveBayes),
             Algorithm::Tan => Box::new(TreeAugmentedNaiveBayes::default()),
             Algorithm::Svm => Box::new(SmoSvm::default()),
         }

@@ -219,7 +219,8 @@ mod tests {
         //! The contiguous-matrix fit must produce bit-identical parameters
         //! and log-likelihoods to the original `Vec<Vec<f64>>` row path.
         use super::super::*;
-        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
 
         /// The pre-matrix fit path: accumulate per-instance rows directly.
         fn reference_model(rows: &[Vec<f64>], labels: &[bool]) -> NaiveBayesModel {
@@ -238,33 +239,40 @@ mod tests {
             }
         }
 
-        proptest! {
-            #[test]
-            fn matrix_fit_matches_vec_of_vec_reference(
-                rows in (1usize..5).prop_flat_map(|cols| {
-                    prop::collection::vec(
-                        prop::collection::vec(-100.0f64..100.0, cols),
-                        2..30,
-                    )
-                }),
-                flips in prop::collection::vec(any::<bool>(), 30),
-            ) {
-                let n = rows.len();
-                let mut labels: Vec<bool> = flips[..n].to_vec();
+        #[test]
+        fn matrix_fit_matches_vec_of_vec_reference() {
+            for seed in 0..256u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let cols = rng.random_range(1usize..5);
+                let n = rng.random_range(2usize..30);
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        (0..cols)
+                            .map(|_| rng.random_range(-100.0f64..100.0))
+                            .collect()
+                    })
+                    .collect();
+                let mut labels: Vec<bool> = (0..n).map(|_| rng.random()).collect();
                 // Guarantee both classes are present.
                 labels[0] = false;
                 labels[n - 1] = true;
-                let names = (0..rows[0].len()).map(|i| format!("f{i}")).collect();
+                let names = (0..cols).map(|i| format!("f{i}")).collect();
                 let mut data = Dataset::new(names);
                 for (r, &l) in rows.iter().zip(&labels) {
                     data.push(r.clone(), l);
                 }
-                let model = GaussianNaiveBayes.fit_model(&data).unwrap();
+                let model = GaussianNaiveBayes
+                    .fit_model(&data)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
                 let reference = reference_model(&rows, &labels);
-                prop_assert_eq!(&model.log_priors, &reference.log_priors);
-                prop_assert_eq!(&model.params, &reference.params);
+                assert_eq!(&model.log_priors, &reference.log_priors, "seed {seed}");
+                assert_eq!(&model.params, &reference.params, "seed {seed}");
                 for probe in rows.iter().take(3) {
-                    prop_assert_eq!(model.decision(probe), reference.decision(probe));
+                    assert_eq!(
+                        model.decision(probe),
+                        reference.decision(probe),
+                        "seed {seed}"
+                    );
                 }
             }
         }

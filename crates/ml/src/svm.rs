@@ -414,7 +414,8 @@ mod tests {
         //! The cached-dot-product kernel fill must agree with the original
         //! per-pair `Kernel::eval` over `Vec<Vec<f64>>` rows.
         use super::super::*;
-        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
 
         fn reference_kernel(kernel: Kernel, gamma: f64, rows: &[Vec<f64>]) -> Vec<f64> {
             let n = rows.len();
@@ -427,30 +428,42 @@ mod tests {
             k
         }
 
-        fn row_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-            (1usize..6).prop_flat_map(|cols| {
-                prop::collection::vec(prop::collection::vec(-50.0f64..50.0, cols), 1..12)
-            })
+        fn rows(rng: &mut StdRng) -> Vec<Vec<f64>> {
+            let cols = rng.random_range(1usize..6);
+            let n = rng.random_range(1usize..12);
+            (0..n)
+                .map(|_| {
+                    (0..cols)
+                        .map(|_| rng.random_range(-50.0f64..50.0))
+                        .collect()
+                })
+                .collect()
         }
 
-        proptest! {
-            #[test]
-            fn linear_kernel_rows_match_reference(rows in row_strategy()) {
+        #[test]
+        fn linear_kernel_rows_match_reference() {
+            for seed in 0..256u64 {
+                let rows = rows(&mut StdRng::seed_from_u64(seed));
                 let x = Matrix::from_rows(&rows);
                 let fast = kernel_matrix(Kernel::Linear, 0.0, &x);
                 let slow = reference_kernel(Kernel::Linear, 0.0, &rows);
                 for (f, s) in fast.iter().zip(&slow) {
-                    prop_assert_eq!(f, s, "linear kernel entry drifted");
+                    assert_eq!(f, s, "seed {seed}: linear kernel entry drifted");
                 }
             }
+        }
 
-            #[test]
-            fn rbf_kernel_rows_match_reference(rows in row_strategy(), gamma in 0.01f64..2.0) {
+        #[test]
+        fn rbf_kernel_rows_match_reference() {
+            for seed in 0..256u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let rows = rows(&mut rng);
+                let gamma = rng.random_range(0.01f64..2.0);
                 let x = Matrix::from_rows(&rows);
                 let fast = kernel_matrix(Kernel::Rbf { gamma: Some(gamma) }, gamma, &x);
                 let slow = reference_kernel(Kernel::Rbf { gamma: Some(gamma) }, gamma, &rows);
                 for (&f, &s) in fast.iter().zip(&slow) {
-                    prop_assert!((f - s).abs() <= 1e-9, "rbf entry {f} vs {s}");
+                    assert!((f - s).abs() <= 1e-9, "seed {seed}: rbf entry {f} vs {s}");
                 }
             }
         }

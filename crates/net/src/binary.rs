@@ -25,7 +25,7 @@
 //! every length is validated against the bytes actually remaining
 //! before any allocation, and every failure is a typed
 //! [`FrameError::Binary`] — never a panic, whatever the bytes (pinned
-//! by the mutation proptests in `tests/wire_codec.rs`).
+//! by the `fuzz_smoke` mutation sweep in `tests/wire_codec.rs`).
 //!
 //! Every encoder that takes a wire struct opens by destructuring it
 //! without `..`, and every decoder builds its struct with a `..`-free

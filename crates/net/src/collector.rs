@@ -81,7 +81,7 @@ impl Default for CollectorConfig {
             read_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(10),
             expected_tiers: 2,
-            max_lane_buffered_bytes: 2 * (crate::frame::MAX_FRAME_LEN as usize + 8),
+            max_lane_buffered_bytes: 2 * (crate::frame::MAX_FRAME_LEN + 8),
             stall_poll_budget: 2000,
             max_waiting_conns: 8,
         }

@@ -276,6 +276,10 @@ pub struct DigestFrame {
 }
 
 /// A protocol frame.
+// Not boxed: a `Box` around the sample variants would add an allocation
+// per sample on the measured path and change a shape
+// `benchmark/src/adapter.rs` constructs.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Frame {
     /// Session opener: who I am and what dialect I speak. Always JSON
@@ -806,7 +810,8 @@ mod tests {
 
     mod corruption_props {
         use super::*;
-        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
 
         /// A valid multi-frame stream to mutate.
         fn valid_stream() -> Vec<u8> {
@@ -829,32 +834,31 @@ mod tests {
             buf
         }
 
-        proptest! {
-            /// Decoding any byte-mutated (flipped and/or truncated)
-            /// variant of a valid stream must return frames or typed
-            /// errors — never panic, never allocate past the cap. The
-            /// drain loop terminates because every successful read
-            /// consumes at least the 8 header bytes.
-            #[test]
-            fn mutated_streams_decode_without_panicking(
-                flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..8),
-                truncate_to in any::<usize>(),
-            ) {
-                let mut bytes = valid_stream();
-                for (pos, mask) in flips {
-                    let idx = pos % bytes.len();
-                    bytes[idx] ^= mask;
+        /// Decoding any byte-mutated (flipped and/or truncated)
+        /// variant of a valid stream must return frames or typed
+        /// errors — never panic, never allocate past the cap. The
+        /// drain loop terminates because every successful read
+        /// consumes at least the 8 header bytes.
+        #[test]
+        fn mutated_streams_decode_without_panicking() {
+            let valid = valid_stream();
+            for seed in 0..256u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut bytes = valid.clone();
+                for _ in 0..rng.random_range(0usize..8) {
+                    let idx = rng.random_range(0..bytes.len());
+                    bytes[idx] ^= rng.random_range(1u32..=255) as u8;
                 }
-                let keep = truncate_to % (bytes.len() + 1);
-                bytes.truncate(keep);
+                bytes.truncate(rng.random_range(0..=bytes.len()));
                 let mut r = bytes.as_slice();
                 loop {
                     match read_frame(&mut r) {
                         Ok(_) => {}
                         Err(e) => {
-                            // Exercise the classification paths too.
-                            let _ = (e.is_eof(), e.is_timeout(), e.is_corrupt());
-                            let _ = e.to_string();
+                            assert!(
+                                e.is_eof() || e.is_corrupt(),
+                                "seed {seed}: neither end of stream nor corruption: {e}"
+                            );
                             break;
                         }
                     }

@@ -53,7 +53,9 @@ pub mod source;
 pub mod supervisor;
 pub mod transport;
 
-pub use agent::{run_agent, AgentConfig, AgentReport, FaultKnobs, FaultSchedule, HandshakeRejected};
+pub use agent::{
+    run_agent, AgentConfig, AgentReport, FaultKnobs, FaultSchedule, HandshakeRejected,
+};
 pub use collector::{
     run_collector, Assembler, AssemblerState, CollectorConfig, CollectorReport, ShedKind,
 };

@@ -67,6 +67,9 @@ impl SourceSample {
 }
 
 /// One poll of a [`SampleSource`].
+// Not boxed: `Ready` is the per-sample case on the measured path, where a
+// `Box` would add an allocation to every poll.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum SourcePoll {
     /// A measurement is ready.

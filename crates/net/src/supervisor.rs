@@ -36,8 +36,8 @@
 //! after a storm never re-opens the throttle.
 //!
 //! Every `snapshot_every` emitted windows the supervisor persists a
-//! [`CollectorSnapshot`] (meter + admission + assembler boundary state
-//! + health) via the crash-safe snapshot envelope; a restarted
+//! [`CollectorSnapshot`] (meter, admission, assembler boundary state
+//! and health) via the crash-safe snapshot envelope; a restarted
 //! collector resumes from it. A snapshot that fails integrity checks is
 //! *rejected*: the collector starts fresh — in SafeMode, because losing
 //! state is itself a degraded condition — instead of panicking.

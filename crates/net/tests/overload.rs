@@ -101,9 +101,11 @@ fn handshaken(endpoint: &Endpoint, tier: TierId) -> Conn {
 #[test]
 fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
     let meter = trained_meter();
-    let mut cfg = CollectorConfig::default();
-    cfg.stall_poll_budget = 50;
-    cfg.idle_timeout = Duration::from_millis(400);
+    let cfg = CollectorConfig {
+        stall_poll_budget: 50,
+        idle_timeout: Duration::from_millis(400),
+        ..CollectorConfig::default()
+    };
 
     let listener =
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
@@ -144,7 +146,9 @@ fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
     });
 
     assert!(
-        report.sheds.contains(&(TierId::App, ShedKind::StalledFrame)),
+        report
+            .sheds
+            .contains(&(TierId::App, ShedKind::StalledFrame)),
         "the half-open lane must be shed on the stall budget, got {:?}",
         report.sheds
     );
@@ -176,11 +180,13 @@ fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
 #[test]
 fn hostile_slow_writer_is_shed_on_the_write_backlog_bound() {
     let meter = trained_meter();
-    let mut cfg = CollectorConfig::default();
-    // Small lane bound (still far above any frame this test sends) so
-    // the backlog trips quickly once the kernel buffers jam.
-    cfg.max_lane_buffered_bytes = 16 * 1024;
-    cfg.idle_timeout = Duration::from_millis(400);
+    let cfg = CollectorConfig {
+        // Small lane bound (still far above any frame this test sends) so
+        // the backlog trips quickly once the kernel buffers jam.
+        max_lane_buffered_bytes: 16 * 1024,
+        idle_timeout: Duration::from_millis(400),
+        ..CollectorConfig::default()
+    };
 
     let listener =
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
@@ -212,7 +218,9 @@ fn hostile_slow_writer_is_shed_on_the_write_backlog_bound() {
     });
 
     assert!(
-        report.sheds.contains(&(TierId::App, ShedKind::WriteBacklog)),
+        report
+            .sheds
+            .contains(&(TierId::App, ShedKind::WriteBacklog)),
         "the never-reading peer must be shed on the write backlog, got {:?}",
         report.sheds
     );

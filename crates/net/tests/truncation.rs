@@ -140,7 +140,11 @@ fn every_strict_prefix_of_every_variant_is_a_typed_error() {
         let full = framed_prefix(&payload, payload.len());
         match try_extract_frame(&full) {
             Ok(Some((decoded, used))) => {
-                assert_eq!(used, full.len(), "{frame:?}: full frame must consume all bytes");
+                assert_eq!(
+                    used,
+                    full.len(),
+                    "{frame:?}: full frame must consume all bytes"
+                );
                 assert_eq!(decoded, frame, "{frame:?}: round-trip must be exact");
             }
             other => panic!("{frame:?}: full frame failed to decode: {other:?}"),

@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 /// deliberately excluded from serialized configurations (`serde` skips it
 /// at the embedding sites) so that meters trained at different thread
 /// counts serialize to identical bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Parallelism {
     /// Run every task inline on the calling thread (the reference path).
     Sequential,
@@ -39,6 +39,7 @@ pub enum Parallelism {
     /// value is a startup error, not a silent fallback — see
     /// [`jobs_from_env`]), otherwise the available hardware parallelism,
     /// capped at [`MAX_AUTO_THREADS`].
+    #[default]
     Auto,
 }
 
@@ -86,12 +87,6 @@ pub fn jobs_from_env() -> Result<Option<usize>, String> {
             }
         })
         .clone()
-}
-
-impl Default for Parallelism {
-    fn default() -> Parallelism {
-        Parallelism::Auto
-    }
 }
 
 impl Parallelism {

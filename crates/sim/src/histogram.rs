@@ -70,7 +70,7 @@ impl RtHistogram {
     }
 
     fn bucket_of(seconds: f64) -> usize {
-        if !(seconds > MIN_S) {
+        if seconds.is_nan() || seconds <= MIN_S {
             return 0;
         }
         let ratio = (MAX_S / MIN_S).ln();
@@ -183,7 +183,8 @@ impl Default for RtHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn quantiles_of_a_point_mass() {
@@ -281,61 +282,78 @@ mod tests {
         assert_eq!(RtHistogram::new().fraction_above(1.0), 0.0, "empty");
     }
 
-    proptest! {
-        /// Quantiles are monotone in q and bounded by the recorded range
-        /// up to bucket resolution.
-        #[test]
-        fn quantiles_are_monotone(values in prop::collection::vec(0.001f64..100.0, 1..200)) {
-            let mut h = RtHistogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            let qs = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
+    /// Cases per seeded property; a failing assertion names its seed.
+    const CASES: u64 = 256;
+
+    fn values(rng: &mut StdRng, len: std::ops::Range<usize>, hi: f64) -> Vec<f64> {
+        let n = rng.random_range(len);
+        (0..n).map(|_| rng.random_range(0.001f64..hi)).collect()
+    }
+
+    fn recorded(values: &[f64]) -> RtHistogram {
+        let mut h = RtHistogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
+    /// Quantiles are monotone in q and bounded by the recorded range
+    /// up to bucket resolution.
+    #[test]
+    fn quantiles_are_monotone() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values = values(&mut rng, 1..200, 100.0);
+            let h = recorded(&values);
             let mut last = 0.0;
-            for &q in &qs {
-                let v = h.quantile(q).unwrap();
-                prop_assert!(v >= last, "quantile not monotone at {}", q);
+            for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+                let v = h
+                    .quantile(q)
+                    .unwrap_or_else(|| panic!("seed {seed}: no quantile at {q}"));
+                assert!(v >= last, "seed {seed}: quantile not monotone at {q}");
                 last = v;
             }
             let max = values.iter().copied().fold(0.0f64, f64::max);
-            prop_assert!(last <= max * 1.3 + 1e-3, "q1.0 {} vs max {}", last, max);
+            assert!(
+                last <= max * 1.3 + 1e-3,
+                "seed {seed}: q1.0 {last} vs max {max}"
+            );
         }
+    }
 
-        /// `fraction_above` is monotone non-increasing in the threshold
-        /// and bounded by [0, 1].
-        #[test]
-        fn fraction_above_is_monotone(
-            values in prop::collection::vec(0.001f64..100.0, 1..200),
-            thresholds in prop::collection::vec(0.0005f64..150.0, 2..10),
-        ) {
-            let mut h = RtHistogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            let mut sorted = thresholds.clone();
-            sorted.sort_by(f64::total_cmp);
+    /// `fraction_above` is monotone non-increasing in the threshold
+    /// and bounded by [0, 1].
+    #[test]
+    fn fraction_above_is_monotone() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let h = recorded(&values(&mut rng, 1..200, 100.0));
+            let n = rng.random_range(2usize..10);
+            let mut thresholds: Vec<f64> =
+                (0..n).map(|_| rng.random_range(0.0005f64..150.0)).collect();
+            thresholds.sort_by(f64::total_cmp);
             let mut last = 1.0f64;
-            for &t in &sorted {
+            for t in thresholds {
                 let f = h.fraction_above(t);
-                prop_assert!((0.0..=1.0).contains(&f), "fraction {} at {}", f, t);
-                prop_assert!(f <= last + 1e-12, "not monotone at {}", t);
+                assert!((0.0..=1.0).contains(&f), "seed {seed}: fraction {f} at {t}");
+                assert!(f <= last + 1e-12, "seed {seed}: not monotone at {t}");
                 last = f;
             }
         }
+    }
 
-        /// Total count always equals the number of records after any merge
-        /// sequence.
-        #[test]
-        fn counts_are_conserved(
-            a in prop::collection::vec(0.001f64..50.0, 0..100),
-            b in prop::collection::vec(0.001f64..50.0, 0..100),
-        ) {
-            let mut ha = RtHistogram::new();
-            let mut hb = RtHistogram::new();
-            for &v in &a { ha.record(v); }
-            for &v in &b { hb.record(v); }
-            ha.merge(&hb);
-            prop_assert_eq!(ha.len(), (a.len() + b.len()) as u64);
+    /// Total count always equals the number of records after any merge
+    /// sequence.
+    #[test]
+    fn counts_are_conserved() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = values(&mut rng, 0..100, 50.0);
+            let b = values(&mut rng, 0..100, 50.0);
+            let mut ha = recorded(&a);
+            ha.merge(&recorded(&b));
+            assert_eq!(ha.len(), (a.len() + b.len()) as u64, "seed {seed}");
         }
     }
 }

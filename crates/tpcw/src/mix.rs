@@ -122,10 +122,8 @@ impl Mix {
     /// Panics if `w` is outside `[0, 1]`.
     pub fn blend(&self, other: &Mix, w: f64) -> Mix {
         assert!((0.0..=1.0).contains(&w), "blend weight must be in [0,1]");
-        let mut pct = [0.0; 14];
-        for i in 0..14 {
-            pct[i] = w * self.probabilities[i] + (1.0 - w) * other.probabilities[i];
-        }
+        let pct: [f64; 14] =
+            std::array::from_fn(|i| w * self.probabilities[i] + (1.0 - w) * other.probabilities[i]);
         Mix::from_percentages(MixId::Custom, &pct)
     }
 
@@ -140,9 +138,9 @@ impl Mix {
     pub fn perturbed<R: Rng + ?Sized>(&self, strength: f64, rng: &mut R) -> Mix {
         assert!((0.0..1.0).contains(&strength), "strength must be in [0,1)");
         let mut pct = [0.0; 14];
-        for i in 0..14 {
+        for (p, q) in pct.iter_mut().zip(&self.probabilities) {
             let factor = 1.0 + strength * (rng.random::<f64>() * 2.0 - 1.0);
-            pct[i] = self.probabilities[i] * factor;
+            *p = q * factor;
         }
         Mix::from_percentages(MixId::Custom, &pct)
     }

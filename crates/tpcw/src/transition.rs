@@ -303,10 +303,10 @@ mod tests {
         assert!(p.is_valid());
         assert_ne!(t, p);
         // Zero-probability edges stay zero (structure preserved).
-        for i in 0..14 {
-            for j in 0..14 {
-                if NAVIGATION[i][j] == 0 {
-                    assert_eq!(p.rows[i][j], 0.0, "edge ({i},{j}) appeared");
+        for (i, (allowed, row)) in NAVIGATION.iter().zip(&p.rows).enumerate() {
+            for (j, (&edge, &prob)) in allowed.iter().zip(row).enumerate() {
+                if edge == 0 {
+                    assert_eq!(prob, 0.0, "edge ({i},{j}) appeared");
                 }
             }
         }

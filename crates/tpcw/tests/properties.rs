@@ -1,122 +1,149 @@
-//! Property-based tests of the TPC-W workload model's invariants.
+//! Property tests of the TPC-W workload model's invariants.
+//!
+//! Each property runs [`CASES`] cases, one per generator seed; a failing
+//! assertion names the seed, which reproduces the case.
 
-use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use webcap_tpcw::{Mix, RequestType, TrafficProgram, TransitionModel};
 
-fn canonical(ix: u8) -> Mix {
-    match ix % 3 {
+const CASES: u64 = 256;
+
+fn canonical(rng: &mut StdRng) -> Mix {
+    match rng.random_range(0u32..3) {
         0 => Mix::browsing(),
         1 => Mix::shopping(),
         _ => Mix::ordering(),
     }
 }
 
-proptest! {
-    /// Blending and perturbing preserve normalization and keep the browse
-    /// fraction inside the blend envelope.
-    #[test]
-    fn mix_algebra_preserves_normalization(
-        a in 0u8..3,
-        b in 0u8..3,
-        w in 0.0f64..1.0,
-        strength in 0.0f64..0.5,
-        seed in any::<u64>(),
-    ) {
-        let mix_a = canonical(a);
-        let mix_b = canonical(b);
+/// Blending and perturbing preserve normalization and keep the browse
+/// fraction inside the blend envelope.
+#[test]
+fn mix_algebra_preserves_normalization() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mix_a = canonical(&mut rng);
+        let mix_b = canonical(&mut rng);
+        let w = rng.random_range(0.0f64..1.0);
+        let strength = rng.random_range(0.0f64..0.5);
         let blended = mix_a.blend(&mix_b, w);
         let sum: f64 = blended.probabilities().iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
+        assert!((sum - 1.0).abs() < 1e-9, "seed {seed}: sum {sum}");
         let (lo, hi) = {
             let x = mix_a.browse_fraction();
             let y = mix_b.browse_fraction();
             (x.min(y), x.max(y))
         };
         let bf = blended.browse_fraction();
-        prop_assert!(bf >= lo - 1e-9 && bf <= hi + 1e-9, "{bf} outside [{lo},{hi}]");
+        assert!(
+            bf >= lo - 1e-9 && bf <= hi + 1e-9,
+            "seed {seed}: {bf} outside [{lo},{hi}]"
+        );
 
-        let mut rng = StdRng::seed_from_u64(seed);
         let perturbed = blended.perturbed(strength, &mut rng);
         let sum: f64 = perturbed.probabilities().iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
-        for (p, q) in perturbed.probabilities().iter().zip(blended.probabilities()) {
-            prop_assert!(*p >= 0.0);
+        assert!((sum - 1.0).abs() < 1e-9, "seed {seed}: perturbed sum {sum}");
+        for (p, q) in perturbed
+            .probabilities()
+            .iter()
+            .zip(blended.probabilities())
+        {
+            assert!(*p >= 0.0, "seed {seed}");
             // Perturbation is bounded multiplicatively (up to renorm).
             if *q > 0.0 {
-                prop_assert!(p / q < (1.0 + strength) / (1.0 - strength) + 1e-6);
+                assert!(
+                    p / q < (1.0 + strength) / (1.0 - strength) + 1e-6,
+                    "seed {seed}: {p} / {q} at strength {strength}"
+                );
             }
         }
     }
+}
 
-    /// Sampling never produces an interaction whose mix probability is 0.
-    #[test]
-    fn sampling_respects_support(seed in any::<u64>(), zeroed in 0usize..14) {
+/// Sampling never produces an interaction whose mix probability is 0.
+#[test]
+fn sampling_respects_support() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let zeroed = rng.random_range(0usize..14);
         let mut weights = [1.0f64; 14];
         weights[zeroed] = 0.0;
         let mix = Mix::custom(&weights);
-        let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..300 {
             let t = mix.sample(&mut rng);
-            prop_assert_ne!(t.index(), zeroed, "sampled a zero-probability type");
+            assert_ne!(
+                t.index(),
+                zeroed,
+                "seed {seed}: sampled a zero-probability type"
+            );
         }
     }
+}
 
-    /// Traffic programs: population at any time is bounded by the phase
-    /// extrema, and the program duration is the sum of phase durations.
-    #[test]
-    fn program_population_is_bounded(
-        levels in prop::collection::vec((1u32..500, 10.0f64..60.0), 1..6),
-        probe in 0.0f64..400.0,
-    ) {
+/// Traffic programs: population at any time is bounded by the phase
+/// extrema, and the program duration is the sum of phase durations.
+#[test]
+fn program_population_is_bounded() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let levels: Vec<(u32, f64)> = (0..rng.random_range(1usize..6))
+            .map(|_| (rng.random_range(1u32..500), rng.random_range(10.0f64..60.0)))
+            .collect();
+        let probe = rng.random_range(0.0f64..400.0);
         let mut program = TrafficProgram::steady(Mix::shopping(), levels[0].0, levels[0].1);
         for &(ebs, d) in &levels[1..] {
             program = program.then_ramp(Mix::shopping(), ebs, d);
         }
         let expected: f64 = levels.iter().map(|l| l.1).sum();
-        prop_assert!((program.duration_s() - expected).abs() < 1e-9);
+        assert!(
+            (program.duration_s() - expected).abs() < 1e-9,
+            "seed {seed}"
+        );
         let max = levels.iter().map(|l| l.0).max().unwrap();
         let min = levels.iter().map(|l| l.0).min().unwrap();
         let ebs = program.at(probe).ebs;
-        prop_assert!(ebs >= min && ebs <= max, "{ebs} outside [{min},{max}]");
+        assert!(
+            ebs >= min && ebs <= max,
+            "seed {seed}: {ebs} outside [{min},{max}]"
+        );
     }
+}
 
-    /// Transition chains stay row-stochastic under arbitrary blend +
-    /// perturbation pipelines, and their stationary distributions are
-    /// proper distributions over the 14 interactions.
-    #[test]
-    fn transition_chains_stay_valid(
-        a in 0u8..3,
-        b in 0u8..3,
-        w in 0.0f64..1.0,
-        strength in 0.0f64..0.6,
-        seed in any::<u64>(),
-    ) {
-        let mix = canonical(a).blend(&canonical(b), w);
+/// Transition chains stay row-stochastic under arbitrary blend +
+/// perturbation pipelines, and their stationary distributions are
+/// proper distributions over the 14 interactions.
+#[test]
+fn transition_chains_stay_valid() {
+    for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
+        let (a, b) = (canonical(&mut rng), canonical(&mut rng));
+        let mix = a.blend(&b, rng.random_range(0.0f64..1.0));
+        let strength = rng.random_range(0.0f64..0.6);
         let chain = TransitionModel::from_mix(&mix).perturbed(strength, &mut rng);
-        prop_assert!(chain.is_valid());
+        assert!(chain.is_valid(), "seed {seed}");
         let pi = chain.stationary();
         let sum: f64 = pi.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-6);
-        prop_assert!(pi.iter().all(|p| (0.0..=1.0).contains(p)));
+        assert!((sum - 1.0).abs() < 1e-6, "seed {seed}: sum {sum}");
+        assert!(pi.iter().all(|p| (0.0..=1.0).contains(p)), "seed {seed}");
         // Home is reachable from everywhere, so it must carry mass.
-        prop_assert!(pi[RequestType::Home.index()] > 0.01);
+        assert!(pi[RequestType::Home.index()] > 0.01, "seed {seed}");
     }
+}
 
-    /// Walking the chain visits only structurally allowed edges.
-    #[test]
-    fn chain_walk_respects_structure(mix_ix in 0u8..3, seed in any::<u64>()) {
-        let chain = TransitionModel::from_mix(&canonical(mix_ix));
+/// Walking the chain visits only structurally allowed edges.
+#[test]
+fn chain_walk_respects_structure() {
+    for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
+        let chain = TransitionModel::from_mix(&canonical(&mut rng));
         let mut current = None;
         for _ in 0..200 {
             let next = chain.sample(current, &mut rng);
             if let Some(c) = current {
-                prop_assert!(
+                assert!(
                     chain.row(c)[next.index()] > 0.0,
-                    "walked a zero-probability edge {:?} -> {:?}", c, next
+                    "seed {seed}: walked a zero-probability edge {c:?} -> {next:?}"
                 );
             }
             current = Some(next);

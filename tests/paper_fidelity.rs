@@ -9,8 +9,7 @@
 //! `small_for_tests`) and asserts on the seed-mean, or on the mean of
 //! the per-seed difference for an ordering claim. Each bound sits at
 //! least three standard errors of that mean (seed-to-seed s.d. / √K)
-//! from the value measured on the splitmix64 stand-in `StdRng` stream,
-//! so another RNG stream or one different seed moves a sample, not a
+//! from the measured value, so one different seed moves a sample, not a
 //! verdict. A failure names the paper's value, the measured mean, range
 //! and standard error, and the bound.
 //!
