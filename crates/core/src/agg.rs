@@ -6,19 +6,20 @@
 use webcap_sim::SystemSample;
 use webcap_tpcw::MixId;
 
-/// Element-wise mean of equal-width rows; empty input yields an empty
-/// vector and a single row is returned unchanged.
+/// Element-wise mean of equal-width rows, read in place; empty input
+/// yields an empty vector and a single row is returned unchanged.
 ///
 /// # Panics
 ///
 /// Panics if the rows have differing widths — a width mismatch upstream
 /// is a wiring bug that a silently truncating zip would hide.
-pub(crate) fn mean_rows<I: Iterator<Item = Vec<f64>>>(rows: I) -> Vec<f64> {
+pub(crate) fn mean_rows<R: AsRef<[f64]>>(rows: impl Iterator<Item = R>) -> Vec<f64> {
     let mut acc: Vec<f64> = Vec::new();
     let mut n = 0usize;
     for row in rows {
+        let row = row.as_ref();
         if n == 0 {
-            acc = row;
+            acc = row.to_vec();
         } else {
             assert_eq!(
                 acc.len(),
@@ -201,7 +202,7 @@ mod tests {
                 acc.push(row.clone());
             }
             let incremental = acc.finish();
-            let batched = mean_rows(rows.iter().take(take).cloned());
+            let batched = mean_rows(rows.iter().take(take));
             assert_eq!(
                 incremental.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

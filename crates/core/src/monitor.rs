@@ -152,7 +152,7 @@ impl RunLog {
                 let os_row = mean_rows(
                     tier.select(&self.os)[range.clone()]
                         .iter()
-                        .map(|s| s.values().to_vec()),
+                        .map(|s| s.values()),
                 );
                 let mut combined = os_row.clone();
                 combined.extend_from_slice(&hpc_row);

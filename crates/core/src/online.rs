@@ -149,8 +149,7 @@ impl OnlineMonitor {
             hpc[tier.index()] = DerivedMetrics::from_sample(&counters).to_features();
             os[tier.index()] = self.os_collectors[tier.index()]
                 .sample(ts, sample.interval_s, &mut self.rng)
-                .values()
-                .to_vec();
+                .into_values();
         }
         self.push_collected(sample, hpc, os)
     }

@@ -10,8 +10,9 @@ use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
-/// Identifier of a job inside the simulator (an in-flight request).
-pub type JobId = u64;
+/// Identifier of a job inside the simulator: an in-flight request,
+/// named by the index of the emulated browser that waits for it.
+pub type JobId = usize;
 
 /// A processor-sharing CPU with `cores` cores at `speed` work-units per
 /// second each, degraded by contention when more jobs are runnable than
@@ -33,7 +34,6 @@ pub struct PsCpu {
     background: f64,
     jobs: Vec<(JobId, f64)>,
     last_update: SimTime,
-    generation: u64,
     // Cumulative accumulators.
     busy_time_s: f64,
     delivered_work_s: f64,
@@ -57,7 +57,6 @@ impl PsCpu {
             background: 0.0,
             jobs: Vec::new(),
             last_update: SimTime::ZERO,
-            generation: 0,
             busy_time_s: 0.0,
             delivered_work_s: 0.0,
             job_time_integral: 0.0,
@@ -75,21 +74,19 @@ impl PsCpu {
     }
 
     /// Update the background-interference fraction. Advances accounting to
-    /// `now` first so past work is credited at the old rate, then bumps the
-    /// generation (pending completion events are stale at the new rate).
+    /// `now` first so past work is credited at the old rate; a completion
+    /// time computed before the call no longer holds at the new one.
     ///
     /// # Panics
     ///
     /// Panics if `background` is not within `[0, 0.95]`.
-    pub fn set_background(&mut self, now: SimTime, background: f64) -> u64 {
+    pub fn set_background(&mut self, now: SimTime, background: f64) {
         assert!(
             (0.0..=0.95).contains(&background),
             "background must be in [0, 0.95]"
         );
         self.advance(now);
         self.background = background;
-        self.generation += 1;
-        self.generation
     }
 
     /// Current background-interference fraction.
@@ -105,12 +102,6 @@ impl PsCpu {
     /// Number of runnable jobs.
     pub fn active_jobs(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// Generation counter; bumps on every membership change so stale
-    /// completion events can be discarded.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Advance internal accounting to `now`, depleting remaining work.
@@ -136,18 +127,15 @@ impl PsCpu {
 
     /// Add a runnable job with `work` seconds of speed-1.0 demand.
     ///
-    /// Call [`PsCpu::advance`] first (the engine always does). Returns the
-    /// new generation.
+    /// Call [`PsCpu::advance`] first (the engine always does).
     ///
     /// # Panics
     ///
     /// Panics if `work` is negative or non-finite.
-    pub fn push(&mut self, now: SimTime, id: JobId, work: f64) -> u64 {
+    pub fn push(&mut self, now: SimTime, id: JobId, work: f64) {
         assert!(work >= 0.0 && work.is_finite(), "work must be nonnegative");
         self.advance(now);
         self.jobs.push((id, work));
-        self.generation += 1;
-        self.generation
     }
 
     /// When the next job will finish if the membership stays unchanged.
@@ -165,12 +153,12 @@ impl PsCpu {
     }
 
     /// Remove and return the job with the least remaining work (the one
-    /// that completes first). Returns the new generation alongside.
+    /// that completes first).
     ///
     /// # Panics
     ///
     /// Panics if no job is active.
-    pub fn pop_completed(&mut self, now: SimTime) -> (JobId, u64) {
+    pub fn pop_completed(&mut self, now: SimTime) -> JobId {
         self.advance(now);
         assert!(!self.jobs.is_empty(), "no active job to complete");
         let idx = self
@@ -180,9 +168,7 @@ impl PsCpu {
             .min_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).expect("work is finite"))
             .map(|(i, _)| i)
             .expect("non-empty");
-        let (id, _) = self.jobs.swap_remove(idx);
-        self.generation += 1;
-        (id, self.generation)
+        self.jobs.swap_remove(idx).0
     }
 
     /// Remaining work of the job closest to completion (for tests).
@@ -432,8 +418,7 @@ mod tests {
         cpu.push(t(0.0), 1, 1.0); // 1 work unit at 2 units/s → 0.5 s
         let done = cpu.next_completion(t(0.0)).unwrap();
         assert!((done.as_secs_f64() - 0.5).abs() < 1e-5, "done at {done}");
-        let (id, _) = cpu.pop_completed(done);
-        assert_eq!(id, 1);
+        assert_eq!(cpu.pop_completed(done), 1);
         assert_eq!(cpu.active_jobs(), 0);
     }
 
@@ -476,20 +461,9 @@ mod tests {
         cpu.push(t(0.0), 7, 5.0);
         cpu.push(t(0.0), 8, 0.5);
         let done = cpu.next_completion(t(0.0)).unwrap();
-        let (id, _) = cpu.pop_completed(done);
-        assert_eq!(id, 8);
+        assert_eq!(cpu.pop_completed(done), 8);
         // Remaining job has 5 − 0.5 = 4.5 left (each got 0.5 of work).
         assert!((cpu.min_remaining().unwrap() - 4.5).abs() < 1e-5);
-    }
-
-    #[test]
-    fn generation_bumps_on_membership_change() {
-        let mut cpu = PsCpu::new(1, 1.0, 0.0);
-        let g1 = cpu.push(t(0.0), 1, 1.0);
-        let g2 = cpu.push(t(0.0), 2, 1.0);
-        assert!(g2 > g1);
-        let (_, g3) = cpu.pop_completed(cpu.next_completion(t(0.0)).unwrap());
-        assert!(g3 > g2);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webcap_sim::resources::{FcfsDisk, PsCpu, TokenPool};
-use webcap_sim::{run, SimConfig, SimTime};
-use webcap_tpcw::{Mix, TrafficProgram};
+use webcap_sim::{run, SimConfig, SimTime, SystemSample, TierId};
+use webcap_tpcw::{Mix, RequestType, TrafficProgram};
 
 const CASES: u64 = 256;
 
@@ -33,7 +33,7 @@ fn ps_cpu_conserves_work() {
         let mut cpu = PsCpu::new(cores, 1.0, alpha);
         let total: f64 = demands.iter().sum();
         for (i, &d) in demands.iter().enumerate() {
-            cpu.push(t(0.0), i as u64, d);
+            cpu.push(t(0.0), i, d);
         }
         let mut now = t(0.0);
         let mut completed = 0usize;
@@ -65,7 +65,7 @@ fn ps_cpu_completions_are_ordered() {
         let demands = f64s(&mut rng, 2..15, 0.01..1.0);
         let mut cpu = PsCpu::new(1, 1.0, 0.0);
         for (i, &d) in demands.iter().enumerate() {
-            cpu.push(t(0.0), i as u64, d);
+            cpu.push(t(0.0), i, d);
         }
         let mut now = t(0.0);
         let mut last = now;
@@ -86,10 +86,10 @@ fn token_pool_is_conserving_and_fifo() {
         let mut rng = StdRng::seed_from_u64(seed);
         let capacity = rng.random_range(1usize..8);
         let mut pool = TokenPool::new(capacity);
-        let mut queued: Vec<u64> = Vec::new();
-        let mut granted: Vec<u64> = Vec::new();
+        let mut queued: Vec<usize> = Vec::new();
+        let mut granted: Vec<usize> = Vec::new();
         let mut held = 0usize;
-        let mut next_id = 0u64;
+        let mut next_id = 0usize;
         let mut clock = 0.0;
         for _ in 0..rng.random_range(1usize..40) {
             let arrival: bool = rng.random();
@@ -151,7 +151,7 @@ fn check_disk(case: &str, services: &[f64]) {
     let mut disk = FcfsDisk::new();
     let mut pending: Option<SimTime> = None;
     for (i, &s) in services.iter().enumerate() {
-        if let Some(done) = disk.submit(t(0.0), i as u64, s) {
+        if let Some(done) = disk.submit(t(0.0), i, s) {
             pending = Some(done);
         }
     }
@@ -163,7 +163,7 @@ fn check_disk(case: &str, services: &[f64]) {
     }
     assert_eq!(order.len(), services.len(), "{case}");
     for (i, &id) in order.iter().enumerate() {
-        assert_eq!(id, i as u64, "{case}: FCFS order violated");
+        assert_eq!(id, i, "{case}: FCFS order violated");
     }
     let total: f64 = services.iter().sum();
     let (busy, _, ops) = disk.stats(t(1000.0));
@@ -202,4 +202,102 @@ fn engine_conserves_requests_and_is_deterministic() {
             assert!((0.0..=1.0).contains(&s.db.disk_utilization), "case {case}");
         }
     }
+}
+
+/// Operational laws on the steady state of whole runs (Molero/Juiz in
+/// PAPERS.md): the simulator labels every training instance and answers
+/// every capacity probe, so its conservation identities are checked
+/// directly rather than trusted. Each law is a ratio of sums over the
+/// samples after warm-up. What is left is the edge effect of requests
+/// in flight at the two ends of the span and, for the response-time
+/// law, the count noise of a renewal process (≈ 1/√3 400 = 1.7 % at
+/// 50 EBs, where the worst cell is). Worst errors over the grid, in the
+/// order asserted: 3.8 % / 1.4 % / 0.21 % / 1.8 %; the test prints them.
+///
+/// The utilization law `U = X·S` is not asserted: `utilization` is the
+/// share of time *any* job was runnable, not per-core busy time, so on
+/// the dual-core DB tier it is not `X·S / cores`. Work conservation is
+/// the form of that law the telemetry supports.
+#[test]
+fn steady_runs_obey_the_operational_laws() {
+    const WARM_UP_SAMPLES: usize = 120;
+    const LAWS: [(&str, f64); 4] = [
+        ("response-time law X(R+Z)=N", 0.05),
+        ("Little's law on the app tier", 0.02),
+        ("work conservation", 0.005),
+        ("forced flow to the DB tier", 0.04),
+    ];
+    // Mean of the TPC-W think time: exponential with mean 7 s, capped
+    // at 70 s.
+    let think_s = 7.0 * (1.0 - (-10.0f64).exp());
+    let mut worst = [0.0f64; 4];
+    for (mix_name, mix) in [
+        ("browsing", Mix::browsing()),
+        ("shopping", Mix::shopping()),
+        ("ordering", Mix::ordering()),
+    ] {
+        for ebs in [50u32, 200, 400, 600, 900] {
+            for seed in 0..4u64 {
+                let cell = format!("{mix_name}, {ebs} EBs, seed {seed}");
+                let cfg = SimConfig::testbed(seed);
+                let db_visits: f64 = RequestType::ALL
+                    .iter()
+                    .map(|&t| mix.probability(t) * f64::from(cfg.profile.demand(t).db_calls))
+                    .sum();
+                let out = run(cfg, TrafficProgram::steady(mix.clone(), ebs, 600.0));
+                let tail = &out.samples[WARM_UP_SAMPLES..];
+                let sum = |f: &dyn Fn(&SystemSample) -> f64| tail.iter().map(f).sum::<f64>();
+                let span_s = sum(&|s| s.interval_s);
+                let completed = sum(&|s| s.completed as f64);
+                let response_s = sum(&|s| s.response_time_sum_s);
+
+                // Interactive response-time law: X·(R + Z) = N.
+                let population = completed / span_s * (response_s / completed + think_s);
+                // Little's law on the app tier, whose worker is held
+                // for the whole request: ∫ n(t) dt = Σ response times.
+                let app_residence_s =
+                    sum(&|s| (s.app.pool_in_use_avg + s.app.pool_queue_avg) * s.interval_s);
+                // Work conservation, the worse tier: every CPU-second
+                // submitted is delivered.
+                let work_error = TierId::ALL
+                    .iter()
+                    .map(|&tier| {
+                        let delivered = sum(&|s| s.tier(tier).delivered_work_s);
+                        let submitted = sum(&|s| {
+                            let t = s.tier(tier);
+                            t.browse_work_submitted_s + t.order_work_submitted_s
+                        });
+                        (delivered / submitted - 1.0).abs()
+                    })
+                    .fold(0.0, f64::max);
+                // Forced flow: DB calls per request = Σ p(t)·db_calls(t).
+                let db_calls_per_request = sum(&|s| s.db.completions as f64) / completed;
+
+                let errors = [
+                    (population / f64::from(ebs) - 1.0).abs(),
+                    (app_residence_s / response_s - 1.0).abs(),
+                    work_error,
+                    (db_calls_per_request / db_visits - 1.0).abs(),
+                ];
+                for ((law, tolerance), (error, worst)) in
+                    LAWS.iter().zip(errors.iter().zip(&mut worst))
+                {
+                    assert!(
+                        error < tolerance,
+                        "{cell}: {law} is off by {:.3} % (tolerance {} %)",
+                        error * 100.0,
+                        tolerance * 100.0
+                    );
+                    *worst = worst.max(*error);
+                }
+            }
+        }
+    }
+    println!(
+        "worst relative errors: response-time {:.2} %, Little {:.2} %, work {:.2} %, forced flow {:.2} %",
+        worst[0] * 100.0,
+        worst[1] * 100.0,
+        worst[2] * 100.0,
+        worst[3] * 100.0
+    );
 }
