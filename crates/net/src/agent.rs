@@ -4,7 +4,11 @@
 //! threaded by design — poll the [`SampleSource`], synthesize the metric
 //! rows ([`TierSampler`]), enqueue, send — with exactly one helper
 //! thread per connection that drains the collector's acknowledgments so
-//! the peer's write buffer can never fill and deadlock the pair.
+//! the peer's write buffer can never fill and deadlock the pair. The
+//! helper sleeps in a blocking read and wakes once per collector flush:
+//! one `read` takes the whole burst of acks into a reassembly buffer
+//! (the one the collector's lanes use), so an ack cut in two by a short
+//! read or a read timeout is simply completed by the next read.
 //!
 //! Robustness model:
 //!
@@ -12,7 +16,11 @@
 //!   collector is unreachable accumulate in a bounded queue; when it
 //!   overflows the *oldest* sample is dropped, because the freshest data
 //!   is what an online capacity decision needs. Every drop becomes a
-//!   sequence gap the collector detects and quarantines.
+//!   sequence gap the collector detects and quarantines. A collector
+//!   that is merely slow is felt here too, and only here: it reads a
+//!   lane no faster than it decides, so its backlog is this agent's
+//!   blocked `write` (TCP flow control), never memory growing at the
+//!   collector.
 //! * **Reconnect with jittered exponential backoff.** Dial failures
 //!   back off exponentially (capped), with a ±25% deterministic jitter
 //!   derived from the agent seed so a fleet of agents does not dial a
@@ -26,7 +34,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use webcap_core::RetryPolicy;
@@ -34,8 +42,8 @@ use webcap_hpc::HpcModel;
 use webcap_sim::TierId;
 
 use crate::frame::{
-    metric_schema_hash, read_frame, write_frame, write_frame_codec, Frame, WireCaps, WireCodec,
-    WireSample, PROTO_VERSION,
+    metric_schema_hash, read_frame, write_frame, write_frame_codec, Frame, FrameBuf, WireCaps,
+    WireCodec, WireSample, PROTO_VERSION,
 };
 use crate::source::{SampleSource, SourcePoll, TierSampler};
 use crate::transport::{is_timeout, Conn, Endpoint};
@@ -378,31 +386,35 @@ pub fn run_agent(
         conn.set_read_timeout(Some(cfg.read_timeout))?;
         report.sessions += 1;
 
-        let acks = AtomicU64::new(0);
-        let rejects = AtomicU64::new(0);
         let done = AtomicBool::new(false);
         let ack_conn = conn.try_clone()?;
         let mut conn = conn;
         let end = std::thread::scope(|scope| -> io::Result<SessionEnd> {
-            scope.spawn(|| {
+            // The ack reader: one blocking read per burst of acks — the
+            // collector flushes once per service round — counted until
+            // the collector's EOF, a dead or unparseable stream, or a
+            // read timeout once the session is over.
+            let ack_reader = scope.spawn(|| {
                 let mut ack_conn = ack_conn;
-                loop {
-                    match read_frame(&mut ack_conn) {
-                        Ok(Frame::Ack { .. }) => {
-                            acks.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Frame::Reject { .. }) => {
-                            rejects.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(_) => {}
-                        Err(e) if e.is_timeout() => {
-                            if done.load(Ordering::Relaxed) {
-                                break;
-                            }
-                        }
+                let mut rbuf = FrameBuf::default();
+                let (mut acks, mut rejects) = (0u64, 0u64);
+                'read: loop {
+                    match rbuf.fill(&mut ack_conn) {
+                        Ok(()) => {}
+                        Err(e) if e.is_timeout() && !done.load(Ordering::Relaxed) => continue,
                         Err(_) => break,
                     }
+                    loop {
+                        match rbuf.next_frame() {
+                            Ok(Some(Frame::Ack { .. })) => acks += 1,
+                            Ok(Some(Frame::Reject { .. })) => rejects += 1,
+                            Ok(Some(_)) => {}
+                            Ok(None) => break,
+                            Err(_) => break 'read,
+                        }
+                    }
                 }
+                (acks, rejects)
             });
 
             let mut conn_sent: u64 = 0;
@@ -595,10 +607,13 @@ pub fn run_agent(
             // unread resets the connection, and a reset discards frames
             // still in the collector's receive queue.
             let _ = conn.shutdown_write();
+            let (acks, rejects) = ack_reader
+                .join()
+                .map_err(|_| io::Error::other("ack reader panicked"))?;
+            report.acks_received += acks;
+            report.rejects_received += rejects;
             Ok(end)
         })?;
-        report.acks_received += acks.load(Ordering::Relaxed);
-        report.rejects_received += rejects.load(Ordering::Relaxed);
 
         match end {
             SessionEnd::Done => return Ok(report),
@@ -691,6 +706,7 @@ mod tests {
     #[test]
     fn a_terminal_reject_is_not_retried() {
         use crate::transport::Listener;
+        use std::sync::atomic::AtomicU64;
         use std::sync::Arc;
 
         let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").unwrap()).unwrap();

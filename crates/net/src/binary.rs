@@ -97,11 +97,12 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+/// A metric row moves whole: room for all of it is made once, so the
+/// per-value appends never grow the buffer.
 fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_u64v(out, vs.len() as u64);
-    for v in vs {
-        put_f64(out, *v);
-    }
+    out.reserve(8 * vs.len());
+    out.extend(vs.iter().flat_map(|v| v.to_bits().to_le_bytes()));
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -572,13 +573,19 @@ impl<'a> Cur<'a> {
         }
     }
 
+    /// A metric row moves whole: its `8·n` bytes are taken once — `count`
+    /// has already held them against the bytes remaining — and converted
+    /// in place of `n` bounds-checked reads.
     fn f64s(&mut self) -> Res<Vec<f64>> {
         let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        let Some(len) = n.checked_mul(8) else {
+            return corrupt("count exceeds payload");
+        };
+        let row = self
+            .take(len)?
+            .chunks_exact(8)
+            .map(|value| f64::from_bits(u64::from_le_bytes(value.try_into().unwrap_or_default())));
+        Ok(row.collect())
     }
 
     fn tier(&mut self) -> Res<TierId> {

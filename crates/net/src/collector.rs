@@ -13,12 +13,22 @@
 //! emitted decision stream is therefore a pure function of the two
 //! per-tier frame sequences, which is what lets the fault-injection
 //! test demand byte-identical JSON against an in-process replay.
+//!
+//! The socketed collector is **one thread**: `pump_events` is the poll
+//! loop — accept and handshake, read each tier's lane, decode,
+//! reassemble, decide, queue acks, flush — and calls its handler
+//! ([`run_collector`]'s or the supervisor's) directly for every event.
+//! There is no queue between the socket and the meter, so the only
+//! buffers that grow with a slow consumer are the lanes' own, bounded
+//! by [`CollectorConfig::max_lane_buffered_bytes`]; past that the
+//! kernel's socket buffers fill and the overload is the agents' — a
+//! blocked `write`, then their bounded queues (see [`crate::agent`]).
+//! One collector decodes and decides in under a microsecond per sample;
+//! more ingest than one core carries is `webcap-fleet`'s K collectors,
+//! not threads inside one.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::io::{self, Write};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -26,8 +36,8 @@ use webcap_core::{CapacityMeter, OnlineDecision};
 use webcap_sim::TierId;
 
 use crate::frame::{
-    encode_payload, metric_schema_hash, read_frame, try_extract_frame, write_frame, Frame,
-    TierWindowDigest, WireCodec, WireSample, PROTO_VERSION,
+    encode_payload, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf, TierWindowDigest,
+    WireCodec, WireSample, PROTO_VERSION,
 };
 use crate::reassembly::{score_window, DigesterState, TierDigester};
 use crate::transport::{is_timeout, Conn, Listener};
@@ -64,7 +74,7 @@ pub struct CollectorConfig {
     /// accumulated-idle defence against half-open peers (silent after a
     /// partial header) and hostile slow writers (dribbling bytes so the
     /// plain idle clock never fires) — both previously pinned a lane
-    /// forever whenever another lane kept the poller busy. The default
+    /// forever whenever another lane kept the pump busy. The default
     /// matches `read_timeout` at the 1 ms poll cadence.
     pub stall_poll_budget: u32,
     /// Overload bound on handshaken connections queued behind a tier's
@@ -374,13 +384,16 @@ pub struct AssemblerState {
     pub anomalies: u64,
 }
 
+// Not boxed: the pump hands each event to its handler by value, on the
+// same stack, and a `Box` would put an allocation back on every sample.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Event {
     SessionStart {
         tier: TierId,
     },
     Sample {
         tier: TierId,
-        ws: Box<WireSample>,
+        ws: WireSample,
     },
     Bye {
         tier: TierId,
@@ -399,8 +412,8 @@ pub(crate) enum Event {
         kind: ShedKind,
     },
     Rejected,
-    /// Synthesized by [`pump_events`]: nothing arrived within the idle
-    /// timeout while sessions were live.
+    /// Synthesized by [`pump_events`]: nothing was delivered within the
+    /// idle timeout while sessions were live.
     Stale,
 }
 
@@ -467,7 +480,7 @@ pub(crate) fn handshake(conn: &mut Conn, cfg: &CollectorConfig) -> io::Result<(T
     Ok((tier, caps.codec))
 }
 
-/// Why a live session ended, as the poller observed it.
+/// Why a live session ended, as the pump observed it.
 enum LaneEnd {
     /// Peer said `Bye`, hit EOF, went silent past the read timeout, or
     /// sent a frame kind that has no business mid-session.
@@ -475,12 +488,9 @@ enum LaneEnd {
     /// The overload policy dropped the session; announce the shed
     /// before the (abnormal) session end.
     Shed(ShedKind),
-    /// The event channel is gone: the collector run is over, stop
-    /// servicing everything.
-    Fatal,
 }
 
-/// One tier's live connection inside the poller: the nonblocking socket
+/// One tier's live connection inside the pump: the nonblocking socket
 /// plus its frame-reassembly and pending-write buffers. All buffers are
 /// reused for the connection's lifetime — servicing a frame on the
 /// steady path allocates nothing beyond the decoded `Frame` itself.
@@ -489,18 +499,18 @@ struct ConnState {
     tier: TierId,
     /// Codec negotiated at handshake; acks and rejects go back in it.
     codec: WireCodec,
-    /// Unparsed inbound bytes.
-    rbuf: Vec<u8>,
+    /// Inbound bytes not yet parsed into frames.
+    rbuf: FrameBuf,
     /// Outbound bytes the socket has not yet accepted.
     wbuf: Vec<u8>,
     /// Encode scratch for outbound frames.
     scratch: Vec<u8>,
-    /// Accumulated poller sleep since this connection last produced
+    /// Accumulated pump sleep since this connection last produced
     /// bytes — the event-loop stand-in for a blocking read timeout.
     idle: Duration,
     /// Consecutive poll rounds spent holding a partial frame without
     /// completing one. The plain `idle` clock only accumulates while
-    /// the *whole* poller sleeps, so a half-open or dribbling peer
+    /// the *whole* pump sleeps, so a half-open or dribbling peer
     /// could sit mid-frame forever whenever another lane kept the loop
     /// busy; this counter accrues per round regardless and sheds the
     /// lane at [`CollectorConfig::stall_poll_budget`].
@@ -516,7 +526,7 @@ impl ConnState {
             conn,
             tier,
             codec,
-            rbuf: Vec::new(),
+            rbuf: FrameBuf::default(),
             wbuf: Vec::new(),
             scratch: Vec::new(),
             idle: Duration::ZERO,
@@ -557,79 +567,87 @@ impl ConnState {
     }
 
     /// End the session: flush what the socket will still take, close
-    /// it, and announce the end. `false` when the event channel is gone.
-    fn close(mut self, tx: &mpsc::Sender<Event>) -> bool {
+    /// it, and announce the end.
+    fn close(mut self, events: &mut Delivery<impl FnMut(Event)>) {
         let _ = self.flush();
         let _ = self.conn.shutdown();
-        tx.send(Event::SessionEnd {
+        events.deliver(Event::SessionEnd {
             tier: self.tier,
             graceful: self.graceful,
-        })
-        .is_ok()
+        });
     }
 }
 
-/// One tier's slot in the poller: at most one live session, plus
+/// One tier's slot in the pump: at most one live session, plus
 /// handshaken replacements waiting for the live one to finish. Sessions
 /// stay serialized **per tier** — a replacement is promoted only after
 /// the previous session's `SessionEnd` — so the assembler sees each
-/// tier's events in connection order, exactly as the old
-/// thread-per-connection reader join did.
+/// tier's events in connection order.
 #[derive(Default)]
 struct TierLane {
     active: Option<ConnState>,
     waiting: VecDeque<(Conn, WireCodec)>,
 }
 
-/// Service one live connection: read whatever the socket has, parse and
-/// dispatch every complete frame, flush pending acks. Returns how the
-/// session ended, or `None` while it stays live.
+/// The handler side of the pump: every event reaches `handle` through
+/// [`deliver`](Self::deliver), which keeps the two facts the stop rules
+/// read — which tiers have said `Bye`, and how long it has been quiet.
+struct Delivery<H> {
+    handle: H,
+    expected_tiers: usize,
+    byes: BTreeSet<usize>,
+    /// Accumulated pump sleep since the last delivered event.
+    quiet: Duration,
+}
+
+impl<H: FnMut(Event)> Delivery<H> {
+    /// Every expected tier has said `Bye`: the run is over, and nothing
+    /// more is delivered.
+    fn done(&self) -> bool {
+        self.byes.len() >= self.expected_tiers
+    }
+
+    fn deliver(&mut self, event: Event) {
+        if self.done() {
+            return;
+        }
+        if let Event::Bye { tier, .. } = &event {
+            self.byes.insert(tier.index());
+        }
+        self.quiet = Duration::ZERO;
+        (self.handle)(event);
+    }
+}
+
+/// Service one live connection: read whatever the socket has, parse
+/// every complete frame and hand its events over, flush pending acks.
+/// Returns how the session ended, or `None` while it stays live.
 fn service_conn(
     state: &mut ConnState,
     cfg: &CollectorConfig,
-    tx: &mpsc::Sender<Event>,
-    chunk: &mut [u8],
+    events: &mut Delivery<impl FnMut(Event)>,
 ) -> Option<LaneEnd> {
+    // Overload fairness: once a full lane budget of bytes is buffered
+    // unparsed, stop reading and process what we have — a peer blasting
+    // faster than we drain must not starve the other lanes (or grow
+    // the buffer without bound this round).
     let mut eof = false;
-    loop {
-        // Overload fairness: once a full lane budget of bytes is
-        // buffered unparsed, stop reading and process what we have —
-        // a peer blasting faster than we drain must not starve the
-        // other lanes (or grow `rbuf` without bound this round).
-        if state.rbuf.len() >= cfg.max_lane_buffered_bytes {
-            break;
-        }
-        match state.conn.read(chunk) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => {
-                state.idle = Duration::ZERO;
-                if let Some(part) = chunk.get(..n) {
-                    state.rbuf.extend_from_slice(part);
-                }
-            }
-            Err(e) if is_timeout(&e) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                eof = true;
+    while state.rbuf.buffered() < cfg.max_lane_buffered_bytes {
+        match state.rbuf.fill(&mut state.conn) {
+            Ok(()) => state.idle = Duration::ZERO,
+            Err(e) => {
+                eof = !e.is_timeout();
                 break;
             }
         }
     }
 
-    // Parse every complete frame buffered so far, then compact the
-    // buffer once: a front-drain per frame would move the whole backlog
-    // (up to the lane budget) for each frame taken out of it. The early
-    // returns below end the session, so they leave the buffer as it is.
-    let mut parsed = 0;
+    // Parse every complete frame buffered so far. The early returns
+    // below end the session, so they leave the buffer as it is.
+    let mut extracted = false;
     loop {
-        let frame = match try_extract_frame(state.rbuf.get(parsed..).unwrap_or_default()) {
-            Ok(Some((frame, consumed))) => {
-                parsed += consumed;
-                frame
-            }
+        let frame = match state.rbuf.next_frame() {
+            Ok(Some(frame)) => frame,
             Ok(None) => break,
             Err(e) => {
                 // A corrupt frame earns the peer a Reject naming the
@@ -642,18 +660,12 @@ fn service_conn(
                 return Some(LaneEnd::Closed);
             }
         };
+        extracted = true;
+        let tier = state.tier;
         match frame {
             Frame::Sample(ws) => {
                 let seq = ws.seq;
-                if tx
-                    .send(Event::Sample {
-                        tier: state.tier,
-                        ws: Box::new(ws),
-                    })
-                    .is_err()
-                {
-                    return Some(LaneEnd::Fatal);
-                }
+                events.deliver(Event::Sample { tier, ws });
                 state.queue_frame(&Frame::Ack { seq });
             }
             Frame::SampleBatch(batch) => {
@@ -662,15 +674,7 @@ fn service_conn(
                 // the same samples sent one frame each.
                 for ws in batch {
                     let seq = ws.seq;
-                    if tx
-                        .send(Event::Sample {
-                            tier: state.tier,
-                            ws: Box::new(ws),
-                        })
-                        .is_err()
-                    {
-                        return Some(LaneEnd::Fatal);
-                    }
+                    events.deliver(Event::Sample { tier, ws });
                     state.queue_frame(&Frame::Ack { seq });
                 }
             }
@@ -679,23 +683,19 @@ fn service_conn(
             }
             Frame::Bye { last_seq } => {
                 state.graceful = true;
-                let _ = tx.send(Event::Bye {
-                    tier: state.tier,
-                    last_seq,
-                });
+                events.deliver(Event::Bye { tier, last_seq });
                 return Some(LaneEnd::Closed);
             }
             _ => return Some(LaneEnd::Closed),
         }
     }
-    state.rbuf.drain(..parsed);
 
     // Stall accounting: a lane holding a partial frame that completed
     // nothing this round is mid-frame stalled — whether the peer is
     // half-open (silent after a partial header) or dribbling bytes to
     // dodge the idle clock. Unlike `idle`, this counter accrues every
-    // service round even while other lanes keep the poller busy.
-    if parsed > 0 || state.rbuf.is_empty() {
+    // service round even while other lanes keep the pump busy.
+    if extracted || state.rbuf.buffered() == 0 {
         state.stalled_polls = 0;
     } else {
         state.stalled_polls = state.stalled_polls.saturating_add(1);
@@ -728,24 +728,37 @@ fn service_conn(
     None
 }
 
-/// Accept loop: a single poller thread owning every connection.
-/// Handshakes run synchronously on accept (they are short and bounded by
-/// `handshake_timeout`); established sessions switch to nonblocking
-/// sockets serviced round-robin with buffered acks, replacing the old
-/// thread-per-connection blocking readers while keeping the per-tier
-/// event order they produced.
-fn accept_loop(
-    listener: Listener,
-    cfg: CollectorConfig,
-    tx: mpsc::Sender<Event>,
-    shutdown: Arc<AtomicBool>,
-) {
+/// The collector event pump both socketed collectors run on — one poll
+/// loop on the caller's thread that owns `listener` and every
+/// connection and hands each event to `handle` by direct call, in
+/// arrival order. A round accepts and handshakes whoever is waiting
+/// (synchronously: handshakes are short and bounded by
+/// `handshake_timeout`), services each tier's live session — read,
+/// decode, `handle`, queue acks, flush once — and sleeps a millisecond.
+/// While `handle` runs nothing is read, so a slow handler fills the
+/// lane's socket, not a queue: memory stays bounded by
+/// [`CollectorConfig::max_lane_buffered_bytes`] and the overload
+/// reaches the agent, as a blocked `write`, through TCP flow control.
+///
+/// The pump stops once every expected tier has said `Bye` — nothing is
+/// delivered after the event that completes the set — or when the
+/// listener fails, or when nothing has been delivered for
+/// `idle_timeout` and no session is live; with sessions live that
+/// silence is delivered as [`Event::Stale`] instead. Both idle clocks —
+/// this one and each lane's — count the pump's own sleeps, not wall
+/// time. Whatever is still connected at the end is flushed and closed.
+pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: impl FnMut(Event)) {
     let _ = listener.set_nonblocking(true);
     let mut lanes: [TierLane; 2] = [TierLane::default(), TierLane::default()];
-    let mut chunk = vec![0u8; 16 * 1024];
+    let mut events = Delivery {
+        handle,
+        expected_tiers: cfg.expected_tiers,
+        byes: BTreeSet::new(),
+        quiet: Duration::ZERO,
+    };
     let poll_sleep = Duration::from_millis(1);
 
-    'poll: while !shutdown.load(Ordering::Relaxed) {
+    'poll: while !events.done() {
         // Phase 1: accept and handshake every waiting connection.
         loop {
             let mut conn = match listener.accept() {
@@ -753,7 +766,7 @@ fn accept_loop(
                 Err(e) if is_timeout(&e) => break,
                 Err(_) => break 'poll,
             };
-            match handshake(&mut conn, &cfg) {
+            match handshake(&mut conn, cfg) {
                 Ok((tier, codec)) => {
                     if conn.set_nonblocking(true).is_err() {
                         let _ = conn.shutdown();
@@ -768,21 +781,14 @@ fn accept_loop(
                         // growing the queue. The peer sees a clean close
                         // and retries on its own backoff schedule.
                         let _ = conn.shutdown();
-                        if tx
-                            .send(Event::Shed {
-                                tier,
-                                kind: ShedKind::DialBacklog,
-                            })
-                            .is_err()
-                        {
-                            break 'poll;
-                        }
+                        let kind = ShedKind::DialBacklog;
+                        events.deliver(Event::Shed { tier, kind });
                         continue;
                     }
                     lane.waiting.push_back((conn, codec));
                 }
                 Err(_) => {
-                    let _ = tx.send(Event::Rejected);
+                    events.deliver(Event::Rejected);
                     let _ = conn.shutdown();
                 }
             }
@@ -792,32 +798,23 @@ fn accept_loop(
         let mut progressed = false;
         for (lane, tier) in lanes.iter_mut().zip(TierId::ALL) {
             if let Some(state) = lane.active.as_mut() {
-                let end = service_conn(state, &cfg, &tx, &mut chunk);
-                match end {
-                    None => {}
-                    Some(LaneEnd::Fatal) => break 'poll,
-                    Some(LaneEnd::Closed) | Some(LaneEnd::Shed(_)) => {
-                        // A shed is announced before the session end so
-                        // the supervisor sees the overload cause first;
-                        // a shed close is never graceful — the assembler
-                        // quarantines the lane's in-flight window.
-                        if let Some(LaneEnd::Shed(kind)) = end {
-                            if tx.send(Event::Shed { tier, kind }).is_err() {
-                                break 'poll;
-                            }
-                        }
-                        if lane.active.take().is_some_and(|state| !state.close(&tx)) {
-                            break 'poll;
-                        }
-                        progressed = true;
+                if let Some(end) = service_conn(state, cfg, &mut events) {
+                    // A shed is announced before the session end so
+                    // the supervisor sees the overload cause first;
+                    // a shed close is never graceful — the assembler
+                    // quarantines the lane's in-flight window.
+                    if let LaneEnd::Shed(kind) = end {
+                        events.deliver(Event::Shed { tier, kind });
                     }
+                    if let Some(state) = lane.active.take() {
+                        state.close(&mut events);
+                    }
+                    progressed = true;
                 }
             }
             if lane.active.is_none() {
                 if let Some((conn, codec)) = lane.waiting.pop_front() {
-                    if tx.send(Event::SessionStart { tier }).is_err() {
-                        break 'poll;
-                    }
+                    events.deliver(Event::SessionStart { tier });
                     lane.active = Some(ConnState::new(conn, tier, codec));
                     progressed = true;
                 }
@@ -831,59 +828,27 @@ fn accept_loop(
                     state.idle += poll_sleep;
                 }
             }
+            events.quiet += poll_sleep;
+            if events.quiet >= cfg.idle_timeout {
+                if lanes.iter().all(|lane| lane.active.is_none()) {
+                    break;
+                }
+                events.deliver(Event::Stale);
+            }
         }
     }
 
-    // Teardown: flush and close whatever is still connected so peers see
-    // a clean shutdown, announcing each end (best effort — the channel
-    // may already be gone).
+    // Teardown: flush and close whatever is still connected so peers
+    // see a clean shutdown. Each end is announced unless the `Bye` set
+    // is what stopped the pump.
     for lane in lanes.iter_mut() {
         if let Some(state) = lane.active.take() {
-            state.close(&tx);
+            state.close(&mut events);
         }
         while let Some((conn, _)) = lane.waiting.pop_front() {
             let _ = conn.shutdown();
         }
     }
-}
-
-/// The collector event pump both socketed collectors run on: spawn the
-/// accept loop on `listener`, hand every event to `handle` in arrival
-/// order, and stop once every expected tier has said `Bye`, or the idle
-/// timeout passes with no live session, or the accept loop is gone.
-/// The accept thread is shut down and joined before returning.
-pub(crate) fn pump_events(
-    listener: Listener,
-    cfg: &CollectorConfig,
-    mut handle: impl FnMut(Event),
-) {
-    let (tx, rx) = mpsc::channel();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let accept_handle = {
-        let cfg = cfg.clone();
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || accept_loop(listener, cfg, tx, shutdown))
-    };
-    let mut byes: BTreeSet<usize> = BTreeSet::new();
-    let mut active: i64 = 0;
-    while byes.len() < cfg.expected_tiers {
-        let event = match rx.recv_timeout(cfg.idle_timeout) {
-            Ok(event) => event,
-            Err(mpsc::RecvTimeoutError::Timeout) if active > 0 => Event::Stale,
-            Err(_) => break,
-        };
-        match &event {
-            Event::SessionStart { .. } => active += 1,
-            Event::SessionEnd { .. } => active -= 1,
-            Event::Bye { tier, .. } => {
-                byes.insert(tier.index());
-            }
-            _ => {}
-        }
-        handle(event);
-    }
-    shutdown.store(true, Ordering::Relaxed);
-    let _ = accept_handle.join();
 }
 
 /// Run the collector on a bound listener until every expected tier says
@@ -909,7 +874,7 @@ pub fn run_collector(
         }
         Event::Sample { tier, ws } => {
             *tier.select_mut(&mut samples) += 1;
-            assembler.on_sample(tier, *ws, &mut |w, d| {
+            assembler.on_sample(tier, ws, &mut |w, d| {
                 decisions.push((w, d.clone()));
                 on_decision(w, d);
             });
@@ -1178,5 +1143,174 @@ mod tests {
         assert!(emitted.is_empty());
         assert_eq!(a.poisoned_windows(), vec![0]);
         assert!(a.anomalies() > 0);
+    }
+
+    // ------------------------------------------------------ the pump
+
+    use crate::frame::WireCaps;
+    use crate::transport::Endpoint;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Run `peers` against a fresh listener on a second thread and the
+    /// pump on this one; returns what the handler saw, as text, with
+    /// the thread each event was handled on.
+    fn pump_with_peers(
+        cfg: &CollectorConfig,
+        peers: impl FnOnce(Endpoint) + Send,
+        mut on_event: impl FnMut(&Event),
+    ) -> Vec<(String, std::thread::ThreadId)> {
+        let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").unwrap()).unwrap();
+        let endpoint = listener.local_endpoint().unwrap();
+        let mut seen = Vec::new();
+        std::thread::scope(|scope| {
+            scope.spawn(move || peers(endpoint));
+            pump_events(listener, cfg, |event| {
+                on_event(&event);
+                let text = match event {
+                    Event::SessionStart { tier } => format!("start {tier:?}"),
+                    Event::Sample { tier, ws } => format!("sample {tier:?} {}", ws.seq),
+                    Event::Bye { tier, last_seq } => format!("bye {tier:?} {last_seq}"),
+                    Event::SessionEnd { tier, graceful } => format!("end {tier:?} {graceful}"),
+                    Event::Shed { tier, kind } => format!("shed {tier:?} {kind}"),
+                    Event::Rejected => "rejected".to_string(),
+                    Event::Stale => "stale".to_string(),
+                };
+                seen.push((text, std::thread::current().id()));
+            });
+        });
+        seen
+    }
+
+    /// Dial and complete the JSON handshake for `tier`.
+    fn handshaken(endpoint: &Endpoint, tier: TierId) -> Conn {
+        let mut conn = Conn::connect(endpoint).unwrap();
+        let caps = WireCaps {
+            codec: WireCodec::Json,
+            max_batch: 1,
+        };
+        let hello = Frame::Hello {
+            tier,
+            proto_version: PROTO_VERSION,
+            metric_schema_hash: metric_schema_hash(tier),
+            caps,
+        };
+        write_frame(&mut conn, &hello).unwrap();
+        assert_eq!(read_frame(&mut conn).unwrap(), Frame::Ack { seq: 0 });
+        conn
+    }
+
+    /// Read until the collector closes its side.
+    fn read_to_eof(conn: &mut Conn) {
+        while read_frame(conn).is_ok() {}
+    }
+
+    #[test]
+    fn the_handler_runs_on_the_callers_thread_and_nothing_follows_the_final_bye() {
+        let cfg = CollectorConfig {
+            expected_tiers: 1,
+            ..CollectorConfig::default()
+        };
+        let peers = |endpoint: Endpoint| {
+            // A live App session, provably serviced: three samples, three
+            // acks. It never says Bye and has a fourth sample in flight.
+            let mut app = handshaken(&endpoint, TierId::App);
+            for seq in 0..3 {
+                write_frame(&mut app, &Frame::Sample(wire(seq, true))).unwrap();
+            }
+            for seq in 0..3 {
+                assert_eq!(read_frame(&mut app).unwrap(), Frame::Ack { seq });
+            }
+            write_frame(&mut app, &Frame::Sample(wire(3, true))).unwrap();
+            // The Db session completes the Bye set, with one more frame
+            // behind the Bye in the same write.
+            let mut db = handshaken(&endpoint, TierId::Db);
+            let mut burst = Vec::new();
+            write_frame(&mut burst, &Frame::Sample(wire(0, false))).unwrap();
+            write_frame(&mut burst, &Frame::Bye { last_seq: 0 }).unwrap();
+            write_frame(&mut burst, &Frame::Sample(wire(1, false))).unwrap();
+            db.write_all(&burst).unwrap();
+            read_to_eof(&mut db);
+            read_to_eof(&mut app);
+        };
+        let seen = pump_with_peers(&cfg, peers, |_| {});
+
+        let here = std::thread::current().id();
+        assert!(seen.iter().all(|(_, thread)| *thread == here), "{seen:?}");
+        let mut texts: Vec<&str> = seen.iter().map(|(text, _)| text.as_str()).collect();
+        assert_eq!(
+            texts.pop(),
+            Some("bye Db 0"),
+            "the final Bye is the last event"
+        );
+        // Whether the App lane's fourth sample beat the Bye is a race
+        // the contract leaves open; everything else is fixed — no Db
+        // sample 1, no SessionEnd for either lane.
+        texts.retain(|text| *text != "sample App 3");
+        let expected = [
+            "start App",
+            "sample App 0",
+            "sample App 1",
+            "sample App 2",
+            "start Db",
+            "sample Db 0",
+        ];
+        assert_eq!(texts, expected);
+    }
+
+    #[test]
+    fn a_heartbeat_only_session_goes_stale_and_the_pump_keeps_running() {
+        let cfg = CollectorConfig {
+            expected_tiers: 1,
+            idle_timeout: Duration::from_millis(50),
+            ..CollectorConfig::default()
+        };
+        let stale = AtomicBool::new(false);
+        let peers = |endpoint: Endpoint| {
+            // Heartbeats keep the lane alive (each one is acked) but are
+            // not events: heartbeat until the handler has seen `Stale`,
+            // then finish. The cap only bounds the never-stale failure.
+            let mut app = handshaken(&endpoint, TierId::App);
+            for seq in 0..5_000 {
+                if stale.load(Ordering::Acquire) {
+                    break;
+                }
+                write_frame(&mut app, &Frame::Heartbeat { seq }).unwrap();
+                assert_eq!(read_frame(&mut app).unwrap(), Frame::Ack { seq });
+            }
+            write_frame(&mut app, &Frame::Bye { last_seq: 0 }).unwrap();
+            read_to_eof(&mut app);
+        };
+        let seen = pump_with_peers(&cfg, peers, |event| {
+            if matches!(event, Event::Stale) {
+                stale.store(true, Ordering::Release);
+            }
+        });
+
+        let mut texts: Vec<&str> = seen.iter().map(|(text, _)| text.as_str()).collect();
+        texts.dedup();
+        assert_eq!(texts, ["start App", "stale", "bye App 0"]);
+    }
+
+    #[test]
+    fn with_no_live_session_the_pump_returns_after_the_idle_timeout() {
+        let cfg = CollectorConfig {
+            idle_timeout: Duration::from_millis(50),
+            ..CollectorConfig::default()
+        };
+        // Nobody dials: no event, and not before the clock ran out (the
+        // clock counts sleeps, each at least as long as it counts for).
+        let started = std::time::Instant::now();
+        let seen = pump_with_peers(&cfg, |_| {}, |_| {});
+        assert!(started.elapsed() >= cfg.idle_timeout);
+        assert!(seen.is_empty(), "{seen:?}");
+
+        // A session that came and went leaves nothing live either.
+        let seen = pump_with_peers(
+            &cfg,
+            |endpoint| drop(handshaken(&endpoint, TierId::Db)),
+            |_| {},
+        );
+        let texts: Vec<&str> = seen.iter().map(|(text, _)| text.as_str()).collect();
+        assert_eq!(texts, ["start Db", "end Db false"]);
     }
 }

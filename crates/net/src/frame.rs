@@ -555,6 +555,79 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameErro
     Ok(Some((decode_payload(magic, payload)?, 8 + len)))
 }
 
+/// How much one [`FrameBuf::fill`] asks the socket for: about twenty
+/// binary samples, or a few thousand acks.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// The frame-reassembly buffer behind every streaming reader — the
+/// collector's lanes and the agent's ack reader: [`fill`](Self::fill)
+/// appends whatever one `read` returns, [`next_frame`](Self::next_frame)
+/// hands out the whole frames in it. A frame cut anywhere — by a short
+/// read, a read timeout, a full lane — simply waits in the buffer for
+/// its remaining bytes, which a [`read_frame`] that times out mid-frame
+/// cannot offer: it has consumed the fragment.
+#[derive(Debug, Default)]
+pub(crate) struct FrameBuf {
+    /// `buf[parsed..filled]` are the bytes not yet handed out as frames;
+    /// what lies beyond `filled` is zeroed space for the next read.
+    buf: Vec<u8>,
+    parsed: usize,
+    filled: usize,
+}
+
+impl FrameBuf {
+    /// Bytes buffered and not yet handed out as frames.
+    pub(crate) fn buffered(&self) -> usize {
+        self.filled.saturating_sub(self.parsed)
+    }
+
+    /// Append the bytes of one successful `read` of up to [`READ_CHUNK`].
+    /// The transport's verdict passes through as [`FrameError::Io`]
+    /// (`is_timeout` on a nonblocking or timed-out socket), and end of
+    /// stream reads as `UnexpectedEof`, as it does from [`read_frame`].
+    pub(crate) fn fill<R: Read>(&mut self, r: &mut R) -> Result<(), FrameError> {
+        let end = self.filled + READ_CHUNK;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        let space = self.buf.get_mut(self.filled..end).unwrap_or_default();
+        loop {
+            match r.read(space) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
+                Ok(n) => {
+                    self.filled += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// The next whole frame, `Ok(None)` once only a frame prefix (or
+    /// nothing) is left — at which point the prefix moves to the front,
+    /// so the buffer is compacted once per burst of frames rather than
+    /// once per frame. A corruption error is final: the stream has no
+    /// frame boundary to resume from.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        let unparsed = self.buf.get(self.parsed..self.filled).unwrap_or_default();
+        match try_extract_frame(unparsed)? {
+            Some((frame, consumed)) => {
+                self.parsed += consumed;
+                Ok(Some(frame))
+            }
+            None => {
+                if self.parsed > 0 {
+                    self.buf.copy_within(self.parsed..self.filled, 0);
+                    self.filled = self.buffered();
+                    self.parsed = 0;
+                }
+                Ok(None)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,6 +879,132 @@ mod tests {
         let stats = AppStats::from_sample(&s);
         let back = stats.into_sample(s.t_s, s.interval_s, s.app, s.db);
         assert_eq!(back, s);
+    }
+
+    /// A stream that arrives in the given pieces — one piece per `read`,
+    /// a read timeout after each — and then ends.
+    struct Pieces(std::collections::VecDeque<Result<Vec<u8>, io::ErrorKind>>);
+
+    impl Pieces {
+        fn new(pieces: impl IntoIterator<Item = Vec<u8>>) -> Pieces {
+            // An empty piece would read as end of stream.
+            let pieces = pieces.into_iter().filter(|p| !p.is_empty());
+            let timed_out = io::ErrorKind::TimedOut;
+            Pieces(pieces.flat_map(|p| [Ok(p), Err(timed_out)]).collect())
+        }
+    }
+
+    impl Read for Pieces {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(mut piece)) => {
+                    let n = piece.len().min(buf.len());
+                    buf[..n].copy_from_slice(&piece[..n]);
+                    if n < piece.len() {
+                        self.0.push_front(Ok(piece.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// Everything a [`FrameBuf`] makes of `stream`: the frames, then the
+    /// error that ended it.
+    fn drain(mut stream: Pieces) -> (Vec<Frame>, FrameError) {
+        let mut rbuf = FrameBuf::default();
+        let mut frames = Vec::new();
+        loop {
+            match rbuf.fill(&mut stream) {
+                Ok(()) => {}
+                Err(e) if e.is_timeout() => continue,
+                Err(e) => return (frames, e),
+            }
+            loop {
+                match rbuf.next_frame() {
+                    Ok(Some(frame)) => frames.push(frame),
+                    Ok(None) => break,
+                    Err(e) => return (frames, e),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_buf_extracts_the_same_frames_wherever_the_stream_is_cut() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // `frames` on the wire, codecs alternating frame by frame, cut at
+        // `cut` and from there into seeded pieces of up to `max_piece`.
+        let wire = |frames: &[Frame]| {
+            let mut stream = Vec::new();
+            for (i, frame) in frames.iter().enumerate() {
+                let codec = [WireCodec::Json, WireCodec::Binary][i % 2];
+                write_frame_codec(&mut stream, frame, codec, &mut Vec::new()).unwrap();
+            }
+            stream
+        };
+        let check = |frames: &[Frame], stream: &[u8], cut: usize, max_piece: usize| {
+            let mut rng = StdRng::seed_from_u64(cut as u64);
+            let (head, mut rest) = stream.split_at(cut);
+            let mut pieces = vec![head.to_vec()];
+            while !rest.is_empty() {
+                let (piece, tail) = rest.split_at(rng.random_range(1..=max_piece).min(rest.len()));
+                pieces.push(piece.to_vec());
+                rest = tail;
+            }
+            let (got, end) = drain(Pieces::new(pieces));
+            assert!(got == frames, "cut at {cut}: {} frames", got.len());
+            assert!(end.is_eof(), "cut at {cut}: {end}");
+        };
+
+        // Every variant, cut at every byte offset.
+        let frames = all_frames();
+        let stream = wire(&frames);
+        for cut in 0..=stream.len() {
+            check(&frames, &stream, cut, 512);
+        }
+
+        // A frame longer than one read takes several fills wherever it
+        // is cut; 64 seeded offsets.
+        let long = Frame::Reject {
+            reason: "r".repeat(2 * READ_CHUNK),
+            ours: PROTO_VERSION,
+            theirs: 0,
+        };
+        let frames = [Frame::Ack { seq: 1 }, long, Frame::Bye { last_seq: 1 }];
+        let stream = wire(&frames);
+        let mut rng = StdRng::seed_from_u64(20);
+        for _ in 0..64 {
+            let cut = rng.random_range(0..=stream.len());
+            check(&frames, &stream, cut, 2 * READ_CHUNK);
+        }
+    }
+
+    #[test]
+    fn frame_buf_ends_on_a_bad_magic_and_on_eof_mid_frame_with_the_typed_error() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &Frame::Ack { seq: 1 }).unwrap();
+        write_frame(&mut stream, &Frame::Ack { seq: 2 }).unwrap();
+        let acks = vec![Frame::Ack { seq: 1 }, Frame::Ack { seq: 2 }];
+
+        // Desynchronised: the third header is not a frame header.
+        let mut garbled = stream.clone();
+        garbled.extend_from_slice(b"GET / HTTP/1.1\r\n");
+        let (got, end) = drain(Pieces::new([garbled]));
+        assert_eq!(got, acks);
+        assert!(matches!(end, FrameError::BadMagic(_)), "{end}");
+
+        // Cut short: the frames before the cut, then end of stream.
+        let mut cut_short = stream.clone();
+        write_frame(&mut cut_short, &sample_frame()).unwrap();
+        cut_short.truncate(cut_short.len() - 3);
+        let (got, end) = drain(Pieces::new([cut_short]));
+        assert_eq!(got, acks);
+        assert!(end.is_eof() && !end.is_corrupt(), "{end}");
     }
 
     mod corruption_props {

@@ -29,8 +29,9 @@
 //!   rules ([`TierDigester`]: gap poisoning, straddle quarantine,
 //!   trailing loss) and of digest-pair scoring ([`score_window`]),
 //!   shared by this crate's collector and `webcap-fleet`'s shards.
-//! * [`collector`] — the event-loop ingest poller and the deterministic
-//!   window [`Assembler`]: one digester per tier joined per window.
+//! * [`collector`] — the one-thread ingest pump (poll, decode,
+//!   reassemble, decide, ack) and the deterministic window
+//!   [`Assembler`]: one digester per tier joined per window.
 //! * [`supervisor`] — the Healthy → Degraded → SafeMode health state
 //!   machine over telemetry quality, safe-mode admission clamping,
 //!   periodic crash-safe snapshots, and resume-from-snapshot.

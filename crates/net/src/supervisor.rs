@@ -787,7 +787,7 @@ pub fn run_supervised_collector(
         Event::SessionStart { tier } => sc.on_session_start(tier),
         Event::Sample { tier, ws } => {
             let before = sc.decisions().len();
-            sc.on_sample(tier, *ws);
+            sc.on_sample(tier, ws);
             for (w, d) in sc.decisions().iter().skip(before) {
                 on_decision(*w, d);
             }

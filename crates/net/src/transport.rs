@@ -108,8 +108,8 @@ impl Listener {
         }
     }
 
-    /// Toggle non-blocking accept (the collector's accept loop polls so
-    /// it can observe shutdown).
+    /// Toggle non-blocking accept (the collector's pump accepts between
+    /// service rounds and must not wait for a dial).
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Listener::Tcp(l) => l.set_nonblocking(nonblocking),

@@ -11,18 +11,19 @@
 
 use std::collections::BTreeSet;
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use webcap_core::{AdmissionConfig, AdmissionController, CapacityMeter, MeterConfig};
 use webcap_net::collector::{run_collector, CollectorConfig};
-use webcap_net::frame::{read_frame, Frame};
+use webcap_net::frame::{read_frame, write_frame, write_frame_codec, Frame, WireCodec};
 use webcap_net::loopback::{
     all_windows, predicted_surviving_windows, replay_windows, run_loopback, run_supervised_loopback,
 };
 use webcap_net::supervisor::{HealthState, SupervisorConfig};
 use webcap_net::transport::{Conn, Listener};
-use webcap_net::{Endpoint, FaultKnobs};
-use webcap_sim::{Simulation, SystemSample};
+use webcap_net::{AgentConfig, Endpoint, FaultKnobs, SampleSource, ScriptedSource, SourcePoll};
+use webcap_sim::{Simulation, SystemSample, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 const BASE_SEED: u64 = 17;
@@ -343,4 +344,105 @@ fn supervised_plane_matches_the_oracle_and_never_admits_from_suspect_state() {
         let emitted_in_order: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
         assert_eq!(traced, emitted_in_order);
     }
+}
+
+/// A source that hands out its script and then idles — keeping the
+/// agent's session open, heartbeating — until the test releases it.
+struct HeldSource<'a> {
+    script: ScriptedSource<'a>,
+    release: &'a AtomicBool,
+}
+
+impl SampleSource for HeldSource<'_> {
+    fn next_sample(&mut self) -> SourcePoll {
+        match self.script.next_sample() {
+            SourcePoll::Exhausted if !self.release.load(Ordering::Acquire) => SourcePoll::Idle,
+            poll => poll,
+        }
+    }
+}
+
+/// An ack the network delivers in two pieces, more than a read timeout
+/// apart, is still one ack: the agent's reader keeps the fragment and
+/// resumes the frame, it does not restart mid-frame on the remainder,
+/// read a bad magic word and leave every later ack uncounted and
+/// undrained (which the collector then sheds as a write backlog).
+#[test]
+fn an_ack_split_across_a_read_timeout_is_still_counted() {
+    const SAMPLES: u64 = 40;
+    let meter = trained_meter();
+    let samples = steady_samples(&meter);
+    let samples = &samples[..SAMPLES as usize];
+    let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"))
+        .expect("listener binds");
+    let cfg = AgentConfig::new(
+        TierId::Db,
+        listener.local_endpoint().expect("bound endpoint"),
+        BASE_SEED,
+    );
+    let release = AtomicBool::new(false);
+
+    let report = std::thread::scope(|scope| {
+        let agent = scope.spawn(|| {
+            let mut source = HeldSource {
+                script: ScriptedSource::new(TierId::Db, samples),
+                release: &release,
+            };
+            webcap_net::run_agent(&cfg, meter.config().hpc_model.clone(), &mut source)
+        });
+
+        // The hand-rolled collector: handshake, then read until every
+        // sample has arrived (heartbeats are neither counted nor acked).
+        let mut conn = listener.accept().expect("agent dials");
+        assert!(matches!(
+            read_frame(&mut conn).expect("hello"),
+            Frame::Hello { .. }
+        ));
+        write_frame(&mut conn, &Frame::Ack { seq: 0 }).expect("handshake ack");
+        let mut seen = 0;
+        while seen < SAMPLES {
+            match read_frame(&mut conn).expect("sample frames") {
+                Frame::Sample(_) => seen += 1,
+                Frame::SampleBatch(batch) => seen += batch.len() as u64,
+                Frame::Heartbeat { .. } => {}
+                other => panic!("expected samples, got {other:?}"),
+            }
+        }
+
+        // Every ack in one buffer, delivered as 5 bytes — a fragment of
+        // the first frame's header — then, 1.2 read timeouts later, the
+        // rest.
+        let mut wire = Vec::new();
+        for seq in 0..SAMPLES {
+            write_frame_codec(
+                &mut wire,
+                &Frame::Ack { seq },
+                WireCodec::Binary,
+                &mut Vec::new(),
+            )
+            .expect("acks encode");
+        }
+        let (fragment, rest) = wire.split_at(5);
+        conn.write_all(fragment).expect("fragment writes");
+        std::thread::sleep(cfg.read_timeout.mul_f64(1.2));
+        conn.write_all(rest).expect("remaining acks write");
+
+        // Let the agent finish: it says Bye and waits for our close.
+        release.store(true, Ordering::Release);
+        loop {
+            match read_frame(&mut conn).expect("frames until Bye") {
+                Frame::Bye { last_seq } => break assert_eq!(last_seq, SAMPLES - 1),
+                Frame::Heartbeat { .. } => {}
+                other => panic!("expected Bye, got {other:?}"),
+            }
+        }
+        drop(conn);
+        agent.join().expect("agent thread").expect("agent runs")
+    });
+
+    assert_eq!(report.frames_sent, SAMPLES);
+    assert_eq!(
+        report.acks_received, report.frames_sent,
+        "every ack is counted, the split one included"
+    );
 }
