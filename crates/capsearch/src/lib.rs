@@ -28,9 +28,13 @@
 //! and seed produce a byte-identical report at any thread count and on
 //! either executor's decision stream (the loopback plane's decisions
 //! are byte-identical to the in-process replay on surviving windows —
-//! the PR 3 invariant this crate inherits). `webcap-lint`'s
-//! no-nondeterminism scope covers this crate: no wall clocks, no
-//! ambient entropy, no unordered hash iteration.
+//! the PR 3 invariant this crate inherits).
+
+// The determinism bans of DESIGN §8 (configured in the root `clippy.toml`).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
 
 pub mod executor;
 pub mod report;

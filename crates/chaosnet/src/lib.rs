@@ -33,6 +33,24 @@
 //! schedule produces byte-identical survivor decisions to the unfaulted
 //! oracle, with exactly the analytically-predicted quarantine set.
 
+// The invariant bans of DESIGN §8: determinism (configured in the root
+// `clippy.toml`), no panic site in library code, and no wildcard arm.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm,
+    )
+)]
+
 pub mod fleetmesh;
 pub mod mesh;
 pub mod proxy;

@@ -166,7 +166,13 @@ fn pump_chaotic(
                     FrameFault::Split => write_split(&mut to, &chaos, conn, event, data),
                     // All destructive faults pass through intact: the
                     // real-socket plane is pacing-only.
-                    _ => to.write_all(data),
+                    FrameFault::None
+                    | FrameFault::Corrupt
+                    | FrameFault::Truncate
+                    | FrameFault::Drop
+                    | FrameFault::Duplicate
+                    | FrameFault::Reorder
+                    | FrameFault::Partitioned => to.write_all(data),
                 };
                 event = event.wrapping_add(1);
                 if done.is_err() {

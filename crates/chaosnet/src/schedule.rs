@@ -265,7 +265,14 @@ impl ChaosSchedule {
                     FrameFault::None
                 }
             }
-            fault => fault,
+            fault @ (FrameFault::None
+            | FrameFault::Corrupt
+            | FrameFault::Truncate
+            | FrameFault::Drop
+            | FrameFault::Duplicate
+            | FrameFault::Split
+            | FrameFault::Stall
+            | FrameFault::Partitioned) => fault,
         }
     }
 
@@ -318,7 +325,10 @@ impl ChaosSchedule {
                 FrameFault::Drop | FrameFault::Reorder | FrameFault::Partitioned => {
                     dropped.insert(seq);
                 }
-                _ => {}
+                FrameFault::None
+                | FrameFault::Duplicate
+                | FrameFault::Split
+                | FrameFault::Stall => {}
             }
         }
         if let Some(p) = &self.profile.partition {

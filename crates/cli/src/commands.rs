@@ -1,5 +1,5 @@
 //! The CLI subcommands: simulate, train, evaluate, info, plan, agent,
-//! collect, snapshot, capsearch, fleet, lint.
+//! collect, snapshot, capsearch, fleet.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -739,7 +739,6 @@ fn capsearch_config(args: &Args) -> Result<SearchConfig, CliError> {
 /// outcome.
 pub fn fleet(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
-        "topology",
         "collectors",
         "scenario",
         "ebs",
@@ -747,7 +746,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         "meter",
         "out",
         "jobs",
-        "print-topology",
         "decisions",
         "chaos-collector",
         "chaos-at",
@@ -765,24 +763,11 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         scenario.seed = args.get_parsed("seed", 0, "a u64 seed")?;
     }
 
-    let topology = match args.get("topology") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)?;
-            FleetTopology::from_toml(&text)
-                .map_err(|e| CliError::Message(format!("{path}: {e}")))?
-        }
-        None => {
-            let collectors: u32 = args.get_parsed("collectors", 2, "a collector count")?;
-            FleetTopology::two_tier(&scenario.name, scenario.seed, collectors)
-        }
-    };
+    let collectors: u32 = args.get_parsed("collectors", 2, "a collector count")?;
+    let topology = FleetTopology::two_tier(&scenario.name, scenario.seed, collectors);
     topology
         .validate()
         .map_err(|e| CliError::Message(format!("topology: {e}")))?;
-    if args.flag("print-topology") {
-        print!("{}", topology.to_toml());
-        return Ok(());
-    }
 
     let chaos = match (args.get("chaos-collector"), args.get("chaos-at")) {
         (None, None) => None,
@@ -904,44 +889,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `webcap lint` — run the workspace static analyzer (local rules plus
-/// the interprocedural panic-reachability / determinism-taint
-/// analyses); any finding fails the run.
-pub fn lint(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["root", "format", "out"])?;
-    let root = PathBuf::from(args.get_or("root", "."));
-    let format = args.get_or("format", "human");
-    if format != "human" && format != "json" {
-        return Err(CliError::Message(format!(
-            "unknown format '{format}' (expected human or json)"
-        )));
-    }
-    let report =
-        webcap_lint::lint_workspace(&root).map_err(|e| CliError::Message(e.to_string()))?;
-    let rendered = match format {
-        "json" => webcap_lint::report::to_json(&report),
-        _ => webcap_lint::report::to_human(&report),
-    };
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered)?;
-            println!(
-                "lint report written to {path}: {} file(s), {} finding(s)",
-                report.files_scanned,
-                report.findings.len()
-            );
-        }
-        None => print!("{rendered}"),
-    }
-    if report.failed() {
-        return Err(CliError::Message(format!(
-            "{} lint finding(s)",
-            report.findings.len()
-        )));
-    }
-    Ok(())
-}
-
 /// Top-level usage text.
 pub const USAGE: &str = "\
 webcap — online capacity measurement of multi-tier websites (ICDCS'08 reproduction)
@@ -999,21 +946,12 @@ COMMANDS:
   fleet      run the sharded multi-collector telemetry fleet over a
              scenario's sample stream and print the deterministic
              merged outcome (byte-identical at any collector count)
-             [--topology <file.toml> | --collectors <K>]
-             [--scenario <name>] [--ebs <N>] [--seed <N>]
-             [--meter <file>] [--jobs <N|auto>] [--decisions]
-             [--out <dir>] [--print-topology]
+             [--collectors <K>] [--scenario <name>] [--ebs <N>]
+             [--seed <N>] [--meter <file>] [--jobs <N|auto>]
+             [--decisions] [--out <dir>]
              [--chaos-collector <N> --chaos-at <seq>]
-             (--print-topology emits the canonical topology TOML;
-             --chaos-* crashes and resumes one collector mid-run —
+             (--chaos-* crashes and resumes one collector mid-run —
              the merged outcome must not change)
-  lint       run the workspace static analyzer: local determinism /
-             wire-protocol / config-validation rules plus call-graph
-             panic-reachability (shortest entry chain as evidence)
-             and determinism taint (nondet sources reachable from
-             byte-stable sinks)
-             [--root <dir>] [--format human|json] [--out <file>]
-             (exits nonzero on any finding; nothing suppresses one)
 ";
 
 #[cfg(test)]
@@ -1113,14 +1051,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
-    }
-
-    #[test]
-    fn fleet_prints_a_round_trippable_topology() {
-        let flag_args = |tokens: &[&str]| {
-            Args::parse(tokens.iter().map(|s| s.to_string()), &["print-topology"]).unwrap()
-        };
-        fleet(&flag_args(&["--collectors", "3", "--print-topology"])).unwrap();
     }
 
     #[test]

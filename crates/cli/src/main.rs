@@ -4,8 +4,8 @@
 
 use webcap_cli::args::Args;
 use webcap_cli::commands::{
-    agent, capsearch, collect, evaluate, fleet, info, lint, plan, simulate, snapshot, train,
-    CliError, USAGE,
+    agent, capsearch, collect, evaluate, fleet, info, plan, simulate, snapshot, train, CliError,
+    USAGE,
 };
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     let bare_flags: &[&str] = match command.as_str() {
         "capsearch" => &["list", "loopback", "bless"],
         "collect" => &["resume"],
-        "fleet" => &["print-topology", "decisions"],
+        "fleet" => &["decisions"],
         _ => &[],
     };
     let result = Args::parse(raw, bare_flags)
@@ -42,7 +42,6 @@ fn main() {
             "snapshot" => snapshot(&args),
             "capsearch" => capsearch(&args),
             "fleet" => fleet(&args),
-            "lint" => lint(&args),
             other => Err(CliError::Message(format!(
                 "unknown command '{other}'; run `webcap --help`"
             ))),

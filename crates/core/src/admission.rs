@@ -152,6 +152,10 @@ impl AdmissionController {
     /// Panics if the config is degenerate (`decrease_factor` outside
     /// `(0, 1)`, `min_ebs == 0`, or non-positive segment length). Use
     /// [`AdmissionController::try_new`] to handle the error instead.
+    #[expect(
+        clippy::panic,
+        reason = "the documented panicking constructor for configs written in code; outside input goes through `try_new`"
+    )]
     pub fn new(cfg: AdmissionConfig, initial_cap: u32) -> AdmissionController {
         AdmissionController::try_new(cfg, initial_cap).unwrap_or_else(|e| panic!("{e}"))
     }

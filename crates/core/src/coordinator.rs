@@ -151,10 +151,6 @@ impl CoordinatedPredictor {
             .fold(0usize, |acc, (i, &p)| acc | (usize::from(p) << i))
     }
 
-    fn clamp(&self, v: i32) -> i32 {
-        v.clamp(-self.cfg.counter_clamp, self.cfg.counter_clamp)
-    }
-
     /// Majority vote of a prediction vector (ties count as overload, the
     /// conservative direction).
     fn majority(&self, predictions: &[bool]) -> bool {
@@ -175,14 +171,22 @@ impl CoordinatedPredictor {
         bottleneck: Option<TierId>,
     ) {
         let gpv = self.gpv(predictions);
-        let updated = self.clamp(self.lht[gpv][self.history] + if label { 1 } else { -1 });
-        self.lht[gpv][self.history] = updated;
+        let bound = self.cfg.counter_clamp;
+        // Checked like `peek`'s lookup: a row a deserialized table lacks
+        // is left untrained instead of indexed.
+        if let Some(hc) = self
+            .lht
+            .get_mut(gpv)
+            .and_then(|row| row.get_mut(self.history))
+        {
+            *hc = (*hc + if label { 1 } else { -1 }).clamp(-bound, bound);
+        }
         if label {
             if let Some(b) = bottleneck {
-                for tier in TierId::ALL {
-                    let delta = if tier == b { 1 } else { -1 };
-                    let v = self.clamp(self.bpt[gpv][tier.index()] + delta);
-                    self.bpt[gpv][tier.index()] = v;
+                let row = self.bpt.get_mut(gpv).into_iter().flatten();
+                for (tier, v) in TierId::ALL.iter().zip(row) {
+                    let delta = if *tier == b { 1 } else { -1 };
+                    *v = (*v + delta).clamp(-bound, bound);
                 }
             }
         }
@@ -259,14 +263,15 @@ impl CoordinatedPredictor {
         self.history = 0;
     }
 
-    /// Snapshot of one LHT row (for tests and inspection tooling).
+    /// Snapshot of one LHT row (for tests and inspection tooling);
+    /// empty when `gpv` is not a row.
     pub fn lht_row(&self, gpv: usize) -> &[i32] {
-        &self.lht[gpv]
+        self.lht.get(gpv).map_or(&[], Vec::as_slice)
     }
 
-    /// Snapshot of one BPT row.
+    /// Snapshot of one BPT row; empty when `gpv` is not a row.
     pub fn bpt_row(&self, gpv: usize) -> &[i32] {
-        &self.bpt[gpv]
+        self.bpt.get(gpv).map_or(&[], Vec::as_slice)
     }
 }
 

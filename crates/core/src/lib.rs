@@ -42,6 +42,23 @@
 //! # }
 //! ```
 
+// The invariant bans of DESIGN §8: determinism (configured in the root
+// `clippy.toml`), no panic site in library code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
+
 pub mod admission;
 mod agg;
 pub mod coordinator;

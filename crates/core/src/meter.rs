@@ -242,24 +242,30 @@ impl CapacityMeter {
         // workload-major / repeat-minor exactly as the sequential loop
         // ordered them.
         let repeats = config.training_repeats.max(1);
-        let tasks: Vec<(usize, usize)> = (0..mixes.len())
-            .flat_map(|i| (0..repeats).map(move |rep| (i, rep)))
+        let tasks: Vec<(usize, &TrafficProgram, usize)> = programs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, program)| (0..repeats).map(move |rep| (i, program, rep)))
             .collect();
-        let run_instances: Vec<Vec<WindowInstance>> = par_map(par, tasks, |(i, rep)| {
+        let run_instances: Vec<Vec<WindowInstance>> = par_map(par, tasks, |(i, program, rep)| {
             let mut sim = config.sim.clone();
             sim.seed = config.sim.seed.wrapping_add((i + 10 * rep) as u64);
             let log = collect_run(
                 &sim,
-                &programs[i],
+                program,
                 &config.hpc_model,
                 config.metrics_seed.wrapping_add((i + 100 * rep) as u64),
             );
             log.windows(config.window_len, config.train_stride, &config.oracle)
         });
-        let per_workload: Vec<Vec<WindowInstance>> = run_instances
-            .chunks(repeats)
-            .map(|runs| runs.iter().flatten().cloned().collect())
-            .collect();
+        let mut per_workload = run_instances.chunks(repeats).map(|runs| {
+            runs.iter()
+                .flatten()
+                .cloned()
+                .collect::<Vec<WindowInstance>>()
+        });
+        let ordering_pool = per_workload.next().unwrap_or_default();
+        let browsing_pool = per_workload.next().unwrap_or_default();
 
         // Phase B — one synopsis per (workload, tier) grid cell, each an
         // independent induction over its workload's pooled executions.
@@ -276,9 +282,9 @@ impl CapacityMeter {
                     algorithm: config.algorithm,
                 };
                 let pooled = if workload == MixId::Ordering {
-                    &per_workload[0]
+                    &ordering_pool
                 } else {
-                    &per_workload[1]
+                    &browsing_pool
                 };
                 PerformanceSynopsis::train_par(spec, pooled, &config.selection, par)
             },
@@ -427,11 +433,11 @@ impl CapacityMeter {
     /// trained tables, the reports are bit-identical to calling
     /// [`CapacityMeter::evaluate_program`] in a loop, in input order.
     pub fn evaluate_programs(&self, runs: &[(TrafficProgram, u64)]) -> Vec<EvaluationReport> {
-        par_map(self.config.parallelism, (0..runs.len()).collect(), |i| {
-            let mut meter = self.clone();
-            let (program, sim_seed) = &runs[i];
-            meter.evaluate_program(program, *sim_seed)
-        })
+        par_map(
+            self.config.parallelism,
+            runs.iter().collect(),
+            |(program, sim_seed)| self.clone().evaluate_program(program, *sim_seed),
+        )
     }
 
     /// Evaluate on a knee-crossing test ramp of the given mix.

@@ -130,30 +130,33 @@ impl RunLog {
             len > 0 && stride > 0,
             "window length and stride must be positive"
         );
-        let n = self.samples.len();
         let mut out = Vec::new();
         let mut start = 0;
-        while start + len <= n {
+        loop {
             let range = start..start + len;
-            let slice = &self.samples[range.clone()];
+            let Some(slice) = self.samples.get(range.clone()) else {
+                break;
+            };
             let label = label_window(slice, oracle);
-            // `len > 0`, so the slice has a majority.
-            let Some(mix) = majority_mix(slice) else {
+            // `len > 0`, so the slice has ends and a majority.
+            let (Some(first), Some(last), Some(mix)) =
+                (slice.first(), slice.last(), majority_mix(slice))
+            else {
                 break;
             };
 
             let mut features: [[Vec<f64>; 2]; 3] = Default::default();
             for tier in TierId::ALL {
-                let hpc_row = mean_rows(
-                    tier.select(&self.hpc)[range.clone()]
-                        .iter()
-                        .map(|m| m.to_features()),
-                );
-                let os_row = mean_rows(
-                    tier.select(&self.os)[range.clone()]
-                        .iter()
-                        .map(|s| s.values()),
-                );
+                // A log whose metric rows stop short of its samples
+                // yields the windows all three cover.
+                let (Some(hpc_rows), Some(os_rows)) = (
+                    tier.select(&self.hpc).get(range.clone()),
+                    tier.select(&self.os).get(range.clone()),
+                ) else {
+                    return out;
+                };
+                let hpc_row = mean_rows(hpc_rows.iter().map(|m| m.to_features()));
+                let os_row = mean_rows(os_rows.iter().map(|s| s.values()));
                 let mut combined = os_row.clone();
                 combined.extend_from_slice(&hpc_row);
                 *tier.select_mut(MetricLevel::Hpc.select_mut(&mut features)) = hpc_row;
@@ -165,8 +168,8 @@ impl RunLog {
             out.push(WindowInstance {
                 label,
                 mix,
-                t_start_s: slice[0].t_s - slice[0].interval_s,
-                t_end_s: slice[len - 1].t_s,
+                t_start_s: first.t_s - first.interval_s,
+                t_end_s: last.t_s,
                 throughput: completed as f64 / duration,
                 features,
             });
@@ -246,12 +249,12 @@ pub fn collect_run(
         for tier in TierId::ALL {
             let ts = sample.tier(tier);
             let counters = hpc_model.sample(tier, ts, sample.interval_s, &mut rng);
-            hpc[tier.index()].push(DerivedMetrics::from_sample(&counters));
-            os[tier.index()].push(os_collectors[tier.index()].sample(
-                ts,
-                sample.interval_s,
-                &mut rng,
-            ));
+            tier.select_mut(&mut hpc)
+                .push(DerivedMetrics::from_sample(&counters));
+            let os_row =
+                tier.select_mut(&mut os_collectors)
+                    .sample(ts, sample.interval_s, &mut rng);
+            tier.select_mut(&mut os).push(os_row);
         }
     }
     RunLog {

@@ -146,8 +146,9 @@ impl OnlineMonitor {
             let counters = self
                 .hpc_model
                 .sample(tier, ts, sample.interval_s, &mut self.rng);
-            hpc[tier.index()] = DerivedMetrics::from_sample(&counters).to_features();
-            os[tier.index()] = self.os_collectors[tier.index()]
+            *tier.select_mut(&mut hpc) = DerivedMetrics::from_sample(&counters).to_features();
+            *tier.select_mut(&mut os) = tier
+                .select_mut(&mut self.os_collectors)
                 .sample(ts, sample.interval_s, &mut self.rng)
                 .into_values();
         }

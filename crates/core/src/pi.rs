@@ -149,9 +149,9 @@ pub fn correlation(a: &[f64], b: &[f64]) -> f64 {
     let mut cov = 0.0;
     let mut var_a = 0.0;
     let mut var_b = 0.0;
-    for i in 0..n {
-        let da = a[i] - mean_a;
-        let db = b[i] - mean_b;
+    for (x, y) in a.iter().zip(b) {
+        let da = x - mean_a;
+        let db = y - mean_b;
         cov += da * db;
         var_a += da * da;
         var_b += db * db;

@@ -29,7 +29,7 @@ use std::path::Path;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
-use crate::admission::AdmissionController;
+use crate::admission::{AdmissionConfigError, AdmissionController};
 use crate::meter::CapacityMeter;
 use crate::retry::RetryPolicy;
 
@@ -103,6 +103,10 @@ pub enum SnapshotError {
     /// The payload passed integrity checks but is not valid JSON for
     /// the requested type.
     Malformed(serde_json::Error),
+    /// The payload parsed, but its admission controller carries a
+    /// config no constructor would accept. The checksum detects rot,
+    /// not a well-formed file written with bad values.
+    InvalidAdmission(AdmissionConfigError),
 }
 
 impl fmt::Display for SnapshotError {
@@ -128,6 +132,9 @@ impl fmt::Display for SnapshotError {
                 "snapshot checksum mismatch: header records {expected:016x}, payload hashes to {computed:016x}"
             ),
             SnapshotError::Malformed(e) => write!(f, "malformed snapshot payload: {e}"),
+            SnapshotError::InvalidAdmission(e) => {
+                write!(f, "snapshot carries an invalid admission config: {e}")
+            }
         }
     }
 }

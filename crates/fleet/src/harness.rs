@@ -74,7 +74,8 @@ pub struct FleetOutcome {
     pub assignment: Vec<(TierId, u32)>,
 }
 
-/// A fleet run failed (back-haul codec or snapshot serialization).
+/// A fleet run failed (back-haul codec or snapshot serialization), or
+/// its topology is not one the fleet implements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetError(pub String);
 

@@ -39,6 +39,23 @@
 //! single-collector pipeline — including under a chaos schedule that
 //! kills and resumes a collector mid-run.
 
+// The invariant bans of DESIGN §8: determinism (configured in the root
+// `clippy.toml`), no panic site in library code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+    )
+)]
+
 pub mod digest;
 pub mod harness;
 pub mod merge;
@@ -52,5 +69,5 @@ pub use harness::{
 };
 pub use merge::{CollectorLiveness, MergeLivenessConfig, MergeNode, MergeOutcome, PartitionEvent};
 pub use shard::{AgentId, ShardMap};
-pub use topology::{FleetTopology, TopologyParseError};
+pub use topology::FleetTopology;
 pub use webcap_net::{DigesterState, TierDigester};

@@ -1,13 +1,10 @@
 //! Fleet topology: which agents exist and how many collectors shard
-//! them, with a strict TOML codec in the `webcap-capsearch` scenario
-//! style — every key checked, every error carrying its line number,
-//! `to_toml` ∘ `from_toml` an identity.
-
-use std::fmt;
+//! them.
 
 use serde::{Deserialize, Serialize};
 use webcap_sim::TierId;
 
+use crate::harness::FleetError;
 use crate::shard::AgentId;
 
 /// A fleet deployment description: `collectors` shards over the listed
@@ -24,96 +21,6 @@ pub struct FleetTopology {
     pub agents: Vec<AgentId>,
 }
 
-/// A topology file the codec refused, with the offending line (0 for
-/// document-level validation failures).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyParseError {
-    /// 1-based line of the offending text, 0 when the whole document is
-    /// at fault.
-    pub line: usize,
-    /// What was wrong.
-    pub message: String,
-}
-
-impl fmt::Display for TopologyParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            f.write_str(&self.message)
-        } else {
-            write!(f, "line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl std::error::Error for TopologyParseError {}
-
-fn err(line: usize, message: impl Into<String>) -> TopologyParseError {
-    TopologyParseError {
-        line,
-        message: message.into(),
-    }
-}
-
-fn tier_name(tier: TierId) -> &'static str {
-    match tier {
-        TierId::App => "app",
-        TierId::Db => "db",
-    }
-}
-
-fn parse_tier(line: usize, value: &str) -> Result<TierId, TopologyParseError> {
-    match value {
-        "app" => Ok(TierId::App),
-        "db" => Ok(TierId::Db),
-        other => Err(err(
-            line,
-            format!("unknown tier {other:?} (want \"app\" or \"db\")"),
-        )),
-    }
-}
-
-fn parse_quoted(line: usize, value: &str) -> Result<String, TopologyParseError> {
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| {
-            err(
-                line,
-                format!("expected a double-quoted string, got `{value}`"),
-            )
-        })?;
-    if inner.contains('"') {
-        return Err(err(line, "embedded quotes are not supported"));
-    }
-    Ok(inner.to_string())
-}
-
-fn parse_u64(line: usize, key: &str, value: &str) -> Result<u64, TopologyParseError> {
-    value
-        .parse::<u64>()
-        .map_err(|e| err(line, format!("invalid {key} `{value}`: {e}")))
-}
-
-fn parse_u32(line: usize, key: &str, value: &str) -> Result<u32, TopologyParseError> {
-    value
-        .parse::<u32>()
-        .map_err(|e| err(line, format!("invalid {key} `{value}`: {e}")))
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Section {
-    Preamble,
-    Fleet,
-    Agent,
-}
-
-#[derive(Default)]
-struct AgentDraft {
-    line: usize,
-    tier: Option<TierId>,
-    replica: Option<u32>,
-}
-
 impl FleetTopology {
     /// The canonical two-agent topology: one application-tier and one
     /// database-tier agent, `collectors` shards.
@@ -126,198 +33,40 @@ impl FleetTopology {
         }
     }
 
-    /// Document-level invariants: at least one collector, exactly one
+    /// The shape the fleet implements: at least one collector, exactly one
     /// replica-0 agent per tier, no other replicas (multi-replica
     /// aggregation is not implemented), both tiers covered.
-    pub fn validate(&self) -> Result<(), TopologyParseError> {
+    pub fn validate(&self) -> Result<(), FleetError> {
         if self.name.is_empty() {
-            return Err(err(0, "topology name must not be empty"));
+            return Err(FleetError("topology name must not be empty".into()));
         }
         if self.collectors == 0 {
-            return Err(err(0, "collectors must be at least 1"));
+            return Err(FleetError("collectors must be at least 1".into()));
         }
         if self.agents.is_empty() {
-            return Err(err(0, "topology lists no agents"));
+            return Err(FleetError("topology lists no agents".into()));
         }
         for (i, a) in self.agents.iter().enumerate() {
             if a.replica != 0 {
-                return Err(err(
-                    0,
-                    format!(
-                        "agent {} ({}, replica {}): multi-replica aggregation \
-                         is not implemented; replica must be 0",
-                        i,
-                        tier_name(a.tier),
-                        a.replica
-                    ),
-                ));
+                return Err(FleetError(format!(
+                    "agent {i} ({}, replica {}): multi-replica aggregation \
+                     is not implemented; replica must be 0",
+                    a.tier, a.replica
+                )));
             }
             if self.agents.iter().take(i).any(|prev| prev == a) {
-                return Err(err(
-                    0,
-                    format!(
-                        "duplicate agent ({}, replica {})",
-                        tier_name(a.tier),
-                        a.replica
-                    ),
-                ));
+                return Err(FleetError(format!(
+                    "duplicate agent ({}, replica {})",
+                    a.tier, a.replica
+                )));
             }
         }
         for tier in TierId::ALL {
             if !self.agents.iter().any(|a| a.tier == tier) {
-                return Err(err(
-                    0,
-                    format!("no agent covers the {} tier", tier_name(tier)),
-                ));
+                return Err(FleetError(format!("no agent covers the {tier} tier")));
             }
         }
         Ok(())
-    }
-
-    /// Render the canonical TOML form (`from_toml` inverts it exactly).
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# webcap fleet topology\n");
-        out.push_str("[fleet]\n");
-        out.push_str(&format!("name = \"{}\"\n", self.name));
-        out.push_str(&format!("seed = {}\n", self.seed));
-        out.push_str(&format!("collectors = {}\n", self.collectors));
-        for a in &self.agents {
-            out.push_str("\n[[agent]]\n");
-            out.push_str(&format!("tier = \"{}\"\n", tier_name(a.tier)));
-            out.push_str(&format!("replica = {}\n", a.replica));
-        }
-        out
-    }
-
-    /// Parse the strict TOML subset written by [`FleetTopology::to_toml`]:
-    /// one `[fleet]` section, any number of `[[agent]]` sections, every
-    /// key known and set exactly once, then [`FleetTopology::validate`].
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyParseError`] with the offending line for syntax and
-    /// key errors, line 0 for document-level validation failures.
-    pub fn from_toml(text: &str) -> Result<FleetTopology, TopologyParseError> {
-        let mut section = Section::Preamble;
-        let mut fleet_seen = false;
-        let mut name: Option<String> = None;
-        let mut seed: Option<u64> = None;
-        let mut collectors: Option<u32> = None;
-        let mut agents: Vec<AgentDraft> = Vec::new();
-
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "[fleet]" {
-                if fleet_seen {
-                    return Err(err(line_no, "duplicate [fleet] section"));
-                }
-                fleet_seen = true;
-                section = Section::Fleet;
-                continue;
-            }
-            if line == "[[agent]]" {
-                agents.push(AgentDraft {
-                    line: line_no,
-                    ..AgentDraft::default()
-                });
-                section = Section::Agent;
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(err(line_no, format!("unknown section `{line}`")));
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(err(
-                    line_no,
-                    format!("expected `key = value`, got `{line}`"),
-                ));
-            };
-            let key = key.trim();
-            let value = value.trim();
-            match section {
-                Section::Preamble => {
-                    return Err(err(line_no, format!("key `{key}` outside any section")));
-                }
-                Section::Fleet => match key {
-                    "name" => {
-                        if name.is_some() {
-                            return Err(err(line_no, "duplicate key `name`"));
-                        }
-                        name = Some(parse_quoted(line_no, value)?);
-                    }
-                    "seed" => {
-                        if seed.is_some() {
-                            return Err(err(line_no, "duplicate key `seed`"));
-                        }
-                        seed = Some(parse_u64(line_no, "seed", value)?);
-                    }
-                    "collectors" => {
-                        if collectors.is_some() {
-                            return Err(err(line_no, "duplicate key `collectors`"));
-                        }
-                        collectors = Some(parse_u32(line_no, "collectors", value)?);
-                    }
-                    other => {
-                        return Err(err(line_no, format!("unknown key `{other}` in [fleet]")));
-                    }
-                },
-                Section::Agent => {
-                    let Some(agent) = agents.last_mut() else {
-                        return Err(err(line_no, "agent key outside an [[agent]] section"));
-                    };
-                    match key {
-                        "tier" => {
-                            if agent.tier.is_some() {
-                                return Err(err(line_no, "duplicate key `tier`"));
-                            }
-                            agent.tier = Some(parse_tier(line_no, &parse_quoted(line_no, value)?)?);
-                        }
-                        "replica" => {
-                            if agent.replica.is_some() {
-                                return Err(err(line_no, "duplicate key `replica`"));
-                            }
-                            agent.replica = Some(parse_u32(line_no, "replica", value)?);
-                        }
-                        other => {
-                            return Err(err(
-                                line_no,
-                                format!("unknown key `{other}` in [[agent]]"),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-
-        if !fleet_seen {
-            return Err(err(0, "missing [fleet] section"));
-        }
-        let name = name.ok_or_else(|| err(0, "missing `name` in [fleet]"))?;
-        let seed = seed.ok_or_else(|| err(0, "missing `seed` in [fleet]"))?;
-        let collectors = collectors.ok_or_else(|| err(0, "missing `collectors` in [fleet]"))?;
-        let mut resolved = Vec::with_capacity(agents.len());
-        for draft in agents {
-            let tier = draft
-                .tier
-                .ok_or_else(|| err(draft.line, "agent is missing `tier`"))?;
-            let replica = draft
-                .replica
-                .ok_or_else(|| err(draft.line, "agent is missing `replica`"))?;
-            resolved.push(AgentId { tier, replica });
-        }
-        let topology = FleetTopology {
-            name,
-            seed,
-            collectors,
-            agents: resolved,
-        };
-        topology.validate()?;
-        Ok(topology)
     }
 }
 
@@ -326,26 +75,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn canonical_form_round_trips() {
-        let t = FleetTopology::two_tier("steady-shopping", 31, 4);
-        let text = t.to_toml();
-        assert_eq!(FleetTopology::from_toml(&text), Ok(t));
-    }
-
-    #[test]
-    fn unknown_key_reports_its_line() {
-        let text = "[fleet]\nname = \"x\"\nseed = 1\ncollectors = 2\nbogus = 3\n";
-        let e = FleetTopology::from_toml(text).unwrap_err();
-        assert_eq!(e.line, 5);
-        assert!(e.message.contains("bogus"), "{e}");
-    }
-
-    #[test]
-    fn duplicate_key_is_rejected() {
-        let text = "[fleet]\nname = \"x\"\nname = \"y\"\nseed = 1\ncollectors = 2\n";
-        let e = FleetTopology::from_toml(text).unwrap_err();
-        assert_eq!(e.line, 3);
-        assert!(e.to_string().contains("duplicate"), "{e}");
+    fn the_canonical_topology_is_valid() {
+        assert_eq!(FleetTopology::two_tier("x", 1, 2).validate(), Ok(()));
     }
 
     #[test]
@@ -356,30 +87,15 @@ mod tests {
             replica: 1,
         });
         let e = t.validate().unwrap_err();
-        assert!(e.message.contains("multi-replica"), "{e}");
-        let text = t.to_toml();
-        assert!(FleetTopology::from_toml(&text).is_err());
+        assert!(e.0.contains("multi-replica"), "{e}");
     }
 
     #[test]
     fn missing_tier_coverage_is_rejected() {
-        let text = "[fleet]\nname = \"x\"\nseed = 1\ncollectors = 2\n\n[[agent]]\ntier = \"app\"\nreplica = 0\n";
-        let e = FleetTopology::from_toml(text).unwrap_err();
-        assert!(e.message.contains("db"), "{e}");
-    }
-
-    #[test]
-    fn agent_missing_a_key_points_at_its_section_line() {
-        let text = "[fleet]\nname = \"x\"\nseed = 1\ncollectors = 2\n\n[[agent]]\ntier = \"app\"\n";
-        let e = FleetTopology::from_toml(text).unwrap_err();
-        assert_eq!(e.line, 6);
-        assert!(e.message.contains("replica"), "{e}");
-    }
-
-    #[test]
-    fn keys_before_any_section_are_rejected() {
-        let e = FleetTopology::from_toml("name = \"x\"\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        let mut t = FleetTopology::two_tier("x", 1, 2);
+        t.agents.pop();
+        let e = t.validate().unwrap_err();
+        assert!(e.0.contains("DB"), "{e}");
     }
 
     #[test]

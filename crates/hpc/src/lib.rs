@@ -28,6 +28,12 @@
 //! assert!(derived.ipc > 0.0 && derived.l2_miss_rate < 1.0);
 //! ```
 
+// The determinism bans of DESIGN §8 (configured in the root `clippy.toml`).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 pub mod events;
 pub mod model;
 pub mod reader;

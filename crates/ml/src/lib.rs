@@ -34,6 +34,12 @@
 //! # }
 //! ```
 
+// The determinism bans of DESIGN §8 (configured in the root `clippy.toml`).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 pub mod cv;
 pub mod data;
 pub mod discretize;

@@ -95,6 +95,10 @@ impl FaultKnobs {
     /// fault-free run. Entry points parse once at startup so the error
     /// surfaces before any agent dials out.
     pub fn try_from_env() -> Result<FaultKnobs, String> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one environment shim for fault injection: parsed once at startup by `webcap agent`, libraries take `FaultKnobs` values"
+        )]
         fn knob(var: &str) -> Result<Option<u64>, String> {
             match std::env::var(var) {
                 Ok(raw) => parse_fault_knob(var, &raw),
@@ -343,7 +347,13 @@ fn try_handshake(cfg: &AgentConfig) -> io::Result<Conn> {
                 theirs,
             },
         )),
-        other => Err(io::Error::new(
+        other @ (Frame::Hello { .. }
+        | Frame::Sample(_)
+        | Frame::SampleBatch(_)
+        | Frame::Heartbeat { .. }
+        | Frame::Ack { .. }
+        | Frame::Bye { .. }
+        | Frame::Digest(_)) => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unexpected handshake reply: {other:?}"),
         )),
@@ -374,8 +384,8 @@ pub fn run_agent(
     // encodes borrow it instead of allocating.
     let mut scratch: Vec<u8> = Vec::new();
     // How many samples one frame may carry. The JSON dialect is pinned
-    // to one — the v2 loop, byte-for-byte — while the binary codec packs
-    // up to `max_batch` into a `SampleBatch`.
+    // to one, while the binary codec packs up to `max_batch` into a
+    // `SampleBatch`.
     let batch_target = match cfg.codec {
         WireCodec::Json => 1,
         WireCodec::Binary => cfg.max_batch.max(1) as usize,
@@ -477,8 +487,8 @@ pub fn run_agent(
                 // Top up a batch: with the binary codec, pull whatever the
                 // source has ready — no sleeping, the queue already holds
                 // data to send — until a frame's worth is queued. The JSON
-                // dialect never enters this (its batch target is one), so
-                // the v2 poll-only-when-empty loop is preserved exactly.
+                // dialect never enters this (its batch target is one): it
+                // polls the source only when the queue is empty.
                 while batch_target > 1 && !source_done && queue.len() < batch_target {
                     match source.next_sample() {
                         SourcePoll::Ready(s) => {
@@ -523,7 +533,7 @@ pub fn run_agent(
 
                 // The front sample passed its gates; tentatively extend the
                 // frame with queued successors, replaying the exact
-                // per-sample gate sequence the v2 loop ran: a scheduled
+                // per-sample gate sequence of one-sample frames: a scheduled
                 // drop consumes no attempt, a knob drop does. Extension
                 // stops at the batch cap, at an untaken scheduled-reconnect
                 // point, and at the `reconnect_every` session quota — every

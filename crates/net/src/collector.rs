@@ -273,6 +273,11 @@ impl Assembler {
         self.poisoned.iter().copied().collect()
     }
 
+    /// How many windows are quarantined so far.
+    pub fn poisoned_count(&self) -> usize {
+        self.poisoned.len()
+    }
+
     /// Windows with partial data still buffered.
     pub fn pending_windows(&self) -> Vec<i64> {
         let pending: BTreeSet<i64> = self
@@ -686,7 +691,10 @@ fn service_conn(
                 events.deliver(Event::Bye { tier, last_seq });
                 return Some(LaneEnd::Closed);
             }
-            _ => return Some(LaneEnd::Closed),
+            // Nothing else belongs on an established agent session.
+            Frame::Hello { .. } | Frame::Ack { .. } | Frame::Reject { .. } | Frame::Digest(_) => {
+                return Some(LaneEnd::Closed)
+            }
         }
     }
 

@@ -395,7 +395,12 @@ impl From<FrameError> for io::Error {
     fn from(e: FrameError) -> io::Error {
         match e {
             FrameError::Io(inner) => inner,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+            other @ (FrameError::BadMagic(_)
+            | FrameError::Oversized { .. }
+            | FrameError::Malformed(_)
+            | FrameError::Binary(_)) => {
+                io::Error::new(io::ErrorKind::InvalidData, other.to_string())
+            }
         }
     }
 }

@@ -44,6 +44,24 @@
 //! emit, its decisions are byte-identical (as JSON) to an in-process
 //! monitor fed the same data.
 
+// The invariant bans of DESIGN §8: determinism (configured in the root
+// `clippy.toml`), no panic site in library code, and no wildcard arm.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm,
+    )
+)]
+
 pub mod agent;
 pub mod binary;
 pub mod collector;

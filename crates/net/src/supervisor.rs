@@ -334,7 +334,7 @@ impl Supervisor {
         if self.state > desired && self.clean_streak >= self.cfg.recover_after.max(1) {
             let next = match self.state {
                 HealthState::SafeMode => HealthState::Degraded,
-                _ => HealthState::Healthy,
+                HealthState::Degraded | HealthState::Healthy => HealthState::Healthy,
             };
             let next = next.max(desired);
             let reason = format!(
@@ -519,7 +519,15 @@ impl SupervisedCollector {
             resume: ResumeOutcome::Fresh,
         };
         if let Some(path) = snapshot_path.filter(|path| resume && path.exists()) {
-            match read_snapshot::<CollectorSnapshot>(path) {
+            // The envelope's checksum is not a trust boundary: the
+            // restored controller's config gets the check `try_new` runs.
+            let verified = read_snapshot::<CollectorSnapshot>(path).and_then(|(snap, header)| {
+                match snap.state.admission.config().validate() {
+                    Ok(()) => Ok((snap, header)),
+                    Err(e) => Err(SnapshotError::InvalidAdmission(e)),
+                }
+            });
+            match verified {
                 Ok((snap, header)) => {
                     this.assembler = Assembler::resume(
                         snap.state.meter,
@@ -561,7 +569,7 @@ impl SupervisedCollector {
             }
         }
         this.last_health = this.supervisor.state();
-        this.known_poisoned = this.assembler.poisoned_windows().len();
+        this.known_poisoned = this.assembler.poisoned_count();
         this
     }
 
@@ -590,7 +598,7 @@ impl SupervisedCollector {
     /// within one event all poisonings precede any emission, so
     /// accounting poisons first keeps supervisor order faithful.
     fn after_event(&mut self) {
-        let poisoned_now = self.assembler.poisoned_windows().len();
+        let poisoned_now = self.assembler.poisoned_count();
         for _ in self.known_poisoned..poisoned_now {
             self.supervisor.on_window_poisoned();
         }

@@ -20,12 +20,15 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use webcap_core::snapshot::{read_snapshot, write_snapshot};
 use webcap_core::{
-    AdmissionConfig, AdmissionController, CapacityMeter, MeterConfig, SnapshotError,
+    AdmissionConfig, AdmissionConfigError, AdmissionController, CapacityMeter, MeterConfig,
+    SnapshotError,
 };
 use webcap_net::loopback::{all_windows, replay_windows, run_supervised_loopback};
 use webcap_net::supervisor::{
-    HealthState, HealthTransition, ResumeOutcome, SupervisedCollector, SupervisorConfig,
+    CollectorSnapshot, HealthState, HealthTransition, ResumeOutcome, SupervisedCollector,
+    SupervisorConfig,
 };
 use webcap_net::{AppStats, Endpoint, FaultKnobs, WireSample};
 use webcap_sim::{Simulation, SystemSample, TierId, TierSample};
@@ -232,9 +235,10 @@ fn boundary_restart_resumes_byte_identically_with_degraded_reentry() {
 }
 
 /// Chaos proof (b): every way a snapshot can rot — truncation, payload
-/// corruption, a future version, plain garbage — is a typed rejection
-/// into SafeMode with the cap clamped, never a panic and never trusted
-/// state.
+/// corruption, a future version, plain garbage — and a well-formed,
+/// checksum-valid one carrying an admission config no constructor
+/// accepts, is a typed rejection into SafeMode with the cap clamped,
+/// never a panic and never trusted state.
 #[test]
 fn corrupt_snapshots_are_rejected_into_safe_mode_not_panics() {
     let meter = trained_meter();
@@ -270,12 +274,28 @@ fn corrupt_snapshots_are_rejected_into_safe_mode_not_panics() {
         text.replacen("WCAPSNAP 1 ", "WCAPSNAP 99 ", 1).into_bytes()
     };
     let garbage = b"definitely not a snapshot".to_vec();
+    // Not rot: a valid envelope around a controller whose floor is
+    // above its ceiling, which `u32::clamp` would panic on at the first
+    // SafeMode entry.
+    let bad_admission = {
+        let (mut snap, _) =
+            read_snapshot::<CollectorSnapshot>(&seed_path).expect("seed snapshot verifies");
+        snap.state.admission = serde_json::from_str(
+            r#"{"cfg":{"min_ebs":500,"max_ebs":100,"increase_step":25,
+                "decrease_factor":0.75,"segment_s":60.0},"cap":400}"#,
+        )
+        .expect("serde does not validate the controller");
+        let path = dir.join("bad-admission.wcapsnap");
+        write_snapshot(&path, &snap).expect("envelope writes");
+        std::fs::read(&path).expect("envelope readable")
+    };
 
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("truncated", truncated),
         ("bitflip", flipped),
         ("version", versioned),
         ("garbage", garbage),
+        ("admission", bad_admission),
     ];
     for (name, bytes) in cases {
         let path = dir.join(format!("rotten-{name}.wcapsnap"));
@@ -315,6 +335,13 @@ fn corrupt_snapshots_are_rejected_into_safe_mode_not_panics() {
                 "{name}: {err}"
             ),
             "garbage" => assert!(matches!(err, SnapshotError::MissingMagic), "{name}: {err}"),
+            "admission" => assert!(
+                matches!(
+                    err,
+                    SnapshotError::InvalidAdmission(AdmissionConfigError::MaxBelowMin { .. })
+                ),
+                "{name}: {err}"
+            ),
             _ => unreachable!(),
         }
 

@@ -7,8 +7,7 @@
 //!   codecs to the same `Frame` value (seeded generators over the full
 //!   frame family, hostile histograms included).
 //! * **Decode robustness** — truncated and bit-flipped binary frames
-//!   produce typed `FrameError`s, never a panic (`fuzz_smoke`, which the
-//!   lint/CI job runs by name).
+//!   produce typed `FrameError`s, never a panic (`fuzz_smoke`).
 //! * **Negotiation** — any version but `PROTO_VERSION`, older or newer,
 //!   is refused with a `Reject` carrying both peers' versions.
 //! * **Deployment byte-identity** — a faulted loopback run under the
@@ -303,9 +302,9 @@ fn mixed_codec_streams_reassemble_across_arbitrary_chunking() {
     }
 }
 
-/// Decode robustness, and the deterministic "fuzz smoke" the lint/CI job
-/// runs by name: up to seven byte flips and, half the time, a truncation
-/// of a binary payload decode to a typed corruption error or
+/// Decode robustness, the deterministic "fuzz smoke": up to seven byte
+/// flips and, half the time, a truncation of a binary payload decode to
+/// a typed corruption error or
 /// (coincidentally) a valid frame — never a panic, never another error
 /// kind. The payloads are five fixed frames chosen for their shapes
 /// (extreme varints, a full-width sample, a 32-sample batch), 600

@@ -43,6 +43,12 @@
 //! assert_eq!(sample.values().len(), 64);
 //! ```
 
+// The determinism bans of DESIGN §8 (configured in the root `clippy.toml`).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use webcap_sim::{TierId, TierSample};

@@ -18,6 +18,12 @@
 //! `WEBCAP_JOBS` environment variable, which the CI matrix uses to re-run
 //! the whole test suite at 1, 2, and 8 threads.
 
+// The determinism bans of DESIGN §8 (configured in the root `clippy.toml`).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -76,6 +82,10 @@ pub fn parse_jobs_env(raw: &str) -> Result<Option<usize>, String> {
 /// should call this at startup so the error surfaces before any fan-out
 /// runs; [`Parallelism::worker_count`] panics with the same message as a
 /// backstop if an invalid value survives to a fan-out point.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one environment shim for worker counts: read once, validated, and only wall-clock time depends on it"
+)]
 pub fn jobs_from_env() -> Result<Option<usize>, String> {
     static JOBS_ENV: OnceLock<Result<Option<usize>, String>> = OnceLock::new();
     JOBS_ENV

@@ -28,6 +28,12 @@
 //! assert!(out.summary.completed > 0);
 //! ```
 
+// The determinism bans of DESIGN §8 (configured in the root `clippy.toml`).
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
+
 pub mod config;
 pub mod demand;
 pub mod engine;
