@@ -271,8 +271,7 @@ pub struct LoopbackExecutor<'a> {
 impl<'a> LoopbackExecutor<'a> {
     /// Probe through the agent/collector plane bound to `endpoint`.
     /// Fault *knobs* are pinned to `NONE` — scenario faults are the
-    /// only injected faults, regardless of ambient `WEBCAP_NET_*`
-    /// environment settings.
+    /// only injected faults.
     pub fn new(meter: &'a CapacityMeter, endpoint: Endpoint) -> LoopbackExecutor<'a> {
         LoopbackExecutor { meter, endpoint }
     }

@@ -12,10 +12,10 @@
 //! `WEBCAP_BLESS=1 cargo test -p webcap-capsearch --test golden` (or
 //! `webcap capsearch --bless`).
 //!
-//! The CI determinism matrix runs this suite under `WEBCAP_JOBS` 1, 2,
-//! and 8 — byte identity across thread counts is part of the contract,
-//! and `thread_count_does_not_change_report_bytes` checks a pinned pool
-//! width in-process as well.
+//! Byte identity across thread counts is part of the contract:
+//! `thread_count_does_not_change_report_bytes` checks pinned pool widths
+//! in-process, which is the whole check — no environment variable sets
+//! a worker count.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -57,6 +57,6 @@ pub mod proxy;
 pub mod schedule;
 
 pub use fleetmesh::{merge_stream, without_frames, LostFrame};
-pub use mesh::{run_net_mesh, MeshError, MeshOutcome, SessionDecoder};
+pub use mesh::{run_net_mesh, MeshError, MeshOutcome};
 pub use proxy::{spawn_chaos_proxy, ProxyHandle};
 pub use schedule::{corrupt_frame, ChaosProfile, ChaosSchedule, FrameFault, Partition};

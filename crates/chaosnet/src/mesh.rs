@@ -22,7 +22,7 @@ use std::fmt;
 
 use webcap_core::{AdmissionController, CapacityMeter};
 use webcap_net::collector::CollectorConfig;
-use webcap_net::frame::{try_extract_frame, write_frame_codec, Frame, FrameError};
+use webcap_net::frame::{write_frame_codec, Frame, FrameBuf};
 use webcap_net::source::{SourceSample, TierSampler};
 use webcap_net::supervisor::{SupervisedCollector, SupervisedReport, SupervisorConfig};
 use webcap_net::{FaultSchedule, WireCodec};
@@ -44,57 +44,6 @@ impl fmt::Display for MeshError {
 
 impl std::error::Error for MeshError {}
 
-/// An incremental per-session frame decoder: the same
-/// accumulate-and-extract loop the collector's event loop runs, exposed
-/// so the mesh (and tests) can feed bytes at arbitrary split points.
-#[derive(Debug, Default)]
-pub struct SessionDecoder {
-    buf: Vec<u8>,
-}
-
-impl SessionDecoder {
-    /// A decoder with an empty reassembly buffer.
-    pub fn new() -> SessionDecoder {
-        SessionDecoder::default()
-    }
-
-    /// Append raw bytes from the wire.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Extract every complete frame currently buffered. A decode error
-    /// clears the buffer (the session is about to die anyway) and
-    /// surfaces the typed [`FrameError`].
-    pub fn drain(&mut self) -> Result<Vec<Frame>, FrameError> {
-        let mut out = Vec::new();
-        loop {
-            match try_extract_frame(&self.buf) {
-                Ok(Some((frame, used))) => {
-                    out.push(frame);
-                    self.buf.drain(..used);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    self.buf.clear();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Discard any partially-buffered bytes (session teardown).
-    pub fn reset(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Bytes currently awaiting a complete frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-}
-
 /// What a chaos-mesh run produced.
 #[derive(Debug)]
 pub struct MeshOutcome {
@@ -112,7 +61,8 @@ pub struct MeshOutcome {
 struct TierState {
     tier: TierId,
     needs_session: bool,
-    decoder: SessionDecoder,
+    /// The reassembly buffer the collector's lanes run.
+    rbuf: FrameBuf,
 }
 
 impl TierState {
@@ -120,7 +70,7 @@ impl TierState {
         TierState {
             tier,
             needs_session: false,
-            decoder: SessionDecoder::new(),
+            rbuf: FrameBuf::default(),
         }
     }
 }
@@ -160,28 +110,36 @@ fn abort_session(sc: &mut SupervisedCollector, state: &mut TierState) {
     if !state.needs_session {
         sc.on_session_abort(state.tier);
     }
-    state.decoder.reset();
+    state.rbuf = FrameBuf::default();
     state.needs_session = true;
 }
 
-fn deliver_frames(sc: &mut SupervisedCollector, state: &TierState, frames: Vec<Frame>) {
-    for frame in frames {
-        if let Frame::Sample(ws) = frame {
-            sc.on_sample(state.tier, ws);
+/// Deliver one (possibly mutilated) run of encoded bytes to the
+/// collector through the reassembly buffer, honouring session
+/// semantics: a decode failure kills the session exactly as the real
+/// event loop would. Returns whether the session survived.
+fn deliver_bytes(sc: &mut SupervisedCollector, state: &mut TierState, mut bytes: &[u8]) -> bool {
+    ensure_session(sc, state);
+    // A `&[u8]` is a `Read`; one `fill` takes at most a read chunk of it.
+    while !bytes.is_empty() {
+        if state.rbuf.fill(&mut bytes).is_err() || !deliver_buffered(sc, state) {
+            abort_session(sc, state);
+            return false;
         }
     }
+    true
 }
 
-/// Deliver one (possibly mutilated) encoded frame to the collector
-/// through the incremental decoder, honouring session semantics: a
-/// decode failure kills the session exactly as the real event loop
-/// would.
-fn deliver_bytes(sc: &mut SupervisedCollector, state: &mut TierState, bytes: &[u8]) {
-    ensure_session(sc, state);
-    state.decoder.feed(bytes);
-    match state.decoder.drain() {
-        Ok(frames) => deliver_frames(sc, state, frames),
-        Err(_) => abort_session(sc, state),
+/// Hand every whole buffered frame to the collector; `false` on a
+/// decode error.
+fn deliver_buffered(sc: &mut SupervisedCollector, state: &mut TierState) -> bool {
+    loop {
+        match state.rbuf.next_frame() {
+            Ok(Some(Frame::Sample(ws))) => sc.on_sample(state.tier, ws),
+            Ok(Some(_)) => {}
+            Ok(None) => return true,
+            Err(_) => return false,
+        }
     }
 }
 
@@ -214,7 +172,9 @@ fn deliver_tier(
         )));
     };
     match fault {
-        FrameFault::None | FrameFault::Stall => deliver_bytes(sc, state, bytes),
+        FrameFault::None | FrameFault::Stall => {
+            deliver_bytes(sc, state, bytes);
+        }
         FrameFault::Drop => {}
         FrameFault::Partitioned => {
             // The first black-holed frame kills the session; the rest
@@ -226,8 +186,12 @@ fn deliver_tier(
         // A flipped magic byte or a cut frame cannot decode, so the
         // session dies with a typed error exactly as a hostile peer's
         // would.
-        FrameFault::Corrupt => deliver_bytes(sc, state, &corrupt_frame(bytes)),
-        FrameFault::Truncate => deliver_bytes(sc, state, &chaos.truncate_frame(conn, seq, bytes)),
+        FrameFault::Corrupt => {
+            deliver_bytes(sc, state, &corrupt_frame(bytes));
+        }
+        FrameFault::Truncate => {
+            deliver_bytes(sc, state, &chaos.truncate_frame(conn, seq, bytes));
+        }
         FrameFault::Duplicate => {
             deliver_bytes(sc, state, bytes);
             // The duplicate is a backward sequence: an anomaly the
@@ -235,19 +199,13 @@ fn deliver_tier(
             deliver_bytes(sc, state, bytes);
         }
         FrameFault::Split => {
-            ensure_session(sc, state);
             let mut rest = bytes.as_slice();
             let mut piece: u64 = 0;
             while !rest.is_empty() {
                 let n = chaos.chunk_len(conn, seq, piece).min(rest.len());
                 let (head, tail) = rest.split_at(n);
-                state.decoder.feed(head);
-                match state.decoder.drain() {
-                    Ok(frames) => deliver_frames(sc, state, frames),
-                    Err(_) => {
-                        abort_session(sc, state);
-                        return Ok(());
-                    }
+                if !deliver_bytes(sc, state, head) {
+                    return Ok(());
                 }
                 rest = tail;
                 piece += 1;

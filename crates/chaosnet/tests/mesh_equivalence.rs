@@ -19,8 +19,9 @@
 
 use std::collections::BTreeSet;
 
-use webcap_chaosnet::{run_net_mesh, ChaosProfile, ChaosSchedule, Partition, SessionDecoder};
+use webcap_chaosnet::{run_net_mesh, ChaosProfile, ChaosSchedule, Partition};
 use webcap_core::{AdmissionConfig, AdmissionController, CapacityMeter, MeterConfig};
+use webcap_net::frame::FrameBuf;
 use webcap_net::loopback::{predicted_windows_for_schedule, replay_windows};
 use webcap_net::{write_frame_codec, AppStats, Frame, WireCodec, WireSample};
 use webcap_sim::{Simulation, SystemSample, TierSample};
@@ -253,10 +254,25 @@ fn single_byte_flips_never_panic_the_binary_decoder() {
     for pos in 0..encoded.len() {
         let mut mangled = encoded.clone();
         mangled[pos] ^= 0xff;
-        let mut decoder = SessionDecoder::new();
-        decoder.feed(&mangled);
+        let mut rbuf = FrameBuf::default();
         // The only failure mode of interest is a panic; both Ok and Err
         // are legitimate typed outcomes.
-        let _ = decoder.drain();
+        let _ = rbuf.fill(&mut mangled.as_slice());
+        while let Ok(Some(_)) = rbuf.next_frame() {}
     }
+
+    // A whole frame followed by a corrupt one in one delivery: the mesh,
+    // like the collector's event loop, hands over the frame that decoded
+    // and only then kills the session on the typed error.
+    let mut delivery = encoded.clone();
+    delivery.extend_from_slice(&encoded);
+    delivery[encoded.len()] ^= 0xff;
+    let mut rbuf = FrameBuf::default();
+    rbuf.fill(&mut delivery.as_slice())
+        .expect("a slice reads cleanly");
+    assert!(matches!(
+        rbuf.next_frame(),
+        Ok(Some(Frame::Sample(ref got))) if got.seq == 7
+    ));
+    assert!(rbuf.next_frame().is_err());
 }

@@ -19,8 +19,7 @@ use webcap_hpc::HpcModel;
 use webcap_ml::Algorithm;
 use webcap_net::{
     run_agent, run_supervised_collector, AgentConfig, CollectorConfig, CollectorSnapshot, Endpoint,
-    FaultKnobs, Listener, ResumeOutcome, ScriptedSource, SupervisedReport, SupervisorConfig,
-    WireCodec,
+    Listener, ResumeOutcome, ScriptedSource, SupervisedReport, SupervisorConfig, WireCodec,
 };
 use webcap_sim::{SimConfig, Simulation, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
@@ -317,7 +316,7 @@ pub fn parse_tier(name: &str) -> Result<TierId, CliError> {
 /// Today the agent replays the meter's simulated testbed (one shared
 /// `--run-seed` makes both tiers' agents replay the same run); the
 /// `SampleSource` seam in `webcap-net` is where real perf-counter
-/// readers plug in. Fault knobs come from the `WEBCAP_NET_*` env vars.
+/// readers plug in.
 pub fn agent(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "tier",
@@ -339,10 +338,6 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     let run_seed = args.get_parsed("run-seed", 400u64, "integer")?;
     let duration = args.get_parsed("duration", 240.0, "number")?;
     let start_seq = args.get_parsed("start-seq", 0u64, "integer")?;
-    // Parse the fault knobs up front so a typo'd env var fails here,
-    // before the replay simulation runs, instead of silently meaning
-    // "no faults".
-    let faults = FaultKnobs::try_from_env().map_err(CliError::Message)?;
     if duration < f64::from(meter.config().window_len as u32) {
         return Err(CliError::Message(format!(
             "duration must cover at least one {}-second window",
@@ -372,10 +367,7 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
             samples.len()
         )));
     }
-    let cfg = AgentConfig {
-        faults,
-        ..AgentConfig::new(tier, endpoint, seed)
-    };
+    let cfg = AgentConfig::new(tier, endpoint, seed);
     let hpc_model = meter.config().hpc_model.clone();
     // With a nonzero start-seq, history below it is synthesized for the
     // stateful OS model but never sent — the collector (resumed from its
@@ -929,10 +921,8 @@ COMMANDS:
              [--run-seed <N>] [--start-seq <N>]
              (--start-seq resumes a replay: history below N is
              synthesized for warm-up but not re-sent)
-             (fault injection: WEBCAP_NET_DROP_EVERY, WEBCAP_NET_DELAY_MS,
-             WEBCAP_NET_RECONNECT_EVERY; after the JSON handshake the
-             session speaks the binary dialect — batched delta/varint
-             frames)
+             (after the JSON handshake the session speaks the binary
+             dialect — batched delta/varint frames)
   capsearch  bisect scenarios to their SLO-boundary capacity and emit
              byte-stable capacity reports
              [--list] [--scenario <name|all>] [--scenario-file <toml>]

@@ -14,13 +14,6 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    // Every `Parallelism::Auto` fan-out consults WEBCAP_JOBS; validate
-    // it once at startup so a typo is a clear error here rather than a
-    // panic in the middle of a run.
-    if let Err(e) = webcap_parallel::jobs_from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
     let command = raw.remove(0);
     // Subcommands with bare (value-less) flags.
     let bare_flags: &[&str] = match command.as_str() {

@@ -61,11 +61,11 @@ pub struct MeterConfig {
     /// Passes over the training instances when training the coordinator.
     pub coordinator_epochs: usize,
     /// Worker threads for the independent training executions, synopsis
-    /// inductions, selection trials, and multi-run evaluations. Results
-    /// are bit-identical at every setting; this only changes wall-clock
-    /// time. Deliberately **not serialized**: a trained meter's JSON must
-    /// not depend on how many threads trained it, and a persisted meter
-    /// re-resolves the setting on load (skipped fields deserialize to
+    /// inductions, and multi-run evaluations. Results are bit-identical
+    /// at every setting; this only changes wall-clock time. Deliberately
+    /// **not serialized**: a trained meter's JSON must not depend on how
+    /// many threads trained it, and a persisted meter re-resolves the
+    /// setting on load (skipped fields deserialize to
     /// [`Parallelism::Auto`]).
     #[serde(skip)]
     pub parallelism: Parallelism,
@@ -268,10 +268,11 @@ impl CapacityMeter {
         let browsing_pool = per_workload.next().unwrap_or_default();
 
         // Phase B — one synopsis per (workload, tier) grid cell, each an
-        // independent induction over its workload's pooled executions.
-        // Errors surface in grid order, matching the sequential loop's
-        // first failure.
-        let trained: Vec<Result<PerformanceSynopsis, FitError>> = par_map(
+        // independent induction over its workload's pooled executions;
+        // the fan-out stops here (selection inside a cell is a plain
+        // loop, DESIGN §5.7). Errors surface in grid order, matching the
+        // sequential loop's first failure.
+        let synopses = par_map(
             par,
             CapacityMeter::synopsis_grid().to_vec(),
             |(workload, tier)| {
@@ -286,13 +287,11 @@ impl CapacityMeter {
                 } else {
                     &browsing_pool
                 };
-                PerformanceSynopsis::train_par(spec, pooled, &config.selection, par)
+                PerformanceSynopsis::train(spec, pooled, &config.selection)
             },
-        );
-        let mut synopses = Vec::with_capacity(4);
-        for result in trained {
-            synopses.push(result?);
-        }
+        )
+        .into_iter()
+        .collect::<Result<Vec<PerformanceSynopsis>, FitError>>()?;
 
         // Phase C — the coordinator folds the runs' temporal sequences
         // into its pattern tables; history order matters, so it stays

@@ -9,9 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use webcap_ml::select::SelectionOptions;
-use webcap_ml::{
-    forward_select_par, Algorithm, Dataset, FitError, Model, Parallelism, TrainedModel,
-};
+use webcap_ml::{forward_select, Algorithm, Dataset, FitError, Model, TrainedModel};
 use webcap_sim::TierId;
 use webcap_tpcw::MixId;
 
@@ -74,9 +72,6 @@ pub struct PerformanceSynopsis {
 impl PerformanceSynopsis {
     /// Train a synopsis from workload-specific training instances.
     ///
-    /// Equivalent to [`PerformanceSynopsis::train_par`] with
-    /// [`Parallelism::Sequential`].
-    ///
     /// # Errors
     ///
     /// Returns a [`FitError`] if the training set is empty, single-class,
@@ -86,26 +81,9 @@ impl PerformanceSynopsis {
         instances: &[WindowInstance],
         selection: &SelectionOptions,
     ) -> Result<PerformanceSynopsis, FitError> {
-        PerformanceSynopsis::train_par(spec, instances, selection, Parallelism::Sequential)
-    }
-
-    /// [`PerformanceSynopsis::train`] with the attribute-selection trials
-    /// fanned out over `par` worker threads. The trained synopsis is
-    /// bit-identical at every thread count (see
-    /// [`webcap_ml::forward_select_par`]).
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`PerformanceSynopsis::train`].
-    pub fn train_par(
-        spec: SynopsisSpec,
-        instances: &[WindowInstance],
-        selection: &SelectionOptions,
-        par: Parallelism,
-    ) -> Result<PerformanceSynopsis, FitError> {
         let data = dataset_from_instances(instances, spec.tier, spec.level);
         let learner = spec.algorithm.learner();
-        let report = forward_select_par(learner.as_ref(), &data, selection, par)?;
+        let report = forward_select(learner.as_ref(), &data, selection)?;
         let projected = data.project(&report.selected);
         let model = spec.algorithm.fit_trained(&projected)?;
         Ok(PerformanceSynopsis {

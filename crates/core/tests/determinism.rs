@@ -5,9 +5,9 @@
 //! produces byte-identical reports — parallelism may only change
 //! wall-clock time, never results.
 //!
-//! The CI workflow re-runs this suite with `WEBCAP_JOBS` set to 1, 2,
-//! and 8 so the `Parallelism::Auto` paths are exercised at each width
-//! too.
+//! Every width is a value passed in-process (`MeterConfig::parallelism`),
+//! so one `cargo test` run is the whole check: no environment variable
+//! sets a worker count and no CI matrix re-runs this suite.
 
 use std::sync::OnceLock;
 

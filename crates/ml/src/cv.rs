@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webcap_parallel::{par_map, Parallelism};
 
 use crate::data::Dataset;
 use crate::metrics::ConfusionMatrix;
@@ -33,10 +32,7 @@ impl CvOutcome {
 /// fold preserves the class balance. Returns the fold index of every
 /// instance, position-aligned with `data`.
 ///
-/// The assignment is a pure function of `(data, k, seed)` — it is
-/// computed once, up front, on the calling thread, which is what lets the
-/// fold loop itself run on any number of workers without changing which
-/// instance lands in which fold.
+/// The assignment is a pure function of `(data, k, seed)`.
 pub fn fold_assignment(data: &Dataset, k: usize, seed: u64) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fold_of = vec![0usize; data.len()];
@@ -59,18 +55,10 @@ pub fn fold_assignment(data: &Dataset, k: usize, seed: u64) -> Vec<usize> {
     fold_of
 }
 
-/// What one fold produced; merged in fold order so the aggregate outcome
-/// is independent of execution order.
-enum FoldOutcome {
-    Ran(ConfusionMatrix),
-    Skipped(Option<FitError>),
-}
-
 /// Run stratified k-fold cross validation of `learner` on `data`.
 ///
 /// Folds whose training portion cannot be fitted (e.g. single-class) are
-/// skipped and counted in [`CvOutcome::folds_skipped`]. Equivalent to
-/// [`cross_validate_par`] with [`Parallelism::Sequential`].
+/// skipped and counted in [`CvOutcome::folds_skipped`].
 ///
 /// # Errors
 ///
@@ -87,33 +75,6 @@ pub fn cross_validate(
     k: usize,
     seed: u64,
 ) -> Result<CvOutcome, FitError> {
-    cross_validate_par(learner, data, k, seed, Parallelism::Sequential)
-}
-
-/// [`cross_validate`] with the fold loop fanned out over `par` worker
-/// threads.
-///
-/// The stratified fold assignment is pre-computed on the calling thread
-/// ([`fold_assignment`]) and each fold's fit/validate is a pure function
-/// of `(data, assignment, fold)`, so the outcome — fold assignments,
-/// aggregate confusion matrix, skip counts, and error choice — is
-/// identical at every thread count.
-///
-/// # Errors
-///
-/// Identical to [`cross_validate`]: the *last* failing fold's error (in
-/// fold order) when every fold fails.
-///
-/// # Panics
-///
-/// Panics if `k < 2`.
-pub fn cross_validate_par(
-    learner: &dyn Learner,
-    data: &Dataset,
-    k: usize,
-    seed: u64,
-    par: Parallelism,
-) -> Result<CvOutcome, FitError> {
     assert!(k >= 2, "need at least 2 folds");
     if data.is_empty() {
         return Err(FitError::EmptyDataset);
@@ -121,42 +82,29 @@ pub fn cross_validate_par(
     let k = k.min(data.len());
     let fold_of = fold_assignment(data, k, seed);
 
-    let outcomes: Vec<FoldOutcome> = par_map(par, (0..k).collect(), |fold| {
-        let train_rows: Vec<usize> = (0..data.len()).filter(|&i| fold_of[i] != fold).collect();
-        let test_rows: Vec<usize> = (0..data.len()).filter(|&i| fold_of[i] == fold).collect();
-        if train_rows.is_empty() || test_rows.is_empty() {
-            return FoldOutcome::Skipped(None);
-        }
-        let train = data.select_rows(&train_rows);
-        match learner.fit(&train) {
-            Ok(model) => {
-                let mut confusion = ConfusionMatrix::new();
-                for &r in &test_rows {
-                    let inst = &data.instances()[r];
-                    confusion.record(inst.label, model.predict(&inst.features));
-                }
-                FoldOutcome::Ran(confusion)
-            }
-            Err(e) => FoldOutcome::Skipped(Some(e)),
-        }
-    });
-
-    // Merge in fold order — same aggregation the sequential loop performs.
     let mut confusion = ConfusionMatrix::new();
     let mut folds_run = 0;
     let mut folds_skipped = 0;
     let mut last_err = None;
-    for outcome in outcomes {
-        match outcome {
-            FoldOutcome::Ran(fold_confusion) => {
-                confusion.merge(&fold_confusion);
+    for fold in 0..k {
+        let train_rows: Vec<usize> = (0..data.len()).filter(|&i| fold_of[i] != fold).collect();
+        let test_rows: Vec<usize> = (0..data.len()).filter(|&i| fold_of[i] == fold).collect();
+        if train_rows.is_empty() || test_rows.is_empty() {
+            folds_skipped += 1;
+            continue;
+        }
+        let train = data.select_rows(&train_rows);
+        match learner.fit(&train) {
+            Ok(model) => {
+                for &r in &test_rows {
+                    let inst = &data.instances()[r];
+                    confusion.record(inst.label, model.predict(&inst.features));
+                }
                 folds_run += 1;
             }
-            FoldOutcome::Skipped(err) => {
+            Err(e) => {
                 folds_skipped += 1;
-                if err.is_some() {
-                    last_err = err;
-                }
+                last_err = Some(e);
             }
         }
     }
@@ -235,23 +183,6 @@ mod tests {
     fn one_fold_rejected() {
         let data = separable(10);
         let _ = cross_validate(Algorithm::NaiveBayes.learner().as_ref(), &data, 1, 0);
-    }
-
-    #[test]
-    fn parallel_folds_match_sequential_exactly() {
-        let data = separable(120);
-        let learner = Algorithm::Tan.learner();
-        let seq = cross_validate(learner.as_ref(), &data, 10, 77).unwrap();
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(8),
-            Parallelism::Auto,
-        ] {
-            let out = cross_validate_par(learner.as_ref(), &data, 10, 77, par).unwrap();
-            assert_eq!(out.confusion, seq.confusion, "{par}");
-            assert_eq!(out.folds_run, seq.folds_run, "{par}");
-            assert_eq!(out.folds_skipped, seq.folds_skipped, "{par}");
-        }
     }
 
     #[test]

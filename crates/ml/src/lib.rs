@@ -54,7 +54,7 @@ pub mod tan;
 
 use std::fmt;
 
-pub use cv::{cross_validate, cross_validate_par, fold_assignment, CvOutcome};
+pub use cv::{cross_validate, fold_assignment, CvOutcome};
 pub use data::{Dataset, Instance};
 pub use discretize::EqualFrequencyDiscretizer;
 pub use linreg::LinearModel;
@@ -62,12 +62,11 @@ pub use linreg::RidgeRegression;
 pub use metrics::{balanced_accuracy, ConfusionMatrix};
 pub use naive_bayes::GaussianNaiveBayes;
 pub use naive_bayes::NaiveBayesModel;
-pub use select::{forward_select, forward_select_par, SelectionReport};
+pub use select::{forward_select, SelectionReport};
 pub use svm::SvmModel;
 pub use svm::{Kernel, SmoSvm};
 pub use tan::TanModel;
 pub use tan::TreeAugmentedNaiveBayes;
-pub use webcap_parallel::Parallelism;
 
 /// Error returned when a learner cannot be fitted to a dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,10 +135,7 @@ pub trait Model: Send + Sync + fmt::Debug {
 
 /// A learning algorithm: fits a [`Model`] from a [`Dataset`].
 ///
-/// Learners are stateless hyper-parameter bundles; the `Send + Sync`
-/// bound lets one learner be shared by the parallel cross-validation and
-/// attribute-selection paths ([`cv::cross_validate_par`],
-/// [`select::forward_select_par`]).
+/// Learners are stateless hyper-parameter bundles, hence `Send + Sync`.
 pub trait Learner: Send + Sync {
     /// Fit a model to the dataset.
     ///

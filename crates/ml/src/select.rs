@@ -2,8 +2,6 @@
 //! greedily while 10-fold cross-validated accuracy improves — the paper's
 //! iterative selection procedure (Section II-B.2).
 
-use webcap_parallel::{par_map, Parallelism};
-
 use crate::cv::cross_validate;
 use crate::data::Dataset;
 use crate::discretize::EqualFrequencyDiscretizer;
@@ -73,9 +71,6 @@ impl Default for SelectionOptions {
 /// [`SelectionOptions::min_improvement`]. The first-ranked attribute is
 /// always kept so the result is never empty.
 ///
-/// Equivalent to [`forward_select_par`] with
-/// [`Parallelism::Sequential`].
-///
 /// # Errors
 ///
 /// Returns a [`FitError`] if the dataset is empty or single-class, or if
@@ -84,34 +79,6 @@ pub fn forward_select(
     learner: &dyn Learner,
     data: &Dataset,
     options: &SelectionOptions,
-) -> Result<SelectionReport, FitError> {
-    forward_select_par(learner, data, options, Parallelism::Sequential)
-}
-
-/// [`forward_select`] with the two expensive inner loops fanned out over
-/// `par` worker threads: the per-attribute information-gain ranking, and
-/// the per-candidate cross-validation trials.
-///
-/// The greedy accept/reject scan is inherently sequential (each trial set
-/// contains every previously accepted attribute), so candidates are
-/// scored **speculatively in chunks** of one per worker against the
-/// current accepted set; the scan then walks the chunk in rank order and,
-/// at the first acceptance, discards the remaining speculative scores and
-/// starts a fresh chunk after the accepted candidate. Every decision is
-/// therefore made on a score computed against exactly the accepted set
-/// the sequential loop would have used — the selected attribute set, the
-/// reported balanced accuracy, and the error behaviour are bit-identical
-/// at every thread count, and at one worker the chunk size is 1, which
-/// *is* the sequential loop (no speculative waste).
-///
-/// # Errors
-///
-/// Identical to [`forward_select`].
-pub fn forward_select_par(
-    learner: &dyn Learner,
-    data: &Dataset,
-    options: &SelectionOptions,
-    par: Parallelism,
 ) -> Result<SelectionReport, FitError> {
     if data.is_empty() {
         return Err(FitError::EmptyDataset);
@@ -122,70 +89,43 @@ pub fn forward_select_par(
     }
     let labels: Vec<bool> = data.iter().map(|i| i.label).collect();
 
-    // Rank attributes by information gain over discretized values. Each
-    // column's gain is independent of the others — a pure fan-out.
-    let gains: Vec<f64> = par_map(par, (0..data.n_features()).collect(), |c| {
-        let col = data.column(c);
-        let disc = EqualFrequencyDiscretizer::fit(&col, options.gain_bins);
-        let bins: Vec<usize> = col.iter().map(|&v| disc.bin(v)).collect();
-        information_gain(&bins, &labels)
-    });
+    // Rank attributes by information gain over discretized values.
+    let gains: Vec<f64> = (0..data.n_features())
+        .map(|c| {
+            let col = data.column(c);
+            let disc = EqualFrequencyDiscretizer::fit(&col, options.gain_bins);
+            let bins: Vec<usize> = col.iter().map(|&v| disc.bin(v)).collect();
+            information_gain(&bins, &labels)
+        })
+        .collect();
     let mut order: Vec<usize> = (0..data.n_features()).collect();
     order.sort_by(|&a, &b| gains[b].partial_cmp(&gains[a]).expect("gains are finite"));
 
-    let candidates: Vec<usize> = order
-        .iter()
-        .take(options.max_candidates.max(1))
-        .copied()
-        .collect();
     let mut selected: Vec<usize> = Vec::new();
     let mut best_ba = 0.0f64;
-    let mut pos = 0;
-    'outer: while pos < candidates.len() && selected.len() < options.max_attributes {
-        // Score the next chunk of candidates speculatively against the
-        // current accepted set. Chunk size = worker count, so sequential
-        // execution degenerates to scoring exactly one candidate at a time.
-        let remaining = candidates.len() - pos;
-        let chunk_len = par.worker_count(remaining).min(remaining);
-        let chunk = candidates[pos..pos + chunk_len].to_vec();
-        let scores: Vec<Result<f64, FitError>> = par_map(par, chunk, |candidate| {
-            let mut trial = selected.clone();
-            trial.push(candidate);
-            let projected = data.project(&trial);
-            // Inner CV stays sequential: the fan-out lives at the
-            // candidate level here.
-            cross_validate(learner, &projected, options.folds, options.seed)
-                .map(|outcome| outcome.balanced_accuracy())
-        });
-
-        // Sequential accept/reject scan over the chunk, in rank order.
-        for (offset, score) in scores.into_iter().enumerate() {
-            let candidate = candidates[pos + offset];
-            match score {
-                Err(e) => {
-                    if selected.is_empty() {
-                        return Err(e);
-                    }
-                    // Unfittable trial: skip this candidate.
+    for &candidate in order.iter().take(options.max_candidates.max(1)) {
+        if selected.len() >= options.max_attributes {
+            break;
+        }
+        let mut trial = selected.clone();
+        trial.push(candidate);
+        let projected = data.project(&trial);
+        match cross_validate(learner, &projected, options.folds, options.seed) {
+            Err(e) => {
+                if selected.is_empty() {
+                    return Err(e);
                 }
-                Ok(ba) => {
-                    if selected.is_empty() || ba >= best_ba + options.min_improvement {
-                        selected.push(candidate);
-                        best_ba = best_ba.max(ba);
-                        if selected.len() == 1 {
-                            best_ba = ba;
-                        }
-                        // Accepted: scores for the rest of the chunk were
-                        // computed against a stale accepted set — discard
-                        // them and rescore from the next candidate.
-                        pos += offset + 1;
-                        continue 'outer;
-                    }
+                // Unfittable trial: skip this candidate.
+            }
+            Ok(outcome) => {
+                let ba = outcome.balanced_accuracy();
+                let first = selected.is_empty();
+                if first || ba >= best_ba + options.min_improvement {
+                    best_ba = if first { ba } else { best_ba.max(ba) };
+                    selected.push(candidate);
                 }
             }
         }
-        // Whole chunk rejected: move past it.
-        pos += chunk_len;
     }
     Ok(SelectionReport {
         selected,
@@ -286,6 +226,35 @@ mod tests {
         let report =
             forward_select(Algorithm::NaiveBayes.learner().as_ref(), &data, &opts).unwrap();
         assert!(report.selected.len() <= 2);
+        // A cap of one stops the scan right after the always-kept
+        // first-ranked attribute.
+        let one = SelectionOptions {
+            max_attributes: 1,
+            ..SelectionOptions::default()
+        };
+        let report = forward_select(Algorithm::NaiveBayes.learner().as_ref(), &data, &one).unwrap();
+        assert_eq!(report.selected, vec![0]);
+    }
+
+    /// A learner no fold can fit: the very first trial fails with nothing
+    /// selected yet, so its error is the result.
+    struct Unfittable;
+
+    impl Learner for Unfittable {
+        fn fit(&self, _: &Dataset) -> Result<Box<dyn crate::Model>, FitError> {
+            Err(FitError::Numeric("unfittable".into()))
+        }
+
+        fn name(&self) -> &'static str {
+            "unfittable"
+        }
+    }
+
+    #[test]
+    fn first_trial_failure_is_the_error() {
+        let data = informative_plus_noise(7, 60);
+        let res = forward_select(&Unfittable, &data, &SelectionOptions::default());
+        assert_eq!(res.err(), Some(FitError::Numeric("unfittable".into())));
     }
 
     #[test]
@@ -300,32 +269,6 @@ mod tests {
         let names = report.selected_names(&data);
         assert_eq!(names.len(), report.selected.len());
         assert!(names.contains(&"f0".to_string()));
-    }
-
-    #[test]
-    fn parallel_selection_matches_sequential_exactly() {
-        let data = informative_plus_noise(9, 250);
-        let opts = SelectionOptions::default();
-        let learner = Algorithm::NaiveBayes.learner();
-        let seq = forward_select(learner.as_ref(), &data, &opts).unwrap();
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(8),
-            Parallelism::Auto,
-        ] {
-            let out = forward_select_par(learner.as_ref(), &data, &opts, par).unwrap();
-            assert_eq!(out.selected, seq.selected, "{par}");
-            assert_eq!(
-                out.cv_balanced_accuracy.to_bits(),
-                seq.cv_balanced_accuracy.to_bits(),
-                "{par}"
-            );
-            assert_eq!(
-                out.gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
-                seq.gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
-                "{par}"
-            );
-        }
     }
 
     #[test]

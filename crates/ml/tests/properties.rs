@@ -5,11 +5,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webcap_ml::cv::{cross_validate, cross_validate_par, fold_assignment};
+use webcap_ml::cv::cross_validate;
 use webcap_ml::data::{Dataset, Scaler};
 use webcap_ml::linalg::Matrix;
-use webcap_ml::select::{forward_select, forward_select_par, SelectionOptions};
-use webcap_ml::{Algorithm, Parallelism};
+use webcap_ml::Algorithm;
 
 const CASES: u64 = 256;
 
@@ -139,84 +138,6 @@ fn cv_validates_each_instance_once() {
             if out.folds_skipped == 0 {
                 assert_eq!(validated, data.len(), "seed {seed}");
             }
-        }
-    }
-}
-
-/// Parallel cross validation is bit-identical to sequential: same
-/// fold assignments, same aggregate confusion matrix, same skip
-/// counts — for any dataset, fold count, seed, and thread count.
-#[test]
-fn parallel_cv_equals_sequential() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data = dataset_from(&two_class_rows(&mut rng, 2));
-        let k = rng.random_range(2usize..8);
-        let cv_seed: u64 = rng.random();
-        let threads = rng.random_range(2usize..9);
-        let assignment = fold_assignment(&data, k.min(data.len()), cv_seed);
-        assert_eq!(
-            assignment,
-            fold_assignment(&data, k.min(data.len()), cv_seed),
-            "seed {seed}"
-        );
-        let learner = Algorithm::NaiveBayes.learner();
-        let seq = cross_validate(learner.as_ref(), &data, k, cv_seed);
-        let par = cross_validate_par(
-            learner.as_ref(),
-            &data,
-            k,
-            cv_seed,
-            Parallelism::Threads(threads),
-        );
-        match (seq, par) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.confusion, b.confusion, "seed {seed}");
-                assert_eq!(a.folds_run, b.folds_run, "seed {seed}");
-                assert_eq!(a.folds_skipped, b.folds_skipped, "seed {seed}");
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "seed {seed}"),
-            (a, b) => panic!("seed {seed}: diverged: {:?} vs {:?}", a.is_ok(), b.is_ok()),
-        }
-    }
-}
-
-/// Parallel forward selection returns the same selected attribute
-/// set, gains, and balanced accuracy as the sequential greedy loop.
-#[test]
-fn parallel_selection_equals_sequential() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data = dataset_from(&two_class_rows(&mut rng, 4));
-        let threads = rng.random_range(2usize..9);
-        let opts = SelectionOptions {
-            folds: 3,
-            max_attributes: rng.random_range(1usize..5),
-            max_candidates: 4,
-            ..SelectionOptions::default()
-        };
-        let learner = Algorithm::NaiveBayes.learner();
-        let seq = forward_select(learner.as_ref(), &data, &opts);
-        let par = forward_select_par(
-            learner.as_ref(),
-            &data,
-            &opts,
-            Parallelism::Threads(threads),
-        );
-        match (seq, par) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.selected, b.selected, "seed {seed}");
-                assert_eq!(
-                    a.cv_balanced_accuracy.to_bits(),
-                    b.cv_balanced_accuracy.to_bits(),
-                    "seed {seed}"
-                );
-                let ga: Vec<u64> = a.gains.iter().map(|g| g.to_bits()).collect();
-                let gb: Vec<u64> = b.gains.iter().map(|g| g.to_bits()).collect();
-                assert_eq!(ga, gb, "seed {seed}");
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "seed {seed}"),
-            (a, b) => panic!("seed {seed}: diverged: {:?} vs {:?}", a.is_ok(), b.is_ok()),
         }
     }
 }

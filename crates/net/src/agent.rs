@@ -25,15 +25,14 @@
 //!   back off exponentially (capped), with a ±25% deterministic jitter
 //!   derived from the agent seed so a fleet of agents does not dial a
 //!   recovering collector in lockstep.
-//! * **Fault injection.** [`FaultKnobs`] (env:
-//!   `WEBCAP_NET_DROP_EVERY`, `WEBCAP_NET_DELAY_MS`,
-//!   `WEBCAP_NET_RECONNECT_EVERY`) silently discard every Nth sample
-//!   frame, delay each send, and force a clean reconnect after every
-//!   Nth sent frame — the knobs the CI fault matrix and the
-//!   fault-injection acceptance test turn.
+//! * **Fault injection.** [`FaultKnobs`], a value in [`AgentConfig`],
+//!   silently discard every Nth sample frame, delay each send, and
+//!   force a clean reconnect after every Nth sent frame — what the
+//!   fault-injection acceptance test (`tests/faults.rs`) sweeps.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self};
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -48,34 +47,17 @@ use crate::frame::{
 use crate::source::{SampleSource, SourcePoll, TierSampler};
 use crate::transport::{is_timeout, Conn, Endpoint};
 
-/// Parse one fault-knob value. Pure, so each knob's error path is
-/// unit-testable without mutating process environment.
-///
-/// `"0"` means "off" (`Ok(None)`), matching unset — the CI fault matrix
-/// passes explicit zeros to disable individual knobs. Anything that is
-/// not a non-negative integer is an error naming the variable and the
-/// offending value. Leading/trailing whitespace is tolerated.
-fn parse_fault_knob(var: &str, raw: &str) -> Result<Option<u64>, String> {
-    match raw.trim().parse::<u64>() {
-        Ok(0) => Ok(None),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "invalid {var} value {raw:?}: expected a non-negative integer"
-        )),
-    }
-}
-
 /// Induced-fault knobs for exercising the loss/reconnect machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultKnobs {
     /// Silently discard every Nth sample frame (1-based count of send
     /// attempts), producing sequence gaps.
-    pub drop_every: Option<u64>,
+    pub drop_every: Option<NonZeroU64>,
     /// Sleep this long before each sample send (network lag).
     pub delay: Option<Duration>,
     /// Force a clean shutdown + reconnect after every Nth *sent* sample
     /// frame of a connection.
-    pub reconnect_every: Option<u64>,
+    pub reconnect_every: Option<NonZeroU64>,
 }
 
 impl FaultKnobs {
@@ -85,40 +67,6 @@ impl FaultKnobs {
         delay: None,
         reconnect_every: None,
     };
-
-    /// Read the knobs from `WEBCAP_NET_DROP_EVERY`,
-    /// `WEBCAP_NET_DELAY_MS`, and `WEBCAP_NET_RECONNECT_EVERY`.
-    ///
-    /// Unset and `0` both mean "off". A set-but-unparseable value is an
-    /// error — it used to be silently treated as "off", which made a
-    /// typo like `WEBCAP_NET_DROP_EVERY=ten` indistinguishable from a
-    /// fault-free run. Entry points parse once at startup so the error
-    /// surfaces before any agent dials out.
-    pub fn try_from_env() -> Result<FaultKnobs, String> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the one environment shim for fault injection: parsed once at startup by `webcap agent`, libraries take `FaultKnobs` values"
-        )]
-        fn knob(var: &str) -> Result<Option<u64>, String> {
-            match std::env::var(var) {
-                Ok(raw) => parse_fault_knob(var, &raw),
-                Err(std::env::VarError::NotPresent) => Ok(None),
-                Err(std::env::VarError::NotUnicode(_)) => {
-                    Err(format!("invalid {var} value: not valid UTF-8"))
-                }
-            }
-        }
-        Ok(FaultKnobs {
-            drop_every: knob("WEBCAP_NET_DROP_EVERY")?,
-            delay: knob("WEBCAP_NET_DELAY_MS")?.map(Duration::from_millis),
-            reconnect_every: knob("WEBCAP_NET_RECONNECT_EVERY")?,
-        })
-    }
-
-    /// Whether any knob is turned.
-    pub fn any(&self) -> bool {
-        *self != FaultKnobs::NONE
-    }
 }
 
 /// A deterministic, per-sequence fault script — the scenario-replay
@@ -550,7 +498,7 @@ pub fn run_agent(
                     let quota_hit = cfg
                         .faults
                         .reconnect_every
-                        .is_some_and(|n| conn_sent + members.len() as u64 >= n);
+                        .is_some_and(|n| conn_sent + members.len() as u64 >= n.get());
                     if members.len() >= batch_target || quota_hit {
                         break;
                     }
@@ -606,7 +554,11 @@ pub fn run_agent(
                         conn_sent += 1;
                     }
                 }
-                if cfg.faults.reconnect_every.is_some_and(|n| conn_sent >= n) {
+                if cfg
+                    .faults
+                    .reconnect_every
+                    .is_some_and(|n| conn_sent >= n.get())
+                {
                     break SessionEnd::Reconnect;
                 }
             };
@@ -659,43 +611,6 @@ mod tests {
         assert_eq!(evicted, 2);
         let kept: Vec<u64> = q.iter().map(|w| w.seq).collect();
         assert_eq!(kept, vec![2, 3, 4], "newest samples survive");
-    }
-
-    #[test]
-    fn each_fault_knob_parses_valid_off_and_invalid_values() {
-        for var in [
-            "WEBCAP_NET_DROP_EVERY",
-            "WEBCAP_NET_DELAY_MS",
-            "WEBCAP_NET_RECONNECT_EVERY",
-        ] {
-            assert_eq!(parse_fault_knob(var, "0"), Ok(None), "{var}: zero is off");
-            assert_eq!(parse_fault_knob(var, " 42 "), Ok(Some(42)), "{var}");
-            for bad in ["", "ten", "-1", "1.5", "3x"] {
-                let err = parse_fault_knob(var, bad)
-                    .expect_err("unparseable value must not silently mean off");
-                assert!(err.contains(var), "{err}");
-            }
-        }
-    }
-
-    #[test]
-    fn fault_knobs_parse_from_env() {
-        std::env::set_var("WEBCAP_NET_DROP_EVERY", "37");
-        std::env::set_var("WEBCAP_NET_DELAY_MS", "2");
-        std::env::set_var("WEBCAP_NET_RECONNECT_EVERY", "0");
-        let knobs = FaultKnobs::try_from_env().expect("all values valid");
-        assert_eq!(knobs.drop_every, Some(37));
-        assert_eq!(knobs.delay, Some(Duration::from_millis(2)));
-        assert_eq!(knobs.reconnect_every, None, "zero means off");
-        assert!(knobs.any());
-        std::env::set_var("WEBCAP_NET_DELAY_MS", "two");
-        let err = FaultKnobs::try_from_env().expect_err("unparseable knob is an error");
-        assert!(err.contains("WEBCAP_NET_DELAY_MS"), "{err}");
-        assert!(err.contains("two"), "{err}");
-        std::env::remove_var("WEBCAP_NET_DROP_EVERY");
-        std::env::remove_var("WEBCAP_NET_DELAY_MS");
-        std::env::remove_var("WEBCAP_NET_RECONNECT_EVERY");
-        assert_eq!(FaultKnobs::try_from_env(), Ok(FaultKnobs::NONE));
     }
 
     #[test]

@@ -565,14 +565,15 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameErro
 const READ_CHUNK: usize = 16 * 1024;
 
 /// The frame-reassembly buffer behind every streaming reader — the
-/// collector's lanes and the agent's ack reader: [`fill`](Self::fill)
+/// collector's lanes, the agent's ack reader, and the sessions the
+/// chaos mesh drives in-process: [`fill`](Self::fill)
 /// appends whatever one `read` returns, [`next_frame`](Self::next_frame)
 /// hands out the whole frames in it. A frame cut anywhere — by a short
 /// read, a read timeout, a full lane — simply waits in the buffer for
 /// its remaining bytes, which a [`read_frame`] that times out mid-frame
 /// cannot offer: it has consumed the fragment.
 #[derive(Debug, Default)]
-pub(crate) struct FrameBuf {
+pub struct FrameBuf {
     /// `buf[parsed..filled]` are the bytes not yet handed out as frames;
     /// what lies beyond `filled` is zeroed space for the next read.
     buf: Vec<u8>,
@@ -590,7 +591,7 @@ impl FrameBuf {
     /// The transport's verdict passes through as [`FrameError::Io`]
     /// (`is_timeout` on a nonblocking or timed-out socket), and end of
     /// stream reads as `UnexpectedEof`, as it does from [`read_frame`].
-    pub(crate) fn fill<R: Read>(&mut self, r: &mut R) -> Result<(), FrameError> {
+    pub fn fill<R: Read>(&mut self, r: &mut R) -> Result<(), FrameError> {
         let end = self.filled + READ_CHUNK;
         if self.buf.len() < end {
             self.buf.resize(end, 0);
@@ -614,7 +615,7 @@ impl FrameBuf {
     /// so the buffer is compacted once per burst of frames rather than
     /// once per frame. A corruption error is final: the stream has no
     /// frame boundary to resume from.
-    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         let unparsed = self.buf.get(self.parsed..self.filled).unwrap_or_default();
         match try_extract_frame(unparsed)? {
             Some((frame, consumed)) => {

@@ -249,7 +249,7 @@ pub fn predicted_surviving_windows(
             session.push(origin + seq as i64);
         }
         conn_sent += 1;
-        if faults.reconnect_every.is_some_and(|n| conn_sent >= n) {
+        if faults.reconnect_every.is_some_and(|n| conn_sent >= n.get()) {
             sessions.push(Vec::new());
             conn_sent = 0;
         }
@@ -346,6 +346,7 @@ fn sessions_to_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroU64;
 
     #[test]
     fn no_faults_means_every_full_window_survives() {
@@ -362,9 +363,9 @@ mod tests {
         // mid-window (3 and 6, already poisoned). Windows 0 and 5
         // survive.
         let faults = FaultKnobs {
-            drop_every: Some(37),
+            drop_every: NonZeroU64::new(37),
             delay: None,
-            reconnect_every: Some(101),
+            reconnect_every: NonZeroU64::new(101),
         };
         let (survivors, poisoned) = predicted_surviving_windows(240, &faults, 30, 1);
         assert_eq!(survivors, [0, 5].into_iter().collect::<BTreeSet<i64>>());
@@ -381,7 +382,7 @@ mod tests {
         let faults = FaultKnobs {
             drop_every: None,
             delay: None,
-            reconnect_every: Some(30),
+            reconnect_every: NonZeroU64::new(30),
         };
         let (survivors, poisoned) = predicted_surviving_windows(120, &faults, 30, 1);
         assert_eq!(survivors.len(), 4);
@@ -435,7 +436,7 @@ mod tests {
     fn trailing_drop_poisons_the_final_window() {
         // 60 samples, drop_every=60 → only seq 59 (key 60, window 1).
         let faults = FaultKnobs {
-            drop_every: Some(60),
+            drop_every: NonZeroU64::new(60),
             delay: None,
             reconnect_every: None,
         };

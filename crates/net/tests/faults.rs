@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::io::Write;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -38,9 +39,9 @@ const KNOB_ROWS: [(u64, u64, u64); 4] = [(37, 1, 101), (35, 0, 0), (0, 2, 60), (
 /// assertion's captured output says which row it was.
 fn knob_rows() -> impl Iterator<Item = (usize, FaultKnobs)> {
     let knobs = |(drop_every, delay_ms, reconnect_every): (u64, u64, u64)| FaultKnobs {
-        drop_every: (drop_every > 0).then_some(drop_every),
+        drop_every: NonZeroU64::new(drop_every),
         delay: (delay_ms > 0).then(|| Duration::from_millis(delay_ms)),
-        reconnect_every: (reconnect_every > 0).then_some(reconnect_every),
+        reconnect_every: NonZeroU64::new(reconnect_every),
     };
     let rows = KNOB_ROWS.into_iter().map(knobs).enumerate();
     rows.inspect(|(row, faults)| println!("knob row {row}: {faults:?}"))
@@ -144,7 +145,7 @@ fn dropped_frames_and_forced_reconnects_poison_exactly_the_gapped_windows() {
     // keeps would go missing — on most runs, not on all, hence the rounds.
     let long = steady_run(&meter, 3_000);
     let churn = FaultKnobs {
-        reconnect_every: Some(250),
+        reconnect_every: NonZeroU64::new(250),
         ..FaultKnobs::NONE
     };
     let tcp = Endpoint::parse("127.0.0.1:0").expect("tcp endpoint");

@@ -15,6 +15,7 @@
 //!   agent reports to the same run under JSON.
 
 use std::collections::BTreeSet;
+use std::num::NonZeroU64;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -514,9 +515,9 @@ fn faulted_runs_are_byte_identical_across_codecs() {
     let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
     let faults = FaultKnobs {
-        drop_every: Some(37),
+        drop_every: NonZeroU64::new(37),
         delay: None,
-        reconnect_every: Some(101),
+        reconnect_every: NonZeroU64::new(101),
     };
 
     let (json_report, json_agents) = run_with_codec(&meter, &samples, faults, WireCodec::Json);

@@ -1,9 +1,9 @@
 //! Deterministic parallel execution for the webcap workspace.
 //!
-//! Every embarrassingly parallel fan-out in the system — independent
-//! training/evaluation executions, cross-validation folds,
-//! forward-selection candidate scoring, benchmark grid cells — goes
-//! through [`par_map`], which runs tasks on scoped threads while
+//! The system's one fan-out level — the independent simulated
+//! executions of a training or an evaluation, and a training's four
+//! synopsis inductions — goes through
+//! [`par_map`], which runs tasks on scoped threads while
 //! preserving **bit-for-bit determinism**: results are collected into the
 //! input order, every task is a pure function of its input, and any
 //! randomness a task needs comes from its own pre-derived seed stream
@@ -12,11 +12,9 @@
 //! identical to the sequential run regardless of thread count or
 //! scheduling — the invariant `crates/core/tests/determinism.rs` enforces.
 //!
-//! The degree of parallelism is a runtime knob ([`Parallelism`]) so the
-//! same binary can run single-threaded (reference results, CI
-//! reproducibility checks) or saturate the host. `Auto` honours the
-//! `WEBCAP_JOBS` environment variable, which the CI matrix uses to re-run
-//! the whole test suite at 1, 2, and 8 threads.
+//! The degree of parallelism is a value ([`Parallelism`]) callers pass
+//! in, so the same binary can run single-threaded (reference results) or
+//! use the host's cores; no environment variable is read.
 
 // The determinism bans of DESIGN §8 (configured in the root `clippy.toml`).
 #![cfg_attr(
@@ -24,26 +22,20 @@
     deny(clippy::disallowed_methods, clippy::iter_over_hash_type)
 )]
 
-use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
-
 /// How many worker threads a fan-out point may use.
 ///
 /// The knob never changes *results* — parallel execution is
-/// deterministic by construction — only wall-clock time. It is
-/// deliberately excluded from serialized configurations (`serde` skips it
-/// at the embedding sites) so that meters trained at different thread
-/// counts serialize to identical bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// deterministic by construction — only wall-clock time. It is not
+/// serializable, so meters trained at different thread counts serialize
+/// to identical bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Run every task inline on the calling thread (the reference path).
     Sequential,
     /// Use exactly this many worker threads (clamped to at least 1;
     /// `Threads(1)` is equivalent to `Sequential`).
     Threads(usize),
-    /// Size the pool from the host: `WEBCAP_JOBS` if set (an unparseable
-    /// value is a startup error, not a silent fallback — see
-    /// [`jobs_from_env`]), otherwise the available hardware parallelism,
+    /// Size the pool from the host: the available hardware parallelism,
     /// capped at [`MAX_AUTO_THREADS`].
     #[default]
     Auto,
@@ -52,63 +44,15 @@ pub enum Parallelism {
 /// Upper bound on the thread count `Parallelism::Auto` will pick.
 pub const MAX_AUTO_THREADS: usize = 16;
 
-/// Parse one `WEBCAP_JOBS` value. Pure so the error path is unit-testable
-/// without touching process environment.
-///
-/// `"auto"` (any case) and `"0"` mean "size from the hardware"
-/// (`Ok(None)`); a positive integer pins the thread count
-/// (`Ok(Some(n))`); anything else is an error naming the variable and
-/// the offending value. Leading/trailing whitespace is tolerated.
-pub fn parse_jobs_env(raw: &str) -> Result<Option<usize>, String> {
-    let trimmed = raw.trim();
-    if trimmed.eq_ignore_ascii_case("auto") {
-        return Ok(None);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(0) => Ok(None),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "invalid WEBCAP_JOBS value {raw:?}: expected a non-negative integer or \"auto\""
-        )),
-    }
-}
-
-/// Read and parse `WEBCAP_JOBS` exactly once per process.
-///
-/// Unset means "size from the hardware" (`Ok(None)`), exactly like
-/// `WEBCAP_JOBS=0` or `WEBCAP_JOBS=auto`. A set-but-unparseable value is
-/// an error — it used to be silently ignored, which made typos like
-/// `WEBCAP_JOBS=eight` look identical to auto-sizing. Entry points
-/// should call this at startup so the error surfaces before any fan-out
-/// runs; [`Parallelism::worker_count`] panics with the same message as a
-/// backstop if an invalid value survives to a fan-out point.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the one environment shim for worker counts: read once, validated, and only wall-clock time depends on it"
-)]
-pub fn jobs_from_env() -> Result<Option<usize>, String> {
-    static JOBS_ENV: OnceLock<Result<Option<usize>, String>> = OnceLock::new();
-    JOBS_ENV
-        .get_or_init(|| match std::env::var("WEBCAP_JOBS") {
-            Ok(raw) => parse_jobs_env(&raw),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err("invalid WEBCAP_JOBS value: not valid UTF-8".to_string())
-            }
-        })
-        .clone()
-}
-
 impl Parallelism {
     /// Resolve the worker-thread count for a fan-out of `tasks` tasks.
     /// Always at least 1 and never more than `tasks` (when `tasks > 0`).
-    pub fn worker_count(self, tasks: usize) -> usize {
+    fn worker_count(self, tasks: usize) -> usize {
         let raw = match self {
             Parallelism::Sequential => 1,
             Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => jobs_from_env()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
+            Parallelism::Auto => std::thread::available_parallelism()
+                .map_or(4, |n| n.get())
                 .min(MAX_AUTO_THREADS),
         };
         raw.min(tasks.max(1))
@@ -138,18 +82,9 @@ impl std::fmt::Display for Parallelism {
     }
 }
 
-/// Namespaces for [`derive_seed`], one per kind of parallel task, so
-/// seed streams never collide across fan-out points that share a base
-/// seed.
+/// Namespaces for [`derive_seed`], so seed streams never collide across
+/// task kinds that share a base seed.
 pub mod seed_domain {
-    /// Independent training executions (one simulated run each).
-    pub const TRAINING_RUN: u64 = 0x74_72_61_69_6e; // "train"
-    /// Metric-synthesis noise of a training execution.
-    pub const TRAINING_METRICS: u64 = 0x74_6d_65_74; // "tmet"
-    /// Independent evaluation executions.
-    pub const EVALUATION_RUN: u64 = 0x65_76_61_6c; // "eval"
-    /// Benchmark grid cells.
-    pub const BENCH_CELL: u64 = 0x63_65_6c_6c; // "cell"
     /// Per-tier telemetry agents' metric synthesis (`webcap-net`): the
     /// per-sample seed is derived from `(AGENT_METRICS + tier index,
     /// sample seq, base seed)`, so a replayed or re-sent sample always
@@ -271,20 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn jobs_env_parsing() {
-        assert_eq!(parse_jobs_env("auto"), Ok(None));
-        assert_eq!(parse_jobs_env("AUTO"), Ok(None));
-        assert_eq!(parse_jobs_env("0"), Ok(None));
-        assert_eq!(parse_jobs_env(" 8 "), Ok(Some(8)));
-        assert_eq!(parse_jobs_env("1"), Ok(Some(1)));
-        for bad in ["", "eight", "1.5", "-2", "2x"] {
-            let err = parse_jobs_env(bad).expect_err(bad);
-            assert!(err.contains("WEBCAP_JOBS"), "{err}");
-            assert!(err.contains(bad.trim()) || bad.trim().is_empty(), "{err}");
-        }
-    }
-
-    #[test]
     fn jobs_parsing() {
         assert_eq!(Parallelism::from_jobs("auto"), Some(Parallelism::Auto));
         assert_eq!(Parallelism::from_jobs("0"), Some(Parallelism::Auto));
@@ -296,7 +217,7 @@ mod tests {
     #[test]
     fn derived_seeds_are_distinct_per_key() {
         let mut seen = std::collections::BTreeSet::new();
-        for domain in [seed_domain::TRAINING_RUN, seed_domain::EVALUATION_RUN] {
+        for domain in [seed_domain::AGENT_METRICS, seed_domain::AGENT_METRICS + 1] {
             for index in 0..64 {
                 for base in [0u64, 1, 0xdead_beef] {
                     assert!(
