@@ -7,12 +7,14 @@
 //! and incremental frame reassembly are exercised at arbitrary real
 //! TCP fragment boundaries while the outcome contract stays exact.
 
+use std::cell::OnceCell;
+
 use webcap_chaosnet::{spawn_chaos_proxy, ChaosProfile, ChaosSchedule};
 use webcap_core::{CapacityMeter, MeterConfig};
-use webcap_net::collector::{run_collector, CollectorConfig, CollectorReport};
-use webcap_net::source::ScriptedSource;
-use webcap_net::{run_agent, AgentConfig, Endpoint, Listener, WireCodec};
-use webcap_sim::{Simulation, SystemSample, TierId};
+use webcap_net::loopback::run_supervised_loopback;
+use webcap_net::supervisor::{SupervisedCollector, SupervisedReport};
+use webcap_net::{AgentConfig, Endpoint};
+use webcap_sim::{Simulation, SystemSample};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 const BASE_SEED: u64 = 17;
@@ -36,53 +38,35 @@ fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
     samples
 }
 
-/// Run a live deployment, optionally through the chaos proxy, and
-/// return the collector's report.
+/// Run a live deployment — the agents dialing through the chaos proxy
+/// when there is a schedule — and return the collector's report.
 fn deploy(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     chaos: Option<ChaosSchedule>,
-) -> CollectorReport {
-    let listener =
-        Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
-    let collector_endpoint = listener.local_endpoint().expect("local endpoint");
-    let proxy = chaos
-        .map(|schedule| spawn_chaos_proxy(&collector_endpoint, schedule).expect("proxy starts"));
-    let dial = proxy
-        .as_ref()
-        .map(|p| p.endpoint())
-        .unwrap_or(collector_endpoint);
-
-    let hpc_model = meter.config().hpc_model.clone();
-    let cfg = CollectorConfig::default();
-    let report = std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
-        let cfg_ref = &cfg;
-        let collector =
-            scope.spawn(move || run_collector(listener, meter_clone, cfg_ref, |_, _| {}));
-        let mut agents = Vec::new();
-        for tier in TierId::ALL {
-            let dial = dial.clone();
-            let hpc_model = hpc_model.clone();
-            agents.push(scope.spawn(move || {
-                let mut agent_cfg = AgentConfig::new(tier, dial, BASE_SEED);
-                agent_cfg.codec = WireCodec::Binary;
-                let mut source = ScriptedSource::new(tier, samples);
-                run_agent(&agent_cfg, hpc_model, &mut source)
-            }));
-        }
-        for agent in agents {
-            agent.join().expect("agent thread").expect("agent runs");
-        }
-        collector
-            .join()
-            .expect("collector thread")
-            .expect("collector runs")
-    });
-    if let Some(p) = proxy {
-        p.stop();
-    }
-    report
+) -> SupervisedReport {
+    // Started by the first agent's configuration, which is when the
+    // collector's bound endpoint is known; stopped when it drops.
+    let proxy = OnceCell::new();
+    let out = run_supervised_loopback(
+        SupervisedCollector::fresh(meter.clone()),
+        &meter.config().hpc_model,
+        samples,
+        &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
+        0,
+        |tier, collector| {
+            let dial = match &chaos {
+                Some(schedule) => proxy
+                    .get_or_init(|| {
+                        spawn_chaos_proxy(&collector, schedule.clone()).expect("proxy starts")
+                    })
+                    .endpoint(),
+                None => collector,
+            };
+            AgentConfig::new(tier, dial, BASE_SEED)
+        },
+    );
+    out.expect("deployment runs").collector
 }
 
 #[test]
@@ -101,7 +85,7 @@ fn proxied_deployment_is_byte_identical_to_direct() {
     );
     let proxied = deploy(&meter, &samples, Some(chaos));
 
-    let render = |r: &CollectorReport| {
+    let render = |r: &SupervisedReport| {
         serde_json::to_string(&(&r.decisions, &r.poisoned_windows)).expect("report serializes")
     };
     assert_eq!(

@@ -17,9 +17,11 @@ use webcap_core::{read_snapshot, AdmissionConfig, AdmissionController, SnapshotH
 use webcap_fleet::{run_fleet, FleetChaos, FleetTopology};
 use webcap_hpc::HpcModel;
 use webcap_ml::Algorithm;
+use webcap_net::supervisor::INITIAL_CAP;
 use webcap_net::{
     run_agent, run_supervised_collector, AgentConfig, CollectorConfig, CollectorSnapshot, Endpoint,
-    Listener, ResumeOutcome, ScriptedSource, SupervisedReport, SupervisorConfig, WireCodec,
+    Listener, ResumeOutcome, ScriptedSource, SupervisedCollector, SupervisedReport,
+    SupervisorConfig, WireCodec,
 };
 use webcap_sim::{SimConfig, Simulation, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
@@ -469,9 +471,8 @@ fn run_collect(
     let sup_cfg = SupervisorConfig {
         safe_cap: args.get_parsed("safe-cap", defaults.safe_cap, "integer")?,
         snapshot_every: args.get_parsed("snapshot-every", defaults.snapshot_every, "integer")?,
-        ..defaults
     };
-    let admission = AdmissionController::try_new(AdmissionConfig::default(), 400)
+    let admission = AdmissionController::try_new(AdmissionConfig::default(), INITIAL_CAP)
         .map_err(|e| CliError::Message(e.to_string()))?;
     let listener = Listener::bind(endpoint)?;
     let cfg = CollectorConfig::default();
@@ -488,14 +489,18 @@ fn run_collect(
         "{:<8} {:>10} {:>10} {:>10} {:>12}",
         "window", "t(s)", "thr", "state", "hc"
     );
-    let report = run_supervised_collector(
-        listener,
+    let collector = SupervisedCollector::start(
         meter,
-        &cfg,
+        cfg.window_origin,
         sup_cfg,
         admission,
         snapshot,
         resume,
+    );
+    Ok(run_supervised_collector(
+        listener,
+        collector,
+        &cfg,
         |window, decision| {
             println!(
                 "{:<8} {:>10.0} {:>10.1} {:>10} {:>12}",
@@ -517,8 +522,7 @@ fn run_collect(
                 },
             );
         },
-    )?;
-    Ok(report)
+    ))
 }
 
 /// `webcap snapshot inspect <file>` — verify a collector snapshot's

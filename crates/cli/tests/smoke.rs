@@ -7,9 +7,9 @@
 use webcap_cli::args::Args;
 use webcap_cli::commands;
 use webcap_core::{CapacityMeter, MeterConfig, OnlineMonitor, Parallelism};
-use webcap_net::loopback::{all_windows, replay_windows, run_loopback};
+use webcap_net::loopback::{all_windows, replay_windows, run_loopback_scheduled};
 use webcap_net::supervisor::{HealthState, ResumeOutcome};
-use webcap_net::{Endpoint, FaultKnobs};
+use webcap_net::{Endpoint, FaultKnobs, FaultSchedule};
 use webcap_sim::Simulation;
 use webcap_tpcw::{Mix, TrafficProgram};
 
@@ -69,12 +69,13 @@ fn distributed_loopback_matches_the_in_process_monitor() {
     let dir = std::env::temp_dir().join(format!("webcap-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let sock = dir.join("loopback.sock");
-    let out = run_loopback(
+    let out = run_loopback_scheduled(
         &meter,
         &samples,
         &Endpoint::Unix(sock.clone()),
         12,
         FaultKnobs::NONE,
+        &[FaultSchedule::NONE, FaultSchedule::NONE],
     )
     .expect("loopback deployment runs");
     let _ = std::fs::remove_file(&sock);

@@ -25,14 +25,13 @@
 //!   back off exponentially (capped), with a ±25% deterministic jitter
 //!   derived from the agent seed so a fleet of agents does not dial a
 //!   recovering collector in lockstep.
-//! * **Fault injection.** [`FaultKnobs`], a value in [`AgentConfig`],
-//!   silently discard every Nth sample frame, delay each send, and
-//!   force a clean reconnect after every Nth sent frame — what the
-//!   fault-injection acceptance test (`tests/faults.rs`) sweeps.
+//! * **Fault injection.** The agent knows one fault script, the
+//!   [`FaultSchedule`] in its [`AgentConfig`]: exact sequences to
+//!   discard silently and to reconnect before. Periodic faults are
+//!   harness data that [`crate::loopback`] compiles to such a script.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self};
-use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -47,37 +46,14 @@ use crate::frame::{
 use crate::source::{SampleSource, SourcePoll, TierSampler};
 use crate::transport::{is_timeout, Conn, Endpoint};
 
-/// Induced-fault knobs for exercising the loss/reconnect machinery.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultKnobs {
-    /// Silently discard every Nth sample frame (1-based count of send
-    /// attempts), producing sequence gaps.
-    pub drop_every: Option<NonZeroU64>,
-    /// Sleep this long before each sample send (network lag).
-    pub delay: Option<Duration>,
-    /// Force a clean shutdown + reconnect after every Nth *sent* sample
-    /// frame of a connection.
-    pub reconnect_every: Option<NonZeroU64>,
-}
-
-impl FaultKnobs {
-    /// No induced faults.
-    pub const NONE: FaultKnobs = FaultKnobs {
-        drop_every: None,
-        delay: None,
-        reconnect_every: None,
-    };
-}
-
-/// A deterministic, per-sequence fault script — the scenario-replay
-/// counterpart of the periodic [`FaultKnobs`].
+/// A deterministic, per-sequence fault script — the only fault
+/// vocabulary the agent speaks.
 ///
-/// Where the knobs describe *rates* ("every Nth frame"), a schedule
-/// names exact sample sequences: ranges the agent silently discards
-/// (a tier outage) and points where it tears the connection down and
-/// redials (a process restart). Both sim replay and the loopback plane
-/// consume the same schedule, which is what makes scenario capacity
-/// reports reproducible across the two substrates.
+/// A schedule names exact sample sequences: ranges the agent silently
+/// discards (a tier outage) and points where it tears the connection
+/// down and redials (a process restart). Both sim replay and the
+/// loopback plane consume the same schedule, which is what makes
+/// scenario capacity reports reproducible across the two substrates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Inclusive `(first, last)` sequence ranges whose sample frames are
@@ -114,21 +90,13 @@ pub struct AgentConfig {
     pub tier: TierId,
     /// Collector endpoint to dial.
     pub endpoint: Endpoint,
-    /// Bounded send-queue capacity (drop-oldest beyond it).
-    pub queue_capacity: usize,
     /// Redial posture: jittered backoff, attempt budget, and the
     /// per-attempt handshake timeout.
     pub retry: RetryPolicy,
-    /// Read timeout on the connection (handshake reply, ack drain).
-    pub read_timeout: Duration,
-    /// Send a heartbeat after this long without frames while idle.
-    pub heartbeat: Duration,
     /// Deployment-wide base seed: metric-synthesis noise and backoff
     /// jitter both derive from it.
     pub seed: u64,
-    /// Induced faults.
-    pub faults: FaultKnobs,
-    /// Scheduled per-sequence faults (scenario replay).
+    /// Scheduled per-sequence faults (scenario replay, fault tests).
     pub schedule: FaultSchedule,
     /// Wire codec announced in `Hello` and used for every post-handshake
     /// frame of the session. The handshake itself is always JSON so a
@@ -139,19 +107,24 @@ pub struct AgentConfig {
     pub max_batch: u32,
 }
 
+/// Bounded send-queue capacity (drop-oldest beyond it).
+pub const QUEUE_CAPACITY: usize = 256;
+
+/// Read timeout on an established connection (the ack drain).
+pub const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Send a heartbeat after this long without frames while idle.
+pub const HEARTBEAT: Duration = Duration::from_millis(500);
+
 impl AgentConfig {
-    /// Defaults tuned for tests and the local demo: snappy timeouts,
-    /// 256-sample queue.
+    /// Defaults tuned for tests and the local demo: snappy redial, no
+    /// scheduled faults, binary dialect in batches of 32.
     pub fn new(tier: TierId, endpoint: Endpoint, seed: u64) -> AgentConfig {
         AgentConfig {
             tier,
             endpoint,
-            queue_capacity: 256,
             retry: RetryPolicy::dial_defaults(),
-            read_timeout: Duration::from_millis(500),
-            heartbeat: Duration::from_millis(500),
             seed,
-            faults: FaultKnobs::NONE,
             schedule: FaultSchedule::NONE,
             codec: WireCodec::Binary,
             max_batch: 32,
@@ -166,7 +139,7 @@ pub struct AgentReport {
     pub samples_produced: u64,
     /// Sample frames that reached the wire.
     pub frames_sent: u64,
-    /// Sample frames discarded by the `drop_every` fault knob.
+    /// Sample frames discarded by the [`FaultSchedule`]'s drop ranges.
     pub frames_dropped: u64,
     /// Samples evicted by drop-oldest queue backpressure.
     pub queue_dropped: u64,
@@ -320,11 +293,6 @@ pub fn run_agent(
     let mut report = AgentReport::default();
     let mut source_done = false;
     let mut last_seq: u64 = 0;
-    // 1-based count of sample-send attempts across the whole run — the
-    // denominator of the `drop_every` fault knob, and what an external
-    // oracle (the fault-injection test) replays to predict exactly which
-    // sequences went missing.
-    let mut attempts: u64 = 0;
     // Scheduled reconnect points already taken, so each fires once even
     // though the triggering frame is re-sent on the next session.
     let mut sched_reconnected: BTreeSet<u64> = BTreeSet::new();
@@ -341,7 +309,7 @@ pub fn run_agent(
 
     loop {
         let conn = dial(cfg)?;
-        conn.set_read_timeout(Some(cfg.read_timeout))?;
+        conn.set_read_timeout(Some(READ_TIMEOUT))?;
         report.sessions += 1;
 
         let done = AtomicBool::new(false);
@@ -375,7 +343,6 @@ pub fn run_agent(
                 (acks, rejects)
             });
 
-            let mut conn_sent: u64 = 0;
             let mut idle_polls: u32 = 0;
             let end = loop {
                 if queue.is_empty() {
@@ -403,7 +370,7 @@ pub fn run_agent(
                             if !warmup {
                                 report.samples_produced += 1;
                                 report.queue_dropped +=
-                                    push_bounded(&mut queue, ws, cfg.queue_capacity);
+                                    push_bounded(&mut queue, ws, QUEUE_CAPACITY);
                             }
                             idle_polls = 0;
                         }
@@ -412,7 +379,7 @@ pub fn run_agent(
                             // read timeout knows we are alive, then yield.
                             idle_polls += 1;
                             let poll_sleep = Duration::from_millis(5);
-                            if poll_sleep * idle_polls >= cfg.heartbeat {
+                            if poll_sleep * idle_polls >= HEARTBEAT {
                                 write_frame_codec(
                                     &mut conn,
                                     &Frame::Heartbeat { seq: last_seq },
@@ -446,7 +413,7 @@ pub fn run_agent(
                             if !warmup {
                                 report.samples_produced += 1;
                                 report.queue_dropped +=
-                                    push_bounded(&mut queue, ws, cfg.queue_capacity);
+                                    push_bounded(&mut queue, ws, QUEUE_CAPACITY);
                             }
                             idle_polls = 0;
                         }
@@ -459,10 +426,6 @@ pub fn run_agent(
                 // `continue`s otherwise), but a `let-else` keeps this
                 // loop panic-free by construction.
                 let Some(ws) = queue.front() else { continue };
-                // Scheduled faults run before the periodic knobs and do
-                // not consume a knob attempt: a scenario's scripted
-                // outage must not shift which frames a `drop_every` run
-                // would discard.
                 let seq = ws.seq;
                 if cfg.schedule.reconnect_before.contains(&seq) && sched_reconnected.insert(seq) {
                     break SessionEnd::Reconnect;
@@ -472,64 +435,30 @@ pub fn run_agent(
                     report.frames_dropped += 1;
                     continue;
                 }
-                attempts += 1;
-                if cfg.faults.drop_every.is_some_and(|n| attempts % n == 0) {
-                    queue.pop_front();
-                    report.frames_dropped += 1;
-                    continue;
-                }
 
-                // The front sample passed its gates; tentatively extend the
-                // frame with queued successors, replaying the exact
-                // per-sample gate sequence of one-sample frames: a scheduled
-                // drop consumes no attempt, a knob drop does. Extension
-                // stops at the batch cap, at an untaken scheduled-reconnect
-                // point, and at the `reconnect_every` session quota — every
-                // place the sequential loop would have stopped sending.
-                // None of the tentative verdicts is committed until the
-                // write succeeds: a sequential sender would never have
-                // examined a sample past a failed send, so on failure the
-                // tentative state is discarded wholesale and the retry
-                // recomputes identical verdicts from identical counters.
+                // The front sample passed its gates; extend the frame with
+                // queued successors, replaying the per-sample gate sequence
+                // of one-sample frames. Extension stops at the batch cap
+                // and at an untaken scheduled-reconnect point — every place
+                // the sequential loop would have stopped sending. Nothing
+                // leaves the queue until the write succeeds: a sequential
+                // sender would never have examined a sample past a failed
+                // send, and the retry reaches the same verdicts because
+                // they depend on the sequence alone.
                 let mut members: Vec<WireSample> = vec![ws.clone()];
-                let mut verdicts: Vec<bool> = vec![false]; // true = dropped
-                let mut tentative_attempts: u64 = 0;
+                let mut taken: usize = 1; // queue entries the frame settles
                 for item in queue.iter().skip(1) {
-                    let quota_hit = cfg
-                        .faults
-                        .reconnect_every
-                        .is_some_and(|n| conn_sent + members.len() as u64 >= n.get());
-                    if members.len() >= batch_target || quota_hit {
+                    let untaken_reconnect = cfg.schedule.reconnect_before.contains(&item.seq)
+                        && !sched_reconnected.contains(&item.seq);
+                    if members.len() >= batch_target || untaken_reconnect {
                         break;
                     }
-                    let iseq = item.seq;
-                    if cfg.schedule.reconnect_before.contains(&iseq)
-                        && !sched_reconnected.contains(&iseq)
-                    {
-                        break;
+                    taken += 1;
+                    if !cfg.schedule.drops(item.seq) {
+                        members.push(item.clone());
                     }
-                    if cfg.schedule.drops(iseq) {
-                        verdicts.push(true);
-                        continue;
-                    }
-                    tentative_attempts += 1;
-                    if cfg
-                        .faults
-                        .drop_every
-                        .is_some_and(|n| (attempts + tentative_attempts) % n == 0)
-                    {
-                        verdicts.push(true);
-                        continue;
-                    }
-                    verdicts.push(false);
-                    members.push(item.clone());
                 }
                 let sent = members.len() as u64;
-                if let Some(delay) = cfg.faults.delay {
-                    // One batched send stands in for `sent` sequential
-                    // sends; keep the aggregate pacing identical.
-                    std::thread::sleep(delay * sent as u32);
-                }
                 let frame = if sent == 1 {
                     let Some(one) = members.pop() else { continue };
                     Frame::Sample(one)
@@ -538,29 +467,11 @@ pub fn run_agent(
                 };
                 if write_frame_codec(&mut conn, &frame, cfg.codec, &mut scratch).is_err() {
                     // Everything stays queued; resend on the next session.
-                    // Undo the front sample's attempt (the tentative ones
-                    // were never committed) so a retried frame faces the
-                    // same drop verdict it already passed.
-                    attempts -= 1;
                     break SessionEnd::Reconnect;
                 }
-                attempts += tentative_attempts;
-                for dropped in verdicts {
-                    queue.pop_front();
-                    if dropped {
-                        report.frames_dropped += 1;
-                    } else {
-                        report.frames_sent += 1;
-                        conn_sent += 1;
-                    }
-                }
-                if cfg
-                    .faults
-                    .reconnect_every
-                    .is_some_and(|n| conn_sent >= n.get())
-                {
-                    break SessionEnd::Reconnect;
-                }
+                queue.drain(..taken);
+                report.frames_sent += sent;
+                report.frames_dropped += taken as u64 - sent;
             };
             done.store(true, Ordering::Relaxed);
             // However the session ended, half-close and let the ack

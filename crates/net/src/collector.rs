@@ -16,8 +16,9 @@
 //!
 //! The socketed collector is **one thread**: `pump_events` is the poll
 //! loop — accept and handshake, read each tier's lane, decode,
-//! reassemble, decide, queue acks, flush — and calls its handler
-//! ([`run_collector`]'s or the supervisor's) directly for every event.
+//! reassemble, decide, queue acks, flush — and calls its one handler,
+//! [`run_supervised_collector`](crate::supervisor::run_supervised_collector)'s,
+//! directly for every event.
 //! There is no queue between the socket and the meter, so the only
 //! buffers that grow with a slow consumer are the lanes' own, bounded
 //! by [`CollectorConfig::max_lane_buffered_bytes`]; past that the
@@ -49,11 +50,6 @@ pub struct CollectorConfig {
     /// (`round(t_s)` of sequence 0); anchors window boundaries. The
     /// simulator's first per-second sample ends at `t = 1 s`.
     pub window_origin: i64,
-    /// Read timeout for the handshake `Hello`.
-    pub handshake_timeout: Duration,
-    /// Per-connection read timeout; a session silent for longer (no
-    /// samples, no heartbeats) is dropped.
-    pub read_timeout: Duration,
     /// Stop when no events arrive for this long and no session is
     /// active.
     pub idle_timeout: Duration,
@@ -75,25 +71,30 @@ pub struct CollectorConfig {
     /// partial header) and hostile slow writers (dribbling bytes so the
     /// plain idle clock never fires) — both previously pinned a lane
     /// forever whenever another lane kept the pump busy. The default
-    /// matches `read_timeout` at the 1 ms poll cadence.
+    /// matches [`READ_TIMEOUT`] at the 1 ms poll cadence.
     pub stall_poll_budget: u32,
-    /// Overload bound on handshaken connections queued behind a tier's
-    /// live session; beyond it new dials are shed (closed) instead of
-    /// growing the queue — a redial storm must not grow memory.
-    pub max_waiting_conns: usize,
 }
+
+/// Read timeout for the handshake `Hello`.
+pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Per-connection read timeout; a session silent for longer (no
+/// samples, no heartbeats) is dropped.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Overload bound on handshaken connections queued behind a tier's live
+/// session; beyond it new dials are shed (closed) instead of growing
+/// the queue — a redial storm must not grow memory.
+pub const MAX_WAITING_CONNS: usize = 8;
 
 impl Default for CollectorConfig {
     fn default() -> CollectorConfig {
         CollectorConfig {
             window_origin: 1,
-            handshake_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(10),
             expected_tiers: 2,
             max_lane_buffered_bytes: 2 * (crate::frame::MAX_FRAME_LEN + 8),
             stall_poll_budget: 2000,
-            max_waiting_conns: 8,
         }
     }
 }
@@ -124,33 +125,10 @@ impl std::fmt::Display for ShedKind {
     }
 }
 
-/// End-of-run account of what the collector saw and decided.
-#[derive(Debug, Clone)]
-pub struct CollectorReport {
-    /// Emitted decisions, in window order.
-    pub decisions: Vec<(i64, OnlineDecision)>,
-    /// Windows quarantined by gaps or reconnections.
-    pub poisoned_windows: Vec<i64>,
-    /// Windows still partially buffered at shutdown (incomplete, never
-    /// emitted).
-    pub pending_windows: Vec<i64>,
-    /// Sessions accepted per tier (reconnects show up here).
-    pub sessions: [u64; 2],
-    /// Sample frames received per tier.
-    pub samples: [u64; 2],
-    /// Connections refused at handshake (version/schema mismatch).
-    pub rejected_handshakes: u64,
-    /// Protocol-order surprises survived (duplicate keys, data for
-    /// finalized windows); nonzero values indicate a misbehaving agent.
-    pub anomalies: u64,
-    /// Connections (or dials) shed by the overload policy, with the
-    /// reason for each — the audit trail the overload tests read.
-    pub sheds: Vec<(TierId, ShedKind)>,
-}
-
 /// The unsharded reassembly state machine, single-threaded and fully
-/// deterministic — the socketed [`run_collector`] drives it, and unit
-/// tests drive it directly. It is the K=1 fleet in one struct: a
+/// deterministic — the
+/// [`SupervisedCollector`](crate::supervisor::SupervisedCollector)
+/// drives it, and unit tests drive it directly. It is the K=1 fleet in one struct: a
 /// [`TierDigester`] per tier, a join of their digests per window, and
 /// [`score_window`] on each pair.
 #[derive(Debug)]
@@ -431,9 +409,9 @@ pub(crate) enum Event {
 /// Only `PROTO_VERSION` is accepted; any other version is rejected with
 /// a frame carrying both peers' versions so the operator can see who
 /// needs upgrading.
-pub(crate) fn handshake(conn: &mut Conn, cfg: &CollectorConfig) -> io::Result<(TierId, WireCodec)> {
+pub(crate) fn handshake(conn: &mut Conn) -> io::Result<(TierId, WireCodec)> {
     conn.set_nonblocking(false)?;
-    conn.set_read_timeout(Some(cfg.handshake_timeout))?;
+    conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     // Turn the peer away: tell it why (best effort — it may still be
     // listening), and fail the handshake with the same reason.
     let reject = |conn: &mut Conn, reason: String, theirs: u32| {
@@ -730,18 +708,18 @@ fn service_conn(
     if state.wbuf.len() > cfg.max_lane_buffered_bytes {
         return Some(LaneEnd::Shed(ShedKind::WriteBacklog));
     }
-    if eof || state.idle >= cfg.read_timeout {
+    if eof || state.idle >= READ_TIMEOUT {
         return Some(LaneEnd::Closed);
     }
     None
 }
 
-/// The collector event pump both socketed collectors run on — one poll
-/// loop on the caller's thread that owns `listener` and every
+/// The socketed collector's event pump — one poll loop on the caller's
+/// thread that owns `listener` and every
 /// connection and hands each event to `handle` by direct call, in
 /// arrival order. A round accepts and handshakes whoever is waiting
 /// (synchronously: handshakes are short and bounded by
-/// `handshake_timeout`), services each tier's live session — read,
+/// [`HANDSHAKE_TIMEOUT`]), services each tier's live session — read,
 /// decode, `handle`, queue acks, flush once — and sleeps a millisecond.
 /// While `handle` runs nothing is read, so a slow handler fills the
 /// lane's socket, not a queue: memory stays bounded by
@@ -774,7 +752,7 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
                 Err(e) if is_timeout(&e) => break,
                 Err(_) => break 'poll,
             };
-            match handshake(&mut conn, cfg) {
+            match handshake(&mut conn) {
                 Ok((tier, codec)) => {
                     if conn.set_nonblocking(true).is_err() {
                         let _ = conn.shutdown();
@@ -784,7 +762,7 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
                         let _ = conn.shutdown();
                         continue;
                     };
-                    if lane.waiting.len() >= cfg.max_waiting_conns {
+                    if lane.waiting.len() >= MAX_WAITING_CONNS {
                         // Redial storm: shed the newest dial instead of
                         // growing the queue. The peer sees a clean close
                         // and retries on its own backoff schedule.
@@ -857,56 +835,6 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
             let _ = conn.shutdown();
         }
     }
-}
-
-/// Run the collector on a bound listener until every expected tier says
-/// `Bye` (or the idle timeout passes with no live session). Each
-/// emitted decision is also streamed to `on_decision` as it happens.
-pub fn run_collector(
-    listener: Listener,
-    meter: CapacityMeter,
-    cfg: &CollectorConfig,
-    mut on_decision: impl FnMut(i64, &OnlineDecision),
-) -> io::Result<CollectorReport> {
-    let mut assembler = Assembler::new(meter, cfg.window_origin);
-    let mut decisions: Vec<(i64, OnlineDecision)> = Vec::new();
-    let mut sessions = [0u64; 2];
-    let mut samples = [0u64; 2];
-    let mut rejected = 0u64;
-    let mut sheds: Vec<(TierId, ShedKind)> = Vec::new();
-
-    pump_events(listener, cfg, |event| match event {
-        Event::SessionStart { tier } => {
-            *tier.select_mut(&mut sessions) += 1;
-            assembler.on_session_start(tier);
-        }
-        Event::Sample { tier, ws } => {
-            *tier.select_mut(&mut samples) += 1;
-            assembler.on_sample(tier, ws, &mut |w, d| {
-                decisions.push((w, d.clone()));
-                on_decision(w, d);
-            });
-        }
-        Event::Bye { tier, last_seq } => assembler.on_bye(tier, last_seq),
-        Event::SessionEnd {
-            tier,
-            graceful: false,
-        } => assembler.on_session_abort(tier),
-        Event::Shed { tier, kind } => sheds.push((tier, kind)),
-        Event::Rejected => rejected += 1,
-        Event::SessionEnd { graceful: true, .. } | Event::Stale => {}
-    });
-
-    Ok(CollectorReport {
-        poisoned_windows: assembler.poisoned_windows(),
-        pending_windows: assembler.pending_windows(),
-        anomalies: assembler.anomalies(),
-        decisions,
-        sessions,
-        samples,
-        rejected_handshakes: rejected,
-        sheds,
-    })
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@
 //! * [`source`] — the [`SampleSource`] seam an agent measures through,
 //!   and the replayable per-tier metric synthesis ([`TierSampler`]).
 //! * [`agent`] — the agent runtime: bounded drop-oldest queueing,
-//!   sample batching, heartbeats, jittered-backoff reconnect, fault
-//!   knobs.
+//!   sample batching, heartbeats, jittered-backoff reconnect, and the
+//!   scripted [`FaultSchedule`].
 //! * [`reassembly`] — the one implementation of the per-tier window
 //!   rules ([`TierDigester`]: gap poisoning, straddle quarantine,
 //!   trailing loss) and of digest-pair scoring ([`score_window`]),
@@ -32,10 +32,13 @@
 //! * [`collector`] — the one-thread ingest pump (poll, decode,
 //!   reassemble, decide, ack) and the deterministic window
 //!   [`Assembler`]: one digester per tier joined per window.
-//! * [`supervisor`] — the Healthy → Degraded → SafeMode health state
-//!   machine over telemetry quality, safe-mode admission clamping,
-//!   periodic crash-safe snapshots, and resume-from-snapshot.
-//! * [`loopback`] — in-process deployments plus the replay/oracle
+//! * [`supervisor`] — the collector itself ([`SupervisedCollector`],
+//!   socketed by [`run_supervised_collector`]): the assembler under the
+//!   Healthy → Degraded → SafeMode health state machine over telemetry
+//!   quality, safe-mode admission clamping, periodic crash-safe
+//!   snapshots, and resume-from-snapshot.
+//! * [`loopback`] — in-process deployments, the periodic fault knobs
+//!   that compile to a [`FaultSchedule`], plus the replay/oracle
 //!   baselines the integration tests check the plane against.
 //!
 //! The load-bearing property, proved window-by-window in the
@@ -72,12 +75,8 @@ pub mod source;
 pub mod supervisor;
 pub mod transport;
 
-pub use agent::{
-    run_agent, AgentConfig, AgentReport, FaultKnobs, FaultSchedule, HandshakeRejected,
-};
-pub use collector::{
-    run_collector, Assembler, AssemblerState, CollectorConfig, CollectorReport, ShedKind,
-};
+pub use agent::{run_agent, AgentConfig, AgentReport, FaultSchedule, HandshakeRejected};
+pub use collector::{Assembler, AssemblerState, CollectorConfig, ShedKind};
 pub use frame::{
     encode_payload, metric_schema_hash, read_frame, try_extract_frame, write_frame,
     write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError,
@@ -85,8 +84,8 @@ pub use frame::{
     PROTO_VERSION,
 };
 pub use loopback::{
-    all_windows, predicted_surviving_windows, predicted_windows_for_schedule, replay_windows,
-    run_loopback, run_loopback_scheduled, run_supervised_loopback, LoopbackOutcome,
+    all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
+    run_supervised_loopback, FaultKnobs, LoopbackOutcome,
 };
 pub use reassembly::{score_window, DigesterState, TierDigester, MAX_GAP_WINDOWS};
 pub use source::{SampleSource, ScriptedSource, SourcePoll, SourceSample, TierSampler};

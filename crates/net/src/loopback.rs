@@ -1,61 +1,107 @@
 //! In-process loopback deployments and replay baselines.
 //!
-//! [`run_loopback`] stands up a real collector plus one real agent per
-//! tier inside one process, wired over an actual socket (TCP or Unix) —
-//! the integration surface the smoke and fault-injection tests drive.
+//! [`run_supervised_loopback`] stands up the real collector plus one
+//! real agent per tier inside one process, wired over an actual socket
+//! (TCP or Unix) — the integration surface the smoke, fault-injection
+//! and chaos tests, the benchmark's online workloads and capsearch's
+//! loopback executor drive. [`run_loopback_scheduled`] is its stock
+//! form: [`SupervisedCollector::fresh`], default agents, and a fault
+//! script per tier, [`FaultKnobs`] compiled in.
 //!
-//! Two pure companions make its output *checkable*:
+//! Two pure companions make a deployment's output *checkable*:
 //!
 //! * [`replay_windows`] — an in-process [`OnlineMonitor`] fed exactly
 //!   the chosen windows with the same externally-synthesized metric
 //!   rows the agents produce. The collector's decisions must be
 //!   byte-identical (JSON) to this replay on the windows it emits.
-//! * [`predicted_surviving_windows`] — an independent oracle that
-//!   replays the agent's documented fault counters and the collector's
-//!   documented poisoning rules to predict, from the knob values alone,
-//!   exactly which windows survive. It shares no code with either side,
-//!   so the test cross-validates two implementations of the semantics.
+//! * [`predicted_windows_for_schedule`] — the one oracle: it replays a
+//!   fault script and the collector's documented poisoning rules to
+//!   predict exactly which windows survive. It shares no code with the
+//!   agent or the collector, so the tests cross-validate two
+//!   implementations of the semantics.
 
 use std::collections::BTreeSet;
 use std::io;
-use std::path::Path;
+use std::num::NonZeroU64;
 
-use webcap_core::{AdmissionController, CapacityMeter, OnlineDecision, OnlineMonitor};
+use webcap_core::{CapacityMeter, OnlineDecision, OnlineMonitor};
+use webcap_hpc::HpcModel;
 use webcap_sim::{SystemSample, TierId};
 
-use crate::agent::{run_agent, AgentConfig, AgentReport, FaultKnobs, FaultSchedule};
-use crate::collector::{run_collector, CollectorConfig, CollectorReport};
+use crate::agent::{run_agent, AgentConfig, AgentReport, FaultSchedule};
+use crate::collector::CollectorConfig;
 use crate::source::{ScriptedSource, TierSampler};
-use crate::supervisor::{run_supervised_collector, SupervisedReport, SupervisorConfig};
+use crate::supervisor::{run_supervised_collector, SupervisedCollector, SupervisedReport};
 use crate::transport::{Endpoint, Listener};
 
+/// Periodic induced faults for exercising the loss/reconnect machinery
+/// — harness-level data: [`schedule`](Self::schedule) compiles them
+/// into the [`FaultSchedule`] an agent runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultKnobs {
+    /// Silently discard every Nth sample frame (1-based count of send
+    /// attempts), producing sequence gaps.
+    pub drop_every: Option<NonZeroU64>,
+    /// Force a clean shutdown + reconnect after every Nth *sent* sample
+    /// frame of a connection.
+    pub reconnect_every: Option<NonZeroU64>,
+}
+
+impl FaultKnobs {
+    /// No induced faults.
+    pub const NONE: FaultKnobs = FaultKnobs {
+        drop_every: None,
+        reconnect_every: None,
+    };
+
+    /// Compile these knobs over `scripted` into one script for a
+    /// `total`-sample stream: everything `scripted` says, plus a drop
+    /// at every sequence whose 1-based attempt index is a multiple of
+    /// `drop_every` — an attempt being a send `scripted` leaves, so a
+    /// scripted outage never shifts which frames the knob discards —
+    /// and a `reconnect_before` at the sequence that follows each
+    /// `reconnect_every`th frame sent on a connection (a scripted
+    /// reconnect starts a new connection's count; an entry at `total`
+    /// names no sample, and a repeated one fires once: both inert).
+    pub fn schedule(&self, total: u64, scripted: &FaultSchedule) -> FaultSchedule {
+        let mut merged = scripted.clone();
+        let (mut attempts, mut conn_sent) = (0u64, 0u64);
+        for seq in 0..total {
+            if scripted.reconnect_before.contains(&seq) {
+                conn_sent = 0;
+            }
+            if scripted.drops(seq) {
+                continue;
+            }
+            attempts += 1;
+            if self.drop_every.is_some_and(|n| attempts % n == 0) {
+                merged.drop_ranges.push((seq, seq));
+                continue;
+            }
+            conn_sent += 1;
+            if self.reconnect_every.is_some_and(|n| conn_sent >= n.get()) {
+                conn_sent = 0;
+                merged.reconnect_before.push(seq + 1);
+            }
+        }
+        merged
+    }
+}
+
 /// What a loopback deployment produced.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LoopbackOutcome {
     /// The collector's end-of-run report.
-    pub collector: CollectorReport,
+    pub collector: SupervisedReport,
     /// Per-tier agent reports, `[App, Db]`.
     pub agents: [AgentReport; 2],
 }
 
-/// Run a two-agent + collector deployment over `endpoint` inside this
-/// process, streaming `samples` (each tier sees its own view), and
-/// return everything both sides reported. `base_seed` is the
-/// deployment-wide metrics seed; `faults` applies to both agents.
-pub fn run_loopback(
-    meter: &CapacityMeter,
-    samples: &[SystemSample],
-    endpoint: &Endpoint,
-    base_seed: u64,
-    faults: FaultKnobs,
-) -> io::Result<LoopbackOutcome> {
-    let schedules = [FaultSchedule::NONE, FaultSchedule::NONE];
-    run_loopback_scheduled(meter, samples, endpoint, base_seed, faults, &schedules)
-}
-
-/// [`run_loopback`] with an additional per-tier [`FaultSchedule`]
-/// (`[App, Db]`) — the scenario-replay entry point. The periodic
-/// `faults` knobs still apply on top of the schedules.
+/// Run the stock two-agent + collector deployment over `endpoint`
+/// inside this process, streaming `samples` (each tier sees its own
+/// view), and return everything both sides reported. `base_seed` is
+/// the deployment-wide metrics seed; `faults` applies to both agents,
+/// compiled over each tier's entry of `schedules` (`[App, Db]`).
 pub fn run_loopback_scheduled(
     meter: &CapacityMeter,
     samples: &[SystemSample],
@@ -64,94 +110,47 @@ pub fn run_loopback_scheduled(
     faults: FaultKnobs,
     schedules: &[FaultSchedule; 2],
 ) -> io::Result<LoopbackOutcome> {
-    let (collector, agents) = run_with_agents(
-        meter,
-        samples,
-        endpoint,
-        base_seed,
-        faults,
-        schedules,
-        0,
-        |listener, meter, cfg| run_collector(listener, meter, cfg, |_, _| {}),
-    )?;
-    Ok(LoopbackOutcome { collector, agents })
+    let total = samples.len() as u64;
+    let scripts = schedules.each_ref().map(|s| faults.schedule(total, s));
+    let collector = SupervisedCollector::fresh(meter.clone());
+    let hpc_model = &meter.config().hpc_model;
+    run_supervised_loopback(collector, hpc_model, samples, endpoint, 0, |tier, dial| {
+        let mut cfg = AgentConfig::new(tier, dial, base_seed);
+        cfg.schedule = tier.select(&scripts).clone();
+        cfg
+    })
 }
 
-/// [`run_loopback`] with the supervised collector: same two agents,
-/// same wire, but the collector runs the health state machine,
-/// safe-mode admission, and (when `snapshot_path` is set) periodic
-/// snapshots / resume. `start_seq` puts both agents' scripted sources
-/// into warm-up replay below that sequence (synthesize, don't send),
-/// so a resumed deployment continues the stream where the previous
+/// Bind `endpoint`, run `collector` on it (under
+/// [`CollectorConfig::default`]) in one thread and one real agent per
+/// tier in two more — each configured by `agent_cfg(tier, dial)`,
+/// called here in `[App, Db]` order once the collector listens and
+/// before that agent starts, and streaming its own view of `samples` —
+/// and join them all.
+/// `start_seq` puts both agents' scripted sources into warm-up replay
+/// below that sequence (synthesize, don't send), so a deployment
+/// resumed from a snapshot continues the stream where the previous
 /// process left off with byte-identical wire samples.
-#[allow(clippy::too_many_arguments)]
 pub fn run_supervised_loopback(
-    meter: &CapacityMeter,
+    collector: SupervisedCollector,
+    hpc_model: &HpcModel,
     samples: &[SystemSample],
     endpoint: &Endpoint,
-    base_seed: u64,
-    faults: FaultKnobs,
-    sup_cfg: SupervisorConfig,
-    admission: AdmissionController,
-    snapshot_path: Option<&Path>,
-    resume: bool,
     start_seq: u64,
-) -> io::Result<(SupervisedReport, [AgentReport; 2])> {
-    run_with_agents(
-        meter,
-        samples,
-        endpoint,
-        base_seed,
-        faults,
-        &[FaultSchedule::NONE, FaultSchedule::NONE],
-        start_seq,
-        |listener, meter, cfg| {
-            run_supervised_collector(
-                listener,
-                meter,
-                cfg,
-                sup_cfg,
-                admission,
-                snapshot_path,
-                resume,
-                |_, _| {},
-            )
-        },
-    )
-}
-
-/// Bind `endpoint`, run `collector` on it in one thread and one real
-/// agent per tier in two more — each streaming its own view of
-/// `samples` from `start_seq` under `faults` and its tier's schedule —
-/// and join them all: the collector's result plus the agent reports,
-/// `[App, Db]`.
-#[allow(clippy::too_many_arguments)]
-fn run_with_agents<R: Send>(
-    meter: &CapacityMeter,
-    samples: &[SystemSample],
-    endpoint: &Endpoint,
-    base_seed: u64,
-    faults: FaultKnobs,
-    schedules: &[FaultSchedule; 2],
-    start_seq: u64,
-    collector: impl FnOnce(Listener, CapacityMeter, &CollectorConfig) -> io::Result<R> + Send,
-) -> io::Result<(R, [AgentReport; 2])> {
+    agent_cfg: impl Fn(TierId, Endpoint) -> AgentConfig,
+) -> io::Result<LoopbackOutcome> {
     let listener = Listener::bind(endpoint)?;
     let dial = listener.local_endpoint()?;
     let collector_cfg = CollectorConfig::default();
     std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
         let collector_cfg = &collector_cfg;
-        let collector = scope.spawn(move || collector(listener, meter_clone, collector_cfg));
+        let collector = scope
+            .spawn(move || run_supervised_collector(listener, collector, collector_cfg, |_, _| {}));
         let agent_handles = TierId::ALL.map(|tier| {
-            let dial = dial.clone();
-            let hpc_model = meter.config().hpc_model.clone();
+            let cfg = agent_cfg(tier, dial.clone());
             scope.spawn(move || {
-                let mut cfg = AgentConfig::new(tier, dial, base_seed);
-                cfg.faults = faults;
-                cfg.schedule = tier.select(schedules).clone();
                 let mut source = ScriptedSource::with_start_seq(tier, samples, start_seq);
-                run_agent(&cfg, hpc_model, &mut source)
+                run_agent(&cfg, hpc_model.clone(), &mut source)
             })
         });
         let [app, db] = agent_handles.map(|handle| {
@@ -162,8 +161,8 @@ fn run_with_agents<R: Send>(
         let agents = [app?, db?];
         let collector = collector
             .join()
-            .map_err(|_| io::Error::other("collector thread panicked"))??;
-        Ok((collector, agents))
+            .map_err(|_| io::Error::other("collector thread panicked"))?;
+        Ok(LoopbackOutcome { collector, agents })
     })
 }
 
@@ -218,51 +217,17 @@ pub fn all_windows(total: usize, window_len: usize) -> BTreeSet<i64> {
     (0..(total / window_len) as i64).collect()
 }
 
-/// Predict `(survivors, poisoned)` for a loopback run of `total`
-/// samples under `faults`, from the documented semantics alone:
+/// Predict `(survivors, poisoned)` for one agent running a
+/// [`FaultSchedule`]: scheduled drops silence their sequences,
+/// scheduled reconnects split the send sessions, and the collector's
+/// documented poisoning rules run over the resulting schedule:
 ///
-/// * the agent attempts every sample once, in order; the `drop_every`
-///   knob discards attempts whose 1-based index is a multiple of N;
-/// * the `reconnect_every` knob forces a session break after every Nth
-///   frame that reached the wire;
 /// * the collector poisons every window containing a missing key, plus
 ///   the windows straddled by a session break (unless the break falls
 ///   exactly on a window boundary);
 /// * a full window survives iff it is not poisoned.
-pub fn predicted_surviving_windows(
-    total: u64,
-    faults: &FaultKnobs,
-    window_len: usize,
-    origin: i64,
-) -> (BTreeSet<i64>, BTreeSet<i64>) {
-    // The agent's send schedule (both tiers run the same knobs, so one
-    // schedule describes both): keys that reach the wire, grouped by
-    // connection.
-    let mut sessions: Vec<Vec<i64>> = vec![Vec::new()];
-    let mut conn_sent = 0u64;
-    for seq in 0..total {
-        let attempt = seq + 1;
-        if faults.drop_every.is_some_and(|n| attempt % n == 0) {
-            continue;
-        }
-        if let Some(session) = sessions.last_mut() {
-            session.push(origin + seq as i64);
-        }
-        conn_sent += 1;
-        if faults.reconnect_every.is_some_and(|n| conn_sent >= n.get()) {
-            sessions.push(Vec::new());
-            conn_sent = 0;
-        }
-    }
-    sessions_to_windows(&sessions, total, window_len, origin)
-}
-
-/// Predict `(survivors, poisoned)` for one agent running a
-/// [`FaultSchedule`]: scheduled drops silence their sequences,
-/// scheduled reconnects split the send sessions, and the collector's
-/// documented poisoning rules run over the resulting schedule. Shares
-/// the poisoning replay with [`predicted_surviving_windows`] but no
-/// code with the agent or collector.
+///
+/// Shares no code with the agent or collector.
 pub fn predicted_windows_for_schedule(
     total: u64,
     schedule: &FaultSchedule,
@@ -281,17 +246,9 @@ pub fn predicted_windows_for_schedule(
             session.push(origin + seq as i64);
         }
     }
-    sessions_to_windows(&sessions, total, window_len, origin)
-}
 
-/// The collector's poisoning rules over an agent send schedule: keys
-/// that reached the wire, grouped by connection, in order.
-fn sessions_to_windows(
-    sessions: &[Vec<i64>],
-    total: u64,
-    window_len: usize,
-    origin: i64,
-) -> (BTreeSet<i64>, BTreeSet<i64>) {
+    // The collector's poisoning rules over that send schedule: keys
+    // that reached the wire, grouped by connection, in order.
     let window_len = window_len as i64;
     let window_of = |key: i64| (key - origin).div_euclid(window_len);
     let first_key = |w: i64| origin + w * window_len;
@@ -346,7 +303,17 @@ fn sessions_to_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::num::NonZeroU64;
+
+    /// The oracle over knobs alone: compile, then predict.
+    fn predicted_surviving_windows(
+        total: u64,
+        faults: &FaultKnobs,
+        window_len: usize,
+        origin: i64,
+    ) -> (BTreeSet<i64>, BTreeSet<i64>) {
+        let script = faults.schedule(total, &FaultSchedule::NONE);
+        predicted_windows_for_schedule(total, &script, window_len, origin)
+    }
 
     #[test]
     fn no_faults_means_every_full_window_survives() {
@@ -364,7 +331,6 @@ mod tests {
         // survive.
         let faults = FaultKnobs {
             drop_every: NonZeroU64::new(37),
-            delay: None,
             reconnect_every: NonZeroU64::new(101),
         };
         let (survivors, poisoned) = predicted_surviving_windows(240, &faults, 30, 1);
@@ -381,12 +347,32 @@ mod tests {
         // falls exactly between windows.
         let faults = FaultKnobs {
             drop_every: None,
-            delay: None,
             reconnect_every: NonZeroU64::new(30),
         };
         let (survivors, poisoned) = predicted_surviving_windows(120, &faults, 30, 1);
         assert_eq!(survivors.len(), 4);
         assert!(poisoned.is_empty());
+    }
+
+    #[test]
+    fn knobs_compile_around_a_scripted_outage() {
+        // Scripted: seqs 3..=5 dropped, reconnect before seq 8. Attempts
+        // skip the outage, so drop_every=4 discards seqs 6 (4th attempt)
+        // and 10 (8th); reconnect_every=3 breaks after sends 0,1,2 (→ 3),
+        // then counts 7 on that connection, restarts at the scripted
+        // break, and breaks again after 8,9,11 (→ 12, inert).
+        let scripted = FaultSchedule {
+            drop_ranges: vec![(3, 5)],
+            reconnect_before: vec![8],
+        };
+        let faults = FaultKnobs {
+            drop_every: NonZeroU64::new(4),
+            reconnect_every: NonZeroU64::new(3),
+        };
+        let merged = faults.schedule(12, &scripted);
+        assert_eq!(merged.drop_ranges, vec![(3, 5), (6, 6), (10, 10)]);
+        assert_eq!(merged.reconnect_before, vec![8, 3, 12]);
+        assert_eq!(FaultKnobs::NONE.schedule(12, &scripted), scripted);
     }
 
     #[test]
@@ -437,7 +423,6 @@ mod tests {
         // 60 samples, drop_every=60 → only seq 59 (key 60, window 1).
         let faults = FaultKnobs {
             drop_every: NonZeroU64::new(60),
-            delay: None,
             reconnect_every: None,
         };
         let (survivors, poisoned) = predicted_surviving_windows(60, &faults, 30, 1);

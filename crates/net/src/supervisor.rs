@@ -2,14 +2,19 @@
 //! quality, safe-mode admission, periodic snapshotting, and
 //! resume-from-snapshot.
 //!
-//! The plain [`run_collector`](crate::collector::run_collector) trusts
-//! its inputs: every surviving window becomes a prediction, and whoever
-//! consumes those predictions (the admission controller) steers traffic
-//! as if the telemetry plane were healthy. This module wraps the same
-//! assembler in a **supervisor** that watches observable quality
-//! signals — the poisoned-window rate over a sliding window of recent
-//! window outcomes, reconnect storms, stale sessions — and walks a
-//! three-state machine:
+//! An [`Assembler`] alone trusts its inputs: every surviving window
+//! becomes a prediction, and whoever consumes those predictions (the
+//! admission controller) would steer traffic as if the telemetry plane
+//! were healthy. This module wraps the assembler in a **supervisor**
+//! that watches observable quality signals — the poisoned-window rate
+//! over a sliding window of recent window outcomes, reconnect storms,
+//! stale sessions — and walks the three-state machine below. The
+//! [`SupervisedCollector`] is the only collector there is:
+//! [`run_supervised_collector`] is its socketed form (`webcap collect`
+//! and the loopback harness run it), and the chaos mesh drives it event
+//! by event. Supervision never alters the decision stream — every clean
+//! window's decision is recorded in any health state; health only gates
+//! whether it may move the admission cap.
 //!
 //! ```text
 //!            poison rate ≥ degraded threshold,
@@ -30,7 +35,7 @@
 //! * **SafeMode** — on entry the cap is clamped to a conservative
 //!   floor; it holds there until health recovers.
 //!
-//! Recovery is hysteretic: a streak of `recover_after` consecutive
+//! Recovery is hysteretic: a streak of [`RECOVER_AFTER`] consecutive
 //! clean windows steps the state down one level (SafeMode → Degraded →
 //! Healthy), and the streak resets on every step, so one good window
 //! after a storm never re-opens the throttle.
@@ -44,14 +49,15 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 use webcap_core::snapshot::{
     read_snapshot, write_snapshot_with_retry, MeterSnapshot, SnapshotError, SnapshotHeader,
 };
-use webcap_core::{AdmissionController, CapacityMeter, OnlineDecision, RetryPolicy};
+use webcap_core::{
+    AdmissionConfig, AdmissionController, CapacityMeter, OnlineDecision, RetryPolicy,
+};
 use webcap_sim::TierId;
 
 use crate::collector::{pump_events, Assembler, AssemblerState, CollectorConfig, Event, ShedKind};
@@ -81,30 +87,11 @@ impl fmt::Display for HealthState {
     }
 }
 
-/// Supervisor policy knobs.
+/// Supervisor policy knobs: the two a deployment sets (`webcap collect
+/// --safe-cap / --snapshot-every`). The health thresholds are the
+/// constants below.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
-    /// Sliding window of recent window outcomes (emitted vs. poisoned)
-    /// the poison rate is computed over.
-    pub quality_window: usize,
-    /// Poison rate (fraction of recent outcomes) at or above which the
-    /// state escalates to at least Degraded.
-    pub degraded_poison_rate: f64,
-    /// Poison rate at or above which the state escalates to SafeMode.
-    pub safe_poison_rate: f64,
-    /// Minimum outcomes observed before the SafeMode rate triggers
-    /// (one early poisoned window must not slam the throttle shut).
-    pub min_observations: usize,
-    /// Reconnects within the sliding window that count as a storm
-    /// (escalates to at least Degraded).
-    pub reconnect_storm: usize,
-    /// Overload sheds within the sliding window that count as a storm
-    /// (escalates to at least Degraded) — a collector repeatedly
-    /// dropping peers to protect itself is not a healthy plane.
-    pub shed_storm: usize,
-    /// Consecutive clean (emitted) windows required to step the health
-    /// state down one level.
-    pub recover_after: usize,
     /// The admission cap SafeMode clamps to (further clamped into the
     /// controller's own `[min_ebs, max_ebs]`).
     pub safe_cap: u32,
@@ -117,18 +104,39 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
-            quality_window: 8,
-            degraded_poison_rate: 0.25,
-            safe_poison_rate: 0.5,
-            min_observations: 4,
-            reconnect_storm: 3,
-            shed_storm: 3,
-            recover_after: 3,
             safe_cap: 20,
             snapshot_every: 2,
         }
     }
 }
+
+/// Sliding window of recent window outcomes (emitted vs. poisoned) the
+/// poison rate is computed over.
+pub const QUALITY_WINDOW: usize = 8;
+
+/// Poison rate (fraction of recent outcomes) at or above which the
+/// state escalates to at least Degraded.
+pub const DEGRADED_POISON_RATE: f64 = 0.25;
+
+/// Poison rate at or above which the state escalates to SafeMode.
+pub const SAFE_POISON_RATE: f64 = 0.5;
+
+/// Minimum outcomes observed before the SafeMode rate triggers (one
+/// early poisoned window must not slam the throttle shut).
+pub const MIN_OBSERVATIONS: usize = 4;
+
+/// Reconnects within the sliding window that count as a storm
+/// (escalates to at least Degraded).
+pub const RECONNECT_STORM: usize = 3;
+
+/// Overload sheds within the sliding window that count as a storm
+/// (escalates to at least Degraded) — a collector repeatedly dropping
+/// peers to protect itself is not a healthy plane.
+pub const SHED_STORM: usize = 3;
+
+/// Consecutive clean (emitted) windows required to step the health
+/// state down one level.
+pub const RECOVER_AFTER: usize = 3;
 
 /// One health transition, for the audit log.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -151,10 +159,10 @@ pub struct Supervisor {
     cfg: SupervisorConfig,
     state: HealthState,
     /// Recent window outcomes, `true` = poisoned; bounded to
-    /// `quality_window`.
+    /// [`QUALITY_WINDOW`].
     recent: VecDeque<bool>,
     /// Outcome-tick of each recent reconnect; pruned once older than
-    /// `quality_window` outcomes.
+    /// [`QUALITY_WINDOW`] outcomes.
     reconnect_marks: VecDeque<u64>,
     /// Outcome-tick of each recent overload shed; pruned like
     /// `reconnect_marks`.
@@ -239,12 +247,12 @@ impl Supervisor {
     fn desired(&self) -> HealthState {
         let n = self.recent.len();
         let rate = self.poison_rate();
-        if n >= self.cfg.min_observations && rate >= self.cfg.safe_poison_rate {
+        if n >= MIN_OBSERVATIONS && rate >= SAFE_POISON_RATE {
             return HealthState::SafeMode;
         }
-        if (n > 0 && rate >= self.cfg.degraded_poison_rate)
-            || self.reconnect_marks.len() >= self.cfg.reconnect_storm
-            || self.shed_marks.len() >= self.cfg.shed_storm
+        if (n > 0 && rate >= DEGRADED_POISON_RATE)
+            || self.reconnect_marks.len() >= RECONNECT_STORM
+            || self.shed_marks.len() >= SHED_STORM
         {
             return HealthState::Degraded;
         }
@@ -269,12 +277,10 @@ impl Supervisor {
     }
 
     fn prune(&mut self) {
-        while self.recent.len() > self.cfg.quality_window.max(1) {
+        while self.recent.len() > QUALITY_WINDOW {
             self.recent.pop_front();
         }
-        let horizon = self
-            .outcomes_seen
-            .saturating_sub(self.cfg.quality_window.max(1) as u64);
+        let horizon = self.outcomes_seen.saturating_sub(QUALITY_WINDOW as u64);
         while self
             .reconnect_marks
             .front()
@@ -331,7 +337,7 @@ impl Supervisor {
         self.prune();
         self.escalate_if_needed();
         let desired = self.desired();
-        if self.state > desired && self.clean_streak >= self.cfg.recover_after.max(1) {
+        if self.state > desired && self.clean_streak >= RECOVER_AFTER {
             let next = match self.state {
                 HealthState::SafeMode => HealthState::Degraded,
                 HealthState::Degraded | HealthState::Healthy => HealthState::Healthy,
@@ -482,7 +488,26 @@ pub struct SupervisedCollector {
     resume: ResumeOutcome,
 }
 
+/// The admission cap a collector starts from (EBs), before any
+/// prediction has moved it.
+pub const INITIAL_CAP: u32 = 400;
+
 impl SupervisedCollector {
+    /// A fresh collector as `webcap collect` builds one when given no
+    /// flags: anchored at the default window origin, supervised under
+    /// [`SupervisorConfig::default`], admitting through the default AIMD
+    /// controller from [`INITIAL_CAP`], with no snapshot path.
+    pub fn fresh(meter: CapacityMeter) -> SupervisedCollector {
+        SupervisedCollector::start(
+            meter,
+            CollectorConfig::default().window_origin,
+            SupervisorConfig::default(),
+            AdmissionController::new(AdmissionConfig::default(), INITIAL_CAP),
+            None,
+            false,
+        )
+    }
+
     /// Build a supervised collector. When `resume` is set and
     /// `snapshot_path` names a verifiable snapshot, state is restored
     /// from it (the `meter` argument is the fallback for fresh starts);
@@ -728,7 +753,7 @@ impl SupervisedCollector {
     }
 
     /// A tier's session ended abnormally (no `Bye`): quarantine its
-    /// in-flight window eagerly, exactly as the plain collector does.
+    /// in-flight window eagerly.
     pub fn on_session_abort(&mut self, tier: TierId) {
         self.assembler.on_session_abort(tier);
         self.after_event();
@@ -768,29 +793,16 @@ impl SupervisedCollector {
     }
 }
 
-/// Run a supervised collector on a bound listener: the socketed wiring
-/// of [`run_collector`](crate::collector::run_collector) around a
-/// [`SupervisedCollector`]. Each emitted decision is also streamed to
-/// `on_decision`.
-#[allow(clippy::too_many_arguments)]
+/// Run `sc` on a bound listener until every expected tier says `Bye`
+/// (or the idle timeout passes with no live session): the socketed
+/// collector. `sc` must be anchored at `cfg.window_origin`. Each
+/// emitted decision is also streamed to `on_decision` as it happens.
 pub fn run_supervised_collector(
     listener: Listener,
-    meter: CapacityMeter,
+    mut sc: SupervisedCollector,
     cfg: &CollectorConfig,
-    sup_cfg: SupervisorConfig,
-    admission: AdmissionController,
-    snapshot_path: Option<&Path>,
-    resume: bool,
     mut on_decision: impl FnMut(i64, &OnlineDecision),
-) -> io::Result<SupervisedReport> {
-    let mut sc = SupervisedCollector::start(
-        meter,
-        cfg.window_origin,
-        sup_cfg,
-        admission,
-        snapshot_path,
-        resume,
-    );
+) -> SupervisedReport {
     pump_events(listener, cfg, |event| match event {
         Event::SessionStart { tier } => sc.on_session_start(tier),
         Event::Sample { tier, ws } => {
@@ -810,8 +822,7 @@ pub fn run_supervised_collector(
         Event::Stale => sc.on_stale(),
         Event::SessionEnd { graceful: true, .. } => {}
     });
-
-    Ok(sc.finish())
+    sc.finish()
 }
 
 #[cfg(test)]
@@ -902,7 +913,7 @@ mod tests {
         assert_eq!(s.state(), HealthState::Degraded, "three is a storm");
         // A full quality window of clean outcomes ages the marks out
         // and recovers.
-        for _ in 0..cfg().quality_window + 1 {
+        for _ in 0..QUALITY_WINDOW + 1 {
             s.on_window_emitted();
         }
         assert_eq!(s.state(), HealthState::Healthy);

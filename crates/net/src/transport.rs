@@ -80,13 +80,17 @@ impl Listener {
     /// Bind to an endpoint. A stale Unix socket file left by a previous
     /// process is removed first — agents dial fresh, so an unbindable
     /// leftover path would otherwise require manual cleanup after every
-    /// unclean shutdown.
+    /// unclean shutdown. Only a socket is ever removed: any other file
+    /// at the path stays, and the bind fails with the OS's `AddrInUse`.
     pub fn bind(endpoint: &Endpoint) -> io::Result<Listener> {
         match endpoint {
             Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr.as_str())?)),
             #[cfg(unix)]
             Endpoint::Unix(path) => {
-                let _ = std::fs::remove_file(path);
+                use std::os::unix::fs::FileTypeExt;
+                if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
+                    let _ = std::fs::remove_file(path);
+                }
                 Ok(Listener::Unix(UnixListener::bind(path)?))
             }
         }
@@ -306,5 +310,28 @@ mod tests {
         write_frame(&mut conn, &Frame::Bye { last_seq: 1 }).unwrap();
         assert_eq!(t.join().unwrap(), Frame::Bye { last_seq: 1 });
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_unix_bind_replaces_a_stale_socket_but_never_another_file() {
+        let dir = std::env::temp_dir().join(format!("webcap-net-bind-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+
+        // A regular file at the path is somebody's data: the bind fails
+        // and the bytes stay.
+        let file = dir.join("not-a-socket");
+        std::fs::write(&file, b"operator data").unwrap();
+        let err = Listener::bind(&Endpoint::Unix(file.clone())).expect_err("path is taken");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
+        assert_eq!(std::fs::read(&file).unwrap(), b"operator data");
+
+        // A socket file whose listener is gone is stale: bind over it.
+        let sock = dir.join("stale.sock");
+        drop(Listener::bind(&Endpoint::Unix(sock.clone())).expect("first bind"));
+        assert!(sock.exists(), "dropping a listener leaves its file");
+        Listener::bind(&Endpoint::Unix(sock)).expect("bind over the stale socket");
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Each test writes its health-transition log to
 //! `CARGO_TARGET_TMPDIR` so CI can attach the logs as an artifact when
-//! a chaos leg fails.
+//! a test fails.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -28,9 +28,9 @@ use webcap_core::{
 use webcap_net::loopback::{all_windows, replay_windows, run_supervised_loopback};
 use webcap_net::supervisor::{
     CollectorSnapshot, HealthState, HealthTransition, ResumeOutcome, SupervisedCollector,
-    SupervisorConfig,
+    SupervisedReport, SupervisorConfig, INITIAL_CAP,
 };
-use webcap_net::{AppStats, Endpoint, FaultKnobs, WireSample};
+use webcap_net::{AgentConfig, AgentReport, AppStats, Endpoint, WireSample};
 use webcap_sim::{Simulation, SystemSample, TierId, TierSample};
 use webcap_tpcw::{Mix, TrafficProgram};
 
@@ -61,12 +61,38 @@ fn decisions_json(decisions: &[(i64, webcap_core::OnlineDecision)]) -> String {
     serde_json::to_string(decisions).expect("decisions serialize")
 }
 
-fn admission() -> AdmissionController {
-    AdmissionController::try_new(AdmissionConfig::default(), 400).expect("valid config")
+/// One life of a loopback deployment: a collector with the default
+/// supervision, snapshotting to `snapshot` and — when `resume` —
+/// starting from what is there, and two default agents that warm-replay
+/// `samples` below `start_seq` and stream the rest.
+fn life(
+    samples: &[SystemSample],
+    snapshot: &Path,
+    resume: bool,
+    start_seq: u64,
+) -> std::io::Result<(SupervisedReport, [AgentReport; 2])> {
+    let meter = trained_meter();
+    let admission = AdmissionController::new(AdmissionConfig::default(), INITIAL_CAP);
+    let out = run_supervised_loopback(
+        SupervisedCollector::start(
+            meter.clone(),
+            1,
+            SupervisorConfig::default(),
+            admission,
+            Some(snapshot),
+            resume,
+        ),
+        &meter.config().hpc_model,
+        samples,
+        &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
+        start_seq,
+        |tier, dial| AgentConfig::new(tier, dial, BASE_SEED),
+    )?;
+    Ok((out.collector, out.agents))
 }
 
 /// Scratch directory for snapshots and transition logs; cargo puts
-/// `CARGO_TARGET_TMPDIR` under `target/tmp`, which the CI chaos leg
+/// `CARGO_TARGET_TMPDIR` under `target/tmp`, which CI's `test` job
 /// uploads as an artifact on failure.
 fn scratch_dir() -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("chaos-{}", std::process::id()));
@@ -128,23 +154,10 @@ fn boundary_restart_resumes_byte_identically_with_degraded_reentry() {
     let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
     let snap_path = scratch_dir().join("boundary-restart.wcapsnap");
-    let endpoint = Endpoint::parse("127.0.0.1:0").expect("tcp endpoint");
 
     // First life: 150 samples = 5 clean windows, then the process dies
     // (the run simply ends; its final snapshot is the crash point).
-    let (first, _) = run_supervised_loopback(
-        &meter,
-        &samples[..150],
-        &endpoint,
-        BASE_SEED,
-        FaultKnobs::NONE,
-        SupervisorConfig::default(),
-        admission(),
-        Some(&snap_path),
-        false,
-        0,
-    )
-    .expect("first life runs");
+    let (first, _) = life(&samples[..150], &snap_path, false, 0).expect("first life runs");
     assert!(matches!(first.resume, ResumeOutcome::Fresh));
     let first_windows: Vec<i64> = first.decisions.iter().map(|(w, _)| *w).collect();
     assert_eq!(first_windows, vec![0, 1, 2, 3, 4]);
@@ -155,19 +168,7 @@ fn boundary_restart_resumes_byte_identically_with_degraded_reentry() {
     // Second life: resume from the snapshot; agents warm-replay seqs
     // 0..150 (rebuilding their stateful OS synthesis) and stream
     // 150..240.
-    let (second, agents) = run_supervised_loopback(
-        &meter,
-        &samples,
-        &endpoint,
-        BASE_SEED,
-        FaultKnobs::NONE,
-        SupervisorConfig::default(),
-        admission(),
-        Some(&snap_path),
-        true,
-        150,
-    )
-    .expect("second life runs");
+    let (second, agents) = life(&samples, &snap_path, true, 150).expect("second life runs");
     write_transition_log("chaos-boundary-restart", &second.transitions);
 
     match &second.resume {
@@ -245,22 +246,9 @@ fn corrupt_snapshots_are_rejected_into_safe_mode_not_panics() {
     let samples = steady_samples(&meter)[..60].to_vec();
     let dir = scratch_dir();
     let seed_path = dir.join("seed.wcapsnap");
-    let endpoint = Endpoint::parse("127.0.0.1:0").expect("tcp endpoint");
 
     // Grow a legitimate snapshot to corrupt.
-    let (seeded, _) = run_supervised_loopback(
-        &meter,
-        &samples,
-        &endpoint,
-        BASE_SEED,
-        FaultKnobs::NONE,
-        SupervisorConfig::default(),
-        admission(),
-        Some(&seed_path),
-        false,
-        0,
-    )
-    .expect("seed run completes");
+    let (seeded, _) = life(&samples, &seed_path, false, 0).expect("seed run completes");
     assert!(seeded.snapshots_written >= 1);
     let good = std::fs::read(&seed_path).expect("seed snapshot readable");
 
@@ -300,19 +288,8 @@ fn corrupt_snapshots_are_rejected_into_safe_mode_not_panics() {
     for (name, bytes) in cases {
         let path = dir.join(format!("rotten-{name}.wcapsnap"));
         std::fs::write(&path, &bytes).expect("rotten snapshot writes");
-        let (report, _) = run_supervised_loopback(
-            &meter,
-            &samples,
-            &endpoint,
-            BASE_SEED,
-            FaultKnobs::NONE,
-            SupervisorConfig::default(),
-            admission(),
-            Some(&path),
-            true,
-            0,
-        )
-        .unwrap_or_else(|e| panic!("{name}: rotten snapshot must not kill the collector: {e}"));
+        let (report, _) = life(&samples, &path, true, 0)
+            .unwrap_or_else(|e| panic!("{name}: rotten snapshot must not kill the collector: {e}"));
         write_transition_log(&format!("chaos-rotten-{name}"), &report.transitions);
 
         let ResumeOutcome::Rejected(err) = &report.resume else {
@@ -373,14 +350,7 @@ fn corrupt_snapshots_are_rejected_into_safe_mode_not_panics() {
 /// loss-touched window.
 #[test]
 fn safe_mode_holds_admission_through_a_loss_storm() {
-    let mut sc = SupervisedCollector::start(
-        trained_meter(),
-        1,
-        SupervisorConfig::default(),
-        admission(),
-        None,
-        false,
-    );
+    let mut sc = SupervisedCollector::fresh(trained_meter());
     sc.on_session_start(TierId::App);
     sc.on_session_start(TierId::Db);
     // One app frame lost in each of windows 2, 3, 4 (seqs 65, 95, 125):
@@ -454,14 +424,7 @@ fn safe_mode_holds_admission_through_a_loss_storm() {
 /// admission — never from the quarantined window.
 #[test]
 fn an_agent_crash_quarantines_the_cut_window_and_health_recovers() {
-    let mut sc = SupervisedCollector::start(
-        trained_meter(),
-        1,
-        SupervisorConfig::default(),
-        admission(),
-        None,
-        false,
-    );
+    let mut sc = SupervisedCollector::fresh(trained_meter());
     sc.on_session_start(TierId::App);
     sc.on_session_start(TierId::Db);
     // The app agent dies after seq 39, loses seqs 40–44 on the floor,

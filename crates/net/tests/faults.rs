@@ -2,10 +2,11 @@
 //!
 //! The contract under test: with every Nth frame dropped and reconnects
 //! forced mid-run, the collector never emits a prediction from a gapped
-//! window, and the predictions it does emit are byte-identical (JSON) to
-//! an in-process `OnlineMonitor` fed the same surviving windows.
+//! window, the predictions it does emit are byte-identical (JSON) to an
+//! in-process `OnlineMonitor` fed the same surviving windows, and a
+//! prediction moves the admission cap only while the plane is Healthy.
 //!
-//! The two knob-sensitive tests sweep [`KNOB_ROWS`] in-process; every
+//! The knob-sensitive test sweeps [`KNOB_ROWS`] in-process; every
 //! assertion holds for any row because the expectations come from the
 //! fault-schedule oracle, not from hand-computed window lists.
 
@@ -15,36 +16,37 @@ use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use webcap_core::{AdmissionConfig, AdmissionController, CapacityMeter, MeterConfig};
-use webcap_net::collector::{run_collector, CollectorConfig};
+use webcap_core::{AdmissionConfig, CapacityMeter, MeterConfig};
 use webcap_net::frame::{read_frame, write_frame, write_frame_codec, Frame, WireCodec};
 use webcap_net::loopback::{
-    all_windows, predicted_surviving_windows, replay_windows, run_loopback, run_supervised_loopback,
+    all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
+    run_supervised_loopback, LoopbackOutcome,
 };
-use webcap_net::supervisor::{HealthState, SupervisorConfig};
+use webcap_net::supervisor::{HealthState, SupervisedCollector};
 use webcap_net::transport::{Conn, Listener};
-use webcap_net::{AgentConfig, Endpoint, FaultKnobs, SampleSource, ScriptedSource, SourcePoll};
+use webcap_net::{
+    AgentConfig, Endpoint, FaultKnobs, FaultSchedule, SampleSource, ScriptedSource, SourcePoll,
+};
 use webcap_sim::{Simulation, SystemSample, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 const BASE_SEED: u64 = 17;
 const TOTAL_SAMPLES: usize = 240;
+const NO_SCRIPT: [FaultSchedule; 2] = [FaultSchedule::NONE, FaultSchedule::NONE];
 
-/// `(drop_every, delay_ms, reconnect_every)`, `0` meaning off: the
-/// built-in schedule, then pure loss, lag + churn, and everything at
-/// once.
-const KNOB_ROWS: [(u64, u64, u64); 4] = [(37, 1, 101), (35, 0, 0), (0, 2, 60), (41, 1, 90)];
+/// `(drop_every, reconnect_every)`, `0` meaning off: the built-in
+/// schedule, then pure loss, pure churn, and both at once.
+const KNOB_ROWS: [(u64, u64); 4] = [(37, 101), (35, 0), (0, 60), (41, 90)];
 
-/// The rows as knobs; a row's index and knobs are printed so a failing
-/// assertion's captured output says which row it was.
-fn knob_rows() -> impl Iterator<Item = (usize, FaultKnobs)> {
-    let knobs = |(drop_every, delay_ms, reconnect_every): (u64, u64, u64)| FaultKnobs {
+fn knobs((drop_every, reconnect_every): (u64, u64)) -> FaultKnobs {
+    FaultKnobs {
         drop_every: NonZeroU64::new(drop_every),
-        delay: (delay_ms > 0).then(|| Duration::from_millis(delay_ms)),
         reconnect_every: NonZeroU64::new(reconnect_every),
-    };
-    let rows = KNOB_ROWS.into_iter().map(knobs).enumerate();
-    rows.inspect(|(row, faults)| println!("knob row {row}: {faults:?}"))
+    }
+}
+
+fn tcp() -> Endpoint {
+    Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")
 }
 
 fn trained_meter() -> CapacityMeter {
@@ -81,12 +83,13 @@ fn clean_run_is_byte_identical_to_the_in_process_monitor() {
     let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
 
-    let out = run_loopback(
+    let out = run_loopback_scheduled(
         &meter,
         &samples,
-        &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
+        &tcp(),
         BASE_SEED,
         FaultKnobs::NONE,
+        &NO_SCRIPT,
     )
     .expect("loopback runs");
 
@@ -120,23 +123,24 @@ fn clean_run_is_byte_identical_to_the_in_process_monitor() {
 }
 
 #[test]
-fn dropped_frames_and_forced_reconnects_poison_exactly_the_gapped_windows() {
+fn faulted_planes_match_the_oracle_and_never_admit_from_suspect_state() {
     let meter = trained_meter();
     let samples = steady_samples(&meter);
     let dir = std::env::temp_dir().join(format!("webcap-faults-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let sock = dir.join("collector.sock");
+    let sock = Endpoint::Unix(dir.join("collector.sock"));
 
-    for (row, faults) in knob_rows() {
-        let survivors =
-            plane_matches_the_oracle(&meter, &samples, &Endpoint::Unix(sock.clone()), faults);
-        let _ = std::fs::remove_file(&sock);
+    for (row, faults) in KNOB_ROWS.into_iter().map(knobs).enumerate() {
+        // Printed so a failing assertion's captured output says which row.
+        println!("knob row {row}: {faults:?}");
+        let survivors = knobbed_plane_matches_the_oracle(&meter, &samples, &sock, faults);
         if row == 0 {
             // Sanity-pin the built-in schedule so a silent oracle regression
             // cannot hollow out the test.
             assert_eq!(survivors, [0, 5].into_iter().collect::<BTreeSet<i64>>());
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 
     // A long stream at full speed with a forced reconnect every 250
     // frames: between reconnects the agents run ahead of the collector,
@@ -144,34 +148,87 @@ fn dropped_frames_and_forced_reconnects_poison_exactly_the_gapped_windows() {
     // delivers them; a reset would drop them, and windows the oracle
     // keeps would go missing — on most runs, not on all, hence the rounds.
     let long = steady_run(&meter, 3_000);
-    let churn = FaultKnobs {
-        reconnect_every: NonZeroU64::new(250),
-        ..FaultKnobs::NONE
-    };
-    let tcp = Endpoint::parse("127.0.0.1:0").expect("tcp endpoint");
+    let churn = knobs((0, 250));
     for round in 0..3 {
         println!("long stream, round {round}");
-        plane_matches_the_oracle(&meter, &long, &tcp, churn);
+        knobbed_plane_matches_the_oracle(&meter, &long, &tcp(), churn);
     }
 }
 
-/// Run the loopback plane over `samples` under `faults` and hold it to
-/// the fault-schedule oracle: exactly the predicted windows decided,
-/// exactly the predicted windows quarantined, decisions byte-identical
-/// to the in-process monitor's. Returns the survivors.
-fn plane_matches_the_oracle(
+/// Knobs *and* a scripted schedule in one deployment: the compile step
+/// counts attempts around the scripted outage, and a batch must stop at
+/// a scripted drop and at a compiled one alike. Held to the oracle over
+/// the merged script under both dialects — the stock harness speaks
+/// binary in batches, the hand-configured agents unbatched JSON.
+#[test]
+fn knobs_merged_into_a_scripted_schedule_match_the_oracle_under_both_codecs() {
+    let meter = trained_meter();
+    let samples = steady_samples(&meter);
+    let faults = knobs((37, 0));
+    let scripted = FaultSchedule {
+        drop_ranges: vec![(90, 104)],
+        reconnect_before: vec![160],
+    };
+    let merged = faults.schedule(TOTAL_SAMPLES as u64, &scripted);
+    assert!(merged.drop_ranges.len() > scripted.drop_ranges.len());
+
+    let schedules = [scripted.clone(), scripted];
+    let binary = run_loopback_scheduled(&meter, &samples, &tcp(), BASE_SEED, faults, &schedules)
+        .expect("binary deployment runs");
+    plane_matches_the_oracle(&meter, &samples, &binary, &merged);
+
+    let collector = SupervisedCollector::fresh(meter.clone());
+    let hpc_model = &meter.config().hpc_model;
+    let agent_cfg = |tier, dial| {
+        let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
+        cfg.schedule = merged.clone();
+        cfg.codec = WireCodec::Json;
+        cfg
+    };
+    let json = run_supervised_loopback(collector, hpc_model, &samples, &tcp(), 0, agent_cfg)
+        .expect("json deployment runs");
+    plane_matches_the_oracle(&meter, &samples, &json, &merged);
+}
+
+/// Run the stock loopback plane over `samples` under `faults` alone and
+/// hold it to the oracle over the compiled script. Returns the
+/// survivors.
+fn knobbed_plane_matches_the_oracle(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     endpoint: &Endpoint,
     faults: FaultKnobs,
 ) -> BTreeSet<i64> {
-    let window_len = meter.config().window_len;
-    let (survivors, poisoned) =
-        predicted_surviving_windows(samples.len() as u64, &faults, window_len, 1);
-    let out = run_loopback(meter, samples, endpoint, BASE_SEED, faults)
+    let out = run_loopback_scheduled(meter, samples, endpoint, BASE_SEED, faults, &NO_SCRIPT)
         .expect("loopback survives induced faults");
+    if faults.reconnect_every.is_some() {
+        assert!(
+            out.agents.iter().all(|a| a.sessions > 1),
+            "forced reconnects actually happened"
+        );
+    }
+    let script = faults.schedule(samples.len() as u64, &FaultSchedule::NONE);
+    plane_matches_the_oracle(meter, samples, &out, &script)
+}
 
-    let emitted: BTreeSet<i64> = out.collector.decisions.iter().map(|(w, _)| *w).collect();
+/// Hold a deployment whose agents both ran `script` to the
+/// fault-schedule oracle: exactly the predicted windows decided,
+/// exactly the predicted windows quarantined, decisions byte-identical
+/// to the in-process monitor's, and admission pure — a prediction
+/// drives the cap only while Healthy and only from a surviving window.
+/// Returns the survivors.
+fn plane_matches_the_oracle(
+    meter: &CapacityMeter,
+    samples: &[SystemSample],
+    out: &LoopbackOutcome,
+    script: &FaultSchedule,
+) -> BTreeSet<i64> {
+    let window_len = meter.config().window_len;
+    let report = &out.collector;
+    let (survivors, poisoned) =
+        predicted_windows_for_schedule(samples.len() as u64, script, window_len, 1);
+
+    let emitted: BTreeSet<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
     assert_eq!(
         emitted, survivors,
         "exactly the windows the fault schedule leaves intact emit"
@@ -180,24 +237,54 @@ fn plane_matches_the_oracle(
         emitted.is_disjoint(&poisoned),
         "no prediction ever comes from a gapped window"
     );
-    let quarantined: BTreeSet<i64> = out.collector.poisoned_windows.iter().copied().collect();
+    let quarantined: BTreeSet<i64> = report.poisoned_windows.iter().copied().collect();
     assert_eq!(
         quarantined, poisoned,
         "the collector quarantined exactly the predicted windows"
     );
-    if faults.reconnect_every.is_some() {
-        assert!(
-            out.agents.iter().all(|a| a.sessions > 1),
-            "forced reconnects actually happened"
-        );
-    }
 
     let baseline = replay_windows(meter, samples, BASE_SEED, &survivors);
     assert_eq!(
-        decisions_json(&out.collector.decisions),
+        decisions_json(&report.decisions),
         decisions_json(&baseline),
-        "surviving-window predictions are byte-identical to the in-process monitor"
+        "supervision never alters the decision stream: surviving-window \
+         predictions are byte-identical to the in-process monitor"
     );
+
+    let (min_ebs, max_ebs) = (
+        AdmissionConfig::default().min_ebs,
+        AdmissionConfig::default().max_ebs,
+    );
+    for point in &report.admission_trace {
+        assert!(
+            (min_ebs..=max_ebs).contains(&point.cap),
+            "cap {} escaped [{min_ebs}, {max_ebs}]",
+            point.cap
+        );
+        if point.from_prediction {
+            assert_eq!(
+                point.health,
+                HealthState::Healthy,
+                "window {} drove the cap while {}",
+                point.window,
+                point.health
+            );
+            assert!(
+                survivors.contains(&point.window),
+                "window {} drove the cap but is not an oracle survivor",
+                point.window
+            );
+        }
+    }
+    // Every emitted window left exactly one trace point.
+    let traced: Vec<i64> = report
+        .admission_trace
+        .iter()
+        .filter(|p| p.window >= 0)
+        .map(|p| p.window)
+        .collect();
+    let emitted_in_order: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
+    assert_eq!(traced, emitted_in_order);
     survivors
 }
 
@@ -206,21 +293,12 @@ fn a_rogue_connection_is_rejected_and_the_run_completes() {
     let meter = trained_meter();
     let samples = steady_samples(&meter);
     let samples = &samples[..60];
-    let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"))
-        .expect("listener binds");
-    let dial = listener.local_endpoint().expect("bound endpoint");
-    let cfg = CollectorConfig::default();
 
-    let out = std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
-        let cfg_ref = &cfg;
-        let collector =
-            scope.spawn(move || run_collector(listener, meter_clone, cfg_ref, |_, _| {}));
-
-        // A peer that speaks HTTP at a telemetry port: the collector
-        // must answer with a typed Reject and keep serving, not panic
-        // or wedge the accept loop.
-        let mut rogue = Conn::connect(&dial).expect("rogue connects");
+    // A peer that speaks HTTP at a telemetry port: the collector must
+    // answer with a typed Reject and keep serving, not panic or wedge
+    // the accept loop.
+    let rogue_dials = |dial: &Endpoint| {
+        let mut rogue = Conn::connect(dial).expect("rogue connects");
         rogue
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout set");
@@ -233,118 +311,25 @@ fn a_rogue_connection_is_rejected_and_the_run_completes() {
             }
             other => panic!("expected Reject, got {other:?}"),
         }
-        drop(rogue);
+    };
 
-        // Real agents on the same listener still complete the run.
-        let mut agent_handles = Vec::new();
-        for tier in webcap_sim::TierId::ALL {
-            let dial = dial.clone();
-            let hpc_model = meter.config().hpc_model.clone();
-            agent_handles.push(scope.spawn(move || {
-                let cfg = webcap_net::AgentConfig::new(tier, dial, BASE_SEED);
-                let mut source = webcap_net::ScriptedSource::new(tier, samples);
-                webcap_net::run_agent(&cfg, hpc_model, &mut source)
-            }));
+    // The rogue goes first — an agent is configured before it starts —
+    // and real agents on the same listener still complete the run.
+    let collector = SupervisedCollector::fresh(meter.clone());
+    let hpc_model = &meter.config().hpc_model;
+    let out = run_supervised_loopback(collector, hpc_model, samples, &tcp(), 0, |tier, dial| {
+        if tier == TierId::App {
+            rogue_dials(&dial);
         }
-        for handle in agent_handles {
-            handle
-                .join()
-                .expect("agent thread completes")
-                .expect("agent runs");
-        }
-        collector
-            .join()
-            .expect("collector thread completes")
-            .expect("collector runs")
-    });
+        AgentConfig::new(tier, dial, BASE_SEED)
+    })
+    .expect("deployment runs")
+    .collector;
 
     assert_eq!(out.rejected_handshakes, 1, "the rogue peer was counted");
     let emitted: Vec<i64> = out.decisions.iter().map(|(w, _)| *w).collect();
     assert_eq!(emitted, vec![0, 1], "real traffic was unaffected");
     assert!(out.poisoned_windows.is_empty());
-}
-
-#[test]
-fn supervised_plane_matches_the_oracle_and_never_admits_from_suspect_state() {
-    // Same knob-sensitive contract as the unsupervised sweep, plus the
-    // supervision invariants: predictions only drive admission while
-    // Healthy, and never from a loss-touched window.
-    let meter = trained_meter();
-    let window_len = meter.config().window_len;
-    let samples = steady_samples(&meter);
-    for (_, faults) in knob_rows() {
-        let (survivors, poisoned) =
-            predicted_surviving_windows(TOTAL_SAMPLES as u64, &faults, window_len, 1);
-
-        let admission =
-            AdmissionController::try_new(AdmissionConfig::default(), 400).expect("valid config");
-        let sup_cfg = SupervisorConfig::default();
-        let (report, _agents) = run_supervised_loopback(
-            &meter,
-            &samples,
-            &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
-            BASE_SEED,
-            faults,
-            sup_cfg,
-            admission,
-            None,
-            false,
-            0,
-        )
-        .expect("supervised loopback survives induced faults");
-
-        let emitted: BTreeSet<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-        assert_eq!(
-            emitted, survivors,
-            "the supervised assembler emits exactly the oracle's survivors"
-        );
-        let quarantined: BTreeSet<i64> = report.poisoned_windows.iter().copied().collect();
-        assert_eq!(quarantined, poisoned);
-
-        let baseline = replay_windows(&meter, &samples, BASE_SEED, &survivors);
-        assert_eq!(
-            decisions_json(&report.decisions),
-            decisions_json(&baseline),
-            "supervision never alters the decision stream itself"
-        );
-
-        // Admission purity: a prediction drives the cap only while Healthy,
-        // and only ever from a window the oracle says survived.
-        let (min_ebs, max_ebs) = (
-            AdmissionConfig::default().min_ebs,
-            AdmissionConfig::default().max_ebs,
-        );
-        for point in &report.admission_trace {
-            assert!(
-                (min_ebs..=max_ebs).contains(&point.cap),
-                "cap {} escaped [{min_ebs}, {max_ebs}]",
-                point.cap
-            );
-            if point.from_prediction {
-                assert_eq!(
-                    point.health,
-                    HealthState::Healthy,
-                    "window {} drove the cap while {}",
-                    point.window,
-                    point.health
-                );
-                assert!(
-                    survivors.contains(&point.window),
-                    "window {} drove the cap but is not an oracle survivor",
-                    point.window
-                );
-            }
-        }
-        // Every emitted window left exactly one trace point.
-        let traced: Vec<i64> = report
-            .admission_trace
-            .iter()
-            .filter(|p| p.window >= 0)
-            .map(|p| p.window)
-            .collect();
-        let emitted_in_order: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-        assert_eq!(traced, emitted_in_order);
-    }
 }
 
 /// A source that hands out its script and then idles — keeping the
@@ -374,8 +359,7 @@ fn an_ack_split_across_a_read_timeout_is_still_counted() {
     let meter = trained_meter();
     let samples = steady_samples(&meter);
     let samples = &samples[..SAMPLES as usize];
-    let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"))
-        .expect("listener binds");
+    let listener = Listener::bind(&tcp()).expect("listener binds");
     let cfg = AgentConfig::new(
         TierId::Db,
         listener.local_endpoint().expect("bound endpoint"),
@@ -425,7 +409,7 @@ fn an_ack_split_across_a_read_timeout_is_still_counted() {
         }
         let (fragment, rest) = wire.split_at(5);
         conn.write_all(fragment).expect("fragment writes");
-        std::thread::sleep(cfg.read_timeout.mul_f64(1.2));
+        std::thread::sleep(webcap_net::agent::READ_TIMEOUT.mul_f64(1.2));
         conn.write_all(rest).expect("remaining acks write");
 
         // Let the agent finish: it says Bye and waits for our close.

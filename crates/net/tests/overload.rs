@@ -17,10 +17,10 @@
 use std::io::Write;
 use std::time::Duration;
 
-use webcap_core::{AdmissionConfig, AdmissionController, CapacityMeter, MeterConfig};
-use webcap_net::collector::{run_collector, CollectorConfig, ShedKind};
+use webcap_core::{CapacityMeter, MeterConfig};
+use webcap_net::collector::{CollectorConfig, ShedKind};
 use webcap_net::supervisor::{
-    HealthState, HealthTransition, SupervisedCollector, SupervisorConfig,
+    run_supervised_collector, HealthState, HealthTransition, SupervisedCollector, SHED_STORM,
 };
 use webcap_net::{
     metric_schema_hash, read_frame, write_frame, AppStats, Conn, Endpoint, Frame, Listener,
@@ -35,10 +35,6 @@ fn trained_meter() -> CapacityMeter {
             CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
         })
         .clone()
-}
-
-fn admission() -> AdmissionController {
-    AdmissionController::try_new(AdmissionConfig::default(), 400).expect("valid config")
 }
 
 /// A synthetic wire sample at `seq` (key `seq + 1` under origin 1).
@@ -100,7 +96,6 @@ fn handshaken(endpoint: &Endpoint, tier: TierId) -> Conn {
 /// completed window's decision survives.
 #[test]
 fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
-    let meter = trained_meter();
     let cfg = CollectorConfig {
         stall_poll_budget: 50,
         idle_timeout: Duration::from_millis(400),
@@ -111,11 +106,11 @@ fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
     let endpoint = listener.local_endpoint().expect("local endpoint");
 
+    let sc = SupervisedCollector::fresh(trained_meter());
     let report = std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
         let cfg_ref = &cfg;
         let collector =
-            scope.spawn(move || run_collector(listener, meter_clone, cfg_ref, |_, _| {}));
+            scope.spawn(move || run_supervised_collector(listener, sc, cfg_ref, |_, _| {}));
 
         // The half-open App peer: all of window 0 (keys 1..=30), five
         // samples into window 1, then four bytes of a frame header and
@@ -135,10 +130,7 @@ fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
         }
         write_frame(&mut db, &Frame::Bye { last_seq: 59 }).expect("bye writes");
 
-        let report = collector
-            .join()
-            .expect("collector thread")
-            .expect("collector runs");
+        let report = collector.join().expect("collector thread");
         // Hold the half-open socket open until the collector is done:
         // an early close would look like EOF, not a stall.
         drop(app);
@@ -179,7 +171,6 @@ fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
 /// configuration, never by the peer's mercy.
 #[test]
 fn hostile_slow_writer_is_shed_on_the_write_backlog_bound() {
-    let meter = trained_meter();
     let cfg = CollectorConfig {
         // Small lane bound (still far above any frame this test sends) so
         // the backlog trips quickly once the kernel buffers jam.
@@ -192,11 +183,11 @@ fn hostile_slow_writer_is_shed_on_the_write_backlog_bound() {
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
     let endpoint = listener.local_endpoint().expect("local endpoint");
 
+    let sc = SupervisedCollector::fresh(trained_meter());
     let report = std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
         let cfg_ref = &cfg;
         let collector =
-            scope.spawn(move || run_collector(listener, meter_clone, cfg_ref, |_, _| {}));
+            scope.spawn(move || run_supervised_collector(listener, sc, cfg_ref, |_, _| {}));
 
         // Blast heartbeats (each elicits an ack) and never read a byte
         // back. Once the socket buffers fill with unread acks the
@@ -211,10 +202,7 @@ fn hostile_slow_writer_is_shed_on_the_write_backlog_bound() {
         }
         drop(conn);
 
-        collector
-            .join()
-            .expect("collector thread")
-            .expect("collector runs")
+        collector.join().expect("collector thread")
     });
 
     assert!(
@@ -235,11 +223,10 @@ fn hostile_slow_writer_is_shed_on_the_write_backlog_bound() {
 /// reason, and the audit log round-trips as JSON.
 #[test]
 fn shed_storm_escalates_to_degraded_with_an_audited_reason() {
-    let sup_cfg = SupervisorConfig::default();
-    let mut sc = SupervisedCollector::start(trained_meter(), 1, sup_cfg, admission(), None, false);
+    let mut sc = SupervisedCollector::fresh(trained_meter());
     sc.on_session_start(TierId::App);
     sc.on_session_start(TierId::Db);
-    for _ in 0..sup_cfg.shed_storm {
+    for _ in 0..SHED_STORM {
         sc.on_shed(TierId::App, ShedKind::DialBacklog);
     }
     let report = sc.finish();
@@ -251,7 +238,7 @@ fn shed_storm_escalates_to_degraded_with_an_audited_reason() {
     );
     assert_eq!(
         report.sheds.len(),
-        sup_cfg.shed_storm,
+        SHED_STORM,
         "every shed must be in the audit trail"
     );
     let storm = report
@@ -263,7 +250,7 @@ fn shed_storm_escalates_to_degraded_with_an_audited_reason() {
     assert!(
         storm
             .reason
-            .contains(&format!("{} sheds in window", sup_cfg.shed_storm)),
+            .contains(&format!("{} sheds in window", SHED_STORM)),
         "the reason must name the storm, got {:?}",
         storm.reason
     );

@@ -23,17 +23,17 @@ use rand::{Rng, SeedableRng};
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_core::{TierStressAgg, WindowHealthAgg};
 use webcap_net::binary::{decode_frame, encode_frame};
-use webcap_net::collector::{run_collector, CollectorConfig};
+use webcap_net::collector::CollectorConfig;
 use webcap_net::frame::{
     metric_schema_hash, read_frame, try_extract_frame, write_frame, write_frame_codec, AppStats,
     AppWindowDigest, DigestFin, DigestFrame, Frame, TierWindowDigest, WireCaps, WireCodec,
     WireSample, PROTO_VERSION,
 };
-use webcap_net::loopback::{predicted_surviving_windows, replay_windows};
-use webcap_net::supervisor::HealthState;
-use webcap_net::{
-    run_agent, AgentConfig, AgentReport, Endpoint, FaultKnobs, Listener, ScriptedSource,
+use webcap_net::loopback::{
+    predicted_windows_for_schedule, replay_windows, run_supervised_loopback, LoopbackOutcome,
 };
+use webcap_net::supervisor::{run_supervised_collector, HealthState, SupervisedCollector};
+use webcap_net::{AgentConfig, Endpoint, FaultKnobs, FaultSchedule, Listener};
 use webcap_sim::{RtHistogram, Simulation, SystemSample, TierId, TierSample};
 use webcap_tpcw::{Mix, MixId, TrafficProgram};
 
@@ -405,11 +405,11 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
     };
     let strangers = [PROTO_VERSION - 1, 99];
 
+    let sc = SupervisedCollector::fresh(meter.clone());
     let report = std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
         let cfg_ref = &cfg;
         let collector =
-            scope.spawn(move || run_collector(listener, meter_clone, cfg_ref, |_, _| {}));
+            scope.spawn(move || run_supervised_collector(listener, sc, cfg_ref, |_, _| {}));
 
         for version in strangers {
             let mut conn = webcap_net::Conn::connect(&dial).expect("peer connects");
@@ -442,10 +442,7 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
             }
         }
 
-        collector
-            .join()
-            .expect("collector thread completes")
-            .expect("collector runs")
+        collector.join().expect("collector thread completes")
     });
 
     assert_eq!(report.rejected_handshakes, strangers.len() as u64);
@@ -456,54 +453,27 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
 // Deployment byte-identity
 // ---------------------------------------------------------------------
 
-/// A faulted loopback deployment pinned to an explicit codec — the same
-/// wiring as `run_loopback`, but with `AgentConfig::codec` set directly
-/// so the comparison does not depend on process environment.
+/// A loopback deployment whose agents both run `script` in `codec`.
 fn run_with_codec(
     meter: &CapacityMeter,
     samples: &[SystemSample],
-    faults: FaultKnobs,
+    script: &FaultSchedule,
     codec: WireCodec,
-) -> (webcap_net::CollectorReport, [AgentReport; 2]) {
-    let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"))
-        .expect("listener binds");
-    let dial = listener.local_endpoint().expect("bound endpoint");
-    let hpc_model = meter.config().hpc_model.clone();
-    let collector_cfg = CollectorConfig::default();
-    std::thread::scope(|scope| {
-        let meter_clone = meter.clone();
-        let cfg_ref = &collector_cfg;
-        let collector =
-            scope.spawn(move || run_collector(listener, meter_clone, cfg_ref, |_, _| {}));
-        let mut agent_handles = Vec::new();
-        for tier in TierId::ALL {
-            let dial = dial.clone();
-            let hpc_model = hpc_model.clone();
-            agent_handles.push(scope.spawn(move || {
-                let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
-                cfg.faults = faults;
-                cfg.codec = codec;
-                let mut source = ScriptedSource::new(tier, samples);
-                run_agent(&cfg, hpc_model, &mut source)
-            }));
-        }
-        let mut agents = Vec::new();
-        for handle in agent_handles {
-            agents.push(
-                handle
-                    .join()
-                    .expect("agent thread completes")
-                    .expect("agent runs"),
-            );
-        }
-        let report = collector
-            .join()
-            .expect("collector thread completes")
-            .expect("collector runs");
-        let db = agents.pop().expect("db agent report");
-        let app = agents.pop().expect("app agent report");
-        (report, [app, db])
-    })
+) -> LoopbackOutcome {
+    run_supervised_loopback(
+        SupervisedCollector::fresh(meter.clone()),
+        &meter.config().hpc_model,
+        samples,
+        &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
+        0,
+        |tier, dial| {
+            let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
+            cfg.schedule = script.clone();
+            cfg.codec = codec;
+            cfg
+        },
+    )
+    .expect("deployment runs")
 }
 
 /// The acceptance bar for the whole PR: under drops and forced
@@ -516,17 +486,18 @@ fn faulted_runs_are_byte_identical_across_codecs() {
     let samples = steady_samples(&meter);
     let faults = FaultKnobs {
         drop_every: NonZeroU64::new(37),
-        delay: None,
         reconnect_every: NonZeroU64::new(101),
     };
+    let script = faults.schedule(TOTAL_SAMPLES as u64, &FaultSchedule::NONE);
 
-    let (json_report, json_agents) = run_with_codec(&meter, &samples, faults, WireCodec::Json);
-    let (bin_report, bin_agents) = run_with_codec(&meter, &samples, faults, WireCodec::Binary);
+    let json = run_with_codec(&meter, &samples, &script, WireCodec::Json);
+    let binary = run_with_codec(&meter, &samples, &script, WireCodec::Binary);
+    let (json_report, bin_report) = (&json.collector, &binary.collector);
 
     // Compare the deterministic agent counters only: ack/heartbeat
     // counts ride a concurrent reader thread and legitimately race with
     // session shutdown.
-    for (i, (j, b)) in json_agents.iter().zip(&bin_agents).enumerate() {
+    for (i, (j, b)) in json.agents.iter().zip(&binary.agents).enumerate() {
         assert_eq!(j.samples_produced, b.samples_produced, "agent {i}");
         assert_eq!(j.frames_sent, b.frames_sent, "agent {i}");
         assert_eq!(j.frames_dropped, b.frames_dropped, "agent {i}");
@@ -546,9 +517,9 @@ fn faulted_runs_are_byte_identical_across_codecs() {
 
     // Both also match the knob oracle and the in-process monitor — the
     // codec did not merely fail identically on both sides.
-    let (survivors, poisoned) = predicted_surviving_windows(
+    let (survivors, poisoned) = predicted_windows_for_schedule(
         TOTAL_SAMPLES as u64,
-        &faults,
+        &script,
         window_len,
         CollectorConfig::default().window_origin,
     );
@@ -570,8 +541,9 @@ fn a_clean_binary_run_matches_the_unbatched_contract() {
     let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
 
-    let (report, agents) = run_with_codec(&meter, &samples, FaultKnobs::NONE, WireCodec::Binary);
-    for (i, agent) in agents.iter().enumerate() {
+    let out = run_with_codec(&meter, &samples, &FaultSchedule::NONE, WireCodec::Binary);
+    let report = &out.collector;
+    for (i, agent) in out.agents.iter().enumerate() {
         assert_eq!(agent.samples_produced, TOTAL_SAMPLES as u64, "agent {i}");
         assert_eq!(
             agent.frames_sent, TOTAL_SAMPLES as u64,
