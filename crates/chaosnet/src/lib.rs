@@ -20,9 +20,8 @@
 //!   through the real incremental frame extractor, every decode failure
 //!   kills the session exactly as the real event loop would.
 //! * [`fleetmesh`] — the same idea over the fleet digest back-haul,
-//!   replaying a captured digest stream into the partition-aware merge
-//!   under chaos, with the liveness clock watching scripted partitions
-//!   heal through the hysteretic rejoin.
+//!   replaying a captured digest stream into the merge under chaos,
+//!   scripted partitions holding a collector's frames until they heal.
 //! * [`proxy`] — a real-socket TCP interposer applying outcome-neutral
 //!   pacing faults (split writes, stalls), proving the live collector
 //!   event loop digests arbitrarily fragmented byte streams without

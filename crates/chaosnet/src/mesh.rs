@@ -1,10 +1,9 @@
 //! The in-process chaos mesh over the agent → collector telemetry
 //! plane.
 //!
-//! [`run_net_mesh`] encodes each tier's per-second samples as real v3
-//! wire frames (JSON or binary, caller's choice), interposes a
-//! [`ChaosSchedule`] between the encoded bytes and a
-//! [`SupervisedCollector`], and returns the supervised report together
+//! [`run_net_mesh`] encodes each tier's per-second samples as real wire
+//! frames, interposes a [`ChaosSchedule`] between the encoded bytes and
+//! a [`SupervisedCollector`], and returns the supervised report together
 //! with the schedule *compiled* into the telemetry plane's fault
 //! vocabulary. The equivalence suite then checks that the surviving
 //! decision set is byte-identical to the loopback oracle's analytic
@@ -22,10 +21,10 @@ use std::fmt;
 
 use webcap_core::{AdmissionController, CapacityMeter};
 use webcap_net::collector::CollectorConfig;
-use webcap_net::frame::{write_frame_codec, Frame, FrameBuf};
+use webcap_net::frame::{write_frame, Frame, FrameBuf};
 use webcap_net::source::{SourceSample, TierSampler};
 use webcap_net::supervisor::{SupervisedCollector, SupervisedReport, SupervisorConfig};
-use webcap_net::{FaultSchedule, WireCodec};
+use webcap_net::FaultSchedule;
 use webcap_sim::{SystemSample, TierId};
 
 use crate::schedule::{corrupt_frame, ChaosSchedule, FrameFault};
@@ -75,24 +74,22 @@ impl TierState {
     }
 }
 
-/// Encode one tier's sample stream as individual `Sample` wire frames
-/// in the chosen codec, one byte vector per sequence number.
+/// Encode one tier's sample stream as individual `Sample` wire frames,
+/// one byte vector per sequence number.
 fn encode_tier(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     base_seed: u64,
     tier: TierId,
-    codec: WireCodec,
 ) -> Result<Vec<Vec<u8>>, MeshError> {
     let hpc_model = meter.config().hpc_model.clone();
     let mut sampler = TierSampler::new(tier, hpc_model, base_seed);
-    let mut scratch = Vec::new();
     let mut out = Vec::with_capacity(samples.len());
     for (i, s) in samples.iter().enumerate() {
         let seq = i as u64;
         let ws = sampler.wire_sample(SourceSample::of_tier(tier, seq, s));
         let mut buf = Vec::new();
-        write_frame_codec(&mut buf, &Frame::Sample(ws), codec, &mut scratch)
+        write_frame(&mut buf, &Frame::Sample(ws))
             .map_err(|e| MeshError(format!("encode {tier:?} seq {seq}: {e}")))?;
         out.push(buf);
     }
@@ -231,7 +228,7 @@ fn deliver_tier(
 
 /// Run the telemetry plane under a chaos schedule.
 ///
-/// Encodes `samples` per tier as real wire frames in `codec`, applies
+/// Encodes `samples` per tier as real wire frames, applies
 /// `chaos` to every frame of every tier connection (App is connection
 /// 0, Db is connection 1), and drives a [`SupervisedCollector`] exactly
 /// as the event loop would. Returns the supervised report plus the
@@ -241,14 +238,13 @@ pub fn run_net_mesh(
     samples: &[SystemSample],
     base_seed: u64,
     chaos: &ChaosSchedule,
-    codec: WireCodec,
     admission: AdmissionController,
 ) -> Result<MeshOutcome, MeshError> {
     let total = samples.len() as u64;
     let origin = CollectorConfig::default().window_origin;
     let mut frames: [Vec<Vec<u8>>; 2] = Default::default();
     for tier in TierId::ALL {
-        *tier.select_mut(&mut frames) = encode_tier(meter, samples, base_seed, tier, codec)?;
+        *tier.select_mut(&mut frames) = encode_tier(meter, samples, base_seed, tier)?;
     }
 
     let mut sc = SupervisedCollector::start(

@@ -1,14 +1,12 @@
 //! Fleet back-haul chaos across the full scenario library.
 //!
 //! Every capacity-search scenario runs at K = 1, 2, and 4 collectors;
-//! the captured digest stream is then replayed into the
-//! partition-aware merge under three chaos families:
+//! the captured digest stream is then replayed into the merge under
+//! three chaos families:
 //!
 //! * **partition** — a scripted link partition of the collector owning
-//!   the Db tier, with the liveness clock armed: delivery is delayed
-//!   but lossless, so the outcome must be byte-identical to the
-//!   unfaulted baseline while the audit trail walks
-//!   Partitioned → Rejoining → Live.
+//!   the Db tier: delivery is delayed but lossless, so the outcome must
+//!   be byte-identical to the unfaulted baseline.
 //! * **corruption** — heavy bit flips, truncations, and drops: the
 //!   outcome must be byte-identical to a clean merge of exactly the
 //!   surviving frames, and the lost set must match the analytic
@@ -29,10 +27,8 @@ use webcap_chaosnet::{
 };
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_fleet::{
-    collect_digest_stream, AgentId, CollectorLiveness, DigestStream, FleetTopology,
-    MergeLivenessConfig, MergeOutcome, ShardMap,
+    collect_digest_stream, AgentId, DigestStream, FleetTopology, MergeOutcome, ShardMap,
 };
-use webcap_net::WireCodec;
 use webcap_sim::TierId;
 
 const SCENARIOS: [&str; 6] = [
@@ -53,7 +49,7 @@ fn meter() -> &'static CapacityMeter {
 }
 
 /// The scenario's probe stream and captured digest back-haul at fleet
-/// width `k`, over the binary wire dialect.
+/// width `k`.
 fn captured_stream(name: &str, k: u32) -> (DigestStream, FleetTopology) {
     let meter = meter();
     let scenario = webcap_capsearch::scenario::find(name).expect("library scenario");
@@ -62,22 +58,13 @@ fn captured_stream(name: &str, k: u32) -> (DigestStream, FleetTopology) {
     let samples = webcap_sim::run(cfg, scenario.program(PROBE_EBS)).samples;
     let schedules = scenario.schedules();
     let topology = FleetTopology::two_tier(&scenario.name, scenario.seed, k);
-    let stream = collect_digest_stream(
-        meter,
-        &samples,
-        scenario.seed,
-        &schedules,
-        &topology,
-        None,
-        WireCodec::Binary,
-    )
-    .expect("digest stream captures");
+    let stream = collect_digest_stream(meter, &samples, scenario.seed, &schedules, &topology, None)
+        .expect("digest stream captures");
     (stream, topology)
 }
 
 /// The decision-bearing slice of a merge outcome: what "byte-identical"
-/// quantifies over. Liveness audit fields are deliberately excluded —
-/// they must be additive, never outcome-bearing.
+/// quantifies over.
 fn render(outcome: &MergeOutcome) -> String {
     serde_json::to_string(&(
         &outcome.decisions,
@@ -129,19 +116,17 @@ fn predicted_lost(stream: &DigestStream, chaos: &ChaosSchedule) -> Vec<usize> {
     lost
 }
 
-/// Partition family: delayed but lossless delivery with the liveness
-/// clock armed must be byte-neutral, and the audit trail must show the
-/// victim partitioning and rejoining to Live.
+/// Partition family: delayed but lossless delivery must be
+/// byte-neutral.
 #[test]
-fn partition_family_is_byte_neutral_with_full_rejoin_audit() {
+fn partition_family_is_byte_neutral() {
     let meter = meter();
     for name in SCENARIOS {
         let scenario = webcap_capsearch::scenario::find(name).expect("library scenario");
         for k in [1u32, 2, 4] {
             let (stream, topology) = captured_stream(name, k);
             let (baseline, baseline_lost) =
-                merge_stream(meter, &stream, None, MergeLivenessConfig::default())
-                    .expect("baseline merges");
+                merge_stream(meter, &stream, None).expect("baseline merges");
             assert!(baseline_lost.is_empty());
 
             let victim = ShardMap::new(topology.seed, topology.collectors)
@@ -159,77 +144,14 @@ fn partition_family_is_byte_neutral_with_full_rejoin_audit() {
                     ..ChaosProfile::quiet()
                 },
             );
-            let liveness = MergeLivenessConfig {
-                deadline_ticks: 100,
-                rejoin_clean_frames: 2,
-            };
-            let (outcome, lost) =
-                merge_stream(meter, &stream, Some(&chaos), liveness).expect("chaos merges");
+            let (outcome, lost) = merge_stream(meter, &stream, Some(&chaos)).expect("chaos merges");
             assert!(
                 lost.is_empty(),
                 "{name} K={k}: a partition delays frames, it never destroys them"
             );
             assert_identical(name, k, "partition", &outcome, &baseline);
-
-            // The victim flushes at least once per completed window, so
-            // any stream long enough for the partition to straddle the
-            // liveness deadline must produce the full audit walk.
-            if stream.last_tick >= 160 {
-                assert!(
-                    outcome
-                        .partition_events
-                        .iter()
-                        .any(|e| e.collector == victim && e.to == CollectorLiveness::Partitioned),
-                    "{name} K={k}: the victim's silence must be flagged Partitioned"
-                );
-                assert!(
-                    outcome
-                        .partition_events
-                        .iter()
-                        .any(|e| e.collector == victim && e.to == CollectorLiveness::Rejoining),
-                    "{name} K={k}: the heal burst must start a rejoin"
-                );
-                assert!(
-                    !outcome.partitioned.contains(&victim),
-                    "{name} K={k}: the victim must re-earn Live through the clean streak"
-                );
-            }
         }
     }
-}
-
-/// The liveness clock is audit-only: the same chaos replay with the
-/// clock armed and disarmed produces identical decision bytes.
-#[test]
-fn partition_liveness_audit_is_outcome_neutral() {
-    let meter = meter();
-    let (stream, topology) = captured_stream("steady-shopping", 2);
-    let victim =
-        ShardMap::new(topology.seed, topology.collectors).owner(AgentId::primary(TierId::Db));
-    let chaos = ChaosSchedule::new(
-        5,
-        ChaosProfile {
-            partition: Some(Partition {
-                conn: victim,
-                from: 40,
-                until: 160,
-            }),
-            ..ChaosProfile::quiet()
-        },
-    );
-    let armed = MergeLivenessConfig {
-        deadline_ticks: 100,
-        rejoin_clean_frames: 2,
-    };
-    let (with_clock, _) = merge_stream(meter, &stream, Some(&chaos), armed).expect("armed merges");
-    let (without_clock, _) =
-        merge_stream(meter, &stream, Some(&chaos), MergeLivenessConfig::default())
-            .expect("disarmed merges");
-    assert_eq!(render(&with_clock), render(&without_clock));
-    assert!(
-        without_clock.partition_events.is_empty(),
-        "a disarmed clock must record nothing"
-    );
 }
 
 /// Corruption family: the outcome must equal a clean merge of exactly
@@ -244,9 +166,7 @@ fn corruption_family_matches_kept_set_oracle() {
         for k in [1u32, 2, 4] {
             let (stream, _topology) = captured_stream(name, k);
             let chaos = ChaosSchedule::new(scenario.seed + 1, ChaosProfile::corruption_heavy());
-            let (outcome, lost) =
-                merge_stream(meter, &stream, Some(&chaos), MergeLivenessConfig::default())
-                    .expect("chaos merges");
+            let (outcome, lost) = merge_stream(meter, &stream, Some(&chaos)).expect("chaos merges");
 
             let got: Vec<usize> = lost.iter().map(|l| l.index).collect();
             assert_eq!(
@@ -258,8 +178,7 @@ fn corruption_family_matches_kept_set_oracle() {
 
             let kept = without_frames(&stream, &lost);
             let (oracle, oracle_lost) =
-                merge_stream(meter, &kept, None, MergeLivenessConfig::default())
-                    .expect("kept-set oracle merges");
+                merge_stream(meter, &kept, None).expect("kept-set oracle merges");
             assert!(oracle_lost.is_empty());
             assert_identical(name, k, "corruption", &outcome, &oracle);
         }
@@ -280,8 +199,7 @@ fn reorder_dup_family_is_byte_identical_to_baseline() {
         let scenario = webcap_capsearch::scenario::find(name).expect("library scenario");
         for k in [1u32, 2, 4] {
             let (stream, _topology) = captured_stream(name, k);
-            let (baseline, _) = merge_stream(meter, &stream, None, MergeLivenessConfig::default())
-                .expect("baseline merges");
+            let (baseline, _) = merge_stream(meter, &stream, None).expect("baseline merges");
             let chaos = ChaosSchedule::new(
                 scenario.seed + 2,
                 ChaosProfile {
@@ -291,9 +209,7 @@ fn reorder_dup_family_is_byte_identical_to_baseline() {
                     ..ChaosProfile::quiet()
                 },
             );
-            let (outcome, lost) =
-                merge_stream(meter, &stream, Some(&chaos), MergeLivenessConfig::default())
-                    .expect("chaos merges");
+            let (outcome, lost) = merge_stream(meter, &stream, Some(&chaos)).expect("chaos merges");
             assert!(
                 lost.is_empty(),
                 "{name} K={k}: duplication and reordering never lose frames"

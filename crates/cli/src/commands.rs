@@ -925,8 +925,8 @@ COMMANDS:
              [--run-seed <N>] [--start-seq <N>]
              (--start-seq resumes a replay: history below N is
              synthesized for warm-up but not re-sent)
-             (after the JSON handshake the session speaks the binary
-             dialect — batched delta/varint frames)
+             (every frame, the handshake included, is binary —
+             batched delta/varint samples)
   capsearch  bisect scenarios to their SLO-boundary capacity and emit
              byte-stable capacity reports
              [--list] [--scenario <name|all>] [--scenario-file <toml>]

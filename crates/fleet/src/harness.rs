@@ -120,7 +120,7 @@ pub struct DigestStream {
 /// reconnects break the session before the frame, drops discard it) and
 /// an optional chaos crash, flushing eagerly every tick so a crash
 /// never loses a completed digest, and capture every flushed digest as
-/// `codec`-encoded wire bytes, a fin frame per collector last.
+/// encoded wire bytes, a fin frame per collector last.
 ///
 /// # Errors
 ///
@@ -134,7 +134,6 @@ pub fn collect_digest_stream(
     schedules: &[FaultSchedule; 2],
     topology: &FleetTopology,
     chaos: Option<FleetChaos>,
-    codec: WireCodec,
 ) -> Result<DigestStream, FleetError> {
     let window_len = (meter.config().window_len as i64).max(1);
     let origin = CollectorConfig::default().window_origin;
@@ -159,8 +158,13 @@ pub fn collect_digest_stream(
     let mut capture = |frame: DigestFrame, tick: u64| {
         let collector = frame.collector;
         let mut bytes = Vec::new();
-        write_frame_codec(&mut bytes, &Frame::Digest(frame), codec, &mut scratch)
-            .map_err(|e| FleetError(format!("fleet back-haul at tick {tick}: {e}")))?;
+        write_frame_codec(
+            &mut bytes,
+            &Frame::Digest(frame),
+            WireCodec::Binary,
+            &mut scratch,
+        )
+        .map_err(|e| FleetError(format!("fleet back-haul at tick {tick}: {e}")))?;
         frames.push(TimedFrame {
             tick,
             collector,
@@ -265,8 +269,11 @@ pub fn collect_digest_stream(
 
 /// Run `samples` through a sharded fleet — [`collect_digest_stream`]
 /// with the same arguments — and merge the captured digests into the
-/// global outcome. The merge reads either back-haul dialect, so the
-/// outcome is codec-invariant except for [`CollectorSummary::bytes`].
+/// global outcome.
+///
+/// `_codec` names the back-haul dialect, of which one is left: the
+/// argument stays only because the benchmark's adapter, which may not
+/// change, passes it.
 ///
 /// # Errors
 ///
@@ -279,10 +286,9 @@ pub fn run_fleet(
     schedules: &[FaultSchedule; 2],
     topology: &FleetTopology,
     chaos: Option<FleetChaos>,
-    codec: WireCodec,
+    _codec: WireCodec,
 ) -> Result<FleetOutcome, FleetError> {
-    let stream =
-        collect_digest_stream(meter, samples, base_seed, schedules, topology, chaos, codec)?;
+    let stream = collect_digest_stream(meter, samples, base_seed, schedules, topology, chaos)?;
     // Emission order interleaves the collectors tick by tick; the merge
     // is order-independent, and the fleet tests shuffle the order to
     // prove it.

@@ -67,7 +67,7 @@ pub use harness::{
     collect_digest_stream, run_fleet, CollectorSummary, DigestStream, FleetChaos, FleetError,
     FleetOutcome, TimedFrame,
 };
-pub use merge::{CollectorLiveness, MergeLivenessConfig, MergeNode, MergeOutcome, PartitionEvent};
+pub use merge::{MergeNode, MergeOutcome};
 pub use shard::{AgentId, ShardMap};
 pub use topology::FleetTopology;
 pub use webcap_net::{DigesterState, TierDigester};

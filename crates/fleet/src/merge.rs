@@ -16,77 +16,17 @@
 //! window is quarantined rather than letting arrival order pick a
 //! winner. The same digest delivered twice is a re-delivery: counted
 //! as a duplicate `seq`, otherwise ignored.
+//!
+//! Nothing goes unaccounted: a collector's final frame carries a
+//! [`DigestFin`] naming the last full window of the stream, and every
+//! window up to it ends up decided, poisoned, or incomplete — even one
+//! whose every digest was lost in transit.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Serialize;
 use webcap_core::{CapacityMeter, OnlineDecision};
 use webcap_net::{score_window, DigestFin, DigestFrame, HealthState, TierWindowDigest};
-
-/// Partition-liveness policy for the merge node, driven entirely by the
-/// caller's deterministic clock (a tick is whatever unit the harness
-/// stamps frames with — the fleet harness uses the sample sequence).
-///
-/// The default **disables** detection (`deadline_ticks == 0`): a plain
-/// [`MergeNode::new`] behaves exactly as before, and liveness is pure
-/// audit state even when enabled — arriving frames are always ingested,
-/// so enabling it provably changes no byte of the decision stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct MergeLivenessConfig {
-    /// A collector silent for more than this many ticks (per
-    /// [`MergeNode::observe_tick`]) is declared [`CollectorLiveness::Partitioned`].
-    /// `0` disables detection.
-    pub deadline_ticks: u64,
-    /// Hysteretic rejoin: consecutive in-sequence frames a partitioned
-    /// collector must deliver before it is trusted
-    /// [`CollectorLiveness::Live`] again (its first frame back starts
-    /// the streak; a fresh sequence gap restarts it).
-    pub rejoin_clean_frames: u64,
-}
-
-impl Default for MergeLivenessConfig {
-    fn default() -> MergeLivenessConfig {
-        MergeLivenessConfig {
-            deadline_ticks: 0,
-            rejoin_clean_frames: 2,
-        }
-    }
-}
-
-/// A collector's liveness as the merge node sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum CollectorLiveness {
-    /// Frames arrive within the deadline.
-    Live,
-    /// Silent past the deadline. Its shard's windows stay incomplete
-    /// (withheld, never scored) until digests resume; frames it emitted
-    /// but never delivered surface as sequence holes in
-    /// [`MergeOutcome::lost_digests`] once it rejoins.
-    Partitioned,
-    /// Delivering frames again but still inside the rejoin hysteresis.
-    Rejoining,
-}
-
-/// One liveness transition, for the audit log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct PartitionEvent {
-    /// The collector whose state changed.
-    pub collector: u32,
-    /// Caller-clock tick the transition happened at.
-    pub tick: u64,
-    /// State after the transition.
-    pub to: CollectorLiveness,
-}
-
-/// Per-collector liveness bookkeeping (audit only — never gates
-/// ingestion).
-#[derive(Debug, Clone)]
-struct LivenessTrack {
-    state: CollectorLiveness,
-    last_seen: u64,
-    last_seq: Option<u64>,
-    clean: u64,
-}
 
 /// Merge-node accumulator. Feed every collector's [`DigestFrame`]s via
 /// [`MergeNode::ingest`] (any order), then [`MergeNode::finalize`].
@@ -100,22 +40,12 @@ pub struct MergeNode {
     safe_mode_frames: u64,
     fins: BTreeMap<u32, DigestFin>,
     frames: u64,
-    liveness_cfg: MergeLivenessConfig,
-    tracks: BTreeMap<u32, LivenessTrack>,
-    partition_events: Vec<PartitionEvent>,
 }
 
 impl MergeNode {
     /// A merge node scoring with `meter` (its model state is consumed
     /// by the decision stream, exactly like the in-process monitor).
     pub fn new(meter: CapacityMeter) -> MergeNode {
-        MergeNode::with_liveness(meter, MergeLivenessConfig::default())
-    }
-
-    /// A merge node with partition detection armed (see
-    /// [`MergeLivenessConfig`]). With the default (disabled) config this
-    /// is exactly [`MergeNode::new`].
-    pub fn with_liveness(meter: CapacityMeter, liveness_cfg: MergeLivenessConfig) -> MergeNode {
         MergeNode {
             meter,
             windows: BTreeMap::new(),
@@ -125,110 +55,7 @@ impl MergeNode {
             safe_mode_frames: 0,
             fins: BTreeMap::new(),
             frames: 0,
-            liveness_cfg,
-            tracks: BTreeMap::new(),
-            partition_events: Vec::new(),
         }
-    }
-
-    /// Announce a collector the topology expects, so silence from it is
-    /// detectable from tick zero — a fully partitioned collector never
-    /// delivers a first frame to register itself with.
-    pub fn register_collector(&mut self, collector: u32, tick: u64) {
-        self.tracks.entry(collector).or_insert(LivenessTrack {
-            state: CollectorLiveness::Live,
-            last_seen: tick,
-            last_seq: None,
-            clean: 0,
-        });
-    }
-
-    /// Absorb one digest frame stamped with the caller's deterministic
-    /// clock, updating the sender's liveness. The frame is **always**
-    /// ingested regardless of liveness state — rejoin hysteresis is
-    /// audit-only, which is what makes it provably byte-neutral.
-    pub fn ingest_at(&mut self, frame: &DigestFrame, tick: u64) {
-        let cfg = self.liveness_cfg;
-        let track = self.tracks.entry(frame.collector).or_insert(LivenessTrack {
-            state: CollectorLiveness::Live,
-            last_seen: tick,
-            last_seq: None,
-            clean: 0,
-        });
-        let in_seq = track
-            .last_seq
-            .is_none_or(|p| frame.seq == p.wrapping_add(1));
-        track.last_seen = tick;
-        if track.last_seq.is_none_or(|p| frame.seq > p) {
-            track.last_seq = Some(frame.seq);
-        }
-        let mut events: Vec<PartitionEvent> = Vec::new();
-        match track.state {
-            CollectorLiveness::Live => {}
-            CollectorLiveness::Partitioned => {
-                track.state = CollectorLiveness::Rejoining;
-                track.clean = 1;
-                events.push(PartitionEvent {
-                    collector: frame.collector,
-                    tick,
-                    to: CollectorLiveness::Rejoining,
-                });
-            }
-            CollectorLiveness::Rejoining => {
-                track.clean = if in_seq {
-                    track.clean.saturating_add(1)
-                } else {
-                    1
-                };
-            }
-        }
-        if track.state == CollectorLiveness::Rejoining
-            && track.clean >= cfg.rejoin_clean_frames.max(1)
-        {
-            track.state = CollectorLiveness::Live;
-            track.clean = 0;
-            events.push(PartitionEvent {
-                collector: frame.collector,
-                tick,
-                to: CollectorLiveness::Live,
-            });
-        }
-        self.partition_events.extend(events);
-        self.ingest(frame);
-    }
-
-    /// Advance the caller's deterministic clock: every registered (or
-    /// previously heard-from) collector silent for more than the
-    /// liveness deadline flips to [`CollectorLiveness::Partitioned`].
-    /// No-op while detection is disabled.
-    pub fn observe_tick(&mut self, tick: u64) {
-        let deadline = self.liveness_cfg.deadline_ticks;
-        if deadline == 0 {
-            return;
-        }
-        for (&collector, track) in self.tracks.iter_mut() {
-            if track.state != CollectorLiveness::Partitioned
-                && tick.saturating_sub(track.last_seen) > deadline
-            {
-                track.state = CollectorLiveness::Partitioned;
-                track.clean = 0;
-                self.partition_events.push(PartitionEvent {
-                    collector,
-                    tick,
-                    to: CollectorLiveness::Partitioned,
-                });
-            }
-        }
-    }
-
-    /// A collector's current liveness, if it ever registered or spoke.
-    pub fn liveness(&self, collector: u32) -> Option<CollectorLiveness> {
-        self.tracks.get(&collector).map(|t| t.state)
-    }
-
-    /// The liveness-transition audit log so far.
-    pub fn partition_events(&self) -> &[PartitionEvent] {
-        &self.partition_events
     }
 
     /// Absorb one digest frame. Every update commutes with every other
@@ -285,6 +112,10 @@ impl MergeNode {
     /// return the global outcome. The decision stream is byte-identical
     /// to the unsharded collector's over the same surviving windows:
     /// both score through [`score_window`].
+    ///
+    /// Every window up to the last one a received fin announces is
+    /// accounted for: decided, poisoned, or incomplete — including a
+    /// window no digest of which arrived at all.
     pub fn finalize(self) -> MergeOutcome {
         let MergeNode {
             mut meter,
@@ -295,19 +126,21 @@ impl MergeNode {
             safe_mode_frames,
             fins,
             frames,
-            liveness_cfg: _,
-            tracks,
-            partition_events,
         } = self;
         let mut decisions: Vec<(i64, OnlineDecision)> = Vec::new();
-        let mut incomplete: Vec<i64> = Vec::new();
+        // Windows a fin announced but no digest covered are incomplete
+        // from the start; the walk below adds the half-covered ones.
+        let last_announced = fins.values().map(|fin| fin.last_window).max();
+        let mut incomplete: BTreeSet<i64> = (0..=last_announced.unwrap_or(-1))
+            .filter(|w| !poisoned.contains(w) && !windows.contains_key(w))
+            .collect();
         let mut prev_fed: Option<i64> = None;
         for (window, pair) in windows {
             if poisoned.contains(&window) {
                 continue;
             }
             let [Some(app), Some(db)] = pair else {
-                incomplete.push(window);
+                incomplete.insert(window);
                 continue;
             };
             match score_window(&mut meter, &mut prev_fed, app, db) {
@@ -317,7 +150,7 @@ impl MergeNode {
                     // front-end evidence: the digester never emits one,
                     // so this is a forged or corrupted frame.
                     anomalies += 1;
-                    incomplete.push(window);
+                    incomplete.insert(window);
                 }
             }
         }
@@ -329,22 +162,15 @@ impl MergeNode {
                     .map_or(0, |&max| max + 1 - s.len() as u64)
             })
             .sum();
-        let partitioned = tracks
-            .iter()
-            .filter(|(_, t)| t.state != CollectorLiveness::Live)
-            .map(|(&c, _)| c)
-            .collect();
         MergeOutcome {
             decisions,
             poisoned_windows: poisoned.into_iter().collect(),
-            incomplete_windows: incomplete,
+            incomplete_windows: incomplete.into_iter().collect(),
             anomalies,
             frames,
             lost_digests,
             safe_mode_frames,
             fins: fins.into_iter().collect(),
-            partition_events,
-            partitioned,
         }
     }
 }
@@ -359,7 +185,8 @@ pub struct MergeOutcome {
     /// by conflicting ownership claims; ascending, deduplicated.
     pub poisoned_windows: Vec<i64>,
     /// Unpoisoned windows some tier never covered (fleet truncation or
-    /// lost digests), ascending.
+    /// lost digests), ascending — among them every window up to a
+    /// received fin's `last_window` that no digest covered at all.
     pub incomplete_windows: Vec<i64>,
     /// Protocol surprises: duplicate sequences, conflicting claims,
     /// malformed digests.
@@ -373,23 +200,54 @@ pub struct MergeOutcome {
     pub safe_mode_frames: u64,
     /// Per-collector end-of-stream announcements, by collector index.
     pub fins: Vec<(u32, DigestFin)>,
-    /// The liveness-transition audit log, in detection order (empty
-    /// while partition detection is disabled).
-    pub partition_events: Vec<PartitionEvent>,
-    /// Collectors not [`CollectorLiveness::Live`] at finalize,
-    /// ascending.
-    pub partitioned: Vec<u32>,
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use webcap_core::MeterConfig;
-    use webcap_net::{read_frame, FaultSchedule, Frame, WireCodec};
+    use webcap_net::{read_frame, FaultSchedule, Frame};
     use webcap_sim::Simulation;
     use webcap_tpcw::{Mix, TrafficProgram};
 
     use super::*;
     use crate::{collect_digest_stream, FleetTopology};
+
+    fn test_meter() -> CapacityMeter {
+        static METER: OnceLock<CapacityMeter> = OnceLock::new();
+        METER
+            .get_or_init(|| {
+                CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
+            })
+            .clone()
+    }
+
+    /// The decoded back-haul of a clean 120 s steady run (4 windows) at
+    /// fleet width `k`, in emission order, fins last.
+    fn digest_frames(meter: &CapacityMeter, k: u32) -> Vec<DigestFrame> {
+        let mut sim = meter.config().sim.clone();
+        sim.seed = 400;
+        let program = TrafficProgram::steady(Mix::ordering(), 60, 120.0);
+        let samples = Simulation::new(sim, program).run().samples;
+        let stream = collect_digest_stream(
+            meter,
+            &samples,
+            17,
+            &[FaultSchedule::NONE, FaultSchedule::NONE],
+            &FleetTopology::two_tier("dup", 32, k),
+            None,
+        )
+        .expect("digest stream captures");
+        stream
+            .frames
+            .iter()
+            .map(|f| match read_frame(&mut f.bytes.as_slice()) {
+                Ok(Frame::Digest(digest)) => digest,
+                other => panic!("back-haul carried {other:?}"),
+            })
+            .collect()
+    }
 
     /// The decision-bearing part of merging `frames` in order.
     fn merged(meter: &CapacityMeter, frames: &[DigestFrame]) -> (String, Vec<i64>, u64) {
@@ -404,30 +262,8 @@ mod tests {
 
     #[test]
     fn a_redelivered_frame_changes_nothing_and_a_forked_one_poisons() {
-        let meter =
-            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains");
-        let mut sim = meter.config().sim.clone();
-        sim.seed = 400;
-        let program = TrafficProgram::steady(Mix::ordering(), 60, 120.0);
-        let samples = Simulation::new(sim, program).run().samples;
-        let stream = collect_digest_stream(
-            &meter,
-            &samples,
-            17,
-            &[FaultSchedule::NONE, FaultSchedule::NONE],
-            &FleetTopology::two_tier("dup", 32, 2),
-            None,
-            WireCodec::Binary,
-        )
-        .expect("digest stream captures");
-        let frames: Vec<DigestFrame> = stream
-            .frames
-            .iter()
-            .map(|f| match read_frame(&mut f.bytes.as_slice()) {
-                Ok(Frame::Digest(digest)) => digest,
-                other => panic!("back-haul carried {other:?}"),
-            })
-            .collect();
+        let meter = test_meter();
+        let frames = digest_frames(&meter, 2);
         let (decisions, poisoned, anomalies) = merged(&meter, &frames);
         assert_eq!(anomalies, 0);
         assert!(poisoned.is_empty());
@@ -453,5 +289,48 @@ mod tests {
         let (_, fork_poisoned, fork_anomalies) = merged(&meter, &forked);
         assert_eq!(fork_poisoned, vec![window]);
         assert_eq!(fork_anomalies, 2, "the repeated seq and the conflict");
+    }
+
+    #[test]
+    fn windows_whose_every_digest_was_lost_are_incomplete() {
+        // K = 1: one collector owns both tiers, so one lost frame takes
+        // both halves of every window it carried.
+        let meter = test_meter();
+        let mut frames = digest_frames(&meter, 1);
+        let last_window = frames
+            .iter()
+            .find_map(|f| f.fin.as_ref())
+            .expect("the stream ends in a fin")
+            .last_window;
+        let lost = frames
+            .iter()
+            .position(|f| f.fin.is_none() && !f.windows.is_empty())
+            .expect("some frame carries digests");
+        let carried: Vec<i64> = frames
+            .remove(lost)
+            .windows
+            .iter()
+            .map(|d| d.window)
+            .collect();
+
+        let mut node = MergeNode::new(meter);
+        for frame in &frames {
+            node.ingest(frame);
+        }
+        let out = node.finalize();
+
+        assert_eq!(out.lost_digests, 1);
+        assert!(out.incomplete_windows.is_sorted(), "ascending");
+        assert!(
+            carried.iter().all(|w| out.incomplete_windows.contains(w)),
+            "{carried:?} must be incomplete, got {:?}",
+            out.incomplete_windows
+        );
+        // Decided, poisoned and incomplete partition the announced range.
+        let mut accounted: Vec<i64> = out.decisions.iter().map(|(w, _)| *w).collect();
+        accounted.extend(&out.poisoned_windows);
+        accounted.extend(&out.incomplete_windows);
+        accounted.sort_unstable();
+        assert_eq!(accounted, (0..=last_window).collect::<Vec<i64>>());
     }
 }

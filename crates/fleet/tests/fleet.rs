@@ -384,53 +384,3 @@ fn chaos_mid_window_crash_quarantines_exactly_the_cut_window() {
     let oracle = replay_windows(&meter, &samples, BASE_SEED, &survivors);
     assert_eq!(json(&out.merge.decisions), json(&oracle));
 }
-
-#[test]
-fn back_haul_dialect_changes_bytes_on_the_wire_and_nothing_else() {
-    let meter = trained_meter();
-    let samples = steady_samples(&meter);
-    let schedules = scripted_faults();
-    let topo = FleetTopology::two_tier("codec", 31, 2);
-
-    let as_json = run_fleet(
-        &meter,
-        &samples,
-        BASE_SEED,
-        &schedules,
-        &topo,
-        None,
-        WireCodec::Json,
-    )
-    .expect("json back-haul runs");
-    let as_bin = run_fleet(
-        &meter,
-        &samples,
-        BASE_SEED,
-        &schedules,
-        &topo,
-        None,
-        WireCodec::Binary,
-    )
-    .expect("binary back-haul runs");
-
-    assert_eq!(
-        json(&as_json.merge),
-        json(&as_bin.merge),
-        "the merged global outcome is codec-invariant"
-    );
-    assert_eq!(as_json.assignment, as_bin.assignment);
-    for (j, b) in as_json.collectors.iter().zip(&as_bin.collectors) {
-        assert_eq!(j.frames, b.frames, "collector {}", j.collector);
-        assert_eq!(j.anomalies, b.anomalies, "collector {}", j.collector);
-        assert_eq!(j.health, b.health, "collector {}", j.collector);
-        if j.frames > 0 {
-            assert!(
-                b.bytes < j.bytes,
-                "collector {}: binary back-haul ({} B) must undercut JSON ({} B)",
-                j.collector,
-                b.bytes,
-                j.bytes
-            );
-        }
-    }
-}

@@ -2,7 +2,8 @@
 //!
 //! One agent process runs next to each tier. Its loop is single-
 //! threaded by design — poll the [`SampleSource`], synthesize the metric
-//! rows ([`TierSampler`]), enqueue, send — with exactly one helper
+//! rows ([`TierSampler`]), enqueue, send binary frames of up to
+//! [`AgentConfig::max_batch`] samples — with exactly one helper
 //! thread per connection that drains the collector's acknowledgments so
 //! the peer's write buffer can never fill and deadlock the pair. The
 //! helper sleeps in a blocking read and wakes once per collector flush:
@@ -98,12 +99,8 @@ pub struct AgentConfig {
     pub seed: u64,
     /// Scheduled per-sequence faults (scenario replay, fault tests).
     pub schedule: FaultSchedule,
-    /// Wire codec announced in `Hello` and used for every post-handshake
-    /// frame of the session. The handshake itself is always JSON so a
-    /// collector of either dialect can read it.
-    pub codec: WireCodec,
-    /// Most samples packed into one `SampleBatch` frame (binary codec
-    /// only; the JSON dialect always sends one sample per frame).
+    /// Most samples packed into one `SampleBatch` frame (0 counts as 1:
+    /// every sample in a `Sample` frame of its own).
     pub max_batch: u32,
 }
 
@@ -118,7 +115,7 @@ pub const HEARTBEAT: Duration = Duration::from_millis(500);
 
 impl AgentConfig {
     /// Defaults tuned for tests and the local demo: snappy redial, no
-    /// scheduled faults, binary dialect in batches of 32.
+    /// scheduled faults, batches of 32.
     pub fn new(tier: TierId, endpoint: Endpoint, seed: u64) -> AgentConfig {
         AgentConfig {
             tier,
@@ -126,7 +123,6 @@ impl AgentConfig {
             retry: RetryPolicy::dial_defaults(),
             seed,
             schedule: FaultSchedule::NONE,
-            codec: WireCodec::Binary,
             max_batch: 32,
         }
     }
@@ -248,7 +244,7 @@ fn try_handshake(cfg: &AgentConfig) -> io::Result<Conn> {
             proto_version: PROTO_VERSION,
             metric_schema_hash: metric_schema_hash(cfg.tier),
             caps: WireCaps {
-                codec: cfg.codec,
+                codec: WireCodec::Binary,
                 max_batch: cfg.max_batch,
             },
         },
@@ -299,13 +295,7 @@ pub fn run_agent(
     // One encode scratch buffer for the whole run: steady-path frame
     // encodes borrow it instead of allocating.
     let mut scratch: Vec<u8> = Vec::new();
-    // How many samples one frame may carry. The JSON dialect is pinned
-    // to one, while the binary codec packs up to `max_batch` into a
-    // `SampleBatch`.
-    let batch_target = match cfg.codec {
-        WireCodec::Json => 1,
-        WireCodec::Binary => cfg.max_batch.max(1) as usize,
-    };
+    let batch_target = cfg.max_batch.max(1) as usize;
 
     loop {
         let conn = dial(cfg)?;
@@ -353,7 +343,7 @@ pub fn run_agent(
                         write_frame_codec(
                             &mut conn,
                             &Frame::Bye { last_seq },
-                            cfg.codec,
+                            WireCodec::Binary,
                             &mut scratch,
                         )?;
                         break SessionEnd::Done;
@@ -383,7 +373,7 @@ pub fn run_agent(
                                 write_frame_codec(
                                     &mut conn,
                                     &Frame::Heartbeat { seq: last_seq },
-                                    cfg.codec,
+                                    WireCodec::Binary,
                                     &mut scratch,
                                 )?;
                                 report.heartbeats_sent += 1;
@@ -399,11 +389,11 @@ pub fn run_agent(
                     }
                 }
 
-                // Top up a batch: with the binary codec, pull whatever the
-                // source has ready — no sleeping, the queue already holds
-                // data to send — until a frame's worth is queued. The JSON
-                // dialect never enters this (its batch target is one): it
-                // polls the source only when the queue is empty.
+                // Top up a batch: pull whatever the source has ready — no
+                // sleeping, the queue already holds data to send — until a
+                // frame's worth is queued. An unbatched agent (batch
+                // target one) never enters this: it polls the source only
+                // when the queue is empty.
                 while batch_target > 1 && !source_done && queue.len() < batch_target {
                     match source.next_sample() {
                         SourcePoll::Ready(s) => {
@@ -465,7 +455,7 @@ pub fn run_agent(
                 } else {
                     Frame::SampleBatch(members)
                 };
-                if write_frame_codec(&mut conn, &frame, cfg.codec, &mut scratch).is_err() {
+                if write_frame_codec(&mut conn, &frame, WireCodec::Binary, &mut scratch).is_err() {
                     // Everything stays queued; resend on the next session.
                     break SessionEnd::Reconnect;
                 }

@@ -1,5 +1,5 @@
-//! Compact binary payload codec — the `"WCB3"` dialect of the framed
-//! protocol.
+//! Compact binary payload codec — the one payload encoding of the
+//! framed protocol (magic `"WCB3"`), handshake included.
 //!
 //! Payload layout: a one-byte frame tag, then the variant's fields in
 //! declaration order. Scalars use three encodings:
@@ -135,13 +135,6 @@ fn put_health(out: &mut Vec<u8>, h: HealthState) {
         HealthState::Healthy => 0,
         HealthState::Degraded => 1,
         HealthState::SafeMode => 2,
-    });
-}
-
-fn put_codec(out: &mut Vec<u8>, c: WireCodec) {
-    out.push(match c {
-        WireCodec::Json => 0,
-        WireCodec::Binary => 1,
     });
 }
 
@@ -403,7 +396,10 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             put_tier(out, *tier);
             put_u64v(out, u64::from(*proto_version));
             out.extend_from_slice(&metric_schema_hash.to_le_bytes());
-            put_codec(out, *codec);
+            // Byte 0 named the retired JSON dialect; it decodes as corrupt.
+            out.push(match codec {
+                WireCodec::Binary => 1,
+            });
             put_u64v(out, u64::from(*max_batch));
         }
         Frame::Sample(ws) => {
@@ -617,7 +613,6 @@ impl<'a> Cur<'a> {
 
     fn codec(&mut self) -> Res<WireCodec> {
         match self.u8()? {
-            0 => Ok(WireCodec::Json),
             1 => Ok(WireCodec::Binary),
             _ => corrupt("bad codec"),
         }
@@ -808,7 +803,7 @@ impl<'a> Cur<'a> {
 
 /// Decode one binary payload (no header) into a [`Frame`]. Every
 /// failure is a typed [`FrameError::Binary`]; trailing bytes after the
-/// frame are an error, matching the strictness of the JSON codec.
+/// frame are an error.
 pub fn decode_frame(payload: &[u8]) -> Result<Frame, FrameError> {
     let mut cur = Cur::new(payload);
     let frame = match cur.u8()? {
@@ -934,6 +929,29 @@ mod tests {
             decode_frame(&payload),
             Err(FrameError::Binary("trailing bytes"))
         ));
+    }
+
+    #[test]
+    fn a_hello_naming_codec_zero_is_a_typed_error() {
+        // Codec byte 0 was the JSON dialect, which no peer speaks now.
+        let mut payload = Vec::new();
+        let hello = Frame::Hello {
+            tier: TierId::Db,
+            proto_version: crate::frame::PROTO_VERSION,
+            metric_schema_hash: 7,
+            caps: WireCaps {
+                codec: WireCodec::Binary,
+                max_batch: 32,
+            },
+        };
+        encode_frame(&hello, &mut payload);
+        assert_eq!(decode_frame(&payload).unwrap(), hello);
+        // Tag, tier, version varint, 8 hash bytes: the codec byte is 11th.
+        assert_eq!(payload[11], 1);
+        payload[11] = 0;
+        let err = decode_frame(&payload).unwrap_err();
+        assert!(matches!(err, FrameError::Binary("bad codec")), "{err}");
+        assert!(err.is_corrupt());
     }
 
     #[test]

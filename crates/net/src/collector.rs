@@ -37,8 +37,8 @@ use webcap_core::{CapacityMeter, OnlineDecision};
 use webcap_sim::TierId;
 
 use crate::frame::{
-    encode_payload, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf, TierWindowDigest,
-    WireCodec, WireSample, PROTO_VERSION,
+    append_frame, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf, TierWindowDigest,
+    WireSample, PROTO_VERSION,
 };
 use crate::reassembly::{score_window, DigesterState, TierDigester};
 use crate::transport::{is_timeout, Conn, Listener};
@@ -400,16 +400,15 @@ pub(crate) enum Event {
     Stale,
 }
 
-/// Handshake an accepted connection: expect `Hello`, check the dialect,
-/// answer `Ack{0}` or `Reject`. Returns the agent's tier and the wire
-/// codec its capabilities selected for the rest of the session.
+/// Handshake an accepted connection: expect `Hello`, check its version
+/// and schema, answer `Ack{0}` or `Reject`. Returns the agent's tier.
 ///
-/// The handshake itself is always JSON in both directions — that is what
-/// lets any peer read the `Reject` explaining why it was turned away.
 /// Only `PROTO_VERSION` is accepted; any other version is rejected with
 /// a frame carrying both peers' versions so the operator can see who
-/// needs upgrading.
-pub(crate) fn handshake(conn: &mut Conn) -> io::Result<(TierId, WireCodec)> {
+/// needs upgrading. Bytes that are no frame at all — a pre-v4 JSON
+/// `Hello` under the `"WCAP"` magic among them — earn a `Reject` naming
+/// the parse failure.
+pub(crate) fn handshake(conn: &mut Conn) -> io::Result<TierId> {
     conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     // Turn the peer away: tell it why (best effort — it may still be
@@ -441,7 +440,7 @@ pub(crate) fn handshake(conn: &mut Conn) -> io::Result<(TierId, WireCodec)> {
         tier,
         proto_version,
         metric_schema_hash: hash,
-        caps,
+        caps: _,
     } = hello
     else {
         return Err(reject(conn, "expected Hello".to_string(), 0));
@@ -460,7 +459,7 @@ pub(crate) fn handshake(conn: &mut Conn) -> io::Result<(TierId, WireCodec)> {
         return Err(reject(conn, reason, proto_version));
     }
     write_frame(conn, &Frame::Ack { seq: 0 })?;
-    Ok((tier, caps.codec))
+    Ok(tier)
 }
 
 /// Why a live session ended, as the pump observed it.
@@ -480,14 +479,10 @@ enum LaneEnd {
 struct ConnState {
     conn: Conn,
     tier: TierId,
-    /// Codec negotiated at handshake; acks and rejects go back in it.
-    codec: WireCodec,
     /// Inbound bytes not yet parsed into frames.
     rbuf: FrameBuf,
     /// Outbound bytes the socket has not yet accepted.
     wbuf: Vec<u8>,
-    /// Encode scratch for outbound frames.
-    scratch: Vec<u8>,
     /// Accumulated pump sleep since this connection last produced
     /// bytes — the event-loop stand-in for a blocking read timeout.
     idle: Duration,
@@ -504,32 +499,23 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(conn: Conn, tier: TierId, codec: WireCodec) -> ConnState {
+    fn new(conn: Conn, tier: TierId) -> ConnState {
         ConnState {
             conn,
             tier,
-            codec,
             rbuf: FrameBuf::default(),
             wbuf: Vec::new(),
-            scratch: Vec::new(),
             idle: Duration::ZERO,
             stalled_polls: 0,
             graceful: false,
         }
     }
 
-    /// Encode `frame` in the session codec and queue its wire bytes.
-    fn queue_frame(&mut self, frame: &Frame) -> bool {
-        let Ok(magic) = encode_payload(frame, self.codec, &mut self.scratch) else {
-            return false;
-        };
-        let Ok(len) = u32::try_from(self.scratch.len()) else {
-            return false;
-        };
-        self.wbuf.extend_from_slice(&magic.to_le_bytes());
-        self.wbuf.extend_from_slice(&len.to_le_bytes());
-        self.wbuf.extend_from_slice(&self.scratch);
-        true
+    /// Queue `frame`'s wire bytes behind the unsent ones. A frame over
+    /// the length cap is not queued — only a `Reject` with a runaway
+    /// reason could be one, and it ends the session anyway.
+    fn queue_frame(&mut self, frame: &Frame) {
+        let _ = append_frame(frame, &mut self.wbuf);
     }
 
     /// Push queued bytes to the socket until it stops accepting them.
@@ -569,7 +555,7 @@ impl ConnState {
 #[derive(Default)]
 struct TierLane {
     active: Option<ConnState>,
-    waiting: VecDeque<(Conn, WireCodec)>,
+    waiting: VecDeque<Conn>,
 }
 
 /// The handler side of the pump: every event reaches `handle` through
@@ -753,7 +739,7 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
                 Err(_) => break 'poll,
             };
             match handshake(&mut conn) {
-                Ok((tier, codec)) => {
+                Ok(tier) => {
                     if conn.set_nonblocking(true).is_err() {
                         let _ = conn.shutdown();
                         continue;
@@ -771,7 +757,7 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
                         events.deliver(Event::Shed { tier, kind });
                         continue;
                     }
-                    lane.waiting.push_back((conn, codec));
+                    lane.waiting.push_back(conn);
                 }
                 Err(_) => {
                     events.deliver(Event::Rejected);
@@ -799,9 +785,9 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
                 }
             }
             if lane.active.is_none() {
-                if let Some((conn, codec)) = lane.waiting.pop_front() {
+                if let Some(conn) = lane.waiting.pop_front() {
                     events.deliver(Event::SessionStart { tier });
-                    lane.active = Some(ConnState::new(conn, tier, codec));
+                    lane.active = Some(ConnState::new(conn, tier));
                     progressed = true;
                 }
             }
@@ -831,7 +817,7 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
         if let Some(state) = lane.active.take() {
             state.close(&mut events);
         }
-        while let Some((conn, _)) = lane.waiting.pop_front() {
+        while let Some(conn) = lane.waiting.pop_front() {
             let _ = conn.shutdown();
         }
     }
@@ -1083,7 +1069,7 @@ mod tests {
 
     // ------------------------------------------------------ the pump
 
-    use crate::frame::WireCaps;
+    use crate::frame::{WireCaps, WireCodec};
     use crate::transport::Endpoint;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1117,11 +1103,11 @@ mod tests {
         seen
     }
 
-    /// Dial and complete the JSON handshake for `tier`.
+    /// Dial and complete the handshake for `tier`.
     fn handshaken(endpoint: &Endpoint, tier: TierId) -> Conn {
         let mut conn = Conn::connect(endpoint).unwrap();
         let caps = WireCaps {
-            codec: WireCodec::Json,
+            codec: WireCodec::Binary,
             max_batch: 1,
         };
         let hello = Frame::Hello {

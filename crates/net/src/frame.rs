@@ -6,34 +6,31 @@
 //! ```text
 //! +-------------------+-------------------+--------------------+
 //! | magic  u32 LE     | length u32 LE     | payload            |
-//! | "WCAP" or "WCB3"  | payload byte count| one [`Frame`]      |
+//! | "WCB3"            | payload byte count| one [`Frame`]      |
 //! +-------------------+-------------------+--------------------+
 //! ```
 //!
-//! The magic word both rejects cross-talk from non-webcap peers at the
-//! first eight bytes and names the payload codec: [`FRAME_MAGIC`]
-//! (`"WCAP"`) carries `serde_json` — self-describing, and its `f64`
-//! round-trip is bit-exact, which the byte-identity acceptance test
-//! relies on — while [`FRAME_MAGIC_BIN`] (`"WCB3"`) carries the compact
-//! delta/varint binary encoding of [`crate::binary`]. Readers sniff the
-//! magic, so a session can mix codecs frame-by-frame; writers pick one
-//! via [`WireCodec`]. Payloads above [`MAX_FRAME_LEN`] are refused on
+//! The magic word rejects cross-talk from non-webcap peers at the first
+//! eight bytes: anything but [`FRAME_MAGIC_BIN`] is
+//! [`FrameError::BadMagic`]. The payload is the compact delta/varint
+//! encoding of [`crate::binary`] — for every frame of every session, the
+//! handshake included. Payloads above [`MAX_FRAME_LEN`] are refused on
 //! both ends so a corrupt length cannot trigger an unbounded allocation.
 //!
 //! A session is `Hello → Ack{0}` (or `Reject`) followed by any number of
 //! `Sample`/`SampleBatch`/`Heartbeat` frames, each sample acknowledged,
-//! and closed by `Bye{last_seq}`. The `Hello` is always JSON — it is the
-//! negotiation surface, so it must be readable before any capability is
-//! agreed — and announces the agent's [`PROTO_VERSION`], its tier's
-//! [`metric_schema_hash`], and the [`WireCaps`] it wants for the rest of
-//! the session. A collector accepts exactly [`PROTO_VERSION`]; anything
-//! else is refused with a `Reject` carrying both peers' versions so the
-//! operator can see exactly who must upgrade.
+//! and closed by `Bye{last_seq}`. The `Hello` announces the agent's
+//! [`PROTO_VERSION`], its tier's [`metric_schema_hash`], and its batch
+//! cap ([`WireCaps`]). A collector accepts exactly [`PROTO_VERSION`];
+//! anything else is refused with a `Reject` carrying both peers'
+//! versions so the operator can see exactly who must upgrade. A version
+//! 3 agent, whose `Hello` was JSON under the magic `"WCAP"`, is refused
+//! as a bad magic — in a binary `Reject`, which version 3 readers parse.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use webcap_core::monitor::feature_names;
 use webcap_core::{MetricLevel, TierStressAgg, WindowHealthAgg};
 use webcap_sim::{RtHistogram, SystemSample, TierId, TierSample};
@@ -47,16 +44,13 @@ use crate::supervisor::HealthState;
 /// Version 2 adds the fleet back-haul [`Frame::Digest`] variant.
 /// Version 3 adds the binary codec capability ([`WireCaps`] in `Hello`),
 /// the batched [`Frame::SampleBatch`] variant, and version fields on
-/// `Reject`.
-pub const PROTO_VERSION: u32 = 3;
+/// `Reject`. Version 4 retires the JSON dialect: the handshake is binary
+/// like every other frame, and `"WCAP"` is a bad magic.
+pub const PROTO_VERSION: u32 = 4;
 
-/// Frame magic word for JSON payloads, `"WCAP"` as big-endian bytes
-/// written little-endian.
-pub const FRAME_MAGIC: u32 = 0x5743_4150;
-
-/// Frame magic word for binary payloads, `"WCB3"` in the same spelling.
-/// The codec generation is baked into the magic so a future binary
-/// layout change cannot be mistaken for this one.
+/// Frame magic word, `"WCB3"` as big-endian bytes written
+/// little-endian. The codec generation is baked into the magic so a
+/// future binary layout change cannot be mistaken for this one.
 pub const FRAME_MAGIC_BIN: u32 = 0x5743_4233;
 
 /// Upper bound on an encoded payload. A `Sample` frame is a few KiB; the
@@ -64,32 +58,20 @@ pub const FRAME_MAGIC_BIN: u32 = 0x5743_4233;
 /// an arbitrary allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// Which payload encoding a writer produces. Readers do not need one —
-/// [`read_frame`] sniffs the magic word per frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The payload encoding a `Hello` announces, of which there is one. The
+/// type keeps the `Hello` layout's codec byte, and the codec argument
+/// the benchmark's adapter passes, where they are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireCodec {
-    /// `serde_json` payloads under [`FRAME_MAGIC`] — self-describing,
-    /// grep-able on the wire; the handshake dialect and the suites'
-    /// reference codec.
-    Json,
-    /// Delta/varint payloads under [`FRAME_MAGIC_BIN`] — the compact v3
-    /// dialect (see [`crate::binary`]).
+    /// Delta/varint payloads under [`FRAME_MAGIC_BIN`] (see
+    /// [`crate::binary`]).
     Binary,
 }
 
-impl fmt::Display for WireCodec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            WireCodec::Json => "json",
-            WireCodec::Binary => "binary",
-        })
-    }
-}
-
-/// Session capabilities an agent requests in `Hello`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Session capabilities an agent announces in `Hello`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireCaps {
-    /// Payload codec for every frame after the handshake.
+    /// Payload codec of the session: always [`WireCodec::Binary`].
     pub codec: WireCodec,
     /// Most samples the agent will pack into one `SampleBatch`.
     pub max_batch: u32,
@@ -99,7 +81,7 @@ pub struct WireCaps {
 /// application-tier agent can observe: request counts, response times,
 /// and the traffic program's state. Mirrors the non-tier fields of
 /// [`SystemSample`] so the collector can reassemble the full sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppStats {
     /// Traffic program's target EB population.
     pub ebs_target: u32,
@@ -173,7 +155,7 @@ impl AppStats {
 }
 
 /// One per-second measurement from one tier's agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireSample {
     /// Monotonic sample sequence number (gaps ⇒ dropped frames).
     pub seq: u64,
@@ -200,7 +182,7 @@ pub struct WireSample {
 /// merge node needs to reconstruct the window's [`SystemSample`]-level
 /// evidence — label, throughput, and majority mix — bit-identically to
 /// an unsharded collector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppWindowDigest {
     /// Window start time, seconds: first sample's `t_s` minus its
     /// interval (the convention `OnlineMonitor` uses).
@@ -219,7 +201,7 @@ pub struct AppWindowDigest {
 
 /// One tier's aggregated metrics for one completed window — the unit a
 /// sharded collector ships instead of thirty raw [`WireSample`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierWindowDigest {
     /// Window index (0-based over the run).
     pub window: i64,
@@ -242,8 +224,9 @@ pub struct TierWindowDigest {
 /// End-of-stream marker inside the final [`DigestFrame`] from a
 /// collector: which tiers it owned and the last full window index of
 /// its stream, so the merge node can tell a clean finish from a
-/// collector that died with windows unreported.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// collector that died with windows unreported. `Serialize` for the
+/// merge outcome that reports it.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DigestFin {
     /// Tiers this collector was responsible for.
     pub tiers: Vec<TierId>,
@@ -259,7 +242,7 @@ pub struct DigestFin {
 /// poisons, rather than silently drops, everything the shard could not
 /// vouch for; a collector reporting [`HealthState::SafeMode`] has all
 /// its windows in the frame treated as poisoned at the merge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DigestFrame {
     /// Index of the emitting collector in the fleet topology.
     pub collector: u32,
@@ -280,10 +263,10 @@ pub struct DigestFrame {
 // per sample on the measured path and change a shape
 // `benchmark/src/adapter.rs` constructs.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Session opener: who I am and what dialect I speak. Always JSON
-    /// on the wire — it is the frame that negotiates everything else.
+    /// Session opener: who I am, which protocol I speak, and how many
+    /// samples I batch.
     Hello {
         /// The tier this agent measures.
         tier: TierId,
@@ -339,8 +322,8 @@ pub enum Frame {
 /// Why a frame could not be read or written.
 ///
 /// The corruption variants ([`FrameError::BadMagic`],
-/// [`FrameError::Oversized`], [`FrameError::Malformed`]) mean the peer
-/// is speaking bytes this protocol cannot parse — the reader should
+/// [`FrameError::Oversized`], [`FrameError::Binary`]) mean the peer is
+/// speaking bytes this protocol cannot parse — the reader should
 /// `Reject` and drop the connection. [`FrameError::Io`] carries the
 /// transport verdict unchanged (clean EOF, timeout, reset), which the
 /// retry machinery inspects by kind.
@@ -348,8 +331,9 @@ pub enum Frame {
 pub enum FrameError {
     /// Transport failure (EOF, timeout, reset, ...).
     Io(io::Error),
-    /// The first four bytes are not [`FRAME_MAGIC`] — cross-talk from a
-    /// non-webcap peer or a desynchronized stream.
+    /// The first four bytes are not [`FRAME_MAGIC_BIN`] — cross-talk
+    /// from a non-webcap peer, a pre-v4 JSON frame, or a desynchronized
+    /// stream.
     BadMagic(u32),
     /// The length prefix exceeds [`MAX_FRAME_LEN`]; refused before any
     /// allocation.
@@ -357,10 +341,8 @@ pub enum FrameError {
         /// Length the prefix claimed.
         len: usize,
     },
-    /// The payload is not a valid JSON [`Frame`].
-    Malformed(serde_json::Error),
-    /// The payload is not a valid binary [`Frame`]: truncated mid-field,
-    /// an unknown tag or enum discriminant, an over-long varint, or an
+    /// The payload is not a valid [`Frame`]: truncated mid-field, an
+    /// unknown tag or enum discriminant, an over-long varint, or an
     /// element count that cannot fit the remaining bytes.
     Binary(&'static str),
 }
@@ -373,7 +355,6 @@ impl fmt::Display for FrameError {
             FrameError::Oversized { len } => {
                 write!(f, "frame length {len} exceeds the cap")
             }
-            FrameError::Malformed(e) => write!(f, "malformed frame payload: {e}"),
             FrameError::Binary(detail) => write!(f, "malformed binary frame: {detail}"),
         }
     }
@@ -397,7 +378,6 @@ impl From<FrameError> for io::Error {
             FrameError::Io(inner) => inner,
             other @ (FrameError::BadMagic(_)
             | FrameError::Oversized { .. }
-            | FrameError::Malformed(_)
             | FrameError::Binary(_)) => {
                 io::Error::new(io::ErrorKind::InvalidData, other.to_string())
             }
@@ -421,10 +401,7 @@ impl FrameError {
     pub fn is_corrupt(&self) -> bool {
         matches!(
             self,
-            FrameError::BadMagic(_)
-                | FrameError::Oversized { .. }
-                | FrameError::Malformed(_)
-                | FrameError::Binary(_)
+            FrameError::BadMagic(_) | FrameError::Oversized { .. } | FrameError::Binary(_)
         )
     }
 }
@@ -449,84 +426,77 @@ pub fn metric_schema_hash(tier: TierId) -> u64 {
     h
 }
 
-/// Encode one frame's payload bytes into `scratch` (cleared first,
-/// capacity retained — the zero-allocation steady-state path) and
-/// return the magic word the header must carry.
-pub fn encode_payload(
-    frame: &Frame,
-    codec: WireCodec,
-    scratch: &mut Vec<u8>,
-) -> Result<u32, FrameError> {
-    scratch.clear();
-    match codec {
-        WireCodec::Json => {
-            serde_json::to_writer(&mut *scratch, frame).map_err(FrameError::Malformed)?;
-            Ok(FRAME_MAGIC)
-        }
-        WireCodec::Binary => {
-            crate::binary::encode_frame(frame, scratch);
-            Ok(FRAME_MAGIC_BIN)
-        }
-    }
+/// Append one whole frame to `out` — the header, then the binary
+/// payload — leaving `out` as it was when the payload exceeds
+/// [`MAX_FRAME_LEN`]. Every writer lays its frames out here: the
+/// blocking [`write_frame_codec`] and the collector's ack queue alike.
+pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameError> {
+    let start = out.len();
+    out.extend_from_slice(&FRAME_MAGIC_BIN.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    crate::binary::encode_frame(frame, out);
+    let len = out.len() - start - 8;
+    let Some(len_field) = out
+        .get_mut(start + 4..start + 8)
+        .filter(|_| len <= MAX_FRAME_LEN)
+    else {
+        out.truncate(start);
+        return Err(FrameError::Oversized { len });
+    };
+    len_field.copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
 }
 
-/// Encode and write one frame (magic, length, payload) in `codec` and
-/// flush, reusing `scratch` for the payload so the steady-state send
-/// path allocates nothing per frame.
+/// Encode one frame into `scratch` (cleared first, capacity retained —
+/// the zero-allocation steady-state path), write it with one
+/// `write_all`, and flush. `codec` has one value; the argument stays
+/// because the benchmark's adapter, which may not change, passes it.
 pub fn write_frame_codec<W: Write>(
     w: &mut W,
     frame: &Frame,
     codec: WireCodec,
     scratch: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
-    let magic = encode_payload(frame, codec, scratch)?;
-    if scratch.len() > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized { len: scratch.len() });
-    }
-    w.write_all(&magic.to_le_bytes())?;
-    w.write_all(&(scratch.len() as u32).to_le_bytes())?;
+    let WireCodec::Binary = codec;
+    scratch.clear();
+    append_frame(frame, scratch)?;
     w.write_all(scratch)?;
     w.flush()?;
     Ok(())
 }
 
-/// Encode and write one JSON frame (magic, length, payload) and flush:
-/// the handshake's convenience wrapper around [`write_frame_codec`].
+/// Encode, write and flush one frame through a fresh scratch buffer:
+/// [`write_frame_codec`] for frames off the steady path — the
+/// handshake, tests.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), FrameError> {
-    write_frame_codec(w, frame, WireCodec::Json, &mut Vec::new())
+    write_frame_codec(w, frame, WireCodec::Binary, &mut Vec::new())
 }
 
-/// Decode a payload whose header carried `magic`.
-fn decode_payload(magic: u32, payload: &[u8]) -> Result<Frame, FrameError> {
-    if magic == FRAME_MAGIC {
-        serde_json::from_slice(payload).map_err(FrameError::Malformed)
-    } else if magic == FRAME_MAGIC_BIN {
-        crate::binary::decode_frame(payload)
-    } else {
-        Err(FrameError::BadMagic(magic))
-    }
-}
-
-/// Read and decode one frame of either codec (the magic word names the
-/// payload encoding). [`FrameError::Io`] with `UnexpectedEof` on a
-/// cleanly closed peer; a corruption variant on a bad magic word,
-/// oversized length, or malformed payload. Never panics, whatever the
-/// bytes.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
+/// Validate a frame header — the magic word, then the
+/// [`MAX_FRAME_LEN`] cap — and return the payload length it announces.
+fn payload_len(header: [u8; 8]) -> Result<usize, FrameError> {
     let [m0, m1, m2, m3, l0, l1, l2, l3] = header;
     let magic = u32::from_le_bytes([m0, m1, m2, m3]);
-    if magic != FRAME_MAGIC && magic != FRAME_MAGIC_BIN {
+    if magic != FRAME_MAGIC_BIN {
         return Err(FrameError::BadMagic(magic));
     }
     let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized { len });
     }
-    let mut payload = vec![0u8; len];
+    Ok(len)
+}
+
+/// Read and decode one frame. [`FrameError::Io`] with `UnexpectedEof`
+/// on a cleanly closed peer; a corruption variant on a bad magic word,
+/// oversized length, or malformed payload. Never panics, whatever the
+/// bytes.
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
+    let mut header = [0u8; 8];
+    r.read_exact(&mut header)?;
+    let mut payload = vec![0u8; payload_len(header)?];
     r.read_exact(&mut payload)?;
-    decode_payload(magic, &payload)
+    crate::binary::decode_frame(&payload)
 }
 
 /// Try to extract one complete frame from the front of a reassembly
@@ -536,28 +506,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
 /// `consumed` bytes), and a corruption error as soon as the header or
 /// payload is provably bad — without waiting for more bytes.
 pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
-    let Some(header) = buf.get(..8) else {
+    let Some(header) = buf.first_chunk::<8>() else {
         return Ok(None);
     };
-    let (magic_bytes, len_bytes) = header.split_at(4);
-    let magic = u32::from_le_bytes(magic_bytes.try_into().map_err(|_| {
-        // split_at(4) on an 8-byte slice cannot misfit; typed, not panicking.
-        FrameError::Binary("header split")
-    })?);
-    let len_arr: [u8; 4] = len_bytes
-        .try_into()
-        .map_err(|_| FrameError::Binary("header split"))?;
-    if magic != FRAME_MAGIC && magic != FRAME_MAGIC_BIN {
-        return Err(FrameError::BadMagic(magic));
-    }
-    let len = u32::from_le_bytes(len_arr) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized { len });
-    }
+    let len = payload_len(*header)?;
     let Some(payload) = buf.get(8..8 + len) else {
         return Ok(None);
     };
-    Ok(Some((decode_payload(magic, payload)?, 8 + len)))
+    Ok(Some((crate::binary::decode_frame(payload)?, 8 + len)))
 }
 
 /// How much one [`FrameBuf::fill`] asks the socket for: about twenty
@@ -726,11 +682,19 @@ mod tests {
 
     #[test]
     fn frames_round_trip() {
+        // One reused scratch buffer, as on the steady path, and the
+        // same bytes as the allocate-per-frame wrapper.
         let frames = all_frames();
         let mut buf = Vec::new();
+        let mut scratch = Vec::new();
         for f in &frames {
-            write_frame(&mut buf, f).unwrap();
+            write_frame_codec(&mut buf, f, WireCodec::Binary, &mut scratch).unwrap();
         }
+        let mut again = Vec::new();
+        for f in &frames {
+            write_frame(&mut again, f).unwrap();
+        }
+        assert_eq!(buf, again);
         let mut r = buf.as_slice();
         for f in &frames {
             assert_eq!(&read_frame(&mut r).unwrap(), f);
@@ -741,59 +705,19 @@ mod tests {
     }
 
     #[test]
-    fn frames_round_trip_in_binary() {
-        let frames = all_frames();
-        let mut buf = Vec::new();
-        let mut scratch = Vec::new();
-        for f in &frames {
-            write_frame_codec(&mut buf, f, WireCodec::Binary, &mut scratch).unwrap();
-        }
-        let mut r = buf.as_slice();
-        for f in &frames {
-            assert_eq!(&read_frame(&mut r).unwrap(), f, "binary round trip");
-        }
-        assert!(read_frame(&mut r).unwrap_err().is_eof());
-    }
-
-    #[test]
-    fn codecs_interleave_on_one_stream() {
-        // A reader never needs to know the session codec: the magic
-        // word carries it per frame.
-        let mut buf = Vec::new();
-        let mut scratch = Vec::new();
-        write_frame(&mut buf, &Frame::Ack { seq: 1 }).unwrap();
-        write_frame_codec(
-            &mut buf,
-            &Frame::Ack { seq: 2 },
-            WireCodec::Binary,
-            &mut scratch,
-        )
-        .unwrap();
-        write_frame(&mut buf, &Frame::Bye { last_seq: 3 }).unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap(), Frame::Ack { seq: 1 });
-        assert_eq!(read_frame(&mut r).unwrap(), Frame::Ack { seq: 2 });
-        assert_eq!(read_frame(&mut r).unwrap(), Frame::Bye { last_seq: 3 });
-    }
-
-    #[test]
-    fn a_hello_without_caps_is_malformed() {
-        // What a version 2 agent sent: there is no default to fall back
-        // to, so the collector answers "malformed handshake".
-        let payload =
-            br#"{"Hello":{"tier":"App","proto_version":2,"metric_schema_hash":7}}"#.to_vec();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        let err = read_frame(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, FrameError::Malformed(_)), "{err}");
-    }
-
-    #[test]
-    fn wire_codec_display_names() {
-        assert_eq!(WireCodec::Json.to_string(), "json");
-        assert_eq!(WireCodec::Binary.to_string(), "binary");
+    fn an_oversized_frame_is_refused_and_nothing_is_written() {
+        let huge = Frame::Reject {
+            reason: "r".repeat(MAX_FRAME_LEN),
+            ours: PROTO_VERSION,
+            theirs: 0,
+        };
+        let mut out = b"queued".to_vec();
+        let err = write_frame(&mut out, &huge).unwrap_err();
+        assert!(matches!(err, FrameError::Oversized { len } if len > MAX_FRAME_LEN));
+        assert_eq!(out, b"queued", "nothing of the refused frame is written");
+        let err = append_frame(&huge, &mut out).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+        assert_eq!(out, b"queued", "nor queued");
     }
 
     #[test]
@@ -813,7 +737,7 @@ mod tests {
     #[test]
     fn oversized_length_is_refused_without_allocating() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&FRAME_MAGIC_BIN.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = read_frame(&mut buf.as_slice()).unwrap_err();
         assert!(
@@ -834,14 +758,19 @@ mod tests {
     }
 
     #[test]
-    fn garbage_payload_is_malformed_not_a_panic() {
+    fn a_wcap_frame_is_bad_magic() {
+        // A version 3 JSON frame: the retired magic `"WCAP"`, then JSON.
+        let wcap: u32 = 0x5743_4150;
         let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&wcap.to_le_bytes());
         buf.extend_from_slice(&4u32.to_le_bytes());
         buf.extend_from_slice(b"{{{{");
         let err = read_frame(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, FrameError::Malformed(_)), "{err}");
+        assert!(matches!(err, FrameError::BadMagic(m) if m == wcap), "{err}");
         assert!(err.is_corrupt());
+        assert!(err.to_string().contains("0x57434150"), "{err}");
+        let err = try_extract_frame(&buf).unwrap_err();
+        assert!(matches!(err, FrameError::BadMagic(m) if m == wcap), "{err}");
     }
 
     #[test]
@@ -943,13 +872,12 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        // `frames` on the wire, codecs alternating frame by frame, cut at
-        // `cut` and from there into seeded pieces of up to `max_piece`.
+        // `frames` on the wire, cut at `cut` and from there into seeded
+        // pieces of up to `max_piece`.
         let wire = |frames: &[Frame]| {
             let mut stream = Vec::new();
-            for (i, frame) in frames.iter().enumerate() {
-                let codec = [WireCodec::Json, WireCodec::Binary][i % 2];
-                write_frame_codec(&mut stream, frame, codec, &mut Vec::new()).unwrap();
+            for frame in frames {
+                write_frame(&mut stream, frame).unwrap();
             }
             stream
         };
@@ -1028,7 +956,7 @@ mod tests {
                     proto_version: PROTO_VERSION,
                     metric_schema_hash: metric_schema_hash(TierId::App),
                     caps: WireCaps {
-                        codec: WireCodec::Json,
+                        codec: WireCodec::Binary,
                         max_batch: 1,
                     },
                 },

@@ -13,11 +13,10 @@
 //!
 //! * [`frame`] — the versioned, length-prefixed wire protocol
 //!   (`Hello` / `Sample` / `SampleBatch` / `Heartbeat` / `Ack` /
-//!   `Reject` / `Bye`, plus the fleet back-haul `Digest`), speaking two
-//!   negotiated dialects: debuggable JSON and the compact binary codec
-//!   in [`binary`].
-//! * [`binary`] — the delta/varint binary payload codec, the session
-//!   dialect of the v3 wire protocol.
+//!   `Reject` / `Bye`, plus the fleet back-haul `Digest`), every frame
+//!   in one dialect: the compact binary codec in [`binary`].
+//! * [`binary`] — the delta/varint payload codec of the wire protocol,
+//!   handshake included.
 //! * [`transport`] — the same framed protocol over TCP or Unix-domain
 //!   sockets, behind one [`Endpoint`] grammar.
 //! * [`source`] — the [`SampleSource`] seam an agent measures through,
@@ -78,10 +77,9 @@ pub mod transport;
 pub use agent::{run_agent, AgentConfig, AgentReport, FaultSchedule, HandshakeRejected};
 pub use collector::{Assembler, AssemblerState, CollectorConfig, ShedKind};
 pub use frame::{
-    encode_payload, metric_schema_hash, read_frame, try_extract_frame, write_frame,
-    write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError,
-    TierWindowDigest, WireCaps, WireCodec, WireSample, FRAME_MAGIC, FRAME_MAGIC_BIN, MAX_FRAME_LEN,
-    PROTO_VERSION,
+    metric_schema_hash, read_frame, try_extract_frame, write_frame, write_frame_codec, AppStats,
+    AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError, TierWindowDigest, WireCaps,
+    WireCodec, WireSample, FRAME_MAGIC_BIN, MAX_FRAME_LEN, PROTO_VERSION,
 };
 pub use loopback::{
     all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,

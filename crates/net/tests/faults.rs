@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use webcap_core::{AdmissionConfig, CapacityMeter, MeterConfig};
-use webcap_net::frame::{read_frame, write_frame, write_frame_codec, Frame, WireCodec};
+use webcap_net::frame::{read_frame, write_frame, Frame};
 use webcap_net::loopback::{
     all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
     run_supervised_loopback, LoopbackOutcome,
@@ -158,10 +158,10 @@ fn faulted_planes_match_the_oracle_and_never_admit_from_suspect_state() {
 /// Knobs *and* a scripted schedule in one deployment: the compile step
 /// counts attempts around the scripted outage, and a batch must stop at
 /// a scripted drop and at a compiled one alike. Held to the oracle over
-/// the merged script under both dialects — the stock harness speaks
-/// binary in batches, the hand-configured agents unbatched JSON.
+/// the merged script batched and not — the stock harness sends batches
+/// of 32, the hand-configured agents one sample per frame.
 #[test]
-fn knobs_merged_into_a_scripted_schedule_match_the_oracle_under_both_codecs() {
+fn knobs_merged_into_a_scripted_schedule_match_the_oracle_batched_and_unbatched() {
     let meter = trained_meter();
     let samples = steady_samples(&meter);
     let faults = knobs((37, 0));
@@ -173,21 +173,21 @@ fn knobs_merged_into_a_scripted_schedule_match_the_oracle_under_both_codecs() {
     assert!(merged.drop_ranges.len() > scripted.drop_ranges.len());
 
     let schedules = [scripted.clone(), scripted];
-    let binary = run_loopback_scheduled(&meter, &samples, &tcp(), BASE_SEED, faults, &schedules)
-        .expect("binary deployment runs");
-    plane_matches_the_oracle(&meter, &samples, &binary, &merged);
+    let batched = run_loopback_scheduled(&meter, &samples, &tcp(), BASE_SEED, faults, &schedules)
+        .expect("batched deployment runs");
+    plane_matches_the_oracle(&meter, &samples, &batched, &merged);
 
     let collector = SupervisedCollector::fresh(meter.clone());
     let hpc_model = &meter.config().hpc_model;
     let agent_cfg = |tier, dial| {
         let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
         cfg.schedule = merged.clone();
-        cfg.codec = WireCodec::Json;
+        cfg.max_batch = 1;
         cfg
     };
-    let json = run_supervised_loopback(collector, hpc_model, &samples, &tcp(), 0, agent_cfg)
-        .expect("json deployment runs");
-    plane_matches_the_oracle(&meter, &samples, &json, &merged);
+    let single = run_supervised_loopback(collector, hpc_model, &samples, &tcp(), 0, agent_cfg)
+        .expect("unbatched deployment runs");
+    plane_matches_the_oracle(&meter, &samples, &single, &merged);
 }
 
 /// Run the stock loopback plane over `samples` under `faults` alone and
@@ -399,13 +399,7 @@ fn an_ack_split_across_a_read_timeout_is_still_counted() {
         // rest.
         let mut wire = Vec::new();
         for seq in 0..SAMPLES {
-            write_frame_codec(
-                &mut wire,
-                &Frame::Ack { seq },
-                WireCodec::Binary,
-                &mut Vec::new(),
-            )
-            .expect("acks encode");
+            write_frame(&mut wire, &Frame::Ack { seq }).expect("acks encode");
         }
         let (fragment, rest) = wire.split_at(5);
         conn.write_all(fragment).expect("fragment writes");

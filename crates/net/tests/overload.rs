@@ -24,7 +24,7 @@ use webcap_net::supervisor::{
 };
 use webcap_net::{
     metric_schema_hash, read_frame, write_frame, AppStats, Conn, Endpoint, Frame, Listener,
-    WireCaps, WireCodec, WireSample, FRAME_MAGIC, PROTO_VERSION,
+    WireCaps, WireCodec, WireSample, FRAME_MAGIC_BIN, PROTO_VERSION,
 };
 use webcap_sim::{TierId, TierSample};
 
@@ -68,7 +68,7 @@ fn wire(seq: u64, with_app: bool) -> WireSample {
     }
 }
 
-/// Dial the collector and complete the JSON handshake for `tier`.
+/// Dial the collector and complete the handshake for `tier`.
 fn handshaken(endpoint: &Endpoint, tier: TierId) -> Conn {
     let mut conn = Conn::connect(endpoint).expect("dials");
     write_frame(
@@ -78,7 +78,7 @@ fn handshaken(endpoint: &Endpoint, tier: TierId) -> Conn {
             proto_version: PROTO_VERSION,
             metric_schema_hash: metric_schema_hash(tier),
             caps: WireCaps {
-                codec: WireCodec::Json,
+                codec: WireCodec::Binary,
                 max_batch: 1,
             },
         },
@@ -120,7 +120,7 @@ fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
         for seq in 0..35u64 {
             write_frame(&mut app, &Frame::Sample(wire(seq, true))).expect("app sample writes");
         }
-        app.write_all(&FRAME_MAGIC.to_le_bytes())
+        app.write_all(&FRAME_MAGIC_BIN.to_le_bytes())
             .expect("partial header writes");
 
         // A well-behaved Db peer: windows 0 and 1 complete, then Bye.

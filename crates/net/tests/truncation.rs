@@ -1,6 +1,6 @@
 //! Exhaustive binary truncation sweep — satellite of the chaos-mesh PR.
 //!
-//! For **every** frame variant of the v3 protocol, encode the binary
+//! For **every** frame variant of the protocol, encode the binary
 //! payload and present every strict prefix of it to the frame
 //! extractor, each behind a correctly rewritten length header so the
 //! decoder sees a complete-looking frame with a short body. The
@@ -14,13 +14,15 @@
 //!
 //! The same eight variants also carry the wire's **byte pin**
 //! (`every_variant_encodes_to_its_pinned_bytes`): what each one encodes
-//! to is a committed string, so a layout change cannot land without a
-//! visible diff here.
+//! to is a committed string, and its frame is that string behind the
+//! `"WCB3"` header, so a layout change cannot land without a visible
+//! diff here.
 
 use webcap_core::{TierStressAgg, WindowHealthAgg};
+use webcap_net::binary::encode_frame;
 use webcap_net::supervisor::HealthState;
 use webcap_net::{
-    encode_payload, try_extract_frame, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame,
+    try_extract_frame, write_frame, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame,
     TierWindowDigest, WireCaps, WireCodec, WireSample, FRAME_MAGIC_BIN,
 };
 use webcap_sim::{RtHistogram, TierId, TierSample};
@@ -130,9 +132,7 @@ fn framed_prefix(payload: &[u8], keep: usize) -> Vec<u8> {
 fn every_strict_prefix_of_every_variant_is_a_typed_error() {
     for frame in all_variants() {
         let mut payload = Vec::new();
-        let magic =
-            encode_payload(&frame, WireCodec::Binary, &mut payload).expect("variant encodes");
-        assert_eq!(magic, FRAME_MAGIC_BIN, "binary codec must stamp WCB3");
+        encode_frame(&frame, &mut payload);
         assert!(!payload.is_empty(), "no variant encodes to zero bytes");
 
         // The untruncated frame round-trips exactly, consuming every
@@ -167,33 +167,6 @@ fn every_strict_prefix_of_every_variant_is_a_typed_error() {
                     "{frame:?} prefix {keep}/{} decoded as {decoded:?} instead of failing",
                     payload.len()
                 ),
-            }
-        }
-    }
-}
-
-/// The same sweep for the JSON dialect: compact JSON always ends in a
-/// closing brace or bracket, so every strict prefix is malformed too.
-#[test]
-fn every_strict_json_prefix_is_a_typed_error() {
-    for frame in all_variants() {
-        let mut payload = Vec::new();
-        let magic = encode_payload(&frame, WireCodec::Json, &mut payload).expect("variant encodes");
-        let mut full = Vec::with_capacity(8 + payload.len());
-        full.extend_from_slice(&magic.to_le_bytes());
-        full.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        full.extend_from_slice(&payload);
-        assert!(matches!(try_extract_frame(&full), Ok(Some(_))));
-
-        for keep in 0..payload.len() {
-            let mut buf = Vec::with_capacity(8 + keep);
-            buf.extend_from_slice(&magic.to_le_bytes());
-            buf.extend_from_slice(&(keep as u32).to_le_bytes());
-            buf.extend_from_slice(&payload[..keep]);
-            let result = try_extract_frame(&buf);
-            match result {
-                Err(e) => assert!(e.is_corrupt(), "{frame:?} json prefix {keep}: {e:?}"),
-                Ok(decoded) => panic!("{frame:?} json prefix {keep} decoded as {decoded:?}"),
             }
         }
     }
@@ -298,22 +271,6 @@ const PINNED_BINARY: [&str; 8] = [
      0000000000000001010201021e020204010200010e",
 ];
 
-/// The JSON payload of each [`all_variants`] frame, in order, where it
-/// is float-free (`Sample`, `SampleBatch` and `Digest` carry floats,
-/// whose JSON spelling is the serializer's business).
-const PINNED_JSON: [Option<&str>; 8] = [
-    Some(
-        r#"{"Hello":{"tier":"App","proto_version":3,"metric_schema_hash":1311768467463790320,"caps":{"codec":"Binary","max_batch":32}}}"#,
-    ),
-    None,
-    None,
-    Some(r#"{"Heartbeat":{"seq":41}}"#),
-    Some(r#"{"Ack":{"seq":42}}"#),
-    Some(r#"{"Reject":{"reason":"schema mismatch","ours":3,"theirs":2}}"#),
-    Some(r#"{"Bye":{"last_seq":239}}"#),
-    None,
-];
-
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -321,27 +278,30 @@ fn hex(bytes: &[u8]) -> String {
 /// The byte pin. The compiler proves the codec names every field on
 /// both sides and the round-trip suites prove encode and decode agree;
 /// neither notices a *consistent* reorder or re-spelling, which would
-/// silently fork the dialect under an unchanged version number. This
-/// does: the committed strings are what protocol version 3 puts on the
-/// wire for `all_variants()`.
+/// silently fork the wire under an unchanged version number. This does:
+/// the committed strings are the payloads `all_variants()` put on the
+/// wire (unchanged since protocol version 3), and every frame is its
+/// payload behind the `"WCB3"` magic and the payload length.
 #[test]
 fn every_variant_encodes_to_its_pinned_bytes() {
-    const HINT: &str = "the wire layout changed: that is a PROTO_VERSION (and, for the \
-                        binary dialect, frame magic) decision — bump it and re-pin, or undo the \
-                        layout change";
+    const HINT: &str = "the wire layout changed: that is a PROTO_VERSION and frame magic \
+                        decision — bump them and re-pin, or undo the layout change";
     let variants = all_variants();
     assert_eq!(
         variants.len(),
         PINNED_BINARY.len(),
         "a new variant needs a pin"
     );
-    let mut payload = Vec::new();
-    for ((frame, binary), json) in variants.iter().zip(PINNED_BINARY).zip(PINNED_JSON) {
-        encode_payload(frame, WireCodec::Binary, &mut payload).expect("variant encodes");
+    for (frame, binary) in variants.iter().zip(PINNED_BINARY) {
+        let mut payload = Vec::new();
+        encode_frame(frame, &mut payload);
         assert_eq!(hex(&payload), binary, "{frame:?}: {HINT}");
-        if let Some(json) = json {
-            encode_payload(frame, WireCodec::Json, &mut payload).expect("variant encodes");
-            assert_eq!(std::str::from_utf8(&payload), Ok(json), "{frame:?}: {HINT}");
-        }
+        let mut wire = Vec::new();
+        write_frame(&mut wire, frame).expect("variant encodes");
+        assert_eq!(
+            wire,
+            framed_prefix(&payload, payload.len()),
+            "{frame:?}: {HINT}"
+        );
     }
 }

@@ -1,18 +1,21 @@
-//! Wire-codec acceptance tests: the binary dialect must be observably
-//! indistinguishable from JSON everywhere except byte count.
+//! Wire-codec acceptance tests: the one wire dialect carries every frame
+//! exactly, compactly, and batched or not to the same decisions.
 //!
 //! Four contracts:
 //!
-//! * **Codec equivalence** — arbitrary frames round-trip through both
-//!   codecs to the same `Frame` value (seeded generators over the full
-//!   frame family, hostile histograms included).
-//! * **Decode robustness** — truncated and bit-flipped binary frames
-//!   produce typed `FrameError`s, never a panic (`fuzz_smoke`).
+//! * **Round trip** — arbitrary frames encode and decode to the same
+//!   `Frame` value, whole or fed in arbitrary chunks (seeded generators
+//!   over the full frame family, hostile histograms included), at no
+//!   more than 800 bytes per sample in the agent's batches.
+//! * **Decode robustness** — truncated and bit-flipped frames produce
+//!   typed `FrameError`s, never a panic (`fuzz_smoke`).
 //! * **Negotiation** — any version but `PROTO_VERSION`, older or newer,
-//!   is refused with a `Reject` carrying both peers' versions.
-//! * **Deployment byte-identity** — a faulted loopback run under the
-//!   binary codec produces byte-identical decisions, poisoning, and
-//!   agent reports to the same run under JSON.
+//!   is refused with a `Reject` carrying both peers' versions, and a
+//!   version 3 JSON `Hello` with a `Reject` naming its bad magic.
+//! * **Deployment byte-identity** — a faulted loopback run in batches
+//!   of 32 produces byte-identical decisions, poisoning, and agent
+//!   reports to the same run one sample per frame, and both match the
+//!   oracle.
 
 use std::collections::BTreeSet;
 use std::num::NonZeroU64;
@@ -22,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_core::{TierStressAgg, WindowHealthAgg};
+use webcap_hpc::HpcModel;
 use webcap_net::binary::{decode_frame, encode_frame};
 use webcap_net::collector::CollectorConfig;
 use webcap_net::frame::{
@@ -32,9 +36,10 @@ use webcap_net::frame::{
 use webcap_net::loopback::{
     predicted_windows_for_schedule, replay_windows, run_supervised_loopback, LoopbackOutcome,
 };
+use webcap_net::source::{SourceSample, TierSampler};
 use webcap_net::supervisor::{run_supervised_collector, HealthState, SupervisedCollector};
 use webcap_net::{AgentConfig, Endpoint, FaultKnobs, FaultSchedule, Listener};
-use webcap_sim::{RtHistogram, Simulation, SystemSample, TierId, TierSample};
+use webcap_sim::{RtHistogram, SimConfig, Simulation, SystemSample, TierId, TierSample};
 use webcap_tpcw::{Mix, MixId, TrafficProgram};
 
 const BASE_SEED: u64 = 17;
@@ -59,8 +64,7 @@ fn option_of<T>(rng: &mut StdRng, item: impl FnOnce(&mut StdRng) -> T) -> Option
     rng.random::<bool>().then(|| item(rng))
 }
 
-/// Finite floats only: NaN breaks `PartialEq` round-trip assertions and
-/// serde_json refuses to serialize it, so neither codec can carry it.
+/// Finite floats only: NaN breaks `PartialEq` round-trip assertions.
 fn f64s(rng: &mut StdRng) -> f64 {
     match rng.random_range(0u32..5) {
         0 => 0.0,
@@ -103,7 +107,7 @@ fn healths(rng: &mut StdRng) -> HealthState {
 }
 
 /// Any bucket layout and any total — including totals inconsistent with
-/// the buckets, which a hostile peer could send and both codecs must
+/// the buckets, which a hostile peer could send and the codec must
 /// carry verbatim.
 fn histograms(rng: &mut StdRng) -> RtHistogram {
     let counts: Vec<u32> = (0..RtHistogram::BUCKET_COUNT)
@@ -205,22 +209,15 @@ fn digest_frames(rng: &mut StdRng) -> DigestFrame {
 /// One frame of any of the eight kinds, each equally likely.
 fn frames(rng: &mut StdRng) -> Frame {
     match rng.random_range(0u32..8) {
-        0 => {
-            let max_batch: u32 = rng.random();
-            Frame::Hello {
-                tier: tiers(rng),
-                proto_version: rng.random(),
-                metric_schema_hash: rng.random(),
-                caps: WireCaps {
-                    codec: if max_batch % 2 == 0 {
-                        WireCodec::Binary
-                    } else {
-                        WireCodec::Json
-                    },
-                    max_batch,
-                },
-            }
-        }
+        0 => Frame::Hello {
+            tier: tiers(rng),
+            proto_version: rng.random(),
+            metric_schema_hash: rng.random(),
+            caps: WireCaps {
+                codec: WireCodec::Binary,
+                max_batch: rng.random(),
+            },
+        },
         1 => Frame::Sample(wire_samples(rng)),
         2 => Frame::SampleBatch(vec_of(rng, 0..5, wire_samples)),
         3 => Frame::Heartbeat { seq: rng.random() },
@@ -240,51 +237,41 @@ fn frames(rng: &mut StdRng) -> Frame {
     }
 }
 
-/// The tentpole invariant: any frame encodes under either codec and
-/// decodes back to the same value — including through the
-/// event-loop's buffer-extraction path.
+/// The tentpole invariant: any frame encodes and decodes back to the
+/// same value — including through the event-loop's buffer-extraction
+/// path.
 #[test]
-fn any_frame_round_trips_identically_through_both_codecs() {
+fn any_frame_round_trips_identically() {
     let mut scratch = Vec::new();
     for seed in 0..CASES {
         let frame = frames(&mut StdRng::seed_from_u64(seed));
-        for codec in [WireCodec::Json, WireCodec::Binary] {
-            let mut buf = Vec::new();
-            write_frame_codec(&mut buf, &frame, codec, &mut scratch)
-                .unwrap_or_else(|e| panic!("seed {seed}: finite frames encode under {codec}: {e}"));
-            let back = read_frame(&mut buf.as_slice())
-                .unwrap_or_else(|e| panic!("seed {seed}: read_frame under {codec}: {e}"));
-            assert_eq!(back, frame, "seed {seed}: read_frame under {codec}");
-            let (extracted, consumed) = try_extract_frame(&buf)
-                .unwrap_or_else(|e| panic!("seed {seed}: try_extract_frame under {codec}: {e}"))
-                .unwrap_or_else(|| panic!("seed {seed}: incomplete frame under {codec}"));
-            assert_eq!(
-                extracted, frame,
-                "seed {seed}: try_extract_frame under {codec}"
-            );
-            assert_eq!(consumed, buf.len(), "seed {seed}: under {codec}");
-        }
+        let mut buf = Vec::new();
+        write_frame_codec(&mut buf, &frame, WireCodec::Binary, &mut scratch)
+            .unwrap_or_else(|e| panic!("seed {seed}: finite frames encode: {e}"));
+        let back = read_frame(&mut buf.as_slice())
+            .unwrap_or_else(|e| panic!("seed {seed}: read_frame: {e}"));
+        assert_eq!(back, frame, "seed {seed}: read_frame");
+        let (extracted, consumed) = try_extract_frame(&buf)
+            .unwrap_or_else(|e| panic!("seed {seed}: try_extract_frame: {e}"))
+            .unwrap_or_else(|| panic!("seed {seed}: incomplete frame"));
+        assert_eq!(extracted, frame, "seed {seed}: try_extract_frame");
+        assert_eq!(consumed, buf.len(), "seed {seed}");
     }
 }
 
-/// Mixed-codec streams of arbitrary frames reassemble in order from
-/// a byte buffer fed in arbitrary chunk sizes — the exact shape the
-/// event-loop collector sees.
+/// Streams of arbitrary frames reassemble in order from a byte buffer
+/// fed in arbitrary chunk sizes — the exact shape the event-loop
+/// collector sees.
 #[test]
-fn mixed_codec_streams_reassemble_across_arbitrary_chunking() {
+fn streams_reassemble_across_arbitrary_chunking() {
     let mut scratch = Vec::new();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let expected = vec_of(&mut rng, 1..6, frames);
         let mut wire = Vec::new();
         for frame in &expected {
-            let codec = if rng.random() {
-                WireCodec::Binary
-            } else {
-                WireCodec::Json
-            };
-            write_frame_codec(&mut wire, frame, codec, &mut scratch)
-                .unwrap_or_else(|e| panic!("seed {seed}: encodes under {codec}: {e}"));
+            write_frame_codec(&mut wire, frame, WireCodec::Binary, &mut scratch)
+                .unwrap_or_else(|e| panic!("seed {seed}: encodes: {e}"));
         }
         let chunk = rng.random_range(1usize..64);
         let mut rbuf: Vec<u8> = Vec::new();
@@ -368,6 +355,39 @@ fn fuzz_smoke_binary_decoder_survives_deterministic_mutations() {
     }
 }
 
+/// And small: at the agent's default batch (32 samples per
+/// `SampleBatch`), what both agents of a simulated steady run put on the
+/// wire costs at most 800 bytes per sample, next to the 742 B the
+/// benchmark ledger records (`net.binary.encode.bytes_per_sample`).
+#[test]
+fn a_batch_of_32_costs_at_most_800_bytes_per_sample() {
+    const BATCH: usize = 32;
+    const FRAMES: usize = 12;
+    let program = TrafficProgram::steady(Mix::shopping(), 60, (FRAMES * BATCH) as f64);
+    let samples = Simulation::new(SimConfig::testbed(5), program)
+        .run()
+        .samples;
+    let mut wire = Vec::new();
+    let mut sent = 0;
+    for tier in TierId::ALL {
+        let mut sampler = TierSampler::new(tier, HpcModel::testbed(), 9);
+        let rows: Vec<WireSample> = (0u64..)
+            .zip(&samples)
+            .map(|(seq, s)| sampler.wire_sample(SourceSample::of_tier(tier, seq, s)))
+            .collect();
+        for batch in rows.chunks(BATCH) {
+            write_frame(&mut wire, &Frame::SampleBatch(batch.to_vec())).expect("encodes");
+            sent += batch.len();
+        }
+    }
+    assert_eq!(sent, 2 * FRAMES * BATCH);
+    let per_sample = wire.len() / sent;
+    assert!(
+        per_sample <= 800,
+        "batch {BATCH} costs {per_sample} B per sample, ceiling 800 B"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Negotiation
 // ---------------------------------------------------------------------
@@ -422,7 +442,7 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
                     proto_version: version,
                     metric_schema_hash: metric_schema_hash(TierId::App),
                     caps: WireCaps {
-                        codec: WireCodec::Json,
+                        codec: WireCodec::Binary,
                         max_batch: 1,
                     },
                 },
@@ -449,16 +469,60 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
     assert_eq!(report.sessions, [0, 0], "no session was started");
 }
 
+/// A version 3 agent's opener — a JSON `Hello` under the retired
+/// `"WCAP"` magic, right schema hash, current version — is no frame of
+/// this protocol: it gets a (binary) `Reject` naming the bad magic, and
+/// no session starts.
+#[test]
+fn a_json_hello_is_rejected_naming_its_magic() {
+    let meter = trained_meter();
+    let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"))
+        .expect("listener binds");
+    let dial = listener.local_endpoint().expect("bound endpoint");
+    let cfg = CollectorConfig {
+        idle_timeout: Duration::from_millis(300),
+        ..CollectorConfig::default()
+    };
+    let json = format!(
+        r#"{{"Hello":{{"tier":"App","proto_version":{PROTO_VERSION},"metric_schema_hash":{},"caps":{{"codec":"Json","max_batch":1}}}}}}"#,
+        metric_schema_hash(TierId::App)
+    );
+    let wcap: u32 = 0x5743_4150;
+    let mut hello = wcap.to_le_bytes().to_vec();
+    hello.extend_from_slice(&(json.len() as u32).to_le_bytes());
+    hello.extend_from_slice(json.as_bytes());
+
+    let sc = SupervisedCollector::fresh(meter);
+    let report = std::thread::scope(|scope| {
+        let collector = scope.spawn(|| run_supervised_collector(listener, sc, &cfg, |_, _| {}));
+        let mut conn = webcap_net::Conn::connect(&dial).expect("peer connects");
+        conn.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout set");
+        std::io::Write::write_all(&mut conn, &hello).expect("hello sends");
+        match read_frame(&mut conn).expect("collector answers") {
+            Frame::Reject { reason, .. } => {
+                assert!(reason.contains("magic 0x57434150"), "{reason}");
+            }
+            other => panic!("expected Reject, got {other:?}"),
+        }
+        collector.join().expect("collector thread completes")
+    });
+
+    assert_eq!(report.rejected_handshakes, 1);
+    assert_eq!(report.sessions, [0, 0], "no session was started");
+}
+
 // ---------------------------------------------------------------------
 // Deployment byte-identity
 // ---------------------------------------------------------------------
 
-/// A loopback deployment whose agents both run `script` in `codec`.
-fn run_with_codec(
+/// A loopback deployment whose agents both run `script`, packing up to
+/// `max_batch` samples per frame.
+fn run_batched(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     script: &FaultSchedule,
-    codec: WireCodec,
+    max_batch: u32,
 ) -> LoopbackOutcome {
     run_supervised_loopback(
         SupervisedCollector::fresh(meter.clone()),
@@ -469,18 +533,18 @@ fn run_with_codec(
         |tier, dial| {
             let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
             cfg.schedule = script.clone();
-            cfg.codec = codec;
+            cfg.max_batch = max_batch;
             cfg
         },
     )
     .expect("deployment runs")
 }
 
-/// The acceptance bar for the whole PR: under drops and forced
-/// reconnects, the binary batched dialect produces byte-identical
-/// decisions, poisoning verdicts, and agent reports to unbatched JSON.
+/// Under drops and forced reconnects, batches of 32 produce
+/// byte-identical decisions, poisoning verdicts, and agent reports to
+/// one sample per frame.
 #[test]
-fn faulted_runs_are_byte_identical_across_codecs() {
+fn faulted_runs_are_byte_identical_batched_and_unbatched() {
     let meter = trained_meter();
     let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
@@ -490,58 +554,64 @@ fn faulted_runs_are_byte_identical_across_codecs() {
     };
     let script = faults.schedule(TOTAL_SAMPLES as u64, &FaultSchedule::NONE);
 
-    let json = run_with_codec(&meter, &samples, &script, WireCodec::Json);
-    let binary = run_with_codec(&meter, &samples, &script, WireCodec::Binary);
-    let (json_report, bin_report) = (&json.collector, &binary.collector);
+    let single = run_batched(&meter, &samples, &script, 1);
+    let batched = run_batched(&meter, &samples, &script, 32);
+    let (single_report, batched_report) = (&single.collector, &batched.collector);
 
     // Compare the deterministic agent counters only: ack/heartbeat
     // counts ride a concurrent reader thread and legitimately race with
     // session shutdown.
-    for (i, (j, b)) in json.agents.iter().zip(&binary.agents).enumerate() {
-        assert_eq!(j.samples_produced, b.samples_produced, "agent {i}");
-        assert_eq!(j.frames_sent, b.frames_sent, "agent {i}");
-        assert_eq!(j.frames_dropped, b.frames_dropped, "agent {i}");
-        assert_eq!(j.queue_dropped, b.queue_dropped, "agent {i}");
-        assert_eq!(j.sessions, b.sessions, "agent {i}");
+    for (i, (s, b)) in single.agents.iter().zip(&batched.agents).enumerate() {
+        assert_eq!(s.samples_produced, b.samples_produced, "agent {i}");
+        assert_eq!(s.frames_sent, b.frames_sent, "agent {i}");
+        assert_eq!(s.frames_dropped, b.frames_dropped, "agent {i}");
+        assert_eq!(s.queue_dropped, b.queue_dropped, "agent {i}");
+        assert_eq!(s.sessions, b.sessions, "agent {i}");
     }
-    assert_eq!(json_report.poisoned_windows, bin_report.poisoned_windows);
-    assert_eq!(json_report.pending_windows, bin_report.pending_windows);
-    assert_eq!(json_report.sessions, bin_report.sessions);
-    assert_eq!(json_report.samples, bin_report.samples);
-    assert_eq!(json_report.anomalies, bin_report.anomalies);
     assert_eq!(
-        serde_json::to_string(&json_report.decisions).expect("decisions serialize"),
-        serde_json::to_string(&bin_report.decisions).expect("decisions serialize"),
-        "decisions are byte-identical across codecs"
+        single_report.poisoned_windows,
+        batched_report.poisoned_windows
+    );
+    assert_eq!(
+        single_report.pending_windows,
+        batched_report.pending_windows
+    );
+    assert_eq!(single_report.sessions, batched_report.sessions);
+    assert_eq!(single_report.samples, batched_report.samples);
+    assert_eq!(single_report.anomalies, batched_report.anomalies);
+    assert_eq!(
+        serde_json::to_string(&single_report.decisions).expect("decisions serialize"),
+        serde_json::to_string(&batched_report.decisions).expect("decisions serialize"),
+        "decisions are byte-identical batched and unbatched"
     );
 
     // Both also match the knob oracle and the in-process monitor — the
-    // codec did not merely fail identically on both sides.
+    // batching did not merely fail identically on both sides.
     let (survivors, poisoned) = predicted_windows_for_schedule(
         TOTAL_SAMPLES as u64,
         &script,
         window_len,
         CollectorConfig::default().window_origin,
     );
-    let quarantined: BTreeSet<i64> = bin_report.poisoned_windows.iter().copied().collect();
+    let quarantined: BTreeSet<i64> = batched_report.poisoned_windows.iter().copied().collect();
     assert_eq!(quarantined, poisoned, "oracle agrees on poisoning");
     let baseline = replay_windows(&meter, &samples, BASE_SEED, &survivors);
     assert_eq!(
-        serde_json::to_string(&bin_report.decisions).expect("serializes"),
+        serde_json::to_string(&batched_report.decisions).expect("serializes"),
         serde_json::to_string(&baseline).expect("serializes"),
-        "binary-codec decisions match the in-process monitor byte-for-byte"
+        "batched decisions match the in-process monitor byte-for-byte"
     );
 }
 
-/// Clean binary run: batching must not change what reaches the meter,
+/// Clean batched run: batching must not change what reaches the meter,
 /// and every sample must be individually acknowledged.
 #[test]
-fn a_clean_binary_run_matches_the_unbatched_contract() {
+fn a_clean_batched_run_matches_the_unbatched_contract() {
     let meter = trained_meter();
     let window_len = meter.config().window_len;
     let samples = steady_samples(&meter);
 
-    let out = run_with_codec(&meter, &samples, &FaultSchedule::NONE, WireCodec::Binary);
+    let out = run_batched(&meter, &samples, &FaultSchedule::NONE, 32);
     let report = &out.collector;
     for (i, agent) in out.agents.iter().enumerate() {
         assert_eq!(agent.samples_produced, TOTAL_SAMPLES as u64, "agent {i}");
