@@ -152,8 +152,8 @@ impl TierConfig {
             "{name}: speed must be positive"
         );
         assert!(
-            self.contention_alpha >= 0.0,
-            "{name}: alpha must be nonnegative"
+            self.contention_alpha >= 0.0 && self.contention_alpha.is_finite(),
+            "{name}: alpha must be nonnegative and finite"
         );
         assert!(self.pool_size > 0, "{name}: pool must be nonempty");
         assert!(
@@ -239,9 +239,11 @@ impl SimConfig {
             self.network_delay_s >= 0.0 && self.network_delay_s.is_finite(),
             "network delay must be nonnegative"
         );
+        // The clock ticks in whole microseconds: a shorter period would
+        // be rounded up to one.
         assert!(
-            self.sample_period_s > 0.0 && self.sample_period_s.is_finite(),
-            "sample period must be positive"
+            self.sample_period_s >= 1e-6 && self.sample_period_s.is_finite(),
+            "sample period must be at least the 1 µs clock tick"
         );
     }
 
@@ -283,6 +285,22 @@ mod tests {
     fn zero_pool_rejected() {
         let mut cfg = SimConfig::testbed(0);
         cfg.app.pool_size = 0;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "sample period must be at least the 1 µs clock tick")]
+    fn sample_period_below_the_clock_tick_rejected() {
+        let mut cfg = SimConfig::testbed(0);
+        cfg.sample_period_s = 1e-9;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be nonnegative and finite")]
+    fn infinite_contention_alpha_rejected() {
+        let mut cfg = SimConfig::testbed(0);
+        cfg.db.contention_alpha = f64::INFINITY;
         cfg.validate();
     }
 

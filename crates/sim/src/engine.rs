@@ -162,6 +162,8 @@ pub struct Simulation {
     db_pool: TokenPool,
     disk: FcfsDisk,
     ebs: Vec<EbState>,
+    /// How many of `ebs` are `active`.
+    active_ebs: u32,
     retire_quota: u32,
     counters: IntervalCounters,
     prev: [TierCumulative; 2],
@@ -197,9 +199,10 @@ impl Simulation {
         let app_pool = TokenPool::new(cfg.app.pool_size);
         let db_pool = TokenPool::new(cfg.db.pool_size);
         let end = SimTime::from_secs_f64(program.duration_s());
-        // One sample per period: reserve the whole run's telemetry up
-        // front instead of growing through repeated reallocation.
-        let expected_samples = (program.duration_s() / cfg.sample_period_s).ceil() as usize + 1;
+        let period = SimDuration::from_secs_f64(cfg.sample_period_s);
+        // One sample per tick: reserve the whole run's telemetry up front
+        // instead of growing through repeated reallocation.
+        let expected_samples = end.as_micros().div_ceil(period.as_micros()) as usize + 1;
         let rng = StdRng::seed_from_u64(cfg.seed);
         let sim_cfg_bg_app = cfg.app.background.mean;
         let sim_cfg_bg_db = cfg.db.background.mean;
@@ -222,6 +225,7 @@ impl Simulation {
             db_pool,
             disk: FcfsDisk::new(),
             ebs: Vec::new(),
+            active_ebs: 0,
             retire_quota: 0,
             counters: IntervalCounters::default(),
             prev: [TierCumulative::default(); 2],
@@ -237,7 +241,6 @@ impl Simulation {
         sim.db_cpu.set_background(SimTime::ZERO, bg0[1]);
         let initial = sim.program.at(0.0).ebs;
         sim.adjust_population(initial);
-        let period = SimDuration::from_secs_f64(sim.cfg.sample_period_s);
         sim.schedule(SimTime::ZERO + period, Event::Tick);
         sim
     }
@@ -346,6 +349,7 @@ impl Simulation {
         if self.retire_quota > 0 {
             self.retire_quota -= 1;
             self.ebs[eb].active = false;
+            self.active_ebs -= 1;
             return;
         }
         let snapshot = self.program.at(self.clock.as_secs_f64());
@@ -532,8 +536,7 @@ impl Simulation {
 
     fn adjust_population(&mut self, target: u32) {
         self.target_ebs = target;
-        let active = self.ebs.iter().filter(|e| e.active).count() as u32;
-        let effective = active.saturating_sub(self.retire_quota);
+        let effective = self.active_ebs.saturating_sub(self.retire_quota);
         if target > effective {
             let mut need = target - effective;
             // First cancel pending retirements.
@@ -547,6 +550,7 @@ impl Simulation {
                     active: true,
                     request: None,
                 });
+                self.active_ebs += 1;
                 // Stagger session starts across a think time to avoid a
                 // synchronized arrival pulse.
                 let offset = self.rng.random::<f64>() * self.cfg.think.mean_s();
@@ -647,7 +651,7 @@ impl Simulation {
                 t_s: self.clock.as_secs_f64(),
                 interval_s: interval,
                 ebs_target: self.target_ebs,
-                ebs_active: self.ebs.iter().filter(|e| e.active).count() as u32,
+                ebs_active: self.active_ebs,
                 mix_id: snapshot.mix.id(),
                 issued: c.issued,
                 issued_browse: c.issued_browse,

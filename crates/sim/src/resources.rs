@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::time::SimTime;
+use crate::time::{ceil_to_u64, SimDuration, SimTime};
 
 /// Identifier of a job inside the simulator: an in-flight request,
 /// named by the index of the emulated browser that waits for it.
@@ -24,6 +24,10 @@ pub type JobId = usize;
 /// and produces the post-saturation *throughput decline* the paper
 /// describes (its reference \[11\]). Every runnable job receives an equal
 /// share `capacity(n)/n`.
+///
+/// Each event costs one pass over the jobs: `least`, the smallest
+/// remaining work, is kept current by every method that changes the
+/// work, so finding the next completion is a read (`DESIGN.md` §5.1).
 #[derive(Debug, Clone)]
 pub struct PsCpu {
     cores: f64,
@@ -32,7 +36,16 @@ pub struct PsCpu {
     /// Fraction of capacity consumed by background interference (OS
     /// daemons, GC, cache warmup) — see `TierConfig::background`.
     background: f64,
-    jobs: Vec<(JobId, f64)>,
+    /// Runnable jobs, in arrival order up to `swap_remove`: `ids[i]` has
+    /// `remaining[i]` seconds of speed-1.0 work left.
+    ids: Vec<JobId>,
+    remaining: Vec<f64>,
+    /// The smallest entry of `remaining`; ∞ when no job is runnable.
+    least: f64,
+    /// `capacity(n)` and `capacity(n)/n` at the current `n` and
+    /// background (both 0 when `n == 0`).
+    total_rate: f64,
+    job_rate: f64,
     last_update: SimTime,
     // Cumulative accumulators.
     busy_time_s: f64,
@@ -45,17 +58,25 @@ impl PsCpu {
     ///
     /// # Panics
     ///
-    /// Panics if `cores == 0`, `speed <= 0`, or `alpha < 0`.
+    /// Panics if `cores == 0`, `speed <= 0`, or `alpha` is negative or
+    /// not finite.
     pub fn new(cores: u32, speed: f64, contention_alpha: f64) -> PsCpu {
         assert!(cores > 0, "need at least one core");
         assert!(speed > 0.0 && speed.is_finite(), "speed must be positive");
-        assert!(contention_alpha >= 0.0, "alpha must be nonnegative");
+        assert!(
+            contention_alpha >= 0.0 && contention_alpha.is_finite(),
+            "alpha must be nonnegative and finite"
+        );
         PsCpu {
             cores: f64::from(cores),
             speed,
             contention_alpha,
             background: 0.0,
-            jobs: Vec::new(),
+            ids: Vec::new(),
+            remaining: Vec::new(),
+            least: f64::INFINITY,
+            total_rate: 0.0,
+            job_rate: 0.0,
             last_update: SimTime::ZERO,
             busy_time_s: 0.0,
             delivered_work_s: 0.0,
@@ -87,6 +108,18 @@ impl PsCpu {
         );
         self.advance(now);
         self.background = background;
+        self.refresh_rates();
+    }
+
+    /// Recompute the cached rates after `n` or the background changed.
+    fn refresh_rates(&mut self) {
+        let n = self.ids.len();
+        self.total_rate = self.capacity(n);
+        self.job_rate = if n == 0 {
+            0.0
+        } else {
+            self.total_rate / n as f64
+        };
     }
 
     /// Current background-interference fraction.
@@ -101,22 +134,18 @@ impl PsCpu {
 
     /// Number of runnable jobs.
     pub fn active_jobs(&self) -> usize {
-        self.jobs.len()
+        self.ids.len()
     }
 
     /// Advance internal accounting to `now`, depleting remaining work.
     pub fn advance(&mut self, now: SimTime) {
         let dt = now.seconds_since(self.last_update);
         if dt > 0.0 {
-            let n = self.jobs.len();
+            let n = self.ids.len();
             if n > 0 {
-                let rate = self.capacity(n) / n as f64;
-                let drained = rate * dt;
-                for job in &mut self.jobs {
-                    job.1 = (job.1 - drained).max(0.0);
-                }
+                self.least = drain_and_least(&mut self.remaining, self.job_rate * dt);
                 self.busy_time_s += dt;
-                self.delivered_work_s += self.capacity(n) * dt;
+                self.delivered_work_s += self.total_rate * dt;
                 self.job_time_integral += n as f64 * dt;
             }
             self.last_update = now;
@@ -135,48 +164,46 @@ impl PsCpu {
     pub fn push(&mut self, now: SimTime, id: JobId, work: f64) {
         assert!(work >= 0.0 && work.is_finite(), "work must be nonnegative");
         self.advance(now);
-        self.jobs.push((id, work));
+        self.ids.push(id);
+        self.remaining.push(work);
+        self.least = self.least.min(work);
+        self.refresh_rates();
     }
 
     /// When the next job will finish if the membership stays unchanged.
     pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
-        let n = self.jobs.len();
-        if n == 0 {
+        if self.ids.is_empty() {
             return None;
         }
-        let rate = self.capacity(n) / n as f64;
-        let min_remaining = self.jobs.iter().map(|j| j.1).fold(f64::INFINITY, f64::min);
         // Round *up* to the next microsecond so at the event time the
         // remaining work has truly reached zero.
-        let us = (min_remaining / rate * 1e6).ceil().max(1.0) as u64;
-        Some(SimTime::from_micros(now.as_micros() + us))
+        let us = ceil_to_u64(self.least / self.job_rate * 1e6).max(1);
+        Some(now + SimDuration::from_micros(us))
     }
 
     /// Remove and return the job with the least remaining work (the one
-    /// that completes first).
+    /// that completes first; of equals, the one at the lowest index).
     ///
     /// # Panics
     ///
     /// Panics if no job is active.
     pub fn pop_completed(&mut self, now: SimTime) -> JobId {
         self.advance(now);
-        assert!(!self.jobs.is_empty(), "no active job to complete");
         let idx = self
-            .jobs
+            .remaining
             .iter()
-            .enumerate()
-            .min_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).expect("work is finite"))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        self.jobs.swap_remove(idx).0
+            .position(|&r| r == self.least)
+            .expect("no active job to complete");
+        self.remaining.swap_remove(idx);
+        let id = self.ids.swap_remove(idx);
+        self.least = least_of(&self.remaining);
+        self.refresh_rates();
+        id
     }
 
     /// Remaining work of the job closest to completion (for tests).
     pub fn min_remaining(&self) -> Option<f64> {
-        self.jobs
-            .iter()
-            .map(|j| j.1)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite"))
+        (!self.ids.is_empty()).then_some(self.least)
     }
 
     /// Cumulative statistics: `(busy_time_s, delivered_work_s,
@@ -188,6 +215,59 @@ impl PsCpu {
             self.job_time_integral,
         )
     }
+}
+
+/// Independent minimum accumulators in [`drain_and_least`] and [`least_of`],
+/// so a pass over the jobs is not one serial chain of comparisons.
+const LANES: usize = 4;
+
+/// Drain `drained` work from every job, clamped at zero as always, and
+/// return the smallest remaining work (∞ for no jobs) — in the same pass.
+/// The minimum of non-NaN values does not depend on the order they are
+/// compared in, so spreading it over lanes moves no bit.
+fn drain_and_least(remaining: &mut [f64], drained: f64) -> f64 {
+    let mut lanes = [f64::INFINITY; LANES];
+    let mut chunks = remaining.chunks_exact_mut(LANES);
+    for chunk in &mut chunks {
+        for (r, lane) in chunk.iter_mut().zip(&mut lanes) {
+            *r = (*r - drained).max(0.0);
+            *lane = smaller(*r, *lane);
+        }
+    }
+    let mut tail = f64::INFINITY;
+    for r in chunks.into_remainder() {
+        *r = (*r - drained).max(0.0);
+        tail = smaller(*r, tail);
+    }
+    lanes.iter().fold(tail, |m, &lane| smaller(lane, m))
+}
+
+/// The smaller of two non-NaN values, written so that it compiles to one
+/// `minsd`: `f64::min` adds the NaN handling it must have, which the
+/// remaining work never needs (it is finite, asserted at `push`).
+fn smaller(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The smallest entry of `remaining` (∞ when empty), as
+/// [`drain_and_least`] computes it, without draining.
+fn least_of(remaining: &[f64]) -> f64 {
+    let mut lanes = [f64::INFINITY; LANES];
+    let mut chunks = remaining.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (&r, lane) in chunk.iter().zip(&mut lanes) {
+            *lane = smaller(r, *lane);
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(f64::INFINITY, |m, &r| smaller(r, m));
+    lanes.iter().fold(tail, |m, &lane| smaller(lane, m))
 }
 
 /// A FIFO pool of identical tokens: Tomcat worker threads or MySQL

@@ -6,8 +6,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webcap_sim::resources::{FcfsDisk, PsCpu, TokenPool};
-use webcap_sim::{run, SimConfig, SimTime, SystemSample, TierId};
+use webcap_sim::resources::{FcfsDisk, JobId, PsCpu, TokenPool};
+use webcap_sim::{run, SimConfig, SimDuration, SimTime, SystemSample, TierId};
 use webcap_tpcw::{Mix, RequestType, TrafficProgram};
 
 const CASES: u64 = 256;
@@ -74,6 +74,207 @@ fn ps_cpu_completions_are_ordered() {
             last = done;
             now = done;
             cpu.pop_completed(now);
+        }
+    }
+}
+
+/// `PsCpu` as it was when every event rescanned the jobs for the least
+/// remaining work (one `(JobId, f64)` vector; `advance`, `min_by` and
+/// `next_completion`'s fold are separate passes), kept verbatim as the
+/// reference the one-pass form must match bit for bit.
+#[derive(Debug, Clone)]
+struct ReferencePsCpu {
+    cores: f64,
+    speed: f64,
+    contention_alpha: f64,
+    background: f64,
+    jobs: Vec<(JobId, f64)>,
+    last_update: SimTime,
+    busy_time_s: f64,
+    delivered_work_s: f64,
+    job_time_integral: f64,
+}
+
+impl ReferencePsCpu {
+    fn new(cores: u32, speed: f64, contention_alpha: f64) -> ReferencePsCpu {
+        assert!(cores > 0, "need at least one core");
+        assert!(speed > 0.0 && speed.is_finite(), "speed must be positive");
+        assert!(contention_alpha >= 0.0, "alpha must be nonnegative");
+        ReferencePsCpu {
+            cores: f64::from(cores),
+            speed,
+            contention_alpha,
+            background: 0.0,
+            jobs: Vec::new(),
+            last_update: SimTime::ZERO,
+            busy_time_s: 0.0,
+            delivered_work_s: 0.0,
+            job_time_integral: 0.0,
+        }
+    }
+
+    fn capacity(&self, n: usize) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        let n_f = n as f64;
+        let base = n_f.min(self.cores) * self.speed * (1.0 - self.background);
+        base / (1.0 + self.contention_alpha * (n_f - self.cores).max(0.0))
+    }
+
+    fn set_background(&mut self, now: SimTime, background: f64) {
+        assert!(
+            (0.0..=0.95).contains(&background),
+            "background must be in [0, 0.95]"
+        );
+        self.advance(now);
+        self.background = background;
+    }
+
+    fn active_jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        let dt = now.seconds_since(self.last_update);
+        if dt > 0.0 {
+            let n = self.jobs.len();
+            if n > 0 {
+                let rate = self.capacity(n) / n as f64;
+                let drained = rate * dt;
+                for job in &mut self.jobs {
+                    job.1 = (job.1 - drained).max(0.0);
+                }
+                self.busy_time_s += dt;
+                self.delivered_work_s += self.capacity(n) * dt;
+                self.job_time_integral += n as f64 * dt;
+            }
+            self.last_update = now;
+        } else if now > self.last_update {
+            self.last_update = now;
+        }
+    }
+
+    fn push(&mut self, now: SimTime, id: JobId, work: f64) {
+        assert!(work >= 0.0 && work.is_finite(), "work must be nonnegative");
+        self.advance(now);
+        self.jobs.push((id, work));
+    }
+
+    fn next_completion(&self, now: SimTime) -> Option<SimTime> {
+        let n = self.jobs.len();
+        if n == 0 {
+            return None;
+        }
+        let rate = self.capacity(n) / n as f64;
+        let min_remaining = self.jobs.iter().map(|j| j.1).fold(f64::INFINITY, f64::min);
+        // Round *up* to the next microsecond so at the event time the
+        // remaining work has truly reached zero.
+        let us = (min_remaining / rate * 1e6).ceil().max(1.0) as u64;
+        Some(SimTime::from_micros(now.as_micros() + us))
+    }
+
+    fn pop_completed(&mut self, now: SimTime) -> JobId {
+        self.advance(now);
+        assert!(!self.jobs.is_empty(), "no active job to complete");
+        let idx = self
+            .jobs
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).expect("work is finite"))
+            .map(|(i, _)| i)
+            .expect("non-empty");
+        self.jobs.swap_remove(idx).0
+    }
+
+    fn min_remaining(&self) -> Option<f64> {
+        self.jobs
+            .iter()
+            .map(|j| j.1)
+            .min_by(|a, b| a.partial_cmp(b).expect("finite"))
+    }
+
+    fn stats(&self) -> (f64, f64, f64) {
+        (
+            self.busy_time_s,
+            self.delivered_work_s,
+            self.job_time_integral,
+        )
+    }
+}
+
+/// `PsCpu` is [`ReferencePsCpu`]: the same seeded operations — pushes
+/// (duplicate and zero works among them), pops at the next completion
+/// and early, `advance`, `set_background`, same-instant bursts — up to
+/// about 200 jobs, give the same popped id, next completion, least
+/// remaining work, job count and statistics, bit for bit, after every
+/// step. Pops at a completion instant where several jobs have clamped to
+/// zero pin the first-index tie rule.
+#[test]
+fn ps_cpu_matches_the_rescanning_reference() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cores = rng.random_range(1u32..5);
+        let alpha = rng.random_range(0.0f64..0.05);
+        let speed = rng.random_range(0.5f64..2.0);
+        let mut cpu = PsCpu::new(cores, speed, alpha);
+        let mut reference = ReferencePsCpu::new(cores, speed, alpha);
+        // The population each case drifts towards, up to about 200 jobs.
+        let target = rng.random_range(1usize..200);
+        let mut works: Vec<f64> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0;
+        for step in 0..600 {
+            let case = format!("seed {seed}, step {step}");
+            // Half the steps land on the instant of the one before.
+            if rng.random::<bool>() {
+                now += SimDuration::from_micros(rng.random_range(1u64..50_000));
+            }
+            let n = cpu.active_jobs();
+            let roll = rng.random_range(0u32..100);
+            let push_share = if n < target { 60 } else { 30 };
+            if n == 0 || roll < push_share {
+                let work = match rng.random_range(0u32..8) {
+                    0 => 0.0,
+                    1 | 2 if !works.is_empty() => works[rng.random_range(0..works.len())],
+                    _ => rng.random_range(0.001f64..0.5),
+                };
+                works.push(work);
+                cpu.push(now, next_id, work);
+                reference.push(now, next_id, work);
+                next_id += 1;
+            } else if roll < 85 {
+                // Mostly at the completion, as the engine pops; sometimes
+                // early, which a pop must also survive.
+                if rng.random_range(0u32..4) != 0 {
+                    now = reference.next_completion(now).expect("jobs are runnable");
+                }
+                assert_eq!(
+                    cpu.pop_completed(now),
+                    reference.pop_completed(now),
+                    "{case}"
+                );
+            } else if roll < 93 {
+                cpu.advance(now);
+                reference.advance(now);
+            } else {
+                let background = rng.random_range(0.0f64..0.95);
+                cpu.set_background(now, background);
+                reference.set_background(now, background);
+            }
+            assert_eq!(cpu.active_jobs(), reference.active_jobs(), "{case}");
+            assert_eq!(
+                cpu.next_completion(now),
+                reference.next_completion(now),
+                "{case}"
+            );
+            assert_eq!(
+                cpu.min_remaining().map(f64::to_bits),
+                reference.min_remaining().map(f64::to_bits),
+                "{case}"
+            );
+            let bits = |(a, b, c): (f64, f64, f64)| [a.to_bits(), b.to_bits(), c.to_bits()];
+            assert_eq!(bits(cpu.stats()), bits(reference.stats()), "{case}");
         }
     }
 }
