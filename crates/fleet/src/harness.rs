@@ -1,17 +1,13 @@
 //! Deterministic in-process fleet harness.
 //!
-//! Runs a full sharded deployment over a scripted sample stream, in two
-//! halves so a chaos schedule can sit between them:
-//!
-//! * [`collect_digest_stream`] — the shard map routes each tier's agent
-//!   to its owning collector, every collector digests its shard and
-//!   flushes sequenced [`DigestFrame`]s, and each is captured as encoded
-//!   wire bytes stamped with the simulated tick it was flushed at.
-//!   Per-tier fault schedules reproduce the loopback plane's scripted
-//!   outages, and an optional [`FleetChaos`] crashes one collector
-//!   mid-run and resumes it from its snapshot.
-//! * [`run_fleet`] — collects, then reads the captured back-haul into
-//!   the merge node and finalizes the global outcome.
+//! [`run_fleet`] runs a full sharded deployment over a scripted sample
+//! stream: the shard map routes each tier's agent to its owning
+//! collector, every collector digests its shard and flushes sequenced
+//! [`DigestFrame`]s, each is encoded as back-haul wire bytes, and the
+//! merge node reads them back and finalizes the global outcome.
+//! Per-tier fault schedules reproduce the loopback plane's scripted
+//! outages, and an optional [`FleetChaos`] crashes one collector mid-run
+//! and resumes it from its snapshot.
 //!
 //! The whole run is a pure function of its inputs: same meter, samples,
 //! seed, schedules, and topology → byte-identical [`FleetOutcome`],
@@ -87,47 +83,24 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// One captured digest frame: encoded wire bytes plus the simulated
-/// tick at which the owning collector flushed it.
-#[derive(Debug, Clone)]
-pub struct TimedFrame {
-    /// Simulated second (sample sequence) of the flush.
-    pub tick: u64,
-    /// The collector that emitted the frame.
-    pub collector: u32,
-    /// The full encoded wire frame, header included.
-    pub bytes: Vec<u8>,
-}
-
-/// The captured back-haul of one fleet run, with the collectors' own
+/// The encoded back-haul of one fleet run, with the collectors' own
 /// accounting of it.
-#[derive(Debug, Clone)]
-pub struct DigestStream {
-    /// Flushed frames in emission order (non-decreasing tick; within a
-    /// tick, by collector index).
-    pub frames: Vec<TimedFrame>,
-    /// Per-collector summaries, by collector index.
-    pub collectors: Vec<CollectorSummary>,
-    /// The shard map's tier-to-collector assignment.
-    pub assignment: Vec<(TierId, u32)>,
-    /// The tick at which the fin frames were flushed.
-    pub last_tick: u64,
+pub(crate) struct DigestStream {
+    /// Encoded digest frames, header included, in emission order: tick
+    /// by tick, within a tick by collector index, a fin frame per
+    /// collector last.
+    pub(crate) frames: Vec<Vec<u8>>,
+    collectors: Vec<CollectorSummary>,
+    assignment: Vec<(TierId, u32)>,
 }
 
-/// The collect half of a fleet run: run the sharded collectors
+/// The collect half of [`run_fleet`]: run the sharded collectors
 /// described by `topology` over `samples`, under per-tier scripted
 /// fault `schedules` (indexed by [`TierId::index`]; scheduled
 /// reconnects break the session before the frame, drops discard it) and
 /// an optional chaos crash, flushing eagerly every tick so a crash
-/// never loses a completed digest, and capture every flushed digest as
-/// encoded wire bytes, a fin frame per collector last.
-///
-/// # Errors
-///
-/// [`FleetError`] when the back-haul codec or a snapshot round-trip
-/// fails — never for fleet-quality events (those are evidence in the
-/// stream, not errors).
-pub fn collect_digest_stream(
+/// never loses a completed digest, and encode every flushed digest.
+pub(crate) fn digest_stream(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     base_seed: u64,
@@ -135,6 +108,7 @@ pub fn collect_digest_stream(
     topology: &FleetTopology,
     chaos: Option<FleetChaos>,
 ) -> Result<DigestStream, FleetError> {
+    topology.validate()?;
     let window_len = (meter.config().window_len as i64).max(1);
     let origin = CollectorConfig::default().window_origin;
     let sup_cfg = SupervisorConfig::default();
@@ -153,10 +127,11 @@ pub fn collect_digest_stream(
     let mut samplers =
         TierId::ALL.map(|t| TierSampler::new(t, meter.config().hpc_model.clone(), base_seed));
 
-    let mut frames: Vec<TimedFrame> = Vec::new();
+    let mut frames: Vec<Vec<u8>> = Vec::new();
+    let mut bytes_by_collector = vec![0u64; collectors.len()];
     let mut scratch = Vec::new();
     let mut capture = |frame: DigestFrame, tick: u64| {
-        let collector = frame.collector;
+        let collector = frame.collector as usize;
         let mut bytes = Vec::new();
         write_frame_codec(
             &mut bytes,
@@ -165,11 +140,10 @@ pub fn collect_digest_stream(
             &mut scratch,
         )
         .map_err(|e| FleetError(format!("fleet back-haul at tick {tick}: {e}")))?;
-        frames.push(TimedFrame {
-            tick,
-            collector,
-            bytes,
-        });
+        if let Some(total) = bytes_by_collector.get_mut(collector) {
+            *total += bytes.len() as u64;
+        }
+        frames.push(bytes);
         Ok::<(), FleetError>(())
     };
 
@@ -228,30 +202,26 @@ pub fn collect_digest_stream(
         }
     }
     let last_window = samples.len() as i64 / window_len - 1;
-    let last_tick = samples.len() as u64;
     for col in &mut collectors {
         let fin = DigestFin {
             tiers: col.tiers(),
             last_window,
         };
         if let Some(frame) = col.flush(Some(fin)) {
-            capture(frame, last_tick)?;
+            capture(frame, samples.len() as u64)?;
         }
     }
 
     let summaries = collectors
         .iter()
         .zip(resumed)
-        .map(|(col, resumed)| CollectorSummary {
+        .zip(bytes_by_collector)
+        .map(|((col, resumed), bytes)| CollectorSummary {
             collector: col.index(),
             tiers: col.tiers(),
             health: col.health(),
             frames: col.next_seq(),
-            bytes: frames
-                .iter()
-                .filter(|f| f.collector == col.index())
-                .map(|f| f.bytes.len() as u64)
-                .sum(),
+            bytes,
             anomalies: col.anomalies(),
             resumed,
         })
@@ -263,13 +233,14 @@ pub fn collect_digest_stream(
             .into_iter()
             .map(|t| (t, *t.select(&owner)))
             .collect(),
-        last_tick,
     })
 }
 
-/// Run `samples` through a sharded fleet — [`collect_digest_stream`]
-/// with the same arguments — and merge the captured digests into the
-/// global outcome.
+/// Run `samples` through the sharded fleet `topology` describes, under
+/// per-tier scripted fault `schedules` (indexed by [`TierId::index`];
+/// scheduled reconnects break the session before the frame, drops
+/// discard it) and an optional chaos crash, and merge the encoded
+/// back-haul into the global outcome.
 ///
 /// `_codec` names the back-haul dialect, of which one is left: the
 /// argument stays only because the benchmark's adapter, which may not
@@ -277,8 +248,11 @@ pub fn collect_digest_stream(
 ///
 /// # Errors
 ///
-/// [`FleetError`] as for [`collect_digest_stream`], or when the
-/// back-haul does not read back as digest frames.
+/// [`FleetError`] when `topology` is not one the fleet implements
+/// ([`FleetTopology::validate`]), when the back-haul codec or a snapshot
+/// round-trip fails, or when the back-haul does not read back as digest
+/// frames — never for fleet-quality events (those are evidence in the
+/// outcome, not errors).
 pub fn run_fleet(
     meter: &CapacityMeter,
     samples: &[SystemSample],
@@ -288,13 +262,13 @@ pub fn run_fleet(
     chaos: Option<FleetChaos>,
     _codec: WireCodec,
 ) -> Result<FleetOutcome, FleetError> {
-    let stream = collect_digest_stream(meter, samples, base_seed, schedules, topology, chaos)?;
+    let stream = digest_stream(meter, samples, base_seed, schedules, topology, chaos)?;
     // Emission order interleaves the collectors tick by tick; the merge
     // is order-independent, and the fleet tests shuffle the order to
     // prove it.
     let mut node = MergeNode::new(meter.clone());
     for frame in &stream.frames {
-        match read_frame(&mut frame.bytes.as_slice()) {
+        match read_frame(&mut frame.as_slice()) {
             Ok(Frame::Digest(digest)) => node.ingest(&digest),
             Ok(_) => {
                 return Err(FleetError(

@@ -26,11 +26,10 @@
 //!   digest arrival order, or worker count. SafeMode frames poison
 //!   their windows instead of being trusted; conflicting ownership
 //!   claims quarantine the window.
-//! * [`collect_digest_stream`] / [`run_fleet`] — the in-process harness:
-//!   the collect half runs the sharded collectors over a scripted
-//!   sample stream (scripted per-tier fault schedules, an optional
-//!   [`FleetChaos`] crash-and-resume of one collector) and captures the
-//!   back-haul; `run_fleet` merges what it captured.
+//! * [`run_fleet`] — the in-process harness: it runs the sharded
+//!   collectors over a scripted sample stream (scripted per-tier fault
+//!   schedules, an optional [`FleetChaos`] crash-and-resume of one
+//!   collector), encodes their back-haul and merges it.
 //!
 //! The headline invariant, enforced end to end by the fleet equivalence
 //! suite in `webcap-capsearch`: for every capacity-search scenario, a
@@ -63,10 +62,7 @@ pub mod shard;
 pub mod topology;
 
 pub use digest::{FleetCollector, FleetCollectorState};
-pub use harness::{
-    collect_digest_stream, run_fleet, CollectorSummary, DigestStream, FleetChaos, FleetError,
-    FleetOutcome, TimedFrame,
-};
+pub use harness::{run_fleet, CollectorSummary, FleetChaos, FleetError, FleetOutcome};
 pub use merge::{MergeNode, MergeOutcome};
 pub use shard::{AgentId, ShardMap};
 pub use topology::FleetTopology;

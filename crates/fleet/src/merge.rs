@@ -26,7 +26,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Serialize;
 use webcap_core::{CapacityMeter, OnlineDecision};
-use webcap_net::{score_window, DigestFin, DigestFrame, HealthState, TierWindowDigest};
+use webcap_net::{
+    score_window, DigestFin, DigestFrame, HealthState, TierWindowDigest, MAX_GAP_WINDOWS,
+};
 
 /// Merge-node accumulator. Feed every collector's [`DigestFrame`]s via
 /// [`MergeNode::ingest`] (any order), then [`MergeNode::finalize`].
@@ -115,7 +117,9 @@ impl MergeNode {
     ///
     /// Every window up to the last one a received fin announces is
     /// accounted for: decided, poisoned, or incomplete — including a
-    /// window no digest of which arrived at all.
+    /// window no digest of which arrived at all — up to at most
+    /// [`MAX_GAP_WINDOWS`] past the highest window a digest or a poison
+    /// verdict names.
     pub fn finalize(self) -> MergeOutcome {
         let MergeNode {
             mut meter,
@@ -129,9 +133,18 @@ impl MergeNode {
         } = self;
         let mut decisions: Vec<(i64, OnlineDecision)> = Vec::new();
         // Windows a fin announced but no digest covered are incomplete
-        // from the start; the walk below adds the half-covered ones.
-        let last_announced = fins.values().map(|fin| fin.last_window).max();
-        let mut incomplete: BTreeSet<i64> = (0..=last_announced.unwrap_or(-1))
+        // from the start; the walk below adds the half-covered ones. A
+        // fin comes off the wire, so like a sequence gap it may name at
+        // most MAX_GAP_WINDOWS windows past any held evidence; beyond
+        // that it is an anomaly, and clamped.
+        let mut last_announced = fins.values().map(|fin| fin.last_window).max().unwrap_or(-1);
+        let evidence = windows.keys().next_back().max(poisoned.last());
+        let bound = evidence.map_or(-1, |&w| w).saturating_add(MAX_GAP_WINDOWS);
+        if last_announced > bound {
+            anomalies += 1;
+            last_announced = bound;
+        }
+        let mut incomplete: BTreeSet<i64> = (0..=last_announced)
             .filter(|w| !poisoned.contains(w) && !windows.contains_key(w))
             .collect();
         let mut prev_fed: Option<i64> = None;
@@ -154,14 +167,13 @@ impl MergeNode {
                 }
             }
         }
-        let lost_digests = seqs
-            .values()
-            .map(|s| {
-                s.iter()
-                    .next_back()
-                    .map_or(0, |&max| max + 1 - s.len() as u64)
-            })
-            .sum();
+        // Seqs come off the wire too: `max - (held - 1)` cannot overflow
+        // (the held seqs are distinct and at most `max`), and the total
+        // saturates.
+        let lost_digests = seqs.values().fold(0u64, |total, s| {
+            let lost = s.last().map_or(0, |&max| max - (s.len() as u64 - 1));
+            total.saturating_add(lost)
+        });
         MergeOutcome {
             decisions,
             poisoned_windows: poisoned.into_iter().collect(),
@@ -189,12 +201,12 @@ pub struct MergeOutcome {
     /// received fin's `last_window` that no digest covered at all.
     pub incomplete_windows: Vec<i64>,
     /// Protocol surprises: duplicate sequences, conflicting claims,
-    /// malformed digests.
+    /// malformed digests, a fin far past every window the digests name.
     pub anomalies: u64,
     /// Digest frames ingested.
     pub frames: u64,
     /// Sequence holes across collectors (frames emitted but never
-    /// ingested).
+    /// ingested), saturating at `u64::MAX`.
     pub lost_digests: u64,
     /// Frames that arrived stamped SafeMode.
     pub safe_mode_frames: u64,
@@ -212,7 +224,8 @@ mod tests {
     use webcap_tpcw::{Mix, TrafficProgram};
 
     use super::*;
-    use crate::{collect_digest_stream, FleetTopology};
+    use crate::harness::digest_stream;
+    use crate::FleetTopology;
 
     fn test_meter() -> CapacityMeter {
         static METER: OnceLock<CapacityMeter> = OnceLock::new();
@@ -230,7 +243,7 @@ mod tests {
         sim.seed = 400;
         let program = TrafficProgram::steady(Mix::ordering(), 60, 120.0);
         let samples = Simulation::new(sim, program).run().samples;
-        let stream = collect_digest_stream(
+        let stream = digest_stream(
             meter,
             &samples,
             17,
@@ -242,7 +255,7 @@ mod tests {
         stream
             .frames
             .iter()
-            .map(|f| match read_frame(&mut f.bytes.as_slice()) {
+            .map(|f| match read_frame(&mut f.as_slice()) {
                 Ok(Frame::Digest(digest)) => digest,
                 other => panic!("back-haul carried {other:?}"),
             })
@@ -332,5 +345,44 @@ mod tests {
         accounted.extend(&out.incomplete_windows);
         accounted.sort_unstable();
         assert_eq!(accounted, (0..=last_window).collect::<Vec<i64>>());
+    }
+
+    /// A healthy frame carrying no digest: only its seq, poisons and fin
+    /// reach the merge.
+    fn bare(collector: u32, seq: u64, poisoned: Vec<i64>, fin: Option<DigestFin>) -> DigestFrame {
+        DigestFrame {
+            collector,
+            seq,
+            health: HealthState::Healthy,
+            windows: Vec::new(),
+            poisoned,
+            fin,
+        }
+    }
+
+    #[test]
+    fn seqs_at_the_top_of_u64_count_lost_digests_without_overflow() {
+        let mut node = MergeNode::new(test_meter());
+        node.ingest(&bare(0, u64::MAX, Vec::new(), None));
+        node.ingest(&bare(1, u64::MAX, Vec::new(), None));
+        // Each collector's seqs 0..u64::MAX are missing: u64::MAX holes
+        // apiece, and the sum saturates.
+        assert_eq!(node.finalize().lost_digests, u64::MAX);
+    }
+
+    #[test]
+    fn a_fin_far_past_the_evidence_is_an_anomaly_and_clamped() {
+        let fin = DigestFin {
+            tiers: vec![webcap_sim::TierId::App, webcap_sim::TierId::Db],
+            last_window: i64::MAX,
+        };
+        let mut node = MergeNode::new(test_meter());
+        node.ingest(&bare(0, 0, vec![3], Some(fin)));
+        let out = node.finalize();
+
+        assert_eq!(out.anomalies, 1);
+        // Windows 0..=3 + MAX_GAP_WINDOWS, less the poisoned one.
+        assert_eq!(out.incomplete_windows.len() as i64, 3 + MAX_GAP_WINDOWS);
+        assert_eq!(out.incomplete_windows.last(), Some(&(3 + MAX_GAP_WINDOWS)));
     }
 }

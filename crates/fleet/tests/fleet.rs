@@ -251,6 +251,53 @@ fn merge_is_independent_of_digest_arrival_order() {
     assert_eq!(forward, reversed, "reversed arrival");
     assert_eq!(forward, rotated, "rotated arrival");
     assert_eq!(forward, interleaved, "interleaved arrival");
+
+    // Lossy and duplicated: every third frame lost, the rest delivered
+    // twice in reverse order, decides like the same kept set merged once
+    // in order. Anomalies and frame counts legitimately differ.
+    let decided = |order: Vec<&DigestFrame>| {
+        let mut node = MergeNode::new(meter.clone());
+        for f in order {
+            node.ingest(f);
+        }
+        let out = node.finalize();
+        json(&(
+            &out.decisions,
+            &out.poisoned_windows,
+            &out.incomplete_windows,
+        ))
+    };
+    let kept: Vec<&DigestFrame> = frames
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 3 != 2)
+        .map(|(_, f)| f)
+        .collect();
+    let redelivered = kept.iter().rev().flat_map(|f| [*f, *f]).collect();
+    assert_eq!(
+        decided(redelivered),
+        decided(kept),
+        "lossy, duplicated, reversed arrival"
+    );
+}
+
+#[test]
+fn run_fleet_refuses_a_topology_the_fleet_does_not_implement() {
+    let meter = trained_meter();
+    let mut missing_tier = FleetTopology::two_tier("x", 1, 2);
+    missing_tier.agents.pop();
+    for topo in [FleetTopology::two_tier("x", 1, 0), missing_tier] {
+        let out = run_fleet(
+            &meter,
+            &[],
+            BASE_SEED,
+            &no_faults(),
+            &topo,
+            None,
+            WireCodec::Binary,
+        );
+        assert!(out.is_err(), "{topo:?} must be refused");
+    }
 }
 
 #[test]

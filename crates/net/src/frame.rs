@@ -521,8 +521,7 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameErro
 const READ_CHUNK: usize = 16 * 1024;
 
 /// The frame-reassembly buffer behind every streaming reader — the
-/// collector's lanes, the agent's ack reader, and the sessions the
-/// chaos mesh drives in-process: [`fill`](Self::fill)
+/// collector's lanes and the agent's ack reader: [`fill`](Self::fill)
 /// appends whatever one `read` returns, [`next_frame`](Self::next_frame)
 /// hands out the whole frames in it. A frame cut anywhere — by a short
 /// read, a read timeout, a full lane — simply waits in the buffer for

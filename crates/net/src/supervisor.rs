@@ -11,8 +11,8 @@
 //! stale sessions — and walks the three-state machine below. The
 //! [`SupervisedCollector`] is the only collector there is:
 //! [`run_supervised_collector`] is its socketed form (`webcap collect`
-//! and the loopback harness run it), and the chaos mesh drives it event
-//! by event. Supervision never alters the decision stream — every clean
+//! and the loopback harness run it), and tests drive it event by event.
+//! Supervision never alters the decision stream — every clean
 //! window's decision is recorded in any health state; health only gates
 //! whether it may move the admission cap.
 //!

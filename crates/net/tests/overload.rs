@@ -1,5 +1,4 @@
-//! Collector overload control under hostile peers — satellite of the
-//! chaos-mesh PR.
+//! The socketed collector under hostile and merely awkward peers.
 //!
 //! Three attacks, three deliberate sheds:
 //!
@@ -13,20 +12,28 @@
 //! * a **shed storm** escalates the supervisor to Degraded with the
 //!   storm named in the transition reason — overload is an audited
 //!   health signal, not a silent counter.
+//!
+//! And one peer that is only slow: frames cut into seeded fragments at
+//! arbitrary byte boundaries, some paused mid-frame, must not move a
+//! byte of the decision stream.
 
 use std::io::Write;
 use std::time::Duration;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_net::collector::{CollectorConfig, ShedKind};
 use webcap_net::supervisor::{
     run_supervised_collector, HealthState, HealthTransition, SupervisedCollector, SHED_STORM,
 };
 use webcap_net::{
-    metric_schema_hash, read_frame, write_frame, AppStats, Conn, Endpoint, Frame, Listener,
-    WireCaps, WireCodec, WireSample, FRAME_MAGIC_BIN, PROTO_VERSION,
+    all_windows, metric_schema_hash, read_frame, replay_windows, write_frame, AppStats, Conn,
+    Endpoint, Frame, Listener, SourceSample, TierSampler, WireCaps, WireCodec, WireSample,
+    FRAME_MAGIC_BIN, PROTO_VERSION,
 };
-use webcap_sim::{TierId, TierSample};
+use webcap_sim::{Simulation, TierId, TierSample};
+use webcap_tpcw::{Mix, TrafficProgram};
 
 fn trained_meter() -> CapacityMeter {
     static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
@@ -262,4 +269,92 @@ fn shed_storm_escalates_to_degraded_with_an_audited_reason() {
     std::fs::write(&path, &audit).expect("audit writes");
     let read_back: Vec<HealthTransition> = serde_json::from_str(&audit).expect("audit parses back");
     assert_eq!(read_back, report.transitions);
+}
+
+/// Pacing is outcome-neutral. Both tiers stream a steady 240 s run, one
+/// `Sample` frame per second, interleaved by seq on one writer; each
+/// frame goes out in chunks whose sizes are a pure function of `(tier,
+/// seq, piece)`, and one frame in eight pauses 3 ms after its first
+/// chunk. The collector's readiness polling and `FrameBuf` reassembly
+/// meet every kind of cut, and the decisions must equal the in-process
+/// replay of every window byte for byte, with nothing poisoned.
+#[test]
+fn paced_fragmented_frames_decide_byte_identically() {
+    const BASE_SEED: u64 = 17;
+    const TOTAL: usize = 240;
+    let meter = trained_meter();
+    let mut sim = meter.config().sim.clone();
+    sim.seed = 400;
+    let program = TrafficProgram::steady(Mix::ordering(), 60, TOTAL as f64);
+    let samples = Simulation::new(sim, program).run().samples;
+    assert_eq!(samples.len(), TOTAL);
+
+    let listener =
+        Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
+    let endpoint = listener.local_endpoint().expect("local endpoint");
+    let cfg = CollectorConfig::default();
+    let sc = SupervisedCollector::fresh(meter.clone());
+    let report = std::thread::scope(|scope| {
+        let cfg_ref = &cfg;
+        let collector =
+            scope.spawn(move || run_supervised_collector(listener, sc, cfg_ref, |_, _| {}));
+
+        let mut conns = TierId::ALL.map(|tier| {
+            let conn = handshaken(&endpoint, tier);
+            // Every chunk its own segment, so the cuts reach the collector.
+            if let Conn::Tcp(stream) = &conn {
+                stream.set_nodelay(true).expect("nodelay sets");
+            }
+            conn
+        });
+        let mut samplers =
+            TierId::ALL.map(|t| TierSampler::new(t, meter.config().hpc_model.clone(), BASE_SEED));
+        let mut frame = Vec::new();
+        for (seq, s) in samples.iter().enumerate() {
+            let seq = seq as u64;
+            for tier in TierId::ALL {
+                let ws = tier
+                    .select_mut(&mut samplers)
+                    .wire_sample(SourceSample::of_tier(tier, seq, s));
+                frame.clear();
+                write_frame(&mut frame, &Frame::Sample(ws)).expect("sample encodes");
+                let mut rng = StdRng::seed_from_u64((tier.index() as u64) << 32 | seq);
+                let mut pause = rng.random_range(0..8u32) == 0;
+                let conn = tier.select_mut(&mut conns);
+                let mut rest = frame.as_slice();
+                while !rest.is_empty() {
+                    let (chunk, tail) =
+                        rest.split_at(rng.random_range(1..=64usize).min(rest.len()));
+                    conn.write_all(chunk).expect("chunk writes");
+                    if std::mem::take(&mut pause) {
+                        std::thread::sleep(Duration::from_millis(3));
+                    }
+                    rest = tail;
+                }
+            }
+        }
+        for conn in &mut conns {
+            write_frame(
+                conn,
+                &Frame::Bye {
+                    last_seq: TOTAL as u64 - 1,
+                },
+            )
+            .expect("bye writes");
+        }
+        let report = collector.join().expect("collector thread");
+        // Closed only now: closing with acks unread resets the
+        // connection and could discard bytes the collector had not read.
+        drop(conns);
+        report
+    });
+
+    let oracle = replay_windows(&meter, &samples, BASE_SEED, &all_windows(TOTAL, 30));
+    assert!(!oracle.is_empty(), "the run must decide some windows");
+    assert_eq!(
+        serde_json::to_string(&(&report.decisions, &report.poisoned_windows))
+            .expect("report serializes"),
+        serde_json::to_string(&(&oracle, Vec::<i64>::new())).expect("oracle serializes"),
+        "fragmenting and pausing frames must not change a byte of the outcome"
+    );
 }
