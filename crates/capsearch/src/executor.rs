@@ -6,7 +6,7 @@
 //! error fraction, tail latency, and how the coordinated predictor's
 //! online decisions scored against the oracle's ground truth).
 //!
-//! Three implementations replay the **same** simulated sample stream:
+//! Two implementations replay the **same** simulated sample stream:
 //!
 //! * [`SimExecutor`] — in-process: the scenario's fault schedule is
 //!   mapped to poisoned windows by the pure oracle
@@ -15,21 +15,17 @@
 //! * [`LoopbackExecutor`] — the real telemetry plane: agents stream the
 //!   samples over a socket with the scenario's faults injected on
 //!   schedule, and the collector decides which windows survive.
-//! * [`FleetExecutor`] — the sharded plane: `K` collectors digest their
-//!   shards and the merge node assembles the global view
-//!   (`webcap-fleet`).
 //!
-//! The equivalence suites hold all of these to identical capacities and
+//! The equivalence suite holds the two to identical capacities and
 //! identical poisoned-window sets for every library scenario.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use webcap_core::{label_window, CapacityMeter, OnlineDecision};
-use webcap_fleet::{run_fleet, FleetTopology};
 use webcap_net::{
     all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled, Endpoint,
-    FaultKnobs, WireCodec,
+    FaultKnobs,
 };
 use webcap_sim::{SystemSample, TierId};
 
@@ -274,53 +270,6 @@ impl<'a> LoopbackExecutor<'a> {
     /// only injected faults.
     pub fn new(meter: &'a CapacityMeter, endpoint: Endpoint) -> LoopbackExecutor<'a> {
         LoopbackExecutor { meter, endpoint }
-    }
-}
-
-/// Sharded-plane executor: the same simulated stream digested by `K`
-/// collectors and merged at the front end. The fleet equivalence suite
-/// holds this plane to byte-identical reports against [`SimExecutor`]
-/// at every collector count.
-pub struct FleetExecutor<'a> {
-    meter: &'a CapacityMeter,
-    collectors: u32,
-}
-
-impl<'a> FleetExecutor<'a> {
-    /// Probe through a fleet of `collectors` shards (clamped to at
-    /// least one by the shard map).
-    pub fn new(meter: &'a CapacityMeter, collectors: u32) -> FleetExecutor<'a> {
-        FleetExecutor { meter, collectors }
-    }
-}
-
-impl ScenarioExecutor for FleetExecutor<'_> {
-    fn label(&self) -> &'static str {
-        "fleet"
-    }
-
-    fn measure(&mut self, scenario: &Scenario, probe_ebs: u32) -> Result<ProbeMeasure, ExecError> {
-        let samples = simulate(self.meter, scenario, probe_ebs);
-        let topology = FleetTopology::two_tier(&scenario.name, scenario.seed, self.collectors);
-        let outcome = run_fleet(
-            self.meter,
-            &samples,
-            scenario.seed,
-            &scenario.schedules(),
-            &topology,
-            None,
-            WireCodec::Binary,
-        )
-        .map_err(|e| ExecError(format!("fleet plane: {e}")))?;
-        let poisoned: BTreeSet<i64> = outcome.merge.poisoned_windows.iter().copied().collect();
-        Ok(score_probe(
-            self.meter,
-            scenario,
-            &samples,
-            &outcome.merge.decisions,
-            &poisoned,
-            probe_ebs,
-        ))
     }
 }
 

@@ -14,12 +14,10 @@
 //! * [`search`] — a deterministic bisection ([`bisect`]) that brackets
 //!   the SLO boundary, expanding the bracket when the initial guesses
 //!   miss, and [`search_scenario`] driving it through an executor.
-//! * [`executor`] — the [`ScenarioExecutor`] seam with three
+//! * [`executor`] — the [`ScenarioExecutor`] seam with two
 //!   implementations: [`SimExecutor`] (in-process simulation + window
-//!   replay), [`LoopbackExecutor`] (the real agent/collector plane
-//!   over a socket, with the scenario's faults injected on schedule),
-//!   and [`FleetExecutor`] (the `webcap-fleet` sharded plane: `K`
-//!   collectors digesting their shards, merged at the front end).
+//!   replay) and [`LoopbackExecutor`] (the real agent/collector plane
+//!   over a socket, with the scenario's faults injected on schedule).
 //! * [`report`] — the versioned, byte-stable [`CapacityReport`]: FNV-1a
 //!   config hash, per-probe trace, converged capacity ± tolerance, and
 //!   bottleneck-tier attribution from the coordinated predictor.
@@ -42,8 +40,7 @@ pub mod scenario;
 pub mod search;
 
 pub use executor::{
-    score_probe, ExecError, FleetExecutor, LoopbackExecutor, ProbeMeasure, ScenarioExecutor,
-    SimExecutor,
+    score_probe, ExecError, LoopbackExecutor, ProbeMeasure, ScenarioExecutor, SimExecutor,
 };
 pub use report::CapacityReport;
 pub use scenario::{

@@ -1,5 +1,5 @@
 //! The CLI subcommands: simulate, train, evaluate, info, plan, agent,
-//! collect, snapshot, capsearch, fleet.
+//! collect, snapshot, capsearch.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -14,14 +14,13 @@ use webcap_core::monitor::{collect_run, MetricLevel};
 use webcap_core::oracle::{label_window, OracleConfig};
 use webcap_core::workloads;
 use webcap_core::{read_snapshot, AdmissionConfig, AdmissionController, SnapshotHeader};
-use webcap_fleet::{run_fleet, FleetChaos, FleetTopology};
 use webcap_hpc::HpcModel;
 use webcap_ml::Algorithm;
 use webcap_net::supervisor::INITIAL_CAP;
 use webcap_net::{
     run_agent, run_supervised_collector, AgentConfig, CollectorConfig, CollectorSnapshot, Endpoint,
     Listener, ResumeOutcome, ScriptedSource, SupervisedCollector, SupervisedReport,
-    SupervisorConfig, WireCodec,
+    SupervisorConfig,
 };
 use webcap_sim::{SimConfig, Simulation, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
@@ -730,161 +729,6 @@ fn capsearch_config(args: &Args) -> Result<SearchConfig, CliError> {
     Ok(cfg)
 }
 
-/// `webcap fleet` — run the sharded multi-collector telemetry fleet
-/// over a scenario's sample stream and print the deterministic merged
-/// outcome.
-pub fn fleet(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "collectors",
-        "scenario",
-        "ebs",
-        "seed",
-        "meter",
-        "out",
-        "jobs",
-        "decisions",
-        "chaos-collector",
-        "chaos-at",
-    ])?;
-
-    let mut scenario = {
-        let name = args.get_or("scenario", "steady-shopping");
-        webcap_capsearch::scenario::find(name).ok_or_else(|| {
-            CliError::Message(format!(
-                "unknown scenario '{name}'; run `webcap capsearch --list`"
-            ))
-        })?
-    };
-    if args.get("seed").is_some() {
-        scenario.seed = args.get_parsed("seed", 0, "a u64 seed")?;
-    }
-
-    let collectors: u32 = args.get_parsed("collectors", 2, "a collector count")?;
-    let topology = FleetTopology::two_tier(&scenario.name, scenario.seed, collectors);
-    topology
-        .validate()
-        .map_err(|e| CliError::Message(format!("topology: {e}")))?;
-
-    let chaos = match (args.get("chaos-collector"), args.get("chaos-at")) {
-        (None, None) => None,
-        (Some(_), Some(_)) => Some(FleetChaos {
-            collector: args.get_parsed("chaos-collector", 0, "a collector index")?,
-            crash_at_seq: args.get_parsed("chaos-at", 0, "a sample sequence")?,
-        }),
-        _ => {
-            return Err(CliError::Message(
-                "--chaos-collector and --chaos-at must be given together".into(),
-            ))
-        }
-    };
-    if let Some(c) = chaos {
-        if c.collector >= topology.collectors {
-            return Err(CliError::Message(format!(
-                "--chaos-collector {} out of range: the topology has {} collector(s)",
-                c.collector, topology.collectors
-            )));
-        }
-    }
-
-    let meter = match args.get("meter") {
-        Some(path) => CapacityMeter::from_json(&std::fs::read_to_string(path)?)?,
-        None => {
-            CapacityMeter::train(&MeterConfig::small_for_tests(31).with_parallelism(args.jobs()?))?
-        }
-    };
-    let ebs: u32 = args.get_parsed("ebs", 64, "a population")?;
-    let mut sim = meter.config().sim.clone();
-    sim.seed = scenario.seed;
-    let samples = webcap_sim::run(sim, scenario.program(ebs)).samples;
-    let schedules = scenario.schedules();
-
-    let outcome = run_fleet(
-        &meter,
-        &samples,
-        scenario.seed,
-        &schedules,
-        &topology,
-        chaos,
-        WireCodec::Binary,
-    )
-    .map_err(|e| CliError::Message(format!("fleet: {e}")))?;
-
-    println!(
-        "fleet '{}': {} collector(s) digesting {} sample(s) of '{}' at {ebs} EBs",
-        topology.name,
-        topology.collectors,
-        samples.len(),
-        scenario.name,
-    );
-    for (tier, owner) in &outcome.assignment {
-        println!("  shard: {tier} tier -> collector {owner}");
-    }
-    for c in &outcome.collectors {
-        let tiers: Vec<String> = c.tiers.iter().map(|t| t.to_string()).collect();
-        println!(
-            "  collector {}: [{}] {} frame(s), {} byte(s), {} anomalies, health {}{}",
-            c.collector,
-            tiers.join(", "),
-            c.frames,
-            c.bytes,
-            c.anomalies,
-            c.health,
-            if c.resumed { ", crash-resumed" } else { "" },
-        );
-    }
-    let merge = &outcome.merge;
-    println!(
-        "merge: {} frame(s) -> {} decision(s), {} poisoned, {} incomplete, \
-         {} anomalies, {} lost digest(s), {} safe-mode frame(s)",
-        merge.frames,
-        merge.decisions.len(),
-        merge.poisoned_windows.len(),
-        merge.incomplete_windows.len(),
-        merge.anomalies,
-        merge.lost_digests,
-        merge.safe_mode_frames,
-    );
-    if !merge.poisoned_windows.is_empty() {
-        println!("poisoned windows: {:?}", merge.poisoned_windows);
-    }
-    if args.flag("decisions") {
-        println!(
-            "{:<8} {:>10} {:>10} {:>10} {:>12}",
-            "window", "t(s)", "thr", "state", "hc"
-        );
-        for (window, decision) in &merge.decisions {
-            println!(
-                "{:<8} {:>10.0} {:>10.1} {:>10} {:>12}",
-                window,
-                decision.window.t_end_s,
-                decision.window.throughput,
-                if decision.prediction.overloaded {
-                    decision
-                        .prediction
-                        .bottleneck
-                        .map_or("OVERLOAD".to_string(), |t| format!("OVER/{t}"))
-                } else {
-                    "ok".to_string()
-                },
-                if decision.prediction.confident {
-                    "confident"
-                } else {
-                    "in-band"
-                },
-            );
-        }
-    }
-    if let Some(dir) = args.get("out") {
-        std::fs::create_dir_all(dir)?;
-        let path = Path::new(dir).join(format!("{}.fleet.json", scenario.name));
-        let mut json = serde_json::to_string_pretty(&outcome)?;
-        json.push('\n');
-        std::fs::write(&path, json)?;
-        println!("outcome written to {}", path.display());
-    }
-    Ok(())
-}
-
 /// Top-level usage text.
 pub const USAGE: &str = "\
 webcap — online capacity measurement of multi-tier websites (ICDCS'08 reproduction)
@@ -937,15 +781,6 @@ COMMANDS:
              (--bless regenerates the golden reports with the pinned quick
              search config; --loopback probes through the real
              agent/collector plane instead of the in-process replay)
-  fleet      run the sharded multi-collector telemetry fleet over a
-             scenario's sample stream and print the deterministic
-             merged outcome (byte-identical at any collector count)
-             [--collectors <K>] [--scenario <name>] [--ebs <N>]
-             [--seed <N>] [--meter <file>] [--jobs <N|auto>]
-             [--decisions] [--out <dir>]
-             [--chaos-collector <N> --chaos-at <seq>]
-             (--chaos-* crashes and resumes one collector mid-run —
-             the merged outcome must not change)
 ";
 
 #[cfg(test)]
@@ -1023,28 +858,6 @@ mod tests {
         assert!(err.to_string().contains("unknown snapshot action"), "{err}");
         let err = snapshot(&args(&["inspect", "/nonexistent/webcap.snap"])).unwrap_err();
         assert!(err.to_string().contains("/nonexistent"), "{err}");
-    }
-
-    #[test]
-    fn fleet_requires_chaos_options_in_pairs() {
-        let err = fleet(&args(&["--chaos-at", "5"])).unwrap_err();
-        assert!(err.to_string().contains("--chaos-collector"), "{err}");
-    }
-
-    #[test]
-    fn fleet_rejects_unknown_scenarios_and_bad_chaos_targets() {
-        let err = fleet(&args(&["--scenario", "nope"])).unwrap_err();
-        assert!(err.to_string().contains("unknown scenario"), "{err}");
-        let err = fleet(&args(&[
-            "--collectors",
-            "2",
-            "--chaos-collector",
-            "7",
-            "--chaos-at",
-            "5",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

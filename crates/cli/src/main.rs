@@ -4,8 +4,7 @@
 
 use webcap_cli::args::Args;
 use webcap_cli::commands::{
-    agent, capsearch, collect, evaluate, fleet, info, plan, simulate, snapshot, train, CliError,
-    USAGE,
+    agent, capsearch, collect, evaluate, info, plan, simulate, snapshot, train, CliError, USAGE,
 };
 
 fn main() {
@@ -19,7 +18,6 @@ fn main() {
     let bare_flags: &[&str] = match command.as_str() {
         "capsearch" => &["list", "loopback", "bless"],
         "collect" => &["resume"],
-        "fleet" => &["decisions"],
         _ => &[],
     };
     let result = Args::parse(raw, bare_flags)
@@ -34,7 +32,6 @@ fn main() {
             "collect" => collect(&args),
             "snapshot" => snapshot(&args),
             "capsearch" => capsearch(&args),
-            "fleet" => fleet(&args),
             other => Err(CliError::Message(format!(
                 "unknown command '{other}'; run `webcap --help`"
             ))),

@@ -20,9 +20,8 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use webcap_net::{
-    DigestFin, DigestFrame, DigesterState, HealthState, Supervisor, SupervisorConfig, TierDigester,
+    DigestFin, DigestFrame, HealthState, Supervisor, SupervisorConfig, TierDigester,
     TierWindowDigest, WireSample,
 };
 use webcap_sim::TierId;
@@ -80,11 +79,6 @@ impl FleetCollector {
     /// Current supervisor health.
     pub fn health(&self) -> HealthState {
         self.supervisor.state()
-    }
-
-    /// The supervisor (state machine, transition log).
-    pub fn supervisor(&self) -> &Supervisor {
-        &self.supervisor
     }
 
     /// Next digest sequence to be emitted.
@@ -183,62 +177,4 @@ impl FleetCollector {
         self.next_seq += 1;
         Some(frame)
     }
-
-    /// Capture the boundary-persistent state for a snapshot. Pending
-    /// (unflushed) digests and partial windows are deliberately lost —
-    /// resume re-arms the straddle rules, which quarantine anything the
-    /// restart cut.
-    pub fn export_state(&self) -> FleetCollectorState {
-        FleetCollectorState {
-            collector: self.collector,
-            health: self.supervisor.state(),
-            next_seq: self.next_seq,
-            digesters: self
-                .digesters
-                .iter()
-                .map(TierDigester::export_state)
-                .collect(),
-        }
-    }
-
-    /// Rebuild a collector from a snapshot: a fresh supervisor seeded
-    /// with the persisted health, every digester resumed with its
-    /// straddle rules armed, and the digest sequence continued.
-    pub fn resume(
-        state: &FleetCollectorState,
-        window_len: i64,
-        origin: i64,
-        sup_cfg: SupervisorConfig,
-    ) -> FleetCollector {
-        FleetCollector {
-            collector: state.collector,
-            supervisor: Supervisor::with_initial(
-                sup_cfg,
-                state.health,
-                "resumed from fleet snapshot",
-            ),
-            digesters: state
-                .digesters
-                .iter()
-                .map(|d| TierDigester::resume(d, window_len, origin))
-                .collect(),
-            next_seq: state.next_seq,
-            pending_windows: Vec::new(),
-            pending_poisons: Vec::new(),
-            misrouted: 0,
-        }
-    }
-}
-
-/// The part of [`FleetCollector`] state that survives a restart.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FleetCollectorState {
-    /// The collector's index in the fleet topology.
-    pub collector: u32,
-    /// Supervisor health at snapshot time.
-    pub health: HealthState,
-    /// Next digest sequence to be emitted.
-    pub next_seq: u64,
-    /// Per-tier digester states.
-    pub digesters: Vec<DigesterState>,
 }

@@ -6,16 +6,15 @@
 //! [`DigestFrame`]s, each is encoded as back-haul wire bytes, and the
 //! merge node reads them back and finalizes the global outcome.
 //! Per-tier fault schedules reproduce the loopback plane's scripted
-//! outages, and an optional [`FleetChaos`] crashes one collector mid-run
-//! and resumes it from its snapshot.
+//! outages.
 //!
 //! The whole run is a pure function of its inputs: same meter, samples,
 //! seed, schedules, and topology → byte-identical [`FleetOutcome`],
 //! regardless of the collector count.
 
+use std::convert::Infallible;
 use std::fmt;
 
-use serde::Serialize;
 use webcap_core::CapacityMeter;
 use webcap_net::{
     read_frame, write_frame_codec, CollectorConfig, DigestFin, DigestFrame, FaultSchedule, Frame,
@@ -23,24 +22,13 @@ use webcap_net::{
 };
 use webcap_sim::{SystemSample, TierId};
 
-use crate::digest::{FleetCollector, FleetCollectorState};
+use crate::digest::FleetCollector;
 use crate::merge::{MergeNode, MergeOutcome};
 use crate::shard::{AgentId, ShardMap};
 use crate::topology::FleetTopology;
 
-/// Crash-and-resume schedule for one collector: snapshot, drop all
-/// in-flight window state, and resume immediately before processing
-/// sequence `crash_at_seq`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct FleetChaos {
-    /// Index of the collector to crash.
-    pub collector: u32,
-    /// Sequence number whose processing the crash precedes.
-    pub crash_at_seq: u64,
-}
-
 /// What one collector did during a fleet run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CollectorSummary {
     /// The collector's index in the topology.
     pub collector: u32,
@@ -54,24 +42,20 @@ pub struct CollectorSummary {
     pub bytes: u64,
     /// Protocol anomalies it counted.
     pub anomalies: u64,
-    /// Whether it was crashed and resumed by a chaos schedule.
-    pub resumed: bool,
 }
 
 /// A fleet run's complete result: the merged global view plus
 /// per-collector accounting.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetOutcome {
     /// The merge node's global outcome.
     pub merge: MergeOutcome,
     /// Per-collector summaries, by collector index.
     pub collectors: Vec<CollectorSummary>,
-    /// The shard map's tier-to-collector assignment.
-    pub assignment: Vec<(TierId, u32)>,
 }
 
-/// A fleet run failed (back-haul codec or snapshot serialization), or
-/// its topology is not one the fleet implements.
+/// A fleet run failed (back-haul codec), or its topology is not one the
+/// fleet implements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetError(pub String);
 
@@ -91,22 +75,19 @@ pub(crate) struct DigestStream {
     /// collector last.
     pub(crate) frames: Vec<Vec<u8>>,
     collectors: Vec<CollectorSummary>,
-    assignment: Vec<(TierId, u32)>,
 }
 
 /// The collect half of [`run_fleet`]: run the sharded collectors
 /// described by `topology` over `samples`, under per-tier scripted
 /// fault `schedules` (indexed by [`TierId::index`]; scheduled
-/// reconnects break the session before the frame, drops discard it) and
-/// an optional chaos crash, flushing eagerly every tick so a crash
-/// never loses a completed digest, and encode every flushed digest.
+/// reconnects break the session before the frame, drops discard it),
+/// flushing every tick, and encode every flushed digest.
 pub(crate) fn digest_stream(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     base_seed: u64,
     schedules: &[FaultSchedule; 2],
     topology: &FleetTopology,
-    chaos: Option<FleetChaos>,
 ) -> Result<DigestStream, FleetError> {
     topology.validate()?;
     let window_len = (meter.config().window_len as i64).max(1);
@@ -123,7 +104,6 @@ pub(crate) fn digest_stream(
             FleetCollector::new(c, &tiers, window_len, origin, sup_cfg)
         })
         .collect();
-    let mut resumed = vec![false; collectors.len()];
     let mut samplers =
         TierId::ALL.map(|t| TierSampler::new(t, meter.config().hpc_model.clone(), base_seed));
 
@@ -155,21 +135,6 @@ pub(crate) fn digest_stream(
     }
     for (i, s) in samples.iter().enumerate() {
         let seq = i as u64;
-        if let Some(c) = chaos.filter(|c| c.crash_at_seq == seq) {
-            if let Some(col) = collectors.get_mut(c.collector as usize) {
-                let bytes = serde_json::to_vec(&col.export_state())
-                    .map_err(|e| FleetError(format!("fleet snapshot encode: {e}")))?;
-                let state: FleetCollectorState = serde_json::from_slice(&bytes)
-                    .map_err(|e| FleetError(format!("fleet snapshot decode: {e}")))?;
-                *col = FleetCollector::resume(&state, window_len, origin, sup_cfg);
-                for tier in col.tiers() {
-                    col.on_session_start(tier);
-                }
-                if let Some(flag) = resumed.get_mut(c.collector as usize) {
-                    *flag = true;
-                }
-            }
-        }
         for tier in TierId::ALL {
             // Metric synthesis is stateful across drops: run it for every
             // sample in order, exactly like a live agent.
@@ -214,55 +179,49 @@ pub(crate) fn digest_stream(
 
     let summaries = collectors
         .iter()
-        .zip(resumed)
         .zip(bytes_by_collector)
-        .map(|((col, resumed), bytes)| CollectorSummary {
+        .map(|(col, bytes)| CollectorSummary {
             collector: col.index(),
             tiers: col.tiers(),
             health: col.health(),
             frames: col.next_seq(),
             bytes,
             anomalies: col.anomalies(),
-            resumed,
         })
         .collect();
     Ok(DigestStream {
         frames,
         collectors: summaries,
-        assignment: TierId::ALL
-            .into_iter()
-            .map(|t| (t, *t.select(&owner)))
-            .collect(),
     })
 }
 
 /// Run `samples` through the sharded fleet `topology` describes, under
 /// per-tier scripted fault `schedules` (indexed by [`TierId::index`];
 /// scheduled reconnects break the session before the frame, drops
-/// discard it) and an optional chaos crash, and merge the encoded
-/// back-haul into the global outcome.
+/// discard it), and merge the encoded back-haul into the global outcome.
 ///
-/// `_codec` names the back-haul dialect, of which one is left: the
-/// argument stays only because the benchmark's adapter, which may not
-/// change, passes it.
+/// `_chaos` admits only `None`: no collector is ever crashed. `_codec`
+/// names the back-haul dialect, of which one is left. Both arguments
+/// stay only because the benchmark's adapter, which may not change,
+/// passes them.
 ///
 /// # Errors
 ///
 /// [`FleetError`] when `topology` is not one the fleet implements
-/// ([`FleetTopology::validate`]), when the back-haul codec or a snapshot
-/// round-trip fails, or when the back-haul does not read back as digest
-/// frames — never for fleet-quality events (those are evidence in the
-/// outcome, not errors).
+/// ([`FleetTopology::validate`]), when the back-haul codec fails, or
+/// when the back-haul does not read back as digest frames — never for
+/// fleet-quality events (those are evidence in the outcome, not
+/// errors).
 pub fn run_fleet(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     base_seed: u64,
     schedules: &[FaultSchedule; 2],
     topology: &FleetTopology,
-    chaos: Option<FleetChaos>,
+    _chaos: Option<Infallible>,
     _codec: WireCodec,
 ) -> Result<FleetOutcome, FleetError> {
-    let stream = digest_stream(meter, samples, base_seed, schedules, topology, chaos)?;
+    let stream = digest_stream(meter, samples, base_seed, schedules, topology)?;
     // Emission order interleaves the collectors tick by tick; the merge
     // is order-independent, and the fleet tests shuffle the order to
     // prove it.
@@ -281,6 +240,5 @@ pub fn run_fleet(
     Ok(FleetOutcome {
         merge: node.finalize(),
         collectors: stream.collectors,
-        assignment: stream.assignment,
     })
 }

@@ -3,22 +3,21 @@
 //! Sharded multi-collector telemetry fleet with a deterministic global
 //! merge.
 //!
-//! One collector per site stops scaling when the fleet of monitored
-//! tiers grows; this crate shards the telemetry plane across `K`
-//! collectors without giving up a byte of the project's determinism
-//! contract:
+//! The paper deploys one collector; this crate shards the telemetry
+//! plane across `K` collectors without giving up a byte of the
+//! project's determinism contract. It is the benchmark's socket-free
+//! `fleet_k2` control; no other crate's library links it:
 //!
 //! * [`ShardMap`] — seeded rendezvous hashing assigns each `(tier,
 //!   replica)` agent to its collector; a pure function of `(seed, K,
 //!   agent)`, independent of which other agents exist, with minimal
 //!   disruption when `K` changes (pinned by `tests/shard_props.rs`).
-//! * [`TierDigester`] / [`FleetCollector`] — each collector digests its
-//!   shard into compact per-window [`webcap_net::TierWindowDigest`]s
-//!   with `webcap-net`'s reassembly core — the one implementation of
-//!   the reassembly and quarantine rules, which the unsharded
-//!   collector is built from too — batched into sequenced
-//!   [`webcap_net::DigestFrame`]s stamped with the PR 4 supervisor's
-//!   health.
+//! * [`FleetCollector`] — each collector digests its shard into compact
+//!   per-window [`webcap_net::TierWindowDigest`]s with `webcap-net`'s
+//!   reassembly core ([`webcap_net::TierDigester`]) — the one
+//!   implementation of the reassembly and quarantine rules, which the
+//!   unsharded collector is built from too — batched into sequenced
+//!   [`webcap_net::DigestFrame`]s stamped with the supervisor's health.
 //! * [`MergeNode`] — the front end assembles digests into the global
 //!   per-window view and scores it with the capacity meter. Ingestion
 //!   only touches keyed commutative state, so the outcome is a pure
@@ -28,15 +27,12 @@
 //!   claims quarantine the window.
 //! * [`run_fleet`] — the in-process harness: it runs the sharded
 //!   collectors over a scripted sample stream (scripted per-tier fault
-//!   schedules, an optional [`FleetChaos`] crash-and-resume of one
-//!   collector), encodes their back-haul and merges it.
+//!   schedules), encodes their back-haul and merges it.
 //!
-//! The headline invariant, enforced end to end by the fleet equivalence
-//! suite in `webcap-capsearch`: for every capacity-search scenario, a
-//! fleet at `K = 2` or `K = 4` produces the same capacity, the same
-//! bottleneck attribution, and the same poisoned-window sets as the
-//! single-collector pipeline — including under a chaos schedule that
-//! kills and resumes a collector mid-run.
+//! The headline invariant, enforced by this crate's `tests/fleet.rs`:
+//! a fleet at `K = 1`, `2` or `4` produces the same decision stream and
+//! the same poisoned-window set as the replay oracle of the
+//! single-collector pipeline, below and above capacity.
 
 // The invariant bans of DESIGN §8: determinism (configured in the root
 // `clippy.toml`), no panic site in library code.
@@ -61,9 +57,8 @@ pub mod merge;
 pub mod shard;
 pub mod topology;
 
-pub use digest::{FleetCollector, FleetCollectorState};
-pub use harness::{run_fleet, CollectorSummary, FleetChaos, FleetError, FleetOutcome};
+pub use digest::FleetCollector;
+pub use harness::{run_fleet, CollectorSummary, FleetError, FleetOutcome};
 pub use merge::{MergeNode, MergeOutcome};
 pub use shard::{AgentId, ShardMap};
 pub use topology::FleetTopology;
-pub use webcap_net::{DigesterState, TierDigester};

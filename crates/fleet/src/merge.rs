@@ -249,7 +249,6 @@ mod tests {
             17,
             &[FaultSchedule::NONE, FaultSchedule::NONE],
             &FleetTopology::two_tier("dup", 32, k),
-            None,
         )
         .expect("digest stream captures");
         stream

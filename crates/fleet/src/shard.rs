@@ -17,11 +17,10 @@
 //!
 //! Both properties are pinned by `tests/shard_props.rs`.
 
-use serde::{Deserialize, Serialize};
 use webcap_sim::TierId;
 
 /// Identity of one telemetry agent in a fleet topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AgentId {
     /// The tier the agent measures.
     pub tier: TierId,
@@ -72,7 +71,7 @@ fn weight(seed: u64, collector: u32, agent: AgentId) -> u64 {
 
 /// Seeded rendezvous shard map over `K` collectors. Copyable pure
 /// state: owning a `ShardMap` is owning the function, not a table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     seed: u64,
     collectors: u32,

@@ -1,17 +1,15 @@
-//! Fleet equivalence and chaos suite.
+//! Fleet equivalence suite.
 //!
 //! The headline contract under test: a sharded fleet produces the
 //! **byte-identical** global decision stream and poisoned-window set of
 //! the single-collector pipeline — at every collector count, under
-//! scripted per-tier fault schedules, with digests arriving in any
-//! order, and across a chaos crash-and-resume of one collector.
+//! scripted per-tier fault schedules, below and above capacity, and
+//! with digests arriving in any order.
 
 use std::collections::BTreeSet;
 
-use webcap_core::{CapacityMeter, MeterConfig};
-use webcap_fleet::{
-    run_fleet, AgentId, FleetChaos, FleetCollector, FleetTopology, MergeNode, ShardMap,
-};
+use webcap_core::{workloads, CapacityMeter, MeterConfig};
+use webcap_fleet::{run_fleet, FleetCollector, FleetTopology, MergeNode};
 use webcap_net::loopback::{all_windows, predicted_windows_for_schedule, replay_windows};
 use webcap_net::{
     DigestFrame, FaultSchedule, HealthState, SourceSample, SupervisorConfig, TierSampler, WireCodec,
@@ -32,15 +30,28 @@ fn trained_meter() -> CapacityMeter {
         .clone()
 }
 
-/// A steady 240 s run of the meter's own testbed — 8 full 30-sample
-/// windows (the same stream the net plane's chaos suite uses).
-fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
+/// A 240 s ordering run of the meter's own testbed at `ebs` — 8 full
+/// 30-sample windows.
+fn ordering_samples(meter: &CapacityMeter, ebs: u32) -> Vec<SystemSample> {
     let mut sim = meter.config().sim.clone();
     sim.seed = 400;
-    let program = TrafficProgram::steady(Mix::ordering(), 60, TOTAL as f64);
+    let program = TrafficProgram::steady(Mix::ordering(), ebs, TOTAL as f64);
     let samples = Simulation::new(sim, program).run().samples;
     assert_eq!(samples.len(), TOTAL);
     samples
+}
+
+/// The steady run at 60 EBs (the same stream the net plane's chaos
+/// suite uses).
+fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
+    ordering_samples(meter, 60)
+}
+
+/// The same run at twice the testbed's estimated saturation population,
+/// so overloaded windows and their bottleneck calls cross the shards.
+fn overloaded_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
+    let knee = workloads::estimate_saturation_ebs(&meter.config().sim, &Mix::ordering());
+    ordering_samples(meter, 2 * knee)
 }
 
 fn json<T: serde::Serialize>(v: &T) -> String {
@@ -94,7 +105,6 @@ fn fleet_of_one_matches_the_unsharded_oracle_byte_for_byte() {
 #[test]
 fn sharded_fleets_match_the_oracle_under_scripted_faults_at_every_k() {
     let meter = trained_meter();
-    let samples = steady_samples(&meter);
     let schedules = scripted_faults();
 
     // Predicted global quarantine: the union of each tier's schedule
@@ -109,34 +119,49 @@ fn sharded_fleets_match_the_oracle_under_scripted_faults_at_every_k() {
         }
     }
     assert_eq!(poisoned, [3, 5].into_iter().collect::<BTreeSet<i64>>());
-    let oracle_json = json(&replay_windows(&meter, &samples, BASE_SEED, &survivors));
     let poisoned: Vec<i64> = poisoned.into_iter().collect();
 
-    for k in [1u32, 2, 4] {
-        let topo = FleetTopology::two_tier("faulted", 31, k);
-        let out = run_fleet(
-            &meter,
-            &samples,
-            BASE_SEED,
-            &schedules,
-            &topo,
-            None,
-            WireCodec::Binary,
-        )
-        .expect("fleet runs");
-        assert_eq!(json(&out.merge.decisions), oracle_json, "K={k} decisions");
-        assert_eq!(out.merge.poisoned_windows, poisoned, "K={k} poisons");
-        assert!(out.merge.incomplete_windows.is_empty(), "K={k}");
-        assert_eq!(out.merge.lost_digests, 0, "K={k}");
-        assert_eq!(out.collectors.len(), k as usize, "K={k}");
-        // No collector ever falls to SafeMode under this schedule.
-        for c in &out.collectors {
-            assert_ne!(
-                c.health,
-                HealthState::SafeMode,
-                "K={k} collector {}",
-                c.collector
+    // Below capacity, then above it: sharding must leave overloaded
+    // windows and their bottleneck calls unchanged too.
+    for (overloaded, samples) in [
+        (false, steady_samples(&meter)),
+        (true, overloaded_samples(&meter)),
+    ] {
+        let oracle = replay_windows(&meter, &samples, BASE_SEED, &survivors);
+        if overloaded {
+            assert!(
+                oracle.iter().any(|(_, d)| d.window.label.overloaded),
+                "the overloaded input labels some window overloaded"
             );
+        }
+        let oracle_json = json(&oracle);
+
+        for k in [1u32, 2, 4] {
+            let topo = FleetTopology::two_tier("faulted", 31, k);
+            let out = run_fleet(
+                &meter,
+                &samples,
+                BASE_SEED,
+                &schedules,
+                &topo,
+                None,
+                WireCodec::Binary,
+            )
+            .expect("fleet runs");
+            assert_eq!(json(&out.merge.decisions), oracle_json, "K={k} decisions");
+            assert_eq!(out.merge.poisoned_windows, poisoned, "K={k} poisons");
+            assert!(out.merge.incomplete_windows.is_empty(), "K={k}");
+            assert_eq!(out.merge.lost_digests, 0, "K={k}");
+            assert_eq!(out.collectors.len(), k as usize, "K={k}");
+            // No collector ever falls to SafeMode under this schedule.
+            for c in &out.collectors {
+                assert_ne!(
+                    c.health,
+                    HealthState::SafeMode,
+                    "K={k} collector {}",
+                    c.collector
+                );
+            }
         }
     }
 }
@@ -284,20 +309,17 @@ fn merge_is_independent_of_digest_arrival_order() {
 #[test]
 fn run_fleet_refuses_a_topology_the_fleet_does_not_implement() {
     let meter = trained_meter();
-    let mut missing_tier = FleetTopology::two_tier("x", 1, 2);
-    missing_tier.agents.pop();
-    for topo in [FleetTopology::two_tier("x", 1, 0), missing_tier] {
-        let out = run_fleet(
-            &meter,
-            &[],
-            BASE_SEED,
-            &no_faults(),
-            &topo,
-            None,
-            WireCodec::Binary,
-        );
-        assert!(out.is_err(), "{topo:?} must be refused");
-    }
+    let topo = FleetTopology::two_tier("x", 1, 0);
+    let out = run_fleet(
+        &meter,
+        &[],
+        BASE_SEED,
+        &no_faults(),
+        &topo,
+        None,
+        WireCodec::Binary,
+    );
+    assert!(out.is_err(), "{topo:?} must be refused");
 }
 
 #[test]
@@ -340,94 +362,4 @@ fn safe_mode_frames_are_quarantined_not_trusted() {
         outcome.decisions.len() < baseline.decisions.len(),
         "quarantine shrank the scored stream"
     );
-}
-
-#[test]
-fn chaos_boundary_crash_resumes_byte_identically() {
-    let meter = trained_meter();
-    let samples = steady_samples(&meter);
-    let topo = FleetTopology::two_tier("chaos-boundary", 31, 2);
-    let baseline = run_fleet(
-        &meter,
-        &samples,
-        BASE_SEED,
-        &no_faults(),
-        &topo,
-        None,
-        WireCodec::Binary,
-    )
-    .expect("baseline fleet runs");
-
-    // Crash the collector owning the database tier exactly at the
-    // window-2/3 boundary (before seq 90 = key 91, the first key of
-    // window 3): the resumed digester's straddle rules find nothing cut.
-    let victim = ShardMap::new(topo.seed, topo.collectors).owner(AgentId::primary(TierId::Db));
-    let chaos = FleetChaos {
-        collector: victim,
-        crash_at_seq: 90,
-    };
-    let out = run_fleet(
-        &meter,
-        &samples,
-        BASE_SEED,
-        &no_faults(),
-        &topo,
-        Some(chaos),
-        WireCodec::Binary,
-    )
-    .expect("chaos fleet runs");
-
-    assert!(
-        out.collectors[victim as usize].resumed,
-        "the crash happened"
-    );
-    assert_eq!(
-        json(&out.merge.decisions),
-        json(&baseline.merge.decisions),
-        "boundary crash must not change a byte of the decision stream"
-    );
-    assert_eq!(out.merge.poisoned_windows, baseline.merge.poisoned_windows);
-    assert!(out.merge.poisoned_windows.is_empty());
-    assert_eq!(out.merge.lost_digests, 0);
-}
-
-#[test]
-fn chaos_mid_window_crash_quarantines_exactly_the_cut_window() {
-    let meter = trained_meter();
-    let samples = steady_samples(&meter);
-    // Topology seed 32 splits the tiers across the two collectors, so
-    // the crash cuts one tier's stream: one window, one poison outcome.
-    // A victim owning both tiers records two for the same window, which
-    // is half of the four outcomes after its resume and trips SafeMode.
-    let topo = FleetTopology::two_tier("chaos-mid", 32, 2);
-    let map = ShardMap::new(topo.seed, topo.collectors);
-    let victim = map.owner(AgentId::primary(TierId::App));
-    assert_ne!(victim, map.owner(AgentId::primary(TierId::Db)));
-    let chaos = FleetChaos {
-        collector: victim,
-        crash_at_seq: 100, // key 101, mid-window 3 (keys 91..=120)
-    };
-    let out = run_fleet(
-        &meter,
-        &samples,
-        BASE_SEED,
-        &no_faults(),
-        &topo,
-        Some(chaos),
-        WireCodec::Binary,
-    )
-    .expect("chaos fleet runs");
-
-    assert!(out.collectors[victim as usize].resumed);
-    assert_eq!(
-        out.merge.poisoned_windows,
-        vec![3],
-        "exactly the cut window"
-    );
-
-    // Everything else matches the oracle replay over the survivors.
-    let mut survivors = all_windows(TOTAL, WINDOW);
-    survivors.remove(&3);
-    let oracle = replay_windows(&meter, &samples, BASE_SEED, &survivors);
-    assert_eq!(json(&out.merge.decisions), json(&oracle));
 }

@@ -24,9 +24,9 @@
 //! by [`CollectorConfig::max_lane_buffered_bytes`]; past that the
 //! kernel's socket buffers fill and the overload is the agents' — a
 //! blocked `write`, then their bounded queues (see [`crate::agent`]).
-//! One collector decodes and decides in under a microsecond per sample;
-//! more ingest than one core carries is `webcap-fleet`'s K collectors,
-//! not threads inside one.
+//! One collector decodes and decides in under a microsecond per sample,
+//! far more than the paper's deployment (one agent per tier, one front
+//! end) ever sends it, so no threads run inside it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Write};
@@ -294,7 +294,7 @@ impl Assembler {
     ///
     /// Partial windows (the digesters' accumulators, unjoined halves)
     /// are deliberately *not* captured, for the reason
-    /// [`TierDigester::export_state`] gives. What must survive is the
+    /// `TierDigester::export_state` gives. What must survive is the
     /// per-tier stream position (`last_key`, `had_session`), the
     /// scoring continuity marker (`prev_fed`), and the emitted/poisoned
     /// ledgers that keep a restarted collector from re-emitting or

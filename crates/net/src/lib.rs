@@ -85,7 +85,7 @@ pub use loopback::{
     all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
     run_supervised_loopback, FaultKnobs, LoopbackOutcome,
 };
-pub use reassembly::{score_window, DigesterState, TierDigester, MAX_GAP_WINDOWS};
+pub use reassembly::{score_window, TierDigester, MAX_GAP_WINDOWS};
 pub use source::{SampleSource, ScriptedSource, SourcePoll, SourceSample, TierSampler};
 pub use supervisor::{
     run_supervised_collector, AdmissionPoint, CollectorSnapshot, HealthState, HealthTransition,

@@ -47,7 +47,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use webcap_core::monitor::feature_names;
 use webcap_core::{
     label_from_aggs, CapacityMeter, MetricLevel, MixTally, OnlineDecision, RowMeanAccumulator,
@@ -421,7 +420,7 @@ impl TierDigester {
     /// reconnects, and a resume re-arms the fresh-session straddle
     /// rules, which quarantine any window cut by the restart — exactly
     /// as they do for a mid-run reconnect.
-    pub fn export_state(&self) -> DigesterState {
+    pub(crate) fn export_state(&self) -> DigesterState {
         DigesterState {
             tier: self.tier,
             last_key: self.last_key,
@@ -437,7 +436,7 @@ impl TierDigester {
     /// runs the straddle rules. A restart at a window boundary
     /// continues byte-identically; a restart mid-window quarantines
     /// exactly the cut window.
-    pub fn resume(state: &DigesterState, window_len: i64, origin: i64) -> TierDigester {
+    pub(crate) fn resume(state: &DigesterState, window_len: i64, origin: i64) -> TierDigester {
         let mut d = TierDigester::new(state.tier, window_len, origin);
         d.last_key = state.last_key;
         d.had_session = state.had_session;
@@ -452,20 +451,20 @@ impl TierDigester {
 /// The part of [`TierDigester`] state that survives a collector
 /// restart (see [`TierDigester::export_state`] for what is excluded
 /// and why).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DigesterState {
+#[derive(Debug)]
+pub(crate) struct DigesterState {
     /// The digested tier.
-    pub tier: TierId,
+    pub(crate) tier: TierId,
     /// Last key received.
-    pub last_key: Option<i64>,
+    pub(crate) last_key: Option<i64>,
     /// Whether the tier ever had a session.
-    pub had_session: bool,
+    pub(crate) had_session: bool,
     /// Windows already digested (never to be re-digested).
-    pub completed: Vec<i64>,
+    pub(crate) completed: Vec<i64>,
     /// Windows quarantined (never to be trusted).
-    pub poisoned: Vec<i64>,
+    pub(crate) poisoned: Vec<i64>,
     /// Protocol-order surprises counted so far.
-    pub anomalies: u64,
+    pub(crate) anomalies: u64,
 }
 
 /// Score one complete window from its two tier digests. The decision is
