@@ -15,9 +15,10 @@
 use std::sync::OnceLock;
 
 use webcap_capsearch::{
-    search_scenario, CapacityReport, LoopbackExecutor, SearchConfig, SimExecutor,
+    search_scenario, CapacityReport, LoopbackExecutor, ProbeMeasure, ScenarioExecutor,
+    SearchConfig, SimExecutor,
 };
-use webcap_core::{CapacityMeter, MeterConfig};
+use webcap_core::{CapacityMeter, MeterConfig, MetricLevel};
 use webcap_net::Endpoint;
 
 fn meter() -> &'static CapacityMeter {
@@ -111,4 +112,37 @@ fn equivalence_slow_leak() {
 #[test]
 fn equivalence_replica_failure() {
     check_equivalence("replica-failure");
+}
+
+/// The sim plane replays only the metric family its meter reads, the
+/// loopback plane streams both: OS and combined meters must still score
+/// every probe alike, here on the faulted scenario at its capacity and
+/// at its first failing probe.
+#[test]
+fn equivalence_replica_failure_at_os_and_combined_levels() {
+    let scenario = webcap_capsearch::scenario::find("replica-failure").expect("library scenario");
+    let render = |m: &ProbeMeasure| serde_json::to_string(m).expect("a measure serializes");
+    for level in [MetricLevel::Os, MetricLevel::Combined] {
+        let config = MeterConfig::small_for_tests(31).with_level(level);
+        let meter = CapacityMeter::train(&config).expect("meter trains");
+        for (probe_ebs, passes) in [(576, true), (588, false)] {
+            let sim = SimExecutor::new(&meter)
+                .measure(&scenario, probe_ebs)
+                .expect("sim probe");
+            let endpoint = Endpoint::parse("tcp:127.0.0.1:0").expect("endpoint");
+            let loopback = LoopbackExecutor::new(&meter, endpoint)
+                .measure(&scenario, probe_ebs)
+                .expect("loopback probe");
+            assert_eq!(
+                render(&sim),
+                render(&loopback),
+                "{level} at {probe_ebs} EBs"
+            );
+            assert_eq!(sim.slo_pass, passes, "{level} at {probe_ebs} EBs");
+            assert!(
+                !sim.poisoned_windows.is_empty(),
+                "{level}: faults poison windows"
+            );
+        }
+    }
 }

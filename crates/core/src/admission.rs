@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 use crate::meter::CapacityMeter;
-use crate::monitor::collect_run;
+use crate::monitor::collect_run_for;
 
 /// AIMD policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -272,11 +272,12 @@ pub fn run_admission_experiment(
         let program = TrafficProgram::steady(mix.clone(), admitted, cfg.segment_s);
         let mut sim = meter.config().sim.clone();
         sim.seed = seed.wrapping_add(i as u64);
-        let log = collect_run(
+        let log = collect_run_for(
             &sim,
             &program,
             &meter.config().hpc_model,
             seed.wrapping_add(1000 + i as u64),
+            meter.config().level,
         );
         // Judge the segment by its final window (steady state reached).
         let windows = log.windows(window_len, window_len, &meter.config().oracle);

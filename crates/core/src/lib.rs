@@ -76,7 +76,7 @@ pub use admission::{AdmissionConfig, AdmissionConfigError, AdmissionController};
 pub use agg::{MixTally, RowMeanAccumulator};
 pub use coordinator::{CoordinatedPrediction, CoordinatedPredictor, CoordinatorConfig, TieScheme};
 pub use meter::{CapacityMeter, EvaluationReport, MeterConfig};
-pub use monitor::{collect_run, MetricLevel, RunLog, WindowInstance};
+pub use monitor::{collect_run, collect_run_for, MetricLevel, RunLog, WindowInstance};
 pub use online::{OnlineDecision, OnlineMonitor};
 pub use oracle::{
     label_from_aggs, label_window, OracleConfig, TierStressAgg, WindowHealthAgg, WindowLabel,

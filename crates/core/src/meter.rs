@@ -17,7 +17,7 @@ use webcap_sim::{SimConfig, TierId};
 use webcap_tpcw::{Mix, MixId, TrafficProgram};
 
 use crate::coordinator::{CoordinatedPrediction, CoordinatedPredictor, CoordinatorConfig};
-use crate::monitor::{collect_run, MetricLevel, WindowInstance};
+use crate::monitor::{collect_run_for, MetricLevel, WindowInstance};
 use crate::oracle::OracleConfig;
 use crate::synopsis::{PerformanceSynopsis, SynopsisSpec};
 use crate::workloads;
@@ -240,7 +240,7 @@ impl CapacityMeter {
         // program: distinct simulation seeds and metric-disturbance
         // trajectories, all pre-derived from the config, collected
         // workload-major / repeat-minor exactly as the sequential loop
-        // ordered them.
+        // ordered them. Only the family the synopses read is synthesized.
         let repeats = config.training_repeats.max(1);
         let tasks: Vec<(usize, &TrafficProgram, usize)> = programs
             .iter()
@@ -250,11 +250,12 @@ impl CapacityMeter {
         let run_instances: Vec<Vec<WindowInstance>> = par_map(par, tasks, |(i, program, rep)| {
             let mut sim = config.sim.clone();
             sim.seed = config.sim.seed.wrapping_add((i + 10 * rep) as u64);
-            let log = collect_run(
+            let log = collect_run_for(
                 &sim,
                 program,
                 &config.hpc_model,
                 config.metrics_seed.wrapping_add((i + 100 * rep) as u64),
+                config.level,
             );
             log.windows(config.window_len, config.train_stride, &config.oracle)
         });
@@ -409,11 +410,12 @@ impl CapacityMeter {
     ) -> EvaluationReport {
         let mut sim = self.config.sim.clone();
         sim.seed = sim_seed;
-        let log = collect_run(
+        let log = collect_run_for(
             &sim,
             program,
             &self.config.hpc_model,
             self.config.metrics_seed.wrapping_add(sim_seed),
+            self.config.level,
         );
         let instances = log.windows(
             self.config.window_len,

@@ -75,6 +75,16 @@ impl MetricLevel {
             MetricLevel::Combined => combined,
         }
     }
+
+    /// Whether this level's features include the HPC family.
+    pub fn reads_hpc(&self) -> bool {
+        matches!(self, MetricLevel::Hpc | MetricLevel::Combined)
+    }
+
+    /// Whether this level's features include the OS family.
+    pub fn reads_os(&self) -> bool {
+        matches!(self, MetricLevel::Os | MetricLevel::Combined)
+    }
 }
 
 impl std::fmt::Display for MetricLevel {
@@ -103,10 +113,25 @@ pub fn feature_names(level: MetricLevel, tier: TierId) -> Vec<String> {
 pub struct RunLog {
     /// Per-second application/system telemetry.
     pub samples: Vec<SystemSample>,
-    /// Per-second derived HPC metrics, indexed `[tier][second]`.
+    /// The metric families the log holds: those `level` reads
+    /// ([`MetricLevel::Combined`] for both).
+    pub level: MetricLevel,
+    /// Per-second derived HPC metrics, indexed `[tier][second]`; empty
+    /// when `level` does not read HPC.
     pub hpc: [Vec<DerivedMetrics>; 2],
-    /// Per-second OS metric samples, indexed `[tier][second]`.
+    /// Per-second OS metric samples, indexed `[tier][second]`; empty when
+    /// `level` does not read OS.
     pub os: [Vec<OsSample>; 2],
+}
+
+/// The rows of one metric family over `range`: none for a family the log
+/// does not hold, `None` when a held family's rows stop short of it.
+fn held_rows<T>(held: bool, rows: &[T], range: std::ops::Range<usize>) -> Option<&[T]> {
+    if held {
+        rows.get(range)
+    } else {
+        Some(&[])
+    }
 }
 
 impl RunLog {
@@ -120,7 +145,9 @@ impl RunLog {
     /// `len` is the window length in samples (the paper uses 30 one-second
     /// samples); `stride` is the step between window starts — `stride ==
     /// len` gives disjoint windows, smaller strides give overlapping
-    /// windows for more training data.
+    /// windows for more training data. Only the families the log holds
+    /// get features: the others stay empty, and so does the combined
+    /// vector unless both are held.
     ///
     /// # Panics
     ///
@@ -148,20 +175,24 @@ impl RunLog {
             let mut features: [[Vec<f64>; 2]; 3] = Default::default();
             for tier in TierId::ALL {
                 // A log whose metric rows stop short of its samples
-                // yields the windows all three cover.
+                // yields the windows all its families cover.
+                let hpc_rows = tier.select(&self.hpc).as_slice();
+                let os_rows = tier.select(&self.os).as_slice();
                 let (Some(hpc_rows), Some(os_rows)) = (
-                    tier.select(&self.hpc).get(range.clone()),
-                    tier.select(&self.os).get(range.clone()),
+                    held_rows(self.level.reads_hpc(), hpc_rows, range.clone()),
+                    held_rows(self.level.reads_os(), os_rows, range.clone()),
                 ) else {
                     return out;
                 };
                 let hpc_row = mean_rows(hpc_rows.iter().map(|m| m.to_features()));
                 let os_row = mean_rows(os_rows.iter().map(|s| s.values()));
-                let mut combined = os_row.clone();
-                combined.extend_from_slice(&hpc_row);
+                if self.level == MetricLevel::Combined {
+                    let mut combined = os_row.clone();
+                    combined.extend_from_slice(&hpc_row);
+                    *tier.select_mut(MetricLevel::Combined.select_mut(&mut features)) = combined;
+                }
                 *tier.select_mut(MetricLevel::Hpc.select_mut(&mut features)) = hpc_row;
                 *tier.select_mut(MetricLevel::Os.select_mut(&mut features)) = os_row;
-                *tier.select_mut(MetricLevel::Combined.select_mut(&mut features)) = combined;
             }
             let completed: u64 = slice.iter().map(|s| s.completed).sum();
             let duration: f64 = slice.iter().map(|s| s.interval_s).sum();
@@ -229,7 +260,8 @@ impl WindowInstance {
     }
 }
 
-/// Drive `program` through a simulation and collect the full metric log.
+/// Drive `program` through a simulation and collect the full metric log:
+/// [`collect_run_for`] at [`MetricLevel::Combined`].
 ///
 /// `metrics_seed` seeds the metric synthesizers independently of the
 /// simulation seed so collection noise can be varied while holding the
@@ -240,6 +272,21 @@ pub fn collect_run(
     hpc_model: &HpcModel,
     metrics_seed: u64,
 ) -> RunLog {
+    collect_run_for(cfg, program, hpc_model, metrics_seed, MetricLevel::Combined)
+}
+
+/// Drive `program` through a simulation and collect the metric families
+/// `level` reads. Every row it synthesizes is bit-identical to
+/// [`collect_run`]'s: both tiers draw from one stream, HPC before OS, and
+/// a family `level` does not read is stepped past
+/// ([`HpcModel::skip`], [`OsCollector::skip`]) instead of synthesized.
+pub fn collect_run_for(
+    cfg: &SimConfig,
+    program: &TrafficProgram,
+    hpc_model: &HpcModel,
+    metrics_seed: u64,
+    level: MetricLevel,
+) -> RunLog {
     let output = Simulation::new(cfg.clone(), program.clone()).run();
     let mut rng = StdRng::seed_from_u64(metrics_seed);
     let mut os_collectors = [OsCollector::new(TierId::App), OsCollector::new(TierId::Db)];
@@ -248,17 +295,25 @@ pub fn collect_run(
     for sample in &output.samples {
         for tier in TierId::ALL {
             let ts = sample.tier(tier);
-            let counters = hpc_model.sample(tier, ts, sample.interval_s, &mut rng);
-            tier.select_mut(&mut hpc)
-                .push(DerivedMetrics::from_sample(&counters));
-            let os_row =
-                tier.select_mut(&mut os_collectors)
-                    .sample(ts, sample.interval_s, &mut rng);
-            tier.select_mut(&mut os).push(os_row);
+            if level.reads_hpc() {
+                let counters = hpc_model.sample(tier, ts, sample.interval_s, &mut rng);
+                tier.select_mut(&mut hpc)
+                    .push(DerivedMetrics::from_sample(&counters));
+            } else {
+                hpc_model.skip(&mut rng);
+            }
+            let collector = tier.select_mut(&mut os_collectors);
+            if level.reads_os() {
+                let os_row = collector.sample(ts, sample.interval_s, &mut rng);
+                tier.select_mut(&mut os).push(os_row);
+            } else {
+                collector.skip(&mut rng);
+            }
         }
     }
     RunLog {
         samples: output.samples,
+        level,
         hpc,
         os,
     }

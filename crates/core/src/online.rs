@@ -163,7 +163,9 @@ impl OnlineMonitor {
     ///
     /// `hpc[tier]` must be the tier's derived-HPC feature vector and
     /// `os[tier]` its OS metric values for this second, index-aligned
-    /// with [`crate::monitor::feature_names`].
+    /// with [`crate::monitor::feature_names`]. A family nobody reads may
+    /// come empty for every sample; the window's features for it, and
+    /// its combined vector, then stay empty.
     pub fn push_collected(
         &mut self,
         sample: SystemSample,
@@ -204,8 +206,13 @@ impl OnlineMonitor {
         for tier in TierId::ALL {
             let hpc = tier.select_mut(&mut self.hpc_mean).finish();
             let os = tier.select_mut(&mut self.os_mean).finish();
-            let mut combined = os.clone();
-            combined.extend_from_slice(&hpc);
+            // Rows of one family alone (a one-family replay) leave the
+            // combined vector empty, as `RunLog::windows` does.
+            let mut combined = Vec::new();
+            if !hpc.is_empty() && !os.is_empty() {
+                combined = os.clone();
+                combined.extend_from_slice(&hpc);
+            }
             *tier.select_mut(MetricLevel::Hpc.select_mut(&mut features)) = hpc;
             *tier.select_mut(MetricLevel::Os.select_mut(&mut features)) = os;
             *tier.select_mut(MetricLevel::Combined.select_mut(&mut features)) = combined;

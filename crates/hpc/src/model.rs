@@ -226,6 +226,10 @@ impl TierArch {
     }
 }
 
+/// `noise` draws one [`HpcModel::sample`] call makes. Pinned against
+/// `sample` by the `skip_consumes_what_sample_consumes` test.
+const NOISE_DRAWS: usize = 14;
+
 /// The counter synthesizer: holds per-tier architecture parameters and a
 /// noise level, and turns [`TierSample`]s into [`CounterSample`]s.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -266,6 +270,19 @@ impl HpcModel {
         match tier {
             TierId::App => &self.app,
             TierId::Db => &self.db,
+        }
+    }
+
+    /// Advance `rng` exactly as far as [`HpcModel::sample`] would, without
+    /// synthesizing counters: a caller that does not read this tier's HPC
+    /// row keeps the rest of a shared stream bit-identical. Two words per
+    /// `noise` draw, `NOISE_DRAWS` of them (28 words), none at σ = 0.
+    pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R) {
+        if self.noise_sigma == 0.0 {
+            return;
+        }
+        for _ in 0..2 * NOISE_DRAWS {
+            rng.next_u64();
         }
     }
 
@@ -495,6 +512,42 @@ mod tests {
         let a = m.sample(TierId::App, &ts, 1.0, &mut r1);
         let b = m.sample(TierId::App, &ts, 1.0, &mut r2);
         assert_eq!(a, b);
+    }
+
+    /// A stream that counts the words drawn from it.
+    struct CountingRng {
+        inner: StdRng,
+        words: u64,
+    }
+
+    impl rand::RngCore for CountingRng {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn skip_consumes_what_sample_consumes() {
+        // `skip` stands in for `sample` on a shared stream, so the two
+        // must draw the same number of words at every noise level.
+        let mut rng = CountingRng {
+            inner: StdRng::seed_from_u64(14),
+            words: 0,
+        };
+        let ts = tier_sample(0.7, 10.0, 4.0, 0.5);
+        for (sigma, want) in [(0.0, 0), (0.02, 28)] {
+            let m = HpcModel::testbed().with_noise(sigma);
+            for tier in TierId::ALL {
+                let before = rng.words;
+                m.skip(&mut rng);
+                let skipped = rng.words - before;
+                m.sample(tier, &ts, 1.0, &mut rng);
+                let sampled = rng.words - before - skipped;
+                assert_eq!(skipped, sampled, "σ {sigma} {tier:?}");
+                assert_eq!(sampled, want, "σ {sigma} {tier:?}");
+            }
+        }
     }
 
     #[test]

@@ -82,8 +82,8 @@ pub use frame::{
     WireCodec, WireSample, FRAME_MAGIC_BIN, MAX_FRAME_LEN, PROTO_VERSION,
 };
 pub use loopback::{
-    all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
-    run_supervised_loopback, FaultKnobs, LoopbackOutcome,
+    all_windows, predicted_windows_for_schedule, replay_level_windows, replay_windows,
+    run_loopback_scheduled, run_supervised_loopback, FaultKnobs, LoopbackOutcome,
 };
 pub use reassembly::{score_window, TierDigester, MAX_GAP_WINDOWS};
 pub use source::{SampleSource, ScriptedSource, SourcePoll, SourceSample, TierSampler};

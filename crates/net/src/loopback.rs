@@ -14,6 +14,8 @@
 //!   the chosen windows with the same externally-synthesized metric
 //!   rows the agents produce. The collector's decisions must be
 //!   byte-identical (JSON) to this replay on the windows it emits.
+//!   [`replay_level_windows`] is the same replay synthesizing only the
+//!   families the meter's level reads.
 //! * [`predicted_windows_for_schedule`] — the one oracle: it replays a
 //!   fault script and the collector's documented poisoning rules to
 //!   predict exactly which windows survive. It shares no code with the
@@ -24,7 +26,7 @@ use std::collections::BTreeSet;
 use std::io;
 use std::num::NonZeroU64;
 
-use webcap_core::{CapacityMeter, OnlineDecision, OnlineMonitor};
+use webcap_core::{CapacityMeter, MetricLevel, OnlineDecision, OnlineMonitor};
 use webcap_hpc::HpcModel;
 use webcap_sim::{SystemSample, TierId};
 
@@ -170,23 +172,55 @@ pub fn run_supervised_loopback(
 /// collector feeds surviving windows: agent-style external metric
 /// synthesis for **every** sample in order (the OS synthesizer carries
 /// state across drops), but only the listed windows pushed, with a
-/// [`OnlineMonitor::reset`] before every non-consecutive window.
+/// [`OnlineMonitor::reset`] before every non-consecutive window. The
+/// decisions carry full-width windows.
 pub fn replay_windows(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     base_seed: u64,
     windows: &BTreeSet<i64>,
 ) -> Vec<(i64, OnlineDecision)> {
+    replay_at(meter, samples, base_seed, windows, MetricLevel::Combined)
+}
+
+/// [`replay_windows`] synthesizing only the families the meter's level
+/// reads: each decision's prediction is [`replay_windows`]'s, and its
+/// window carries features for those families alone (the combined
+/// vector only at [`MetricLevel::Combined`]). Without OS rows no
+/// sampler state crosses a sample, so samples outside `windows` are not
+/// synthesized at all.
+pub fn replay_level_windows(
+    meter: &CapacityMeter,
+    samples: &[SystemSample],
+    base_seed: u64,
+    windows: &BTreeSet<i64>,
+) -> Vec<(i64, OnlineDecision)> {
+    replay_at(meter, samples, base_seed, windows, meter.config().level)
+}
+
+/// The one replay loop, synthesizing the families `level` reads.
+fn replay_at(
+    meter: &CapacityMeter,
+    samples: &[SystemSample],
+    base_seed: u64,
+    windows: &BTreeSet<i64>,
+    level: MetricLevel,
+) -> Vec<(i64, OnlineDecision)> {
     let window_len = meter.config().window_len;
     let hpc_model = meter.config().hpc_model.clone();
     let mut samplers = [
-        TierSampler::new(TierId::App, hpc_model.clone(), base_seed),
-        TierSampler::new(TierId::Db, hpc_model, base_seed),
+        TierSampler::for_level(TierId::App, hpc_model.clone(), base_seed, level),
+        TierSampler::for_level(TierId::Db, hpc_model, base_seed, level),
     ];
     let mut monitor = OnlineMonitor::new(meter.clone(), 0);
     let mut prev_fed: Option<i64> = None;
     let mut out = Vec::new();
     for (i, s) in samples.iter().enumerate() {
+        let window = (i / window_len) as i64;
+        let fed = windows.contains(&window);
+        if !fed && !level.reads_os() {
+            continue;
+        }
         let mut hpc: [Vec<f64>; 2] = Default::default();
         let mut os: [Vec<f64>; 2] = Default::default();
         for tier in TierId::ALL {
@@ -196,8 +230,7 @@ pub fn replay_windows(
             *tier.select_mut(&mut hpc) = h;
             *tier.select_mut(&mut os) = o;
         }
-        let window = (i / window_len) as i64;
-        if !windows.contains(&window) {
+        if !fed {
             continue;
         }
         if i % window_len == 0 && prev_fed != Some(window - 1) {
@@ -303,6 +336,43 @@ pub fn predicted_windows_for_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webcap_core::MeterConfig;
+    use webcap_tpcw::{Mix, TrafficProgram};
+
+    #[test]
+    fn level_replay_keeps_the_full_replays_predictions_and_family_features() {
+        // Gapped windows: an OS sampler still steps through the samples
+        // of the windows it skips, or its rows drift from the full ones.
+        let windows: BTreeSet<i64> = [0, 2, 3, 6, 7].into_iter().collect();
+        for level in MetricLevel::EXTENDED {
+            let config = MeterConfig::small_for_tests(31).with_level(level);
+            let meter = CapacityMeter::train(&config).expect("meter trains");
+            let program = TrafficProgram::steady(Mix::ordering(), 60, 240.0);
+            let samples = webcap_sim::run(config.sim.clone(), program).samples;
+            let full = replay_windows(&meter, &samples, 17, &windows);
+            let part = replay_level_windows(&meter, &samples, 17, &windows);
+            assert_eq!(part.len(), windows.len(), "{level}");
+            assert_eq!(part.len(), full.len(), "{level}");
+            for ((w, p), (fw, f)) in part.iter().zip(&full) {
+                assert_eq!((w, p.prediction), (fw, f.prediction), "{level}");
+                for tier in TierId::ALL {
+                    for read in MetricLevel::EXTENDED {
+                        let want = if level == MetricLevel::Combined || read == level {
+                            f.window.features(read, tier)
+                        } else {
+                            &[]
+                        };
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(p.window.features(read, tier)),
+                            bits(want),
+                            "{level} window {w}: {read} features of {tier:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// The oracle over knobs alone: compile, then predict.
     fn predicted_surviving_windows(

@@ -15,13 +15,20 @@
 //! must be able to regenerate the exact metric rows of the *surviving*
 //! samples. So each sample's noise comes from its own RNG seeded by
 //! `derive_seed(AGENT_METRICS + tier, seq, base_seed)` — a pure function
-//! of the sample's identity. The OS collector itself stays stateful
-//! (load averages decay, slow environmental disturbances drift), which
-//! is why replays must still call [`TierSampler::rows`] for every
-//! sequence **in order**, even for samples they intend to discard.
+//! of the sample's identity — and the HPC row is drawn first from it.
+//!
+//! An HPC row is therefore a pure function of (tier, seq, seed,
+//! telemetry): a sampler that reads only HPC (the one
+//! [`crate::replay_level_windows`] builds for an HPC meter) may
+//! synthesize any subset of sequences, in any order. The OS collector
+//! is stateful (load averages decay, slow environmental disturbances
+//! drift), so a sampler that synthesizes OS rows must be called for
+//! every sequence **in order**, even for samples the caller intends to
+//! discard.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use webcap_core::MetricLevel;
 use webcap_hpc::{DerivedMetrics, HpcModel};
 use webcap_os::OsCollector;
 use webcap_parallel::{derive_seed, seed_domain};
@@ -96,25 +103,42 @@ pub struct TierSampler {
     tier: TierId,
     hpc_model: HpcModel,
     base_seed: u64,
+    /// The families synthesized, fixed at construction.
+    level: MetricLevel,
     os: OsCollector,
 }
 
 impl TierSampler {
-    /// A sampler for `tier`. `hpc_model` must match the collector's
-    /// meter configuration; `base_seed` is the deployment-wide metrics
-    /// seed both agents and any replay baseline share.
+    /// A sampler for `tier` that synthesizes both families. `hpc_model`
+    /// must match the collector's meter configuration; `base_seed` is the
+    /// deployment-wide metrics seed both agents and any replay baseline
+    /// share.
     pub fn new(tier: TierId, hpc_model: HpcModel, base_seed: u64) -> TierSampler {
+        TierSampler::for_level(tier, hpc_model, base_seed, MetricLevel::Combined)
+    }
+
+    /// A sampler for `tier` that synthesizes only the families `level`
+    /// reads; each row it returns is bit-identical to the one
+    /// [`TierSampler::new`]'s sampler returns for that family.
+    pub(crate) fn for_level(
+        tier: TierId,
+        hpc_model: HpcModel,
+        base_seed: u64,
+        level: MetricLevel,
+    ) -> TierSampler {
         TierSampler {
             tier,
             hpc_model,
             base_seed,
+            level,
             os: OsCollector::new(tier),
         }
     }
 
-    /// Synthesize the `(HPC features, OS values)` rows for one sample.
-    /// Must be called for every sequence in order — the OS collector
-    /// carries state across calls.
+    /// Synthesize the `(HPC features, OS values)` rows for one sample; a
+    /// family the sampler's level does not read comes back empty. While
+    /// it synthesizes OS rows it must be called for every sequence in
+    /// order — the OS collector carries state across calls.
     pub fn rows(&mut self, seq: u64, ts: &TierSample, interval_s: f64) -> (Vec<f64>, Vec<f64>) {
         let seed = derive_seed(
             seed_domain::AGENT_METRICS + self.tier.index() as u64,
@@ -122,9 +146,18 @@ impl TierSampler {
             self.base_seed,
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let counters = self.hpc_model.sample(self.tier, ts, interval_s, &mut rng);
-        let hpc = DerivedMetrics::from_sample(&counters).to_features();
-        let os = self.os.sample(ts, interval_s, &mut rng).into_values();
+        let hpc = if self.level.reads_hpc() {
+            let counters = self.hpc_model.sample(self.tier, ts, interval_s, &mut rng);
+            DerivedMetrics::from_sample(&counters).to_features()
+        } else {
+            self.hpc_model.skip(&mut rng);
+            Vec::new()
+        };
+        let os = if self.level.reads_os() {
+            self.os.sample(ts, interval_s, &mut rng).into_values()
+        } else {
+            Vec::new()
+        };
         (hpc, os)
     }
 
@@ -236,6 +269,25 @@ mod tests {
         // The HPC row is a pure function of (tier, seq, base seed,
         // telemetry) — an extra prior call on `b` cannot shift it.
         assert_eq!(a_hpc, b_hpc);
+    }
+
+    #[test]
+    fn level_samplers_return_the_full_rows_of_their_families() {
+        let ts = busy_tier();
+        for tier in TierId::ALL {
+            for level in MetricLevel::EXTENDED {
+                let mut full = TierSampler::new(tier, HpcModel::testbed(), 5);
+                let mut part = TierSampler::for_level(tier, HpcModel::testbed(), 5, level);
+                for seq in 0..40 {
+                    let (hpc, os) = full.rows(seq, &ts, 1.0);
+                    let want = (
+                        if level.reads_hpc() { hpc } else { Vec::new() },
+                        if level.reads_os() { os } else { Vec::new() },
+                    );
+                    assert_eq!(part.rows(seq, &ts, 1.0), want, "{tier:?} {level} seq {seq}");
+                }
+            }
+        }
     }
 
     #[test]

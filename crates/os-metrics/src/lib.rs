@@ -250,6 +250,11 @@ pub struct OsCollector {
 /// survives a 30-second window).
 const BIAS_REVERT: f64 = 0.02;
 
+/// Gaussian draws one [`OsCollector::sample`] row makes after its bias
+/// step: one per `noisy` call, whatever the noise level. Pinned against
+/// `sample` by the `skip_consumes_what_sample_consumes` test.
+const ROW_GAUSS_DRAWS: usize = 41;
+
 impl OsCollector {
     /// Create a collector for one tier with the default noise level.
     pub fn new(tier: TierId) -> OsCollector {
@@ -326,6 +331,23 @@ impl OsCollector {
 
     fn noisy<R: Rng + ?Sized>(&self, v: f64, rng: &mut R) -> f64 {
         (v * (1.0 + self.noise_rel * Self::gauss(rng))).max(0.0)
+    }
+
+    /// Advance `rng` exactly as far as [`OsCollector::sample`] would,
+    /// without synthesizing a row or touching the collector's state: a
+    /// caller that does not read this tier's OS row keeps the rest of a
+    /// shared stream bit-identical. Each Gaussian is two words, and the
+    /// draw count is fixed by the configuration: one per biased metric
+    /// (the same `amplitude × scale != 0` test `step_bias` makes) plus
+    /// `ROW_GAUSS_DRAWS` — 200 words at the defaults.
+    pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R) {
+        let biased = METRICS
+            .iter()
+            .filter(|m| m.bias_amplitude * self.bias_scale != 0.0)
+            .count();
+        for _ in 0..2 * (biased + ROW_GAUSS_DRAWS) {
+            rng.next_u64();
+        }
     }
 
     /// Collect one interval of OS metrics from the simulator tier state.
@@ -799,6 +821,52 @@ mod tests {
                 }
             }
             assert_eq!(hash, want, "{tier:?}: {hash:#018x}");
+        }
+    }
+
+    /// A stream that counts the words drawn from it.
+    struct CountingRng {
+        inner: StdRng,
+        words: u64,
+    }
+
+    impl rand::RngCore for CountingRng {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn skip_consumes_what_sample_consumes() {
+        // `skip` stands in for `sample` on a shared stream, so the two
+        // must draw the same number of words on every configuration, on
+        // the first call (stationary bias start) and on a later one.
+        let mut rng = CountingRng {
+            inner: StdRng::seed_from_u64(13),
+            words: 0,
+        };
+        for tier in TierId::ALL {
+            for noise in [0.0, 0.18] {
+                for bias_scale in [0.0, 1.0] {
+                    let mut c = OsCollector::new(tier)
+                        .with_noise(noise)
+                        .with_bias_scale(bias_scale);
+                    for (call, ts) in pin_states().iter().enumerate() {
+                        let before = rng.words;
+                        c.skip(&mut rng);
+                        let skipped = rng.words - before;
+                        c.sample(ts, 1.0, &mut rng);
+                        let sampled = rng.words - before - skipped;
+                        assert_eq!(
+                            skipped, sampled,
+                            "{tier:?} noise {noise} bias {bias_scale} call {call}"
+                        );
+                        let want = if bias_scale == 0.0 { 82 } else { 200 };
+                        assert_eq!(sampled, want, "{tier:?} bias {bias_scale}");
+                    }
+                }
+            }
         }
     }
 
