@@ -24,6 +24,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use webcap_sim::gauss::{self, GaussPairs};
 use webcap_sim::{TierId, TierSample};
 
 use crate::events::HpcEvent;
@@ -275,26 +276,21 @@ impl HpcModel {
 
     /// Advance `rng` exactly as far as [`HpcModel::sample`] would, without
     /// synthesizing counters: a caller that does not read this tier's HPC
-    /// row keeps the rest of a shared stream bit-identical. Two words per
-    /// `noise` draw, `NOISE_DRAWS` of them (28 words), none at σ = 0.
+    /// row keeps the rest of a shared stream bit-identical. `NOISE_DRAWS`
+    /// `noise` draws, two words per pair of them (14 words), none at σ = 0.
     pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R) {
         if self.noise_sigma == 0.0 {
             return;
         }
-        for _ in 0..2 * NOISE_DRAWS {
-            rng.next_u64();
-        }
+        gauss::skip(rng, NOISE_DRAWS);
     }
 
-    fn noise<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    /// A multiplicative noise factor, clamped to stay positive.
+    fn noise<R: Rng + ?Sized>(&self, gauss: &mut GaussPairs<'_, R>) -> f64 {
         if self.noise_sigma == 0.0 {
             return 1.0;
         }
-        // Box–Muller Gaussian, clamped to stay positive.
-        let u1: f64 = rng.random::<f64>().max(1e-12);
-        let u2: f64 = rng.random();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (1.0 + self.noise_sigma * z).max(0.05)
+        (1.0 + self.noise_sigma * gauss.draw()).max(0.05)
     }
 
     /// Synthesize one interval's counters for `tier` from its simulator
@@ -307,6 +303,9 @@ impl HpcModel {
         rng: &mut R,
     ) -> CounterSample {
         assert!(interval_s > 0.0, "interval must be positive");
+        // One pair source per row; a spare still unused when the row
+        // ends is dropped with it.
+        let gauss = &mut GaussPairs::new(rng);
         let arch = self.arch(tier);
         let cores = f64::from(arch.cores);
 
@@ -339,9 +338,9 @@ impl HpcModel {
         let ipc_ref = arch.base_ipc * (1.0 - mix_ipc_penalty);
         let work_floor = 0.003 * cores * arch.sim_speed * interval_s;
         let work = ts.delivered_work_s.max(work_floor);
-        let instr = work / arch.sim_speed * ipc_ref * arch.clock_hz * self.noise(rng);
+        let instr = work / arch.sim_speed * ipc_ref * arch.clock_hz * self.noise(gauss);
 
-        let l2_ref = instr * arch.l2_ref_per_instr * (1.0 + 0.25 * browse) * self.noise(rng);
+        let l2_ref = instr * arch.l2_ref_per_instr * (1.0 + 0.25 * browse) * self.noise(gauss);
         let mix_miss_boost = match tier {
             TierId::Db => 0.55 * browse,
             TierId::App => 0.10 * (1.0 - browse),
@@ -349,26 +348,27 @@ impl HpcModel {
         let l2_miss_ratio = (arch.base_l2_miss_ratio
             * (1.0 + mix_miss_boost)
             * (1.0 + 0.45 * pollution)
-            * self.noise(rng))
+            * self.noise(gauss))
         .min(0.95);
         let l2_miss = l2_ref * l2_miss_ratio;
 
         let stall_fraction = (arch.base_stall_fraction
             * (1.0 + 0.30 * browse)
             * (1.0 + 0.35 * pollution)
-            * self.noise(rng))
+            * self.noise(gauss))
         .min(0.92);
 
-        let l1d = instr * 0.012 * (1.0 + 0.15 * pollution) * self.noise(rng);
-        let tc = instr * 0.003 * (1.0 + 0.12 * pollution) * self.noise(rng);
-        let itlb = instr * 0.0004 * (1.0 + 0.10 * pollution) * self.noise(rng);
-        let dtlb = instr * 0.0015 * (1.0 + 0.20 * pollution) * self.noise(rng);
-        let branches = instr * 0.18 * self.noise(rng);
-        let mispredicts = branches * (0.045 * (1.0 + 0.12 * pollution)).min(0.25) * self.noise(rng);
-        let bus = (l2_miss * 1.15 + instr * 0.0005) * self.noise(rng);
-        let uops = instr * 1.45 * self.noise(rng);
-        let loads = instr * 0.32 * self.noise(rng);
-        let stores = instr * 0.14 * self.noise(rng);
+        let l1d = instr * 0.012 * (1.0 + 0.15 * pollution) * self.noise(gauss);
+        let tc = instr * 0.003 * (1.0 + 0.12 * pollution) * self.noise(gauss);
+        let itlb = instr * 0.0004 * (1.0 + 0.10 * pollution) * self.noise(gauss);
+        let dtlb = instr * 0.0015 * (1.0 + 0.20 * pollution) * self.noise(gauss);
+        let branches = instr * 0.18 * self.noise(gauss);
+        let mispredicts =
+            branches * (0.045 * (1.0 + 0.12 * pollution)).min(0.25) * self.noise(gauss);
+        let bus = (l2_miss * 1.15 + instr * 0.0005) * self.noise(gauss);
+        let uops = instr * 1.45 * self.noise(gauss);
+        let loads = instr * 0.32 * self.noise(gauss);
+        let stores = instr * 0.14 * self.noise(gauss);
 
         let mut counts = [0u64; HpcEvent::COUNT];
         let mut set = |e: HpcEvent, v: f64| counts[e.index()] = v.max(0.0) as u64;
@@ -536,7 +536,7 @@ mod tests {
             words: 0,
         };
         let ts = tier_sample(0.7, 10.0, 4.0, 0.5);
-        for (sigma, want) in [(0.0, 0), (0.02, 28)] {
+        for (sigma, want) in [(0.0, 0), (0.02, 14)] {
             let m = HpcModel::testbed().with_noise(sigma);
             for tier in TierId::ALL {
                 let before = rng.words;
@@ -547,6 +547,33 @@ mod tests {
                 assert_eq!(skipped, sampled, "σ {sigma} {tier:?}");
                 assert_eq!(sampled, want, "σ {sigma} {tier:?}");
             }
+        }
+    }
+
+    #[test]
+    fn default_noise_rows_keep_their_draw_order() {
+        // FNV-1a over the counts of 2 000 default-noise rows per tier, on
+        // the workspace's one `StdRng` stream (splitmix64, DESIGN §10): a
+        // draw out of order, or a noise value that moved, changes it.
+        let states = [
+            tier_sample(0.04, 1.0, 0.1, 0.2),
+            tier_sample(0.93, 9.0, 6.0, 0.5),
+            tier_sample(1.0, 128.0, 40.0, 0.8),
+        ];
+        let m = HpcModel::testbed();
+        for (tier, want) in TierId::ALL
+            .into_iter()
+            .zip([0x7213_f1ae_3d4f_1632_u64, 0xff38_ab71_59d3_712c])
+        {
+            let mut rng = StdRng::seed_from_u64(2833);
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for call in 0..2000 {
+                let s = m.sample(tier, &states[call % 3], 1.0, &mut rng);
+                for byte in s.counts().iter().flat_map(|c| c.to_le_bytes()) {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(hash, want, "{tier:?}: {hash:#018x}");
         }
     }
 

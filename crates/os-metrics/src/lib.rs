@@ -51,6 +51,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use webcap_sim::gauss::{self, GaussPairs};
 use webcap_sim::{TierId, TierSample};
 
 /// One collected OS metric.
@@ -304,7 +305,7 @@ impl OsCollector {
     }
 
     /// Advance the per-metric slow biases by one interval.
-    fn step_bias<R: Rng + ?Sized>(&mut self, interval_s: f64, rng: &mut R) {
+    fn step_bias<R: Rng + ?Sized>(&mut self, interval_s: f64, gauss: &mut GaussPairs<'_, R>) {
         let steps = interval_s.max(1.0);
         for (bias, metric) in self.bias.iter_mut().zip(&METRICS) {
             let amp = metric.bias_amplitude * self.bias_scale;
@@ -313,41 +314,33 @@ impl OsCollector {
             }
             if !self.bias_initialized {
                 // Start from the stationary distribution.
-                *bias = amp * Self::gauss(rng);
+                *bias = amp * gauss.draw();
                 continue;
             }
             let step_sd = amp * (2.0 * BIAS_REVERT * steps).sqrt();
-            *bias += -BIAS_REVERT * steps * *bias + step_sd * Self::gauss(rng);
+            *bias += -BIAS_REVERT * steps * *bias + step_sd * gauss.draw();
             *bias = bias.clamp(-0.9, 3.0);
         }
         self.bias_initialized = true;
     }
 
-    fn gauss<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-        let u1: f64 = rng.random::<f64>().max(1e-12);
-        let u2: f64 = rng.random();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    fn noisy<R: Rng + ?Sized>(&self, v: f64, rng: &mut R) -> f64 {
-        (v * (1.0 + self.noise_rel * Self::gauss(rng))).max(0.0)
+    fn noisy<R: Rng + ?Sized>(&self, v: f64, gauss: &mut GaussPairs<'_, R>) -> f64 {
+        (v * (1.0 + self.noise_rel * gauss.draw())).max(0.0)
     }
 
     /// Advance `rng` exactly as far as [`OsCollector::sample`] would,
     /// without synthesizing a row or touching the collector's state: a
     /// caller that does not read this tier's OS row keeps the rest of a
-    /// shared stream bit-identical. Each Gaussian is two words, and the
-    /// draw count is fixed by the configuration: one per biased metric
-    /// (the same `amplitude × scale != 0` test `step_bias` makes) plus
-    /// `ROW_GAUSS_DRAWS` — 200 words at the defaults.
+    /// shared stream bit-identical. The draw count is fixed by the
+    /// configuration: one per biased metric (the same `amplitude × scale
+    /// != 0` test `step_bias` makes) plus `ROW_GAUSS_DRAWS`, two words per
+    /// pair of draws — 100 words at the defaults.
     pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R) {
         let biased = METRICS
             .iter()
             .filter(|m| m.bias_amplitude * self.bias_scale != 0.0)
             .count();
-        for _ in 0..2 * (biased + ROW_GAUSS_DRAWS) {
-            rng.next_u64();
-        }
+        gauss::skip(rng, biased + ROW_GAUSS_DRAWS);
     }
 
     /// Collect one interval of OS metrics from the simulator tier state.
@@ -362,7 +355,10 @@ impl OsCollector {
         rng: &mut R,
     ) -> OsSample {
         assert!(interval_s > 0.0, "interval must be positive");
-        self.step_bias(interval_s, rng);
+        // One pair source per row, bias step included; a spare still
+        // unused when the row ends is dropped with it.
+        let gauss = &mut GaussPairs::new(rng);
+        self.step_bias(interval_s, gauss);
         // Built on the heap, where the sample keeps it; the fixed length
         // lets the compiler check every constant slot below.
         let mut v = Box::new([0.0f64; 64]);
@@ -388,14 +384,14 @@ impl OsCollector {
         // Saturates: util near 1.0 reads as ~100% busy whether the backlog
         // is stable or exploding.
         let util = ts.utilization.clamp(0.0, 1.0);
-        let user = self.noisy(util * 82.0, rng).min(100.0);
-        let system = self.noisy(util * 12.0, rng).min(100.0 - user);
+        let user = self.noisy(util * 82.0, gauss).min(100.0);
+        let system = self.noisy(util * 12.0, gauss).min(100.0 - user);
         let iowait = self
-            .noisy(ts.disk_utilization * (1.0 - util) * 90.0, rng)
+            .noisy(ts.disk_utilization * (1.0 - util) * 90.0, gauss)
             .min(100.0 - user - system);
         let q = |x: f64| (x * 100.0).round() / 100.0;
         set!("pct_user", q(user));
-        set!("pct_nice", q(self.noisy(0.3, rng)));
+        set!("pct_nice", q(self.noisy(0.3, gauss)));
         set!("pct_system", q(system));
         set!("pct_iowait", q(iowait));
         set!("pct_steal", 0.0);
@@ -404,7 +400,7 @@ impl OsCollector {
         // --- Scheduler ---
         // runq is a *sampled* queue length: integer, very noisy for bursty
         // loads.
-        set!("runq_sz", self.noisy(ts.avg_runnable, rng).round());
+        set!("runq_sz", self.noisy(ts.avg_runnable, gauss).round());
         // Tomcat pre-spawns its worker pool, so the app tier's process
         // list barely moves with load; MySQL runs one thread per open
         // connection, so the DB's process list tracks held connections.
@@ -412,20 +408,20 @@ impl OsCollector {
             TierId::App => 92.0 + 130.0,
             TierId::Db => 68.0 + ts.pool_in_use_avg,
         };
-        set!("plist_sz", self.noisy(plist, rng).round());
+        set!("plist_sz", self.noisy(plist, gauss).round());
         set!("ldavg_1", (ldavg[0] * 100.0).round() / 100.0);
         set!("ldavg_5", (ldavg[1] * 100.0).round() / 100.0);
         set!("ldavg_15", (ldavg[2] * 100.0).round() / 100.0);
-        set!("blocked", self.noisy(ts.disk_queue_avg, rng).round());
+        set!("blocked", self.noisy(ts.disk_queue_avg, gauss).round());
 
         // --- Task churn ---
         let req_rate = ts.arrivals as f64 / interval_s;
-        set!("proc_per_s", self.noisy(0.4 + req_rate * 0.02, rng));
+        set!("proc_per_s", self.noisy(0.4 + req_rate * 0.02, gauss));
         set!(
             "cswch_per_s",
-            self.noisy(240.0 + req_rate * 45.0 + ts.avg_runnable * 130.0, rng),
+            self.noisy(240.0 + req_rate * 45.0 + ts.avg_runnable * 130.0, gauss),
         );
-        set!("intr_per_s", self.noisy(310.0 + req_rate * 22.0, rng));
+        set!("intr_per_s", self.noisy(310.0 + req_rate * 22.0, gauss));
 
         // --- Memory ---
         // The DB allocates per-connection buffers; the app tier's heap is
@@ -436,22 +432,22 @@ impl OsCollector {
         };
         let used = (0.35 * self.total_mem_kb + ts.pool_in_use_avg * mem_per_token)
             .min(self.total_mem_kb * 0.97);
-        let used = self.noisy(used, rng).min(self.total_mem_kb * 0.99);
+        let used = self.noisy(used, gauss).min(self.total_mem_kb * 0.99);
         set!("kbmemfree", (self.total_mem_kb - used).round());
         set!("kbmemused", used.round());
         set!("pct_memused", q(used / self.total_mem_kb * 100.0));
         set!(
             "kbbuffers",
-            self.noisy(0.04 * self.total_mem_kb, rng).round(),
+            self.noisy(0.04 * self.total_mem_kb, gauss).round(),
         );
         set!(
             "kbcached",
-            self.noisy(0.30 * self.total_mem_kb, rng).round(),
+            self.noisy(0.30 * self.total_mem_kb, gauss).round(),
         );
-        set!("kbcommit", self.noisy(used * 1.4, rng).round());
+        set!("kbcommit", self.noisy(used * 1.4, gauss).round());
         set!("pct_commit", q(used * 1.4 / self.total_mem_kb * 100.0));
-        set!("kbactive", self.noisy(used * 0.7, rng).round());
-        set!("kbinact", self.noisy(used * 0.2, rng).round());
+        set!("kbactive", self.noisy(used * 0.7, gauss).round());
+        set!("kbinact", self.noisy(used * 0.2, gauss).round());
 
         // --- Swap: effectively unused ---
         let swap_total = 1024.0 * 1024.0;
@@ -462,56 +458,59 @@ impl OsCollector {
 
         // --- Paging ---
         let disk_rate = ts.disk_ops as f64 / interval_s;
-        set!("pgpgin_per_s", self.noisy(disk_rate * 36.0, rng));
-        set!("pgpgout_per_s", self.noisy(6.0 + disk_rate * 9.0, rng));
-        set!("fault_per_s", self.noisy(120.0 + req_rate * 14.0, rng));
-        set!("majflt_per_s", self.noisy(disk_rate * 0.05, rng));
-        set!("pgfree_per_s", self.noisy(180.0 + req_rate * 20.0, rng));
+        set!("pgpgin_per_s", self.noisy(disk_rate * 36.0, gauss));
+        set!("pgpgout_per_s", self.noisy(6.0 + disk_rate * 9.0, gauss));
+        set!("fault_per_s", self.noisy(120.0 + req_rate * 14.0, gauss));
+        set!("majflt_per_s", self.noisy(disk_rate * 0.05, gauss));
+        set!("pgfree_per_s", self.noisy(180.0 + req_rate * 20.0, gauss));
         set!("pgscank_per_s", 0.0);
         set!("pgscand_per_s", 0.0);
         set!("pgsteal_per_s", 0.0);
 
         // --- Disk ---
-        set!("tps", self.noisy(disk_rate, rng));
-        set!("rtps", self.noisy(disk_rate * 0.8, rng));
-        set!("wtps", self.noisy(disk_rate * 0.2 + 1.5, rng));
-        set!("bread_per_s", self.noisy(disk_rate * 220.0, rng));
-        set!("bwrtn_per_s", self.noisy(disk_rate * 48.0 + 30.0, rng));
+        set!("tps", self.noisy(disk_rate, gauss));
+        set!("rtps", self.noisy(disk_rate * 0.8, gauss));
+        set!("wtps", self.noisy(disk_rate * 0.2 + 1.5, gauss));
+        set!("bread_per_s", self.noisy(disk_rate * 220.0, gauss));
+        set!("bwrtn_per_s", self.noisy(disk_rate * 48.0 + 30.0, gauss));
 
         // --- Network (requests and DB calls generate packets) ---
-        set!("rxpck_per_s", self.noisy(12.0 + req_rate * 9.0, rng));
-        set!("txpck_per_s", self.noisy(12.0 + req_rate * 11.0, rng));
-        set!("rxkb_per_s", self.noisy(2.0 + req_rate * 3.0, rng));
-        set!("txkb_per_s", self.noisy(2.0 + req_rate * 14.0, rng));
+        set!("rxpck_per_s", self.noisy(12.0 + req_rate * 9.0, gauss));
+        set!("txpck_per_s", self.noisy(12.0 + req_rate * 11.0, gauss));
+        set!("rxkb_per_s", self.noisy(2.0 + req_rate * 3.0, gauss));
+        set!("txkb_per_s", self.noisy(2.0 + req_rate * 14.0, gauss));
         set!("rxcmp_per_s", 0.0);
         set!("txcmp_per_s", 0.0);
-        set!("rxmcst_per_s", self.noisy(0.2, rng));
+        set!("rxmcst_per_s", self.noisy(0.2, gauss));
         set!("txmcst_per_s", 0.0);
 
         // --- Sockets ---
         // The RBE closes connections after each interaction (HTTP/1.0
         // style), so socket tables are dominated by time-wait churn — a
         // request-rate signal, not a backlog signal.
-        set!("totsck", self.noisy(120.0 + req_rate * 3.0, rng).round());
-        set!("tcpsck", self.noisy(40.0 + req_rate * 2.5, rng).round());
+        set!("totsck", self.noisy(120.0 + req_rate * 3.0, gauss).round());
+        set!("tcpsck", self.noisy(40.0 + req_rate * 2.5, gauss).round());
         set!("udpsck", 6.0);
         set!("rawsck", 0.0);
         set!("ip_frag", 0.0);
-        set!("tcp_tw", self.noisy(req_rate * 1.5, rng).round());
+        set!("tcp_tw", self.noisy(req_rate * 1.5, gauss).round());
 
         // --- Kernel tables, ttys, per-page churn ---
-        set!("dentunusd", self.noisy(24_000.0, rng).round());
-        set!("file_nr", self.noisy(2_500.0 + req_rate * 5.0, rng).round());
-        set!("inode_nr", self.noisy(18_000.0, rng).round());
+        set!("dentunusd", self.noisy(24_000.0, gauss).round());
+        set!(
+            "file_nr",
+            self.noisy(2_500.0 + req_rate * 5.0, gauss).round()
+        );
+        set!("inode_nr", self.noisy(18_000.0, gauss).round());
         set!("pty_nr", 2.0);
         set!("rcvin_per_s", 0.0);
         set!("xmtin_per_s", 0.0);
         set!(
             "frmpg_per_s",
-            self.noisy(req_rate * 0.5, rng) - self.noisy(req_rate * 0.5, rng),
+            self.noisy(req_rate * 0.5, gauss) - self.noisy(req_rate * 0.5, gauss),
         );
-        set!("bufpg_per_s", self.noisy(0.4, rng));
-        set!("campg_per_s", self.noisy(1.8 + req_rate * 0.1, rng));
+        set!("bufpg_per_s", self.noisy(0.4, gauss));
+        set!("campg_per_s", self.noisy(1.8 + req_rate * 0.1, gauss));
 
         // Fold in the slow disturbances last.
         for ((value, bias), metric) in v.iter_mut().zip(&self.bias).zip(&METRICS) {
@@ -809,7 +808,7 @@ mod tests {
         let states = pin_states();
         for (tier, want) in TierId::ALL
             .into_iter()
-            .zip([0xd26a_24fe_f238_02dd_u64, 0xa787_c56e_2581_21f4])
+            .zip([0x73d7_0c42_2000_eca7_u64, 0x991a_686c_2897_2899])
         {
             let mut c = OsCollector::new(tier);
             let mut rng = StdRng::seed_from_u64(2833);
@@ -862,7 +861,9 @@ mod tests {
                             skipped, sampled,
                             "{tier:?} noise {noise} bias {bias_scale} call {call}"
                         );
-                        let want = if bias_scale == 0.0 { 82 } else { 200 };
+                        // 41 draws with the bias off: the odd one's
+                        // spare is dropped, and its pair still counts.
+                        let want = if bias_scale == 0.0 { 42 } else { 100 };
                         assert_eq!(sampled, want, "{tier:?} bias {bias_scale}");
                     }
                 }
@@ -896,15 +897,12 @@ mod tests {
         // stream checks all 64 amplitudes and the draw order at once.
         let mut c = OsCollector::new(TierId::App);
         let mut rng = StdRng::seed_from_u64(12);
-        let mut twin = rng.clone();
-        c.step_bias(1.0, &mut rng);
+        let mut twin_rng = rng.clone();
+        c.step_bias(1.0, &mut GaussPairs::new(&mut rng));
+        let mut twin = GaussPairs::new(&mut twin_rng);
         for (name, got) in OS_METRIC_NAMES.iter().zip(c.bias) {
             let amp = bias_amplitude_by_name(name);
-            let want = if amp == 0.0 {
-                0.0
-            } else {
-                amp * OsCollector::gauss(&mut twin)
-            };
+            let want = if amp == 0.0 { 0.0 } else { amp * twin.draw() };
             assert_eq!(got, want, "{name}");
         }
     }

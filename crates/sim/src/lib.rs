@@ -12,6 +12,8 @@
 //!   (capacity declines past saturation), FIFO token pools, a FCFS disk.
 //! * [`telemetry`] — per-second [`SystemSample`]s feeding the HPC and OS
 //!   metric synthesizers and the capacity meter.
+//! * [`gauss`] — the standard normals the HPC and OS synthesizers draw,
+//!   two per Box–Muller pair.
 //! * [`SimConfig`] — the paper-like default testbed
 //!   ([`SimConfig::testbed`]): single-core app server, dual-core DB
 //!   server, 128 worker threads, 10 connections.
@@ -37,6 +39,7 @@
 pub mod config;
 pub mod demand;
 pub mod engine;
+pub mod gauss;
 pub mod histogram;
 pub mod resources;
 pub mod telemetry;
