@@ -12,6 +12,8 @@
 //! decisions byte-identical to in-process replay on surviving windows)
 //! up through the capacity number itself.
 
+use std::fs;
+use std::path::Path;
 use std::sync::OnceLock;
 
 use webcap_capsearch::{
@@ -114,6 +116,25 @@ fn equivalence_replica_failure() {
     check_equivalence("replica-failure");
 }
 
+/// The faulted scenario's capacity and first failing probe, read from its
+/// committed golden report (`tests/golden.rs`), so that a re-pin of the
+/// simulator moves this test with the golden.
+fn replica_failure_bracket() -> [(u32, bool); 2] {
+    #[derive(serde::Deserialize)]
+    struct Bracket {
+        capacity_ebs: u32,
+        bracket_failing_ebs: Option<u32>,
+    }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/replica-failure.json");
+    let text = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("golden report {} is unreadable ({e})", path.display()));
+    let bracket: Bracket = serde_json::from_str(&text).expect("the golden report parses");
+    let failing = bracket
+        .bracket_failing_ebs
+        .expect("the golden search brackets a failing probe");
+    [(bracket.capacity_ebs, true), (failing, false)]
+}
+
 /// The sim plane replays only the metric family its meter reads, the
 /// loopback plane streams both: OS and combined meters must still score
 /// every probe alike, here on the faulted scenario at its capacity and
@@ -122,10 +143,11 @@ fn equivalence_replica_failure() {
 fn equivalence_replica_failure_at_os_and_combined_levels() {
     let scenario = webcap_capsearch::scenario::find("replica-failure").expect("library scenario");
     let render = |m: &ProbeMeasure| serde_json::to_string(m).expect("a measure serializes");
+    let bracket = replica_failure_bracket();
     for level in [MetricLevel::Os, MetricLevel::Combined] {
         let config = MeterConfig::small_for_tests(31).with_level(level);
         let meter = CapacityMeter::train(&config).expect("meter trains");
-        for (probe_ebs, passes) in [(576, true), (588, false)] {
+        for (probe_ebs, passes) in bracket {
             let sim = SimExecutor::new(&meter)
                 .measure(&scenario, probe_ebs)
                 .expect("sim probe");

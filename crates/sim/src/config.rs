@@ -235,6 +235,7 @@ impl SimConfig {
     pub fn validate(&self) {
         self.app.validate("app");
         self.db.validate("db");
+        self.profile.validate();
         assert!(
             self.network_delay_s >= 0.0 && self.network_delay_s.is_finite(),
             "network delay must be nonnegative"
@@ -302,6 +303,28 @@ mod tests {
         let mut cfg = SimConfig::testbed(0);
         cfg.db.contention_alpha = f64::INFINITY;
         cfg.validate();
+    }
+
+    /// `cfg` with its demand-noise shape replaced, the way a config file
+    /// would carry it: through serde, past `with_gamma_shape`'s check.
+    fn with_deserialized_gamma_shape(cfg: &SimConfig, shape: u32) -> SimConfig {
+        let json = serde_json::to_string(cfg).expect("config serializes");
+        let field = "\"gamma_shape\":4";
+        assert_eq!(json.matches(field).count(), 1, "one shape in {json}");
+        serde_json::from_str(&json.replace(field, &format!("\"gamma_shape\":{shape}")))
+            .expect("config deserializes")
+    }
+
+    #[test]
+    #[should_panic(expected = "gamma shape must be within 1..=25")]
+    fn deserialized_gamma_shape_of_zero_rejected() {
+        with_deserialized_gamma_shape(&SimConfig::testbed(0), 0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "gamma shape must be within 1..=25")]
+    fn deserialized_gamma_shape_past_the_normal_range_rejected() {
+        with_deserialized_gamma_shape(&SimConfig::testbed(0), 26).validate();
     }
 
     #[test]

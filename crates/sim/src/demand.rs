@@ -46,6 +46,11 @@ impl Demand {
     }
 }
 
+/// The largest demand-noise shape: the product of `k` uniforms clamped at
+/// 1e-12 that [`DemandProfile::noise`] takes the logarithm of stays in
+/// f64's normal range up to `k = 25` (1e-300) and is 0 at `k = 27`.
+const MAX_GAMMA_SHAPE: u32 = 25;
+
 /// The full demand table: one [`Demand`] per interaction type, plus a
 /// demand variability parameter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,7 +58,7 @@ pub struct DemandProfile {
     demands: [Demand; 14],
     /// Shape parameter of the per-request gamma noise on demands; higher
     /// means less variable. The multiplier has mean 1 and
-    /// CV = `1/sqrt(shape)`.
+    /// CV = `1/sqrt(shape)`. Within `1..=25`.
     gamma_shape: u32,
 }
 
@@ -95,19 +100,31 @@ impl DemandProfile {
             demands,
             gamma_shape: 4,
         };
-        for d in &profile.demands {
+        profile.validate();
+        profile
+    }
+
+    /// Validate invariants: every [`Demand`]'s, and a noise shape within
+    /// `1..=25`. A deserialized profile is checked only here (by
+    /// [`crate::SimConfig::validate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an invariant does not hold.
+    pub(crate) fn validate(&self) {
+        for d in &self.demands {
             d.validate();
         }
-        profile
+        check_gamma_shape(self.gamma_shape);
     }
 
     /// Override the demand-noise shape (higher = less variance).
     ///
     /// # Panics
     ///
-    /// Panics if `shape == 0`.
+    /// Panics if `shape` is not within `1..=25`.
     pub fn with_gamma_shape(mut self, shape: u32) -> DemandProfile {
-        assert!(shape > 0, "gamma shape must be positive");
+        check_gamma_shape(shape);
         self.gamma_shape = shape;
         self
     }
@@ -147,15 +164,16 @@ impl DemandProfile {
     }
 
     /// Draw one noisy multiplier (mean 1.0) for per-request demand
-    /// variation: a normalized Erlang/gamma with the configured shape.
+    /// variation: a normalized Erlang/gamma with the configured shape `k`,
+    /// `−ln(∏ max(uᵢ, 1e-12)) / k` over `k` uniforms — one word each, and
+    /// one logarithm per draw.
     pub fn noise<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let k = self.gamma_shape;
-        let mut sum = 0.0;
+        let mut product = 1.0;
         for _ in 0..k {
-            let u: f64 = rng.random::<f64>().max(1e-12);
-            sum += -u.ln();
+            product *= rng.random::<f64>().max(1e-12);
         }
-        sum / f64::from(k)
+        -product.ln() / f64::from(k)
     }
 
     /// Mean app-tier work per request under `mix` (seconds at speed 1.0).
@@ -187,6 +205,14 @@ impl Default for DemandProfile {
     fn default() -> DemandProfile {
         DemandProfile::testbed()
     }
+}
+
+/// Reject a demand-noise shape outside `1..=MAX_GAMMA_SHAPE`.
+fn check_gamma_shape(shape: u32) {
+    assert!(
+        (1..=MAX_GAMMA_SHAPE).contains(&shape),
+        "gamma shape must be within 1..=25"
+    );
 }
 
 #[cfg(test)]

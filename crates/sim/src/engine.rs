@@ -24,6 +24,7 @@ use rand::{Rng, SeedableRng};
 use webcap_tpcw::{EmulatedBrowser, RequestClass, RequestType, TrafficProgram};
 
 use crate::config::{SimConfig, TierId};
+use crate::gauss::GaussPairs;
 use crate::histogram::RtHistogram;
 use crate::resources::{FcfsDisk, JobId, PsCpu, TokenPool};
 use crate::telemetry::{RunSummary, SystemSample, TierSample};
@@ -679,16 +680,20 @@ impl Simulation {
 
     /// One Ornstein–Uhlenbeck step of each tier's background interference,
     /// then reschedule the CPUs at the new effective capacity.
+    ///
+    /// Each tier's innovation is a [`GaussPairs`] row of its own on the
+    /// dedicated RNG, two words, so how far a tick moves that stream
+    /// depends only on the configuration and the background state: paired
+    /// runs that differ in anything else share the trajectory. (Sharing one
+    /// pair between the tiers moves the trajectory, and with it Table I's
+    /// TAN-lead gate below its bound: `DESIGN.md` §5.8, seventh example.)
     fn step_background(&mut self) {
         for tier in TierId::ALL {
             let bg_cfg = self.cfg.tier(tier).background;
             if bg_cfg.step_sd == 0.0 && bg_cfg.mean == self.background[tier.index()] {
                 continue;
             }
-            // Box–Muller Gaussian innovation from the dedicated RNG.
-            let u1: f64 = self.bg_rng.random::<f64>().max(1e-12);
-            let u2: f64 = self.bg_rng.random();
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            let z = GaussPairs::new(&mut self.bg_rng).draw();
             let cur = self.background[tier.index()];
             let next = (cur + bg_cfg.revert * (bg_cfg.mean - cur) + bg_cfg.step_sd * z)
                 .clamp(0.0, bg_cfg.max);

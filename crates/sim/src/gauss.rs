@@ -1,5 +1,5 @@
-//! Standard normal draws for the metric synthesizers, two per Box–Muller
-//! pair.
+//! Standard normal draws for the metric synthesizers and the engine's
+//! background interference, two per Box–Muller pair.
 //!
 //! A pair takes two words of the stream, `(u1, u2)`, and yields two
 //! independent standard normals, `r·cos θ` and `r·sin θ`, with
@@ -11,7 +11,8 @@
 //! spare and all: the row stays a pure function of where the stream stood
 //! and the synthesizer's own state, and `g` draws always take 2⌈g/2⌉
 //! words — what [`skip`] steps past for a row nobody reads.
-//! The simulator's own background innovation is not drawn here.
+//! The engine draws each tier's background innovation as a row of one on
+//! its own background stream: this is the workspace's only Box–Muller.
 
 use rand::{Rng, RngCore};
 

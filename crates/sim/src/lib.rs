@@ -12,8 +12,8 @@
 //!   (capacity declines past saturation), FIFO token pools, a FCFS disk.
 //! * [`telemetry`] — per-second [`SystemSample`]s feeding the HPC and OS
 //!   metric synthesizers and the capacity meter.
-//! * [`gauss`] — the standard normals the HPC and OS synthesizers draw,
-//!   two per Box–Muller pair.
+//! * [`gauss`] — the standard normals the HPC and OS synthesizers and the
+//!   engine's background process draw, two per Box–Muller pair.
 //! * [`SimConfig`] — the paper-like default testbed
 //!   ([`SimConfig::testbed`]): single-core app server, dual-core DB
 //!   server, 128 worker threads, 10 connections.

@@ -6,7 +6,8 @@
 //! work, queue-length integrals) that the telemetry sampler reads as
 //! cumulative values and differences per sampling interval.
 
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{ceil_to_u64, SimDuration, SimTime};
 
@@ -25,9 +26,10 @@ pub type JobId = usize;
 /// describes (its reference \[11\]). Every runnable job receives an equal
 /// share `capacity(n)/n`.
 ///
-/// Each event costs one pass over the jobs: `least`, the smallest
-/// remaining work, is kept current by every method that changes the
-/// work, so finding the next completion is a read (`DESIGN.md` §5.1).
+/// Kept in virtual time: every runnable job has received the same work
+/// since it arrived, so one clock (the work each has received in the
+/// current busy period) and one finish tag per job say everything, and
+/// an event costs O(log n) (`DESIGN.md` §5.1).
 #[derive(Debug, Clone)]
 pub struct PsCpu {
     cores: f64,
@@ -36,12 +38,16 @@ pub struct PsCpu {
     /// Fraction of capacity consumed by background interference (OS
     /// daemons, GC, cache warmup) — see `TierConfig::background`.
     background: f64,
-    /// Runnable jobs, in arrival order up to `swap_remove`: `ids[i]` has
-    /// `remaining[i]` seconds of speed-1.0 work left.
-    ids: Vec<JobId>,
-    remaining: Vec<f64>,
-    /// The smallest entry of `remaining`; ∞ when no job is runnable.
-    least: f64,
+    /// The virtual clock: work each runnable job has received since the
+    /// CPU last emptied, in seconds of speed-1.0 work. Reset to 0 when
+    /// the last job leaves.
+    virtual_work: f64,
+    /// Runnable jobs by finish tag, the least first: a job with `work`
+    /// pushed at virtual clock `v` completes when the clock reaches
+    /// `v + work`.
+    jobs: BinaryHeap<Reverse<FinishTag>>,
+    /// Jobs pushed so far: the arrival number of the next one.
+    arrivals: u64,
     /// `capacity(n)` and `capacity(n)/n` at the current `n` and
     /// background (both 0 when `n == 0`).
     total_rate: f64,
@@ -72,9 +78,9 @@ impl PsCpu {
             speed,
             contention_alpha,
             background: 0.0,
-            ids: Vec::new(),
-            remaining: Vec::new(),
-            least: f64::INFINITY,
+            virtual_work: 0.0,
+            jobs: BinaryHeap::new(),
+            arrivals: 0,
             total_rate: 0.0,
             job_rate: 0.0,
             last_update: SimTime::ZERO,
@@ -113,7 +119,7 @@ impl PsCpu {
 
     /// Recompute the cached rates after `n` or the background changed.
     fn refresh_rates(&mut self) {
-        let n = self.ids.len();
+        let n = self.jobs.len();
         self.total_rate = self.capacity(n);
         self.job_rate = if n == 0 {
             0.0
@@ -134,16 +140,18 @@ impl PsCpu {
 
     /// Number of runnable jobs.
     pub fn active_jobs(&self) -> usize {
-        self.ids.len()
+        self.jobs.len()
     }
 
-    /// Advance internal accounting to `now`, depleting remaining work.
+    /// Advance internal accounting to `now`: every runnable job receives
+    /// `job_rate · dt` more work, which is one addition to the virtual
+    /// clock.
     pub fn advance(&mut self, now: SimTime) {
         let dt = now.seconds_since(self.last_update);
         if dt > 0.0 {
-            let n = self.ids.len();
+            let n = self.jobs.len();
             if n > 0 {
-                self.least = drain_and_least(&mut self.remaining, self.job_rate * dt);
+                self.virtual_work += self.job_rate * dt;
                 self.busy_time_s += dt;
                 self.delivered_work_s += self.total_rate * dt;
                 self.job_time_integral += n as f64 * dt;
@@ -164,46 +172,46 @@ impl PsCpu {
     pub fn push(&mut self, now: SimTime, id: JobId, work: f64) {
         assert!(work >= 0.0 && work.is_finite(), "work must be nonnegative");
         self.advance(now);
-        self.ids.push(id);
-        self.remaining.push(work);
-        self.least = self.least.min(work);
+        self.jobs.push(Reverse(FinishTag {
+            finish: self.virtual_work + work,
+            arrival: self.arrivals,
+            id,
+        }));
+        self.arrivals += 1;
         self.refresh_rates();
     }
 
     /// When the next job will finish if the membership stays unchanged.
     pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
-        if self.ids.is_empty() {
-            return None;
-        }
+        let least = self.min_remaining()?;
         // Round *up* to the next microsecond so at the event time the
         // remaining work has truly reached zero.
-        let us = ceil_to_u64(self.least / self.job_rate * 1e6).max(1);
+        let us = ceil_to_u64(least / self.job_rate * 1e6).max(1);
         Some(now + SimDuration::from_micros(us))
     }
 
-    /// Remove and return the job with the least remaining work (the one
-    /// that completes first; of equals, the one at the lowest index).
+    /// Remove and return the job with the least finish tag (the one that
+    /// completes first; of equal tags, the earliest arrival).
     ///
     /// # Panics
     ///
     /// Panics if no job is active.
     pub fn pop_completed(&mut self, now: SimTime) -> JobId {
         self.advance(now);
-        let idx = self
-            .remaining
-            .iter()
-            .position(|&r| r == self.least)
-            .expect("no active job to complete");
-        self.remaining.swap_remove(idx);
-        let id = self.ids.swap_remove(idx);
-        self.least = least_of(&self.remaining);
+        let Reverse(head) = self.jobs.pop().expect("no active job to complete");
+        if self.jobs.is_empty() {
+            // No tag refers to the clock any more: a new busy period
+            // starts from zero.
+            self.virtual_work = 0.0;
+        }
         self.refresh_rates();
-        id
+        head.id
     }
 
     /// Remaining work of the job closest to completion (for tests).
     pub fn min_remaining(&self) -> Option<f64> {
-        (!self.ids.is_empty()).then_some(self.least)
+        let Reverse(head) = self.jobs.peek()?;
+        Some((head.finish - self.virtual_work).max(0.0))
     }
 
     /// Cumulative statistics: `(busy_time_s, delivered_work_s,
@@ -217,58 +225,37 @@ impl PsCpu {
     }
 }
 
-/// Independent minimum accumulators in [`drain_and_least`] and [`least_of`],
-/// so a pass over the jobs is not one serial chain of comparisons.
-const LANES: usize = 4;
-
-/// Drain `drained` work from every job, clamped at zero as always, and
-/// return the smallest remaining work (∞ for no jobs) — in the same pass.
-/// The minimum of non-NaN values does not depend on the order they are
-/// compared in, so spreading it over lanes moves no bit.
-fn drain_and_least(remaining: &mut [f64], drained: f64) -> f64 {
-    let mut lanes = [f64::INFINITY; LANES];
-    let mut chunks = remaining.chunks_exact_mut(LANES);
-    for chunk in &mut chunks {
-        for (r, lane) in chunk.iter_mut().zip(&mut lanes) {
-            *r = (*r - drained).max(0.0);
-            *lane = smaller(*r, *lane);
-        }
-    }
-    let mut tail = f64::INFINITY;
-    for r in chunks.into_remainder() {
-        *r = (*r - drained).max(0.0);
-        tail = smaller(*r, tail);
-    }
-    lanes.iter().fold(tail, |m, &lane| smaller(lane, m))
+/// A runnable job's place in a [`PsCpu`]: it completes when the virtual
+/// clock reaches `finish`. Ordered by `finish`, then by arrival, so jobs
+/// with equal tags leave first-in, first-out.
+#[derive(Debug, Clone, Copy)]
+struct FinishTag {
+    finish: f64,
+    arrival: u64,
+    id: JobId,
 }
 
-/// The smaller of two non-NaN values, written so that it compiles to one
-/// `minsd`: `f64::min` adds the NaN handling it must have, which the
-/// remaining work never needs (it is finite, asserted at `push`).
-fn smaller(a: f64, b: f64) -> f64 {
-    if a < b {
-        a
-    } else {
-        b
+impl Ord for FinishTag {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.finish
+            .total_cmp(&other.finish)
+            .then(self.arrival.cmp(&other.arrival))
     }
 }
 
-/// The smallest entry of `remaining` (∞ when empty), as
-/// [`drain_and_least`] computes it, without draining.
-fn least_of(remaining: &[f64]) -> f64 {
-    let mut lanes = [f64::INFINITY; LANES];
-    let mut chunks = remaining.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (&r, lane) in chunk.iter().zip(&mut lanes) {
-            *lane = smaller(r, *lane);
-        }
+impl PartialOrd for FinishTag {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
-    let tail = chunks
-        .remainder()
-        .iter()
-        .fold(f64::INFINITY, |m, &r| smaller(r, m));
-    lanes.iter().fold(tail, |m, &lane| smaller(lane, m))
 }
+
+impl PartialEq for FinishTag {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for FinishTag {}
 
 /// A FIFO pool of identical tokens: Tomcat worker threads or MySQL
 /// connections. Jobs that cannot acquire a token wait in arrival order.
@@ -544,6 +531,36 @@ mod tests {
         assert_eq!(cpu.pop_completed(done), 8);
         // Remaining job has 5 − 0.5 = 4.5 left (each got 0.5 of work).
         assert!((cpu.min_remaining().unwrap() - 4.5).abs() < 1e-5);
+    }
+
+    #[test]
+    fn equal_tags_leave_in_arrival_order() {
+        let mut cpu = PsCpu::new(1, 1.0, 0.0);
+        for id in [9, 3, 7] {
+            cpu.push(t(0.0), id, 0.25);
+        }
+        cpu.push(t(0.0), 5, 0.0);
+        // The zero-work job first; the three equal tags by arrival, not
+        // by id.
+        let mut order = Vec::new();
+        let mut now = t(0.0);
+        while let Some(done) = cpu.next_completion(now) {
+            now = done;
+            order.push(cpu.pop_completed(now));
+        }
+        assert_eq!(order, [5, 9, 3, 7]);
+    }
+
+    #[test]
+    fn each_busy_period_starts_the_virtual_clock_at_zero() {
+        let mut cpu = PsCpu::new(1, 1.0, 0.0);
+        cpu.push(t(0.0), 1, 0.3);
+        let done = cpu.next_completion(t(0.0)).unwrap();
+        cpu.pop_completed(done);
+        // Were the clock left at ≈ 0.3, `(0.3 + 0.1) − 0.3` would not
+        // give back 0.1 exactly.
+        cpu.push(t(2.0), 2, 0.1);
+        assert_eq!(cpu.min_remaining(), Some(0.1));
     }
 
     #[test]
