@@ -10,7 +10,6 @@
 //! canonical TOML plus the search parameters (not the executor), so a
 //! sim report and a loopback report for the same search share it.
 
-use webcap_core::fnv1a;
 use webcap_sim::TierId;
 
 use crate::executor::ProbeMeasure;
@@ -111,10 +110,31 @@ pub fn config_hash(scenario: &Scenario, cfg: &SearchConfig) -> String {
     format!("{:016x}", fnv1a(material.as_bytes()))
 }
 
+/// FNV-1a (64-bit) over `bytes`: a stable, dependency-free fingerprint,
+/// collision-weak but enough to tell two capacity questions apart.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = FNV_OFFSET;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::library;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn config_hash_separates_scenarios_and_search_configs() {

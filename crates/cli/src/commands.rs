@@ -1,5 +1,5 @@
 //! The CLI subcommands: simulate, train, evaluate, info, plan, agent,
-//! collect, snapshot, capsearch.
+//! collect, capsearch.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -13,14 +13,13 @@ use webcap_core::meter::{CapacityMeter, EvaluationReport, MeterConfig};
 use webcap_core::monitor::{collect_run, MetricLevel};
 use webcap_core::oracle::{label_window, OracleConfig};
 use webcap_core::workloads;
-use webcap_core::{read_snapshot, AdmissionConfig, AdmissionController, SnapshotHeader};
+use webcap_core::{AdmissionConfig, AdmissionController};
 use webcap_hpc::HpcModel;
 use webcap_ml::Algorithm;
 use webcap_net::supervisor::INITIAL_CAP;
 use webcap_net::{
-    run_agent, run_supervised_collector, AgentConfig, CollectorConfig, CollectorSnapshot, Endpoint,
-    Listener, ResumeOutcome, ScriptedSource, SupervisedCollector, SupervisedReport,
-    SupervisorConfig,
+    run_agent, run_supervised_collector, AgentConfig, CollectorConfig, Endpoint, Listener,
+    ScriptedSource, SupervisedCollector, SupervisedReport, SupervisorConfig,
 };
 use webcap_sim::{SimConfig, Simulation, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
@@ -320,15 +319,7 @@ pub fn parse_tier(name: &str) -> Result<TierId, CliError> {
 /// readers plug in.
 pub fn agent(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
-        "tier",
-        "connect",
-        "meter",
-        "mix",
-        "ebs",
-        "duration",
-        "seed",
-        "run-seed",
-        "start-seq",
+        "tier", "connect", "meter", "mix", "ebs", "duration", "seed", "run-seed",
     ])?;
     let tier = parse_tier(args.require("tier")?)?;
     let endpoint = Endpoint::parse(args.require("connect")?)?;
@@ -338,7 +329,6 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     let seed = args.get_parsed("seed", 17u64, "integer")?;
     let run_seed = args.get_parsed("run-seed", 400u64, "integer")?;
     let duration = args.get_parsed("duration", 240.0, "number")?;
-    let start_seq = args.get_parsed("start-seq", 0u64, "integer")?;
     if duration < f64::from(meter.config().window_len as u32) {
         return Err(CliError::Message(format!(
             "duration must cover at least one {}-second window",
@@ -350,30 +340,13 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     let knee = workloads::estimate_saturation_ebs(&sim, &mix);
     let ebs = args.get_parsed("ebs", knee, "integer")?;
 
-    println!(
-        "agent[{tier}]: replaying {ebs} EBs of {mix_name} for {duration:.0}s into {endpoint}{}",
-        if start_seq > 0 {
-            format!(" (warm-up through seq {start_seq})")
-        } else {
-            String::new()
-        }
-    );
+    println!("agent[{tier}]: replaying {ebs} EBs of {mix_name} for {duration:.0}s into {endpoint}");
     let samples = Simulation::new(sim, TrafficProgram::steady(mix, ebs, duration))
         .run()
         .samples;
-    if start_seq as usize >= samples.len() {
-        return Err(CliError::Message(format!(
-            "--start-seq {start_seq} must be below the replay length ({} samples); \
-             raise --duration so the resumed run has something left to send",
-            samples.len()
-        )));
-    }
     let cfg = AgentConfig::new(tier, endpoint, seed);
     let hpc_model = meter.config().hpc_model.clone();
-    // With a nonzero start-seq, history below it is synthesized for the
-    // stateful OS model but never sent — the collector (resumed from its
-    // snapshot) already consumed those sequences in a previous process.
-    let mut source = ScriptedSource::with_start_seq(tier, &samples, start_seq);
+    let mut source = ScriptedSource::new(tier, &samples);
     let report = run_agent(&cfg, hpc_model, &mut source)?;
     println!(
         "agent[{tier}]: {} frames sent over {} session(s), {} acked, \
@@ -392,21 +365,6 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
 /// one line per intact window as its prediction comes out of the meter.
 pub fn collect(args: &Args) -> Result<(), CliError> {
     let report = collect_report(args)?;
-    match &report.resume {
-        ResumeOutcome::Fresh => {}
-        ResumeOutcome::Resumed {
-            samples_seen,
-            decisions_made,
-            emitted_windows,
-            ..
-        } => println!(
-            "collector: resumed from snapshot — {emitted_windows} window(s) already \
-             emitted before the restart ({samples_seen} samples, {decisions_made} decisions)"
-        ),
-        ResumeOutcome::Rejected(e) => {
-            println!("collector: snapshot rejected ({e}); fresh start in safe-mode")
-        }
-    }
     println!(
         "collector: {} decisions, {} windows quarantined, {} still partial, \
          {} anomalies, sessions app={} db={}",
@@ -418,8 +376,8 @@ pub fn collect(args: &Args) -> Result<(), CliError> {
         report.sessions[1],
     );
     println!(
-        "collector: health {}, admission cap {} EBs, {} snapshot(s) written",
-        report.health, report.final_cap, report.snapshots_written,
+        "collector: health {}, admission cap {} EBs",
+        report.health, report.final_cap,
     );
     Ok(())
 }
@@ -431,56 +389,26 @@ pub fn collect(args: &Args) -> Result<(), CliError> {
 ///
 /// Argument validation, meter IO, and socket errors.
 pub fn collect_report(args: &Args) -> Result<SupervisedReport, CliError> {
-    args.reject_unknown(&[
-        "listen",
-        "meter",
-        "snapshot",
-        "resume",
-        "safe-cap",
-        "snapshot-every",
-    ])?;
+    args.reject_unknown(&["listen", "meter", "safe-cap"])?;
     let endpoint = Endpoint::parse(args.require("listen")?)?;
-    let snapshot = args.get("snapshot").map(PathBuf::from);
-    let resume = args.flag("resume");
-    if resume {
-        let Some(path) = snapshot.as_deref() else {
-            return Err(CliError::Message(
-                "--resume requires --snapshot <file> to resume from".into(),
-            ));
-        };
-        if !path.exists() {
-            return Err(CliError::Message(format!(
-                "--resume: snapshot file {} does not exist",
-                path.display()
-            )));
-        }
-    }
     let meter = CapacityMeter::from_json(&std::fs::read_to_string(args.require("meter")?)?)?;
-    run_collect(&endpoint, meter, snapshot.as_deref(), resume, args)
+    run_collect(&endpoint, meter, args)
 }
 
 fn run_collect(
     endpoint: &Endpoint,
     meter: CapacityMeter,
-    snapshot: Option<&Path>,
-    resume: bool,
     args: &Args,
 ) -> Result<SupervisedReport, CliError> {
-    let defaults = SupervisorConfig::default();
     let sup_cfg = SupervisorConfig {
-        safe_cap: args.get_parsed("safe-cap", defaults.safe_cap, "integer")?,
-        snapshot_every: args.get_parsed("snapshot-every", defaults.snapshot_every, "integer")?,
+        safe_cap: args.get_parsed("safe-cap", SupervisorConfig::default().safe_cap, "integer")?,
     };
     let admission = AdmissionController::try_new(AdmissionConfig::default(), INITIAL_CAP)
         .map_err(|e| CliError::Message(e.to_string()))?;
     let listener = Listener::bind(endpoint)?;
     let cfg = CollectorConfig::default();
-    let snapshot_note = match snapshot {
-        Some(p) => format!(" (snapshots to {})", p.display()),
-        None => String::new(),
-    };
     println!(
-        "collector: listening on {} for {} tier agents{snapshot_note}",
+        "collector: listening on {} for {} tier agents",
         listener.local_endpoint()?,
         cfg.expected_tiers,
     );
@@ -488,14 +416,7 @@ fn run_collect(
         "{:<8} {:>10} {:>10} {:>10} {:>12}",
         "window", "t(s)", "thr", "state", "hc"
     );
-    let collector = SupervisedCollector::start(
-        meter,
-        cfg.window_origin,
-        sup_cfg,
-        admission,
-        snapshot,
-        resume,
-    );
+    let collector = SupervisedCollector::start(meter, cfg.window_origin, sup_cfg, admission);
     Ok(run_supervised_collector(
         listener,
         collector,
@@ -522,53 +443,6 @@ fn run_collect(
             );
         },
     ))
-}
-
-/// `webcap snapshot inspect <file>` — verify a collector snapshot's
-/// envelope and describe the state inside without loading it into a
-/// collector.
-pub fn snapshot(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[])?;
-    let (action, path) = match args.positional() {
-        [action, path] => (action.as_str(), Path::new(path)),
-        _ => {
-            return Err(CliError::Message(
-                "usage: webcap snapshot inspect <file>".into(),
-            ))
-        }
-    };
-    if action != "inspect" {
-        return Err(CliError::Message(format!(
-            "unknown snapshot action '{action}' (expected inspect)"
-        )));
-    }
-    let (snap, header): (CollectorSnapshot, SnapshotHeader) =
-        read_snapshot(path).map_err(|e| CliError::Message(format!("{}: {e}", path.display())))?;
-    let cfg = snap.state.meter.config();
-    println!(
-        "envelope  : version {}, {} payload bytes, fnv1a {:016x}",
-        header.version, header.payload_len, header.hash
-    );
-    println!("health    : {}", snap.health);
-    println!("origin    : t = {} s", snap.origin);
-    println!(
-        "windows   : {} emitted, {} poisoned, {} anomalies",
-        snap.assembler.emitted.len(),
-        snap.assembler.poisoned.len(),
-        snap.assembler.anomalies
-    );
-    println!(
-        "monitor   : {} samples seen, {} decisions made",
-        snap.state.samples_seen, snap.state.decisions_made
-    );
-    println!("admission : cap {} EBs", snap.state.admission.cap());
-    println!(
-        "meter     : {} / {}, {} trained synopses",
-        cfg.level,
-        cfg.algorithm,
-        snap.state.meter.synopses().len()
-    );
-    Ok(())
 }
 
 /// `webcap capsearch` — search scenarios for their SLO-boundary
@@ -756,19 +630,13 @@ COMMANDS:
              window, tracks health (healthy/degraded/safe-mode), and
              drives the admission cap
              --listen <tcp:host:port|unix:/path> --meter <file>
-             [--snapshot <file>] [--resume] [--safe-cap <N>]
-             [--snapshot-every <windows>]
-             (--snapshot persists crash-safe state; --resume restores it
-             and re-enters service at degraded health; a corrupt
-             snapshot is rejected into safe-mode, never trusted)
-  snapshot   inspect a collector snapshot file
-             inspect <file>   verify the envelope and describe the state
+             [--safe-cap <N>]
+             (persists nothing: a restarted collector is a cold start
+             and re-earns healthy through safe-mode)
   agent      run one tier's telemetry agent against a collector
              --tier <app|db> --connect <endpoint> --meter <file>
              [--mix <m>] [--ebs <N>] [--duration <s>] [--seed <N>]
-             [--run-seed <N>] [--start-seq <N>]
-             (--start-seq resumes a replay: history below N is
-             synthesized for warm-up but not re-sent)
+             [--run-seed <N>]
              (every frame, the handshake included, is binary —
              batched delta/varint samples)
   capsearch  bisect scenarios to their SLO-boundary capacity and emit
@@ -824,43 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_resume_requires_an_existing_snapshot() {
-        let resume_args = |tokens: &[&str]| {
-            Args::parse(tokens.iter().map(|s| s.to_string()), &["resume"]).unwrap()
-        };
-        let err = collect(&resume_args(&[
-            "--listen",
-            "tcp:127.0.0.1:0",
-            "--meter",
-            "meter.json",
-            "--resume",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--snapshot"), "{err}");
-        let err = collect(&resume_args(&[
-            "--listen",
-            "tcp:127.0.0.1:0",
-            "--meter",
-            "meter.json",
-            "--snapshot",
-            "/nonexistent/webcap.snap",
-            "--resume",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("does not exist"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_inspect_validates_its_arguments() {
-        let err = snapshot(&args(&[])).unwrap_err();
-        assert!(err.to_string().contains("usage"), "{err}");
-        let err = snapshot(&args(&["wipe", "some-file"])).unwrap_err();
-        assert!(err.to_string().contains("unknown snapshot action"), "{err}");
-        let err = snapshot(&args(&["inspect", "/nonexistent/webcap.snap"])).unwrap_err();
-        assert!(err.to_string().contains("/nonexistent"), "{err}");
-    }
-
-    #[test]
     fn simulate_validates_duration() {
         let err = simulate(&args(&["--duration", "5"])).unwrap_err();
         assert!(err.to_string().contains("at least 30"));
@@ -883,6 +714,8 @@ mod tests {
     fn unknown_option_is_reported() {
         let err = simulate(&args(&["--bogus", "1"])).unwrap_err();
         assert!(err.to_string().contains("unknown option"));
+        let err = collect(&args(&["--snapshot", "x"])).unwrap_err();
+        assert!(err.to_string().contains("unknown option"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use webcap_cli::args::Args;
 use webcap_cli::commands::{
-    agent, capsearch, collect, evaluate, info, plan, simulate, snapshot, train, CliError, USAGE,
+    agent, capsearch, collect, evaluate, info, plan, simulate, train, CliError, USAGE,
 };
 
 fn main() {
@@ -17,7 +17,6 @@ fn main() {
     // Subcommands with bare (value-less) flags.
     let bare_flags: &[&str] = match command.as_str() {
         "capsearch" => &["list", "loopback", "bless"],
-        "collect" => &["resume"],
         _ => &[],
     };
     let result = Args::parse(raw, bare_flags)
@@ -30,7 +29,6 @@ fn main() {
             "plan" => plan(&args),
             "agent" => agent(&args),
             "collect" => collect(&args),
-            "snapshot" => snapshot(&args),
             "capsearch" => capsearch(&args),
             other => Err(CliError::Message(format!(
                 "unknown command '{other}'; run `webcap --help`"

@@ -22,10 +22,6 @@
 //! * [`workloads`] — calibrated training/testing traffic programs.
 //! * [`admission`] — a measurement-based admission controller built on
 //!   the meter (the paper's motivating application).
-//! * [`snapshot`] — crash-safe, checksummed persistence of the full
-//!   meter/admission/monitor state (atomic writes, typed load errors).
-//! * [`retry`] — the shared jittered-backoff [`RetryPolicy`] used by
-//!   snapshot IO and the telemetry agents' redial loop.
 //!
 //! # Example
 //!
@@ -67,8 +63,6 @@ pub mod monitor;
 pub mod online;
 pub mod oracle;
 pub mod pi;
-pub mod retry;
-pub mod snapshot;
 pub mod synopsis;
 pub mod workloads;
 
@@ -82,10 +76,5 @@ pub use oracle::{
     label_from_aggs, label_window, OracleConfig, TierStressAgg, WindowHealthAgg, WindowLabel,
 };
 pub use pi::{correlation, select_pi, PiDefinition, PiSelection};
-pub use retry::RetryPolicy;
-pub use snapshot::{
-    fnv1a, read_snapshot, write_snapshot, write_snapshot_with_retry, MeterSnapshot, SnapshotError,
-    SnapshotHeader, SNAPSHOT_VERSION,
-};
 pub use synopsis::{PerformanceSynopsis, SynopsisSpec};
 pub use webcap_parallel::Parallelism;

@@ -354,8 +354,7 @@ impl CapacityMeter {
         &self.synopses
     }
 
-    /// The trained two-level coordinated predictor (read-only — e.g. for
-    /// `snapshot inspect` to report trained-instance counts).
+    /// The trained two-level coordinated predictor (read-only).
     pub fn coordinator(&self) -> &CoordinatedPredictor {
         &self.coordinator
     }

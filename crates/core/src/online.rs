@@ -82,16 +82,6 @@ impl OnlineMonitor {
         self.decisions_made
     }
 
-    /// Restore the lifetime counters from a persisted snapshot, so a
-    /// monitor resumed after a crash reports cumulative totals rather
-    /// than restarting from zero. Aggregation state is untouched — a
-    /// resume always begins at a window boundary, where the buffers are
-    /// empty anyway.
-    pub fn restore_counters(&mut self, samples_seen: u64, decisions_made: u64) {
-        self.samples_seen = samples_seen;
-        self.decisions_made = decisions_made;
-    }
-
     /// The wrapped meter.
     pub fn meter(&self) -> &CapacityMeter {
         &self.meter

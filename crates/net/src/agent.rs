@@ -36,7 +36,6 @@ use std::io::{self};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use webcap_core::RetryPolicy;
 use webcap_hpc::HpcModel;
 use webcap_sim::TierId;
 
@@ -44,6 +43,7 @@ use crate::frame::{
     metric_schema_hash, read_frame, write_frame, write_frame_codec, Frame, FrameBuf, WireCaps,
     WireCodec, WireSample, PROTO_VERSION,
 };
+use crate::retry::RetryPolicy;
 use crate::source::{SampleSource, SourcePoll, TierSampler};
 use crate::transport::{is_timeout, Conn, Endpoint};
 

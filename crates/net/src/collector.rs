@@ -40,7 +40,7 @@ use crate::frame::{
     append_frame, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf, TierWindowDigest,
     WireSample, PROTO_VERSION,
 };
-use crate::reassembly::{score_window, DigesterState, TierDigester};
+use crate::reassembly::{score_window, TierDigester};
 use crate::transport::{is_timeout, Conn, Listener};
 
 /// Collector runtime configuration.
@@ -142,7 +142,6 @@ pub struct Assembler {
     /// Union of both tiers' verdicts plus windows that failed scoring.
     poisoned: BTreeSet<i64>,
     prev_fed: Option<i64>,
-    emitted: BTreeSet<i64>,
     /// Surprises of the join itself; the digesters count their own.
     anomalies: u64,
     samples_seen: u64,
@@ -161,7 +160,6 @@ impl Assembler {
             halves: BTreeMap::new(),
             poisoned: BTreeSet::new(),
             prev_fed: None,
-            emitted: BTreeSet::new(),
             anomalies: 0,
             samples_seen: 0,
             decisions_made: 0,
@@ -230,7 +228,6 @@ impl Assembler {
             };
             match score_window(&mut self.meter, &mut self.prev_fed, app, db) {
                 Some(decision) => {
-                    self.emitted.insert(window);
                     self.samples_seen += self.window_len as u64;
                     self.decisions_made += 1;
                     sink(window, &decision);
@@ -279,92 +276,10 @@ impl Assembler {
     }
 
     /// Lifetime counters `(samples_seen, decisions_made)` of the
-    /// decision stream — `window_len` samples per emitted window — what
-    /// a snapshot persists.
+    /// decision stream — `window_len` samples per emitted window.
     pub fn monitor_counters(&self) -> (u64, u64) {
         (self.samples_seen, self.decisions_made)
     }
-
-    /// The trained meter (read-only, for snapshotting).
-    pub fn meter(&self) -> &CapacityMeter {
-        &self.meter
-    }
-
-    /// Capture the boundary-persistent reassembly state for a snapshot.
-    ///
-    /// Partial windows (the digesters' accumulators, unjoined halves)
-    /// are deliberately *not* captured, for the reason
-    /// `TierDigester::export_state` gives. What must survive is the
-    /// per-tier stream position (`last_key`, `had_session`), the
-    /// scoring continuity marker (`prev_fed`), and the emitted/poisoned
-    /// ledgers that keep a restarted collector from re-emitting or
-    /// un-poisoning a window.
-    pub fn export_state(&self) -> AssemblerState {
-        let states = self.digesters.each_ref().map(TierDigester::export_state);
-        AssemblerState {
-            last_key: states.each_ref().map(|s| s.last_key),
-            had_session: states.each_ref().map(|s| s.had_session),
-            prev_fed: self.prev_fed,
-            emitted: self.emitted.iter().copied().collect(),
-            poisoned: self.poisoned.iter().copied().collect(),
-            anomalies: self.anomalies(),
-        }
-    }
-
-    /// Rebuild an assembler from a snapshot: a fresh assembler around
-    /// the persisted meter, with the boundary state restored and every
-    /// tier's digester resumed with its straddle rules armed — so each
-    /// tier's first post-restart sample runs the same rules as a
-    /// mid-run reconnect. A restart at a window boundary therefore
-    /// continues byte-identically; a restart mid-window quarantines
-    /// exactly the cut windows.
-    pub fn resume(
-        meter: CapacityMeter,
-        origin: i64,
-        state: &AssemblerState,
-        samples_seen: u64,
-        decisions_made: u64,
-    ) -> Assembler {
-        let mut a = Assembler::new(meter, origin);
-        let window_len = a.window_len;
-        a.digesters = TierId::ALL.map(|tier| {
-            let per_tier = DigesterState {
-                tier,
-                last_key: *tier.select(&state.last_key),
-                had_session: *tier.select(&state.had_session),
-                completed: state.emitted.clone(),
-                poisoned: state.poisoned.clone(),
-                anomalies: 0,
-            };
-            TierDigester::resume(&per_tier, window_len, origin)
-        });
-        a.prev_fed = state.prev_fed;
-        a.emitted = state.emitted.iter().copied().collect();
-        a.poisoned = state.poisoned.iter().copied().collect();
-        a.anomalies = state.anomalies;
-        a.samples_seen = samples_seen;
-        a.decisions_made = decisions_made;
-        a
-    }
-}
-
-/// The part of [`Assembler`] state that survives a collector restart
-/// (see [`Assembler::export_state`] for what is excluded and why).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AssemblerState {
-    /// Last key received per tier.
-    pub last_key: [Option<i64>; 2],
-    /// Whether each tier ever had a session.
-    pub had_session: [bool; 2],
-    /// The window most recently scored, if the decision stream is
-    /// continuous.
-    pub prev_fed: Option<i64>,
-    /// Windows already emitted (never to be re-emitted).
-    pub emitted: Vec<i64>,
-    /// Windows quarantined (never to be trusted).
-    pub poisoned: Vec<i64>,
-    /// Protocol-order surprises counted so far.
-    pub anomalies: u64,
 }
 
 // Not boxed: the pump hands each event to its handler by value, on the
@@ -974,80 +889,6 @@ mod tests {
         }
         assert_eq!(emitted, vec![1]);
         assert_eq!(a.poisoned_windows(), vec![0]);
-    }
-
-    #[test]
-    fn boundary_resume_replays_byte_identically() {
-        // Uninterrupted run over two windows...
-        let mut full = tiny_assembler(30);
-        let mut full_decisions = Vec::new();
-        full.on_session_start(TierId::App);
-        full.on_session_start(TierId::Db);
-        for seq in 0..60u64 {
-            let mut sink = |w: i64, d: &OnlineDecision| {
-                full_decisions.push((w, serde_json::to_string(d).unwrap()));
-            };
-            full.on_sample(TierId::App, wire(seq, true), &mut sink);
-            full.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        // ...versus a crash exactly at the window-0 boundary.
-        let mut first = tiny_assembler(30);
-        let mut resumed_decisions = Vec::new();
-        first.on_session_start(TierId::App);
-        first.on_session_start(TierId::Db);
-        for seq in 0..30u64 {
-            let mut sink = |w: i64, d: &OnlineDecision| {
-                resumed_decisions.push((w, serde_json::to_string(d).unwrap()));
-            };
-            first.on_sample(TierId::App, wire(seq, true), &mut sink);
-            first.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        let state = first.export_state();
-        let (seen, made) = first.monitor_counters();
-        let meter = first.meter().clone();
-        let mut second = Assembler::resume(meter, 1, &state, seen, made);
-        // Restart means both agents reconnect.
-        second.on_session_start(TierId::App);
-        second.on_session_start(TierId::Db);
-        for seq in 30..60u64 {
-            let mut sink = |w: i64, d: &OnlineDecision| {
-                resumed_decisions.push((w, serde_json::to_string(d).unwrap()));
-            };
-            second.on_sample(TierId::App, wire(seq, true), &mut sink);
-            second.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        assert_eq!(full_decisions, resumed_decisions);
-        assert!(second.poisoned_windows().is_empty());
-        let (seen2, made2) = second.monitor_counters();
-        assert_eq!((seen2, made2), (60, 2), "counters are cumulative");
-    }
-
-    #[test]
-    fn mid_window_resume_quarantines_the_cut_window() {
-        let mut first = tiny_assembler(30);
-        let mut emitted = Vec::new();
-        first.on_session_start(TierId::App);
-        first.on_session_start(TierId::Db);
-        // Crash mid-window-1 (after seq 44).
-        for seq in 0..45u64 {
-            let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
-            first.on_sample(TierId::App, wire(seq, true), &mut sink);
-            first.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        let state = first.export_state();
-        let (seen, made) = first.monitor_counters();
-        let mut second = Assembler::resume(first.meter().clone(), 1, &state, seen, made);
-        second.on_session_start(TierId::App);
-        second.on_session_start(TierId::Db);
-        for seq in 45..90u64 {
-            let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
-            second.on_sample(TierId::App, wire(seq, true), &mut sink);
-            second.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        second.on_bye(TierId::App, 89);
-        second.on_bye(TierId::Db, 89);
-        assert_eq!(emitted, vec![0, 2], "cut window 1 never emits");
-        assert_eq!(second.poisoned_windows(), vec![1]);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! * [`agent`] — the agent runtime: bounded drop-oldest queueing,
 //!   sample batching, heartbeats, jittered-backoff reconnect, and the
 //!   scripted [`FaultSchedule`].
+//! * [`retry`] — the agent's jittered-backoff [`RetryPolicy`].
 //! * [`reassembly`] — the one implementation of the per-tier window
 //!   rules ([`TierDigester`]: gap poisoning, straddle quarantine,
 //!   trailing loss) and of digest-pair scoring ([`score_window`]),
@@ -34,8 +35,8 @@
 //! * [`supervisor`] — the collector itself ([`SupervisedCollector`],
 //!   socketed by [`run_supervised_collector`]): the assembler under the
 //!   Healthy → Degraded → SafeMode health state machine over telemetry
-//!   quality, safe-mode admission clamping, periodic crash-safe
-//!   snapshots, and resume-from-snapshot.
+//!   quality and safe-mode admission clamping. A restarted collector
+//!   is a cold start: it persists nothing.
 //! * [`loopback`] — in-process deployments, the periodic fault knobs
 //!   that compile to a [`FaultSchedule`], plus the replay/oracle
 //!   baselines the integration tests check the plane against.
@@ -70,12 +71,13 @@ pub mod collector;
 pub mod frame;
 pub mod loopback;
 pub mod reassembly;
+pub mod retry;
 pub mod source;
 pub mod supervisor;
 pub mod transport;
 
 pub use agent::{run_agent, AgentConfig, AgentReport, FaultSchedule, HandshakeRejected};
-pub use collector::{Assembler, AssemblerState, CollectorConfig, ShedKind};
+pub use collector::{Assembler, CollectorConfig, ShedKind};
 pub use frame::{
     metric_schema_hash, read_frame, try_extract_frame, write_frame, write_frame_codec, AppStats,
     AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError, TierWindowDigest, WireCaps,
@@ -86,9 +88,10 @@ pub use loopback::{
     run_loopback_scheduled, run_supervised_loopback, FaultKnobs, LoopbackOutcome,
 };
 pub use reassembly::{score_window, TierDigester, MAX_GAP_WINDOWS};
+pub use retry::RetryPolicy;
 pub use source::{SampleSource, ScriptedSource, SourcePoll, SourceSample, TierSampler};
 pub use supervisor::{
-    run_supervised_collector, AdmissionPoint, CollectorSnapshot, HealthState, HealthTransition,
-    ResumeOutcome, SupervisedCollector, SupervisedReport, Supervisor, SupervisorConfig,
+    run_supervised_collector, AdmissionPoint, HealthState, HealthTransition, SupervisedCollector,
+    SupervisedReport, Supervisor, SupervisorConfig,
 };
 pub use transport::{Conn, Endpoint, Listener};

@@ -130,9 +130,9 @@ pub fn run_loopback_scheduled(
 /// before that agent starts, and streaming its own view of `samples` —
 /// and join them all.
 /// `start_seq` puts both agents' scripted sources into warm-up replay
-/// below that sequence (synthesize, don't send), so a deployment
-/// resumed from a snapshot continues the stream where the previous
-/// process left off with byte-identical wire samples.
+/// below that sequence (synthesize, don't send): they stand in for
+/// agents that outlived a restarted collector, whose streams continue
+/// at `start_seq` with byte-identical wire samples.
 pub fn run_supervised_loopback(
     collector: SupervisedCollector,
     hpc_model: &HpcModel,

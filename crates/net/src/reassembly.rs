@@ -413,58 +413,6 @@ impl TierDigester {
     pub fn anomalies(&self) -> u64 {
         self.anomalies
     }
-
-    /// Capture the boundary-persistent state for a snapshot. The
-    /// partial-window accumulator is deliberately dropped: a snapshot is
-    /// only ever restored across a process boundary, where every agent
-    /// reconnects, and a resume re-arms the fresh-session straddle
-    /// rules, which quarantine any window cut by the restart — exactly
-    /// as they do for a mid-run reconnect.
-    pub(crate) fn export_state(&self) -> DigesterState {
-        DigesterState {
-            tier: self.tier,
-            last_key: self.last_key,
-            had_session: self.had_session,
-            completed: self.completed.iter().copied().collect(),
-            poisoned: self.poisoned.iter().copied().collect(),
-            anomalies: self.anomalies,
-        }
-    }
-
-    /// Rebuild a digester from a snapshot, with `fresh_session` armed
-    /// for any tier that had a session — the first post-restart sample
-    /// runs the straddle rules. A restart at a window boundary
-    /// continues byte-identically; a restart mid-window quarantines
-    /// exactly the cut window.
-    pub(crate) fn resume(state: &DigesterState, window_len: i64, origin: i64) -> TierDigester {
-        let mut d = TierDigester::new(state.tier, window_len, origin);
-        d.last_key = state.last_key;
-        d.had_session = state.had_session;
-        d.fresh_session = state.had_session;
-        d.completed = state.completed.iter().copied().collect();
-        d.poisoned = state.poisoned.iter().copied().collect();
-        d.anomalies = state.anomalies;
-        d
-    }
-}
-
-/// The part of [`TierDigester`] state that survives a collector
-/// restart (see [`TierDigester::export_state`] for what is excluded
-/// and why).
-#[derive(Debug)]
-pub(crate) struct DigesterState {
-    /// The digested tier.
-    pub(crate) tier: TierId,
-    /// Last key received.
-    pub(crate) last_key: Option<i64>,
-    /// Whether the tier ever had a session.
-    pub(crate) had_session: bool,
-    /// Windows already digested (never to be re-digested).
-    pub(crate) completed: Vec<i64>,
-    /// Windows quarantined (never to be trusted).
-    pub(crate) poisoned: Vec<i64>,
-    /// Protocol-order surprises counted so far.
-    pub(crate) anomalies: u64,
 }
 
 /// Score one complete window from its two tier digests. The decision is

@@ -195,14 +195,14 @@ impl<'a> ScriptedSource<'a> {
         ScriptedSource::with_start_seq(tier, samples, 0)
     }
 
-    /// Resume `tier`'s view of `samples` from `start_seq` after a
-    /// restart. Every sample is still yielded in order — metric
-    /// synthesis is stateful, so skipping history would change the OS
-    /// rows of everything after it (see the module docs) — but samples
-    /// before `start_seq` are marked [`SourceSample::warmup`] so the
-    /// agent rebuilds its sampler state without re-sending sequences
-    /// the collector already consumed. A resumed deployment therefore
-    /// produces byte-identical wire samples from `start_seq` on.
+    /// `tier`'s view of `samples`, sent from `start_seq` on. Every
+    /// sample is still yielded in order — metric synthesis is stateful,
+    /// so skipping history would change the OS rows of everything after
+    /// it (see the module docs) — but samples before `start_seq` are
+    /// marked [`SourceSample::warmup`] so the agent builds its sampler
+    /// state without sending them. The wire samples from `start_seq` on
+    /// are therefore byte-identical to a full run's: the stream of an
+    /// agent that was already running when a collector (re)started.
     pub fn with_start_seq(
         tier: TierId,
         samples: &'a [SystemSample],

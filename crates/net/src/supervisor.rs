@@ -1,6 +1,5 @@
 //! Collector supervision: a health state machine over telemetry
-//! quality, safe-mode admission, periodic snapshotting, and
-//! resume-from-snapshot.
+//! quality, and safe-mode admission.
 //!
 //! An [`Assembler`] alone trusts its inputs: every surviving window
 //! becomes a prediction, and whoever consumes those predictions (the
@@ -40,27 +39,23 @@
 //! Healthy), and the streak resets on every step, so one good window
 //! after a storm never re-opens the throttle.
 //!
-//! Every `snapshot_every` emitted windows the supervisor persists a
-//! [`CollectorSnapshot`] (meter, admission, assembler boundary state
-//! and health) via the crash-safe snapshot envelope; a restarted
-//! collector resumes from it. A snapshot that fails integrity checks is
-//! *rejected*: the collector starts fresh — in SafeMode, because losing
-//! state is itself a degraded condition — instead of panicking.
+//! A collector persists nothing: a restarted one is a cold start from
+//! the meter file. The meter's only moving state online is the LHT
+//! history register — the last `history_bits` majority votes, each a
+//! function of its window's features alone — so `history_bits` windows
+//! after any discontinuity every decision equals the uninterrupted
+//! run's. The stream history a cold collector never saw reads as a
+//! leading gap and is poisoned like any loss, which walks health to
+//! SafeMode until the clean-streak hysteresis re-earns Healthy.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
-use webcap_core::snapshot::{
-    read_snapshot, write_snapshot_with_retry, MeterSnapshot, SnapshotError, SnapshotHeader,
-};
-use webcap_core::{
-    AdmissionConfig, AdmissionController, CapacityMeter, OnlineDecision, RetryPolicy,
-};
+use webcap_core::{AdmissionConfig, AdmissionController, CapacityMeter, OnlineDecision};
 use webcap_sim::TierId;
 
-use crate::collector::{pump_events, Assembler, AssemblerState, CollectorConfig, Event, ShedKind};
+use crate::collector::{pump_events, Assembler, CollectorConfig, Event, ShedKind};
 use crate::transport::Listener;
 
 /// Collector health, ordered by severity (the derived `Ord` follows
@@ -72,8 +67,8 @@ pub enum HealthState {
     /// Quality is suspect (losses, churn, or staleness); predictions
     /// are recorded but the admission cap holds.
     Degraded,
-    /// Quality collapsed (or state was lost); admission is clamped to
-    /// the conservative safe cap.
+    /// Quality collapsed; admission is clamped to the conservative safe
+    /// cap.
     SafeMode,
 }
 
@@ -87,26 +82,18 @@ impl fmt::Display for HealthState {
     }
 }
 
-/// Supervisor policy knobs: the two a deployment sets (`webcap collect
-/// --safe-cap / --snapshot-every`). The health thresholds are the
-/// constants below.
+/// Supervisor policy knob: the one a deployment sets (`webcap collect
+/// --safe-cap`). The health thresholds are the constants below.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
     /// The admission cap SafeMode clamps to (further clamped into the
     /// controller's own `[min_ebs, max_ebs]`).
     pub safe_cap: u32,
-    /// Persist a snapshot every this many emitted windows (0 disables
-    /// periodic snapshots; a final snapshot is still written at
-    /// shutdown when a path is configured).
-    pub snapshot_every: u64,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            safe_cap: 20,
-            snapshot_every: 2,
-        }
+        SupervisorConfig { safe_cap: 20 }
     }
 }
 
@@ -188,22 +175,6 @@ impl Supervisor {
             tick: 0,
             transitions: Vec::new(),
         }
-    }
-
-    /// A supervisor starting in `state` (e.g. after a resume), with the
-    /// initial transition recorded when the state is not Healthy.
-    pub fn with_initial(cfg: SupervisorConfig, state: HealthState, reason: &str) -> Supervisor {
-        let mut s = Supervisor::new(cfg);
-        if state != HealthState::Healthy {
-            s.transitions.push(HealthTransition {
-                tick: 0,
-                from: HealthState::Healthy,
-                to: state,
-                reason: reason.to_string(),
-            });
-            s.state = state;
-        }
-        s
     }
 
     /// Current health.
@@ -382,46 +353,10 @@ pub struct AdmissionPoint {
     pub cap: u32,
 }
 
-/// Everything a supervised collector persists: the meter-side state,
-/// the assembler's boundary state, and the health at snapshot time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CollectorSnapshot {
-    /// Meter, admission controller, and monitor counters.
-    pub state: MeterSnapshot,
-    /// Assembler boundary state (stream positions, ledgers).
-    pub assembler: AssemblerState,
-    /// Window origin the assembler was anchored at.
-    pub origin: i64,
-    /// Health at snapshot time.
-    pub health: HealthState,
-}
-
-/// How a supervised collector started.
-#[derive(Debug)]
-pub enum ResumeOutcome {
-    /// No snapshot was configured or none existed; fresh start.
-    Fresh,
-    /// A snapshot loaded and verified; state restored.
-    Resumed {
-        /// The verified envelope header.
-        header: SnapshotHeader,
-        /// Restored monitor sample counter.
-        samples_seen: u64,
-        /// Restored monitor decision counter.
-        decisions_made: u64,
-        /// Windows already emitted before the restart.
-        emitted_windows: usize,
-    },
-    /// A snapshot existed but failed verification; fresh start in
-    /// SafeMode.
-    Rejected(SnapshotError),
-}
-
 /// End-of-run account of a supervised collector.
 #[derive(Debug)]
 pub struct SupervisedReport {
-    /// Emitted decisions, in window order (this process's run only —
-    /// windows emitted before a restart are in the snapshot ledger).
+    /// Emitted decisions, in window order.
     pub decisions: Vec<(i64, OnlineDecision)>,
     /// Windows quarantined by gaps or reconnections.
     pub poisoned_windows: Vec<i64>,
@@ -446,30 +381,20 @@ pub struct SupervisedReport {
     pub admission_trace: Vec<AdmissionPoint>,
     /// Admission cap at shutdown.
     pub final_cap: u32,
-    /// Monitor lifetime sample counter (cumulative across resumes).
+    /// Monitor lifetime sample counter.
     pub samples_seen: u64,
-    /// Monitor lifetime decision counter (cumulative across resumes).
+    /// Monitor lifetime decision counter.
     pub decisions_made: u64,
-    /// Snapshots successfully written this run.
-    pub snapshots_written: u64,
-    /// Snapshot write failures (never fatal; the run continues).
-    pub snapshot_errors: Vec<String>,
-    /// How this run started.
-    pub resume: ResumeOutcome,
 }
 
 /// The supervised assembler: drives an [`Assembler`], a [`Supervisor`],
-/// and an [`AdmissionController`] from the same event stream, with
-/// periodic crash-safe snapshots. Deterministic given the event
-/// sequence — the chaos harness drives it directly.
+/// and an [`AdmissionController`] from the same event stream.
+/// Deterministic given the event sequence — the chaos harness drives it
+/// directly.
 pub struct SupervisedCollector {
     assembler: Assembler,
     supervisor: Supervisor,
     admission: AdmissionController,
-    snapshot_path: Option<PathBuf>,
-    snapshot_retry: RetryPolicy,
-    seed: u64,
-    origin: i64,
     sessions: [u64; 2],
     samples: [u64; 2],
     rejected: u64,
@@ -479,13 +404,6 @@ pub struct SupervisedCollector {
     /// Poisoned-window count already accounted to the supervisor.
     known_poisoned: usize,
     last_health: HealthState,
-    /// Tiers that had a live session before the restart this run
-    /// resumed from (their next connect is a *re*connect).
-    resumed_had_session: [bool; 2],
-    emitted_since_snapshot: u64,
-    snapshots_written: u64,
-    snapshot_errors: Vec<String>,
-    resume: ResumeOutcome,
 }
 
 /// The admission cap a collector starts from (EBs), before any
@@ -496,39 +414,28 @@ impl SupervisedCollector {
     /// A fresh collector as `webcap collect` builds one when given no
     /// flags: anchored at the default window origin, supervised under
     /// [`SupervisorConfig::default`], admitting through the default AIMD
-    /// controller from [`INITIAL_CAP`], with no snapshot path.
+    /// controller from [`INITIAL_CAP`].
     pub fn fresh(meter: CapacityMeter) -> SupervisedCollector {
         SupervisedCollector::start(
             meter,
             CollectorConfig::default().window_origin,
             SupervisorConfig::default(),
             AdmissionController::new(AdmissionConfig::default(), INITIAL_CAP),
-            None,
-            false,
         )
     }
 
-    /// Build a supervised collector. When `resume` is set and
-    /// `snapshot_path` names a verifiable snapshot, state is restored
-    /// from it (the `meter` argument is the fallback for fresh starts);
-    /// a corrupt snapshot starts fresh in SafeMode with the cap
-    /// clamped.
+    /// Build a supervised collector around a freshly loaded meter,
+    /// anchored at `origin`, starting Healthy.
     pub fn start(
         meter: CapacityMeter,
         origin: i64,
         sup_cfg: SupervisorConfig,
         admission: AdmissionController,
-        snapshot_path: Option<&Path>,
-        resume: bool,
     ) -> SupervisedCollector {
-        let mut this = SupervisedCollector {
+        SupervisedCollector {
             assembler: Assembler::new(meter, origin),
             supervisor: Supervisor::new(sup_cfg),
             admission,
-            snapshot_path: snapshot_path.map(Path::to_path_buf),
-            snapshot_retry: RetryPolicy::snapshot_io(),
-            seed: 0x736e_6170, // "snap": jitter seed for snapshot IO retries
-            origin,
             sessions: [0, 0],
             samples: [0, 0],
             rejected: 0,
@@ -537,65 +444,7 @@ impl SupervisedCollector {
             admission_trace: Vec::new(),
             known_poisoned: 0,
             last_health: HealthState::Healthy,
-            resumed_had_session: [false, false],
-            emitted_since_snapshot: 0,
-            snapshots_written: 0,
-            snapshot_errors: Vec::new(),
-            resume: ResumeOutcome::Fresh,
-        };
-        if let Some(path) = snapshot_path.filter(|path| resume && path.exists()) {
-            // The envelope's checksum is not a trust boundary: the
-            // restored controller's config gets the check `try_new` runs.
-            let verified = read_snapshot::<CollectorSnapshot>(path).and_then(|(snap, header)| {
-                match snap.state.admission.config().validate() {
-                    Ok(()) => Ok((snap, header)),
-                    Err(e) => Err(SnapshotError::InvalidAdmission(e)),
-                }
-            });
-            match verified {
-                Ok((snap, header)) => {
-                    this.assembler = Assembler::resume(
-                        snap.state.meter,
-                        snap.origin,
-                        &snap.assembler,
-                        snap.state.samples_seen,
-                        snap.state.decisions_made,
-                    );
-                    // A restart is itself a telemetry discontinuity:
-                    // resume at least Degraded, re-earning Healthy
-                    // through the clean-streak hysteresis.
-                    let floor = snap.health.max(HealthState::Degraded);
-                    this.supervisor =
-                        Supervisor::with_initial(sup_cfg, floor, "resumed from snapshot");
-                    this.admission = snap.state.admission;
-                    this.resumed_had_session = snap.assembler.had_session;
-                    this.resume = ResumeOutcome::Resumed {
-                        header,
-                        samples_seen: snap.state.samples_seen,
-                        decisions_made: snap.state.decisions_made,
-                        emitted_windows: snap.assembler.emitted.len(),
-                    };
-                }
-                Err(e) => {
-                    this.supervisor = Supervisor::with_initial(
-                        sup_cfg,
-                        HealthState::SafeMode,
-                        "snapshot rejected: starting fresh with no trusted state",
-                    );
-                    // Record the clamp the rejected-snapshot path applies.
-                    this.admission_trace.push(AdmissionPoint {
-                        window: -1,
-                        health: HealthState::SafeMode,
-                        from_prediction: false,
-                        cap: this.admission.clamp_to(sup_cfg.safe_cap),
-                    });
-                    this.resume = ResumeOutcome::Rejected(e);
-                }
-            }
         }
-        this.last_health = this.supervisor.state();
-        this.known_poisoned = this.assembler.poisoned_count();
-        this
     }
 
     /// Current health.
@@ -611,11 +460,6 @@ impl SupervisedCollector {
     /// Decisions emitted so far this run.
     pub fn decisions(&self) -> &[(i64, OnlineDecision)] {
         &self.decisions
-    }
-
-    /// How this run started.
-    pub fn resume_outcome(&self) -> &ResumeOutcome {
-        &self.resume
     }
 
     /// Feed newly poisoned windows to the supervisor and react to any
@@ -672,44 +516,11 @@ impl SupervisedCollector {
             cap,
         });
         self.decisions.push((window, decision));
-        let every = self.supervisor.config().snapshot_every;
-        self.emitted_since_snapshot += 1;
-        if every > 0 && self.emitted_since_snapshot >= every {
-            self.write_snapshot_now();
-        }
-    }
-
-    /// Persist the current state. Failures are recorded, never fatal —
-    /// a collector that cannot write its snapshot must keep measuring.
-    fn write_snapshot_now(&mut self) {
-        let Some(path) = self.snapshot_path.clone() else {
-            return;
-        };
-        let (samples_seen, decisions_made) = self.assembler.monitor_counters();
-        let snap = CollectorSnapshot {
-            state: MeterSnapshot {
-                meter: self.assembler.meter().clone(),
-                admission: self.admission,
-                samples_seen,
-                decisions_made,
-            },
-            assembler: self.assembler.export_state(),
-            origin: self.origin,
-            health: self.supervisor.state(),
-        };
-        match write_snapshot_with_retry(&path, &snap, &self.snapshot_retry, self.seed) {
-            Ok(_) => {
-                self.snapshots_written += 1;
-                self.emitted_since_snapshot = 0;
-            }
-            Err(e) => self.snapshot_errors.push(e.to_string()),
-        }
     }
 
     /// A tier's session started (or restarted).
     pub fn on_session_start(&mut self, tier: TierId) {
-        let is_reconnect =
-            *tier.select(&self.sessions) > 0 || *tier.select(&self.resumed_had_session);
+        let is_reconnect = *tier.select(&self.sessions) > 0;
         *tier.select_mut(&mut self.sessions) += 1;
         self.assembler.on_session_start(tier);
         if is_reconnect {
@@ -764,12 +575,8 @@ impl SupervisedCollector {
         self.rejected += 1;
     }
 
-    /// Finish the run: write a final snapshot (when configured) and
-    /// produce the report.
-    pub fn finish(mut self) -> SupervisedReport {
-        if self.snapshot_path.is_some() {
-            self.write_snapshot_now();
-        }
+    /// Finish the run and produce the report.
+    pub fn finish(self) -> SupervisedReport {
         let (samples_seen, decisions_made) = self.assembler.monitor_counters();
         SupervisedReport {
             poisoned_windows: self.assembler.poisoned_windows(),
@@ -786,9 +593,6 @@ impl SupervisedCollector {
             final_cap: self.admission.cap(),
             samples_seen,
             decisions_made,
-            snapshots_written: self.snapshots_written,
-            snapshot_errors: self.snapshot_errors,
-            resume: self.resume,
         }
     }
 }
@@ -928,16 +732,6 @@ mod tests {
         s.on_stale();
         assert_eq!(s.state(), HealthState::Degraded);
         assert_eq!(s.transitions().len(), transitions_before, "no churn");
-    }
-
-    #[test]
-    fn with_initial_records_the_non_healthy_start() {
-        let s = Supervisor::with_initial(cfg(), HealthState::SafeMode, "testing");
-        assert_eq!(s.state(), HealthState::SafeMode);
-        assert_eq!(s.transitions().len(), 1);
-        assert_eq!(s.transitions()[0].reason, "testing");
-        let h = Supervisor::with_initial(cfg(), HealthState::Healthy, "noop");
-        assert!(h.transitions().is_empty());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Deterministic chaos harness for the supervised telemetry plane.
 //!
 //! Every test here runs a *scripted* fault schedule — agent crashes,
-//! collector restarts, corrupted snapshots, loss storms — against the
-//! supervised collector and checks the recovery contract:
+//! collector restarts, loss storms — against the supervised collector
+//! and checks the recovery contract:
 //!
-//! * (a) a collector restarted from a boundary-aligned snapshot
-//!   continues the decision stream **byte-identically** (JSON) to an
-//!   uninterrupted oracle run;
-//! * (b) a corrupt, truncated, or wrong-version snapshot is *rejected
-//!   into SafeMode* — typed error, clamped cap, no panic;
+//! * (a) a restarted collector is a cold start: it poisons the stream
+//!   history it never saw, walks to SafeMode with the cap clamped,
+//!   re-earns Healthy through the clean-streak hysteresis, and from its
+//!   `history_bits + 1`-th emitted window on decides **byte-identically**
+//!   (JSON) to an uninterrupted oracle run;
 //! * (c) while health is Degraded or SafeMode, **no** prediction drives
 //!   the admission cap, and no admission step ever comes from a
 //!   loss-touched window.
@@ -18,24 +18,20 @@
 //! a test fails.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use webcap_core::snapshot::{read_snapshot, write_snapshot};
-use webcap_core::{
-    AdmissionConfig, AdmissionConfigError, AdmissionController, CapacityMeter, MeterConfig,
-    SnapshotError,
-};
+use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_net::loopback::{all_windows, replay_windows, run_supervised_loopback};
 use webcap_net::supervisor::{
-    CollectorSnapshot, HealthState, HealthTransition, ResumeOutcome, SupervisedCollector,
-    SupervisedReport, SupervisorConfig, INITIAL_CAP,
+    AdmissionPoint, HealthState, HealthTransition, SupervisedCollector, SupervisedReport,
+    SupervisorConfig,
 };
 use webcap_net::{AgentConfig, AgentReport, AppStats, Endpoint, WireSample};
 use webcap_sim::{Simulation, SystemSample, TierId, TierSample};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 const BASE_SEED: u64 = 17;
-const TOTAL_SAMPLES: usize = 240;
+const TOTAL_SAMPLES: usize = 600;
 
 fn trained_meter() -> CapacityMeter {
     static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
@@ -46,8 +42,8 @@ fn trained_meter() -> CapacityMeter {
         .clone()
 }
 
-/// A steady 240 s run of the meter's own testbed — 8 full 30-sample
-/// windows for the plane to carry (the same stream `faults.rs` uses).
+/// A steady 600 s run of the meter's own testbed — 20 full 30-sample
+/// windows for the plane to carry.
 fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
     let mut sim = meter.config().sim.clone();
     sim.seed = 400;
@@ -61,27 +57,17 @@ fn decisions_json(decisions: &[(i64, webcap_core::OnlineDecision)]) -> String {
     serde_json::to_string(decisions).expect("decisions serialize")
 }
 
-/// One life of a loopback deployment: a collector with the default
-/// supervision, snapshotting to `snapshot` and — when `resume` —
-/// starting from what is there, and two default agents that warm-replay
-/// `samples` below `start_seq` and stream the rest.
+/// One life of a loopback deployment: a fresh collector, and two
+/// default agents that warm-replay `samples` below `start_seq` and
+/// stream the rest — agents that were already running when this
+/// collector started.
 fn life(
     samples: &[SystemSample],
-    snapshot: &Path,
-    resume: bool,
     start_seq: u64,
 ) -> std::io::Result<(SupervisedReport, [AgentReport; 2])> {
     let meter = trained_meter();
-    let admission = AdmissionController::new(AdmissionConfig::default(), INITIAL_CAP);
     let out = run_supervised_loopback(
-        SupervisedCollector::start(
-            meter.clone(),
-            1,
-            SupervisorConfig::default(),
-            admission,
-            Some(snapshot),
-            resume,
-        ),
+        SupervisedCollector::fresh(meter.clone()),
         &meter.config().hpc_model,
         samples,
         &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
@@ -89,15 +75,6 @@ fn life(
         |tier, dial| AgentConfig::new(tier, dial, BASE_SEED),
     )?;
     Ok((out.collector, out.agents))
-}
-
-/// Scratch directory for snapshots and transition logs; cargo puts
-/// `CARGO_TARGET_TMPDIR` under `target/tmp`, which CI's `test` job
-/// uploads as an artifact on failure.
-fn scratch_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("chaos-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
 }
 
 /// Persist a test's health-transition log (one JSON object per line).
@@ -143,203 +120,111 @@ fn wire(seq: u64, with_app: bool) -> WireSample {
     }
 }
 
-/// Chaos proof (a): kill the collector at a window boundary, restart it
-/// from its snapshot with both agents warm-replaying their history, and
-/// demand the post-recovery decisions match the uninterrupted oracle
-/// byte for byte — while health re-earns Healthy through the Degraded
-/// re-entry floor.
+/// Chaos proof (a): restart the collector cold — on a window boundary
+/// (seq 150) and mid-window (seq 160) — while both agents stream on.
+/// The collector poisons every window before the restart and the cut
+/// one, enters SafeMode with the cap clamped, lets no prediction drive
+/// the cap until Healthy is re-earned, and from its `history_bits +
+/// 1`-th emitted window on decides byte-identically to the
+/// uninterrupted oracle: the meter's only online state is the last
+/// `history_bits` votes, each a function of its own window.
 #[test]
-fn boundary_restart_resumes_byte_identically_with_degraded_reentry() {
+fn a_cold_restart_rejoins_the_uninterrupted_stream_after_h_windows() {
     let meter = trained_meter();
     let window_len = meter.config().window_len;
+    let h = meter.config().coordinator.history_bits;
+    let safe_cap = SupervisorConfig::default().safe_cap;
     let samples = steady_samples(&meter);
-    let snap_path = scratch_dir().join("boundary-restart.wcapsnap");
-
-    // First life: 150 samples = 5 clean windows, then the process dies
-    // (the run simply ends; its final snapshot is the crash point).
-    let (first, _) = life(&samples[..150], &snap_path, false, 0).expect("first life runs");
-    assert!(matches!(first.resume, ResumeOutcome::Fresh));
-    let first_windows: Vec<i64> = first.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(first_windows, vec![0, 1, 2, 3, 4]);
-    assert_eq!(first.health, HealthState::Healthy);
-    assert!(first.snapshots_written >= 1, "periodic snapshots happened");
-    assert!(snap_path.exists());
-
-    // Second life: resume from the snapshot; agents warm-replay seqs
-    // 0..150 (rebuilding their stateful OS synthesis) and stream
-    // 150..240.
-    let (second, agents) = life(&samples, &snap_path, true, 150).expect("second life runs");
-    write_transition_log("chaos-boundary-restart", &second.transitions);
-
-    match &second.resume {
-        ResumeOutcome::Resumed {
-            samples_seen,
-            decisions_made,
-            emitted_windows,
-            ..
-        } => {
-            assert_eq!(*samples_seen, 150);
-            assert_eq!(*decisions_made, 5);
-            assert_eq!(*emitted_windows, 5);
-        }
-        other => panic!("expected Resumed, got {other:?}"),
-    }
-    for agent in &agents {
-        assert_eq!(agent.samples_produced, 90, "warm-up samples never send");
-    }
-
-    // The restart was boundary-aligned: nothing is quarantined, and the
-    // remaining three windows emit.
-    assert!(second.poisoned_windows.is_empty());
-    let second_windows: Vec<i64> = second.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(second_windows, vec![5, 6, 7]);
-    assert_eq!(
-        second.decisions_made, 8,
-        "monitor counters are cumulative across the restart"
-    );
-    assert_eq!(second.samples_seen, 240);
-
-    // Byte-identity against the uninterrupted oracle, including the
-    // meter's temporal prediction history carried through the snapshot.
+    let total_windows = (TOTAL_SAMPLES / window_len) as i64;
     let baseline = replay_windows(
         &meter,
         &samples,
         BASE_SEED,
         &all_windows(TOTAL_SAMPLES, window_len),
     );
-    assert_eq!(
-        decisions_json(&second.decisions),
-        decisions_json(&baseline[5..]),
-        "post-recovery decisions are byte-identical to the uninterrupted oracle"
-    );
 
-    // Health re-entry: the resume floors at Degraded, predictions hold
-    // the cap until the clean streak re-earns Healthy.
-    assert_eq!(second.transitions[0].to, HealthState::Degraded);
-    assert_eq!(second.transitions[0].reason, "resumed from snapshot");
-    assert_eq!(second.health, HealthState::Healthy);
-    let per_window: Vec<(i64, HealthState, bool)> = second
-        .admission_trace
-        .iter()
-        .filter(|p| p.window >= 0)
-        .map(|p| (p.window, p.health, p.from_prediction))
-        .collect();
-    assert_eq!(
-        per_window,
-        vec![
-            (5, HealthState::Degraded, false),
-            (6, HealthState::Degraded, false),
-            (7, HealthState::Healthy, true),
-        ],
-        "predictions drive admission only after Healthy is re-earned"
-    );
-}
-
-/// Chaos proof (b): every way a snapshot can rot — truncation, payload
-/// corruption, a future version, plain garbage — and a well-formed,
-/// checksum-valid one carrying an admission config no constructor
-/// accepts, is a typed rejection into SafeMode with the cap clamped,
-/// never a panic and never trusted state.
-#[test]
-fn corrupt_snapshots_are_rejected_into_safe_mode_not_panics() {
-    let meter = trained_meter();
-    let samples = steady_samples(&meter)[..60].to_vec();
-    let dir = scratch_dir();
-    let seed_path = dir.join("seed.wcapsnap");
-
-    // Grow a legitimate snapshot to corrupt.
-    let (seeded, _) = life(&samples, &seed_path, false, 0).expect("seed run completes");
-    assert!(seeded.snapshots_written >= 1);
-    let good = std::fs::read(&seed_path).expect("seed snapshot readable");
-
-    // Four rots, each with the typed error resume must surface.
-    let truncated = good[..good.len() - 10].to_vec();
-    let mut flipped = good.clone();
-    let last = flipped.len() - 1;
-    flipped[last] ^= 0x01;
-    let versioned = {
-        let text = String::from_utf8_lossy(&good).into_owned();
-        text.replacen("WCAPSNAP 1 ", "WCAPSNAP 99 ", 1).into_bytes()
-    };
-    let garbage = b"definitely not a snapshot".to_vec();
-    // Not rot: a valid envelope around a controller whose floor is
-    // above its ceiling, which `u32::clamp` would panic on at the first
-    // SafeMode entry.
-    let bad_admission = {
-        let (mut snap, _) =
-            read_snapshot::<CollectorSnapshot>(&seed_path).expect("seed snapshot verifies");
-        snap.state.admission = serde_json::from_str(
-            r#"{"cfg":{"min_ebs":500,"max_ebs":100,"increase_step":25,
-                "decrease_factor":0.75,"segment_s":60.0},"cap":400}"#,
-        )
-        .expect("serde does not validate the controller");
-        let path = dir.join("bad-admission.wcapsnap");
-        write_snapshot(&path, &snap).expect("envelope writes");
-        std::fs::read(&path).expect("envelope readable")
-    };
-
-    let cases: Vec<(&str, Vec<u8>)> = vec![
-        ("truncated", truncated),
-        ("bitflip", flipped),
-        ("version", versioned),
-        ("garbage", garbage),
-        ("admission", bad_admission),
-    ];
-    for (name, bytes) in cases {
-        let path = dir.join(format!("rotten-{name}.wcapsnap"));
-        std::fs::write(&path, &bytes).expect("rotten snapshot writes");
-        let (report, _) = life(&samples, &path, true, 0)
-            .unwrap_or_else(|e| panic!("{name}: rotten snapshot must not kill the collector: {e}"));
-        write_transition_log(&format!("chaos-rotten-{name}"), &report.transitions);
-
-        let ResumeOutcome::Rejected(err) = &report.resume else {
-            panic!(
-                "{name}: expected a rejected snapshot, got {:?}",
-                report.resume
+    // (restart seq, first emitted window, window that re-earns Healthy:
+    // the 8th emitted after the restart in both cases)
+    for (restart, first_emitted, healthy_at) in [(150u64, 5i64, 12i64), (160, 6, 13)] {
+        let (report, agents) = life(&samples, restart).expect("the restarted life runs");
+        write_transition_log(
+            &format!("chaos-cold-restart-{restart}"),
+            &report.transitions,
+        );
+        for agent in &agents {
+            assert_eq!(
+                agent.samples_produced,
+                TOTAL_SAMPLES as u64 - restart,
+                "{restart}: warm-up samples never send"
             );
-        };
-        match name {
-            "truncated" => assert!(
-                matches!(err, SnapshotError::Truncated { .. }),
-                "{name}: {err}"
-            ),
-            "bitflip" => assert!(
-                matches!(err, SnapshotError::ChecksumMismatch { .. }),
-                "{name}: {err}"
-            ),
-            "version" => assert!(
-                matches!(err, SnapshotError::UnsupportedVersion { found: 99, .. }),
-                "{name}: {err}"
-            ),
-            "garbage" => assert!(matches!(err, SnapshotError::MissingMagic), "{name}: {err}"),
-            "admission" => assert!(
-                matches!(
-                    err,
-                    SnapshotError::InvalidAdmission(AdmissionConfigError::MaxBelowMin { .. })
-                ),
-                "{name}: {err}"
-            ),
-            _ => unreachable!(),
         }
 
-        // Fresh state, SafeMode posture: the stream still gets
-        // measured, but nothing drives the cap off its clamp.
-        assert_eq!(
-            report.transitions[0].to,
-            HealthState::SafeMode,
-            "{name}: lost state is a SafeMode start"
-        );
-        assert_eq!(report.health, HealthState::SafeMode, "{name}");
-        assert_eq!(
-            report.final_cap,
-            SupervisorConfig::default().safe_cap,
-            "{name}: cap stays clamped"
-        );
+        // History the collector never saw reads as a leading gap.
+        let poisoned: Vec<i64> = (0..first_emitted).collect();
+        assert_eq!(report.poisoned_windows, poisoned, "{restart}");
         let emitted: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-        assert_eq!(emitted, vec![0, 1], "{name}: measurement continues");
-        assert!(
-            report.admission_trace.iter().all(|p| !p.from_prediction),
-            "{name}: no prediction may drive admission in SafeMode"
+        assert_eq!(
+            emitted,
+            (first_emitted..total_windows).collect::<Vec<i64>>(),
+            "{restart}"
+        );
+
+        // The leading gap walks health to SafeMode before any window
+        // emits; the clean streak re-earns Healthy one level at a time.
+        let states: Vec<(HealthState, HealthState)> =
+            report.transitions.iter().map(|t| (t.from, t.to)).collect();
+        assert_eq!(
+            states,
+            vec![
+                (HealthState::Healthy, HealthState::Degraded),
+                (HealthState::Degraded, HealthState::SafeMode),
+                (HealthState::SafeMode, HealthState::Degraded),
+                (HealthState::Degraded, HealthState::Healthy),
+            ],
+            "{restart}"
+        );
+        assert_eq!(
+            report.admission_trace.first(),
+            Some(&AdmissionPoint {
+                window: -1,
+                health: HealthState::SafeMode,
+                from_prediction: false,
+                cap: safe_cap,
+            }),
+            "{restart}: the first admission step is the SafeMode clamp"
+        );
+        let per_window: Vec<&AdmissionPoint> = report.admission_trace[1..].iter().collect();
+        assert_eq!(per_window.len(), emitted.len(), "{restart}");
+        for point in per_window {
+            assert!(
+                !poisoned.contains(&point.window),
+                "{restart}: poisoned window {} reached admission",
+                point.window
+            );
+            assert_eq!(
+                point.from_prediction,
+                point.window >= healthy_at,
+                "{restart}: window {} under {}",
+                point.window,
+                point.health
+            );
+            if point.from_prediction {
+                assert_eq!(point.health, HealthState::Healthy);
+            } else {
+                assert!(point.health > HealthState::Healthy);
+                assert_eq!(point.cap, safe_cap, "{restart}: the clamp holds");
+            }
+        }
+        assert_eq!(report.health, HealthState::Healthy, "{restart}");
+
+        // The LHT register refills in `h` windows; every later decision
+        // is the uninterrupted run's, byte for byte.
+        let rejoined = usize::try_from(first_emitted).expect("window index") + h;
+        assert_eq!(
+            decisions_json(&report.decisions[h..]),
+            decisions_json(&baseline[rejoined..]),
+            "{restart}: decisions from the {}-th emitted window on match the oracle",
+            h + 1
         );
     }
 }
