@@ -1,61 +1,31 @@
-//! Shared window-aggregation helpers used by both the batch pipeline
-//! ([`crate::monitor::RunLog::windows`]) and the incremental online
-//! monitor ([`crate::online::OnlineMonitor`]), so the two paths cannot
-//! drift apart.
+//! The one window builder. Every [`WindowInstance`] is folded through
+//! these aggregates and finished by [`AppWindowDigest::instance`]: a
+//! training window ([`crate::monitor::RunLog::windows`]), an online one
+//! ([`crate::online::OnlineMonitor`]) and one scored from a collector's
+//! pair of tier digests (`webcap-net`'s `score_window`). The label, the
+//! majority mix, the feature grid, the span and the throughput therefore
+//! follow one rule on every path.
+//!
+//! A window's evidence has two halves, which a collector receives apart:
+//! each tier's agent supplies a [`TierAgg`] (the means of its metric rows
+//! and its saturation), and the application tier alone a [`FrontEndAgg`]
+//! (span, application health and traffic mix). A caller that sees whole
+//! samples folds both at once through [`WindowAgg`].
 
-use webcap_sim::SystemSample;
+use serde::{Deserialize, Serialize};
+use webcap_sim::{SystemSample, TierId, TierSample};
 use webcap_tpcw::MixId;
 
-/// Element-wise mean of equal-width rows, read in place; empty input
-/// yields an empty vector and a single row is returned unchanged.
-///
-/// # Panics
-///
-/// Panics if the rows have differing widths — a width mismatch upstream
-/// is a wiring bug that a silently truncating zip would hide.
-pub(crate) fn mean_rows<R: AsRef<[f64]>>(rows: impl Iterator<Item = R>) -> Vec<f64> {
-    let mut acc: Vec<f64> = Vec::new();
-    let mut n = 0usize;
-    for row in rows {
-        let row = row.as_ref();
-        if n == 0 {
-            acc = row.to_vec();
-        } else {
-            assert_eq!(
-                acc.len(),
-                row.len(),
-                "mean_rows: mismatched row widths ({} vs {})",
-                acc.len(),
-                row.len()
-            );
-            for (a, x) in acc.iter_mut().zip(row) {
-                *a += x;
-            }
-        }
-        n += 1;
-    }
-    if n > 1 {
-        for a in &mut acc {
-            *a /= n as f64;
-        }
-    }
-    acc
-}
+use crate::monitor::MetricLevel;
+use crate::oracle::{label_from_aggs, OracleConfig, TierStressAgg, WindowHealthAgg, WindowLabel};
 
-/// Incremental element-wise mean with the exact float-operation order of
-/// [`mean_rows`]: the first row seeds the accumulator (moved, not
-/// cloned), later rows are added element-wise in arrival order, and one
-/// division per element happens at [`RowMeanAccumulator::finish`].
-/// Feeding rows one at a time is therefore bit-identical to buffering
-/// them and calling `mean_rows` — without keeping every per-second row
-/// alive until the window closes.
-///
-/// Public because sharded collectors ([`webcap-fleet`]) build their
-/// per-window metric digests through this exact accumulator, which is
-/// what makes a digest-fed merge bit-identical to the in-process
-/// monitor.
+/// Incremental element-wise mean: the first row seeds the accumulator
+/// (moved, or copied once when borrowed), later rows are added
+/// element-wise in arrival order, and one division per element happens
+/// at [`RowMeanAccumulator::finish`]. Zero rows yield an empty vector
+/// and a single row is returned unchanged.
 #[derive(Debug, Default)]
-pub struct RowMeanAccumulator {
+struct RowMeanAccumulator {
     acc: Vec<f64>,
     n: usize,
 }
@@ -65,16 +35,18 @@ impl RowMeanAccumulator {
     ///
     /// # Panics
     ///
-    /// Panics on a width mismatch, with the same message as
-    /// [`mean_rows`].
-    pub fn push(&mut self, row: Vec<f64>) {
+    /// Panics if the row's width differs from the earlier rows' — a width
+    /// mismatch upstream is a wiring bug that a silently truncating zip
+    /// would hide.
+    fn push<R: AsRef<[f64]> + Into<Vec<f64>>>(&mut self, row: R) {
         if self.n == 0 {
-            self.acc = row;
+            self.acc = row.into();
         } else {
+            let row = row.as_ref();
             assert_eq!(
                 self.acc.len(),
                 row.len(),
-                "mean_rows: mismatched row widths ({} vs {})",
+                "mismatched row widths ({} vs {})",
                 self.acc.len(),
                 row.len()
             );
@@ -85,140 +57,270 @@ impl RowMeanAccumulator {
         self.n += 1;
     }
 
-    /// Complete the mean and reset the accumulator for the next window.
-    /// Like [`mean_rows`], zero rows yield an empty vector and a single
-    /// row is returned unchanged (no division).
-    pub fn finish(&mut self) -> Vec<f64> {
-        let mut acc = std::mem::take(&mut self.acc);
+    /// The element-wise mean of the rows pushed.
+    fn finish(self) -> Vec<f64> {
+        let mut acc = self.acc;
         if self.n > 1 {
             let n = self.n as f64;
             for a in &mut acc {
                 *a /= n;
             }
         }
-        self.n = 0;
         acc
     }
+}
 
-    /// Discard any partial state.
-    pub fn clear(&mut self) {
-        self.acc = Vec::new();
-        self.n = 0;
+/// One tier's half of a window in progress: the means of its HPC and OS
+/// metric rows and its saturation aggregate.
+#[derive(Debug, Default)]
+pub struct TierAgg {
+    hpc: RowMeanAccumulator,
+    os: RowMeanAccumulator,
+    stress: TierStressAgg,
+}
+
+impl TierAgg {
+    /// Fold one second of the tier in: its telemetry and its metric rows,
+    /// index-aligned with [`crate::monitor::feature_names`]. A family
+    /// nobody reads may come empty for every second; its mean is then
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a family's row width changes within the window.
+    pub fn observe<H, O>(&mut self, tier: &TierSample, hpc: H, os: O)
+    where
+        H: AsRef<[f64]> + Into<Vec<f64>>,
+        O: AsRef<[f64]> + Into<Vec<f64>>,
+    {
+        self.hpc.push(hpc);
+        self.os.push(os);
+        self.stress.observe(tier);
+    }
+
+    /// The tier's finished half of the window.
+    pub fn finish(self) -> TierWindow {
+        TierWindow {
+            hpc_mean: self.hpc.finish(),
+            os_mean: self.os.finish(),
+            stress: self.stress,
+        }
     }
 }
 
-/// Majority-mix vote tally with the exact counting and tie-break
-/// semantics of [`majority_mix`]: mixes are kept in first-appearance
-/// order and the winner is the *last* maximal count in that order
-/// (`max_by_key` keeps the later of equal keys). Incremental so a
-/// sharded collector can ship the counts inside a window digest and the
-/// merge node can recover the identical majority label.
-#[derive(Debug, Default, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct MixTally {
-    counts: Vec<(MixId, u32)>,
+/// One tier's finished half of a window.
+#[derive(Debug)]
+pub struct TierWindow {
+    /// Element-wise mean of the tier's HPC feature rows.
+    pub hpc_mean: Vec<f64>,
+    /// Element-wise mean of the tier's OS metric rows.
+    pub os_mean: Vec<f64>,
+    /// Saturation aggregate feeding the bottleneck oracle.
+    pub stress: TierStressAgg,
 }
 
-impl MixTally {
-    /// Count one sample's mix.
-    pub fn observe(&mut self, mix: MixId) {
-        match self.counts.iter_mut().find(|(m, _)| *m == mix) {
+/// The front-end half of a window in progress, folded from the
+/// application-level fields of each second's [`SystemSample`].
+#[derive(Debug, Default)]
+pub struct FrontEndAgg {
+    samples: usize,
+    t_start_s: f64,
+    t_end_s: f64,
+    duration_s: f64,
+    health: WindowHealthAgg,
+    mix_counts: Vec<(MixId, u32)>,
+}
+
+impl FrontEndAgg {
+    /// Fold one second in. Only the front-end fields are read, never the
+    /// tier samples.
+    pub fn observe(&mut self, s: &SystemSample) {
+        if self.samples == 0 {
+            self.t_start_s = s.t_s - s.interval_s;
+        }
+        self.samples += 1;
+        self.t_end_s = s.t_s;
+        self.duration_s += s.interval_s;
+        self.health.observe(s);
+        match self.mix_counts.iter_mut().find(|(m, _)| *m == s.mix_id) {
             Some((_, c)) => *c += 1,
-            None => self.counts.push((mix, 1)),
+            None => self.mix_counts.push((s.mix_id, 1)),
         }
     }
 
-    /// The counted `(mix, votes)` pairs in first-appearance order.
-    #[must_use]
-    pub fn counts(&self) -> &[(MixId, u32)] {
-        &self.counts
-    }
-
-    /// Rebuild a tally from wire counts, preserving their order.
-    #[must_use]
-    pub fn from_counts(counts: Vec<(MixId, u32)>) -> MixTally {
-        MixTally { counts }
-    }
-
-    /// The majority mix, `None` when nothing was observed. Ties break
-    /// exactly like [`majority_mix`].
-    #[must_use]
-    pub fn majority(&self) -> Option<MixId> {
-        self.counts.iter().max_by_key(|(_, c)| *c).map(|(m, _)| *m)
+    /// The window's finished front-end half.
+    pub fn finish(self) -> AppWindowDigest {
+        AppWindowDigest {
+            t_start_s: self.t_start_s,
+            t_end_s: self.t_end_s,
+            duration_s: self.duration_s,
+            health: self.health,
+            mix_counts: self.mix_counts,
+        }
     }
 }
 
-/// The majority traffic mix over a window's samples. Ties break
-/// deterministically (by first-appearance order of the tied mixes), so
-/// the label never depends on execution order. `None` on an empty
-/// window.
-pub(crate) fn majority_mix(samples: &[SystemSample]) -> Option<MixId> {
-    let mut tally = MixTally::default();
-    for s in samples {
-        tally.observe(s.mix_id);
+/// A window's finished front-end half. A collector ships it inside the
+/// application tier's digest, so a merge node finishes the window from
+/// exactly what an in-process monitor would have held.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AppWindowDigest {
+    /// Window start time, seconds: first sample's `t_s` minus its
+    /// interval.
+    pub t_start_s: f64,
+    /// Window end time, seconds: last sample's `t_s`.
+    pub t_end_s: f64,
+    /// Sum of sample intervals across the window, seconds.
+    pub duration_s: f64,
+    /// Application-health aggregate (completions, response times,
+    /// backlog), accumulated in sample order.
+    pub health: WindowHealthAgg,
+    /// Traffic-mix vote counts in first-appearance order.
+    pub mix_counts: Vec<(MixId, u32)>,
+}
+
+impl AppWindowDigest {
+    /// The majority traffic mix, `None` when nothing was observed. Ties
+    /// break by first-appearance order: the winner is the *last* maximal
+    /// count (`max_by_key` keeps the later of equal keys), so the label
+    /// never depends on execution order.
+    fn majority(&self) -> Option<MixId> {
+        self.mix_counts
+            .iter()
+            .max_by_key(|(_, c)| *c)
+            .map(|(m, _)| *m)
     }
-    tally.majority()
+
+    /// Finish the window — the one place a [`WindowInstance`] is built.
+    /// The oracle labels it from the health and the two tiers' stress;
+    /// each tier's combined vector is its OS then its HPC mean when both
+    /// are non-empty, and empty otherwise; throughput is completions over
+    /// the summed intervals. `None` when no second was observed.
+    pub fn instance(self, tiers: [TierWindow; 2], oracle: &OracleConfig) -> Option<WindowInstance> {
+        let mix = self.majority()?;
+        let [app, db] = tiers;
+        let label = label_from_aggs(
+            &self.health,
+            [app.stress.stress(), db.stress.stress()],
+            oracle,
+        );
+        let combined = |t: &TierWindow| {
+            if t.os_mean.is_empty() || t.hpc_mean.is_empty() {
+                Vec::new()
+            } else {
+                [t.os_mean.as_slice(), &t.hpc_mean].concat()
+            }
+        };
+        let combined = [combined(&app), combined(&db)];
+        // `[level][tier]`, in `MetricLevel::index` and `TierId::index` order.
+        let features = [
+            [app.os_mean, db.os_mean],
+            [app.hpc_mean, db.hpc_mean],
+            combined,
+        ];
+        Some(WindowInstance {
+            label,
+            mix,
+            t_start_s: self.t_start_s,
+            t_end_s: self.t_end_s,
+            throughput: self.health.completed as f64 / self.duration_s.max(1e-9),
+            features,
+        })
+    }
+}
+
+/// Both halves of a window in progress, for a caller that sees whole
+/// samples with both tiers' metric rows.
+#[derive(Debug, Default)]
+pub(crate) struct WindowAgg {
+    front_end: FrontEndAgg,
+    tiers: [TierAgg; 2],
+}
+
+impl WindowAgg {
+    /// Fold one second in; `hpc[tier]` and `os[tier]` are the tier's
+    /// metric rows (see [`TierAgg::observe`]).
+    pub(crate) fn observe<H, O>(&mut self, sample: &SystemSample, hpc: [H; 2], os: [O; 2])
+    where
+        H: AsRef<[f64]> + Into<Vec<f64>>,
+        O: AsRef<[f64]> + Into<Vec<f64>>,
+    {
+        self.front_end.observe(sample);
+        let [hpc_app, hpc_db] = hpc;
+        let [os_app, os_db] = os;
+        let [app, db] = &mut self.tiers;
+        app.observe(&sample.app, hpc_app, os_app);
+        db.observe(&sample.db, hpc_db, os_db);
+    }
+
+    /// Seconds folded in so far.
+    pub(crate) fn samples(&self) -> usize {
+        self.front_end.samples
+    }
+
+    /// Finish the window ([`AppWindowDigest::instance`]).
+    pub(crate) fn finish(self, oracle: &OracleConfig) -> Option<WindowInstance> {
+        self.front_end
+            .finish()
+            .instance(self.tiers.map(TierAgg::finish), oracle)
+    }
+}
+
+/// One aggregated 30-second instance: the paper's `u* = (a1..an, C)` plus
+/// bookkeeping for evaluation.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct WindowInstance {
+    /// Oracle verdict (class variable + bottleneck ground truth).
+    pub label: WindowLabel,
+    /// Majority traffic mix during the window.
+    pub mix: MixId,
+    /// Window start, seconds.
+    pub t_start_s: f64,
+    /// Window end, seconds.
+    pub t_end_s: f64,
+    /// Mean throughput over the window.
+    pub throughput: f64,
+    /// Aggregated features, indexed `[level][tier]`.
+    features: [[Vec<f64>; 2]; 3],
+}
+
+impl WindowInstance {
+    /// The feature vector of one (level, tier) family.
+    pub fn features(&self, level: MetricLevel, tier: TierId) -> &[f64] {
+        tier.select(level.select(&self.features)).as_slice()
+    }
+
+    /// Class variable: `true` = overload.
+    pub fn overloaded(&self) -> bool {
+        self.label.overloaded
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn mean(rows: &[&[f64]]) -> Vec<f64> {
+        let mut acc = RowMeanAccumulator::default();
+        for &row in rows {
+            acc.push(row);
+        }
+        acc.finish()
+    }
+
     #[test]
     fn mean_of_equal_width_rows() {
-        let rows = vec![vec![1.0, 2.0], vec![3.0, 6.0]];
-        assert_eq!(mean_rows(rows.into_iter()), vec![2.0, 4.0]);
+        assert_eq!(mean(&[&[1.0, 2.0], &[3.0, 6.0]]), vec![2.0, 4.0]);
     }
 
     #[test]
     fn empty_input_yields_empty_vector() {
-        assert!(mean_rows(std::iter::empty::<Vec<f64>>()).is_empty());
+        assert!(mean(&[]).is_empty());
     }
 
     #[test]
     fn single_row_is_unchanged() {
-        assert_eq!(mean_rows(std::iter::once(vec![5.0, -1.0])), vec![5.0, -1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched row widths")]
-    fn mismatched_widths_panic() {
-        let rows = vec![vec![1.0, 2.0], vec![3.0]];
-        let _ = mean_rows(rows.into_iter());
-    }
-
-    #[test]
-    fn accumulator_is_bit_identical_to_mean_rows() {
-        // Values chosen so summation order matters at the ulp level if it
-        // were ever changed.
-        let rows = [
-            vec![1e16, 3.0, -7.5],
-            vec![1.0, 0.1, 2.25],
-            vec![-1e16, 0.2, 4.5],
-            vec![2.0, 0.7, -0.125],
-        ];
-        for take in 0..=rows.len() {
-            let mut acc = RowMeanAccumulator::default();
-            for row in rows.iter().take(take) {
-                acc.push(row.clone());
-            }
-            let incremental = acc.finish();
-            let batched = mean_rows(rows.iter().take(take));
-            assert_eq!(
-                incremental.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "take {take}"
-            );
-            assert!(acc.finish().is_empty(), "finish resets");
-        }
-    }
-
-    #[test]
-    fn accumulator_clear_discards_partial_state() {
-        let mut acc = RowMeanAccumulator::default();
-        acc.push(vec![1.0, 2.0]);
-        acc.clear();
-        acc.push(vec![10.0, 20.0]);
-        assert_eq!(acc.finish(), vec![10.0, 20.0]);
+        assert_eq!(mean(&[&[5.0, -1.0]]), vec![5.0, -1.0]);
     }
 
     #[test]
@@ -249,51 +351,39 @@ mod tests {
         }
     }
 
+    fn majority(mixes: &[MixId]) -> Option<MixId> {
+        let mut front_end = FrontEndAgg::default();
+        for &m in mixes {
+            front_end.observe(&sample_with_mix(m));
+        }
+        front_end.finish().majority()
+    }
+
     #[test]
     fn majority_wins_over_last_sample() {
-        let mut samples = vec![sample_with_mix(MixId::Ordering); 20];
-        samples.extend(vec![sample_with_mix(MixId::Browsing); 10]);
-        assert_eq!(majority_mix(&samples), Some(MixId::Ordering));
+        let mut mixes = vec![MixId::Ordering; 20];
+        mixes.extend([MixId::Browsing; 10]);
+        assert_eq!(majority(&mixes), Some(MixId::Ordering));
     }
 
     #[test]
-    fn empty_window_has_no_majority() {
-        assert_eq!(majority_mix(&[]), None);
+    fn majority_ties_break_to_the_later_first_appearance() {
+        use MixId::{Browsing, Ordering};
+        assert_eq!(
+            majority(&[Ordering, Browsing, Ordering, Browsing]),
+            Some(Browsing)
+        );
+        assert_eq!(
+            majority(&[Browsing, Ordering, Browsing, Ordering]),
+            Some(Ordering)
+        );
     }
 
     #[test]
-    fn tally_matches_majority_mix_including_ties() {
-        // 2-2 tie between Ordering and Browsing in both appearance
-        // orders: the tally must agree with majority_mix sample-for-
-        // sample, whatever the tie-break resolves to.
-        for mixes in [
-            vec![
-                MixId::Ordering,
-                MixId::Browsing,
-                MixId::Ordering,
-                MixId::Browsing,
-            ],
-            vec![
-                MixId::Browsing,
-                MixId::Ordering,
-                MixId::Browsing,
-                MixId::Ordering,
-            ],
-            vec![MixId::Shopping, MixId::Shopping, MixId::Ordering],
-        ] {
-            let samples: Vec<_> = mixes.iter().map(|&m| sample_with_mix(m)).collect();
-            let mut tally = MixTally::default();
-            for &m in &mixes {
-                tally.observe(m);
-            }
-            assert_eq!(tally.majority(), majority_mix(&samples));
-            let rebuilt = MixTally::from_counts(tally.counts().to_vec());
-            assert_eq!(rebuilt.majority(), tally.majority());
-        }
-    }
-
-    #[test]
-    fn empty_tally_has_no_majority() {
-        assert_eq!(MixTally::default().majority(), None);
+    fn empty_window_has_no_majority_and_no_instance() {
+        assert_eq!(majority(&[]), None);
+        assert!(WindowAgg::default()
+            .finish(&OracleConfig::default())
+            .is_none());
     }
 }

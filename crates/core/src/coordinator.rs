@@ -117,11 +117,6 @@ impl CoordinatedPredictor {
         }
     }
 
-    /// Number of synopses m.
-    pub fn n_synopses(&self) -> usize {
-        self.m
-    }
-
     /// The configuration.
     pub fn config(&self) -> &CoordinatorConfig {
         &self.cfg
@@ -429,7 +424,6 @@ mod tests {
         let p = CoordinatedPredictor::new(4, cfg);
         assert_eq!(p.lht_row(0).len(), 8, "2^h entries per LHT");
         assert_eq!(p.bpt_row(0).len(), 2, "one counter per tier");
-        assert_eq!(p.n_synopses(), 4);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   correlation measure selecting its metric pair (Eq. 2).
 //! * [`oracle`] — application-level ground-truth labeling of intervals.
 //! * [`monitor`] — the measurement pipeline: per-second HPC/OS collection
-//!   aggregated into labeled 30-second instances.
+//!   aggregated into labeled 30-second instances, every one built by the
+//!   one window builder ([`TierAgg`], [`FrontEndAgg`],
+//!   [`AppWindowDigest::instance`]).
 //! * [`synopsis`] — per-(tier, workload) performance synopses with
 //!   information-gain attribute selection.
 //! * [`coordinator`] — the two-level coordinated predictor (GPT/LHT) and
@@ -67,7 +69,7 @@ pub mod synopsis;
 pub mod workloads;
 
 pub use admission::{AdmissionConfig, AdmissionConfigError, AdmissionController};
-pub use agg::{MixTally, RowMeanAccumulator};
+pub use agg::{AppWindowDigest, FrontEndAgg, TierAgg, TierWindow};
 pub use coordinator::{CoordinatedPrediction, CoordinatedPredictor, CoordinatorConfig, TieScheme};
 pub use meter::{CapacityMeter, EvaluationReport, MeterConfig};
 pub use monitor::{collect_run, collect_run_for, MetricLevel, RunLog, WindowInstance};

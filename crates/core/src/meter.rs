@@ -343,9 +343,23 @@ impl CapacityMeter {
     ///
     /// # Errors
     ///
-    /// Returns the deserializer error for malformed input.
+    /// Returns the deserializer error for malformed input, and an error
+    /// naming the field when `window_len` or `test_stride` is zero (no
+    /// window could be formed from such a meter's input).
     pub fn from_json(json: &str) -> Result<CapacityMeter, serde_json::Error> {
-        serde_json::from_str(json)
+        let meter: CapacityMeter = serde_json::from_str(json)?;
+        let config = &meter.config;
+        for (field, value) in [
+            ("window_len", config.window_len),
+            ("test_stride", config.test_stride),
+        ] {
+            if value == 0 {
+                return Err(serde::de::Error::custom(format_args!(
+                    "`{field}` must be positive, found 0"
+                )));
+            }
+        }
+        Ok(meter)
     }
 
     /// The trained synopses, in GPV bit order (see
@@ -535,6 +549,24 @@ mod tests {
         for (x, y) in ra.results.iter().zip(&rb.results) {
             assert_eq!(x.predicted, y.predicted);
             assert_eq!(x.predicted_bottleneck, y.predicted_bottleneck);
+        }
+    }
+
+    #[test]
+    fn loaded_meter_with_an_impossible_window_geometry_is_rejected() {
+        // Each field's literal replaced, the way a hand-edited meter file
+        // would carry it.
+        let json = trained().to_json().expect("serializes");
+        for field in ["window_len", "test_stride"] {
+            let literal = format!("\"{field}\":30");
+            assert_eq!(
+                json.matches(&literal).count(),
+                1,
+                "one {field} in the meter"
+            );
+            let err = CapacityMeter::from_json(&json.replace(&literal, &format!("\"{field}\":0")))
+                .expect_err("a zero is rejected at load");
+            assert!(err.to_string().contains(field), "{err}");
         }
     }
 

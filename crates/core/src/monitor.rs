@@ -11,10 +11,11 @@ use serde::{Deserialize, Serialize};
 use webcap_hpc::{DerivedMetrics, HpcModel};
 use webcap_os::{OsCollector, OsSample};
 use webcap_sim::{SimConfig, Simulation, SystemSample, TierId};
-use webcap_tpcw::{MixId, TrafficProgram};
+use webcap_tpcw::TrafficProgram;
 
-use crate::agg::{majority_mix, mean_rows};
-use crate::oracle::{label_window, OracleConfig, WindowLabel};
+use crate::agg::WindowAgg;
+pub use crate::agg::WindowInstance;
+use crate::oracle::OracleConfig;
 
 /// Which metric family a synopsis is built on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -124,14 +125,19 @@ pub struct RunLog {
     pub os: [Vec<OsSample>; 2],
 }
 
-/// The rows of one metric family over `range`: none for a family the log
-/// does not hold, `None` when a held family's rows stop short of it.
-fn held_rows<T>(held: bool, rows: &[T], range: std::ops::Range<usize>) -> Option<&[T]> {
-    if held {
-        rows.get(range)
-    } else {
-        Some(&[])
+/// Both tiers' rows of one metric family over `range`: none for a family
+/// the log does not hold, `None` when a held family's rows stop short of
+/// it.
+fn held_rows<T>(
+    held: bool,
+    rows: &[Vec<T>; 2],
+    range: std::ops::Range<usize>,
+) -> Option<[&[T]; 2]> {
+    if !held {
+        return Some([&[], &[]]);
     }
+    let [app, db] = rows;
+    Some([app.get(range.clone())?, db.get(range)?])
 }
 
 impl RunLog {
@@ -157,6 +163,13 @@ impl RunLog {
             len > 0 && stride > 0,
             "window length and stride must be positive"
         );
+        // Each second's HPC feature row is built once, not once for every
+        // overlapping window that covers it.
+        let hpc = self.hpc.each_ref().map(|rows| {
+            rows.iter()
+                .map(DerivedMetrics::to_features)
+                .collect::<Vec<_>>()
+        });
         let mut out = Vec::new();
         let mut start = 0;
         loop {
@@ -164,99 +177,28 @@ impl RunLog {
             let Some(slice) = self.samples.get(range.clone()) else {
                 break;
             };
-            let label = label_window(slice, oracle);
-            // `len > 0`, so the slice has ends and a majority.
-            let (Some(first), Some(last), Some(mix)) =
-                (slice.first(), slice.last(), majority_mix(slice))
-            else {
+            // A log whose metric rows stop short of its samples yields
+            // the windows all its families cover.
+            let (Some(hpc_rows), Some(os_rows)) = (
+                held_rows(self.level.reads_hpc(), &hpc, range.clone()),
+                held_rows(self.level.reads_os(), &self.os, range.clone()),
+            ) else {
                 break;
             };
-
-            let mut features: [[Vec<f64>; 2]; 3] = Default::default();
-            for tier in TierId::ALL {
-                // A log whose metric rows stop short of its samples
-                // yields the windows all its families cover.
-                let hpc_rows = tier.select(&self.hpc).as_slice();
-                let os_rows = tier.select(&self.os).as_slice();
-                let (Some(hpc_rows), Some(os_rows)) = (
-                    held_rows(self.level.reads_hpc(), hpc_rows, range.clone()),
-                    held_rows(self.level.reads_os(), os_rows, range.clone()),
-                ) else {
-                    return out;
-                };
-                let hpc_row = mean_rows(hpc_rows.iter().map(|m| m.to_features()));
-                let os_row = mean_rows(os_rows.iter().map(|s| s.values()));
-                if self.level == MetricLevel::Combined {
-                    let mut combined = os_row.clone();
-                    combined.extend_from_slice(&hpc_row);
-                    *tier.select_mut(MetricLevel::Combined.select_mut(&mut features)) = combined;
-                }
-                *tier.select_mut(MetricLevel::Hpc.select_mut(&mut features)) = hpc_row;
-                *tier.select_mut(MetricLevel::Os.select_mut(&mut features)) = os_row;
+            let mut agg = WindowAgg::default();
+            for (k, sample) in slice.iter().enumerate() {
+                let hpc = hpc_rows.map(|rows| rows.get(k).map_or(&[][..], Vec::as_slice));
+                let os = os_rows.map(|rows| rows.get(k).map_or(&[][..], OsSample::values));
+                agg.observe(sample, hpc, os);
             }
-            let completed: u64 = slice.iter().map(|s| s.completed).sum();
-            let duration: f64 = slice.iter().map(|s| s.interval_s).sum();
-            out.push(WindowInstance {
-                label,
-                mix,
-                t_start_s: first.t_s - first.interval_s,
-                t_end_s: last.t_s,
-                throughput: completed as f64 / duration,
-                features,
-            });
+            // `len > 0`, so the window has a majority mix.
+            let Some(window) = agg.finish(oracle) else {
+                break;
+            };
+            out.push(window);
             start += stride;
         }
         out
-    }
-}
-
-/// One aggregated 30-second instance: the paper's `u* = (a1..an, C)` plus
-/// bookkeeping for evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WindowInstance {
-    /// Oracle verdict (class variable + bottleneck ground truth).
-    pub label: WindowLabel,
-    /// Majority traffic mix during the window.
-    pub mix: MixId,
-    /// Window start, seconds.
-    pub t_start_s: f64,
-    /// Window end, seconds.
-    pub t_end_s: f64,
-    /// Mean throughput over the window.
-    pub throughput: f64,
-    /// Aggregated features, indexed `[level][tier]`.
-    features: [[Vec<f64>; 2]; 3],
-}
-
-impl WindowInstance {
-    /// Assemble an instance from already-aggregated parts (used by the
-    /// online monitor, which aggregates incrementally).
-    pub fn from_parts(
-        label: WindowLabel,
-        mix: MixId,
-        t_start_s: f64,
-        t_end_s: f64,
-        throughput: f64,
-        features: [[Vec<f64>; 2]; 3],
-    ) -> WindowInstance {
-        WindowInstance {
-            label,
-            mix,
-            t_start_s,
-            t_end_s,
-            throughput,
-            features,
-        }
-    }
-
-    /// The feature vector of one (level, tier) family.
-    pub fn features(&self, level: MetricLevel, tier: TierId) -> &[f64] {
-        tier.select(level.select(&self.features)).as_slice()
-    }
-
-    /// Class variable: `true` = overload.
-    pub fn overloaded(&self) -> bool {
-        self.label.overloaded
     }
 }
 
@@ -322,7 +264,7 @@ pub fn collect_run_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcap_tpcw::Mix;
+    use webcap_tpcw::{Mix, MixId};
 
     fn small_log() -> RunLog {
         let cfg = SimConfig::testbed(11);

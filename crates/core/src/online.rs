@@ -16,11 +16,9 @@ use webcap_hpc::{DerivedMetrics, HpcModel};
 use webcap_os::OsCollector;
 use webcap_sim::{SystemSample, TierId};
 
-use crate::agg::{majority_mix, RowMeanAccumulator};
+use crate::agg::{WindowAgg, WindowInstance};
 use crate::coordinator::CoordinatedPrediction;
 use crate::meter::CapacityMeter;
-use crate::monitor::{MetricLevel, WindowInstance};
-use crate::oracle::label_window;
 
 /// One emitted online decision.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -40,13 +38,8 @@ pub struct OnlineMonitor {
     os_collectors: [OsCollector; 2],
     rng: StdRng,
     metrics_seed: u64,
-    buffer: Vec<SystemSample>,
-    /// Running per-tier means of the HPC/OS metric rows. The incoming
-    /// rows are folded in on arrival (in the exact float order of
-    /// `mean_rows`, so results are bit-identical to buffering) instead of
-    /// being cloned and kept until the window closes.
-    hpc_mean: [RowMeanAccumulator; 2],
-    os_mean: [RowMeanAccumulator; 2],
+    /// The window in progress: each second is folded in on arrival.
+    window: WindowAgg,
     samples_seen: u64,
     decisions_made: u64,
 }
@@ -57,16 +50,13 @@ impl OnlineMonitor {
     /// read hardware).
     pub fn new(meter: CapacityMeter, metrics_seed: u64) -> OnlineMonitor {
         let hpc_model = meter.config().hpc_model.clone();
-        let window_len = meter.config().window_len;
         OnlineMonitor {
             meter,
             hpc_model,
             os_collectors: [OsCollector::new(TierId::App), OsCollector::new(TierId::Db)],
             rng: StdRng::seed_from_u64(metrics_seed),
             metrics_seed,
-            buffer: Vec::with_capacity(window_len),
-            hpc_mean: Default::default(),
-            os_mean: Default::default(),
+            window: WindowAgg::default(),
             samples_seen: 0,
             decisions_made: 0,
         }
@@ -87,18 +77,8 @@ impl OnlineMonitor {
         &self.meter
     }
 
-    /// Consume the wrapped meter back (e.g. to persist it).
-    pub fn into_meter(self) -> CapacityMeter {
-        self.meter
-    }
-
-    /// Number of samples buffered toward the next (partial) window.
-    pub fn pending_samples(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Discard all partial-window aggregation state and return the monitor
-    /// to its construction-time behavior: the sample buffers are cleared,
+    /// to its construction-time behavior: the window in progress is dropped,
     /// the metric-synthesis RNG is re-seeded from the original
     /// `metrics_seed`, the stateful OS collectors are replaced by fresh
     /// ones, and the meter's temporal prediction history is zeroed (after
@@ -113,11 +93,7 @@ impl OnlineMonitor {
     /// counters are deliberately preserved — they are telemetry about the
     /// monitor itself, not aggregation state.
     pub fn reset(&mut self) {
-        self.buffer.clear();
-        for tier in TierId::ALL {
-            tier.select_mut(&mut self.hpc_mean).clear();
-            tier.select_mut(&mut self.os_mean).clear();
-        }
+        self.window = WindowAgg::default();
         self.rng = StdRng::seed_from_u64(self.metrics_seed);
         self.os_collectors = [OsCollector::new(TierId::App), OsCollector::new(TierId::Db)];
         self.meter.reset_history();
@@ -162,66 +138,12 @@ impl OnlineMonitor {
         hpc: [Vec<f64>; 2],
         os: [Vec<f64>; 2],
     ) -> Option<OnlineDecision> {
-        let [hpc_app, hpc_db] = hpc;
-        let [os_app, os_db] = os;
-        let [hpc_mean_app, hpc_mean_db] = &mut self.hpc_mean;
-        hpc_mean_app.push(hpc_app);
-        hpc_mean_db.push(hpc_db);
-        let [os_mean_app, os_mean_db] = &mut self.os_mean;
-        os_mean_app.push(os_app);
-        os_mean_db.push(os_db);
-        self.buffer.push(sample);
+        self.window.observe(&sample, hpc, os);
         self.samples_seen += 1;
-
-        let window_len = self.meter.config().window_len;
-        if self.buffer.len() < window_len {
+        if self.window.samples() < self.meter.config().window_len {
             return None;
         }
-
-        // Window boundaries up front: an empty buffer (window_len == 0)
-        // never forms a window, and extracting these here keeps the
-        // labeling below panic-free on any buffer state.
-        let (start_t, end_t) = match (self.buffer.first(), self.buffer.last()) {
-            (Some(first), Some(last)) => (first.t_s - first.interval_s, last.t_s),
-            _ => return None,
-        };
-
-        // Assemble the window instance from the buffered second-level data.
-        // The mix label is the *majority* mix over the window, matching
-        // `RunLog::windows` — the last sample alone would mislabel any
-        // window that straddles a mix switch.
-        let label = label_window(&self.buffer, &self.meter.config().oracle);
-        let mix = majority_mix(&self.buffer)?;
-        let mut features: [[Vec<f64>; 2]; 3] = Default::default();
-        for tier in TierId::ALL {
-            let hpc = tier.select_mut(&mut self.hpc_mean).finish();
-            let os = tier.select_mut(&mut self.os_mean).finish();
-            // Rows of one family alone (a one-family replay) leave the
-            // combined vector empty, as `RunLog::windows` does.
-            let mut combined = Vec::new();
-            if !hpc.is_empty() && !os.is_empty() {
-                combined = os.clone();
-                combined.extend_from_slice(&hpc);
-            }
-            *tier.select_mut(MetricLevel::Hpc.select_mut(&mut features)) = hpc;
-            *tier.select_mut(MetricLevel::Os.select_mut(&mut features)) = os;
-            *tier.select_mut(MetricLevel::Combined.select_mut(&mut features)) = combined;
-        }
-        let completed: u64 = self.buffer.iter().map(|s| s.completed).sum();
-        let duration: f64 = self.buffer.iter().map(|s| s.interval_s).sum();
-        let window = WindowInstance::from_parts(
-            label,
-            mix,
-            start_t,
-            end_t,
-            completed as f64 / duration.max(1e-9),
-            features,
-        );
-
-        // The mean accumulators were reset by `finish`; only the sample
-        // buffer still holds the window.
-        self.buffer.clear();
-
+        let window = std::mem::take(&mut self.window).finish(&self.meter.config().oracle)?;
         let prediction = self.meter.predict(&window);
         self.decisions_made += 1;
         Some(OnlineDecision { prediction, window })
@@ -353,6 +275,14 @@ mod tests {
             d.window.mix, batch[0].mix,
             "online label matches batch majority"
         );
+        // The whole instance, not only its mix: label, span, throughput
+        // and all six feature vectors are the training window's, bit for
+        // bit.
+        assert_eq!(
+            serde_json::to_string(&d.window).unwrap(),
+            serde_json::to_string(&batch[0]).unwrap(),
+            "online window differs from the training window"
+        );
     }
 
     #[test]
@@ -370,9 +300,7 @@ mod tests {
         for s in samples.iter().take(prefix).cloned() {
             survivor.push_sample(s);
         }
-        assert!(survivor.pending_samples() > 0, "mid-window before reset");
         survivor.reset();
-        assert_eq!(survivor.pending_samples(), 0);
 
         // After the reset, the survivor must behave exactly like a monitor
         // constructed fresh from the same meter and seed: same window
@@ -438,15 +366,5 @@ mod tests {
         }
         assert_eq!(inline.decisions_made(), 2);
         assert_eq!(external.decisions_made(), 2);
-    }
-
-    #[test]
-    fn into_meter_round_trips() {
-        let meter = CapacityMeter::train(&MeterConfig::small_for_tests(31)).unwrap();
-        let n = meter.synopses().len();
-        let monitor = OnlineMonitor::new(meter, 1);
-        assert_eq!(monitor.meter().synopses().len(), n);
-        let back = monitor.into_meter();
-        assert_eq!(back.synopses().len(), n);
     }
 }

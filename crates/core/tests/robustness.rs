@@ -4,37 +4,53 @@
 
 use webcap_core::meter::{CapacityMeter, MeterConfig};
 use webcap_core::monitor::{feature_names, MetricLevel, WindowInstance};
-use webcap_core::oracle::{OracleConfig, WindowLabel};
+use webcap_core::oracle::OracleConfig;
 use webcap_core::synopsis::{PerformanceSynopsis, SynopsisSpec};
+use webcap_core::{FrontEndAgg, TierAgg};
 use webcap_ml::select::SelectionOptions;
 use webcap_ml::{Algorithm, FitError};
-use webcap_sim::TierId;
+use webcap_sim::{RtHistogram, SystemSample, TierId, TierSample};
 use webcap_tpcw::MixId;
 
-/// Build a synthetic window instance with the given HPC feature override
-/// applied to every tier/level (everything else is a benign constant).
+/// Build a synthetic window instance through the window builder: one
+/// 30-second sample whose mean response time (3 s or 0.1 s) sets the
+/// label, and `value` in every metric of every tier and level.
 fn synthetic_instance(label: bool, value: f64) -> WindowInstance {
-    let mut features: [[Vec<f64>; 2]; 3] = Default::default();
-    for level in MetricLevel::EXTENDED {
-        for tier in TierId::ALL {
-            let width = feature_names(level, tier).len();
-            features[level.index()][tier.index()] = vec![value; width];
-        }
-    }
-    WindowInstance::from_parts(
-        WindowLabel {
-            overloaded: label,
-            bottleneck: TierId::App,
-            mean_response_time_s: if label { 3.0 } else { 0.1 },
-            p95_response_time_s: if label { 8.0 } else { 0.2 },
-            backlog_growth: 0.0,
-        },
-        MixId::Ordering,
-        0.0,
-        30.0,
-        10.0,
-        features,
-    )
+    let sample = SystemSample {
+        t_s: 30.0,
+        interval_s: 30.0,
+        ebs_target: 0,
+        ebs_active: 0,
+        mix_id: MixId::Ordering,
+        issued: 10,
+        issued_browse: 0,
+        completed: 10,
+        completed_browse: 0,
+        response_time_sum_s: if label { 30.0 } else { 1.0 },
+        response_time_max_s: 0.0,
+        in_flight: 0,
+        response_times: RtHistogram::new(),
+        app: TierSample::default(),
+        db: TierSample::default(),
+    };
+    let mut front_end = FrontEndAgg::default();
+    front_end.observe(&sample);
+    let tiers = TierId::ALL.map(|tier| {
+        let mut agg = TierAgg::default();
+        let width = |level| feature_names(level, tier).len();
+        agg.observe(
+            sample.tier(tier),
+            vec![value; width(MetricLevel::Hpc)],
+            vec![value; width(MetricLevel::Os)],
+        );
+        agg.finish()
+    });
+    let instance = front_end
+        .finish()
+        .instance(tiers, &OracleConfig::default())
+        .expect("a sample was observed");
+    assert_eq!(instance.overloaded(), label);
+    instance
 }
 
 fn spec(algorithm: Algorithm) -> SynopsisSpec {
@@ -135,7 +151,6 @@ fn corrupted_meter_json_is_rejected() {
 #[test]
 fn oracle_handles_pathological_windows() {
     use webcap_core::oracle::label_window;
-    use webcap_sim::{RtHistogram, SystemSample, TierSample};
 
     // Zero completions, zero utilization, zero everything.
     let dead = SystemSample {

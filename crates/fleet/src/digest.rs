@@ -8,8 +8,8 @@
 //! arrive. Because both planes run the one implementation of the rules,
 //! the union of the shards' poisoned sets equals the unsharded
 //! collector's poisoned set for the same per-tier frame sequences, and
-//! the digests carry aggregates built with the exact float-operation
-//! order of the in-process monitor.
+//! the digests carry the halves of `webcap-core`'s one window aggregate,
+//! which the in-process monitor folds too.
 //!
 //! The [`FleetCollector`] groups a collector's digesters behind one
 //! PR 4 [`Supervisor`]: reconnects, emitted windows, and poisoned

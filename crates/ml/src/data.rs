@@ -154,16 +154,6 @@ impl Dataset {
         out
     }
 
-    /// Concatenate another dataset with the same schema onto this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schemas differ.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        assert_eq!(self.feature_names, other.feature_names, "schema mismatch");
-        self.instances.extend(other.instances.iter().cloned());
-    }
-
     /// Copy the feature vectors into one contiguous row-major [`Matrix`]
     /// (row `r` = instance `r`). Hot paths iterate this instead of chasing
     /// one heap pointer per instance.
@@ -396,13 +386,5 @@ mod tests {
         for (r, inst) in t.iter().enumerate() {
             assert_eq!(m.row(r), inst.features.as_slice());
         }
-    }
-
-    #[test]
-    fn extend_from_matches_schema() {
-        let mut a = sample();
-        let b = sample();
-        a.extend_from(&b);
-        assert_eq!(a.len(), 6);
     }
 }

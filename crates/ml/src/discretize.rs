@@ -124,28 +124,6 @@ pub fn fit_cached(values: &[f64], n_bins: usize) -> EqualFrequencyDiscretizer {
     fitted
 }
 
-/// Fit one discretizer per column of a feature matrix.
-///
-/// # Panics
-///
-/// Panics if `rows` is empty or ragged, or `n_bins == 0`.
-pub fn fit_columns(rows: &[Vec<f64>], n_bins: usize) -> Vec<EqualFrequencyDiscretizer> {
-    assert!(!rows.is_empty(), "no rows to discretize");
-    let width = rows[0].len();
-    (0..width)
-        .map(|c| {
-            let col: Vec<f64> = rows
-                .iter()
-                .map(|r| {
-                    assert_eq!(r.len(), width, "ragged feature rows");
-                    r[c]
-                })
-                .collect();
-            EqualFrequencyDiscretizer::fit(&col, n_bins)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,21 +171,6 @@ mod tests {
         values.push(f64::NAN);
         let d = EqualFrequencyDiscretizer::fit(&values, 2);
         assert_eq!(d.n_bins(), 2);
-    }
-
-    #[test]
-    fn fit_columns_width() {
-        let rows = vec![
-            vec![1.0, 10.0],
-            vec![2.0, 20.0],
-            vec![3.0, 30.0],
-            vec![4.0, 40.0],
-        ];
-        let ds = fit_columns(&rows, 2);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].bin(1.0), 0);
-        assert_eq!(ds[0].bin(4.0), 1);
-        assert_eq!(ds[1].bin(40.0), 1);
     }
 
     #[test]

@@ -98,17 +98,6 @@ impl SmoSvm {
         }
     }
 
-    /// Override the KKT tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance <= 0`.
-    pub fn with_tolerance(mut self, tolerance: f64) -> SmoSvm {
-        assert!(tolerance > 0.0, "tolerance must be positive");
-        self.tolerance = tolerance;
-        self
-    }
-
     /// Override the RNG seed used for SMO's random second-index choice.
     pub fn with_seed(mut self, seed: u64) -> SmoSvm {
         self.seed = seed;

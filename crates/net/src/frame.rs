@@ -32,7 +32,11 @@ use std::io::{self, Read, Write};
 
 use serde::Serialize;
 use webcap_core::monitor::feature_names;
-use webcap_core::{MetricLevel, TierStressAgg, WindowHealthAgg};
+/// A window's front-end aggregates, carried in a [`TierWindowDigest`]
+/// only by the application tier: what the merge node needs for the
+/// window's label, throughput and majority mix.
+pub use webcap_core::AppWindowDigest;
+use webcap_core::{MetricLevel, TierStressAgg};
 use webcap_sim::{RtHistogram, SystemSample, TierId, TierSample};
 use webcap_tpcw::MixId;
 
@@ -176,29 +180,6 @@ pub struct WireSample {
     pub app: Option<AppStats>,
 }
 
-/// Application-visible aggregates for one completed window, carried in
-/// a [`TierWindowDigest`] only by the tier that observes front-end
-/// statistics (the application tier). The fields are exactly what the
-/// merge node needs to reconstruct the window's [`SystemSample`]-level
-/// evidence — label, throughput, and majority mix — bit-identically to
-/// an unsharded collector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppWindowDigest {
-    /// Window start time, seconds: first sample's `t_s` minus its
-    /// interval (the convention `OnlineMonitor` uses).
-    pub t_start_s: f64,
-    /// Window end time, seconds: last sample's `t_s`.
-    pub t_end_s: f64,
-    /// Sum of sample intervals across the window, seconds.
-    pub duration_s: f64,
-    /// Application-health aggregate (completions, response times,
-    /// backlog), accumulated in sample order.
-    pub health: WindowHealthAgg,
-    /// Traffic-mix vote counts in first-appearance order, as produced
-    /// by `MixTally::counts`.
-    pub mix_counts: Vec<(MixId, u32)>,
-}
-
 /// One tier's aggregated metrics for one completed window — the unit a
 /// sharded collector ships instead of thirty raw [`WireSample`]s.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,10 +191,10 @@ pub struct TierWindowDigest {
     /// Samples folded into the aggregates (always the window length for
     /// a complete window).
     pub samples: u32,
-    /// Element-wise mean of the tier's HPC feature rows, computed with
-    /// `RowMeanAccumulator` (bit-identical to the in-process monitor).
+    /// Element-wise mean of the tier's HPC feature rows, from the core's
+    /// window builder (`TierAgg`).
     pub hpc_mean: Vec<f64>,
-    /// Element-wise mean of the tier's OS metric rows, same accumulator.
+    /// Element-wise mean of the tier's OS metric rows.
     pub os_mean: Vec<f64>,
     /// Saturation aggregate feeding the bottleneck-oracle stress score.
     pub stress: TierStressAgg,
@@ -592,6 +573,7 @@ impl FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webcap_core::WindowHealthAgg;
 
     fn sample_frame() -> Frame {
         Frame::Sample(WireSample {

@@ -48,13 +48,10 @@
 use std::collections::BTreeSet;
 
 use webcap_core::monitor::feature_names;
-use webcap_core::{
-    label_from_aggs, CapacityMeter, MetricLevel, MixTally, OnlineDecision, RowMeanAccumulator,
-    TierStressAgg, WindowHealthAgg, WindowInstance,
-};
+use webcap_core::{CapacityMeter, FrontEndAgg, MetricLevel, OnlineDecision, TierAgg, TierWindow};
 use webcap_sim::{TierId, TierSample};
 
-use crate::frame::{AppStats, AppWindowDigest, TierWindowDigest, WireSample};
+use crate::frame::{AppStats, TierWindowDigest, WireSample};
 
 /// Most windows a single sequence gap may individually poison. A
 /// legitimate outage of any survivable length stays far below this
@@ -101,20 +98,14 @@ impl WindowGrid {
     }
 }
 
-/// One window's in-progress aggregates for one tier.
+/// One window's in-progress aggregates for one tier: the core window
+/// builder's tier half, and on the application tier its front-end half.
 #[derive(Debug, Default)]
 struct WindowAcc {
     window: i64,
     samples: u32,
-    hpc: RowMeanAccumulator,
-    os: RowMeanAccumulator,
-    stress: TierStressAgg,
-    // Application-tier evidence (unused by the database tier).
-    t_start_s: f64,
-    t_end_s: f64,
-    duration_s: f64,
-    health: WindowHealthAgg,
-    mix: MixTally,
+    tier: TierAgg,
+    front_end: FrontEndAgg,
 }
 
 impl WindowAcc {
@@ -125,46 +116,33 @@ impl WindowAcc {
         }
     }
 
-    /// Fold one sample in, in the exact float-operation order of the
-    /// in-process monitor ([`RowMeanAccumulator`], [`WindowHealthAgg`],
-    /// [`TierStressAgg`], [`MixTally`]). `front_end` is the sample's
-    /// application-level statistics on the application tier.
+    /// Fold one sample in. `front_end` is the sample's application-level
+    /// statistics on the application tier.
     fn observe(&mut self, ws: WireSample, front_end: Option<AppStats>) {
         self.samples += 1;
-        self.hpc.push(ws.hpc);
-        self.os.push(ws.os);
-        self.stress.observe(&ws.tier);
         if let Some(stats) = front_end {
-            if self.samples == 1 {
-                self.t_start_s = ws.t_s - ws.interval_s;
-            }
-            self.t_end_s = ws.t_s;
-            self.duration_s += ws.interval_s;
-            // `WindowHealthAgg::observe` reads only the front-end
-            // fields, so reassembling with a placeholder database tier
-            // is exact.
+            // `FrontEndAgg::observe` reads only the front-end fields, so
+            // reassembling with a placeholder database tier is exact.
             let sample = stats.into_sample(ws.t_s, ws.interval_s, ws.tier, TierSample::default());
-            self.health.observe(&sample);
-            self.mix.observe(sample.mix_id);
+            self.front_end.observe(&sample);
         }
+        self.tier.observe(&ws.tier, ws.hpc, ws.os);
     }
 
-    fn finish(mut self, tier: TierId) -> TierWindowDigest {
-        let app = (tier == TierId::App).then(|| AppWindowDigest {
-            t_start_s: self.t_start_s,
-            t_end_s: self.t_end_s,
-            duration_s: self.duration_s,
-            health: std::mem::take(&mut self.health),
-            mix_counts: self.mix.counts().to_vec(),
-        });
+    fn finish(self, tier: TierId) -> TierWindowDigest {
+        let TierWindow {
+            hpc_mean,
+            os_mean,
+            stress,
+        } = self.tier.finish();
         TierWindowDigest {
             window: self.window,
             tier,
             samples: self.samples,
-            hpc_mean: self.hpc.finish(),
-            os_mean: self.os.finish(),
-            stress: self.stress,
-            app,
+            hpc_mean,
+            os_mean,
+            stress,
+            app: (tier == TierId::App).then(|| self.front_end.finish()),
         }
     }
 }
@@ -415,12 +393,12 @@ impl TierDigester {
     }
 }
 
-/// Score one complete window from its two tier digests. The decision is
-/// byte-identical to the in-process monitor's over the same samples:
-/// the digests carry aggregates built with the same float-operation
-/// order, and the meter sees the same reset-on-discontinuity cadence —
-/// its recent history is reset unless `*prev_fed` is the window just
-/// before this one, and `*prev_fed` advances to this window.
+/// Score one complete window from its two tier digests. The window is
+/// finished by the core's one builder (`AppWindowDigest::instance`) from
+/// the digests' finished halves, and the meter sees the in-process
+/// monitor's reset-on-discontinuity cadence — its recent history is
+/// reset unless `*prev_fed` is the window just before this one, and
+/// `*prev_fed` advances to this window.
 ///
 /// Returns `None`, touching neither the meter nor `prev_fed`, when the
 /// application-tier digest carries no usable front-end evidence — a
@@ -429,40 +407,20 @@ impl TierDigester {
 pub fn score_window(
     meter: &mut CapacityMeter,
     prev_fed: &mut Option<i64>,
-    app: TierWindowDigest,
+    mut app: TierWindowDigest,
     db: TierWindowDigest,
 ) -> Option<OnlineDecision> {
     let window = app.window;
-    let front_end = app.app?;
-    let mix = MixTally::from_counts(front_end.mix_counts).majority()?;
+    let tier_half = |d: TierWindowDigest| TierWindow {
+        hpc_mean: d.hpc_mean,
+        os_mean: d.os_mean,
+        stress: d.stress,
+    };
+    let front_end = app.app.take()?;
+    let instance = front_end.instance([tier_half(app), tier_half(db)], &meter.config().oracle)?;
     if prev_fed.and_then(|p| p.checked_add(1)) != Some(window) {
         meter.reset_history();
     }
-    let label = label_from_aggs(
-        &front_end.health,
-        [app.stress.stress(), db.stress.stress()],
-        &meter.config().oracle,
-    );
-    let mut features: [[Vec<f64>; 2]; 3] = Default::default();
-    for (tier, hpc, os) in [
-        (TierId::App, app.hpc_mean, app.os_mean),
-        (TierId::Db, db.hpc_mean, db.os_mean),
-    ] {
-        let mut combined = os.clone();
-        combined.extend_from_slice(&hpc);
-        *tier.select_mut(MetricLevel::Hpc.select_mut(&mut features)) = hpc;
-        *tier.select_mut(MetricLevel::Os.select_mut(&mut features)) = os;
-        *tier.select_mut(MetricLevel::Combined.select_mut(&mut features)) = combined;
-    }
-    let throughput = front_end.health.completed as f64 / front_end.duration_s.max(1e-9);
-    let instance = WindowInstance::from_parts(
-        label,
-        mix,
-        front_end.t_start_s,
-        front_end.t_end_s,
-        throughput,
-        features,
-    );
     let prediction = meter.predict(&instance);
     *prev_fed = Some(window);
     Some(OnlineDecision {

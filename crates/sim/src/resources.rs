@@ -133,11 +133,6 @@ impl PsCpu {
         self.background
     }
 
-    /// Peak capacity (no contention): `cores · speed`.
-    pub fn peak_capacity(&self) -> f64 {
-        self.cores * self.speed
-    }
-
     /// Number of runnable jobs.
     pub fn active_jobs(&self) -> usize {
         self.jobs.len()
@@ -448,11 +443,6 @@ impl FcfsDisk {
         (finished, next)
     }
 
-    /// Whether an operation is in service.
-    pub fn is_busy(&self) -> bool {
-        self.busy.is_some()
-    }
-
     /// Queued (not yet started) operations.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
@@ -616,7 +606,6 @@ mod tests {
         let (fin2, none) = disk.complete(next_done);
         assert_eq!(fin2, 2);
         assert!(none.is_none());
-        assert!(!disk.is_busy());
         let (busy, _, ops) = disk.stats(t(1.0));
         assert_eq!(ops, 2);
         assert!((busy - 0.75).abs() < 1e-9);

@@ -98,12 +98,6 @@ impl SystemSample {
         self.completed as f64 / self.interval_s
     }
 
-    /// Issued requests per second (offered load actually generated by the
-    /// closed-loop clients).
-    pub fn offered_rate(&self) -> f64 {
-        self.issued as f64 / self.interval_s
-    }
-
     /// Mean response time of requests completed this interval, or `None`
     /// if none completed.
     pub fn mean_response_time_s(&self) -> Option<f64> {
@@ -201,7 +195,6 @@ mod tests {
     fn throughput_and_response_time() {
         let s = sample(10, 2.5);
         assert_eq!(s.throughput(), 10.0);
-        assert_eq!(s.offered_rate(), 11.0);
         assert_eq!(s.mean_response_time_s(), Some(0.25));
         assert_eq!(sample(0, 0.0).mean_response_time_s(), None);
     }

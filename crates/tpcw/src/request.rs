@@ -117,26 +117,6 @@ impl RequestType {
             | RequestType::AdminConfirm => RequestClass::Order,
         }
     }
-
-    /// Short name used in logs and reports.
-    pub fn short_name(&self) -> &'static str {
-        match self {
-            RequestType::Home => "HOME",
-            RequestType::NewProducts => "NEWP",
-            RequestType::BestSellers => "BEST",
-            RequestType::ProductDetail => "PROD",
-            RequestType::SearchRequest => "SREQ",
-            RequestType::SearchResults => "SRES",
-            RequestType::ShoppingCart => "CART",
-            RequestType::CustomerRegistration => "CREG",
-            RequestType::BuyRequest => "BREQ",
-            RequestType::BuyConfirm => "BCON",
-            RequestType::OrderInquiry => "OINQ",
-            RequestType::OrderDisplay => "ODIS",
-            RequestType::AdminRequest => "AREQ",
-            RequestType::AdminConfirm => "ACON",
-        }
-    }
 }
 
 impl fmt::Display for RequestType {
@@ -170,14 +150,6 @@ mod tests {
             assert_eq!(t.index(), i);
             assert_eq!(RequestType::from_index(i), *t);
         }
-    }
-
-    #[test]
-    fn short_names_are_unique() {
-        let mut names: Vec<&str> = RequestType::ALL.iter().map(|t| t.short_name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 14);
     }
 
     #[test]

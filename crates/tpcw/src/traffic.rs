@@ -202,18 +202,6 @@ impl TrafficProgram {
         }
         unreachable!("loop always returns on the last phase");
     }
-
-    /// Times (seconds from program start) at which the active phase
-    /// changes — useful for aligning samples with mix switches.
-    pub fn phase_boundaries(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        let mut out = Vec::with_capacity(self.phases.len());
-        for p in &self.phases {
-            acc += p.duration_s;
-            out.push(acc);
-        }
-        out
-    }
 }
 
 impl fmt::Display for TrafficProgram {
@@ -276,13 +264,6 @@ mod tests {
     fn negative_time_clamps_to_start() {
         let p = TrafficProgram::ramp(Mix::shopping(), 5, 10, 10.0);
         assert_eq!(p.at(-3.0).ebs, 5);
-    }
-
-    #[test]
-    fn phase_boundaries_accumulate() {
-        let p =
-            TrafficProgram::steady(Mix::browsing(), 1, 10.0).then_steady(Mix::browsing(), 2, 20.0);
-        assert_eq!(p.phase_boundaries(), vec![10.0, 30.0]);
     }
 
     #[test]
