@@ -43,7 +43,5 @@ pub use executor::{
     score_probe, ExecError, LoopbackExecutor, ProbeMeasure, ScenarioExecutor, SimExecutor,
 };
 pub use report::CapacityReport;
-pub use scenario::{
-    library, FaultEvent, Scenario, ScenarioMix, ScenarioParseError, ScenarioPhase, Slo,
-};
+pub use scenario::{library, FaultEvent, Scenario, ScenarioMix, ScenarioPhase, Slo};
 pub use search::{bisect, search_scenario, BisectOutcome, SearchConfig};

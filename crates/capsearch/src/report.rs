@@ -7,7 +7,7 @@
 //! environment-free — no timestamps, no git revision, no hostnames —
 //! so the golden suite can demand byte identity across machines and
 //! thread counts. The `config_hash` fingerprints the scenario's
-//! canonical TOML plus the search parameters (not the executor), so a
+//! canonical JSON plus the search parameters (not the executor), so a
 //! sim report and a loopback report for the same search share it.
 
 use webcap_sim::TierId;
@@ -30,7 +30,7 @@ pub struct CapacityReport {
     pub seed: u64,
     /// Execution plane (`"sim"` or `"loopback"`).
     pub executor: String,
-    /// FNV-1a fingerprint of the scenario TOML and search parameters.
+    /// FNV-1a fingerprint of the scenario JSON and search parameters.
     pub config_hash: String,
     /// The SLO the capacity is relative to.
     pub slo: Slo,
@@ -95,18 +95,15 @@ impl CapacityReport {
     }
 }
 
-/// Fingerprint the capacity question being asked: the scenario (its
-/// canonical TOML) and the search parameters, executor excluded.
+/// Fingerprint the capacity question being asked: the scenario and the
+/// search parameters, executor excluded, as one canonical JSON array.
+///
+/// # Panics
+///
+/// Never in practice: scenarios and search configs hold no map keys
+/// that could fail serialization.
 pub fn config_hash(scenario: &Scenario, cfg: &SearchConfig) -> String {
-    let material = format!(
-        "{}\x1f{}\x1f{}\x1f{}\x1f{}\x1f{}",
-        scenario.to_toml(),
-        cfg.initial_lo,
-        cfg.initial_hi,
-        cfg.tolerance,
-        cfg.max_probes,
-        cfg.max_ebs,
-    );
+    let material = serde_json::to_string(&(scenario, cfg)).expect("the question serializes");
     format!("{:016x}", fnv1a(material.as_bytes()))
 }
 

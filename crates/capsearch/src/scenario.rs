@@ -1,4 +1,4 @@
-//! Seeded, pure-data scenarios and their constrained TOML codec.
+//! Seeded, pure-data scenarios, read and written as JSON.
 //!
 //! A [`Scenario`] is everything a capacity search needs to be replayed
 //! bit-for-bit anywhere: a seed, an SLO, a load curve expressed as
@@ -9,23 +9,24 @@
 //! [`TrafficProgram`] for the simulator and a pair of
 //! [`FaultSchedule`]s for the `webcap-net` agents.
 //!
-//! The on-disk format is a small, strict subset of TOML — four section
-//! kinds (`[scenario]`, `[slo]`, `[[phase]]`, `[[fault]]`), `key =
-//! value` pairs, `#` comments. [`Scenario::to_toml`] renders floats
-//! with Rust's shortest-roundtrip formatting, so
-//! TOML → [`Scenario`] → TOML is byte-lossless (property-tested).
-//! Unknown keys, duplicate keys, and missing required keys are errors:
-//! a scenario that drives a capacity claim must not silently ignore a
-//! typo.
+//! The on-disk form is the JSON `serde_json` writes for the derived
+//! types: mixes and tiers by variant name (`"Shopping"`, `"Db"`), a
+//! fault as `{"AgentDown": {"tier": "Db", "from_s": 90, "until_s":
+//! 105}}`. Floats are written with shortest-roundtrip formatting, so
+//! JSON → [`Scenario`] → JSON is byte-lossless (property-tested).
+//! [`Scenario::from_json`] is the one reader: unknown keys, duplicate
+//! keys, missing keys and out-of-range values are errors naming the
+//! field, because a scenario that drives a capacity claim must not
+//! silently ignore a typo.
 
-use std::fmt;
-
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use webcap_net::FaultSchedule;
 use webcap_sim::TierId;
 use webcap_tpcw::{Mix, Phase, TrafficProgram};
 
 /// The service-level objective a probe is judged against.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Slo {
     /// Response-time deadline, seconds: a completed request slower than
     /// this counts as an error.
@@ -38,7 +39,7 @@ pub struct Slo {
 }
 
 /// The named TPC-W mixes a scenario phase can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScenarioMix {
     /// TPC-W browsing mix (95% browse interactions).
     Browsing,
@@ -49,15 +50,6 @@ pub enum ScenarioMix {
 }
 
 impl ScenarioMix {
-    /// The lowercase name used in scenario files.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ScenarioMix::Browsing => "browsing",
-            ScenarioMix::Shopping => "shopping",
-            ScenarioMix::Ordering => "ordering",
-        }
-    }
-
     /// The full mix definition.
     pub fn mix(&self) -> Mix {
         match self {
@@ -66,21 +58,12 @@ impl ScenarioMix {
             ScenarioMix::Ordering => Mix::ordering(),
         }
     }
-
-    fn parse(name: &str) -> Option<ScenarioMix> {
-        match name {
-            "browsing" => Some(ScenarioMix::Browsing),
-            "shopping" => Some(ScenarioMix::Shopping),
-            "ordering" => Some(ScenarioMix::Ordering),
-            _ => None,
-        }
-    }
 }
 
 /// One phase of a scenario's load curve. `from`/`to` are fractions of
 /// the probed population: a probe at `P` EBs runs this phase from
 /// `round(from * P)` to `round(to * P)` emulated browsers (at least 1).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioPhase {
     /// Mix active during the phase.
     pub mix: ScenarioMix,
@@ -94,7 +77,7 @@ pub struct ScenarioPhase {
 
 /// A scheduled telemetry fault, in sample-sequence time (sequence `s`
 /// is the per-tier sample covering simulated second `s+1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultEvent {
     /// One tier's agent drops every sample with sequence in
     /// `[from_s, until_s)` — a silent outage the collector must
@@ -125,23 +108,8 @@ impl FaultEvent {
     }
 }
 
-fn tier_label(tier: TierId) -> &'static str {
-    match tier {
-        TierId::App => "app",
-        TierId::Db => "db",
-    }
-}
-
-fn tier_parse(name: &str) -> Option<TierId> {
-    match name {
-        "app" => Some(TierId::App),
-        "db" => Some(TierId::Db),
-        _ => None,
-    }
-}
-
 /// A complete, replayable capacity-search scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Unique scenario name (also the golden-report file stem).
     pub name: String,
@@ -155,7 +123,8 @@ pub struct Scenario {
     pub slo: Slo,
     /// The load curve, as fractions of the probe level.
     pub phases: Vec<ScenarioPhase>,
-    /// Scheduled telemetry faults (sorted canonically by the codec).
+    /// Scheduled telemetry faults, in any order ([`Scenario::schedules`]
+    /// sorts them per tier).
     pub faults: Vec<FaultEvent>,
 }
 
@@ -214,416 +183,103 @@ impl Scenario {
         schedules
     }
 
-    /// Render the scenario in the canonical on-disk form. The output is
-    /// a pure function of the scenario, and [`Scenario::from_toml`] of
-    /// it reconstructs the scenario exactly.
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str("[scenario]\n");
-        out.push_str(&format!("name = \"{}\"\n", self.name));
-        out.push_str(&format!("description = \"{}\"\n", self.description));
-        out.push_str(&format!("seed = {}\n", self.seed));
-        out.push_str(&format!("warmup_s = {}\n", self.warmup_s));
-        out.push_str("\n[slo]\n");
-        out.push_str(&format!("timeout_s = {:?}\n", self.slo.timeout_s));
-        out.push_str(&format!(
-            "max_error_fraction = {:?}\n",
-            self.slo.max_error_fraction
-        ));
-        out.push_str(&format!("max_p99_s = {:?}\n", self.slo.max_p99_s));
-        for phase in &self.phases {
-            out.push_str("\n[[phase]]\n");
-            out.push_str(&format!("mix = \"{}\"\n", phase.mix.label()));
-            out.push_str(&format!("from = {:?}\n", phase.from));
-            out.push_str(&format!("to = {:?}\n", phase.to));
-            out.push_str(&format!("duration_s = {:?}\n", phase.duration_s));
-        }
-        for fault in &self.faults {
-            out.push_str("\n[[fault]]\n");
-            match *fault {
-                FaultEvent::AgentDown {
-                    tier,
-                    from_s,
-                    until_s,
-                } => {
-                    out.push_str("kind = \"agent-down\"\n");
-                    out.push_str(&format!("tier = \"{}\"\n", tier_label(tier)));
-                    out.push_str(&format!("from_s = {from_s}\n"));
-                    out.push_str(&format!("until_s = {until_s}\n"));
-                }
-                FaultEvent::Reconnect { tier, at_s } => {
-                    out.push_str("kind = \"reconnect\"\n");
-                    out.push_str(&format!("tier = \"{}\"\n", tier_label(tier)));
-                    out.push_str(&format!("at_s = {at_s}\n"));
-                }
-            }
-        }
-        out
-    }
-
-    /// Parse the on-disk form, validating strictly.
+    /// Read a scenario from its JSON form (what `serde_json` writes for
+    /// it), validating strictly.
     ///
     /// # Errors
     ///
-    /// Syntax errors, unknown or duplicate keys, missing required keys,
-    /// and semantically invalid values (non-positive durations,
-    /// non-finite numbers, empty phase lists, inverted fault ranges)
-    /// are all reported with the offending line number.
-    pub fn from_toml(text: &str) -> Result<Scenario, ScenarioParseError> {
-        Parser::new(text).parse()
+    /// Malformed JSON, a missing key, an unknown mix, tier or fault
+    /// kind, an unknown or duplicate key at any depth, and a value
+    /// outside its range (a name that is not kebab-case, a non-positive
+    /// duration or deadline, a load fraction outside (0, 16], an empty
+    /// phase list, an inverted fault range) are errors naming the field.
+    pub fn from_json(json: &str) -> Result<Scenario, serde_json::Error> {
+        let scenario: Scenario = serde_json::from_str(json)?;
+        let raw: Value = serde_json::from_str(json)?;
+        let canonical: Value = serde_json::from_str(&serde_json::to_string(&scenario)?)?;
+        same_keys(&raw, &canonical, "")?;
+        scenario.check().map_err(serde::de::Error::custom)?;
+        Ok(scenario)
     }
-}
 
-/// A parse/validation failure, pointing at the offending line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioParseError {
-    /// 1-based line number (0 for whole-file errors).
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ScenarioParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line > 0 {
-            write!(f, "line {}: {}", self.line, self.message)
-        } else {
-            f.write_str(&self.message)
+    /// The value rules serde's types cannot state.
+    fn check(&self) -> Result<(), String> {
+        let kebab = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-';
+        if self.name.is_empty() || !self.name.chars().all(kebab) {
+            return Err("`name` must be nonempty kebab-case ([a-z0-9-])".into());
         }
-    }
-}
-
-impl std::error::Error for ScenarioParseError {}
-
-/// Raw `key = value` pairs of one section instance.
-struct Section {
-    kind: SectionKind,
-    line: usize,
-    entries: Vec<(String, Value, usize)>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SectionKind {
-    Scenario,
-    Slo,
-    Phase,
-    Fault,
-}
-
-#[derive(Debug, Clone)]
-enum Value {
-    Str(String),
-    Num(String),
-}
-
-struct Parser<'a> {
-    text: &'a str,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser { text }
-    }
-
-    fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ScenarioParseError> {
-        Err(ScenarioParseError {
-            line,
-            message: message.into(),
-        })
-    }
-
-    fn lex(&self) -> Result<Vec<Section>, ScenarioParseError> {
-        let mut sections: Vec<Section> = Vec::new();
-        for (i, raw) in self.text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-                let kind = match header {
-                    "phase" => SectionKind::Phase,
-                    "fault" => SectionKind::Fault,
-                    other => return Self::err(line_no, format!("unknown section [[{other}]]")),
-                };
-                sections.push(Section {
-                    kind,
-                    line: line_no,
-                    entries: Vec::new(),
-                });
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                let kind = match header {
-                    "scenario" => SectionKind::Scenario,
-                    "slo" => SectionKind::Slo,
-                    other => return Self::err(line_no, format!("unknown section [{other}]")),
-                };
-                if sections.iter().any(|s| s.kind == kind) {
-                    return Self::err(line_no, format!("duplicate section [{header}]"));
+        if self.slo.timeout_s <= 0.0 {
+            return Err("`slo.timeout_s` must be positive".into());
+        }
+        if !(0.0..=1.0).contains(&self.slo.max_error_fraction) {
+            return Err("`slo.max_error_fraction` must be within [0, 1]".into());
+        }
+        if self.slo.max_p99_s <= 0.0 {
+            return Err("`slo.max_p99_s` must be positive".into());
+        }
+        if self.phases.is_empty() {
+            return Err("`phases` needs at least one phase".into());
+        }
+        for (i, phase) in self.phases.iter().enumerate() {
+            for (value, key) in [(phase.from, "from"), (phase.to, "to")] {
+                if !(value > 0.0 && value <= 16.0) {
+                    return Err(format!("`phases[{i}].{key}` must be within (0, 16]"));
                 }
-                sections.push(Section {
-                    kind,
-                    line: line_no,
-                    entries: Vec::new(),
-                });
-                continue;
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Self::err(line_no, format!("expected `key = value`, got `{line}`"));
-            };
-            let key = key.trim();
-            if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                return Self::err(line_no, format!("invalid key `{key}`"));
-            }
-            let value = Self::lex_value(value.trim(), line_no)?;
-            let Some(section) = sections.last_mut() else {
-                return Self::err(line_no, "key/value before any section header");
-            };
-            if section.entries.iter().any(|(k, _, _)| k == key) {
-                return Self::err(line_no, format!("duplicate key `{key}`"));
-            }
-            section.entries.push((key.to_string(), value, line_no));
-        }
-        Ok(sections)
-    }
-
-    fn lex_value(raw: &str, line_no: usize) -> Result<Value, ScenarioParseError> {
-        if let Some(inner) = raw.strip_prefix('"') {
-            let Some(inner) = inner.strip_suffix('"') else {
-                return Self::err(line_no, "unterminated string");
-            };
-            if inner.contains('"') || !inner.chars().all(|c| (' '..='~').contains(&c)) {
-                return Self::err(
-                    line_no,
-                    "strings must be printable ASCII without embedded quotes",
-                );
-            }
-            return Ok(Value::Str(inner.to_string()));
-        }
-        if raw.is_empty() {
-            return Self::err(line_no, "empty value");
-        }
-        Ok(Value::Num(raw.to_string()))
-    }
-
-    fn parse(self) -> Result<Scenario, ScenarioParseError> {
-        let sections = self.lex()?;
-        let mut scenario: Option<ScenarioHeader> = None;
-        let mut slo: Option<Slo> = None;
-        let mut phases: Vec<ScenarioPhase> = Vec::new();
-        let mut faults: Vec<FaultEvent> = Vec::new();
-        for section in &sections {
-            match section.kind {
-                SectionKind::Scenario => scenario = Some(parse_scenario_header(section)?),
-                SectionKind::Slo => slo = Some(parse_slo(section)?),
-                SectionKind::Phase => phases.push(parse_phase(section)?),
-                SectionKind::Fault => faults.push(parse_fault(section)?),
+            if phase.duration_s <= 0.0 {
+                return Err(format!("`phases[{i}].duration_s` must be positive"));
             }
         }
-        let Some(header) = scenario else {
-            return Self::err(0, "missing [scenario] section");
-        };
-        let Some(slo) = slo else {
-            return Self::err(0, "missing [slo] section");
-        };
-        if phases.is_empty() {
-            return Self::err(0, "a scenario needs at least one [[phase]]");
-        }
-        Ok(Scenario {
-            name: header.name,
-            description: header.description,
-            seed: header.seed,
-            warmup_s: header.warmup_s,
-            slo,
-            phases,
-            faults,
-        })
-    }
-}
-
-struct ScenarioHeader {
-    name: String,
-    description: String,
-    seed: u64,
-    warmup_s: u32,
-}
-
-/// Pull the entries of `section` into typed fields, rejecting unknown
-/// keys and reporting missing ones.
-struct Fields<'s> {
-    section: &'s Section,
-    taken: Vec<&'s str>,
-}
-
-impl<'s> Fields<'s> {
-    fn new(section: &'s Section) -> Fields<'s> {
-        Fields {
-            section,
-            taken: Vec::new(),
-        }
-    }
-
-    fn get(&mut self, key: &'static str) -> Result<(&'s Value, usize), ScenarioParseError> {
-        self.taken.push(key);
-        match self.section.entries.iter().find(|(k, _, _)| k == key) {
-            Some((_, v, line)) => Ok((v, *line)),
-            None => Parser::err(self.section.line, format!("missing required key `{key}`")),
-        }
-    }
-
-    fn string(&mut self, key: &'static str) -> Result<(String, usize), ScenarioParseError> {
-        match self.get(key)? {
-            (Value::Str(s), line) => Ok((s.clone(), line)),
-            (Value::Num(_), line) => Parser::err(line, format!("`{key}` must be a string")),
-        }
-    }
-
-    fn u64(&mut self, key: &'static str) -> Result<(u64, usize), ScenarioParseError> {
-        match self.get(key)? {
-            (Value::Num(raw), line) => match raw.parse::<u64>() {
-                Ok(v) => Ok((v, line)),
-                Err(_) => Parser::err(line, format!("`{key}` must be a nonnegative integer")),
-            },
-            (Value::Str(_), line) => Parser::err(line, format!("`{key}` must be an integer")),
-        }
-    }
-
-    fn f64(&mut self, key: &'static str) -> Result<(f64, usize), ScenarioParseError> {
-        match self.get(key)? {
-            (Value::Num(raw), line) => match raw.parse::<f64>() {
-                Ok(v) if v.is_finite() => Ok((v, line)),
-                _ => Parser::err(line, format!("`{key}` must be a finite number")),
-            },
-            (Value::Str(_), line) => Parser::err(line, format!("`{key}` must be a number")),
-        }
-    }
-
-    fn finish(self) -> Result<(), ScenarioParseError> {
-        for (key, _, line) in &self.section.entries {
-            if !self.taken.iter().any(|t| t == key) {
-                return Parser::err(*line, format!("unknown key `{key}`"));
+        for (i, fault) in self.faults.iter().enumerate() {
+            if let FaultEvent::AgentDown {
+                from_s, until_s, ..
+            } = *fault
+            {
+                if until_s <= from_s {
+                    return Err(format!(
+                        "`faults[{i}].AgentDown.until_s` must exceed `from_s`"
+                    ));
+                }
             }
         }
         Ok(())
     }
 }
 
-fn parse_scenario_header(section: &Section) -> Result<ScenarioHeader, ScenarioParseError> {
-    let mut fields = Fields::new(section);
-    let (name, name_line) = fields.string("name")?;
-    let (description, _) = fields.string("description")?;
-    let (seed, _) = fields.u64("seed")?;
-    let (warmup, warmup_line) = fields.u64("warmup_s")?;
-    fields.finish()?;
-    if name.is_empty()
-        || !name
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-    {
-        return Parser::err(
-            name_line,
-            "scenario names are nonempty kebab-case ([a-z0-9-])",
-        );
-    }
-    let Ok(warmup_s) = u32::try_from(warmup) else {
-        return Parser::err(warmup_line, "`warmup_s` out of range");
-    };
-    Ok(ScenarioHeader {
-        name,
-        description,
-        seed,
-        warmup_s,
-    })
-}
-
-fn parse_slo(section: &Section) -> Result<Slo, ScenarioParseError> {
-    let mut fields = Fields::new(section);
-    let (timeout_s, t_line) = fields.f64("timeout_s")?;
-    let (max_error_fraction, e_line) = fields.f64("max_error_fraction")?;
-    let (max_p99_s, p_line) = fields.f64("max_p99_s")?;
-    fields.finish()?;
-    if timeout_s <= 0.0 {
-        return Parser::err(t_line, "`timeout_s` must be positive");
-    }
-    if !(0.0..=1.0).contains(&max_error_fraction) {
-        return Parser::err(e_line, "`max_error_fraction` must be within [0, 1]");
-    }
-    if max_p99_s <= 0.0 {
-        return Parser::err(p_line, "`max_p99_s` must be positive");
-    }
-    Ok(Slo {
-        timeout_s,
-        max_error_fraction,
-        max_p99_s,
-    })
-}
-
-fn parse_phase(section: &Section) -> Result<ScenarioPhase, ScenarioParseError> {
-    let mut fields = Fields::new(section);
-    let (mix_name, mix_line) = fields.string("mix")?;
-    let (from, from_line) = fields.f64("from")?;
-    let (to, to_line) = fields.f64("to")?;
-    let (duration_s, d_line) = fields.f64("duration_s")?;
-    fields.finish()?;
-    let Some(mix) = ScenarioMix::parse(&mix_name) else {
-        return Parser::err(
-            mix_line,
-            format!("unknown mix \"{mix_name}\" (expected browsing, shopping, or ordering)"),
-        );
-    };
-    for (value, line, key) in [(from, from_line, "from"), (to, to_line, "to")] {
-        if !(value > 0.0 && value <= 16.0) {
-            return Parser::err(line, format!("`{key}` must be within (0, 16]"));
-        }
-    }
-    if duration_s <= 0.0 {
-        return Parser::err(d_line, "`duration_s` must be positive");
-    }
-    Ok(ScenarioPhase {
-        mix,
-        from,
-        to,
-        duration_s,
-    })
-}
-
-fn parse_fault(section: &Section) -> Result<FaultEvent, ScenarioParseError> {
-    let mut fields = Fields::new(section);
-    let (kind, kind_line) = fields.string("kind")?;
-    let (tier_name, tier_line) = fields.string("tier")?;
-    let Some(tier) = tier_parse(&tier_name) else {
-        return Parser::err(
-            tier_line,
-            format!("unknown tier \"{tier_name}\" (expected app or db)"),
-        );
-    };
-    let event = match kind.as_str() {
-        "agent-down" => {
-            let (from_s, _) = fields.u64("from_s")?;
-            let (until_s, until_line) = fields.u64("until_s")?;
-            if until_s <= from_s {
-                return Parser::err(until_line, "`until_s` must exceed `from_s`");
+/// Require `raw` to carry the keys `canonical` carries, each once, in
+/// every object at every depth, naming the first key that breaks the
+/// rule by its path (`phases[0].bogus`). Deserializing already refuses
+/// a missing key, but reads one of two duplicates and skips an unknown
+/// one.
+fn same_keys(raw: &Value, canonical: &Value, path: &str) -> Result<(), serde_json::Error> {
+    let bad = |what: &str, at: &str| serde::de::Error::custom(format_args!("{what} key `{at}`"));
+    match (raw, canonical) {
+        (Value::Object(raw), Value::Object(canonical)) => {
+            for (i, (key, value)) in raw.iter().enumerate() {
+                let at = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                if raw.iter().take(i).any(|(k, _)| k == key) {
+                    return Err(bad("duplicate", &at));
+                }
+                let Some((_, expected)) = canonical.iter().find(|(k, _)| k == key) else {
+                    return Err(bad("unknown", &at));
+                };
+                same_keys(value, expected, &at)?;
             }
-            FaultEvent::AgentDown {
-                tier,
-                from_s,
-                until_s,
-            }
+            Ok(())
         }
-        "reconnect" => {
-            let (at_s, _) = fields.u64("at_s")?;
-            FaultEvent::Reconnect { tier, at_s }
-        }
-        other => {
-            return Parser::err(
-                kind_line,
-                format!("unknown fault kind \"{other}\" (expected agent-down or reconnect)"),
-            )
-        }
-    };
-    fields.finish()?;
-    Ok(event)
+        (Value::Array(raw), Value::Array(canonical)) => raw
+            .iter()
+            .zip(canonical)
+            .enumerate()
+            .try_for_each(|(i, (item, expected))| {
+                same_keys(item, expected, &format!("{path}[{i}]"))
+            }),
+        _ => Ok(()),
+    }
 }
 
 fn steady(mix: ScenarioMix, frac: f64, duration_s: f64) -> ScenarioPhase {
@@ -743,6 +399,10 @@ pub fn find(name: &str) -> Option<Scenario> {
 mod tests {
     use super::*;
 
+    fn json(s: &Scenario) -> String {
+        serde_json::to_string(s).expect("scenarios serialize")
+    }
+
     #[test]
     fn library_is_well_formed() {
         let lib = library();
@@ -759,18 +419,22 @@ mod tests {
             let program = s.program(50);
             assert!(program.duration_s() > 0.0);
             let _ = s.schedules();
+            // And pass the reader's rules.
+            if let Err(e) = Scenario::from_json(&json(s)) {
+                panic!("{}: {e}", s.name);
+            }
         }
     }
 
     #[test]
-    fn library_round_trips_through_toml() {
+    fn library_round_trips_through_json() {
         for s in library() {
-            let toml = s.to_toml();
-            let back = Scenario::from_toml(&toml).unwrap_or_else(|e| {
-                panic!("{}: {e}\n{toml}", s.name);
+            let text = json(&s);
+            let back = Scenario::from_json(&text).unwrap_or_else(|e| {
+                panic!("{}: {e}\n{text}", s.name);
             });
             assert_eq!(back, s, "{}", s.name);
-            assert_eq!(back.to_toml(), toml, "{}: canonical form", s.name);
+            assert_eq!(json(&back), text, "{}: canonical form", s.name);
         }
     }
 
@@ -796,30 +460,98 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_malformed_input() {
-        let base = find("steady-shopping").unwrap().to_toml();
-        // Unknown key.
-        let bad = format!("{base}\n[[phase]]\nmix = \"shopping\"\nfrom = 1.0\nto = 1.0\nduration_s = 30.0\nbogus = 1\n");
-        assert!(Scenario::from_toml(&bad).is_err());
-        // Duplicate section.
-        let bad = format!("{base}\n[scenario]\n");
-        assert!(Scenario::from_toml(&bad).is_err());
-        // Missing required key.
-        assert!(Scenario::from_toml("[scenario]\nname = \"x\"\n").is_err());
-        // Inverted fault range.
-        let bad = format!(
-            "{base}\n[[fault]]\nkind = \"agent-down\"\ntier = \"db\"\nfrom_s = 10\nuntil_s = 10\n"
-        );
-        assert!(Scenario::from_toml(&bad).is_err());
-        // Non-finite number.
-        let bad = base.replace("timeout_s = 1.5", "timeout_s = inf");
-        assert!(Scenario::from_toml(&bad).is_err());
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let err = Scenario::from_toml("[scenario]\nname = \"x\"\nname = \"y\"\n").unwrap_err();
-        assert_eq!(err.line, 3);
-        assert!(err.to_string().contains("duplicate key"), "{err}");
+    fn malformed_scenarios_are_refused_naming_the_field() {
+        let base = json(&find("steady-shopping").unwrap());
+        // (text replaced in the library JSON, its replacement, what the
+        // error must name)
+        let rows: &[(&str, &str, &str)] = &[
+            (
+                r#""seed":101"#,
+                r#""seed":101,"bogus":1"#,
+                "unknown key `bogus`",
+            ),
+            (
+                r#""duration_s":180.0"#,
+                r#""duration_s":180.0,"bogus":1"#,
+                "unknown key `phases[0].bogus`",
+            ),
+            (
+                r#""faults":[]"#,
+                r#""faults":[{"Reconnect":{"tier":"App","at_s":3,"bogus":1}}]"#,
+                "unknown key `faults[0].Reconnect.bogus`",
+            ),
+            (
+                r#""seed":101"#,
+                r#""seed":101,"seed":102"#,
+                "duplicate key `seed`",
+            ),
+            (
+                r#""max_p99_s":2.5"#,
+                r#""max_p99_s":2.5,"max_p99_s":2.5"#,
+                "duplicate key `slo.max_p99_s`",
+            ),
+            (r#""seed":101,"#, "", "missing field `seed`"),
+            (r#""timeout_s":1.5,"#, "", "slo: missing field `timeout_s`"),
+            (r#""Shopping""#, r#""Brunch""#, "mix"),
+            (
+                r#""faults":[]"#,
+                r#""faults":[{"Crash":{"tier":"Db"}}]"#,
+                "faults",
+            ),
+            (
+                r#""faults":[]"#,
+                r#""faults":[{"Reconnect":{"tier":"Cache","at_s":3}}]"#,
+                "tier",
+            ),
+            (r#""warmup_s":30"#, r#""warmup_s":4294967296"#, "warmup_s"),
+            (r#""steady-shopping""#, r#""../x""#, "`name`"),
+            (r#""steady-shopping""#, r#""""#, "`name`"),
+            (r#""steady-shopping""#, r#""Steady""#, "`name`"),
+            (
+                r#""timeout_s":1.5"#,
+                r#""timeout_s":0.0"#,
+                "`slo.timeout_s`",
+            ),
+            (
+                r#""max_error_fraction":0.08"#,
+                r#""max_error_fraction":1.5"#,
+                "`slo.max_error_fraction`",
+            ),
+            (
+                r#""max_error_fraction":0.08"#,
+                r#""max_error_fraction":-0.1"#,
+                "`slo.max_error_fraction`",
+            ),
+            (
+                r#""max_p99_s":2.5"#,
+                r#""max_p99_s":0.0"#,
+                "`slo.max_p99_s`",
+            ),
+            (r#""from":1.0"#, r#""from":0.0"#, "`phases[0].from`"),
+            (r#""to":1.0"#, r#""to":16.5"#, "`phases[0].to`"),
+            (
+                r#""duration_s":180.0"#,
+                r#""duration_s":0.0"#,
+                "`phases[0].duration_s`",
+            ),
+            (
+                r#""faults":[]"#,
+                r#""faults":[{"AgentDown":{"tier":"Db","from_s":10,"until_s":10}}]"#,
+                "`faults[0].AgentDown.until_s`",
+            ),
+            (
+                r#""phases":[{"mix":"Shopping","from":1.0,"to":1.0,"duration_s":180.0}]"#,
+                r#""phases":[]"#,
+                "`phases`",
+            ),
+        ];
+        for &(from, to, names) in rows {
+            assert!(base.contains(from), "row {from:?} edits the base text");
+            let text = base.replacen(from, to, 1);
+            match Scenario::from_json(&text) {
+                Ok(_) => panic!("accepted {text}"),
+                Err(e) => assert!(e.to_string().contains(names), "{e} (for {text})"),
+            }
+        }
     }
 }

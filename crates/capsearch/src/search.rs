@@ -46,7 +46,7 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
-    /// The coarse configuration the golden suite and `--bless` share.
+    /// The coarse configuration the golden suite searches with.
     /// Changing it regenerates every golden report, so treat it like a
     /// schema version.
     pub fn quick() -> SearchConfig {

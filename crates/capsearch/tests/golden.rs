@@ -8,9 +8,9 @@
 //!
 //! A missing golden fails like a mismatch does; on a mismatch the test
 //! also leaves the actual bytes under `target/tmp/capsearch/` for
-//! inspection. Only a deliberate bless writes a golden:
-//! `WEBCAP_BLESS=1 cargo test -p webcap-capsearch --test golden` (or
-//! `webcap capsearch --bless`).
+//! inspection. Only a deliberate bless writes a golden, and this suite
+//! is the one writer: `WEBCAP_BLESS=1 cargo test -p webcap-capsearch
+//! --test golden` runs the same search the check runs.
 //!
 //! Byte identity across thread counts is part of the contract:
 //! `thread_count_does_not_change_report_bytes` checks pinned pool widths

@@ -5,8 +5,8 @@
 //!   twice.
 //! * At tolerance 1, bisection is exact — and therefore monotone: a
 //!   higher threshold never yields a smaller capacity.
-//! * The scenario TOML codec is lossless: TOML → `Scenario` → TOML is
-//!   byte-identical, and `Scenario` → TOML → `Scenario` is `==`.
+//! * Scenario JSON is lossless: JSON → `Scenario` → JSON is
+//!   byte-identical, and `Scenario` → JSON → `Scenario` is `==`.
 //! * Through the real simulator, tightening the SLO never raises the
 //!   measured capacity by more than the bracket tolerance.
 
@@ -166,16 +166,17 @@ fn arb_scenario(rng: &mut StdRng) -> Scenario {
 }
 
 #[test]
-fn scenario_toml_round_trip_is_lossless() {
+fn scenario_json_round_trip_is_lossless() {
+    let to_json = |s: &Scenario| serde_json::to_string(s).expect("scenarios serialize");
     for seed in 0..CASES {
         let scenario = arb_scenario(&mut StdRng::seed_from_u64(seed));
-        let toml = scenario.to_toml();
+        let json = to_json(&scenario);
         let parsed =
-            Scenario::from_toml(&toml).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{toml}"));
+            Scenario::from_json(&json).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{json}"));
         assert_eq!(parsed, scenario, "seed {seed}");
         assert_eq!(
-            parsed.to_toml(),
-            toml,
+            to_json(&parsed),
+            json,
             "seed {seed}: canonical form is a fixed point"
         );
     }

@@ -2,7 +2,7 @@
 //! collect, capsearch.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use webcap_capsearch::{
     search_scenario, CapacityReport, LoopbackExecutor, Scenario, ScenarioExecutor, SearchConfig,
@@ -451,13 +451,11 @@ pub fn capsearch(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "list",
         "loopback",
-        "bless",
         "scenario",
         "scenario-file",
         "seed",
         "meter",
         "out",
-        "golden-dir",
         "endpoint",
         "lo",
         "hi",
@@ -483,7 +481,7 @@ pub fn capsearch(args: &Args) -> Result<(), CliError> {
 
     let mut scenarios: Vec<Scenario> = if let Some(path) = args.get("scenario-file") {
         let text = std::fs::read_to_string(path)?;
-        vec![Scenario::from_toml(&text).map_err(|e| CliError::Message(format!("{path}: {e}")))?]
+        vec![Scenario::from_json(&text).map_err(|e| CliError::Message(format!("{path}: {e}")))?]
     } else {
         match args.get_or("scenario", "all") {
             "all" => webcap_capsearch::library(),
@@ -508,25 +506,6 @@ pub fn capsearch(args: &Args) -> Result<(), CliError> {
             CapacityMeter::train(&MeterConfig::small_for_tests(31).with_parallelism(args.jobs()?))?
         }
     };
-
-    if args.flag("bless") {
-        let dir = PathBuf::from(args.get_or("golden-dir", "crates/capsearch/tests/golden"));
-        std::fs::create_dir_all(&dir)?;
-        for scenario in &scenarios {
-            let mut executor = SimExecutor::new(&meter);
-            let report = search_scenario(scenario, &mut executor, &cfg)
-                .map_err(|e| CliError::Message(e.to_string()))?;
-            let path = dir.join(format!("{}.json", scenario.name));
-            std::fs::write(&path, report.render())?;
-            println!(
-                "blessed {}: capacity {} EBs ({:.1} rps)",
-                path.display(),
-                report.capacity_ebs,
-                report.capacity_rps
-            );
-        }
-        return Ok(());
-    }
 
     for scenario in &scenarios {
         let report = if args.flag("loopback") {
@@ -573,23 +552,10 @@ fn run_capsearch(
     search_scenario(scenario, executor, cfg).map_err(|e| CliError::Message(e.to_string()))
 }
 
-/// Resolve the search parameters. `--bless` pins the exact
-/// configuration the golden suite uses, so the CLI and the tests can
-/// never drift apart; everything else starts from the default bracket.
+/// Resolve the search parameters, starting from the default bracket.
 fn capsearch_config(args: &Args) -> Result<SearchConfig, CliError> {
-    if args.flag("bless") {
-        for key in ["lo", "hi", "tolerance", "max-probes", "max-ebs"] {
-            if args.get(key).is_some() {
-                return Err(CliError::Message(format!(
-                    "--{key} conflicts with --bless: golden reports always use \
-                     the pinned quick search config"
-                )));
-            }
-        }
-        return Ok(SearchConfig::quick());
-    }
     let defaults = SearchConfig::default();
-    let cfg = SearchConfig {
+    Ok(SearchConfig {
         initial_lo: args.get_parsed("lo", defaults.initial_lo, "a population")?,
         initial_hi: args.get_parsed("hi", defaults.initial_hi, "a population")?,
         tolerance: args
@@ -599,8 +565,7 @@ fn capsearch_config(args: &Args) -> Result<SearchConfig, CliError> {
         max_ebs: args
             .get_parsed("max-ebs", defaults.max_ebs, "a population ceiling")?
             .max(1),
-    };
-    Ok(cfg)
+    })
 }
 
 /// Top-level usage text.
@@ -641,14 +606,12 @@ COMMANDS:
              batched delta/varint samples)
   capsearch  bisect scenarios to their SLO-boundary capacity and emit
              byte-stable capacity reports
-             [--list] [--scenario <name|all>] [--scenario-file <toml>]
+             [--list] [--scenario <name|all>] [--scenario-file <json>]
              [--loopback [--endpoint <ep>]] [--seed <N>] [--meter <file>]
              [--out <dir>] [--lo <N>] [--hi <N>] [--tolerance <N>]
              [--max-probes <N>] [--max-ebs <N>] [--jobs <N|auto>]
-             [--bless [--golden-dir <dir>]]
-             (--bless regenerates the golden reports with the pinned quick
-             search config; --loopback probes through the real
-             agent/collector plane instead of the in-process replay)
+             (--loopback probes through the real agent/collector plane
+             instead of the in-process replay)
 ";
 
 #[cfg(test)]

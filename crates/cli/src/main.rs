@@ -16,7 +16,7 @@ fn main() {
     let command = raw.remove(0);
     // Subcommands with bare (value-less) flags.
     let bare_flags: &[&str] = match command.as_str() {
-        "capsearch" => &["list", "loopback", "bless"],
+        "capsearch" => &["list", "loopback"],
         _ => &[],
     };
     let result = Args::parse(raw, bare_flags)

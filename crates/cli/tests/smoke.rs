@@ -2,7 +2,8 @@
 //! round-trip it through JSON the way `webcap train`/`webcap evaluate`
 //! do, drive one online prediction through the incremental monitor, and
 //! run the distributed telemetry plane end to end over a Unix socket the
-//! way `webcap agent` / `webcap collect` deploy it.
+//! way `webcap agent` / `webcap collect` deploy it, and ask `webcap
+//! capsearch` one question through a scenario file and the library.
 
 use webcap_cli::args::Args;
 use webcap_cli::commands;
@@ -169,6 +170,34 @@ fn collect_and_agent_commands_match_the_in_process_monitor() {
         serde_json::to_string(&baseline).expect("baseline serializes"),
         "the CLI deployment's predictions match the in-process monitor"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `webcap capsearch --scenario-file` and `--scenario` ask the same
+/// question of a library scenario written to disk as JSON: the two
+/// reports, `config_hash` included, are byte-identical.
+#[test]
+fn scenario_file_and_library_scenario_give_identical_reports() {
+    let dir = std::env::temp_dir().join(format!("webcap-cli-capsearch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = webcap_capsearch::scenario::find("steady-shopping").expect("library scenario");
+    let scenario_path = dir.join("steady-shopping.json");
+    let pretty = serde_json::to_string_pretty(&scenario).expect("scenario serializes");
+    std::fs::write(&scenario_path, pretty).expect("scenario writes");
+
+    let report = |source: &str, value: &str, out: &str| {
+        let out = dir.join(out);
+        let out_s = out.display().to_string();
+        let tokens = [source, value, "--max-probes", "2", "--out", &out_s];
+        let args = Args::parse(tokens.iter().map(|s| s.to_string()), &[]).expect("args parse");
+        commands::capsearch(&args).expect("capsearch runs");
+        std::fs::read_to_string(out.join("steady-shopping.json")).expect("report written")
+    };
+    let file = scenario_path.display().to_string();
+    let from_file = report("--scenario-file", &file, "file");
+    let from_library = report("--scenario", "steady-shopping", "library");
+    assert_eq!(from_file, from_library, "one question, one report");
 
     std::fs::remove_dir_all(&dir).ok();
 }
