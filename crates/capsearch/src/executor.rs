@@ -24,8 +24,8 @@ use std::fmt;
 
 use webcap_core::{label_window, CapacityMeter, OnlineDecision};
 use webcap_net::{
-    all_windows, predicted_windows_for_schedule, replay_level_windows, run_loopback_scheduled,
-    Endpoint, FaultKnobs,
+    all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled, Endpoint,
+    FaultKnobs,
 };
 use webcap_sim::{SystemSample, TierId};
 
@@ -249,9 +249,9 @@ impl ScenarioExecutor for SimExecutor<'_> {
             .into_iter()
             .filter(|w| !poisoned.contains(w))
             .collect();
-        // Only the meter's family is synthesized: scoring reads each
-        // decision's prediction, never its window's features.
-        let decisions = replay_level_windows(self.meter, &samples, scenario.seed, &survivors);
+        // The replay synthesizes only the meter's families, as the
+        // agents of a loopback probe do.
+        let decisions = replay_windows(self.meter, &samples, scenario.seed, &survivors);
         Ok(score_probe(
             self.meter, scenario, &samples, &decisions, &poisoned, probe_ebs,
         ))

@@ -347,7 +347,7 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     let cfg = AgentConfig::new(tier, endpoint, seed);
     let hpc_model = meter.config().hpc_model.clone();
     let mut source = ScriptedSource::new(tier, &samples);
-    let report = run_agent(&cfg, hpc_model, &mut source)?;
+    let report = run_agent(&cfg, hpc_model, meter.config().level, &mut source)?;
     println!(
         "agent[{tier}]: {} frames sent over {} session(s), {} acked, \
          {} fault-dropped, {} queue-evicted, {} heartbeats",

@@ -4,7 +4,9 @@
 //! ([`crate::online::OnlineMonitor`]) and one scored from a collector's
 //! pair of tier digests (`webcap-net`'s `score_window`). The label, the
 //! majority mix, the feature grid, the span and the throughput therefore
-//! follow one rule on every path.
+//! follow one rule on every path, and each caller names the metric
+//! families it keeps: every family for training and the online monitor,
+//! the meter's for a collector.
 //!
 //! A window's evidence has two halves, which a collector receives apart:
 //! each tier's agent supplies a [`TierAgg`] (the means of its metric rows
@@ -192,18 +194,33 @@ impl AppWindowDigest {
     }
 
     /// Finish the window — the one place a [`WindowInstance`] is built.
-    /// The oracle labels it from the health and the two tiers' stress;
-    /// each tier's combined vector is its OS then its HPC mean when both
-    /// are non-empty, and empty otherwise; throughput is completions over
-    /// the summed intervals. `None` when no second was observed.
-    pub fn instance(self, tiers: [TierWindow; 2], oracle: &OracleConfig) -> Option<WindowInstance> {
+    /// The oracle labels it from the health and the two tiers' stress.
+    /// Only the families `level` reads get features, whatever the tiers'
+    /// means hold; each tier's combined vector is its OS then its HPC
+    /// mean when both are kept and non-empty, and empty otherwise.
+    /// Throughput is completions over the summed intervals. `None` when
+    /// no second was observed.
+    pub fn instance(
+        self,
+        tiers: [TierWindow; 2],
+        level: MetricLevel,
+        oracle: &OracleConfig,
+    ) -> Option<WindowInstance> {
         let mix = self.majority()?;
-        let [app, db] = tiers;
+        let [mut app, mut db] = tiers;
         let label = label_from_aggs(
             &self.health,
             [app.stress.stress(), db.stress.stress()],
             oracle,
         );
+        for t in [&mut app, &mut db] {
+            if !level.reads_os() {
+                t.os_mean = Vec::new();
+            }
+            if !level.reads_hpc() {
+                t.hpc_mean = Vec::new();
+            }
+        }
         let combined = |t: &TierWindow| {
             if t.os_mean.is_empty() || t.hpc_mean.is_empty() {
                 Vec::new()
@@ -258,11 +275,14 @@ impl WindowAgg {
         self.front_end.samples
     }
 
-    /// Finish the window ([`AppWindowDigest::instance`]).
+    /// Finish the window ([`AppWindowDigest::instance`]) with every
+    /// family it was fed.
     pub(crate) fn finish(self, oracle: &OracleConfig) -> Option<WindowInstance> {
-        self.front_end
-            .finish()
-            .instance(self.tiers.map(TierAgg::finish), oracle)
+        self.front_end.finish().instance(
+            self.tiers.map(TierAgg::finish),
+            MetricLevel::Combined,
+            oracle,
+        )
     }
 }
 
@@ -377,6 +397,31 @@ mod tests {
             majority(&[Browsing, Ordering, Browsing, Ordering]),
             Some(Ordering)
         );
+    }
+
+    #[test]
+    fn an_instance_keeps_only_the_families_its_level_reads() {
+        let sample = sample_with_mix(MixId::Ordering);
+        for level in MetricLevel::EXTENDED {
+            let mut front_end = FrontEndAgg::default();
+            front_end.observe(&sample);
+            let tiers = [(); 2].map(|()| {
+                let mut tier = TierAgg::default();
+                tier.observe(&sample.app, vec![1.0; 2], vec![2.0; 3]);
+                tier.finish()
+            });
+            let window = front_end
+                .finish()
+                .instance(tiers, level, &OracleConfig::default())
+                .expect("a second was observed");
+            let combined = level == MetricLevel::Combined;
+            for tier in TierId::ALL {
+                let width = |family| window.features(family, tier).len();
+                assert_eq!(width(MetricLevel::Os), usize::from(level.reads_os()) * 3);
+                assert_eq!(width(MetricLevel::Hpc), usize::from(level.reads_hpc()) * 2);
+                assert_eq!(width(MetricLevel::Combined), usize::from(combined) * 5);
+            }
+        }
     }
 
     #[test]

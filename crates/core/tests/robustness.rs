@@ -47,7 +47,7 @@ fn synthetic_instance(label: bool, value: f64) -> WindowInstance {
     });
     let instance = front_end
         .finish()
-        .instance(tiers, &OracleConfig::default())
+        .instance(tiers, MetricLevel::Combined, &OracleConfig::default())
         .expect("a sample was observed");
     assert_eq!(instance.overloaded(), label);
     instance

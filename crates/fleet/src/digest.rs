@@ -20,6 +20,7 @@
 
 use std::collections::BTreeSet;
 
+use webcap_core::MetricLevel;
 use webcap_net::{
     DigestFin, DigestFrame, HealthState, Supervisor, SupervisorConfig, TierDigester,
     TierWindowDigest, WireSample,
@@ -42,7 +43,10 @@ pub struct FleetCollector {
 
 impl FleetCollector {
     /// A collector with index `collector` owning `tiers` (deduplicated,
-    /// in [`TierId::ALL`] order), starting Healthy.
+    /// in [`TierId::ALL`] order), starting Healthy. A shard holds no
+    /// meter, so its digesters fold every family
+    /// ([`MetricLevel::Combined`]); the merge node's meter keeps the ones
+    /// it reads.
     pub fn new(
         collector: u32,
         tiers: &[TierId],
@@ -53,7 +57,7 @@ impl FleetCollector {
         let digesters = TierId::ALL
             .into_iter()
             .filter(|t| tiers.contains(t))
-            .map(|t| TierDigester::new(t, window_len, origin))
+            .map(|t| TierDigester::new(t, window_len, origin, MetricLevel::Combined))
             .collect();
         FleetCollector {
             collector,

@@ -36,11 +36,12 @@ use std::io::{self};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use webcap_core::MetricLevel;
 use webcap_hpc::HpcModel;
 use webcap_sim::TierId;
 
 use crate::frame::{
-    metric_schema_hash, read_frame, write_frame, write_frame_codec, Frame, FrameBuf, WireCaps,
+    level_schema_hash, read_frame, write_frame, write_frame_codec, Frame, FrameBuf, WireCaps,
     WireCodec, WireSample, PROTO_VERSION,
 };
 use crate::retry::RetryPolicy;
@@ -229,12 +230,12 @@ fn dial_retryable(e: &io::Error) -> bool {
 
 /// Dial and handshake, retrying per `cfg.retry`. Returns the connected,
 /// acknowledged stream.
-fn dial(cfg: &AgentConfig) -> io::Result<Conn> {
+fn dial(cfg: &AgentConfig, level: MetricLevel) -> io::Result<Conn> {
     cfg.retry
-        .run(cfg.seed, dial_retryable, |_| try_handshake(cfg))
+        .run(cfg.seed, dial_retryable, |_| try_handshake(cfg, level))
 }
 
-fn try_handshake(cfg: &AgentConfig) -> io::Result<Conn> {
+fn try_handshake(cfg: &AgentConfig, level: MetricLevel) -> io::Result<Conn> {
     let mut conn = Conn::connect(&cfg.endpoint)?;
     conn.set_read_timeout(Some(cfg.retry.attempt_timeout))?;
     write_frame(
@@ -242,7 +243,7 @@ fn try_handshake(cfg: &AgentConfig) -> io::Result<Conn> {
         &Frame::Hello {
             tier: cfg.tier,
             proto_version: PROTO_VERSION,
-            metric_schema_hash: metric_schema_hash(cfg.tier),
+            metric_schema_hash: level_schema_hash(cfg.tier, level),
             caps: WireCaps {
                 codec: WireCodec::Binary,
                 max_batch: cfg.max_batch,
@@ -278,13 +279,16 @@ fn try_handshake(cfg: &AgentConfig) -> io::Result<Conn> {
 }
 
 /// Run an agent until its source is exhausted (graceful `Bye`) or the
-/// collector stays unreachable past the retry budget.
+/// collector stays unreachable past the retry budget. It synthesizes
+/// with the collector's meter's `hpc_model` and ships the families its
+/// `level` reads, announcing them in the `Hello`'s schema hash.
 pub fn run_agent(
     cfg: &AgentConfig,
     hpc_model: HpcModel,
+    level: MetricLevel,
     source: &mut dyn SampleSource,
 ) -> io::Result<AgentReport> {
-    let mut sampler = TierSampler::new(cfg.tier, hpc_model, cfg.seed);
+    let mut sampler = TierSampler::for_level(cfg.tier, hpc_model, cfg.seed, level);
     let mut queue: VecDeque<WireSample> = VecDeque::new();
     let mut report = AgentReport::default();
     let mut source_done = false;
@@ -298,7 +302,7 @@ pub fn run_agent(
     let batch_target = cfg.max_batch.max(1) as usize;
 
     loop {
-        let conn = dial(cfg)?;
+        let conn = dial(cfg, level)?;
         conn.set_read_timeout(Some(READ_TIMEOUT))?;
         report.sessions += 1;
 
@@ -316,7 +320,7 @@ pub fn run_agent(
                 let (mut acks, mut rejects) = (0u64, 0u64);
                 'read: loop {
                     match rbuf.fill(&mut ack_conn) {
-                        Ok(()) => {}
+                        Ok(_) => {}
                         Err(e) if e.is_timeout() && !done.load(Ordering::Relaxed) => continue,
                         Err(_) => break,
                     }
@@ -563,8 +567,13 @@ mod tests {
         cfg.retry.initial = Duration::from_millis(1);
         cfg.retry.max = Duration::from_millis(2);
         let mut source = crate::source::ScriptedSource::new(TierId::App, &[]);
-        let err = run_agent(&cfg, webcap_hpc::HpcModel::testbed(), &mut source)
-            .expect_err("a rejected handshake ends the agent");
+        let err = run_agent(
+            &cfg,
+            webcap_hpc::HpcModel::testbed(),
+            MetricLevel::Combined,
+            &mut source,
+        )
+        .expect_err("a rejected handshake ends the agent");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
         let rejected = HandshakeRejected::from_io(&err).expect("typed rejection survives");
         assert_eq!(rejected.tier, TierId::App);
@@ -587,6 +596,12 @@ mod tests {
         cfg.retry.initial = Duration::from_millis(1);
         cfg.retry.max = Duration::from_millis(2);
         let mut source = crate::source::ScriptedSource::new(TierId::App, &[]);
-        assert!(run_agent(&cfg, webcap_hpc::HpcModel::testbed(), &mut source).is_err());
+        assert!(run_agent(
+            &cfg,
+            webcap_hpc::HpcModel::testbed(),
+            MetricLevel::Combined,
+            &mut source
+        )
+        .is_err());
     }
 }

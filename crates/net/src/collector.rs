@@ -19,10 +19,10 @@
 //! reassemble, decide, queue acks, flush — and calls its one handler,
 //! [`run_supervised_collector`](crate::supervisor::run_supervised_collector)'s,
 //! directly for every event.
-//! There is no queue between the socket and the meter, so the only
-//! buffers that grow with a slow consumer are the lanes' own, bounded
-//! by [`CollectorConfig::max_lane_buffered_bytes`]; past that the
-//! kernel's socket buffers fill and the overload is the agents' — a
+//! There is no queue between the socket and the meter, and a lane parses
+//! after every read, so it buffers at most one read and a frame prefix;
+//! a slow consumer leaves the kernel's socket buffers full instead, and
+//! the overload is the agents' — a
 //! blocked `write`, then their bounded queues (see [`crate::agent`]).
 //! One collector decodes and decides in under a microsecond per sample,
 //! far more than the paper's deployment (one agent per tier, one front
@@ -33,12 +33,12 @@ use std::io::{self, Write};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use webcap_core::{CapacityMeter, OnlineDecision};
+use webcap_core::{CapacityMeter, MetricLevel, OnlineDecision};
 use webcap_sim::TierId;
 
 use crate::frame::{
-    append_frame, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf, TierWindowDigest,
-    WireSample, PROTO_VERSION,
+    append_frame, level_schema_hash, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf,
+    TierWindowDigest, WireSample, PROTO_VERSION,
 };
 use crate::reassembly::{score_window, TierDigester};
 use crate::transport::{is_timeout, Conn, Listener};
@@ -56,13 +56,13 @@ pub struct CollectorConfig {
     /// Number of distinct tiers expected to say `Bye` before the
     /// collector concludes the run.
     pub expected_tiers: usize,
-    /// Overload bound on each lane's buffered bytes, in *both*
-    /// directions: a poll round stops reading once this much inbound is
-    /// buffered unparsed (fairness against a blasting peer), and a lane
-    /// whose outbound ack backlog exceeds it — a peer that writes but
-    /// never reads — is shed. Must comfortably exceed one maximum frame
-    /// (`MAX_FRAME_LEN` + header) or legitimate frames could never
-    /// complete; the default is twice that.
+    /// Overload bound on each lane's bytes per poll round, in *both*
+    /// directions: a round stops reading a lane once it has read this
+    /// much inbound (fairness against a blasting peer; the lane parses
+    /// after every read, and a partial frame carries over to the next
+    /// round), and a lane whose outbound ack backlog exceeds it — a peer
+    /// that writes but never reads — is shed. The default, two maximum
+    /// frames, keeps a blasting lane's round long enough for throughput.
     pub max_lane_buffered_bytes: usize,
     /// Overload bound on a lane that sits mid-frame without completing
     /// one: after this many consecutive poll rounds holding a partial
@@ -150,13 +150,16 @@ pub struct Assembler {
 
 impl Assembler {
     /// Wrap a trained meter; `origin` is the key of the stream's first
-    /// sample (see [`CollectorConfig::window_origin`]).
+    /// sample (see [`CollectorConfig::window_origin`]). Its digesters read
+    /// the meter's families, so a full-width row is as valid as one that
+    /// carries only those.
     pub fn new(meter: CapacityMeter, origin: i64) -> Assembler {
         let window_len = meter.config().window_len as i64;
+        let level = meter.config().level;
         Assembler {
             meter,
             window_len,
-            digesters: TierId::ALL.map(|tier| TierDigester::new(tier, window_len, origin)),
+            digesters: TierId::ALL.map(|tier| TierDigester::new(tier, window_len, origin, level)),
             halves: BTreeMap::new(),
             poisoned: BTreeSet::new(),
             prev_fed: None,
@@ -164,6 +167,11 @@ impl Assembler {
             samples_seen: 0,
             decisions_made: 0,
         }
+    }
+
+    /// The meter the windows are scored with.
+    pub fn meter(&self) -> &CapacityMeter {
+        &self.meter
     }
 
     /// Note a (re)connection on `tier`.
@@ -316,14 +324,15 @@ pub(crate) enum Event {
 }
 
 /// Handshake an accepted connection: expect `Hello`, check its version
-/// and schema, answer `Ack{0}` or `Reject`. Returns the agent's tier.
+/// and schema — the full one, or the one of the families the meter's
+/// `level` reads — answer `Ack{0}` or `Reject`. Returns the agent's tier.
 ///
 /// Only `PROTO_VERSION` is accepted; any other version is rejected with
 /// a frame carrying both peers' versions so the operator can see who
 /// needs upgrading. Bytes that are no frame at all — a pre-v4 JSON
 /// `Hello` under the `"WCAP"` magic among them — earn a `Reject` naming
 /// the parse failure.
-pub(crate) fn handshake(conn: &mut Conn) -> io::Result<TierId> {
+pub(crate) fn handshake(conn: &mut Conn, level: MetricLevel) -> io::Result<TierId> {
     conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     // Turn the peer away: tell it why (best effort — it may still be
@@ -365,10 +374,11 @@ pub(crate) fn handshake(conn: &mut Conn) -> io::Result<TierId> {
             format!("protocol version {proto_version} is not the supported {PROTO_VERSION}");
         return Err(reject(conn, reason, proto_version));
     }
-    let expected_hash = metric_schema_hash(tier);
-    if hash != expected_hash {
+    let (full, read) = (metric_schema_hash(tier), level_schema_hash(tier, level));
+    if hash != full && hash != read {
         let reason = format!(
-            "metric schema hash {hash:#018x} != {expected_hash:#018x} for {}",
+            "metric schema hash {hash:#018x} is neither the full schema's {full:#018x} nor \
+             the {level} schema's {read:#018x} for {}",
             tier.label()
         );
         return Err(reject(conn, reason, proto_version));
@@ -503,76 +513,80 @@ impl<H: FnMut(Event)> Delivery<H> {
     }
 }
 
-/// Service one live connection: read whatever the socket has, parse
-/// every complete frame and hand its events over, flush pending acks.
+/// Service one live connection: read what the socket has, parsing the
+/// complete frames after every read and handing their events over, then
+/// flush pending acks.
 /// Returns how the session ended, or `None` while it stays live.
 fn service_conn(
     state: &mut ConnState,
     cfg: &CollectorConfig,
     events: &mut Delivery<impl FnMut(Event)>,
 ) -> Option<LaneEnd> {
-    // Overload fairness: once a full lane budget of bytes is buffered
-    // unparsed, stop reading and process what we have — a peer blasting
-    // faster than we drain must not starve the other lanes (or grow
-    // the buffer without bound this round).
-    let mut eof = false;
-    while state.rbuf.buffered() < cfg.max_lane_buffered_bytes {
+    // Read and parse in turn, so the lane holds at most one read and a
+    // frame prefix. Overload fairness: a round stops reading after a
+    // lane budget of bytes — a peer blasting faster than we drain must
+    // not starve the other lanes.
+    let (mut eof, mut extracted, mut read) = (false, false, 0);
+    while read < cfg.max_lane_buffered_bytes {
         match state.rbuf.fill(&mut state.conn) {
-            Ok(()) => state.idle = Duration::ZERO,
+            Ok(n) => {
+                read += n;
+                state.idle = Duration::ZERO;
+            }
             Err(e) => {
                 eof = !e.is_timeout();
                 break;
             }
         }
-    }
-
-    // Parse every complete frame buffered so far. The early returns
-    // below end the session, so they leave the buffer as it is.
-    let mut extracted = false;
-    loop {
-        let frame = match state.rbuf.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(e) => {
-                // A corrupt frame earns the peer a Reject naming the
-                // parse failure before the session drops.
-                state.queue_frame(&Frame::Reject {
-                    reason: format!("unreadable frame: {e}"),
-                    ours: PROTO_VERSION,
-                    theirs: 0,
-                });
-                return Some(LaneEnd::Closed);
-            }
-        };
-        extracted = true;
-        let tier = state.tier;
-        match frame {
-            Frame::Sample(ws) => {
-                let seq = ws.seq;
-                events.deliver(Event::Sample { tier, ws });
-                state.queue_frame(&Frame::Ack { seq });
-            }
-            Frame::SampleBatch(batch) => {
-                // A batch is exactly its samples in order: one event and
-                // one ack per element, indistinguishable downstream from
-                // the same samples sent one frame each.
-                for ws in batch {
+        // Parse every complete frame buffered so far. The early returns
+        // below end the session, so they leave the buffer as it is.
+        loop {
+            let frame = match state.rbuf.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(e) => {
+                    // A corrupt frame earns the peer a Reject naming the
+                    // parse failure before the session drops.
+                    state.queue_frame(&Frame::Reject {
+                        reason: format!("unreadable frame: {e}"),
+                        ours: PROTO_VERSION,
+                        theirs: 0,
+                    });
+                    return Some(LaneEnd::Closed);
+                }
+            };
+            extracted = true;
+            let tier = state.tier;
+            match frame {
+                Frame::Sample(ws) => {
                     let seq = ws.seq;
                     events.deliver(Event::Sample { tier, ws });
                     state.queue_frame(&Frame::Ack { seq });
                 }
-            }
-            Frame::Heartbeat { seq } => {
-                state.queue_frame(&Frame::Ack { seq });
-            }
-            Frame::Bye { last_seq } => {
-                state.graceful = true;
-                events.deliver(Event::Bye { tier, last_seq });
-                return Some(LaneEnd::Closed);
-            }
-            // Nothing else belongs on an established agent session.
-            Frame::Hello { .. } | Frame::Ack { .. } | Frame::Reject { .. } | Frame::Digest(_) => {
-                return Some(LaneEnd::Closed)
+                Frame::SampleBatch(batch) => {
+                    // A batch is exactly its samples in order: one event
+                    // and one ack per element, indistinguishable
+                    // downstream from the same samples sent one frame
+                    // each.
+                    for ws in batch {
+                        let seq = ws.seq;
+                        events.deliver(Event::Sample { tier, ws });
+                        state.queue_frame(&Frame::Ack { seq });
+                    }
+                }
+                Frame::Heartbeat { seq } => {
+                    state.queue_frame(&Frame::Ack { seq });
+                }
+                Frame::Bye { last_seq } => {
+                    state.graceful = true;
+                    events.deliver(Event::Bye { tier, last_seq });
+                    return Some(LaneEnd::Closed);
+                }
+                // Nothing else belongs on an established agent session.
+                Frame::Hello { .. }
+                | Frame::Ack { .. }
+                | Frame::Reject { .. }
+                | Frame::Digest(_) => return Some(LaneEnd::Closed),
             }
         }
     }
@@ -619,13 +633,13 @@ fn service_conn(
 /// thread that owns `listener` and every
 /// connection and hands each event to `handle` by direct call, in
 /// arrival order. A round accepts and handshakes whoever is waiting
-/// (synchronously: handshakes are short and bounded by
+/// (for a meter reading `level`; synchronously: handshakes are short and bounded by
 /// [`HANDSHAKE_TIMEOUT`]), services each tier's live session — read,
 /// decode, `handle`, queue acks, flush once — and sleeps a millisecond.
 /// While `handle` runs nothing is read, so a slow handler fills the
-/// lane's socket, not a queue: memory stays bounded by
-/// [`CollectorConfig::max_lane_buffered_bytes`] and the overload
-/// reaches the agent, as a blocked `write`, through TCP flow control.
+/// lane's socket, not a queue: each lane buffers at most one read and a
+/// frame prefix, and the overload reaches the agent, as a blocked
+/// `write`, through TCP flow control.
 ///
 /// The pump stops once every expected tier has said `Bye` — nothing is
 /// delivered after the event that completes the set — or when the
@@ -634,7 +648,12 @@ fn service_conn(
 /// silence is delivered as [`Event::Stale`] instead. Both idle clocks —
 /// this one and each lane's — count the pump's own sleeps, not wall
 /// time. Whatever is still connected at the end is flushed and closed.
-pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: impl FnMut(Event)) {
+pub(crate) fn pump_events(
+    listener: Listener,
+    cfg: &CollectorConfig,
+    level: MetricLevel,
+    handle: impl FnMut(Event),
+) {
     let _ = listener.set_nonblocking(true);
     let mut lanes: [TierLane; 2] = [TierLane::default(), TierLane::default()];
     let mut events = Delivery {
@@ -653,7 +672,7 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
                 Err(e) if is_timeout(&e) => break,
                 Err(_) => break 'poll,
             };
-            match handshake(&mut conn) {
+            match handshake(&mut conn, level) {
                 Ok(tier) => {
                     if conn.set_nonblocking(true).is_err() {
                         let _ = conn.shutdown();
@@ -741,21 +760,7 @@ pub(crate) fn pump_events(listener: Listener, cfg: &CollectorConfig, handle: imp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcap_core::MeterConfig;
     use webcap_sim::TierSample;
-
-    fn tiny_assembler(window_len: usize) -> Assembler {
-        // One shared trained meter (training is seconds, cloning is
-        // cheap); every test here uses the default 30-sample window.
-        static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
-        let meter = METER
-            .get_or_init(|| {
-                CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
-            })
-            .clone();
-        assert_eq!(meter.config().window_len, window_len, "shared test meter");
-        Assembler::new(meter, 1)
-    }
 
     fn wire(seq: u64, with_app: bool) -> WireSample {
         WireSample {
@@ -787,127 +792,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn complete_windows_emit_and_gaps_poison() {
-        let mut a = tiny_assembler(30);
-        let mut emitted = Vec::new();
-        a.on_session_start(TierId::App);
-        a.on_session_start(TierId::Db);
-        // Window 0 complete on both tiers; window 1 has a one-frame gap
-        // on the DB tier (seq 35 dropped); window 2 complete again.
-        for seq in 0..90u64 {
-            let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
-            a.on_sample(TierId::App, wire(seq, true), &mut sink);
-            if seq != 35 {
-                a.on_sample(TierId::Db, wire(seq, false), &mut sink);
-            }
-        }
-        a.on_bye(TierId::App, 89);
-        a.on_bye(TierId::Db, 89);
-        assert_eq!(emitted, vec![0, 2]);
-        assert_eq!(a.poisoned_windows(), vec![1]);
-        assert_eq!(a.pending_windows(), Vec::<i64>::new());
-        assert_eq!(a.anomalies(), 0);
-    }
-
-    #[test]
-    fn reconnect_mid_window_poisons_the_straddled_window() {
-        let mut a = tiny_assembler(30);
-        let mut emitted = Vec::new();
-        a.on_session_start(TierId::App);
-        a.on_session_start(TierId::Db);
-        for seq in 0..90u64 {
-            let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
-            if seq == 40 {
-                // The APP agent reconnects between seq 39 and 40 — both
-                // inside window 1 — losing nothing, but the session
-                // boundary still quarantines the straddled window.
-                a.on_session_start(TierId::App);
-            }
-            a.on_sample(TierId::App, wire(seq, true), &mut sink);
-            a.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        a.on_bye(TierId::App, 89);
-        a.on_bye(TierId::Db, 89);
-        assert_eq!(emitted, vec![0, 2]);
-        assert_eq!(a.poisoned_windows(), vec![1]);
-    }
-
-    #[test]
-    fn reconnect_on_a_window_boundary_poisons_nothing() {
-        let mut a = tiny_assembler(30);
-        let mut emitted = Vec::new();
-        a.on_session_start(TierId::App);
-        a.on_session_start(TierId::Db);
-        for seq in 0..60u64 {
-            let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
-            if seq == 30 {
-                // Clean break exactly between windows 0 and 1.
-                a.on_session_start(TierId::Db);
-            }
-            a.on_sample(TierId::App, wire(seq, true), &mut sink);
-            a.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        assert_eq!(emitted, vec![0, 1]);
-        assert!(a.poisoned_windows().is_empty());
-    }
-
-    #[test]
-    fn trailing_loss_is_detected_at_bye() {
-        let mut a = tiny_assembler(30);
-        let mut emitted = Vec::new();
-        a.on_session_start(TierId::App);
-        a.on_session_start(TierId::Db);
-        // DB tier's last two frames (seqs 58, 59) never arrive; its Bye
-        // announces last_seq 59, exposing the trailing gap.
-        for seq in 0..60u64 {
-            let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
-            a.on_sample(TierId::App, wire(seq, true), &mut sink);
-            if seq < 58 {
-                a.on_sample(TierId::Db, wire(seq, false), &mut sink);
-            }
-        }
-        a.on_bye(TierId::App, 59);
-        a.on_bye(TierId::Db, 59);
-        assert_eq!(emitted, vec![0]);
-        assert_eq!(a.poisoned_windows(), vec![1]);
-    }
-
-    #[test]
-    fn leading_loss_poisons_the_first_window() {
-        let mut a = tiny_assembler(30);
-        let mut emitted = Vec::new();
-        a.on_session_start(TierId::App);
-        a.on_session_start(TierId::Db);
-        // The APP tier's very first frame went missing.
-        for seq in 0..60u64 {
-            let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
-            if seq != 0 {
-                a.on_sample(TierId::App, wire(seq, true), &mut sink);
-            }
-            a.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        assert_eq!(emitted, vec![1]);
-        assert_eq!(a.poisoned_windows(), vec![0]);
-    }
-
-    #[test]
-    fn app_sample_without_front_end_stats_poisons_not_panics() {
-        let mut a = tiny_assembler(30);
-        let mut emitted = Vec::new();
-        a.on_session_start(TierId::App);
-        a.on_session_start(TierId::Db);
-        for seq in 0..30u64 {
-            let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
-            // Protocol violation: app tier omits AppStats.
-            a.on_sample(TierId::App, wire(seq, false), &mut sink);
-            a.on_sample(TierId::Db, wire(seq, false), &mut sink);
-        }
-        assert!(emitted.is_empty());
-        assert_eq!(a.poisoned_windows(), vec![0]);
-        assert!(a.anomalies() > 0);
-    }
-
     // ------------------------------------------------------ the pump
 
     use crate::frame::{WireCaps, WireCodec};
@@ -927,7 +811,7 @@ mod tests {
         let mut seen = Vec::new();
         std::thread::scope(|scope| {
             scope.spawn(move || peers(endpoint));
-            pump_events(listener, cfg, |event| {
+            pump_events(listener, cfg, MetricLevel::Combined, |event| {
                 on_event(&event);
                 let text = match event {
                     Event::SessionStart { tier } => format!("start {tier:?}"),
@@ -1075,5 +959,58 @@ mod tests {
         );
         let texts: Vec<&str> = seen.iter().map(|(text, _)| text.as_str()).collect();
         assert_eq!(texts, ["start Db", "end Db false"]);
+    }
+
+    /// A backlog of 32-sample batches, beyond the default lane budget,
+    /// read in one round: every sample is delivered and acked in order,
+    /// while the lane buffer holds no more than one read and one frame.
+    #[cfg(unix)]
+    #[test]
+    fn one_round_over_a_backlog_parses_as_it_reads() {
+        let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+        let (mut backlog, mut frame_len, mut samples) = (Vec::new(), 0, 0);
+        while backlog.len() < 2 << 20 {
+            let before = backlog.len();
+            let batch = (samples..samples + 32).map(|seq| wire(seq, false));
+            append_frame(&Frame::SampleBatch(batch.collect()), &mut backlog).unwrap();
+            frame_len = frame_len.max(backlog.len() - before);
+            samples += 32;
+        }
+        // The budget is the backlog, so the round reads all of it.
+        let cfg = CollectorConfig {
+            max_lane_buffered_bytes: backlog.len(),
+            ..CollectorConfig::default()
+        };
+        let peer = std::thread::spawn(move || {
+            let mut conn = Conn::Unix(theirs);
+            conn.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+            conn.write_all(&backlog).unwrap();
+            (0..samples)
+                .map(|_| read_frame(&mut conn).unwrap())
+                .collect::<Vec<_>>()
+        });
+        let mut state = ConnState::new(Conn::Unix(ours), TierId::Db);
+        state.conn.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let mut delivered = Vec::new();
+        let mut events = Delivery {
+            handle: |event| {
+                if let Event::Sample { tier, ws } = event {
+                    delivered.push((tier, ws.seq));
+                }
+            },
+            expected_tiers: 1,
+            byes: BTreeSet::new(),
+            quiet: Duration::ZERO,
+        };
+        assert!(service_conn(&mut state, &cfg, &mut events).is_none());
+        let acks: Vec<Frame> = (0..samples).map(|seq| Frame::Ack { seq }).collect();
+        assert_eq!(peer.join().unwrap(), acks);
+        let db_samples: Vec<_> = (0..samples).map(|seq| (TierId::Db, seq)).collect();
+        assert_eq!(delivered, db_samples);
+        let held = state.rbuf.capacity();
+        assert!(
+            held <= crate::frame::READ_CHUNK + frame_len,
+            "the lane held {held} B for {frame_len} B frames"
+        );
     }
 }

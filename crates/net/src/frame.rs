@@ -20,8 +20,9 @@
 //! A session is `Hello → Ack{0}` (or `Reject`) followed by any number of
 //! `Sample`/`SampleBatch`/`Heartbeat` frames, each sample acknowledged,
 //! and closed by `Bye{last_seq}`. The `Hello` announces the agent's
-//! [`PROTO_VERSION`], its tier's [`metric_schema_hash`], and its batch
-//! cap ([`WireCaps`]). A collector accepts exactly [`PROTO_VERSION`];
+//! [`PROTO_VERSION`], the [`level_schema_hash`] of the families it
+//! ships, and its batch cap ([`WireCaps`]); a collector accepts the full
+//! schema or its meter's level. It accepts exactly [`PROTO_VERSION`];
 //! anything else is refused with a `Reject` carrying both peers'
 //! versions so the operator can see exactly who must upgrade. A version
 //! 3 agent, whose `Hello` was JSON under the magic `"WCAP"`, is refused
@@ -49,8 +50,12 @@ use crate::supervisor::HealthState;
 /// Version 3 adds the binary codec capability ([`WireCaps`] in `Hello`),
 /// the batched [`Frame::SampleBatch`] variant, and version fields on
 /// `Reject`. Version 4 retires the JSON dialect: the handshake is binary
-/// like every other frame, and `"WCAP"` is a bad magic.
-pub const PROTO_VERSION: u32 = 4;
+/// like every other frame, and `"WCAP"` is a bad magic. Version 5 lets a
+/// sample leave a metric family the collector's meter does not read
+/// empty, and the `Hello`'s schema hash names the families shipped
+/// ([`level_schema_hash`]), so a collector whose meter reads one the
+/// agent leaves out refuses it at connect time.
+pub const PROTO_VERSION: u32 = 5;
 
 /// Frame magic word, `"WCB3"` as big-endian bytes written
 /// little-endian. The codec generation is baked into the magic so a
@@ -171,10 +176,10 @@ pub struct WireSample {
     /// The tier's application-telemetry sample.
     pub tier: TierSample,
     /// Derived HPC feature row for this second, index-aligned with
-    /// `feature_names(MetricLevel::Hpc, tier)`.
+    /// `feature_names(MetricLevel::Hpc, tier)`; empty if nobody reads it.
     pub hpc: Vec<f64>,
     /// OS metric values for this second, index-aligned with
-    /// `feature_names(MetricLevel::Os, tier)`.
+    /// `feature_names(MetricLevel::Os, tier)`; empty if nobody reads it.
     pub os: Vec<f64>,
     /// Front-end statistics; `Some` only from the application tier.
     pub app: Option<AppStats>,
@@ -253,8 +258,9 @@ pub enum Frame {
         tier: TierId,
         /// The agent's [`PROTO_VERSION`].
         proto_version: u32,
-        /// [`metric_schema_hash`] of the tier's metric layout, so a
-        /// collector never averages mis-indexed feature rows.
+        /// [`level_schema_hash`] of the metric families the agent
+        /// ships, so a collector never averages mis-indexed feature rows
+        /// nor waits for a family it reads that never comes.
         metric_schema_hash: u64,
         /// Requested session capabilities.
         caps: WireCaps,
@@ -387,18 +393,23 @@ impl FrameError {
     }
 }
 
-/// FNV-1a hash over a tier's metric schema: every OS metric name, then
-/// every HPC feature name, in index order with a separator byte. Two
-/// endpoints agree on this hash iff their feature rows are index-aligned
-/// — the property the synopses' attribute indices depend on.
+/// FNV-1a hash over a tier's full metric schema: every OS metric name,
+/// then every HPC feature name, in index order with a separator byte.
+/// Two endpoints agree on this hash iff their feature rows are
+/// index-aligned — the property the synopses' attribute indices depend
+/// on.
 pub fn metric_schema_hash(tier: TierId) -> u64 {
+    level_schema_hash(tier, MetricLevel::Combined)
+}
+
+/// [`metric_schema_hash`] over only the families `level` reads: the
+/// schema of the rows an agent shipping that level sends, which its
+/// `Hello` announces. At [`MetricLevel::Combined`] it is the full hash.
+pub fn level_schema_hash(tier: TierId, level: MetricLevel) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
-    let names = feature_names(MetricLevel::Os, tier)
-        .into_iter()
-        .chain(feature_names(MetricLevel::Hpc, tier));
-    for name in names {
+    for name in feature_names(level, tier) {
         for b in name.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
@@ -499,7 +510,7 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameErro
 
 /// How much one [`FrameBuf::fill`] asks the socket for: about twenty
 /// binary samples, or a few thousand acks.
-const READ_CHUNK: usize = 16 * 1024;
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// The frame-reassembly buffer behind every streaming reader — the
 /// collector's lanes and the agent's ack reader: [`fill`](Self::fill)
@@ -523,13 +534,20 @@ impl FrameBuf {
         self.filled.saturating_sub(self.parsed)
     }
 
-    /// Append the bytes of one successful `read` of up to [`READ_CHUNK`].
-    /// The transport's verdict passes through as [`FrameError::Io`]
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Append the bytes of one successful `read` of up to [`READ_CHUNK`]
+    /// and return their count; the buffer grows to fit, exactly. The
+    /// transport's verdict passes through as [`FrameError::Io`]
     /// (`is_timeout` on a nonblocking or timed-out socket), and end of
     /// stream reads as `UnexpectedEof`, as it does from [`read_frame`].
-    pub fn fill<R: Read>(&mut self, r: &mut R) -> Result<(), FrameError> {
+    pub fn fill<R: Read>(&mut self, r: &mut R) -> Result<usize, FrameError> {
         let end = self.filled + READ_CHUNK;
         if self.buf.len() < end {
+            self.buf.reserve_exact(end - self.buf.len());
             self.buf.resize(end, 0);
         }
         let space = self.buf.get_mut(self.filled..end).unwrap_or_default();
@@ -538,7 +556,7 @@ impl FrameBuf {
                 Ok(0) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
                 Ok(n) => {
                     self.filled += n;
-                    return Ok(());
+                    return Ok(n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
@@ -834,7 +852,7 @@ mod tests {
         let mut frames = Vec::new();
         loop {
             match rbuf.fill(&mut stream) {
-                Ok(()) => {}
+                Ok(_) => {}
                 Err(e) if e.is_timeout() => continue,
                 Err(e) => return (frames, e),
             }

@@ -79,13 +79,14 @@ pub mod transport;
 pub use agent::{run_agent, AgentConfig, AgentReport, FaultSchedule, HandshakeRejected};
 pub use collector::{Assembler, CollectorConfig, ShedKind};
 pub use frame::{
-    metric_schema_hash, read_frame, try_extract_frame, write_frame, write_frame_codec, AppStats,
-    AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError, TierWindowDigest, WireCaps,
-    WireCodec, WireSample, FRAME_MAGIC_BIN, MAX_FRAME_LEN, PROTO_VERSION,
+    level_schema_hash, metric_schema_hash, read_frame, try_extract_frame, write_frame,
+    write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError,
+    TierWindowDigest, WireCaps, WireCodec, WireSample, FRAME_MAGIC_BIN, MAX_FRAME_LEN,
+    PROTO_VERSION,
 };
 pub use loopback::{
-    all_windows, predicted_windows_for_schedule, replay_level_windows, replay_windows,
-    run_loopback_scheduled, run_supervised_loopback, FaultKnobs, LoopbackOutcome,
+    all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
+    run_supervised_loopback, FaultKnobs, LoopbackOutcome,
 };
 pub use reassembly::{score_window, TierDigester, MAX_GAP_WINDOWS};
 pub use retry::RetryPolicy;

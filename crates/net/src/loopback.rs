@@ -12,10 +12,9 @@
 //!
 //! * [`replay_windows`] — an in-process [`OnlineMonitor`] fed exactly
 //!   the chosen windows with the same externally-synthesized metric
-//!   rows the agents produce. The collector's decisions must be
-//!   byte-identical (JSON) to this replay on the windows it emits.
-//!   [`replay_level_windows`] is the same replay synthesizing only the
-//!   families the meter's level reads.
+//!   rows the agents produce, for the families the meter reads. The
+//!   collector's decisions must be byte-identical (JSON) to this replay
+//!   on the windows it emits.
 //! * [`predicted_windows_for_schedule`] — the one oracle: it replays a
 //!   fault script and the collector's documented poisoning rules to
 //!   predict exactly which windows survive. It shares no code with the
@@ -26,8 +25,7 @@ use std::collections::BTreeSet;
 use std::io;
 use std::num::NonZeroU64;
 
-use webcap_core::{CapacityMeter, MetricLevel, OnlineDecision, OnlineMonitor};
-use webcap_hpc::HpcModel;
+use webcap_core::{CapacityMeter, OnlineDecision, OnlineMonitor};
 use webcap_sim::{SystemSample, TierId};
 
 use crate::agent::{run_agent, AgentConfig, AgentReport, FaultSchedule};
@@ -115,8 +113,7 @@ pub fn run_loopback_scheduled(
     let total = samples.len() as u64;
     let scripts = schedules.each_ref().map(|s| faults.schedule(total, s));
     let collector = SupervisedCollector::fresh(meter.clone());
-    let hpc_model = &meter.config().hpc_model;
-    run_supervised_loopback(collector, hpc_model, samples, endpoint, 0, |tier, dial| {
+    run_supervised_loopback(collector, samples, endpoint, 0, |tier, dial| {
         let mut cfg = AgentConfig::new(tier, dial, base_seed);
         cfg.schedule = tier.select(&scripts).clone();
         cfg
@@ -127,20 +124,22 @@ pub fn run_loopback_scheduled(
 /// [`CollectorConfig::default`]) in one thread and one real agent per
 /// tier in two more — each configured by `agent_cfg(tier, dial)`,
 /// called here in `[App, Db]` order once the collector listens and
-/// before that agent starts, and streaming its own view of `samples` —
-/// and join them all.
+/// before that agent starts, synthesizing with the collector's meter's
+/// HPC model and level, and streaming its own view of `samples` — and
+/// join them all.
 /// `start_seq` puts both agents' scripted sources into warm-up replay
 /// below that sequence (synthesize, don't send): they stand in for
 /// agents that outlived a restarted collector, whose streams continue
 /// at `start_seq` with byte-identical wire samples.
 pub fn run_supervised_loopback(
     collector: SupervisedCollector,
-    hpc_model: &HpcModel,
     samples: &[SystemSample],
     endpoint: &Endpoint,
     start_seq: u64,
     agent_cfg: impl Fn(TierId, Endpoint) -> AgentConfig,
 ) -> io::Result<LoopbackOutcome> {
+    let hpc_model = &collector.meter().config().hpc_model.clone();
+    let level = collector.meter().config().level;
     let listener = Listener::bind(endpoint)?;
     let dial = listener.local_endpoint()?;
     let collector_cfg = CollectorConfig::default();
@@ -152,7 +151,7 @@ pub fn run_supervised_loopback(
             let cfg = agent_cfg(tier, dial.clone());
             scope.spawn(move || {
                 let mut source = ScriptedSource::with_start_seq(tier, samples, start_seq);
-                run_agent(&cfg, hpc_model.clone(), &mut source)
+                run_agent(&cfg, hpc_model.clone(), level, &mut source)
             })
         });
         let [app, db] = agent_handles.map(|handle| {
@@ -169,43 +168,22 @@ pub fn run_supervised_loopback(
 }
 
 /// Feed `samples` through an in-process monitor exactly the way a
-/// collector feeds surviving windows: agent-style external metric
-/// synthesis for **every** sample in order (the OS synthesizer carries
-/// state across drops), but only the listed windows pushed, with a
-/// [`OnlineMonitor::reset`] before every non-consecutive window. The
-/// decisions carry full-width windows.
+/// collector feeds surviving windows: agent-style external synthesis of
+/// the metric families the meter's level reads, but only the listed
+/// windows pushed, with a [`OnlineMonitor::reset`] before every
+/// non-consecutive window. Each decision's window carries features for
+/// those families alone (the combined vector only at
+/// [`MetricLevel::Combined`](webcap_core::MetricLevel::Combined)). OS
+/// rows are synthesized for **every** sample in order (the OS
+/// synthesizer carries state across drops); without them no sampler
+/// state crosses a sample, so samples outside `windows` are skipped.
 pub fn replay_windows(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     base_seed: u64,
     windows: &BTreeSet<i64>,
 ) -> Vec<(i64, OnlineDecision)> {
-    replay_at(meter, samples, base_seed, windows, MetricLevel::Combined)
-}
-
-/// [`replay_windows`] synthesizing only the families the meter's level
-/// reads: each decision's prediction is [`replay_windows`]'s, and its
-/// window carries features for those families alone (the combined
-/// vector only at [`MetricLevel::Combined`]). Without OS rows no
-/// sampler state crosses a sample, so samples outside `windows` are not
-/// synthesized at all.
-pub fn replay_level_windows(
-    meter: &CapacityMeter,
-    samples: &[SystemSample],
-    base_seed: u64,
-    windows: &BTreeSet<i64>,
-) -> Vec<(i64, OnlineDecision)> {
-    replay_at(meter, samples, base_seed, windows, meter.config().level)
-}
-
-/// The one replay loop, synthesizing the families `level` reads.
-fn replay_at(
-    meter: &CapacityMeter,
-    samples: &[SystemSample],
-    base_seed: u64,
-    windows: &BTreeSet<i64>,
-    level: MetricLevel,
-) -> Vec<(i64, OnlineDecision)> {
+    let level = meter.config().level;
     let window_len = meter.config().window_len;
     let hpc_model = meter.config().hpc_model.clone();
     let mut samplers = [
@@ -336,43 +314,6 @@ pub fn predicted_windows_for_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcap_core::MeterConfig;
-    use webcap_tpcw::{Mix, TrafficProgram};
-
-    #[test]
-    fn level_replay_keeps_the_full_replays_predictions_and_family_features() {
-        // Gapped windows: an OS sampler still steps through the samples
-        // of the windows it skips, or its rows drift from the full ones.
-        let windows: BTreeSet<i64> = [0, 2, 3, 6, 7].into_iter().collect();
-        for level in MetricLevel::EXTENDED {
-            let config = MeterConfig::small_for_tests(31).with_level(level);
-            let meter = CapacityMeter::train(&config).expect("meter trains");
-            let program = TrafficProgram::steady(Mix::ordering(), 60, 240.0);
-            let samples = webcap_sim::run(config.sim.clone(), program).samples;
-            let full = replay_windows(&meter, &samples, 17, &windows);
-            let part = replay_level_windows(&meter, &samples, 17, &windows);
-            assert_eq!(part.len(), windows.len(), "{level}");
-            assert_eq!(part.len(), full.len(), "{level}");
-            for ((w, p), (fw, f)) in part.iter().zip(&full) {
-                assert_eq!((w, p.prediction), (fw, f.prediction), "{level}");
-                for tier in TierId::ALL {
-                    for read in MetricLevel::EXTENDED {
-                        let want = if level == MetricLevel::Combined || read == level {
-                            f.window.features(read, tier)
-                        } else {
-                            &[]
-                        };
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(
-                            bits(p.window.features(read, tier)),
-                            bits(want),
-                            "{level} window {w}: {read} features of {tier:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
 
     /// The oracle over knobs alone: compile, then predict.
     fn predicted_surviving_windows(

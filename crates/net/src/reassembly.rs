@@ -32,9 +32,10 @@
 //! * **a session aborts** (EOF, shed, stall — no `Bye`) mid-window: the
 //!   cut window is poisoned at once rather than waiting for a reconnect
 //!   that may never come;
-//! * **a sample cannot be aggregated**: its metric rows are not the
-//!   width the tier's schema hash describes, or it is an
-//!   application-tier sample without front-end statistics;
+//! * **a sample cannot be aggregated**: a metric family the digester
+//!   reads is not at the width the tier's schema hash describes, a
+//!   family it does not read is neither at that width nor empty, or it
+//!   is an application-tier sample without front-end statistics;
 //! * **wire input names a key the window grid cannot hold** (a
 //!   non-finite `t_s`, a `last_seq` beyond `i64`): the window the
 //!   stream stands in is poisoned.
@@ -44,6 +45,9 @@
 //! every poisoning event for a window is observed before the window
 //! could complete — a digest is never retracted. The digests and poison
 //! verdicts are therefore a pure function of the tier's frame sequence.
+//!
+//! A digester reads the families of one [`MetricLevel`]; a family it
+//! does not read is dropped on arrival, so its digest mean is empty.
 
 use std::collections::BTreeSet;
 
@@ -155,6 +159,8 @@ impl WindowAcc {
 pub struct TierDigester {
     tier: TierId,
     grid: WindowGrid,
+    /// The families folded into digests.
+    level: MetricLevel,
     /// Row widths of the tier's metric schema — what
     /// [`metric_schema_hash`](crate::frame::metric_schema_hash) covers.
     hpc_width: usize,
@@ -172,14 +178,15 @@ pub struct TierDigester {
 
 impl TierDigester {
     /// A digester for `tier` over windows of `window_len` keys anchored
-    /// at `origin` (the key of sequence 0).
-    pub fn new(tier: TierId, window_len: i64, origin: i64) -> TierDigester {
+    /// at `origin` (the key of sequence 0), reading `level`'s families.
+    pub fn new(tier: TierId, window_len: i64, origin: i64, level: MetricLevel) -> TierDigester {
         TierDigester {
             tier,
             grid: WindowGrid {
                 origin,
                 window_len: window_len.max(1),
             },
+            level,
             hpc_width: feature_names(MetricLevel::Hpc, tier).len(),
             os_width: feature_names(MetricLevel::Os, tier).len(),
             last_key: None,
@@ -305,13 +312,13 @@ impl TierDigester {
             TierId::App => ws.app.take(),
             TierId::Db => None,
         };
-        if ws.hpc.len() != self.hpc_width
-            || ws.os.len() != self.os_width
+        if !foldable(self.level.reads_hpc(), self.hpc_width, &mut ws.hpc)
+            || !foldable(self.level.reads_os(), self.os_width, &mut ws.os)
             || (self.tier == TierId::App && front_end.is_none())
         {
-            // Rows the schema hash does not describe, or an application
-            // sample without front-end stats: a protocol violation that
-            // must never reach an aggregate.
+            // Rows the schema hash does not describe, a read family left
+            // out, or an application sample without front-end stats: a
+            // protocol violation that must never reach an aggregate.
             self.anomalies += 1;
             self.poison(window);
             return;
@@ -393,9 +400,23 @@ impl TierDigester {
     }
 }
 
+/// Whether a family's row may be folded: one the level reads at its
+/// schema `width`, an unread one at that width or empty. An unread row
+/// is dropped, so no window folds a family its level does not read.
+fn foldable(read: bool, width: usize, row: &mut Vec<f64>) -> bool {
+    if read {
+        return row.len() == width;
+    }
+    let ok = row.is_empty() || row.len() == width;
+    *row = Vec::new();
+    ok
+}
+
 /// Score one complete window from its two tier digests. The window is
 /// finished by the core's one builder (`AppWindowDigest::instance`) from
-/// the digests' finished halves, and the meter sees the in-process
+/// the digests' finished halves, at the meter's level — so a digest
+/// carrying a family the meter does not read (a fleet shard's) finishes
+/// the same window as one without it — and the meter sees the in-process
 /// monitor's reset-on-discontinuity cadence — its recent history is
 /// reset unless `*prev_fed` is the window just before this one, and
 /// `*prev_fed` advances to this window.
@@ -417,7 +438,12 @@ pub fn score_window(
         stress: d.stress,
     };
     let front_end = app.app.take()?;
-    let instance = front_end.instance([tier_half(app), tier_half(db)], &meter.config().oracle)?;
+    let config = meter.config();
+    let instance = front_end.instance(
+        [tier_half(app), tier_half(db)],
+        config.level,
+        &config.oracle,
+    )?;
     if prev_fed.and_then(|p| p.checked_add(1)) != Some(window) {
         meter.reset_history();
     }

@@ -19,8 +19,8 @@
 //!
 //! An HPC row is therefore a pure function of (tier, seq, seed,
 //! telemetry): a sampler that reads only HPC (the one
-//! [`crate::replay_level_windows`] builds for an HPC meter) may
-//! synthesize any subset of sequences, in any order. The OS collector
+//! [`crate::replay_windows`] builds for an HPC meter) may synthesize
+//! any subset of sequences, in any order. The OS collector
 //! is stateful (load averages decay, slow environmental disturbances
 //! drift), so a sampler that synthesizes OS rows must be called for
 //! every sequence **in order**, even for samples the caller intends to
@@ -120,7 +120,7 @@ impl TierSampler {
     /// A sampler for `tier` that synthesizes only the families `level`
     /// reads; each row it returns is bit-identical to the one
     /// [`TierSampler::new`]'s sampler returns for that family.
-    pub(crate) fn for_level(
+    pub fn for_level(
         tier: TierId,
         hpc_model: HpcModel,
         base_seed: u64,

@@ -447,6 +447,11 @@ impl SupervisedCollector {
         }
     }
 
+    /// The meter the collector decides with.
+    pub fn meter(&self) -> &CapacityMeter {
+        self.assembler.meter()
+    }
+
     /// Current health.
     pub fn health(&self) -> HealthState {
         self.supervisor.state()
@@ -607,7 +612,8 @@ pub fn run_supervised_collector(
     cfg: &CollectorConfig,
     mut on_decision: impl FnMut(i64, &OnlineDecision),
 ) -> SupervisedReport {
-    pump_events(listener, cfg, |event| match event {
+    let level = sc.meter().config().level;
+    pump_events(listener, cfg, level, |event| match event {
         Event::SessionStart { tier } => sc.on_session_start(tier),
         Event::Sample { tier, ws } => {
             let before = sc.decisions().len();

@@ -68,7 +68,6 @@ fn life(
     let meter = trained_meter();
     let out = run_supervised_loopback(
         SupervisedCollector::fresh(meter.clone()),
-        &meter.config().hpc_model,
         samples,
         &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
         start_seq,

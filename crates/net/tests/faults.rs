@@ -16,7 +16,7 @@ use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use webcap_core::{AdmissionConfig, CapacityMeter, MeterConfig};
+use webcap_core::{AdmissionConfig, CapacityMeter, MeterConfig, MetricLevel};
 use webcap_net::frame::{read_frame, write_frame, Frame};
 use webcap_net::loopback::{
     all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
@@ -178,14 +178,13 @@ fn knobs_merged_into_a_scripted_schedule_match_the_oracle_batched_and_unbatched(
     plane_matches_the_oracle(&meter, &samples, &batched, &merged);
 
     let collector = SupervisedCollector::fresh(meter.clone());
-    let hpc_model = &meter.config().hpc_model;
     let agent_cfg = |tier, dial| {
         let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
         cfg.schedule = merged.clone();
         cfg.max_batch = 1;
         cfg
     };
-    let single = run_supervised_loopback(collector, hpc_model, &samples, &tcp(), 0, agent_cfg)
+    let single = run_supervised_loopback(collector, &samples, &tcp(), 0, agent_cfg)
         .expect("unbatched deployment runs");
     plane_matches_the_oracle(&meter, &samples, &single, &merged);
 }
@@ -316,8 +315,7 @@ fn a_rogue_connection_is_rejected_and_the_run_completes() {
     // The rogue goes first — an agent is configured before it starts —
     // and real agents on the same listener still complete the run.
     let collector = SupervisedCollector::fresh(meter.clone());
-    let hpc_model = &meter.config().hpc_model;
-    let out = run_supervised_loopback(collector, hpc_model, samples, &tcp(), 0, |tier, dial| {
+    let out = run_supervised_loopback(collector, samples, &tcp(), 0, |tier, dial| {
         if tier == TierId::App {
             rogue_dials(&dial);
         }
@@ -373,7 +371,8 @@ fn an_ack_split_across_a_read_timeout_is_still_counted() {
                 script: ScriptedSource::new(TierId::Db, samples),
                 release: &release,
             };
-            webcap_net::run_agent(&cfg, meter.config().hpc_model.clone(), &mut source)
+            let hpc_model = meter.config().hpc_model.clone();
+            webcap_net::run_agent(&cfg, hpc_model, MetricLevel::Combined, &mut source)
         });
 
         // The hand-rolled collector: handshake, then read until every

@@ -4,12 +4,21 @@
 //! built from the same `webcap_net::reassembly::TierDigester`, so every
 //! rule — and every piece of hostile-input hardening — must show up
 //! identically on both planes. Each test feeds the same event script to
-//! both and demands the same quarantine verdicts and anomaly counts.
+//! both and demands the same quarantine verdicts and anomaly counts,
+//! except where the planes read different metric families: the
+//! assembler its meter's, a fleet shard every family. A few scripts
+//! drive the assembler alone, to pin the decisions it emits.
 
-use webcap_core::{CapacityMeter, MeterConfig};
+use std::collections::BTreeSet;
+
+use webcap_core::{CapacityMeter, MeterConfig, MetricLevel, OnlineDecision};
 use webcap_fleet::FleetCollector;
-use webcap_net::{AppStats, Assembler, SupervisorConfig, WireSample, MAX_GAP_WINDOWS};
+use webcap_net::{
+    replay_windows, AppStats, Assembler, SourceSample, SupervisorConfig, TierSampler, WireSample,
+    MAX_GAP_WINDOWS,
+};
 use webcap_sim::{TierId, TierSample};
+use webcap_tpcw::{Mix, TrafficProgram};
 
 const WINDOW: i64 = 30;
 const ORIGIN: i64 = 1;
@@ -117,8 +126,8 @@ impl Plane for Sharded {
     }
 }
 
-/// Both planes, each with both tiers' sessions started.
-fn planes() -> Vec<Box<dyn Plane>> {
+/// The shared test meter: an HPC one, over 30-sample windows.
+fn hpc_meter() -> CapacityMeter {
     static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
     let meter = METER
         .get_or_init(|| {
@@ -126,9 +135,15 @@ fn planes() -> Vec<Box<dyn Plane>> {
         })
         .clone();
     assert_eq!(meter.config().window_len as i64, WINDOW);
+    assert_eq!(meter.config().level, MetricLevel::Hpc);
+    meter
+}
+
+/// Both planes, each with both tiers' sessions started.
+fn planes() -> Vec<Box<dyn Plane>> {
     let mut planes: Vec<Box<dyn Plane>> = vec![
         Box::new(Unsharded {
-            assembler: Assembler::new(meter, ORIGIN),
+            assembler: Assembler::new(hpc_meter(), ORIGIN),
             emitted: Vec::new(),
         }),
         Box::new(Sharded {
@@ -309,5 +324,242 @@ fn an_app_sample_without_front_end_stats_is_quarantined_at_the_same_moment() {
         assert_eq!(plane.poisoned(), vec![1], "{name}");
         assert_eq!(plane.anomalies(), 1, "{name}");
         assert_eq!(plane.completed(), vec![0, 2], "{name}");
+    }
+}
+
+// The assembler's own scripts: gaps, reconnects and loss at either end
+// of the stream, judged by the decisions it emits.
+
+#[test]
+fn complete_windows_emit_and_gaps_poison() {
+    let mut a = Assembler::new(hpc_meter(), ORIGIN);
+    let mut emitted = Vec::new();
+    a.on_session_start(TierId::App);
+    a.on_session_start(TierId::Db);
+    // Window 0 complete on both tiers; window 1 has a one-frame gap
+    // on the DB tier (seq 35 dropped); window 2 complete again.
+    for seq in 0..90u64 {
+        let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
+        a.on_sample(TierId::App, wire(seq, TierId::App), &mut sink);
+        if seq != 35 {
+            a.on_sample(TierId::Db, wire(seq, TierId::Db), &mut sink);
+        }
+    }
+    a.on_bye(TierId::App, 89);
+    a.on_bye(TierId::Db, 89);
+    assert_eq!(emitted, vec![0, 2]);
+    assert_eq!(a.poisoned_windows(), vec![1]);
+    assert_eq!(a.pending_windows(), Vec::<i64>::new());
+    assert_eq!(a.anomalies(), 0);
+}
+
+#[test]
+fn reconnect_mid_window_poisons_the_straddled_window() {
+    let mut a = Assembler::new(hpc_meter(), ORIGIN);
+    let mut emitted = Vec::new();
+    a.on_session_start(TierId::App);
+    a.on_session_start(TierId::Db);
+    for seq in 0..90u64 {
+        let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
+        if seq == 40 {
+            // The APP agent reconnects between seq 39 and 40 — both
+            // inside window 1 — losing nothing, but the session
+            // boundary still quarantines the straddled window.
+            a.on_session_start(TierId::App);
+        }
+        a.on_sample(TierId::App, wire(seq, TierId::App), &mut sink);
+        a.on_sample(TierId::Db, wire(seq, TierId::Db), &mut sink);
+    }
+    a.on_bye(TierId::App, 89);
+    a.on_bye(TierId::Db, 89);
+    assert_eq!(emitted, vec![0, 2]);
+    assert_eq!(a.poisoned_windows(), vec![1]);
+}
+
+#[test]
+fn reconnect_on_a_window_boundary_poisons_nothing() {
+    let mut a = Assembler::new(hpc_meter(), ORIGIN);
+    let mut emitted = Vec::new();
+    a.on_session_start(TierId::App);
+    a.on_session_start(TierId::Db);
+    for seq in 0..60u64 {
+        let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
+        if seq == 30 {
+            // Clean break exactly between windows 0 and 1.
+            a.on_session_start(TierId::Db);
+        }
+        a.on_sample(TierId::App, wire(seq, TierId::App), &mut sink);
+        a.on_sample(TierId::Db, wire(seq, TierId::Db), &mut sink);
+    }
+    assert_eq!(emitted, vec![0, 1]);
+    assert!(a.poisoned_windows().is_empty());
+}
+
+#[test]
+fn trailing_loss_is_detected_at_bye() {
+    let mut a = Assembler::new(hpc_meter(), ORIGIN);
+    let mut emitted = Vec::new();
+    a.on_session_start(TierId::App);
+    a.on_session_start(TierId::Db);
+    // DB tier's last two frames (seqs 58, 59) never arrive; its Bye
+    // announces last_seq 59, exposing the trailing gap.
+    for seq in 0..60u64 {
+        let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
+        a.on_sample(TierId::App, wire(seq, TierId::App), &mut sink);
+        if seq < 58 {
+            a.on_sample(TierId::Db, wire(seq, TierId::Db), &mut sink);
+        }
+    }
+    a.on_bye(TierId::App, 59);
+    a.on_bye(TierId::Db, 59);
+    assert_eq!(emitted, vec![0]);
+    assert_eq!(a.poisoned_windows(), vec![1]);
+}
+
+#[test]
+fn leading_loss_poisons_the_first_window() {
+    let mut a = Assembler::new(hpc_meter(), ORIGIN);
+    let mut emitted = Vec::new();
+    a.on_session_start(TierId::App);
+    a.on_session_start(TierId::Db);
+    // The APP tier's very first frame went missing.
+    for seq in 0..60u64 {
+        let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
+        if seq != 0 {
+            a.on_sample(TierId::App, wire(seq, TierId::App), &mut sink);
+        }
+        a.on_sample(TierId::Db, wire(seq, TierId::Db), &mut sink);
+    }
+    assert_eq!(emitted, vec![1]);
+    assert_eq!(a.poisoned_windows(), vec![0]);
+}
+
+#[test]
+fn app_sample_without_front_end_stats_poisons_not_panics() {
+    let mut a = Assembler::new(hpc_meter(), ORIGIN);
+    let mut emitted = Vec::new();
+    a.on_session_start(TierId::App);
+    a.on_session_start(TierId::Db);
+    for seq in 0..30u64 {
+        let mut sink = |w: i64, _: &OnlineDecision| emitted.push(w);
+        // Protocol violation: app tier omits AppStats.
+        let bare = WireSample {
+            app: None,
+            ..wire(seq, TierId::App)
+        };
+        a.on_sample(TierId::App, bare, &mut sink);
+        a.on_sample(TierId::Db, wire(seq, TierId::Db), &mut sink);
+    }
+    assert!(emitted.is_empty());
+    assert_eq!(a.poisoned_windows(), vec![0]);
+    assert!(a.anomalies() > 0);
+}
+
+#[test]
+fn a_read_family_arriving_empty_poisons_exactly_its_window() {
+    for mut plane in planes() {
+        let name = plane.name();
+        // The fleet's digesters fold every family, so full-width rows
+        // are what they take; the assembler's HPC meter reads no OS row.
+        let reads_os = name == "fleet collector";
+        feed(plane.as_mut(), 0..35);
+        let mut no_hpc = wire(35, TierId::Db);
+        no_hpc.hpc.clear();
+        plane.sample(TierId::Db, no_hpc);
+        assert_eq!(plane.poisoned(), vec![1], "{name}: empty HPC row");
+        assert_eq!(plane.anomalies(), 1, "{name}");
+        plane.sample(TierId::App, wire(35, TierId::App));
+        feed(plane.as_mut(), 36..65);
+        let mut no_os = wire(65, TierId::App);
+        no_os.os.clear();
+        plane.sample(TierId::App, no_os);
+        plane.sample(TierId::Db, wire(65, TierId::Db));
+        feed(plane.as_mut(), 66..120);
+        let (poisoned, anomalies, completed) = if reads_os {
+            (vec![1, 2], 2, vec![0, 3])
+        } else {
+            (vec![1], 1, vec![0, 2, 3])
+        };
+        assert_eq!(plane.poisoned(), poisoned, "{name}: empty OS row");
+        assert_eq!(plane.anomalies(), anomalies, "{name}");
+        assert_eq!(plane.completed(), completed, "{name}");
+    }
+}
+
+/// One window through an assembler on the HPC meter, each sample's OS
+/// row being `os_row(seq)`: its decisions, and the anomalies counted.
+fn decide_with_os_rows(os_row: impl Fn(u64) -> Vec<f64>) -> (Vec<(i64, OnlineDecision)>, u64) {
+    let mut assembler = Assembler::new(hpc_meter(), ORIGIN);
+    let mut decisions = Vec::new();
+    for tier in TierId::ALL {
+        assembler.on_session_start(tier);
+    }
+    for seq in 0..WINDOW as u64 {
+        for tier in TierId::ALL {
+            let ws = WireSample {
+                os: os_row(seq),
+                ..wire(seq, tier)
+            };
+            assembler.on_sample(tier, ws, &mut |w, d| decisions.push((w, d.clone())));
+        }
+    }
+    (decisions, assembler.anomalies())
+}
+
+#[test]
+fn unread_rows_alternating_empty_and_full_width_decide_as_all_empty() {
+    let json = |d: &[(i64, OnlineDecision)]| serde_json::to_string(d).expect("serializes");
+    let (alternating, anomalies) = decide_with_os_rows(|seq| {
+        if seq % 2 == 0 {
+            Vec::new()
+        } else {
+            vec![0.1; 64]
+        }
+    });
+    assert_eq!(anomalies, 0);
+    assert_eq!(alternating.len(), 1, "the window decides");
+    let (empty, _) = decide_with_os_rows(|_| Vec::new());
+    assert_eq!(json(&alternating), json(&empty));
+}
+
+/// At every level, an assembler decides alike on the rows an agent of
+/// that level ships and on the full-width rows `TierSampler::new` makes
+/// (what the benchmark's staged pass feeds), on gapped windows, and both
+/// equal `replay_windows`. A gap matters: an OS sampler still steps
+/// through the samples nobody receives, or its rows drift.
+#[test]
+fn level_rows_and_full_width_rows_decide_alike_at_every_level() {
+    let windows: BTreeSet<i64> = [0, 2, 3, 6, 7].into_iter().collect();
+    for level in MetricLevel::EXTENDED {
+        let config = MeterConfig::small_for_tests(31).with_level(level);
+        let meter = CapacityMeter::train(&config).expect("meter trains");
+        let program = TrafficProgram::steady(Mix::ordering(), 60, 240.0);
+        let samples = webcap_sim::run(config.sim.clone(), program).samples;
+        let decide = |sampler: &dyn Fn(TierId) -> TierSampler| {
+            let mut samplers = TierId::ALL.map(sampler);
+            let mut assembler = Assembler::new(meter.clone(), ORIGIN);
+            for tier in TierId::ALL {
+                assembler.on_session_start(tier);
+            }
+            let mut decisions = Vec::new();
+            for (seq, s) in (0u64..).zip(&samples) {
+                for tier in TierId::ALL {
+                    let source = SourceSample::of_tier(tier, seq, s);
+                    let ws = tier.select_mut(&mut samplers).wire_sample(source);
+                    if windows.contains(&(seq as i64 / WINDOW)) {
+                        assembler.on_sample(tier, ws, &mut |w, d| decisions.push((w, d.clone())));
+                    }
+                }
+            }
+            serde_json::to_string(&decisions).expect("decisions serialize")
+        };
+        let model = &config.hpc_model;
+        let full = decide(&|tier| TierSampler::new(tier, model.clone(), 17));
+        let level_only = decide(&|tier| TierSampler::for_level(tier, model.clone(), 17, level));
+        let replay = replay_windows(&meter, &samples, 17, &windows);
+        assert_eq!(replay.len(), windows.len(), "{level}");
+        let replay = serde_json::to_string(&replay).expect("replay serializes");
+        assert_eq!(full, replay, "{level}: full-width rows");
+        assert_eq!(level_only, replay, "{level}: level rows");
     }
 }

@@ -23,15 +23,15 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webcap_core::{CapacityMeter, MeterConfig};
+use webcap_core::{CapacityMeter, MeterConfig, MetricLevel};
 use webcap_core::{TierStressAgg, WindowHealthAgg};
 use webcap_hpc::HpcModel;
 use webcap_net::binary::{decode_frame, encode_frame};
 use webcap_net::collector::CollectorConfig;
 use webcap_net::frame::{
-    metric_schema_hash, read_frame, try_extract_frame, write_frame, write_frame_codec, AppStats,
-    AppWindowDigest, DigestFin, DigestFrame, Frame, TierWindowDigest, WireCaps, WireCodec,
-    WireSample, PROTO_VERSION,
+    level_schema_hash, metric_schema_hash, read_frame, try_extract_frame, write_frame,
+    write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, TierWindowDigest,
+    WireCaps, WireCodec, WireSample, PROTO_VERSION,
 };
 use webcap_net::loopback::{
     predicted_windows_for_schedule, replay_windows, run_supervised_loopback, LoopbackOutcome,
@@ -358,7 +358,9 @@ fn fuzz_smoke_binary_decoder_survives_deterministic_mutations() {
 /// And small: at the agent's default batch (32 samples per
 /// `SampleBatch`), what both agents of a simulated steady run put on the
 /// wire costs at most 800 bytes per sample, next to the 742 B the
-/// benchmark ledger records (`net.binary.encode.bytes_per_sample`).
+/// benchmark ledger records (`net.binary.encode.bytes_per_sample`) —
+/// and at most 240 bytes when they ship only the HPC family an HPC
+/// meter reads.
 #[test]
 fn a_batch_of_32_costs_at_most_800_bytes_per_sample() {
     const BATCH: usize = 32;
@@ -367,25 +369,28 @@ fn a_batch_of_32_costs_at_most_800_bytes_per_sample() {
     let samples = Simulation::new(SimConfig::testbed(5), program)
         .run()
         .samples;
-    let mut wire = Vec::new();
-    let mut sent = 0;
-    for tier in TierId::ALL {
-        let mut sampler = TierSampler::new(tier, HpcModel::testbed(), 9);
-        let rows: Vec<WireSample> = (0u64..)
-            .zip(&samples)
-            .map(|(seq, s)| sampler.wire_sample(SourceSample::of_tier(tier, seq, s)))
-            .collect();
-        for batch in rows.chunks(BATCH) {
-            write_frame(&mut wire, &Frame::SampleBatch(batch.to_vec())).expect("encodes");
-            sent += batch.len();
+    for (level, ceiling) in [(MetricLevel::Combined, 800), (MetricLevel::Hpc, 240)] {
+        let mut wire = Vec::new();
+        let mut sent = 0;
+        for tier in TierId::ALL {
+            let mut sampler = TierSampler::for_level(tier, HpcModel::testbed(), 9, level);
+            let rows: Vec<WireSample> = (0u64..)
+                .zip(&samples)
+                .map(|(seq, s)| sampler.wire_sample(SourceSample::of_tier(tier, seq, s)))
+                .collect();
+            assert!(rows.iter().all(|ws| ws.os.is_empty() != level.reads_os()));
+            for batch in rows.chunks(BATCH) {
+                write_frame(&mut wire, &Frame::SampleBatch(batch.to_vec())).expect("encodes");
+                sent += batch.len();
+            }
         }
+        assert_eq!(sent, 2 * FRAMES * BATCH);
+        let per_sample = wire.len() / sent;
+        assert!(
+            per_sample <= ceiling,
+            "{level}: batch {BATCH} costs {per_sample} B per sample, ceiling {ceiling} B"
+        );
     }
-    assert_eq!(sent, 2 * FRAMES * BATCH);
-    let per_sample = wire.len() / sent;
-    assert!(
-        per_sample <= 800,
-        "batch {BATCH} costs {per_sample} B per sample, ceiling 800 B"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -469,6 +474,58 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
     assert_eq!(report.sessions, [0, 0], "no session was started");
 }
 
+/// The `Hello`'s schema hash names the families the agent ships. An
+/// HPC meter's collector takes the full schema and the HPC one, and
+/// refuses an agent shipping OS rows only — say, one started with
+/// another `--meter` — at connect time, naming both schemas, instead
+/// of poisoning every window it would send.
+#[test]
+fn a_hello_shipping_a_family_the_meter_does_not_read_is_rejected() {
+    let meter = trained_meter();
+    assert_eq!(meter.config().level, MetricLevel::Hpc);
+    let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"))
+        .expect("listener binds");
+    let dial = listener.local_endpoint().expect("bound endpoint");
+    let cfg = CollectorConfig {
+        idle_timeout: Duration::from_millis(300),
+        ..CollectorConfig::default()
+    };
+    let hello = |level| Frame::Hello {
+        tier: TierId::App,
+        proto_version: PROTO_VERSION,
+        metric_schema_hash: level_schema_hash(TierId::App, level),
+        caps: WireCaps {
+            codec: WireCodec::Binary,
+            max_batch: 1,
+        },
+    };
+    assert_eq!(
+        level_schema_hash(TierId::App, MetricLevel::Combined),
+        metric_schema_hash(TierId::App)
+    );
+
+    let sc = SupervisedCollector::fresh(meter);
+    let report = std::thread::scope(|scope| {
+        let collector = scope.spawn(|| run_supervised_collector(listener, sc, &cfg, |_, _| {}));
+        for level in [MetricLevel::Os, MetricLevel::Hpc, MetricLevel::Combined] {
+            let mut conn = webcap_net::Conn::connect(&dial).expect("peer connects");
+            conn.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout set");
+            write_frame(&mut conn, &hello(level)).expect("hello sends");
+            match (level, read_frame(&mut conn).expect("collector answers")) {
+                (MetricLevel::Os, Frame::Reject { reason, .. }) => {
+                    assert!(reason.contains("HPC Level"), "{reason}");
+                }
+                (MetricLevel::Hpc | MetricLevel::Combined, Frame::Ack { seq: 0 }) => {}
+                (level, other) => panic!("{level}: unexpected answer {other:?}"),
+            }
+        }
+        collector.join().expect("collector thread completes")
+    });
+
+    assert_eq!(report.rejected_handshakes, 1);
+}
+
 /// A version 3 agent's opener — a JSON `Hello` under the retired
 /// `"WCAP"` magic, right schema hash, current version — is no frame of
 /// this protocol: it gets a (binary) `Reject` naming the bad magic, and
@@ -526,7 +583,6 @@ fn run_batched(
 ) -> LoopbackOutcome {
     run_supervised_loopback(
         SupervisedCollector::fresh(meter.clone()),
-        &meter.config().hpc_model,
         samples,
         &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
         0,
