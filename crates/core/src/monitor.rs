@@ -8,8 +8,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use webcap_hpc::{DerivedMetrics, HpcModel};
-use webcap_os::{OsCollector, OsSample};
+use webcap_hpc::{DerivedMetrics, HpcModel, DERIVED_METRIC_NAMES};
+use webcap_os::{OsCollector, OsSample, OS_METRIC_NAMES};
 use webcap_sim::{SimConfig, Simulation, SystemSample, TierId};
 use webcap_tpcw::TrafficProgram;
 
@@ -105,6 +105,16 @@ pub fn feature_names(level: MetricLevel, tier: TierId) -> Vec<String> {
         }
         MetricLevel::Os => OsSample::feature_names(&format!("{tier_label}_os_")),
         MetricLevel::Hpc => DerivedMetrics::feature_names(&format!("{tier_label}_hpc_")),
+    }
+}
+
+/// The width of one level's metric family on any tier:
+/// `feature_names(level, tier).len()`, without building the names.
+pub fn feature_width(level: MetricLevel) -> usize {
+    match level {
+        MetricLevel::Os => OS_METRIC_NAMES.len(),
+        MetricLevel::Hpc => DERIVED_METRIC_NAMES.len(),
+        MetricLevel::Combined => OS_METRIC_NAMES.len() + DERIVED_METRIC_NAMES.len(),
     }
 }
 
@@ -326,6 +336,11 @@ mod tests {
         for level in MetricLevel::ALL {
             for tier in TierId::ALL {
                 all.extend(feature_names(level, tier));
+            }
+        }
+        for level in MetricLevel::EXTENDED {
+            for tier in TierId::ALL {
+                assert_eq!(feature_width(level), feature_names(level, tier).len());
             }
         }
         assert_eq!(all.len(), 2 * (64 + 12));

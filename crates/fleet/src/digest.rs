@@ -29,7 +29,10 @@ use webcap_sim::TierId;
 
 /// One sharded collector: the digesters for its owned tiers behind one
 /// supervisor, batching completed digests and poison verdicts into
-/// sequenced [`DigestFrame`]s for the merge node.
+/// sequenced [`DigestFrame`]s for the merge node. Its digesters fold the
+/// families of one [`MetricLevel`]: the merge meter's under
+/// [`crate::run_fleet`] ([`FleetCollector::for_level`]), every family
+/// for a shard built without one ([`FleetCollector::new`]).
 #[derive(Debug)]
 pub struct FleetCollector {
     collector: u32,
@@ -43,10 +46,10 @@ pub struct FleetCollector {
 
 impl FleetCollector {
     /// A collector with index `collector` owning `tiers` (deduplicated,
-    /// in [`TierId::ALL`] order), starting Healthy. A shard holds no
-    /// meter, so its digesters fold every family
-    /// ([`MetricLevel::Combined`]); the merge node's meter keeps the ones
-    /// it reads.
+    /// in [`TierId::ALL`] order), starting Healthy, whose digesters fold
+    /// every family ([`MetricLevel::Combined`]): a shard that knows no
+    /// meter needs full-width rows. [`FleetCollector::for_level`] at
+    /// `Combined`.
     pub fn new(
         collector: u32,
         tiers: &[TierId],
@@ -54,10 +57,33 @@ impl FleetCollector {
         origin: i64,
         sup_cfg: SupervisorConfig,
     ) -> FleetCollector {
+        FleetCollector::for_level(
+            collector,
+            tiers,
+            window_len,
+            origin,
+            sup_cfg,
+            MetricLevel::Combined,
+        )
+    }
+
+    /// A collector like [`FleetCollector::new`] whose digesters fold only
+    /// the families `level` reads — the merge node's meter level, so the
+    /// back-haul carries no family the meter drops. Each read family must
+    /// arrive at its schema width; an unread one may arrive at that width
+    /// or empty, and is dropped either way.
+    pub fn for_level(
+        collector: u32,
+        tiers: &[TierId],
+        window_len: i64,
+        origin: i64,
+        sup_cfg: SupervisorConfig,
+        level: MetricLevel,
+    ) -> FleetCollector {
         let digesters = TierId::ALL
             .into_iter()
             .filter(|t| tiers.contains(t))
-            .map(|t| TierDigester::new(t, window_len, origin, MetricLevel::Combined))
+            .map(|t| TierDigester::new(t, window_len, origin, level))
             .collect();
         FleetCollector {
             collector,

@@ -81,7 +81,9 @@ pub(crate) struct DigestStream {
 /// described by `topology` over `samples`, under per-tier scripted
 /// fault `schedules` (indexed by [`TierId::index`]; scheduled
 /// reconnects break the session before the frame, drops discard it),
-/// flushing every tick, and encode every flushed digest.
+/// flushing every tick, and encode every flushed digest. Agents
+/// synthesize and shards fold only the families the meter's level
+/// reads.
 pub(crate) fn digest_stream(
     meter: &CapacityMeter,
     samples: &[SystemSample],
@@ -93,6 +95,7 @@ pub(crate) fn digest_stream(
     let window_len = (meter.config().window_len as i64).max(1);
     let origin = CollectorConfig::default().window_origin;
     let sup_cfg = SupervisorConfig::default();
+    let level = meter.config().level;
     let map = ShardMap::new(topology.seed, topology.collectors);
     let owner = TierId::ALL.map(|t| map.owner(AgentId::primary(t)));
     let mut collectors: Vec<FleetCollector> = (0..map.collectors())
@@ -101,11 +104,11 @@ pub(crate) fn digest_stream(
                 .into_iter()
                 .filter(|t| *t.select(&owner) == c)
                 .collect();
-            FleetCollector::new(c, &tiers, window_len, origin, sup_cfg)
+            FleetCollector::for_level(c, &tiers, window_len, origin, sup_cfg, level)
         })
         .collect();
-    let mut samplers =
-        TierId::ALL.map(|t| TierSampler::new(t, meter.config().hpc_model.clone(), base_seed));
+    let mut samplers = TierId::ALL
+        .map(|t| TierSampler::for_level(t, meter.config().hpc_model.clone(), base_seed, level));
 
     let mut frames: Vec<Vec<u8>> = Vec::new();
     let mut bytes_by_collector = vec![0u64; collectors.len()];
@@ -199,6 +202,13 @@ pub(crate) fn digest_stream(
 /// per-tier scripted fault `schedules` (indexed by [`TierId::index`];
 /// scheduled reconnects break the session before the frame, drops
 /// discard it), and merge the encoded back-haul into the global outcome.
+///
+/// The whole fleet runs at the meter's level: each agent synthesizes
+/// ([`TierSampler::for_level`]) and each shard digests
+/// ([`FleetCollector::for_level`]) only the metric families the merge
+/// node's meter reads, so the back-haul carries no family it would
+/// drop. The decisions are those of a full-width fleet, because the
+/// merge builds every window at the meter's level either way.
 ///
 /// `_chaos` admits only `None`: no collector is ever crashed. `_codec`
 /// names the back-haul dialect, of which one is left. Both arguments

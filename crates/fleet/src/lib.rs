@@ -18,13 +18,16 @@
 //!   implementation of the reassembly and quarantine rules, which the
 //!   unsharded collector is built from too — batched into sequenced
 //!   [`webcap_net::DigestFrame`]s stamped with the supervisor's health.
+//!   Under [`run_fleet`] a shard folds only the families the merge
+//!   meter's level reads.
 //! * [`MergeNode`] — the front end assembles digests into the global
 //!   per-window view and scores it with the capacity meter. Ingestion
 //!   only touches keyed commutative state, so the outcome is a pure
 //!   function of the *set* of frames: byte-identical regardless of `K`,
 //!   digest arrival order, or worker count. SafeMode frames poison
 //!   their windows instead of being trusted; conflicting ownership
-//!   claims quarantine the window.
+//!   claims quarantine the window; a digest missing a family the meter
+//!   reads is counted and left unscored.
 //! * [`run_fleet`] — the in-process harness: it runs the sharded
 //!   collectors over a scripted sample stream (scripted per-tier fault
 //!   schedules), encodes their back-haul and merges it.

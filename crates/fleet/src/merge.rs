@@ -115,6 +115,10 @@ impl MergeNode {
     /// to the unsharded collector's over the same surviving windows:
     /// both score through [`score_window`].
     ///
+    /// A pair [`score_window`] refuses — an application digest without
+    /// front-end evidence, or a digest missing a family the meter reads —
+    /// is an anomaly, and its window incomplete.
+    ///
     /// Every window up to the last one a received fin announces is
     /// accounted for: decided, poisoned, or incomplete — including a
     /// window no digest of which arrived at all — up to at most
@@ -160,8 +164,11 @@ impl MergeNode {
                 Some(decision) => decisions.push((window, decision)),
                 None => {
                     // An application-tier digest without usable
-                    // front-end evidence: the digester never emits one,
-                    // so this is a forged or corrupted frame.
+                    // front-end evidence, or a digest missing a family
+                    // the meter reads: a shard at the meter's level
+                    // never emits either, so this is a forged or
+                    // corrupted frame, withheld rather than scored on
+                    // zero-filled features.
                     anomalies += 1;
                     incomplete.insert(window);
                 }

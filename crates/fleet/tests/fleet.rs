@@ -6,9 +6,10 @@
 //! scripted per-tier fault schedules, below and above capacity, and
 //! with digests arriving in any order.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use webcap_core::{workloads, CapacityMeter, MeterConfig};
+use webcap_core::monitor::feature_width;
+use webcap_core::{workloads, CapacityMeter, MeterConfig, MetricLevel};
 use webcap_fleet::{run_fleet, FleetCollector, FleetTopology, MergeNode};
 use webcap_net::loopback::{all_windows, predicted_windows_for_schedule, replay_windows};
 use webcap_net::{
@@ -178,17 +179,19 @@ fn crash_schedules() -> [FaultSchedule; 2] {
     ]
 }
 
-/// Drive the steady stream under [`crash_schedules`] through two
-/// single-tier fleet collectors and return every frame they flushed.
-fn sharded_frames_for_crash_stream(meter: &CapacityMeter) -> Vec<DigestFrame> {
-    let sup = SupervisorConfig::default();
-    let mut cols = [
-        FleetCollector::new(0, &[TierId::App], WINDOW as i64, 1, sup),
-        FleetCollector::new(1, &[TierId::Db], WINDOW as i64, 1, sup),
-    ];
-    let schedules = crash_schedules();
+/// Drive the steady stream under `schedules` through two single-tier
+/// fleet collectors built by `shard` (index, owned tiers), fed rows
+/// synthesized at `rows`, and return every frame they flushed.
+fn shard_frames(
+    meter: &CapacityMeter,
+    shard: impl Fn(u32, &[TierId]) -> FleetCollector,
+    rows: MetricLevel,
+    schedules: &[FaultSchedule; 2],
+) -> Vec<DigestFrame> {
+    let mut cols = [shard(0, &[TierId::App]), shard(1, &[TierId::Db])];
+    let model = &meter.config().hpc_model;
     let mut samplers =
-        TierId::ALL.map(|t| TierSampler::new(t, meter.config().hpc_model.clone(), BASE_SEED));
+        TierId::ALL.map(|t| TierSampler::for_level(t, model.clone(), BASE_SEED, rows));
     for tier in TierId::ALL {
         tier.select_mut(&mut cols).on_session_start(tier);
     }
@@ -199,7 +202,7 @@ fn sharded_frames_for_crash_stream(meter: &CapacityMeter) -> Vec<DigestFrame> {
             let ws = tier
                 .select_mut(&mut samplers)
                 .wire_sample(SourceSample::of_tier(tier, seq, s));
-            let (col, schedule) = (tier.select_mut(&mut cols), tier.select(&schedules));
+            let (col, schedule) = (tier.select_mut(&mut cols), tier.select(schedules));
             if schedule.reconnect_before.contains(&seq) {
                 col.on_session_start(tier);
             }
@@ -214,6 +217,27 @@ fn sharded_frames_for_crash_stream(meter: &CapacityMeter) -> Vec<DigestFrame> {
     }
     frames.extend(cols.iter_mut().filter_map(|col| col.flush(None)));
     frames
+}
+
+/// A meterless shard: [`FleetCollector::new`], folding every family.
+fn full_width_shard(collector: u32, tiers: &[TierId]) -> FleetCollector {
+    FleetCollector::new(
+        collector,
+        tiers,
+        WINDOW as i64,
+        1,
+        SupervisorConfig::default(),
+    )
+}
+
+/// The crash stream through two meterless shards fed full-width rows.
+fn sharded_frames_for_crash_stream(meter: &CapacityMeter) -> Vec<DigestFrame> {
+    shard_frames(
+        meter,
+        full_width_shard,
+        MetricLevel::Combined,
+        &crash_schedules(),
+    )
 }
 
 #[test]
@@ -362,4 +386,138 @@ fn safe_mode_frames_are_quarantined_not_trusted() {
         outcome.decisions.len() < baseline.decisions.len(),
         "quarantine shrank the scored stream"
     );
+}
+
+#[test]
+fn a_digest_missing_a_family_the_meter_reads_is_never_scored() {
+    // The default meter reads HPC only: window 6's database digest with
+    // its HPC mean emptied, or cut one column short, must be withheld
+    // and counted, never scored on features read as zero.
+    let meter = trained_meter();
+    assert_eq!(meter.config().level, MetricLevel::Hpc);
+    let mut poisoned = BTreeSet::new();
+    for schedule in &crash_schedules() {
+        poisoned.extend(predicted_windows_for_schedule(TOTAL as u64, schedule, WINDOW, 1).1);
+    }
+    let mut survivors = all_windows(TOTAL, WINDOW);
+    survivors.retain(|w| !poisoned.contains(w) && *w != 6);
+    let oracle = json(&replay_windows(
+        &meter,
+        &steady_samples(&meter),
+        BASE_SEED,
+        &survivors,
+    ));
+
+    let frames = sharded_frames_for_crash_stream(&meter);
+    let width = feature_width(MetricLevel::Hpc);
+    for (what, keep) in [("emptied", 0), ("truncated", width - 1)] {
+        let mut forged = frames.clone();
+        let digest = forged
+            .iter_mut()
+            .flat_map(|f| f.windows.iter_mut())
+            .find(|d| d.window == 6 && d.tier == TierId::Db)
+            .expect("window 6 has a database digest");
+        assert_eq!(digest.hpc_mean.len(), width);
+        digest.hpc_mean.truncate(keep);
+
+        let mut node = MergeNode::new(meter.clone());
+        for f in &forged {
+            node.ingest(f);
+        }
+        let out = node.finalize();
+        assert_eq!(json(&out.decisions), oracle, "{what}: decisions");
+        assert_eq!(out.incomplete_windows, vec![6], "{what}");
+        assert_eq!(out.poisoned_windows, vec![1], "{what}");
+        assert_eq!(out.anomalies, 1, "{what}");
+    }
+}
+
+#[test]
+fn the_fleet_decides_like_the_oracle_at_every_meter_level() {
+    let schedules = scripted_faults();
+    let mut poisoned = BTreeSet::new();
+    for schedule in &schedules {
+        poisoned.extend(predicted_windows_for_schedule(TOTAL as u64, schedule, WINDOW, 1).1);
+    }
+    let mut survivors = all_windows(TOTAL, WINDOW);
+    survivors.retain(|w| !poisoned.contains(w));
+    let poisoned: Vec<i64> = poisoned.into_iter().collect();
+
+    let mut backhaul = BTreeMap::new();
+    for level in MetricLevel::EXTENDED {
+        let meter = if level == MetricLevel::Hpc {
+            trained_meter()
+        } else {
+            CapacityMeter::train(&MeterConfig::small_for_tests(31).with_level(level))
+                .expect("meter trains")
+        };
+        assert_eq!(meter.config().level, level);
+        let samples = steady_samples(&meter);
+        let oracle = json(&replay_windows(&meter, &samples, BASE_SEED, &survivors));
+        for k in [1u32, 2] {
+            let topo = FleetTopology::two_tier("levels", 31, k);
+            let out = run_fleet(
+                &meter,
+                &samples,
+                BASE_SEED,
+                &schedules,
+                &topo,
+                None,
+                WireCodec::Binary,
+            )
+            .expect("fleet runs");
+            assert_eq!(json(&out.merge.decisions), oracle, "{level} K={k}");
+            assert_eq!(out.merge.poisoned_windows, poisoned, "{level} K={k}");
+            assert!(out.merge.incomplete_windows.is_empty(), "{level} K={k}");
+            assert_eq!(out.merge.anomalies, 0, "{level} K={k}");
+            let bytes: u64 = out.collectors.iter().map(|c| c.bytes).sum();
+            backhaul.insert((level, k), bytes);
+        }
+    }
+    // The HPC fleet back-hauls neither tier's 64 OS means: under a third
+    // of the combined fleet's bytes, at each K.
+    for k in [1u32, 2] {
+        let (hpc, combined) = (
+            backhaul[&(MetricLevel::Hpc, k)],
+            backhaul[&(MetricLevel::Combined, k)],
+        );
+        assert!(
+            3 * hpc < combined,
+            "K={k}: {hpc} B at HPC, {combined} B combined"
+        );
+    }
+}
+
+#[test]
+fn a_level_shard_takes_full_or_level_rows_and_a_meterless_one_needs_full_width() {
+    let meter = trained_meter();
+    let hpc_shard = |collector: u32, tiers: &[TierId]| {
+        FleetCollector::for_level(
+            collector,
+            tiers,
+            WINDOW as i64,
+            1,
+            SupervisorConfig::default(),
+            MetricLevel::Hpc,
+        )
+    };
+    let schedules = crash_schedules();
+
+    // An HPC shard drops the OS rows it does not read, so full-width and
+    // HPC-only rows flush the same frames, poisons included.
+    let full = shard_frames(&meter, hpc_shard, MetricLevel::Combined, &schedules);
+    let level_only = shard_frames(&meter, hpc_shard, MetricLevel::Hpc, &schedules);
+    assert!(full.iter().any(|f| !f.windows.is_empty()));
+    assert!(full.iter().any(|f| !f.poisoned.is_empty()));
+    assert_eq!(full, level_only);
+
+    // A meterless shard reads every family: HPC-only rows leave the OS
+    // family empty, so every window is poisoned and none digested.
+    let starved = shard_frames(&meter, full_width_shard, MetricLevel::Hpc, &no_faults());
+    assert!(starved.iter().all(|f| f.windows.is_empty()));
+    let quarantined: BTreeSet<i64> = starved
+        .iter()
+        .flat_map(|f| f.poisoned.iter().copied())
+        .collect();
+    assert_eq!(quarantined, all_windows(TOTAL, WINDOW));
 }

@@ -39,5 +39,5 @@ pub mod model;
 pub mod reader;
 
 pub use events::HpcEvent;
-pub use model::{CounterSample, DerivedMetrics, HpcModel, TierArch};
+pub use model::{CounterSample, DerivedMetrics, HpcModel, TierArch, DERIVED_METRIC_NAMES};
 pub use reader::{counter_delta, CounterReader, COUNTER_BITS};

@@ -58,6 +58,22 @@ impl CounterSample {
     }
 }
 
+/// The derived metrics' names, in [`DerivedMetrics::to_features`] order.
+pub const DERIVED_METRIC_NAMES: [&str; 12] = [
+    "ipc",
+    "upc",
+    "l2_miss_rate",
+    "l2_mpki",
+    "l1d_mpki",
+    "tc_mpki",
+    "itlb_mpki",
+    "dtlb_mpki",
+    "branch_mispredict_rate",
+    "bus_per_kcycle",
+    "stall_fraction",
+    "instr_per_s",
+];
+
 /// Derived per-interval metrics — the attribute values performance
 /// synopses are trained on.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -114,23 +130,10 @@ impl DerivedMetrics {
 
     /// Feature names, aligned with [`DerivedMetrics::to_features`].
     pub fn feature_names(prefix: &str) -> Vec<String> {
-        [
-            "ipc",
-            "upc",
-            "l2_miss_rate",
-            "l2_mpki",
-            "l1d_mpki",
-            "tc_mpki",
-            "itlb_mpki",
-            "dtlb_mpki",
-            "branch_mispredict_rate",
-            "bus_per_kcycle",
-            "stall_fraction",
-            "instr_per_s",
-        ]
-        .iter()
-        .map(|n| format!("{prefix}{n}"))
-        .collect()
+        DERIVED_METRIC_NAMES
+            .iter()
+            .map(|n| format!("{prefix}{n}"))
+            .collect()
     }
 
     /// Arithmetic mean of a set of metric snapshots (used to aggregate

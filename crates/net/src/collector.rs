@@ -242,8 +242,9 @@ impl Assembler {
                 }
                 None => {
                     // A digester never completes an application window
-                    // without front-end evidence; quarantine rather
-                    // than trust a pair that cannot be scored.
+                    // without front-end evidence, nor one missing a
+                    // family the meter reads; quarantine rather than
+                    // trust a pair that cannot be scored.
                     self.anomalies += 1;
                     self.poison(window);
                 }

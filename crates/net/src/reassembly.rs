@@ -51,7 +51,7 @@
 
 use std::collections::BTreeSet;
 
-use webcap_core::monitor::feature_names;
+use webcap_core::monitor::feature_width;
 use webcap_core::{CapacityMeter, FrontEndAgg, MetricLevel, OnlineDecision, TierAgg, TierWindow};
 use webcap_sim::{TierId, TierSample};
 
@@ -161,10 +161,6 @@ pub struct TierDigester {
     grid: WindowGrid,
     /// The families folded into digests.
     level: MetricLevel,
-    /// Row widths of the tier's metric schema — what
-    /// [`metric_schema_hash`](crate::frame::metric_schema_hash) covers.
-    hpc_width: usize,
-    os_width: usize,
     last_key: Option<i64>,
     fresh_session: bool,
     had_session: bool,
@@ -187,8 +183,6 @@ impl TierDigester {
                 window_len: window_len.max(1),
             },
             level,
-            hpc_width: feature_names(MetricLevel::Hpc, tier).len(),
-            os_width: feature_names(MetricLevel::Os, tier).len(),
             last_key: None,
             fresh_session: false,
             had_session: false,
@@ -312,8 +306,8 @@ impl TierDigester {
             TierId::App => ws.app.take(),
             TierId::Db => None,
         };
-        if !foldable(self.level.reads_hpc(), self.hpc_width, &mut ws.hpc)
-            || !foldable(self.level.reads_os(), self.os_width, &mut ws.os)
+        if !foldable(self.level.reads_hpc(), MetricLevel::Hpc, &mut ws.hpc)
+            || !foldable(self.level.reads_os(), MetricLevel::Os, &mut ws.os)
             || (self.tier == TierId::App && front_end.is_none())
         {
             // Rows the schema hash does not describe, a read family left
@@ -400,10 +394,13 @@ impl TierDigester {
     }
 }
 
-/// Whether a family's row may be folded: one the level reads at its
-/// schema `width`, an unread one at that width or empty. An unread row
-/// is dropped, so no window folds a family its level does not read.
-fn foldable(read: bool, width: usize, row: &mut Vec<f64>) -> bool {
+/// Whether a row of `family` may be folded: one the level reads at its
+/// schema width — what
+/// [`metric_schema_hash`](crate::frame::metric_schema_hash) covers — an
+/// unread one at that width or empty. An unread row is dropped, so no
+/// window folds a family its level does not read.
+fn foldable(read: bool, family: MetricLevel, row: &mut Vec<f64>) -> bool {
+    let width = feature_width(family);
     if read {
         return row.len() == width;
     }
@@ -422,15 +419,25 @@ fn foldable(read: bool, width: usize, row: &mut Vec<f64>) -> bool {
 /// `*prev_fed` advances to this window.
 ///
 /// Returns `None`, touching neither the meter nor `prev_fed`, when the
-/// application-tier digest carries no usable front-end evidence — a
-/// [`TierDigester`] never emits one, so it is a forged or corrupted
-/// digest the caller should count and withhold.
+/// application-tier digest carries no usable front-end evidence, or when
+/// either digest holds a family the meter reads at other than its schema
+/// width — a [`TierDigester`] at the meter's level never emits either,
+/// so it is a forged or corrupted digest the caller should count and
+/// withhold rather than score on missing features.
 pub fn score_window(
     meter: &mut CapacityMeter,
     prev_fed: &mut Option<i64>,
     mut app: TierWindowDigest,
     db: TierWindowDigest,
 ) -> Option<OnlineDecision> {
+    let level = meter.config().level;
+    let at_width = |d: &TierWindowDigest| {
+        (!level.reads_hpc() || d.hpc_mean.len() == feature_width(MetricLevel::Hpc))
+            && (!level.reads_os() || d.os_mean.len() == feature_width(MetricLevel::Os))
+    };
+    if !at_width(&app) || !at_width(&db) {
+        return None;
+    }
     let window = app.window;
     let tier_half = |d: TierWindowDigest| TierWindow {
         hpc_mean: d.hpc_mean,
