@@ -3,13 +3,27 @@
 //! One agent process runs next to each tier. Its loop is single-
 //! threaded by design — poll the [`SampleSource`], synthesize the metric
 //! rows ([`TierSampler`]), enqueue, send binary frames of up to
-//! [`AgentConfig::max_batch`] samples — with exactly one helper
-//! thread per connection that drains the collector's acknowledgments so
-//! the peer's write buffer can never fill and deadlock the pair. The
-//! helper sleeps in a blocking read and wakes once per collector flush:
-//! one `read` takes the whole burst of acks into a reassembly buffer
-//! (the one the collector's lanes use), so an ack cut in two by a short
-//! read or a read timeout is simply completed by the next read.
+//! [`AgentConfig::max_batch`] samples — with exactly one ack reader
+//! thread beside it that drains the collector's acknowledgments so the
+//! peer's write buffer can never fill and deadlock the pair. The reader
+//! sleeps in a blocking read and wakes once per collector flush: one
+//! `read` takes the whole burst of acks into a reassembly buffer (the
+//! one the collector's lanes use), so an ack cut in two by a short read
+//! or a read timeout is simply completed by the next read.
+//!
+//! The reader takes the agent's connections one after another, in
+//! session order, and each connection's reading outlives its session by
+//! at most one session. When a session ends on a scheduled reconnect,
+//! the agent half-closes it and redials at once while the reader drains
+//! it to the collector's EOF; before ending the next session it waits
+//! for that drain, so at most one ended session drains behind the live
+//! one and the collector holds at most one waiting dial per tier. A
+//! session that ends on a failed write, and the final `Bye` session,
+//! are drained before the agent goes on. Only the first dial waits for
+//! the collector's `Ack{0}`; a redial writes its `Hello` and streams at
+//! once, and the reader takes the reply: an `Ack{0}` is not counted, a
+//! `Reject` ends the run with [`HandshakeRejected`] once that session's
+//! drain is waited for.
 //!
 //! Robustness model:
 //!
@@ -31,9 +45,11 @@
 //!   discard silently and to reconnect before. Periodic faults are
 //!   harness data that [`crate::loopback`] compiles to such a script.
 
-use std::collections::{BTreeSet, VecDeque};
-use std::io::{self};
+use std::collections::VecDeque;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use webcap_core::MetricLevel;
@@ -45,7 +61,7 @@ use crate::frame::{
     WireCodec, WireSample, PROTO_VERSION,
 };
 use crate::retry::RetryPolicy;
-use crate::source::{SampleSource, SourcePoll, TierSampler};
+use crate::source::{SampleSource, SourcePoll, SourceSample, TierSampler};
 use crate::transport::{is_timeout, Conn, Endpoint};
 
 /// A deterministic, per-sequence fault script — the only fault
@@ -167,8 +183,11 @@ fn push_bounded(queue: &mut VecDeque<WireSample>, item: WireSample, capacity: us
 enum SessionEnd {
     /// Source exhausted and queue flushed; `Bye` sent.
     Done,
-    /// Connection lost or fault-forced; redial and continue.
+    /// A scheduled reconnect: redial at once, drain this session behind
+    /// the next.
     Reconnect,
+    /// A sample write failed: drain this session, then redial.
+    Broken,
 }
 
 /// A collector answered the handshake with a terminal `Reject` —
@@ -238,20 +257,45 @@ fn dial(cfg: &AgentConfig, level: MetricLevel) -> io::Result<Conn> {
 fn try_handshake(cfg: &AgentConfig, level: MetricLevel) -> io::Result<Conn> {
     let mut conn = Conn::connect(&cfg.endpoint)?;
     conn.set_read_timeout(Some(cfg.retry.attempt_timeout))?;
-    write_frame(
-        &mut conn,
-        &Frame::Hello {
-            tier: cfg.tier,
-            proto_version: PROTO_VERSION,
-            metric_schema_hash: level_schema_hash(cfg.tier, level),
-            caps: WireCaps {
-                codec: WireCodec::Binary,
-                max_batch: cfg.max_batch,
-            },
+    write_frame(&mut conn, &hello(cfg, level))?;
+    hello_reply(cfg.tier, read_frame(&mut conn)?)?;
+    Ok(conn)
+}
+
+/// Redial without waiting for the handshake: connect, write the `Hello`
+/// and return, the collector's reply left for the new session's ack
+/// reader. `Ok((conn, true))` is such a pipelined dial; a failed connect
+/// falls back to the retrying [`dial`], `Ok((conn, false))`.
+fn redial(cfg: &AgentConfig, level: MetricLevel) -> io::Result<(Conn, bool)> {
+    let pipelined = Conn::connect(&cfg.endpoint).and_then(|mut conn| {
+        write_frame(&mut conn, &hello(cfg, level))?;
+        Ok(conn)
+    });
+    match pipelined {
+        Ok(conn) => Ok((conn, true)),
+        Err(_) => dial(cfg, level).map(|conn| (conn, false)),
+    }
+}
+
+/// The `Hello` an agent leads every connection with.
+fn hello(cfg: &AgentConfig, level: MetricLevel) -> Frame {
+    Frame::Hello {
+        tier: cfg.tier,
+        proto_version: PROTO_VERSION,
+        metric_schema_hash: level_schema_hash(cfg.tier, level),
+        caps: WireCaps {
+            codec: WireCodec::Binary,
+            max_batch: cfg.max_batch,
         },
-    )?;
-    match read_frame(&mut conn)? {
-        Frame::Ack { seq: 0 } => Ok(conn),
+    }
+}
+
+/// Judge the collector's first reply to a `Hello`: `Ack{0}` accepts, a
+/// `Reject` is the typed [`HandshakeRejected`], anything else is
+/// malformed.
+fn hello_reply(tier: TierId, reply: Frame) -> io::Result<()> {
+    match reply {
+        Frame::Ack { seq: 0 } => Ok(()),
         Frame::Reject {
             reason,
             ours,
@@ -259,7 +303,7 @@ fn try_handshake(cfg: &AgentConfig, level: MetricLevel) -> io::Result<Conn> {
         } => Err(io::Error::new(
             io::ErrorKind::ConnectionAborted,
             HandshakeRejected {
-                tier: cfg.tier,
+                tier,
                 reason,
                 ours,
                 theirs,
@@ -278,6 +322,201 @@ fn try_handshake(cfg: &AgentConfig, level: MetricLevel) -> io::Result<Conn> {
     }
 }
 
+/// The agent's [`FaultSchedule`], normalized once per run — drop ranges
+/// sorted and merged, reconnect points sorted and deduplicated — so the
+/// per-sample questions are binary searches, not scans of the schedule.
+struct Script {
+    /// Disjoint inclusive drop ranges, ascending.
+    drops: Vec<(u64, u64)>,
+    /// Reconnect points yet to fire, ascending: a point fires once,
+    /// though its frame is re-sent on the next session.
+    reconnects: Vec<u64>,
+}
+
+impl Script {
+    fn new(schedule: &FaultSchedule) -> Script {
+        let mut ranges: Vec<(u64, u64)> = schedule
+            .drop_ranges
+            .iter()
+            .copied()
+            .filter(|&(first, last)| first <= last)
+            .collect();
+        ranges.sort_unstable();
+        let mut drops: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
+        for (first, last) in ranges {
+            match drops.last_mut() {
+                Some(prev) if first <= prev.1.saturating_add(1) => prev.1 = prev.1.max(last),
+                _ => drops.push((first, last)),
+            }
+        }
+        let mut reconnects = schedule.reconnect_before.clone();
+        reconnects.sort_unstable();
+        reconnects.dedup();
+        Script { drops, reconnects }
+    }
+
+    /// [`FaultSchedule::drops`].
+    fn drops(&self, seq: u64) -> bool {
+        let i = self.drops.partition_point(|&(_, last)| last < seq);
+        self.drops.get(i).is_some_and(|&(first, _)| first <= seq)
+    }
+
+    /// Whether a reconnect point at `seq` has yet to fire.
+    fn reconnect_pending(&self, seq: u64) -> bool {
+        self.reconnects.binary_search(&seq).is_ok()
+    }
+
+    /// Fire the reconnect point at `seq`; false if there is none left.
+    fn fire_reconnect(&mut self, seq: u64) -> bool {
+        let Ok(i) = self.reconnects.binary_search(&seq) else {
+            return false;
+        };
+        self.reconnects.remove(i);
+        true
+    }
+}
+
+/// What one connection's ack reader saw.
+#[derive(Default)]
+struct AckTally {
+    acks: u64,
+    rejects: u64,
+    /// The refusal of a pipelined `Hello` ([`hello_reply`]'s error).
+    refused: Option<io::Error>,
+}
+
+/// One session handed to the [`AckReader`].
+struct AckJob {
+    /// A clone of the session's connection.
+    conn: Conn,
+    /// Set once the session has ended: the reader then stops at its
+    /// first read timeout instead of waiting on.
+    over: Arc<AtomicBool>,
+    /// The tier whose pipelined `Hello` the first frame answers; that
+    /// reply is judged, not counted.
+    hello: Option<TierId>,
+}
+
+/// The agent's ack reader: one thread that reads its sessions' clones in
+/// session order — one blocking read per burst of acks, the collector
+/// flushing once per service round — each until the collector's EOF, a
+/// dead or unparseable stream, or a read timeout once the session is
+/// over, and hands back one [`AckTally`] per session. Order costs
+/// nothing: the collector serves a tier's sessions one after another,
+/// so a session's acks only start once the one before it is closed.
+struct AckReader {
+    jobs: mpsc::Sender<AckJob>,
+    tallies: mpsc::Receiver<AckTally>,
+    thread: JoinHandle<()>,
+    /// Sessions handed over whose tally is not yet taken.
+    pending: usize,
+}
+
+impl AckReader {
+    fn start() -> AckReader {
+        let (jobs, inbox) = mpsc::channel::<AckJob>();
+        let (outbox, tallies) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            for job in inbox {
+                if outbox.send(read_acks(job)).is_err() {
+                    return;
+                }
+            }
+        });
+        AckReader {
+            jobs,
+            tallies,
+            thread,
+            pending: 0,
+        }
+    }
+
+    /// Queue `conn`'s session for reading; returns its end-of-session
+    /// flag.
+    fn read(&mut self, conn: &Conn, hello: Option<TierId>) -> io::Result<Arc<AtomicBool>> {
+        let over = Arc::new(AtomicBool::new(false));
+        let job = AckJob {
+            conn: conn.try_clone()?,
+            over: Arc::clone(&over),
+            hello,
+        };
+        self.jobs.send(job).map_err(|_| reader_gone())?;
+        self.pending += 1;
+        Ok(over)
+    }
+
+    /// Wait for the oldest pending session's tally, fold its counts into
+    /// `report`, and surface a refused pipelined `Hello`.
+    fn take(&mut self, report: &mut AgentReport) -> io::Result<()> {
+        // Counted off before the wait: a dead reader fails every take,
+        // and `finish` must still run out of sessions to wait for.
+        self.pending = self.pending.saturating_sub(1);
+        let tally = self.tallies.recv().map_err(|_| reader_gone())?;
+        report.acks_received += tally.acks;
+        report.rejects_received += tally.rejects;
+        tally.refused.map_or(Ok(()), Err)
+    }
+
+    /// Take every pending tally and stop the thread; the first refusal
+    /// wins.
+    fn finish(mut self, report: &mut AgentReport) -> io::Result<()> {
+        let mut first = Ok(());
+        while self.pending > 0 {
+            first = first.and(self.take(report));
+        }
+        drop(self.jobs);
+        self.thread.join().map_err(|_| reader_gone())?;
+        first
+    }
+}
+
+fn reader_gone() -> io::Error {
+    io::Error::other("ack reader panicked")
+}
+
+/// Read one session's acks (see [`AckReader`]).
+fn read_acks(job: AckJob) -> AckTally {
+    let AckJob {
+        mut conn,
+        over,
+        mut hello,
+    } = job;
+    let mut rbuf = FrameBuf::default();
+    let mut tally = AckTally::default();
+    'read: loop {
+        match rbuf.fill(&mut conn) {
+            Ok(_) => {}
+            Err(e) if e.is_timeout() && !over.load(Ordering::Relaxed) => continue,
+            Err(_) => break,
+        }
+        loop {
+            let frame = match rbuf.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => break 'read,
+            };
+            if let Some(tier) = hello.take() {
+                if let Err(e) = hello_reply(tier, frame) {
+                    tally.refused = Some(e);
+                    break 'read;
+                }
+                continue;
+            }
+            match frame {
+                Frame::Ack { .. } => tally.acks += 1,
+                Frame::Reject { .. } => tally.rejects += 1,
+                Frame::Hello { .. }
+                | Frame::Sample(_)
+                | Frame::SampleBatch(_)
+                | Frame::Heartbeat { .. }
+                | Frame::Bye { .. }
+                | Frame::Digest(_) => {}
+            }
+        }
+    }
+    tally
+}
+
 /// Run an agent until its source is exhausted (graceful `Bye`) or the
 /// collector stays unreachable past the retry budget. It synthesizes
 /// with the collector's meter's `hpc_model` and ships the families its
@@ -288,203 +527,201 @@ pub fn run_agent(
     level: MetricLevel,
     source: &mut dyn SampleSource,
 ) -> io::Result<AgentReport> {
-    let mut sampler = TierSampler::for_level(cfg.tier, hpc_model, cfg.seed, level);
-    let mut queue: VecDeque<WireSample> = VecDeque::new();
-    let mut report = AgentReport::default();
-    let mut source_done = false;
-    let mut last_seq: u64 = 0;
-    // Scheduled reconnect points already taken, so each fires once even
-    // though the triggering frame is re-sent on the next session.
-    let mut sched_reconnected: BTreeSet<u64> = BTreeSet::new();
-    // One encode scratch buffer for the whole run: steady-path frame
-    // encodes borrow it instead of allocating.
-    let mut scratch: Vec<u8> = Vec::new();
-    let batch_target = cfg.max_batch.max(1) as usize;
+    let mut stream = Stream {
+        cfg,
+        script: Script::new(&cfg.schedule),
+        sampler: TierSampler::for_level(cfg.tier, hpc_model, cfg.seed, level),
+        source,
+        queue: VecDeque::new(),
+        report: AgentReport::default(),
+        source_done: false,
+        last_seq: 0,
+        scratch: Vec::new(),
+    };
+    let mut reader = AckReader::start();
+    let run = stream.sessions(level, &mut reader);
+    // Never return with a session still draining: its acks are unread.
+    let drained = reader.finish(&mut stream.report);
+    drained.and(run).map(|()| stream.report)
+}
 
-    loop {
-        let conn = dial(cfg, level)?;
-        conn.set_read_timeout(Some(READ_TIMEOUT))?;
-        report.sessions += 1;
+/// One agent run's state across its sessions.
+struct Stream<'a> {
+    cfg: &'a AgentConfig,
+    script: Script,
+    sampler: TierSampler,
+    source: &'a mut dyn SampleSource,
+    queue: VecDeque<WireSample>,
+    report: AgentReport,
+    source_done: bool,
+    last_seq: u64,
+    /// One encode scratch buffer for the whole run: steady-path frame
+    /// encodes borrow it instead of allocating.
+    scratch: Vec<u8>,
+}
 
-        let done = AtomicBool::new(false);
-        let ack_conn = conn.try_clone()?;
-        let mut conn = conn;
-        let end = std::thread::scope(|scope| -> io::Result<SessionEnd> {
-            // The ack reader: one blocking read per burst of acks — the
-            // collector flushes once per service round — counted until
-            // the collector's EOF, a dead or unparseable stream, or a
-            // read timeout once the session is over.
-            let ack_reader = scope.spawn(|| {
-                let mut ack_conn = ack_conn;
-                let mut rbuf = FrameBuf::default();
-                let (mut acks, mut rejects) = (0u64, 0u64);
-                'read: loop {
-                    match rbuf.fill(&mut ack_conn) {
-                        Ok(_) => {}
-                        Err(e) if e.is_timeout() && !done.load(Ordering::Relaxed) => continue,
-                        Err(_) => break,
-                    }
-                    loop {
-                        match rbuf.next_frame() {
-                            Ok(Some(Frame::Ack { .. })) => acks += 1,
-                            Ok(Some(Frame::Reject { .. })) => rejects += 1,
-                            Ok(Some(_)) => {}
-                            Ok(None) => break,
-                            Err(_) => break 'read,
-                        }
-                    }
-                }
-                (acks, rejects)
-            });
+impl Stream<'_> {
+    /// Dial, stream, and redial until the source is flushed. A session
+    /// ended by a scheduled reconnect is half-closed and left to the
+    /// `reader` while the next one streams; at most one drains behind
+    /// the live one, since its tally is taken before the next session
+    /// ends. The first dial waits for the handshake; later ones are
+    /// pipelined ([`redial`]).
+    fn sessions(&mut self, level: MetricLevel, reader: &mut AckReader) -> io::Result<()> {
+        let (mut conn, mut pipelined) = (dial(self.cfg, level)?, false);
+        loop {
+            conn.set_read_timeout(Some(READ_TIMEOUT))?;
+            self.report.sessions += 1;
+            let over = reader.read(&conn, pipelined.then_some(self.cfg.tier))?;
+            let streamed = self.session(&mut conn);
 
-            let mut idle_polls: u32 = 0;
-            let end = loop {
-                if queue.is_empty() {
-                    if source_done {
-                        // Flushed everything the source will ever give:
-                        // announce the final sequence so the collector can
-                        // detect trailing loss, and end gracefully.
-                        write_frame_codec(
-                            &mut conn,
-                            &Frame::Bye { last_seq },
-                            WireCodec::Binary,
-                            &mut scratch,
-                        )?;
-                        break SessionEnd::Done;
-                    }
-                    match source.next_sample() {
-                        SourcePoll::Ready(s) => {
-                            let warmup = s.warmup;
-                            last_seq = s.seq;
-                            // Warm-up samples are synthesized like any
-                            // other (the OS synthesizer carries state)
-                            // but never queued: a previous process
-                            // already delivered those sequences.
-                            let ws = sampler.wire_sample(s);
-                            if !warmup {
-                                report.samples_produced += 1;
-                                report.queue_dropped +=
-                                    push_bounded(&mut queue, ws, QUEUE_CAPACITY);
-                            }
-                            idle_polls = 0;
-                        }
-                        SourcePoll::Idle => {
-                            // Nothing due: heartbeat so the collector's
-                            // read timeout knows we are alive, then yield.
-                            idle_polls += 1;
-                            let poll_sleep = Duration::from_millis(5);
-                            if poll_sleep * idle_polls >= HEARTBEAT {
-                                write_frame_codec(
-                                    &mut conn,
-                                    &Frame::Heartbeat { seq: last_seq },
-                                    WireCodec::Binary,
-                                    &mut scratch,
-                                )?;
-                                report.heartbeats_sent += 1;
-                                idle_polls = 0;
-                            }
-                            std::thread::sleep(poll_sleep);
-                            continue;
-                        }
-                        SourcePoll::Exhausted => {
-                            source_done = true;
-                            continue;
-                        }
-                    }
-                }
-
-                // Top up a batch: pull whatever the source has ready — no
-                // sleeping, the queue already holds data to send — until a
-                // frame's worth is queued. An unbatched agent (batch
-                // target one) never enters this: it polls the source only
-                // when the queue is empty.
-                while batch_target > 1 && !source_done && queue.len() < batch_target {
-                    match source.next_sample() {
-                        SourcePoll::Ready(s) => {
-                            let warmup = s.warmup;
-                            last_seq = s.seq;
-                            let ws = sampler.wire_sample(s);
-                            if !warmup {
-                                report.samples_produced += 1;
-                                report.queue_dropped +=
-                                    push_bounded(&mut queue, ws, QUEUE_CAPACITY);
-                            }
-                            idle_polls = 0;
-                        }
-                        SourcePoll::Idle => break,
-                        SourcePoll::Exhausted => source_done = true,
-                    }
-                }
-
-                // The queue is non-empty here (the refill branch above
-                // `continue`s otherwise), but a `let-else` keeps this
-                // loop panic-free by construction.
-                let Some(ws) = queue.front() else { continue };
-                let seq = ws.seq;
-                if cfg.schedule.reconnect_before.contains(&seq) && sched_reconnected.insert(seq) {
-                    break SessionEnd::Reconnect;
-                }
-                if cfg.schedule.drops(seq) {
-                    queue.pop_front();
-                    report.frames_dropped += 1;
-                    continue;
-                }
-
-                // The front sample passed its gates; extend the frame with
-                // queued successors, replaying the per-sample gate sequence
-                // of one-sample frames. Extension stops at the batch cap
-                // and at an untaken scheduled-reconnect point — every place
-                // the sequential loop would have stopped sending. Nothing
-                // leaves the queue until the write succeeds: a sequential
-                // sender would never have examined a sample past a failed
-                // send, and the retry reaches the same verdicts because
-                // they depend on the sequence alone.
-                let mut members: Vec<WireSample> = vec![ws.clone()];
-                let mut taken: usize = 1; // queue entries the frame settles
-                for item in queue.iter().skip(1) {
-                    let untaken_reconnect = cfg.schedule.reconnect_before.contains(&item.seq)
-                        && !sched_reconnected.contains(&item.seq);
-                    if members.len() >= batch_target || untaken_reconnect {
-                        break;
-                    }
-                    taken += 1;
-                    if !cfg.schedule.drops(item.seq) {
-                        members.push(item.clone());
-                    }
-                }
-                let sent = members.len() as u64;
-                let frame = if sent == 1 {
-                    let Some(one) = members.pop() else { continue };
-                    Frame::Sample(one)
-                } else {
-                    Frame::SampleBatch(members)
-                };
-                if write_frame_codec(&mut conn, &frame, WireCodec::Binary, &mut scratch).is_err() {
-                    // Everything stays queued; resend on the next session.
-                    break SessionEnd::Reconnect;
-                }
-                queue.drain(..taken);
-                report.frames_sent += sent;
-                report.frames_dropped += taken as u64 - sent;
+            let drained = if reader.pending > 1 {
+                reader.take(&mut self.report)
+            } else {
+                Ok(())
             };
-            done.store(true, Ordering::Relaxed);
-            // However the session ended, half-close and let the ack
-            // reader run to the collector's EOF (it closes its side on
-            // `Bye` and on end-of-stream alike). Closing with acks
-            // unread resets the connection, and a reset discards frames
-            // still in the collector's receive queue.
+            // However the session ended, half-close and let the reader
+            // run to the collector's EOF (it closes its side on `Bye`
+            // and on end-of-stream alike). Closing with acks unread
+            // resets the connection, and a reset discards frames still
+            // in the collector's receive queue.
+            over.store(true, Ordering::Relaxed);
             let _ = conn.shutdown_write();
-            let (acks, rejects) = ack_reader
-                .join()
-                .map_err(|_| io::Error::other("ack reader panicked"))?;
-            report.acks_received += acks;
-            report.rejects_received += rejects;
-            Ok(end)
-        })?;
+            if drained.is_err() || !matches!(streamed, Ok(SessionEnd::Reconnect)) {
+                let joined = reader.take(&mut self.report);
+                drained.and(joined)?;
+                match streamed? {
+                    SessionEnd::Done => return Ok(()),
+                    SessionEnd::Reconnect | SessionEnd::Broken => {}
+                }
+            }
+            (conn, pipelined) = redial(self.cfg, level)?;
+        }
+    }
 
-        match end {
-            SessionEnd::Done => return Ok(report),
-            SessionEnd::Reconnect => continue,
+    /// Synthesize one polled sample and queue it, unless it is warm-up:
+    /// those are synthesized like any other (the OS synthesizer carries
+    /// state) but never queued, a previous process having already
+    /// delivered those sequences.
+    fn take(&mut self, s: SourceSample) {
+        let warmup = s.warmup;
+        self.last_seq = s.seq;
+        let ws = self.sampler.wire_sample(s);
+        if !warmup {
+            self.report.samples_produced += 1;
+            self.report.queue_dropped += push_bounded(&mut self.queue, ws, QUEUE_CAPACITY);
+        }
+    }
+
+    /// Stream on `conn` until the source is flushed and `Bye` sent, a
+    /// scheduled reconnect point, or a failed sample write.
+    fn session(&mut self, conn: &mut Conn) -> io::Result<SessionEnd> {
+        let batch_target = self.cfg.max_batch.max(1) as usize;
+        let mut idle_polls: u32 = 0;
+        loop {
+            if self.queue.is_empty() {
+                if self.source_done {
+                    // Flushed everything the source will ever give:
+                    // announce the final sequence so the collector can
+                    // detect trailing loss, and end gracefully.
+                    let bye = Frame::Bye {
+                        last_seq: self.last_seq,
+                    };
+                    write_frame_codec(conn, &bye, WireCodec::Binary, &mut self.scratch)?;
+                    return Ok(SessionEnd::Done);
+                }
+                match self.source.next_sample() {
+                    SourcePoll::Ready(s) => {
+                        self.take(s);
+                        idle_polls = 0;
+                    }
+                    SourcePoll::Idle => {
+                        // Nothing due: heartbeat so the collector's read
+                        // timeout knows we are alive, then yield.
+                        idle_polls += 1;
+                        let poll_sleep = Duration::from_millis(5);
+                        if poll_sleep * idle_polls >= HEARTBEAT {
+                            let beat = Frame::Heartbeat { seq: self.last_seq };
+                            write_frame_codec(conn, &beat, WireCodec::Binary, &mut self.scratch)?;
+                            self.report.heartbeats_sent += 1;
+                            idle_polls = 0;
+                        }
+                        std::thread::sleep(poll_sleep);
+                        continue;
+                    }
+                    SourcePoll::Exhausted => {
+                        self.source_done = true;
+                        continue;
+                    }
+                }
+            }
+
+            // Top up a batch: pull whatever the source has ready — no
+            // sleeping, the queue already holds data to send — until a
+            // frame's worth is queued. An unbatched agent (batch target
+            // one) never enters this: it polls the source only when the
+            // queue is empty.
+            while batch_target > 1 && !self.source_done && self.queue.len() < batch_target {
+                match self.source.next_sample() {
+                    SourcePoll::Ready(s) => {
+                        self.take(s);
+                        idle_polls = 0;
+                    }
+                    SourcePoll::Idle => break,
+                    SourcePoll::Exhausted => self.source_done = true,
+                }
+            }
+
+            // The queue is non-empty here (the refill branch above
+            // `continue`s otherwise), but a `let-else` keeps this loop
+            // panic-free by construction.
+            let Some(ws) = self.queue.front() else {
+                continue;
+            };
+            let seq = ws.seq;
+            if self.script.fire_reconnect(seq) {
+                return Ok(SessionEnd::Reconnect);
+            }
+            if self.script.drops(seq) {
+                self.queue.pop_front();
+                self.report.frames_dropped += 1;
+                continue;
+            }
+
+            // The front sample passed its gates; extend the frame with
+            // queued successors, replaying the per-sample gate sequence
+            // of one-sample frames. Extension stops at the batch cap and
+            // at an unfired reconnect point — every place the sequential
+            // loop would have stopped sending. Nothing leaves the queue
+            // until the write succeeds: a sequential sender would never
+            // have examined a sample past a failed send, and the retry
+            // reaches the same verdicts because they depend on the
+            // sequence alone.
+            let mut members: Vec<WireSample> = vec![ws.clone()];
+            let mut taken: usize = 1; // queue entries the frame settles
+            for item in self.queue.iter().skip(1) {
+                if members.len() >= batch_target || self.script.reconnect_pending(item.seq) {
+                    break;
+                }
+                taken += 1;
+                if !self.script.drops(item.seq) {
+                    members.push(item.clone());
+                }
+            }
+            let sent = members.len() as u64;
+            let frame = if sent == 1 {
+                let Some(one) = members.pop() else { continue };
+                Frame::Sample(one)
+            } else {
+                Frame::SampleBatch(members)
+            };
+            if write_frame_codec(conn, &frame, WireCodec::Binary, &mut self.scratch).is_err() {
+                // Everything stays queued; resend on the next session.
+                return Ok(SessionEnd::Broken);
+            }
+            self.queue.drain(..taken);
+            self.report.frames_sent += sent;
+            self.report.frames_dropped += taken as u64 - sent;
         }
     }
 }
@@ -534,10 +771,136 @@ mod tests {
     }
 
     #[test]
+    fn the_normalized_script_answers_like_the_schedule() {
+        // Unsorted, overlapping, adjacent, empty and repeated entries.
+        let schedule = FaultSchedule {
+            drop_ranges: vec![(40, 44), (10, 12), (11, 15), (16, 16), (30, 29), (43, 50)],
+            reconnect_before: vec![25, 7, 25, 60, 7],
+        };
+        let mut script = Script::new(&schedule);
+        assert_eq!(script.drops, vec![(10, 16), (40, 50)]);
+        for seq in 0..70 {
+            assert_eq!(script.drops(seq), schedule.drops(seq), "seq {seq}");
+            let listed = schedule.reconnect_before.contains(&seq);
+            assert_eq!(script.reconnect_pending(seq), listed, "seq {seq}");
+        }
+        // Each point fires once, however often it is listed.
+        assert!(script.fire_reconnect(25));
+        assert!(!script.reconnect_pending(25));
+        assert!(!script.fire_reconnect(25));
+        assert!(!script.fire_reconnect(26));
+        assert!(script.reconnect_pending(7) && script.reconnect_pending(60));
+        let edge = Script::new(&FaultSchedule {
+            drop_ranges: vec![(u64::MAX - 1, u64::MAX), (0, 0)],
+            reconnect_before: vec![],
+        });
+        assert!(edge.drops(0) && !edge.drops(1) && edge.drops(u64::MAX));
+    }
+
+    /// A source of `total` default-telemetry samples, then exhausted.
+    struct Counting {
+        next: u64,
+        total: u64,
+    }
+
+    impl SampleSource for Counting {
+        fn next_sample(&mut self) -> SourcePoll {
+            if self.next == self.total {
+                return SourcePoll::Exhausted;
+            }
+            let seq = self.next;
+            self.next += 1;
+            SourcePoll::Ready(SourceSample {
+                seq,
+                t_s: seq as f64 + 1.0,
+                interval_s: 1.0,
+                tier: TierSample::default(),
+                app: None,
+                warmup: false,
+            })
+        }
+    }
+
+    #[test]
+    fn a_refused_redial_is_terminal() {
+        use crate::transport::Listener;
+        use std::sync::atomic::AtomicU64;
+
+        let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").unwrap()).unwrap();
+        let dial = listener.local_endpoint().unwrap();
+        let accepted = Arc::new(AtomicU64::new(0));
+        let server_seen = Arc::clone(&accepted);
+        // A collector that accepts the first `Hello` and acks that
+        // session to its end, then — restarted with another schema, say
+        // — refuses the redial's `Hello` and closes, the agent's
+        // pipelined samples unread, as the real collector does.
+        std::thread::spawn(move || loop {
+            let Ok(mut conn) = listener.accept() else {
+                return;
+            };
+            if server_seen.fetch_add(1, Ordering::SeqCst) > 0 {
+                let _ = read_frame(&mut conn);
+                let _ = write_frame(
+                    &mut conn,
+                    &Frame::Reject {
+                        reason: "metric schema hash is not this collector's".to_string(),
+                        ours: PROTO_VERSION,
+                        theirs: PROTO_VERSION,
+                    },
+                );
+                continue;
+            }
+            let _ = read_frame(&mut conn);
+            let _ = write_frame(&mut conn, &Frame::Ack { seq: 0 });
+            while let Ok(frame) = read_frame(&mut conn) {
+                let seqs: Vec<u64> = if let Frame::SampleBatch(batch) = &frame {
+                    batch.iter().map(|ws| ws.seq).collect()
+                } else if let Frame::Sample(ws) = &frame {
+                    vec![ws.seq]
+                } else {
+                    vec![]
+                };
+                for seq in seqs {
+                    let _ = write_frame(&mut conn, &Frame::Ack { seq });
+                }
+            }
+        });
+
+        let mut cfg = AgentConfig::new(TierId::App, dial, 3);
+        cfg.schedule.reconnect_before = vec![10];
+        cfg.retry.max_attempts = 5;
+        cfg.retry.initial = Duration::from_millis(1);
+        cfg.retry.max = Duration::from_millis(2);
+        let mut source = Counting { next: 0, total: 20 };
+        let err = run_agent(
+            &cfg,
+            webcap_hpc::HpcModel::testbed(),
+            MetricLevel::Hpc,
+            &mut source,
+        )
+        .expect_err("a refused redial ends the agent");
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
+        let rejected = HandshakeRejected::from_io(&err).expect("typed rejection survives");
+        assert_eq!(rejected.tier, TierId::App);
+        assert_eq!(
+            rejected.reason,
+            "metric schema hash is not this collector's"
+        );
+        assert_eq!(
+            (rejected.ours, rejected.theirs),
+            (PROTO_VERSION, PROTO_VERSION)
+        );
+        assert_eq!(
+            accepted.load(Ordering::SeqCst),
+            2,
+            "the refusal ends the run: no redial after it"
+        );
+    }
+
+    #[test]
     fn a_terminal_reject_is_not_retried() {
         use crate::transport::Listener;
         use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
 
         let listener = Listener::bind(&Endpoint::parse("127.0.0.1:0").unwrap()).unwrap();
         let dial = listener.local_endpoint().unwrap();

@@ -155,6 +155,69 @@ fn faulted_planes_match_the_oracle_and_never_admit_from_suspect_state() {
     }
 }
 
+/// Reconnects every 10 frames on both tiers, at the stock batch of 32:
+/// each agent redials without waiting for the collector's `Ack{0}` and
+/// drains the ended session behind the live one. Per tier the
+/// collector then holds at most one waiting dial (nothing is shed as a
+/// dial backlog), takes the sessions in dial order (decisions and
+/// quarantine are the oracle's), and no pipelined handshake ack is
+/// counted as a sample's. The knob stream is straddled in every window,
+/// so a scripted stream beside it breaks mid-window only in its first
+/// four windows and on window boundaries after them, leaving survivors
+/// to compare decisions on.
+#[test]
+fn dense_reconnects_match_the_oracle_without_a_dial_backlog() {
+    let meter = trained_meter();
+    let window_len = meter.config().window_len as u64;
+    let every_ten = knobs((0, 10));
+    let long = steady_run(&meter, 1_200);
+    let short = steady_samples(&meter);
+    let boundaries = FaultSchedule {
+        drop_ranges: vec![],
+        reconnect_before: (1..TOTAL_SAMPLES as u64)
+            .filter(|seq| seq % 10 == 0 && (seq < &(4 * window_len) || seq % window_len == 0))
+            .collect(),
+    };
+    let runs = [
+        (&long, every_ten, FaultSchedule::NONE),
+        (&short, FaultKnobs::NONE, boundaries),
+    ];
+    for (samples, faults, scripted) in runs {
+        let total = samples.len() as u64;
+        let out = run_loopback_scheduled(
+            &meter,
+            samples,
+            &tcp(),
+            BASE_SEED,
+            faults,
+            &[scripted.clone(), scripted.clone()],
+        )
+        .expect("densely reconnecting deployment runs");
+        let script = faults.schedule(total, &scripted);
+        let survivors = plane_matches_the_oracle(&meter, samples, &out, &script);
+        assert!(
+            out.collector.sheds.is_empty(),
+            "no dial was shed: {:?}",
+            out.collector.sheds
+        );
+        let reconnects = script.reconnect_before.iter().filter(|&&seq| seq < total);
+        let reconnects = reconnects.collect::<BTreeSet<_>>().len() as u64;
+        for (tier, agent) in TierId::ALL.into_iter().zip(&out.agents) {
+            assert_eq!(agent.frames_sent, total, "{tier:?}");
+            assert_eq!(
+                agent.acks_received, agent.frames_sent,
+                "{tier:?}: one ack per sample, no handshake ack among them"
+            );
+            assert_eq!(agent.sessions, reconnects + 1, "{tier:?}");
+        }
+        if faults == FaultKnobs::NONE {
+            assert_eq!(survivors, (4..8).collect::<BTreeSet<i64>>());
+        } else {
+            assert!(survivors.is_empty(), "a break straddles every window");
+        }
+    }
+}
+
 /// Knobs *and* a scripted schedule in one deployment: the compile step
 /// counts attempts around the scripted outage, and a batch must stop at
 /// a scripted drop and at a compiled one alike. Held to the oracle over
