@@ -10,11 +10,10 @@ use webcap_capsearch::{
 };
 
 use webcap_core::meter::{CapacityMeter, EvaluationReport, MeterConfig};
-use webcap_core::monitor::{collect_run, MetricLevel};
+use webcap_core::monitor::MetricLevel;
 use webcap_core::oracle::{label_window, OracleConfig};
 use webcap_core::workloads;
 use webcap_core::{AdmissionConfig, AdmissionController};
-use webcap_hpc::HpcModel;
 use webcap_ml::Algorithm;
 use webcap_net::supervisor::INITIAL_CAP;
 use webcap_net::{
@@ -159,13 +158,13 @@ pub fn simulate(args: &Args) -> Result<(), CliError> {
         args.get_or("mix", "shopping")
     );
     let program = TrafficProgram::steady(mix, ebs, duration);
-    let log = collect_run(&cfg, &program, &HpcModel::testbed(), seed ^ 0xC11);
+    let samples = webcap_sim::run(cfg, program).samples;
     let oracle = OracleConfig::default();
     println!(
         "{:<8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>10}",
         "t(s)", "thr", "rt(s)", "app util", "db util", "disk", "state"
     );
-    for chunk in log.samples.chunks(30) {
+    for chunk in samples.chunks(30) {
         let label = label_window(chunk, &oracle);
         let n = chunk.len() as f64;
         let thr = chunk.iter().map(|s| s.completed).sum::<u64>() as f64 / n;

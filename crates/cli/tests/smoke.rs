@@ -1,13 +1,13 @@
 //! Cross-crate smoke test: train a small meter through the public API,
 //! round-trip it through JSON the way `webcap train`/`webcap evaluate`
-//! do, drive one online prediction through the incremental monitor, and
+//! do, replay one online window through the reloaded meter, and
 //! run the distributed telemetry plane end to end over a Unix socket the
 //! way `webcap agent` / `webcap collect` deploy it, and ask `webcap
 //! capsearch` one question through a scenario file and the library.
 
 use webcap_cli::args::Args;
 use webcap_cli::commands;
-use webcap_core::{CapacityMeter, MeterConfig, OnlineMonitor, Parallelism};
+use webcap_core::{CapacityMeter, MeterConfig, Parallelism};
 use webcap_net::loopback::{all_windows, replay_windows, run_loopback_scheduled};
 use webcap_net::supervisor::HealthState;
 use webcap_net::{Endpoint, FaultKnobs, FaultSchedule};
@@ -31,30 +31,31 @@ fn train_roundtrip_and_online_predict() {
         "round trip is lossless"
     );
 
-    // One full online window through the incremental monitor.
+    // One full online window, replayed through the reloaded meter; the
+    // five trailing seconds complete no window.
     let window_len = restored.config().window_len;
     let mut sim = restored.config().sim.clone();
     sim.seed = 999;
     let program = TrafficProgram::steady(Mix::ordering(), 60, (window_len + 5) as f64);
     let samples = Simulation::new(sim, program).run().samples;
-    let mut monitor = OnlineMonitor::new(restored, 12);
-    let mut decisions = 0usize;
-    for sample in samples {
-        if let Some(decision) = monitor.push_sample(sample) {
-            decisions += 1;
-            assert!(
-                decision.prediction.bottleneck.is_none() || decision.prediction.overloaded,
-                "bottleneck is only named when overloaded"
-            );
-        }
+    let decisions = replay_windows(
+        &restored,
+        &samples,
+        12,
+        &all_windows(samples.len(), window_len),
+    );
+    assert_eq!(decisions.len(), 1, "exactly one window completed");
+    for (_, decision) in &decisions {
+        assert!(
+            decision.prediction.bottleneck.is_none() || decision.prediction.overloaded,
+            "bottleneck is only named when overloaded"
+        );
     }
-    assert_eq!(decisions, 1, "exactly one window completed");
-    assert_eq!(monitor.decisions_made(), 1);
 }
 
 /// The agent ↔ collector round trip: two tier agents stream a recorded
 /// run over a Unix socket to a collector whose predictions must be
-/// byte-identical to what an in-process `OnlineMonitor` says about the
+/// byte-identical to what the in-process `replay_windows` says about the
 /// same samples.
 #[cfg(unix)]
 #[test]
@@ -92,7 +93,7 @@ fn distributed_loopback_matches_the_in_process_monitor() {
     assert_eq!(
         serde_json::to_string(&out.collector.decisions[0].1).expect("decision serializes"),
         serde_json::to_string(&baseline[0].1).expect("baseline serializes"),
-        "the collector's first prediction equals the in-process monitor's"
+        "the collector's first prediction equals the in-process replay's"
     );
     assert_eq!(
         serde_json::to_string(&out.collector.decisions).expect("decisions serialize"),
@@ -103,7 +104,7 @@ fn distributed_loopback_matches_the_in_process_monitor() {
 
 /// The same deployment driven through the CLI command functions:
 /// `webcap collect` and one `webcap agent` per tier over a Unix socket,
-/// whose predictions are byte-identical to the in-process monitor's.
+/// whose predictions are byte-identical to the in-process replay's.
 #[cfg(unix)]
 #[test]
 fn collect_and_agent_commands_match_the_in_process_monitor() {
@@ -168,7 +169,7 @@ fn collect_and_agent_commands_match_the_in_process_monitor() {
     assert_eq!(
         serde_json::to_string(&report.decisions).expect("decisions serialize"),
         serde_json::to_string(&baseline).expect("baseline serializes"),
-        "the CLI deployment's predictions match the in-process monitor"
+        "the CLI deployment's predictions match the in-process replay"
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -1,12 +1,12 @@
 //! The one window builder. Every [`WindowInstance`] is folded through
 //! these aggregates and finished by [`AppWindowDigest::instance`]: a
-//! training window ([`crate::monitor::RunLog::windows`]), an online one
-//! ([`crate::online::OnlineMonitor`]) and one scored from a collector's
-//! pair of tier digests (`webcap-net`'s `score_window`). The label, the
-//! majority mix, the feature grid, the span and the throughput therefore
-//! follow one rule on every path, and each caller names the metric
-//! families it keeps: every family for training and the online monitor,
-//! the meter's for a collector.
+//! training window ([`crate::monitor::RunLog::windows`]), one replayed
+//! in process (`webcap-net`'s `replay_windows`) and one scored from a
+//! collector's pair of tier digests (`webcap-net`'s `score_window`). The
+//! label, the majority mix, the feature grid, the span and the
+//! throughput therefore follow one rule on every path, and each caller
+//! names the metric families it keeps: every family it was fed for
+//! training and the replay, the meter's for a collector.
 //!
 //! A window's evidence has two halves, which a collector receives apart:
 //! each tier's agent supplies a [`TierAgg`] (the means of its metric rows
@@ -164,7 +164,7 @@ impl FrontEndAgg {
 
 /// A window's finished front-end half. A collector ships it inside the
 /// application tier's digest, so a merge node finishes the window from
-/// exactly what an in-process monitor would have held.
+/// exactly what an in-process [`WindowAgg`] would have held.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppWindowDigest {
     /// Window start time, seconds: first sample's `t_s` minus its
@@ -249,7 +249,7 @@ impl AppWindowDigest {
 /// Both halves of a window in progress, for a caller that sees whole
 /// samples with both tiers' metric rows.
 #[derive(Debug, Default)]
-pub(crate) struct WindowAgg {
+pub struct WindowAgg {
     front_end: FrontEndAgg,
     tiers: [TierAgg; 2],
 }
@@ -257,7 +257,11 @@ pub(crate) struct WindowAgg {
 impl WindowAgg {
     /// Fold one second in; `hpc[tier]` and `os[tier]` are the tier's
     /// metric rows (see [`TierAgg::observe`]).
-    pub(crate) fn observe<H, O>(&mut self, sample: &SystemSample, hpc: [H; 2], os: [O; 2])
+    ///
+    /// # Panics
+    ///
+    /// Panics if a family's row width changes within the window.
+    pub fn observe<H, O>(&mut self, sample: &SystemSample, hpc: [H; 2], os: [O; 2])
     where
         H: AsRef<[f64]> + Into<Vec<f64>>,
         O: AsRef<[f64]> + Into<Vec<f64>>,
@@ -271,13 +275,13 @@ impl WindowAgg {
     }
 
     /// Seconds folded in so far.
-    pub(crate) fn samples(&self) -> usize {
+    pub fn samples(&self) -> usize {
         self.front_end.samples
     }
 
     /// Finish the window ([`AppWindowDigest::instance`]) with every
-    /// family it was fed.
-    pub(crate) fn finish(self, oracle: &OracleConfig) -> Option<WindowInstance> {
+    /// family it was fed; `None` when no second was.
+    pub fn finish(self, oracle: &OracleConfig) -> Option<WindowInstance> {
         self.front_end.finish().instance(
             self.tiers.map(TierAgg::finish),
             MetricLevel::Combined,

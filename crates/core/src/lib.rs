@@ -10,7 +10,7 @@
 //! * [`oracle`] — application-level ground-truth labeling of intervals.
 //! * [`monitor`] — the measurement pipeline: per-second HPC/OS collection
 //!   aggregated into labeled 30-second instances, every one built by the
-//!   one window builder ([`TierAgg`], [`FrontEndAgg`],
+//!   one window builder ([`WindowAgg`], [`TierAgg`], [`FrontEndAgg`],
 //!   [`AppWindowDigest::instance`]).
 //! * [`synopsis`] — per-(tier, workload) performance synopses with
 //!   information-gain attribute selection.
@@ -19,8 +19,8 @@
 //! * [`meter`] — [`CapacityMeter`]: offline training and online
 //!   prediction end to end (serializable for train-offline /
 //!   deploy-online).
-//! * [`online`] — [`OnlineMonitor`]: the incremental per-second decision
-//!   loop a front-end controller embeds.
+//! * [`online`] — [`OnlineDecision`]: what the online phase emits per
+//!   completed window.
 //! * [`workloads`] — calibrated training/testing traffic programs.
 //! * [`admission`] — a measurement-based admission controller built on
 //!   the meter (the paper's motivating application).
@@ -69,11 +69,11 @@ pub mod synopsis;
 pub mod workloads;
 
 pub use admission::{AdmissionConfig, AdmissionConfigError, AdmissionController};
-pub use agg::{AppWindowDigest, FrontEndAgg, TierAgg, TierWindow};
+pub use agg::{AppWindowDigest, FrontEndAgg, TierAgg, TierWindow, WindowAgg};
 pub use coordinator::{CoordinatedPrediction, CoordinatedPredictor, CoordinatorConfig, TieScheme};
 pub use meter::{CapacityMeter, EvaluationReport, MeterConfig};
 pub use monitor::{collect_run, collect_run_for, MetricLevel, RunLog, WindowInstance};
-pub use online::{OnlineDecision, OnlineMonitor};
+pub use online::OnlineDecision;
 pub use oracle::{
     label_from_aggs, label_window, OracleConfig, TierStressAgg, WindowHealthAgg, WindowLabel,
 };

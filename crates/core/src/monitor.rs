@@ -385,4 +385,37 @@ mod tests {
         let w = log.windows(30, 30, &OracleConfig::default());
         assert!(w.iter().all(|w| w.mix == MixId::Ordering));
     }
+
+    #[test]
+    fn a_window_agg_fed_second_by_second_is_the_training_window() {
+        // The mix switches 20 s into the 30 s window: the majority mix is
+        // the pre-switch one while the last sample carries the
+        // post-switch one.
+        let cfg = SimConfig::testbed(11);
+        let program = TrafficProgram::steady(Mix::ordering(), 60, 20.0).then_steady(
+            Mix::browsing(),
+            60,
+            10.0,
+        );
+        let log = collect_run(&cfg, &program, &HpcModel::testbed(), 5);
+        let oracle = OracleConfig::default();
+        let batch = log.windows(30, 30, &oracle);
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].mix, MixId::Ordering, "majority, not last sample");
+
+        let mut agg = WindowAgg::default();
+        for (k, sample) in log.samples.iter().enumerate() {
+            let hpc = log.hpc.each_ref().map(|rows| rows[k].to_features());
+            let os = log.os.each_ref().map(|rows| rows[k].values().to_vec());
+            agg.observe(sample, hpc, os);
+        }
+        assert_eq!(agg.samples(), 30);
+        let online = agg.finish(&oracle).expect("a second was observed");
+        // The whole instance: label, span, throughput and all six
+        // feature vectors, bit for bit.
+        assert_eq!(
+            serde_json::to_string(&online).unwrap(),
+            serde_json::to_string(&batch[0]).unwrap(),
+        );
+    }
 }

@@ -55,8 +55,8 @@ pub fn dataset_from_instances(
 
 /// A trained performance synopsis.
 ///
-/// Serializable: a synopsis trained offline can be persisted and loaded by
-/// an online monitor.
+/// Serializable: a synopsis trained offline can be persisted and loaded
+/// for online use.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerformanceSynopsis {
     spec: SynopsisSpec,
@@ -82,10 +82,9 @@ impl PerformanceSynopsis {
         selection: &SelectionOptions,
     ) -> Result<PerformanceSynopsis, FitError> {
         let data = dataset_from_instances(instances, spec.tier, spec.level);
-        let learner = spec.algorithm.learner();
-        let report = forward_select(learner.as_ref(), &data, selection)?;
+        let report = forward_select(&spec.algorithm, &data, selection)?;
         let projected = data.project(&report.selected);
-        let model = spec.algorithm.fit_trained(&projected)?;
+        let model = spec.algorithm.fit(&projected)?;
         Ok(PerformanceSynopsis {
             spec,
             selected_names: report.selected_names(&data),

@@ -9,7 +9,7 @@
 //! the union of the shards' poisoned sets equals the unsharded
 //! collector's poisoned set for the same per-tier frame sequences, and
 //! the digests carry the halves of `webcap-core`'s one window aggregate,
-//! which the in-process monitor folds too.
+//! which the in-process replay folds too.
 //!
 //! The [`FleetCollector`] groups a collector's digesters behind one
 //! PR 4 [`Supervisor`]: reconnects, emitted windows, and poisoned

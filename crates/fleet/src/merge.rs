@@ -46,7 +46,7 @@ pub struct MergeNode {
 
 impl MergeNode {
     /// A merge node scoring with `meter` (its model state is consumed
-    /// by the decision stream, exactly like the in-process monitor).
+    /// by the decision stream, exactly like the in-process replay's).
     pub fn new(meter: CapacityMeter) -> MergeNode {
         MergeNode {
             meter,

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::data::Dataset;
 use crate::metrics::ConfusionMatrix;
-use crate::{FitError, Learner};
+use crate::{FitError, Learner, Model};
 
 /// Result of a cross-validation run.
 #[derive(Debug, Clone)]
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn ten_fold_on_separable_data_is_accurate() {
         let data = separable(200);
-        let out = cross_validate(Algorithm::NaiveBayes.learner().as_ref(), &data, 10, 1).unwrap();
+        let out = cross_validate(&Algorithm::NaiveBayes, &data, 10, 1).unwrap();
         assert_eq!(out.folds_run, 10);
         assert_eq!(out.folds_skipped, 0);
         assert!(
@@ -152,29 +152,29 @@ mod tests {
         for i in 0..100 {
             data.push(vec![i as f64], i >= 90);
         }
-        let out = cross_validate(Algorithm::NaiveBayes.learner().as_ref(), &data, 5, 2).unwrap();
+        let out = cross_validate(&Algorithm::NaiveBayes, &data, 5, 2).unwrap();
         assert_eq!(out.folds_run, 5);
     }
 
     #[test]
     fn k_clamps_to_dataset_size() {
         let data = separable(4);
-        let out = cross_validate(Algorithm::NaiveBayes.learner().as_ref(), &data, 10, 3).unwrap();
+        let out = cross_validate(&Algorithm::NaiveBayes, &data, 10, 3).unwrap();
         assert!(out.folds_run + out.folds_skipped <= 4);
     }
 
     #[test]
     fn empty_dataset_errors() {
         let data = Dataset::new(vec!["x".into()]);
-        let res = cross_validate(Algorithm::NaiveBayes.learner().as_ref(), &data, 5, 4);
+        let res = cross_validate(&Algorithm::NaiveBayes, &data, 5, 4);
         assert_eq!(res.err(), Some(FitError::EmptyDataset));
     }
 
     #[test]
     fn deterministic_given_seed() {
         let data = separable(100);
-        let a = cross_validate(Algorithm::Tan.learner().as_ref(), &data, 10, 9).unwrap();
-        let b = cross_validate(Algorithm::Tan.learner().as_ref(), &data, 10, 9).unwrap();
+        let a = cross_validate(&Algorithm::Tan, &data, 10, 9).unwrap();
+        let b = cross_validate(&Algorithm::Tan, &data, 10, 9).unwrap();
         assert_eq!(a.confusion, b.confusion);
     }
 
@@ -182,7 +182,7 @@ mod tests {
     #[should_panic(expected = "at least 2 folds")]
     fn one_fold_rejected() {
         let data = separable(10);
-        let _ = cross_validate(Algorithm::NaiveBayes.learner().as_ref(), &data, 1, 0);
+        let _ = cross_validate(&Algorithm::NaiveBayes, &data, 1, 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use webcap_ml::{Algorithm, Dataset, Learner};
+//! use webcap_ml::{Algorithm, Dataset, Model};
 //!
 //! # fn main() -> Result<(), webcap_ml::FitError> {
 //! // A linearly separable toy problem: x0 > 1.0 means overload.
@@ -133,9 +133,11 @@ pub trait Model: Send + Sync + fmt::Debug {
     fn dimension(&self) -> usize;
 }
 
-/// A learning algorithm: fits a [`Model`] from a [`Dataset`].
+/// A learning algorithm: fits a [`TrainedModel`] from a [`Dataset`].
 ///
 /// Learners are stateless hyper-parameter bundles, hence `Send + Sync`.
+/// [`Algorithm`] is the one learner of the library; the trait is the seam
+/// [`forward_select`] and [`cross_validate`] fit through.
 pub trait Learner: Send + Sync {
     /// Fit a model to the dataset.
     ///
@@ -143,10 +145,7 @@ pub trait Learner: Send + Sync {
     ///
     /// Returns [`FitError`] if the dataset is empty, single-class, or
     /// numerically degenerate.
-    fn fit(&self, data: &Dataset) -> Result<Box<dyn Model>, FitError>;
-
-    /// Human-readable name of the algorithm (for report rows).
-    fn name(&self) -> &'static str;
+    fn fit(&self, data: &Dataset) -> Result<TrainedModel, FitError>;
 }
 
 /// The four learners evaluated in the paper, with their default
@@ -180,14 +179,9 @@ impl Algorithm {
         Algorithm::Tan,
     ];
 
-    /// Instantiate the learner with its default hyper-parameters.
+    /// The algorithm as a [`Learner`] handle.
     pub fn learner(&self) -> Box<dyn Learner> {
-        match self {
-            Algorithm::LinearRegression => Box::new(RidgeRegression::default()),
-            Algorithm::NaiveBayes => Box::new(GaussianNaiveBayes),
-            Algorithm::Tan => Box::new(TreeAugmentedNaiveBayes::default()),
-            Algorithm::Svm => Box::new(SmoSvm::default()),
-        }
+        Box::new(*self)
     }
 
     /// Fit a model with default hyper-parameters.
@@ -195,17 +189,7 @@ impl Algorithm {
     /// # Errors
     ///
     /// Propagates the learner's [`FitError`].
-    pub fn fit(&self, data: &Dataset) -> Result<Box<dyn Model>, FitError> {
-        self.learner().fit(data)
-    }
-
-    /// Fit a model with default hyper-parameters and return it as a
-    /// concrete, serializable [`TrainedModel`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the learner's [`FitError`].
-    pub fn fit_trained(&self, data: &Dataset) -> Result<TrainedModel, FitError> {
+    pub fn fit(&self, data: &Dataset) -> Result<TrainedModel, FitError> {
         Ok(match self {
             Algorithm::LinearRegression => {
                 TrainedModel::Linear(RidgeRegression::default().fit_model(data)?)
@@ -229,16 +213,21 @@ impl Algorithm {
     }
 }
 
+impl Learner for Algorithm {
+    fn fit(&self, data: &Dataset) -> Result<TrainedModel, FitError> {
+        Algorithm::fit(self, data)
+    }
+}
+
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.paper_name())
     }
 }
 
-/// A fitted model as a concrete, serializable value — the persistence
-/// counterpart of the `Box<dyn Model>` the [`Learner`] trait returns.
-/// Train once, serialize with serde, and deploy the deserialized model
-/// online.
+/// A fitted model as a concrete, serializable value: what every
+/// [`Learner`] returns. Train once, serialize with serde, and deploy the
+/// deserialized model online.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum TrainedModel {
     /// Ridge linear regression.
@@ -339,15 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn trained_model_matches_dyn_model() {
+    fn a_trained_model_names_its_algorithm() {
         let data = toy_dataset();
         for alg in Algorithm::PAPER_ORDER {
-            let dynamic = alg.fit(&data).unwrap();
-            let typed = alg.fit_trained(&data).unwrap();
-            assert_eq!(typed.algorithm(), alg);
-            for probe in [[4.5, 0.5], [0.5, 4.5], [2.5, 2.5]] {
-                assert_eq!(dynamic.predict(&probe), typed.predict(&probe), "{alg}");
-            }
+            assert_eq!(alg.fit(&data).unwrap().algorithm(), alg);
         }
     }
 

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::{Dataset, Scaler};
 use crate::linalg::{dot, Matrix};
-use crate::{FitError, Learner, Model};
+use crate::{FitError, Model};
 
 /// Ridge-regularized least-squares learner.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,7 @@ impl RidgeRegression {
     ///
     /// # Errors
     ///
-    /// Same as [`Learner::fit`].
+    /// Same as [`crate::Learner::fit`].
     pub fn fit_model(&self, data: &Dataset) -> Result<LinearModel, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
@@ -111,16 +111,6 @@ impl RidgeRegression {
     }
 }
 
-impl Learner for RidgeRegression {
-    fn fit(&self, data: &Dataset) -> Result<Box<dyn Model>, FitError> {
-        Ok(Box::new(self.fit_model(data)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "LR"
-    }
-}
-
 /// A fitted linear-regression classifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinearModel {
@@ -153,7 +143,7 @@ mod tests {
             let x = f64::from(i) * 0.1;
             data.push(vec![x], x > 5.0);
         }
-        let model = RidgeRegression::default().fit(&data).unwrap();
+        let model = RidgeRegression::default().fit_model(&data).unwrap();
         assert!(model.predict(&[9.0]));
         assert!(!model.predict(&[1.0]));
         // Decision midpoint should be near the boundary.
@@ -167,7 +157,7 @@ mod tests {
             let a = f64::from(i);
             data.push(vec![a, 2.0 * a], a > 25.0); // b = 2a exactly
         }
-        let model = RidgeRegression::default().fit(&data).unwrap();
+        let model = RidgeRegression::default().fit_model(&data).unwrap();
         assert!(model.predict(&[40.0, 80.0]));
         assert!(!model.predict(&[5.0, 10.0]));
     }
@@ -178,7 +168,7 @@ mod tests {
         for i in 0..40 {
             data.push(vec![f64::from(i), 7.0], i >= 20);
         }
-        let model = RidgeRegression::default().fit(&data).unwrap();
+        let model = RidgeRegression::default().fit_model(&data).unwrap();
         assert!(model.predict(&[35.0, 7.0]));
         assert!(!model.predict(&[2.0, 7.0]));
     }
@@ -189,7 +179,7 @@ mod tests {
         for i in 0..60 {
             data.push(vec![f64::from(i)], i > 30);
         }
-        let model = RidgeRegression::default().fit(&data).unwrap();
+        let model = RidgeRegression::default().fit_model(&data).unwrap();
         assert!(model.decision(&[50.0]) > model.decision(&[10.0]));
     }
 
@@ -200,7 +190,7 @@ mod tests {
         for i in 0..10 {
             data.push(vec![f64::from(i)], i >= 5);
         }
-        let model = RidgeRegression::default().fit(&data).unwrap();
+        let model = RidgeRegression::default().fit_model(&data).unwrap();
         let _ = model.predict(&[1.0, 2.0]);
     }
 

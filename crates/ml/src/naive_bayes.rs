@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
-use crate::{FitError, Learner, Model};
+use crate::{FitError, Model};
 
 /// Gaussian naive Bayes learner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,7 +22,7 @@ impl GaussianNaiveBayes {
     ///
     /// # Errors
     ///
-    /// Same as [`Learner::fit`].
+    /// Same as [`crate::Learner::fit`].
     pub fn fit_model(&self, data: &Dataset) -> Result<NaiveBayesModel, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
@@ -54,16 +54,6 @@ impl GaussianNaiveBayes {
             log_priors: [priors[0].ln(), priors[1].ln()],
             params,
         })
-    }
-}
-
-impl Learner for GaussianNaiveBayes {
-    fn fit(&self, data: &Dataset) -> Result<Box<dyn Model>, FitError> {
-        Ok(Box::new(self.fit_model(data)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "Naive"
     }
 }
 
@@ -169,7 +159,7 @@ mod tests {
     #[test]
     fn separates_gaussian_blobs() {
         let data = two_blob_dataset(1);
-        let model = GaussianNaiveBayes.fit(&data).unwrap();
+        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
         assert!(model.predict(&[4.0, 4.0]));
         assert!(!model.predict(&[0.0, 0.0]));
     }
@@ -177,7 +167,7 @@ mod tests {
     #[test]
     fn decision_sign_flips_across_midpoint() {
         let data = two_blob_dataset(2);
-        let model = GaussianNaiveBayes.fit(&data).unwrap();
+        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
         assert!(model.decision(&[-1.0, -1.0]) < 0.0);
         assert!(model.decision(&[5.0, 5.0]) > 0.0);
     }
@@ -193,7 +183,7 @@ mod tests {
         for _ in 0..20 {
             data.push(vec![gaussian(&mut rng, 1.0, 2.0)], true);
         }
-        let model = GaussianNaiveBayes.fit(&data).unwrap();
+        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
         assert!(!model.predict(&[0.5]));
     }
 
@@ -203,7 +193,7 @@ mod tests {
         for i in 0..40 {
             data.push(vec![f64::from(i), 3.0], i >= 20);
         }
-        let model = GaussianNaiveBayes.fit(&data).unwrap();
+        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
         assert!(model.predict(&[35.0, 3.0]));
         assert!(!model.predict(&[1.0, 3.0]));
     }
@@ -211,7 +201,7 @@ mod tests {
     #[test]
     fn extreme_inputs_stay_finite() {
         let data = two_blob_dataset(4);
-        let model = GaussianNaiveBayes.fit(&data).unwrap();
+        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
         assert!(model.decision(&[1e9, -1e9]).is_finite());
     }
 

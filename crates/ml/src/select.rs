@@ -160,12 +160,8 @@ mod tests {
     #[test]
     fn picks_the_decisive_attribute_first() {
         let data = informative_plus_noise(1, 300);
-        let report = forward_select(
-            Algorithm::NaiveBayes.learner().as_ref(),
-            &data,
-            &SelectionOptions::default(),
-        )
-        .unwrap();
+        let report =
+            forward_select(&Algorithm::NaiveBayes, &data, &SelectionOptions::default()).unwrap();
         assert_eq!(
             report.selected[0], 0,
             "decisive attribute should rank first"
@@ -176,12 +172,8 @@ mod tests {
     #[test]
     fn noise_attributes_are_rejected() {
         let data = informative_plus_noise(2, 300);
-        let report = forward_select(
-            Algorithm::NaiveBayes.learner().as_ref(),
-            &data,
-            &SelectionOptions::default(),
-        )
-        .unwrap();
+        let report =
+            forward_select(&Algorithm::NaiveBayes, &data, &SelectionOptions::default()).unwrap();
         // Pure-noise columns (2, 3, 4) should rarely survive; allow at most
         // one slipping in by chance.
         let noise_kept = report.selected.iter().filter(|&&i| i >= 2).count();
@@ -191,12 +183,8 @@ mod tests {
     #[test]
     fn gains_are_index_aligned_and_ranked() {
         let data = informative_plus_noise(3, 300);
-        let report = forward_select(
-            Algorithm::NaiveBayes.learner().as_ref(),
-            &data,
-            &SelectionOptions::default(),
-        )
-        .unwrap();
+        let report =
+            forward_select(&Algorithm::NaiveBayes, &data, &SelectionOptions::default()).unwrap();
         assert_eq!(report.gains.len(), 5);
         assert!(
             report.gains[0] > report.gains[2],
@@ -208,7 +196,7 @@ mod tests {
     fn never_returns_empty_selection() {
         let data = informative_plus_noise(4, 100);
         let report = forward_select(
-            Algorithm::LinearRegression.learner().as_ref(),
+            &Algorithm::LinearRegression,
             &data,
             &SelectionOptions::default(),
         )
@@ -223,8 +211,7 @@ mod tests {
             max_attributes: 2,
             ..SelectionOptions::default()
         };
-        let report =
-            forward_select(Algorithm::NaiveBayes.learner().as_ref(), &data, &opts).unwrap();
+        let report = forward_select(&Algorithm::NaiveBayes, &data, &opts).unwrap();
         assert!(report.selected.len() <= 2);
         // A cap of one stops the scan right after the always-kept
         // first-ranked attribute.
@@ -232,7 +219,7 @@ mod tests {
             max_attributes: 1,
             ..SelectionOptions::default()
         };
-        let report = forward_select(Algorithm::NaiveBayes.learner().as_ref(), &data, &one).unwrap();
+        let report = forward_select(&Algorithm::NaiveBayes, &data, &one).unwrap();
         assert_eq!(report.selected, vec![0]);
     }
 
@@ -241,12 +228,8 @@ mod tests {
     struct Unfittable;
 
     impl Learner for Unfittable {
-        fn fit(&self, _: &Dataset) -> Result<Box<dyn crate::Model>, FitError> {
+        fn fit(&self, _: &Dataset) -> Result<crate::TrainedModel, FitError> {
             Err(FitError::Numeric("unfittable".into()))
-        }
-
-        fn name(&self) -> &'static str {
-            "unfittable"
         }
     }
 
@@ -260,12 +243,8 @@ mod tests {
     #[test]
     fn selected_names_resolve() {
         let data = informative_plus_noise(6, 150);
-        let report = forward_select(
-            Algorithm::NaiveBayes.learner().as_ref(),
-            &data,
-            &SelectionOptions::default(),
-        )
-        .unwrap();
+        let report =
+            forward_select(&Algorithm::NaiveBayes, &data, &SelectionOptions::default()).unwrap();
         let names = report.selected_names(&data);
         assert_eq!(names.len(), report.selected.len());
         assert!(names.contains(&"f0".to_string()));
@@ -277,11 +256,7 @@ mod tests {
         for i in 0..20 {
             data.push(vec![f64::from(i)], true);
         }
-        let res = forward_select(
-            Algorithm::NaiveBayes.learner().as_ref(),
-            &data,
-            &SelectionOptions::default(),
-        );
+        let res = forward_select(&Algorithm::NaiveBayes, &data, &SelectionOptions::default());
         assert_eq!(res.err(), Some(FitError::SingleClass(true)));
     }
 }

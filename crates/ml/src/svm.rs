@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::{Dataset, Scaler};
 use crate::linalg::{dot, squared_distance, Matrix};
-use crate::{FitError, Learner, Model};
+use crate::{FitError, Model};
 
 /// Kernel functions supported by [`SmoSvm`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -127,7 +127,7 @@ impl SmoSvm {
     ///
     /// # Errors
     ///
-    /// Same as [`Learner::fit`].
+    /// Same as [`crate::Learner::fit`].
     pub fn fit_model(&self, data: &Dataset) -> Result<SvmModel, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
@@ -261,16 +261,6 @@ impl SmoSvm {
     }
 }
 
-impl Learner for SmoSvm {
-    fn fit(&self, data: &Dataset) -> Result<Box<dyn Model>, FitError> {
-        Ok(Box::new(self.fit_model(data)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "SVM"
-    }
-}
-
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SupportVector {
     x: Vec<f64>,
@@ -325,7 +315,7 @@ mod tests {
     #[test]
     fn linear_kernel_separates_linear_data() {
         let data = linear_dataset(5, 150);
-        let model = SmoSvm::new(1.0, Kernel::Linear).fit(&data).unwrap();
+        let model = SmoSvm::new(1.0, Kernel::Linear).fit_model(&data).unwrap();
         assert!(model.predict(&[9.0, 9.0]));
         assert!(!model.predict(&[1.0, 1.0]));
     }
@@ -346,7 +336,7 @@ mod tests {
             data.push(vec![r * angle.cos(), r * angle.sin()], !inner);
         }
         let model = SmoSvm::new(1.0, Kernel::Rbf { gamma: Some(1.0) })
-            .fit(&data)
+            .fit_model(&data)
             .unwrap();
         assert!(model.predict(&[2.5, 0.0]));
         assert!(model.predict(&[0.0, -2.5]));
@@ -358,11 +348,11 @@ mod tests {
         let data = linear_dataset(7, 80);
         let m1 = SmoSvm::new(1.0, Kernel::Linear)
             .with_seed(9)
-            .fit(&data)
+            .fit_model(&data)
             .unwrap();
         let m2 = SmoSvm::new(1.0, Kernel::Linear)
             .with_seed(9)
-            .fit(&data)
+            .fit_model(&data)
             .unwrap();
         for probe in [[0.0, 0.0], [5.0, 5.1], [10.0, 10.0]] {
             assert_eq!(m1.decision(&probe), m2.decision(&probe));
@@ -372,7 +362,7 @@ mod tests {
     #[test]
     fn decision_sign_matches_predict() {
         let data = linear_dataset(8, 100);
-        let model = SmoSvm::default().fit(&data).unwrap();
+        let model = SmoSvm::default().fit_model(&data).unwrap();
         for probe in [[1.0, 2.0], [8.0, 9.0], [5.0, 5.0]] {
             assert_eq!(model.predict(&probe), model.decision(&probe) > 0.0);
         }
@@ -388,7 +378,7 @@ mod tests {
             noisy.push(inst.features.clone(), label);
         }
         data = noisy;
-        let model = SmoSvm::default().fit(&data).unwrap();
+        let model = SmoSvm::default().fit_model(&data).unwrap();
         assert!(model.predict(&[9.5, 9.5]));
         assert!(!model.predict(&[0.5, 0.5]));
     }

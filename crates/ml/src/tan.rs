@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::data::Dataset;
 use crate::discretize::{fit_cached, EqualFrequencyDiscretizer};
 use crate::info::conditional_mutual_information;
-use crate::{FitError, Learner, Model};
+use crate::{FitError, Model};
 
 /// TAN learner over equal-frequency-discretized attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl TreeAugmentedNaiveBayes {
     ///
     /// # Errors
     ///
-    /// Same as [`Learner::fit`].
+    /// Same as [`crate::Learner::fit`].
     pub fn fit_model(&self, data: &Dataset) -> Result<TanModel, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
@@ -117,16 +117,6 @@ impl TreeAugmentedNaiveBayes {
             log_prior,
             tables,
         })
-    }
-}
-
-impl Learner for TreeAugmentedNaiveBayes {
-    fn fit(&self, data: &Dataset) -> Result<Box<dyn Model>, FitError> {
-        Ok(Box::new(self.fit_model(data)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "TAN"
     }
 }
 
@@ -229,7 +219,7 @@ mod tests {
             let x = f64::from(i);
             data.push(vec![x], x >= 50.0);
         }
-        let model = TreeAugmentedNaiveBayes::default().fit(&data).unwrap();
+        let model = TreeAugmentedNaiveBayes::default().fit_model(&data).unwrap();
         assert!(model.predict(&[90.0]));
         assert!(!model.predict(&[5.0]));
     }
@@ -246,7 +236,7 @@ mod tests {
             let b: f64 = rng.random();
             data.push(vec![a, b], (a > 0.5) != (b > 0.5));
         }
-        let model = TreeAugmentedNaiveBayes::new(2).fit(&data).unwrap();
+        let model = TreeAugmentedNaiveBayes::new(2).fit_model(&data).unwrap();
         let mut correct = 0;
         let cases = [
             (0.2, 0.2, false),
@@ -284,7 +274,7 @@ mod tests {
         for i in 0..60 {
             data.push(vec![f64::from(i % 30)], i % 30 >= 15);
         }
-        let model = TreeAugmentedNaiveBayes::default().fit(&data).unwrap();
+        let model = TreeAugmentedNaiveBayes::default().fit_model(&data).unwrap();
         assert!(model.predict(&[29.0]));
         assert!(!model.predict(&[1.0]));
     }
@@ -295,7 +285,7 @@ mod tests {
         for i in 0..50 {
             data.push(vec![f64::from(i)], i >= 25);
         }
-        let model = TreeAugmentedNaiveBayes::default().fit(&data).unwrap();
+        let model = TreeAugmentedNaiveBayes::default().fit_model(&data).unwrap();
         assert!(model.predict(&[1e9]));
         assert!(!model.predict(&[-1e9]));
         assert!(model.decision(&[f64::NAN]).is_finite());

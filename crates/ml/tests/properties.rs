@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use webcap_ml::cv::cross_validate;
 use webcap_ml::data::{Dataset, Scaler};
 use webcap_ml::linalg::Matrix;
-use webcap_ml::Algorithm;
+use webcap_ml::{Algorithm, Model};
 
 const CASES: u64 = 256;
 

@@ -1,7 +1,7 @@
 //! Distributed telemetry plane for the webcap online capacity meter.
 //!
-//! The in-process pipeline (`webcap-core`'s `OnlineMonitor`) assumes it
-//! observes every per-second sample of every tier. This crate relaxes
+//! Training (`webcap-core`'s `collect_run`) assumes it observes every
+//! per-second sample of every tier. This crate relaxes
 //! that to a deployment shape the paper actually describes: one
 //! lightweight **agent** beside each tier samples its hardware and OS
 //! counters, frames them, and streams them to a front-end **collector**

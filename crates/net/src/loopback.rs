@@ -10,11 +10,11 @@
 //!
 //! Two pure companions make a deployment's output *checkable*:
 //!
-//! * [`replay_windows`] — an in-process [`OnlineMonitor`] fed exactly
-//!   the chosen windows with the same externally-synthesized metric
-//!   rows the agents produce, for the families the meter reads. The
-//!   collector's decisions must be byte-identical (JSON) to this replay
-//!   on the windows it emits.
+//! * [`replay_windows`] — the chosen windows folded in process through
+//!   `webcap-core`'s window builder ([`WindowAgg`]) from the same metric
+//!   rows the agents synthesize, for the families the meter reads, and
+//!   predicted in order. The collector's decisions must be
+//!   byte-identical (JSON) to this replay on the windows it emits.
 //! * [`predicted_windows_for_schedule`] — the one oracle: it replays a
 //!   fault script and the collector's documented poisoning rules to
 //!   predict exactly which windows survive. It shares no code with the
@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use std::io;
 use std::num::NonZeroU64;
 
-use webcap_core::{CapacityMeter, OnlineDecision, OnlineMonitor};
+use webcap_core::{CapacityMeter, OnlineDecision, WindowAgg};
 use webcap_sim::{SystemSample, TierId};
 
 use crate::agent::{run_agent, AgentConfig, AgentReport, FaultSchedule};
@@ -167,12 +167,14 @@ pub fn run_supervised_loopback(
     })
 }
 
-/// Feed `samples` through an in-process monitor exactly the way a
-/// collector feeds surviving windows: agent-style external synthesis of
-/// the metric families the meter's level reads, but only the listed
-/// windows pushed, with a [`OnlineMonitor::reset`] before every
-/// non-consecutive window. Each decision's window carries features for
-/// those families alone (the combined vector only at
+/// Decide `samples` in process exactly the way a collector decides
+/// surviving windows: agent-style synthesis of the metric families the
+/// meter's level reads, only the listed windows folded (one
+/// [`WindowAgg`] each) and predicted in order, and the meter's history
+/// reset ([`CapacityMeter::reset_history`]) before every window that
+/// does not follow the last decided one. This rule is the replay's own,
+/// not shared with the collector's. Each decision's window carries
+/// features for those families alone (the combined vector only at
 /// [`MetricLevel::Combined`](webcap_core::MetricLevel::Combined)). OS
 /// rows are synthesized for **every** sample in order (the OS
 /// synthesizer carries state across drops); without them no sampler
@@ -190,7 +192,8 @@ pub fn replay_windows(
         TierSampler::for_level(TierId::App, hpc_model.clone(), base_seed, level),
         TierSampler::for_level(TierId::Db, hpc_model, base_seed, level),
     ];
-    let mut monitor = OnlineMonitor::new(meter.clone(), 0);
+    let mut meter = meter.clone();
+    let mut agg = WindowAgg::default();
     let mut prev_fed: Option<i64> = None;
     let mut out = Vec::new();
     for (i, s) in samples.iter().enumerate() {
@@ -212,12 +215,24 @@ pub fn replay_windows(
             continue;
         }
         if i % window_len == 0 && prev_fed != Some(window - 1) {
-            monitor.reset();
+            meter.reset_history();
         }
-        if let Some(d) = monitor.push_collected(s.clone(), hpc, os) {
-            out.push((window, d));
-            prev_fed = Some(window);
+        agg.observe(s, hpc, os);
+        if agg.samples() < window_len {
+            continue;
         }
+        let Some(instance) = std::mem::take(&mut agg).finish(&meter.config().oracle) else {
+            continue;
+        };
+        let prediction = meter.predict(&instance);
+        out.push((
+            window,
+            OnlineDecision {
+                prediction,
+                window: instance,
+            },
+        ));
+        prev_fed = Some(window);
     }
     out
 }
@@ -439,5 +454,28 @@ mod tests {
         let (survivors, poisoned) = predicted_surviving_windows(60, &faults, 30, 1);
         assert_eq!(survivors, [0].into_iter().collect::<BTreeSet<i64>>());
         assert_eq!(poisoned, [1].into_iter().collect::<BTreeSet<i64>>());
+    }
+
+    #[test]
+    fn replay_decides_within_the_papers_budget() {
+        // The paper's online loop spends no more than 50 ms per decision;
+        // here the whole loop is timed (per-second synthesis, window
+        // folding and prediction), not one model's `predict`.
+        let meter = CapacityMeter::train(&webcap_core::MeterConfig::small_for_tests(31))
+            .expect("training succeeds");
+        let window_len = meter.config().window_len;
+        let mut sim = meter.config().sim.clone();
+        sim.seed = 402;
+        let program = webcap_tpcw::TrafficProgram::steady(webcap_tpcw::Mix::ordering(), 120, 150.0);
+        let samples = webcap_sim::run(sim, program).samples;
+        let t0 = std::time::Instant::now();
+        let decisions =
+            replay_windows(&meter, &samples, 9, &all_windows(samples.len(), window_len));
+        let per_decision_ms = t0.elapsed().as_secs_f64() * 1000.0 / decisions.len() as f64;
+        assert_eq!(decisions.len(), 5);
+        assert!(
+            per_decision_ms < 50.0,
+            "per-decision cost {per_decision_ms} ms"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! # Replayable synthesis
 //!
 //! [`TierSampler`] deliberately does **not** draw from one long-lived
-//! RNG stream. The in-process [`webcap_core::OnlineMonitor`] can do that
+//! RNG stream. Training's [`webcap_core::collect_run`] can do that
 //! because it observes every sample; a distributed agent's frames can be
 //! dropped, and any baseline that wants to check the collector's output
 //! must be able to regenerate the exact metric rows of the *surviving*

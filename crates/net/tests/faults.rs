@@ -2,8 +2,8 @@
 //!
 //! The contract under test: with every Nth frame dropped and reconnects
 //! forced mid-run, the collector never emits a prediction from a gapped
-//! window, the predictions it does emit are byte-identical (JSON) to an
-//! in-process `OnlineMonitor` fed the same surviving windows, and a
+//! window, the predictions it does emit are byte-identical (JSON) to
+//! `replay_windows` over the same surviving windows, and a
 //! prediction moves the admission cap only while the plane is Healthy.
 //!
 //! The knob-sensitive test sweeps [`KNOB_ROWS`] in-process; every
@@ -118,7 +118,7 @@ fn clean_run_is_byte_identical_to_the_in_process_monitor() {
     assert_eq!(
         decisions_json(&out.collector.decisions),
         decisions_json(&baseline),
-        "collector decisions are byte-identical to the in-process monitor"
+        "collector decisions are byte-identical to the in-process replay"
     );
 }
 
@@ -276,7 +276,7 @@ fn knobbed_plane_matches_the_oracle(
 /// Hold a deployment whose agents both ran `script` to the
 /// fault-schedule oracle: exactly the predicted windows decided,
 /// exactly the predicted windows quarantined, decisions byte-identical
-/// to the in-process monitor's, and admission pure — a prediction
+/// to the in-process replay's, and admission pure — a prediction
 /// drives the cap only while Healthy and only from a surviving window.
 /// Returns the survivors.
 fn plane_matches_the_oracle(
@@ -310,7 +310,7 @@ fn plane_matches_the_oracle(
         decisions_json(&report.decisions),
         decisions_json(&baseline),
         "supervision never alters the decision stream: surviving-window \
-         predictions are byte-identical to the in-process monitor"
+         predictions are byte-identical to the in-process replay"
     );
 
     let (min_ebs, max_ebs) = (

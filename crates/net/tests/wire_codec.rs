@@ -641,7 +641,7 @@ fn faulted_runs_are_byte_identical_batched_and_unbatched() {
         "decisions are byte-identical batched and unbatched"
     );
 
-    // Both also match the knob oracle and the in-process monitor — the
+    // Both also match the knob oracle and the in-process replay — the
     // batching did not merely fail identically on both sides.
     let (survivors, poisoned) = predicted_windows_for_schedule(
         TOTAL_SAMPLES as u64,
@@ -655,7 +655,7 @@ fn faulted_runs_are_byte_identical_batched_and_unbatched() {
     assert_eq!(
         serde_json::to_string(&batched_report.decisions).expect("serializes"),
         serde_json::to_string(&baseline).expect("serializes"),
-        "batched decisions match the in-process monitor byte-for-byte"
+        "batched decisions match the in-process replay byte-for-byte"
     );
 }
 

@@ -1,11 +1,10 @@
 //! Integration test of the production deployment story: train a meter
-//! offline, persist it, reload it (as a separate process would), and run
-//! the incremental online monitor against a live telemetry stream.
+//! offline, persist it, reload it (as a separate process would), and
+//! decide a live telemetry stream window by window, in order.
 
-use webcap::core::online::OnlineMonitor;
 use webcap::core::workloads;
-use webcap::core::{CapacityMeter, MeterConfig};
-use webcap::sim::{SimConfig, Simulation, TierId};
+use webcap::core::{collect_run, CapacityMeter, MeterConfig, OnlineDecision};
+use webcap::sim::{SimConfig, TierId};
 use webcap::tpcw::{Mix, TrafficProgram};
 
 #[test]
@@ -20,10 +19,9 @@ fn train_persist_reload_and_monitor_online() {
     );
 
     // 2. "Another process": reload from the serialized form only.
-    let restored = CapacityMeter::from_json(&json).expect("deserializes");
-    let mut monitor = OnlineMonitor::new(restored, 99);
+    let mut restored = CapacityMeter::from_json(&json).expect("deserializes");
 
-    // 3. Online: stream a knee-crossing run sample by sample.
+    // 3. Online: decide a knee-crossing run's disjoint windows in order.
     let sim_cfg: SimConfig = config.sim.clone();
     let knee = workloads::estimate_saturation_ebs(&sim_cfg, &Mix::ordering());
     let program = TrafficProgram::steady(Mix::ordering(), knee * 7 / 10, 120.0).then_steady(
@@ -33,14 +31,17 @@ fn train_persist_reload_and_monitor_online() {
     );
     let mut run_cfg = sim_cfg;
     run_cfg.seed = 777;
-    let samples = Simulation::new(run_cfg, program).run().samples;
-
-    let mut decisions = Vec::new();
-    for s in samples {
-        if let Some(d) = monitor.push_sample(s) {
-            decisions.push(d);
-        }
-    }
+    let log = collect_run(&run_cfg, &program, &restored.config().hpc_model, 99);
+    let window_len = restored.config().window_len;
+    let oracle = restored.config().oracle;
+    let decisions: Vec<OnlineDecision> = log
+        .windows(window_len, window_len, &oracle)
+        .into_iter()
+        .map(|window| OnlineDecision {
+            prediction: restored.predict(&window),
+            window,
+        })
+        .collect();
     assert_eq!(decisions.len(), 12, "one decision per 30s window");
 
     // Early windows (light phase) mostly healthy; late windows (2× knee)
@@ -63,7 +64,7 @@ fn train_persist_reload_and_monitor_online() {
         assert_eq!(d.prediction.bottleneck, Some(TierId::App));
     }
 
-    // The monitor's ground-truth labels (available in simulation) agree on
+    // The windows' ground-truth labels (available in simulation) agree on
     // the extremes too.
     assert!(decisions.last().unwrap().window.overloaded());
     assert!(!decisions.first().unwrap().window.overloaded());

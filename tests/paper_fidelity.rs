@@ -36,7 +36,7 @@ use webcap::core::workloads;
 use webcap::core::{CapacityMeter, EvaluationReport, MeterConfig};
 use webcap::hpc::{DerivedMetrics, HpcModel};
 use webcap::ml::select::SelectionOptions;
-use webcap::ml::{balanced_accuracy, Algorithm, Dataset};
+use webcap::ml::{balanced_accuracy, Algorithm, Dataset, Model};
 use webcap::sim::{run, DemandProfile, SimConfig, TierId};
 use webcap::tpcw::{Mix, MixId, TrafficProgram};
 use Bound::{Max, Min, Print};
