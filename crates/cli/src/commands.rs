@@ -13,12 +13,10 @@ use webcap_core::meter::{CapacityMeter, EvaluationReport, MeterConfig};
 use webcap_core::monitor::MetricLevel;
 use webcap_core::oracle::{label_window, OracleConfig};
 use webcap_core::workloads;
-use webcap_core::{AdmissionConfig, AdmissionController};
 use webcap_ml::Algorithm;
-use webcap_net::supervisor::INITIAL_CAP;
 use webcap_net::{
-    run_agent, run_supervised_collector, AgentConfig, CollectorConfig, Endpoint, Listener,
-    ScriptedSource, SupervisedCollector, SupervisedReport, SupervisorConfig,
+    run_agent, run_supervised_collector, AgentConfig, Assembler, CollectorConfig, Endpoint,
+    Listener, ScriptedSource, SupervisedReport, SupervisorConfig,
 };
 use webcap_sim::{SimConfig, Simulation, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
@@ -402,8 +400,6 @@ fn run_collect(
     let sup_cfg = SupervisorConfig {
         safe_cap: args.get_parsed("safe-cap", SupervisorConfig::default().safe_cap, "integer")?,
     };
-    let admission = AdmissionController::try_new(AdmissionConfig::default(), INITIAL_CAP)
-        .map_err(|e| CliError::Message(e.to_string()))?;
     let listener = Listener::bind(endpoint)?;
     let cfg = CollectorConfig::default();
     println!(
@@ -415,7 +411,7 @@ fn run_collect(
         "{:<8} {:>10} {:>10} {:>10} {:>12}",
         "window", "t(s)", "thr", "state", "hc"
     );
-    let collector = SupervisedCollector::start(meter, cfg.window_origin, sup_cfg, admission);
+    let collector = Assembler::start(meter, cfg.window_origin, sup_cfg);
     Ok(run_supervised_collector(
         listener,
         collector,

@@ -1,24 +1,29 @@
 //! The front-end collector: accept one connection per tier, reassemble
 //! per-second samples into per-window digests, quarantine any window
-//! touched by loss or reconnection, and score the surviving windows
-//! with the online meter.
+//! touched by loss or reconnection, score the surviving windows with
+//! the online meter, and let those decisions steer admission while the
+//! telemetry is healthy.
 //!
 //! The reassembly rules live in [`crate::reassembly`] (see its module
-//! docs for the gap semantics). The [`Assembler`] here is the K=1
-//! fleet: one [`TierDigester`] per tier, a per-window join of their
-//! digests, and [`score_window`] on every complete, unpoisoned pair.
+//! docs for the gap semantics), and the health state machine in
+//! [`crate::supervisor`]. The [`Assembler`] here is the one collector:
+//! the K=1 fleet — one [`TierDigester`] per tier, a per-window join of
+//! their digests, and [`score_window`] on every complete, unpoisoned
+//! pair — with a [`Supervisor`] fed where each verdict happens and an
+//! [`AdmissionController`] the decisions drive while health allows.
 //! Because a window only completes when *both* tiers have delivered
 //! *all* of its keys, every poisoning event for a window is observed
 //! before the window could complete — a window is never un-emitted. The
 //! emitted decision stream is therefore a pure function of the two
 //! per-tier frame sequences, which is what lets the fault-injection
 //! test demand byte-identical JSON against an in-process replay.
+//! Supervision never alters that stream: health only gates whether a
+//! decision may move the admission cap.
 //!
 //! The socketed collector is **one thread**: `pump_events` is the poll
 //! loop — accept and handshake, read each tier's lane, decode,
 //! reassemble, decide, queue acks, flush — and calls its one handler,
-//! [`run_supervised_collector`](crate::supervisor::run_supervised_collector)'s,
-//! directly for every event.
+//! [`run_supervised_collector`]'s, directly for every event.
 //! There is no queue between the socket and the meter, and a lane parses
 //! after every read, so it buffers at most one read and a frame prefix;
 //! a slow consumer leaves the kernel's socket buffers full instead, and
@@ -33,7 +38,9 @@ use std::io::{self, Write};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use webcap_core::{CapacityMeter, MetricLevel, OnlineDecision};
+use webcap_core::{
+    AdmissionConfig, AdmissionController, CapacityMeter, MetricLevel, OnlineDecision,
+};
 use webcap_sim::TierId;
 
 use crate::frame::{
@@ -41,6 +48,7 @@ use crate::frame::{
     TierWindowDigest, WireSample, PROTO_VERSION,
 };
 use crate::reassembly::{score_window, TierDigester};
+use crate::supervisor::{HealthState, HealthTransition, Supervisor, SupervisorConfig};
 use crate::transport::{is_timeout, Conn, Listener};
 
 /// Collector runtime configuration.
@@ -125,16 +133,68 @@ impl std::fmt::Display for ShedKind {
     }
 }
 
-/// The unsharded reassembly state machine, single-threaded and fully
-/// deterministic — the
-/// [`SupervisedCollector`](crate::supervisor::SupervisedCollector)
-/// drives it, and unit tests drive it directly. It is the K=1 fleet in one struct: a
-/// [`TierDigester`] per tier, a join of their digests per window, and
-/// [`score_window`] on each pair.
+/// One admission step in the audit trace: which window, under which
+/// health, whether the prediction was allowed to drive the cap, and the
+/// cap after the step.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct AdmissionPoint {
+    /// Window index the decision came from (or -1 for a SafeMode clamp
+    /// not tied to a window).
+    pub window: i64,
+    /// Health at the moment of the step.
+    pub health: HealthState,
+    /// Whether the meter's prediction drove the cap (true only when
+    /// Healthy).
+    pub from_prediction: bool,
+    /// Admission cap after the step.
+    pub cap: u32,
+}
+
+/// End-of-run account of a collector.
+#[derive(Debug)]
+pub struct SupervisedReport {
+    /// Emitted decisions, in window order.
+    pub decisions: Vec<(i64, OnlineDecision)>,
+    /// Windows quarantined by gaps or reconnections.
+    pub poisoned_windows: Vec<i64>,
+    /// Windows still partially buffered at shutdown.
+    pub pending_windows: Vec<i64>,
+    /// Protocol-order surprises survived.
+    pub anomalies: u64,
+    /// Sessions accepted per tier.
+    pub sessions: [u64; 2],
+    /// Sample frames received per tier.
+    pub samples: [u64; 2],
+    /// Connections refused at handshake.
+    pub rejected_handshakes: u64,
+    /// Connections (or dials) shed by the overload policy, with the
+    /// reason for each — the audit trail the overload tests read.
+    pub sheds: Vec<(TierId, ShedKind)>,
+    /// Final health state.
+    pub health: HealthState,
+    /// The full health-transition log.
+    pub transitions: Vec<HealthTransition>,
+    /// The admission audit trace, one point per cap-affecting step.
+    pub admission_trace: Vec<AdmissionPoint>,
+    /// Admission cap at shutdown.
+    pub final_cap: u32,
+}
+
+/// The admission cap a collector starts from (EBs), before any
+/// prediction has moved it.
+pub const INITIAL_CAP: u32 = 400;
+
+/// The collector, single-threaded and fully deterministic given its
+/// event sequence: [`run_supervised_collector`] drives it from the
+/// socket pump, and tests drive it event by event. It is the K=1 fleet
+/// in one struct — a [`TierDigester`] per tier, a join of their digests
+/// per window, and [`score_window`] on each pair — under a
+/// [`Supervisor`] and an [`AdmissionController`]: each poison, emission
+/// and reconnect reaches the supervisor where it happens, and an
+/// emitted decision drives the admission cap only while Healthy.
 #[derive(Debug)]
 pub struct Assembler {
     meter: CapacityMeter,
-    window_len: i64,
     digesters: [TierDigester; 2],
     /// The digest of each window one tier has completed while the other
     /// tier's half is still in flight.
@@ -144,28 +204,49 @@ pub struct Assembler {
     prev_fed: Option<i64>,
     /// Surprises of the join itself; the digesters count their own.
     anomalies: u64,
-    samples_seen: u64,
-    decisions_made: u64,
+    supervisor: Supervisor,
+    admission: AdmissionController,
+    /// Health as of the last state-entry side effect.
+    last_health: HealthState,
+    sessions: [u64; 2],
+    samples: [u64; 2],
+    rejected: u64,
+    sheds: Vec<(TierId, ShedKind)>,
+    decisions: Vec<(i64, OnlineDecision)>,
+    admission_trace: Vec<AdmissionPoint>,
 }
 
 impl Assembler {
-    /// Wrap a trained meter; `origin` is the key of the stream's first
-    /// sample (see [`CollectorConfig::window_origin`]). Its digesters read
-    /// the meter's families, so a full-width row is as valid as one that
-    /// carries only those.
+    /// A collector as `webcap collect` builds one when given no flags:
+    /// supervised under [`SupervisorConfig::default`].
     pub fn new(meter: CapacityMeter, origin: i64) -> Assembler {
+        Assembler::start(meter, origin, SupervisorConfig::default())
+    }
+
+    /// A collector around a freshly loaded meter; `origin` is the key of
+    /// the stream's first sample (see [`CollectorConfig::window_origin`]).
+    /// It starts Healthy, admitting through the default AIMD controller
+    /// from [`INITIAL_CAP`]. Its digesters read the meter's families, so
+    /// a full-width row is as valid as one that carries only those.
+    pub fn start(meter: CapacityMeter, origin: i64, sup_cfg: SupervisorConfig) -> Assembler {
         let window_len = meter.config().window_len as i64;
         let level = meter.config().level;
         Assembler {
             meter,
-            window_len,
             digesters: TierId::ALL.map(|tier| TierDigester::new(tier, window_len, origin, level)),
             halves: BTreeMap::new(),
             poisoned: BTreeSet::new(),
             prev_fed: None,
             anomalies: 0,
-            samples_seen: 0,
-            decisions_made: 0,
+            supervisor: Supervisor::new(sup_cfg),
+            admission: AdmissionController::new(AdmissionConfig::default(), INITIAL_CAP),
+            last_health: HealthState::Healthy,
+            sessions: [0, 0],
+            samples: [0, 0],
+            rejected: 0,
+            sheds: Vec::new(),
+            decisions: Vec::new(),
+            admission_trace: Vec::new(),
         }
     }
 
@@ -174,9 +255,14 @@ impl Assembler {
         &self.meter
     }
 
-    /// Note a (re)connection on `tier`.
+    /// Note a (re)connection on `tier`; any session after the tier's
+    /// first is a reconnect the supervisor hears of.
     pub fn on_session_start(&mut self, tier: TierId) {
-        tier.select_mut(&mut self.digesters).on_session_start();
+        *tier.select_mut(&mut self.sessions) += 1;
+        if tier.select_mut(&mut self.digesters).on_session_start() {
+            self.supervisor.on_reconnect();
+            self.sync_health();
+        }
     }
 
     /// Feed one received sample; emitted decisions go to `sink`.
@@ -186,6 +272,7 @@ impl Assembler {
         ws: WireSample,
         sink: &mut dyn FnMut(i64, &OnlineDecision),
     ) {
+        *tier.select_mut(&mut self.samples) += 1;
         tier.select_mut(&mut self.digesters).on_sample(ws);
         self.join(tier, sink);
     }
@@ -205,10 +292,70 @@ impl Assembler {
         self.join(tier, &mut |_, _| {});
     }
 
+    /// The event loop timed out with live sessions — stale telemetry.
+    pub fn on_stale(&mut self) {
+        self.supervisor.on_stale();
+        self.sync_health();
+    }
+
+    /// The overload policy shed a connection or dial on `tier`.
+    pub fn on_shed(&mut self, tier: TierId, kind: ShedKind) {
+        self.sheds.push((tier, kind));
+        self.supervisor.on_shed();
+        self.sync_health();
+    }
+
+    /// A connection was refused at handshake.
+    pub fn on_rejected(&mut self) {
+        self.rejected += 1;
+    }
+
+    /// Quarantine `window`; the supervisor hears of it the first time.
     fn poison(&mut self, window: i64) {
         if self.poisoned.insert(window) {
             self.halves.remove(&window);
+            self.supervisor.on_window_poisoned();
+            self.sync_health();
         }
+    }
+
+    /// Apply state-entry side effects when health changed: entering
+    /// SafeMode clamps the cap.
+    fn sync_health(&mut self) {
+        let health = self.supervisor.state();
+        if health == self.last_health {
+            return;
+        }
+        if health == HealthState::SafeMode {
+            let cap = self.admission.clamp_to(self.supervisor.config().safe_cap);
+            self.admission_trace.push(AdmissionPoint {
+                window: -1,
+                health,
+                from_prediction: false,
+                cap,
+            });
+        }
+        self.last_health = health;
+    }
+
+    /// One emitted window: tell the supervisor, then let the prediction
+    /// drive admission iff Healthy.
+    fn admit(&mut self, window: i64, overloaded: bool) {
+        self.supervisor.on_window_emitted();
+        self.sync_health();
+        let health = self.supervisor.state();
+        let (cap, from_prediction) = if health == HealthState::Healthy {
+            (self.admission.on_prediction(overloaded), true)
+        } else {
+            // Degraded/SafeMode: record, don't trust — the cap holds.
+            (self.admission.cap(), false)
+        };
+        self.admission_trace.push(AdmissionPoint {
+            window,
+            health,
+            from_prediction,
+            cap,
+        });
     }
 
     /// Absorb what `tier`'s digester produced in the last event: its
@@ -236,9 +383,9 @@ impl Assembler {
             };
             match score_window(&mut self.meter, &mut self.prev_fed, app, db) {
                 Some(decision) => {
-                    self.samples_seen += self.window_len as u64;
-                    self.decisions_made += 1;
+                    self.admit(window, decision.prediction.overloaded);
                     sink(window, &decision);
+                    self.decisions.push((window, decision));
                 }
                 None => {
                     // A digester never completes an application window
@@ -255,11 +402,6 @@ impl Assembler {
     /// Windows quarantined so far.
     pub fn poisoned_windows(&self) -> Vec<i64> {
         self.poisoned.iter().copied().collect()
-    }
-
-    /// How many windows are quarantined so far.
-    pub fn poisoned_count(&self) -> usize {
-        self.poisoned.len()
     }
 
     /// Windows with partial data still buffered.
@@ -284,11 +426,51 @@ impl Assembler {
                 .sum::<u64>()
     }
 
-    /// Lifetime counters `(samples_seen, decisions_made)` of the
-    /// decision stream — `window_len` samples per emitted window.
-    pub fn monitor_counters(&self) -> (u64, u64) {
-        (self.samples_seen, self.decisions_made)
+    /// Finish the run and produce the report.
+    pub fn finish(self) -> SupervisedReport {
+        SupervisedReport {
+            poisoned_windows: self.poisoned_windows(),
+            pending_windows: self.pending_windows(),
+            anomalies: self.anomalies(),
+            health: self.supervisor.state(),
+            transitions: self.supervisor.transitions().to_vec(),
+            final_cap: self.admission.cap(),
+            decisions: self.decisions,
+            sessions: self.sessions,
+            samples: self.samples,
+            rejected_handshakes: self.rejected,
+            sheds: self.sheds,
+            admission_trace: self.admission_trace,
+        }
     }
+}
+
+/// Run `collector` on a bound listener until every expected tier says
+/// `Bye` (or the idle timeout passes with no live session): the
+/// socketed collector. `collector` must be anchored at
+/// `cfg.window_origin`. Each emitted decision is streamed to
+/// `on_decision` as it happens.
+pub fn run_supervised_collector(
+    listener: Listener,
+    mut collector: Assembler,
+    cfg: &CollectorConfig,
+    mut on_decision: impl FnMut(i64, &OnlineDecision),
+) -> SupervisedReport {
+    let level = collector.meter().config().level;
+    pump_events(listener, cfg, level, |event| match event {
+        Event::SessionStart { tier } => collector.on_session_start(tier),
+        Event::Sample { tier, ws } => collector.on_sample(tier, ws, &mut on_decision),
+        Event::Bye { tier, last_seq } => collector.on_bye(tier, last_seq),
+        Event::SessionEnd {
+            tier,
+            graceful: false,
+        } => collector.on_session_abort(tier),
+        Event::Shed { tier, kind } => collector.on_shed(tier, kind),
+        Event::Rejected => collector.on_rejected(),
+        Event::Stale => collector.on_stale(),
+        Event::SessionEnd { graceful: true, .. } => {}
+    });
+    collector.finish()
 }
 
 // Not boxed: the pump hands each event to its handler by value, on the

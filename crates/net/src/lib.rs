@@ -29,14 +29,14 @@
 //!   rules ([`TierDigester`]: gap poisoning, straddle quarantine,
 //!   trailing loss) and of digest-pair scoring ([`score_window`]),
 //!   shared by this crate's collector and `webcap-fleet`'s shards.
-//! * [`collector`] — the one-thread ingest pump (poll, decode,
-//!   reassemble, decide, ack) and the deterministic window
-//!   [`Assembler`]: one digester per tier joined per window.
-//! * [`supervisor`] — the collector itself ([`SupervisedCollector`],
-//!   socketed by [`run_supervised_collector`]): the assembler under the
-//!   Healthy → Degraded → SafeMode health state machine over telemetry
-//!   quality and safe-mode admission clamping. A restarted collector
-//!   is a cold start: it persists nothing.
+//! * [`collector`] — the collector itself, [`Assembler`]: one digester
+//!   per tier joined per window, under the health [`Supervisor`] and
+//!   the admission controller (SafeMode clamps the cap); and the
+//!   one-thread ingest pump (poll, decode, reassemble, decide, ack)
+//!   that [`run_supervised_collector`] runs it on. A restarted
+//!   collector is a cold start: it persists nothing.
+//! * [`supervisor`] — the Healthy → Degraded → SafeMode health state
+//!   machine over telemetry quality, and its thresholds.
 //! * [`loopback`] — in-process deployments, the periodic fault knobs
 //!   that compile to a [`FaultSchedule`], plus the replay/oracle
 //!   baselines the integration tests check the plane against.
@@ -77,7 +77,10 @@ pub mod supervisor;
 pub mod transport;
 
 pub use agent::{run_agent, AgentConfig, AgentReport, FaultSchedule, HandshakeRejected};
-pub use collector::{Assembler, CollectorConfig, ShedKind};
+pub use collector::{
+    run_supervised_collector, AdmissionPoint, Assembler, CollectorConfig, ShedKind,
+    SupervisedReport,
+};
 pub use frame::{
     level_schema_hash, metric_schema_hash, read_frame, try_extract_frame, write_frame,
     write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError,
@@ -91,8 +94,5 @@ pub use loopback::{
 pub use reassembly::{score_window, TierDigester, MAX_GAP_WINDOWS};
 pub use retry::RetryPolicy;
 pub use source::{SampleSource, ScriptedSource, SourcePoll, SourceSample, TierSampler};
-pub use supervisor::{
-    run_supervised_collector, AdmissionPoint, HealthState, HealthTransition, SupervisedCollector,
-    SupervisedReport, Supervisor, SupervisorConfig,
-};
+pub use supervisor::{HealthState, HealthTransition, Supervisor, SupervisorConfig};
 pub use transport::{Conn, Endpoint, Listener};

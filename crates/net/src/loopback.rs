@@ -5,7 +5,7 @@
 //! (TCP or Unix) — the integration surface the smoke, fault-injection
 //! and chaos tests, the benchmark's online workloads and capsearch's
 //! loopback executor drive. [`run_loopback_scheduled`] is its stock
-//! form: [`SupervisedCollector::fresh`], default agents, and a fault
+//! form: a default [`Assembler`], default agents, and a fault
 //! script per tier, [`FaultKnobs`] compiled in.
 //!
 //! Two pure companions make a deployment's output *checkable*:
@@ -29,9 +29,8 @@ use webcap_core::{CapacityMeter, OnlineDecision, WindowAgg};
 use webcap_sim::{SystemSample, TierId};
 
 use crate::agent::{run_agent, AgentConfig, AgentReport, FaultSchedule};
-use crate::collector::CollectorConfig;
+use crate::collector::{run_supervised_collector, Assembler, CollectorConfig, SupervisedReport};
 use crate::source::{ScriptedSource, TierSampler};
-use crate::supervisor::{run_supervised_collector, SupervisedCollector, SupervisedReport};
 use crate::transport::{Endpoint, Listener};
 
 /// Periodic induced faults for exercising the loss/reconnect machinery
@@ -112,7 +111,7 @@ pub fn run_loopback_scheduled(
 ) -> io::Result<LoopbackOutcome> {
     let total = samples.len() as u64;
     let scripts = schedules.each_ref().map(|s| faults.schedule(total, s));
-    let collector = SupervisedCollector::fresh(meter.clone());
+    let collector = Assembler::new(meter.clone(), CollectorConfig::default().window_origin);
     run_supervised_loopback(collector, samples, endpoint, 0, |tier, dial| {
         let mut cfg = AgentConfig::new(tier, dial, base_seed);
         cfg.schedule = tier.select(&scripts).clone();
@@ -132,7 +131,7 @@ pub fn run_loopback_scheduled(
 /// agents that outlived a restarted collector, whose streams continue
 /// at `start_seq` with byte-identical wire samples.
 pub fn run_supervised_loopback(
-    collector: SupervisedCollector,
+    collector: Assembler,
     samples: &[SystemSample],
     endpoint: &Endpoint,
     start_seq: u64,

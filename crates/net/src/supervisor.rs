@@ -1,19 +1,17 @@
 //! Collector supervision: a health state machine over telemetry
-//! quality, and safe-mode admission.
+//! quality.
 //!
-//! An [`Assembler`] alone trusts its inputs: every surviving window
-//! becomes a prediction, and whoever consumes those predictions (the
-//! admission controller) would steer traffic as if the telemetry plane
-//! were healthy. This module wraps the assembler in a **supervisor**
-//! that watches observable quality signals — the poisoned-window rate
-//! over a sliding window of recent window outcomes, reconnect storms,
-//! stale sessions — and walks the three-state machine below. The
-//! [`SupervisedCollector`] is the only collector there is:
-//! [`run_supervised_collector`] is its socketed form (`webcap collect`
-//! and the loopback harness run it), and tests drive it event by event.
-//! Supervision never alters the decision stream — every clean
-//! window's decision is recorded in any health state; health only gates
-//! whether it may move the admission cap.
+//! A collector that trusted its inputs would let every surviving
+//! window's prediction steer admission as if the telemetry plane were
+//! healthy. The [`Supervisor`] watches observable quality signals — the
+//! poisoned-window rate over a sliding window of recent window
+//! outcomes, reconnect storms, overload sheds, stale sessions — and
+//! walks the three-state machine below. The collector
+//! ([`Assembler`](crate::collector::Assembler)) feeds it where its
+//! verdicts happen and applies the admission policy of each state.
+//! Supervision never alters the decision stream — every clean window's
+//! decision is recorded in any health state; health only gates whether
+//! it may move the admission cap.
 //!
 //! ```text
 //!            poison rate ≥ degraded threshold,
@@ -52,11 +50,6 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use webcap_core::{AdmissionConfig, AdmissionController, CapacityMeter, OnlineDecision};
-use webcap_sim::TierId;
-
-use crate::collector::{pump_events, Assembler, CollectorConfig, Event, ShedKind};
-use crate::transport::Listener;
 
 /// Collector health, ordered by severity (the derived `Ord` follows
 /// declaration order, so `max` escalates).
@@ -334,305 +327,6 @@ impl Supervisor {
         self.prune();
         self.escalate_if_needed();
     }
-}
-
-/// One admission step in the audit trace: which window, under which
-/// health, whether the prediction was allowed to drive the cap, and the
-/// cap after the step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdmissionPoint {
-    /// Window index the decision came from (or -1 for a SafeMode clamp
-    /// not tied to a window).
-    pub window: i64,
-    /// Health at the moment of the step.
-    pub health: HealthState,
-    /// Whether the meter's prediction drove the cap (true only when
-    /// Healthy).
-    pub from_prediction: bool,
-    /// Admission cap after the step.
-    pub cap: u32,
-}
-
-/// End-of-run account of a supervised collector.
-#[derive(Debug)]
-pub struct SupervisedReport {
-    /// Emitted decisions, in window order.
-    pub decisions: Vec<(i64, OnlineDecision)>,
-    /// Windows quarantined by gaps or reconnections.
-    pub poisoned_windows: Vec<i64>,
-    /// Windows still partially buffered at shutdown.
-    pub pending_windows: Vec<i64>,
-    /// Protocol-order surprises survived.
-    pub anomalies: u64,
-    /// Sessions accepted per tier.
-    pub sessions: [u64; 2],
-    /// Sample frames received per tier.
-    pub samples: [u64; 2],
-    /// Connections refused at handshake.
-    pub rejected_handshakes: u64,
-    /// Connections (or dials) shed by the overload policy, with the
-    /// reason for each — the audit trail the overload tests read.
-    pub sheds: Vec<(TierId, ShedKind)>,
-    /// Final health state.
-    pub health: HealthState,
-    /// The full health-transition log.
-    pub transitions: Vec<HealthTransition>,
-    /// The admission audit trace, one point per cap-affecting step.
-    pub admission_trace: Vec<AdmissionPoint>,
-    /// Admission cap at shutdown.
-    pub final_cap: u32,
-    /// Monitor lifetime sample counter.
-    pub samples_seen: u64,
-    /// Monitor lifetime decision counter.
-    pub decisions_made: u64,
-}
-
-/// The supervised assembler: drives an [`Assembler`], a [`Supervisor`],
-/// and an [`AdmissionController`] from the same event stream.
-/// Deterministic given the event sequence — the chaos harness drives it
-/// directly.
-pub struct SupervisedCollector {
-    assembler: Assembler,
-    supervisor: Supervisor,
-    admission: AdmissionController,
-    sessions: [u64; 2],
-    samples: [u64; 2],
-    rejected: u64,
-    sheds: Vec<(TierId, ShedKind)>,
-    decisions: Vec<(i64, OnlineDecision)>,
-    admission_trace: Vec<AdmissionPoint>,
-    /// Poisoned-window count already accounted to the supervisor.
-    known_poisoned: usize,
-    last_health: HealthState,
-}
-
-/// The admission cap a collector starts from (EBs), before any
-/// prediction has moved it.
-pub const INITIAL_CAP: u32 = 400;
-
-impl SupervisedCollector {
-    /// A fresh collector as `webcap collect` builds one when given no
-    /// flags: anchored at the default window origin, supervised under
-    /// [`SupervisorConfig::default`], admitting through the default AIMD
-    /// controller from [`INITIAL_CAP`].
-    pub fn fresh(meter: CapacityMeter) -> SupervisedCollector {
-        SupervisedCollector::start(
-            meter,
-            CollectorConfig::default().window_origin,
-            SupervisorConfig::default(),
-            AdmissionController::new(AdmissionConfig::default(), INITIAL_CAP),
-        )
-    }
-
-    /// Build a supervised collector around a freshly loaded meter,
-    /// anchored at `origin`, starting Healthy.
-    pub fn start(
-        meter: CapacityMeter,
-        origin: i64,
-        sup_cfg: SupervisorConfig,
-        admission: AdmissionController,
-    ) -> SupervisedCollector {
-        SupervisedCollector {
-            assembler: Assembler::new(meter, origin),
-            supervisor: Supervisor::new(sup_cfg),
-            admission,
-            sessions: [0, 0],
-            samples: [0, 0],
-            rejected: 0,
-            sheds: Vec::new(),
-            decisions: Vec::new(),
-            admission_trace: Vec::new(),
-            known_poisoned: 0,
-            last_health: HealthState::Healthy,
-        }
-    }
-
-    /// The meter the collector decides with.
-    pub fn meter(&self) -> &CapacityMeter {
-        self.assembler.meter()
-    }
-
-    /// Current health.
-    pub fn health(&self) -> HealthState {
-        self.supervisor.state()
-    }
-
-    /// Current admission cap.
-    pub fn cap(&self) -> u32 {
-        self.admission.cap()
-    }
-
-    /// Decisions emitted so far this run.
-    pub fn decisions(&self) -> &[(i64, OnlineDecision)] {
-        &self.decisions
-    }
-
-    /// Feed newly poisoned windows to the supervisor and react to any
-    /// health change. Runs after every assembler-touching event;
-    /// within one event all poisonings precede any emission, so
-    /// accounting poisons first keeps supervisor order faithful.
-    fn after_event(&mut self) {
-        let poisoned_now = self.assembler.poisoned_count();
-        for _ in self.known_poisoned..poisoned_now {
-            self.supervisor.on_window_poisoned();
-        }
-        self.known_poisoned = poisoned_now;
-        self.sync_health();
-    }
-
-    /// Apply state-entry side effects when health changed: entering
-    /// SafeMode clamps the cap.
-    fn sync_health(&mut self) {
-        let health = self.supervisor.state();
-        if health == self.last_health {
-            return;
-        }
-        if health == HealthState::SafeMode {
-            let cap = self.admission.clamp_to(self.supervisor.config().safe_cap);
-            self.admission_trace.push(AdmissionPoint {
-                window: -1,
-                health,
-                from_prediction: false,
-                cap,
-            });
-        }
-        self.last_health = health;
-    }
-
-    /// One emitted decision: tell the supervisor, then let the
-    /// prediction drive admission iff Healthy.
-    fn note_decision(&mut self, window: i64, decision: OnlineDecision) {
-        self.supervisor.on_window_emitted();
-        self.sync_health();
-        let health = self.supervisor.state();
-        let (cap, from_prediction) = if health == HealthState::Healthy {
-            (
-                self.admission.on_prediction(decision.prediction.overloaded),
-                true,
-            )
-        } else {
-            // Degraded/SafeMode: record, don't trust — the cap holds.
-            (self.admission.cap(), false)
-        };
-        self.admission_trace.push(AdmissionPoint {
-            window,
-            health,
-            from_prediction,
-            cap,
-        });
-        self.decisions.push((window, decision));
-    }
-
-    /// A tier's session started (or restarted).
-    pub fn on_session_start(&mut self, tier: TierId) {
-        let is_reconnect = *tier.select(&self.sessions) > 0;
-        *tier.select_mut(&mut self.sessions) += 1;
-        self.assembler.on_session_start(tier);
-        if is_reconnect {
-            self.supervisor.on_reconnect();
-        }
-        self.after_event();
-    }
-
-    /// One sample arrived.
-    pub fn on_sample(&mut self, tier: TierId, ws: crate::frame::WireSample) {
-        *tier.select_mut(&mut self.samples) += 1;
-        let mut fresh: Vec<(i64, OnlineDecision)> = Vec::new();
-        self.assembler
-            .on_sample(tier, ws, &mut |w, d| fresh.push((w, d.clone())));
-        // Poisonings this event precede its emissions (the assembler
-        // poisons on the *arriving* sample before any window completes).
-        self.after_event();
-        for (w, d) in fresh {
-            self.note_decision(w, d);
-        }
-        self.sync_health();
-    }
-
-    /// A tier said `Bye`.
-    pub fn on_bye(&mut self, tier: TierId, last_seq: u64) {
-        self.assembler.on_bye(tier, last_seq);
-        self.after_event();
-    }
-
-    /// The event loop timed out with live sessions — stale telemetry.
-    pub fn on_stale(&mut self) {
-        self.supervisor.on_stale();
-        self.sync_health();
-    }
-
-    /// The overload policy shed a connection or dial on `tier`.
-    pub fn on_shed(&mut self, tier: TierId, kind: ShedKind) {
-        self.sheds.push((tier, kind));
-        self.supervisor.on_shed();
-        self.sync_health();
-    }
-
-    /// A tier's session ended abnormally (no `Bye`): quarantine its
-    /// in-flight window eagerly.
-    pub fn on_session_abort(&mut self, tier: TierId) {
-        self.assembler.on_session_abort(tier);
-        self.after_event();
-    }
-
-    /// A connection was refused at handshake.
-    pub fn on_rejected(&mut self) {
-        self.rejected += 1;
-    }
-
-    /// Finish the run and produce the report.
-    pub fn finish(self) -> SupervisedReport {
-        let (samples_seen, decisions_made) = self.assembler.monitor_counters();
-        SupervisedReport {
-            poisoned_windows: self.assembler.poisoned_windows(),
-            pending_windows: self.assembler.pending_windows(),
-            anomalies: self.assembler.anomalies(),
-            decisions: self.decisions,
-            sessions: self.sessions,
-            samples: self.samples,
-            rejected_handshakes: self.rejected,
-            sheds: self.sheds,
-            health: self.supervisor.state(),
-            transitions: self.supervisor.transitions().to_vec(),
-            admission_trace: self.admission_trace,
-            final_cap: self.admission.cap(),
-            samples_seen,
-            decisions_made,
-        }
-    }
-}
-
-/// Run `sc` on a bound listener until every expected tier says `Bye`
-/// (or the idle timeout passes with no live session): the socketed
-/// collector. `sc` must be anchored at `cfg.window_origin`. Each
-/// emitted decision is also streamed to `on_decision` as it happens.
-pub fn run_supervised_collector(
-    listener: Listener,
-    mut sc: SupervisedCollector,
-    cfg: &CollectorConfig,
-    mut on_decision: impl FnMut(i64, &OnlineDecision),
-) -> SupervisedReport {
-    let level = sc.meter().config().level;
-    pump_events(listener, cfg, level, |event| match event {
-        Event::SessionStart { tier } => sc.on_session_start(tier),
-        Event::Sample { tier, ws } => {
-            let before = sc.decisions().len();
-            sc.on_sample(tier, ws);
-            for (w, d) in sc.decisions().iter().skip(before) {
-                on_decision(*w, d);
-            }
-        }
-        Event::Bye { tier, last_seq } => sc.on_bye(tier, last_seq),
-        Event::SessionEnd {
-            tier,
-            graceful: false,
-        } => sc.on_session_abort(tier),
-        Event::Shed { tier, kind } => sc.on_shed(tier, kind),
-        Event::Rejected => sc.on_rejected(),
-        Event::Stale => sc.on_stale(),
-        Event::SessionEnd { graceful: true, .. } => {}
-    });
-    sc.finish()
 }
 
 #[cfg(test)]

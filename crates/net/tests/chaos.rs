@@ -22,11 +22,11 @@ use std::path::Path;
 
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_net::loopback::{all_windows, replay_windows, run_supervised_loopback};
-use webcap_net::supervisor::{
-    AdmissionPoint, HealthState, HealthTransition, SupervisedCollector, SupervisedReport,
-    SupervisorConfig,
+use webcap_net::supervisor::{HealthState, HealthTransition, SupervisorConfig};
+use webcap_net::{
+    AdmissionPoint, AgentConfig, AgentReport, AppStats, Assembler, CollectorConfig, Endpoint,
+    SupervisedReport, WireSample,
 };
-use webcap_net::{AgentConfig, AgentReport, AppStats, Endpoint, WireSample};
 use webcap_sim::{Simulation, SystemSample, TierId, TierSample};
 use webcap_tpcw::{Mix, TrafficProgram};
 
@@ -67,7 +67,7 @@ fn life(
 ) -> std::io::Result<(SupervisedReport, [AgentReport; 2])> {
     let meter = trained_meter();
     let out = run_supervised_loopback(
-        SupervisedCollector::fresh(meter.clone()),
+        Assembler::new(meter.clone(), CollectorConfig::default().window_origin),
         samples,
         &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
         start_seq,
@@ -231,76 +231,83 @@ fn a_cold_restart_rejoins_the_uninterrupted_stream_after_h_windows() {
 /// Chaos proof (c): a storm of gapped windows walks health to SafeMode;
 /// while Degraded or SafeMode, decisions are recorded but the cap never
 /// moves on their account, and no admission step ever cites a
-/// loss-touched window.
+/// loss-touched window. Run at the default safe cap and at another one
+/// (`webcap collect --safe-cap`): the clamp is the cap the collector was
+/// started with.
 #[test]
 fn safe_mode_holds_admission_through_a_loss_storm() {
-    let mut sc = SupervisedCollector::fresh(trained_meter());
-    sc.on_session_start(TierId::App);
-    sc.on_session_start(TierId::Db);
-    // One app frame lost in each of windows 2, 3, 4 (seqs 65, 95, 125):
-    // windows 0–1 emit Healthy, the three poisons walk health to
-    // SafeMode, windows 5–7 emit clean and step back to Degraded.
-    for seq in 0..240u64 {
-        if !matches!(seq, 65 | 95 | 125) {
-            sc.on_sample(TierId::App, wire(seq, true));
+    for safe_cap in [SupervisorConfig::default().safe_cap, 35] {
+        let origin = CollectorConfig::default().window_origin;
+        let mut sc = Assembler::start(trained_meter(), origin, SupervisorConfig { safe_cap });
+        sc.on_session_start(TierId::App);
+        sc.on_session_start(TierId::Db);
+        // One app frame lost in each of windows 2, 3, 4 (seqs 65, 95, 125):
+        // windows 0–1 emit Healthy, the three poisons walk health to
+        // SafeMode, windows 5–7 emit clean and step back to Degraded.
+        for seq in 0..240u64 {
+            if !matches!(seq, 65 | 95 | 125) {
+                sc.on_sample(TierId::App, wire(seq, true), &mut |_, _| {});
+            }
+            sc.on_sample(TierId::Db, wire(seq, false), &mut |_, _| {});
         }
-        sc.on_sample(TierId::Db, wire(seq, false));
-    }
-    sc.on_bye(TierId::App, 239);
-    sc.on_bye(TierId::Db, 239);
-    let report = sc.finish();
-    write_transition_log("chaos-loss-storm", &report.transitions);
-
-    let emitted: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(emitted, vec![0, 1, 5, 6, 7]);
-    assert_eq!(report.poisoned_windows, vec![2, 3, 4]);
-
-    let states: Vec<(HealthState, HealthState)> =
-        report.transitions.iter().map(|t| (t.from, t.to)).collect();
-    assert_eq!(
-        states,
-        vec![
-            (HealthState::Healthy, HealthState::Degraded),
-            (HealthState::Degraded, HealthState::SafeMode),
-            (HealthState::SafeMode, HealthState::Degraded),
-        ],
-        "escalate per poison, recover one level per clean streak"
-    );
-    assert_eq!(report.health, HealthState::Degraded);
-
-    let poisoned: BTreeSet<i64> = report.poisoned_windows.iter().copied().collect();
-    let mut clamped = false;
-    for point in &report.admission_trace {
-        if point.window < 0 {
-            // The SafeMode entry clamp.
-            clamped = true;
-            assert_eq!(point.cap, SupervisorConfig::default().safe_cap);
-            continue;
-        }
-        assert!(
-            !poisoned.contains(&point.window),
-            "window {} touched by loss reached admission",
-            point.window
+        sc.on_bye(TierId::App, 239);
+        sc.on_bye(TierId::Db, 239);
+        let report = sc.finish();
+        write_transition_log(
+            &format!("chaos-loss-storm-cap-{safe_cap}"),
+            &report.transitions,
         );
-        if point.from_prediction {
-            assert_eq!(point.health, HealthState::Healthy);
+
+        let emitted: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
+        assert_eq!(emitted, vec![0, 1, 5, 6, 7], "{safe_cap}");
+        assert_eq!(report.poisoned_windows, vec![2, 3, 4], "{safe_cap}");
+
+        let states: Vec<(HealthState, HealthState)> =
+            report.transitions.iter().map(|t| (t.from, t.to)).collect();
+        assert_eq!(
+            states,
+            vec![
+                (HealthState::Healthy, HealthState::Degraded),
+                (HealthState::Degraded, HealthState::SafeMode),
+                (HealthState::SafeMode, HealthState::Degraded),
+            ],
+            "{safe_cap}: escalate per poison, recover one level per clean streak"
+        );
+        assert_eq!(report.health, HealthState::Degraded, "{safe_cap}");
+
+        let poisoned: BTreeSet<i64> = report.poisoned_windows.iter().copied().collect();
+        let mut clamped = false;
+        for point in &report.admission_trace {
+            if point.window < 0 {
+                // The SafeMode entry clamp.
+                clamped = true;
+                assert_eq!(point.cap, safe_cap);
+                continue;
+            }
             assert!(
-                point.window <= 1,
-                "only the pre-storm windows drive the cap"
+                !poisoned.contains(&point.window),
+                "{safe_cap}: window {} touched by loss reached admission",
+                point.window
             );
-        } else {
-            assert!(point.health > HealthState::Healthy);
+            if point.from_prediction {
+                assert_eq!(point.health, HealthState::Healthy);
+                assert!(
+                    point.window <= 1,
+                    "{safe_cap}: only the pre-storm windows drive the cap"
+                );
+            } else {
+                assert!(point.health > HealthState::Healthy);
+            }
+            if clamped {
+                assert_eq!(
+                    point.cap, safe_cap,
+                    "the cap holds its clamp through Degraded/SafeMode"
+                );
+            }
         }
-        if clamped {
-            assert_eq!(
-                point.cap,
-                SupervisorConfig::default().safe_cap,
-                "the cap holds its clamp through Degraded/SafeMode"
-            );
-        }
+        assert!(clamped, "{safe_cap}: SafeMode entry recorded its clamp");
+        assert_eq!(report.final_cap, safe_cap);
     }
-    assert!(clamped, "SafeMode entry recorded its clamp");
-    assert_eq!(report.final_cap, SupervisorConfig::default().safe_cap);
 }
 
 /// An agent crash mid-window (gap + reconnect) quarantines exactly the
@@ -308,7 +315,8 @@ fn safe_mode_holds_admission_through_a_loss_storm() {
 /// admission — never from the quarantined window.
 #[test]
 fn an_agent_crash_quarantines_the_cut_window_and_health_recovers() {
-    let mut sc = SupervisedCollector::fresh(trained_meter());
+    let origin = CollectorConfig::default().window_origin;
+    let mut sc = Assembler::new(trained_meter(), origin);
     sc.on_session_start(TierId::App);
     sc.on_session_start(TierId::Db);
     // The app agent dies after seq 39, loses seqs 40–44 on the floor,
@@ -318,9 +326,9 @@ fn an_agent_crash_quarantines_the_cut_window_and_health_recovers() {
             sc.on_session_start(TierId::App);
         }
         if !(40..45).contains(&seq) {
-            sc.on_sample(TierId::App, wire(seq, true));
+            sc.on_sample(TierId::App, wire(seq, true), &mut |_, _| {});
         }
-        sc.on_sample(TierId::Db, wire(seq, false));
+        sc.on_sample(TierId::Db, wire(seq, false), &mut |_, _| {});
     }
     sc.on_bye(TierId::App, 239);
     sc.on_bye(TierId::Db, 239);

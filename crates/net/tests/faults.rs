@@ -22,10 +22,11 @@ use webcap_net::loopback::{
     all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
     run_supervised_loopback, LoopbackOutcome,
 };
-use webcap_net::supervisor::{HealthState, SupervisedCollector};
+use webcap_net::supervisor::HealthState;
 use webcap_net::transport::{Conn, Listener};
 use webcap_net::{
-    AgentConfig, Endpoint, FaultKnobs, FaultSchedule, SampleSource, ScriptedSource, SourcePoll,
+    AgentConfig, Assembler, CollectorConfig, Endpoint, FaultKnobs, FaultSchedule, SampleSource,
+    ScriptedSource, SourcePoll,
 };
 use webcap_sim::{Simulation, SystemSample, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
@@ -240,7 +241,7 @@ fn knobs_merged_into_a_scripted_schedule_match_the_oracle_batched_and_unbatched(
         .expect("batched deployment runs");
     plane_matches_the_oracle(&meter, &samples, &batched, &merged);
 
-    let collector = SupervisedCollector::fresh(meter.clone());
+    let collector = Assembler::new(meter.clone(), CollectorConfig::default().window_origin);
     let agent_cfg = |tier, dial| {
         let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
         cfg.schedule = merged.clone();
@@ -377,7 +378,7 @@ fn a_rogue_connection_is_rejected_and_the_run_completes() {
 
     // The rogue goes first — an agent is configured before it starts —
     // and real agents on the same listener still complete the run.
-    let collector = SupervisedCollector::fresh(meter.clone());
+    let collector = Assembler::new(meter.clone(), CollectorConfig::default().window_origin);
     let out = run_supervised_loopback(collector, samples, &tcp(), 0, |tier, dial| {
         if tier == TierId::App {
             rogue_dials(&dial);

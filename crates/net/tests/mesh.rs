@@ -3,7 +3,7 @@
 //!
 //! [`run_net_mesh`] encodes each tier's per-second samples as real wire
 //! frames, interposes a [`ChaosSchedule`] between the encoded bytes and
-//! a [`SupervisedCollector`], and drives the collector through the
+//! a collector ([`Assembler`]), and drives it through the
 //! session surface the real event loop uses (`on_session_start` /
 //! `on_sample` / `on_session_abort` / `on_bye`). Every delivered byte
 //! passes through the real incremental frame extractor, so a corrupted
@@ -44,8 +44,10 @@ use std::collections::BTreeSet;
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_net::frame::FrameBuf;
 use webcap_net::loopback::{predicted_windows_for_schedule, replay_windows};
-use webcap_net::supervisor::{SupervisedCollector, SupervisedReport};
-use webcap_net::{write_frame, FaultSchedule, Frame, SourceSample, TierSampler};
+use webcap_net::{
+    write_frame, Assembler, CollectorConfig, FaultSchedule, Frame, SourceSample, SupervisedReport,
+    TierSampler,
+};
 use webcap_sim::{Simulation, SystemSample, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
 
@@ -325,14 +327,14 @@ impl TierState {
         }
     }
 
-    fn ensure_session(&mut self, sc: &mut SupervisedCollector) {
+    fn ensure_session(&mut self, sc: &mut Assembler) {
         if self.needs_session {
             sc.on_session_start(self.tier);
             self.needs_session = false;
         }
     }
 
-    fn abort_session(&mut self, sc: &mut SupervisedCollector) {
+    fn abort_session(&mut self, sc: &mut Assembler) {
         if !self.needs_session {
             sc.on_session_abort(self.tier);
         }
@@ -344,7 +346,7 @@ impl TierState {
     /// reassembly buffer, honouring session semantics: a decode failure
     /// kills the session exactly as the real event loop would. Returns
     /// whether the session survived.
-    fn deliver_bytes(&mut self, sc: &mut SupervisedCollector, mut bytes: &[u8]) -> bool {
+    fn deliver_bytes(&mut self, sc: &mut Assembler, mut bytes: &[u8]) -> bool {
         self.ensure_session(sc);
         // A `&[u8]` is a `Read`; one `fill` takes at most a read chunk of it.
         while !bytes.is_empty() {
@@ -358,10 +360,10 @@ impl TierState {
 
     /// Hand every whole buffered frame to the collector; `false` on a
     /// decode error.
-    fn deliver_buffered(&mut self, sc: &mut SupervisedCollector) -> bool {
+    fn deliver_buffered(&mut self, sc: &mut Assembler) -> bool {
         loop {
             match self.rbuf.next_frame() {
-                Ok(Some(Frame::Sample(ws))) => sc.on_sample(self.tier, ws),
+                Ok(Some(Frame::Sample(ws))) => sc.on_sample(self.tier, ws, &mut |_, _| {}),
                 Ok(Some(_)) => {}
                 Ok(None) => return true,
                 Err(_) => return false,
@@ -373,7 +375,7 @@ impl TierState {
     /// every non-trivial fault is recorded in `injected`.
     fn deliver(
         &mut self,
-        sc: &mut SupervisedCollector,
+        sc: &mut Assembler,
         seq: u64,
         chaos: &ChaosSchedule,
         injected: &mut Vec<(TierId, u64, FrameFault)>,
@@ -445,7 +447,7 @@ impl TierState {
 /// Run the telemetry plane under a chaos schedule: encode `samples` per
 /// tier as real wire frames, apply `chaos` to every frame of every tier
 /// connection (App is connection 0, Db is connection 1), and drive a
-/// fresh [`SupervisedCollector`] exactly as the event loop would.
+/// fresh [`Assembler`] exactly as the event loop would.
 /// Returns the collector's report and every non-trivial fault injected,
 /// in delivery order.
 fn run_net_mesh(
@@ -453,7 +455,7 @@ fn run_net_mesh(
     samples: &[SystemSample],
     chaos: &ChaosSchedule,
 ) -> (SupervisedReport, Vec<(TierId, u64, FrameFault)>) {
-    let mut sc = SupervisedCollector::fresh(meter.clone());
+    let mut sc = Assembler::new(meter.clone(), CollectorConfig::default().window_origin);
     let mut states = TierId::ALL.map(|tier| TierState::new(tier, meter, samples));
     for tier in TierId::ALL {
         sc.on_session_start(tier);

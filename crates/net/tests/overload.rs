@@ -24,13 +24,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_net::collector::{CollectorConfig, ShedKind};
-use webcap_net::supervisor::{
-    run_supervised_collector, HealthState, HealthTransition, SupervisedCollector, SHED_STORM,
-};
+use webcap_net::supervisor::{HealthState, HealthTransition, SHED_STORM};
 use webcap_net::{
-    all_windows, metric_schema_hash, read_frame, replay_windows, write_frame, AppStats, Conn,
-    Endpoint, Frame, Listener, SourceSample, TierSampler, WireCaps, WireCodec, WireSample,
-    FRAME_MAGIC_BIN, PROTO_VERSION,
+    all_windows, metric_schema_hash, read_frame, replay_windows, run_supervised_collector,
+    write_frame, AppStats, Assembler, Conn, Endpoint, Frame, Listener, SourceSample, TierSampler,
+    WireCaps, WireCodec, WireSample, FRAME_MAGIC_BIN, PROTO_VERSION,
 };
 use webcap_sim::{Simulation, TierId, TierSample};
 use webcap_tpcw::{Mix, TrafficProgram};
@@ -113,7 +111,7 @@ fn half_open_peer_is_shed_and_poisons_only_its_own_lane() {
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
     let endpoint = listener.local_endpoint().expect("local endpoint");
 
-    let sc = SupervisedCollector::fresh(trained_meter());
+    let sc = Assembler::new(trained_meter(), cfg.window_origin);
     let report = std::thread::scope(|scope| {
         let cfg_ref = &cfg;
         let collector =
@@ -190,7 +188,7 @@ fn hostile_slow_writer_is_shed_on_the_write_backlog_bound() {
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
     let endpoint = listener.local_endpoint().expect("local endpoint");
 
-    let sc = SupervisedCollector::fresh(trained_meter());
+    let sc = Assembler::new(trained_meter(), cfg.window_origin);
     let report = std::thread::scope(|scope| {
         let cfg_ref = &cfg;
         let collector =
@@ -230,7 +228,7 @@ fn hostile_slow_writer_is_shed_on_the_write_backlog_bound() {
 /// reason, and the audit log round-trips as JSON.
 #[test]
 fn shed_storm_escalates_to_degraded_with_an_audited_reason() {
-    let mut sc = SupervisedCollector::fresh(trained_meter());
+    let mut sc = Assembler::new(trained_meter(), CollectorConfig::default().window_origin);
     sc.on_session_start(TierId::App);
     sc.on_session_start(TierId::Db);
     for _ in 0..SHED_STORM {
@@ -277,7 +275,8 @@ fn shed_storm_escalates_to_degraded_with_an_audited_reason() {
 /// seq, piece)`, and one frame in eight pauses 3 ms after its first
 /// chunk. The collector's readiness polling and `FrameBuf` reassembly
 /// meet every kind of cut, and the decisions must equal the in-process
-/// replay of every window byte for byte, with nothing poisoned.
+/// replay of every window byte for byte, with nothing poisoned; the
+/// decisions streamed to `on_decision` are the report's, in order.
 #[test]
 fn paced_fragmented_frames_decide_byte_identically() {
     const BASE_SEED: u64 = 17;
@@ -293,11 +292,15 @@ fn paced_fragmented_frames_decide_byte_identically() {
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
     let endpoint = listener.local_endpoint().expect("local endpoint");
     let cfg = CollectorConfig::default();
-    let sc = SupervisedCollector::fresh(meter.clone());
+    let sc = Assembler::new(meter.clone(), cfg.window_origin);
+    let mut streamed = Vec::new();
     let report = std::thread::scope(|scope| {
-        let cfg_ref = &cfg;
-        let collector =
-            scope.spawn(move || run_supervised_collector(listener, sc, cfg_ref, |_, _| {}));
+        let (cfg_ref, streamed) = (&cfg, &mut streamed);
+        let collector = scope.spawn(move || {
+            run_supervised_collector(listener, sc, cfg_ref, |window, decision| {
+                streamed.push((window, decision.clone()));
+            })
+        });
 
         let mut conns = TierId::ALL.map(|tier| {
             let conn = handshaken(&endpoint, tier);
@@ -356,5 +359,10 @@ fn paced_fragmented_frames_decide_byte_identically() {
             .expect("report serializes"),
         serde_json::to_string(&(&oracle, Vec::<i64>::new())).expect("oracle serializes"),
         "fragmenting and pausing frames must not change a byte of the outcome"
+    );
+    assert_eq!(
+        serde_json::to_string(&streamed).expect("stream serializes"),
+        serde_json::to_string(&report.decisions).expect("report serializes"),
+        "the decision stream is the report's decisions, in order"
     );
 }

@@ -37,8 +37,10 @@ use webcap_net::loopback::{
     predicted_windows_for_schedule, replay_windows, run_supervised_loopback, LoopbackOutcome,
 };
 use webcap_net::source::{SourceSample, TierSampler};
-use webcap_net::supervisor::{run_supervised_collector, HealthState, SupervisedCollector};
-use webcap_net::{AgentConfig, Endpoint, FaultKnobs, FaultSchedule, Listener};
+use webcap_net::supervisor::HealthState;
+use webcap_net::{
+    run_supervised_collector, AgentConfig, Assembler, Endpoint, FaultKnobs, FaultSchedule, Listener,
+};
 use webcap_sim::{RtHistogram, SimConfig, Simulation, SystemSample, TierId, TierSample};
 use webcap_tpcw::{Mix, MixId, TrafficProgram};
 
@@ -430,7 +432,7 @@ fn an_unknown_proto_version_is_rejected_with_both_versions() {
     };
     let strangers = [PROTO_VERSION - 1, 99];
 
-    let sc = SupervisedCollector::fresh(meter.clone());
+    let sc = Assembler::new(meter.clone(), cfg.window_origin);
     let report = std::thread::scope(|scope| {
         let cfg_ref = &cfg;
         let collector =
@@ -504,7 +506,7 @@ fn a_hello_shipping_a_family_the_meter_does_not_read_is_rejected() {
         metric_schema_hash(TierId::App)
     );
 
-    let sc = SupervisedCollector::fresh(meter);
+    let sc = Assembler::new(meter, cfg.window_origin);
     let report = std::thread::scope(|scope| {
         let collector = scope.spawn(|| run_supervised_collector(listener, sc, &cfg, |_, _| {}));
         for level in [MetricLevel::Os, MetricLevel::Hpc, MetricLevel::Combined] {
@@ -549,7 +551,7 @@ fn a_json_hello_is_rejected_naming_its_magic() {
     hello.extend_from_slice(&(json.len() as u32).to_le_bytes());
     hello.extend_from_slice(json.as_bytes());
 
-    let sc = SupervisedCollector::fresh(meter);
+    let sc = Assembler::new(meter, cfg.window_origin);
     let report = std::thread::scope(|scope| {
         let collector = scope.spawn(|| run_supervised_collector(listener, sc, &cfg, |_, _| {}));
         let mut conn = webcap_net::Conn::connect(&dial).expect("peer connects");
@@ -582,7 +584,7 @@ fn run_batched(
     max_batch: u32,
 ) -> LoopbackOutcome {
     run_supervised_loopback(
-        SupervisedCollector::fresh(meter.clone()),
+        Assembler::new(meter.clone(), CollectorConfig::default().window_origin),
         samples,
         &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
         0,
