@@ -229,9 +229,11 @@ pub fn collect_run(
 
 /// Drive `program` through a simulation and collect the metric families
 /// `level` reads. Every row it synthesizes is bit-identical to
-/// [`collect_run`]'s: both tiers draw from one stream, HPC before OS, and
-/// a family `level` does not read is stepped past
-/// ([`HpcModel::skip`], [`OsCollector::skip`]) instead of synthesized.
+/// [`collect_run`]'s: both tiers draw from one stream, HPC before OS, an
+/// HPC row is synthesized straight to its derived metrics
+/// ([`HpcModel::derived`]), and a family `level` does not read is stepped
+/// past ([`HpcModel::skip`], [`OsCollector::skip`]) instead of
+/// synthesized.
 pub fn collect_run_for(
     cfg: &SimConfig,
     program: &TrafficProgram,
@@ -248,9 +250,8 @@ pub fn collect_run_for(
         for tier in TierId::ALL {
             let ts = sample.tier(tier);
             if level.reads_hpc() {
-                let counters = hpc_model.sample(tier, ts, sample.interval_s, &mut rng);
-                tier.select_mut(&mut hpc)
-                    .push(DerivedMetrics::from_sample(&counters));
+                let row = hpc_model.derived(tier, ts, sample.interval_s, &mut rng);
+                tier.select_mut(&mut hpc).push(row);
             } else {
                 hpc_model.skip(&mut rng);
             }

@@ -230,12 +230,24 @@ impl TierArch {
     }
 }
 
-/// `noise` draws one [`HpcModel::sample`] call makes. Pinned against
-/// `sample` by the `skip_consumes_what_sample_consumes` test.
+/// `noise` draws one [`HpcModel::sample`] call makes, one per
+/// synthesized count but cycles. Pinned against `sample` by the
+/// `skip_consumes_what_sample_consumes` test.
 const NOISE_DRAWS: usize = 14;
 
+/// The first `noise` draws of a row, the ones the counts
+/// [`DerivedMetrics`] reads take; the last pair (loads and stores
+/// retired) is read by no derived metric, and [`HpcModel::derived`]
+/// steps past it.
+const DERIVED_DRAWS: usize = 12;
+
 /// The counter synthesizer: holds per-tier architecture parameters and a
-/// noise level, and turns [`TierSample`]s into [`CounterSample`]s.
+/// noise level, and turns [`TierSample`]s into [`CounterSample`]s
+/// ([`sample`](Self::sample)) or straight into the [`DerivedMetrics`]
+/// row they yield ([`derived`](Self::derived), for callers that keep
+/// only the row). Both run one body of response surfaces and leave a
+/// shared stream where the other does; [`skip`](Self::skip) leaves it
+/// there too, synthesizing nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HpcModel {
     app: TierArch,
@@ -277,15 +289,21 @@ impl HpcModel {
         }
     }
 
-    /// Advance `rng` exactly as far as [`HpcModel::sample`] would, without
-    /// synthesizing counters: a caller that does not read this tier's HPC
-    /// row keeps the rest of a shared stream bit-identical. `NOISE_DRAWS`
-    /// `noise` draws, two words per pair of them (14 words), none at σ = 0.
+    /// Advance `rng` exactly as far as [`HpcModel::sample`] (and
+    /// [`HpcModel::derived`]) would, without synthesizing counters: a
+    /// caller that does not read this tier's HPC row keeps the rest of a
+    /// shared stream bit-identical. `NOISE_DRAWS` `noise` draws, two
+    /// words per pair of them (14 words), none at σ = 0.
     pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R) {
+        self.skip_draws(rng, NOISE_DRAWS);
+    }
+
+    /// Step `rng` past `draws` `noise` draws without computing them.
+    fn skip_draws<R: Rng + ?Sized>(&self, rng: &mut R, draws: usize) {
         if self.noise_sigma == 0.0 {
             return;
         }
-        gauss::skip(rng, NOISE_DRAWS);
+        gauss::skip(rng, draws);
     }
 
     /// A multiplicative noise factor, clamped to stay positive.
@@ -304,6 +322,36 @@ impl HpcModel {
         ts: &TierSample,
         interval_s: f64,
         rng: &mut R,
+    ) -> CounterSample {
+        self.synthesize(tier, ts, interval_s, rng, true)
+    }
+
+    /// The derived metrics of one interval for `tier`, bit-identical to
+    /// `DerivedMetrics::from_sample(&self.sample(..))` on the same stream
+    /// position, which it leaves where `sample` leaves it. It draws the
+    /// first `DERIVED_DRAWS` normals and steps past the last pair's two
+    /// words without computing them: no derived metric reads loads or
+    /// stores retired.
+    pub fn derived<R: Rng + ?Sized>(
+        &self,
+        tier: TierId,
+        ts: &TierSample,
+        interval_s: f64,
+        rng: &mut R,
+    ) -> DerivedMetrics {
+        DerivedMetrics::from_sample(&self.synthesize(tier, ts, interval_s, rng, false))
+    }
+
+    /// The one body of response surfaces behind [`sample`](Self::sample)
+    /// and [`derived`](Self::derived). Without `memory_ops` the loads and
+    /// stores retired read 0 and their noise pair is skipped, not drawn.
+    fn synthesize<R: Rng + ?Sized>(
+        &self,
+        tier: TierId,
+        ts: &TierSample,
+        interval_s: f64,
+        rng: &mut R,
+        memory_ops: bool,
     ) -> CounterSample {
         assert!(interval_s > 0.0, "interval must be positive");
         // One pair source per row; a spare still unused when the row
@@ -370,8 +418,17 @@ impl HpcModel {
             branches * (0.045 * (1.0 + 0.12 * pollution)).min(0.25) * self.noise(gauss);
         let bus = (l2_miss * 1.15 + instr * 0.0005) * self.noise(gauss);
         let uops = instr * 1.45 * self.noise(gauss);
-        let loads = instr * 0.32 * self.noise(gauss);
-        let stores = instr * 0.14 * self.noise(gauss);
+        let (loads, stores) = if memory_ops {
+            (
+                instr * 0.32 * self.noise(gauss),
+                instr * 0.14 * self.noise(gauss),
+            )
+        } else {
+            // `DERIVED_DRAWS` is even, so no spare is pending here and
+            // the pair's two words are the next ones.
+            self.skip_draws(rng, NOISE_DRAWS - DERIVED_DRAWS);
+            (0.0, 0.0)
+        };
 
         let mut counts = [0u64; HpcEvent::COUNT];
         let mut set = |e: HpcEvent, v: f64| counts[e.index()] = v.max(0.0) as u64;
@@ -404,7 +461,7 @@ impl Default for HpcModel {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn tier_sample(util: f64, pool: f64, runnable: f64, browse: f64) -> TierSample {
         TierSample {
@@ -549,6 +606,62 @@ mod tests {
                 let sampled = rng.words - before - skipped;
                 assert_eq!(skipped, sampled, "σ {sigma} {tier:?}");
                 assert_eq!(sampled, want, "σ {sigma} {tier:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn derived_is_the_derived_row_of_sample_and_ends_where_it_does() {
+        // `derived` stands in for `DerivedMetrics::from_sample(&sample(..))`
+        // on a shared stream: the same row, bit for bit, and the same
+        // next word. Degenerate states first — idle (zero utilization,
+        // zero work, nothing submitted), busy with no work delivered, no
+        // browse work — then seeded random ones.
+        let mut states = vec![
+            TierSample::default(),
+            TierSample {
+                delivered_work_s: 0.0,
+                ..tier_sample(0.8, 12.0, 6.0, 0.5)
+            },
+            tier_sample(0.5, 4.0, 2.0, 0.0),
+        ];
+        let mut gen = StdRng::seed_from_u64(44);
+        for _ in 0..64 {
+            let pool: f64 = gen.random_range(0.0..128.0);
+            states.push(tier_sample(
+                gen.random_range(0.0..1.0),
+                pool,
+                gen.random_range(0.0..pool.max(1.0)),
+                gen.random_range(0.0..1.0),
+            ));
+        }
+        for sigma in [0.0, 0.02, 0.3] {
+            let m = HpcModel::testbed().with_noise(sigma);
+            for tier in TierId::ALL {
+                for (i, ts) in states.iter().enumerate() {
+                    let interval_s = [1.0, 0.5, 2.0][i % 3];
+                    let mut sampled = StdRng::seed_from_u64(i as u64);
+                    let mut derived = StdRng::seed_from_u64(i as u64);
+                    let want =
+                        DerivedMetrics::from_sample(&m.sample(tier, ts, interval_s, &mut sampled));
+                    let got = m.derived(tier, ts, interval_s, &mut derived);
+                    for ((name, w), g) in DERIVED_METRIC_NAMES
+                        .iter()
+                        .zip(want.to_features())
+                        .zip(got.to_features())
+                    {
+                        assert_eq!(
+                            w.to_bits(),
+                            g.to_bits(),
+                            "σ {sigma} {tier:?} state {i}: {name} {w} vs {g}"
+                        );
+                    }
+                    assert_eq!(
+                        sampled.next_u64(),
+                        derived.next_u64(),
+                        "σ {sigma} {tier:?} state {i}: the streams part"
+                    );
+                }
             }
         }
     }

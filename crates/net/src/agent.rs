@@ -3,7 +3,9 @@
 //! One agent process runs next to each tier. Its loop is single-
 //! threaded by design — poll the [`SampleSource`], synthesize the metric
 //! rows ([`TierSampler`]), enqueue, send binary frames of up to
-//! [`AgentConfig::max_batch`] samples — with exactly one ack reader
+//! [`AgentConfig::max_batch`] samples, each encoded straight from the
+//! queue by reference (no sample is cloned to be framed, and none leaves
+//! the queue before its frame is written) — with exactly one ack reader
 //! thread beside it that drains the collector's acknowledgments so the
 //! peer's write buffer can never fill and deadlock the pair. The reader
 //! sleeps in a blocking read and wakes once per collector flush: one
@@ -57,8 +59,8 @@ use webcap_hpc::HpcModel;
 use webcap_sim::TierId;
 
 use crate::frame::{
-    level_schema_hash, read_frame, write_frame, write_frame_codec, Frame, FrameBuf, WireCaps,
-    WireCodec, WireSample, PROTO_VERSION,
+    level_schema_hash, read_frame, write_frame, write_frame_codec, write_sample_frame, Frame,
+    FrameBuf, FrameError, WireCaps, WireCodec, WireSample, PROTO_VERSION,
 };
 use crate::retry::RetryPolicy;
 use crate::source::{SampleSource, SourcePoll, SourceSample, TierSampler};
@@ -675,10 +677,9 @@ impl Stream<'_> {
             // The queue is non-empty here (the refill branch above
             // `continue`s otherwise), but a `let-else` keeps this loop
             // panic-free by construction.
-            let Some(ws) = self.queue.front() else {
+            let Some(seq) = self.queue.front().map(|ws| ws.seq) else {
                 continue;
             };
-            let seq = ws.seq;
             if self.script.fire_reconnect(seq) {
                 return Ok(SessionEnd::Reconnect);
             }
@@ -688,42 +689,68 @@ impl Stream<'_> {
                 continue;
             }
 
-            // The front sample passed its gates; extend the frame with
-            // queued successors, replaying the per-sample gate sequence
-            // of one-sample frames. Extension stops at the batch cap and
-            // at an unfired reconnect point — every place the sequential
-            // loop would have stopped sending. Nothing leaves the queue
-            // until the write succeeds: a sequential sender would never
-            // have examined a sample past a failed send, and the retry
-            // reaches the same verdicts because they depend on the
-            // sequence alone.
-            let mut members: Vec<WireSample> = vec![ws.clone()];
-            let mut taken: usize = 1; // queue entries the frame settles
-            for item in self.queue.iter().skip(1) {
-                if members.len() >= batch_target || self.script.reconnect_pending(item.seq) {
-                    break;
-                }
-                taken += 1;
-                if !self.script.drops(item.seq) {
-                    members.push(item.clone());
-                }
-            }
-            let sent = members.len() as u64;
-            let frame = if sent == 1 {
-                let Some(one) = members.pop() else { continue };
-                Frame::Sample(one)
-            } else {
-                Frame::SampleBatch(members)
-            };
-            if write_frame_codec(conn, &frame, WireCodec::Binary, &mut self.scratch).is_err() {
+            let written = write_queued_frame(
+                conn,
+                &self.queue,
+                &self.script,
+                batch_target,
+                &mut self.scratch,
+            );
+            let Ok(Settled { taken, sent }) = written else {
                 // Everything stays queued; resend on the next session.
                 return Ok(SessionEnd::Broken);
-            }
+            };
             self.queue.drain(..taken);
-            self.report.frames_sent += sent;
-            self.report.frames_dropped += taken as u64 - sent;
+            self.report.frames_sent += sent as u64;
+            self.report.frames_dropped += (taken - sent) as u64;
         }
     }
+}
+
+/// The queue entries one written frame settles.
+#[derive(Debug, PartialEq, Eq)]
+struct Settled {
+    /// Entries from the front that leave the queue: the frame's members
+    /// and the dropped samples among them.
+    taken: usize,
+    /// Members the frame carried.
+    sent: usize,
+}
+
+/// Write the frame the queue's front opens — the front having passed its
+/// gates — extended with queued successors by replaying the per-sample
+/// gate sequence of one-sample frames. Extension stops at the batch cap
+/// and at an unfired reconnect point: every place the sequential loop
+/// would have stopped sending. The frame is encoded from the queue by
+/// reference ([`write_sample_frame`]), and nothing leaves the queue here:
+/// a sequential sender would never have examined a sample past a failed
+/// send, and the retry reaches the same verdicts because they depend on
+/// the sequence alone.
+fn write_queued_frame<W: io::Write>(
+    w: &mut W,
+    queue: &VecDeque<WireSample>,
+    script: &Script,
+    batch_target: usize,
+    scratch: &mut Vec<u8>,
+) -> Result<Settled, FrameError> {
+    let mut items = queue.iter();
+    let mut members: Vec<&WireSample> = Vec::with_capacity(batch_target.min(queue.len()));
+    members.extend(items.next());
+    let mut taken = members.len();
+    for item in items {
+        if members.len() >= batch_target || script.reconnect_pending(item.seq) {
+            break;
+        }
+        taken += 1;
+        if !script.drops(item.seq) {
+            members.push(item);
+        }
+    }
+    write_sample_frame(w, &members, scratch)?;
+    Ok(Settled {
+        taken,
+        sent: members.len(),
+    })
 }
 
 #[cfg(test)]
@@ -795,6 +822,106 @@ mod tests {
             reconnect_before: vec![],
         });
         assert!(edge.drops(0) && !edge.drops(1) && edge.drops(u64::MAX));
+    }
+
+    /// Each tier's queue of 48 synthesized wire samples (sequences
+    /// 0..48): the App tier's carry `AppStats`, the Db tier's do not.
+    fn queues() -> [VecDeque<WireSample>; 2] {
+        let program = webcap_tpcw::TrafficProgram::steady(webcap_tpcw::Mix::shopping(), 60, 48.0);
+        let samples = webcap_sim::run(webcap_sim::SimConfig::testbed(44), program).samples;
+        TierId::ALL.map(|tier| {
+            let mut sampler = TierSampler::new(tier, HpcModel::testbed(), 9);
+            let mut source = crate::source::ScriptedSource::new(tier, &samples);
+            let mut queue = VecDeque::new();
+            while let SourcePoll::Ready(s) = source.next_sample() {
+                queue.push_back(sampler.wire_sample(s));
+            }
+            queue
+        })
+    }
+
+    #[test]
+    fn a_queued_frame_is_the_frame_of_its_cloned_members() {
+        // (batch target, drop ranges, reconnect points, members sent,
+        // queue entries settled).
+        type Case = (usize, Vec<(u64, u64)>, Vec<u64>, Vec<u64>, usize);
+        let cases: [Case; 6] = [
+            (32, vec![], vec![], (0..32).collect(), 32),
+            // Drops inside the batch are settled, not sent.
+            (
+                8,
+                vec![(3, 5), (10, 10)],
+                vec![],
+                vec![0, 1, 2, 6, 7, 8, 9, 11],
+                12,
+            ),
+            // A pending reconnect point cuts the batch.
+            (32, vec![(2, 2)], vec![5, 9], vec![0, 1, 3, 4], 5),
+            // One member: a `Sample` frame, unbatched or cut short.
+            (1, vec![], vec![], vec![0], 1),
+            (32, vec![], vec![1], vec![0], 1),
+            (32, vec![(1, 3)], vec![4], vec![0], 4),
+        ];
+        for (tier, queue) in TierId::ALL.into_iter().zip(queues()) {
+            assert_eq!(
+                queue.iter().all(|ws| ws.app.is_some()),
+                tier == TierId::App,
+                "{tier:?}"
+            );
+            for (batch_target, drop_ranges, reconnect_before, members, taken) in &cases {
+                let script = Script::new(&FaultSchedule {
+                    drop_ranges: drop_ranges.clone(),
+                    reconnect_before: reconnect_before.clone(),
+                });
+                let (mut wrote, mut scratch) = (Vec::new(), Vec::new());
+                let settled =
+                    write_queued_frame(&mut wrote, &queue, &script, *batch_target, &mut scratch)
+                        .expect("the frame is written");
+                assert_eq!(
+                    settled,
+                    Settled {
+                        taken: *taken,
+                        sent: members.len()
+                    },
+                    "{tier:?} {batch_target} {drop_ranges:?} {reconnect_before:?}"
+                );
+                let mut cloned: Vec<WireSample> = members
+                    .iter()
+                    .map(|&seq| queue.iter().find(|ws| ws.seq == seq).cloned().unwrap())
+                    .collect();
+                let frame = match cloned.len() {
+                    1 => Frame::Sample(cloned.pop().unwrap()),
+                    _ => Frame::SampleBatch(cloned),
+                };
+                let mut want = Vec::new();
+                crate::frame::append_frame(&frame, &mut want).unwrap();
+                assert!(
+                    wrote == want,
+                    "{tier:?} {batch_target} {drop_ranges:?} {reconnect_before:?}: the bytes differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversized_queued_frame_is_refused_and_writes_nothing() {
+        let [mut queue, _] = queues();
+        if let Some(ws) = queue.get_mut(1) {
+            ws.hpc = vec![0.5; crate::frame::MAX_FRAME_LEN / 8];
+        }
+        let before = queue.clone();
+        let (mut wrote, mut scratch) = (Vec::new(), Vec::new());
+        let err = write_queued_frame(
+            &mut wrote,
+            &queue,
+            &Script::new(&FaultSchedule::NONE),
+            32,
+            &mut scratch,
+        )
+        .expect_err("a frame over MAX_FRAME_LEN is refused");
+        assert!(matches!(err, FrameError::Oversized { .. }), "{err:?}");
+        assert!(wrote.is_empty(), "nothing is written");
+        assert_eq!(queue, before, "the queue is unchanged");
     }
 
     /// A source of `total` default-telemetry samples, then exhausted.

@@ -381,6 +381,30 @@ fn put_digest(out: &mut Vec<u8>, d: &DigestFrame) {
     }
 }
 
+/// Encode a sample frame's payload from borrowed samples, appending to
+/// `out`: a [`Frame::SampleBatch`] of `members` when `batch` is set, a
+/// [`Frame::Sample`] of its one member otherwise. Both arms of
+/// [`encode_frame`] run it, and so does the agent, which frames its
+/// queue in place instead of cloning it into a [`Frame`].
+pub(crate) fn encode_sample_frame<'a>(
+    batch: bool,
+    members: impl ExactSizeIterator<Item = &'a WireSample>,
+    out: &mut Vec<u8>,
+) {
+    if batch {
+        out.push(TAG_SAMPLE_BATCH);
+        put_u64v(out, members.len() as u64);
+    } else {
+        debug_assert_eq!(members.len(), 1, "a Sample frame carries one sample");
+        out.push(TAG_SAMPLE);
+    }
+    let mut prev: Option<&WireSample> = None;
+    for ws in members {
+        put_wire_sample(out, ws, prev);
+        prev = Some(ws);
+    }
+}
+
 /// Encode one frame's binary payload (no header) into `out`, which is
 /// appended to — callers clear it between frames to reuse capacity.
 /// Infallible: every `Frame` value has a binary spelling.
@@ -402,19 +426,8 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             });
             put_u64v(out, u64::from(*max_batch));
         }
-        Frame::Sample(ws) => {
-            out.push(TAG_SAMPLE);
-            put_wire_sample(out, ws, None);
-        }
-        Frame::SampleBatch(batch) => {
-            out.push(TAG_SAMPLE_BATCH);
-            put_u64v(out, batch.len() as u64);
-            let mut prev: Option<&WireSample> = None;
-            for ws in batch {
-                put_wire_sample(out, ws, prev);
-                prev = Some(ws);
-            }
-        }
+        Frame::Sample(ws) => encode_sample_frame(false, std::iter::once(ws), out),
+        Frame::SampleBatch(batch) => encode_sample_frame(true, batch.iter(), out),
         Frame::Heartbeat { seq } => {
             out.push(TAG_HEARTBEAT);
             put_u64v(out, *seq);

@@ -420,13 +420,21 @@ pub fn level_schema_hash(tier: TierId, level: MetricLevel) -> u64 {
 
 /// Append one whole frame to `out` — the header, then the binary
 /// payload — leaving `out` as it was when the payload exceeds
-/// [`MAX_FRAME_LEN`]. Every writer lays its frames out here: the
-/// blocking [`write_frame_codec`] and the collector's ack queue alike.
+/// [`MAX_FRAME_LEN`]: the collector's ack queue appends here.
 pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameError> {
+    append_payload(out, |out| crate::binary::encode_frame(frame, out))
+}
+
+/// Lay one frame out at the end of `out`: the header, then the payload
+/// `encode` appends, refused — `out` truncated back — above
+/// [`MAX_FRAME_LEN`]. Every writer's frames are laid out here: the
+/// collector's ack queue, the blocking [`write_frame_codec`] and the
+/// agent's [`write_sample_frame`] alike.
+fn append_payload(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), FrameError> {
     let start = out.len();
     out.extend_from_slice(&FRAME_MAGIC_BIN.to_le_bytes());
     out.extend_from_slice(&[0; 4]);
-    crate::binary::encode_frame(frame, out);
+    encode(out);
     let len = out.len() - start - 8;
     let Some(len_field) = out
         .get_mut(start + 4..start + 8)
@@ -450,8 +458,33 @@ pub fn write_frame_codec<W: Write>(
     scratch: &mut Vec<u8>,
 ) -> Result<(), FrameError> {
     let WireCodec::Binary = codec;
+    write_payload(w, scratch, |out| crate::binary::encode_frame(frame, out))
+}
+
+/// Write a sample frame straight from borrowed samples: one member goes
+/// as a [`Frame::Sample`], several as a [`Frame::SampleBatch`], in the
+/// bytes [`write_frame_codec`] writes for that frame built from clones
+/// of them — the agent's steady path, which frames its queue in place.
+pub(crate) fn write_sample_frame<W: Write>(
+    w: &mut W,
+    members: &[&WireSample],
+    scratch: &mut Vec<u8>,
+) -> Result<(), FrameError> {
+    write_payload(w, scratch, |out| {
+        crate::binary::encode_sample_frame(members.len() != 1, members.iter().copied(), out)
+    })
+}
+
+/// Lay one frame out in `scratch` (cleared first, capacity retained),
+/// write it with one `write_all`, and flush; nothing is written if the
+/// payload is refused as oversized.
+fn write_payload<W: Write>(
+    w: &mut W,
+    scratch: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), FrameError> {
     scratch.clear();
-    append_frame(frame, scratch)?;
+    append_payload(scratch, encode)?;
     w.write_all(scratch)?;
     w.flush()?;
     Ok(())
@@ -508,9 +541,10 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameErro
     Ok(Some((crate::binary::decode_frame(payload)?, 8 + len)))
 }
 
-/// How much one [`FrameBuf::fill`] asks the socket for: about twenty
-/// binary samples, or a few thousand acks.
-pub(crate) const READ_CHUNK: usize = 16 * 1024;
+/// How much one [`FrameBuf::fill`] asks the socket for: about two
+/// hundred and eighty HPC-level samples (≈ 230 B each on the wire, nine
+/// batches of 32), or several thousand acks.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// The frame-reassembly buffer behind every streaming reader — the
 /// collector's lanes and the agent's ack reader: [`fill`](Self::fill)

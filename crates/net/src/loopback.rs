@@ -62,8 +62,12 @@ impl FaultKnobs {
     /// `reconnect_every`th frame sent on a connection (a scripted
     /// reconnect starts a new connection's count; an entry at `total`
     /// names no sample, and a repeated one fires once: both inert).
+    /// With no knob set this is `scripted` as it is, with no walk.
     pub fn schedule(&self, total: u64, scripted: &FaultSchedule) -> FaultSchedule {
         let mut merged = scripted.clone();
+        if *self == FaultKnobs::NONE {
+            return merged;
+        }
         let (mut attempts, mut conn_sent) = (0u64, 0u64);
         for seq in 0..total {
             if scripted.reconnect_before.contains(&seq) {
@@ -100,7 +104,8 @@ pub struct LoopbackOutcome {
 /// inside this process, streaming `samples` (each tier sees its own
 /// view), and return everything both sides reported. `base_seed` is
 /// the deployment-wide metrics seed; `faults` applies to both agents,
-/// compiled over each tier's entry of `schedules` (`[App, Db]`).
+/// compiled over each tier's entry of `schedules` (`[App, Db]`) — with
+/// no knob set, each tier runs its scripted schedule as it is.
 pub fn run_loopback_scheduled(
     meter: &CapacityMeter,
     samples: &[SystemSample],

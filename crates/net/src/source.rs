@@ -29,7 +29,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use webcap_core::MetricLevel;
-use webcap_hpc::{DerivedMetrics, HpcModel};
+use webcap_hpc::HpcModel;
 use webcap_os::OsCollector;
 use webcap_parallel::{derive_seed, seed_domain};
 use webcap_sim::{SystemSample, TierId, TierSample};
@@ -147,8 +147,9 @@ impl TierSampler {
         );
         let mut rng = StdRng::seed_from_u64(seed);
         let hpc = if self.level.reads_hpc() {
-            let counters = self.hpc_model.sample(self.tier, ts, interval_s, &mut rng);
-            DerivedMetrics::from_sample(&counters).to_features()
+            self.hpc_model
+                .derived(self.tier, ts, interval_s, &mut rng)
+                .to_features()
         } else {
             self.hpc_model.skip(&mut rng);
             Vec::new()
