@@ -405,7 +405,7 @@ fn run_collect(
     println!(
         "collector: listening on {} for {} tier agents",
         listener.local_endpoint()?,
-        cfg.expected_tiers,
+        TierId::ALL.len(),
     );
     println!(
         "{:<8} {:>10} {:>10} {:>10} {:>12}",

@@ -68,7 +68,7 @@ pub mod pi;
 pub mod synopsis;
 pub mod workloads;
 
-pub use admission::{AdmissionConfig, AdmissionConfigError, AdmissionController};
+pub use admission::AdmissionController;
 pub use agg::{AppWindowDigest, FrontEndAgg, TierAgg, TierWindow, WindowAgg};
 pub use coordinator::{CoordinatedPrediction, CoordinatedPredictor, CoordinatorConfig, TieScheme};
 pub use meter::{CapacityMeter, EvaluationReport, MeterConfig};

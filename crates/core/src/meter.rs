@@ -552,6 +552,39 @@ mod tests {
         }
     }
 
+    /// An SVM synopsis model as meters serialized it while the kernel was
+    /// a setting (always RBF, `γ = 1/d`): fitted on the rows below, it
+    /// carries a `"kernel"` entry that loading now ignores.
+    const SVM_WITH_KERNEL_ENTRY: &str = r#"{"Svm":{"scaler":{"stats":[[2.75,1.7260262647673315],[1.0,0.816496580927726]]},"kernel":{"Rbf":{"gamma":null}},"gamma":0.5,"bias":-1.5766671280191547e-16,"support":[{"x":[-1.5932550136313832,-1.224744871391589],"coef":-0.6072092371180585},{"x":[-1.013889554129062,1.224744871391589],"coef":-1.0},{"x":[-0.43452409462674085,0.0],"coef":-1.0},{"x":[-0.14484136487558028,1.224744871391589],"coef":1.0},{"x":[0.14484136487558028,-1.224744871391589],"coef":-1.0},{"x":[0.43452409462674085,0.0],"coef":1.0},{"x":[1.013889554129062,-1.224744871391589],"coef":1.0},{"x":[1.5932550136313832,1.224744871391589],"coef":0.6072092371180586}],"dim":2}}"#;
+
+    #[test]
+    fn an_svm_model_written_with_a_kernel_entry_still_loads() {
+        use webcap_ml::{Dataset, Model, TrainedModel};
+        let old: TrainedModel =
+            serde_json::from_str(SVM_WITH_KERNEL_ENTRY).expect("the old shape loads");
+        let json = serde_json::to_string(&old).expect("serializes");
+        assert_eq!(
+            json,
+            SVM_WITH_KERNEL_ENTRY.replace(r#""kernel":{"Rbf":{"gamma":null}},"#, "")
+        );
+        let new: TrainedModel = serde_json::from_str(&json).expect("the new shape loads");
+
+        let mut data = Dataset::new(vec!["a".into(), "b".into()]);
+        for i in 0..12 {
+            let a = f64::from(i) * 0.5;
+            let b = f64::from(i % 3);
+            data.push(vec![a, b], a + b > 3.0);
+        }
+        let refit = Algorithm::Svm.fit(&data).expect("fits");
+        assert_eq!(serde_json::to_string(&refit).expect("serializes"), json);
+        let probes = data.iter().map(|inst| inst.features.clone());
+        for probe in probes.chain([vec![-3.0, 7.5], vec![100.0, -1.0]]) {
+            let want = old.decision(&probe).to_bits();
+            assert_eq!(new.decision(&probe).to_bits(), want, "{probe:?}");
+            assert_eq!(refit.decision(&probe).to_bits(), want, "{probe:?}");
+        }
+    }
+
     #[test]
     fn loaded_meter_with_an_impossible_window_geometry_is_rejected() {
         // Each field's literal replaced, the way a hand-edited meter file

@@ -58,15 +58,11 @@ pub use cv::{cross_validate, fold_assignment, CvOutcome};
 pub use data::{Dataset, Instance};
 pub use discretize::EqualFrequencyDiscretizer;
 pub use linreg::LinearModel;
-pub use linreg::RidgeRegression;
 pub use metrics::{balanced_accuracy, ConfusionMatrix};
-pub use naive_bayes::GaussianNaiveBayes;
 pub use naive_bayes::NaiveBayesModel;
 pub use select::{forward_select, SelectionReport};
 pub use svm::SvmModel;
-pub use svm::{Kernel, SmoSvm};
 pub use tan::TanModel;
-pub use tan::TreeAugmentedNaiveBayes;
 
 /// Error returned when a learner cannot be fitted to a dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,8 +131,8 @@ pub trait Model: Send + Sync + fmt::Debug {
 
 /// A learning algorithm: fits a [`TrainedModel`] from a [`Dataset`].
 ///
-/// Learners are stateless hyper-parameter bundles, hence `Send + Sync`.
-/// [`Algorithm`] is the one learner of the library; the trait is the seam
+/// Learners are stateless, hence `Send + Sync`. [`Algorithm`] is the one
+/// learner of the library; the trait is the seam
 /// [`forward_select`] and [`cross_validate`] fit through.
 pub trait Learner: Send + Sync {
     /// Fit a model to the dataset.
@@ -148,13 +144,12 @@ pub trait Learner: Send + Sync {
     fn fit(&self, data: &Dataset) -> Result<TrainedModel, FitError>;
 }
 
-/// The four learners evaluated in the paper, with their default
-/// hyper-parameters, as a uniform handle.
+/// The four learners evaluated in the paper, as a uniform handle.
 ///
-/// The defaults mirror the WEKA defaults the paper used: ridge 1e-8 for
-/// linear regression, Gaussian class-conditional densities for naive Bayes,
-/// equal-frequency discretization for TAN, and `C = 1` with a linear kernel
-/// for the SVM.
+/// Each fits at the WEKA defaults the paper used, fixed in its module:
+/// ridge 1e-8 for linear regression, Gaussian class-conditional densities
+/// for naive Bayes, five equal-frequency bins for TAN, and `C = 1` with an
+/// RBF kernel of `γ = 1/d` for the SVM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Algorithm {
     /// Least-squares linear regression on the {0,1} class indicator with a
@@ -184,21 +179,17 @@ impl Algorithm {
         Box::new(*self)
     }
 
-    /// Fit a model with default hyper-parameters.
+    /// Fit this algorithm's model.
     ///
     /// # Errors
     ///
-    /// Propagates the learner's [`FitError`].
+    /// Propagates the model's [`FitError`].
     pub fn fit(&self, data: &Dataset) -> Result<TrainedModel, FitError> {
         Ok(match self {
-            Algorithm::LinearRegression => {
-                TrainedModel::Linear(RidgeRegression::default().fit_model(data)?)
-            }
-            Algorithm::NaiveBayes => TrainedModel::NaiveBayes(GaussianNaiveBayes.fit_model(data)?),
-            Algorithm::Tan => {
-                TrainedModel::Tan(TreeAugmentedNaiveBayes::default().fit_model(data)?)
-            }
-            Algorithm::Svm => TrainedModel::Svm(SmoSvm::default().fit_model(data)?),
+            Algorithm::LinearRegression => TrainedModel::Linear(LinearModel::fit(data)?),
+            Algorithm::NaiveBayes => TrainedModel::NaiveBayes(NaiveBayesModel::fit(data)?),
+            Algorithm::Tan => TrainedModel::Tan(TanModel::fit(data)?),
+            Algorithm::Svm => TrainedModel::Svm(SvmModel::fit(data)?),
         })
     }
 

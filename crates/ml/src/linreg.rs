@@ -12,46 +12,16 @@ use crate::data::{Dataset, Scaler};
 use crate::linalg::{dot, Matrix};
 use crate::{FitError, Model};
 
-/// Ridge-regularized least-squares learner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RidgeRegression {
-    ridge: f64,
-}
+/// The ridge coefficient, WEKA's default.
+const RIDGE: f64 = 1e-8;
 
-impl RidgeRegression {
-    /// Create a learner with the given ridge coefficient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ridge` is negative or non-finite.
-    pub fn new(ridge: f64) -> RidgeRegression {
-        assert!(
-            ridge.is_finite() && ridge >= 0.0,
-            "ridge must be a nonnegative finite value"
-        );
-        RidgeRegression { ridge }
-    }
-
-    /// The ridge coefficient.
-    pub fn ridge(&self) -> f64 {
-        self.ridge
-    }
-}
-
-impl Default for RidgeRegression {
-    /// WEKA's default ridge of `1e-8`.
-    fn default() -> RidgeRegression {
-        RidgeRegression::new(1e-8)
-    }
-}
-
-impl RidgeRegression {
-    /// Fit and return the concrete (serializable) model.
+impl LinearModel {
+    /// Fit the regression on the class indicator with WEKA's ridge, 1e-8.
     ///
     /// # Errors
     ///
     /// Same as [`crate::Learner::fit`].
-    pub fn fit_model(&self, data: &Dataset) -> Result<LinearModel, FitError> {
+    pub fn fit(data: &Dataset) -> Result<LinearModel, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
@@ -82,7 +52,7 @@ impl RidgeRegression {
         // (XᵀX + λI) w = Xᵀy ; do not penalize the intercept.
         let mut gram = x.gram();
         for i in 1..=d {
-            gram[(i, i)] += self.ridge.max(1e-10) * x.rows() as f64;
+            gram[(i, i)] += RIDGE * x.rows() as f64;
         }
         let xty = x.transpose_mul_vec(&y);
         let weights = match gram.solve(&xty) {
@@ -90,7 +60,7 @@ impl RidgeRegression {
             Err(_) => {
                 // Escalate the ridge until the system is solvable; counters
                 // can be exactly collinear in degenerate workloads.
-                let mut lambda = (self.ridge.max(1e-10)) * 1e4;
+                let mut lambda = RIDGE * 1e4;
                 loop {
                     let mut g = x.gram();
                     for i in 1..=d {
@@ -143,7 +113,7 @@ mod tests {
             let x = f64::from(i) * 0.1;
             data.push(vec![x], x > 5.0);
         }
-        let model = RidgeRegression::default().fit_model(&data).unwrap();
+        let model = LinearModel::fit(&data).unwrap();
         assert!(model.predict(&[9.0]));
         assert!(!model.predict(&[1.0]));
         // Decision midpoint should be near the boundary.
@@ -157,7 +127,7 @@ mod tests {
             let a = f64::from(i);
             data.push(vec![a, 2.0 * a], a > 25.0); // b = 2a exactly
         }
-        let model = RidgeRegression::default().fit_model(&data).unwrap();
+        let model = LinearModel::fit(&data).unwrap();
         assert!(model.predict(&[40.0, 80.0]));
         assert!(!model.predict(&[5.0, 10.0]));
     }
@@ -168,7 +138,7 @@ mod tests {
         for i in 0..40 {
             data.push(vec![f64::from(i), 7.0], i >= 20);
         }
-        let model = RidgeRegression::default().fit_model(&data).unwrap();
+        let model = LinearModel::fit(&data).unwrap();
         assert!(model.predict(&[35.0, 7.0]));
         assert!(!model.predict(&[2.0, 7.0]));
     }
@@ -179,7 +149,7 @@ mod tests {
         for i in 0..60 {
             data.push(vec![f64::from(i)], i > 30);
         }
-        let model = RidgeRegression::default().fit_model(&data).unwrap();
+        let model = LinearModel::fit(&data).unwrap();
         assert!(model.decision(&[50.0]) > model.decision(&[10.0]));
     }
 
@@ -190,13 +160,7 @@ mod tests {
         for i in 0..10 {
             data.push(vec![f64::from(i)], i >= 5);
         }
-        let model = RidgeRegression::default().fit_model(&data).unwrap();
+        let model = LinearModel::fit(&data).unwrap();
         let _ = model.predict(&[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonnegative")]
-    fn negative_ridge_panics() {
-        let _ = RidgeRegression::new(-1.0);
     }
 }

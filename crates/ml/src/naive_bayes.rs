@@ -9,21 +9,17 @@ use serde::{Deserialize, Serialize};
 use crate::data::Dataset;
 use crate::{FitError, Model};
 
-/// Gaussian naive Bayes learner.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GaussianNaiveBayes;
-
 /// Variance floor: counters can be exactly constant within a class, and a
 /// zero variance would produce a degenerate density.
 const VAR_FLOOR: f64 = 1e-9;
 
-impl GaussianNaiveBayes {
-    /// Fit and return the concrete (serializable) model.
+impl NaiveBayesModel {
+    /// Fit class-conditional Gaussians and the class priors.
     ///
     /// # Errors
     ///
     /// Same as [`crate::Learner::fit`].
-    pub fn fit_model(&self, data: &Dataset) -> Result<NaiveBayesModel, FitError> {
+    pub fn fit(data: &Dataset) -> Result<NaiveBayesModel, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
@@ -159,7 +155,7 @@ mod tests {
     #[test]
     fn separates_gaussian_blobs() {
         let data = two_blob_dataset(1);
-        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
+        let model = NaiveBayesModel::fit(&data).unwrap();
         assert!(model.predict(&[4.0, 4.0]));
         assert!(!model.predict(&[0.0, 0.0]));
     }
@@ -167,7 +163,7 @@ mod tests {
     #[test]
     fn decision_sign_flips_across_midpoint() {
         let data = two_blob_dataset(2);
-        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
+        let model = NaiveBayesModel::fit(&data).unwrap();
         assert!(model.decision(&[-1.0, -1.0]) < 0.0);
         assert!(model.decision(&[5.0, 5.0]) > 0.0);
     }
@@ -183,7 +179,7 @@ mod tests {
         for _ in 0..20 {
             data.push(vec![gaussian(&mut rng, 1.0, 2.0)], true);
         }
-        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
+        let model = NaiveBayesModel::fit(&data).unwrap();
         assert!(!model.predict(&[0.5]));
     }
 
@@ -193,7 +189,7 @@ mod tests {
         for i in 0..40 {
             data.push(vec![f64::from(i), 3.0], i >= 20);
         }
-        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
+        let model = NaiveBayesModel::fit(&data).unwrap();
         assert!(model.predict(&[35.0, 3.0]));
         assert!(!model.predict(&[1.0, 3.0]));
     }
@@ -201,7 +197,7 @@ mod tests {
     #[test]
     fn extreme_inputs_stay_finite() {
         let data = two_blob_dataset(4);
-        let model = GaussianNaiveBayes.fit_model(&data).unwrap();
+        let model = NaiveBayesModel::fit(&data).unwrap();
         assert!(model.decision(&[1e9, -1e9]).is_finite());
     }
 
@@ -251,9 +247,8 @@ mod tests {
                 for (r, &l) in rows.iter().zip(&labels) {
                     data.push(r.clone(), l);
                 }
-                let model = GaussianNaiveBayes
-                    .fit_model(&data)
-                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                let model =
+                    NaiveBayesModel::fit(&data).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
                 let reference = reference_model(&rows, &labels);
                 assert_eq!(&model.log_priors, &reference.log_priors, "seed {seed}");
                 assert_eq!(&model.params, &reference.params, "seed {seed}");

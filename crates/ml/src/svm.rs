@@ -1,7 +1,7 @@
 //! Support vector machine trained with sequential minimal optimization
 //! (Platt's SMO, simplified pair-selection variant).
 //!
-//! Features are standardized before training. The default configuration
+//! Features are standardized before training. The configuration
 //! (`C = 1`, RBF kernel with `γ = 1/d`) mirrors the WEKA SMO defaults the
 //! paper used. SMO's repeated full passes over the α vector make this by
 //! far the costliest learner — reproducing the paper's observation that
@@ -15,120 +15,51 @@ use crate::data::{Dataset, Scaler};
 use crate::linalg::{dot, squared_distance, Matrix};
 use crate::{FitError, Model};
 
-/// Kernel functions supported by [`SmoSvm`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Kernel {
-    /// `K(x, z) = x · z`.
-    Linear,
-    /// `K(x, z) = exp(−γ ‖x − z‖²)`.
-    Rbf {
-        /// Width parameter γ; `None` means `1 / n_features` at fit time.
-        gamma: Option<f64>,
-    },
+/// The soft-margin parameter C.
+const C: f64 = 1.0;
+
+/// KKT violation tolerance.
+const TOLERANCE: f64 = 1e-3;
+
+/// Consecutive passes without an α change that end training.
+const MAX_PASSES: usize = 5;
+
+/// Seed of SMO's random second-index choice.
+const SEED: u64 = 0x5eed;
+
+/// `K(x, z) = exp(−γ ‖x − z‖²)`.
+fn rbf(gamma: f64, a: &[f64], b: &[f64]) -> f64 {
+    (-gamma * squared_distance(a, b)).exp()
 }
 
-impl Kernel {
-    fn eval(&self, gamma: f64, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            Kernel::Linear => dot(a, b),
-            Kernel::Rbf { .. } => (-gamma * squared_distance(a, b)).exp(),
-        }
-    }
-}
-
-/// Fill the dense `n × n` training kernel matrix from contiguous feature
-/// rows. Linear caches each pairwise dot product directly; RBF derives the
-/// squared distance from cached squared norms and the same dot-product
-/// cache (`‖xᵢ − xⱼ‖² = ‖xᵢ‖² + ‖xⱼ‖² − 2·xᵢ·xⱼ`), so both kernels walk
-/// each row pair exactly once over contiguous memory.
-pub(crate) fn kernel_matrix(kernel: Kernel, gamma: f64, x: &Matrix) -> Vec<f64> {
+/// Fill the dense `n × n` training RBF kernel matrix from contiguous
+/// feature rows, deriving each squared distance from cached squared norms
+/// and one dot product (`‖xᵢ − xⱼ‖² = ‖xᵢ‖² + ‖xⱼ‖² − 2·xᵢ·xⱼ`), so each
+/// row pair is walked exactly once over contiguous memory.
+pub(crate) fn kernel_matrix(gamma: f64, x: &Matrix) -> Vec<f64> {
     let n = x.rows();
     let mut k = vec![0.0f64; n * n];
-    match kernel {
-        Kernel::Linear => {
-            for i in 0..n {
-                let ri = x.row(i);
-                for j in i..n {
-                    let v = dot(ri, x.row(j));
-                    k[i * n + j] = v;
-                    k[j * n + i] = v;
-                }
-            }
-        }
-        Kernel::Rbf { .. } => {
-            let norms: Vec<f64> = (0..n).map(|i| dot(x.row(i), x.row(i))).collect();
-            for i in 0..n {
-                let ri = x.row(i);
-                for j in i..n {
-                    let d2 = (norms[i] + norms[j] - 2.0 * dot(ri, x.row(j))).max(0.0);
-                    let v = (-gamma * d2).exp();
-                    k[i * n + j] = v;
-                    k[j * n + i] = v;
-                }
-            }
+    let norms: Vec<f64> = (0..n).map(|i| dot(x.row(i), x.row(i))).collect();
+    for i in 0..n {
+        let ri = x.row(i);
+        for j in i..n {
+            let d2 = (norms[i] + norms[j] - 2.0 * dot(ri, x.row(j))).max(0.0);
+            let v = (-gamma * d2).exp();
+            k[i * n + j] = v;
+            k[j * n + i] = v;
         }
     }
     k
 }
 
-/// SMO-trained soft-margin SVM learner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SmoSvm {
-    c: f64,
-    kernel: Kernel,
-    tolerance: f64,
-    max_passes: usize,
-    seed: u64,
-}
-
-impl SmoSvm {
-    /// Create an SVM learner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c <= 0` or `tolerance <= 0`.
-    pub fn new(c: f64, kernel: Kernel) -> SmoSvm {
-        assert!(c > 0.0 && c.is_finite(), "C must be positive");
-        SmoSvm {
-            c,
-            kernel,
-            tolerance: 1e-3,
-            max_passes: 5,
-            seed: 0x5eed,
-        }
-    }
-
-    /// Override the RNG seed used for SMO's random second-index choice.
-    pub fn with_seed(mut self, seed: u64) -> SmoSvm {
-        self.seed = seed;
-        self
-    }
-
-    /// The soft-margin parameter C.
-    pub fn c(&self) -> f64 {
-        self.c
-    }
-
-    /// The configured kernel.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-}
-
-impl Default for SmoSvm {
-    /// WEKA-like defaults: `C = 1`, RBF with `γ = 1/d`.
-    fn default() -> SmoSvm {
-        SmoSvm::new(1.0, Kernel::Rbf { gamma: None })
-    }
-}
-
-impl SmoSvm {
-    /// Fit and return the concrete (serializable) model.
+impl SvmModel {
+    /// Fit the soft-margin SVM by SMO: `C = 1`, RBF kernel with
+    /// `γ = 1/d`.
     ///
     /// # Errors
     ///
     /// Same as [`crate::Learner::fit`].
-    pub fn fit_model(&self, data: &Dataset) -> Result<SvmModel, FitError> {
+    pub fn fit(data: &Dataset) -> Result<SvmModel, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
@@ -144,19 +75,16 @@ impl SmoSvm {
             .collect();
         let n = x.rows();
         let d = data.n_features();
-        let gamma = match self.kernel {
-            Kernel::Rbf { gamma } => gamma.unwrap_or(1.0 / d as f64),
-            Kernel::Linear => 0.0,
-        };
+        let gamma = 1.0 / d as f64;
 
         // Precompute the kernel matrix; training sets here are at most a
         // few thousand instances, so O(n²) memory is acceptable.
-        let k = kernel_matrix(self.kernel, gamma, &x);
+        let k = kernel_matrix(gamma, &x);
         let kij = |i: usize, j: usize| k[i * n + j];
 
         let mut alpha = vec![0.0f64; n];
         let mut b = 0.0f64;
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let f = |alpha: &[f64], b: f64, idx: usize| -> f64 {
             let mut s = b;
             for t in 0..n {
@@ -170,15 +98,13 @@ impl SmoSvm {
         let mut passes = 0usize;
         let mut iters = 0usize;
         let max_iters = 200 * n.max(100);
-        while passes < self.max_passes && iters < max_iters {
+        while passes < MAX_PASSES && iters < max_iters {
             iters += 1;
             let mut changed = 0usize;
             for i in 0..n {
                 let e_i = f(&alpha, b, i) - y[i];
                 let r_i = e_i * y[i];
-                if (r_i < -self.tolerance && alpha[i] < self.c)
-                    || (r_i > self.tolerance && alpha[i] > 0.0)
-                {
+                if (r_i < -TOLERANCE && alpha[i] < C) || (r_i > TOLERANCE && alpha[i] > 0.0) {
                     // Pick j ≠ i at random (simplified heuristic).
                     let mut j = rng.random_range(0..n - 1);
                     if j >= i {
@@ -189,12 +115,12 @@ impl SmoSvm {
                     let (lo, hi) = if (y[i] - y[j]).abs() > f64::EPSILON {
                         (
                             (alpha[j] - alpha[i]).max(0.0),
-                            (self.c + alpha[j] - alpha[i]).min(self.c),
+                            (C + alpha[j] - alpha[i]).min(C),
                         )
                     } else {
                         (
-                            (alpha[i] + alpha[j] - self.c).max(0.0),
-                            (alpha[i] + alpha[j]).min(self.c),
+                            (alpha[i] + alpha[j] - C).max(0.0),
+                            (alpha[i] + alpha[j]).min(C),
                         )
                     };
                     if hi - lo < 1e-12 {
@@ -220,9 +146,9 @@ impl SmoSvm {
                         - e_j
                         - y[i] * (a_i - a_i_old) * kij(i, j)
                         - y[j] * (a_j - a_j_old) * kij(j, j);
-                    b = if a_i > 0.0 && a_i < self.c {
+                    b = if a_i > 0.0 && a_i < C {
                         b1
-                    } else if a_j > 0.0 && a_j < self.c {
+                    } else if a_j > 0.0 && a_j < C {
                         b2
                     } else {
                         (b1 + b2) / 2.0
@@ -252,7 +178,6 @@ impl SmoSvm {
         }
         Ok(SvmModel {
             scaler,
-            kernel: self.kernel,
             gamma,
             bias: b,
             support,
@@ -272,7 +197,6 @@ struct SupportVector {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SvmModel {
     scaler: Scaler,
-    kernel: Kernel,
     gamma: f64,
     bias: f64,
     support: Vec<SupportVector>,
@@ -285,7 +209,7 @@ impl Model for SvmModel {
         let z = self.scaler.transform(features);
         let mut s = self.bias;
         for sv in &self.support {
-            s += sv.coef * self.kernel.eval(self.gamma, &sv.x, &z);
+            s += sv.coef * rbf(self.gamma, &sv.x, &z);
         }
         s
     }
@@ -313,14 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_kernel_separates_linear_data() {
-        let data = linear_dataset(5, 150);
-        let model = SmoSvm::new(1.0, Kernel::Linear).fit_model(&data).unwrap();
-        assert!(model.predict(&[9.0, 9.0]));
-        assert!(!model.predict(&[1.0, 1.0]));
-    }
-
-    #[test]
     fn rbf_kernel_separates_ring_data() {
         // Inner disk negative, outer ring positive — not linearly separable.
         let mut rng = StdRng::seed_from_u64(6);
@@ -335,25 +251,17 @@ mod tests {
             };
             data.push(vec![r * angle.cos(), r * angle.sin()], !inner);
         }
-        let model = SmoSvm::new(1.0, Kernel::Rbf { gamma: Some(1.0) })
-            .fit_model(&data)
-            .unwrap();
+        let model = SvmModel::fit(&data).unwrap();
         assert!(model.predict(&[2.5, 0.0]));
         assert!(model.predict(&[0.0, -2.5]));
         assert!(!model.predict(&[0.1, 0.1]));
     }
 
     #[test]
-    fn deterministic_given_seed() {
+    fn refitting_is_deterministic() {
         let data = linear_dataset(7, 80);
-        let m1 = SmoSvm::new(1.0, Kernel::Linear)
-            .with_seed(9)
-            .fit_model(&data)
-            .unwrap();
-        let m2 = SmoSvm::new(1.0, Kernel::Linear)
-            .with_seed(9)
-            .fit_model(&data)
-            .unwrap();
+        let m1 = SvmModel::fit(&data).unwrap();
+        let m2 = SvmModel::fit(&data).unwrap();
         for probe in [[0.0, 0.0], [5.0, 5.1], [10.0, 10.0]] {
             assert_eq!(m1.decision(&probe), m2.decision(&probe));
         }
@@ -362,7 +270,7 @@ mod tests {
     #[test]
     fn decision_sign_matches_predict() {
         let data = linear_dataset(8, 100);
-        let model = SmoSvm::default().fit_model(&data).unwrap();
+        let model = SvmModel::fit(&data).unwrap();
         for probe in [[1.0, 2.0], [8.0, 9.0], [5.0, 5.0]] {
             assert_eq!(model.predict(&probe), model.decision(&probe) > 0.0);
         }
@@ -378,30 +286,24 @@ mod tests {
             noisy.push(inst.features.clone(), label);
         }
         data = noisy;
-        let model = SmoSvm::default().fit_model(&data).unwrap();
+        let model = SvmModel::fit(&data).unwrap();
         assert!(model.predict(&[9.5, 9.5]));
         assert!(!model.predict(&[0.5, 0.5]));
     }
 
-    #[test]
-    #[should_panic(expected = "C must be positive")]
-    fn zero_c_rejected() {
-        let _ = SmoSvm::new(0.0, Kernel::Linear);
-    }
-
     mod kernel_equivalence {
-        //! The cached-dot-product kernel fill must agree with the original
-        //! per-pair `Kernel::eval` over `Vec<Vec<f64>>` rows.
+        //! The cached-dot-product kernel fill must agree with the per-pair
+        //! `rbf` over `Vec<Vec<f64>>` rows.
         use super::super::*;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        fn reference_kernel(kernel: Kernel, gamma: f64, rows: &[Vec<f64>]) -> Vec<f64> {
+        fn reference_kernel(gamma: f64, rows: &[Vec<f64>]) -> Vec<f64> {
             let n = rows.len();
             let mut k = vec![0.0f64; n * n];
             for i in 0..n {
                 for j in 0..n {
-                    k[i * n + j] = kernel.eval(gamma, &rows[i], &rows[j]);
+                    k[i * n + j] = rbf(gamma, &rows[i], &rows[j]);
                 }
             }
             k
@@ -420,27 +322,14 @@ mod tests {
         }
 
         #[test]
-        fn linear_kernel_rows_match_reference() {
-            for seed in 0..256u64 {
-                let rows = rows(&mut StdRng::seed_from_u64(seed));
-                let x = Matrix::from_rows(&rows);
-                let fast = kernel_matrix(Kernel::Linear, 0.0, &x);
-                let slow = reference_kernel(Kernel::Linear, 0.0, &rows);
-                for (f, s) in fast.iter().zip(&slow) {
-                    assert_eq!(f, s, "seed {seed}: linear kernel entry drifted");
-                }
-            }
-        }
-
-        #[test]
         fn rbf_kernel_rows_match_reference() {
             for seed in 0..256u64 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let rows = rows(&mut rng);
                 let gamma = rng.random_range(0.01f64..2.0);
                 let x = Matrix::from_rows(&rows);
-                let fast = kernel_matrix(Kernel::Rbf { gamma: Some(gamma) }, gamma, &x);
-                let slow = reference_kernel(Kernel::Rbf { gamma: Some(gamma) }, gamma, &rows);
+                let fast = kernel_matrix(gamma, &x);
+                let slow = reference_kernel(gamma, &rows);
                 for (&f, &s) in fast.iter().zip(&slow) {
                     assert!((f - s).abs() <= 1e-9, "seed {seed}: rbf entry {f} vs {s}");
                 }
@@ -450,7 +339,7 @@ mod tests {
         #[test]
         fn rbf_diagonal_is_exactly_one() {
             let x = Matrix::from_rows(&[vec![1.5, -2.0], vec![0.25, 7.0], vec![3.0, 3.0]]);
-            let k = kernel_matrix(Kernel::Rbf { gamma: Some(0.5) }, 0.5, &x);
+            let k = kernel_matrix(0.5, &x);
             for i in 0..3 {
                 assert_eq!(k[i * 3 + i], 1.0);
             }

@@ -13,45 +13,19 @@ use crate::discretize::{fit_cached, EqualFrequencyDiscretizer};
 use crate::info::conditional_mutual_information;
 use crate::{FitError, Model};
 
-/// TAN learner over equal-frequency-discretized attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeAugmentedNaiveBayes {
-    n_bins: usize,
-}
+/// Equal-frequency bins per attribute: enough resolution for counter
+/// distributions while keeping conditional tables well populated at the
+/// paper's training-set sizes.
+const N_BINS: usize = 5;
 
-impl TreeAugmentedNaiveBayes {
-    /// Create a TAN learner discretizing each attribute into `n_bins`
+impl TanModel {
+    /// Fit the tree and its tables over attributes discretized into five
     /// equal-frequency bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_bins < 2`.
-    pub fn new(n_bins: usize) -> TreeAugmentedNaiveBayes {
-        assert!(n_bins >= 2, "TAN needs at least 2 bins");
-        TreeAugmentedNaiveBayes { n_bins }
-    }
-
-    /// Bin count per attribute.
-    pub fn n_bins(&self) -> usize {
-        self.n_bins
-    }
-}
-
-impl Default for TreeAugmentedNaiveBayes {
-    /// Five bins: enough resolution for counter distributions while keeping
-    /// conditional tables well populated at the paper's training-set sizes.
-    fn default() -> TreeAugmentedNaiveBayes {
-        TreeAugmentedNaiveBayes::new(5)
-    }
-}
-
-impl TreeAugmentedNaiveBayes {
-    /// Fit and return the concrete (serializable) model.
     ///
     /// # Errors
     ///
     /// Same as [`crate::Learner::fit`].
-    pub fn fit_model(&self, data: &Dataset) -> Result<TanModel, FitError> {
+    pub fn fit(data: &Dataset) -> Result<TanModel, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
@@ -70,7 +44,7 @@ impl TreeAugmentedNaiveBayes {
         let mut bins: Vec<Vec<usize>> = Vec::with_capacity(d);
         for c in 0..d {
             let col = data.column(c);
-            let disc = fit_cached(&col, self.n_bins);
+            let disc = fit_cached(&col, N_BINS);
             bins.push(col.iter().map(|&v| disc.bin(v)).collect());
             discretizers.push(disc);
         }
@@ -219,7 +193,7 @@ mod tests {
             let x = f64::from(i);
             data.push(vec![x], x >= 50.0);
         }
-        let model = TreeAugmentedNaiveBayes::default().fit_model(&data).unwrap();
+        let model = TanModel::fit(&data).unwrap();
         assert!(model.predict(&[90.0]));
         assert!(!model.predict(&[5.0]));
     }
@@ -236,7 +210,7 @@ mod tests {
             let b: f64 = rng.random();
             data.push(vec![a, b], (a > 0.5) != (b > 0.5));
         }
-        let model = TreeAugmentedNaiveBayes::new(2).fit_model(&data).unwrap();
+        let model = TanModel::fit(&data).unwrap();
         let mut correct = 0;
         let cases = [
             (0.2, 0.2, false),
@@ -274,7 +248,7 @@ mod tests {
         for i in 0..60 {
             data.push(vec![f64::from(i % 30)], i % 30 >= 15);
         }
-        let model = TreeAugmentedNaiveBayes::default().fit_model(&data).unwrap();
+        let model = TanModel::fit(&data).unwrap();
         assert!(model.predict(&[29.0]));
         assert!(!model.predict(&[1.0]));
     }
@@ -285,15 +259,9 @@ mod tests {
         for i in 0..50 {
             data.push(vec![f64::from(i)], i >= 25);
         }
-        let model = TreeAugmentedNaiveBayes::default().fit_model(&data).unwrap();
+        let model = TanModel::fit(&data).unwrap();
         assert!(model.predict(&[1e9]));
         assert!(!model.predict(&[-1e9]));
         assert!(model.decision(&[f64::NAN]).is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 bins")]
-    fn one_bin_rejected() {
-        let _ = TreeAugmentedNaiveBayes::new(1);
     }
 }

@@ -38,9 +38,7 @@ use std::io::{self, Write};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use webcap_core::{
-    AdmissionConfig, AdmissionController, CapacityMeter, MetricLevel, OnlineDecision,
-};
+use webcap_core::{AdmissionController, CapacityMeter, MetricLevel, OnlineDecision};
 use webcap_sim::TierId;
 
 use crate::frame::{
@@ -61,9 +59,6 @@ pub struct CollectorConfig {
     /// Stop when no events arrive for this long and no session is
     /// active.
     pub idle_timeout: Duration,
-    /// Number of distinct tiers expected to say `Bye` before the
-    /// collector concludes the run.
-    pub expected_tiers: usize,
     /// Overload bound on each lane's bytes per poll round, in *both*
     /// directions: a round stops reading a lane once it has read this
     /// much inbound (fairness against a blasting peer; the lane parses
@@ -100,7 +95,6 @@ impl Default for CollectorConfig {
         CollectorConfig {
             window_origin: 1,
             idle_timeout: Duration::from_secs(10),
-            expected_tiers: 2,
             max_lane_buffered_bytes: 2 * (crate::frame::MAX_FRAME_LEN + 8),
             stall_poll_budget: 2000,
         }
@@ -225,7 +219,7 @@ impl Assembler {
 
     /// A collector around a freshly loaded meter; `origin` is the key of
     /// the stream's first sample (see [`CollectorConfig::window_origin`]).
-    /// It starts Healthy, admitting through the default AIMD controller
+    /// It starts Healthy, admitting through the AIMD controller
     /// from [`INITIAL_CAP`]. Its digesters read the meter's families, so
     /// a full-width row is as valid as one that carries only those.
     pub fn start(meter: CapacityMeter, origin: i64, sup_cfg: SupervisorConfig) -> Assembler {
@@ -239,7 +233,7 @@ impl Assembler {
             prev_fed: None,
             anomalies: 0,
             supervisor: Supervisor::new(sup_cfg),
-            admission: AdmissionController::new(AdmissionConfig::default(), INITIAL_CAP),
+            admission: AdmissionController::new(INITIAL_CAP),
             last_health: HealthState::Healthy,
             sessions: [0, 0],
             samples: [0, 0],
@@ -445,7 +439,7 @@ impl Assembler {
     }
 }
 
-/// Run `collector` on a bound listener until every expected tier says
+/// Run `collector` on a bound listener until both tiers have said
 /// `Bye` (or the idle timeout passes with no live session): the
 /// socketed collector. `collector` must be anchored at
 /// `cfg.window_origin`. Each emitted decision is streamed to
@@ -671,17 +665,16 @@ struct TierLane {
 /// read — which tiers have said `Bye`, and how long it has been quiet.
 struct Delivery<H> {
     handle: H,
-    expected_tiers: usize,
     byes: BTreeSet<usize>,
     /// Accumulated pump sleep since the last delivered event.
     quiet: Duration,
 }
 
 impl<H: FnMut(Event)> Delivery<H> {
-    /// Every expected tier has said `Bye`: the run is over, and nothing
-    /// more is delivered.
+    /// Both tiers have said `Bye`: the run is over, and nothing more is
+    /// delivered.
     fn done(&self) -> bool {
-        self.byes.len() >= self.expected_tiers
+        self.byes.len() >= TierId::ALL.len()
     }
 
     fn deliver(&mut self, event: Event) {
@@ -824,7 +817,7 @@ fn service_conn(
 /// frame prefix, and the overload reaches the agent, as a blocked
 /// `write`, through TCP flow control.
 ///
-/// The pump stops once every expected tier has said `Bye` — nothing is
+/// The pump stops once both tiers have said `Bye` — nothing is
 /// delivered after the event that completes the set — or when the
 /// listener fails, or when nothing has been delivered for
 /// `idle_timeout` and no session is live; with sessions live that
@@ -841,7 +834,6 @@ pub(crate) fn pump_events(
     let mut lanes: [TierLane; 2] = [TierLane::default(), TierLane::default()];
     let mut events = Delivery {
         handle,
-        expected_tiers: cfg.expected_tiers,
         byes: BTreeSet::new(),
         quiet: Duration::ZERO,
     };
@@ -1036,13 +1028,15 @@ mod tests {
 
     #[test]
     fn the_handler_runs_on_the_callers_thread_and_nothing_follows_the_final_bye() {
-        let cfg = CollectorConfig {
-            expected_tiers: 1,
-            ..CollectorConfig::default()
-        };
+        let cfg = CollectorConfig::default();
         let peers = |endpoint: Endpoint| {
-            // A live App session, provably serviced: three samples, three
-            // acks. It never says Bye and has a fourth sample in flight.
+            // App's first session says Bye at once and is closed.
+            let mut first = handshaken(&endpoint, TierId::App);
+            write_frame(&mut first, &Frame::Bye { last_seq: 0 }).unwrap();
+            read_to_eof(&mut first);
+            // Its second, live session is provably serviced: three
+            // samples, three acks. It never says Bye and has a fourth
+            // sample in flight.
             let mut app = handshaken(&endpoint, TierId::App);
             for seq in 0..3 {
                 write_frame(&mut app, &Frame::Sample(wire(seq, true))).unwrap();
@@ -1074,9 +1068,12 @@ mod tests {
         );
         // Whether the App lane's fourth sample beat the Bye is a race
         // the contract leaves open; everything else is fixed — no Db
-        // sample 1, no SessionEnd for either lane.
+        // sample 1, no SessionEnd for either live lane.
         texts.retain(|text| *text != "sample App 3");
         let expected = [
+            "start App",
+            "bye App 0",
+            "end App true",
             "start App",
             "sample App 0",
             "sample App 1",
@@ -1090,16 +1087,21 @@ mod tests {
     #[test]
     fn a_heartbeat_only_session_goes_stale_and_the_pump_keeps_running() {
         let cfg = CollectorConfig {
-            expected_tiers: 1,
             idle_timeout: Duration::from_millis(50),
             ..CollectorConfig::default()
         };
         let stale = AtomicBool::new(false);
         let peers = |endpoint: Endpoint| {
-            // Heartbeats keep the lane alive (each one is acked) but are
-            // not events: heartbeat until the handler has seen `Stale`,
-            // then finish. The cap only bounds the never-stale failure.
+            // Db comes and goes behind a live App session, so the pump
+            // never sits with nothing live. Then App's heartbeats keep
+            // its lane alive (each one is acked) but are not events:
+            // heartbeat until the handler has seen `Stale` after Db's
+            // end, then finish. The cap only bounds the never-stale
+            // failure.
             let mut app = handshaken(&endpoint, TierId::App);
+            let mut db = handshaken(&endpoint, TierId::Db);
+            write_frame(&mut db, &Frame::Bye { last_seq: 0 }).unwrap();
+            read_to_eof(&mut db);
             for seq in 0..5_000 {
                 if stale.load(Ordering::Acquire) {
                     break;
@@ -1110,15 +1112,32 @@ mod tests {
             write_frame(&mut app, &Frame::Bye { last_seq: 0 }).unwrap();
             read_to_eof(&mut app);
         };
-        let seen = pump_with_peers(&cfg, peers, |event| {
-            if matches!(event, Event::Stale) {
-                stale.store(true, Ordering::Release);
-            }
+        let mut db_ended = false;
+        let seen = pump_with_peers(&cfg, peers, |event| match event {
+            Event::SessionEnd {
+                tier: TierId::Db, ..
+            } => db_ended = true,
+            Event::Stale if db_ended => stale.store(true, Ordering::Release),
+            _ => {}
         });
 
-        let mut texts: Vec<&str> = seen.iter().map(|(text, _)| text.as_str()).collect();
-        texts.dedup();
-        assert_eq!(texts, ["start App", "stale", "bye App 0"]);
+        let texts: Vec<&str> = seen.iter().map(|(text, _)| text.as_str()).collect();
+        // A slow peer may let `Stale` in before Db's Bye too; the one
+        // after Db's end is what App's heartbeats wait for.
+        let db_end = texts.iter().position(|text| *text == "end Db true");
+        let stale_after = db_end.map(|at| texts.iter().skip(at).any(|text| *text == "stale"));
+        assert_eq!(stale_after, Some(true), "{texts:?}");
+        let events: Vec<&str> = texts.into_iter().filter(|text| *text != "stale").collect();
+        assert_eq!(
+            events,
+            [
+                "start App",
+                "start Db",
+                "bye Db 0",
+                "end Db true",
+                "bye App 0"
+            ]
+        );
     }
 
     #[test]
@@ -1181,7 +1200,6 @@ mod tests {
                     delivered.push((tier, ws.seq));
                 }
             },
-            expected_tiers: 1,
             byes: BTreeSet::new(),
             quiet: Duration::ZERO,
         };

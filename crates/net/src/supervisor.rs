@@ -80,7 +80,7 @@ impl fmt::Display for HealthState {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
     /// The admission cap SafeMode clamps to (further clamped into the
-    /// controller's own `[min_ebs, max_ebs]`).
+    /// controller's `[MIN_EBS, MAX_EBS]`).
     pub safe_cap: u32,
 }
 

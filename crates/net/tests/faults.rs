@@ -16,7 +16,8 @@ use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use webcap_core::{AdmissionConfig, CapacityMeter, MeterConfig, MetricLevel};
+use webcap_core::admission::{MAX_EBS, MIN_EBS};
+use webcap_core::{CapacityMeter, MeterConfig, MetricLevel};
 use webcap_net::frame::{read_frame, write_frame, Frame};
 use webcap_net::loopback::{
     all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
@@ -314,14 +315,10 @@ fn plane_matches_the_oracle(
          predictions are byte-identical to the in-process replay"
     );
 
-    let (min_ebs, max_ebs) = (
-        AdmissionConfig::default().min_ebs,
-        AdmissionConfig::default().max_ebs,
-    );
     for point in &report.admission_trace {
         assert!(
-            (min_ebs..=max_ebs).contains(&point.cap),
-            "cap {} escaped [{min_ebs}, {max_ebs}]",
+            (MIN_EBS..=MAX_EBS).contains(&point.cap),
+            "cap {} escaped [{MIN_EBS}, {MAX_EBS}]",
             point.cap
         );
         if point.from_prediction {

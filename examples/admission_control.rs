@@ -7,7 +7,7 @@
 //! cargo run --release --example admission_control
 //! ```
 
-use webcap::core::admission::{run_admission_experiment, AdmissionConfig};
+use webcap::core::admission::run_admission_experiment;
 use webcap::core::{CapacityMeter, MeterConfig};
 use webcap::ml::FitError;
 use webcap::tpcw::Mix;
@@ -20,18 +20,16 @@ fn main() -> Result<(), FitError> {
     // A flash crowd: 60% more sessions than the ordering-mix capacity.
     let mix = Mix::ordering();
     let offered = webcap::core::workloads::estimate_saturation_ebs(&config.sim, &mix) * 16 / 10;
-    let cfg = AdmissionConfig::default();
     let segments = 14;
 
     println!("\nflash crowd of {offered} sessions against the ordering-mix capacity\n");
 
     println!("-- without admission control --");
-    let uncontrolled =
-        run_admission_experiment(&mut meter, cfg, &mix, offered, segments, false, 900);
+    let uncontrolled = run_admission_experiment(&mut meter, &mix, offered, segments, false, 900);
     print_trace(&uncontrolled);
 
     println!("\n-- with AIMD admission control driven by the meter --");
-    let controlled = run_admission_experiment(&mut meter, cfg, &mix, offered, segments, true, 900);
+    let controlled = run_admission_experiment(&mut meter, &mix, offered, segments, true, 900);
     print_trace(&controlled);
 
     println!("\n-- comparison --");
