@@ -346,9 +346,10 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     let mut source = ScriptedSource::new(tier, &samples);
     let report = run_agent(&cfg, hpc_model, meter.config().level, &mut source)?;
     println!(
-        "agent[{tier}]: {} frames sent over {} session(s), {} acked, \
+        "agent[{tier}]: {} samples sent in {} frames over {} session(s), {} acks, \
          {} fault-dropped, {} queue-evicted, {} heartbeats",
         report.frames_sent,
+        report.sample_frames,
         report.sessions,
         report.acks_received,
         report.frames_dropped,

@@ -85,9 +85,12 @@ pub struct WindowHealthAgg {
 }
 
 impl WindowHealthAgg {
-    /// Fold one sample's application-level evidence in.
+    /// Fold one sample's application-level evidence in. The completion
+    /// count saturates, as [`RtHistogram::merge`](webcap_sim::RtHistogram::merge)
+    /// does: a collector folds counts off the wire, which may hold any
+    /// value, and an honest stream never nears the limit.
     pub fn observe(&mut self, s: &SystemSample) {
-        self.completed += s.completed;
+        self.completed = self.completed.saturating_add(s.completed);
         self.rt_sum_s += s.response_time_sum_s;
         self.rt_hist.merge(&s.response_times);
         if self.first_in_flight.is_none() {

@@ -159,7 +159,7 @@ impl FleetCollector {
 
     /// Feed one received sample for `tier`.
     pub fn on_sample(&mut self, tier: TierId, ws: &WireSample) {
-        self.on_tier(tier, |d, _| d.on_sample(ws.clone()));
+        self.on_tier(tier, |d, _| d.on_sample(ws));
     }
 
     /// `tier`'s agent finished cleanly with final sequence `last_seq`.

@@ -7,7 +7,11 @@
 //! queue by reference (no sample is cloned to be framed, and none leaves
 //! the queue before its frame is written) — with exactly one ack reader
 //! thread beside it that drains the collector's acknowledgments so the
-//! peer's write buffer can never fill and deadlock the pair. The reader
+//! peer's write buffer can never fill and deadlock the pair. The
+//! collector acks each sample frame once, with the sequence of its last
+//! member, and each heartbeat; the reader only counts them, and since a
+//! session's frames arrive in order on one connection, a cumulative ack
+//! per frame tells it as much as one per sample would. The reader
 //! sleeps in a blocking read and wakes once per collector flush: one
 //! `read` takes the whole burst of acks into a reassembly buffer (the
 //! one the collector's lanes use), so an ack cut in two by a short read
@@ -152,15 +156,21 @@ impl AgentConfig {
 pub struct AgentReport {
     /// Samples pulled from the source.
     pub samples_produced: u64,
-    /// Sample frames that reached the wire.
+    /// Samples that reached the wire, in sample frames (the name is from
+    /// when every frame carried one sample).
     pub frames_sent: u64,
-    /// Sample frames discarded by the [`FaultSchedule`]'s drop ranges.
+    /// Sample frames (`Sample` or `SampleBatch`) that reached the wire:
+    /// what the collector acknowledges, one ack per frame.
+    pub sample_frames: u64,
+    /// Samples discarded by the [`FaultSchedule`]'s drop ranges.
     pub frames_dropped: u64,
     /// Samples evicted by drop-oldest queue backpressure.
     pub queue_dropped: u64,
     /// Connections established (reconnects = `sessions - 1`).
     pub sessions: u64,
-    /// Acknowledgment frames observed.
+    /// Acknowledgment frames observed, the handshake's `Ack{0}` not
+    /// among them: one per sample frame the collector took, carrying
+    /// that frame's last sequence, and one per heartbeat.
     pub acks_received: u64,
     /// Mid-session `Reject` frames observed (the collector refusing a
     /// frame it could not parse).
@@ -701,6 +711,7 @@ impl Stream<'_> {
                 return Ok(SessionEnd::Broken);
             };
             self.queue.drain(..taken);
+            self.report.sample_frames += 1;
             self.report.frames_sent += sent as u64;
             self.report.frames_dropped += (taken - sent) as u64;
         }

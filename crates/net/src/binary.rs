@@ -27,10 +27,18 @@
 //! [`FrameError::Binary`] — never a panic, whatever the bytes (pinned
 //! by the `fuzz_smoke` mutation sweep in `tests/wire_codec.rs`).
 //!
+//! A sample frame's members decode in place, into sample slots the
+//! caller keeps ([`decode_frame_into`]): every field of a slot is
+//! written, and its metric rows are refilled in the room they already
+//! have, so a collector lane decodes its steady stream without
+//! allocating. [`decode_frame`] runs the same routine on fresh slots.
+//!
 //! Every encoder that takes a wire struct opens by destructuring it
 //! without `..`, and every decoder builds its struct with a `..`-free
-//! literal, so under the `deny` below a field or variant that is added,
-//! renamed or left unwritten is a compile error on both sides. What the
+//! literal — the sample decoder, which fills a slot in place, writes
+//! through a `..`-free destructuring of it — so under the `deny` below a
+//! field or variant that is added, renamed or left unwritten is a
+//! compile error on both sides. What the
 //! compiler cannot see — encode and decode disagreeing on order, or both
 //! changing order together — the round-trip suites and the byte pin in
 //! `tests/truncation.rs` catch.
@@ -495,6 +503,12 @@ impl<'a> Cur<'a> {
     }
 
     fn u64v(&mut self) -> Res<u64> {
+        // One byte below 0x80 is the whole varint: nearly every delta of
+        // a sample, each histogram bucket's included.
+        if let Some(&b) = self.buf.get(self.pos).filter(|b| **b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(b));
+        }
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -584,17 +598,21 @@ impl<'a> Cur<'a> {
 
     /// A metric row moves whole: its `8·n` bytes are taken once — `count`
     /// has already held them against the bytes remaining — and converted
-    /// in place of `n` bounds-checked reads.
-    fn f64s(&mut self) -> Res<Vec<f64>> {
+    /// into `row` in place of `n` bounds-checked reads. `row` is cleared
+    /// first and keeps its room, so a row no longer than it held before
+    /// allocates nothing.
+    fn f64s(&mut self, row: &mut Vec<f64>) -> Res<()> {
         let n = self.count(8)?;
         let Some(len) = n.checked_mul(8) else {
             return corrupt("count exceeds payload");
         };
-        let row = self
+        let values = self
             .take(len)?
             .chunks_exact(8)
             .map(|value| f64::from_bits(u64::from_le_bytes(value.try_into().unwrap_or_default())));
-        Ok(row.collect())
+        row.clear();
+        row.extend(values);
+        Ok(())
     }
 
     fn tier(&mut self) -> Res<TierId> {
@@ -635,7 +653,7 @@ impl<'a> Cur<'a> {
         let mut counts = [0u32; RtHistogram::BUCKET_COUNT];
         for (slot, p) in counts.iter_mut().zip(prev.bucket_counts()) {
             let delta = self.i64z()?;
-            let Ok(v) = u32::try_from(i64::from(*p) + delta) else {
+            let Some(Ok(v)) = i64::from(*p).checked_add(delta).map(u32::try_from) else {
                 return corrupt("histogram count overflow");
             };
             *slot = v;
@@ -690,28 +708,52 @@ impl<'a> Cur<'a> {
         })
     }
 
-    fn wire_sample(&mut self, prev: Option<&WireSample>) -> Res<WireSample> {
-        let zero;
-        let prev = match prev {
-            Some(p) => p,
-            None => {
-                zero = zero_wire_sample();
-                &zero
-            }
+    /// Decode one sample into `slot`, delta-coded against `prev`: every
+    /// field is written, the metric rows in the room they have, and a
+    /// member without front-end statistics leaves `app` at `None`.
+    fn wire_sample(&mut self, slot: &mut WireSample, prev: &WireSample) -> Res<()> {
+        let WireSample {
+            seq,
+            t_s,
+            interval_s,
+            tier,
+            hpc,
+            os,
+            app,
+        } = slot;
+        *seq = self.u64d(prev.seq)?;
+        *t_s = self.f64()?;
+        *interval_s = self.f64()?;
+        *tier = self.tier_sample(&prev.tier)?;
+        self.f64s(hpc)?;
+        self.f64s(os)?;
+        *app = if self.bool()? {
+            Some(self.app_stats(prev.app.as_ref())?)
+        } else {
+            None
         };
-        Ok(WireSample {
-            seq: self.u64d(prev.seq)?,
-            t_s: self.f64()?,
-            interval_s: self.f64()?,
-            tier: self.tier_sample(&prev.tier)?,
-            hpc: self.f64s()?,
-            os: self.f64s()?,
-            app: if self.bool()? {
-                Some(self.app_stats(prev.app.as_ref())?)
-            } else {
-                None
-            },
-        })
+        Ok(())
+    }
+
+    /// Decode a sample frame's `n` members into the front of `slots`,
+    /// each against the one before it, the first against the all-zero
+    /// sample. A slot is added only when a member needs one, so `slots`
+    /// never grows past the members decoded.
+    fn samples(&mut self, n: usize, slots: &mut Vec<WireSample>) -> Res<usize> {
+        let zero = zero_wire_sample();
+        for i in 0..n {
+            if slots.len() == i {
+                slots.push(zero_wire_sample());
+            }
+            let Some((done, rest)) = slots.split_at_mut_checked(i) else {
+                return corrupt("sample slots");
+            };
+            let (Some(slot), prev) = (rest.first_mut(), done.last()) else {
+                return corrupt("sample slots");
+            };
+            self.wire_sample(slot, prev.unwrap_or(&zero))?;
+        }
+        Ok(n)
     }
 
     fn stress(&mut self) -> Res<TierStressAgg> {
@@ -736,13 +778,19 @@ impl<'a> Cur<'a> {
         })
     }
 
+    fn row(&mut self) -> Res<Vec<f64>> {
+        let mut row = Vec::new();
+        self.f64s(&mut row)?;
+        Ok(row)
+    }
+
     fn window_digest(&mut self) -> Res<TierWindowDigest> {
         Ok(TierWindowDigest {
             window: self.i64z()?,
             tier: self.tier()?,
             samples: self.u32v()?,
-            hpc_mean: self.f64s()?,
-            os_mean: self.f64s()?,
+            hpc_mean: self.row()?,
+            os_mean: self.row()?,
             stress: self.stress()?,
             app: if self.bool()? {
                 Some(AppWindowDigest {
@@ -805,6 +853,41 @@ impl<'a> Cur<'a> {
         })
     }
 
+    /// The frame a non-sample `tag` opens; [`decode_frame_into`] decodes
+    /// the sample frames before it gets here.
+    fn frame(&mut self, tag: u8) -> Res<Frame> {
+        Ok(match tag {
+            TAG_HELLO => {
+                let tier = self.tier()?;
+                let proto_version = self.u32v()?;
+                let hash_bytes = self.take(8)?;
+                let Ok(hash_arr) = <[u8; 8]>::try_from(hash_bytes) else {
+                    return corrupt("hash split");
+                };
+                let codec = self.codec()?;
+                let max_batch = self.u32v()?;
+                Frame::Hello {
+                    tier,
+                    proto_version,
+                    metric_schema_hash: u64::from_le_bytes(hash_arr),
+                    caps: WireCaps { codec, max_batch },
+                }
+            }
+            TAG_HEARTBEAT => Frame::Heartbeat { seq: self.u64v()? },
+            TAG_ACK => Frame::Ack { seq: self.u64v()? },
+            TAG_REJECT => Frame::Reject {
+                reason: self.string()?,
+                ours: self.u32v()?,
+                theirs: self.u32v()?,
+            },
+            TAG_BYE => Frame::Bye {
+                last_seq: self.u64v()?,
+            },
+            TAG_DIGEST => Frame::Digest(self.digest()?),
+            _ => return corrupt("unknown frame tag"),
+        })
+    }
+
     fn finish(self) -> Res<()> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -814,55 +897,99 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Decode one binary payload (no header) into a [`Frame`]. Every
-/// failure is a typed [`FrameError::Binary`]; trailing bytes after the
-/// frame are an error.
-pub fn decode_frame(payload: &[u8]) -> Result<Frame, FrameError> {
-    let mut cur = Cur::new(payload);
-    let frame = match cur.u8()? {
-        TAG_HELLO => {
-            let tier = cur.tier()?;
-            let proto_version = cur.u32v()?;
-            let hash_bytes = cur.take(8)?;
-            let Ok(hash_arr) = <[u8; 8]>::try_from(hash_bytes) else {
-                return corrupt("hash split");
-            };
-            let codec = cur.codec()?;
-            let max_batch = cur.u32v()?;
-            Frame::Hello {
-                tier,
-                proto_version,
-                metric_schema_hash: u64::from_le_bytes(hash_arr),
-                caps: WireCaps { codec, max_batch },
+/// Sample slots a reused slot vector keeps from one frame to the next:
+/// twice the agents' default batch. A frame with more members grows the
+/// vector while it is decoded; the next frame trims it back.
+const SLOTS_KEPT: usize = 64;
+
+/// The longest metric row whose room a kept slot holds on to, above
+/// every family's schema width: an honest row is refilled in place, a
+/// longer one is freed before the next frame.
+const ROW_KEPT: usize = 256;
+
+/// What [`decode_frame_into`] made of a payload.
+// Not boxed: `Other` never holds a sample, and a `Box` would put an
+// allocation on every ack an agent reads.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, PartialEq)]
+pub enum Decoded {
+    /// A sample frame — a [`Frame::SampleBatch`] when `batch`, else a
+    /// [`Frame::Sample`] — whose members are the first `members` slots,
+    /// in frame order.
+    Samples {
+        /// Whether the frame was a `SampleBatch`.
+        batch: bool,
+        /// How many slots, from the front, the frame's members fill.
+        members: usize,
+    },
+    /// Any other frame, decoded whole.
+    Other(Frame),
+}
+
+/// Decode one binary payload (no header), a sample frame's members into
+/// the front of `slots`: the steady path of a collector lane, which
+/// keeps its slots from frame to frame. Whatever the earlier frames
+/// left in a slot is overwritten, field by field; slots past the
+/// members keep stale values. Before decoding, `slots` is trimmed to
+/// [`SLOTS_KEPT`] slots and any row holding room for more than
+/// [`ROW_KEPT`] values is freed, so what one hostile frame made a lane
+/// allocate does not stay with it. Every failure is a typed
+/// [`FrameError::Binary`], trailing bytes after the frame included; the
+/// slots then hold nothing to deliver.
+pub fn decode_frame_into(
+    payload: &[u8],
+    slots: &mut Vec<WireSample>,
+) -> Result<Decoded, FrameError> {
+    slots.truncate(SLOTS_KEPT);
+    slots.shrink_to(SLOTS_KEPT);
+    for ws in slots.iter_mut() {
+        for row in [&mut ws.hpc, &mut ws.os] {
+            if row.capacity() > ROW_KEPT {
+                *row = Vec::new();
             }
         }
-        TAG_SAMPLE => Frame::Sample(cur.wire_sample(None)?),
+    }
+    let mut cur = Cur::new(payload);
+    let decoded = match cur.u8()? {
+        TAG_SAMPLE => Decoded::Samples {
+            batch: false,
+            members: cur.samples(1, slots)?,
+        },
         TAG_SAMPLE_BATCH => {
-            // A sample is ≥ ~130 bytes even with empty metric rows; 32
+            // A sample is ≥ ~97 bytes even with empty metric rows; 32
             // is a conservative floor that still caps a hostile count.
             let n = cur.count(32)?;
-            let mut batch: Vec<WireSample> = Vec::with_capacity(n);
-            for _ in 0..n {
-                let ws = cur.wire_sample(batch.last())?;
-                batch.push(ws);
+            Decoded::Samples {
+                batch: true,
+                members: cur.samples(n, slots)?,
             }
-            Frame::SampleBatch(batch)
         }
-        TAG_HEARTBEAT => Frame::Heartbeat { seq: cur.u64v()? },
-        TAG_ACK => Frame::Ack { seq: cur.u64v()? },
-        TAG_REJECT => Frame::Reject {
-            reason: cur.string()?,
-            ours: cur.u32v()?,
-            theirs: cur.u32v()?,
-        },
-        TAG_BYE => Frame::Bye {
-            last_seq: cur.u64v()?,
-        },
-        TAG_DIGEST => Frame::Digest(cur.digest()?),
-        _ => return corrupt("unknown frame tag"),
+        tag => Decoded::Other(cur.frame(tag)?),
     };
     cur.finish()?;
-    Ok(frame)
+    Ok(decoded)
+}
+
+/// Decode one binary payload (no header) into a [`Frame`]: the sample
+/// frames through [`decode_frame_into`] on fresh slots. Every failure is
+/// a typed [`FrameError::Binary`]; trailing bytes after the frame are an
+/// error.
+pub fn decode_frame(payload: &[u8]) -> Result<Frame, FrameError> {
+    let mut slots = Vec::new();
+    match decode_frame_into(payload, &mut slots)? {
+        Decoded::Samples {
+            batch: true,
+            members,
+        } => {
+            slots.truncate(members);
+            Ok(Frame::SampleBatch(slots))
+        }
+        Decoded::Samples { batch: false, .. } => match slots.pop() {
+            Some(ws) => Ok(Frame::Sample(ws)),
+            None => corrupt("sample slots"),
+        },
+        Decoded::Other(frame) => Ok(frame),
+    }
 }
 
 #[cfg(test)]
@@ -973,5 +1100,104 @@ mod tests {
         put_u64v(&mut payload, u64::MAX / 2);
         let err = decode_frame(&payload).unwrap_err();
         assert!(matches!(err, FrameError::Binary("count exceeds payload")));
+        // Nor of a lane's slots: the count is refused before any slot.
+        let mut slots = Vec::new();
+        let err = decode_frame_into(&payload, &mut slots).unwrap_err();
+        assert!(matches!(err, FrameError::Binary("count exceeds payload")));
+        assert_eq!(slots.capacity(), 0);
+
+        // A count the payload could hold at 32 bytes a member, over
+        // zeros that decode as 97-byte empty samples until they run out:
+        // slots come only as members decode, never the count's worth.
+        let n = 1000;
+        let mut payload = vec![TAG_SAMPLE_BATCH];
+        put_u64v(&mut payload, n as u64);
+        payload.resize(payload.len() + 32 * n, 0);
+        let err = decode_frame_into(&payload, &mut slots).unwrap_err();
+        assert!(matches!(err, FrameError::Binary("truncated")), "{err}");
+        assert_eq!(
+            slots.len(),
+            32 * n / 97 + 1,
+            "the members, and the one cut short"
+        );
+        assert!(
+            slots.capacity() <= n,
+            "{} slots for a count of {n}",
+            slots.capacity()
+        );
+    }
+
+    #[test]
+    fn a_hostile_frame_leaves_a_lane_no_room_past_the_kept_bounds() {
+        let member = |seq: u64, hpc: usize| WireSample {
+            seq,
+            hpc: vec![0.5; hpc],
+            ..zero_wire_sample()
+        };
+        // A hundred members, the tenth with a row of 10 000 values.
+        let hostile = (0..100).map(|seq| member(seq, if seq == 10 { 10_000 } else { 12 }));
+        let mut payload = Vec::new();
+        encode_frame(&Frame::SampleBatch(hostile.collect()), &mut payload);
+        let mut slots = Vec::new();
+        let decoded = decode_frame_into(&payload, &mut slots).unwrap();
+        assert_eq!(
+            decoded,
+            Decoded::Samples {
+                batch: true,
+                members: 100
+            }
+        );
+
+        // The next frame, an honest one, starts from the kept bounds.
+        payload.clear();
+        encode_frame(&Frame::Sample(member(100, 12)), &mut payload);
+        let decoded = decode_frame_into(&payload, &mut slots).unwrap();
+        assert_eq!(
+            decoded,
+            Decoded::Samples {
+                batch: false,
+                members: 1
+            }
+        );
+        assert_eq!(slots.first().map(|ws| ws.seq), Some(100));
+        assert_eq!(slots.len(), SLOTS_KEPT);
+        assert!(slots.capacity() <= SLOTS_KEPT);
+        let mut rows = slots.iter().flat_map(|ws| [&ws.hpc, &ws.os]);
+        assert!(rows.clone().all(|row| row.capacity() <= ROW_KEPT));
+        assert!(
+            rows.any(|row| row.capacity() == 12),
+            "honest rows keep their room"
+        );
+    }
+
+    #[test]
+    fn a_histogram_delta_past_i64_is_a_typed_error() {
+        let mut ws = zero_wire_sample();
+        let mut app = zero_app_stats();
+        app.response_times.record(0.5);
+        ws.app = Some(app);
+        // Two equal members: the second's deltas are all zero, its 48
+        // bucket deltas and its total one byte each, at the payload's end.
+        let mut payload = Vec::new();
+        encode_frame(&Frame::SampleBatch(vec![ws.clone(), ws]), &mut payload);
+        let bucket = payload.len() - 49;
+        let bucket_count = |payload: &[u8]| match decode_frame(payload) {
+            Ok(Frame::SampleBatch(batch)) => batch
+                .last()
+                .and_then(|ws| ws.app.as_ref())
+                .map(|app| app.response_times.bucket_counts().to_vec()),
+            other => panic!("{other:?}"),
+        };
+        let counts = bucket_count(&payload).unwrap();
+        let recorded = counts.iter().position(|c| *c == 1).unwrap();
+        // That bucket's delta becomes i64::MAX, added to a count of one.
+        let mut hostile = payload[..bucket + recorded].to_vec();
+        put_i64z(&mut hostile, i64::MAX);
+        hostile.extend_from_slice(&payload[bucket + recorded + 1..]);
+        let err = decode_frame(&hostile).unwrap_err();
+        assert!(
+            matches!(err, FrameError::Binary("histogram count overflow")),
+            "{err}"
+        );
     }
 }

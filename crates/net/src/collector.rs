@@ -23,7 +23,11 @@
 //! The socketed collector is **one thread**: `pump_events` is the poll
 //! loop — accept and handshake, read each tier's lane, decode,
 //! reassemble, decide, queue acks, flush — and calls its one handler,
-//! [`run_supervised_collector`]'s, directly for every event.
+//! [`run_supervised_collector`]'s, directly for every event. A lane
+//! decodes each sample frame whole into sample slots it keeps from frame
+//! to frame, lends the handler each member by reference, and acks the
+//! frame once, with its last member's sequence, so its steady path
+//! allocates nothing per frame or per sample.
 //! There is no queue between the socket and the meter, and a lane parses
 //! after every read, so it buffers at most one read and a frame prefix;
 //! a slow consumer leaves the kernel's socket buffers full instead, and
@@ -33,6 +37,7 @@
 //! far more than the paper's deployment (one agent per tier, one front
 //! end) ever sends it, so no threads run inside it.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Write};
 use std::time::Duration;
@@ -41,6 +46,7 @@ use serde::{Deserialize, Serialize};
 use webcap_core::{AdmissionController, CapacityMeter, MetricLevel, OnlineDecision};
 use webcap_sim::TierId;
 
+use crate::binary::{decode_frame_into, Decoded};
 use crate::frame::{
     append_frame, level_schema_hash, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf,
     TierWindowDigest, WireSample, PROTO_VERSION,
@@ -259,15 +265,17 @@ impl Assembler {
         }
     }
 
-    /// Feed one received sample; emitted decisions go to `sink`.
+    /// Feed one received sample, owned or borrowed — the socketed
+    /// collector lends the lane's decoded slot; emitted decisions go to
+    /// `sink`.
     pub fn on_sample(
         &mut self,
         tier: TierId,
-        ws: WireSample,
+        ws: impl Borrow<WireSample>,
         sink: &mut dyn FnMut(i64, &OnlineDecision),
     ) {
         *tier.select_mut(&mut self.samples) += 1;
-        tier.select_mut(&mut self.digesters).on_sample(ws);
+        tier.select_mut(&mut self.digesters).on_sample(ws.borrow());
         self.join(tier, sink);
     }
 
@@ -467,16 +475,14 @@ pub fn run_supervised_collector(
     collector.finish()
 }
 
-// Not boxed: the pump hands each event to its handler by value, on the
-// same stack, and a `Box` would put an allocation back on every sample.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Event {
+pub(crate) enum Event<'a> {
     SessionStart {
         tier: TierId,
     },
+    /// A received sample, lent from the lane's decoded slot.
     Sample {
         tier: TierId,
-        ws: WireSample,
+        ws: &'a WireSample,
     },
     Bye {
         tier: TierId,
@@ -575,14 +581,17 @@ enum LaneEnd {
 }
 
 /// One tier's live connection inside the pump: the nonblocking socket
-/// plus its frame-reassembly and pending-write buffers. All buffers are
-/// reused for the connection's lifetime — servicing a frame on the
-/// steady path allocates nothing beyond the decoded `Frame` itself.
+/// plus its frame-reassembly buffer, its sample slots and its
+/// pending-write buffer. All are reused for the connection's lifetime —
+/// servicing a sample frame on the steady path allocates nothing.
 struct ConnState {
     conn: Conn,
     tier: TierId,
     /// Inbound bytes not yet parsed into frames.
     rbuf: FrameBuf,
+    /// The members of the last sample frame, decoded in place
+    /// ([`decode_frame_into`]) and lent to the handler one by one.
+    slots: Vec<WireSample>,
     /// Outbound bytes the socket has not yet accepted.
     wbuf: Vec<u8>,
     /// Accumulated pump sleep since this connection last produced
@@ -606,6 +615,7 @@ impl ConnState {
             conn,
             tier,
             rbuf: FrameBuf::default(),
+            slots: Vec::new(),
             wbuf: Vec::new(),
             idle: Duration::ZERO,
             stalled_polls: 0,
@@ -639,7 +649,7 @@ impl ConnState {
 
     /// End the session: flush what the socket will still take, close
     /// it, and announce the end.
-    fn close(mut self, events: &mut Delivery<impl FnMut(Event)>) {
+    fn close(mut self, events: &mut Delivery<impl FnMut(Event<'_>)>) {
         let _ = self.flush();
         let _ = self.conn.shutdown();
         events.deliver(Event::SessionEnd {
@@ -670,7 +680,7 @@ struct Delivery<H> {
     quiet: Duration,
 }
 
-impl<H: FnMut(Event)> Delivery<H> {
+impl<H: FnMut(Event<'_>)> Delivery<H> {
     /// Both tiers have said `Bye`: the run is over, and nothing more is
     /// delivered.
     fn done(&self) -> bool {
@@ -696,7 +706,7 @@ impl<H: FnMut(Event)> Delivery<H> {
 fn service_conn(
     state: &mut ConnState,
     cfg: &CollectorConfig,
-    events: &mut Delivery<impl FnMut(Event)>,
+    events: &mut Delivery<impl FnMut(Event<'_>)>,
 ) -> Option<LaneEnd> {
     // Read and parse in turn, so the lane holds at most one read and a
     // frame prefix. Overload fairness: a round stops reading after a
@@ -717,9 +727,13 @@ fn service_conn(
         // Parse every complete frame buffered so far. The early returns
         // below end the session, so they leave the buffer as it is.
         loop {
-            let frame = match state.rbuf.next_frame() {
-                Ok(Some(frame)) => frame,
+            let decoded = match state.rbuf.next_payload() {
+                Ok(Some(payload)) => decode_frame_into(payload, &mut state.slots),
                 Ok(None) => break,
+                Err(e) => Err(e),
+            };
+            let decoded = match decoded {
+                Ok(decoded) => decoded,
                 Err(e) => {
                     // A corrupt frame earns the peer a Reject naming the
                     // parse failure before the session drops.
@@ -733,36 +747,39 @@ fn service_conn(
             };
             extracted = true;
             let tier = state.tier;
-            match frame {
-                Frame::Sample(ws) => {
-                    let seq = ws.seq;
-                    events.deliver(Event::Sample { tier, ws });
-                    state.queue_frame(&Frame::Ack { seq });
-                }
-                Frame::SampleBatch(batch) => {
-                    // A batch is exactly its samples in order: one event
-                    // and one ack per element, indistinguishable
-                    // downstream from the same samples sent one frame
-                    // each.
-                    for ws in batch {
-                        let seq = ws.seq;
+            match decoded {
+                Decoded::Samples { members, .. } => {
+                    // A frame is exactly its samples in order: one event
+                    // per member, indistinguishable downstream from the
+                    // same samples sent one frame each, and one ack
+                    // carrying the last member's sequence. The whole
+                    // frame has decoded before its first member goes.
+                    let members = state.slots.get(..members).unwrap_or_default();
+                    for ws in members {
                         events.deliver(Event::Sample { tier, ws });
+                    }
+                    if let Some(seq) = members.last().map(|ws| ws.seq) {
                         state.queue_frame(&Frame::Ack { seq });
                     }
                 }
-                Frame::Heartbeat { seq } => {
+                Decoded::Other(Frame::Heartbeat { seq }) => {
                     state.queue_frame(&Frame::Ack { seq });
                 }
-                Frame::Bye { last_seq } => {
+                Decoded::Other(Frame::Bye { last_seq }) => {
                     state.graceful = true;
                     events.deliver(Event::Bye { tier, last_seq });
                     return Some(LaneEnd::Closed);
                 }
-                // Nothing else belongs on an established agent session.
-                Frame::Hello { .. }
-                | Frame::Ack { .. }
-                | Frame::Reject { .. }
-                | Frame::Digest(_) => return Some(LaneEnd::Closed),
+                // Nothing else belongs on an established agent session;
+                // the sample frames decode into the slots, never here.
+                Decoded::Other(
+                    Frame::Hello { .. }
+                    | Frame::Sample(_)
+                    | Frame::SampleBatch(_)
+                    | Frame::Ack { .. }
+                    | Frame::Reject { .. }
+                    | Frame::Digest(_),
+                ) => return Some(LaneEnd::Closed),
             }
         }
     }
@@ -828,7 +845,7 @@ pub(crate) fn pump_events(
     listener: Listener,
     cfg: &CollectorConfig,
     level: MetricLevel,
-    handle: impl FnMut(Event),
+    handle: impl FnMut(Event<'_>),
 ) {
     let _ = listener.set_nonblocking(true);
     let mut lanes: [TierLane; 2] = [TierLane::default(), TierLane::default()];
@@ -1163,9 +1180,67 @@ mod tests {
         assert_eq!(texts, ["start Db", "end Db false"]);
     }
 
+    /// A batch that is corrupt at its last member delivers none of its
+    /// members: the lane has delivered and acked the batch before it,
+    /// queues a `Reject` naming the parse failure, and closes.
+    #[cfg(unix)]
+    #[test]
+    fn a_batch_corrupt_at_its_last_member_delivers_nothing() {
+        let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+        let batch = |seqs: std::ops::Range<u64>| {
+            Frame::SampleBatch(seqs.map(|seq| wire(seq, false)).collect())
+        };
+        let mut stream = Vec::new();
+        append_frame(&batch(0..3), &mut stream).unwrap();
+        // The last byte of a database batch is its last member's
+        // front-end presence flag; 2 is no `bool`.
+        append_frame(&batch(3..6), &mut stream).unwrap();
+        if let Some(flag) = stream.last_mut() {
+            *flag = 2;
+        }
+        let peer = std::thread::spawn(move || {
+            let mut conn = Conn::Unix(theirs);
+            conn.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+            conn.write_all(&stream).unwrap();
+            let mut replies = Vec::new();
+            while let Ok(frame) = read_frame(&mut conn) {
+                replies.push(frame);
+            }
+            replies
+        });
+        let mut state = ConnState::new(Conn::Unix(ours), TierId::Db);
+        state.conn.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let mut delivered = Vec::new();
+        let mut events = Delivery {
+            handle: |event: Event<'_>| match event {
+                Event::Sample { ws, .. } => delivered.push(format!("sample {}", ws.seq)),
+                Event::SessionEnd { graceful, .. } => delivered.push(format!("end {graceful}")),
+                Event::SessionStart { .. }
+                | Event::Bye { .. }
+                | Event::Shed { .. }
+                | Event::Rejected
+                | Event::Stale => delivered.push("other".to_string()),
+            },
+            byes: BTreeSet::new(),
+            quiet: Duration::ZERO,
+        };
+        // One round reads until the socket times out, so it takes both
+        // frames, however many reads they arrive in.
+        let end = service_conn(&mut state, &CollectorConfig::default(), &mut events);
+        assert!(matches!(end, Some(LaneEnd::Closed)));
+        state.close(&mut events);
+        assert_eq!(delivered, ["sample 0", "sample 1", "sample 2", "end false"]);
+        let replies = peer.join().unwrap();
+        let [Frame::Ack { seq: 2 }, Frame::Reject { reason, .. }] = replies.as_slice() else {
+            panic!("one ack, then a Reject: {replies:?}");
+        };
+        assert!(reason.contains("bad bool"), "{reason}");
+    }
+
     /// A backlog of 32-sample batches, beyond the default lane budget,
-    /// read in one round: every sample is delivered and acked in order,
-    /// while the lane buffer holds no more than one read and one frame.
+    /// read in one round: every sample is delivered in order, each frame
+    /// is acked once with its last sequence, and the lane buffer holds no
+    /// more than one read and one frame.
     #[cfg(unix)]
     #[test]
     fn one_round_over_a_backlog_parses_as_it_reads() {
@@ -1178,6 +1253,7 @@ mod tests {
             frame_len = frame_len.max(backlog.len() - before);
             samples += 32;
         }
+        let frames = samples / 32;
         // The budget is the backlog, so the round reads all of it.
         let cfg = CollectorConfig {
             max_lane_buffered_bytes: backlog.len(),
@@ -1187,7 +1263,7 @@ mod tests {
             let mut conn = Conn::Unix(theirs);
             conn.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
             conn.write_all(&backlog).unwrap();
-            (0..samples)
+            (0..frames)
                 .map(|_| read_frame(&mut conn).unwrap())
                 .collect::<Vec<_>>()
         });
@@ -1195,7 +1271,7 @@ mod tests {
         state.conn.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
         let mut delivered = Vec::new();
         let mut events = Delivery {
-            handle: |event| {
+            handle: |event: Event<'_>| {
                 if let Event::Sample { tier, ws } = event {
                     delivered.push((tier, ws.seq));
                 }
@@ -1204,7 +1280,9 @@ mod tests {
             quiet: Duration::ZERO,
         };
         assert!(service_conn(&mut state, &cfg, &mut events).is_none());
-        let acks: Vec<Frame> = (0..samples).map(|seq| Frame::Ack { seq }).collect();
+        let acks: Vec<Frame> = (1..=frames)
+            .map(|f| Frame::Ack { seq: 32 * f - 1 })
+            .collect();
         assert_eq!(peer.join().unwrap(), acks);
         let db_samples: Vec<_> = (0..samples).map(|seq| (TierId::Db, seq)).collect();
         assert_eq!(delivered, db_samples);

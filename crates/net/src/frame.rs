@@ -18,8 +18,9 @@
 //! both ends so a corrupt length cannot trigger an unbounded allocation.
 //!
 //! A session is `Hello → Ack{0}` (or `Reject`) followed by any number of
-//! `Sample`/`SampleBatch`/`Heartbeat` frames, each sample acknowledged,
-//! and closed by `Bye{last_seq}`. The `Hello` announces the agent's
+//! `Sample`/`SampleBatch`/`Heartbeat` frames, each acknowledged once —
+//! a sample frame with its last member's sequence — and closed by
+//! `Bye{last_seq}`. The `Hello` announces the agent's
 //! [`PROTO_VERSION`], the [`level_schema_hash`] of the families it
 //! ships, and its batch cap ([`WireCaps`]); a collector accepts the full
 //! schema or its meter's level. It accepts exactly [`PROTO_VERSION`];
@@ -268,9 +269,10 @@ pub enum Frame {
     /// One per-second measurement.
     Sample(WireSample),
     /// Several consecutive per-second measurements in one frame — the
-    /// batched steady-state shape of the binary codec. Semantically
+    /// batched steady-state shape of the binary codec. To the meter,
     /// identical to the same `Sample`s sent back-to-back: the collector
-    /// acknowledges and assembles each element individually.
+    /// assembles each element individually, and acknowledges the frame
+    /// once, with its last element's sequence.
     SampleBatch(Vec<WireSample>),
     /// Liveness signal while the source is idle; `seq` is the last
     /// sample sequence produced.
@@ -278,7 +280,9 @@ pub enum Frame {
         /// Last sample sequence produced by the agent.
         seq: u64,
     },
-    /// Receipt acknowledgment; `Ack { seq: 0 }` answers `Hello`.
+    /// Receipt acknowledgment: `Ack { seq: 0 }` answers `Hello`, and
+    /// every later one a sample frame (carrying its last member's
+    /// sequence) or a heartbeat (carrying its own).
     Ack {
         /// Sequence being acknowledged.
         seq: u64,
@@ -524,6 +528,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     crate::binary::decode_frame(&payload)
 }
 
+/// The payload of the whole frame at the front of `buf`, and the bytes
+/// the frame takes there, its header checked: `Ok(None)` while `buf`
+/// holds only a frame prefix, a corruption error as soon as the header
+/// is provably bad.
+fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, FrameError> {
+    let Some(header) = buf.first_chunk::<8>() else {
+        return Ok(None);
+    };
+    let len = payload_len(*header)?;
+    Ok(buf.get(8..8 + len).map(|payload| (payload, 8 + len)))
+}
+
 /// Try to extract one complete frame from the front of a reassembly
 /// buffer — the event-loop collector's non-blocking read path. Returns
 /// `Ok(None)` when `buf` holds only a frame prefix (read more bytes),
@@ -531,14 +547,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
 /// `consumed` bytes), and a corruption error as soon as the header or
 /// payload is provably bad — without waiting for more bytes.
 pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
-    let Some(header) = buf.first_chunk::<8>() else {
+    let Some((payload, consumed)) = split_frame(buf)? else {
         return Ok(None);
     };
-    let len = payload_len(*header)?;
-    let Some(payload) = buf.get(8..8 + len) else {
-        return Ok(None);
-    };
-    Ok(Some((crate::binary::decode_frame(payload)?, 8 + len)))
+    Ok(Some((crate::binary::decode_frame(payload)?, consumed)))
 }
 
 /// How much one [`FrameBuf::fill`] asks the socket for: about two
@@ -548,11 +560,13 @@ pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// The frame-reassembly buffer behind every streaming reader — the
 /// collector's lanes and the agent's ack reader: [`fill`](Self::fill)
-/// appends whatever one `read` returns, [`next_frame`](Self::next_frame)
-/// hands out the whole frames in it. A frame cut anywhere — by a short
-/// read, a read timeout, a full lane — simply waits in the buffer for
-/// its remaining bytes, which a [`read_frame`] that times out mid-frame
-/// cannot offer: it has consumed the fragment.
+/// appends whatever one `read` returns,
+/// [`next_payload`](Self::next_payload) hands out the payloads of the
+/// whole frames in it, and [`next_frame`](Self::next_frame) those frames
+/// decoded. A frame cut anywhere — by a short read, a read timeout, a
+/// full lane — simply waits in the buffer for its remaining bytes, which
+/// a [`read_frame`] that times out mid-frame cannot offer: it has
+/// consumed the fragment.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     /// `buf[parsed..filled]` are the bytes not yet handed out as frames;
@@ -598,27 +612,32 @@ impl FrameBuf {
         }
     }
 
-    /// The next whole frame, `Ok(None)` once only a frame prefix (or
-    /// nothing) is left — at which point the prefix moves to the front,
-    /// so the buffer is compacted once per burst of frames rather than
-    /// once per frame. A corruption error is final: the stream has no
-    /// frame boundary to resume from.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+    /// The payload of the next whole frame, its header checked,
+    /// `Ok(None)` once only a frame prefix (or nothing) is left — at which
+    /// point the prefix moves to the front, so the buffer is compacted
+    /// once per burst of frames rather than once per frame. A corruption
+    /// error is final: the stream has no frame boundary to resume from.
+    pub(crate) fn next_payload(&mut self) -> Result<Option<&[u8]>, FrameError> {
         let unparsed = self.buf.get(self.parsed..self.filled).unwrap_or_default();
-        match try_extract_frame(unparsed)? {
-            Some((frame, consumed)) => {
-                self.parsed += consumed;
-                Ok(Some(frame))
-            }
-            None => {
-                if self.parsed > 0 {
-                    self.buf.copy_within(self.parsed..self.filled, 0);
-                    self.filled = self.buffered();
-                    self.parsed = 0;
-                }
-                Ok(None)
-            }
+        if let Some((_, consumed)) = split_frame(unparsed)? {
+            let start = self.parsed;
+            self.parsed += consumed;
+            return Ok(self.buf.get(start + 8..self.parsed));
         }
+        if self.parsed > 0 {
+            self.buf.copy_within(self.parsed..self.filled, 0);
+            self.filled = self.buffered();
+            self.parsed = 0;
+        }
+        Ok(None)
+    }
+
+    /// The next whole frame, decoded: [`next_payload`](Self::next_payload)
+    /// and then [`crate::binary::decode_frame`].
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        self.next_payload()?
+            .map(crate::binary::decode_frame)
+            .transpose()
     }
 }
 

@@ -120,17 +120,21 @@ impl WindowAcc {
         }
     }
 
-    /// Fold one sample in. `front_end` is the sample's application-level
-    /// statistics on the application tier.
-    fn observe(&mut self, ws: WireSample, front_end: Option<AppStats>) {
+    /// Fold one sample in, by reference: `front_end` is its
+    /// application-level statistics on the application tier, and `hpc`
+    /// and `os` are its rows of the families the digester reads (empty
+    /// for the others).
+    fn observe(&mut self, ws: &WireSample, front_end: Option<&AppStats>, hpc: &[f64], os: &[f64]) {
         self.samples += 1;
         if let Some(stats) = front_end {
             // `FrontEndAgg::observe` reads only the front-end fields, so
-            // reassembling with a placeholder database tier is exact.
-            let sample = stats.into_sample(ws.t_s, ws.interval_s, ws.tier, TierSample::default());
+            // reassembling with placeholder tiers is exact. The copy
+            // allocates nothing: the statistics hold no heap data.
+            let (t_s, interval_s, tier) = (ws.t_s, ws.interval_s, TierSample::default());
+            let sample = stats.clone().into_sample(t_s, interval_s, tier, tier);
             self.front_end.observe(&sample);
         }
-        self.tier.observe(&ws.tier, ws.hpc, ws.os);
+        self.tier.observe(&ws.tier, hpc, os);
     }
 
     fn finish(self, tier: TierId) -> TierWindowDigest {
@@ -268,7 +272,7 @@ impl TierDigester {
     /// Feed one received sample. Completed digests and new poison
     /// verdicts accumulate until [`TierDigester::take_ready`] /
     /// [`TierDigester::take_new_poisons`].
-    pub fn on_sample(&mut self, mut ws: WireSample) {
+    pub fn on_sample(&mut self, ws: &WireSample) {
         // `as` saturates: ±∞ land on the `i64` extremes, which the grid
         // refuses to place; NaN lands on 0, a backward key.
         let key = ws.t_s.round() as i64;
@@ -303,20 +307,23 @@ impl TierDigester {
         }
 
         let front_end = match self.tier {
-            TierId::App => ws.app.take(),
+            TierId::App => ws.app.as_ref(),
             TierId::Db => None,
         };
-        if !foldable(self.level.reads_hpc(), MetricLevel::Hpc, &mut ws.hpc)
-            || !foldable(self.level.reads_os(), MetricLevel::Os, &mut ws.os)
-            || (self.tier == TierId::App && front_end.is_none())
-        {
+        let rows = foldable(self.level.reads_hpc(), MetricLevel::Hpc, &ws.hpc).zip(foldable(
+            self.level.reads_os(),
+            MetricLevel::Os,
+            &ws.os,
+        ));
+        let Some((hpc, os)) = rows.filter(|_| self.tier == TierId::Db || front_end.is_some())
+        else {
             // Rows the schema hash does not describe, a read family left
             // out, or an application sample without front-end stats: a
             // protocol violation that must never reach an aggregate.
             self.anomalies += 1;
             self.poison(window);
             return;
-        }
+        };
 
         if self.cur.as_ref().is_some_and(|c| c.window != window) {
             // A partial accumulator for a *different* window here would
@@ -326,7 +333,7 @@ impl TierDigester {
             self.cur = None;
         }
         let acc = self.cur.get_or_insert_with(|| WindowAcc::new(window));
-        acc.observe(ws, front_end);
+        acc.observe(ws, front_end, hpc, os);
         if i64::from(acc.samples) < self.grid.window_len {
             return;
         }
@@ -394,19 +401,19 @@ impl TierDigester {
     }
 }
 
-/// Whether a row of `family` may be folded: one the level reads at its
-/// schema width — what
-/// [`metric_schema_hash`](crate::frame::metric_schema_hash) covers — an
-/// unread one at that width or empty. An unread row is dropped, so no
-/// window folds a family its level does not read.
-fn foldable(read: bool, family: MetricLevel, row: &mut Vec<f64>) -> bool {
+/// The row of `family` to fold, if the sample's row may be folded: one
+/// the level reads at its schema width — what
+/// [`metric_schema_hash`](crate::frame::metric_schema_hash) covers — is
+/// folded as it is; an unread one at that width or empty is dropped, and
+/// the empty row folded in its place, so no window folds a family its
+/// level does not read.
+fn foldable(read: bool, family: MetricLevel, row: &[f64]) -> Option<&[f64]> {
     let width = feature_width(family);
-    if read {
-        return row.len() == width;
+    match (read, row.len()) {
+        (true, len) if len == width => Some(row),
+        (false, len) if len == 0 || len == width => Some(&[]),
+        (true | false, _) => None,
     }
-    let ok = row.is_empty() || row.len() == width;
-    *row = Vec::new();
-    ok
 }
 
 /// Score one complete window from its two tier digests. The window is

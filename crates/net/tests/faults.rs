@@ -162,8 +162,8 @@ fn faulted_planes_match_the_oracle_and_never_admit_from_suspect_state() {
 /// drains the ended session behind the live one. Per tier the
 /// collector then holds at most one waiting dial (nothing is shed as a
 /// dial backlog), takes the sessions in dial order (decisions and
-/// quarantine are the oracle's), and no pipelined handshake ack is
-/// counted as a sample's. The knob stream is straddled in every window,
+/// quarantine are the oracle's), and each sample frame is acked once,
+/// no pipelined handshake ack counted among them. The knob stream is straddled in every window,
 /// so a scripted stream beside it breaks mid-window only in its first
 /// four windows and on window boundaries after them, leaving survivors
 /// to compare decisions on.
@@ -207,8 +207,8 @@ fn dense_reconnects_match_the_oracle_without_a_dial_backlog() {
         for (tier, agent) in TierId::ALL.into_iter().zip(&out.agents) {
             assert_eq!(agent.frames_sent, total, "{tier:?}");
             assert_eq!(
-                agent.acks_received, agent.frames_sent,
-                "{tier:?}: one ack per sample, no handshake ack among them"
+                agent.acks_received, agent.sample_frames,
+                "{tier:?}: one ack per sample frame, no handshake ack among them"
             );
             assert_eq!(agent.sessions, reconnects + 1, "{tier:?}");
         }

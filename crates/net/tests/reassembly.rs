@@ -17,7 +17,7 @@ use webcap_net::{
     replay_windows, AppStats, Assembler, SourceSample, SupervisorConfig, TierSampler, WireSample,
     MAX_GAP_WINDOWS,
 };
-use webcap_sim::{TierId, TierSample};
+use webcap_sim::{RtHistogram, TierId, TierSample};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 const WINDOW: i64 = 30;
@@ -325,6 +325,32 @@ fn an_app_sample_without_front_end_stats_is_quarantined_at_the_same_moment() {
         assert_eq!(plane.anomalies(), 1, "{name}");
         assert_eq!(plane.completed(), vec![0, 2], "{name}");
     }
+}
+
+#[test]
+fn hostile_counts_saturate_instead_of_overflowing_on_both_planes() {
+    // A window of application samples each claiming u64::MAX completions
+    // and a histogram bucket at u32::MAX: folding them must saturate, not
+    // panic (debug) or wrap (release), and both planes judge alike.
+    let mut counts = [0u32; RtHistogram::BUCKET_COUNT];
+    counts[20] = u32::MAX;
+    let hostile_hist = RtHistogram::from_raw_parts(&counts, u64::MAX).expect("48 buckets");
+    let mut verdicts = Vec::new();
+    for mut plane in planes() {
+        for seq in 0..WINDOW as u64 {
+            for tier in TierId::ALL {
+                let mut ws = wire(seq, tier);
+                if let Some(app) = ws.app.as_mut() {
+                    app.completed = u64::MAX;
+                    app.response_times = hostile_hist.clone();
+                }
+                plane.sample(tier, ws);
+            }
+        }
+        verdicts.push((plane.poisoned(), plane.anomalies(), plane.completed()));
+    }
+    assert_eq!(verdicts[0], verdicts[1], "both planes");
+    assert_eq!(verdicts[0], (vec![], 0, vec![0]));
 }
 
 // The assembler's own scripts: gaps, reconnects and loss at either end

@@ -23,10 +23,11 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use webcap_core::monitor::feature_width;
 use webcap_core::{CapacityMeter, MeterConfig, MetricLevel};
 use webcap_core::{TierStressAgg, WindowHealthAgg};
 use webcap_hpc::HpcModel;
-use webcap_net::binary::{decode_frame, encode_frame};
+use webcap_net::binary::{decode_frame, decode_frame_into, encode_frame, Decoded};
 use webcap_net::collector::CollectorConfig;
 use webcap_net::frame::{
     level_schema_hash, metric_schema_hash, read_frame, try_extract_frame, write_frame,
@@ -292,15 +293,12 @@ fn streams_reassemble_across_arbitrary_chunking() {
     }
 }
 
-/// Decode robustness, the deterministic "fuzz smoke": up to seven byte
-/// flips and, half the time, a truncation of a binary payload decode to
-/// a typed corruption error or
-/// (coincidentally) a valid frame — never a panic, never another error
-/// kind. The payloads are five fixed frames chosen for their shapes
-/// (extreme varints, a full-width sample, a 32-sample batch), 600
-/// mutations each, and 600 generated frames, one mutation each.
-#[test]
-fn fuzz_smoke_binary_decoder_survives_deterministic_mutations() {
+/// The deterministic mutation cases, by seed: up to seven byte flips
+/// and, half the time, a truncation of a binary payload. The payloads
+/// are five fixed frames chosen for their shapes (extreme varints, a
+/// full-width sample, a 32-sample batch), 600 mutations each, and 600
+/// generated frames, one mutation each.
+fn mutated_payloads() -> impl Iterator<Item = (u64, Vec<u8>)> {
     let fixed = [
         Frame::Hello {
             tier: TierId::App,
@@ -335,14 +333,13 @@ fn fuzz_smoke_binary_decoder_survives_deterministic_mutations() {
         Frame::Heartbeat { seq: 0 },
         Frame::Bye { last_seq: u64::MAX },
     ];
-    let mut payload = Vec::new();
-    for seed in 0..3600u64 {
+    (0..3600u64).map(move |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let frame = match fixed.get(seed as usize % (fixed.len() + 1)) {
             Some(frame) => frame.clone(),
             None => frames(&mut rng),
         };
-        payload.clear();
+        let mut payload = Vec::new();
         encode_frame(&frame, &mut payload);
         for _ in 0..rng.random_range(0usize..8) {
             let idx = rng.random_range(0..payload.len());
@@ -351,8 +348,107 @@ fn fuzz_smoke_binary_decoder_survives_deterministic_mutations() {
         if rng.random() {
             payload.truncate(rng.random_range(0..=payload.len()));
         }
+        (seed, payload)
+    })
+}
+
+/// Decode robustness, the deterministic "fuzz smoke": every mutation
+/// case decodes to a typed corruption error or (coincidentally) a valid
+/// frame — never a panic, never another error kind.
+#[test]
+fn fuzz_smoke_binary_decoder_survives_deterministic_mutations() {
+    for (seed, payload) in mutated_payloads() {
         if let Err(e) = decode_frame(&payload) {
             assert!(e.is_corrupt(), "seed {seed}: typed corruption only: {e}");
+        }
+    }
+}
+
+/// A frame's payload, re-encoded: equal bytes mean equal values, every
+/// `f64` compared by its bits.
+fn bits(frame: &Frame) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode_frame(frame, &mut payload);
+    payload
+}
+
+/// A batch of 32 full-width samples of `tier` — front-end statistics and
+/// a filled histogram on the application tier — as a collector lane
+/// decodes them into its slots.
+fn dirtying_batch(tier: TierId) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(tier.index() as u64);
+    let members = (0..32)
+        .map(|seq| WireSample {
+            seq,
+            tier: tier_samples(&mut rng),
+            hpc: vec![f64::NAN; feature_width(MetricLevel::Hpc)],
+            os: vec![-1.5; feature_width(MetricLevel::Os)],
+            app: (tier == TierId::App).then(|| app_stats(&mut rng)),
+            ..wire_samples(&mut rng)
+        })
+        .collect();
+    let mut payload = Vec::new();
+    encode_frame(&Frame::SampleBatch(members), &mut payload);
+    payload
+}
+
+/// The in-place decoder against `decode_frame`, on slots a lane has
+/// already filled — with a full-width application batch, then also with
+/// a database batch: every generated frame and every mutation case gets
+/// the same accept or reject verdict, and a sample frame's members equal
+/// the fresh decoder's bit for bit. No row, field or front-end statistic
+/// of an earlier frame leaks into a later one.
+#[test]
+fn decoding_into_used_slots_matches_decoding_fresh() {
+    let mut dirty = Vec::new();
+    let mut states = Vec::new();
+    for tier in [TierId::App, TierId::Db] {
+        decode_frame_into(&dirtying_batch(tier), &mut dirty).expect("the batch decodes");
+        states.push(dirty.clone());
+    }
+    let generated = (0..CASES).map(|seed| {
+        let frame = frames(&mut StdRng::seed_from_u64(seed));
+        (seed, bits(&frame))
+    });
+    for (seed, payload) in generated.chain(mutated_payloads()) {
+        let fresh = decode_frame(&payload);
+        for (state, used) in states.iter().enumerate() {
+            let mut slots = used.clone();
+            let in_place = decode_frame_into(&payload, &mut slots);
+            let case = format!("seed {seed}, slots of state {state}");
+            let (fresh, in_place) = match (&fresh, in_place) {
+                (Ok(fresh), Ok(in_place)) => (fresh, in_place),
+                (Err(_), Err(e)) => {
+                    assert!(e.is_corrupt(), "{case}: {e}");
+                    continue;
+                }
+                (fresh, in_place) => panic!("{case}: {fresh:?} fresh, {in_place:?} in place"),
+            };
+            let members = |n: usize| slots[..n].iter().map(|ws| bits(&Frame::Sample(ws.clone())));
+            match (fresh, in_place) {
+                (
+                    Frame::Sample(ws),
+                    Decoded::Samples {
+                        batch: false,
+                        members: 1,
+                    },
+                ) => {
+                    assert!(members(1).eq([bits(&Frame::Sample(ws.clone()))]), "{case}");
+                }
+                (
+                    Frame::SampleBatch(batch),
+                    Decoded::Samples {
+                        batch: true,
+                        members: n,
+                    },
+                ) => {
+                    let expected = batch.iter().map(|ws| bits(&Frame::Sample(ws.clone())));
+                    assert_eq!(n, batch.len(), "{case}");
+                    assert!(members(n).eq(expected), "{case}");
+                }
+                (fresh, Decoded::Other(frame)) => assert_eq!(bits(fresh), bits(&frame), "{case}"),
+                (fresh, in_place) => panic!("{case}: {fresh:?} fresh, {in_place:?} in place"),
+            }
         }
     }
 }
@@ -662,7 +758,7 @@ fn faulted_runs_are_byte_identical_batched_and_unbatched() {
 }
 
 /// Clean batched run: batching must not change what reaches the meter,
-/// and every sample must be individually acknowledged.
+/// and every sample must be delivered individually.
 #[test]
 fn a_clean_batched_run_matches_the_unbatched_contract() {
     let meter = trained_meter();

@@ -99,12 +99,14 @@ impl RtHistogram {
         self.total == 0
     }
 
-    /// Merge another histogram into this one.
+    /// Merge another histogram into this one. Counts saturate: a
+    /// histogram that arrived off the wire may hold any value, and an
+    /// honest one never nears the limits.
     pub fn merge(&mut self, other: &RtHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.total += other.total;
+        self.total = self.total.saturating_add(other.total);
     }
 
     /// The `q`-quantile (0 < q ≤ 1) as the geometric midpoint of the
