@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use webcap_core::{label_window, CapacityMeter, OnlineDecision};
+use webcap_core::{label_window, AppWindowDigest, CapacityMeter, OnlineDecision, WindowHealthAgg};
 use webcap_net::{
     all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled, Endpoint,
     FaultKnobs,
@@ -129,10 +129,8 @@ pub fn score_probe(
     let warmup_windows = (scenario.warmup_s as usize).div_ceil(window_len);
     let decided: BTreeMap<i64, &OnlineDecision> = decisions.iter().map(|(w, d)| (*w, d)).collect();
 
-    let mut hist = webcap_sim::RtHistogram::new();
-    let mut completed = 0u64;
-    let mut rt_sum = 0.0f64;
-    let mut duration_s = 0.0f64;
+    // The scored windows' front-end statistics, folded as one span.
+    let mut front = AppWindowDigest::default();
     let mut windows_scored = 0u32;
     let mut windows_decided = 0u32;
     let mut oracle_overloaded = 0u32;
@@ -148,10 +146,7 @@ pub fn score_probe(
         let chunk = &samples[w * window_len..(w + 1) * window_len];
         windows_scored += 1;
         for s in chunk {
-            hist.merge(&s.response_times);
-            completed += s.completed;
-            rt_sum += s.response_time_sum_s;
-            duration_s += s.interval_s;
+            front.observe(s.t_s, s.interval_s, &s.front);
         }
         let label = label_window(chunk, &meter.config().oracle);
         if label.overloaded {
@@ -173,6 +168,17 @@ pub fn score_probe(
         }
     }
 
+    let AppWindowDigest {
+        duration_s,
+        health:
+            WindowHealthAgg {
+                completed,
+                rt_sum_s: rt_sum,
+                rt_hist: hist,
+                ..
+            },
+        ..
+    } = front;
     let error_fraction = hist.fraction_above(scenario.slo.timeout_s);
     let p99_s = hist.p99().unwrap_or(0.0);
     let mean_rt_s = if completed > 0 {

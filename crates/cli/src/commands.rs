@@ -165,7 +165,7 @@ pub fn simulate(args: &Args) -> Result<(), CliError> {
     for chunk in samples.chunks(30) {
         let label = label_window(chunk, &oracle);
         let n = chunk.len() as f64;
-        let thr = chunk.iter().map(|s| s.completed).sum::<u64>() as f64 / n;
+        let thr = chunk.iter().map(|s| s.front.completed).sum::<u64>() as f64 / n;
         let app = chunk.iter().map(|s| s.app.utilization).sum::<f64>() / n;
         let db = chunk.iter().map(|s| s.db.utilization).sum::<f64>() / n;
         let disk = chunk.iter().map(|s| s.db.disk_utilization).sum::<f64>() / n;

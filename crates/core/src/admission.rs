@@ -164,8 +164,12 @@ pub fn run_admission_experiment(
         let windows = log.windows(window_len, window_len, &meter.config().oracle);
         let Some(w) = windows.last() else { continue };
         let prediction = meter.predict(w);
-        let completed: u64 = log.samples.iter().map(|s| s.completed).sum();
-        let rt_sum: f64 = log.samples.iter().map(|s| s.response_time_sum_s).sum();
+        let completed: u64 = log.samples.iter().map(|s| s.front.completed).sum();
+        let rt_sum: f64 = log
+            .samples
+            .iter()
+            .map(|s| s.front.response_time_sum_s)
+            .sum();
         out.push(SegmentOutcome {
             segment: i,
             admitted_ebs: admitted,

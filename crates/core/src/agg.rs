@@ -10,12 +10,14 @@
 //!
 //! A window's evidence has two halves, which a collector receives apart:
 //! each tier's agent supplies a [`TierAgg`] (the means of its metric rows
-//! and its saturation), and the application tier alone a [`FrontEndAgg`]
-//! (span, application health and traffic mix). A caller that sees whole
-//! samples folds both at once through [`WindowAgg`].
+//! and its saturation), and the application tier alone the
+//! [`AppWindowDigest`] it folds from each second's
+//! [`AppStats`](webcap_sim::AppStats) (span, application health and
+//! traffic mix). A caller that sees whole samples folds both at once
+//! through [`WindowAgg`].
 
 use serde::{Deserialize, Serialize};
-use webcap_sim::{SystemSample, TierId, TierSample};
+use webcap_sim::{AppStats, SystemSample, TierId, TierSample};
 use webcap_tpcw::MixId;
 
 use crate::monitor::MetricLevel;
@@ -111,7 +113,7 @@ impl TierAgg {
 }
 
 /// One tier's finished half of a window.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierWindow {
     /// Element-wise mean of the tier's HPC feature rows.
     pub hpc_mean: Vec<f64>,
@@ -121,51 +123,11 @@ pub struct TierWindow {
     pub stress: TierStressAgg,
 }
 
-/// The front-end half of a window in progress, folded from the
-/// application-level fields of each second's [`SystemSample`].
-#[derive(Debug, Default)]
-pub struct FrontEndAgg {
-    samples: usize,
-    t_start_s: f64,
-    t_end_s: f64,
-    duration_s: f64,
-    health: WindowHealthAgg,
-    mix_counts: Vec<(MixId, u32)>,
-}
-
-impl FrontEndAgg {
-    /// Fold one second in. Only the front-end fields are read, never the
-    /// tier samples.
-    pub fn observe(&mut self, s: &SystemSample) {
-        if self.samples == 0 {
-            self.t_start_s = s.t_s - s.interval_s;
-        }
-        self.samples += 1;
-        self.t_end_s = s.t_s;
-        self.duration_s += s.interval_s;
-        self.health.observe(s);
-        match self.mix_counts.iter_mut().find(|(m, _)| *m == s.mix_id) {
-            Some((_, c)) => *c += 1,
-            None => self.mix_counts.push((s.mix_id, 1)),
-        }
-    }
-
-    /// The window's finished front-end half.
-    pub fn finish(self) -> AppWindowDigest {
-        AppWindowDigest {
-            t_start_s: self.t_start_s,
-            t_end_s: self.t_end_s,
-            duration_s: self.duration_s,
-            health: self.health,
-            mix_counts: self.mix_counts,
-        }
-    }
-}
-
-/// A window's finished front-end half. A collector ships it inside the
-/// application tier's digest, so a merge node finishes the window from
-/// exactly what an in-process [`WindowAgg`] would have held.
-#[derive(Debug, Clone, PartialEq)]
+/// A window's front-end half, folded second by second from the
+/// application tier's [`AppStats`]. A collector ships the finished fold
+/// inside the application tier's digest, so a merge node finishes the
+/// window from exactly what an in-process [`WindowAgg`] would have held.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppWindowDigest {
     /// Window start time, seconds: first sample's `t_s` minus its
     /// interval.
@@ -182,6 +144,21 @@ pub struct AppWindowDigest {
 }
 
 impl AppWindowDigest {
+    /// Fold in one second ending at `t_s` and lasting `interval_s`.
+    pub fn observe(&mut self, t_s: f64, interval_s: f64, front: &AppStats) {
+        // Every second casts a mix vote, so no votes means the first one.
+        if self.mix_counts.is_empty() {
+            self.t_start_s = t_s - interval_s;
+        }
+        self.t_end_s = t_s;
+        self.duration_s += interval_s;
+        self.health.observe(front);
+        match self.mix_counts.iter_mut().find(|(m, _)| *m == front.mix_id) {
+            Some((_, c)) => *c += 1,
+            None => self.mix_counts.push((front.mix_id, 1)),
+        }
+    }
+
     /// The majority traffic mix, `None` when nothing was observed. Ties
     /// break by first-appearance order: the winner is the *last* maximal
     /// count (`max_by_key` keeps the later of equal keys), so the label
@@ -250,7 +227,8 @@ impl AppWindowDigest {
 /// samples with both tiers' metric rows.
 #[derive(Debug, Default)]
 pub struct WindowAgg {
-    front_end: FrontEndAgg,
+    samples: usize,
+    front_end: AppWindowDigest,
     tiers: [TierAgg; 2],
 }
 
@@ -266,7 +244,9 @@ impl WindowAgg {
         H: AsRef<[f64]> + Into<Vec<f64>>,
         O: AsRef<[f64]> + Into<Vec<f64>>,
     {
-        self.front_end.observe(sample);
+        self.samples += 1;
+        self.front_end
+            .observe(sample.t_s, sample.interval_s, &sample.front);
         let [hpc_app, hpc_db] = hpc;
         let [os_app, os_db] = os;
         let [app, db] = &mut self.tiers;
@@ -276,13 +256,13 @@ impl WindowAgg {
 
     /// Seconds folded in so far.
     pub fn samples(&self) -> usize {
-        self.front_end.samples
+        self.samples
     }
 
     /// Finish the window ([`AppWindowDigest::instance`]) with every
     /// family it was fed; `None` when no second was.
     pub fn finish(self, oracle: &OracleConfig) -> Option<WindowInstance> {
-        self.front_end.finish().instance(
+        self.front_end.instance(
             self.tiers.map(TierAgg::finish),
             MetricLevel::Combined,
             oracle,
@@ -355,10 +335,8 @@ mod tests {
         acc.push(vec![3.0]);
     }
 
-    fn sample_with_mix(mix_id: MixId) -> SystemSample {
-        SystemSample {
-            t_s: 1.0,
-            interval_s: 1.0,
+    fn stats_with_mix(mix_id: MixId) -> AppStats {
+        AppStats {
             ebs_target: 0,
             ebs_active: 0,
             mix_id,
@@ -370,17 +348,15 @@ mod tests {
             response_time_max_s: 0.0,
             in_flight: 0,
             response_times: webcap_sim::RtHistogram::default(),
-            app: webcap_sim::TierSample::default(),
-            db: webcap_sim::TierSample::default(),
         }
     }
 
     fn majority(mixes: &[MixId]) -> Option<MixId> {
-        let mut front_end = FrontEndAgg::default();
+        let mut front_end = AppWindowDigest::default();
         for &m in mixes {
-            front_end.observe(&sample_with_mix(m));
+            front_end.observe(1.0, 1.0, &stats_with_mix(m));
         }
-        front_end.finish().majority()
+        front_end.majority()
     }
 
     #[test]
@@ -405,17 +381,16 @@ mod tests {
 
     #[test]
     fn an_instance_keeps_only_the_families_its_level_reads() {
-        let sample = sample_with_mix(MixId::Ordering);
+        let stats = stats_with_mix(MixId::Ordering);
         for level in MetricLevel::EXTENDED {
-            let mut front_end = FrontEndAgg::default();
-            front_end.observe(&sample);
+            let mut front_end = AppWindowDigest::default();
+            front_end.observe(1.0, 1.0, &stats);
             let tiers = [(); 2].map(|()| {
                 let mut tier = TierAgg::default();
-                tier.observe(&sample.app, vec![1.0; 2], vec![2.0; 3]);
+                tier.observe(&TierSample::default(), vec![1.0; 2], vec![2.0; 3]);
                 tier.finish()
             });
             let window = front_end
-                .finish()
                 .instance(tiers, level, &OracleConfig::default())
                 .expect("a second was observed");
             let combined = level == MetricLevel::Combined;

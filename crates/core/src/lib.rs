@@ -10,8 +10,8 @@
 //! * [`oracle`] — application-level ground-truth labeling of intervals.
 //! * [`monitor`] — the measurement pipeline: per-second HPC/OS collection
 //!   aggregated into labeled 30-second instances, every one built by the
-//!   one window builder ([`WindowAgg`], [`TierAgg`], [`FrontEndAgg`],
-//!   [`AppWindowDigest::instance`]).
+//!   one window builder ([`WindowAgg`], [`TierAgg`],
+//!   [`AppWindowDigest::observe`], [`AppWindowDigest::instance`]).
 //! * [`synopsis`] — per-(tier, workload) performance synopses with
 //!   information-gain attribute selection.
 //! * [`coordinator`] — the two-level coordinated predictor (GPT/LHT) and
@@ -69,7 +69,7 @@ pub mod synopsis;
 pub mod workloads;
 
 pub use admission::AdmissionController;
-pub use agg::{AppWindowDigest, FrontEndAgg, TierAgg, TierWindow, WindowAgg};
+pub use agg::{AppWindowDigest, TierAgg, TierWindow, WindowAgg};
 pub use coordinator::{CoordinatedPrediction, CoordinatedPredictor, CoordinatorConfig, TieScheme};
 pub use meter::{CapacityMeter, EvaluationReport, MeterConfig};
 pub use monitor::{collect_run, collect_run_for, MetricLevel, RunLog, WindowInstance};

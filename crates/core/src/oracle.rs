@@ -14,7 +14,7 @@
 //! pressure as tie-breaker.
 
 use serde::{Deserialize, Serialize};
-use webcap_sim::{SystemSample, TierId};
+use webcap_sim::{AppStats, SystemSample, TierId};
 
 /// Oracle configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,11 +85,11 @@ pub struct WindowHealthAgg {
 }
 
 impl WindowHealthAgg {
-    /// Fold one sample's application-level evidence in. The completion
-    /// count saturates, as [`RtHistogram::merge`](webcap_sim::RtHistogram::merge)
+    /// Fold one second's front-end statistics in. The completion count
+    /// saturates, as [`RtHistogram::merge`](webcap_sim::RtHistogram::merge)
     /// does: a collector folds counts off the wire, which may hold any
     /// value, and an honest stream never nears the limit.
-    pub fn observe(&mut self, s: &SystemSample) {
+    pub fn observe(&mut self, s: &AppStats) {
         self.completed = self.completed.saturating_add(s.completed);
         self.rt_sum_s += s.response_time_sum_s;
         self.rt_hist.merge(&s.response_times);
@@ -181,7 +181,7 @@ pub fn label_window(samples: &[SystemSample], cfg: &OracleConfig) -> WindowLabel
     let mut health = WindowHealthAgg::default();
     let mut stress = [TierStressAgg::default(); 2];
     for s in samples {
-        health.observe(s);
+        health.observe(&s.front);
         for tier in TierId::ALL {
             tier.select_mut(&mut stress).observe(s.tier(tier));
         }
@@ -210,17 +210,19 @@ mod tests {
         SystemSample {
             t_s: 0.0,
             interval_s: 1.0,
-            ebs_target: 100,
-            ebs_active: 100,
-            mix_id: MixId::Shopping,
-            issued: completed,
-            issued_browse: 0,
-            completed,
-            completed_browse: 0,
-            response_time_sum_s: rt_mean * completed as f64,
-            response_time_max_s: rt_mean * 2.0,
-            in_flight,
-            response_times,
+            front: AppStats {
+                ebs_target: 100,
+                ebs_active: 100,
+                mix_id: MixId::Shopping,
+                issued: completed,
+                issued_browse: 0,
+                completed,
+                completed_browse: 0,
+                response_time_sum_s: rt_mean * completed as f64,
+                response_time_max_s: rt_mean * 2.0,
+                in_flight,
+                response_times,
+            },
             app: TierSample {
                 utilization: app_util,
                 ..Default::default()
@@ -252,7 +254,7 @@ mod tests {
     fn backlog_growth_alone_triggers_overload() {
         let mut w: Vec<_> = (0..30).map(|_| sample(0.3, 40, 0, 0.9, 0.95)).collect();
         for (i, s) in w.iter_mut().enumerate() {
-            s.in_flight = (i * 3) as u32; // +87 over the window
+            s.front.in_flight = (i * 3) as u32; // +87 over the window
         }
         let label = label_window(&w, &OracleConfig::default());
         assert!(label.overloaded);

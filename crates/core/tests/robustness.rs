@@ -6,19 +6,17 @@ use webcap_core::meter::{CapacityMeter, MeterConfig};
 use webcap_core::monitor::{feature_names, MetricLevel, WindowInstance};
 use webcap_core::oracle::OracleConfig;
 use webcap_core::synopsis::{PerformanceSynopsis, SynopsisSpec};
-use webcap_core::{FrontEndAgg, TierAgg};
+use webcap_core::{AppWindowDigest, TierAgg};
 use webcap_ml::select::SelectionOptions;
 use webcap_ml::{Algorithm, FitError};
-use webcap_sim::{RtHistogram, SystemSample, TierId, TierSample};
+use webcap_sim::{AppStats, RtHistogram, SystemSample, TierId, TierSample};
 use webcap_tpcw::MixId;
 
 /// Build a synthetic window instance through the window builder: one
 /// 30-second sample whose mean response time (3 s or 0.1 s) sets the
 /// label, and `value` in every metric of every tier and level.
 fn synthetic_instance(label: bool, value: f64) -> WindowInstance {
-    let sample = SystemSample {
-        t_s: 30.0,
-        interval_s: 30.0,
+    let front = AppStats {
         ebs_target: 0,
         ebs_active: 0,
         mix_id: MixId::Ordering,
@@ -30,23 +28,20 @@ fn synthetic_instance(label: bool, value: f64) -> WindowInstance {
         response_time_max_s: 0.0,
         in_flight: 0,
         response_times: RtHistogram::new(),
-        app: TierSample::default(),
-        db: TierSample::default(),
     };
-    let mut front_end = FrontEndAgg::default();
-    front_end.observe(&sample);
+    let mut front_end = AppWindowDigest::default();
+    front_end.observe(30.0, 30.0, &front);
     let tiers = TierId::ALL.map(|tier| {
         let mut agg = TierAgg::default();
         let width = |level| feature_names(level, tier).len();
         agg.observe(
-            sample.tier(tier),
+            &TierSample::default(),
             vec![value; width(MetricLevel::Hpc)],
             vec![value; width(MetricLevel::Os)],
         );
         agg.finish()
     });
     let instance = front_end
-        .finish()
         .instance(tiers, MetricLevel::Combined, &OracleConfig::default())
         .expect("a sample was observed");
     assert_eq!(instance.overloaded(), label);
@@ -156,17 +151,19 @@ fn oracle_handles_pathological_windows() {
     let dead = SystemSample {
         t_s: 1.0,
         interval_s: 1.0,
-        ebs_target: 0,
-        ebs_active: 0,
-        mix_id: MixId::Browsing,
-        issued: 0,
-        issued_browse: 0,
-        completed: 0,
-        completed_browse: 0,
-        response_time_sum_s: 0.0,
-        response_time_max_s: 0.0,
-        in_flight: 0,
-        response_times: RtHistogram::new(),
+        front: AppStats {
+            ebs_target: 0,
+            ebs_active: 0,
+            mix_id: MixId::Browsing,
+            issued: 0,
+            issued_browse: 0,
+            completed: 0,
+            completed_browse: 0,
+            response_time_sum_s: 0.0,
+            response_time_max_s: 0.0,
+            in_flight: 0,
+            response_times: RtHistogram::new(),
+        },
         app: TierSample::default(),
         db: TierSample::default(),
     };

@@ -86,7 +86,7 @@ fn window_throughput_is_completed_over_duration() {
         let mut start = 0usize;
         for w in &windows {
             let slice = &log.samples[start..start + len];
-            let completed: u64 = slice.iter().map(|s| s.completed).sum();
+            let completed: u64 = slice.iter().map(|s| s.front.completed).sum();
             let duration: f64 = slice.iter().map(|s| s.interval_s).sum();
             let expected = completed as f64 / duration;
             assert!(

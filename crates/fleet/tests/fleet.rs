@@ -417,8 +417,8 @@ fn a_digest_missing_a_family_the_meter_reads_is_never_scored() {
             .flat_map(|f| f.windows.iter_mut())
             .find(|d| d.window == 6 && d.tier == TierId::Db)
             .expect("window 6 has a database digest");
-        assert_eq!(digest.hpc_mean.len(), width);
-        digest.hpc_mean.truncate(keep);
+        assert_eq!(digest.half.hpc_mean.len(), width);
+        digest.half.hpc_mean.truncate(keep);
 
         let mut node = MergeNode::new(meter.clone());
         for f in &forged {

@@ -45,7 +45,7 @@
 
 #![deny(unused_variables, unreachable_patterns)]
 
-use webcap_core::{TierStressAgg, WindowHealthAgg};
+use webcap_core::{TierStressAgg, TierWindow, WindowHealthAgg};
 use webcap_sim::{RtHistogram, TierId, TierSample};
 use webcap_tpcw::MixId;
 
@@ -322,9 +322,11 @@ fn put_window_digest(out: &mut Vec<u8>, d: &TierWindowDigest) {
         window,
         tier,
         samples,
-        hpc_mean,
-        os_mean,
-        stress,
+        half: TierWindow {
+            hpc_mean,
+            os_mean,
+            stress,
+        },
         app,
     } = d;
     put_i64z(out, *window);
@@ -789,9 +791,11 @@ impl<'a> Cur<'a> {
             window: self.i64z()?,
             tier: self.tier()?,
             samples: self.u32v()?,
-            hpc_mean: self.row()?,
-            os_mean: self.row()?,
-            stress: self.stress()?,
+            half: TierWindow {
+                hpc_mean: self.row()?,
+                os_mean: self.row()?,
+                stress: self.stress()?,
+            },
             app: if self.bool()? {
                 Some(AppWindowDigest {
                     t_start_s: self.f64()?,

@@ -38,9 +38,8 @@ use webcap_core::monitor::feature_names;
 /// only by the application tier: what the merge node needs for the
 /// window's label, throughput and majority mix.
 pub use webcap_core::AppWindowDigest;
-use webcap_core::{MetricLevel, TierStressAgg};
-use webcap_sim::{RtHistogram, SystemSample, TierId, TierSample};
-use webcap_tpcw::MixId;
+use webcap_core::{MetricLevel, TierWindow};
+use webcap_sim::{TierId, TierSample};
 
 use crate::supervisor::HealthState;
 
@@ -87,82 +86,9 @@ pub struct WireCaps {
     pub max_batch: u32,
 }
 
-/// System-wide (front-end visible) per-second statistics that only the
-/// application-tier agent can observe: request counts, response times,
-/// and the traffic program's state. Mirrors the non-tier fields of
-/// [`SystemSample`] so the collector can reassemble the full sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppStats {
-    /// Traffic program's target EB population.
-    pub ebs_target: u32,
-    /// EBs actually active.
-    pub ebs_active: u32,
-    /// Identifier of the traffic mix active at the interval end.
-    pub mix_id: MixId,
-    /// Requests issued during the interval.
-    pub issued: u64,
-    /// Issued requests of Browse class.
-    pub issued_browse: u64,
-    /// Requests completed during the interval.
-    pub completed: u64,
-    /// Completed requests of Browse class.
-    pub completed_browse: u64,
-    /// Sum of response times of completed requests, seconds.
-    pub response_time_sum_s: f64,
-    /// Maximum response time among completed requests, seconds.
-    pub response_time_max_s: f64,
-    /// Requests in flight at the interval end.
-    pub in_flight: u32,
-    /// Histogram of the response times completed this interval.
-    pub response_times: RtHistogram,
-}
-
-impl AppStats {
-    /// Extract the front-end-visible statistics from a full sample.
-    pub fn from_sample(s: &SystemSample) -> AppStats {
-        AppStats {
-            ebs_target: s.ebs_target,
-            ebs_active: s.ebs_active,
-            mix_id: s.mix_id,
-            issued: s.issued,
-            issued_browse: s.issued_browse,
-            completed: s.completed,
-            completed_browse: s.completed_browse,
-            response_time_sum_s: s.response_time_sum_s,
-            response_time_max_s: s.response_time_max_s,
-            in_flight: s.in_flight,
-            response_times: s.response_times.clone(),
-        }
-    }
-
-    /// Reassemble a full [`SystemSample`] from these statistics and the
-    /// two tiers' samples.
-    pub fn into_sample(
-        self,
-        t_s: f64,
-        interval_s: f64,
-        app: TierSample,
-        db: TierSample,
-    ) -> SystemSample {
-        SystemSample {
-            t_s,
-            interval_s,
-            ebs_target: self.ebs_target,
-            ebs_active: self.ebs_active,
-            mix_id: self.mix_id,
-            issued: self.issued,
-            issued_browse: self.issued_browse,
-            completed: self.completed,
-            completed_browse: self.completed_browse,
-            response_time_sum_s: self.response_time_sum_s,
-            response_time_max_s: self.response_time_max_s,
-            in_flight: self.in_flight,
-            response_times: self.response_times,
-            app,
-            db,
-        }
-    }
-}
+/// A second's front-end statistics, shipped only by the application
+/// tier's agent: the simulator's record, carried as it is.
+pub use webcap_sim::AppStats;
 
 /// One per-second measurement from one tier's agent.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,13 +123,9 @@ pub struct TierWindowDigest {
     /// Samples folded into the aggregates (always the window length for
     /// a complete window).
     pub samples: u32,
-    /// Element-wise mean of the tier's HPC feature rows, from the core's
-    /// window builder (`TierAgg`).
-    pub hpc_mean: Vec<f64>,
-    /// Element-wise mean of the tier's OS metric rows.
-    pub os_mean: Vec<f64>,
-    /// Saturation aggregate feeding the bottleneck-oracle stress score.
-    pub stress: TierStressAgg,
+    /// The tier's finished half of the window, from the core's window
+    /// builder (`TierAgg`): its metric-row means and its saturation.
+    pub half: TierWindow,
     /// Front-end statistics; `Some` only from the application tier.
     pub app: Option<AppWindowDigest>,
 }
@@ -644,7 +566,9 @@ impl FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcap_core::WindowHealthAgg;
+    use webcap_core::{TierStressAgg, WindowHealthAgg};
+    use webcap_sim::RtHistogram;
+    use webcap_tpcw::MixId;
 
     fn sample_frame() -> Frame {
         Frame::Sample(WireSample {
@@ -672,12 +596,14 @@ mod tests {
                 window: 2,
                 tier: TierId::App,
                 samples: 30,
-                hpc_mean: vec![0.5, 1.25, -0.0625],
-                os_mean: vec![0.1, 9.5],
-                stress: TierStressAgg {
-                    util_sum: 15.0,
-                    queue_sum: 3.5,
-                    n: 30,
+                half: TierWindow {
+                    hpc_mean: vec![0.5, 1.25, -0.0625],
+                    os_mean: vec![0.1, 9.5],
+                    stress: TierStressAgg {
+                        util_sum: 15.0,
+                        queue_sum: 3.5,
+                        n: 30,
+                    },
                 },
                 app: Some(AppWindowDigest {
                     t_start_s: 60.0,
@@ -835,37 +761,6 @@ mod tests {
             metric_schema_hash(TierId::App),
             metric_schema_hash(TierId::Db)
         );
-    }
-
-    #[test]
-    fn app_stats_reassembly_round_trips() {
-        let mut s = SystemSample {
-            t_s: 30.0,
-            interval_s: 1.0,
-            ebs_target: 80,
-            ebs_active: 78,
-            mix_id: MixId::Browsing,
-            issued: 100,
-            issued_browse: 60,
-            completed: 97,
-            completed_browse: 58,
-            response_time_sum_s: 12.5,
-            response_time_max_s: 2.25,
-            in_flight: 3,
-            response_times: RtHistogram::new(),
-            app: TierSample {
-                utilization: 0.9,
-                ..TierSample::default()
-            },
-            db: TierSample {
-                utilization: 0.4,
-                ..TierSample::default()
-            },
-        };
-        s.response_times.record(0.125);
-        let stats = AppStats::from_sample(&s);
-        let back = stats.into_sample(s.t_s, s.interval_s, s.app, s.db);
-        assert_eq!(back, s);
     }
 
     /// A stream that arrives in the given pieces — one piece per `read`,

@@ -52,8 +52,8 @@
 use std::collections::BTreeSet;
 
 use webcap_core::monitor::feature_width;
-use webcap_core::{CapacityMeter, FrontEndAgg, MetricLevel, OnlineDecision, TierAgg, TierWindow};
-use webcap_sim::{TierId, TierSample};
+use webcap_core::{AppWindowDigest, CapacityMeter, MetricLevel, OnlineDecision, TierAgg};
+use webcap_sim::TierId;
 
 use crate::frame::{AppStats, TierWindowDigest, WireSample};
 
@@ -109,7 +109,7 @@ struct WindowAcc {
     window: i64,
     samples: u32,
     tier: TierAgg,
-    front_end: FrontEndAgg,
+    front_end: AppWindowDigest,
 }
 
 impl WindowAcc {
@@ -127,30 +127,18 @@ impl WindowAcc {
     fn observe(&mut self, ws: &WireSample, front_end: Option<&AppStats>, hpc: &[f64], os: &[f64]) {
         self.samples += 1;
         if let Some(stats) = front_end {
-            // `FrontEndAgg::observe` reads only the front-end fields, so
-            // reassembling with placeholder tiers is exact. The copy
-            // allocates nothing: the statistics hold no heap data.
-            let (t_s, interval_s, tier) = (ws.t_s, ws.interval_s, TierSample::default());
-            let sample = stats.clone().into_sample(t_s, interval_s, tier, tier);
-            self.front_end.observe(&sample);
+            self.front_end.observe(ws.t_s, ws.interval_s, stats);
         }
         self.tier.observe(&ws.tier, hpc, os);
     }
 
     fn finish(self, tier: TierId) -> TierWindowDigest {
-        let TierWindow {
-            hpc_mean,
-            os_mean,
-            stress,
-        } = self.tier.finish();
         TierWindowDigest {
             window: self.window,
             tier,
             samples: self.samples,
-            hpc_mean,
-            os_mean,
-            stress,
-            app: (tier == TierId::App).then(|| self.front_end.finish()),
+            half: self.tier.finish(),
+            app: (tier == TierId::App).then_some(self.front_end),
         }
     }
 }
@@ -434,30 +422,21 @@ fn foldable(read: bool, family: MetricLevel, row: &[f64]) -> Option<&[f64]> {
 pub fn score_window(
     meter: &mut CapacityMeter,
     prev_fed: &mut Option<i64>,
-    mut app: TierWindowDigest,
+    app: TierWindowDigest,
     db: TierWindowDigest,
 ) -> Option<OnlineDecision> {
     let level = meter.config().level;
     let at_width = |d: &TierWindowDigest| {
-        (!level.reads_hpc() || d.hpc_mean.len() == feature_width(MetricLevel::Hpc))
-            && (!level.reads_os() || d.os_mean.len() == feature_width(MetricLevel::Os))
+        (!level.reads_hpc() || d.half.hpc_mean.len() == feature_width(MetricLevel::Hpc))
+            && (!level.reads_os() || d.half.os_mean.len() == feature_width(MetricLevel::Os))
     };
     if !at_width(&app) || !at_width(&db) {
         return None;
     }
     let window = app.window;
-    let tier_half = |d: TierWindowDigest| TierWindow {
-        hpc_mean: d.hpc_mean,
-        os_mean: d.os_mean,
-        stress: d.stress,
-    };
-    let front_end = app.app.take()?;
+    let front_end = app.app?;
     let config = meter.config();
-    let instance = front_end.instance(
-        [tier_half(app), tier_half(db)],
-        config.level,
-        &config.oracle,
-    )?;
+    let instance = front_end.instance([app.half, db.half], config.level, &config.oracle)?;
     if prev_fed.and_then(|p| p.checked_add(1)) != Some(window) {
         meter.reset_history();
     }

@@ -1,10 +1,13 @@
 //! What an agent measures: the [`SampleSource`] seam and the per-tier
 //! metric synthesis that turns application telemetry into HPC/OS rows.
 //!
-//! Today every source is backed by `webcap-sim` telemetry; a production
-//! agent would implement [`SampleSource`] over real perf-counter and
-//! procfs readers (the `webcap-hpc` crate's `CounterSample` is the
-//! natural meeting point). The agent runtime only sees the trait.
+//! Today every source is backed by `webcap-sim` telemetry: each tier's
+//! view of a [`SystemSample`] is its [`TierSample`], and the application
+//! tier's also the sample's front-end [`AppStats`] record, carried to
+//! the collector as it is. A production agent would implement
+//! [`SampleSource`] over real perf-counter and procfs readers (the
+//! `webcap-hpc` crate's `CounterSample` is the natural meeting point).
+//! The agent runtime only sees the trait.
 //!
 //! # Replayable synthesis
 //!
@@ -32,9 +35,9 @@ use webcap_core::MetricLevel;
 use webcap_hpc::HpcModel;
 use webcap_os::OsCollector;
 use webcap_parallel::{derive_seed, seed_domain};
-use webcap_sim::{SystemSample, TierId, TierSample};
+use webcap_sim::{AppStats, SystemSample, TierId, TierSample};
 
-use crate::frame::{AppStats, WireSample};
+use crate::frame::WireSample;
 
 /// One measurement handed to the agent runtime, before metric synthesis.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +70,7 @@ impl SourceSample {
             t_s: s.t_s,
             interval_s: s.interval_s,
             tier: *s.tier(tier),
-            app: (tier == TierId::App).then(|| AppStats::from_sample(s)),
+            app: (tier == TierId::App).then(|| s.front.clone()),
             warmup: false,
         }
     }
@@ -304,17 +307,19 @@ mod tests {
         let base = SystemSample {
             t_s: 1.0,
             interval_s: 1.0,
-            ebs_target: 10,
-            ebs_active: 10,
-            mix_id: webcap_tpcw::MixId::Shopping,
-            issued: 5,
-            issued_browse: 2,
-            completed: 4,
-            completed_browse: 2,
-            response_time_sum_s: 0.5,
-            response_time_max_s: 0.2,
-            in_flight: 1,
-            response_times: webcap_sim::RtHistogram::new(),
+            front: AppStats {
+                ebs_target: 10,
+                ebs_active: 10,
+                mix_id: webcap_tpcw::MixId::Shopping,
+                issued: 5,
+                issued_browse: 2,
+                completed: 4,
+                completed_browse: 2,
+                response_time_sum_s: 0.5,
+                response_time_max_s: 0.2,
+                in_flight: 1,
+                response_times: webcap_sim::RtHistogram::new(),
+            },
             app: busy_tier(),
             db: TierSample::default(),
         };
@@ -340,17 +345,19 @@ mod tests {
         let base = SystemSample {
             t_s: 1.0,
             interval_s: 1.0,
-            ebs_target: 10,
-            ebs_active: 10,
-            mix_id: webcap_tpcw::MixId::Shopping,
-            issued: 5,
-            issued_browse: 2,
-            completed: 4,
-            completed_browse: 2,
-            response_time_sum_s: 0.5,
-            response_time_max_s: 0.2,
-            in_flight: 1,
-            response_times: webcap_sim::RtHistogram::new(),
+            front: AppStats {
+                ebs_target: 10,
+                ebs_active: 10,
+                mix_id: webcap_tpcw::MixId::Shopping,
+                issued: 5,
+                issued_browse: 2,
+                completed: 4,
+                completed_browse: 2,
+                response_time_sum_s: 0.5,
+                response_time_max_s: 0.2,
+                in_flight: 1,
+                response_times: webcap_sim::RtHistogram::new(),
+            },
             app: busy_tier(),
             db: TierSample::default(),
         };

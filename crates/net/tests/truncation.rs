@@ -18,7 +18,7 @@
 //! `"WCB3"` header, so a layout change cannot land without a visible
 //! diff here.
 
-use webcap_core::{TierStressAgg, WindowHealthAgg};
+use webcap_core::{TierStressAgg, TierWindow, WindowHealthAgg};
 use webcap_net::binary::encode_frame;
 use webcap_net::supervisor::HealthState;
 use webcap_net::{
@@ -89,12 +89,14 @@ fn all_variants() -> Vec<Frame> {
                 window: 3,
                 tier: TierId::App,
                 samples: 30,
-                hpc_mean: vec![0.5; 12],
-                os_mean: vec![0.1; 8],
-                stress: TierStressAgg {
-                    util_sum: 9.0,
-                    queue_sum: 1.5,
-                    n: 30,
+                half: TierWindow {
+                    hpc_mean: vec![0.5; 12],
+                    os_mean: vec![0.1; 8],
+                    stress: TierStressAgg {
+                        util_sum: 9.0,
+                        queue_sum: 1.5,
+                        n: 30,
+                    },
                 },
                 app: Some(AppWindowDigest {
                     t_start_s: 90.0,

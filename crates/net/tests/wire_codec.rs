@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webcap_core::monitor::feature_width;
 use webcap_core::{CapacityMeter, MeterConfig, MetricLevel};
-use webcap_core::{TierStressAgg, WindowHealthAgg};
+use webcap_core::{TierStressAgg, TierWindow, WindowHealthAgg};
 use webcap_hpc::HpcModel;
 use webcap_net::binary::{decode_frame, decode_frame_into, encode_frame, Decoded};
 use webcap_net::collector::CollectorConfig;
@@ -172,12 +172,14 @@ fn window_digests(rng: &mut StdRng) -> TierWindowDigest {
         window: rng.random::<u64>() as i64,
         tier: tiers(rng),
         samples: rng.random(),
-        hpc_mean: vec_of(rng, 0..8, f64s),
-        os_mean: vec_of(rng, 0..8, f64s),
-        stress: TierStressAgg {
-            util_sum: f64s(rng),
-            queue_sum: f64s(rng),
-            n: rng.random(),
+        half: TierWindow {
+            hpc_mean: vec_of(rng, 0..8, f64s),
+            os_mean: vec_of(rng, 0..8, f64s),
+            stress: TierStressAgg {
+                util_sum: f64s(rng),
+                queue_sum: f64s(rng),
+                n: rng.random(),
+            },
         },
         app: option_of(rng, |rng| AppWindowDigest {
             t_start_s: f64s(rng),

@@ -27,7 +27,7 @@ use crate::config::{SimConfig, TierId};
 use crate::gauss::GaussPairs;
 use crate::histogram::RtHistogram;
 use crate::resources::{FcfsDisk, JobId, PsCpu, TokenPool};
-use crate::telemetry::{RunSummary, SystemSample, TierSample};
+use crate::telemetry::{AppStats, RunSummary, SystemSample, TierSample};
 use crate::time::{SimDuration, SimTime};
 
 /// Output of a simulation run.
@@ -651,17 +651,19 @@ impl Simulation {
             self.samples.push(SystemSample {
                 t_s: self.clock.as_secs_f64(),
                 interval_s: interval,
-                ebs_target: self.target_ebs,
-                ebs_active: self.active_ebs,
-                mix_id: snapshot.mix.id(),
-                issued: c.issued,
-                issued_browse: c.issued_browse,
-                completed: c.completed,
-                completed_browse: c.completed_browse,
-                response_time_sum_s: c.response_time_sum_s,
-                response_time_max_s: c.response_time_max_s,
-                in_flight: self.in_flight,
-                response_times: c.response_times,
+                front: AppStats {
+                    ebs_target: self.target_ebs,
+                    ebs_active: self.active_ebs,
+                    mix_id: snapshot.mix.id(),
+                    issued: c.issued,
+                    issued_browse: c.issued_browse,
+                    completed: c.completed,
+                    completed_browse: c.completed_browse,
+                    response_time_sum_s: c.response_time_sum_s,
+                    response_time_max_s: c.response_time_max_s,
+                    in_flight: self.in_flight,
+                    response_times: c.response_times,
+                },
                 app,
                 db,
             });
@@ -824,17 +826,17 @@ mod tests {
         let out = run(quick_cfg(6), program);
         let mid = &out.samples[55];
         assert!(
-            mid.ebs_active > 80,
+            mid.front.ebs_active > 80,
             "ramp should have grown: {}",
-            mid.ebs_active
+            mid.front.ebs_active
         );
         let last = out.samples.last().unwrap();
         // Retirement is lazy (EBs finish their think first) but a minute in
         // the population must have come back down.
         assert!(
-            last.ebs_active <= 12,
+            last.front.ebs_active <= 12,
             "retire should shrink: {}",
-            last.ebs_active
+            last.front.ebs_active
         );
     }
 
@@ -872,9 +874,9 @@ mod tests {
     fn conservation_issued_equals_completed_plus_in_flight() {
         let program = TrafficProgram::steady(Mix::shopping(), 60, 90.0);
         let out = run(quick_cfg(9), program);
-        let issued: u64 = out.samples.iter().map(|s| s.issued).sum();
-        let completed: u64 = out.samples.iter().map(|s| s.completed).sum();
-        let final_in_flight = out.samples.last().unwrap().in_flight as u64;
+        let issued: u64 = out.samples.iter().map(|s| s.front.issued).sum();
+        let completed: u64 = out.samples.iter().map(|s| s.front.completed).sum();
+        let final_in_flight = out.samples.last().unwrap().front.in_flight as u64;
         assert_eq!(issued, completed + final_in_flight);
     }
 }

@@ -49,5 +49,5 @@ pub use config::{SimConfig, TierConfig, TierId};
 pub use demand::{Demand, DemandProfile};
 pub use engine::{run, SimOutput, Simulation};
 pub use histogram::RtHistogram;
-pub use telemetry::{RunSummary, SystemSample, TierSample};
+pub use telemetry::{AppStats, RunSummary, SystemSample, TierSample};
 pub use time::{SimDuration, SimTime};

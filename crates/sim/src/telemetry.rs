@@ -57,13 +57,14 @@ impl TierSample {
     }
 }
 
-/// One sampling interval of the whole system.
+/// One interval's front-end statistics: what a client-facing observer
+/// (the application tier's agent) sees of the whole site — request
+/// counts, response times, the backlog and the traffic program's state.
+/// The operational laws read throughput, response time and population
+/// off one such record, and the window oracle labels from a window's
+/// worth of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SystemSample {
-    /// Interval end, seconds since simulation start.
-    pub t_s: f64,
-    /// Interval length, seconds.
-    pub interval_s: f64,
+pub struct AppStats {
     /// Traffic program's target EB population.
     pub ebs_target: u32,
     /// EBs actually active.
@@ -86,6 +87,24 @@ pub struct SystemSample {
     pub in_flight: u32,
     /// Histogram of the response times completed this interval.
     pub response_times: RtHistogram,
+}
+
+impl AppStats {
+    /// The front-end statistics of a full sample.
+    pub fn from_sample(s: &SystemSample) -> AppStats {
+        s.front.clone()
+    }
+}
+
+/// One sampling interval of the whole system.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SystemSample {
+    /// Interval end, seconds since simulation start.
+    pub t_s: f64,
+    /// Interval length, seconds.
+    pub interval_s: f64,
+    /// Front-end statistics.
+    pub front: AppStats,
     /// Application-tier statistics.
     pub app: TierSample,
     /// Database-tier statistics.
@@ -95,19 +114,14 @@ pub struct SystemSample {
 impl SystemSample {
     /// Completed requests per second.
     pub fn throughput(&self) -> f64 {
-        self.completed as f64 / self.interval_s
+        self.front.completed as f64 / self.interval_s
     }
 
     /// Mean response time of requests completed this interval, or `None`
     /// if none completed.
     pub fn mean_response_time_s(&self) -> Option<f64> {
-        (self.completed > 0).then(|| self.response_time_sum_s / self.completed as f64)
-    }
-
-    /// 95th-percentile response time this interval, or `None` if none
-    /// completed.
-    pub fn p95_response_time_s(&self) -> Option<f64> {
-        self.response_times.p95()
+        let front = &self.front;
+        (front.completed > 0).then(|| front.response_time_sum_s / front.completed as f64)
     }
 
     /// Tier sample by id.
@@ -139,10 +153,10 @@ pub struct RunSummary {
 impl RunSummary {
     /// Compute a summary from samples.
     pub fn from_samples(samples: &[SystemSample]) -> RunSummary {
-        let issued = samples.iter().map(|s| s.issued).sum();
-        let completed: u64 = samples.iter().map(|s| s.completed).sum();
+        let issued = samples.iter().map(|s| s.front.issued).sum();
+        let completed: u64 = samples.iter().map(|s| s.front.completed).sum();
         let duration_s: f64 = samples.iter().map(|s| s.interval_s).sum();
-        let rt_sum: f64 = samples.iter().map(|s| s.response_time_sum_s).sum();
+        let rt_sum: f64 = samples.iter().map(|s| s.front.response_time_sum_s).sum();
         let peak = samples
             .iter()
             .map(SystemSample::throughput)
@@ -175,17 +189,19 @@ mod tests {
         SystemSample {
             t_s: 1.0,
             interval_s: 1.0,
-            ebs_target: 10,
-            ebs_active: 10,
-            mix_id: MixId::Shopping,
-            issued: completed + 1,
-            issued_browse: 0,
-            completed,
-            completed_browse: 0,
-            response_time_sum_s: rt_sum,
-            response_time_max_s: 0.0,
-            in_flight: 1,
-            response_times: RtHistogram::new(),
+            front: AppStats {
+                ebs_target: 10,
+                ebs_active: 10,
+                mix_id: MixId::Shopping,
+                issued: completed + 1,
+                issued_browse: 0,
+                completed,
+                completed_browse: 0,
+                response_time_sum_s: rt_sum,
+                response_time_max_s: 0.0,
+                in_flight: 1,
+                response_times: RtHistogram::new(),
+            },
             app: TierSample::default(),
             db: TierSample::default(),
         }

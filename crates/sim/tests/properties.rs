@@ -558,9 +558,9 @@ fn engine_conserves_requests_and_is_deterministic() {
         let a = run(SimConfig::testbed(seed), program.clone());
         let b = run(SimConfig::testbed(seed), program);
         assert_eq!(&a.samples, &b.samples, "case {case}");
-        let issued: u64 = a.samples.iter().map(|s| s.issued).sum();
-        let completed: u64 = a.samples.iter().map(|s| s.completed).sum();
-        let in_flight = a.samples.last().map_or(0, |s| s.in_flight) as u64;
+        let issued: u64 = a.samples.iter().map(|s| s.front.issued).sum();
+        let completed: u64 = a.samples.iter().map(|s| s.front.completed).sum();
+        let in_flight = a.samples.last().map_or(0, |s| s.front.in_flight) as u64;
         assert_eq!(issued, completed + in_flight, "case {case}");
         // Utilizations are fractions.
         for s in &a.samples {
@@ -615,8 +615,8 @@ fn steady_runs_obey_the_operational_laws() {
                 let tail = &out.samples[WARM_UP_SAMPLES..];
                 let sum = |f: &dyn Fn(&SystemSample) -> f64| tail.iter().map(f).sum::<f64>();
                 let span_s = sum(&|s| s.interval_s);
-                let completed = sum(&|s| s.completed as f64);
-                let response_s = sum(&|s| s.response_time_sum_s);
+                let completed = sum(&|s| s.front.completed as f64);
+                let response_s = sum(&|s| s.front.response_time_sum_s);
 
                 // Interactive response-time law: X·(R + Z) = N.
                 let population = completed / span_s * (response_s / completed + think_s);

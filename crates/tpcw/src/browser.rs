@@ -57,15 +57,13 @@ impl Default for ThinkTime {
 
 /// One emulated browser session.
 ///
-/// The EB tracks its last interaction so mixes with session structure can
-/// be modeled; the default behaviour samples interactions independently
-/// from the mix, which preserves the interaction frequencies the spec
-/// defines (our mixes are frequency vectors, see [`Mix`]).
+/// Interactions are sampled independently from the mix, which preserves
+/// the interaction frequencies the spec defines (our mixes are frequency
+/// vectors, see [`Mix`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EmulatedBrowser {
     id: u64,
     think: ThinkTime,
-    last: Option<RequestType>,
     requests_issued: u64,
 }
 
@@ -80,7 +78,6 @@ impl EmulatedBrowser {
         EmulatedBrowser {
             id,
             think,
-            last: None,
             requests_issued: 0,
         }
     }
@@ -95,36 +92,15 @@ impl EmulatedBrowser {
         self.requests_issued
     }
 
-    /// The most recent interaction, if any.
-    pub fn last_request(&self) -> Option<RequestType> {
-        self.last
-    }
-
     /// Draw the next think time in seconds.
     pub fn think_time<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.think.sample(rng)
     }
 
-    /// Choose the next interaction under `mix` and record it.
+    /// Choose the next interaction under `mix` and count it.
     pub fn next_request<R: Rng + ?Sized>(&mut self, mix: &Mix, rng: &mut R) -> RequestType {
-        let t = mix.sample(rng);
-        self.last = Some(t);
         self.requests_issued += 1;
-        t
-    }
-
-    /// Choose the next interaction by walking a CBMG transition chain
-    /// from the browser's last interaction (session-structured variant of
-    /// [`EmulatedBrowser::next_request`]).
-    pub fn next_request_markov<R: Rng + ?Sized>(
-        &mut self,
-        chain: &crate::transition::TransitionModel,
-        rng: &mut R,
-    ) -> RequestType {
-        let t = chain.sample(self.last, rng);
-        self.last = Some(t);
-        self.requests_issued += 1;
-        t
+        mix.sample(rng)
     }
 }
 
@@ -155,14 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn browser_counts_requests_and_tracks_last() {
+    fn browser_counts_requests() {
         let mut eb = EmulatedBrowser::new(17);
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(eb.last_request(), None);
         let mix = Mix::shopping();
-        let t = eb.next_request(&mix, &mut rng);
-        assert_eq!(eb.last_request(), Some(t));
-        for _ in 0..9 {
+        for _ in 0..10 {
             eb.next_request(&mix, &mut rng);
         }
         assert_eq!(eb.requests_issued(), 10);
@@ -180,28 +153,6 @@ mod tests {
             .count();
         let frac = browse as f64 / n as f64;
         assert!((frac - 0.95).abs() < 0.01, "browse fraction {frac}");
-    }
-
-    #[test]
-    fn markov_browser_walks_the_chain() {
-        use crate::transition::TransitionModel;
-        let chain = TransitionModel::from_mix(&Mix::shopping());
-        let mut eb = EmulatedBrowser::new(1);
-        let mut rng = StdRng::seed_from_u64(9);
-        let first = eb.next_request_markov(&chain, &mut rng);
-        assert!(matches!(
-            first,
-            crate::RequestType::Home | crate::RequestType::SearchRequest
-        ));
-        for _ in 0..50 {
-            let prev = eb.last_request().unwrap();
-            let next = eb.next_request_markov(&chain, &mut rng);
-            assert!(
-                chain.row(prev)[next.index()] > 0.0,
-                "illegal edge {prev:?}->{next:?}"
-            );
-        }
-        assert_eq!(eb.requests_issued(), 51);
     }
 
     #[test]

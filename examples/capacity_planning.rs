@@ -62,10 +62,10 @@ fn main() {
         for start in (0..log.samples.len().saturating_sub(30)).step_by(30) {
             let slice = &log.samples[start..start + 30];
             let label = label_window(slice, &oracle);
-            let thr = slice.iter().map(|s| s.completed).sum::<u64>() as f64 / 30.0;
+            let thr = slice.iter().map(|s| s.front.completed).sum::<u64>() as f64 / 30.0;
             peak_thr = peak_thr.max(thr);
             if label.overloaded && measured_knee_ebs.is_none() {
-                measured_knee_ebs = Some(slice[0].ebs_target);
+                measured_knee_ebs = Some(slice[0].front.ebs_target);
             }
         }
 
