@@ -27,20 +27,30 @@
 //! [`FrameError::Binary`] — never a panic, whatever the bytes (pinned
 //! by the `fuzz_smoke` mutation sweep in `tests/wire_codec.rs`).
 //!
+//! Most varints of a sample are one byte, and the codec moves those in
+//! runs: a varint below 0x80 is written and read as its one byte, and a
+//! histogram whose 48 bucket deltas all fit one byte each is written as
+//! one 48-byte run and read back by OR-testing the 48 bytes ahead. A
+//! run is byte-identical to the per-value varints it stands for, and
+//! decodes to the same value or the same error; any other histogram
+//! takes the per-value loop inside the same routine. Metric rows move
+//! as 8-byte slices.
+//!
 //! A sample frame's members decode in place, into sample slots the
 //! caller keeps ([`decode_frame_into`]): every field of a slot is
-//! written, and its metric rows are refilled in the room they already
-//! have, so a collector lane decodes its steady stream without
-//! allocating. [`decode_frame`] runs the same routine on fresh slots.
+//! written, its metric rows are refilled in the room they already have
+//! and its front-end statistics in place, so a collector lane decodes
+//! its steady stream without allocating or moving a sample's statistics
+//! by value. [`decode_frame`] runs the same routine on fresh slots.
 //!
 //! Every encoder that takes a wire struct opens by destructuring it
 //! without `..`, and every decoder builds its struct with a `..`-free
-//! literal — the sample decoder, which fills a slot in place, writes
-//! through a `..`-free destructuring of it — so under the `deny` below a
-//! field or variant that is added, renamed or left unwritten is a
-//! compile error on both sides. What the
-//! compiler cannot see — encode and decode disagreeing on order, or both
-//! changing order together — the round-trip suites and the byte pin in
+//! literal — the sample and front-end decoders, which fill a slot in
+//! place, write through a `..`-free destructuring of it — so under the
+//! `deny` below a field or variant that is added, renamed or left
+//! unwritten is a compile error on both sides. What the compiler cannot
+//! see — encode and decode disagreeing on order, or both changing order
+//! together — the round-trip suites and the byte pins in
 //! `tests/truncation.rs` catch.
 
 #![deny(unused_variables, unreachable_patterns)]
@@ -81,6 +91,11 @@ fn unzigzag(v: u64) -> i64 {
 // ---------------------------------------------------------------- encode
 
 fn put_u64v(out: &mut Vec<u8>, mut v: u64) {
+    // One byte below 0x80 is the whole varint, as in `Cur::u64v`.
+    if v < 0x80 {
+        out.push(v as u8);
+        return;
+    }
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -105,12 +120,17 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// A metric row moves whole: room for all of it is made once, so the
-/// per-value appends never grow the buffer.
+/// A metric row moves whole: its `8·n` bytes are added at once, and each
+/// value is copied into its own 8-byte slice of them.
 fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_u64v(out, vs.len() as u64);
-    out.reserve(8 * vs.len());
-    out.extend(vs.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    let start = out.len();
+    out.resize(start + 8 * vs.len(), 0);
+    if let Some(row) = out.get_mut(start..) {
+        for (bytes, v) in row.chunks_exact_mut(8).zip(vs) {
+            bytes.copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -146,9 +166,27 @@ fn put_health(out: &mut Vec<u8>, h: HealthState) {
     });
 }
 
+/// The 48 bucket deltas are zigzagged once. When every one is below
+/// 0x80 — the steady stream's per-second buckets — they are 48 one-byte
+/// varints and go out as one run; otherwise each goes out as its own
+/// varint. Both write the same bytes.
 fn put_hist(out: &mut Vec<u8>, cur: &RtHistogram, prev: &RtHistogram) {
-    for (c, p) in cur.bucket_counts().iter().zip(prev.bucket_counts()) {
-        put_i64z(out, i64::from(*c) - i64::from(*p));
+    let mut deltas = [0u64; RtHistogram::BUCKET_COUNT];
+    let mut bits = 0;
+    for ((d, c), p) in deltas
+        .iter_mut()
+        .zip(cur.bucket_counts())
+        .zip(prev.bucket_counts())
+    {
+        *d = zigzag(i64::from(*c) - i64::from(*p));
+        bits |= *d;
+    }
+    if bits < 0x80 {
+        out.extend_from_slice(&deltas.map(|d| d as u8));
+    } else {
+        for d in deltas {
+            put_u64v(out, d);
+        }
     }
     put_u64d(out, cur.len(), prev.len());
 }
@@ -224,7 +262,7 @@ fn put_app_stats(out: &mut Vec<u8>, cur: &AppStats, prev: Option<&AppStats>) {
 /// The all-zero predecessor the first sample of a frame is delta-coded
 /// against. `mix_id` never participates in deltas (it is encoded
 /// absolute), so its value here is arbitrary but fixed.
-fn zero_app_stats() -> AppStats {
+pub(crate) fn zero_app_stats() -> AppStats {
     AppStats {
         ebs_target: 0,
         ebs_active: 0,
@@ -651,18 +689,45 @@ impl<'a> Cur<'a> {
         }
     }
 
-    fn hist(&mut self, prev: &RtHistogram) -> Res<RtHistogram> {
-        let mut counts = [0u32; RtHistogram::BUCKET_COUNT];
-        for (slot, p) in counts.iter_mut().zip(prev.bucket_counts()) {
-            let delta = self.i64z()?;
-            let Some(Ok(v)) = i64::from(*p).checked_add(delta).map(u32::try_from) else {
+    /// Decode a histogram into `slot`, delta-coded against `prev`. When
+    /// the 48 bytes ahead are all below 0x80 they are exactly the 48
+    /// bucket deltas, one byte each, and decode as one run; otherwise
+    /// each delta is read as its own varint. Either way a count pushed
+    /// out of `0..=u32::MAX` is the same error.
+    fn hist(&mut self, slot: &mut RtHistogram, prev: &RtHistogram) -> Res<()> {
+        const N: usize = RtHistogram::BUCKET_COUNT;
+        let mut counts = [0u32; N];
+        let run = self
+            .buf
+            .get(self.pos..)
+            .and_then(<[u8]>::first_chunk::<N>)
+            .filter(|run| run.iter().fold(0, |acc, b| acc | b) < 0x80);
+        if let Some(run) = run {
+            let mut overflow = false;
+            for ((count, p), b) in counts.iter_mut().zip(prev.bucket_counts()).zip(run) {
+                let v = i64::from(*p) + unzigzag(u64::from(*b));
+                overflow |= u32::try_from(v).is_err();
+                *count = v as u32;
+            }
+            if overflow {
                 return corrupt("histogram count overflow");
-            };
-            *slot = v;
+            }
+            self.pos += N;
+        } else {
+            for (count, p) in counts.iter_mut().zip(prev.bucket_counts()) {
+                let delta = self.i64z()?;
+                let Some(Ok(v)) = i64::from(*p).checked_add(delta).map(u32::try_from) else {
+                    return corrupt("histogram count overflow");
+                };
+                *count = v;
+            }
         }
         let total = self.u64d(prev.len())?;
         match RtHistogram::from_raw_parts(&counts, total) {
-            Some(h) => Ok(h),
+            Some(h) => {
+                *slot = h;
+                Ok(())
+            }
             None => corrupt("histogram size"),
         }
     }
@@ -686,33 +751,39 @@ impl<'a> Cur<'a> {
         })
     }
 
-    fn app_stats(&mut self, prev: Option<&AppStats>) -> Res<AppStats> {
-        let zero;
-        let prev = match prev {
-            Some(p) => p,
-            None => {
-                zero = zero_app_stats();
-                &zero
-            }
-        };
-        Ok(AppStats {
-            ebs_target: self.u32d(prev.ebs_target)?,
-            ebs_active: self.u32d(prev.ebs_active)?,
-            mix_id: self.mix()?,
-            issued: self.u64d(prev.issued)?,
-            issued_browse: self.u64d(prev.issued_browse)?,
-            completed: self.u64d(prev.completed)?,
-            completed_browse: self.u64d(prev.completed_browse)?,
-            response_time_sum_s: self.f64()?,
-            response_time_max_s: self.f64()?,
-            in_flight: self.u32d(prev.in_flight)?,
-            response_times: self.hist(&prev.response_times)?,
-        })
+    /// Decode front-end statistics into `slot`, delta-coded against
+    /// `prev`, every field written in place.
+    fn app_stats(&mut self, slot: &mut AppStats, prev: &AppStats) -> Res<()> {
+        let AppStats {
+            ebs_target,
+            ebs_active,
+            mix_id,
+            issued,
+            issued_browse,
+            completed,
+            completed_browse,
+            response_time_sum_s,
+            response_time_max_s,
+            in_flight,
+            response_times,
+        } = slot;
+        *ebs_target = self.u32d(prev.ebs_target)?;
+        *ebs_active = self.u32d(prev.ebs_active)?;
+        *mix_id = self.mix()?;
+        *issued = self.u64d(prev.issued)?;
+        *issued_browse = self.u64d(prev.issued_browse)?;
+        *completed = self.u64d(prev.completed)?;
+        *completed_browse = self.u64d(prev.completed_browse)?;
+        *response_time_sum_s = self.f64()?;
+        *response_time_max_s = self.f64()?;
+        *in_flight = self.u32d(prev.in_flight)?;
+        self.hist(response_times, &prev.response_times)
     }
 
     /// Decode one sample into `slot`, delta-coded against `prev`: every
-    /// field is written, the metric rows in the room they have, and a
-    /// member without front-end statistics leaves `app` at `None`.
+    /// field is written, the metric rows in the room they have, front-end
+    /// statistics into the slot's own (made once, for a slot that held
+    /// none), and a member without them leaves `app` at `None`.
     fn wire_sample(&mut self, slot: &mut WireSample, prev: &WireSample) -> Res<()> {
         let WireSample {
             seq,
@@ -729,11 +800,19 @@ impl<'a> Cur<'a> {
         *tier = self.tier_sample(&prev.tier)?;
         self.f64s(hpc)?;
         self.f64s(os)?;
-        *app = if self.bool()? {
-            Some(self.app_stats(prev.app.as_ref())?)
+        if self.bool()? {
+            let zero;
+            let prev = match &prev.app {
+                Some(p) => p,
+                None => {
+                    zero = zero_app_stats();
+                    &zero
+                }
+            };
+            self.app_stats(app.get_or_insert_with(zero_app_stats), prev)?;
         } else {
-            None
-        };
+            *app = None;
+        }
         Ok(())
     }
 
@@ -767,10 +846,14 @@ impl<'a> Cur<'a> {
     }
 
     fn health_agg(&mut self) -> Res<WindowHealthAgg> {
+        let completed = self.u64v()?;
+        let rt_sum_s = self.f64()?;
+        let mut rt_hist = RtHistogram::new();
+        self.hist(&mut rt_hist, &RtHistogram::new())?;
         Ok(WindowHealthAgg {
-            completed: self.u64v()?,
-            rt_sum_s: self.f64()?,
-            rt_hist: self.hist(&RtHistogram::new())?,
+            completed,
+            rt_sum_s,
+            rt_hist,
             first_in_flight: if self.bool()? {
                 Some(self.u32v()?)
             } else {

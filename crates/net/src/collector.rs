@@ -954,6 +954,8 @@ mod tests {
     use super::*;
     use webcap_sim::TierSample;
 
+    /// A sample for `seq`; the pump reads no front-end statistic, so
+    /// the codec's all-zero record stands in for the application tier's.
     fn wire(seq: u64, with_app: bool) -> WireSample {
         WireSample {
             seq,
@@ -968,19 +970,7 @@ mod tests {
             },
             hpc: vec![0.5; 12],
             os: vec![0.1; 64],
-            app: with_app.then(|| crate::frame::AppStats {
-                ebs_target: 10,
-                ebs_active: 10,
-                mix_id: webcap_tpcw::MixId::Ordering,
-                issued: 20,
-                issued_browse: 10,
-                completed: 20,
-                completed_browse: 10,
-                response_time_sum_s: 2.0,
-                response_time_max_s: 0.4,
-                in_flight: 1,
-                response_times: webcap_sim::RtHistogram::new(),
-            }),
+            app: with_app.then(crate::binary::zero_app_stats),
         }
     }
 

@@ -24,11 +24,14 @@ use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_net::loopback::{all_windows, replay_windows, run_supervised_loopback};
 use webcap_net::supervisor::{HealthState, HealthTransition, SupervisorConfig};
 use webcap_net::{
-    AdmissionPoint, AgentConfig, AgentReport, AppStats, Assembler, CollectorConfig, Endpoint,
-    SupervisedReport, WireSample,
+    AdmissionPoint, AgentConfig, AgentReport, Assembler, CollectorConfig, Endpoint,
+    SupervisedReport,
 };
-use webcap_sim::{Simulation, SystemSample, TierId, TierSample};
+use webcap_sim::{Simulation, SystemSample, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
+
+mod common;
+use common::wire;
 
 const BASE_SEED: u64 = 17;
 const TOTAL_SAMPLES: usize = 600;
@@ -85,38 +88,6 @@ fn write_transition_log(name: &str, transitions: &[HealthTransition]) {
     }
     let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}-transitions.log"));
     std::fs::write(path, out).expect("transition log writes");
-}
-
-/// Synthetic wire sample with fixed metric rows — the deterministic
-/// substrate the scripted schedules feed the supervised assembler.
-fn wire(seq: u64, with_app: bool) -> WireSample {
-    WireSample {
-        seq,
-        t_s: seq as f64 + 1.0,
-        interval_s: 1.0,
-        tier: TierSample {
-            utilization: 0.3,
-            delivered_work_s: 0.3,
-            arrivals: 20,
-            completions: 20,
-            ..TierSample::default()
-        },
-        hpc: vec![0.5; 12],
-        os: vec![0.1; 64],
-        app: with_app.then(|| AppStats {
-            ebs_target: 10,
-            ebs_active: 10,
-            mix_id: webcap_tpcw::MixId::Ordering,
-            issued: 20,
-            issued_browse: 10,
-            completed: 20,
-            completed_browse: 10,
-            response_time_sum_s: 2.0,
-            response_time_max_s: 0.4,
-            in_flight: 1,
-            response_times: webcap_sim::RtHistogram::new(),
-        }),
-    }
 }
 
 /// Chaos proof (a): restart the collector cold — on a window boundary

@@ -27,11 +27,14 @@ use webcap_net::collector::{CollectorConfig, ShedKind};
 use webcap_net::supervisor::{HealthState, HealthTransition, SHED_STORM};
 use webcap_net::{
     all_windows, metric_schema_hash, read_frame, replay_windows, run_supervised_collector,
-    write_frame, AppStats, Assembler, Conn, Endpoint, Frame, Listener, SourceSample, TierSampler,
-    WireCaps, WireCodec, WireSample, FRAME_MAGIC_BIN, PROTO_VERSION,
+    write_frame, Assembler, Conn, Endpoint, Frame, Listener, SourceSample, TierSampler, WireCaps,
+    WireCodec, FRAME_MAGIC_BIN, PROTO_VERSION,
 };
-use webcap_sim::{Simulation, TierId, TierSample};
+use webcap_sim::{Simulation, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
+
+mod common;
+use common::wire;
 
 fn trained_meter() -> CapacityMeter {
     static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
@@ -40,37 +43,6 @@ fn trained_meter() -> CapacityMeter {
             CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
         })
         .clone()
-}
-
-/// A synthetic wire sample at `seq` (key `seq + 1` under origin 1).
-fn wire(seq: u64, with_app: bool) -> WireSample {
-    WireSample {
-        seq,
-        t_s: seq as f64 + 1.0,
-        interval_s: 1.0,
-        tier: TierSample {
-            utilization: 0.3,
-            delivered_work_s: 0.3,
-            arrivals: 20,
-            completions: 20,
-            ..TierSample::default()
-        },
-        hpc: vec![0.5; 12],
-        os: vec![0.1; 64],
-        app: with_app.then(|| AppStats {
-            ebs_target: 10,
-            ebs_active: 10,
-            mix_id: webcap_tpcw::MixId::Ordering,
-            issued: 20,
-            issued_browse: 10,
-            completed: 20,
-            completed_browse: 10,
-            response_time_sum_s: 2.0,
-            response_time_max_s: 0.4,
-            in_flight: 1,
-            response_times: webcap_sim::RtHistogram::new(),
-        }),
-    }
 }
 
 /// Dial the collector and complete the handshake for `tier`.

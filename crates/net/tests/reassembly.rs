@@ -14,11 +14,13 @@ use std::collections::BTreeSet;
 use webcap_core::{CapacityMeter, MeterConfig, MetricLevel, OnlineDecision};
 use webcap_fleet::FleetCollector;
 use webcap_net::{
-    replay_windows, AppStats, Assembler, SourceSample, SupervisorConfig, TierSampler, WireSample,
+    replay_windows, Assembler, SourceSample, SupervisorConfig, TierSampler, WireSample,
     MAX_GAP_WINDOWS,
 };
-use webcap_sim::{RtHistogram, TierId, TierSample};
+use webcap_sim::{RtHistogram, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
+
+mod common;
 
 const WINDOW: i64 = 30;
 const ORIGIN: i64 = 1;
@@ -167,33 +169,7 @@ fn planes() -> Vec<Box<dyn Plane>> {
 
 /// A well-formed sample of `tier` for sequence `seq` (key `seq + 1`).
 fn wire(seq: u64, tier: TierId) -> WireSample {
-    WireSample {
-        seq,
-        t_s: seq as f64 + 1.0,
-        interval_s: 1.0,
-        tier: TierSample {
-            utilization: 0.3,
-            delivered_work_s: 0.3,
-            arrivals: 20,
-            completions: 20,
-            ..TierSample::default()
-        },
-        hpc: vec![0.5; 12],
-        os: vec![0.1; 64],
-        app: (tier == TierId::App).then(|| AppStats {
-            ebs_target: 10,
-            ebs_active: 10,
-            mix_id: webcap_tpcw::MixId::Ordering,
-            issued: 20,
-            issued_browse: 10,
-            completed: 20,
-            completed_browse: 10,
-            response_time_sum_s: 2.0,
-            response_time_max_s: 0.4,
-            in_flight: 1,
-            response_times: webcap_sim::RtHistogram::new(),
-        }),
-    }
+    common::wire(seq, tier == TierId::App)
 }
 
 /// Feed sequences `seqs` of both tiers, unharmed.

@@ -16,7 +16,9 @@
 //! (`every_variant_encodes_to_its_pinned_bytes`): what each one encodes
 //! to is a committed string, and its frame is that string behind the
 //! `"WCB3"` header, so a layout change cannot land without a visible
-//! diff here.
+//! diff here. One more pin, a batch whose histograms cross both
+//! spellings of the histogram block — the 48-byte one-byte run and
+//! per-value varints — holds the codec's fast paths to the same bytes.
 
 use webcap_core::{TierStressAgg, TierWindow, WindowHealthAgg};
 use webcap_net::binary::encode_frame;
@@ -56,6 +58,35 @@ fn sample(seq: u64) -> WireSample {
             response_times: RtHistogram::new(),
         }),
     }
+}
+
+/// A batch whose histograms cross both spellings of the histogram
+/// block: the first member's 48 bucket deltas are one byte each (the
+/// one-byte run), the second's take multi-byte and negative deltas, up
+/// to a count of `u32::MAX` (the per-value varints).
+fn crossing_batch() -> Frame {
+    let hist = |counts: &[u32]| {
+        let total = counts.iter().map(|c| u64::from(*c)).sum();
+        RtHistogram::from_raw_parts(counts, total).expect("48 buckets")
+    };
+    let first: Vec<u32> = (0..RtHistogram::BUCKET_COUNT as u32)
+        .map(|i| i % 5)
+        .collect();
+    let mut second = first.clone();
+    second[0] = 1000;
+    second[1] = 0;
+    second[2] = 2 + 63;
+    second[3] = 3 + 64;
+    second[4] = 0;
+    second[47] = u32::MAX;
+    let member = |seq: u64, counts: &[u32]| {
+        let mut ws = sample(seq);
+        if let Some(app) = ws.app.as_mut() {
+            app.response_times = hist(counts);
+        }
+        ws
+    };
+    Frame::SampleBatch(vec![member(11, &first), member(12, &second)])
 }
 
 /// One instance of every protocol frame variant, each with its
@@ -305,5 +336,76 @@ fn every_variant_encodes_to_its_pinned_bytes() {
             framed_prefix(&payload, payload.len()),
             "{frame:?}: {HINT}"
         );
+    }
+}
+
+/// The payload of [`crossing_batch`], as hex: 48 one-byte bucket deltas
+/// in the first member, multi-byte and negative ones in the second.
+const PINNED_CROSSING_BATCH: &str = "\
+     0202160000000000002840000000000000f03f333333333333d33f333333333333d33f000000000000000000\
+     0000000000000000000000000000000000000000000000000000000000000000000028280000000000000000\
+     00000000000000000c000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000\
+     000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e0\
+     3f000000000000e03f000000000000e03f409a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a99\
+     99999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999\
+     b93f011414022814281400000000000000409a9999999999d93f020002040608000204060800020406080002\
+     04060800020406080002040608000204060800020406080002040608000204ba01020000000000002a400000\
+     00000000f03f333333333333d33f333333333333d33f00000000000000000000000000000000000000000000\
+     0000000000000000000000000000000000000000000000000000000000000000000000000000000c00000000\
+     0000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f\
+     000000000000e03f000000000000e03f000000000000e03f000000000000e03f000000000000e03f00000000\
+     0000e03f409a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999\
+     999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b9\
+     3f9a9999999999b93f9a9999999999b93f9a9999999999b93f9a9999999999b93f0100000200000000000000\
+     00000000409a9999999999d93f00d00f017e8001070000000000000000000000000000000000000000000000\
+     00000000000000000000000000000000000000faffffff1fbe91808020";
+
+/// The byte pin across both spellings of the histogram block: a batch
+/// whose first member's histogram goes out as the one-byte run and whose
+/// second's as per-value varints encodes to the committed bytes (the
+/// payload protocol version 5 put on the wire), round-trips exactly, and
+/// fails typed at every strict prefix.
+#[test]
+fn a_batch_crossing_both_histogram_spellings_encodes_to_its_pinned_bytes() {
+    let frame = crossing_batch();
+    let mut payload = Vec::new();
+    encode_frame(&frame, &mut payload);
+    assert_eq!(
+        hex(&payload),
+        PINNED_CROSSING_BATCH,
+        "the histogram block's bytes changed"
+    );
+    let full = framed_prefix(&payload, payload.len());
+    match try_extract_frame(&full) {
+        Ok(Some((decoded, used))) => {
+            assert_eq!(used, full.len());
+            assert_eq!(decoded, frame);
+        }
+        other => panic!("the crossing batch failed to decode: {other:?}"),
+    }
+    for keep in 0..payload.len() {
+        match try_extract_frame(&framed_prefix(&payload, keep)) {
+            Err(e) => assert!(e.is_corrupt(), "prefix {keep}: {e:?}"),
+            Ok(decoded) => panic!("prefix {keep} decoded as {decoded:?}"),
+        }
     }
 }

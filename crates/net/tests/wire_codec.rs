@@ -6,7 +6,10 @@
 //! * **Round trip** — arbitrary frames encode and decode to the same
 //!   `Frame` value, whole or fed in arbitrary chunks (seeded generators
 //!   over the full frame family, hostile histograms included), at no
-//!   more than 800 bytes per sample in the agent's batches.
+//!   more than 800 bytes per sample in the agent's batches; and the
+//!   histogram block, whether it goes out as the one-byte run or as
+//!   per-value varints, is plain per-value LEB128 byte for byte, and
+//!   fails as it does.
 //! * **Decode robustness** — truncated and bit-flipped frames produce
 //!   typed `FrameError`s, never a panic (`fuzz_smoke`).
 //! * **Negotiation** — any version but `PROTO_VERSION`, older or newer,
@@ -31,8 +34,8 @@ use webcap_net::binary::{decode_frame, decode_frame_into, encode_frame, Decoded}
 use webcap_net::collector::CollectorConfig;
 use webcap_net::frame::{
     level_schema_hash, metric_schema_hash, read_frame, try_extract_frame, write_frame,
-    write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, TierWindowDigest,
-    WireCaps, WireCodec, WireSample, PROTO_VERSION,
+    write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError,
+    TierWindowDigest, WireCaps, WireCodec, WireSample, PROTO_VERSION,
 };
 use webcap_net::loopback::{
     predicted_windows_for_schedule, replay_windows, run_supervised_loopback, LoopbackOutcome,
@@ -44,6 +47,8 @@ use webcap_net::{
 };
 use webcap_sim::{RtHistogram, SimConfig, Simulation, SystemSample, TierId, TierSample};
 use webcap_tpcw::{Mix, MixId, TrafficProgram};
+
+mod common;
 
 const BASE_SEED: u64 = 17;
 const TOTAL_SAMPLES: usize = 240;
@@ -362,6 +367,203 @@ fn fuzz_smoke_binary_decoder_survives_deterministic_mutations() {
     for (seed, payload) in mutated_payloads() {
         if let Err(e) = decode_frame(&payload) {
             assert!(e.is_corrupt(), "seed {seed}: typed corruption only: {e}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The histogram block, byte for byte
+// ---------------------------------------------------------------------
+
+fn leb128(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn zigzag(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// The histogram block as plain per-value LEB128: each bucket's
+/// zigzagged delta against `prev`, then the total's, one varint each.
+fn reference_hist_block(cur: &RtHistogram, prev: &RtHistogram) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (c, p) in cur.bucket_counts().iter().zip(prev.bucket_counts()) {
+        leb128(&mut out, zigzag(i64::from(*c) - i64::from(*p)));
+    }
+    leb128(&mut out, zigzag(cur.len().wrapping_sub(prev.len()) as i64));
+    out
+}
+
+fn hist_of(counts: &[u32]) -> RtHistogram {
+    let total = counts.iter().map(|c| u64::from(*c)).sum();
+    RtHistogram::from_raw_parts(counts, total).expect("48 buckets")
+}
+
+/// A batch of two application-tier samples whose histograms are `first`
+/// and `second`.
+fn hist_batch(first: &RtHistogram, second: &RtHistogram) -> Frame {
+    let member = |seq: u64, hist: &RtHistogram| {
+        let mut ws = common::wire(seq, true);
+        if let Some(app) = ws.app.as_mut() {
+            app.response_times = hist.clone();
+        }
+        ws
+    };
+    Frame::SampleBatch(vec![member(0, first), member(1, second)])
+}
+
+/// [`hist_batch`]'s payload with its histogram blocks spelled by the
+/// reference: the batch with empty histograms — each block 48 zero
+/// deltas and a zero total, the last 49 bytes of its member — with
+/// each block replaced.
+fn reference_hist_payload(first: &RtHistogram, second: &RtHistogram) -> Vec<u8> {
+    const EMPTY_BLOCK: usize = RtHistogram::BUCKET_COUNT + 1;
+    let empty = RtHistogram::new();
+    let whole = bits(&hist_batch(&empty, &empty));
+    let Frame::SampleBatch(mut members) = hist_batch(&empty, &empty) else {
+        unreachable!("a batch")
+    };
+    members.truncate(1);
+    // A one-member batch: the same tag and one-byte count, then member 0.
+    let first_end = bits(&Frame::SampleBatch(members)).len();
+    let second_end = whole.len();
+    for end in [first_end, second_end] {
+        assert!(whole[end - EMPTY_BLOCK..end].iter().all(|b| *b == 0));
+    }
+    let mut out = whole[..first_end - EMPTY_BLOCK].to_vec();
+    out.extend(reference_hist_block(first, &empty));
+    out.extend_from_slice(&whole[first_end..second_end - EMPTY_BLOCK]);
+    out.extend(reference_hist_block(second, first));
+    out
+}
+
+/// Histogram pairs whose bucket deltas straddle the one-byte boundary
+/// (−65, −64, 63, 64), fall (`prev > cur`) and reach counts of 0 and
+/// `u32::MAX`, alone or beside one-byte deltas.
+fn straddling_histograms() -> Vec<(RtHistogram, RtHistogram)> {
+    const N: usize = RtHistogram::BUCKET_COUNT;
+    let shifted = |base: &[u32; N], delta: &dyn Fn(usize) -> i64| {
+        let counts: Vec<u32> = (0..N)
+            .map(|i| u32::try_from(i64::from(base[i]) + delta(i)).expect("a count"))
+            .collect();
+        hist_of(&counts)
+    };
+    let hundred = [100u32; N];
+    let mut pairs = Vec::new();
+    for d in [-65i64, -64, -1, 0, 1, 63, 64] {
+        pairs.push((hist_of(&hundred), shifted(&hundred, &|_| d)));
+        // One bucket off the one-byte run, at either end.
+        pairs.push((
+            hist_of(&hundred),
+            shifted(&hundred, &|i| if i == 0 { d } else { 1 }),
+        ));
+        pairs.push((
+            hist_of(&hundred),
+            shifted(&hundred, &|i| if i == N - 1 { d } else { -1 }),
+        ));
+    }
+    let straddle = [-65i64, -64, 63, 64, 0];
+    pairs.push((hist_of(&hundred), shifted(&hundred, &|i| straddle[i % 5])));
+    pairs.push((hist_of(&[1000; N]), hist_of(&[0; N])));
+    let edges: [u32; N] = std::array::from_fn(|i| if i % 2 == 0 { 0 } else { u32::MAX });
+    let flipped: [u32; N] = std::array::from_fn(|i| if i % 2 == 0 { u32::MAX } else { 0 });
+    pairs.push((hist_of(&edges), hist_of(&flipped)));
+    pairs.push((hist_of(&[u32::MAX; N]), hist_of(&[u32::MAX; N])));
+    pairs.push((hist_of(&[0; N]), hist_of(&[0; N])));
+    // From the all-zero predecessor: a first member of one-byte deltas,
+    // and one whose 64 takes two bytes.
+    let small: [u32; N] = std::array::from_fn(|i| (i % 64) as u32);
+    let big: [u32; N] = std::array::from_fn(|i| (i + 17) as u32);
+    pairs.push((hist_of(&small), hist_of(&big)));
+    pairs.push((hist_of(&big), hist_of(&small)));
+    pairs
+}
+
+/// The histogram block writes what plain per-value LEB128 writes, and
+/// decodes back equal, fresh or into a lane's used slots — whether its
+/// deltas go out as the one-byte run or one varint each.
+#[test]
+fn the_histogram_block_is_per_value_leb128_byte_for_byte() {
+    let mut used = Vec::new();
+    decode_frame_into(&dirtying_batch(TierId::App), &mut used).expect("the batch decodes");
+    for (case, (first, second)) in straddling_histograms().iter().enumerate() {
+        let frame = hist_batch(first, second);
+        let payload = bits(&frame);
+        assert_eq!(
+            payload,
+            reference_hist_payload(first, second),
+            "case {case}"
+        );
+        assert_eq!(decode_frame(&payload).unwrap(), frame, "case {case}");
+        let mut slots = used.clone();
+        let decoded = decode_frame_into(&payload, &mut slots).unwrap();
+        assert_eq!(
+            decoded,
+            Decoded::Samples {
+                batch: true,
+                members: 2
+            },
+            "case {case}"
+        );
+        let Frame::SampleBatch(members) = frame else {
+            unreachable!("a batch")
+        };
+        assert_eq!(slots[..2], members[..], "case {case}");
+    }
+}
+
+/// 48 one-byte deltas that push a count below 0 or past `u32::MAX` fail
+/// exactly as the same delta does among per-value varints (a legal
+/// two-byte delta in the next bucket keeps the block off the run).
+#[test]
+fn a_one_byte_run_leaving_the_count_range_fails_as_per_value_deltas_do() {
+    const N: usize = RtHistogram::BUCKET_COUNT;
+    for (count, delta) in [
+        (0u32, -1i64),
+        (5, -6),
+        (0, -64),
+        (u32::MAX, 1),
+        (u32::MAX - 62, 63),
+    ] {
+        let first = hist_of(&[count; N]);
+        // The second member equal to the first: its block is 48 zero
+        // deltas and a zero total, the payload's last 49 bytes.
+        let base = reference_hist_payload(&first, &first);
+        let head = &base[..base.len() - (N + 1)];
+        let with_deltas = |deltas: &[i64; N]| {
+            let mut payload = head.to_vec();
+            for d in deltas {
+                leb128(&mut payload, zigzag(*d));
+            }
+            payload.push(0);
+            payload
+        };
+        let legal = if count > 64 { -65 } else { 64 };
+        for bucket in [0, 17, N - 1] {
+            let mut deltas = [0i64; N];
+            deltas[bucket] = delta;
+            let run = with_deltas(&deltas);
+            assert!(run[head.len()..head.len() + N].iter().all(|b| *b < 0x80));
+            deltas[(bucket + 1) % N] = legal;
+            let per_value = with_deltas(&deltas);
+            assert!(per_value[head.len()..head.len() + N]
+                .iter()
+                .any(|b| *b >= 0x80));
+            let case = format!("count {count}, delta {delta} at bucket {bucket}");
+            let run_err = decode_frame(&run).unwrap_err();
+            let per_value_err = decode_frame(&per_value).unwrap_err();
+            assert!(
+                matches!(run_err, FrameError::Binary("histogram count overflow")),
+                "{case}: {run_err}"
+            );
+            assert_eq!(run_err.to_string(), per_value_err.to_string(), "{case}");
+            let mut slots = Vec::new();
+            let in_place = decode_frame_into(&run, &mut slots).unwrap_err();
+            assert_eq!(in_place.to_string(), run_err.to_string(), "{case}");
         }
     }
 }
