@@ -9,8 +9,8 @@
 //! Two implementations replay the **same** simulated sample stream:
 //!
 //! * [`SimExecutor`] — in-process: the scenario's fault schedule is
-//!   mapped to poisoned windows by the pure oracle
-//!   (`predicted_windows_for_schedule`) and the meter replays the
+//!   mapped to poisoned windows by the pure two-tier oracle
+//!   (`predicted_windows`) and the meter replays the
 //!   survivors directly.
 //! * [`LoopbackExecutor`] — the real telemetry plane: agents stream the
 //!   samples over a socket with the scenario's faults injected on
@@ -23,10 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use webcap_core::{label_window, AppWindowDigest, CapacityMeter, OnlineDecision, WindowHealthAgg};
-use webcap_net::{
-    all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled, Endpoint,
-    FaultKnobs,
-};
+use webcap_net::{predicted_windows, replay_windows, run_loopback_scheduled, Endpoint, FaultKnobs};
 use webcap_sim::{SystemSample, TierId};
 
 use crate::scenario::Scenario;
@@ -243,18 +240,8 @@ impl ScenarioExecutor for SimExecutor<'_> {
     fn measure(&mut self, scenario: &Scenario, probe_ebs: u32) -> Result<ProbeMeasure, ExecError> {
         let samples = simulate(self.meter, scenario, probe_ebs);
         let window_len = self.meter.config().window_len;
-        let total = samples.len() as u64;
-        // A window is poisoned if either tier's schedule poisons it —
-        // the collector quarantines per system-window, not per tier.
-        let mut poisoned: BTreeSet<i64> = BTreeSet::new();
-        for schedule in &scenario.schedules() {
-            let (_, p) = predicted_windows_for_schedule(total, schedule, window_len, 1);
-            poisoned.extend(p);
-        }
-        let survivors: BTreeSet<i64> = all_windows(samples.len(), window_len)
-            .into_iter()
-            .filter(|w| !poisoned.contains(w))
-            .collect();
+        let (survivors, poisoned) =
+            predicted_windows(samples.len() as u64, &scenario.schedules(), window_len, 1);
         // The replay synthesizes only the meter's families, as the
         // agents of a loopback probe do.
         let decisions = replay_windows(self.meter, &samples, scenario.seed, &survivors);

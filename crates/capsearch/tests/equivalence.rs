@@ -14,7 +14,6 @@
 
 use std::fs;
 use std::path::Path;
-use std::sync::OnceLock;
 
 use webcap_capsearch::{
     search_scenario, CapacityReport, LoopbackExecutor, ProbeMeasure, ScenarioExecutor,
@@ -23,12 +22,8 @@ use webcap_capsearch::{
 use webcap_core::{CapacityMeter, MeterConfig, MetricLevel};
 use webcap_net::Endpoint;
 
-fn meter() -> &'static CapacityMeter {
-    static METER: OnceLock<CapacityMeter> = OnceLock::new();
-    METER.get_or_init(|| {
-        CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("meter trains")
-    })
-}
+mod common;
+use common::{meter, METER_SEED};
 
 /// Coarse on purpose: each loopback probe spins a real collector and
 /// two agent threads, so keep the probe count small while still
@@ -145,7 +140,7 @@ fn equivalence_replica_failure_at_os_and_combined_levels() {
     let render = |m: &ProbeMeasure| serde_json::to_string(m).expect("a measure serializes");
     let bracket = replica_failure_bracket();
     for level in [MetricLevel::Os, MetricLevel::Combined] {
-        let config = MeterConfig::small_for_tests(31).with_level(level);
+        let config = MeterConfig::small_for_tests(METER_SEED).with_level(level);
         let meter = CapacityMeter::train(&config).expect("meter trains");
         for (probe_ebs, passes) in bracket {
             let sim = SimExecutor::new(&meter)

@@ -19,20 +19,13 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use webcap_capsearch::{search_scenario, CapacityReport, SearchConfig, SimExecutor};
 use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_parallel::Parallelism;
 
-const METER_SEED: u64 = 31;
-
-fn meter() -> &'static CapacityMeter {
-    static METER: OnceLock<CapacityMeter> = OnceLock::new();
-    METER.get_or_init(|| {
-        CapacityMeter::train(&MeterConfig::small_for_tests(METER_SEED)).expect("meter trains")
-    })
-}
+mod common;
+use common::{meter, METER_SEED};
 
 fn search(meter: &CapacityMeter, name: &str) -> CapacityReport {
     let scenario = webcap_capsearch::scenario::find(name).expect("library scenario");

@@ -11,7 +11,6 @@
 //!   measured capacity by more than the bracket tolerance.
 
 use std::convert::Infallible;
-use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,8 +18,10 @@ use webcap_capsearch::{
     bisect, search_scenario, FaultEvent, Scenario, ScenarioMix, ScenarioPhase, SearchConfig,
     SimExecutor, Slo,
 };
-use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_sim::TierId;
+
+mod common;
+use common::meter;
 
 fn run_threshold(cfg: &SearchConfig, t: u32) -> webcap_capsearch::BisectOutcome {
     match bisect(cfg, |ebs| Ok::<bool, Infallible>(ebs <= t)) {
@@ -180,13 +181,6 @@ fn scenario_json_round_trip_is_lossless() {
             "seed {seed}: canonical form is a fixed point"
         );
     }
-}
-
-fn meter() -> &'static CapacityMeter {
-    static METER: OnceLock<CapacityMeter> = OnceLock::new();
-    METER.get_or_init(|| {
-        CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("meter trains")
-    })
 }
 
 #[test]

@@ -215,24 +215,6 @@ pub fn select_pi(metrics: &[DerivedMetrics], throughput: &[f64]) -> PiSelection 
     }
 }
 
-/// Normalize a series by its geometric mean — the paper's Figure 3
-/// display transform ("normalized each of their values to their geometric
-/// means"). Non-positive values are excluded from the mean and normalized
-/// as-is against it.
-pub fn normalize_by_geometric_mean(series: &[f64]) -> Vec<f64> {
-    let logs: Vec<f64> = series
-        .iter()
-        .copied()
-        .filter(|v| *v > 0.0)
-        .map(f64::ln)
-        .collect();
-    if logs.is_empty() {
-        return series.to_vec();
-    }
-    let gm = (logs.iter().sum::<f64>() / logs.len() as f64).exp();
-    series.iter().map(|v| v / gm).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,22 +312,5 @@ mod tests {
             .map(|c| c.1)
             .fold(f64::INFINITY, f64::min);
         assert!(sel.corr > worst);
-    }
-
-    #[test]
-    fn geometric_normalization_centers_series() {
-        let s = vec![1.0, 2.0, 4.0, 8.0];
-        let n = normalize_by_geometric_mean(&s);
-        // GM of 1,2,4,8 is 2^1.5 ≈ 2.83; normalized product is 1.
-        let product: f64 = n.iter().product();
-        assert!((product - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn geometric_normalization_handles_zeros() {
-        let s = vec![0.0, 1.0, 4.0];
-        let n = normalize_by_geometric_mean(&s);
-        assert_eq!(n[0], 0.0);
-        assert_eq!(n.len(), 3);
     }
 }

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use webcap_core::monitor::feature_width;
 use webcap_core::{workloads, CapacityMeter, MeterConfig, MetricLevel};
 use webcap_fleet::{run_fleet, FleetCollector, FleetTopology, MergeNode};
-use webcap_net::loopback::{all_windows, predicted_windows_for_schedule, replay_windows};
+use webcap_net::loopback::{all_windows, predicted_windows, replay_windows};
 use webcap_net::{
     DigestFrame, FaultSchedule, HealthState, SourceSample, SupervisorConfig, TierSampler, WireCodec,
 };
@@ -108,17 +108,9 @@ fn sharded_fleets_match_the_oracle_under_scripted_faults_at_every_k() {
     let meter = trained_meter();
     let schedules = scripted_faults();
 
-    // Predicted global quarantine: the union of each tier's schedule
-    // poisons; the oracle replays exactly the survivors.
-    let mut poisoned = BTreeSet::new();
-    let mut survivors = all_windows(TOTAL, WINDOW);
-    for schedule in &schedules {
-        let (_, p) = predicted_windows_for_schedule(TOTAL as u64, schedule, WINDOW, 1);
-        for w in p {
-            survivors.remove(&w);
-            poisoned.insert(w);
-        }
-    }
+    // Predicted global quarantine; the oracle replays exactly the
+    // survivors.
+    let (survivors, poisoned) = predicted_windows(TOTAL as u64, &schedules, WINDOW, 1);
     assert_eq!(poisoned, [3, 5].into_iter().collect::<BTreeSet<i64>>());
     let poisoned: Vec<i64> = poisoned.into_iter().collect();
 
@@ -248,12 +240,7 @@ fn sharded_digestion_reproduces_the_assembler_exactly() {
     // oracle: the analytic survivor prediction and the in-process
     // monitor replay share no code with the reassembly core (the
     // `Assembler` is built from it, so it can no longer referee).
-    let mut poisoned = BTreeSet::new();
-    for schedule in &crash_schedules() {
-        poisoned.extend(predicted_windows_for_schedule(TOTAL as u64, schedule, WINDOW, 1).1);
-    }
-    let mut survivors = all_windows(TOTAL, WINDOW);
-    survivors.retain(|w| !poisoned.contains(w));
+    let (survivors, poisoned) = predicted_windows(TOTAL as u64, &crash_schedules(), WINDOW, 1);
     let oracle = replay_windows(&meter, &steady_samples(&meter), BASE_SEED, &survivors);
 
     let frames = sharded_frames_for_crash_stream(&meter);
@@ -395,12 +382,8 @@ fn a_digest_missing_a_family_the_meter_reads_is_never_scored() {
     // and counted, never scored on features read as zero.
     let meter = trained_meter();
     assert_eq!(meter.config().level, MetricLevel::Hpc);
-    let mut poisoned = BTreeSet::new();
-    for schedule in &crash_schedules() {
-        poisoned.extend(predicted_windows_for_schedule(TOTAL as u64, schedule, WINDOW, 1).1);
-    }
-    let mut survivors = all_windows(TOTAL, WINDOW);
-    survivors.retain(|w| !poisoned.contains(w) && *w != 6);
+    let (mut survivors, _) = predicted_windows(TOTAL as u64, &crash_schedules(), WINDOW, 1);
+    survivors.remove(&6);
     let oracle = json(&replay_windows(
         &meter,
         &steady_samples(&meter),
@@ -435,12 +418,7 @@ fn a_digest_missing_a_family_the_meter_reads_is_never_scored() {
 #[test]
 fn the_fleet_decides_like_the_oracle_at_every_meter_level() {
     let schedules = scripted_faults();
-    let mut poisoned = BTreeSet::new();
-    for schedule in &schedules {
-        poisoned.extend(predicted_windows_for_schedule(TOTAL as u64, schedule, WINDOW, 1).1);
-    }
-    let mut survivors = all_windows(TOTAL, WINDOW);
-    survivors.retain(|w| !poisoned.contains(w));
+    let (survivors, poisoned) = predicted_windows(TOTAL as u64, &schedules, WINDOW, 1);
     let poisoned: Vec<i64> = poisoned.into_iter().collect();
 
     let mut backhaul = BTreeMap::new();

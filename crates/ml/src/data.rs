@@ -85,15 +85,6 @@ impl Dataset {
         self.instances.iter().filter(|i| i.label).count()
     }
 
-    /// Fraction of positive instances, or `None` when empty.
-    pub fn positive_rate(&self) -> Option<f64> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.n_positive() as f64 / self.len() as f64)
-        }
-    }
-
     /// The distinct labels present.
     pub fn classes(&self) -> Vec<bool> {
         let pos = self.instances.iter().any(|i| i.label);
@@ -299,7 +290,6 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert_eq!(d.n_features(), 2);
         assert_eq!(d.n_positive(), 2);
-        assert_eq!(d.positive_rate(), Some(2.0 / 3.0));
         assert_eq!(d.classes(), vec![false, true]);
     }
 
@@ -361,7 +351,6 @@ mod tests {
     fn classes_single_and_empty() {
         let mut d = Dataset::new(vec!["x".into()]);
         assert!(d.classes().is_empty());
-        assert_eq!(d.positive_rate(), None);
         d.push(vec![0.0], true);
         assert_eq!(d.classes(), vec![true]);
     }

@@ -85,24 +85,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Precision over predicted positives. `None` if nothing was predicted
-    /// positive.
-    pub fn precision(&self) -> Option<f64> {
-        let p = self.true_positive + self.false_positive;
-        (p > 0).then(|| self.true_positive as f64 / p as f64)
-    }
-
-    /// F1 score. `None` when precision or recall is undefined.
-    pub fn f1(&self) -> Option<f64> {
-        let p = self.precision()?;
-        let r = self.true_positive_rate()?;
-        if p + r == 0.0 {
-            Some(0.0)
-        } else {
-            Some(2.0 * p * r / (p + r))
-        }
-    }
-
     /// Merge another matrix's tallies into this one.
     pub fn merge(&mut self, other: &ConfusionMatrix) {
         self.true_positive += other.true_positive;
@@ -136,7 +118,6 @@ mod tests {
         let m = ConfusionMatrix::from_labels(&a, &a);
         assert_eq!(m.balanced_accuracy(), Some(1.0));
         assert_eq!(m.accuracy(), Some(1.0));
-        assert_eq!(m.f1(), Some(1.0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! One agent process runs next to each tier. Its loop is single-
 //! threaded by design — poll the [`SampleSource`], synthesize the metric
 //! rows ([`TierSampler`]), enqueue, send binary frames of up to
-//! [`AgentConfig::max_batch`] samples, each encoded straight from the
+//! [`MAX_BATCH`] samples, each encoded straight from the
 //! queue by reference (no sample is cloned to be framed, and none leaves
 //! the queue before its frame is written) — with exactly one ack reader
 //! thread beside it that drains the collector's acknowledgments so the
@@ -122,10 +122,12 @@ pub struct AgentConfig {
     pub seed: u64,
     /// Scheduled per-sequence faults (scenario replay, fault tests).
     pub schedule: FaultSchedule,
-    /// Most samples packed into one `SampleBatch` frame (0 counts as 1:
-    /// every sample in a `Sample` frame of its own).
-    pub max_batch: u32,
 }
+
+/// Most samples packed into one `SampleBatch` frame, announced in the
+/// `Hello`'s [`WireCaps`]. A frame cut short by a reconnect point may
+/// carry fewer, down to a one-member `Sample` frame.
+pub const MAX_BATCH: u32 = 32;
 
 /// Bounded send-queue capacity (drop-oldest beyond it).
 pub const QUEUE_CAPACITY: usize = 256;
@@ -138,7 +140,7 @@ pub const HEARTBEAT: Duration = Duration::from_millis(500);
 
 impl AgentConfig {
     /// Defaults tuned for tests and the local demo: snappy redial, no
-    /// scheduled faults, batches of 32.
+    /// scheduled faults.
     pub fn new(tier: TierId, endpoint: Endpoint, seed: u64) -> AgentConfig {
         AgentConfig {
             tier,
@@ -146,7 +148,6 @@ impl AgentConfig {
             retry: RetryPolicy::dial_defaults(),
             seed,
             schedule: FaultSchedule::NONE,
-            max_batch: 32,
         }
     }
 }
@@ -297,7 +298,7 @@ fn hello(cfg: &AgentConfig, level: MetricLevel) -> Frame {
         metric_schema_hash: level_schema_hash(cfg.tier, level),
         caps: WireCaps {
             codec: WireCodec::Binary,
-            max_batch: cfg.max_batch,
+            max_batch: MAX_BATCH,
         },
     }
 }
@@ -628,7 +629,6 @@ impl Stream<'_> {
     /// Stream on `conn` until the source is flushed and `Bye` sent, a
     /// scheduled reconnect point, or a failed sample write.
     fn session(&mut self, conn: &mut Conn) -> io::Result<SessionEnd> {
-        let batch_target = self.cfg.max_batch.max(1) as usize;
         let mut idle_polls: u32 = 0;
         loop {
             if self.queue.is_empty() {
@@ -670,10 +670,8 @@ impl Stream<'_> {
 
             // Top up a batch: pull whatever the source has ready — no
             // sleeping, the queue already holds data to send — until a
-            // frame's worth is queued. An unbatched agent (batch target
-            // one) never enters this: it polls the source only when the
-            // queue is empty.
-            while batch_target > 1 && !self.source_done && self.queue.len() < batch_target {
+            // frame's worth is queued.
+            while !self.source_done && self.queue.len() < MAX_BATCH as usize {
                 match self.source.next_sample() {
                     SourcePoll::Ready(s) => {
                         self.take(s);
@@ -703,7 +701,7 @@ impl Stream<'_> {
                 conn,
                 &self.queue,
                 &self.script,
-                batch_target,
+                MAX_BATCH as usize,
                 &mut self.scratch,
             );
             let Ok(Settled { taken, sent }) = written else {

@@ -88,8 +88,8 @@ pub use frame::{
     PROTO_VERSION,
 };
 pub use loopback::{
-    all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
-    run_supervised_loopback, FaultKnobs, LoopbackOutcome,
+    all_windows, predicted_windows, predicted_windows_for_schedule, replay_windows,
+    run_loopback_scheduled, run_supervised_loopback, FaultKnobs, LoopbackOutcome,
 };
 pub use reassembly::{score_window, TierDigester, MAX_GAP_WINDOWS};
 pub use retry::RetryPolicy;

@@ -15,11 +15,14 @@
 //!   rows the agents synthesize, for the families the meter reads, and
 //!   predicted in order. The collector's decisions must be
 //!   byte-identical (JSON) to this replay on the windows it emits.
-//! * [`predicted_windows_for_schedule`] — the one oracle: it replays a
-//!   fault script and the collector's documented poisoning rules to
-//!   predict exactly which windows survive. It shares no code with the
-//!   agent or the collector, so the tests cross-validate two
+//! * [`predicted_windows_for_schedule`] — the one per-tier oracle: it
+//!   replays a fault script and the collector's documented poisoning
+//!   rules to predict exactly which windows survive. It shares no code
+//!   with the agent or the collector, so the tests cross-validate two
 //!   implementations of the semantics.
+//! * [`predicted_windows`] — the two-tier rule on top of it: a system
+//!   window survives iff neither tier's script poisons it. Every
+//!   harness and suite that predicts a deployment's windows calls it.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -330,6 +333,26 @@ pub fn predicted_windows_for_schedule(
     (survivors, poisoned)
 }
 
+/// Predict `(survivors, poisoned)` for a two-tier deployment, one
+/// [`FaultSchedule`] per tier in [`TierId::ALL`] order. The collector
+/// quarantines per system window, so a window is poisoned if either
+/// tier's schedule poisons it under [`predicted_windows_for_schedule`],
+/// and a full window survives iff neither does.
+pub fn predicted_windows(
+    total: u64,
+    schedules: &[FaultSchedule; 2],
+    window_len: usize,
+    origin: i64,
+) -> (BTreeSet<i64>, BTreeSet<i64>) {
+    let poisoned: BTreeSet<i64> = schedules
+        .iter()
+        .flat_map(|s| predicted_windows_for_schedule(total, s, window_len, origin).1)
+        .collect();
+    let mut survivors = all_windows(total as usize, window_len);
+    survivors.retain(|w| !poisoned.contains(w));
+    (survivors, poisoned)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +481,46 @@ mod tests {
         let (survivors, poisoned) = predicted_surviving_windows(60, &faults, 30, 1);
         assert_eq!(survivors, [0].into_iter().collect::<BTreeSet<i64>>());
         assert_eq!(poisoned, [1].into_iter().collect::<BTreeSet<i64>>());
+    }
+
+    #[test]
+    fn a_window_either_tier_poisons_is_no_system_survivor() {
+        // App: reconnect mid-window 5. Db: drops inside window 3 and a
+        // trailing loss of its last sample (key 240, window 7), which
+        // only the Db tier's `Bye` reveals.
+        let app = FaultSchedule {
+            drop_ranges: vec![],
+            reconnect_before: vec![160],
+        };
+        let db = FaultSchedule {
+            drop_ranges: vec![(90, 104), (239, 239)],
+            reconnect_before: vec![],
+        };
+        let (app_survivors, app_poisoned) = predicted_windows_for_schedule(240, &app, 30, 1);
+        let (db_survivors, db_poisoned) = predicted_windows_for_schedule(240, &db, 30, 1);
+        assert_eq!(app_poisoned, [5].into_iter().collect::<BTreeSet<i64>>());
+        assert_eq!(db_poisoned, [3, 7].into_iter().collect::<BTreeSet<i64>>());
+
+        let (survivors, poisoned) = predicted_windows(240, &[app, db], 30, 1);
+        assert_eq!(poisoned, [3, 5, 7].into_iter().collect::<BTreeSet<i64>>());
+        assert_eq!(
+            survivors,
+            [0, 1, 2, 4, 6].into_iter().collect::<BTreeSet<i64>>()
+        );
+        assert_eq!(
+            poisoned,
+            app_poisoned
+                .union(&db_poisoned)
+                .copied()
+                .collect::<BTreeSet<i64>>()
+        );
+        assert_eq!(
+            survivors,
+            app_survivors
+                .intersection(&db_survivors)
+                .copied()
+                .collect::<BTreeSet<i64>>()
+        );
     }
 
     #[test]

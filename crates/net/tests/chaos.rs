@@ -20,45 +20,26 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_net::loopback::{all_windows, replay_windows, run_supervised_loopback};
 use webcap_net::supervisor::{HealthState, HealthTransition, SupervisorConfig};
 use webcap_net::{
     AdmissionPoint, AgentConfig, AgentReport, Assembler, CollectorConfig, Endpoint,
     SupervisedReport,
 };
-use webcap_sim::{Simulation, SystemSample, TierId};
-use webcap_tpcw::{Mix, TrafficProgram};
+use webcap_sim::{SystemSample, TierId};
 
 mod common;
+#[path = "common/meter.rs"]
+mod meter;
+#[path = "common/stream.rs"]
+mod stream;
 use common::wire;
+use meter::trained_meter;
+use stream::{decisions_json, steady_run, BASE_SEED};
 
-const BASE_SEED: u64 = 17;
+/// A steady 600 s run — 20 full 30-sample windows for the plane to
+/// carry.
 const TOTAL_SAMPLES: usize = 600;
-
-fn trained_meter() -> CapacityMeter {
-    static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
-    METER
-        .get_or_init(|| {
-            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
-        })
-        .clone()
-}
-
-/// A steady 600 s run of the meter's own testbed — 20 full 30-sample
-/// windows for the plane to carry.
-fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
-    let mut sim = meter.config().sim.clone();
-    sim.seed = 400;
-    let program = TrafficProgram::steady(Mix::ordering(), 60, TOTAL_SAMPLES as f64);
-    let samples = Simulation::new(sim, program).run().samples;
-    assert_eq!(samples.len(), TOTAL_SAMPLES);
-    samples
-}
-
-fn decisions_json(decisions: &[(i64, webcap_core::OnlineDecision)]) -> String {
-    serde_json::to_string(decisions).expect("decisions serialize")
-}
 
 /// One life of a loopback deployment: a fresh collector, and two
 /// default agents that warm-replay `samples` below `start_seq` and
@@ -104,7 +85,7 @@ fn a_cold_restart_rejoins_the_uninterrupted_stream_after_h_windows() {
     let window_len = meter.config().window_len;
     let h = meter.config().coordinator.history_bits;
     let safe_cap = SupervisorConfig::default().safe_cap;
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL_SAMPLES);
     let total_windows = (TOTAL_SAMPLES / window_len) as i64;
     let baseline = replay_windows(
         &meter,

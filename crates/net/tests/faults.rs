@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use webcap_core::admission::{MAX_EBS, MIN_EBS};
-use webcap_core::{CapacityMeter, MeterConfig, MetricLevel};
+use webcap_core::{CapacityMeter, MetricLevel};
 use webcap_net::frame::{read_frame, write_frame, Frame};
 use webcap_net::loopback::{
-    all_windows, predicted_windows_for_schedule, replay_windows, run_loopback_scheduled,
-    run_supervised_loopback, LoopbackOutcome,
+    all_windows, replay_windows, run_loopback_scheduled, run_supervised_loopback, LoopbackOutcome,
 };
 use webcap_net::supervisor::HealthState;
 use webcap_net::transport::{Conn, Listener};
@@ -29,10 +28,19 @@ use webcap_net::{
     AgentConfig, Assembler, CollectorConfig, Endpoint, FaultKnobs, FaultSchedule, SampleSource,
     ScriptedSource, SourcePoll,
 };
-use webcap_sim::{Simulation, SystemSample, TierId};
-use webcap_tpcw::{Mix, TrafficProgram};
+use webcap_sim::{SystemSample, TierId};
 
-const BASE_SEED: u64 = 17;
+#[path = "common/contract.rs"]
+mod contract;
+#[path = "common/meter.rs"]
+mod meter;
+#[path = "common/stream.rs"]
+mod stream;
+use contract::plane_matches_the_oracle;
+use meter::trained_meter;
+use stream::{decisions_json, steady_run, BASE_SEED};
+
+/// A steady 240 s run: 8 full 30-sample windows for the plane to carry.
 const TOTAL_SAMPLES: usize = 240;
 const NO_SCRIPT: [FaultSchedule; 2] = [FaultSchedule::NONE, FaultSchedule::NONE];
 
@@ -51,39 +59,11 @@ fn tcp() -> Endpoint {
     Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")
 }
 
-fn trained_meter() -> CapacityMeter {
-    static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
-    METER
-        .get_or_init(|| {
-            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
-        })
-        .clone()
-}
-
-/// A steady 240 s run of the meter's own testbed — 8 full 30-sample
-/// windows for the plane to carry.
-fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
-    steady_run(meter, TOTAL_SAMPLES)
-}
-
-fn steady_run(meter: &CapacityMeter, total: usize) -> Vec<SystemSample> {
-    let mut sim = meter.config().sim.clone();
-    sim.seed = 400;
-    let program = TrafficProgram::steady(Mix::ordering(), 60, total as f64);
-    let samples = Simulation::new(sim, program).run().samples;
-    assert_eq!(samples.len(), total);
-    samples
-}
-
-fn decisions_json(decisions: &[(i64, webcap_core::OnlineDecision)]) -> String {
-    serde_json::to_string(decisions).expect("decisions serialize")
-}
-
 #[test]
 fn clean_run_is_byte_identical_to_the_in_process_monitor() {
     let meter = trained_meter();
     let window_len = meter.config().window_len;
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL_SAMPLES);
 
     let out = run_loopback_scheduled(
         &meter,
@@ -101,6 +81,10 @@ fn clean_run_is_byte_identical_to_the_in_process_monitor() {
         assert_eq!(agent.frames_dropped, 0, "agent {i}");
         assert_eq!(agent.sessions, 1, "agent {i}");
     }
+    assert_eq!(
+        out.collector.samples, [TOTAL_SAMPLES as u64; 2],
+        "batched frames deliver every individual sample"
+    );
     assert!(out.collector.poisoned_windows.is_empty());
     assert_eq!(out.collector.anomalies, 0);
 
@@ -127,7 +111,7 @@ fn clean_run_is_byte_identical_to_the_in_process_monitor() {
 #[test]
 fn faulted_planes_match_the_oracle_and_never_admit_from_suspect_state() {
     let meter = trained_meter();
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL_SAMPLES);
     let dir = std::env::temp_dir().join(format!("webcap-faults-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let sock = Endpoint::Unix(dir.join("collector.sock"));
@@ -173,7 +157,7 @@ fn dense_reconnects_match_the_oracle_without_a_dial_backlog() {
     let window_len = meter.config().window_len as u64;
     let every_ten = knobs((0, 10));
     let long = steady_run(&meter, 1_200);
-    let short = steady_samples(&meter);
+    let short = steady_run(&meter, TOTAL_SAMPLES);
     let boundaries = FaultSchedule {
         drop_ranges: vec![],
         reconnect_before: (1..TOTAL_SAMPLES as u64)
@@ -196,7 +180,7 @@ fn dense_reconnects_match_the_oracle_without_a_dial_backlog() {
         )
         .expect("densely reconnecting deployment runs");
         let script = faults.schedule(total, &scripted);
-        let survivors = plane_matches_the_oracle(&meter, samples, &out, &script);
+        let survivors = holds_to_the_oracle_and_admits_purely(&meter, samples, &out, &script);
         assert!(
             out.collector.sheds.is_empty(),
             "no dial was shed: {:?}",
@@ -223,12 +207,11 @@ fn dense_reconnects_match_the_oracle_without_a_dial_backlog() {
 /// Knobs *and* a scripted schedule in one deployment: the compile step
 /// counts attempts around the scripted outage, and a batch must stop at
 /// a scripted drop and at a compiled one alike. Held to the oracle over
-/// the merged script batched and not — the stock harness sends batches
-/// of 32, the hand-configured agents one sample per frame.
+/// the merged script.
 #[test]
-fn knobs_merged_into_a_scripted_schedule_match_the_oracle_batched_and_unbatched() {
+fn knobs_merged_into_a_scripted_schedule_match_the_oracle() {
     let meter = trained_meter();
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL_SAMPLES);
     let faults = knobs((37, 0));
     let scripted = FaultSchedule {
         drop_ranges: vec![(90, 104)],
@@ -238,20 +221,9 @@ fn knobs_merged_into_a_scripted_schedule_match_the_oracle_batched_and_unbatched(
     assert!(merged.drop_ranges.len() > scripted.drop_ranges.len());
 
     let schedules = [scripted.clone(), scripted];
-    let batched = run_loopback_scheduled(&meter, &samples, &tcp(), BASE_SEED, faults, &schedules)
-        .expect("batched deployment runs");
-    plane_matches_the_oracle(&meter, &samples, &batched, &merged);
-
-    let collector = Assembler::new(meter.clone(), CollectorConfig::default().window_origin);
-    let agent_cfg = |tier, dial| {
-        let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
-        cfg.schedule = merged.clone();
-        cfg.max_batch = 1;
-        cfg
-    };
-    let single = run_supervised_loopback(collector, &samples, &tcp(), 0, agent_cfg)
-        .expect("unbatched deployment runs");
-    plane_matches_the_oracle(&meter, &samples, &single, &merged);
+    let out = run_loopback_scheduled(&meter, &samples, &tcp(), BASE_SEED, faults, &schedules)
+        .expect("deployment runs");
+    holds_to_the_oracle_and_admits_purely(&meter, &samples, &out, &merged);
 }
 
 /// Run the stock loopback plane over `samples` under `faults` alone and
@@ -272,48 +244,22 @@ fn knobbed_plane_matches_the_oracle(
         );
     }
     let script = faults.schedule(samples.len() as u64, &FaultSchedule::NONE);
-    plane_matches_the_oracle(meter, samples, &out, &script)
+    holds_to_the_oracle_and_admits_purely(meter, samples, &out, &script)
 }
 
-/// Hold a deployment whose agents both ran `script` to the
-/// fault-schedule oracle: exactly the predicted windows decided,
-/// exactly the predicted windows quarantined, decisions byte-identical
-/// to the in-process replay's, and admission pure — a prediction
-/// drives the cap only while Healthy and only from a surviving window.
-/// Returns the survivors.
-fn plane_matches_the_oracle(
+/// Hold a deployment whose agents both ran `script` to the window
+/// contract ([`plane_matches_the_oracle`]) and to admission purity: a
+/// prediction drives the cap only while Healthy and only from a
+/// surviving window. Returns the survivors.
+fn holds_to_the_oracle_and_admits_purely(
     meter: &CapacityMeter,
     samples: &[SystemSample],
     out: &LoopbackOutcome,
     script: &FaultSchedule,
 ) -> BTreeSet<i64> {
-    let window_len = meter.config().window_len;
     let report = &out.collector;
-    let (survivors, poisoned) =
-        predicted_windows_for_schedule(samples.len() as u64, script, window_len, 1);
-
-    let emitted: BTreeSet<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(
-        emitted, survivors,
-        "exactly the windows the fault schedule leaves intact emit"
-    );
-    assert!(
-        emitted.is_disjoint(&poisoned),
-        "no prediction ever comes from a gapped window"
-    );
-    let quarantined: BTreeSet<i64> = report.poisoned_windows.iter().copied().collect();
-    assert_eq!(
-        quarantined, poisoned,
-        "the collector quarantined exactly the predicted windows"
-    );
-
-    let baseline = replay_windows(meter, samples, BASE_SEED, &survivors);
-    assert_eq!(
-        decisions_json(&report.decisions),
-        decisions_json(&baseline),
-        "supervision never alters the decision stream: surviving-window \
-         predictions are byte-identical to the in-process replay"
-    );
+    let schedules = [script.clone(), script.clone()];
+    let (survivors, _) = plane_matches_the_oracle(meter, samples, report, &schedules);
 
     for point in &report.admission_trace {
         assert!(
@@ -351,7 +297,7 @@ fn plane_matches_the_oracle(
 #[test]
 fn a_rogue_connection_is_rejected_and_the_run_completes() {
     let meter = trained_meter();
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL_SAMPLES);
     let samples = &samples[..60];
 
     // A peer that speaks HTTP at a telemetry port: the collector must
@@ -416,7 +362,7 @@ impl SampleSource for HeldSource<'_> {
 fn an_ack_split_across_a_read_timeout_is_still_counted() {
     const SAMPLES: u64 = 40;
     let meter = trained_meter();
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL_SAMPLES);
     let samples = &samples[..SAMPLES as usize];
     let listener = Listener::bind(&tcp()).expect("listener binds");
     let cfg = AgentConfig::new(

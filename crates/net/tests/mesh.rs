@@ -12,7 +12,8 @@
 //!
 //! Every fault is a pure function of `(seed, conn, frame index)`, and
 //! the schedule *compiles* into the telemetry plane's [`FaultSchedule`]
-//! vocabulary, so each cell demands:
+//! vocabulary, so each cell demands the plane's window contract (the
+//! shared check in `common/contract.rs`):
 //!
 //! * the emitted decision windows are **exactly** the analytically
 //!   predicted survivor set (intersection over tiers),
@@ -41,17 +42,24 @@
 
 use std::collections::BTreeSet;
 
-use webcap_core::{CapacityMeter, MeterConfig};
+use webcap_core::CapacityMeter;
 use webcap_net::frame::FrameBuf;
-use webcap_net::loopback::{predicted_windows_for_schedule, replay_windows};
 use webcap_net::{
     write_frame, Assembler, CollectorConfig, FaultSchedule, Frame, SourceSample, SupervisedReport,
     TierSampler,
 };
-use webcap_sim::{Simulation, SystemSample, TierId};
-use webcap_tpcw::{Mix, TrafficProgram};
+use webcap_sim::{SystemSample, TierId};
 
-const BASE_SEED: u64 = 17;
+#[path = "common/contract.rs"]
+mod contract;
+#[path = "common/meter.rs"]
+mod meter;
+#[path = "common/stream.rs"]
+mod stream;
+use contract::plane_matches_the_oracle;
+use meter::trained_meter;
+use stream::{steady_run, BASE_SEED};
+
 const TOTAL_SAMPLES: usize = 240;
 
 // ------------------------------------------------------------ schedule
@@ -481,68 +489,21 @@ fn run_net_mesh(
 
 // --------------------------------------------------------------- suite
 
-fn trained_meter() -> CapacityMeter {
-    static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
-    METER
-        .get_or_init(|| {
-            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
-        })
-        .clone()
-}
-
-fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
-    let mut sim = meter.config().sim.clone();
-    sim.seed = 400;
-    let program = TrafficProgram::steady(Mix::ordering(), 60, TOTAL_SAMPLES as f64);
-    let samples = Simulation::new(sim, program).run().samples;
-    assert_eq!(samples.len(), TOTAL_SAMPLES);
-    samples
-}
-
-fn decisions_json(decisions: &[(i64, webcap_core::OnlineDecision)]) -> String {
-    serde_json::to_string(decisions).expect("decisions serialize")
-}
-
 /// Run one (profile, seed) cell and check the full oracle contract,
 /// non-triviality included.
 fn check_cell(profile: ChaosProfile, seed: u64) {
     let meter = trained_meter();
-    let window_len = meter.config().window_len;
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL_SAMPLES);
     let chaos = ChaosSchedule::new(seed, profile);
 
     let (report, _) = run_net_mesh(&meter, &samples, &chaos);
 
-    // Analytic oracle: per-tier survivors intersect, poisons union.
-    let mut survivors: Option<BTreeSet<i64>> = None;
-    let mut poisoned: BTreeSet<i64> = BTreeSet::new();
-    for tier in TierId::ALL {
-        let schedule = chaos.compile_tier_schedule(tier.index() as u32, samples.len() as u64);
-        let (s, p) = predicted_windows_for_schedule(samples.len() as u64, &schedule, window_len, 1);
-        poisoned.extend(p);
-        survivors = Some(match survivors {
-            Some(acc) => acc.intersection(&s).copied().collect(),
-            None => s,
-        });
-    }
-    let survivors = survivors.unwrap_or_default();
-
-    let emitted: BTreeSet<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(
-        emitted, survivors,
-        "seed {seed}: emitted windows must be exactly the predicted survivors"
-    );
-    let expected = replay_windows(&meter, &samples, BASE_SEED, &survivors);
-    assert_eq!(
-        decisions_json(&report.decisions),
-        decisions_json(&expected),
-        "seed {seed}: surviving decisions must be byte-identical to the replay oracle"
-    );
-    let quarantined: BTreeSet<i64> = report.poisoned_windows.iter().copied().collect();
-    assert_eq!(
-        quarantined, poisoned,
-        "seed {seed}: quarantine must be exactly the predicted poison union"
-    );
+    // Printed so a failing contract assertion's captured output names
+    // the cell.
+    println!("mesh cell seed {seed}");
+    let schedules = TierId::ALL
+        .map(|tier| chaos.compile_tier_schedule(tier.index() as u32, TOTAL_SAMPLES as u64));
+    let (survivors, poisoned) = plane_matches_the_oracle(&meter, &samples, &report, &schedules);
     assert!(
         !survivors.is_empty(),
         "seed {seed}: the cell must leave some windows intact or the equality is vacuous"
@@ -608,7 +569,7 @@ fn reorder_dup_family_matches_oracle_byte_for_byte() {
 #[test]
 fn duplicates_and_reorders_are_counted_as_anomalies() {
     let meter = trained_meter();
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL_SAMPLES);
     let chaos = ChaosSchedule::new(
         21,
         ChaosProfile {

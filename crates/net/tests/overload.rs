@@ -22,7 +22,6 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webcap_core::{CapacityMeter, MeterConfig};
 use webcap_net::collector::{CollectorConfig, ShedKind};
 use webcap_net::supervisor::{HealthState, HealthTransition, SHED_STORM};
 use webcap_net::{
@@ -30,20 +29,16 @@ use webcap_net::{
     write_frame, Assembler, Conn, Endpoint, Frame, Listener, SourceSample, TierSampler, WireCaps,
     WireCodec, FRAME_MAGIC_BIN, PROTO_VERSION,
 };
-use webcap_sim::{Simulation, TierId};
-use webcap_tpcw::{Mix, TrafficProgram};
+use webcap_sim::TierId;
 
 mod common;
+#[path = "common/meter.rs"]
+mod meter;
+#[path = "common/stream.rs"]
+mod stream;
 use common::wire;
-
-fn trained_meter() -> CapacityMeter {
-    static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
-    METER
-        .get_or_init(|| {
-            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
-        })
-        .clone()
-}
+use meter::trained_meter;
+use stream::{decisions_json, steady_run, BASE_SEED};
 
 /// Dial the collector and complete the handshake for `tier`.
 fn handshaken(endpoint: &Endpoint, tier: TierId) -> Conn {
@@ -251,14 +246,9 @@ fn shed_storm_escalates_to_degraded_with_an_audited_reason() {
 /// decisions streamed to `on_decision` are the report's, in order.
 #[test]
 fn paced_fragmented_frames_decide_byte_identically() {
-    const BASE_SEED: u64 = 17;
     const TOTAL: usize = 240;
     let meter = trained_meter();
-    let mut sim = meter.config().sim.clone();
-    sim.seed = 400;
-    let program = TrafficProgram::steady(Mix::ordering(), 60, TOTAL as f64);
-    let samples = Simulation::new(sim, program).run().samples;
-    assert_eq!(samples.len(), TOTAL);
+    let samples = steady_run(&meter, TOTAL);
 
     let listener =
         Listener::bind(&Endpoint::parse("127.0.0.1:0").expect("tcp endpoint")).expect("binds");
@@ -333,8 +323,8 @@ fn paced_fragmented_frames_decide_byte_identically() {
         "fragmenting and pausing frames must not change a byte of the outcome"
     );
     assert_eq!(
-        serde_json::to_string(&streamed).expect("stream serializes"),
-        serde_json::to_string(&report.decisions).expect("report serializes"),
+        decisions_json(&streamed),
+        decisions_json(&report.decisions),
         "the decision stream is the report's decisions, in order"
     );
 }

@@ -21,6 +21,9 @@ use webcap_sim::{RtHistogram, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
 
 mod common;
+#[path = "common/meter.rs"]
+mod meter;
+use meter::trained_meter;
 
 const WINDOW: i64 = 30;
 const ORIGIN: i64 = 1;
@@ -128,14 +131,10 @@ impl Plane for Sharded {
     }
 }
 
-/// The shared test meter: an HPC one, over 30-sample windows.
+/// The shared test meter, held to what these scripts assume: an HPC
+/// one, over 30-sample windows.
 fn hpc_meter() -> CapacityMeter {
-    static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
-    let meter = METER
-        .get_or_init(|| {
-            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
-        })
-        .clone();
+    let meter = trained_meter();
     assert_eq!(meter.config().window_len as i64, WINDOW);
     assert_eq!(meter.config().level, MetricLevel::Hpc);
     meter

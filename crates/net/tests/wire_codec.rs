@@ -1,7 +1,7 @@
 //! Wire-codec acceptance tests: the one wire dialect carries every frame
-//! exactly, compactly, and batched or not to the same decisions.
+//! exactly and compactly.
 //!
-//! Four contracts:
+//! Three contracts:
 //!
 //! * **Round trip** — arbitrary frames encode and decode to the same
 //!   `Frame` value, whole or fed in arbitrary chunks (seeded generators
@@ -15,19 +15,13 @@
 //! * **Negotiation** — any version but `PROTO_VERSION`, older or newer,
 //!   is refused with a `Reject` carrying both peers' versions, and a
 //!   version 3 JSON `Hello` with a `Reject` naming its bad magic.
-//! * **Deployment byte-identity** — a faulted loopback run in batches
-//!   of 32 produces byte-identical decisions, poisoning, and agent
-//!   reports to the same run one sample per frame, and both match the
-//!   oracle.
 
-use std::collections::BTreeSet;
-use std::num::NonZeroU64;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webcap_core::monitor::feature_width;
-use webcap_core::{CapacityMeter, MeterConfig, MetricLevel};
+use webcap_core::MetricLevel;
 use webcap_core::{TierStressAgg, TierWindow, WindowHealthAgg};
 use webcap_hpc::HpcModel;
 use webcap_net::binary::{decode_frame, decode_frame_into, encode_frame, Decoded};
@@ -37,21 +31,16 @@ use webcap_net::frame::{
     write_frame_codec, AppStats, AppWindowDigest, DigestFin, DigestFrame, Frame, FrameError,
     TierWindowDigest, WireCaps, WireCodec, WireSample, PROTO_VERSION,
 };
-use webcap_net::loopback::{
-    predicted_windows_for_schedule, replay_windows, run_supervised_loopback, LoopbackOutcome,
-};
 use webcap_net::source::{SourceSample, TierSampler};
 use webcap_net::supervisor::HealthState;
-use webcap_net::{
-    run_supervised_collector, AgentConfig, Assembler, Endpoint, FaultKnobs, FaultSchedule, Listener,
-};
-use webcap_sim::{RtHistogram, SimConfig, Simulation, SystemSample, TierId, TierSample};
+use webcap_net::{run_supervised_collector, Assembler, Endpoint, Listener};
+use webcap_sim::{RtHistogram, SimConfig, Simulation, TierId, TierSample};
 use webcap_tpcw::{Mix, MixId, TrafficProgram};
 
 mod common;
-
-const BASE_SEED: u64 = 17;
-const TOTAL_SAMPLES: usize = 240;
+#[path = "common/meter.rs"]
+mod meter;
+use meter::trained_meter;
 
 // ---------------------------------------------------------------------
 // Frame generators
@@ -699,24 +688,6 @@ fn a_batch_of_32_costs_at_most_800_bytes_per_sample() {
 // Negotiation
 // ---------------------------------------------------------------------
 
-fn trained_meter() -> CapacityMeter {
-    static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
-    METER
-        .get_or_init(|| {
-            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
-        })
-        .clone()
-}
-
-fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
-    let mut sim = meter.config().sim.clone();
-    sim.seed = 400;
-    let program = TrafficProgram::steady(Mix::ordering(), 60, TOTAL_SAMPLES as f64);
-    let samples = Simulation::new(sim, program).run().samples;
-    assert_eq!(samples.len(), TOTAL_SAMPLES);
-    samples
-}
-
 /// Any `proto_version` but the collector's own — the previous one as
 /// much as a future one — is refused at negotiation with a `Reject`
 /// carrying both peers' versions, not a post-header parse error.
@@ -869,127 +840,4 @@ fn a_json_hello_is_rejected_naming_its_magic() {
 
     assert_eq!(report.rejected_handshakes, 1);
     assert_eq!(report.sessions, [0, 0], "no session was started");
-}
-
-// ---------------------------------------------------------------------
-// Deployment byte-identity
-// ---------------------------------------------------------------------
-
-/// A loopback deployment whose agents both run `script`, packing up to
-/// `max_batch` samples per frame.
-fn run_batched(
-    meter: &CapacityMeter,
-    samples: &[SystemSample],
-    script: &FaultSchedule,
-    max_batch: u32,
-) -> LoopbackOutcome {
-    run_supervised_loopback(
-        Assembler::new(meter.clone(), CollectorConfig::default().window_origin),
-        samples,
-        &Endpoint::parse("127.0.0.1:0").expect("tcp endpoint"),
-        0,
-        |tier, dial| {
-            let mut cfg = AgentConfig::new(tier, dial, BASE_SEED);
-            cfg.schedule = script.clone();
-            cfg.max_batch = max_batch;
-            cfg
-        },
-    )
-    .expect("deployment runs")
-}
-
-/// Under drops and forced reconnects, batches of 32 produce
-/// byte-identical decisions, poisoning verdicts, and agent reports to
-/// one sample per frame.
-#[test]
-fn faulted_runs_are_byte_identical_batched_and_unbatched() {
-    let meter = trained_meter();
-    let window_len = meter.config().window_len;
-    let samples = steady_samples(&meter);
-    let faults = FaultKnobs {
-        drop_every: NonZeroU64::new(37),
-        reconnect_every: NonZeroU64::new(101),
-    };
-    let script = faults.schedule(TOTAL_SAMPLES as u64, &FaultSchedule::NONE);
-
-    let single = run_batched(&meter, &samples, &script, 1);
-    let batched = run_batched(&meter, &samples, &script, 32);
-    let (single_report, batched_report) = (&single.collector, &batched.collector);
-
-    // Compare the deterministic agent counters only: ack/heartbeat
-    // counts ride a concurrent reader thread and legitimately race with
-    // session shutdown.
-    for (i, (s, b)) in single.agents.iter().zip(&batched.agents).enumerate() {
-        assert_eq!(s.samples_produced, b.samples_produced, "agent {i}");
-        assert_eq!(s.frames_sent, b.frames_sent, "agent {i}");
-        assert_eq!(s.frames_dropped, b.frames_dropped, "agent {i}");
-        assert_eq!(s.queue_dropped, b.queue_dropped, "agent {i}");
-        assert_eq!(s.sessions, b.sessions, "agent {i}");
-    }
-    assert_eq!(
-        single_report.poisoned_windows,
-        batched_report.poisoned_windows
-    );
-    assert_eq!(
-        single_report.pending_windows,
-        batched_report.pending_windows
-    );
-    assert_eq!(single_report.sessions, batched_report.sessions);
-    assert_eq!(single_report.samples, batched_report.samples);
-    assert_eq!(single_report.anomalies, batched_report.anomalies);
-    assert_eq!(
-        serde_json::to_string(&single_report.decisions).expect("decisions serialize"),
-        serde_json::to_string(&batched_report.decisions).expect("decisions serialize"),
-        "decisions are byte-identical batched and unbatched"
-    );
-
-    // Both also match the knob oracle and the in-process replay — the
-    // batching did not merely fail identically on both sides.
-    let (survivors, poisoned) = predicted_windows_for_schedule(
-        TOTAL_SAMPLES as u64,
-        &script,
-        window_len,
-        CollectorConfig::default().window_origin,
-    );
-    let quarantined: BTreeSet<i64> = batched_report.poisoned_windows.iter().copied().collect();
-    assert_eq!(quarantined, poisoned, "oracle agrees on poisoning");
-    let baseline = replay_windows(&meter, &samples, BASE_SEED, &survivors);
-    assert_eq!(
-        serde_json::to_string(&batched_report.decisions).expect("serializes"),
-        serde_json::to_string(&baseline).expect("serializes"),
-        "batched decisions match the in-process replay byte-for-byte"
-    );
-}
-
-/// Clean batched run: batching must not change what reaches the meter,
-/// and every sample must be delivered individually.
-#[test]
-fn a_clean_batched_run_matches_the_unbatched_contract() {
-    let meter = trained_meter();
-    let window_len = meter.config().window_len;
-    let samples = steady_samples(&meter);
-
-    let out = run_batched(&meter, &samples, &FaultSchedule::NONE, 32);
-    let report = &out.collector;
-    for (i, agent) in out.agents.iter().enumerate() {
-        assert_eq!(agent.samples_produced, TOTAL_SAMPLES as u64, "agent {i}");
-        assert_eq!(
-            agent.frames_sent, TOTAL_SAMPLES as u64,
-            "agent {i}: batched frames count samples"
-        );
-        assert_eq!(agent.frames_dropped, 0, "agent {i}");
-        assert_eq!(agent.sessions, 1, "agent {i}");
-    }
-    assert_eq!(
-        report.samples,
-        [TOTAL_SAMPLES as u64, TOTAL_SAMPLES as u64],
-        "batched frames deliver every individual sample"
-    );
-    assert!(report.poisoned_windows.is_empty());
-    assert_eq!(report.anomalies, 0);
-    let emitted: Vec<i64> = report.decisions.iter().map(|(w, _)| *w).collect();
-    assert_eq!(
-        emitted,
-        (0..(TOTAL_SAMPLES / window_len) as i64).collect::<Vec<i64>>()
-    );
 }

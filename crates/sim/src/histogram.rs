@@ -154,11 +154,6 @@ impl RtHistogram {
         above as f64 / self.total as f64
     }
 
-    /// Convenience: the median.
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
     /// Convenience: the 95th percentile.
     pub fn p95(&self) -> Option<f64> {
         self.quantile(0.95)
@@ -194,7 +189,7 @@ mod tests {
         for _ in 0..100 {
             h.record(0.25);
         }
-        let p50 = h.p50().unwrap();
+        let p50 = h.quantile(0.5).unwrap();
         // Bucket resolution: within ~15%.
         assert!((p50 - 0.25).abs() / 0.25 < 0.15, "p50 {p50}");
         assert_eq!(h.len(), 100);
@@ -211,7 +206,7 @@ mod tests {
         }
         // Mean would be ~0.6 s; p95 must expose the multi-second tail.
         assert!(h.p99().unwrap() > 5.0);
-        assert!(h.p50().unwrap() < 0.2);
+        assert!(h.quantile(0.5).unwrap() < 0.2);
     }
 
     #[test]
@@ -247,7 +242,7 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.len(), 20);
-        assert!(a.p50().unwrap() < 0.5);
+        assert!(a.quantile(0.5).unwrap() < 0.5);
         assert!(a.quantile(0.99).unwrap() > 1.0);
     }
 
