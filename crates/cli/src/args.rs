@@ -1,18 +1,17 @@
 //! Minimal command-line argument parsing (no external dependencies).
 //!
-//! Supports `--key value`, `--key=value`, and bare flags; positional
-//! arguments are collected in order. Unknown options are an error, which
-//! keeps typos from silently running a default configuration.
+//! Supports `--key value`, `--key=value`, and bare flags. No command
+//! takes a positional argument, so a stray token is an error, as is an
+//! unknown option: typos never silently run a default configuration.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use webcap_parallel::Parallelism;
 
-/// Parsed arguments: positionals in order plus `--key value` options.
+/// Parsed arguments: `--key value` options and bare flags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Args {
-    positional: Vec<String>,
     options: BTreeMap<String, String>,
     flags: Vec<String>,
 }
@@ -37,6 +36,8 @@ pub enum ArgsError {
     Unknown(String),
     /// A required option is absent.
     Required(String),
+    /// A token that is neither an option nor an option's value.
+    Stray(String),
 }
 
 impl fmt::Display for ArgsError {
@@ -53,6 +54,7 @@ impl fmt::Display for ArgsError {
             }
             ArgsError::Unknown(k) => write!(f, "unknown option --{k}"),
             ArgsError::Required(k) => write!(f, "missing required option --{k}"),
+            ArgsError::Stray(t) => write!(f, "unexpected argument '{t}'"),
         }
     }
 }
@@ -67,7 +69,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgsError`] on duplicates or missing values.
+    /// Returns [`ArgsError`] on duplicates, missing values, or a token
+    /// that is neither an option nor an option's value.
     pub fn parse<I: IntoIterator<Item = String>>(
         raw: I,
         bare_flags: &[&str],
@@ -97,15 +100,10 @@ impl Args {
                     return Err(ArgsError::Duplicate(key));
                 }
             } else {
-                args.positional.push(token);
+                return Err(ArgsError::Stray(token));
             }
         }
         Ok(args)
-    }
-
-    /// Positional arguments, in order.
-    pub fn positional(&self) -> &[String] {
-        &self.positional
     }
 
     /// Whether a bare flag was given.
@@ -196,13 +194,28 @@ mod tests {
     }
 
     #[test]
-    fn parses_options_flags_and_positionals() {
-        let a = parse(&["run", "--seed", "7", "--mix=ordering", "--verbose", "extra"]).unwrap();
-        assert_eq!(a.positional(), &["run", "extra"]);
+    fn parses_options_and_flags_and_rejects_a_stray_token() {
+        let a = parse(&["--seed", "7", "--mix=ordering", "--verbose"]).unwrap();
         assert_eq!(a.get("seed"), Some("7"));
         assert_eq!(a.get("mix"), Some("ordering"));
         assert!(a.flag("verbose"));
         assert!(!a.flag("quiet"));
+        // A bare flag takes no value, so the endpoint after it is stray.
+        let bare =
+            |tokens: &[&str]| Args::parse(tokens.iter().map(|s| s.to_string()), &["loopback"]);
+        assert_eq!(
+            bare(&["--loopback", "tcp:127.0.0.1:7000"]).err(),
+            Some(ArgsError::Stray("tcp:127.0.0.1:7000".into()))
+        );
+        // A single dash makes no option: `-level` is the first stray token.
+        assert_eq!(
+            parse(&["--out", "m.json", "-level", "os"]).err(),
+            Some(ArgsError::Stray("-level".into()))
+        );
+        assert_eq!(
+            ArgsError::Stray("os".into()).to_string(),
+            "unexpected argument 'os'"
+        );
     }
 
     #[test]

@@ -18,41 +18,29 @@ use webcap_net::{
 use webcap_sim::{Simulation, SystemSample, TierId};
 use webcap_tpcw::{Mix, TrafficProgram};
 
-const BASE_SEED: u64 = 17;
+// The socket suites' meter and steady stream, shared with them.
+#[path = "../../net/tests/common/meter.rs"]
+mod meter;
+#[path = "../../net/tests/common/stream.rs"]
+mod stream;
+
+use meter::trained_meter;
+use stream::{decisions_json, steady_run, BASE_SEED};
+
 const TOTAL: usize = 240;
 const WINDOW: usize = 30;
 
-fn trained_meter() -> CapacityMeter {
-    static METER: std::sync::OnceLock<CapacityMeter> = std::sync::OnceLock::new();
-    METER
-        .get_or_init(|| {
-            CapacityMeter::train(&MeterConfig::small_for_tests(31)).expect("test meter trains")
-        })
-        .clone()
-}
-
-/// A 240 s ordering run of the meter's own testbed at `ebs` — 8 full
-/// 30-sample windows.
-fn ordering_samples(meter: &CapacityMeter, ebs: u32) -> Vec<SystemSample> {
+/// The steady run's testbed at twice its estimated saturation
+/// population, so overloaded windows and their bottleneck calls cross
+/// the shards.
+fn overloaded_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
+    let knee = workloads::estimate_saturation_ebs(&meter.config().sim, &Mix::ordering());
     let mut sim = meter.config().sim.clone();
     sim.seed = 400;
-    let program = TrafficProgram::steady(Mix::ordering(), ebs, TOTAL as f64);
+    let program = TrafficProgram::steady(Mix::ordering(), 2 * knee, TOTAL as f64);
     let samples = Simulation::new(sim, program).run().samples;
     assert_eq!(samples.len(), TOTAL);
     samples
-}
-
-/// The steady run at 60 EBs (the same stream the net plane's chaos
-/// suite uses).
-fn steady_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
-    ordering_samples(meter, 60)
-}
-
-/// The same run at twice the testbed's estimated saturation population,
-/// so overloaded windows and their bottleneck calls cross the shards.
-fn overloaded_samples(meter: &CapacityMeter) -> Vec<SystemSample> {
-    let knee = workloads::estimate_saturation_ebs(&meter.config().sim, &Mix::ordering());
-    ordering_samples(meter, 2 * knee)
 }
 
 fn json<T: serde::Serialize>(v: &T) -> String {
@@ -81,7 +69,7 @@ fn scripted_faults() -> [FaultSchedule; 2] {
 #[test]
 fn fleet_of_one_matches_the_unsharded_oracle_byte_for_byte() {
     let meter = trained_meter();
-    let samples = steady_samples(&meter);
+    let samples = steady_run(&meter, TOTAL);
     let topo = FleetTopology::two_tier("steady", 31, 1);
     let out = run_fleet(
         &meter,
@@ -94,7 +82,10 @@ fn fleet_of_one_matches_the_unsharded_oracle_byte_for_byte() {
     )
     .expect("fleet runs");
     let oracle = replay_windows(&meter, &samples, BASE_SEED, &all_windows(TOTAL, WINDOW));
-    assert_eq!(json(&out.merge.decisions), json(&oracle));
+    assert_eq!(
+        decisions_json(&out.merge.decisions),
+        decisions_json(&oracle)
+    );
     assert!(out.merge.poisoned_windows.is_empty());
     assert!(out.merge.incomplete_windows.is_empty());
     assert_eq!(out.merge.anomalies, 0);
@@ -117,7 +108,7 @@ fn sharded_fleets_match_the_oracle_under_scripted_faults_at_every_k() {
     // Below capacity, then above it: sharding must leave overloaded
     // windows and their bottleneck calls unchanged too.
     for (overloaded, samples) in [
-        (false, steady_samples(&meter)),
+        (false, steady_run(&meter, TOTAL)),
         (true, overloaded_samples(&meter)),
     ] {
         let oracle = replay_windows(&meter, &samples, BASE_SEED, &survivors);
@@ -127,7 +118,7 @@ fn sharded_fleets_match_the_oracle_under_scripted_faults_at_every_k() {
                 "the overloaded input labels some window overloaded"
             );
         }
-        let oracle_json = json(&oracle);
+        let oracle_json = decisions_json(&oracle);
 
         for k in [1u32, 2, 4] {
             let topo = FleetTopology::two_tier("faulted", 31, k);
@@ -141,7 +132,11 @@ fn sharded_fleets_match_the_oracle_under_scripted_faults_at_every_k() {
                 WireCodec::Binary,
             )
             .expect("fleet runs");
-            assert_eq!(json(&out.merge.decisions), oracle_json, "K={k} decisions");
+            assert_eq!(
+                decisions_json(&out.merge.decisions),
+                oracle_json,
+                "K={k} decisions"
+            );
             assert_eq!(out.merge.poisoned_windows, poisoned, "K={k} poisons");
             assert!(out.merge.incomplete_windows.is_empty(), "K={k}");
             assert_eq!(out.merge.lost_digests, 0, "K={k}");
@@ -188,7 +183,7 @@ fn shard_frames(
         tier.select_mut(&mut cols).on_session_start(tier);
     }
     let mut frames: Vec<DigestFrame> = Vec::new();
-    for (seq, s) in steady_samples(meter).iter().enumerate() {
+    for (seq, s) in steady_run(meter, TOTAL).iter().enumerate() {
         let seq = seq as u64;
         for tier in TierId::ALL {
             let ws = tier
@@ -241,7 +236,7 @@ fn sharded_digestion_reproduces_the_assembler_exactly() {
     // monitor replay share no code with the reassembly core (the
     // `Assembler` is built from it, so it can no longer referee).
     let (survivors, poisoned) = predicted_windows(TOTAL as u64, &crash_schedules(), WINDOW, 1);
-    let oracle = replay_windows(&meter, &steady_samples(&meter), BASE_SEED, &survivors);
+    let oracle = replay_windows(&meter, &steady_run(&meter, TOTAL), BASE_SEED, &survivors);
 
     let frames = sharded_frames_for_crash_stream(&meter);
     let mut node = MergeNode::new(meter);
@@ -250,7 +245,11 @@ fn sharded_digestion_reproduces_the_assembler_exactly() {
     }
     let merged = node.finalize();
 
-    assert_eq!(json(&merged.decisions), json(&oracle), "decision stream");
+    assert_eq!(
+        decisions_json(&merged.decisions),
+        decisions_json(&oracle),
+        "decision stream"
+    );
     assert_eq!(
         merged.poisoned_windows,
         poisoned.into_iter().collect::<Vec<i64>>(),
@@ -384,9 +383,9 @@ fn a_digest_missing_a_family_the_meter_reads_is_never_scored() {
     assert_eq!(meter.config().level, MetricLevel::Hpc);
     let (mut survivors, _) = predicted_windows(TOTAL as u64, &crash_schedules(), WINDOW, 1);
     survivors.remove(&6);
-    let oracle = json(&replay_windows(
+    let oracle = decisions_json(&replay_windows(
         &meter,
-        &steady_samples(&meter),
+        &steady_run(&meter, TOTAL),
         BASE_SEED,
         &survivors,
     ));
@@ -408,7 +407,7 @@ fn a_digest_missing_a_family_the_meter_reads_is_never_scored() {
             node.ingest(f);
         }
         let out = node.finalize();
-        assert_eq!(json(&out.decisions), oracle, "{what}: decisions");
+        assert_eq!(decisions_json(&out.decisions), oracle, "{what}: decisions");
         assert_eq!(out.incomplete_windows, vec![6], "{what}");
         assert_eq!(out.poisoned_windows, vec![1], "{what}");
         assert_eq!(out.anomalies, 1, "{what}");
@@ -430,8 +429,8 @@ fn the_fleet_decides_like_the_oracle_at_every_meter_level() {
                 .expect("meter trains")
         };
         assert_eq!(meter.config().level, level);
-        let samples = steady_samples(&meter);
-        let oracle = json(&replay_windows(&meter, &samples, BASE_SEED, &survivors));
+        let samples = steady_run(&meter, TOTAL);
+        let oracle = decisions_json(&replay_windows(&meter, &samples, BASE_SEED, &survivors));
         for k in [1u32, 2] {
             let topo = FleetTopology::two_tier("levels", 31, k);
             let out = run_fleet(
@@ -444,7 +443,11 @@ fn the_fleet_decides_like_the_oracle_at_every_meter_level() {
                 WireCodec::Binary,
             )
             .expect("fleet runs");
-            assert_eq!(json(&out.merge.decisions), oracle, "{level} K={k}");
+            assert_eq!(
+                decisions_json(&out.merge.decisions),
+                oracle,
+                "{level} K={k}"
+            );
             assert_eq!(out.merge.poisoned_windows, poisoned, "{level} K={k}");
             assert!(out.merge.incomplete_windows.is_empty(), "{level} K={k}");
             assert_eq!(out.merge.anomalies, 0, "{level} K={k}");

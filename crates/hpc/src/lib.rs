@@ -11,7 +11,9 @@
 //!   [`CounterSample`] of raw counts.
 //! * [`DerivedMetrics`] — IPC, L2 miss rate, stall fraction, … — the
 //!   attribute values synopses are trained on.
-//! * [`CounterReader`] — a PerfCtr-style monotone-totals facade.
+//!
+//! Counts are per interval, as the paper's collector gets them by
+//! differencing consecutive PerfCtr reads.
 //!
 //! # Example
 //!
@@ -36,8 +38,6 @@
 
 pub mod events;
 pub mod model;
-pub mod reader;
 
 pub use events::HpcEvent;
 pub use model::{CounterSample, DerivedMetrics, HpcModel, TierArch, DERIVED_METRIC_NAMES};
-pub use reader::{counter_delta, CounterReader, COUNTER_BITS};

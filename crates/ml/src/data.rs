@@ -80,11 +80,6 @@ impl Dataset {
         self.instances.iter()
     }
 
-    /// Count of positive (overload) instances.
-    pub fn n_positive(&self) -> usize {
-        self.instances.iter().filter(|i| i.label).count()
-    }
-
     /// The distinct labels present.
     pub fn classes(&self) -> Vec<bool> {
         let pos = self.instances.iter().any(|i| i.label);
@@ -289,7 +284,6 @@ mod tests {
         let d = sample();
         assert_eq!(d.len(), 3);
         assert_eq!(d.n_features(), 2);
-        assert_eq!(d.n_positive(), 2);
         assert_eq!(d.classes(), vec![false, true]);
     }
 
@@ -313,7 +307,8 @@ mod tests {
         let p = d.project(&[1]);
         assert_eq!(p.feature_names(), &["y".to_string()]);
         assert_eq!(p.column(0), vec![10.0, 20.0, 30.0]);
-        assert_eq!(p.n_positive(), 2);
+        let labels: Vec<bool> = p.iter().map(|i| i.label).collect();
+        assert_eq!(labels, [false, true, true]);
     }
 
     #[test]

@@ -279,7 +279,8 @@ impl OsCollector {
     /// # Panics
     ///
     /// Panics if `rel` is negative or non-finite.
-    pub fn with_noise(mut self, rel: f64) -> OsCollector {
+    #[cfg(test)]
+    fn with_noise(mut self, rel: f64) -> OsCollector {
         assert!(rel >= 0.0 && rel.is_finite(), "noise must be nonnegative");
         self.noise_rel = rel;
         self
@@ -290,7 +291,8 @@ impl OsCollector {
     /// # Panics
     ///
     /// Panics if `scale` is negative or non-finite.
-    pub fn with_bias_scale(mut self, scale: f64) -> OsCollector {
+    #[cfg(test)]
+    fn with_bias_scale(mut self, scale: f64) -> OsCollector {
         assert!(
             scale >= 0.0 && scale.is_finite(),
             "bias scale must be nonnegative"

@@ -152,17 +152,6 @@ impl DemandProfile {
         self.demands[t.index()]
     }
 
-    /// Replace the demand of one interaction type (for what-if studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new demand violates the invariants documented on
-    /// [`Demand`].
-    pub fn set_demand(&mut self, t: RequestType, demand: Demand) {
-        demand.validate();
-        self.demands[t.index()] = demand;
-    }
-
     /// Draw one noisy multiplier (mean 1.0) for per-request demand
     /// variation: a normalized Erlang/gamma with the configured shape `k`,
     /// `−ln(∏ max(uᵢ, 1e-12)) / k` over `k` uniforms — one word each, and
@@ -280,19 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn set_demand_round_trips() {
-        let mut p = DemandProfile::testbed();
-        let d = Demand {
-            app_cpu_s: 0.5,
-            db_cpu_s: 0.1,
-            db_disk_s: 0.0,
-            db_calls: 4,
-        };
-        p.set_demand(RequestType::Home, d);
-        assert_eq!(p.demand(RequestType::Home), d);
-    }
-
-    #[test]
     fn disk_scale_multiplies_only_disk() {
         let base = DemandProfile::testbed();
         let scaled = DemandProfile::testbed().with_disk_scale(5.0);
@@ -311,14 +287,12 @@ mod tests {
     #[should_panic(expected = "at least one DB call")]
     fn db_work_without_calls_panics() {
         let mut p = DemandProfile::testbed();
-        p.set_demand(
-            RequestType::Home,
-            Demand {
-                app_cpu_s: 0.1,
-                db_cpu_s: 0.1,
-                db_disk_s: 0.0,
-                db_calls: 0,
-            },
-        );
+        p.demands[RequestType::Home.index()] = Demand {
+            app_cpu_s: 0.1,
+            db_cpu_s: 0.1,
+            db_disk_s: 0.0,
+            db_calls: 0,
+        };
+        p.validate();
     }
 }

@@ -21,13 +21,13 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webcap_tpcw::{EmulatedBrowser, RequestClass, RequestType, TrafficProgram};
+use webcap_tpcw::{RequestClass, RequestType, TrafficProgram};
 
 use crate::config::{SimConfig, TierId};
 use crate::gauss::GaussPairs;
 use crate::histogram::RtHistogram;
 use crate::resources::{FcfsDisk, JobId, PsCpu, TokenPool};
-use crate::telemetry::{AppStats, RunSummary, SystemSample, TierSample};
+use crate::telemetry::{AppStats, SystemSample, TierSample};
 use crate::time::{SimDuration, SimTime};
 
 /// Output of a simulation run.
@@ -35,8 +35,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct SimOutput {
     /// One sample per sampling period, in time order.
     pub samples: Vec<SystemSample>,
-    /// Aggregate summary.
-    pub summary: RunSummary,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +93,6 @@ struct Request {
 
 #[derive(Debug)]
 struct EbState {
-    browser: EmulatedBrowser,
     active: bool,
     /// The closed loop allows one request per EB at a time, so the
     /// EB's index doubles as the request's [`JobId`].
@@ -255,10 +252,8 @@ impl Simulation {
             self.clock = time;
             self.dispatch(event);
         }
-        let summary = RunSummary::from_samples(&self.samples);
         SimOutput {
             samples: self.samples,
-            summary,
         }
     }
 
@@ -354,9 +349,7 @@ impl Simulation {
             return;
         }
         let snapshot = self.program.at(self.clock.as_secs_f64());
-        let rtype = self.ebs[eb]
-            .browser
-            .next_request(&snapshot.mix, &mut self.rng);
+        let rtype = snapshot.mix.sample(&mut self.rng);
         let class = rtype.class();
         self.counters.issued += 1;
         if class == RequestClass::Browse {
@@ -425,7 +418,7 @@ impl Simulation {
         self.in_flight -= 1;
 
         // The browser thinks, then issues again.
-        let think = self.ebs[eb].browser.think_time(&mut self.rng);
+        let think = self.cfg.think.sample(&mut self.rng);
         self.schedule_after(think, Event::Issue { eb });
     }
 
@@ -547,7 +540,6 @@ impl Simulation {
             for _ in 0..need {
                 let id = self.ebs.len();
                 self.ebs.push(EbState {
-                    browser: EmulatedBrowser::with_think_time(id as u64, self.cfg.think),
                     active: true,
                     request: None,
                 });
@@ -728,24 +720,41 @@ mod tests {
         SimConfig::testbed(seed)
     }
 
+    fn issued(out: &SimOutput) -> u64 {
+        out.samples.iter().map(|s| s.front.issued).sum()
+    }
+
+    fn completed(out: &SimOutput) -> u64 {
+        out.samples.iter().map(|s| s.front.completed).sum()
+    }
+
+    /// Completions per simulated second over the whole run.
+    fn mean_throughput(out: &SimOutput) -> f64 {
+        let duration_s: f64 = out.samples.iter().map(|s| s.interval_s).sum();
+        completed(out) as f64 / duration_s
+    }
+
+    /// Mean response time over every completed request.
+    fn mean_response_time_s(out: &SimOutput) -> f64 {
+        let rt_sum: f64 = out
+            .samples
+            .iter()
+            .map(|s| s.front.response_time_sum_s)
+            .sum();
+        rt_sum / completed(out) as f64
+    }
+
     #[test]
     fn light_load_completes_everything_quickly() {
         let program = TrafficProgram::steady(Mix::shopping(), 20, 60.0);
         let out = run(quick_cfg(1), program);
         assert_eq!(out.samples.len(), 60);
-        assert!(
-            out.summary.completed > 50,
-            "completed {}",
-            out.summary.completed
-        );
+        assert!(completed(&out) > 50, "completed {}", completed(&out));
         // At 20 EBs the system is far below capacity: sub-100 ms responses.
-        assert!(
-            out.summary.mean_response_time_s < 0.2,
-            "mean rt {}",
-            out.summary.mean_response_time_s
-        );
+        let rt = mean_response_time_s(&out);
+        assert!(rt < 0.2, "mean rt {rt}");
         // Issued ≈ completed (closed loop, no pile-up).
-        assert!(out.summary.issued - out.summary.completed < 25);
+        assert!(issued(&out) - completed(&out) < 25);
     }
 
     #[test]
@@ -764,7 +773,7 @@ mod tests {
         let program = TrafficProgram::steady(Mix::shopping(), 50, 30.0);
         let a = run(quick_cfg(1), program.clone());
         let b = run(quick_cfg(2), program);
-        assert_ne!(a.summary.completed, b.summary.completed);
+        assert_ne!(completed(&a), completed(&b));
     }
 
     #[test]
@@ -777,12 +786,8 @@ mod tests {
             quick_cfg(3),
             TrafficProgram::steady(Mix::shopping(), 80, 120.0),
         );
-        assert!(
-            high.summary.mean_throughput > 2.5 * low.summary.mean_throughput,
-            "low {} high {}",
-            low.summary.mean_throughput,
-            high.summary.mean_throughput
-        );
+        let (low, high) = (mean_throughput(&low), mean_throughput(&high));
+        assert!(high > 2.5 * low, "low {low} high {high}");
     }
 
     #[test]
@@ -863,7 +868,7 @@ mod tests {
         let program = TrafficProgram::steady(Mix::ordering(), 500, 300.0);
         let a = run(cheap, program.clone());
         let b = run(costly, program);
-        let ratio = b.summary.mean_throughput / a.summary.mean_throughput;
+        let ratio = mean_throughput(&b) / mean_throughput(&a);
         assert!(
             ratio < 0.97,
             "10% overhead should cost ≥3% throughput, ratio {ratio}"
@@ -874,9 +879,7 @@ mod tests {
     fn conservation_issued_equals_completed_plus_in_flight() {
         let program = TrafficProgram::steady(Mix::shopping(), 60, 90.0);
         let out = run(quick_cfg(9), program);
-        let issued: u64 = out.samples.iter().map(|s| s.front.issued).sum();
-        let completed: u64 = out.samples.iter().map(|s| s.front.completed).sum();
         let final_in_flight = out.samples.last().unwrap().front.in_flight as u64;
-        assert_eq!(issued, completed + final_in_flight);
+        assert_eq!(issued(&out), completed(&out) + final_in_flight);
     }
 }

@@ -133,53 +133,6 @@ impl SystemSample {
     }
 }
 
-/// End-of-run summary over all samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunSummary {
-    /// Total requests issued.
-    pub issued: u64,
-    /// Total requests completed.
-    pub completed: u64,
-    /// Mean throughput over the run, requests/second.
-    pub mean_throughput: f64,
-    /// Mean response time over all completed requests, seconds.
-    pub mean_response_time_s: f64,
-    /// Peak per-interval throughput observed.
-    pub peak_throughput: f64,
-    /// Run duration, seconds.
-    pub duration_s: f64,
-}
-
-impl RunSummary {
-    /// Compute a summary from samples.
-    pub fn from_samples(samples: &[SystemSample]) -> RunSummary {
-        let issued = samples.iter().map(|s| s.front.issued).sum();
-        let completed: u64 = samples.iter().map(|s| s.front.completed).sum();
-        let duration_s: f64 = samples.iter().map(|s| s.interval_s).sum();
-        let rt_sum: f64 = samples.iter().map(|s| s.front.response_time_sum_s).sum();
-        let peak = samples
-            .iter()
-            .map(SystemSample::throughput)
-            .fold(0.0, f64::max);
-        RunSummary {
-            issued,
-            completed,
-            mean_throughput: if duration_s > 0.0 {
-                completed as f64 / duration_s
-            } else {
-                0.0
-            },
-            mean_response_time_s: if completed > 0 {
-                rt_sum / completed as f64
-            } else {
-                0.0
-            },
-            peak_throughput: peak,
-            duration_s,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,27 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn summary_aggregates() {
-        let samples = vec![sample(10, 1.0), sample(20, 4.0)];
-        let sum = RunSummary::from_samples(&samples);
-        assert_eq!(sum.completed, 30);
-        assert_eq!(sum.issued, 32);
-        assert_eq!(sum.mean_throughput, 15.0);
-        assert_eq!(sum.peak_throughput, 20.0);
-        assert!((sum.mean_response_time_s - 5.0 / 30.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn tier_accessor() {
         let s = sample(1, 0.1);
         assert_eq!(s.tier(TierId::App), &s.app);
         assert_eq!(s.tier(TierId::Db), &s.db);
-    }
-
-    #[test]
-    fn empty_summary_is_zeroed() {
-        let sum = RunSummary::from_samples(&[]);
-        assert_eq!(sum.completed, 0);
-        assert_eq!(sum.mean_throughput, 0.0);
     }
 }

@@ -1,16 +1,14 @@
-//! Emulated browsers (EBs): the client sessions of the TPC-W Remote
-//! Browser Emulator.
+//! Emulated-browser (EB) think times: the pause of the TPC-W Remote
+//! Browser Emulator between a response and the next request.
 //!
 //! Each EB cycles through *think → request → response → think*. Think
 //! times follow the spec's truncated negative-exponential distribution
-//! (mean 7 s, cap 70 s). The request type is drawn from the current
-//! [`Mix`]; the simulator owns timing, so an EB only answers "what next".
+//! (mean 7 s, cap 70 s). The simulator owns the EBs: it draws each
+//! request type from the current [`Mix`](crate::Mix) and each think time
+//! from a [`ThinkTime`].
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::mix::Mix;
-use crate::request::RequestType;
 
 /// TPC-W think-time distribution: negative exponential with a configurable
 /// mean, truncated at `cap` (spec: mean 7 s, cap 70 s).
@@ -55,55 +53,6 @@ impl Default for ThinkTime {
     }
 }
 
-/// One emulated browser session.
-///
-/// Interactions are sampled independently from the mix, which preserves
-/// the interaction frequencies the spec defines (our mixes are frequency
-/// vectors, see [`Mix`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EmulatedBrowser {
-    id: u64,
-    think: ThinkTime,
-    requests_issued: u64,
-}
-
-impl EmulatedBrowser {
-    /// Create an EB with the spec's think-time defaults.
-    pub fn new(id: u64) -> EmulatedBrowser {
-        EmulatedBrowser::with_think_time(id, ThinkTime::tpcw())
-    }
-
-    /// Create an EB with a custom think-time distribution.
-    pub fn with_think_time(id: u64, think: ThinkTime) -> EmulatedBrowser {
-        EmulatedBrowser {
-            id,
-            think,
-            requests_issued: 0,
-        }
-    }
-
-    /// This EB's identifier.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Number of requests issued so far.
-    pub fn requests_issued(&self) -> u64 {
-        self.requests_issued
-    }
-
-    /// Draw the next think time in seconds.
-    pub fn think_time<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.think.sample(rng)
-    }
-
-    /// Choose the next interaction under `mix` and count it.
-    pub fn next_request<R: Rng + ?Sized>(&mut self, mix: &Mix, rng: &mut R) -> RequestType {
-        self.requests_issued += 1;
-        mix.sample(rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,31 +77,6 @@ mod tests {
             let s = tt.sample(&mut rng);
             assert!(s > 0.0 && s <= 10.0);
         }
-    }
-
-    #[test]
-    fn browser_counts_requests() {
-        let mut eb = EmulatedBrowser::new(17);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mix = Mix::shopping();
-        for _ in 0..10 {
-            eb.next_request(&mix, &mut rng);
-        }
-        assert_eq!(eb.requests_issued(), 10);
-        assert_eq!(eb.id(), 17);
-    }
-
-    #[test]
-    fn browsing_mix_browser_mostly_browses() {
-        let mut eb = EmulatedBrowser::new(0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mix = Mix::browsing();
-        let n = 20_000;
-        let browse = (0..n)
-            .filter(|_| eb.next_request(&mix, &mut rng).class() == crate::RequestClass::Browse)
-            .count();
-        let frac = browse as f64 / n as f64;
-        assert!((frac - 0.95).abs() < 0.01, "browse fraction {frac}");
     }
 
     #[test]

@@ -200,6 +200,18 @@ mod tests {
     }
 
     #[test]
+    fn browsing_mix_browser_mostly_browses() {
+        let mix = Mix::browsing();
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 20_000;
+        let browse = (0..n)
+            .filter(|_| mix.sample(&mut rng).class() == RequestClass::Browse)
+            .count();
+        let frac = browse as f64 / n as f64;
+        assert!((frac - 0.95).abs() < 0.01, "browse fraction {frac}");
+    }
+
+    #[test]
     fn blend_interpolates_browse_fraction() {
         let half = Mix::browsing().blend(&Mix::ordering(), 0.5);
         let bf = half.browse_fraction();

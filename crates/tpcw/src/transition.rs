@@ -13,12 +13,11 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::mix::{Mix, MixId};
-use crate::request::RequestType;
 
 /// Navigation structure of the TPC-W bookstore: from each page, which
 /// interactions are reachable by a single click. `1` marks an edge.
 ///
-/// Rows/columns follow [`RequestType::ALL`] order: Home, NewProducts,
+/// Rows/columns follow [`RequestType::ALL`](crate::RequestType::ALL) order: Home, NewProducts,
 /// BestSellers, ProductDetail, SearchRequest, SearchResults, ShoppingCart,
 /// CustomerRegistration, BuyRequest, BuyConfirm, OrderInquiry,
 /// OrderDisplay, AdminRequest, AdminConfirm.
@@ -58,8 +57,6 @@ const NAVIGATION: [[u8; 14]; 14] = [
 pub struct TransitionModel {
     /// `rows[i][j]` = P(next = j | current = i).
     rows: [[f64; 14]; 14],
-    /// Distribution of a session's first interaction.
-    initial: [f64; 14],
 }
 
 impl TransitionModel {
@@ -69,8 +66,7 @@ impl TransitionModel {
     /// Each row weights the structurally reachable successors by the mix's
     /// target frequencies (a Metropolis-style construction); unreachable
     /// rows fall back to the mix itself (equivalent to returning via the
-    /// home page). Sessions start at `Home` with probability ~0.8, else at
-    /// a search page.
+    /// home page).
     pub fn from_mix(mix: &Mix) -> TransitionModel {
         let p = mix.probabilities();
         let mut rows = [[0.0f64; 14]; 14];
@@ -90,36 +86,7 @@ impl TransitionModel {
                 }
             }
         }
-        let mut initial = [0.0; 14];
-        initial[RequestType::Home.index()] = 0.8;
-        initial[RequestType::SearchRequest.index()] = 0.2;
-        TransitionModel { rows, initial }
-    }
-
-    /// The transition probabilities out of `from`.
-    pub fn row(&self, from: RequestType) -> &[f64; 14] {
-        &self.rows[from.index()]
-    }
-
-    /// Sample the next interaction given the current one (or a session
-    /// start when `current` is `None`).
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        current: Option<RequestType>,
-        rng: &mut R,
-    ) -> RequestType {
-        let dist = match current {
-            Some(c) => &self.rows[c.index()],
-            None => &self.initial,
-        };
-        let mut u: f64 = rng.random();
-        for (j, &p) in dist.iter().enumerate() {
-            if u < p {
-                return RequestType::from_index(j);
-            }
-            u -= p;
-        }
-        RequestType::from_index(13)
+        TransitionModel { rows }
     }
 
     /// Multiplicatively perturb every transition probability and
@@ -179,13 +146,10 @@ impl TransitionModel {
 
     /// Verify row-stochasticity (used by tests and after deserialization).
     pub fn is_valid(&self) -> bool {
-        self.rows
-            .iter()
-            .chain(std::iter::once(&self.initial))
-            .all(|row| {
-                let total: f64 = row.iter().sum();
-                row.iter().all(|p| (0.0..=1.0 + 1e-9).contains(p)) && (total - 1.0).abs() < 1e-6
-            })
+        self.rows.iter().all(|row| {
+            let total: f64 = row.iter().sum();
+            row.iter().all(|p| (0.0..=1.0 + 1e-9).contains(p)) && (total - 1.0).abs() < 1e-6
+        })
     }
 }
 
@@ -207,6 +171,7 @@ pub fn unknown_workload_mix<R: Rng + ?Sized>(blend: f64, strength: f64, rng: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::RequestType;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -222,11 +187,14 @@ mod tests {
     fn navigation_structure_is_respected() {
         let t = TransitionModel::from_mix(&Mix::shopping());
         // SearchRequest can go to SearchResults but never to BuyConfirm.
-        let row = t.row(RequestType::SearchRequest);
+        let row = &t.rows[RequestType::SearchRequest.index()];
         assert!(row[RequestType::SearchResults.index()] > 0.0);
         assert_eq!(row[RequestType::BuyConfirm.index()], 0.0);
         // CustomerRegistration leads toward BuyRequest.
-        assert!(t.row(RequestType::CustomerRegistration)[RequestType::BuyRequest.index()] > 0.0);
+        assert!(
+            t.rows[RequestType::CustomerRegistration.index()][RequestType::BuyRequest.index()]
+                > 0.0
+        );
     }
 
     #[test]
@@ -250,48 +218,54 @@ mod tests {
         );
     }
 
+    /// `from_mix` and `perturbed` chains over seeded blends of the
+    /// canonical mixes.
+    fn seeded_chains() -> Vec<TransitionModel> {
+        let canonical = [Mix::browsing(), Mix::shopping(), Mix::ordering()];
+        (0..32)
+            .flat_map(|seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let a = &canonical[rng.random_range(0usize..3)];
+                let b = &canonical[rng.random_range(0usize..3)];
+                let chain = TransitionModel::from_mix(&a.blend(b, rng.random::<f64>()));
+                let strength = rng.random_range(0.0..0.6);
+                let perturbed = chain.perturbed(strength, &mut rng);
+                [chain, perturbed]
+            })
+            .collect()
+    }
+
     #[test]
-    fn sampling_follows_the_chain() {
-        let t = TransitionModel::from_mix(&Mix::shopping());
-        let mut rng = StdRng::seed_from_u64(1);
-        // From SearchRequest only structurally allowed successors appear.
-        for _ in 0..500 {
-            let next = t.sample(Some(RequestType::SearchRequest), &mut rng);
-            assert!(
-                matches!(next, RequestType::Home | RequestType::SearchResults),
-                "illegal transition to {next:?}"
-            );
-        }
-        // Session starts are Home or SearchRequest.
-        for _ in 0..200 {
-            let first = t.sample(None, &mut rng);
-            assert!(matches!(
-                first,
-                RequestType::Home | RequestType::SearchRequest
-            ));
+    fn every_positive_transition_is_a_navigation_edge() {
+        for (c, chain) in seeded_chains().iter().enumerate() {
+            for (i, (allowed, row)) in NAVIGATION.iter().zip(&chain.rows).enumerate() {
+                for (j, (&edge, &prob)) in allowed.iter().zip(row).enumerate() {
+                    assert!(
+                        prob == 0.0 || edge == 1,
+                        "chain {c}: ({i},{j}) has probability {prob} off the navigation graph"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn long_walk_frequencies_match_stationary() {
-        let t = TransitionModel::from_mix(&Mix::shopping());
-        let pi = t.stationary();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut counts = [0usize; 14];
-        let mut cur = None;
-        let n = 300_000;
-        for _ in 0..n {
-            let next = t.sample(cur, &mut rng);
-            counts[next.index()] += 1;
-            cur = Some(next);
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            let observed = c as f64 / n as f64;
-            assert!(
-                (observed - pi[i]).abs() < 0.01,
-                "state {i}: walk {observed} vs stationary {}",
-                pi[i]
-            );
+    fn stationary_is_a_fixed_point_distribution() {
+        for (c, chain) in seeded_chains().iter().enumerate() {
+            let pi = chain.stationary();
+            let total: f64 = pi.iter().sum();
+            assert!((total - 1.0).abs() < 1e-9, "chain {c}: sum {total}");
+            for (j, &pj) in pi.iter().enumerate() {
+                let flowed: f64 = pi
+                    .iter()
+                    .zip(&chain.rows)
+                    .map(|(pi_i, row)| pi_i * row[j])
+                    .sum();
+                assert!(
+                    (flowed - pj).abs() < 1e-9,
+                    "chain {c}: (πP)[{j}] = {flowed} but π[{j}] = {pj}"
+                );
+            }
         }
     }
 

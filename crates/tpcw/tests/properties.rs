@@ -130,23 +130,3 @@ fn transition_chains_stay_valid() {
         assert!(pi[RequestType::Home.index()] > 0.01, "seed {seed}");
     }
 }
-
-/// Walking the chain visits only structurally allowed edges.
-#[test]
-fn chain_walk_respects_structure() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let chain = TransitionModel::from_mix(&canonical(&mut rng));
-        let mut current = None;
-        for _ in 0..200 {
-            let next = chain.sample(current, &mut rng);
-            if let Some(c) = current {
-                assert!(
-                    chain.row(c)[next.index()] > 0.0,
-                    "seed {seed}: walked a zero-probability edge {c:?} -> {next:?}"
-                );
-            }
-            current = Some(next);
-        }
-    }
-}

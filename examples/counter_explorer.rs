@@ -1,6 +1,6 @@
-//! Counter explorer: watch the PerfCtr-style counter file and the sysstat
-//! metrics of the DB tier side by side while the load crosses the knee —
-//! the raw-data view behind everything else in this repository.
+//! Counter explorer: watch the hardware counters and the sysstat metrics
+//! of the DB tier side by side while the load crosses the knee — the
+//! raw-data view behind everything else in this repository.
 //!
 //! ```sh
 //! cargo run --release --example counter_explorer
@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use webcap::core::workloads;
-use webcap::hpc::{counter_delta, CounterReader, DerivedMetrics, HpcEvent, HpcModel};
+use webcap::hpc::{DerivedMetrics, HpcEvent, HpcModel};
 use webcap::os::OsCollector;
 use webcap::sim::{SimConfig, Simulation, TierId};
 use webcap::tpcw::{Mix, TrafficProgram};
@@ -26,42 +26,27 @@ fn main() {
     );
     let samples = Simulation::new(cfg, program).run().samples;
 
-    let mut reader = CounterReader::open(HpcModel::testbed(), TierId::Db);
+    let hpc = HpcModel::testbed();
     let mut os = OsCollector::new(TierId::Db);
     let mut rng = StdRng::seed_from_u64(5);
 
     println!(
-        "{:>5} {:>16} {:>16} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7}",
-        "t",
-        "instr (raw reg)",
-        "cycles (raw reg)",
-        "ipc",
-        "l2miss",
-        "stall",
-        "runq",
-        "%user",
-        "iowait"
+        "{:>5} {:>12} {:>12} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7}",
+        "t", "instr", "cycles", "ipc", "l2miss", "stall", "runq", "%user", "iowait"
     );
-    let mut prev = reader.read();
     for (i, s) in samples.iter().enumerate() {
         let ts = s.tier(TierId::Db);
-        reader.advance(ts, s.interval_s, &mut rng);
+        let counters = hpc.sample(TierId::Db, ts, s.interval_s, &mut rng);
         let os_sample = os.sample(ts, s.interval_s, &mut rng);
         if (i + 1) % 30 != 0 {
-            prev = reader.read();
             continue;
         }
-        let cur = reader.read();
-        let instr = counter_delta(
-            prev[HpcEvent::InstructionsRetired.index()],
-            cur[HpcEvent::InstructionsRetired.index()],
-        );
-        let derived = DerivedMetrics::from_sample(reader.last_interval().expect("advanced"));
+        let derived = DerivedMetrics::from_sample(&counters);
         println!(
-            "{:>5.0} {:>16} {:>16} {:>7.3} {:>7.4} {:>7.3} | {:>7.0} {:>7.1} {:>7.1}",
+            "{:>5.0} {:>12} {:>12} {:>7.3} {:>7.4} {:>7.3} | {:>7.0} {:>7.1} {:>7.1}",
             s.t_s,
-            cur[HpcEvent::InstructionsRetired.index()],
-            cur[HpcEvent::CyclesUnhalted.index()],
+            counters.count(HpcEvent::InstructionsRetired),
+            counters.count(HpcEvent::CyclesUnhalted),
             derived.ipc,
             derived.l2_miss_rate,
             derived.stall_fraction,
@@ -69,8 +54,6 @@ fn main() {
             os_sample.value("pct_user"),
             os_sample.value("pct_iowait"),
         );
-        let _ = instr;
-        prev = cur;
     }
     println!("\nnote how the hardware ratios (ipc, l2miss, stall) keep moving past the");
     println!("knee while %user pegs at ~100 and runq wanders — Table I's level gap.");

@@ -685,7 +685,10 @@ fn sec5d_counter_collection_is_nearly_free_and_sysstat_costs_a_few_percent() {
         let mix = Mix::ordering();
         let knee = workloads::estimate_saturation_ebs(&cfg, &mix);
         let program = TrafficProgram::steady(mix, knee + knee / 5, 1800.0);
-        run(cfg, program).summary.mean_throughput
+        let samples = run(cfg, program).samples;
+        let completed: u64 = samples.iter().map(|s| s.front.completed).sum();
+        let duration_s: f64 = samples.iter().map(|s| s.interval_s).sum();
+        completed as f64 / duration_s
     };
     let uncollected = SEEDS.map(|seed| throughput(seed, 0.0));
     let [hpc, os] = [HPC_COLLECTOR_COST, OS_COLLECTOR_COST].map(|cost| -> Vec<f64> {
