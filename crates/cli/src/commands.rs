@@ -346,7 +346,7 @@ pub fn agent(args: &Args) -> Result<(), CliError> {
     let mut source = ScriptedSource::new(tier, &samples);
     let report = run_agent(&cfg, hpc_model, meter.config().level, &mut source)?;
     println!(
-        "agent[{tier}]: {} samples sent in {} frames over {} session(s), {} acks, \
+        "agent[{tier}]: {} samples sent in {} frames over {} session(s), {} accepted, \
          {} fault-dropped, {} queue-evicted, {} heartbeats",
         report.frames_sent,
         report.sample_frames,

@@ -272,7 +272,8 @@ impl HpcModel {
     /// # Panics
     ///
     /// Panics if `sigma` is negative or not finite.
-    pub fn with_noise(mut self, sigma: f64) -> HpcModel {
+    #[cfg(test)]
+    fn with_noise(mut self, sigma: f64) -> HpcModel {
         assert!(
             sigma >= 0.0 && sigma.is_finite(),
             "noise must be nonnegative"

@@ -1,35 +1,27 @@
 //! The per-tier telemetry agent: sample, synthesize, frame, stream.
 //!
-//! One agent process runs next to each tier. Its loop is single-
-//! threaded by design — poll the [`SampleSource`], synthesize the metric
-//! rows ([`TierSampler`]), enqueue, send binary frames of up to
-//! [`MAX_BATCH`] samples, each encoded straight from the
-//! queue by reference (no sample is cloned to be framed, and none leaves
-//! the queue before its frame is written) — with exactly one ack reader
-//! thread beside it that drains the collector's acknowledgments so the
-//! peer's write buffer can never fill and deadlock the pair. The
-//! collector acks each sample frame once, with the sequence of its last
-//! member, and each heartbeat; the reader only counts them, and since a
-//! session's frames arrive in order on one connection, a cumulative ack
-//! per frame tells it as much as one per sample would. The reader
-//! sleeps in a blocking read and wakes once per collector flush: one
-//! `read` takes the whole burst of acks into a reassembly buffer (the
-//! one the collector's lanes use), so an ack cut in two by a short read
-//! or a read timeout is simply completed by the next read.
+//! One agent process runs next to each tier, and it is one thread: poll
+//! the [`SampleSource`], synthesize the metric rows ([`TierSampler`]),
+//! enqueue, send binary frames of up to [`MAX_BATCH`] samples, each
+//! encoded straight from the queue by reference (no sample is cloned to
+//! be framed, and none leaves the queue before its frame is written).
+//! The collector answers a connection only at its ends — the handshake's
+//! `Ack{0}` or `Reject`, and a `Reject` when it drops the session — and
+//! never a sample frame or a heartbeat, so nothing needs reading while a
+//! session streams.
 //!
-//! The reader takes the agent's connections one after another, in
-//! session order, and each connection's reading outlives its session by
-//! at most one session. When a session ends on a scheduled reconnect,
-//! the agent half-closes it and redials at once while the reader drains
-//! it to the collector's EOF; before ending the next session it waits
-//! for that drain, so at most one ended session drains behind the live
-//! one and the collector holds at most one waiting dial per tier. A
-//! session that ends on a failed write, and the final `Bye` session,
-//! are drained before the agent goes on. Only the first dial waits for
-//! the collector's `Ack{0}`; a redial writes its `Hello` and streams at
-//! once, and the reader takes the reply: an `Ack{0}` is not counted, a
-//! `Reject` ends the run with [`HandshakeRejected`] once that session's
-//! drain is waited for.
+//! A session's replies are read once it has ended: the agent half-closes
+//! it and reads it to the collector's EOF. When a
+//! session ends on a scheduled reconnect the agent redials at once and
+//! leaves the ended session unread behind the live one; it drains that
+//! session before ending the next, so at most one ended session waits
+//! behind the live one and the collector holds at most one waiting dial
+//! per tier. A session that ends on a failed write, and the final `Bye`
+//! session, are drained before the agent goes on. Only the first dial
+//! waits for the collector's `Ack{0}`; a redial writes its `Hello` and
+//! streams at once, and the drain judges the reply: an `Ack{0}` is
+//! counted as an accept, a `Reject` ends the run with
+//! [`HandshakeRejected`].
 //!
 //! Robustness model:
 //!
@@ -53,9 +45,6 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use webcap_core::MetricLevel;
@@ -100,11 +89,6 @@ impl FaultSchedule {
     pub fn drops(&self, seq: u64) -> bool {
         self.drop_ranges.iter().any(|&(a, b)| a <= seq && seq <= b)
     }
-
-    /// Whether the schedule does nothing.
-    pub fn is_empty(&self) -> bool {
-        self.drop_ranges.is_empty() && self.reconnect_before.is_empty()
-    }
 }
 
 /// Agent runtime configuration.
@@ -132,7 +116,8 @@ pub const MAX_BATCH: u32 = 32;
 /// Bounded send-queue capacity (drop-oldest beyond it).
 pub const QUEUE_CAPACITY: usize = 256;
 
-/// Read timeout on an established connection (the ack drain).
+/// Read timeout on an established connection: how long the drain of an
+/// ended session waits for the collector's EOF.
 pub const READ_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Send a heartbeat after this long without frames while idle.
@@ -160,8 +145,7 @@ pub struct AgentReport {
     /// Samples that reached the wire, in sample frames (the name is from
     /// when every frame carried one sample).
     pub frames_sent: u64,
-    /// Sample frames (`Sample` or `SampleBatch`) that reached the wire:
-    /// what the collector acknowledges, one ack per frame.
+    /// Sample frames (`Sample` or `SampleBatch`) that reached the wire.
     pub sample_frames: u64,
     /// Samples discarded by the [`FaultSchedule`]'s drop ranges.
     pub frames_dropped: u64,
@@ -169,12 +153,11 @@ pub struct AgentReport {
     pub queue_dropped: u64,
     /// Connections established (reconnects = `sessions - 1`).
     pub sessions: u64,
-    /// Acknowledgment frames observed, the handshake's `Ack{0}` not
-    /// among them: one per sample frame the collector took, carrying
-    /// that frame's last sequence, and one per heartbeat.
+    /// Handshake accepts (`Ack{0}`) observed: one per session the
+    /// collector accepted, the first dial's included.
     pub acks_received: u64,
-    /// Mid-session `Reject` frames observed (the collector refusing a
-    /// frame it could not parse).
+    /// Mid-session `Reject` frames observed (the collector dropping a
+    /// session on a frame it could not parse, or on a stall).
     pub rejects_received: u64,
     /// Heartbeat frames sent.
     pub heartbeats_sent: u64,
@@ -276,9 +259,9 @@ fn try_handshake(cfg: &AgentConfig, level: MetricLevel) -> io::Result<Conn> {
 }
 
 /// Redial without waiting for the handshake: connect, write the `Hello`
-/// and return, the collector's reply left for the new session's ack
-/// reader. `Ok((conn, true))` is such a pipelined dial; a failed connect
-/// falls back to the retrying [`dial`], `Ok((conn, false))`.
+/// and return, the collector's reply left for the new session's drain.
+/// `Ok((conn, true))` is such a pipelined dial; a failed connect falls
+/// back to the retrying [`dial`], `Ok((conn, false))`.
 fn redial(cfg: &AgentConfig, level: MetricLevel) -> io::Result<(Conn, bool)> {
     let pipelined = Conn::connect(&cfg.endpoint).and_then(|mut conn| {
         write_frame(&mut conn, &hello(cfg, level))?;
@@ -389,147 +372,6 @@ impl Script {
     }
 }
 
-/// What one connection's ack reader saw.
-#[derive(Default)]
-struct AckTally {
-    acks: u64,
-    rejects: u64,
-    /// The refusal of a pipelined `Hello` ([`hello_reply`]'s error).
-    refused: Option<io::Error>,
-}
-
-/// One session handed to the [`AckReader`].
-struct AckJob {
-    /// A clone of the session's connection.
-    conn: Conn,
-    /// Set once the session has ended: the reader then stops at its
-    /// first read timeout instead of waiting on.
-    over: Arc<AtomicBool>,
-    /// The tier whose pipelined `Hello` the first frame answers; that
-    /// reply is judged, not counted.
-    hello: Option<TierId>,
-}
-
-/// The agent's ack reader: one thread that reads its sessions' clones in
-/// session order — one blocking read per burst of acks, the collector
-/// flushing once per service round — each until the collector's EOF, a
-/// dead or unparseable stream, or a read timeout once the session is
-/// over, and hands back one [`AckTally`] per session. Order costs
-/// nothing: the collector serves a tier's sessions one after another,
-/// so a session's acks only start once the one before it is closed.
-struct AckReader {
-    jobs: mpsc::Sender<AckJob>,
-    tallies: mpsc::Receiver<AckTally>,
-    thread: JoinHandle<()>,
-    /// Sessions handed over whose tally is not yet taken.
-    pending: usize,
-}
-
-impl AckReader {
-    fn start() -> AckReader {
-        let (jobs, inbox) = mpsc::channel::<AckJob>();
-        let (outbox, tallies) = mpsc::channel();
-        let thread = std::thread::spawn(move || {
-            for job in inbox {
-                if outbox.send(read_acks(job)).is_err() {
-                    return;
-                }
-            }
-        });
-        AckReader {
-            jobs,
-            tallies,
-            thread,
-            pending: 0,
-        }
-    }
-
-    /// Queue `conn`'s session for reading; returns its end-of-session
-    /// flag.
-    fn read(&mut self, conn: &Conn, hello: Option<TierId>) -> io::Result<Arc<AtomicBool>> {
-        let over = Arc::new(AtomicBool::new(false));
-        let job = AckJob {
-            conn: conn.try_clone()?,
-            over: Arc::clone(&over),
-            hello,
-        };
-        self.jobs.send(job).map_err(|_| reader_gone())?;
-        self.pending += 1;
-        Ok(over)
-    }
-
-    /// Wait for the oldest pending session's tally, fold its counts into
-    /// `report`, and surface a refused pipelined `Hello`.
-    fn take(&mut self, report: &mut AgentReport) -> io::Result<()> {
-        // Counted off before the wait: a dead reader fails every take,
-        // and `finish` must still run out of sessions to wait for.
-        self.pending = self.pending.saturating_sub(1);
-        let tally = self.tallies.recv().map_err(|_| reader_gone())?;
-        report.acks_received += tally.acks;
-        report.rejects_received += tally.rejects;
-        tally.refused.map_or(Ok(()), Err)
-    }
-
-    /// Take every pending tally and stop the thread; the first refusal
-    /// wins.
-    fn finish(mut self, report: &mut AgentReport) -> io::Result<()> {
-        let mut first = Ok(());
-        while self.pending > 0 {
-            first = first.and(self.take(report));
-        }
-        drop(self.jobs);
-        self.thread.join().map_err(|_| reader_gone())?;
-        first
-    }
-}
-
-fn reader_gone() -> io::Error {
-    io::Error::other("ack reader panicked")
-}
-
-/// Read one session's acks (see [`AckReader`]).
-fn read_acks(job: AckJob) -> AckTally {
-    let AckJob {
-        mut conn,
-        over,
-        mut hello,
-    } = job;
-    let mut rbuf = FrameBuf::default();
-    let mut tally = AckTally::default();
-    'read: loop {
-        match rbuf.fill(&mut conn) {
-            Ok(_) => {}
-            Err(e) if e.is_timeout() && !over.load(Ordering::Relaxed) => continue,
-            Err(_) => break,
-        }
-        loop {
-            let frame = match rbuf.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(_) => break 'read,
-            };
-            if let Some(tier) = hello.take() {
-                if let Err(e) = hello_reply(tier, frame) {
-                    tally.refused = Some(e);
-                    break 'read;
-                }
-                continue;
-            }
-            match frame {
-                Frame::Ack { .. } => tally.acks += 1,
-                Frame::Reject { .. } => tally.rejects += 1,
-                Frame::Hello { .. }
-                | Frame::Sample(_)
-                | Frame::SampleBatch(_)
-                | Frame::Heartbeat { .. }
-                | Frame::Bye { .. }
-                | Frame::Digest(_) => {}
-            }
-        }
-    }
-    tally
-}
-
 /// Run an agent until its source is exhausted (graceful `Bye`) or the
 /// collector stays unreachable past the retry budget. It synthesizes
 /// with the collector's meter's `hpc_model` and ships the families its
@@ -551,10 +393,10 @@ pub fn run_agent(
         last_seq: 0,
         scratch: Vec::new(),
     };
-    let mut reader = AckReader::start();
-    let run = stream.sessions(level, &mut reader);
-    // Never return with a session still draining: its acks are unread.
-    let drained = reader.finish(&mut stream.report);
+    let mut behind = None;
+    let run = stream.sessions(level, &mut behind);
+    // Never return with an ended session unread.
+    let drained = behind.map_or(Ok(()), |ended| stream.drain(ended));
     drained.and(run).map(|()| stream.report)
 }
 
@@ -575,41 +417,77 @@ struct Stream<'a> {
 
 impl Stream<'_> {
     /// Dial, stream, and redial until the source is flushed. A session
-    /// ended by a scheduled reconnect is half-closed and left to the
-    /// `reader` while the next one streams; at most one drains behind
-    /// the live one, since its tally is taken before the next session
-    /// ends. The first dial waits for the handshake; later ones are
-    /// pipelined ([`redial`]).
-    fn sessions(&mut self, level: MetricLevel, reader: &mut AckReader) -> io::Result<()> {
+    /// ended by a scheduled reconnect is half-closed and left unread in
+    /// `behind` while the next one streams; at most one waits there,
+    /// since it is drained before the next session ends. The first dial
+    /// waits for the handshake; later ones are pipelined ([`redial`]).
+    fn sessions(
+        &mut self,
+        level: MetricLevel,
+        behind: &mut Option<(Conn, bool)>,
+    ) -> io::Result<()> {
         let (mut conn, mut pipelined) = (dial(self.cfg, level)?, false);
         loop {
-            conn.set_read_timeout(Some(READ_TIMEOUT))?;
             self.report.sessions += 1;
-            let over = reader.read(&conn, pipelined.then_some(self.cfg.tier))?;
-            let streamed = self.session(&mut conn);
+            // A pipelined dial's accept is counted by its drain.
+            self.report.acks_received += u64::from(!pipelined);
+            let streamed = conn
+                .set_read_timeout(Some(READ_TIMEOUT))
+                .and_then(|()| self.session(&mut conn));
 
-            let drained = if reader.pending > 1 {
-                reader.take(&mut self.report)
-            } else {
-                Ok(())
-            };
-            // However the session ended, half-close and let the reader
-            // run to the collector's EOF (it closes its side on `Bye`
-            // and on end-of-stream alike). Closing with acks unread
-            // resets the connection, and a reset discards frames still
-            // in the collector's receive queue.
-            over.store(true, Ordering::Relaxed);
+            let drained = behind.take().map_or(Ok(()), |ended| self.drain(ended));
+            // However the session ended, half-close it: the collector
+            // closes its side on `Bye` and on end-of-stream alike.
             let _ = conn.shutdown_write();
             if drained.is_err() || !matches!(streamed, Ok(SessionEnd::Reconnect)) {
-                let joined = reader.take(&mut self.report);
+                let joined = self.drain((conn, pipelined));
                 drained.and(joined)?;
                 match streamed? {
                     SessionEnd::Done => return Ok(()),
                     SessionEnd::Reconnect | SessionEnd::Broken => {}
                 }
+            } else {
+                *behind = Some((conn, pipelined));
             }
             (conn, pipelined) = redial(self.cfg, level)?;
         }
+    }
+
+    /// Read an ended session to the collector's EOF, a dead or
+    /// unparseable stream, or a read timeout. A pipelined dial's first
+    /// frame is its handshake reply, judged by [`hello_reply`]; after it,
+    /// `Ack{0}`s and `Reject`s are counted. Every connection is read so
+    /// before it is dropped: closing one with a reply unread resets it,
+    /// and a reset discards samples still in the collector's receive
+    /// queue.
+    fn drain(&mut self, (mut conn, pipelined): (Conn, bool)) -> io::Result<()> {
+        let (mut rbuf, mut hello) = (FrameBuf::default(), pipelined);
+        while rbuf.fill(&mut conn).is_ok() {
+            loop {
+                let frame = match rbuf.next_frame() {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
+                    Err(_) => return Ok(()),
+                };
+                if std::mem::take(&mut hello) {
+                    hello_reply(self.cfg.tier, frame)?;
+                    self.report.acks_received += 1;
+                    continue;
+                }
+                match frame {
+                    Frame::Ack { seq: 0 } => self.report.acks_received += 1,
+                    Frame::Reject { .. } => self.report.rejects_received += 1,
+                    Frame::Hello { .. }
+                    | Frame::Sample(_)
+                    | Frame::SampleBatch(_)
+                    | Frame::Heartbeat { .. }
+                    | Frame::Ack { .. }
+                    | Frame::Bye { .. }
+                    | Frame::Digest(_) => {}
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Synthesize one polled sample and queue it, unless it is warm-up:
@@ -765,6 +643,8 @@ fn write_queued_frame<W: io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
     use webcap_sim::TierSample;
 
     fn ws(seq: u64) -> WireSample {
@@ -802,8 +682,6 @@ mod tests {
         assert!(s.drops(12));
         assert!(!s.drops(13));
         assert!(s.drops(40));
-        assert!(!s.is_empty());
-        assert!(FaultSchedule::NONE.is_empty());
     }
 
     #[test]

@@ -996,7 +996,7 @@ const ROW_KEPT: usize = 256;
 
 /// What [`decode_frame_into`] made of a payload.
 // Not boxed: `Other` never holds a sample, and a `Box` would put an
-// allocation on every ack an agent reads.
+// allocation on every heartbeat a lane reads.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, PartialEq)]
 pub enum Decoded {

@@ -22,12 +22,14 @@
 //!
 //! The socketed collector is **one thread**: `pump_events` is the poll
 //! loop — accept and handshake, read each tier's lane, decode,
-//! reassemble, decide, queue acks, flush — and calls its one handler,
+//! reassemble, decide — and calls its one handler,
 //! [`run_supervised_collector`]'s, directly for every event. A lane
 //! decodes each sample frame whole into sample slots it keeps from frame
-//! to frame, lends the handler each member by reference, and acks the
-//! frame once, with its last member's sequence, so its steady path
-//! allocates nothing per frame or per sample.
+//! to frame and lends the handler each member by reference, so its
+//! steady path allocates nothing per frame or per sample. It writes to
+//! an agent only the handshake's `Ack{0}` or `Reject` and, when it drops
+//! a session, one best-effort `Reject`: a sample frame or a heartbeat
+//! goes unanswered, so a peer that never reads has nothing to back up.
 //! There is no queue between the socket and the meter, and a lane parses
 //! after every read, so it buffers at most one read and a frame prefix;
 //! a slow consumer leaves the kernel's socket buffers full instead, and
@@ -39,7 +41,7 @@
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Write};
+use std::io;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -48,7 +50,7 @@ use webcap_sim::TierId;
 
 use crate::binary::{decode_frame_into, Decoded};
 use crate::frame::{
-    append_frame, level_schema_hash, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf,
+    level_schema_hash, metric_schema_hash, read_frame, write_frame, Frame, FrameBuf,
     TierWindowDigest, WireSample, PROTO_VERSION,
 };
 use crate::reassembly::{score_window, TierDigester};
@@ -65,13 +67,12 @@ pub struct CollectorConfig {
     /// Stop when no events arrive for this long and no session is
     /// active.
     pub idle_timeout: Duration,
-    /// Overload bound on each lane's bytes per poll round, in *both*
-    /// directions: a round stops reading a lane once it has read this
-    /// much inbound (fairness against a blasting peer; the lane parses
-    /// after every read, and a partial frame carries over to the next
-    /// round), and a lane whose outbound ack backlog exceeds it — a peer
-    /// that writes but never reads — is shed. The default, two maximum
-    /// frames, keeps a blasting lane's round long enough for throughput.
+    /// Overload bound on each lane's inbound bytes per poll round: a
+    /// round stops reading a lane once it has read this much (fairness
+    /// against a blasting peer; the lane parses after every read, and a
+    /// partial frame carries over to the next round). The default, two
+    /// maximum frames, keeps a blasting lane's round long enough for
+    /// throughput.
     pub max_lane_buffered_bytes: usize,
     /// Overload bound on a lane that sits mid-frame without completing
     /// one: after this many consecutive poll rounds holding a partial
@@ -112,9 +113,6 @@ impl Default for CollectorConfig {
 /// window is quarantined exactly like loss, never silently averaged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShedKind {
-    /// The peer's outbound (ack) backlog exceeded the lane byte bound —
-    /// it writes but never reads.
-    WriteBacklog,
     /// The lane sat mid-frame past the stall budget — a half-open peer
     /// or a hostile slow writer.
     StalledFrame,
@@ -126,7 +124,6 @@ pub enum ShedKind {
 impl std::fmt::Display for ShedKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            ShedKind::WriteBacklog => "write-backlog",
             ShedKind::StalledFrame => "stalled-frame",
             ShedKind::DialBacklog => "dial-backlog",
         })
@@ -518,17 +515,10 @@ pub(crate) enum Event<'a> {
 pub(crate) fn handshake(conn: &mut Conn, level: MetricLevel) -> io::Result<TierId> {
     conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    // Turn the peer away: tell it why (best effort — it may still be
-    // listening), and fail the handshake with the same reason.
+    // Turn the peer away: tell it why, and fail the handshake with the
+    // same reason.
     let reject = |conn: &mut Conn, reason: String, theirs: u32| {
-        let _ = write_frame(
-            conn,
-            &Frame::Reject {
-                reason: reason.clone(),
-                ours: PROTO_VERSION,
-                theirs,
-            },
-        );
+        send_reject(conn, reason.clone(), theirs);
         io::Error::new(io::ErrorKind::InvalidData, reason)
     };
     let hello = match read_frame(conn) {
@@ -570,6 +560,18 @@ pub(crate) fn handshake(conn: &mut Conn, level: MetricLevel) -> io::Result<TierI
     Ok(tier)
 }
 
+/// Tell a peer why it is turned away, best effort: the socket takes the
+/// one frame or the peer goes without it. `theirs` is the version the
+/// peer announced, 0 when the refusal is not about versions.
+fn send_reject(conn: &mut Conn, reason: String, theirs: u32) {
+    let reject = Frame::Reject {
+        reason,
+        ours: PROTO_VERSION,
+        theirs,
+    };
+    let _ = write_frame(conn, &reject);
+}
+
 /// Why a live session ended, as the pump observed it.
 enum LaneEnd {
     /// Peer said `Bye`, hit EOF, went silent past the read timeout, or
@@ -581,9 +583,9 @@ enum LaneEnd {
 }
 
 /// One tier's live connection inside the pump: the nonblocking socket
-/// plus its frame-reassembly buffer, its sample slots and its
-/// pending-write buffer. All are reused for the connection's lifetime —
-/// servicing a sample frame on the steady path allocates nothing.
+/// plus its frame-reassembly buffer and its sample slots. Both are reused
+/// for the connection's lifetime — servicing a sample frame on the
+/// steady path allocates nothing.
 struct ConnState {
     conn: Conn,
     tier: TierId,
@@ -592,8 +594,6 @@ struct ConnState {
     /// The members of the last sample frame, decoded in place
     /// ([`decode_frame_into`]) and lent to the handler one by one.
     slots: Vec<WireSample>,
-    /// Outbound bytes the socket has not yet accepted.
-    wbuf: Vec<u8>,
     /// Accumulated pump sleep since this connection last produced
     /// bytes — the event-loop stand-in for a blocking read timeout.
     idle: Duration,
@@ -616,41 +616,14 @@ impl ConnState {
             tier,
             rbuf: FrameBuf::default(),
             slots: Vec::new(),
-            wbuf: Vec::new(),
             idle: Duration::ZERO,
             stalled_polls: 0,
             graceful: false,
         }
     }
 
-    /// Queue `frame`'s wire bytes behind the unsent ones. A frame over
-    /// the length cap is not queued — only a `Reject` with a runaway
-    /// reason could be one, and it ends the session anyway.
-    fn queue_frame(&mut self, frame: &Frame) {
-        let _ = append_frame(frame, &mut self.wbuf);
-    }
-
-    /// Push queued bytes to the socket until it stops accepting them.
-    /// `Ok(())` means "no fatal error" — bytes may remain queued.
-    fn flush(&mut self) -> io::Result<()> {
-        while !self.wbuf.is_empty() {
-            match self.conn.write(&self.wbuf) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.wbuf.drain(..n);
-                }
-                Err(e) if is_timeout(&e) => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// End the session: flush what the socket will still take, close
-    /// it, and announce the end.
-    fn close(mut self, events: &mut Delivery<impl FnMut(Event<'_>)>) {
-        let _ = self.flush();
+    /// End the session: close it and announce the end.
+    fn close(self, events: &mut Delivery<impl FnMut(Event<'_>)>) {
         let _ = self.conn.shutdown();
         events.deliver(Event::SessionEnd {
             tier: self.tier,
@@ -700,8 +673,7 @@ impl<H: FnMut(Event<'_>)> Delivery<H> {
 }
 
 /// Service one live connection: read what the socket has, parsing the
-/// complete frames after every read and handing their events over, then
-/// flush pending acks.
+/// complete frames after every read and handing their events over.
 /// Returns how the session ended, or `None` while it stays live.
 fn service_conn(
     state: &mut ConnState,
@@ -737,11 +709,7 @@ fn service_conn(
                 Err(e) => {
                     // A corrupt frame earns the peer a Reject naming the
                     // parse failure before the session drops.
-                    state.queue_frame(&Frame::Reject {
-                        reason: format!("unreadable frame: {e}"),
-                        ours: PROTO_VERSION,
-                        theirs: 0,
-                    });
+                    send_reject(&mut state.conn, format!("unreadable frame: {e}"), 0);
                     return Some(LaneEnd::Closed);
                 }
             };
@@ -751,20 +719,14 @@ fn service_conn(
                 Decoded::Samples { members, .. } => {
                     // A frame is exactly its samples in order: one event
                     // per member, indistinguishable downstream from the
-                    // same samples sent one frame each, and one ack
-                    // carrying the last member's sequence. The whole
-                    // frame has decoded before its first member goes.
-                    let members = state.slots.get(..members).unwrap_or_default();
-                    for ws in members {
+                    // same samples sent one frame each. The whole frame
+                    // has decoded before its first member goes.
+                    for ws in state.slots.get(..members).unwrap_or_default() {
                         events.deliver(Event::Sample { tier, ws });
                     }
-                    if let Some(seq) = members.last().map(|ws| ws.seq) {
-                        state.queue_frame(&Frame::Ack { seq });
-                    }
                 }
-                Decoded::Other(Frame::Heartbeat { seq }) => {
-                    state.queue_frame(&Frame::Ack { seq });
-                }
+                // A heartbeat only resets the idle clock, as any read does.
+                Decoded::Other(Frame::Heartbeat { .. }) => {}
                 Decoded::Other(Frame::Bye { last_seq }) => {
                     state.graceful = true;
                     events.deliver(Event::Bye { tier, last_seq });
@@ -794,28 +756,15 @@ fn service_conn(
     } else {
         state.stalled_polls = state.stalled_polls.saturating_add(1);
         if state.stalled_polls >= cfg.stall_poll_budget {
-            state.queue_frame(&Frame::Reject {
-                reason: format!(
-                    "overload: mid-frame stall past {} poll rounds",
-                    cfg.stall_poll_budget
-                ),
-                ours: PROTO_VERSION,
-                theirs: 0,
-            });
-            let _ = state.flush();
+            let reason = format!(
+                "overload: mid-frame stall past {} poll rounds",
+                cfg.stall_poll_budget
+            );
+            send_reject(&mut state.conn, reason, 0);
             return Some(LaneEnd::Shed(ShedKind::StalledFrame));
         }
     }
 
-    if state.flush().is_err() {
-        return Some(LaneEnd::Closed);
-    }
-    // A peer that writes but never reads grows `wbuf` without bound; a
-    // full lane budget of unacknowledged outbound bytes is a shed, not
-    // a block — the collector never waits on a hostile socket.
-    if state.wbuf.len() > cfg.max_lane_buffered_bytes {
-        return Some(LaneEnd::Shed(ShedKind::WriteBacklog));
-    }
     if eof || state.idle >= READ_TIMEOUT {
         return Some(LaneEnd::Closed);
     }
@@ -828,7 +777,7 @@ fn service_conn(
 /// arrival order. A round accepts and handshakes whoever is waiting
 /// (for a meter reading `level`; synchronously: handshakes are short and bounded by
 /// [`HANDSHAKE_TIMEOUT`]), services each tier's live session — read,
-/// decode, `handle`, queue acks, flush once — and sleeps a millisecond.
+/// decode, `handle` — and sleeps a millisecond.
 /// While `handle` runs nothing is read, so a slow handler fills the
 /// lane's socket, not a queue: each lane buffers at most one read and a
 /// frame prefix, and the overload reaches the agent, as a blocked
@@ -840,7 +789,7 @@ fn service_conn(
 /// `idle_timeout` and no session is live; with sessions live that
 /// silence is delivered as [`Event::Stale`] instead. Both idle clocks —
 /// this one and each lane's — count the pump's own sleeps, not wall
-/// time. Whatever is still connected at the end is flushed and closed.
+/// time. Whatever is still connected at the end is closed.
 pub(crate) fn pump_events(
     listener: Listener,
     cfg: &CollectorConfig,
@@ -936,7 +885,7 @@ pub(crate) fn pump_events(
         }
     }
 
-    // Teardown: flush and close whatever is still connected so peers
+    // Teardown: close whatever is still connected so peers
     // see a clean shutdown. Each end is announced unless the `Bye` set
     // is what stopped the pump.
     for lane in lanes.iter_mut() {
@@ -976,8 +925,9 @@ mod tests {
 
     // ------------------------------------------------------ the pump
 
-    use crate::frame::{WireCaps, WireCodec};
+    use crate::frame::{append_frame, WireCaps, WireCodec};
     use crate::transport::Endpoint;
+    use std::io::Write;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Run `peers` against a fresh listener on a second thread and the
@@ -1028,29 +978,30 @@ mod tests {
         conn
     }
 
-    /// Read until the collector closes its side.
+    /// Read until the collector closes its side. After the handshake it
+    /// answers nothing, so the first read ends the stream.
     fn read_to_eof(conn: &mut Conn) {
-        while read_frame(conn).is_ok() {}
+        let reply = read_frame(conn);
+        assert!(reply.is_err(), "the collector answered: {reply:?}");
     }
 
     #[test]
     fn the_handler_runs_on_the_callers_thread_and_nothing_follows_the_final_bye() {
         let cfg = CollectorConfig::default();
-        let peers = |endpoint: Endpoint| {
+        let (serviced, seen_serviced) = std::sync::mpsc::channel();
+        let peers = move |endpoint: Endpoint| {
             // App's first session says Bye at once and is closed.
             let mut first = handshaken(&endpoint, TierId::App);
             write_frame(&mut first, &Frame::Bye { last_seq: 0 }).unwrap();
             read_to_eof(&mut first);
             // Its second, live session is provably serviced: three
-            // samples, three acks. It never says Bye and has a fourth
-            // sample in flight.
+            // samples, the third seen by the handler. It never says Bye
+            // and has a fourth sample in flight.
             let mut app = handshaken(&endpoint, TierId::App);
             for seq in 0..3 {
                 write_frame(&mut app, &Frame::Sample(wire(seq, true))).unwrap();
             }
-            for seq in 0..3 {
-                assert_eq!(read_frame(&mut app).unwrap(), Frame::Ack { seq });
-            }
+            seen_serviced.recv_timeout(Duration::from_secs(5)).unwrap();
             write_frame(&mut app, &Frame::Sample(wire(3, true))).unwrap();
             // The Db session completes the Bye set, with one more frame
             // behind the Bye in the same write.
@@ -1063,7 +1014,17 @@ mod tests {
             read_to_eof(&mut db);
             read_to_eof(&mut app);
         };
-        let seen = pump_with_peers(&cfg, peers, |_| {});
+        let seen = pump_with_peers(&cfg, peers, |event| {
+            if let Event::Sample {
+                tier: TierId::App,
+                ws,
+            } = event
+            {
+                if ws.seq == 2 {
+                    let _ = serviced.send(());
+                }
+            }
+        });
 
         let here = std::thread::current().id();
         assert!(seen.iter().all(|(_, thread)| *thread == here), "{seen:?}");
@@ -1101,10 +1062,10 @@ mod tests {
         let peers = |endpoint: Endpoint| {
             // Db comes and goes behind a live App session, so the pump
             // never sits with nothing live. Then App's heartbeats keep
-            // its lane alive (each one is acked) but are not events:
-            // heartbeat until the handler has seen `Stale` after Db's
-            // end, then finish. The cap only bounds the never-stale
-            // failure.
+            // its lane alive (none is answered) but are not events:
+            // heartbeat every millisecond until the handler has seen
+            // `Stale` after Db's end, then finish. The cap only bounds
+            // the never-stale failure.
             let mut app = handshaken(&endpoint, TierId::App);
             let mut db = handshaken(&endpoint, TierId::Db);
             write_frame(&mut db, &Frame::Bye { last_seq: 0 }).unwrap();
@@ -1114,7 +1075,7 @@ mod tests {
                     break;
                 }
                 write_frame(&mut app, &Frame::Heartbeat { seq }).unwrap();
-                assert_eq!(read_frame(&mut app).unwrap(), Frame::Ack { seq });
+                std::thread::sleep(Duration::from_millis(1));
             }
             write_frame(&mut app, &Frame::Bye { last_seq: 0 }).unwrap();
             read_to_eof(&mut app);
@@ -1171,8 +1132,8 @@ mod tests {
     }
 
     /// A batch that is corrupt at its last member delivers none of its
-    /// members: the lane has delivered and acked the batch before it,
-    /// queues a `Reject` naming the parse failure, and closes.
+    /// members: the lane has delivered the batch before it, answers
+    /// nothing but a `Reject` naming the parse failure, and closes.
     #[cfg(unix)]
     #[test]
     fn a_batch_corrupt_at_its_last_member_delivers_nothing() {
@@ -1221,16 +1182,15 @@ mod tests {
         state.close(&mut events);
         assert_eq!(delivered, ["sample 0", "sample 1", "sample 2", "end false"]);
         let replies = peer.join().unwrap();
-        let [Frame::Ack { seq: 2 }, Frame::Reject { reason, .. }] = replies.as_slice() else {
-            panic!("one ack, then a Reject: {replies:?}");
+        let [Frame::Reject { reason, .. }] = replies.as_slice() else {
+            panic!("a Reject and nothing else: {replies:?}");
         };
         assert!(reason.contains("bad bool"), "{reason}");
     }
 
     /// A backlog of 32-sample batches, beyond the default lane budget,
-    /// read in one round: every sample is delivered in order, each frame
-    /// is acked once with its last sequence, and the lane buffer holds no
-    /// more than one read and one frame.
+    /// read in one round: every sample is delivered in order, and the
+    /// lane buffer holds no more than one read and one frame.
     #[cfg(unix)]
     #[test]
     fn one_round_over_a_backlog_parses_as_it_reads() {
@@ -1243,20 +1203,12 @@ mod tests {
             frame_len = frame_len.max(backlog.len() - before);
             samples += 32;
         }
-        let frames = samples / 32;
         // The budget is the backlog, so the round reads all of it.
         let cfg = CollectorConfig {
             max_lane_buffered_bytes: backlog.len(),
             ..CollectorConfig::default()
         };
-        let peer = std::thread::spawn(move || {
-            let mut conn = Conn::Unix(theirs);
-            conn.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
-            conn.write_all(&backlog).unwrap();
-            (0..frames)
-                .map(|_| read_frame(&mut conn).unwrap())
-                .collect::<Vec<_>>()
-        });
+        let peer = std::thread::spawn(move || Conn::Unix(theirs).write_all(&backlog).unwrap());
         let mut state = ConnState::new(Conn::Unix(ours), TierId::Db);
         state.conn.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
         let mut delivered = Vec::new();
@@ -1270,10 +1222,7 @@ mod tests {
             quiet: Duration::ZERO,
         };
         assert!(service_conn(&mut state, &cfg, &mut events).is_none());
-        let acks: Vec<Frame> = (1..=frames)
-            .map(|f| Frame::Ack { seq: 32 * f - 1 })
-            .collect();
-        assert_eq!(peer.join().unwrap(), acks);
+        peer.join().unwrap();
         let db_samples: Vec<_> = (0..samples).map(|seq| (TierId::Db, seq)).collect();
         assert_eq!(delivered, db_samples);
         let held = state.rbuf.capacity();

@@ -18,9 +18,9 @@
 //! both ends so a corrupt length cannot trigger an unbounded allocation.
 //!
 //! A session is `Hello → Ack{0}` (or `Reject`) followed by any number of
-//! `Sample`/`SampleBatch`/`Heartbeat` frames, each acknowledged once —
-//! a sample frame with its last member's sequence — and closed by
-//! `Bye{last_seq}`. The `Hello` announces the agent's
+//! `Sample`/`SampleBatch`/`Heartbeat` frames, none of them answered, and
+//! closed by `Bye{last_seq}`; a collector that drops a session sends one
+//! `Reject` saying why. The `Hello` announces the agent's
 //! [`PROTO_VERSION`], the [`level_schema_hash`] of the families it
 //! ships, and its batch cap ([`WireCaps`]); a collector accepts the full
 //! schema or its meter's level. It accepts exactly [`PROTO_VERSION`];
@@ -54,8 +54,11 @@ use crate::supervisor::HealthState;
 /// sample leave a metric family the collector's meter does not read
 /// empty, and the `Hello`'s schema hash names the families shipped
 /// ([`level_schema_hash`]), so a collector whose meter reads one the
-/// agent leaves out refuses it at connect time.
-pub const PROTO_VERSION: u32 = 5;
+/// agent leaves out refuses it at connect time. Version 6 answers only
+/// the handshake: no sample frame or heartbeat is acknowledged, and an
+/// agent reads nothing while a session streams, so a version 5
+/// collector's per-frame acks would pile up unread.
+pub const PROTO_VERSION: u32 = 6;
 
 /// Frame magic word, `"WCB3"` as big-endian bytes written
 /// little-endian. The codec generation is baked into the magic so a
@@ -193,8 +196,7 @@ pub enum Frame {
     /// Several consecutive per-second measurements in one frame — the
     /// batched steady-state shape of the binary codec. To the meter,
     /// identical to the same `Sample`s sent back-to-back: the collector
-    /// assembles each element individually, and acknowledges the frame
-    /// once, with its last element's sequence.
+    /// assembles each element individually.
     SampleBatch(Vec<WireSample>),
     /// Liveness signal while the source is idle; `seq` is the last
     /// sample sequence produced.
@@ -202,9 +204,8 @@ pub enum Frame {
         /// Last sample sequence produced by the agent.
         seq: u64,
     },
-    /// Receipt acknowledgment: `Ack { seq: 0 }` answers `Hello`, and
-    /// every later one a sample frame (carrying its last member's
-    /// sequence) or a heartbeat (carrying its own).
+    /// Handshake accept: `Ack { seq: 0 }` answers an accepted `Hello`,
+    /// and nothing else is acknowledged.
     Ack {
         /// Sequence being acknowledged.
         seq: u64,
@@ -346,7 +347,8 @@ pub fn level_schema_hash(tier: TierId, level: MetricLevel) -> u64 {
 
 /// Append one whole frame to `out` — the header, then the binary
 /// payload — leaving `out` as it was when the payload exceeds
-/// [`MAX_FRAME_LEN`]: the collector's ack queue appends here.
+/// [`MAX_FRAME_LEN`]: tests lay wire streams out in memory here.
+#[cfg(test)]
 pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), FrameError> {
     append_payload(out, |out| crate::binary::encode_frame(frame, out))
 }
@@ -354,8 +356,8 @@ pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), Frame
 /// Lay one frame out at the end of `out`: the header, then the payload
 /// `encode` appends, refused — `out` truncated back — above
 /// [`MAX_FRAME_LEN`]. Every writer's frames are laid out here: the
-/// collector's ack queue, the blocking [`write_frame_codec`] and the
-/// agent's [`write_sample_frame`] alike.
+/// blocking [`write_frame_codec`] and the agent's [`write_sample_frame`]
+/// alike.
 fn append_payload(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), FrameError> {
     let start = out.len();
     out.extend_from_slice(&FRAME_MAGIC_BIN.to_le_bytes());
@@ -477,11 +479,11 @@ pub fn try_extract_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameErro
 
 /// How much one [`FrameBuf::fill`] asks the socket for: about two
 /// hundred and eighty HPC-level samples (≈ 230 B each on the wire, nine
-/// batches of 32), or several thousand acks.
+/// batches of 32).
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// The frame-reassembly buffer behind every streaming reader — the
-/// collector's lanes and the agent's ack reader: [`fill`](Self::fill)
+/// collector's lanes and the agent's session drain: [`fill`](Self::fill)
 /// appends whatever one `read` returns,
 /// [`next_payload`](Self::next_payload) hands out the payloads of the
 /// whole frames in it, and [`next_frame`](Self::next_frame) those frames

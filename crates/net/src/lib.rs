@@ -21,9 +21,9 @@
 //!   sockets, behind one [`Endpoint`] grammar.
 //! * [`source`] — the [`SampleSource`] seam an agent measures through,
 //!   and the replayable per-tier metric synthesis ([`TierSampler`]).
-//! * [`agent`] — the agent runtime: bounded drop-oldest queueing,
-//!   sample batching, heartbeats, jittered-backoff reconnect, and the
-//!   scripted [`FaultSchedule`].
+//! * [`agent`] — the agent runtime, one thread: bounded drop-oldest
+//!   queueing, sample batching, heartbeats, jittered-backoff reconnect,
+//!   and the scripted [`FaultSchedule`].
 //! * [`retry`] — the agent's jittered-backoff [`RetryPolicy`].
 //! * [`reassembly`] — the one implementation of the per-tier window
 //!   rules ([`TierDigester`]: gap poisoning, straddle quarantine,
@@ -32,7 +32,7 @@
 //! * [`collector`] — the collector itself, [`Assembler`]: one digester
 //!   per tier joined per window, under the health [`Supervisor`] and
 //!   the admission controller (SafeMode clamps the cap); and the
-//!   one-thread ingest pump (poll, decode, reassemble, decide, ack)
+//!   one-thread ingest pump (poll, decode, reassemble, decide)
 //!   that [`run_supervised_collector`] runs it on. A restarted
 //!   collector is a cold start: it persists nothing.
 //! * [`supervisor`] — the Healthy → Degraded → SafeMode health state

@@ -186,7 +186,7 @@ impl Supervisor {
     }
 
     /// Poison rate over the sliding window.
-    pub fn poison_rate(&self) -> f64 {
+    fn poison_rate(&self) -> f64 {
         if self.recent.is_empty() {
             return 0.0;
         }

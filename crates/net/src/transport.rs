@@ -158,16 +158,6 @@ impl Conn {
         }
     }
 
-    /// Clone the handle (shared underlying socket) so one thread can
-    /// read acknowledgments while another writes samples.
-    pub fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => Ok(Conn::Tcp(s.try_clone()?)),
-            #[cfg(unix)]
-            Conn::Unix(s) => Ok(Conn::Unix(s.try_clone()?)),
-        }
-    }
-
     /// Force blocking (or non-blocking) mode. A stream accepted from a
     /// non-blocking listener may inherit the listener's mode on some
     /// platforms; the collector pins accepted streams back to blocking
@@ -189,8 +179,7 @@ impl Conn {
         }
     }
 
-    /// Shut down both directions, releasing any thread blocked on the
-    /// shared socket.
+    /// Shut down both directions.
     pub fn shutdown(&self) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.shutdown(Shutdown::Both),

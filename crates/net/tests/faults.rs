@@ -13,21 +13,17 @@
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::num::NonZeroU64;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use webcap_core::admission::{MAX_EBS, MIN_EBS};
-use webcap_core::{CapacityMeter, MetricLevel};
-use webcap_net::frame::{read_frame, write_frame, Frame};
+use webcap_core::CapacityMeter;
+use webcap_net::frame::{read_frame, Frame};
 use webcap_net::loopback::{
     all_windows, replay_windows, run_loopback_scheduled, run_supervised_loopback, LoopbackOutcome,
 };
 use webcap_net::supervisor::HealthState;
-use webcap_net::transport::{Conn, Listener};
-use webcap_net::{
-    AgentConfig, Assembler, CollectorConfig, Endpoint, FaultKnobs, FaultSchedule, SampleSource,
-    ScriptedSource, SourcePoll,
-};
+use webcap_net::transport::Conn;
+use webcap_net::{AgentConfig, Assembler, CollectorConfig, Endpoint, FaultKnobs, FaultSchedule};
 use webcap_sim::{SystemSample, TierId};
 
 #[path = "common/contract.rs"]
@@ -146,8 +142,9 @@ fn faulted_planes_match_the_oracle_and_never_admit_from_suspect_state() {
 /// drains the ended session behind the live one. Per tier the
 /// collector then holds at most one waiting dial (nothing is shed as a
 /// dial backlog), takes the sessions in dial order (decisions and
-/// quarantine are the oracle's), and each sample frame is acked once,
-/// no pipelined handshake ack counted among them. The knob stream is straddled in every window,
+/// quarantine are the oracle's) and receives every sample sent, and
+/// each session's accept is counted once, the pipelined ones read by
+/// the drain. The knob stream is straddled in every window,
 /// so a scripted stream beside it breaks mid-window only in its first
 /// four windows and on window boundaries after them, leaving survivors
 /// to compare decisions on.
@@ -191,8 +188,13 @@ fn dense_reconnects_match_the_oracle_without_a_dial_backlog() {
         for (tier, agent) in TierId::ALL.into_iter().zip(&out.agents) {
             assert_eq!(agent.frames_sent, total, "{tier:?}");
             assert_eq!(
-                agent.acks_received, agent.sample_frames,
-                "{tier:?}: one ack per sample frame, no handshake ack among them"
+                agent.acks_received, agent.sessions,
+                "{tier:?}: one accept per session"
+            );
+            assert_eq!(
+                *tier.select(&out.collector.samples),
+                agent.frames_sent,
+                "{tier:?}: every sample sent was received"
             );
             assert_eq!(agent.sessions, reconnects + 1, "{tier:?}");
         }
@@ -335,99 +337,4 @@ fn a_rogue_connection_is_rejected_and_the_run_completes() {
     let emitted: Vec<i64> = out.decisions.iter().map(|(w, _)| *w).collect();
     assert_eq!(emitted, vec![0, 1], "real traffic was unaffected");
     assert!(out.poisoned_windows.is_empty());
-}
-
-/// A source that hands out its script and then idles — keeping the
-/// agent's session open, heartbeating — until the test releases it.
-struct HeldSource<'a> {
-    script: ScriptedSource<'a>,
-    release: &'a AtomicBool,
-}
-
-impl SampleSource for HeldSource<'_> {
-    fn next_sample(&mut self) -> SourcePoll {
-        match self.script.next_sample() {
-            SourcePoll::Exhausted if !self.release.load(Ordering::Acquire) => SourcePoll::Idle,
-            poll => poll,
-        }
-    }
-}
-
-/// An ack the network delivers in two pieces, more than a read timeout
-/// apart, is still one ack: the agent's reader keeps the fragment and
-/// resumes the frame, it does not restart mid-frame on the remainder,
-/// read a bad magic word and leave every later ack uncounted and
-/// undrained (which the collector then sheds as a write backlog).
-#[test]
-fn an_ack_split_across_a_read_timeout_is_still_counted() {
-    const SAMPLES: u64 = 40;
-    let meter = trained_meter();
-    let samples = steady_run(&meter, TOTAL_SAMPLES);
-    let samples = &samples[..SAMPLES as usize];
-    let listener = Listener::bind(&tcp()).expect("listener binds");
-    let cfg = AgentConfig::new(
-        TierId::Db,
-        listener.local_endpoint().expect("bound endpoint"),
-        BASE_SEED,
-    );
-    let release = AtomicBool::new(false);
-
-    let report = std::thread::scope(|scope| {
-        let agent = scope.spawn(|| {
-            let mut source = HeldSource {
-                script: ScriptedSource::new(TierId::Db, samples),
-                release: &release,
-            };
-            let hpc_model = meter.config().hpc_model.clone();
-            webcap_net::run_agent(&cfg, hpc_model, MetricLevel::Combined, &mut source)
-        });
-
-        // The hand-rolled collector: handshake, then read until every
-        // sample has arrived (heartbeats are neither counted nor acked).
-        let mut conn = listener.accept().expect("agent dials");
-        assert!(matches!(
-            read_frame(&mut conn).expect("hello"),
-            Frame::Hello { .. }
-        ));
-        write_frame(&mut conn, &Frame::Ack { seq: 0 }).expect("handshake ack");
-        let mut seen = 0;
-        while seen < SAMPLES {
-            match read_frame(&mut conn).expect("sample frames") {
-                Frame::Sample(_) => seen += 1,
-                Frame::SampleBatch(batch) => seen += batch.len() as u64,
-                Frame::Heartbeat { .. } => {}
-                other => panic!("expected samples, got {other:?}"),
-            }
-        }
-
-        // Every ack in one buffer, delivered as 5 bytes — a fragment of
-        // the first frame's header — then, 1.2 read timeouts later, the
-        // rest.
-        let mut wire = Vec::new();
-        for seq in 0..SAMPLES {
-            write_frame(&mut wire, &Frame::Ack { seq }).expect("acks encode");
-        }
-        let (fragment, rest) = wire.split_at(5);
-        conn.write_all(fragment).expect("fragment writes");
-        std::thread::sleep(webcap_net::agent::READ_TIMEOUT.mul_f64(1.2));
-        conn.write_all(rest).expect("remaining acks write");
-
-        // Let the agent finish: it says Bye and waits for our close.
-        release.store(true, Ordering::Release);
-        loop {
-            match read_frame(&mut conn).expect("frames until Bye") {
-                Frame::Bye { last_seq } => break assert_eq!(last_seq, SAMPLES - 1),
-                Frame::Heartbeat { .. } => {}
-                other => panic!("expected Bye, got {other:?}"),
-            }
-        }
-        drop(conn);
-        agent.join().expect("agent thread").expect("agent runs")
-    });
-
-    assert_eq!(report.frames_sent, SAMPLES);
-    assert_eq!(
-        report.acks_received, report.frames_sent,
-        "every ack is counted, the split one included"
-    );
 }
